@@ -6,12 +6,15 @@ so regressions here silently slow every E/A run.  The guides' rule:
 no optimization without measurement — this is the measurement.
 """
 
+import numpy as np
+
 from repro.core.config import (NetCacheConfig, ScaleConfig, SystemConfig,
                                WorkloadConfig)
 from repro.core.system import build_system
+from repro.lease import PooledLeaseService
 from repro.net import ControlNetwork, Endpoint
 from repro.obs.registry import MetricsRegistry
-from repro.sim import ClockEnsemble, RandomStreams, Simulator
+from repro.sim import ClockEnsemble, RandomStreams, Simulator, TimerPool
 from repro.sim.trace import TraceRecorder
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import generate_schedule
@@ -190,6 +193,24 @@ def _spin_scale_registration(n_clients: int) -> int:
 def test_scale_client_registration_throughput(benchmark):
     """Flyweight-registration rate: build + park 50k clients lazily."""
     benchmark(_spin_scale_registration, 50_000)
+
+
+def _spin_pooled_seed_sweep(n_slots: int, n_deadlines: int) -> int:
+    """Seed ``n_slots`` parked leases over ``n_deadlines`` distinct
+    deadlines with one ``renew_many``, then run the pooled sweep dry —
+    the bulk path E-scale and ``bench/``'s ``scale_park`` pay."""
+    sim = Simulator()
+    pooled = PooledLeaseService(TimerPool(sim))
+    slots = np.arange(n_slots)
+    pooled.renew_many(slots, 1.0 + (slots % n_deadlines) * 0.1)
+    sim.run()
+    assert pooled.expired == n_slots
+    return n_slots
+
+
+def test_pooled_seed_sweep_throughput(benchmark):
+    """Parked leases seeded and swept per second, bulk path."""
+    benchmark(_spin_pooled_seed_sweep, 200_000, 180)
 
 
 def _spin_intent_open(n: int) -> int:

@@ -67,10 +67,10 @@ class PooledCounters:
         """Grow every column to hold at least ``n`` slots."""
         grow = n - len(self.wakeups)
         if grow > 0:
-            zeros = [0] * grow
+            zeros = bytes(self.wakeups.itemsize * grow)
             for col in self.columns.values():
-                col.extend(zeros)
-            self.wakeups.extend(zeros)
+                col.frombytes(zeros)
+            self.wakeups.frombytes(zeros)
 
     def fold(self, idx: int, client: ClientAgent) -> None:
         """Accumulate a client's live counters into slot ``idx``."""

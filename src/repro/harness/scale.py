@@ -17,7 +17,7 @@ mode) and pooled timers (:class:`repro.sim.timer_pool.TimerPool`):
   kernel events per wall second, and parked-lease expiries swept.
 
 Run it with ``python -m repro.harness e-scale`` (100k default; pass
-``--clients 1000000`` for the full sweep — minutes, hence ``heavy``).
+``--clients 1000000`` for the full sweep; ``heavy`` keeps it out of ``all``).
 EXPERIMENTS.md records representative output.
 """
 
@@ -135,13 +135,11 @@ def _seed_parked_leases(system: StorageTankSystem, duration: float) -> None:
     if pooled is None:
         raise RuntimeError("scale experiment requires a lazy-built system")
     n = len(system.pool)
-    pooled.ensure_capacity(n)
     rng = system.streams.get("scale.leases")
     base = system.sim.now
     raw = rng.uniform(0.2 * duration, 0.8 * duration, size=n)
     expiries = base + np.ceil(raw / EXPIRY_BUCKET) * EXPIRY_BUCKET
-    for idx in range(n):
-        pooled.renew(idx, float(expiries[idx]))
+    pooled.renew_many(np.arange(n), expiries)
 
 
 def _zipf_active_set(system: StorageTankSystem, active: int,

@@ -15,11 +15,17 @@ Design notes:
   pairs plus a token -> callback dict.  Cancellation is *lazy*: the heap
   entry stays behind and is discarded when popped (the standard
   lazy-deletion idiom), so ``cancel`` is O(1).
-- The pool arms at most one kernel :class:`~repro.sim.events.Timeout`
-  for its current earliest deadline.  Inserting an earlier deadline
-  arms a fresh timeout; the superseded one fires later as a no-op
-  drain.  Stale arms are therefore bounded by the number of
-  "new-earliest" insertions, not by the number of logical timers.
+- The pool keeps one *current* kernel :class:`~repro.sim.events.Timeout`
+  armed for its earliest deadline.  Inserting an earlier deadline arms
+  a fresh timeout and leaves the superseded one in the kernel heap as a
+  *stale* arm.  A stale arm fires once, drains whatever is due at that
+  instant (usually nothing) and re-arms nothing unless a callback it
+  ran registered a deadline earlier than the current arm's.  Each
+  "new-earliest" insertion therefore costs at most one extra kernel
+  timeout (the current arm is later re-armed for the deadline its
+  stale predecessor still covers): total arms are bounded by the
+  number of distinct deadlines plus the number of new-earliest
+  insertions, never by the number of logical timers.
 - Firing drains *every* due entry in deadline order, then re-arms once.
   A thousand clients whose leases lapse in the same instant cost one
   kernel event, not a thousand.
@@ -37,7 +43,7 @@ the opt-in scale path (``ScaleConfig.lazy_clients``).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator
@@ -52,9 +58,10 @@ class TimerPool:
 
     ``at``/``after`` register a zero-argument callback for a deadline
     and return an integer token; ``cancel(token)`` forgets it in O(1).
-    However many entries are pending, the pool keeps at most one live
-    kernel timeout armed (plus already-superseded stale ones, which
-    drain as no-ops).
+    However many entries are pending, the pool keeps one current
+    kernel timeout armed, plus one stale timeout per insertion that
+    superseded it; a stale one fires once and starts no chain of its
+    own.
     """
 
     def __init__(self, sim: Simulator, name: str = "timer-pool") -> None:
@@ -65,6 +72,8 @@ class TimerPool:
         self._next_token = 0
         #: earliest deadline a kernel timeout is currently armed for
         self._armed_for = _INF
+        #: that timeout; any other one that fires is a stale arm
+        self._armed: Optional[Event] = None
         #: true while _on_fire drains (defers re-arming to drain end)
         self._draining = False
         #: counters for observability / tests
@@ -121,16 +130,20 @@ class TimerPool:
         delay = when - self.sim.now
         if delay < 0.0:
             delay = 0.0
-        Timeout(self.sim, delay)._add_callback(self._on_fire)
+        self._armed = Timeout(self.sim, delay)
+        self._armed._add_callback(self._on_fire)
 
-    def _on_fire(self, _event: Event) -> None:
-        """Drain every due entry in deadline order, then re-arm once.
+    def _on_fire(self, event: Event) -> None:
+        """Drain every due entry in deadline order, then re-arm if the
+        earliest pending deadline has no arm covering it.
 
-        Stale arms (superseded by an earlier insertion, or whose entries
-        were all cancelled) take this same path and simply drain
-        nothing.
+        A stale arm (superseded by an earlier insertion) takes this same
+        path but leaves the current arm's bookkeeping alone, so it
+        re-arms only for a deadline earlier than the current arm's.
         """
-        self._armed_for = _INF
+        if event is self._armed:
+            self._armed = None
+            self._armed_for = _INF
         self._draining = True
         try:
             now = self.sim.now
@@ -146,5 +159,5 @@ class TimerPool:
         finally:
             self._draining = False
         nxt = self.next_deadline()
-        if nxt < _INF:
+        if nxt < self._armed_for:
             self._arm(nxt)

@@ -144,3 +144,15 @@ def test_hundred_thousand_clients_fit_a_per_client_byte_budget():
     assert per_client < 400.0, f"{per_client:.0f} bytes/client"
     assert system.sim.pending_events <= 8
     assert system.pool.parked_count == 100_000
+
+
+def test_scale_point_seeds_in_bulk_and_sweeps_every_parked_lease():
+    from repro.harness.scale import scale_point
+
+    point = scale_point(100_000)
+    # One renew_many arms the pooled timer once: the server's machinery
+    # plus that single kernel timeout, no ladder of superseded arms.
+    assert point["kernel_after_build"] <= 2
+    # Everyone but the 48 woken clients lapses through the pooled sweep.
+    assert point["parked_expiries"] == 99_952
+    assert point["live"] == 48

@@ -116,3 +116,22 @@ def test_next_deadline_skips_cancelled_entries():
     pool.cancel(t1)
     assert pool.next_deadline() == pytest.approx(2.0)
     assert len(pool) == 1
+
+
+def test_stale_arm_fires_once_and_starts_no_chain_of_its_own():
+    """Regression: a superseded arm used to reset the armed-for marker
+    when it fired and re-arm, so every new-earliest insertion left a
+    permanent second chain of kernel timeouts (23 arms here)."""
+    sim = Simulator()
+    pool = TimerPool(sim)
+    fired = []
+    for t in range(2, 13):
+        pool.at(float(t), lambda t=t: fired.append(t))
+    pool.at(1.0, lambda: fired.append(1))  # supersedes the 2.0 arm
+    assert pool.kernel_arms == 2
+    sim.run(until=20.0)
+    assert fired == list(range(1, 13))
+    # One arm per distinct deadline plus the one duplicate for 2.0.
+    assert pool.kernel_arms == 13
+    assert sim.events_scheduled == 13
+    assert sim.pending_events == 0
