@@ -214,15 +214,14 @@ def test_pooled_seed_sweep_throughput(benchmark):
 
 
 def _spin_intent_open(n: int) -> int:
-    """``n`` open/close cycles through the intent fast path.
+    """``n`` open/close cycles through the intent path.
 
-    With intents on, each cycle is one LOCK_BATCH round trip: the open
-    intent carries the previous iteration's deferred close, so the
+    Each cycle is one LOCK_BATCH round trip: the open intent carries the previous iteration's deferred close, so the
     steady state is exactly one control datagram per open — the PR 10
     claim, measured end to end through the real client and server.
     """
     cfg = SystemConfig(n_clients=1, protocol="storage_tank",
-                       intents=True, workload=WorkloadConfig(n_files=1))
+                       workload=WorkloadConfig(n_files=1))
     system = build_system(cfg)
     client = system.client(system.pool.name_of(0))
 
@@ -252,7 +251,7 @@ def _spin_batched_range_acquire(n: int) -> int:
     server-side grant, paired batched release.
     """
     cfg = SystemConfig(n_clients=1, protocol="storage_tank",
-                       intents=True, workload=WorkloadConfig(n_files=1))
+                       workload=WorkloadConfig(n_files=1))
     system = build_system(cfg)
     client = system.client(system.pool.name_of(0))
 

@@ -123,18 +123,20 @@ class PageCache:
         return [p for p in self._pages.values()
                 if p.dirty and (file_id is None or p.file_id == file_id)]
 
-    def mark_flushed(self, page: Page, new_version: int) -> None:
-        """The page's content reached disk at ``new_version``.
+    def mark_flushed(self, page: Page, new_version: int,
+                     flushed_tag: Optional[str]) -> None:
+        """``flushed_tag`` reached disk at ``new_version``.
 
-        If the application dirtied the page again while the flush was in
-        flight the page stays dirty (the cache compares nothing — the
-        caller passes the tag it flushed via ``page``; we only clear when
-        the current tag is the flushed one).
+        ``write_dirty`` rewrites a page in place, so ``page.tag`` is
+        always the *current* tag; the caller passes the tag it captured
+        before the write went out.  If the application dirtied the page
+        again while the flush was in flight the tags differ and the page
+        stays dirty for the next flush.
         """
         current = self._pages.get(page.key)
         if current is None:
             return
-        if current.tag == page.tag:
+        if current.tag == flushed_tag:
             current.dirty = False
             current.version = new_version
         self.stats.flushes += 1

@@ -83,12 +83,6 @@ class ClientConfig:
     # positive TTL, getattr serves a cached copy for up to that many
     # local seconds before re-fetching.  0 disables attribute caching.
     attr_cache_ttl: float = 0.0
-    # Intent locking (Lustre DLM style): open/growth-setattr ride a
-    # LOCK_INTENT carrying the operation, byte-range batches ride
-    # LOCK_BATCH, and closes defer onto the next batch.  Off by default:
-    # the split protocol's datagram sequence — and the golden trace
-    # hashes over it — is untouched.
-    use_intents: bool = False
 
 
 class StorageTankClient:
@@ -181,8 +175,8 @@ class StorageTankClient:
         # Weakly consistent attribute cache: path -> (attrs, local fetch time).
         self._attr_cache: Dict[str, Tuple[FileAttributes, float]] = {}
         self.attr_cache_hits = 0
-        # Deferred closes (intent mode): per-server file ids whose close
-        # census rides the next LOCK_BATCH instead of its own datagram.
+        # Deferred closes: per-server file ids whose close census rides
+        # the next LOCK_BATCH instead of its own datagram.
         self._pending_closes: Dict[str, List[int]] = {}
 
         self.leases: Dict[str, ClientLeaseManager] = {}
@@ -255,13 +249,7 @@ class StorageTankClient:
         self._enter()
         try:
             sent_at = self.sim.now
-            if self.config.use_intents:
-                p = yield from self._intent_open(path, mode, srv)
-            else:
-                reply = yield from self._rpc(MsgKind.OPEN,
-                                             {"path": path, "mode": mode}, srv,
-                                             route=("path", path))
-                p = reply.payload
+            p = yield from self._intent_open(path, mode, srv)
             attrs = FileAttributes.from_payload(p["attrs"])
             extents = extents_from_payload(p["extents"])
             lock = LockMode(int(p["lock"]))
@@ -308,8 +296,8 @@ class StorageTankClient:
             raise
         res = dict(reply.payload["results"][-1])
         if not res.pop("ok", False):
-            # Surface the failed open sub-op exactly as a split-protocol
-            # OPEN would: a NackError carrying the server's error.
+            # Surface the failed open sub-op as a lone open intent
+            # would: a NackError carrying the server's error.
             req = Message(src=self.name, dst=srv, kind=MsgKind.LOCK_INTENT,
                           payload={"op": "open", "path": path})
             raise NackError(req, Nack(src=srv, dst=self.name,
@@ -377,27 +365,18 @@ class StorageTankClient:
             pinned = True
             end = offset + nbytes
             if end > of.extents.size_bytes:
-                if self.config.use_intents:
-                    # Growth folds into a setattr intent: the reply is
-                    # op-result + (idempotent) grant in one round trip.
-                    sent_at = self.sim.now
-                    reply = yield from self._rpc(
-                        MsgKind.LOCK_INTENT,
-                        {"op": "setattr", "file_id": of.file_id,
-                         "size": end},
-                        of.server, route=("file", of.file_id))
-                    lock = reply.payload.get("lock")
-                    if (lock is not None
-                            and not self._lock_reply_stale(of.file_id,
-                                                           sent_at)):
-                        self.locks.note_granted(of.file_id,
-                                                LockMode(int(lock)))
-                        of.lock = LockMode(int(lock))
-                else:
-                    reply = yield from self._rpc(
-                        MsgKind.SETATTR,
-                        {"file_id": of.file_id, "size": end},
-                        of.server, route=("file", of.file_id))
+                # Growth folds into a setattr intent: the reply is
+                # op-result + (idempotent) grant in one round trip.
+                sent_at = self.sim.now
+                reply = yield from self._rpc(
+                    MsgKind.LOCK_INTENT,
+                    {"op": "setattr", "file_id": of.file_id, "size": end},
+                    of.server, route=("file", of.file_id))
+                lock = reply.payload.get("lock")
+                if (lock is not None
+                        and not self._lock_reply_stale(of.file_id, sent_at)):
+                    self.locks.note_granted(of.file_id, LockMode(int(lock)))
+                    of.lock = LockMode(int(lock))
                 self._apply_meta_reply(of, reply.payload)
             tag = f"{self.name}:w{next(self._write_seq)}"
             first, count = byte_range_to_blocks(offset, nbytes)
@@ -430,18 +409,10 @@ class StorageTankClient:
         yield from self._flush_dirty(of.file_id)
         self._enter()
         try:
-            if self.config.use_intents:
-                # Close is advisory bookkeeping (§3.1), so it need not
-                # cost a datagram: the census update rides the next
-                # LOCK_BATCH to this server.
-                self._pending_closes.setdefault(of.server,
-                                                []).append(of.file_id)
-            else:
-                try:
-                    yield from self._rpc(MsgKind.CLOSE,
-                                         {"file_id": of.file_id}, of.server)
-                except (DeliveryError, NackError):
-                    pass  # close is advisory; lease machinery handles the failure
+            # Close is advisory bookkeeping (§3.1), so it need not cost
+            # a datagram: the census update rides the next LOCK_BATCH to
+            # this server.
+            self._pending_closes.setdefault(of.server, []).append(of.file_id)
             self.fds.close(fd)
             self.ops_completed += 1
         finally:
@@ -449,98 +420,30 @@ class StorageTankClient:
 
     def read_range_locked(self, fd: int, offset: int, nbytes: int,
                           ) -> Generator[Event, Any, List[Tuple[int, Optional[str]]]]:
-        """Read under a SHARED byte-range lock (sub-file sharing).
-
-        Acquire→I/O→release: the range lock is held only for the
-        duration of the operation and the data is read from the SAN, so
-        concurrent writers of *other* ranges proceed in parallel.  The
-        open instance needs no whole-file lock (`open_file` with
-        ``mode='r'`` still takes S; use this for files opened by a
-        range-locking application).
-        """
-        of = self.fds.get(fd)
-        yield from self._admit(of.server)
-        self._enter()
-        try:
-            yield from self._rpc(MsgKind.RANGE_ACQUIRE,
-                                 {"file_id": of.file_id, "start": offset,
-                                  "end": offset + nbytes,
-                                  "mode": int(LockMode.SHARED)}, of.server,
-                                 route=("file", of.file_id))
-            try:
-                first, count = byte_range_to_blocks(offset, nbytes)
-                out = yield from self._fetch_blocks(
-                    of, list(range(first, first + count)))
-                for lb, tag in out:
-                    device, lba = of.resolve(lb)
-                    self.trace.emit(self.sim.now, "app.read", self.name,
-                                    file_id=of.file_id, block=lb, tag=tag,
-                                    device=device, lba=lba)
-                self.ops_completed += 1
-                return sorted(out)
-            finally:
-                yield from self._rpc(MsgKind.RANGE_RELEASE,
-                                     {"file_id": of.file_id, "start": offset,
-                                      "end": offset + nbytes}, of.server,
-                                     route=("file", of.file_id))
-        finally:
-            self._exit()
+        """Read one range under a SHARED byte-range lock: a one-element
+        ``read_ranges_locked``."""
+        return (yield from self.read_ranges_locked(fd, [(offset, nbytes)]))[0]
 
     def write_range_locked(self, fd: int, offset: int, nbytes: int,
                            ) -> Generator[Event, Any, str]:
-        """Write under an EXCLUSIVE byte-range lock, write-*through*.
-
-        The data is hardened to the SAN before the range lock is
-        released, so the lock hand-off is also the visibility hand-off —
-        no write-back state outlives the lock.
-        """
-        of = self.fds.get(fd)
-        yield from self._admit(of.server)
-        self._enter()
-        try:
-            yield from self._rpc(MsgKind.RANGE_ACQUIRE,
-                                 {"file_id": of.file_id, "start": offset,
-                                  "end": offset + nbytes,
-                                  "mode": int(LockMode.EXCLUSIVE)}, of.server,
-                                 route=("file", of.file_id))
-            try:
-                tag = f"{self.name}:w{next(self._write_seq)}"
-                first, count = byte_range_to_blocks(offset, nbytes)
-                by_device: Dict[str, Dict[int, str]] = {}
-                phys = []
-                for lb in range(first, first + count):
-                    device, lba = of.resolve(lb)
-                    by_device.setdefault(device, {})[lba] = tag
-                    phys.append((device, lba))
-                for device, block_tags in by_device.items():
-                    yield from self.san.write(self.name, device, block_tags)
-                self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                                file_id=of.file_id, tag=tag,
-                                blocks=list(range(first, first + count)),
-                                phys=phys)
-                self.ops_completed += 1
-                return tag
-            finally:
-                yield from self._rpc(MsgKind.RANGE_RELEASE,
-                                     {"file_id": of.file_id, "start": offset,
-                                      "end": offset + nbytes}, of.server,
-                                     route=("file", of.file_id))
-        finally:
-            self._exit()
+        """Write one range under an EXCLUSIVE byte-range lock: a
+        one-element ``write_ranges_locked``."""
+        return (yield from self.write_ranges_locked(fd, [(offset, nbytes)]))[0]
 
     def read_ranges_locked(self, fd: int, ranges: List[Tuple[int, int]],
                            ) -> Generator[Event, Any, List[List[Tuple[int, Optional[str]]]]]:
-        """Read several ``(offset, nbytes)`` ranges under SHARED range
-        locks.  Without intents this is exactly N ``read_range_locked``
-        calls; with intents the acquisitions coalesce into one
-        LOCK_BATCH (adjacent ranges merge into one grant) and the
-        releases into another — 2 round trips instead of 2N."""
-        if not self.config.use_intents:
-            out = []
-            for offset, nbytes in ranges:
-                out.append((yield from self.read_range_locked(fd, offset,
-                                                              nbytes)))
-            return out
+        """Read several ``(offset, nbytes)`` ranges under SHARED
+        byte-range locks (sub-file sharing).
+
+        Acquire→I/O→release: the range locks are held only for the
+        duration of the operation and the data is read from the SAN, so
+        concurrent writers of *other* ranges proceed in parallel.  The
+        acquisitions ride one LOCK_BATCH (adjacent ranges merge into
+        one grant) and the releases another — 2 round trips for any
+        number of ranges.  The open instance needs no whole-file lock
+        (`open_file` with ``mode='r'`` still takes S; use this for
+        files opened by a range-locking application).
+        """
         of = self.fds.get(fd)
         yield from self._admit(of.server)
         self._enter()
@@ -569,14 +472,13 @@ class StorageTankClient:
     def write_ranges_locked(self, fd: int, ranges: List[Tuple[int, int]],
                             ) -> Generator[Event, Any, List[str]]:
         """Write several ``(offset, nbytes)`` ranges under EXCLUSIVE
-        range locks, write-through (see ``write_range_locked``).  With
-        intents, one LOCK_BATCH acquires, one releases."""
-        if not self.config.use_intents:
-            out = []
-            for offset, nbytes in ranges:
-                out.append((yield from self.write_range_locked(fd, offset,
-                                                               nbytes)))
-            return out
+        byte-range locks, write-*through*: one LOCK_BATCH acquires, one
+        releases.
+
+        The data is hardened to the SAN before the range locks are
+        released, so the lock hand-off is also the visibility hand-off —
+        no write-back state outlives the lock.
+        """
         of = self.fds.get(fd)
         yield from self._admit(of.server)
         self._enter()
@@ -1154,9 +1056,12 @@ class StorageTankClient:
                         self.cache.invalidate_file(p.file_id)
                 continue
             for p in pages:
-                self.cache.mark_flushed(p, versions.get(p.lba, -1))
+                # The tag that went to disk, not ``p.tag``: the page may
+                # have been rewritten while the write was in flight.
+                tag = block_tags.get(p.lba)
+                self.cache.mark_flushed(p, versions.get(p.lba, -1), tag)
                 self.trace.emit(self.sim.now, "cache.flushed", self.name,
-                                file_id=p.file_id, tag=p.tag,
+                                file_id=p.file_id, tag=tag,
                                 block=p.logical_block, device=p.device, lba=p.lba)
                 flushed += 1
         return flushed
@@ -1167,11 +1072,12 @@ class StorageTankClient:
         to the server over the control network."""
         flushed = 0
         for p in dirty:
+            tag = p.tag  # what ships; the page may be rewritten meanwhile
             try:
                 reply = yield from self._rpc(
                     MsgKind.DATA_WRITE,
                     {"file_id": p.file_id, "block": p.logical_block,
-                     "tag": p.tag, "data_bytes": BLOCK_SIZE},
+                     "tag": tag, "data_bytes": BLOCK_SIZE},
                     self.server_for_file(p.file_id),
                     route=("file", p.file_id))
             except (DeliveryError, NackError) as exc:
@@ -1182,9 +1088,10 @@ class StorageTankClient:
                                     reason=type(exc).__name__)
                     self.cache.invalidate_file(p.file_id)
                 continue
-            self.cache.mark_flushed(p, int(reply.payload.get("version", -1)))
+            self.cache.mark_flushed(p, int(reply.payload.get("version", -1)),
+                                    tag)
             self.trace.emit(self.sim.now, "cache.flushed", self.name,
-                            file_id=p.file_id, tag=p.tag,
+                            file_id=p.file_id, tag=tag,
                             block=p.logical_block, device=p.device, lba=p.lba)
             flushed += 1
         return flushed

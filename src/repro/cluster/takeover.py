@@ -67,8 +67,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Transaction kinds that create or extend a client's hold on an object
 #: and are therefore additionally refused while the map lease is stale.
 _GRANTING_KINDS = frozenset({
-    MsgKind.OPEN, MsgKind.CREATE, MsgKind.UNLINK,
-    MsgKind.LOCK_ACQUIRE, MsgKind.RANGE_ACQUIRE,
+    MsgKind.CREATE, MsgKind.UNLINK, MsgKind.LOCK_ACQUIRE,
+    MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH,
+})
+
+#: The intent sub-operations that grant.  ``range_release`` and the
+#: advisory ``close`` give something back, so a stale map never refuses
+#: them and they never get the batch they ride refused.
+_GRANTING_SUBOPS = frozenset({
+    "open", "create", "getattr", "setattr", "range_acquire",
 })
 
 
@@ -140,8 +147,7 @@ class ServerShardRole:
     # ------------------------------------------------------------------
     # ownership gate
     # ------------------------------------------------------------------
-    def _slot_of_message(self, msg: Message) -> Optional[int]:
-        payload = msg.payload
+    def _slot_of(self, payload: Dict[str, Any]) -> Optional[int]:
         if "path" in payload:
             return slot_of_path(payload["path"])
         if "file_id" in payload:
@@ -165,9 +171,27 @@ class ServerShardRole:
             if self._suspended or self.map_is_stale():
                 return self._stale()
             return None
-        slot = self._slot_of_message(msg)
+        granting = msg.kind in _GRANTING_KINDS
+        bodies: Sequence[Dict[str, Any]] = (msg.payload,)
+        if msg.kind == MsgKind.LOCK_BATCH:
+            # Refused whole when any granting sub-op would be.
+            bodies = [b for b in msg.payload.get("ops", ())
+                      if b.get("op") in _GRANTING_SUBOPS]
+        elif msg.kind == MsgKind.LOCK_INTENT:
+            granting = msg.payload.get("op") in _GRANTING_SUBOPS
+        for body in bodies:
+            refusal = self._gate_one(body, granting)
+            if refusal is not None:
+                return refusal
+        return None
+
+    def _gate_one(self, payload: Dict[str, Any], granting: bool,
+                  ) -> Optional[Tuple[str, Dict[str, Any]]]:
+        """Ownership (and, for grants, map-lease) check of one request
+        body: a whole payload, or one sub-op of a batch."""
+        slot = self._slot_of(payload)
         if slot is None:
-            fid = msg.payload.get("file_id")
+            fid = payload.get("file_id")
             if fid is not None and not self._is_local_origin(int(fid)):
                 # Unknown foreign file id: refuse rather than serve a
                 # slot we cannot prove we own (the owner will know it).
@@ -175,7 +199,7 @@ class ServerShardRole:
             return None
         if self._suspended or slot not in self.owned:
             return self._wrong_owner()
-        if self.map_is_stale() and msg.kind in _GRANTING_KINDS:
+        if granting and self.map_is_stale():
             return self._stale()
         return None
 

@@ -196,14 +196,8 @@ class SystemConfig:
     slow_clients: Tuple[str, ...] = ()   # clock-bound violators (§6)
     data_path: str = "direct"            # "direct" SAN I/O | "server" function ship
     attr_cache_ttl: float = 0.0          # weakly consistent getattr cache (footnote 1)
-    # Intent locking + lock batching (Lustre DLM, PAPERS.md).  Disabled
-    # by default: no LOCK_INTENT/LOCK_BATCH datagram is ever sent, the
-    # build adds zero RNG draws and zero events, and the pinned golden
-    # trace hashes stay bit-identical.  With ``intents=True`` clients
-    # fold the operation into the lock request (open, growth setattr,
-    # batched byte-range acquisition) so open→write→close completes in
-    # a fraction of the round trips.
-    intents: bool = False
+    # How the server shapes the byte-range grants of LOCK_INTENT /
+    # LOCK_BATCH requests (see repro.locks.manager.GrantPolicy).
     intent_grant_policy: str = "widen-to-extent"
     record_trace: bool = True
     lease: LeaseConfig = field(default_factory=LeaseConfig)
@@ -268,9 +262,6 @@ class SystemConfig:
             if self.netcache.n_nodes < 1:
                 raise ValueError("netcache.n_nodes must be >= 1 when the "
                                  "cache tier is enabled")
-        if self.intents and self.protocol != "storage_tank":
-            raise ValueError("intent locking is implemented for the "
-                             "storage_tank protocol only")
         if self.intent_grant_policy not in GRANT_POLICY_NAMES:
             raise ValueError(
                 f"unknown intent_grant_policy "

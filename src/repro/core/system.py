@@ -273,7 +273,6 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     # still covers — the same bound the suspect timer waits (§3, §6).
     server_cfg = ServerConfig(fence_on_steal=fence,
                               recovery_grace=contract.server_wait_local(),
-                              intents=cfg.intents,
                               grant_policy=cfg.intent_grant_policy)
     server_names = cfg.server_names()
     servers: Dict[str, StorageTankServer] = {}
@@ -292,8 +291,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                            rpc_retries=cfg.rpc_retries,
                            quiesce_behavior=cfg.quiesce_behavior,
                            data_path=cfg.data_path,
-                           attr_cache_ttl=cfg.attr_cache_ttl,
-                           use_intents=cfg.intents)
+                           attr_cache_ttl=cfg.attr_cache_ttl)
     timers: Optional[TimerPool] = None
     pooled: Optional[PooledLeaseService] = None
     if cfg.scale.lazy_clients:

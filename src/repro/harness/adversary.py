@@ -72,7 +72,12 @@ def adv_point(adversaries: int, seed: int = 0, n_clients: int = 1_000,
 
     injector = FaultInjector(system)
     for i, (name, kind) in enumerate(zip(adv, mix)):
-        onset = 4.0 + 1.0 * i
+        # Early, while the honest set still contends for what the
+        # adversary holds: with chain demands off (ServerConfig
+        # .demand_chain) the unchained waiter queues park the whole
+        # active set within ~3 s, after which nobody is left to demand
+        # a suppressed lock and no escalation can start.
+        onset = 2.0 + 1.0 * i
         injector.apply_step(t0 + onset, kind, {"client": name})
         if kind in NEEDS_PARTITION:
             injector.apply_step(t0 + onset + PARTITION_AFTER,

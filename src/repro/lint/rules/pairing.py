@@ -6,7 +6,7 @@ in-flight operation counter (``_enter``/``_exit``), file pins during
 flush (``_pin_file``/``_unpin_file``), demand-revocation marks
 (``_revoking.add``/``.discard``), the server's barrier bookkeeping
 (``_claim_barrier``/``_cache_pending.discard``) and byte-range locks
-(``RANGE_ACQUIRE``/``RANGE_RELEASE`` RPCs).  Leaking any of them wedges
+(``_batch_acquire``/``_batch_release``).  Leaking any of them wedges
 a counter or a lock forever — the client never quiesces, the server
 waits on a pending barrier that cannot drain.
 
@@ -26,8 +26,7 @@ pieces of path sensitivity keep the idiomatic code clean:
   while held — acquisition tokens are non-zero by convention.
 
 Pairs are configured as ``{acquire, release, paths?}`` tables; a spec is
-a dotted attribute suffix (``_cache_pending.discard``) or ``kind:NAME``
-matching any call that mentions ``MsgKind.NAME``.
+a dotted attribute suffix (``_cache_pending.discard``).
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ _DEFAULT_PAIRS: Tuple[Mapping[str, Any], ...] = (
      "paths": ["src/repro/client"]},
     {"acquire": "_claim_barrier", "release": "_cache_pending.discard",
      "paths": ["src/repro/server"]},
-    {"acquire": "kind:RANGE_ACQUIRE", "release": "kind:RANGE_RELEASE",
+    {"acquire": "_batch_acquire", "release": "_batch_release",
      "paths": ["src/repro/client"]},
 )
 
@@ -77,26 +76,13 @@ def _attr_suffix(call: ast.Call) -> Optional[List[str]]:
 
 
 class _CallSpec:
-    """One side of a pair: dotted suffix or ``kind:NAME`` matcher."""
+    """One side of a pair: a dotted attribute suffix."""
 
     def __init__(self, spec: str) -> None:
         self.raw = spec
-        self.kind: Optional[str] = None
-        self.suffix: List[str] = []
-        if spec.startswith("kind:"):
-            self.kind = spec[len("kind:"):]
-        else:
-            self.suffix = spec.split(".")
+        self.suffix: List[str] = spec.split(".")
 
     def matches(self, call: ast.Call) -> bool:
-        if self.kind is not None:
-            for node in ast.walk(call):
-                if (isinstance(node, ast.Attribute)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "MsgKind"
-                        and node.attr == self.kind):
-                    return True
-            return False
         chain = _attr_suffix(call)
         if chain is None or len(chain) < len(self.suffix):
             return False

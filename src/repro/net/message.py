@@ -21,8 +21,7 @@ class MsgKind:
     """Dotted message-kind constants used on the control network."""
 
     # client → server file system transactions
-    OPEN = "fs.open"
-    CLOSE = "fs.close"
+    OPEN = "fs.open"                       # lock-free (NFS-style) open only
     GETATTR = "fs.getattr"
     SETATTR = "fs.setattr"
     CREATE = "fs.create"
@@ -37,20 +36,17 @@ class MsgKind:
     LOCK_DOWNGRADE = "lock.downgrade"
 
     # intent locking (Lustre-style): the lock request carries the
-    # operation, so the server executes it under the lock it is about
-    # to grant and answers op-result + grant in one round trip.
+    # operation (open, create, getattr, setattr, byte-range acquire and
+    # release, close), so the server executes it under the lock it is
+    # about to grant and answers op-result + grant in one round trip.
     # LOCK_BATCH is the batching envelope: several sub-requests (e.g.
-    # contiguous RANGE_ACQUIREs) coalesced into one datagram.
+    # contiguous range acquires) coalesced into one datagram.
     LOCK_INTENT = "lock.intent"
     LOCK_BATCH = "lock.batch"
 
-    # byte-range locking (sub-file sharing)
-    RANGE_ACQUIRE = "lock.range_acquire"
-    RANGE_RELEASE = "lock.range_release"
-    RANGE_DEMAND = "lock.range_demand"
-
-    # server → client lock revocation ("demand")
+    # server → client lock revocation ("demand") and range-holder probe
     LOCK_DEMAND = "lock.demand"
+    RANGE_DEMAND = "lock.range_demand"
     CACHE_INVALIDATE = "cache.invalidate"
 
     # lease protocol
@@ -92,14 +88,13 @@ class MsgKind:
 #: surfacing as a silently dropped datagram at run time.
 KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     # the metadata server's client-transaction surface
-    "fs-core": (MsgKind.OPEN, MsgKind.CLOSE, MsgKind.GETATTR,
-                MsgKind.SETATTR, MsgKind.CREATE, MsgKind.LOOKUP,
-                MsgKind.UNLINK, MsgKind.READDIR),
+    "fs-core": (MsgKind.OPEN, MsgKind.GETATTR, MsgKind.SETATTR,
+                MsgKind.CREATE, MsgKind.LOOKUP, MsgKind.UNLINK,
+                MsgKind.READDIR),
     "fs-alloc": (MsgKind.ALLOC,),            # reserved; no dispatcher yet
     "locking": (MsgKind.LOCK_ACQUIRE, MsgKind.LOCK_RELEASE,
                 MsgKind.LOCK_DOWNGRADE),
     "intent": (MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH),
-    "byte-range": (MsgKind.RANGE_ACQUIRE, MsgKind.RANGE_RELEASE),
     "lease-null": (MsgKind.KEEPALIVE,),
     "data-ship": (MsgKind.DATA_READ, MsgKind.DATA_WRITE),
     "recovery": (MsgKind.LOCK_REASSERT,),

@@ -22,8 +22,7 @@ alternatives it argues against.  All of them subclass
 
 Overhead accounting goes through the registry: subclasses call
 :meth:`SafetyAuthority._count_cpu` / :meth:`_count_lease_msg` instead of
-bumping bespoke attributes.  The legacy ``lease_cpu_ops`` /
-``lease_msgs_sent`` attributes remain readable as deprecated properties.
+bumping bespoke attributes.
 
 :class:`ClientAgent` is the client-side counterpart: the structural
 type of everything living in a ``StorageTankSystem``'s client pool
@@ -34,7 +33,6 @@ type of everything living in a ``StorageTankSystem``'s client pool
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import (Callable, Dict, Mapping, Optional, Protocol,
                     runtime_checkable)
 
@@ -147,27 +145,6 @@ class SafetyAuthority(abc.ABC):
     def _count_lease_msg(self, n: int = 1) -> None:
         """Charge ``n`` server-originated lease messages to the registry."""
         self._m_msgs.inc(n)
-
-    # -- deprecated attribute shims ---------------------------------------
-    @property
-    def lease_cpu_ops(self) -> int:
-        """Deprecated alias for the ``lease.server.cpu_ops`` metric."""
-        warnings.warn(
-            "SafetyAuthority.lease_cpu_ops is deprecated; read "
-            "overhead_snapshot()['lease_cpu_ops'] or the "
-            f"'{CPU_OPS_METRIC}' registry metric",
-            DeprecationWarning, stacklevel=2)
-        return int(self._m_cpu.value)
-
-    @property
-    def lease_msgs_sent(self) -> int:
-        """Deprecated alias for the ``lease.server.msgs_sent`` metric."""
-        warnings.warn(
-            "SafetyAuthority.lease_msgs_sent is deprecated; read "
-            "overhead_snapshot()['lease_msgs_sent'] or the "
-            f"'{MSGS_SENT_METRIC}' registry metric",
-            DeprecationWarning, stacklevel=2)
-        return int(self._m_msgs.value)
 
 
 class NoStealAuthority(SafetyAuthority):

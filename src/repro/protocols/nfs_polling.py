@@ -88,7 +88,7 @@ class NfsPollingClient:
     def open_file(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
         """Open without any lock (``nolock``); returns a descriptor."""
         reply = yield from self._rpc(MsgKind.OPEN,
-                                     {"path": path, "mode": mode, "nolock": True})
+                                     {"path": path, "nolock": True})
         p = reply.payload
         of = self.fds.install(path, int(p["file_id"]), mode,
                               FileAttributes.from_payload(p["attrs"]),
@@ -179,9 +179,10 @@ class NfsPollingClient:
                 self.cache.invalidate_file(file_id)
                 continue
             for p in pages:
-                self.cache.mark_flushed(p, versions.get(p.lba, -1))
+                tag = block_tags.get(p.lba)  # what was written, not p.tag
+                self.cache.mark_flushed(p, versions.get(p.lba, -1), tag)
                 self.trace.emit(self.sim.now, "cache.flushed", self.name,
-                                file_id=p.file_id, tag=p.tag,
+                                file_id=p.file_id, tag=tag,
                                 block=p.logical_block, device=p.device, lba=p.lba)
                 flushed += 1
         return flushed
@@ -200,8 +201,7 @@ class NfsPollingClient:
         self.trace.emit(self.sim.now, "nfs.poll", self.name, file_id=of.file_id)
         try:
             reply = yield from self._rpc(MsgKind.OPEN,
-                                         {"path": of.path, "mode": of.mode,
-                                          "nolock": True})
+                                         {"path": of.path, "nolock": True})
         except (DeliveryError, NackError):
             return  # keep serving the (possibly stale) cache, as NFS does
         attrs = FileAttributes.from_payload(reply.payload["attrs"])

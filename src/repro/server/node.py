@@ -35,6 +35,14 @@ from repro.sim.trace import TraceRecorder
 from repro.storage.blockmap import extents_to_payload
 
 
+def _settled(result: Any) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
+    """Resolve a transaction body's result: a reply tuple, or a
+    generator of one (netcache barrier) to drive first."""
+    if not isinstance(result, tuple):
+        result = yield from result
+    return result
+
+
 @dataclass
 class ServerConfig:
     """Server tunables."""
@@ -62,15 +70,8 @@ class ServerConfig:
     # the window out-waits every pre-crash lease; the bare default here
     # is only for directly-constructed servers in unit tests.
     recovery_grace: float = 5.0
-    # Intent locking (Lustre DLM, PAPERS.md): accept LOCK_INTENT /
-    # LOCK_BATCH transactions that carry the operation inside the lock
-    # request, executed under the lock about to be granted.  Off by
-    # default: a client of a disabled server gets a NACK and the wire
-    # protocol — and every golden trace hash — is bit-identical.
-    intents: bool = False
-    # Which GrantPolicy shapes intent grants (see repro.locks.manager):
-    # "as-asked" | "batch-adjacent" | "widen-to-extent".  Consulted only
-    # on intent paths, so the default changes nothing with intents off.
+    # Which GrantPolicy shapes byte-range grants (see repro.locks.manager):
+    # "as-asked" | "batch-adjacent" | "widen-to-extent".
     grant_policy: str = "widen-to-extent"
 
 
@@ -170,16 +171,13 @@ class StorageTankServer:
         # The server's full transaction surface.  RPL006 checks these
         # registrations against the KIND_GROUPS partition: adding a kind
         # to a declared group without a handler fails static analysis.
-        # repro-lint: handles[fs-core, locking, intent, byte-range, lease-null, data-ship, cluster-owner]
+        # repro-lint: handles[fs-core, locking, intent, lease-null, data-ship, cluster-owner]
         self._register(MsgKind.CREATE, self._h_create)
         self._register(MsgKind.OPEN, self._h_open)
-        self._register(MsgKind.CLOSE, self._h_close)
         self._register(MsgKind.GETATTR, self._h_getattr)
         self._register(MsgKind.SETATTR, self._h_setattr)
         self._register(MsgKind.LOOKUP, self._h_lookup)
         self._register(MsgKind.UNLINK, self._h_unlink)
-        self._register(MsgKind.RANGE_ACQUIRE, self._h_range_acquire)
-        self._register(MsgKind.RANGE_RELEASE, self._h_range_release)
         self._register(MsgKind.READDIR, self._h_readdir)
         self._register(MsgKind.LOCK_ACQUIRE, self._h_lock_acquire)
         self._register(MsgKind.LOCK_RELEASE, self._h_lock_release)
@@ -556,8 +554,12 @@ class StorageTankServer:
     # transaction handlers
     # ------------------------------------------------------------------
     def _h_create(self, msg: Message):
-        path = msg.payload["path"]
-        size = int(msg.payload.get("size", 0))
+        return self._create(msg.payload["path"],
+                            int(msg.payload.get("size", 0)))
+
+    def _create(self, path: str, size: int):
+        """CREATE body (also the create intent's): a reply tuple, or a
+        generator of one when the netcache barrier must run first."""
         store = self._meta_for_path(path)
         if store.exists(path):
             return ("nack", {"error": "exists"})
@@ -593,44 +595,31 @@ class StorageTankServer:
             self._cache_pending.discard(barrier)
 
     def _h_open(self, msg: Message):
+        """NFS-style open: no coherence lock, the caller polls
+        attributes.  Locking opens are ``open`` intents."""
+        if not msg.payload.get("nolock"):
+            return ("nack", {"error": "open: a locking open is a LOCK_INTENT"})
         path = msg.payload["path"]
-        mode = msg.payload.get("mode", "r")
         try:
             ino = self._meta_for_path(path).lookup(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
-        if msg.payload.get("nolock"):
-            # NFS-style open: no coherence lock, caller polls attributes.
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
-                            "lock": int(LockMode.NONE)})
-        wanted = LockMode.EXCLUSIVE if mode == "w" else LockMode.SHARED
-
-        def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-            granted = yield from self._grant_lock(msg.src, ino.file_id, wanted)
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
-                            "lock": int(granted)})
-        return run()
-
-    def _h_close(self, msg: Message):
-        # Locks are cached past close (§3.1); closing is bookkeeping only:
-        # record the per-file close census the client reports so session
-        # accounting can see open/close churn per file.
-        fid = int(msg.payload["file_id"])
-        self.closes_by_file[fid] = self.closes_by_file.get(fid, 0) + 1
-        return ("ack", {})
+        return ("ack", {"file_id": ino.file_id,
+                        "attrs": ino.attrs.to_payload(),
+                        "extents": extents_to_payload(ino.extents),
+                        "lock": int(LockMode.NONE)})
 
     def _h_getattr(self, msg: Message):
+        return self._getattr(msg.payload.get("path"),
+                             msg.payload.get("file_id"))
+
+    def _getattr(self, path: Optional[str], file_id: Optional[Any]):
+        """GETATTR body (also the getattr intent's), by path or id."""
         try:
-            if "path" in msg.payload:
-                path = msg.payload["path"]
+            if path is not None:
                 ino = self._meta_for_path(path).lookup(path)
-            elif "file_id" in msg.payload:
-                fid = int(msg.payload["file_id"])
-                ino = self._meta_for_file(fid).inode(fid)
+            elif file_id is not None:
+                ino = self._meta_for_file(int(file_id)).inode(int(file_id))
             else:
                 return ("nack", {"error": "getattr: no path or file_id"})
         except (NamespaceError, KeyError) as exc:
@@ -638,24 +627,27 @@ class StorageTankServer:
         return ("ack", {"file_id": ino.file_id, "attrs": ino.attrs.to_payload()})
 
     def _h_setattr(self, msg: Message):
-        file_id = int(msg.payload["file_id"])
-        size = msg.payload.get("size")
+        return self._setattr(int(msg.payload["file_id"]),
+                             msg.payload.get("size"), msg.payload.get("mode"))
+
+    def _setattr(self, file_id: int, size: Any, mode: Any):
+        """SETATTR body (also the setattr intent's): a reply tuple, or a
+        generator of one when the netcache barrier must run first."""
         store = self._meta_for_file(file_id)
         if self._cache_nodes:
-            return self._setattr_with_barrier(msg.payload, file_id, size, store)
+            return self._setattr_with_barrier(file_id, size, mode, store)
         try:
             if size is not None:
                 ino = store.ensure_size(file_id, int(size), now=self.sim.now)
             else:
-                ino = store.set_attrs(file_id, now=self.sim.now,
-                                      mode=msg.payload.get("mode"))
+                ino = store.set_attrs(file_id, now=self.sim.now, mode=mode)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
         return ("ack", {"attrs": ino.attrs.to_payload(),
                         "extents": extents_to_payload(ino.extents)})
 
-    def _setattr_with_barrier(self, body: Dict[str, Any], file_id: int,
-                              size: Any, store: MetadataStore,
+    def _setattr_with_barrier(self, file_id: int, size: Any, mode: Any,
+                              store: MetadataStore,
                               ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
         barrier = self._claim_barrier()
         try:
@@ -667,7 +659,7 @@ class StorageTankServer:
                                             now=self.sim.now)
                 else:
                     ino = store.set_attrs(file_id, now=self.sim.now,
-                                          mode=body.get("mode"))
+                                          mode=mode)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
             self._trace_mutate("setattr", file_id=file_id,
@@ -789,13 +781,14 @@ class StorageTankServer:
 
     def _intent_exec(self, client: str, body: Dict[str, Any],
                      ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-        """Execute one intent sub-operation under the lock it grants.
+        """Execute one intent sub-operation (any but ``range_acquire``,
+        which ``_run_intents`` coalesces) under the lock it grants.
 
         This is the server half of the one-round-trip contract: the
         request names the operation, the server wins the covering lock
-        (demanding it from conflicting holders exactly as the split
-        protocol would) and performs the operation while still holding
-        it, so the reply carries op-result *and* grant together.
+        (demanding it from conflicting holders) and performs the
+        operation while still holding it, so the reply carries
+        op-result *and* grant together.
         """
         op = body.get("op")
         self.intent_ops += 1
@@ -813,79 +806,35 @@ class StorageTankServer:
                             "extents": extents_to_payload(ino.extents),
                             "lock": int(granted)})
         if op == "create":
-            path = body["path"]
-            size = int(body.get("size", 0))
-            store = self._meta_for_path(path)
-            if store.exists(path):
-                return ("nack", {"error": "exists"})
-            if self._cache_nodes:
-                result = yield from self._create_with_barrier(path, size, store)
-            else:
-                ino = store.create_file(path, size, now=self.sim.now)
-                if self.cluster is not None:
-                    self.cluster.note_create(ino.file_id, path)
-                result = ("ack", {"file_id": ino.file_id,
-                                  "attrs": ino.attrs.to_payload(),
-                                  "extents": extents_to_payload(ino.extents)})
-            decision, payload = result
+            decision, payload = yield from _settled(
+                self._create(body["path"], int(body.get("size", 0))))
             if decision == "ack":
                 granted = yield from self._grant_lock(
                     client, int(payload["file_id"]), LockMode.EXCLUSIVE)
-                payload = dict(payload)
-                payload["lock"] = int(granted)
+                payload = {**payload, "lock": int(granted)}
             return (decision, payload)
         if op == "getattr":
-            try:
-                if "path" in body:
-                    ino = self._meta_for_path(body["path"]).lookup(body["path"])
-                else:
-                    fid = int(body["file_id"])
-                    ino = self._meta_for_file(fid).inode(fid)
-            except (NamespaceError, KeyError) as exc:
-                return ("nack", {"error": str(exc)})
-            granted = yield from self._grant_lock(client, ino.file_id,
-                                                  LockMode.SHARED)
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "lock": int(granted)})
+            decision, payload = self._getattr(body.get("path"),
+                                              body.get("file_id"))
+            if decision == "ack":
+                fid = int(payload["file_id"])
+                granted = yield from self._grant_lock(client, fid,
+                                                      LockMode.SHARED)
+                # Re-read under the lock: the wait may have outlasted a
+                # writer's setattr.
+                decision, payload = self._getattr(None, fid)
+                if decision == "ack":
+                    payload = {**payload, "lock": int(granted)}
+            return (decision, payload)
         if op == "setattr":
             file_id = int(body["file_id"])
-            size = body.get("size")
-            store = self._meta_for_file(file_id)
             granted = yield from self._grant_lock(client, file_id,
                                                   LockMode.EXCLUSIVE)
-            if self._cache_nodes:
-                result = yield from self._setattr_with_barrier(
-                    body, file_id, size, store)
-            else:
-                try:
-                    if size is not None:
-                        ino = store.ensure_size(file_id, int(size),
-                                                now=self.sim.now)
-                    else:
-                        ino = store.set_attrs(file_id, now=self.sim.now,
-                                              mode=body.get("mode"))
-                except NamespaceError as exc:
-                    result = ("nack", {"error": str(exc)})
-                else:
-                    result = ("ack",
-                              {"attrs": ino.attrs.to_payload(),
-                               "extents": extents_to_payload(ino.extents)})
-            decision, payload = result
+            decision, payload = yield from _settled(
+                self._setattr(file_id, body.get("size"), body.get("mode")))
             if decision == "ack":
-                payload = dict(payload)
-                payload["lock"] = int(granted)
+                payload = {**payload, "lock": int(granted)}
             return (decision, payload)
-        if op == "range_acquire":
-            file_id = int(body["file_id"])
-            rng = ByteRange(int(body["start"]), int(body["end"]))
-            mode_l = LockMode(int(body["mode"]))
-            wide = self.grant_policy.widen_range(
-                self.range_locks, client, file_id, rng, mode_l,
-                self._file_size(file_id))
-            yield from self._acquire_range(client, file_id, wide, mode_l)
-            return ("ack", {"mode": int(mode_l),
-                            "start": wide.start, "end": wide.end})
         if op == "range_release":
             file_id = int(body["file_id"])
             rng = None
@@ -894,71 +843,76 @@ class StorageTankServer:
             self.range_locks.release(client, file_id, rng)
             return ("ack", {})
         if op == "close":
+            # Locks are cached past close (§3.1); closing is bookkeeping
+            # only: the per-file close census the client reports, so
+            # session accounting can see open/close churn per file.
             fid = int(body["file_id"])
+            if self.cluster is not None and not self.cluster.owns_obj(fid):
+                # The slot moved since the close was deferred.  Advisory,
+                # so it fails alone and never refuses the batch it rides.
+                return ("nack", {"error": "wrong_owner"})
             self.closes_by_file[fid] = self.closes_by_file.get(fid, 0) + 1
             return ("ack", {})
         return ("nack", {"error": f"unknown intent op {op!r}"})
 
-    def _h_lock_intent(self, msg: Message):
-        if not self.config.intents:
-            return ("nack", {"error": "intents_disabled"})
-        body = msg.payload
+    def _h_lock_intent(self, msg: Message,
+                       ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
+        """One intent: a degenerate batch, answered as a plain reply."""
+        [result] = yield from self._run_intents(msg.src, [msg.payload])
+        return ("ack" if result.pop("ok") else "nack", result)
 
-        def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-            return (yield from self._intent_exec(msg.src, body))
-        return run()
+    def _h_lock_batch(self, msg: Message,
+                      ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
+        """Batched intents: several sub-requests in one datagram.  Sub-op
+        failures do not abort the batch — each result carries its own
+        ``ok``."""
+        results = yield from self._run_intents(
+            msg.src, list(msg.payload.get("ops", [])))
+        return ("ack", {"results": results})
 
-    def _h_lock_batch(self, msg: Message):
-        """Batched intents: several sub-requests in one datagram.
+    def _run_intents(self, client: str, ops: List[Dict[str, Any]],
+                     ) -> Generator[Event, Any, List[Dict[str, Any]]]:
+        """Execute intent descriptors in order; one result per op.
 
         Runs of ``range_acquire`` sub-ops on the same file are coalesced
         through the grant policy before acquisition (one lock-table walk
         per merged span), then every sub-op gets its own result slot so
-        the client can map grants back to its requests.  Sub-op failures
-        do not abort the batch — each result carries its own ``ok``.
+        the client can map grants back to its requests.
         """
-        if not self.config.intents:
-            return ("nack", {"error": "intents_disabled"})
-        ops: List[Dict[str, Any]] = list(msg.payload.get("ops", []))
-
-        def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-            results: List[Optional[Dict[str, Any]]] = [None] * len(ops)
-            i = 0
-            while i < len(ops):
-                body = ops[i]
-                if body.get("op") != "range_acquire":
-                    decision, payload = yield from self._intent_exec(
-                        msg.src, body)
-                    results[i] = {"ok": decision == "ack", **payload}
-                    i += 1
-                    continue
-                # Collect the contiguous run of range acquisitions on
-                # this file and coalesce it through the policy.
-                fid = int(body["file_id"])
-                j = i
-                while (j < len(ops)
-                       and ops[j].get("op") == "range_acquire"
-                       and int(ops[j]["file_id"]) == fid):
-                    j += 1
-                requests = [(ByteRange(int(b["start"]), int(b["end"])),
-                             LockMode(int(b["mode"]))) for b in ops[i:j]]
-                merged = self.grant_policy.coalesce(requests)
-                size = self._file_size(fid)
-                spans: List[Tuple[ByteRange, LockMode]] = []
-                for rng, mode_l in merged:
-                    self.intent_ops += 1
-                    wide = self.grant_policy.widen_range(
-                        self.range_locks, msg.src, fid, rng, mode_l, size)
-                    yield from self._acquire_range(msg.src, fid, wide, mode_l)
-                    spans.append((wide, mode_l))
-                for k, (req_rng, req_mode) in enumerate(requests):
-                    span = next((s for s, _ in spans if s.contains(req_rng)),
-                                req_rng)
-                    results[i + k] = {"ok": True, "mode": int(req_mode),
-                                      "start": span.start, "end": span.end}
-                i = j
-            return ("ack", {"results": results})
-        return run()
+        results: List[Dict[str, Any]] = []
+        i = 0
+        while i < len(ops):
+            body = ops[i]
+            if body.get("op") != "range_acquire":
+                decision, payload = yield from self._intent_exec(client, body)
+                results.append({"ok": decision == "ack", **payload})
+                i += 1
+                continue
+            # Collect the contiguous run of range acquisitions on this
+            # file and coalesce it through the policy.
+            fid = int(body["file_id"])
+            j = i
+            while (j < len(ops)
+                   and ops[j].get("op") == "range_acquire"
+                   and int(ops[j]["file_id"]) == fid):
+                j += 1
+            requests = [(ByteRange(int(b["start"]), int(b["end"])),
+                         LockMode(int(b["mode"]))) for b in ops[i:j]]
+            size = self._file_size(fid)
+            spans: List[ByteRange] = []
+            for rng, mode_l in self.grant_policy.coalesce(requests):
+                self.intent_ops += 1
+                wide = self.grant_policy.widen_range(
+                    self.range_locks, client, fid, rng, mode_l, size)
+                yield from self._acquire_range(client, fid, wide, mode_l)
+                spans.append(wide)
+            for req_rng, req_mode in requests:
+                span = next((s for s in spans if s.contains(req_rng)),
+                            req_rng)
+                results.append({"ok": True, "mode": int(req_mode),
+                                "start": span.start, "end": span.end})
+            i = j
+        return results
 
     def _h_data_read(self, msg: Message):
         """Server-marshalled read: the traditional client/server data path
@@ -1002,22 +956,10 @@ class StorageTankServer:
             return ("ack", {"version": versions.get(lba, -1)})
         return run()
 
-    def _h_range_acquire(self, msg: Message):
-        """Acquire a byte-range lock (queues behind conflicting holders;
-        a dead holder's ranges free when its lease is stolen)."""
-        file_id = int(msg.payload["file_id"])
-        rng = ByteRange(int(msg.payload["start"]), int(msg.payload["end"]))
-        mode = LockMode(int(msg.payload["mode"]))
-
-        def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
-            yield from self._acquire_range(msg.src, file_id, rng, mode)
-            return ("ack", {"mode": int(mode)})
-        return run()
-
     def _acquire_range(self, client: str, file_id: int, rng: ByteRange,
                        mode: LockMode) -> Generator[Event, Any, None]:
-        """Win a byte-range lock, queueing behind conflicting holders
-        (shared between RANGE_ACQUIRE and the intent/batch paths)."""
+        """Win a byte-range lock (queues behind conflicting holders; a
+        dead holder's ranges free when its lease is stolen)."""
         if self.cluster is not None:
             cw = self.cluster.defer_fresh(file_id)
             if cw is not None:
@@ -1075,14 +1017,6 @@ class StorageTankServer:
                 yield self.endpoint.local_timeout(self.config.demand_patience)
         finally:
             self._active_demands.discard(key)
-
-    def _h_range_release(self, msg: Message):
-        file_id = int(msg.payload["file_id"])
-        rng = None
-        if "start" in msg.payload:
-            rng = ByteRange(int(msg.payload["start"]), int(msg.payload["end"]))
-        self.range_locks.release(msg.src, file_id, rng)
-        return ("ack", {})
 
     def _h_keepalive(self, msg: Message):
         # The NULL message (§3.2): no file system or lock function at all.

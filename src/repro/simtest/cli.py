@@ -57,10 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "drawn from the adversary pool (ignore-expiry, "
                              "suppress-release, forged SAN writes, stale "
                              "replays, clock stretch; default 0)")
-    parser.add_argument("--intents", action="store_true",
-                        help="run with intent locking + lock batching "
-                             "enabled (same fault schedule, batched "
-                             "protocol variant; default off)")
     parser.add_argument("--replay", metavar="ARTIFACT",
                         help="re-run a failure artifact and verify its "
                              "trace hash reproduces")
@@ -103,8 +99,7 @@ def _fuzz_once(args: argparse.Namespace) -> int:
     schedule = generate_schedule(args.seed, args.steps,
                                  break_mode=args.break_mode,
                                  cache_nodes=getattr(args, "cache_nodes", 0),
-                                 adversaries=getattr(args, "adversaries", 0),
-                                 intents=getattr(args, "intents", False))
+                                 adversaries=getattr(args, "adversaries", 0))
     print(f"seed={args.seed} steps={len(schedule.steps)} "
           f"horizon={schedule.horizon:g}s clients={schedule.n_clients} "
           f"epsilon={schedule.epsilon:.4f}"
@@ -112,7 +107,6 @@ def _fuzz_once(args: argparse.Namespace) -> int:
              if schedule.cache_nodes else "")
           + (f" adversaries={schedule.adversaries}"
              if schedule.adversaries else "")
-          + (" intents=on" if schedule.intents else "")
           + (f" break_mode={schedule.break_mode}"
              if schedule.break_mode else ""))
     result = run_schedule(schedule)

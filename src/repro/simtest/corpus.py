@@ -31,24 +31,21 @@ CORPUS_SCHEMA = "repro.simtest.corpus/1.0"
 #: Default on-disk location (inside the installed package).
 CORPUS_PATH = os.path.join(os.path.dirname(__file__), "corpus.json")
 
-#: The blessed (seed, n_steps, cache_nodes, adversaries, intents)
-#: tuples.  Small step counts keep a full corpus replay inside the
-#: tier-1 time budget.  The cache-enabled entries run the metadata
+#: The blessed (seed, n_steps, cache_nodes, adversaries) tuples.  Small
+#: step counts keep a full corpus replay inside the tier-1 time budget.
+#: The cache-enabled entries run the metadata
 #: workload against the netcache tier (cache crash/flush fault kinds
 #: join the pool), so the corpus also pins the cache coherence
 #: machinery's event order.  The adversarial entries possess clients
 #: with Byzantine behaviors and pin the containment machinery's event
 #: order (fence, attested rejoin, demand escalation, chain demands) —
-#: §6's backstop, fuzz-hardened.  The intent-enabled entries replay the
-#: same fault generator against the batched protocol variant (intent
-#: opens, deferred closes, LOCK_BATCH), pinning its wire-event order
-#: and proving the discipline oracles hold with one-round-trip ops.
-PINNED_RUNS = ((0, 12, 0, 0, False), (1, 12, 0, 0, False),
-               (7, 16, 0, 0, False), (23, 16, 0, 0, False),
-               (42, 20, 0, 0, False), (2, 10, 2, 0, False),
-               (8, 10, 2, 0, False), (0, 12, 0, 2, False),
-               (10, 12, 0, 2, False), (3, 12, 0, 0, True),
-               (11, 12, 0, 2, True))
+#: §6's backstop, fuzz-hardened.
+PINNED_RUNS = ((0, 12, 0, 0), (1, 12, 0, 0),
+               (7, 16, 0, 0), (23, 16, 0, 0),
+               (42, 20, 0, 0), (2, 10, 2, 0),
+               (8, 10, 2, 0), (0, 12, 0, 2),
+               (10, 12, 0, 2), (3, 12, 0, 0),
+               (11, 12, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -60,15 +57,13 @@ class CorpusEntry:
     trace_hash: str
     cache_nodes: int = 0
     adversaries: int = 0
-    intents: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (what ``corpus.json`` stores)."""
         return {"seed": self.seed, "n_steps": self.n_steps,
                 "trace_hash": self.trace_hash,
                 "cache_nodes": self.cache_nodes,
-                "adversaries": self.adversaries,
-                "intents": self.intents}
+                "adversaries": self.adversaries}
 
 
 @dataclass
@@ -88,7 +83,9 @@ class ReplayOutcome:
 
 
 def load_corpus(path: Optional[str] = None) -> List[CorpusEntry]:
-    """Read the pinned corpus (empty if never blessed)."""
+    """Read the pinned corpus (empty if never blessed).  An
+    ``"intents"`` key on an entry (written while the protocol had a
+    split-op variant) is ignored."""
     corpus_path = path or CORPUS_PATH
     if not os.path.exists(corpus_path):
         return []
@@ -100,8 +97,7 @@ def load_corpus(path: Optional[str] = None) -> List[CorpusEntry]:
     return [CorpusEntry(seed=int(e["seed"]), n_steps=int(e["n_steps"]),
                         trace_hash=str(e["trace_hash"]),
                         cache_nodes=int(e.get("cache_nodes", 0)),
-                        adversaries=int(e.get("adversaries", 0)),
-                        intents=bool(e.get("intents", False)))
+                        adversaries=int(e.get("adversaries", 0)))
             for e in doc.get("entries", [])]
 
 
@@ -109,8 +105,7 @@ def replay_entry(entry: CorpusEntry) -> ReplayOutcome:
     """Re-run one pinned seed and compare against its blessing."""
     schedule = generate_schedule(entry.seed, entry.n_steps,
                                  cache_nodes=entry.cache_nodes,
-                                 adversaries=entry.adversaries,
-                                 intents=entry.intents)
+                                 adversaries=entry.adversaries)
     return ReplayOutcome(entry=entry, result=run_schedule(schedule))
 
 
@@ -126,11 +121,10 @@ def bless_corpus(path: Optional[str] = None) -> List[CorpusEntry]:
     *clean* runs; failing schedules belong in failure artifacts.
     """
     entries: List[CorpusEntry] = []
-    for seed, n_steps, cache_nodes, adversaries, intents in PINNED_RUNS:
+    for seed, n_steps, cache_nodes, adversaries in PINNED_RUNS:
         result = run_schedule(generate_schedule(seed, n_steps,
                                                 cache_nodes=cache_nodes,
-                                                adversaries=adversaries,
-                                                intents=intents))
+                                                adversaries=adversaries))
         if not result.ok:
             raise ValueError(
                 f"refusing to bless seed {seed}: oracles fired "
@@ -138,8 +132,7 @@ def bless_corpus(path: Optional[str] = None) -> List[CorpusEntry]:
         entries.append(CorpusEntry(seed=seed, n_steps=n_steps,
                                    trace_hash=result.trace_hash,
                                    cache_nodes=cache_nodes,
-                                   adversaries=adversaries,
-                                   intents=intents))
+                                   adversaries=adversaries))
     doc = {"schema": CORPUS_SCHEMA,
            "entries": [e.to_dict() for e in entries]}
     with open(path or CORPUS_PATH, "w", encoding="utf-8") as fh:

@@ -108,12 +108,6 @@ class Schedule:
     #: generator drew (0 = fail-stop only; pre-existing serialized
     #: schedules deserialize to 0).
     adversaries: int = 0
-    #: Run the installation with intent locking + lock batching enabled
-    #: (False = split protocol; pre-existing serialized schedules
-    #: deserialize to False).  A config knob, not a fault kind: it draws
-    #: no RNG values, so the same seed fuzzes the same fault sequence
-    #: against either protocol variant.
-    intents: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -163,7 +157,6 @@ class Schedule:
             rpc_timeout=0.5,
             rpc_retries=2,
             writeback_interval=2.0,
-            intents=self.intents,
             lease=LeaseConfig(tau=self.tau, epsilon=self.epsilon),
             workload=workload,
             netcache=netcache,
@@ -181,12 +174,14 @@ class Schedule:
             "break_mode": self.break_mode,
             "cache_nodes": self.cache_nodes,
             "adversaries": self.adversaries,
-            "intents": self.intents,
             "steps": [s.to_dict() for s in self.steps],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Schedule":
+        """Inverse of :meth:`to_dict`.  Documents written while the
+        protocol had a split-op variant carry an ``"intents"`` key; it
+        is ignored."""
         schema = data.get("schema")
         if schema != SCHEDULE_SCHEMA:
             raise ScheduleError(
@@ -201,7 +196,6 @@ class Schedule:
             break_mode=str(data.get("break_mode", "")),
             cache_nodes=int(data.get("cache_nodes", 0)),
             adversaries=int(data.get("adversaries", 0)),
-            intents=bool(data.get("intents", False)),
             steps=tuple(FaultStep.from_dict(s)
                         for s in data.get("steps", ())),
         )
@@ -210,8 +204,7 @@ class Schedule:
 def generate_schedule(seed: int, n_steps: int,
                       break_mode: str = "",
                       cache_nodes: int = 0,
-                      adversaries: int = 0,
-                      intents: bool = False) -> Schedule:
+                      adversaries: int = 0) -> Schedule:
     """Draw a randomized fault schedule from one root seed.
 
     ``n_steps`` counts *primary* fault events; paired heals, restarts
@@ -225,9 +218,6 @@ def generate_schedule(seed: int, n_steps: int,
     With ``adversaries > 0``, that many Byzantine possession steps are
     drawn *after* the primary loop (victim, kind, early onset time), so
     fail-stop schedules draw an unchanged RNG sequence.
-    ``intents`` is threaded straight onto the schedule without touching
-    the RNG, so the same seed replays the same faults against either
-    protocol variant.
     """
     if n_steps < 0:
         raise ScheduleError(f"n_steps must be >= 0, got {n_steps}")
@@ -309,4 +299,4 @@ def generate_schedule(seed: int, n_steps: int,
     return Schedule(seed=seed, horizon=horizon, n_clients=n_clients,
                     epsilon=epsilon, break_mode=break_mode,
                     cache_nodes=cache_nodes, adversaries=adversaries,
-                    intents=intents, steps=tuple(steps))
+                    steps=tuple(steps))

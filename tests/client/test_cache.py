@@ -36,21 +36,25 @@ def test_write_dirty_overwrites_tag():
 def test_mark_flushed_clears_dirty():
     c = PageCache()
     p = c.write_dirty(1, 0, "d", 0, "w1")
-    c.mark_flushed(p, new_version=5)
+    c.mark_flushed(p, new_version=5, flushed_tag="w1")
     assert c.dirty_count == 0
     assert c.peek(1, 0).version == 5
 
 
 def test_rewrite_during_flush_stays_dirty():
+    # The flusher holds the very Page object ``write_dirty`` mutates in
+    # place, so only the tag it captured before the SAN write can tell
+    # that the application raced the flush.
     c = PageCache()
-    p = c.write_dirty(1, 0, "d", 0, "w1")
-    snapshot = Page(**{f: getattr(p, f) for f in
-                       ("file_id", "logical_block", "device", "lba",
-                        "tag", "version", "dirty")})
+    c.write_dirty(1, 0, "d", 0, "w1")
+    [p] = c.dirty_pages()
+    flushing = p.tag
     c.write_dirty(1, 0, "d", 0, "w2")  # app raced the flush
-    c.mark_flushed(snapshot, new_version=5)
+    assert p.tag == "w2"               # same object: p.tag moved too
+    c.mark_flushed(p, new_version=5, flushed_tag=flushing)
     assert c.peek(1, 0).dirty  # w2 still needs hardening
     assert c.peek(1, 0).tag == "w2"
+    assert c.dirty_pages() == [p]
 
 
 def test_dirty_pages_filter_by_file():

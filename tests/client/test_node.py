@@ -124,6 +124,37 @@ def test_close_flushes():
     assert c.cache.dirty_count == 0
 
 
+def test_rewrite_racing_a_flush_is_not_lost():
+    """A write that lands while the page's previous content is on its
+    way to the SAN must stay dirty: the flush hardened the *old* tag, so
+    marking the page clean would silently drop the acknowledged rewrite
+    (audit invariant I2)."""
+    from repro.analysis import ConsistencyAuditor
+    s = make_system(n_clients=1, writeback_interval=1000.0)
+    c = s.client("c1")
+
+    def app():
+        yield from c.create("/f", size=BLOCK_SIZE)
+        fd = yield from c.open_file("/f", "w")
+        first = yield from c.write(fd, 0, BLOCK_SIZE)
+        flusher = s.spawn(c.flush(fd))
+        # Inside the SAN write's service time: the flush is in flight.
+        yield s.sim.timeout(s.config.network.san_base_latency / 2)
+        second = yield from c.write(fd, 0, BLOCK_SIZE)
+        yield flusher
+        assert c.cache.dirty_count == 1     # the rewrite still owes a flush
+        yield from c.close(fd)              # ... which close pays
+        return first, second
+    first, second = run_gen(s, app())
+    assert c.cache.dirty_count == 0
+    flushed = [r.detail["tag"] for r in s.trace.select(kind="cache.flushed")]
+    assert flushed == [first, second]
+    disk = next(iter(s.disks.values()))
+    assert [e.tag for e in disk.history if e.op == "write"][-1] == second
+    report = ConsistencyAuditor(s).audit()
+    assert report.lost_updates == [], report.summary()
+
+
 def test_lock_cached_across_close():
     s = make_system(n_clients=1)
     c = s.client("c1")

@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "02e37629670eabc8b422bc2c746ad869a290fec41d51da762608247eb4883011",
-        "ad2476c9ee039afa90778a548beaf98d1dea007d7c69bd3cb249c1a3bf6aa543",
+        "33f0b3c3575f2a6e0b2cbb1136fdc842df3f0ab17999798c6d3cd42fb543c687",
+        "dfe102ddbcc3b175ebae2974781acf878747ee9a14e65e2d93333d3e3bd247d2",
     ],
     experiment_e6_nack: [
-        "e257a13c7897c550a3ed1566ef97fbe560a46c75611a684dc3bf34c1b8fe8e20",
-        "cf9b101ba3ae154af9d0528db33a60af196d71e7294ae10de68359a8821417fe",
+        "f51077779c09a443a035fafdc5cb463ccc717154ca3ffab35d2963b6895c9eab",
+        "11b3922adc1d589db2d8d90cf53e0915368ebbe6c1a49aca9def5b45cbb590f0",
     ],
 }
 

@@ -1,10 +1,11 @@
-"""Intent-based locking and lock batching (PR 10, Lustre-style).
+"""Intent-based locking and lock batching (Lustre-style): *the*
+client/server protocol.
 
-With ``intents=True`` the operation rides the lock request: open,
-growth-setattr and batched range acquires each cost one round trip, and
-close defers its census update onto the next batch.  With intents off
-every wire message is bit-identical to the split protocol — these tests
-pin both the savings and the off-path neutrality.
+The operation rides the lock request: open, growth-setattr and batched
+range acquires each cost one round trip, and close defers its census
+update onto the next batch.  These tests pin the per-op message counts
+as absolute numbers; ``SPLIT_CYCLE_RPCS`` records what the deleted
+split-op protocol paid for the same cycle.
 """
 
 import pytest
@@ -26,7 +27,7 @@ def _setup_file(s, path="/f", blocks=8):
 # -- one round trip per op -------------------------------------------------
 
 def test_intent_open_is_one_rpc():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
     before = dict(c1.rpc_by_kind())
 
@@ -40,7 +41,7 @@ def test_intent_open_is_one_rpc():
 
 
 def test_intent_open_carries_grant_and_attrs():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
 
     def work():
@@ -57,7 +58,7 @@ def test_intent_open_carries_grant_and_attrs():
 
 
 def test_growth_write_folds_setattr_into_intent():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = s.client("c1")
     run_gen(s, c1.create("/g", size=BLOCK_SIZE))
 
@@ -75,7 +76,7 @@ def test_growth_write_folds_setattr_into_intent():
 
 
 def test_close_defers_census_onto_next_batch():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
     srv = s.server_node("server")
 
@@ -94,7 +95,7 @@ def test_close_defers_census_onto_next_batch():
 
 
 def test_batched_range_acquire_one_rpc_per_batch():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
 
     def work():
@@ -106,26 +107,30 @@ def test_batched_range_acquire_one_rpc_per_batch():
         sent = {k: n - before.get(k, 0) for k, n in c1.rpc_by_kind().items()
                 if n != before.get(k, 0)}
         # One acquire batch + one release batch + the SAN reads; no
-        # per-range RANGE_ACQUIRE/RANGE_RELEASE datagrams.
-        assert sent[MsgKind.LOCK_BATCH] == 2
-        assert MsgKind.RANGE_ACQUIRE not in sent
-        assert MsgKind.RANGE_RELEASE not in sent
+        # per-range datagrams of any kind.
+        assert sent == {MsgKind.LOCK_BATCH: 2}
     run_gen(s, work())
 
 
-# -- parity: both protocol variants compute the same thing -----------------
+# -- parity: N one-range calls and one N-range call compute the same thing --
 
-@pytest.mark.parametrize("intents", [False, True])
-def test_ranges_api_parity(intents):
-    s = make_system(intents=intents)
+@pytest.mark.parametrize("batched", [False, True])
+def test_ranges_api_parity(batched):
+    s = make_system()
     c1 = _setup_file(s)
+    ranges = [(0, BLOCK_SIZE), (BLOCK_SIZE, BLOCK_SIZE)]
 
     def work():
         fd = yield from c1.open_file("/f", "w")
-        tags = yield from c1.write_ranges_locked(
-            fd, [(0, BLOCK_SIZE), (BLOCK_SIZE, BLOCK_SIZE)])
-        got = yield from c1.read_ranges_locked(
-            fd, [(0, BLOCK_SIZE), (BLOCK_SIZE, BLOCK_SIZE)])
+        if batched:
+            tags = yield from c1.write_ranges_locked(fd, ranges)
+            got = yield from c1.read_ranges_locked(fd, ranges)
+        else:
+            tags, got = [], []
+            for off, n in ranges:
+                tags.append((yield from c1.write_range_locked(fd, off, n)))
+            for off, n in ranges:
+                got.append((yield from c1.read_range_locked(fd, off, n)))
         return tags, got
     tags, got = run_gen(s, work())
     assert len(tags) == 2
@@ -134,46 +139,58 @@ def test_ranges_api_parity(intents):
     assert report.safe, report.summary()
 
 
+#: Client RPCs the deleted split-op protocol paid for the E-intent cycle
+#: (OPEN, growth SETATTR, 4 x (RANGE_ACQUIRE + RANGE_RELEASE), CLOSE).
+SPLIT_CYCLE_RPCS = 11
+
+
 def test_intents_cut_messages_per_op_at_least_2x():
     """The op cycle from E-intent: open(w), growth write, 4 contiguous
-    locked ranges, close — ≥2× fewer client RPCs with intents on."""
-    def cycle(sys_):
-        c = sys_.client("c1")
-        run_gen(sys_, c.create("/e", size=BLOCK_SIZE))
+    locked ranges, close.  open = 1 RPC, growth write = 1, the four
+    ranges = 2 batches, close = 0: 4 RPCs for 7 ops, against the split
+    protocol's 11."""
+    s = make_system()
+    c = s.client("c1")
+    run_gen(s, c.create("/e", size=BLOCK_SIZE))
+    steps = {}
 
-        def work():
-            fd = yield from c.open_file("/e", "w")
-            yield from c.write(fd, 0, 4 * BLOCK_SIZE)
-            yield from c.write_ranges_locked(
-                fd, [(i * BLOCK_SIZE, BLOCK_SIZE) for i in range(4)])
-            yield from c.close(fd)
-        run_gen(sys_, work())
-        return c.messages_per_op()
-    off = cycle(make_system(intents=False))
-    on = cycle(make_system(intents=True))
-    assert on > 0
-    assert off / on >= 2.0
+    def work():
+        def sent():
+            return sum(n for k, n in c.rpc_by_kind().items()
+                       if k != MsgKind.KEEPALIVE)
+        mark = sent()
+        fd = yield from c.open_file("/e", "w")
+        steps["open"], mark = sent() - mark, sent()
+        yield from c.write(fd, 0, 4 * BLOCK_SIZE)
+        steps["growth_write"], mark = sent() - mark, sent()
+        yield from c.write_ranges_locked(
+            fd, [(i * BLOCK_SIZE, BLOCK_SIZE) for i in range(4)])
+        steps["ranges"], mark = sent() - mark, sent()
+        yield from c.close(fd)
+        steps["close"] = sent() - mark
+    before_ops = c.ops_completed
+    run_gen(s, work())
+    assert steps == {"open": 1, "growth_write": 1, "ranges": 2, "close": 0}
+    ops = c.ops_completed - before_ops
+    assert ops == 7
+    on = sum(steps.values()) / ops
+    assert on <= 0.6
+    assert (SPLIT_CYCLE_RPCS / ops) / on >= 2.0
+
+
+def test_e_intent_cycle_stays_under_0_6_client_msgs_per_op():
+    from repro.harness.intent import intent_point
+    p = intent_point(seed=0, n_clients=64, duration=5.0)
+    assert p["ops"] > 0
+    assert p["msgs_per_op"] <= 0.6      # keep-alives excluded
+    assert set(p["by_kind"]) <= {MsgKind.CREATE, MsgKind.LOCK_INTENT,
+                                 MsgKind.LOCK_BATCH, MsgKind.KEEPALIVE}
 
 
 # -- server-side semantics -------------------------------------------------
 
-def test_intent_nacked_when_disabled():
-    s = make_system()  # intents off server-side
-    c1 = _setup_file(s)
-
-    def probe():
-        try:
-            yield from c1._rpc(MsgKind.LOCK_INTENT,
-                               {"op": "open", "path": "/f", "mode": "r"},
-                               "server")
-        except NackError as exc:
-            return exc.nack.payload.get("error")
-        return None
-    assert run_gen(s, probe()) == "intents_disabled"
-
-
 def test_unknown_intent_op_nacked():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
 
     def probe():
@@ -188,7 +205,7 @@ def test_unknown_intent_op_nacked():
 
 
 def test_batch_subop_failure_does_not_abort_batch():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
 
     def probe():
@@ -203,22 +220,63 @@ def test_batch_subop_failure_does_not_abort_batch():
     assert results[1]["file_id"] == 1
 
 
+@pytest.mark.parametrize("cache_nodes", [0, 2])
+def test_create_getattr_setattr_intents_answer_like_the_plain_kinds(
+        cache_nodes):
+    """The create/getattr/setattr intents run the CREATE/GETATTR/SETATTR
+    bodies (behind the netcache barrier when there is a cache tier) and
+    add the grant: same payload plus ``lock``."""
+    from repro.core.config import NetCacheConfig
+    s = make_system(netcache=NetCacheConfig(enabled=cache_nodes > 0,
+                                            n_nodes=max(cache_nodes, 1)))
+    c1 = s.client("c1")
+
+    def rpc(kind, payload):
+        reply = yield from c1.endpoint.request("server", kind, payload)
+        return {k: v for k, v in reply.payload.items()
+                if not k.startswith("__")}
+
+    def work():
+        made = yield from rpc(MsgKind.LOCK_INTENT,
+                              {"op": "create", "path": "/i", "size": 0})
+        plain = yield from rpc(MsgKind.CREATE, {"path": "/p", "size": 0})
+        assert made.pop("lock") == int(LockMode.EXCLUSIVE)
+        assert set(made) == set(plain) == {"file_id", "attrs", "extents"}
+        fid = made["file_id"]
+
+        grown = yield from rpc(MsgKind.LOCK_INTENT,
+                               {"op": "setattr", "file_id": fid,
+                                "size": 2 * BLOCK_SIZE})
+        assert grown.pop("lock") == int(LockMode.EXCLUSIVE)
+        again = yield from rpc(MsgKind.SETATTR,
+                               {"file_id": fid, "size": 2 * BLOCK_SIZE})
+        assert grown["extents"] == again["extents"]
+        assert grown["attrs"]["size"] == 2 * BLOCK_SIZE
+
+        seen = yield from rpc(MsgKind.LOCK_INTENT,
+                              {"op": "getattr", "path": "/i"})
+        assert seen.pop("lock") == int(LockMode.SHARED)
+        assert seen == (yield from rpc(MsgKind.GETATTR, {"file_id": fid}))
+
+        try:
+            yield from rpc(MsgKind.LOCK_INTENT, {"op": "create", "path": "/i"})
+        except NackError as exc:
+            return exc.nack.payload.get("error")
+    assert run_gen(s, work()) == "exists"
+    # The create intent's X covers the later S ask.
+    assert s.server_node("server").locks.mode_of("c1", 1) == LockMode.EXCLUSIVE
+
+
 def test_unknown_grant_policy_rejected():
     from repro.core.config import SystemConfig
     with pytest.raises(ValueError, match="intent_grant_policy"):
         SystemConfig(n_clients=1, intent_grant_policy="bogus")
 
 
-def test_intents_require_storage_tank():
-    from repro.core.config import SystemConfig
-    with pytest.raises(ValueError, match="storage_tank"):
-        SystemConfig(n_clients=1, intents=True, protocol="no_protocol")
-
-
-# -- contention: the discipline still holds with intents on ---------------
+# -- contention: the lock discipline holds on the intent path --------------
 
 def test_intent_open_respects_exclusive_holder():
-    s = make_system(n_clients=2, intents=True)
+    s = make_system(n_clients=2)
     c1, c2 = s.client("c1"), s.client("c2")
     log = {}
 
@@ -246,7 +304,7 @@ def test_intent_open_respects_exclusive_holder():
 # -- observability ---------------------------------------------------------
 
 def test_messages_per_op_in_metrics_snapshot():
-    s = make_system(intents=True)
+    s = make_system()
     c1 = _setup_file(s)
 
     def work():

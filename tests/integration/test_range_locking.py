@@ -116,9 +116,9 @@ def test_stolen_lease_frees_range_locks():
         # Take the range directly and never release (simulates dying
         # mid-operation while isolated).
         yield from c1.endpoint.request(
-            "server", MsgKind.RANGE_ACQUIRE,
-            {"file_id": out["fid"], "start": 0, "end": 4 * BLOCK_SIZE,
-             "mode": int(LockMode.EXCLUSIVE)})
+            "server", MsgKind.LOCK_INTENT,
+            {"op": "range_acquire", "file_id": out["fid"], "start": 0,
+             "end": 4 * BLOCK_SIZE, "mode": int(LockMode.EXCLUSIVE)})
         s.ctrl_partitions.isolate("c1")
 
     def waiter():

@@ -28,8 +28,8 @@ def make(epsilon=0.0, tau=10.0, **auth_kwargs):
 def test_initial_state_is_empty():
     sim, net, sep, cep, auth, stolen = make()
     assert auth.state_bytes() == 0
-    assert auth.lease_cpu_ops == 0
-    assert auth.lease_msgs_sent == 0
+    assert auth.overhead_snapshot()["lease_cpu_ops"] == 0
+    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
     assert not auth.is_suspect("c1")
     assert auth.resolution("c1") is None
 
@@ -44,8 +44,8 @@ def test_normal_traffic_keeps_authority_passive():
     sim.process(client())
     sim.run()
     assert auth.state_bytes() == 0
-    assert auth.lease_cpu_ops == 0
-    assert auth.lease_msgs_sent == 0
+    assert auth.overhead_snapshot()["lease_cpu_ops"] == 0
+    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
     assert stolen == []
 
 
@@ -96,7 +96,7 @@ def test_suspect_client_is_nacked():
     p = sim.process(client())
     sim.run(until=5.0)
     assert p.processed
-    assert auth.lease_msgs_sent >= 1
+    assert auth.overhead_snapshot()["lease_msgs_sent"] >= 1
 
 
 def test_silent_mode_ignores_suspects():
@@ -110,7 +110,7 @@ def test_silent_mode_ignores_suspects():
     p = sim.process(client())
     sim.run(until=5.0)
     assert p.processed
-    assert auth.lease_msgs_sent == 0
+    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
 
 
 def test_ack_while_expiring_ablation_breaks_rule():

@@ -33,7 +33,7 @@ def test_every_message_costs_lease_cpu():
         for _ in range(5):
             yield from c1.getattr("/f")
     run_gen(s, app())
-    assert s.server.authority.lease_cpu_ops >= 6
+    assert s.server.authority.overhead_snapshot()["lease_cpu_ops"] >= 6
 
 
 def test_partition_expires_lease_and_steals():

@@ -71,13 +71,13 @@ def test_lazy_package_exports_resolve():
         assert hasattr(protocols, name)
 
 
-def test_deprecated_counter_attributes_warn():
+def test_counter_attribute_shims_removed_after_deprecation_cycle():
     system = build_system(SystemConfig(n_clients=1))
     auth = system.server.authority
-    with pytest.warns(DeprecationWarning, match="lease_cpu_ops"):
-        assert auth.lease_cpu_ops == 0
-    with pytest.warns(DeprecationWarning, match="lease_msgs_sent"):
-        assert auth.lease_msgs_sent == 0
+    for name in ("lease_cpu_ops", "lease_msgs_sent"):
+        with pytest.raises(AttributeError):
+            getattr(auth, name)
+        assert auth.overhead_snapshot()[name] == 0
 
 
 def test_anyclient_alias_removed_after_deprecation_cycle():

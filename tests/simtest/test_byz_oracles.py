@@ -17,8 +17,8 @@ from repro.simtest.schedule import FaultStep, Schedule
 from repro.simtest.shrink import shrink_schedule
 
 
-def _schedule(steps, break_mode=""):
-    return Schedule(seed=3, horizon=34.0, n_clients=3, tau=8.0,
+def _schedule(steps, break_mode="", seed=3):
+    return Schedule(seed=seed, horizon=34.0, n_clients=3, tau=8.0,
                     epsilon=0.05, steps=tuple(steps),
                     break_mode=break_mode)
 
@@ -73,12 +73,12 @@ def test_capability_oracle_fires_on_forged_writes_behind_blind_unfence():
     """With the unfence gate knocked out, the forge adversary's SAN
     writes land with no covering lock interval — exactly what the
     capability oracle reconstructs from the lock history."""
-    result = run_schedule(_schedule(_FORGE_ATTACK, "blind_unfence"))
+    result = run_schedule(_schedule(_FORGE_ATTACK, "blind_unfence", seed=7))
     assert "capability-checked-san-io" in result.oracle_names()
 
 
 def test_capability_oracle_clean_when_fencing_contains_the_forger():
-    result = run_schedule(_schedule(_FORGE_ATTACK))
+    result = run_schedule(_schedule(_FORGE_ATTACK, seed=7))
     assert result.ok, result.oracle_names()
 
 

@@ -63,14 +63,14 @@ def test_broken_daemon_caught_shrunk_and_replayable(tmp_path, capsys):
     """The acceptance-criterion pipeline: a sabotaged lease daemon is
     caught by an oracle, the schedule shrinks to <= 5 fault steps, and
     the artifact replays with an identical trace hash."""
-    rc = main(["--seed", "2", "--steps", "20", "--break-mode", "skip_flush",
+    rc = main(["--seed", "5", "--steps", "20", "--break-mode", "skip_flush",
                "--out", str(tmp_path)])
     assert rc == EXIT_VIOLATIONS
     out = capsys.readouterr().out
     assert "expected-failure-flush" in out
     assert "shrunk" in out
 
-    artifact = tmp_path / "simtest-failure-seed2.json"
+    artifact = tmp_path / "simtest-failure-seed5.json"
     assert artifact.exists()
     doc = json.loads(artifact.read_text())
     assert len(doc["schedule"]["steps"]) <= 5

@@ -14,29 +14,30 @@ from repro.simtest.schedule import generate_schedule
 
 def test_corpus_file_matches_pinned_runs():
     entries = load_corpus()
-    assert [(e.seed, e.n_steps, e.cache_nodes, e.adversaries, e.intents)
+    assert [(e.seed, e.n_steps, e.cache_nodes, e.adversaries)
             for e in entries] == list(PINNED_RUNS)
     assert any(e.cache_nodes > 0 for e in entries), \
         "the corpus must pin at least one netcache-enabled schedule"
     assert any(e.adversaries > 0 for e in entries), \
         "the corpus must pin at least one adversarial schedule"
-    assert sum(e.intents for e in entries) >= 2, \
-        "the corpus must pin at least two intent-enabled schedules"
     for e in entries:
         assert len(e.trace_hash) == 64
         int(e.trace_hash, 16)  # hex digest
 
 
-def test_corpus_entries_without_intents_key_load_as_off(tmp_path):
-    # Pre-intent corpus files carry no "intents" key; they must load
-    # as split-protocol entries, not fail.
+def test_corpus_entries_ignore_legacy_intents_key(tmp_path):
+    # Corpus files written while the protocol had a split-op variant
+    # carry an "intents" key per entry, older ones none; all load to
+    # the same entry.
+    entry = {"seed": 5, "n_steps": 3, "trace_hash": "ab" * 32}
     doc = {"schema": CORPUS_SCHEMA,
-           "entries": [{"seed": 5, "n_steps": 3,
-                        "trace_hash": "ab" * 32}]}
+           "entries": [entry, {**entry, "intents": False},
+                       {**entry, "intents": True}]}
     p = tmp_path / "old.json"
     p.write_text(json.dumps(doc))
-    entries = load_corpus(str(p))
-    assert entries[0].intents is False
+    a, b, c = load_corpus(str(p))
+    assert a == b == c
+    assert "intents" not in a.to_dict()
 
 
 def test_corpus_replays_clean_with_identical_hashes():
@@ -83,13 +84,12 @@ def test_bless_writes_replayable_corpus(tmp_path):
 
 
 def test_bless_refuses_failing_runs(tmp_path, monkeypatch):
-    monkeypatch.setattr(corpus_mod, "PINNED_RUNS", ((2, 20, 0, 0, False),))
+    monkeypatch.setattr(corpus_mod, "PINNED_RUNS", ((5, 20, 0, 0),))
     monkeypatch.setattr(
         corpus_mod, "generate_schedule",
-        lambda seed, n, cache_nodes=0, adversaries=0, intents=False:
+        lambda seed, n, cache_nodes=0, adversaries=0:
         generate_schedule(seed, n, break_mode="skip_flush",
-                          cache_nodes=cache_nodes, adversaries=adversaries,
-                          intents=intents))
+                          cache_nodes=cache_nodes, adversaries=adversaries))
     path = tmp_path / "corpus.json"
     with pytest.raises(ValueError, match="refusing to bless"):
         bless_corpus(str(path))

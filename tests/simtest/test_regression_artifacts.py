@@ -103,27 +103,6 @@ def test_parked_grant_artifact_catches_unstamped_receipt_acks(monkeypatch):
     assert "lock-compatibility" in result.oracle_names()
 
 
-def test_parked_grant_artifact_fires_in_both_protocol_variants(monkeypatch):
-    """The hole predates intent locking: the same knock-out fires the
-    same oracle with the split protocol (the intent fuzz dimension just
-    drew the seed that exposed it)."""
-    doc = _load("intent-parked-grant-missed-epoch.json")
-    schedule = dataclasses.replace(
-        Schedule.from_dict(doc["schedule"]), intents=False)
-    build = runner_mod.build_system
-
-    def build_without_stamp(cfg):
-        system = build(cfg)
-        for server in system.servers.values():
-            server.endpoint.ack_stamp = None
-        return system
-
-    monkeypatch.setattr(runner_mod, "build_system", build_without_stamp)
-    result = run_schedule(schedule)
-    assert not result.ok
-    assert "lock-compatibility" in result.oracle_names()
-
-
 def test_invalidation_artifact_catches_dropped_invalidations(monkeypatch):
     """With cache invalidation stubbed out the pinned schedule serves a
     stale entry and the oracle must say so."""

@@ -46,7 +46,7 @@ def test_unknown_break_mode_rejected():
 
 
 def test_skip_flush_caught_by_flush_oracle():
-    result = run_schedule(generate_schedule(2, 20, break_mode="skip_flush"))
+    result = run_schedule(generate_schedule(5, 20, break_mode="skip_flush"))
     assert "expected-failure-flush" in result.oracle_names()
 
 

@@ -84,32 +84,17 @@ def test_system_config_plumbs_environment():
     assert cfg.lease.tau == sch.tau
     assert cfg.lease.epsilon == sch.epsilon
     assert cfg.record_trace
-    assert cfg.intents is False
 
 
-def test_intents_round_trip_and_plumbing():
-    sch = generate_schedule(4, 6, intents=True)
-    assert sch.intents
-    assert Schedule.from_dict(sch.to_dict()) == sch
-    assert sch.system_config().intents is True
-
-
-def test_from_dict_without_intents_key_defaults_off():
-    # Pre-intent serialized schedules (failure artifacts) carry no
-    # "intents" key and must deserialize to the split protocol.
-    doc = generate_schedule(4, 6).to_dict()
-    del doc["intents"]
-    assert Schedule.from_dict(doc).intents is False
-
-
-def test_intents_flag_draws_no_rng():
-    # Same seed → identical fault sequence either way; the flag is a
-    # config knob, not a schedule dimension.
-    off = generate_schedule(9, 10)
-    on = generate_schedule(9, 10, intents=True)
-    assert on.steps == off.steps
-    assert (on.n_clients, on.epsilon, on.horizon) == \
-        (off.n_clients, off.epsilon, off.horizon)
+def test_from_dict_ignores_legacy_intents_key():
+    # Serialized schedules (failure artifacts) written while the
+    # protocol had a split-op variant carry an "intents" key, true or
+    # false; older ones carry none.  All load to the same schedule.
+    sch = generate_schedule(4, 6)
+    doc = sch.to_dict()
+    assert "intents" not in doc
+    for legacy in ({}, {"intents": False}, {"intents": True}):
+        assert Schedule.from_dict({**doc, **legacy}) == sch
 
 
 # -- generator ------------------------------------------------------------
