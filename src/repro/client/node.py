@@ -30,7 +30,8 @@ from repro.lease.phases import LeasePhase
 from repro.locks.client_table import ClientLockTable
 from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
-from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
+from repro.net.control import (ControlNetwork, Endpoint, ReplyObserver,
+                               RetryPolicy)
 from repro.net.message import DeliveryError, Message, MsgKind, Nack, NackError
 from repro.net.san import SanFabric, SanUnreachableError
 from repro.obs import Observability
@@ -85,7 +86,7 @@ class ClientConfig:
     attr_cache_ttl: float = 0.0
 
 
-class StorageTankClient:
+class StorageTankClient(ReplyObserver):
     """One client computer."""
 
     def __init__(self, sim: Simulator, net: ControlNetwork, san: SanFabric,
@@ -156,11 +157,7 @@ class StorageTankClient:
         # §6 server recovery: every server ACK carries an epoch; a change
         # means that server restarted and lost its lock table — reassert.
         self._server_epoch: Dict[str, int] = {}
-        self.endpoint.ack_listeners.append(self._on_epoch)
-        # Deferred transactions ACK their receipt *before* execution, so
-        # the epoch rides the final result instead — a client busy with
-        # opens/creates would otherwise never observe a restart.
-        self.endpoint.result_listeners.append(self._on_epoch)
+        self.endpoint.observers.append(self)
 
         # file_id -> owning server (populated at create/open).
         self._file_server: Dict[int, str] = {}
@@ -193,8 +190,6 @@ class StorageTankClient:
                         on_reconnected=self._unquiesce,
                     ),
                     trace=self.trace, obs=self.obs)
-            self.endpoint.ack_listeners.append(self._on_ack_renew)
-            self.endpoint.nack_listeners.append(self._on_nack)
 
         # Server-initiated requests.
         # repro-lint: handles[client-demands]
@@ -297,12 +292,13 @@ class StorageTankClient:
         res = dict(reply.payload["results"][-1])
         if not res.pop("ok", False):
             # Surface the failed open sub-op as a lone open intent
-            # would: a NackError carrying the server's error.
+            # would: a NackError carrying the server's error (read out
+            # of a delivered batch ACK, never a datagram: RPL013-exempt).
             req = Message(src=self.name, dst=srv, kind=MsgKind.LOCK_INTENT,
                           payload={"op": "open", "path": path})
-            raise NackError(req, Nack(src=srv, dst=self.name,
-                                      reply_to=req.msg_id,
-                                      payload={"error": res.get("error", "")}))
+            raise NackError(req, Nack(  # repro-lint: ignore[RPL013]
+                src=srv, dst=self.name, reply_to=req.msg_id,
+                payload={"error": res.get("error", "")}))
         return res
 
     def read(self, fd: int, offset: int, nbytes: int,
@@ -853,20 +849,21 @@ class StorageTankClient:
             self.sim.process(self._reassert_locks(srv),
                              name=f"{self.name}:reassert:{srv}")
 
-    def _on_ack_renew(self, msg: Message, t_send: float) -> None:
-        lease = self.leases.get(msg.src)
-        if lease is not None:
-            lease.renew(t_send)
-
-    def _on_nack(self, msg: Message) -> None:
-        # Only the transport-level lease NACK (§3.3) invalidates the
-        # lease; ordinary error replies ("exists", "no such file",
-        # "reassert_conflict") are application outcomes.
-        if not msg.payload.get("__lease_nack__"):
+    def on_reply(self, reply: Message, renewal_time: Optional[float]) -> None:
+        """Every reply to one of our requests: learn the server's epoch
+        from an ACK (§6), then let it renew the lease (§3.1); a lease
+        NACK invalidates the lease (§3.3)."""
+        lease = self.leases.get(reply.src)
+        if reply.kind == MsgKind.NACK:
+            # Only the transport-level lease NACK invalidates the lease;
+            # ordinary error replies ("exists", "no such file",
+            # "reassert_conflict") are application outcomes.
+            if lease is not None and reply.payload.get("__lease_nack__"):
+                lease.on_nack()
             return
-        lease = self.leases.get(msg.src)
-        if lease is not None:
-            lease.on_nack()
+        self._on_epoch(reply)
+        if lease is not None and renewal_time is not None:
+            lease.renew(renewal_time)
 
     def _admit(self, server: Optional[str] = None) -> Generator[Event, Any, None]:
         """Gate new application requests on the target server's lease
@@ -1182,7 +1179,7 @@ class StorageTankClient:
                         in_flight=self._in_flight)
 
     # -- §6 server recovery: lock reassertion ---------------------------------
-    def _on_epoch(self, msg: Message, _t_send: float) -> None:
+    def _on_epoch(self, msg: Message) -> None:
         epoch = msg.payload.get("__epoch__")
         if epoch is None:
             return

@@ -111,7 +111,8 @@ class ServerLeaseAuthority(SafetyAuthority):
         return "silent"
 
     # -- failure path ------------------------------------------------------
-    def _on_delivery_failure(self, client: str, msg: Message) -> None:
+    def on_delivery_failure(self, client: str, msg: Message) -> None:
+        """A server-initiated message went unACKed: time the client out."""
         self.mark_suspect(client)
 
     def mark_suspect(self, client: str) -> SuspectEntry:

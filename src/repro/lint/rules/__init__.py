@@ -134,7 +134,8 @@ def _load_builtin_rules() -> None:
     from repro.lint.rules import (barrier, determinism, handlers,  # noqa: F401
                                   local_clock, mutable_defaults, pairing,
                                   passive_reach, passive_server, phases,
-                                  remote_taint, schema_drift, time_equality)
+                                  remote_taint, reply_path, schema_drift,
+                                  time_equality)
 
 
 _load_builtin_rules()

@@ -9,7 +9,7 @@ server-side modules this rule flags:
 * spawning a simulator process whose generator or ``name=`` label looks
   lease-related (``lease``/``keepalive``/``heartbeat``/``renew``/
   ``timer``) from any function *outside* the delivery-error path
-  (default: ``mark_suspect`` / ``_on_delivery_failure`` / ``_timer``);
+  (default: ``mark_suspect`` / ``on_delivery_failure`` / ``_timer``);
 * initiating lease traffic (``MsgKind.KEEPALIVE`` / ``LEASE_RENEW`` /
   ``HEARTBEAT``) through any send/request call — lease messages are
   client-initiated, the server only ACKs or NACKs them.
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _LEASE_LABEL = re.compile(r"lease|keepalive|heartbeat|renew|timer", re.IGNORECASE)
 _LEASE_KINDS = {"KEEPALIVE", "LEASE_RENEW", "HEARTBEAT"}
 _SEND_METHODS = {"request", "send", "send_datagram", "transmit"}
-_DEFAULT_ALLOWED = ["mark_suspect", "_on_delivery_failure", "_timer"]
+_DEFAULT_ALLOWED = ["mark_suspect", "on_delivery_failure", "_timer"]
 
 
 @rule

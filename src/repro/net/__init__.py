@@ -23,7 +23,7 @@ from repro.net.message import (
     Nack,
     NackError,
 )
-from repro.net.control import ControlNetwork, Endpoint
+from repro.net.control import ControlNetwork, Endpoint, ReplyObserver
 from repro.net.partition import PartitionController, combined_views, is_symmetric
 from repro.net.san import FencedError, SanFabric, SanUnreachableError
 
@@ -38,6 +38,7 @@ __all__ = [
     "Nack",
     "NackError",
     "PartitionController",
+    "ReplyObserver",
     "SanFabric",
     "SanUnreachableError",
     "combined_views",

@@ -59,6 +59,28 @@ _ACK = MsgKind.ACK
 _NACK = MsgKind.NACK
 
 
+class ReplyObserver:
+    """What a node sees of its endpoint's request traffic: every reply
+    exactly once (the lease renews on it, §3.1, and the server's epoch
+    rides it, §6) and every exhausted retry.  The defaults ignore both,
+    so a node in :attr:`Endpoint.observers` overrides the half it acts on.
+    """
+
+    def on_reply(self, reply: Message,
+                 renewal_time: Optional[float]) -> None:
+        """``reply`` (an ACK or a NACK) answered one of our requests.
+
+        ``renewal_time`` is the local send time of the attempt it
+        answers — the instant a lease may renew from (Fig. 3) — or None
+        when it proves nothing about the present: a NACK, or a deferred
+        transaction's final (its receipt ACK already renewed; the final
+        only carries payload stamps).
+        """
+
+    def on_delivery_failure(self, dst: str, msg: Message) -> None:
+        """Every attempt of request ``msg`` to ``dst`` went unanswered."""
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Sender-side datagram retry discipline (local-clock seconds).
@@ -323,8 +345,10 @@ class Endpoint:
     - sender-side retry with local-clock timeouts, surfacing
       :class:`DeliveryError` after the policy is exhausted — the event
       that makes a server declare a client *suspect*;
-    - ACK/NACK dispatch plus listener hooks the lease protocol uses
-      (opportunistic renewal rides on every ACK, §3.1);
+    - one reply path in each direction: every reply a request receives
+      reaches :attr:`observers` through :meth:`_deliver_reply`
+      (opportunistic renewal rides on every ACK, §3.1), and every ACK
+      this node decides carries :attr:`reply_stamp`;
     - an optional *gatekeeper* consulted before any inbound request is
       executed — the server lease authority uses it to refuse ACKs and
       send NACKs while timing a client out (§3.3).
@@ -362,7 +386,7 @@ class Endpoint:
         self._early_results: Dict[int, Tuple[str, Dict[str, Any]]] = {}
         self._next_seq = 0
         self._dedup_capacity = dedup_capacity
-        # (src, seq) -> ("done", decision, payload) | ("in_progress", None, None)
+        # (src, seq) -> ("done", decision, payload) | ("pending", ticket, None)
         self._executed: Dict[Tuple[str, int], Tuple[str, Optional[str], Optional[Dict[str, Any]]]] = {}
         self._executed_order: Deque[Tuple[str, int]] = deque()
         # Cached RPC latency histogram family (keyed by registry identity,
@@ -375,28 +399,12 @@ class Endpoint:
         # messages-per-op accounting divides these by completed ops.
         self.rpc_sent: Dict[str, int] = {}
 
-        # Extra payload keys merged into transport-level *receipt* ACKs
-        # (the ``__pending__`` acknowledgment of a deferred transaction).
-        # Servers stamp their recovery epoch here: the receipt ACK
-        # renews the sender's lease, so it must also carry the restart
-        # signal — a client parked behind a deferred transaction (e.g. a
-        # grant deferred into the post-restart grace window) otherwise
-        # keeps a live lease while never learning the server restarted,
-        # misses its reassertion window, and zombie-holds locks another
-        # client can then legitimately re-acquire (§6).
-        self.ack_stamp: Optional[Callable[[], Dict[str, Any]]] = None
-        self.ack_listeners: List[Callable[[Message, float], None]] = []
-        # Fired on a deferred transaction's *final* result, which never
-        # passes through ``ack_listeners`` (the receipt ACK did, and the
-        # completion is reconstructed locally from the RESULT payload).
-        # The receipt already renewed the lease; finals only carry the
-        # slow-path signals stamped into the payload, e.g. ``__epoch__``
-        # — without this hook a client whose traffic is dominated by
-        # deferred transactions never notices a server restart and never
-        # reasserts its locks (§6).
-        self.result_listeners: List[Callable[[Message, float], None]] = []
-        self.nack_listeners: List[Callable[[Message], None]] = []
-        self.delivery_failure_listeners: List[Callable[[str, Message], None]] = []
+        # The hook surface.  ``reply_stamp(msg)`` returns payload keys
+        # merged into every ACK this node decides, receipt ACKs included:
+        # any ACK renews the requester's lease, so every ACK of a server
+        # must also carry its restart signal, ``__epoch__`` (§6).
+        self.observers: List[ReplyObserver] = []
+        self.reply_stamp: Optional[Callable[[Message], Dict[str, Any]]] = None
 
         net.attach(self)
 
@@ -441,12 +449,15 @@ class Endpoint:
         suspect wait elapsed and its locks were stolen): the resolution
         is the protocol's declaration that the old incarnation is dead,
         so replay-cached results from it must not leak to a restarted
-        incarnation that happens to reuse sequence numbers.  The stale
-        keys left in the eviction order are popped harmlessly later.
+        incarnation that happens to reuse sequence numbers.  The keys
+        leave the eviction order too: the next incarnation re-appends a
+        reused ``(src, seq)``, and a stale slot ahead of it would evict
+        the live entry early.  Steals are rare; O(capacity) is fine.
         """
-        dead = [key for key in self._executed if key[0] == src]
-        for key in dead:
-            del self._executed[key]
+        self._executed = {key: entry for key, entry in self._executed.items()
+                          if key[0] != src}
+        self._executed_order = deque(
+            key for key in self._executed_order if key[0] != src)
 
     # -- local time ---------------------------------------------------------
     def local_now(self) -> float:
@@ -490,13 +501,13 @@ class Endpoint:
             # after).  Stamped at creation: a request initiated *before*
             # a lapse keeps its pre-lapse view across retries.
             msg.payload["__lapse_gen__"] = self.lapse_gen
-        msg.sent_local_time = self.local_now()
         sim = self.sim
         pending = self._pending
         net = self.net
         reply_ev = Event(sim)
+        # msg_id -> local send time of every transmission of this request
+        # (insertion-ordered: also the ids to unregister at the end).
         attempt_times: Dict[int, float] = {}
-        attempt_ids: List[int] = []
 
         obs = self.obs
         t0 = sim._now
@@ -514,7 +525,6 @@ class Endpoint:
                 attempt.sent_local_time = sent_local
                 mid = attempt.msg_id
                 attempt_times[mid] = sent_local
-                attempt_ids.append(mid)
                 pending[mid] = reply_ev
                 net.transmit(attempt)
                 timeout_ev = Timeout(
@@ -522,26 +532,15 @@ class Endpoint:
                 winner = yield FirstOf(sim, (reply_ev, timeout_ev))
                 if winner is reply_ev:
                     reply: Message = reply_ev._value
-                    if reply.kind == _NACK:
-                        for fn in self.nack_listeners:
-                            fn(reply)
-                        raise NackError(msg, reply)
-                    renewal_time = attempt_times.get(reply.reply_to or -1,
-                                                     msg.sent_local_time)
-                    for fn in self.ack_listeners:
-                        fn(reply, renewal_time)
+                    self._deliver_reply(msg, reply, attempt_times)
                     if reply.payload.get("__pending__"):
-                        final = yield from self._await_result(
+                        reply = yield from self._await_result(
                             msg, int(reply.payload["__ticket__"]), pol,
-                            attempt_times, attempt_ids)
-                        for fn in self.result_listeners:
-                            fn(final, renewal_time)
-                        self._rpc_done(span, kind, t0, "ack")
-                        return final
+                            attempt_times)
                     self._rpc_done(span, kind, t0, "ack")
                     return reply
-            for dfn in self.delivery_failure_listeners:
-                dfn(dst, msg)
+            for observer in self.observers:
+                observer.on_delivery_failure(dst, msg)
             raise DeliveryError(msg, pol.attempts)
         except NackError:
             self._rpc_done(span, kind, t0, "nack")
@@ -550,8 +549,28 @@ class Endpoint:
             self._rpc_done(span, kind, t0, "delivery_error")
             raise
         finally:
-            for mid in attempt_ids:
+            for mid in attempt_times:
                 pending.pop(mid, None)
+
+    def _deliver_reply(self, msg: Message, reply: Message,
+                       attempt_times: Optional[Dict[int, float]]) -> None:
+        """Show one reply to request ``msg`` to every observer, then
+        raise :class:`NackError` if it is a NACK.
+
+        The requester side's one choke point: direct ACKs and NACKs,
+        ``__pending__`` receipt ACKs and re-ACKs, a re-execution's
+        direct answer and the ``Ack``/``Nack`` synthesized from a
+        deferred ``RESULT`` (``attempt_times`` None: no renewal) each
+        pass through here exactly once.
+        """
+        nacked = reply.kind == _NACK
+        renewal_time = (None if nacked or attempt_times is None else
+                        attempt_times.get(reply.reply_to or -1,
+                                          msg.sent_local_time))
+        for observer in self.observers:
+            observer.on_reply(reply, renewal_time)
+        if nacked:
+            raise NackError(msg, reply)
 
     def _rpc_done(self, span: Optional["Span"], kind: str, t0: float,
                   status: str) -> None:
@@ -590,7 +609,6 @@ class Endpoint:
 
     def _await_result(self, msg: Message, ticket: int, pol: RetryPolicy,
                       attempt_times: Dict[int, float],
-                      attempt_ids: List[int],
                       ) -> Generator[Event, Any, Message]:
         """Wait for a deferred-transaction result, re-polling the server.
 
@@ -614,30 +632,20 @@ class Endpoint:
                 if remaining <= 1e-6:
                     raise DeliveryError(msg, pol.attempts)
                 reply_ev = Event(sim)
-                for mid in attempt_ids:
+                for mid in attempt_times:
                     pending[mid] = reply_ev
                 timeout_ev = self.local_timeout(
                     max(min(poll_local, remaining), 1e-6))
                 winner = yield FirstOf(sim, (result_ev, reply_ev, timeout_ev))
                 if winner is result_ev:
                     decision, payload = result_ev._value
-                    if decision == "nack":
-                        nack = Nack(msg.dst, self.name, msg.msg_id,
-                                    payload=payload)
-                        for fn in self.nack_listeners:
-                            fn(nack)
-                        raise NackError(msg, nack)
-                    return Ack(msg.dst, self.name, msg.msg_id, payload=payload)
+                    final = (Nack if decision == "nack" else Ack)(
+                        msg.dst, self.name, msg.msg_id, payload=payload)
+                    self._deliver_reply(msg, final, None)
+                    return final
                 if winner is reply_ev:
                     reply: Message = reply_ev._value
-                    if reply.kind == _NACK:
-                        for fn in self.nack_listeners:
-                            fn(reply)
-                        raise NackError(msg, reply)
-                    renewal_time = attempt_times.get(reply.reply_to or -1,
-                                                     msg.sent_local_time)
-                    for fn in self.ack_listeners:
-                        fn(reply, renewal_time)
+                    self._deliver_reply(msg, reply, attempt_times)
                     if reply.payload.get("__pending__"):
                         new_ticket = int(reply.payload["__ticket__"])
                         if new_ticket != ticket:
@@ -652,7 +660,6 @@ class Endpoint:
                                    msg.payload, msg.seq)
                 poll_msg.sent_local_time = self.local_now()
                 attempt_times[poll_msg.msg_id] = poll_msg.sent_local_time
-                attempt_ids.append(poll_msg.msg_id)
                 pending[poll_msg.msg_id] = reply_ev
                 self.net.transmit(poll_msg)
         finally:
@@ -677,8 +684,7 @@ class Endpoint:
                 # is invalid; I will not renew you") — distinct from an
                 # application-level error reply, which must NOT make the
                 # client abandon its lease.
-                self.send_datagram(Nack(self.name, msg.src, msg.msg_id,
-                                        payload={"__lease_nack__": True}))
+                self._reply(msg, "nack", {"__lease_nack__": True})
                 return
             if verdict == "silent":
                 return
@@ -693,16 +699,14 @@ class Endpoint:
             state, decision, payload = cached
             if state == "pending":
                 # Re-acknowledge pending (the first pending ACK may be lost).
-                self.send_datagram(Ack(self.name, msg.src, msg.msg_id,
-                                       payload=self._pending_payload(decision)))
+                self._reply_pending(msg, decision)
                 return
-            self._reply(msg, decision or "ack", payload)
+            self._reply(msg, decision or "ack", payload)  # stamped at execution
             return
 
         handler = self._handlers.get(msg.kind)
         if handler is None:
-            self.send_datagram(Nack(self.name, msg.src, msg.msg_id,
-                                    payload={"error": f"no handler for {msg.kind}"}))
+            self._reply(msg, "nack", {"error": f"no handler for {msg.kind}"})
             return
 
         result = handler(msg)
@@ -711,14 +715,11 @@ class Endpoint:
             # later as a reliable server-initiated RESULT message.
             ticket = msg.msg_id
             self._remember(key, ("pending", ticket, None))
-            self.send_datagram(Ack(self.name, msg.src, msg.msg_id,
-                                   payload=self._pending_payload(ticket)))
+            self._reply_pending(msg, ticket)
             self.sim.process(self._run_deferred(key, msg, ticket, result),
                              name=f"{self.name}:{msg.kind}#{msg.seq}")
         else:
-            decision, payload = self._normalize(result)
-            self._remember(key, ("done", decision, payload))
-            self._reply(msg, decision, payload)
+            self._reply(msg, *self._finish(key, msg, self._normalize(result)))
 
     def _h_result(self, msg: Message) -> None:
         """Inbound deferred-transaction outcome (endpoint-level handler)."""
@@ -736,17 +737,16 @@ class Endpoint:
                 self._early_results.pop(next(iter(self._early_results)))
         # Always acknowledge so the sender's retries stop; duplicates and
         # results for abandoned requests are acknowledged-and-dropped.
-        self.send_datagram(Ack(self.name, msg.src, msg.msg_id))
+        self._reply(msg, "ack", None)
 
     def _run_deferred(self, key: Tuple[str, int], msg: Message, ticket: int,
                       gen: Generator[Event, Any, Any]) -> Generator[Event, Any, None]:
         proc = self.sim.process(gen, name=f"{self.name}:handler:{msg.kind}")
         try:
-            result = yield proc
-            decision, payload = self._normalize(result)
+            result = self._normalize((yield proc))
         except Exception as exc:
-            decision, payload = "nack", {"error": repr(exc)}
-        self._executed[key] = ("done", decision, payload)
+            result = ("nack", {"error": repr(exc)})
+        decision, payload = self._finish(key, msg, result)
         # Reliable delivery of the outcome; a delivery failure here feeds
         # the authority's suspect machinery like any server-initiated
         # message (the requester may have partitioned while waiting).
@@ -768,14 +768,33 @@ class Endpoint:
             return (result[0], result[1] or {})
         raise TypeError(f"handler returned invalid decision {result!r}")
 
-    def _pending_payload(self, ticket: Any) -> Dict[str, Any]:
-        """Receipt-ACK payload for a deferred transaction, including any
-        node-level stamp (servers carry ``__epoch__`` so the ACK that
-        renews a parked client's lease also proves the incarnation)."""
-        payload: Dict[str, Any] = {"__pending__": True, "__ticket__": ticket}
-        if self.ack_stamp is not None:
-            payload.update(self.ack_stamp())
-        return payload
+    def _stamped(self, msg: Message,
+                 payload: Dict[str, Any]) -> Dict[str, Any]:
+        """``payload`` plus this node's :attr:`reply_stamp` for ``msg``
+        (the stamp's only reader)."""
+        stamp = self.reply_stamp
+        return payload if stamp is None else {**payload, **stamp(msg)}
+
+    def _reply_pending(self, msg: Message, ticket: Any) -> None:
+        """Receipt ACK of a deferred transaction, stamped at send time
+        (it renews the parked requester's lease)."""
+        self._reply(msg, "ack", self._stamped(
+            msg, {"__pending__": True, "__ticket__": ticket}))
+
+    def _finish(self, key: Tuple[str, int], msg: Message,
+                result: HandlerResult) -> HandlerResult:
+        """Seal a handler's decision — stamp an ACK, *then* record it —
+        for the synchronous and deferred paths alike (the only writer
+        of ``"done"`` entries).  A replayed reply thus carries the
+        ``__epoch__``/``__mseq__`` it was executed under: a fresher
+        watermark on an old value would let a cache node install data
+        that predates an invalidation it already saw.
+        """
+        decision, payload = result
+        if decision == "ack":
+            payload = self._stamped(msg, payload or {})
+        self._remember(key, ("done", decision, payload))
+        return decision, payload
 
     def _reply(self, msg: Message, decision: str, payload: Optional[Dict[str, Any]]) -> None:
         if decision == "ack":

@@ -45,7 +45,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Generator,
 from repro.lease.client_lease import ClientLeaseManager, LeaseCallbacks
 from repro.lease.contract import LeaseContract
 from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
-                               RetryPolicy)
+                               ReplyObserver, RetryPolicy)
 from repro.net.message import DeliveryError, Message, MsgKind, NackError
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
@@ -84,7 +84,7 @@ class _Entry:
     file_id: Optional[int]
 
 
-class MetadataCacheNode:
+class MetadataCacheNode(ReplyObserver):
     """Soft-state metadata cache for one rack's clients."""
 
     def __init__(self, sim: Simulator, net: ControlNetwork, name: str,
@@ -141,9 +141,7 @@ class MetadataCacheNode:
             self.leases[srv] = ClientLeaseManager(
                 sim, self.endpoint, srv, contract, callbacks=callbacks,
                 trace=trace, obs=obs)
-        self.endpoint.ack_listeners.append(self._on_ack)
-        self.endpoint.result_listeners.append(self._on_ack)
-        self.endpoint.nack_listeners.append(self._on_nack)
+        self.endpoint.observers.append(self)
 
         for kind in (MsgKind.LOOKUP, MsgKind.GETATTR, MsgKind.READDIR):
             self.endpoint.register(kind, self._h_read)
@@ -206,27 +204,28 @@ class MetadataCacheNode:
             self.flush_server(server, "lease-expired")
         return flush
 
-    def _on_ack(self, msg: Message, renewal_time: float) -> None:
-        lease = self.leases.get(msg.src)
-        if lease is not None:
+    def on_reply(self, reply: Message, renewal_time: Optional[float]) -> None:
+        """Every upstream reply: an ACK renews that server's lease and
+        an epoch change flushes what it taught us; a lease NACK (§3.3)
+        invalidates the lease and flushes too."""
+        lease = self.leases.get(reply.src)
+        if reply.kind == MsgKind.NACK:
+            if reply.payload.get("__lease_nack__"):
+                if lease is not None:
+                    lease.on_nack()
+                # We may have missed invalidations.
+                self.flush_server(reply.src, "lease-nack")
+            return
+        if lease is not None and renewal_time is not None:
             lease.renew(renewal_time)
-        epoch = msg.payload.get("__epoch__")
+        epoch = reply.payload.get("__epoch__")
         if epoch is not None:
-            known = self._epochs.get(msg.src)
-            self._epochs[msg.src] = int(epoch)
+            known = self._epochs.get(reply.src)
+            self._epochs[reply.src] = int(epoch)
             if known is not None and int(epoch) != known:
                 # Upstream restarted (or the shard map rolled): anything
                 # learned under the old epoch is untrustworthy.
-                self.flush_server(msg.src, "epoch-change")
-
-    def _on_nack(self, msg: Message) -> None:
-        if not msg.payload.get("__lease_nack__"):
-            return
-        lease = self.leases.get(msg.src)
-        if lease is not None:
-            lease.on_nack()
-        # §3.3: a lease NACK means we may have missed invalidations.
-        self.flush_server(msg.src, "lease-nack")
+                self.flush_server(reply.src, "epoch-change")
 
     # -- request handling --------------------------------------------------
     def _key_for(self, msg: Message) -> Optional[CacheKey]:

@@ -32,11 +32,10 @@ type of everything living in a ``StorageTankSystem``'s client pool
 
 from __future__ import annotations
 
-import abc
 from typing import (Callable, Dict, Mapping, Optional, Protocol,
                     runtime_checkable)
 
-from repro.net.control import Endpoint
+from repro.net.control import Endpoint, ReplyObserver
 from repro.net.message import Message
 from repro.obs import Observability
 from repro.sim.events import Event
@@ -65,13 +64,13 @@ class ClientAgent(Protocol):
         ...
 
 
-class SafetyAuthority(abc.ABC):
+class SafetyAuthority(ReplyObserver):
     """Base class wiring an authority to a server endpoint.
 
     Concrete but deliberately inert: the base authority never suspects
     and never steals, which makes it (via :class:`NoStealAuthority`)
     the honor-locks-forever baseline.  Subclasses override
-    :meth:`gatekeeper`, :meth:`_on_delivery_failure`, :meth:`is_suspect`
+    :meth:`gatekeeper`, :meth:`on_delivery_failure`, :meth:`is_suspect`
     and :meth:`resolution` to implement real policies.
     """
 
@@ -99,7 +98,7 @@ class SafetyAuthority(abc.ABC):
             STATE_BYTES_METRIC, "Authority memory footprint right now",
             labels=("node",)).labels(node=node).set_function(self.state_bytes)
         self.total_steals = 0
-        endpoint.delivery_failure_listeners.append(self._on_delivery_failure)
+        endpoint.observers.append(self)
         endpoint.set_gatekeeper(self.gatekeeper)
 
     # -- interface ---------------------------------------------------------
@@ -128,9 +127,6 @@ class SafetyAuthority(abc.ABC):
             "total_steals": float(self.total_steals),
         }
 
-    def _on_delivery_failure(self, client: str, msg: Message) -> None:
-        """A server-initiated message went unACKed after retries."""
-
     def steal_now(self, client: str) -> None:
         """Immediately execute a steal via the server callback."""
         self.total_steals += 1
@@ -155,6 +151,7 @@ class NoStealAuthority(SafetyAuthority):
     indefinitely."  Experiment E2 measures exactly that.
     """
 
-    def _on_delivery_failure(self, client: str, msg: Message) -> None:
+    def on_delivery_failure(self, client: str, msg: Message) -> None:
+        """Honor the unreachable client's locks; only record the event."""
         self.trace.emit(self.sim.now, "authority.honor", self.endpoint.name,
                         client=client)

@@ -17,38 +17,17 @@ Experiment E3 measures both failure modes against the lease protocol.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.net.message import Message
-from repro.protocols.base import SafetyAuthority
-from repro.sim.events import Event
+from repro.protocols.steal import ImmediateStealAuthority
 
 
-class FencingOnlyAuthority(SafetyAuthority):
+class FencingOnlyAuthority(ImmediateStealAuthority):
     """Fence at the devices, then steal, with no lease wait.
 
     The fence itself is constructed by the server's ``steal_client``
-    (``fence_on_steal`` must be on — the builder enforces it); what this
-    authority removes relative to Storage Tank is the τ(1+ε) grace
-    period that lets the client flush and invalidate first.
+    (``fence_on_steal`` must be on — the builder enforces it), so this
+    is the immediate steal under another name; what it removes relative
+    to Storage Tank is the τ(1+ε) grace period that lets the client
+    flush and invalidate first.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._resolutions: Dict[str, Event] = {}
-
-    def _on_delivery_failure(self, client: str, msg: Message) -> None:
-        self._count_cpu()
-        self.trace.emit(self.sim.now, "authority.fence_steal",
-                        self.endpoint.name, client=client)
-        ev = self.sim.event()
-        self._resolutions[client] = ev
-        try:
-            self.steal_now(client)   # steal_client fences first
-        finally:
-            ev.succeed(client)
-            self._resolutions.pop(client, None)
-
-    def resolution(self, client: str) -> Optional[Event]:
-        """Event firing when a pending steal of ``client`` completes."""
-        return self._resolutions.get(client)
+    steal_event = "authority.fence_steal"

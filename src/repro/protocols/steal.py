@@ -22,13 +22,17 @@ from repro.sim.events import Event
 class ImmediateStealAuthority(SafetyAuthority):
     """Steal the instant a delivery failure is observed."""
 
+    #: Trace kind of the steal (FencingOnlyAuthority overrides it).
+    steal_event = "authority.immediate_steal"
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._resolutions: Dict[str, Event] = {}
 
-    def _on_delivery_failure(self, client: str, msg: Message) -> None:
+    def on_delivery_failure(self, client: str, msg: Message) -> None:
+        """Steal from ``client`` at once, with no lease wait."""
         self._count_cpu()
-        self.trace.emit(self.sim.now, "authority.immediate_steal",
+        self.trace.emit(self.sim.now, self.steal_event,
                         self.endpoint.name, client=client)
         ev = self.sim.event()
         self._resolutions[client] = ev

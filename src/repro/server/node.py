@@ -127,15 +127,7 @@ class StorageTankServer:
         self.intent_ops = 0          # sub-operations executed under intents
 
         self.recovery = RecoveryManager(self, grace=self.config.recovery_grace)
-        # Deferred-transaction receipt ACKs are sent by the transport
-        # before any handler runs, so _stamp_epoch never sees them; stamp
-        # the epoch at the endpoint instead.  The receipt renews the
-        # requester's lease — without the epoch riding along, a client
-        # parked behind a deferred grant (recovery grace, waiter queue,
-        # takeover wait) holds a live lease but never notices a restart
-        # and misses its reassertion window (§6).
-        self.endpoint.ack_stamp = (
-            lambda: {"__epoch__": self.recovery.epoch})
+        self.endpoint.reply_stamp = self._stamp
         # Cluster shard role (ownership gating / takeover); attached by
         # build_system when the installation runs with cluster membership.
         self.cluster = None
@@ -196,8 +188,7 @@ class StorageTankServer:
 
         The cluster kinds register on the raw endpoint (not through
         ``_register``): coordinator traffic is not a client transaction —
-        it must bypass the ownership gate, the transaction counter and
-        epoch stamping."""
+        it must bypass the ownership gate and the transaction counter."""
         self.cluster = role
         self.endpoint.register(MsgKind.CLUSTER_PING, role.h_ping)
         self.endpoint.register(MsgKind.CLUSTER_MAP_UPDATE, role.h_map_update)
@@ -232,56 +223,26 @@ class StorageTankServer:
                 # the fence stays up (§6): an incarnation that never saw
                 # its lease die may still hold — and write — stale data.
                 self.unfence_client(msg.src)
-            result = self._stamp_epoch(fn(msg))
-            if msg.src in self._cache_set:
-                result = self._stamp_mseq(result)
-            return result
+            return fn(msg)
 
         self.endpoint.register(kind, wrapped)
 
-    def _stamp_epoch(self, result: Any) -> Any:
-        """Carry the server epoch on every ACK so clients detect
-        restarts and reassert their locks (§6 recovery)."""
-        if isinstance(result, tuple) and len(result) == 2:
-            decision, payload = result
-            if decision == "ack":
-                payload = dict(payload or {})
-                payload.setdefault("__epoch__", self.recovery.epoch)
-                return (decision, payload)
-            return result
-        if hasattr(result, "send"):
-            gen = result
+    def _stamp(self, msg: Message) -> Dict[str, Any]:
+        """What every ACK this server decides carries (the endpoint's
+        ``reply_stamp``), however its handler was registered —
+        ``CLUSTER_*`` and ``LOCK_REASSERT`` included.
 
-            def stamped() -> Generator[Event, Any, Any]:
-                inner = yield from gen
-                return self._stamp_epoch(inner)
-            return stamped()
-        return result
-
-    def _stamp_mseq(self, result: Any) -> Any:
-        """Watermark an ACK to a cache node with the mutation counter.
-
-        The stamp is taken when the reply is built, which for the
-        cacheable read kinds (synchronous handlers) is their execution
-        instant.  ``-1`` while any mutation barrier is pending marks the
-        reply uninstallable: the value may predate a mutation whose
-        invalidation the cache has already processed."""
-        if isinstance(result, tuple) and len(result) == 2:
-            decision, payload = result
-            if decision == "ack":
-                payload = dict(payload or {})
-                payload["__mseq__"] = (-1 if self._cache_pending
-                                       else self._cache_mseq)
-                return (decision, payload)
-            return result
-        if hasattr(result, "send"):
-            gen = result
-
-            def stamped() -> Generator[Event, Any, Any]:
-                inner = yield from gen
-                return self._stamp_mseq(inner)
-            return stamped()
-        return result
+        ``__epoch__`` lets clients detect a restart and reassert their
+        locks (§6).  An ACK to a cache node adds the mutation watermark
+        ``__mseq__``, taken when the decision is produced (for the
+        cacheable read kinds, their execution instant); ``-1`` while a
+        mutation barrier is pending marks the reply uninstallable: the
+        value may predate a mutation whose invalidation the cache has
+        already processed."""
+        stamp = {"__epoch__": self.recovery.epoch}
+        if msg.src in self._cache_set:
+            stamp["__mseq__"] = -1 if self._cache_pending else self._cache_mseq
+        return stamp
 
     # ------------------------------------------------------------------
     # netcache coherence barrier

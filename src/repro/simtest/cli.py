@@ -6,7 +6,9 @@ Modes (mutually exclusive):
   an oracle violation, shrink the schedule to a minimal repro and write
   a replayable failure artifact;
 - ``--replay ARTIFACT``: re-run a failure artifact's schedule and
-  verify the trace hash reproduces bit-identically;
+  verify the trace hash reproduces bit-identically (with
+  ``--break-mode``: run it sabotaged instead — a regression artifact's
+  knock-out — and exit 1 when the oracles catch it);
 - ``--corpus``: replay every pinned regression seed (clean + identical
   hash required);
 - ``--batch N``: run N fresh schedules with seeds drawn from
@@ -20,6 +22,7 @@ Exit codes follow the repo convention (``repro.lint``): 0 clean,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -148,18 +151,23 @@ def _fuzz_once(args: argparse.Namespace) -> int:
     return EXIT_VIOLATIONS
 
 
-def _replay(path: str) -> int:
+def _replay(path: str, break_mode: str = "") -> int:
     try:
         doc = load_artifact(path)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     schedule = Schedule.from_dict(doc["schedule"])
+    if break_mode:
+        schedule = dataclasses.replace(schedule, break_mode=break_mode)
     result = run_schedule(schedule)
     expected = doc.get("trace_hash", "")
     print(f"replayed seed={schedule.seed} "
           f"steps={len(schedule.steps)}: trace_hash={result.trace_hash[:16]}…")
     _print_violations(result)
+    if break_mode:
+        print(f"knock-out {break_mode}: oracles fired: {result.oracle_names()}")
+        return EXIT_CLEAN if result.ok else EXIT_VIOLATIONS
     if result.trace_hash != expected:
         print(f"NOT REPRODUCED: trace hash mismatch "
               f"(expected {expected[:16]}…)")
@@ -237,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.jobs > 1 and args.batch is None:
         parser.error("--jobs requires --batch")
     if args.replay:
-        return _replay(args.replay)
+        return _replay(args.replay, args.break_mode)
     if args.corpus:
         return _corpus()
     if args.update_corpus:

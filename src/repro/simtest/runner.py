@@ -108,6 +108,15 @@ def _break_no_demand_escalate(system: StorageTankSystem) -> None:
             config.demand_escalate_rounds = 0
 
 
+def _break_skip_reply_stamp(system: StorageTankSystem) -> None:
+    """Sabotage: server ACKs carry no stamp, so no client ever learns
+    of a restart (``__epoch__``) and none reasserts its locks — the
+    restarted server re-grants them while the old holder still caches
+    them (§6)."""
+    for srv in _servers(system).values():
+        srv.endpoint.reply_stamp = None
+
+
 #: Registry of deliberate protocol breaks, for oracle/shrinker testing.
 BREAK_MODES: Dict[str, Callable[[StorageTankSystem], None]] = {
     "skip_flush": _break_skip_flush,
@@ -116,6 +125,7 @@ BREAK_MODES: Dict[str, Callable[[StorageTankSystem], None]] = {
     "blind_unfence": _break_blind_unfence,
     "blind_reassert": _break_blind_reassert,
     "no_demand_escalate": _break_no_demand_escalate,
+    "skip_reply_stamp": _break_skip_reply_stamp,
 }
 
 

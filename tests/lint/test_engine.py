@@ -101,7 +101,7 @@ def test_rule_list_covers_all_shipped_rules():
     listing = render_rule_list()
     for code in ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
                  "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",
-                 "RPL011", "RPL012"]:
+                 "RPL011", "RPL012", "RPL013"]:
         assert code in listing
 
 

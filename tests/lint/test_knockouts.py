@@ -204,3 +204,27 @@ def test_product_tree_still_reads_close_census_fields():
     client = (REPO_ROOT / "src/repro/client/node.py").read_text()
     assert "_on_range_demand" in client
     assert "range_demands_seen" in client
+
+
+# -- RPL013: the four hand-written dispatch sites must not grow back --------
+
+def test_second_dispatch_loop_in_the_transport_fires():
+    """Three recovery holes were a reply class skipping one of several
+    dispatch sites.  The shipped transport is silent; hand-inlining the
+    observer loop back into ``request()`` fires the rule."""
+    from repro.lint import lint_source
+    path = "src/repro/net/control.py"
+    config = load_config(explicit=REPO_ROOT / "pyproject.toml")
+    source = (REPO_ROOT / path).read_text()
+    assert lint_source(source, path=path, config=config,
+                       select=["RPL013"]).violations == []
+    call = "                    self._deliver_reply(msg, reply, attempt_times)\n"
+    assert call in source
+    inlined = source.replace(
+        call,
+        "                    for observer in self.observers:\n"
+        "                        observer.on_reply(reply, None)\n", 1)
+    result = lint_source(inlined, path=path, config=config,
+                         select=["RPL013"])
+    assert [v.code for v in result.violations] == ["RPL013"]
+    assert "on_reply" in result.violations[0].message

@@ -51,7 +51,7 @@ def test_sarif_is_valid_2_1_0_shape():
     assert driver["name"] == "repro-lint"
     rule_ids = [r["id"] for r in driver["rules"]]
     assert rule_ids == sorted(RULES)  # all shipped rules, stable order
-    assert len(rule_ids) == 12
+    assert len(rule_ids) == 13
     for res in run["results"]:
         assert res["ruleId"] in rule_ids
         assert rule_ids[res["ruleIndex"]] == res["ruleId"]

@@ -30,6 +30,7 @@ CASES = [
     ("RPL010", "rpl010", "src/repro/server/fixture_mod.py"),
     ("RPL011", "rpl011", "src/repro/server/fixture_mod.py"),
     ("RPL012", "rpl012", "src/repro/client/fixture_mod.py"),
+    ("RPL013", "rpl013", "src/repro/net/control.py"),
 ]
 
 
@@ -103,6 +104,21 @@ def test_rpl012_flags_the_acquire_site():
     line_text = (FIXTURES / "rpl012_fires.py").read_text().splitlines()[
         result.violations[0].line - 1]
     assert "_enter" in line_text
+
+
+def test_rpl013_reports_each_second_site():
+    result = _lint_fixture("rpl013_fires.py", "RPL013",
+                           "src/repro/net/control.py")
+    messages = " | ".join(v.message for v in result.violations)
+    assert "on_reply" in messages          # the second dispatch loop
+    assert "reply_stamp" in messages       # the second stamp reader
+    assert "sent outside `_reply`" in messages
+    # Outside the transport module, building a reply at all is a finding
+    # (the clean fixture builds them in `_reply`, as the transport does).
+    elsewhere = _lint_fixture("rpl013_clean.py", "RPL013",
+                              "src/repro/server/fixture_mod.py")
+    assert {v.message.split("(")[0] for v in elsewhere.violations} == {
+        "`Ack", "`Nack"}
 
 
 def test_rpl006_reports_unknown_group_and_missing_kinds():

@@ -61,26 +61,26 @@ def test_delivery_error_after_retries(net_pair):
     assert len(sends) == 3
 
 
-def test_delivery_failure_listener_fires(net_pair):
+def test_delivery_failure_listener_fires(net_pair, observe):
     sim, net, server, client = net_pair
     net.block_pair("client", "server")
-    failures = []
-    client.delivery_failure_listeners.append(lambda dst, msg: failures.append(dst))
+    seen = observe(client)
     with pytest.raises(DeliveryError):
         run_req(sim, client, "server", "fs.getattr", {},
                 policy=RetryPolicy(timeout=0.2, retries=0))
-    assert failures == ["server"]
+    assert seen.failures == ["server"]
+    assert seen.replies == []
 
 
-def test_ack_listener_gets_send_time(net_pair):
+def test_ack_listener_gets_send_time(net_pair, observe):
     sim, net, server, client = net_pair
     server.register("fs.getattr", lambda m: ("ack", {}))
-    seen = []
-    client.ack_listeners.append(lambda msg, t_send: seen.append(t_send))
+    seen = observe(client)
     run_req(sim, client, "server", "fs.getattr", {})
-    assert len(seen) == 1
+    assert len(seen.replies) == 1
     # send happened at local time of client at global ~0
-    assert seen[0] == pytest.approx(client.clock.local_time(0.0), abs=1e-6)
+    assert seen.replies[0][1] == pytest.approx(client.clock.local_time(0.0),
+                                               abs=1e-6)
 
 
 def test_at_most_once_under_duplicates(net_pair):
@@ -170,12 +170,13 @@ def test_deferred_handler_exception_becomes_nack(net_pair):
         run_req(sim, client, "server", "fs.open", {})
 
 
-def test_receipt_ack_carries_ack_stamp(net_pair):
-    """A deferred transaction's receipt ACK merges the node's ack_stamp
-    (servers carry ``__epoch__`` so a parked client still learns about
-    restarts, §6) — including the re-ACK sent for a retried request."""
+def test_receipt_ack_carries_ack_stamp(net_pair, observe):
+    """A deferred transaction's receipt ACK merges the node's
+    ``reply_stamp`` (servers carry ``__epoch__`` so a parked client
+    still learns about restarts, §6) — including the re-ACK sent for a
+    retried request."""
     sim, net, server, client = net_pair
-    server.ack_stamp = lambda: {"__epoch__": 7}
+    server.reply_stamp = lambda msg: {"__epoch__": 7}
 
     def handler(msg):
         def work():
@@ -183,17 +184,16 @@ def test_receipt_ack_carries_ack_stamp(net_pair):
             return ("ack", {})
         return work()
     server.register("fs.open", handler)
-    stamped = []
-    client.ack_listeners.append(
-        lambda msg, _t: stamped.append(msg.payload.get("__epoch__"))
-        if msg.payload.get("__pending__") else None)
+    seen = observe(client)
     run_req(sim, client, "server", "fs.open", {},
             policy=RetryPolicy(timeout=0.5, retries=8))
     # First receipt ACK and every pending re-ACK answering a retry.
-    assert stamped and all(e == 7 for e in stamped)
+    stamped = [r.payload.get("__epoch__") for r, _t in seen.replies
+               if r.payload.get("__pending__")]
+    assert len(stamped) > 1 and all(e == 7 for e in stamped)
 
 
-def test_receipt_ack_without_stamp_adds_no_keys(net_pair):
+def test_receipt_ack_without_stamp_adds_no_keys(net_pair, observe):
     sim, net, server, client = net_pair
 
     def handler(msg):
@@ -202,11 +202,10 @@ def test_receipt_ack_without_stamp_adds_no_keys(net_pair):
             return ("ack", {})
         return work()
     server.register("fs.open", handler)
-    payloads = []
-    client.ack_listeners.append(
-        lambda msg, _t: payloads.append(dict(msg.payload))
-        if msg.payload.get("__pending__") else None)
+    seen = observe(client)
     run_req(sim, client, "server", "fs.open", {})
+    payloads = [r.payload for r, _t in seen.replies
+                if r.payload.get("__pending__")]
     assert payloads
     assert all(set(p) == {"__pending__", "__ticket__"} for p in payloads)
 

@@ -132,10 +132,9 @@ def test_concurrent_requests_from_one_client(pair):
     assert sorted(results) == list(range(20))
 
 
-def test_nack_listener_fires_for_deferred_nack(pair):
+def test_nack_listener_fires_for_deferred_nack(pair, observe):
     sim, net, server, client = pair
-    nacks = []
-    client.nack_listeners.append(lambda msg: nacks.append(1))
+    seen = observe(client)
 
     def handler(msg):
         def work():
@@ -145,20 +144,17 @@ def test_nack_listener_fires_for_deferred_nack(pair):
     server.register("fs.open", handler)
     with pytest.raises(NackError):
         run_req(sim, client, "server", "fs.open", {})
-    assert nacks == [1]
+    assert [r.payload for r, _t in seen.nacks()] == [{"error": "later"}]
 
 
-def test_result_listener_fires_on_deferred_final(pair):
-    """A deferred transaction's final result bypasses ``ack_listeners``
-    (only the receipt ACK passes through them), so slow-path signals
-    stamped into the payload — like the server epoch — must reach the
-    caller via ``result_listeners``."""
+def test_result_listener_fires_on_deferred_final(pair, observe):
+    """A deferred transaction's final result is reconstructed locally
+    from the RESULT payload, not received as an ACK datagram — yet
+    slow-path signals stamped into it, like the server epoch, must
+    still reach the observers.  It carries no renewal time (the receipt
+    ACK already renewed), which is how an observer tells the two apart."""
     sim, net, server, client = pair
-    acks, finals = [], []
-    client.ack_listeners.append(
-        lambda msg, t: acks.append(dict(msg.payload)))
-    client.result_listeners.append(
-        lambda msg, t: finals.append(dict(msg.payload)))
+    seen = observe(client)
 
     def handler(msg):
         def work():
@@ -168,18 +164,23 @@ def test_result_listener_fires_on_deferred_final(pair):
     server.register("fs.open", handler)
     reply = run_req(sim, client, "server", "fs.open", {})
     assert reply.payload["fd"] == 1
+    acks = [r.payload for r, t in seen.replies if t is not None]
+    finals = [r.payload for r, t in seen.replies if t is None]
     # The receipt ACK carried no epoch; the final did.
     assert acks and all("__epoch__" not in p for p in acks)
     assert [p.get("__epoch__") for p in finals] == [3]
+    assert seen.replies[-1][0] is reply
 
 
-def test_result_listener_silent_on_synchronous_ack(pair):
+def test_result_listener_silent_on_synchronous_ack(pair, observe):
+    """A synchronous ACK is delivered once, as a renewing reply — never
+    a second time as a renewal-less final."""
     sim, net, server, client = pair
-    finals = []
-    client.result_listeners.append(lambda msg, t: finals.append(msg))
+    seen = observe(client)
     server.register("fs.getattr", lambda m: ("ack", {}))
-    run_req(sim, client, "server", "fs.getattr", {})
-    assert finals == []
+    reply = run_req(sim, client, "server", "fs.getattr", {})
+    assert [r for r, _t in seen.replies] == [reply]
+    assert seen.replies[0][1] is not None
 
 
 def test_forget_peer_drops_replay_state(pair):
@@ -197,3 +198,144 @@ def test_forget_peer_drops_replay_state(pair):
     server.forget_peer("nobody")  # no-op
     run_req(sim, client, "server", "fs.getattr", {})
     assert any(key[0] == "client" for key in server._executed)
+
+
+def test_forget_peer_leaves_no_tombstone_in_eviction_order(pair):
+    """A forgotten peer's keys leave the eviction order too.  The next
+    incarnation reuses its sequence numbers; a stale slot left ahead of
+    the re-appended key would evict the *live* entry early and let a
+    retry re-execute."""
+    sim, net, server, client = pair
+    small = Endpoint(sim, net, "small", server.clock, dedup_capacity=4)
+    runs = []
+    small.register("fs.setattr",
+                   lambda m: (runs.append(m.src), ("ack", {}))[1])
+
+    def deliver(src, seq):
+        small._on_datagram(Message(src, "small", "fs.setattr", {}, seq))
+
+    deliver("c", 1)
+    small.forget_peer("c")
+    deliver("c", 1)                      # the new incarnation: runs again
+    for other in ("x", "y", "z"):
+        deliver(other, 1)                # 4 live keys, exactly at capacity
+    assert len(small._executed) == 4
+    deliver("c", 1)                      # a retry: must replay, not run
+    assert runs.count("c") == 2
+    assert len(small._executed) == 4
+    assert len(small._executed_order) == 4
+
+
+def _deferred(sim, delay, decision):
+    def handler(msg):
+        def work():
+            yield sim.timeout(delay)
+            return decision
+        return work()
+    return handler
+
+
+def _reexecuted(sim, server):
+    """First execution parks forever; the re-execution after the server
+    lost its replay cache answers directly."""
+    calls = []
+
+    def handler(msg):
+        calls.append(1)
+        if len(calls) == 1:
+            return _deferred(sim, 1000.0, ("ack", {}))(msg)
+        return ("ack", {"second": True})
+
+    def bounce():
+        yield sim.timeout(0.5)
+        server.crash()
+        server.restart()
+    sim.process(bounce())
+    return handler
+
+
+#: scenario -> (handler factory, the (label, renews?) of every reply the
+#: requester's observers must see, in order, each exactly once)
+REPLY_CLASSES = {
+    "direct-ack": (lambda sim, srv: lambda m: ("ack", {}),
+                   [("ack", True)]),
+    "nack": (lambda sim, srv: lambda m: ("nack", {"error": "no"}),
+             [("nack", False)]),
+    "receipt-then-final-ack": (
+        lambda sim, srv: _deferred(sim, 0.5, ("ack", {})),
+        [("pending", True), ("ack", False)]),
+    "pending-re-acks": (
+        lambda sim, srv: _deferred(sim, 2.5, ("ack", {})),
+        [("pending", True), ("pending", True), ("pending", True),
+         ("ack", False)]),
+    "re-execution-answers-directly": (
+        _reexecuted, [("pending", True), ("ack", True)]),
+    "final-nack": (
+        lambda sim, srv: _deferred(sim, 0.5, ("nack", {"error": "later"})),
+        [("pending", True), ("nack", False)]),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(REPLY_CLASSES))
+def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
+                                                          scenario):
+    """Direct ACK, NACK, receipt ACK, pending re-ACK, a re-execution's
+    direct answer and the Ack/Nack synthesized from a RESULT each pass
+    the one delivery path once.  An ACK datagram renews from the send
+    time of the attempt it answers; a NACK or a deferred final carries
+    no renewal time."""
+    sim, net, server, client = pair
+    make_handler, expected = REPLY_CLASSES[scenario]
+    server.register("fs.open", make_handler(sim, server))
+    seen = observe(client)
+    try:
+        run_req(sim, client, "server", "fs.open", {},
+                policy=RetryPolicy(timeout=0.5, retries=3))
+    except NackError:
+        pass
+
+    def label(reply):
+        if reply.kind == MsgKind.NACK:
+            return "nack"
+        return "pending" if reply.payload.get("__pending__") else "ack"
+    assert [(label(r), t is not None) for r, t in seen.replies] == expected
+    # The fixture's clocks are ideal, so local send time == trace time.
+    sent_at = {rec.detail["msg_id"]: rec.time
+               for rec in net.trace.select(kind="msg.send", node="client")}
+    renewals = [t for _r, t in seen.replies if t is not None]
+    assert renewals == [sent_at[r.reply_to] for r, t in seen.replies
+                        if t is not None]
+    assert len(set(renewals)) == len(renewals)   # one attempt each
+
+
+@pytest.mark.parametrize("deferred", [False, True],
+                         ids=["synchronous", "deferred"])
+def test_replayed_reply_keeps_the_stamp_of_its_execution(pair, deferred):
+    """The stamp is merged before the decision enters the at-most-once
+    cache, so a retry that is answered from the cache sees the
+    watermark the transaction executed under — never a fresher one
+    (the ``__mseq__`` safety condition: a new watermark on an old value
+    would let a cache node install data that predates an invalidation
+    it has already processed)."""
+    sim, net, server, client = pair
+    watermark = {"v": 0}
+    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    runs = []
+
+    def handler(msg):
+        runs.append(1)
+        if deferred:
+            return _deferred(sim, 0.1, ("ack", {"value": "old"}))(msg)
+        return ("ack", {"value": "old"})
+    server.register("fs.getattr", handler)
+
+    net.block("server", "client")        # every reply of the first try is lost
+    proc = sim.process(client.request(
+        "server", "fs.getattr", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+    sim.run(until=0.25)
+    assert runs == [1] and not proc.triggered
+    watermark["v"] = 9                   # a mutation lands meanwhile
+    net.unblock("server", "client")
+    sim.run()
+    assert runs == [1]                   # the retry was answered by replay
+    assert proc.value.payload == {"value": "old", "__mseq__": 0}

@@ -137,3 +137,39 @@ def test_workload_survives_server_restart():
     # Clients rode out the outage and kept completing operations after.
     assert all(v.ops_succeeded > 20 for v in stats.values())
     assert s.server.recovery.restarts == 1
+
+
+def test_every_ack_the_server_decides_carries_its_epoch():
+    """``__epoch__`` rides every ACK by construction, however the
+    handler was registered: a ``LOCK_REASSERT`` ACK (RecoveryManager
+    registers it on the raw endpoint) and a deferred transaction's
+    receipt ACK, pending re-ACKs and final."""
+    from repro.net import MsgKind, ReplyObserver
+
+    s = make_system(n_clients=2, writeback_interval=1000.0)
+    c1, c2 = s.client("c1"), s.client("c2")
+    out = _holder(s, c1)
+    s.server.crash()
+    s.run(until=s.sim.now + 1.0)
+    s.server.restart()
+    epoch = s.server.recovery.epoch
+
+    reply = run_gen(s, c1.endpoint.request(
+        "server", MsgKind.LOCK_REASSERT,
+        {"file_id": out["fid"], "mode": int(LockMode.EXCLUSIVE)}))
+    assert reply.payload["__epoch__"] == epoch
+
+    seen = []
+
+    class Probe(ReplyObserver):
+        def on_reply(self, reply, renewal_time):
+            if reply.kind == MsgKind.ACK:
+                seen.append((reply.payload, renewal_time))
+    c2.endpoint.observers.append(Probe())
+    # A fresh acquisition inside the grace window parks as a deferred
+    # transaction until the window closes.
+    run_gen(s, c2.open_file("/f", "r"))
+    receipts = [p for p, _t in seen if p.get("__pending__")]
+    finals = [p for p, t in seen if t is None]
+    assert len(receipts) >= 2 and len(finals) == 1
+    assert all(p.get("__epoch__") == epoch for p, _t in seen)

@@ -39,6 +39,19 @@ def test_replay_missing_artifact_is_usage_error(capsys):
     assert main(["--replay", "/nonexistent/a.json"]) == EXIT_USAGE
 
 
+def test_replay_with_break_mode_runs_the_knockout(capsys):
+    """``--replay ARTIFACT --break-mode M`` replays the pinned schedule
+    against the sabotaged system: the artifact's knock-out from the
+    command line (exit 1 when the oracles catch the re-broken fix)."""
+    import os
+    artifact = os.path.join(os.path.dirname(__file__), "artifacts",
+                            "intent-parked-grant-missed-epoch.json")
+    assert main(["--replay", artifact]) == EXIT_CLEAN
+    assert main(["--replay", artifact,
+                 "--break-mode", "skip_reply_stamp"]) == EXIT_VIOLATIONS
+    assert "lock-compatibility" in capsys.readouterr().out
+
+
 def test_corpus_mode_clean(capsys):
     assert main(["--corpus"]) == EXIT_CLEAN
     assert "corpus entries clean" in capsys.readouterr().out

@@ -7,8 +7,8 @@ same ``repro.simtest/1.0`` format the fuzzer writes, so
 ``python -m repro.simtest --replay <artifact>`` reproduces it from the
 command line.  The tests replay every artifact and assert the run is
 clean and the trace hash is bit-identical; companion knock-out tests
-re-break the fixed mechanism (removing a hook, or applying the
-artifact's recorded ``knockout_break_mode``) and assert the schedule
+re-break the fixed mechanism (applying the artifact's recorded
+``knockout_break_mode``, or stubbing a handler) and assert the schedule
 still catches the bug (the pin has teeth, not just a hash).
 """
 
@@ -21,7 +21,6 @@ import os
 import pytest
 
 import repro.netcache.node as netcache_node
-import repro.simtest.runner as runner_mod
 from repro.obs.artifact import load_artifact
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import Schedule
@@ -57,52 +56,6 @@ def test_artifact_replays_clean_and_bit_identical(path):
         f"{os.path.basename(path)}: trace drifted"
 
 
-def test_reassert_artifact_catches_missed_epoch(monkeypatch):
-    """Without the deferred-final epoch hook the pinned schedule still
-    reproduces the double-EXCLUSIVE it was shrunk from.  The receipt-ACK
-    epoch stamp (a later, redundant carrier for parked transactions)
-    must be knocked out too, or it masks the missing final hook."""
-    doc = _load("netcache-reassert-after-server-restart.json")
-    schedule = Schedule.from_dict(doc["schedule"])
-    build = runner_mod.build_system
-
-    def build_without_hook(cfg):
-        system = build(cfg)
-        for _name, client in system.pool.live_items():
-            listeners = client.endpoint.result_listeners
-            if client._on_epoch in listeners:
-                listeners.remove(client._on_epoch)
-        for server in system.servers.values():
-            server.endpoint.ack_stamp = None
-        return system
-
-    monkeypatch.setattr(runner_mod, "build_system", build_without_hook)
-    result = run_schedule(schedule)
-    assert not result.ok
-    assert "lock-compatibility" in result.oracle_names()
-
-
-def test_parked_grant_artifact_catches_unstamped_receipt_acks(monkeypatch):
-    """Without the epoch stamp on deferred-transaction receipt ACKs the
-    pinned schedule reproduces its double-EXCLUSIVE: the receipt renews
-    the parked client's lease, so it never notices the restart and
-    misses the reassertion grace window."""
-    doc = _load("intent-parked-grant-missed-epoch.json")
-    schedule = Schedule.from_dict(doc["schedule"])
-    build = runner_mod.build_system
-
-    def build_without_stamp(cfg):
-        system = build(cfg)
-        for server in system.servers.values():
-            server.endpoint.ack_stamp = None
-        return system
-
-    monkeypatch.setattr(runner_mod, "build_system", build_without_stamp)
-    result = run_schedule(schedule)
-    assert not result.ok
-    assert "lock-compatibility" in result.oracle_names()
-
-
 def test_invalidation_artifact_catches_dropped_invalidations(monkeypatch):
     """With cache invalidation stubbed out the pinned schedule serves a
     stale entry and the oracle must say so."""
@@ -121,11 +74,19 @@ BYZ_ARTIFACTS = [
 ]
 
 
-@pytest.mark.parametrize("name", BYZ_ARTIFACTS)
-def test_byz_artifact_catches_reverted_fix(name):
-    """Re-breaking the containment fix each adversarial artifact was
-    shrunk against makes the pinned schedule fire the recorded oracles
-    again — the knock-out direction of the pin."""
+#: Pinned §6 restart schedules: a client that never sees the server's
+#: epoch on its ACKs never reasserts, and double-holds its locks.
+EPOCH_ARTIFACTS = [
+    "netcache-reassert-after-server-restart.json",
+    "intent-parked-grant-missed-epoch.json",
+]
+
+
+@pytest.mark.parametrize("name", BYZ_ARTIFACTS + EPOCH_ARTIFACTS)
+def test_artifact_catches_reverted_fix(name):
+    """Re-breaking the fix each artifact was shrunk against (its
+    recorded ``knockout_break_mode``) makes the pinned schedule fire
+    the recorded oracles again — the knock-out direction of the pin."""
     doc = _load(name)
     schedule = Schedule.from_dict(doc["schedule"])
     break_mode = doc["extra"]["knockout_break_mode"]

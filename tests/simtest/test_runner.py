@@ -42,7 +42,7 @@ def test_unknown_break_mode_rejected():
         apply_break_mode(make_system(), "melt_the_server")
     assert set(BREAK_MODES) == {"skip_flush", "ack_expiring", "steal_early",
                                 "blind_unfence", "blind_reassert",
-                                "no_demand_escalate"}
+                                "no_demand_escalate", "skip_reply_stamp"}
 
 
 def test_skip_flush_caught_by_flush_oracle():
