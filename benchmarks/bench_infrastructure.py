@@ -8,6 +8,7 @@ no optimization without measurement — this is the measurement.
 
 import numpy as np
 
+from repro.client import Page, PageCache
 from repro.core.config import (NetCacheConfig, ScaleConfig, SystemConfig,
                                WorkloadConfig)
 from repro.core.system import build_system
@@ -240,6 +241,68 @@ def _spin_intent_open(n: int) -> int:
 def test_intent_open_throughput(benchmark):
     """Open/close cycles per second, one intent round trip each."""
     benchmark(_spin_intent_open, 1_000)
+
+
+def _spin_intent_open_long(n: int, n_extents: int = 512) -> int:
+    """``n`` open/close cycles on a file of ``n_extents`` extents.
+
+    ``intent_open`` above opens a one-block file and cannot see what an
+    open costs per extent.  Here two files are grown in turn on the
+    server's own store (no client traffic), so their runs alternate on
+    the disk and each holds ``n_extents`` extents; the timed part is the
+    same one-datagram cycle.  Since PR 17 the client names the map it
+    holds and the reply carries only the runs past it — none, here.
+    """
+    cfg = SystemConfig(n_clients=1, protocol="storage_tank",
+                       workload=WorkloadConfig(n_files=1))
+    system = build_system(cfg)
+    client = system.client(system.pool.name_of(0))
+    store = system.server_node("server").metadata
+
+    def caller():
+        fid = yield from client.create("/bench", size=4096)
+        other = yield from client.create("/other", size=4096)
+        for blocks in range(2, n_extents + 1):
+            for f in (fid, other):
+                store.ensure_size(f, blocks * 4096, now=system.sim.now)
+        assert len(store.inode(fid).extents.extents) == n_extents
+        for _ in range(n):
+            fd = yield from client.open_file("/bench", "r")
+            yield from client.close(fd)
+        fd = yield from client.open_file("/bench", "r")
+        assert client.fds.get(fd).extents.block_count == n_extents
+
+    proc = system.spawn(caller(), "bench:intent-open-long")
+    system.sim.run_until_event(proc, hard_limit=system.sim.now + 600)
+    assert client.ops_completed >= n
+    return n
+
+
+def test_intent_open_long_throughput(benchmark):
+    """Open/close cycles per second on a 512-extent file."""
+    benchmark(_spin_intent_open_long, 500)
+
+
+def _spin_page_cache_hit(n: int, resident: int = 1024) -> int:
+    """``n`` hits on a page cache holding ``resident`` pages, the keys
+    drawn uniformly: half the resident set is more recent than the page
+    hit, which is what a recency *list* pays for and an ordered map does
+    not."""
+    cache = PageCache(capacity_pages=resident)
+    for block in range(resident):
+        cache.put_clean(Page(file_id=1, logical_block=block, device="d",
+                             lba=block, tag=None, version=0))
+    blocks = np.random.default_rng(0).integers(0, resident, size=n).tolist()
+    get = cache.get
+    for block in blocks:
+        get(1, block)
+    assert cache.stats.hits == n and cache.stats.misses == 0
+    return n
+
+
+def test_page_cache_hit_throughput(benchmark):
+    """Cache hits per second with 1,024 resident pages."""
+    benchmark(_spin_page_cache_hit, 100_000)
 
 
 def _spin_batched_range_acquire(n: int) -> int:

@@ -33,8 +33,9 @@ sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
 from bench_infrastructure import (  # noqa: E402
     _spin_batched_range_acquire, _spin_fuzz_step, _spin_intent_open,
-    _spin_metrics, _spin_netcache_lookup, _spin_pooled_seed_sweep,
-    _spin_processes, _spin_rpcs, _spin_scale_registration, _spin_timeouts,
+    _spin_intent_open_long, _spin_metrics, _spin_netcache_lookup,
+    _spin_page_cache_hit, _spin_pooled_seed_sweep, _spin_processes,
+    _spin_rpcs, _spin_scale_registration, _spin_timeouts,
     _spin_trace_counting_only, _spin_trace_emits)
 from lint_smoke import _spin_lint_cold, _spin_lint_warm  # noqa: E402
 
@@ -51,6 +52,10 @@ PRE_PR_OPS_PER_SEC = {
     # PR 12: the same 200k slots seeded by a loop of renew() into the
     # tuple heap and swept by heappop, 443.1 ms.
     "pooled_seed_sweep": 200_000 / 0.4431,
+    # PR 17: every open re-parsed all 512 extents, 392.6 ms / 500 cycles;
+    # every hit was a list.remove over the 1,024 resident keys, 1.292 s.
+    "intent_open_long": 500 / 0.3926,
+    "page_cache_hit": 100_000 / 1.292,
 }
 
 #: (callable, units-per-call) — ops/sec = units / best wall time.
@@ -71,6 +76,8 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
     "lint_full_repo": (_spin_lint_cold, 1),
     "lint_full_repo_warm": (_spin_lint_warm, 1),
     "intent_open": (lambda: _spin_intent_open(1_000), 1_000),
+    "intent_open_long": (lambda: _spin_intent_open_long(500), 500),
+    "page_cache_hit": (lambda: _spin_page_cache_hit(100_000), 100_000),
     "batched_range_acquire": (
         lambda: _spin_batched_range_acquire(250), 250),
 }

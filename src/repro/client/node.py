@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.client.cache import Page, PageCache
+from repro.client.cache import Page, PageCache, lost_to_failed_flush
 from repro.client.openfile import FdTable, OpenFile
 from repro.lease.client_lease import ClientLeaseManager, LeaseCallbacks
 from repro.lease.contract import LeaseContract
@@ -41,8 +41,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.storage.blockmap import (
     BLOCK_SIZE,
+    ExtentMap,
     byte_range_to_blocks,
-    extents_from_payload,
 )
 from repro.storage.disk import FencedIoError
 
@@ -67,6 +67,15 @@ def _routing_refusal(exc: NackError) -> bool:
     transaction surfaces as ``repr(exc)`` in the error field."""
     err = str(exc.nack.payload.get("error", ""))
     return "wrong_owner" in err or "map_stale" in err
+
+
+def _layout_hint(file_id: Optional[int],
+                 held: Optional[ExtentMap]) -> Dict[str, Any]:
+    """Request fields naming the block map the client already holds, so
+    the server may answer with only the runs past it."""
+    if held is None:
+        return {}
+    return {"have_layout": (file_id, held.layout_gen, len(held.extents))}
 
 
 @dataclass
@@ -172,6 +181,14 @@ class StorageTankClient(ReplyObserver):
         # Weakly consistent attribute cache: path -> (attrs, local fetch time).
         self._attr_cache: Dict[str, Tuple[FileAttributes, float]] = {}
         self.attr_cache_hits = 0
+        # Parsed block maps, one per file and shared by its open
+        # instances: file_id -> map, and path -> file_id so an open can
+        # name what it holds.  Never trusted on its own: every use
+        # follows a reply that names the generation and position the
+        # map must have (``_apply_meta_reply``).  Dropped with the file's
+        # pages (``_drop_file``) and with the lease.
+        self._layouts: Dict[int, ExtentMap] = {}
+        self._path_fid: Dict[str, int] = {}
         # Deferred closes: per-server file ids whose close census rides
         # the next LOCK_BATCH instead of its own datagram.
         self._pending_closes: Dict[str, List[int]] = {}
@@ -244,18 +261,22 @@ class StorageTankClient(ReplyObserver):
         self._enter()
         try:
             sent_at = self.sim.now
-            p = yield from self._intent_open(path, mode, srv)
-            attrs = FileAttributes.from_payload(p["attrs"])
-            extents = extents_from_payload(p["extents"])
+            held_fid = self._path_fid.get(path)
+            held = self._layouts.get(held_fid)
+            p = yield from self._intent_open(
+                {"op": "open", "path": path, "mode": mode,
+                 **_layout_hint(held_fid, held)}, srv)
             lock = LockMode(int(p["lock"]))
             fid = int(p["file_id"])
             self._note_file_owner(fid, path)
             stale_grant = self._lock_reply_stale(fid, sent_at)
             if not stale_grant:
                 self.locks.note_granted(fid, lock)
-            of = self.fds.install(path, fid, mode, attrs, extents,
+            of = self.fds.install(path, fid, mode, FileAttributes(),
+                                  ExtentMap(),
                                   LockMode.NONE if stale_grant else lock,
                                   server=self._file_server[fid])
+            self._apply_meta_reply(of, p, held if fid == held_fid else None)
             if stale_grant:
                 # The lock was revoked while the open was in flight; the
                 # first operation revalidates via a fresh acquire.
@@ -265,22 +286,22 @@ class StorageTankClient(ReplyObserver):
         finally:
             self._exit()
 
-    def _intent_open(self, path: str, mode: str, srv: str,
+    def _intent_open(self, op: Dict[str, Any], srv: str,
                      ) -> Generator[Event, Any, Dict[str, Any]]:
-        """One-round-trip open: the lock request carries the operation.
+        """One-round-trip open: the lock request carries the operation
+        (``op``, the open descriptor).
 
         Deferred closes for this server ride the same datagram as a
         LOCK_BATCH, so an open→close→open cycle costs one message."""
+        path = op["path"]
         closes = self._pending_closes.pop(srv, None)
         if not closes:
-            reply = yield from self._rpc(MsgKind.LOCK_INTENT,
-                                         {"op": "open", "path": path,
-                                          "mode": mode}, srv,
+            reply = yield from self._rpc(MsgKind.LOCK_INTENT, op, srv,
                                          route=("path", path))
             return reply.payload
         ops: List[Dict[str, Any]] = [{"op": "close", "file_id": fid}
                                      for fid in closes]
-        ops.append({"op": "open", "path": path, "mode": mode})
+        ops.append(op)
         try:
             reply = yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops},
                                          srv, route=("path", path))
@@ -364,16 +385,18 @@ class StorageTankClient(ReplyObserver):
                 # Growth folds into a setattr intent: the reply is
                 # op-result + (idempotent) grant in one round trip.
                 sent_at = self.sim.now
+                held = self._layouts.get(of.file_id)
                 reply = yield from self._rpc(
                     MsgKind.LOCK_INTENT,
-                    {"op": "setattr", "file_id": of.file_id, "size": end},
+                    {"op": "setattr", "file_id": of.file_id, "size": end,
+                     **_layout_hint(of.file_id, held)},
                     of.server, route=("file", of.file_id))
                 lock = reply.payload.get("lock")
                 if (lock is not None
                         and not self._lock_reply_stale(of.file_id, sent_at)):
                     self.locks.note_granted(of.file_id, LockMode(int(lock)))
                     of.lock = LockMode(int(lock))
-                self._apply_meta_reply(of, reply.payload)
+                self._apply_meta_reply(of, reply.payload, held)
             tag = f"{self.name}:w{next(self._write_seq)}"
             first, count = byte_range_to_blocks(offset, nbytes)
             phys = []
@@ -542,7 +565,8 @@ class StorageTankClient(ReplyObserver):
             reply = yield from self._rpc(MsgKind.UNLINK, {"path": path}, srv,
                                          route=("path", path))
             fid = int(reply.payload["file_id"])
-            self.cache.invalidate_file(fid)
+            self._drop_file(fid)
+            self._path_fid.pop(path, None)
             self.locks.note_released(fid)
             self._file_server.pop(fid, None)
             self._file_slot.pop(fid, None)
@@ -676,7 +700,7 @@ class StorageTankClient(ReplyObserver):
         blockers = []
         if self._in_flight:
             blockers.append(f"{self._in_flight} operations in flight")
-        if self.cache.dirty_pages(None):
+        if self.cache.dirty_count:
             blockers.append("dirty pages in cache")
         if self.locks.all_held():
             blockers.append("locks held")
@@ -750,7 +774,8 @@ class StorageTankClient(ReplyObserver):
         return self._file_server.get(file_id, self.server)
 
     def _note_file_owner(self, fid: int, path: str) -> None:
-        """Record a file's owner (and its ring slot when clustered)."""
+        """Record a file's name, owner and (when clustered) ring slot."""
+        self._path_fid[path] = fid
         if self.shard_map is not None:
             from repro.cluster.shardmap import slot_of_path
             self._file_slot[fid] = slot_of_path(path)
@@ -953,38 +978,59 @@ class StorageTankClient(ReplyObserver):
                     of.lock = self.locks.mode_of(of.file_id)
                 return
             sent_at = self.sim.now
+            held = self._layouts.get(of.file_id)
             reply = yield from self._rpc(MsgKind.LOCK_ACQUIRE,
                                          {"file_id": of.file_id,
-                                          "mode": int(wanted)},
+                                          "mode": int(wanted),
+                                          **_layout_hint(of.file_id, held)},
                                          of.server, route=("file", of.file_id))
             if not self._lock_reply_stale(of.file_id, sent_at):
                 break
             # The grant was revoked while the reply was in flight (e.g.
             # a demand compliance released it): discard and re-acquire
             # against the server's current state.
-            self.cache.invalidate_file(of.file_id)
+            self._drop_file(of.file_id)
             of.stale = True
         granted = LockMode(int(reply.payload["mode"]))
         self.locks.note_granted(of.file_id, granted)
         if of.stale:
             # Revalidation after staleness: cached pages may be outdated.
-            self.cache.invalidate_file(of.file_id)
+            self._drop_file(of.file_id)
             of.stale = False
         # The grant's own payload carries fresh attrs/extents — adopt
         # them instead of re-fetching through a second parse path.
-        self._apply_meta_reply(of, reply.payload)
+        self._apply_meta_reply(of, reply.payload, held)
         of.lock = granted
 
-    def _apply_meta_reply(self, of: OpenFile, payload: Dict[str, Any]) -> None:
-        """Adopt the attrs/extents a reply carried (missing keys keep
-        the current view) — the single parse path for every reply that
-        returns file metadata alongside its main result."""
+    def _apply_meta_reply(self, of: OpenFile, payload: Dict[str, Any],
+                          held: Optional[ExtentMap]) -> None:
+        """Adopt the attrs/layout a reply carried (missing keys keep the
+        current view) — the single parse path for every reply that
+        returns file metadata alongside its main result.
+
+        ``held`` is the map object the *request* advertised
+        (``_layout_hint``), or None.  The reply's runs are applied to
+        that object by position (``ExtentMap.apply_runs``), never to
+        whatever the cache holds by now: a duplicated, reordered or
+        concurrent reply then adds what is missing and nothing else, and
+        a map can only grow.  A reply that names another generation than
+        ``held`` (or comes without one) is a full list and starts a new
+        map."""
         attrs = payload.get("attrs")
         if attrs:
             of.attrs = FileAttributes.from_payload(attrs)
-        ext = payload.get("extents")
-        if ext:
-            of.extents = extents_from_payload(ext)
+        if "extents" in payload:
+            gen = int(payload["layout_gen"])
+            if held is None or held.layout_gen != gen:
+                held = ExtentMap(layout_gen=gen)
+            held.apply_runs(int(payload["extents_from"]), payload["extents"])
+            of.extents = self._layouts[of.file_id] = held
+
+    def _drop_file(self, file_id: int) -> List[Page]:
+        """Drop a file's cached pages and its cached block map; returns
+        the dropped *dirty* pages (the caller reports them)."""
+        self._layouts.pop(file_id, None)
+        return self.cache.invalidate_file(file_id)
 
     def _fetch_blocks(self, of: OpenFile, blocks: List[int],
                       ) -> Generator[Event, Any, List[Tuple[int, Optional[str]]]]:
@@ -1038,19 +1084,16 @@ class StorageTankClient(ReplyObserver):
         by_device: Dict[str, List[Page]] = {}
         for p in dirty:
             by_device.setdefault(p.device, []).append(p)
+        untried = set(map(id, dirty))
         flushed = 0
         for device, pages in by_device.items():
+            untried.difference_update(map(id, pages))
             block_tags = {p.lba: p.tag for p in pages if p.tag is not None}
             try:
                 versions = yield from self.san.write(self.name, device, block_tags)
             except (FencedIoError, SanUnreachableError) as exc:
                 if report_errors:
-                    for p in pages:
-                        self.app_errors += 1
-                        self.trace.emit(self.sim.now, "app.error", self.name,
-                                        file_id=p.file_id, tag=p.tag,
-                                        reason=type(exc).__name__)
-                        self.cache.invalidate_file(p.file_id)
+                    self._report_failed_flush(pages, untried, exc)
                 continue
             for p in pages:
                 # The tag that went to disk, not ``p.tag``: the page may
@@ -1067,8 +1110,10 @@ class StorageTankClient(ReplyObserver):
                           ) -> Generator[Event, Any, int]:
         """Function-shipped write-back (E1 baseline): each dirty page goes
         to the server over the control network."""
+        untried = set(map(id, dirty))
         flushed = 0
         for p in dirty:
+            untried.discard(id(p))
             tag = p.tag  # what ships; the page may be rewritten meanwhile
             try:
                 reply = yield from self._rpc(
@@ -1079,11 +1124,7 @@ class StorageTankClient(ReplyObserver):
                     route=("file", p.file_id))
             except (DeliveryError, NackError) as exc:
                 if report_errors:
-                    self.app_errors += 1
-                    self.trace.emit(self.sim.now, "app.error", self.name,
-                                    file_id=p.file_id, tag=p.tag,
-                                    reason=type(exc).__name__)
-                    self.cache.invalidate_file(p.file_id)
+                    self._report_failed_flush([p], untried, exc)
                 continue
             self.cache.mark_flushed(p, int(reply.payload.get("version", -1)),
                                     tag)
@@ -1092,6 +1133,18 @@ class StorageTankClient(ReplyObserver):
                             block=p.logical_block, device=p.device, lba=p.lba)
             flushed += 1
         return flushed
+
+    def _report_failed_flush(self, pages: List[Page], untried: Set[int],
+                             exc: Exception) -> None:
+        """The write-back of ``pages`` failed: drop their files from the
+        cache and emit ``app.error`` for every acknowledged write that
+        is lost with them (``lost_to_failed_flush``: the pages, then
+        whatever else the drop discarded)."""
+        for p in lost_to_failed_flush(pages, untried, self._drop_file):
+            self.app_errors += 1
+            self.trace.emit(self.sim.now, "app.error", self.name,
+                            file_id=p.file_id, tag=p.tag,
+                            reason=type(exc).__name__)
 
     # -- lease callbacks -------------------------------------------------------
     def _keepalive_sender(self, server: str):
@@ -1159,11 +1212,12 @@ class StorageTankClient(ReplyObserver):
             self.locks.drop_all()
             self.fds.mark_all_stale()
             self._attr_cache.clear()
+            self._layouts.clear()
         else:
             dropped = []
             fids = self._files_of_server(server)
             for fid in fids:
-                dropped.extend(self.cache.invalidate_file(fid))
+                dropped.extend(self._drop_file(fid))
                 self._note_lock_revoked(fid)
                 self.locks.note_released(fid)
             self.fds.mark_stale_for(fids)
@@ -1215,7 +1269,7 @@ class StorageTankClient(ReplyObserver):
                 for fobj, _fmode in pending[i:]:
                     self._note_lock_revoked(fobj)
                     self.locks.note_released(fobj)
-                    dropped = self.cache.invalidate_file(fobj)
+                    dropped = self._drop_file(fobj)
                     for p in dropped:
                         self.app_errors += 1
                         self.trace.emit(self.sim.now, "app.error", self.name,
@@ -1249,7 +1303,7 @@ class StorageTankClient(ReplyObserver):
                     return
             self._note_lock_revoked(obj)
             self.locks.note_released(obj)
-            dropped = self.cache.invalidate_file(obj)
+            dropped = self._drop_file(obj)
             for p in dropped:
                 self.app_errors += 1
                 self.trace.emit(self.sim.now, "app.error", self.name,
@@ -1325,7 +1379,7 @@ class StorageTankClient(ReplyObserver):
                 for of in self.fds.by_file_id(file_id):
                     of.lock = LockMode.SHARED
             else:
-                self.cache.invalidate_file(file_id)
+                self._drop_file(file_id)
                 yield from self._rpc(MsgKind.LOCK_RELEASE,
                                      {"file_id": file_id}, server)
                 self._note_lock_revoked(file_id)
@@ -1340,7 +1394,7 @@ class StorageTankClient(ReplyObserver):
             # while our lease keeps renewing off other traffic, so
             # expiry will not save us.  Forfeit locally — dropping a
             # lock we might still own is always safe.
-            self.cache.invalidate_file(file_id)
+            self._drop_file(file_id)
             self._note_lock_revoked(file_id)
             self.locks.note_released(file_id)
             for of in self.fds.by_file_id(file_id):
@@ -1350,5 +1404,5 @@ class StorageTankClient(ReplyObserver):
     def _on_cache_invalidate(self, msg: Message):
         """Server-pushed invalidation of a file's cached pages."""
         file_id = int(msg.payload["file_id"])
-        self.cache.invalidate_file(file_id)
+        self._drop_file(file_id)
         return ("ack", {})

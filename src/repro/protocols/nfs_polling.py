@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.client.cache import Page, PageCache
+from repro.client.cache import Page, PageCache, lost_to_failed_flush
 from repro.client.openfile import FdTable, OpenFile
 from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
@@ -164,19 +164,22 @@ class NfsPollingClient:
         """Harden one file's dirty pages to the SAN."""
         flushed = 0
         by_device: Dict[str, List[Page]] = {}
-        for p in self.cache.dirty_pages(file_id):
+        dirty = self.cache.dirty_pages(file_id)
+        for p in dirty:
             by_device.setdefault(p.device, []).append(p)
+        untried = set(map(id, dirty))
         for device, pages in by_device.items():
+            untried.difference_update(map(id, pages))
             block_tags = {p.lba: p.tag for p in pages if p.tag is not None}
             try:
                 versions = yield from self.san.write(self.name, device, block_tags)
             except (FencedIoError, SanUnreachableError) as exc:
-                for p in pages:
+                for p in lost_to_failed_flush(pages, untried,
+                                              self.cache.invalidate_file):
                     self.app_errors += 1
                     self.trace.emit(self.sim.now, "app.error", self.name,
                                     file_id=p.file_id, tag=p.tag,
                                     reason=type(exc).__name__)
-                self.cache.invalidate_file(file_id)
                 continue
             for p in pages:
                 tag = block_tags.get(p.lba)  # what was written, not p.tag

@@ -22,6 +22,7 @@ from repro.locks.manager import GrantPolicy, LockManager, grant_policy
 from repro.locks.modes import LockMode, compatible
 from repro.locks.ranges import ByteRange, RangeLockManager
 from repro.metadata.directory import NamespaceError
+from repro.metadata.inode import Inode
 from repro.metadata.store import MetadataStore
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
 from repro.net.message import DeliveryError, Message, MsgKind, NackError
@@ -529,9 +530,7 @@ class StorageTankServer:
         ino = store.create_file(path, size, now=self.sim.now)
         if self.cluster is not None:
             self.cluster.note_create(ino.file_id, path)
-        return ("ack", {"file_id": ino.file_id,
-                        "attrs": ino.attrs.to_payload(),
-                        "extents": extents_to_payload(ino.extents)})
+        return ("ack", {"file_id": ino.file_id, **self._meta_reply(ino)})
 
     def _create_with_barrier(self, path: str, size: int,
                              store: MetadataStore,
@@ -549,9 +548,7 @@ class StorageTankServer:
                 self.cluster.note_create(ino.file_id, path)
             self._trace_mutate("create", path=path, file_id=ino.file_id,
                                size=ino.attrs.size)
-            return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents)})
+            return ("ack", {"file_id": ino.file_id, **self._meta_reply(ino)})
         finally:
             self._cache_pending.discard(barrier)
 
@@ -566,9 +563,34 @@ class StorageTankServer:
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
         return ("ack", {"file_id": ino.file_id,
-                        "attrs": ino.attrs.to_payload(),
-                        "extents": extents_to_payload(ino.extents),
+                        **self._meta_reply(ino, msg.payload.get("have_layout")),
                         "lock": int(LockMode.NONE)})
+
+    @staticmethod
+    def _meta_reply(ino: Inode, have: Any = None) -> Dict[str, Any]:
+        """The ``attrs`` and layout fields of every reply that returns a
+        file's metadata: the one place a block map goes on the wire.
+
+        ``have`` is the requester's ``have_layout`` hint ``(file_id,
+        layout_gen, n_extents)``, the map it already holds.  When that
+        map provably is a prefix of the current one (same file, same
+        append-only lineage, not longer) the reply carries only the runs
+        past it, ``extents_from = n_extents``; in every other case all
+        of them, ``extents_from = 0``.  The hint is untrusted input
+        (DESIGN §17): anything but three plain ints naming this inode's
+        current lineage gets the full list, never an exception.
+        """
+        layout = ino.extents
+        start = 0
+        if type(have) in (tuple, list) and len(have) == 3:
+            fid, gen, count = have
+            if (type(fid) is int and type(gen) is int and type(count) is int
+                    and fid == ino.file_id and gen == layout.layout_gen
+                    and 0 <= count <= len(layout.extents)):
+                start = count
+        return {"attrs": ino.attrs.to_payload(),
+                "layout_gen": layout.layout_gen, "extents_from": start,
+                "extents": extents_to_payload(layout, start)}
 
     def _h_getattr(self, msg: Message):
         return self._getattr(msg.payload.get("path"),
@@ -589,14 +611,16 @@ class StorageTankServer:
 
     def _h_setattr(self, msg: Message):
         return self._setattr(int(msg.payload["file_id"]),
-                             msg.payload.get("size"), msg.payload.get("mode"))
+                             msg.payload.get("size"), msg.payload.get("mode"),
+                             msg.payload.get("have_layout"))
 
-    def _setattr(self, file_id: int, size: Any, mode: Any):
+    def _setattr(self, file_id: int, size: Any, mode: Any, have: Any = None):
         """SETATTR body (also the setattr intent's): a reply tuple, or a
         generator of one when the netcache barrier must run first."""
         store = self._meta_for_file(file_id)
         if self._cache_nodes:
-            return self._setattr_with_barrier(file_id, size, mode, store)
+            return self._setattr_with_barrier(file_id, size, mode, have,
+                                              store)
         try:
             if size is not None:
                 ino = store.ensure_size(file_id, int(size), now=self.sim.now)
@@ -604,11 +628,10 @@ class StorageTankServer:
                 ino = store.set_attrs(file_id, now=self.sim.now, mode=mode)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
-        return ("ack", {"attrs": ino.attrs.to_payload(),
-                        "extents": extents_to_payload(ino.extents)})
+        return ("ack", self._meta_reply(ino, have))
 
     def _setattr_with_barrier(self, file_id: int, size: Any, mode: Any,
-                              store: MetadataStore,
+                              have: Any, store: MetadataStore,
                               ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
         barrier = self._claim_barrier()
         try:
@@ -625,8 +648,7 @@ class StorageTankServer:
                 return ("nack", {"error": str(exc)})
             self._trace_mutate("setattr", file_id=file_id,
                                size=ino.attrs.size)
-            return ("ack", {"attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents)})
+            return ("ack", self._meta_reply(ino, have))
         finally:
             self._cache_pending.discard(barrier)
 
@@ -699,9 +721,9 @@ class StorageTankServer:
         def run() -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
             granted = yield from self._grant_lock(msg.src, file_id, mode)
             try:
-                ino = self._meta_for_file(file_id).inode(file_id)
-                extra = {"attrs": ino.attrs.to_payload(),
-                         "extents": extents_to_payload(ino.extents)}
+                extra = self._meta_reply(
+                    self._meta_for_file(file_id).inode(file_id),
+                    msg.payload.get("have_layout"))
             except NamespaceError:
                 extra = {}
             return ("ack", {"mode": int(granted), **extra})
@@ -763,8 +785,7 @@ class StorageTankServer:
             wanted = (LockMode.EXCLUSIVE if mode == "w" else LockMode.SHARED)
             granted = yield from self._grant_lock(client, ino.file_id, wanted)
             return ("ack", {"file_id": ino.file_id,
-                            "attrs": ino.attrs.to_payload(),
-                            "extents": extents_to_payload(ino.extents),
+                            **self._meta_reply(ino, body.get("have_layout")),
                             "lock": int(granted)})
         if op == "create":
             decision, payload = yield from _settled(
@@ -792,7 +813,8 @@ class StorageTankServer:
             granted = yield from self._grant_lock(client, file_id,
                                                   LockMode.EXCLUSIVE)
             decision, payload = yield from _settled(
-                self._setattr(file_id, body.get("size"), body.get("mode")))
+                self._setattr(file_id, body.get("size"), body.get("mode"),
+                              body.get("have_layout")))
             if decision == "ack":
                 payload = {**payload, "lock": int(granted)}
             return (decision, payload)

@@ -9,8 +9,10 @@ file's logical block space onto ``(device, lba)`` ranges.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from itertools import accumulate
+from typing import Iterator, List, Sequence, Tuple
 
 #: Bytes per data block on the shared disks.
 BLOCK_SIZE = 4096
@@ -44,14 +46,28 @@ class Extent:
 
 @dataclass
 class ExtentMap:
-    """Logical-block → physical-block mapping for one file."""
+    """Logical-block → physical-block mapping for one file.
+
+    ``layout_gen`` names the map's append-only lineage (Lustre's layout
+    generation): :meth:`append` keeps it, so of two maps of one file with
+    the same generation the shorter is a prefix of the longer, and
+    whoever changes the run list in any other way must hand out a map
+    with a different generation.  Grow the map only through
+    :meth:`append` / :meth:`apply_runs`: they maintain the cumulative
+    block ends that make :meth:`resolve` a bisection.
+    """
 
     extents: List[Extent] = field(default_factory=list)
+    layout_gen: int = 0
+    _ends: List[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ends = list(accumulate(e.length for e in self.extents))
 
     @property
     def block_count(self) -> int:
         """Total mapped logical blocks."""
-        return sum(e.length for e in self.extents)
+        return self._ends[-1] if self._ends else 0
 
     @property
     def size_bytes(self) -> int:
@@ -61,32 +77,58 @@ class ExtentMap:
     def append(self, extent: Extent) -> None:
         """Grow the file by one extent (allocator responsibility to avoid
         overlap with other files)."""
+        ends = self._ends
+        ends.append((ends[-1] if ends else 0) + extent.length)
         self.extents.append(extent)
+
+    def apply_runs(self, start: int, runs: Sequence[Tuple[str, int, int]]) -> None:
+        """Adopt wire-form ``runs`` that sit at extent index ``start`` of
+        this map's lineage, by position: runs this map already holds are
+        skipped, the rest appended (and validated, once each).  Applying
+        the same or an older delta again therefore changes nothing."""
+        skip = len(self.extents) - start
+        if skip < 0:
+            raise ValueError(f"runs start at extent {start}, map holds "
+                             f"{len(self.extents)}")
+        for device, lba, length in runs[skip:]:
+            self.append(Extent(device=device, start_lba=int(lba),
+                               length=int(length)))
 
     def resolve(self, logical_block: int) -> Tuple[str, int]:
         """Physical ``(device, lba)`` of a logical block index."""
         if logical_block < 0:
             raise IndexError(f"negative logical block {logical_block}")
-        remaining = logical_block
-        for e in self.extents:
-            if remaining < e.length:
-                return (e.device, e.start_lba + remaining)
-            remaining -= e.length
-        raise IndexError(f"logical block {logical_block} beyond mapped "
-                         f"extent ({self.block_count} blocks)")
+        ends = self._ends
+        i = bisect_right(ends, logical_block)
+        if i == len(ends):
+            raise IndexError(f"logical block {logical_block} beyond mapped "
+                             f"extent ({self.block_count} blocks)")
+        e = self.extents[i]
+        return (e.device, e.start_lba + e.length - ends[i] + logical_block)
 
     def resolve_range(self, logical_start: int, count: int) -> List[Tuple[str, int, int]]:
         """Physical runs ``(device, lba, length)`` covering a logical range."""
         if count <= 0:
             return []
+        end = logical_start + count
+        # IndexError outside the map, as resolving block by block raises.
+        self.resolve(logical_start)
+        self.resolve(end - 1)
+        ends = self._ends
+        i = bisect_right(ends, logical_start)
         runs: List[Tuple[str, int, int]] = []
-        for lb in range(logical_start, logical_start + count):
-            dev, lba = self.resolve(lb)
-            if runs and runs[-1][0] == dev and runs[-1][1] + runs[-1][2] == lba:
+        lb = logical_start
+        while lb < end:
+            e = self.extents[i]
+            lba = e.start_lba + e.length - ends[i] + lb
+            take = min(end, ends[i]) - lb
+            if runs and runs[-1][0] == e.device and runs[-1][1] + runs[-1][2] == lba:
                 dev0, lba0, len0 = runs[-1]
-                runs[-1] = (dev0, lba0, len0 + 1)
+                runs[-1] = (dev0, lba0, len0 + take)
             else:
-                runs.append((dev, lba, 1))
+                runs.append((e.device, lba, take))
+            lb += take
+            i += 1
         return runs
 
     def iter_physical(self) -> Iterator[Tuple[str, int]]:
@@ -96,16 +138,16 @@ class ExtentMap:
                 yield (e.device, lba)
 
 
-def extents_to_payload(extents: "ExtentMap") -> List[Tuple[str, int, int]]:
-    """Wire form of an extent map for control-network replies."""
-    return [(e.device, e.start_lba, e.length) for e in extents.extents]
+def extents_to_payload(extents: "ExtentMap", start: int = 0) -> List[Tuple[str, int, int]]:
+    """Wire form of an extent map (from extent index ``start`` on) for
+    control-network replies."""
+    return [(e.device, e.start_lba, e.length) for e in extents.extents[start:]]
 
 
-def extents_from_payload(runs: List[Tuple[str, int, int]]) -> "ExtentMap":
-    """Parse the wire form back into an extent map."""
+def extents_from_payload(runs: Sequence[Tuple[str, int, int]]) -> "ExtentMap":
+    """Parse a full wire-form run list into a new extent map."""
     em = ExtentMap()
-    for device, start, length in runs:
-        em.append(Extent(device=device, start_lba=int(start), length=int(length)))
+    em.apply_runs(0, runs)
     return em
 
 

@@ -43,8 +43,7 @@ def test_detects_silent_lost_update():
         yield from c.write(fd, 0, BLOCK_SIZE)
     run_gen(s, app())
     # Simulate a buggy client dropping dirty data without reporting.
-    c.cache._pages.clear()
-    c.cache._lru.clear()
+    c.cache._clear()
     s.run(until=5.0)
     report = ConsistencyAuditor(s).audit()
     assert len(report.lost_updates) == 1
@@ -69,6 +68,37 @@ def test_reported_loss_is_stranded_not_silent():
     report = ConsistencyAuditor(s).audit()
     assert report.lost_updates == []
     assert len(report.stranded_reported) == 1
+
+
+def test_write_acked_during_a_failing_flush_is_reported():
+    """A write acknowledged while a flush of the same file is in flight
+    sits outside that flush's snapshot.  When the flush fails the file
+    is dropped from the cache, and the late page must be reported with
+    it, not lost silently (it was, before PR 17)."""
+    s = make_system(n_clients=1, writeback_interval=1000.0)
+    c = s.client("c1")
+    out = {}
+
+    def app():
+        yield from c.create("/f", size=2 * BLOCK_SIZE)
+        out["fd"] = yield from c.open_file("/f", "w")
+        yield from c.write(out["fd"], 0, BLOCK_SIZE)
+    run_gen(s, app())
+
+    def fence_then_write():
+        yield s.sim.timeout(1e-6)           # the flush is on the SAN now
+        for disk in s.disks.values():
+            disk.fence_table.fence("c1", s.sim.now)
+        out["late"] = yield from c.write(out["fd"], BLOCK_SIZE, BLOCK_SIZE)
+    flush = s.spawn(c._flush_dirty(None))
+    run_gen(s, fence_then_write())
+    s.sim.run_until_event(flush, hard_limit=600.0)
+    report = ConsistencyAuditor(s).audit()
+    assert report.lost_updates == []
+    assert {v.detail["tag"] for v in report.stranded_reported} == {
+        "c1:w1", out["late"]}
+    assert c.app_errors == 2
+    assert len(c.cache) == 0
 
 
 def test_detects_unsynchronized_write():

@@ -241,7 +241,8 @@ def test_create_getattr_setattr_intents_answer_like_the_plain_kinds(
                               {"op": "create", "path": "/i", "size": 0})
         plain = yield from rpc(MsgKind.CREATE, {"path": "/p", "size": 0})
         assert made.pop("lock") == int(LockMode.EXCLUSIVE)
-        assert set(made) == set(plain) == {"file_id", "attrs", "extents"}
+        assert set(made) == set(plain) == {
+            "file_id", "attrs", "layout_gen", "extents_from", "extents"}
         fid = made["file_id"]
 
         grown = yield from rpc(MsgKind.LOCK_INTENT,
