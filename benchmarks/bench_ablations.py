@@ -77,8 +77,12 @@ def test_a5_scalability(benchmark):
 def test_a6_server_cluster(benchmark):
     (table,) = run_experiment(benchmark, ablation_a6_server_cluster, seed=0)
     rows = {r["servers"]: r for r in table.as_dicts()}
-    # Per-server peak load drops as the cluster grows.
-    assert rows[4]["max_per_server_txn"] < rows[1]["max_per_server_txn"] / 2
+    # The busiest server's load per completed op drops as the cluster
+    # grows.  Per op, because the rows complete different numbers of ops
+    # (the workload sits in the lock-queue wedge, EXPERIMENTS.md A6):
+    # absolute transaction counts are not comparable across them.
+    assert rows[2]["max_txn_per_op"] < rows[1]["max_txn_per_op"] / 2
+    assert rows[4]["max_txn_per_op"] <= rows[2]["max_txn_per_op"]
     # Routing stays reasonably balanced and the authority stays passive.
     for r in rows.values():
         assert r["balance_ratio"] < 1.8

@@ -145,8 +145,7 @@ def _spin_netcache_lookup(n: int, entry_ttl: float) -> float:
     cfg = SystemConfig(
         n_clients=1, protocol="storage_tank",
         workload=WorkloadConfig(n_files=1),
-        netcache=NetCacheConfig(enabled=True, n_nodes=1,
-                                entry_ttl=entry_ttl))
+        netcache=NetCacheConfig(n_nodes=1, entry_ttl=entry_ttl))
     system = build_system(cfg)
     sim = system.sim
     client = system.client(system.pool.name_of(0))

@@ -756,14 +756,11 @@ class StorageTankClient(ReplyObserver):
 
     # -- routing ---------------------------------------------------------
     def server_for_path(self, path: str) -> str:
-        """The metadata server owning a path (shard map when clustered,
-        stable hash routing otherwise)."""
+        """The metadata server owning a path: the shard map's owner, or
+        the one server of an installation that needs no map."""
         if self.shard_map is not None:
             return self.shard_map.owner_of_path(path)
-        if len(self.servers) == 1:
-            return self.servers[0]
-        from repro.sim.rng import _stable_hash
-        return self.servers[_stable_hash(path) % len(self.servers)]
+        return self.server
 
     def server_for_file(self, file_id: int) -> str:
         """The server owning a file id (primary if unknown)."""

@@ -5,24 +5,19 @@ typed accessor that replaces :class:`~repro.core.system.StorageTankSystem`'s
 historical ``clients``/``agents`` dict pair — *and* the flyweight store
 that makes million-client populations affordable.
 
-Two modes share one API:
-
-- **eager** (default; every pre-existing configuration): the pool wraps
-  the fully-built client objects, ``get`` is a dict lookup, and nothing
-  about construction order, RNG draws or event scheduling changes —
-  pinned trace hashes stay bit-identical.
-- **lazy** (``ScaleConfig.lazy_clients``): clients are *registered*, not
-  built.  A registered-but-parked client is a row of struct-of-arrays
-  state — a few counters in flat :mod:`array` columns plus a lease-lapse
-  record in the :class:`~repro.lease.pooled.PooledLeaseService` — and
-  costs **zero** heap-allocated sim objects and **zero** kernel heap
-  entries.  Names are derived from ``prefix + index`` on demand, so a
-  million parked clients do not even pay for a million name strings.
+Clients are *registered*, not built.  A registered-but-parked client is
+a row of struct-of-arrays state — a few counters in flat :mod:`array`
+columns plus a lease-lapse record in the
+:class:`~repro.lease.pooled.PooledLeaseService` — and costs **zero**
+heap-allocated sim objects and **zero** kernel heap entries.  Names are
+derived from ``prefix + index`` on demand, so a million parked clients
+do not even pay for a million name strings.  How much of the population
+is built up front is the builder's policy (``ScaleConfig.lazy_clients``),
+not a second kind of pool: building everyone is ``get`` on every name.
 
 ``get(name)`` on a parked client *materializes* it: one shared factory
 closure (no per-client closures at registration time) builds the full
-:class:`~repro.client.node.StorageTankClient` facade, which then behaves
-exactly like an eagerly-built client.  ``park(name)`` is the reverse
+client for the installation's protocol.  ``park(name)`` is the reverse
 edge: a *clean* client (no dirty pages, no held locks, no open files,
 nothing in flight) folds its counters back into the arrays, hands its
 live lease to the pooled expiry service, and tears down its endpoint
@@ -42,12 +37,32 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.protocols.base import ClientAgent
 
-__all__ = ["ClientPool", "PooledCounters"]
+__all__ = ["ClientPool", "PooledCounters", "slot_of"]
 
 #: Counter columns folded into the struct-of-arrays store while a
 #: client is parked (names match ``StorageTankClient`` attributes).
 COUNTER_COLUMNS: Tuple[str, ...] = (
     "ops_completed", "ops_rejected", "app_errors", "keepalives_sent")
+
+
+def slot_of(name: str, population: int, prefix: str = "c",
+            start: int = 1) -> Optional[int]:
+    """Slot index of a registered client name, or None.
+
+    A name is valid only in canonical form, i.e. if it round-trips
+    through its index.  ``int()`` alone also parses ``"01"``, ``"+1"``,
+    ``" 1"`` and full-width digits, each of which would alias slot 0
+    under a second node name.
+    """
+    if not name.startswith(prefix):
+        return None
+    try:
+        idx = int(name[len(prefix):]) - start
+    except ValueError:
+        return None
+    if not 0 <= idx < population or name != f"{prefix}{start + idx}":
+        return None
+    return idx
 
 
 class PooledCounters:
@@ -92,62 +107,36 @@ class PooledCounters:
 class ClientPool:
     """Typed accessor over a system's client population.
 
-    Use :meth:`eager` to wrap fully-built clients (the default build
-    path) or :meth:`lazy` to register a flyweight population that
-    materializes on first touch.  In both modes:
+    ``population`` clients are registered behind one ``factory(name,
+    idx)``, which builds the full facade on first touch.  Registration
+    allocates only the struct-of-arrays columns — no client objects, no
+    name strings, no kernel events.
 
     - ``pool.get(name)`` returns the client (materializing if parked);
     - ``pool.iter_active()`` yields only live (materialized) clients;
     - ``len(pool)`` is the registered population, live or parked.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, population: int,
+                 factory: Callable[[str, int], ClientAgent],
+                 prefix: str = "c", start: int = 1) -> None:
+        if population < 0:
+            raise ValueError(f"population must be >= 0, got {population}")
         self._live: Dict[str, ClientAgent] = {}
         self._agents: Dict[str, ClientAgent] = {}
-        self._population = 0
-        self._lazy = False
-        self._prefix = "c"
-        self._start = 1
-        self._factory: Optional[Callable[[str, int], ClientAgent]] = None
+        self._population = population
+        self._prefix = prefix
+        self._start = start
+        self._factory = factory
         self._parker: Optional[Callable[[ClientAgent, int], None]] = None
         #: invoked with (name, idx) just before the factory runs
         self.on_materialize: Optional[Callable[[str, int], None]] = None
         self.counters = PooledCounters()
+        self.counters.ensure_capacity(population)
         self.materializations = 0
         self.parks = 0
-        #: wake reason -> count ("api", "datagram", "lease-expiry", ...)
+        #: wake reason -> count ("api", "datagram", "build", ...)
         self.wake_reasons: Dict[str, int] = {}
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def eager(cls, clients: Dict[str, ClientAgent],
-              agents: Optional[Dict[str, ClientAgent]] = None) -> "ClientPool":
-        """Wrap fully-built clients (the historical build path)."""
-        pool = cls()
-        pool._live = clients
-        pool._agents = agents if agents is not None else {}
-        pool._population = len(clients)
-        return pool
-
-    @classmethod
-    def lazy(cls, population: int, factory: Callable[[str, int], ClientAgent],
-             prefix: str = "c", start: int = 1) -> "ClientPool":
-        """Register ``population`` flyweight clients behind one factory.
-
-        ``factory(name, idx)`` builds the full facade on first touch.
-        Registration allocates only the struct-of-arrays columns — no
-        client objects, no name strings, no kernel events.
-        """
-        if population < 0:
-            raise ValueError(f"population must be >= 0, got {population}")
-        pool = cls()
-        pool._lazy = True
-        pool._population = population
-        pool._factory = factory
-        pool._prefix = prefix
-        pool._start = start
-        pool.counters.ensure_capacity(population)
-        return pool
 
     def set_parker(self, parker: Callable[[ClientAgent, int], None]) -> None:
         """Install the system-level park hook (endpoint/daemon teardown)."""
@@ -155,29 +144,14 @@ class ClientPool:
 
     # -- naming ------------------------------------------------------------
     def name_of(self, idx: int) -> str:
-        """Name of slot ``idx`` (lazy mode derives it; eager mode indexes
-        the insertion order)."""
-        if self._lazy:
-            if not 0 <= idx < self._population:
-                raise IndexError(f"client index {idx} out of range")
-            return f"{self._prefix}{self._start + idx}"
-        return list(self._live)[idx]
+        """Name of slot ``idx``."""
+        if not 0 <= idx < self._population:
+            raise IndexError(f"client index {idx} out of range")
+        return f"{self._prefix}{self._start + idx}"
 
     def index_of(self, name: str) -> Optional[int]:
-        """Slot index of a registered name, or None (lazy mode only
-        resolves names of the ``prefix + integer`` shape)."""
-        if not self._lazy:
-            for i, n in enumerate(self._live):
-                if n == name:
-                    return i
-            return None
-        if not name.startswith(self._prefix):
-            return None
-        try:
-            idx = int(name[len(self._prefix):]) - self._start
-        except ValueError:
-            return None
-        return idx if 0 <= idx < self._population else None
+        """Slot index of a registered name, or None (:func:`slot_of`)."""
+        return slot_of(name, self._population, self._prefix, self._start)
 
     # -- core accessor API -------------------------------------------------
     def get(self, name: str, reason: str = "api") -> ClientAgent:
@@ -188,8 +162,6 @@ class ClientPool:
         client = self._live.get(name)
         if client is not None:
             return client
-        if not self._lazy:
-            raise KeyError(name)
         idx = self.index_of(name)
         if idx is None:
             raise KeyError(name)
@@ -212,11 +184,9 @@ class ClientPool:
         return list(self._live.items())
 
     def names(self) -> Iterator[str]:
-        """Iterate every registered name, live or parked."""
-        if self._lazy:
-            prefix, start = self._prefix, self._start
-            return (f"{prefix}{start + i}" for i in range(self._population))
-        return iter(self._live)
+        """Iterate every registered name, live or parked, in slot order."""
+        prefix, start = self._prefix, self._start
+        return (f"{prefix}{start + i}" for i in range(self._population))
 
     def __len__(self) -> int:
         """Registered population (live + parked)."""
@@ -224,9 +194,7 @@ class ClientPool:
 
     def __contains__(self, name: str) -> bool:
         """Whether ``name`` is a registered client (live or parked)."""
-        if name in self._live:
-            return True
-        return self._lazy and self.index_of(name) is not None
+        return self.index_of(name) is not None
 
     @property
     def live_count(self) -> int:
@@ -257,12 +225,9 @@ class ClientPool:
 
     # -- flyweight lifecycle -----------------------------------------------
     def _materialize(self, name: str, idx: int, reason: str) -> ClientAgent:
-        factory = self._factory
-        if factory is None:
-            raise KeyError(name)
         if self.on_materialize is not None:
             self.on_materialize(name, idx)
-        client = factory(name, idx)
+        client = self._factory(name, idx)
         self.counters.seed(idx, client)
         self.counters.wakeups[idx] += 1
         self._live[name] = client
@@ -276,12 +241,9 @@ class ClientPool:
         The system-installed parker verifies cleanliness, records the
         live lease into the pooled expiry service and tears down the
         endpoint and daemon processes; this method then folds counters
-        and drops the object.  Raises in eager mode (nothing to fold
-        into) and for names that are not live.
+        and drops the object.  Raises for names that are not live, and
+        whatever the parker raises for a client it cannot fold.
         """
-        if not self._lazy:
-            raise RuntimeError("park() requires a lazy ClientPool "
-                               "(ScaleConfig.lazy_clients)")
         client = self._live.get(name)
         if client is None:
             raise KeyError(f"{name!r} is not a live client")

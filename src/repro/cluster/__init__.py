@@ -1,8 +1,7 @@
 """Cluster membership and shard takeover for multi-server installations.
 
-Turns the static hash-sharded namespace (one server per
-``_stable_hash(path) % n`` bucket) into a dynamic, failure-tolerant
-metadata cluster:
+Every installation with two or more servers shards its namespace over
+a dynamic, failure-tolerant metadata cluster:
 
 - :mod:`repro.cluster.shardmap` — the slot → owning-server map with a
   monotonically increasing *map epoch*;

@@ -44,6 +44,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle via
+    from repro.client.pool import ClientPool
     from repro.core.config import ClusterConfig  # repro.core.__init__)
 
 
@@ -53,14 +54,14 @@ class ClusterCoordinator:
     def __init__(self, sim: Simulator, net: ControlNetwork, name: str,
                  server_names: Sequence[str], clock: LocalClock,
                  config: "ClusterConfig", trace: TraceRecorder, obs: Any,
-                 client_names: Sequence[str] = ()) -> None:
+                 pool: "ClientPool") -> None:
         self.sim = sim
         self.name = name
         self.config = config
         self.trace = trace
         self.obs = obs
         self.server_names: Tuple[str, ...] = tuple(server_names)
-        self.client_names: Tuple[str, ...] = tuple(client_names)
+        self.pool = pool
         self.endpoint = Endpoint(
             sim, net, name, clock, trace=trace,
             default_policy=RetryPolicy(timeout=config.ping_timeout,
@@ -222,8 +223,13 @@ class ClusterCoordinator:
             if srv not in exclude:
                 yield from self._push(srv)
         if self.config.push_to_clients:
-            for cli in self.client_names:
-                yield from self._push(cli)
+            # Live clients only, re-checked at each push: a datagram to a
+            # parked name wakes it, so one takeover would materialize the
+            # whole population.  A client built later starts on the
+            # current map and needs no push.
+            for cli in self.pool.live_names():
+                if self.pool.peek(cli) is not None:
+                    yield from self._push(cli)
 
     # ------------------------------------------------------------------
     # handlers

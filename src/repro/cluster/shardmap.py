@@ -7,12 +7,9 @@ epoch* — a monotonically increasing version number that servers quote
 in ``WRONG_OWNER`` NACKs and clients compare when deciding whether a
 fetched map is news.
 
-``N_SLOTS = 60`` is divisible by every cluster size up to 6, which
-makes the *initial* map (``slots[i] = servers[i % n]``) route exactly
-like the historical static hash (``servers[_stable_hash(path) % n]``):
-``(h % 60) % n == h % n`` whenever ``n`` divides 60.  Existing
-multi-server behaviour is therefore unchanged until the first epoch
-bump.
+``N_SLOTS = 60`` is divisible by every cluster size up to 6, so the
+*initial* map (``slots[i] = servers[i % n]``) spreads paths evenly:
+``(h % 60) % n == h % n`` whenever ``n`` divides 60.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ class ShardMap:
 
     @classmethod
     def initial(cls, servers: Iterable[str], n_slots: int = N_SLOTS) -> "ShardMap":
-        """Epoch-1 map reproducing the static hash routing (see module
-        docstring for why ``servers[i % n]`` is routing-compatible)."""
+        """Epoch-1 map: slot ``i`` belongs to ``servers[i % n]`` (even
+        whenever ``n`` divides the ring, see the module docstring)."""
         names = tuple(servers)
         if not names:
             raise ValueError("need at least one server")

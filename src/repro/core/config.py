@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.client.pool import slot_of
 from repro.lease.contract import LeaseContract, PhaseBoundaries
 from repro.locks.manager import GRANT_POLICY_NAMES
 
@@ -52,41 +53,14 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class ObservabilityConfig:
-    """Knobs for the :mod:`repro.obs` layer of one installation.
-
-    ``spans=False`` (the default) keeps span tracing — and the helper
-    processes some span sites spawn — completely off, so default runs
-    execute the exact event sequence they always did.  A run collector
-    (:mod:`repro.obs.runlog`) forces spans on for the systems it
-    observes regardless of this flag.
-    """
-
-    #: Record begin/end spans (lease phases, RPC round-trips, recovery).
-    spans: bool = False
-    #: Histogram bucket upper bounds; () uses the registry default.
-    histogram_buckets: Tuple[float, ...] = ()
-    #: Cardinality guard: max distinct label sets per metric family.
-    max_label_sets: int = 1024
-    #: Simulated seconds between overhead-series samples (run collector).
-    sample_interval: float = 1.0
-    #: Trace kinds kept by the TraceRecorder; () keeps everything.
-    trace_keep_kinds: Tuple[str, ...] = ()
-    #: Default path for ``StorageTankSystem.export_obs`` (None = explicit).
-    export_path: str = ""
-
-
-@dataclass(frozen=True)
 class ClusterConfig:
     """Knobs for the :mod:`repro.cluster` membership subsystem.
 
-    Disabled by default: a plain multi-server installation keeps the
-    historical static hash-sharding with no coordinator process (and
-    therefore the exact event sequence it always had).
+    Membership follows the topology: every installation with
+    ``n_servers >= 2`` runs the coordinator and the per-server shard
+    roles; a single server has nothing to fail over to and runs neither.
     """
 
-    #: Run the coordinator + shard roles (requires storage_tank, n>=2).
-    enabled: bool = False
     #: Hash slots on the ring; divisible by every cluster size we build.
     n_slots: int = 60
     #: Control-network node name of the coordinator process.
@@ -114,20 +88,18 @@ class ClusterConfig:
 class NetCacheConfig:
     """Knobs for the :mod:`repro.netcache` in-network metadata cache tier.
 
-    Disabled by default: without cache nodes the control network routes
-    every metadata RPC straight to its server, adds zero RNG draws and
-    zero events, and the pinned golden trace hashes stay bit-identical.
-    With ``enabled=True`` the builder interposes ``n_nodes`` soft-state
-    cache nodes (per-rack middleboxes) on the client → server path for
-    the cacheable read-path kinds (lookup/getattr/readdir); coherence
-    rides the lease protocol, so a cache node may die at any instant
-    and the tier degrades to forwarding, never to wrong answers.
+    The tier exists iff ``n_nodes >= 1``: the builder then interposes
+    that many soft-state cache nodes (per-rack middleboxes) on the
+    client → server path for the cacheable read-path kinds
+    (lookup/getattr/readdir); coherence rides the lease protocol, so a
+    cache node may die at any instant and the tier degrades to
+    forwarding, never to wrong answers.  With no nodes the control
+    network routes every metadata RPC straight to its server.
     """
 
-    #: Interpose cache nodes on the control network (storage_tank only).
-    enabled: bool = False
-    #: Number of cache nodes; clients are assigned by stable name hash.
-    n_nodes: int = 1
+    #: Number of cache nodes (0 = no tier; storage_tank only); clients
+    #: are assigned by stable name hash.
+    n_nodes: int = 0
     #: Max entry age in local seconds (0 = lease-governed only).
     entry_ttl: float = 0.0
     #: Local seconds between lease-lapse sweeps of the entry store.
@@ -140,22 +112,20 @@ class NetCacheConfig:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Mass-instantiation knobs (the E-scale path).
+    """Population policy of the one client build path.
 
-    Disabled by default: ``lazy_clients=False`` keeps the historical
-    eager build, whose event sequence and RNG draw order are pinned by
-    golden trace hashes.  With ``lazy_clients=True`` the builder
-    registers the client population as flyweight records in a
-    :class:`~repro.client.pool.ClientPool` — no client objects, no
-    endpoints, no kernel timers — and materializes full facades on
-    first touch (API access or inbound datagram).
+    Every installation registers its clients as flyweight records in a
+    :class:`~repro.client.pool.ClientPool` behind one factory.
+    ``lazy_clients=False`` materializes every name at build time, in
+    name order (the experiments that drive the whole population);
+    ``lazy_clients=True`` leaves them parked — no client objects, no
+    endpoints, no kernel timers — until first touch (API access or
+    inbound datagram), and such facades run no write-back daemon:
+    scale workloads flush explicitly before they park.
     """
 
-    #: Register clients as flyweights; materialize on first touch.
+    #: Leave clients parked until first touch instead of building all.
     lazy_clients: bool = False
-    #: Write-back interval for materialized facades (<= 0 disables the
-    #: per-client daemon; scale workloads flush explicitly on park).
-    facade_writeback_interval: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -203,8 +173,6 @@ class SystemConfig:
     lease: LeaseConfig = field(default_factory=LeaseConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    observability: ObservabilityConfig = field(
-        default_factory=ObservabilityConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     scale: ScaleConfig = field(default_factory=ScaleConfig)
     netcache: NetCacheConfig = field(default_factory=NetCacheConfig)
@@ -222,15 +190,11 @@ class SystemConfig:
                              f"choose one of {PROTOCOLS}")
         if self.n_clients < 1 or self.n_disks < 1 or self.n_servers < 1:
             raise ValueError("need at least one client, server and disk")
-        if self.n_servers > 1 and self.protocol != "storage_tank":
-            raise ValueError("multi-server installations are implemented "
-                             "for the storage_tank protocol only")
-        if self.cluster.enabled:
+        if self.n_servers > 1:
             if self.protocol != "storage_tank":
-                raise ValueError("cluster membership is implemented for "
-                                 "the storage_tank protocol only")
-            if self.n_servers < 2:
-                raise ValueError("cluster membership needs n_servers >= 2")
+                raise ValueError(
+                    f"n_servers={self.n_servers}: multi-server installations "
+                    f"are implemented for the storage_tank protocol only")
             # Shard-map consistency, checked here instead of surfacing as
             # a KeyError deep inside ShardMap.initial/owner_of_slot: the
             # ring must have a slot for every server and divide evenly,
@@ -244,39 +208,26 @@ class SystemConfig:
                 raise ValueError(
                     f"cluster.n_slots={self.cluster.n_slots} is not "
                     f"divisible by n_servers={self.n_servers}; the initial "
-                    f"map would shard unevenly and no longer reproduce "
-                    f"static hash routing")
-        if self.scale.lazy_clients:
-            if self.protocol != "storage_tank":
-                raise ValueError("lazy (flyweight) clients are implemented "
-                                 "for the storage_tank protocol only")
-            if self.cluster.enabled:
-                raise ValueError("lazy clients and cluster membership "
-                                 "cannot be combined (the coordinator "
-                                 "needs the full client list up front)")
-        if self.netcache.enabled:
-            if self.protocol != "storage_tank":
-                raise ValueError("the in-network metadata cache tier is "
-                                 "implemented for the storage_tank "
-                                 "protocol only (coherence rides leases)")
-            if self.netcache.n_nodes < 1:
-                raise ValueError("netcache.n_nodes must be >= 1 when the "
-                                 "cache tier is enabled")
+                    f"map would shard unevenly")
+        if self.netcache.n_nodes < 0:
+            raise ValueError(f"netcache.n_nodes={self.netcache.n_nodes} "
+                             f"must be >= 0 (0 builds no cache tier)")
+        if self.netcache.n_nodes and self.protocol != "storage_tank":
+            raise ValueError(
+                f"netcache.n_nodes={self.netcache.n_nodes}: the in-network "
+                f"metadata cache tier is implemented for the storage_tank "
+                f"protocol only (coherence rides leases)")
         if self.intent_grant_policy not in GRANT_POLICY_NAMES:
             raise ValueError(
                 f"unknown intent_grant_policy "
                 f"{self.intent_grant_policy!r}; choose one of "
                 f"{GRANT_POLICY_NAMES}")
         # A slow client that does not exist is a silently-ignored typo:
-        # the §6 experiment would then measure nothing.  Validate names
-        # by shape and range instead of materializing client_names()
-        # (which would allocate n_clients strings on every construction).
+        # the §6 experiment would then measure nothing.  The pool's own
+        # naming rule decides (canonical form, in range), without
+        # materializing client_names() on every construction.
         for name in self.slow_clients:
-            bad = not (name.startswith("c") and name[1:].isdigit())
-            if not bad:
-                idx = int(name[1:])
-                bad = not 1 <= idx <= self.n_clients
-            if bad:
+            if slot_of(name, self.n_clients) is None:
                 raise ValueError(
                     f"slow_clients entry {name!r} does not name a client "
                     f"of this installation (valid: c1..c{self.n_clients})")
@@ -296,9 +247,7 @@ class SystemConfig:
         return tuple(f"c{i}" for i in range(1, self.n_clients + 1))
 
     def cache_names(self) -> Tuple[str, ...]:
-        """Generated cache-node names (empty when the tier is disabled)."""
-        if not self.netcache.enabled:
-            return ()
+        """Generated cache-node names (empty without a cache tier)."""
         return tuple(f"mcache{i}" for i in range(1, self.netcache.n_nodes + 1))
 
     def disk_names(self) -> Tuple[str, ...]:

@@ -15,15 +15,18 @@ from typing import Any, Dict, Optional
 
 from repro.client.node import ClientConfig, StorageTankClient
 from repro.client.pool import ClientPool
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.shardmap import ShardMap
+from repro.cluster.takeover import ServerShardRole
 from repro.core.config import SystemConfig
 from repro.lease.pooled import PooledLeaseService
 from repro.lease.server_lease import ServerLeaseAuthority
-from repro.net.control import ControlNetwork
+from repro.net.control import ControlNetwork, Endpoint
 from repro.net.message import MsgKind
 from repro.net.partition import PartitionController, combined_views, is_symmetric
 from repro.net.san import SanFabric
 from repro.netcache import MetadataCacheNode, install_cache_router
-from repro.obs import Observability
+from repro.obs import Observability, SpanTracer
 from repro.obs import runlog as _runlog
 from repro.obs.export import export_json, make_document, make_manifest, run_entry
 from repro.protocols.base import ClientAgent
@@ -45,9 +48,8 @@ class StorageTankSystem:
     Client access goes through :attr:`pool` — the typed
     :class:`~repro.client.pool.ClientPool` accessor
     (``system.pool.get(name)``, ``system.pool.iter_active()``,
-    ``len(system.pool)``), which is also the flyweight store on the
-    scale path.  (The pre-pool ``clients``/``agents`` dict attributes
-    finished their deprecation cycle and are gone.)
+    ``len(system.pool)``), which is also the flyweight store every
+    population is built through.
     """
 
     config: SystemConfig
@@ -60,14 +62,16 @@ class StorageTankSystem:
     disks: Dict[str, VirtualDisk]
     server: StorageTankServer
     pool: ClientPool
+    #: Pooled timer substrate (idle, and costing no kernel event, until a
+    #: client is parked with a live lease).
+    timers: TimerPool
+    #: Coalesced lease-lapse tracking for parked flyweight clients.
+    pooled_leases: PooledLeaseService
     servers: Dict[str, StorageTankServer] = field(default_factory=dict)
     obs: Observability = field(default_factory=Observability)
-    coordinator: Optional[Any] = None  # ClusterCoordinator when enabled
-    #: Pooled timer substrate (scale path only; None on the eager path).
-    timers: Optional[TimerPool] = None
-    #: Coalesced lease-lapse tracking for parked flyweight clients.
-    pooled_leases: Optional[PooledLeaseService] = None
-    #: In-network metadata cache nodes by name (empty when the tier is off).
+    #: Membership monitor; exists iff ``n_servers >= 2``.
+    coordinator: Optional[ClusterCoordinator] = None
+    #: In-network metadata cache nodes by name (empty without a tier).
     netcache: Dict[str, MetadataCacheNode] = field(default_factory=dict)
 
     # -- convenience ------------------------------------------------------
@@ -204,8 +208,7 @@ class StorageTankSystem:
     def export_obs(self, path: Optional[str] = None) -> Dict[str, Any]:
         """Export this system's registry/spans as a ``repro.obs`` document.
 
-        Writes JSON to ``path`` (default: the configured
-        ``observability.export_path``) when one is given, and returns the
+        Writes JSON to ``path`` when one is given, and returns the
         document either way.
         """
         manifest = make_manifest(experiment="", seed=self.config.seed,
@@ -217,9 +220,8 @@ class StorageTankSystem:
                         metrics=self.obs.registry.snapshot(),
                         spans=self.obs.tracer.to_dicts())
         document = make_document(manifest, [run])
-        target = path or self.config.observability.export_path
-        if target:
-            export_json(document, target)
+        if path:
+            export_json(document, path)
         return document
 
 
@@ -227,22 +229,22 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     """Assemble a full installation for the configured protocol.
 
     ``config=None`` builds :meth:`SystemConfig.default` — an explicit,
-    named fallback rather than a silent one.  With
-    ``config.scale.lazy_clients`` the client population is registered as
-    flyweight records (see :mod:`repro.client.pool`) instead of being
-    built eagerly; every other configuration keeps the exact historical
-    construction order, which pinned golden trace hashes depend on.
+    named fallback rather than a silent one.  The topology decides what
+    is built: a coordinator and shard roles iff ``n_servers >= 2``, the
+    cache tier iff ``netcache.n_nodes >= 1``, spans iff a run collector
+    is active.  Every client population is registered as flyweight
+    records behind one factory (see :mod:`repro.client.pool`);
+    ``config.scale.lazy_clients`` only chooses whether the builder then
+    materializes everyone or leaves that to first touch.
     """
     cfg = config if config is not None else SystemConfig.default()
     spec = get_protocol(cfg.protocol)
     collector = _runlog.active()
     sim = Simulator()
     streams = RandomStreams(cfg.seed)
-    trace = TraceRecorder(enabled=cfg.record_trace,
-                          keep_kinds=(set(cfg.observability.trace_keep_kinds)
-                                      or None))
-    obs = Observability.from_config(cfg.observability, trace=trace,
-                                    force_spans=collector is not None)
+    trace = TraceRecorder(enabled=cfg.record_trace)
+    obs = Observability(tracer=SpanTracer(trace=trace),
+                        spans_enabled=collector is not None)
     clocks = ClockEnsemble(cfg.lease.epsilon, streams)
     contract = cfg.lease.contract()
 
@@ -286,53 +288,58 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
             obs=obs)
     server = servers[server_names[0]]
 
-    client_cfg_base = dict(writeback_interval=cfg.writeback_interval,
-                           rpc_timeout=cfg.rpc_timeout,
-                           rpc_retries=cfg.rpc_retries,
-                           quiesce_behavior=cfg.quiesce_behavior,
-                           data_path=cfg.data_path,
-                           attr_cache_ttl=cfg.attr_cache_ttl)
-    timers: Optional[TimerPool] = None
-    pooled: Optional[PooledLeaseService] = None
-    if cfg.scale.lazy_clients:
-        pool = _build_lazy_clients(cfg, spec, sim, net, san, clocks, contract,
-                                   trace, obs, server_names, client_cfg_base)
-        timers = pool_timers = TimerPool(sim)
-        pooled = PooledLeaseService(pool_timers)
-        _wire_scale_hooks(pool, pooled, net)
-    else:
-        clients: Dict[str, ClientAgent] = {}
-        agents: Dict[str, ClientAgent] = {}
-        for cname in cfg.client_names():
-            clock = clocks.create(cname,
-                                  violates_bound=cname in cfg.slow_clients)
-            if spec.client_kind == "nfs":
-                clients[cname] = NfsPollingClient(sim, net, san, cname,
-                                                  server_names[0], clock,
-                                                  attr_ttl=cfg.nfs_attr_ttl,
-                                                  trace=trace, obs=obs)
-                continue
-            ccfg = ClientConfig(use_leases=spec.uses_leases, **client_cfg_base)
-            client = StorageTankClient(sim, net, san, cname, server_names,
-                                       clock, contract, config=ccfg,
-                                       trace=trace, obs=obs)
-            clients[cname] = client
-            if spec.agent is not None:
-                agents[cname] = spec.agent(cfg, client)
-        pool = ClientPool.eager(clients, agents)
+    # Membership follows the topology: two or more servers run shard
+    # roles and a coordinator, a single server has nobody to fail over to.
+    initial_map = (ShardMap.initial(server_names, cfg.cluster.n_slots)
+                   if len(server_names) > 1 else None)
+    coordinator: Optional[ClusterCoordinator] = None
 
-    coordinator = None
-    if cfg.cluster.enabled:
-        # Cluster membership: per-server shard roles plus the coordinator
-        # process.  The coordinator only exists when enabled, so default
-        # installations keep their exact historical event sequence.
-        from repro.cluster.coordinator import ClusterCoordinator
-        from repro.cluster.shardmap import ShardMap
-        from repro.cluster.takeover import ServerShardRole
-        initial = ShardMap.initial(server_names, cfg.cluster.n_slots)
+    # Clients left parked until first touch run no write-back daemon:
+    # scale workloads flush explicitly before they park again.
+    client_cfg = dict(writeback_interval=(0.0 if cfg.scale.lazy_clients
+                                          else cfg.writeback_interval),
+                      rpc_timeout=cfg.rpc_timeout,
+                      rpc_retries=cfg.rpc_retries,
+                      quiesce_behavior=cfg.quiesce_behavior,
+                      data_path=cfg.data_path,
+                      attr_cache_ttl=cfg.attr_cache_ttl,
+                      use_leases=spec.uses_leases)
+    slow = frozenset(cfg.slow_clients)
+
+    def make_client(name: str, idx: int) -> ClientAgent:
+        """The one factory: every client of every installation, on first
+        touch.  A re-materialized client reuses the node's clock (a
+        physical fact) and starts on the coordinator's *current* map."""
+        clock = clocks.get_or_create(name, violates_bound=name in slow)
+        if spec.client_kind == "nfs":
+            return NfsPollingClient(sim, net, san, name, server_names[0],
+                                    clock, attr_ttl=cfg.nfs_attr_ttl,
+                                    trace=trace, obs=obs)
+        client = StorageTankClient(sim, net, san, name, server_names, clock,
+                                   contract, config=ClientConfig(**client_cfg),
+                                   trace=trace, obs=obs)
+        if spec.agent is not None:
+            pool.set_agent(name, spec.agent(cfg, client))
+        if initial_map is not None:
+            client.attach_cluster(
+                cfg.cluster.coordinator_name,
+                coordinator.map if coordinator is not None else initial_map)
+        return client
+
+    pool = ClientPool(cfg.n_clients, make_client)
+    timers = TimerPool(sim)
+    pooled = PooledLeaseService(timers)
+    _wire_pool(pool, pooled, net)
+    if not cfg.scale.lazy_clients:
+        # Same path, other policy: everyone, now, in name order, so the
+        # shared clock stream is drawn in the order the names are listed.
+        for cname in pool.names():
+            pool.get(cname, reason="build")
+
+    if initial_map is not None:
         peer_stores = {sname: srv.metadata for sname, srv in servers.items()}
         for sname, srv in servers.items():
-            role = ServerShardRole(srv, initial,
+            role = ServerShardRole(srv, initial_map,
                                    grace=cfg.cluster.takeover_grace,
                                    map_lease=cfg.cluster.map_lease)
             role.peer_stores = dict(peer_stores)
@@ -341,21 +348,15 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
         coordinator = ClusterCoordinator(
             sim, net, cfg.cluster.coordinator_name, server_names,
             clocks.create(cfg.cluster.coordinator_name), cfg.cluster,
-            trace=trace, obs=obs,
-            client_names=tuple(n for n, c in pool.live_items()
-                               if isinstance(c, StorageTankClient)))
-        for cl in pool.iter_active():
-            if isinstance(cl, StorageTankClient):
-                cl.attach_cluster(cfg.cluster.coordinator_name, initial)
+            trace=trace, obs=obs, pool=pool)
         coordinator.start()
 
     netcache: Dict[str, MetadataCacheNode] = {}
-    if cfg.netcache.enabled:
+    if cfg.netcache.n_nodes:
         # In-network metadata cache tier: per-rack soft-state nodes the
         # control network routes cacheable reads through.  Constructed
-        # last so every other node's build order (and therefore every
-        # existing golden trace) is untouched; when disabled this block
-        # is a no-op and the transmit path has a None router.
+        # last so its clocks draw after every other node's; without
+        # nodes the transmit path has a None router.
         for mname in cfg.cache_names():
             netcache[mname] = MetadataCacheNode(
                 sim, net, mname, server_names, clocks.create(mname),
@@ -367,47 +368,16 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     system = StorageTankSystem(config=cfg, sim=sim, streams=streams,
                                trace=trace, clocks=clocks, control_net=net,
                                san=san, disks=disks, server=server,
-                               pool=pool, servers=servers, obs=obs,
-                               coordinator=coordinator, timers=timers,
-                               pooled_leases=pooled, netcache=netcache)
+                               pool=pool, timers=timers,
+                               pooled_leases=pooled, servers=servers, obs=obs,
+                               coordinator=coordinator, netcache=netcache)
     if collector is not None:
         collector.on_system_built(system)
     return system
 
 
-def _build_lazy_clients(cfg: SystemConfig, spec: Any, sim: Simulator,
-                        net: ControlNetwork, san: SanFabric,
-                        clocks: ClockEnsemble, contract: Any,
-                        trace: TraceRecorder, obs: Observability,
-                        server_names: Any,
-                        client_cfg_base: Dict[str, Any]) -> ClientPool:
-    """Register the client population as flyweights behind one factory.
-
-    Registration allocates struct-of-arrays columns only — no client
-    objects, no endpoints, no closures per client, no kernel events.
-    The single shared factory materializes a full facade on first touch
-    and reuses the node's original clock on re-materialization.
-    """
-    facade_cfg = dict(client_cfg_base)
-    facade_cfg["writeback_interval"] = cfg.scale.facade_writeback_interval
-    slow = frozenset(cfg.slow_clients)
-
-    def make_client(name: str, idx: int) -> StorageTankClient:
-        clock = clocks.get_or_create(name, violates_bound=name in slow)
-        ccfg = ClientConfig(use_leases=spec.uses_leases, **facade_cfg)
-        client = StorageTankClient(sim, net, san, name, server_names, clock,
-                                   contract, config=ccfg, trace=trace,
-                                   obs=obs)
-        if spec.agent is not None:
-            pool.set_agent(name, spec.agent(cfg, client))
-        return client
-
-    pool = ClientPool.lazy(cfg.n_clients, make_client)
-    return pool
-
-
-def _wire_scale_hooks(pool: ClientPool, pooled: PooledLeaseService,
-                      net: ControlNetwork) -> None:
+def _wire_pool(pool: ClientPool, pooled: PooledLeaseService,
+               net: ControlNetwork) -> None:
     """Connect the flyweight store to the network and lease plumbing.
 
     - inbound datagrams to a parked name materialize the client through
@@ -418,20 +388,26 @@ def _wire_scale_hooks(pool: ClientPool, pooled: PooledLeaseService,
       lease opportunistically with its first acknowledged request.
     """
 
-    def resolve(name: str) -> Optional[Any]:
-        idx = pool.index_of(name)
-        if idx is None:
+    def resolve(name: str) -> Optional[Endpoint]:
+        if name not in pool:
             return None
-        client = pool.get(name, reason="datagram")
-        return getattr(client, "endpoint", None)
+        return pool.get(name, reason="datagram").endpoint
 
     net.set_lazy_resolver(resolve)
 
-    def park_client(client: Any, idx: int) -> None:
+    def park_client(client: ClientAgent, idx: int) -> None:
+        # Only a client whose whole standing state this function can
+        # hand over may fold into a record: a protocol agent's daemons
+        # and a polling client's attribute cache would be left behind.
+        name = pool.name_of(idx)
+        if (not isinstance(client, StorageTankClient)
+                or pool.agent_for(name) is not None):
+            raise ValueError(
+                f"cannot park {name!r}: only a storage_tank client "
+                f"without a protocol agent folds into a record")
         blockers = client.park_blockers()
         if blockers:
-            raise ValueError(
-                f"cannot park {client.name!r}: {'; '.join(blockers)}")
+            raise ValueError(f"cannot park {name!r}: {'; '.join(blockers)}")
         lapse_at = None
         for mgr in client.leases.values():
             if not mgr.active:

@@ -113,8 +113,7 @@ def cache_point(n_clients: int, cache_nodes: int, zipf_s: float,
         n_clients=n_clients, seed=seed, protocol="storage_tank",
         scale=ScaleConfig(lazy_clients=True),
         workload=WorkloadConfig(n_files=n_files, zipf_s=0.0),
-        netcache=NetCacheConfig(enabled=cache_nodes > 0,
-                                n_nodes=max(cache_nodes, 1)))
+        netcache=NetCacheConfig(n_nodes=cache_nodes))
     system = build_system(cfg)
     sim = system.sim
     system.client(system.pool.name_of(0))  # materialize the populator

@@ -667,9 +667,9 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
     from repro.fault.scenarios import server_crash
 
     lease = LeaseConfig()
-    cluster = ClusterConfig(enabled=True, ping_interval=0.5,
-                            ping_timeout=0.25, ping_retries=2,
-                            map_lease=1.0, takeover_grace=2.0)
+    cluster = ClusterConfig(ping_interval=0.5, ping_timeout=0.25,
+                            ping_retries=2, map_lease=1.0,
+                            takeover_grace=2.0)
     cfg = SystemConfig(n_clients=2, n_servers=n_servers, seed=seed,
                        protocol="storage_tank", lease=lease, cluster=cluster,
                        writeback_interval=3.0)

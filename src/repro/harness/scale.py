@@ -71,8 +71,7 @@ def scale_point(n_clients: int, seed: int = 0, active: int = 48,
         "kernel_after_build": float(kernel_after_build),
         "build_s": build_s,
         "live": float(system.pool.live_count),
-        "parked_expiries": float(system.pooled_leases.expired
-                                 if system.pooled_leases is not None else 0),
+        "parked_expiries": float(system.pooled_leases.expired),
     })
     return stats
 
@@ -132,8 +131,6 @@ def _seed_parked_leases(system: StorageTankSystem, duration: float) -> None:
     per occupied bucket — the coalescing the tentpole is about.
     """
     pooled = system.pooled_leases
-    if pooled is None:
-        raise RuntimeError("scale experiment requires a lazy-built system")
     n = len(system.pool)
     rng = system.streams.get("scale.leases")
     base = system.sim.now

@@ -176,6 +176,10 @@ class ControlNetwork:
         self.drop_probability = drop_probability
         self._rng = streams.get("net.control")
         self._endpoints: Dict[str, "Endpoint"] = {}
+        # Request numbering of detached nodes, resumed on re-attach: a
+        # parked client is the same node when it returns, and receivers
+        # key their at-most-once state by (name, seq).
+        self._resume_seq: Dict[str, int] = {}
         # Lazy-registration hook (scale path): consulted when a datagram
         # addresses an unattached name, so a parked flyweight client can
         # be materialized by its own inbound traffic instead of the
@@ -216,10 +220,13 @@ class ControlNetwork:
         if endpoint.name in self._endpoints:
             raise ValueError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
+        endpoint._next_seq = self._resume_seq.pop(endpoint.name, 0)
 
     def detach(self, name: str) -> None:
         """Forget an endpoint (a parked flyweight client's teardown)."""
-        self._endpoints.pop(name, None)
+        endpoint = self._endpoints.pop(name, None)
+        if endpoint is not None:
+            self._resume_seq[name] = endpoint._next_seq
 
     def set_lazy_resolver(
             self,

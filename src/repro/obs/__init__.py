@@ -18,9 +18,9 @@ The pieces:
   the schedule fuzzer (:mod:`repro.simtest`) for seed replay.
 
 An :class:`Observability` bundle (one per built system) ties a registry
-to an optional span tracer.  This package never imports
-``repro.core`` — configuration arrives duck-typed — so ``core.config``
-is free to reference obs types without an import cycle.
+to a span tracer.  Spans follow the run collector: ``build_system``
+switches them on exactly when one is active.  This package never
+imports ``repro.core``.
 """
 
 from __future__ import annotations
@@ -54,26 +54,6 @@ class Observability:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else SpanTracer()
         self.spans_enabled = spans_enabled
-
-    @classmethod
-    def from_config(cls, obs_cfg: Any = None, trace: Any = None,
-                    force_spans: bool = False) -> "Observability":
-        """Build a bundle from an ``ObservabilityConfig``-shaped object.
-
-        ``obs_cfg`` is duck-typed (``histogram_buckets``,
-        ``max_label_sets``, ``spans`` attributes are read with
-        defaults) so this package stays independent of ``core.config``.
-        ``force_spans`` turns span collection on regardless of config —
-        used when a run collector is active.
-        """
-        buckets = tuple(getattr(obs_cfg, "histogram_buckets", None)
-                        or DEFAULT_BUCKETS)
-        max_sets = getattr(obs_cfg, "max_label_sets", DEFAULT_MAX_LABEL_SETS)
-        registry = MetricsRegistry(max_label_sets=max_sets,
-                                   default_buckets=buckets)
-        tracer = SpanTracer(trace=trace)
-        spans = bool(getattr(obs_cfg, "spans", False)) or force_spans
-        return cls(registry=registry, tracer=tracer, spans_enabled=spans)
 
     def begin_span(self, t: float, kind: str, node: str,
                    parent: Optional[Span] = None, **attrs: Any,

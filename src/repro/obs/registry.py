@@ -204,7 +204,7 @@ class Metric:
             raise CardinalityError(
                 f"{self.name}: more than {self.max_label_sets} label sets "
                 f"(label names {self.label_names}); pick lower-cardinality "
-                f"labels or raise ObservabilityConfig.max_label_sets")
+                f"labels or raise the registry's max_label_sets")
         lbl = dict(zip(self.label_names, key))
         child: _Child
         if self.kind == "histogram":

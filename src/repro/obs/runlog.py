@@ -74,7 +74,7 @@ class RunCollector:
     """Accumulates per-system overhead series and registry snapshots."""
 
     def __init__(self, experiment: str = "", seed: Optional[int] = None,
-                 sample_interval: Optional[float] = None,
+                 sample_interval: float = 1.0,
                  **extra: Any) -> None:
         self.experiment = experiment
         self.seed = seed
@@ -98,11 +98,8 @@ class RunCollector:
             "seed": str(cfg.seed),
         }, system)
         self.records.append(record)
-        interval = (self.sample_interval
-                    if self.sample_interval is not None
-                    else getattr(getattr(cfg, "observability", None),
-                                 "sample_interval", 1.0))
-        system.sim.process(self._sampler(system, record, interval),
+        system.sim.process(self._sampler(system, record,
+                                         self.sample_interval),
                            name=f"obs:sampler:{name}")
 
     def _sample(self, system: Any, record: _RunRecord) -> None:

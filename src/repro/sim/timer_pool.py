@@ -34,10 +34,10 @@ Callbacks run inside the kernel's event dispatch, exactly like an
 ordinary timeout waiter: they must not block, and anything they
 schedule lands after the current instant's already-queued events.
 
-The pool is deliberately *not* used by the default (eager) system
-build: existing configurations must keep bit-identical trace hashes,
-and pooling changes kernel event counts.  It is the timer substrate for
-the opt-in scale path (``ScaleConfig.lazy_clients``).
+Every built system owns one pool as the timer substrate of its parked
+clients' leases (:class:`~repro.lease.pooled.PooledLeaseService`).
+Constructing it schedules nothing: a system that never parks a client
+pays no kernel event for it.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ class Schedule:
                                       read_fraction=0.6, think_time=0.2,
                                       io_blocks=2, meta_fraction=0.5,
                                       meta_mutate_fraction=0.25)
-            netcache = NetCacheConfig(enabled=True, n_nodes=self.cache_nodes)
+            netcache = NetCacheConfig(n_nodes=self.cache_nodes)
         else:
             workload = WorkloadConfig(n_files=4, file_size_blocks=8,
                                       read_fraction=0.6, think_time=0.2,

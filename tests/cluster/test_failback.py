@@ -12,8 +12,8 @@ from tests.conftest import run_gen
 from tests.cluster.test_takeover import cluster_system, path_owned_by
 
 
-def test_failback_restores_home_owner_and_keeps_holdings():
-    s = cluster_system()
+def test_failback_restores_home_owner_and_keeps_holdings(lazy_clients=False):
+    s = cluster_system(lazy_clients=lazy_clients)
     path = path_owned_by(s, "server2")
     c1 = s.client("c1")
     fids = []
@@ -52,3 +52,7 @@ def test_failback_restores_home_owner_and_keeps_holdings():
     assert attrs is not None
     assert s.server_node("server2").transactions > before
     assert ConsistencyAuditor(s).audit().safe
+
+
+def test_failback_holds_when_clients_build_on_touch():
+    test_failback_restores_home_owner_and_keeps_holdings(lazy_clients=True)

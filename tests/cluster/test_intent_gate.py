@@ -35,7 +35,7 @@ def _refusal(system, client, server, kind, payload):
 def test_lapsed_map_lease_refuses_every_granting_intent():
     s = make_system(
         n_servers=2,
-        cluster=ClusterConfig(enabled=True, ping_interval=0.5,
+        cluster=ClusterConfig(ping_interval=0.5,
                               ping_timeout=0.25, ping_retries=2,
                               map_lease=1.0, takeover_grace=2.0))
     c1 = s.client("c1")
@@ -68,8 +68,7 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
 
 def test_batch_is_gated_on_the_slots_of_its_granting_subops():
     s = make_system(n_servers=2,
-                    cluster=ClusterConfig(enabled=True,
-                                          push_to_clients=False))
+                    cluster=ClusterConfig(push_to_clients=False))
     c1 = s.client("c1")
     mine = _path_owned_by(s, "server1")
     moved = _path_owned_by(s, "server1", stem="/gate/g")

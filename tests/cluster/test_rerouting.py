@@ -14,8 +14,7 @@ from tests.conftest import make_system, run_gen
 
 def test_wrong_owner_nack_triggers_map_refetch_and_retry():
     s = make_system(n_servers=2,
-                    cluster=ClusterConfig(enabled=True,
-                                          push_to_clients=False))
+                    cluster=ClusterConfig(push_to_clients=False))
     c1 = s.client("c1")
     path = next(f"/move/f{i}" for i in range(2000)
                 if s.coordinator.map.owner_of_path(f"/move/f{i}")
@@ -43,8 +42,7 @@ def test_wrong_owner_nack_triggers_map_refetch_and_retry():
 
 def test_map_migration_moves_file_bookkeeping():
     s = make_system(n_servers=2,
-                    cluster=ClusterConfig(enabled=True,
-                                          push_to_clients=False))
+                    cluster=ClusterConfig(push_to_clients=False))
     c1 = s.client("c1")
     path = next(f"/move/g{i}" for i in range(2000)
                 if s.coordinator.map.owner_of_path(f"/move/g{i}")

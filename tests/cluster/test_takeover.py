@@ -8,8 +8,11 @@ land at the new owner without losing its cache.
 
 import math
 
+import pytest
+
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.core import ClusterConfig
+from repro.core.config import ScaleConfig
 from repro.harness.common import APP_ERRORS, ScenarioLog
 from repro.locks import LockMode
 from repro.storage import BLOCK_SIZE
@@ -18,11 +21,12 @@ from tests.conftest import make_system
 TAU, EPS = 30.0, 0.05  # LeaseConfig defaults
 
 
-def cluster_system(n_servers=2, **overrides):
+def cluster_system(n_servers=2, lazy_clients=False, **overrides):
     """A small clustered system with fast failure detection."""
     return make_system(
         n_servers=n_servers,
-        cluster=ClusterConfig(enabled=True, ping_interval=0.5,
+        scale=ScaleConfig(lazy_clients=lazy_clients),
+        cluster=ClusterConfig(ping_interval=0.5,
                               ping_timeout=0.25, ping_retries=2,
                               map_lease=1.0, takeover_grace=2.0),
         **overrides)
@@ -35,8 +39,8 @@ def path_owned_by(system, server):
                 if m.owner_of_path(f"/shard/f{i}") == server)
 
 
-def test_takeover_moves_shard_and_delays_fresh_grants():
-    s = cluster_system()
+def test_takeover_moves_shard_and_delays_fresh_grants(lazy_clients=False):
+    s = cluster_system(lazy_clients=lazy_clients)
     path = path_owned_by(s, "server2")
     log = ScenarioLog()
     crash_at = 10.0
@@ -85,8 +89,8 @@ def test_takeover_moves_shard_and_delays_fresh_grants():
     assert ConsistencyAuditor(s).audit().safe
 
 
-def test_displaced_holder_reasserts_at_new_owner():
-    s = cluster_system()
+def test_displaced_holder_reasserts_at_new_owner(lazy_clients=False):
+    s = cluster_system(lazy_clients=lazy_clients)
     path = path_owned_by(s, "server2")
     log = ScenarioLog()
 
@@ -116,3 +120,57 @@ def test_displaced_holder_reasserts_at_new_owner():
     assert c1.cache.peek(fid, 0) is not None
     assert s.server_node("server1").locks.mode_of("c1", fid) != LockMode.NONE
     assert ConsistencyAuditor(s).audit().safe
+
+
+@pytest.mark.parametrize("scenario", [
+    test_takeover_moves_shard_and_delays_fresh_grants,
+    test_displaced_holder_reasserts_at_new_owner,
+], ids=["takeover", "reassert"])
+def test_scenario_holds_when_clients_build_on_touch(scenario):
+    scenario(lazy_clients=True)
+
+
+def test_takeover_pushes_to_live_clients_only():
+    """A push to a parked name would wake it through the lazy resolver:
+    one takeover must not materialize the population."""
+    s = cluster_system(n_clients=200, lazy_clients=True)
+    c1 = s.client("c1")
+    path = path_owned_by(s, "server2")
+
+    def app():
+        yield from c1.create(path, size=BLOCK_SIZE)
+    s.spawn(app())
+
+    def crash():
+        yield s.sim.timeout(5.0)
+        s.server_node("server2").crash()
+    s.spawn(crash())
+    s.run(until=20.0)
+    assert s.coordinator.takeovers == 1
+    assert s.pool.live_names() == ["c1"]
+    assert c1.shard_map.epoch == s.coordinator.map.epoch == 2  # pushed
+
+
+def test_client_built_after_a_takeover_starts_on_the_current_map():
+    s = cluster_system(n_clients=200, lazy_clients=True)
+    path = path_owned_by(s, "server2")
+
+    def crash():
+        yield s.sim.timeout(5.0)
+        s.server_node("server2").crash()
+    s.spawn(crash())
+    s.run(until=5.0 + (TAU + 1.0) * (1 + EPS) + 5.0)  # takeover wait over
+    assert s.coordinator.map.owner_of_path(path) == "server1"
+    late = s.client("c150")
+    assert late.shard_map is s.coordinator.map
+    assert late.server_for_path(path) == "server1"
+    served = s.server_node("server1").transactions
+
+    def app():
+        yield from late.create(path, size=BLOCK_SIZE)
+        return (yield from late.getattr(path))
+    proc = s.spawn(app())
+    assert s.sim.run_until_event(proc, hard_limit=s.sim.now + 60.0) is not None
+    assert late.rerouted_ops == 0
+    assert s.server_node("server1").transactions >= served + 2
+    assert s.server_node("server1").cluster.wrong_owner_nacks == 0

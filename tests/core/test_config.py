@@ -49,21 +49,26 @@ def test_multi_server_pins_protocol_message():
     # reported before any multi-server/cluster complaint.
     with pytest.raises(ValueError, match="unknown protocol"):
         SystemConfig(protocol="carrier-pigeon", n_servers=2,
-                     cluster=ClusterConfig(enabled=True))
+                     cluster=ClusterConfig(n_slots=7))
 
 
 def test_cluster_requires_storage_tank_and_two_servers():
-    from repro.core import ClusterConfig
-    with pytest.raises(ValueError,
-                       match="cluster membership is implemented for the "
-                             "storage_tank protocol only"):
-        SystemConfig(protocol="frangipani", n_servers=1,
-                     cluster=ClusterConfig(enabled=True))
-    with pytest.raises(ValueError,
-                       match="cluster membership needs n_servers >= 2"):
-        SystemConfig(n_servers=1, cluster=ClusterConfig(enabled=True))
-    # Enabled with a sane shape: builds fine.
-    SystemConfig(n_servers=2, cluster=ClusterConfig(enabled=True))
+    """Membership follows the topology: there is no switch to forget."""
+    from repro.core.system import build_system
+    with pytest.raises(ValueError, match="n_servers=2.*storage_tank"):
+        SystemConfig(protocol="frangipani", n_servers=2)
+    # One server of any protocol: nothing to fail over to, no coordinator.
+    for protocol in ("storage_tank", "frangipani"):
+        single = build_system(SystemConfig(protocol=protocol, n_servers=1))
+        assert single.coordinator is None
+        assert single.server.cluster is None
+        assert "coord" not in single.control_net.node_names
+    clustered = build_system(SystemConfig(n_servers=2))
+    assert clustered.coordinator is not None
+    assert all(srv.cluster is not None
+               for srv in clustered.servers.values())
+    assert all(cl.shard_map == clustered.coordinator.map
+               for cl in clustered.pool.iter_active())
 
 
 def test_default_classmethod_is_the_default_installation():
@@ -79,28 +84,36 @@ def test_build_system_without_config_routes_through_default():
 
 def test_shard_map_consistency_validated_up_front():
     from repro.core import ClusterConfig
-    with pytest.raises(ValueError, match="smaller"):
+    with pytest.raises(ValueError, match=r"cluster\.n_slots=2 is smaller"):
         SystemConfig(n_servers=3, protocol="storage_tank",
-                     cluster=ClusterConfig(enabled=True, n_slots=2))
-    with pytest.raises(ValueError, match="not\n?.*divisible|divisible"):
+                     cluster=ClusterConfig(n_slots=2))
+    with pytest.raises(ValueError,
+                       match=r"cluster\.n_slots=30 is not divisible"):
         SystemConfig(n_servers=4, protocol="storage_tank",
-                     cluster=ClusterConfig(enabled=True, n_slots=30))
+                     cluster=ClusterConfig(n_slots=30))
+    # No flag arms the check: the default ring rejects a 7-server build.
+    with pytest.raises(ValueError, match=r"cluster\.n_slots=60.*n_servers=7"):
+        SystemConfig(n_servers=7)
+    SystemConfig(n_servers=1, cluster=ClusterConfig(n_slots=7))  # no ring
 
 
-def test_lazy_clients_require_storage_tank():
+def test_cache_tier_validation_names_its_field():
+    from repro.core.config import NetCacheConfig
+    with pytest.raises(ValueError, match=r"netcache\.n_nodes=-1"):
+        SystemConfig(netcache=NetCacheConfig(n_nodes=-1))
+    with pytest.raises(ValueError, match=r"netcache\.n_nodes=2.*storage_tank"):
+        SystemConfig(protocol="nfs", netcache=NetCacheConfig(n_nodes=2))
+    assert SystemConfig().cache_names() == ()  # 0 nodes: no tier
+    assert SystemConfig(protocol="nfs").netcache.n_nodes == 0
+
+
+def test_lazy_clients_combine_with_cluster_membership():
     from repro.core.config import ScaleConfig
-    with pytest.raises(ValueError, match="storage_tank"):
-        SystemConfig(protocol="nfs_polling",
-                     scale=ScaleConfig(lazy_clients=True))
-
-
-def test_lazy_clients_reject_cluster_membership():
-    from repro.core import ClusterConfig
-    from repro.core.config import ScaleConfig
-    with pytest.raises(ValueError, match="cannot be combined"):
-        SystemConfig(n_servers=2, protocol="storage_tank",
-                     cluster=ClusterConfig(enabled=True),
-                     scale=ScaleConfig(lazy_clients=True))
+    from repro.core.system import build_system
+    system = build_system(SystemConfig(
+        n_clients=100, n_servers=2, scale=ScaleConfig(lazy_clients=True)))
+    assert system.coordinator is not None
+    assert system.pool.live_count == 0
 
 
 def test_slow_clients_must_name_real_clients():
@@ -109,3 +122,11 @@ def test_slow_clients_must_name_real_clients():
     with pytest.raises(ValueError, match="does not name"):
         SystemConfig(n_clients=2, slow_clients=("server",))
     SystemConfig(n_clients=2, slow_clients=("c2",))  # valid: no raise
+
+
+@pytest.mark.parametrize("alias", ["c01", "c+1", "c 1", "c\uff11", "c1_0"])
+def test_slow_clients_must_be_spelled_canonically(alias):
+    """``int()`` parses each of these, but no clock is ever created under
+    such a name: accepted, it would make nobody slow."""
+    with pytest.raises(ValueError, match="does not name"):
+        SystemConfig(n_clients=10, slow_clients=(alias,))

@@ -227,8 +227,7 @@ def test_create_getattr_setattr_intents_answer_like_the_plain_kinds(
     bodies (behind the netcache barrier when there is a cache tier) and
     add the grant: same payload plus ``lock``."""
     from repro.core.config import NetCacheConfig
-    s = make_system(netcache=NetCacheConfig(enabled=cache_nodes > 0,
-                                            n_nodes=max(cache_nodes, 1)))
+    s = make_system(netcache=NetCacheConfig(n_nodes=cache_nodes))
     c1 = s.client("c1")
 
     def rpc(kind, payload):

@@ -17,13 +17,13 @@ from repro.sim.rng import _stable_hash
 
 from tests.conftest import make_system, run_gen
 
-#: Both build modes must behave identically at the cache tier.
+#: Both population policies must behave identically at the cache tier.
 MODES = [pytest.param(False, id="eager"), pytest.param(True, id="lazy")]
 
 
 def make_cache_system(n_nodes: int = 1, lazy: bool = False, **overrides):
     kwargs = dict(
-        netcache=NetCacheConfig(enabled=True, n_nodes=n_nodes))
+        netcache=NetCacheConfig(n_nodes=n_nodes))
     if lazy:
         kwargs["scale"] = ScaleConfig(lazy_clients=True)
     kwargs.update(overrides)
@@ -274,7 +274,11 @@ def test_deferred_only_client_still_records_server_epoch():
 def test_config_rejects_cache_tier_off_storage_tank():
     with pytest.raises(ValueError, match="storage_tank"):
         SystemConfig(n_clients=1, protocol="frangipani",
-                     netcache=NetCacheConfig(enabled=True))
+                     netcache=NetCacheConfig(n_nodes=1))
     with pytest.raises(ValueError, match="n_nodes"):
         SystemConfig(n_clients=1, protocol="storage_tank",
-                     netcache=NetCacheConfig(enabled=True, n_nodes=0))
+                     netcache=NetCacheConfig(n_nodes=-1))
+    # No nodes is "no tier", whatever the protocol.
+    off = make_system(protocol="frangipani",
+                      netcache=NetCacheConfig(n_nodes=0))
+    assert off.netcache == {} and off.control_net._cache_router is None
