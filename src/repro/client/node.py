@@ -86,7 +86,6 @@ class ClientConfig:
     cache_capacity_pages: int = 65536
     rpc_timeout: float = 1.0            # local seconds per datagram attempt
     rpc_retries: int = 3
-    quiesce_behavior: str = "error"     # "error" | "wait" for ops during phases 3+
     use_leases: bool = True             # False for baseline clients
     data_path: str = "direct"           # "direct" (SAN) | "server" (function ship)
     # Metadata is only weakly consistent (paper §3, footnote 1): with a
@@ -137,7 +136,6 @@ class StorageTankClient(ReplyObserver):
         self._drained: Event = sim.event()
         self._drained.succeed()
         self._quiesced = False
-        self._resume_ev: Event = sim.event()
         # Lock pinning: a demand compliance must not release a lock out
         # from under an operation that already validated it (TOCTOU).
         self._file_inflight: Dict[int, int] = {}
@@ -240,7 +238,7 @@ class StorageTankClient(ReplyObserver):
     def create(self, path: str, size: int = 0) -> Generator[Event, Any, int]:
         """Create a file on its owning server; returns its file id."""
         srv = self.server_for_path(path)
-        yield from self._admit(srv)
+        self._admit(srv)
         self._enter()
         try:
             reply = yield from self._rpc(MsgKind.CREATE,
@@ -257,7 +255,7 @@ class StorageTankClient(ReplyObserver):
         if mode not in ("r", "w"):
             raise ValueError(f"mode must be 'r' or 'w', got {mode!r}")
         srv = self.server_for_path(path)
-        yield from self._admit(srv)
+        self._admit(srv)
         self._enter()
         try:
             sent_at = self.sim.now
@@ -330,7 +328,7 @@ class StorageTankClient(ReplyObserver):
         directly to the SAN.
         """
         of = self.fds.get(fd)
-        yield from self._admit(of.server)
+        self._admit(of.server)
         self._enter()
         pinned = False
         try:
@@ -371,7 +369,7 @@ class StorageTankClient(ReplyObserver):
         tag silently afterwards is an audit violation.
         """
         of = self.fds.get(fd)
-        yield from self._admit(of.server)
+        self._admit(of.server)
         if of.mode != "w":
             raise PermissionError(f"fd {fd} not open for writing")
         self._enter()
@@ -464,7 +462,7 @@ class StorageTankClient(ReplyObserver):
         files opened by a range-locking application).
         """
         of = self.fds.get(fd)
-        yield from self._admit(of.server)
+        self._admit(of.server)
         self._enter()
         try:
             spans = yield from self._batch_acquire(of, ranges,
@@ -499,7 +497,7 @@ class StorageTankClient(ReplyObserver):
         no write-back state outlives the lock.
         """
         of = self.fds.get(fd)
-        yield from self._admit(of.server)
+        self._admit(of.server)
         self._enter()
         try:
             spans = yield from self._batch_acquire(of, ranges,
@@ -559,7 +557,7 @@ class StorageTankClient(ReplyObserver):
         """Remove a file.  The server demands the data lock from any
         cacher first; this client's own pages and lock are dropped."""
         srv = self.server_for_path(path)
-        yield from self._admit(srv)
+        self._admit(srv)
         self._enter()
         try:
             reply = yield from self._rpc(MsgKind.UNLINK, {"path": path}, srv,
@@ -600,7 +598,7 @@ class StorageTankClient(ReplyObserver):
         last_exc: Optional[Exception] = None
         for srv in targets:
             try:
-                yield from self._admit(srv)
+                self._admit(srv)
                 self._enter()
                 try:
                     reply = yield from self._rpc(MsgKind.READDIR,
@@ -635,7 +633,7 @@ class StorageTankClient(ReplyObserver):
                     self.attr_cache_hits += 1
                     self.ops_completed += 1
                     return cached[0]
-        yield from self._admit(srv)
+        self._admit(srv)
         self._enter()
         try:
             reply = yield from self._rpc(MsgKind.GETATTR, {"path": path}, srv,
@@ -656,7 +654,7 @@ class StorageTankClient(ReplyObserver):
         without a server transaction.
         """
         srv = self.server_for_path(path)
-        yield from self._admit(srv)
+        self._admit(srv)
         self._enter()
         try:
             reply = yield from self._rpc(MsgKind.LOOKUP, {"path": path}, srv,
@@ -887,9 +885,9 @@ class StorageTankClient(ReplyObserver):
         if lease is not None and renewal_time is not None:
             lease.renew(renewal_time)
 
-    def _admit(self, server: Optional[str] = None) -> Generator[Event, Any, None]:
+    def _admit(self, server: Optional[str] = None) -> None:
         """Gate new application requests on the target server's lease
-        phase (§3.2)."""
+        phase (§3.2): past phase 2 they are refused, not queued."""
         if self.admission_check is not None and not self.admission_check():
             self.ops_rejected += 1
             self.trace.emit(self.sim.now, "app.rejected", self.name, phase=-1)
@@ -897,21 +895,16 @@ class StorageTankClient(ReplyObserver):
         lease = self.leases.get(server or self.server)
         if lease is None:
             return
-        while True:
-            ph = lease.phase()
-            if ph.serves_new_requests:
-                return
-            if not lease.active and not lease._ever_active:
-                return  # first contact bootstraps the lease
-            if self.config.quiesce_behavior == "error":
-                self.ops_rejected += 1
-                self.trace.emit(self.sim.now, "app.rejected", self.name, phase=int(ph))
-                if ph == LeasePhase.EXPIRED:
-                    raise ClientDisconnectedError(f"{self.name}: no valid lease")
-                raise ClientQuiescedError(f"{self.name}: lease phase {ph.name}")
-            self._resume_ev = self.sim.event()
-            yield self._resume_ev
-        return
+        ph = lease.phase()
+        if ph.serves_new_requests:
+            return
+        if not lease.active and not lease._ever_active:
+            return  # first contact bootstraps the lease
+        self.ops_rejected += 1
+        self.trace.emit(self.sim.now, "app.rejected", self.name, phase=int(ph))
+        if ph == LeasePhase.EXPIRED:
+            raise ClientDisconnectedError(f"{self.name}: no valid lease")
+        raise ClientQuiescedError(f"{self.name}: lease phase {ph.name}")
 
     def _enter(self) -> None:
         self._in_flight += 1
@@ -1166,8 +1159,6 @@ class StorageTankClient(ReplyObserver):
         if self._quiesced:
             self.trace.emit(self.sim.now, "client.resume", self.name)
         self._quiesced = False
-        if not self._resume_ev.triggered:
-            self._resume_ev.succeed()
 
     def _files_of_server(self, server: str) -> List[int]:
         return [fid for fid, srv in self._file_server.items() if srv == server]

@@ -159,7 +159,6 @@ class SystemConfig:
     seed: int = 0
     protocol: str = "storage_tank"
     fence_on_steal: bool = True
-    quiesce_behavior: str = "error"      # clients: "error" | "wait" in phases 3+
     writeback_interval: float = 5.0
     rpc_timeout: float = 1.0
     rpc_retries: int = 3

@@ -300,7 +300,6 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                                           else cfg.writeback_interval),
                       rpc_timeout=cfg.rpc_timeout,
                       rpc_retries=cfg.rpc_retries,
-                      quiesce_behavior=cfg.quiesce_behavior,
                       data_path=cfg.data_path,
                       attr_cache_ttl=cfg.attr_cache_ttl,
                       use_leases=spec.uses_leases)

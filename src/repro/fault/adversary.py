@@ -73,12 +73,9 @@ def _noop() -> None:
     return None
 
 
-def _free_admit(server: Optional[str] = None,
-                ) -> Generator[Event, Any, None]:
-    """Replacement admission gate: never quiesce, never wait (§3.2
-    violated — operations run regardless of lease phase)."""
-    return
-    yield  # pragma: no cover - makes this a generator function
+def _free_admit(server: Optional[str] = None) -> None:
+    """Replacement admission gate: never refuse (§3.2 violated —
+    operations run regardless of lease phase)."""
 
 
 class ByzantineClientAgent:
@@ -150,8 +147,7 @@ class ByzantineClientAgent:
             setattr(cb, "on_enter_flush", _noop)
             setattr(cb, "on_expired", _noop)
         setattr(client, "_admit", _free_admit)
-        # If the lease machinery already quiesced the node, un-gate the
-        # operations parked on the resume event.
+        # If the lease machinery already quiesced the node, it resumes.
         client._unquiesce()
 
     def _apply_replay_stale_grant(self) -> None:

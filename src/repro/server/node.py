@@ -53,7 +53,6 @@ class ServerConfig:
     demand_patience: float = 2.0      # local secs to await a demanded release
     demand_timeout: float = 1.0       # per-datagram timeout for demands
     demand_retries: int = 3
-    unfence_on_rejoin: bool = True    # lift fences when a stolen client returns
     # §6 containment: a holder that keeps ACKing demands without ever
     # releasing is treated as failed after this many patience rounds
     # (suspect -> resolution -> steal+fence).  0 disables escalation.
@@ -214,7 +213,7 @@ class StorageTankServer:
             gen = msg.payload.get("__lapse_gen__")
             if gen is not None and int(gen) > self._lapse_seen.get(msg.src, 0):
                 self._lapse_seen[msg.src] = int(gen)
-            if (self.config.unfence_on_rejoin and msg.src in self._fenced
+            if (msg.src in self._fenced
                     and not self.authority.is_suspect(msg.src)
                     and self._attested_since_fence(msg.src)):
                 # A stolen client is back in contact *and* has attested a
