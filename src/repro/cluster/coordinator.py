@@ -70,7 +70,7 @@ class ClusterCoordinator:
         # repro-lint: handles[cluster-coordinator]
         self.endpoint.register(MsgKind.CLUSTER_MAP_FETCH, self._h_fetch)
 
-        self.map = ShardMap.initial(self.server_names, config.n_slots)
+        self.map = ShardMap.initial(self.server_names)
         #: Home (epoch-1) slot assignment, the failback target.
         self.home: Dict[str, Tuple[int, ...]] = {
             s: self.map.slots_of(s) for s in self.server_names}

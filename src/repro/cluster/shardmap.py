@@ -36,14 +36,14 @@ class ShardMap:
     slots: Tuple[str, ...]
 
     @classmethod
-    def initial(cls, servers: Iterable[str], n_slots: int = N_SLOTS) -> "ShardMap":
+    def initial(cls, servers: Iterable[str]) -> "ShardMap":
         """Epoch-1 map: slot ``i`` belongs to ``servers[i % n]`` (even
         whenever ``n`` divides the ring, see the module docstring)."""
         names = tuple(servers)
         if not names:
             raise ValueError("need at least one server")
         return cls(epoch=1,
-                   slots=tuple(names[i % len(names)] for i in range(n_slots)))
+                   slots=tuple(names[i % len(names)] for i in range(N_SLOTS)))
 
     # -- queries ------------------------------------------------------------
     def owner_of_slot(self, slot: int) -> str:
@@ -52,7 +52,7 @@ class ShardMap:
 
     def owner_of_path(self, path: str) -> str:
         """The server currently owning a path's slot."""
-        return self.slots[_stable_hash(path) % len(self.slots)]
+        return self.owner_of_slot(slot_of_path(path))
 
     def slots_of(self, server: str) -> Tuple[int, ...]:
         """Every slot assigned to a server."""

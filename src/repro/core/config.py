@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.client.pool import slot_of
+from repro.cluster.shardmap import N_SLOTS
 from repro.lease.contract import LeaseContract, PhaseBoundaries
 from repro.locks.manager import GRANT_POLICY_NAMES
 
@@ -61,8 +62,6 @@ class ClusterConfig:
     roles; a single server has nothing to fail over to and runs neither.
     """
 
-    #: Hash slots on the ring; divisible by every cluster size we build.
-    n_slots: int = 60
     #: Control-network node name of the coordinator process.
     coordinator_name: str = "coord"
     #: Seconds between coordinator liveness pings (per server).
@@ -194,20 +193,13 @@ class SystemConfig:
                 raise ValueError(
                     f"n_servers={self.n_servers}: multi-server installations "
                     f"are implemented for the storage_tank protocol only")
-            # Shard-map consistency, checked here instead of surfacing as
-            # a KeyError deep inside ShardMap.initial/owner_of_slot: the
-            # ring must have a slot for every server and divide evenly,
-            # or slot routing would skew (and historically crashed late).
-            if self.cluster.n_slots < self.n_servers:
+            # The shard ring is a constant (repro.cluster.N_SLOTS) and
+            # the initial map deals its slots round-robin: a server
+            # count that does not divide it would shard unevenly.
+            if N_SLOTS % self.n_servers != 0:
                 raise ValueError(
-                    f"cluster.n_slots={self.cluster.n_slots} is smaller "
-                    f"than n_servers={self.n_servers}; every server needs "
-                    f"at least one shard slot")
-            if self.cluster.n_slots % self.n_servers != 0:
-                raise ValueError(
-                    f"cluster.n_slots={self.cluster.n_slots} is not "
-                    f"divisible by n_servers={self.n_servers}; the initial "
-                    f"map would shard unevenly")
+                    f"n_servers={self.n_servers} must divide the shard "
+                    f"ring's {N_SLOTS} slots")
         if self.netcache.n_nodes < 0:
             raise ValueError(f"netcache.n_nodes={self.netcache.n_nodes} "
                              f"must be >= 0 (0 builds no cache tier)")

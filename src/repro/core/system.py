@@ -290,7 +290,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
 
     # Membership follows the topology: two or more servers run shard
     # roles and a coordinator, a single server has nobody to fail over to.
-    initial_map = (ShardMap.initial(server_names, cfg.cluster.n_slots)
+    initial_map = (ShardMap.initial(server_names)
                    if len(server_names) > 1 else None)
     coordinator: Optional[ClusterCoordinator] = None
 

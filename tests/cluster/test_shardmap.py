@@ -11,7 +11,7 @@ def test_initial_map_matches_static_hash():
     # the epoch-1 map must route exactly like the historical static hash.
     for n in (1, 2, 3, 4):
         names = tuple(f"server{i + 1}" for i in range(n))
-        m = ShardMap.initial(names, N_SLOTS)
+        m = ShardMap.initial(names)
         for i in range(200):
             path = f"/dir/file{i}"
             assert m.owner_of_path(path) == names[_stable_hash(path) % n]
@@ -26,7 +26,7 @@ def test_slot_of_path_is_ring_position():
 
 
 def test_reassign_bumps_epoch_and_moves_slots():
-    m = ShardMap.initial(("server1", "server2"), N_SLOTS)
+    m = ShardMap.initial(("server1", "server2"))
     moved = m.slots_of("server2")
     m2 = m.reassign(moved, "server1")
     assert m2.epoch == m.epoch + 1
@@ -37,7 +37,7 @@ def test_reassign_bumps_epoch_and_moves_slots():
 
 
 def test_payload_roundtrip():
-    m = ShardMap.initial(("server1", "server2", "server3"), N_SLOTS)
+    m = ShardMap.initial(("server1", "server2", "server3"))
     m2 = m.reassign(m.slots_of("server3"), "server1")
     assert ShardMap.from_payload(m2.to_payload()) == m2
 

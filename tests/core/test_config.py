@@ -40,7 +40,6 @@ def test_client_names_scale():
 
 
 def test_multi_server_pins_protocol_message():
-    from repro.core import ClusterConfig
     with pytest.raises(ValueError,
                        match="multi-server installations are implemented "
                              "for the storage_tank protocol only"):
@@ -48,8 +47,7 @@ def test_multi_server_pins_protocol_message():
     # Validation order is part of the contract: a bad protocol name is
     # reported before any multi-server/cluster complaint.
     with pytest.raises(ValueError, match="unknown protocol"):
-        SystemConfig(protocol="carrier-pigeon", n_servers=2,
-                     cluster=ClusterConfig(n_slots=7))
+        SystemConfig(protocol="carrier-pigeon", n_servers=7)
 
 
 def test_cluster_requires_storage_tank_and_two_servers():
@@ -83,18 +81,37 @@ def test_build_system_without_config_routes_through_default():
 
 
 def test_shard_map_consistency_validated_up_front():
-    from repro.core import ClusterConfig
-    with pytest.raises(ValueError, match=r"cluster\.n_slots=2 is smaller"):
-        SystemConfig(n_servers=3, protocol="storage_tank",
-                     cluster=ClusterConfig(n_slots=2))
-    with pytest.raises(ValueError,
-                       match=r"cluster\.n_slots=30 is not divisible"):
-        SystemConfig(n_servers=4, protocol="storage_tank",
-                     cluster=ClusterConfig(n_slots=30))
-    # No flag arms the check: the default ring rejects a 7-server build.
-    with pytest.raises(ValueError, match=r"cluster\.n_slots=60.*n_servers=7"):
-        SystemConfig(n_servers=7)
-    SystemConfig(n_servers=1, cluster=ClusterConfig(n_slots=7))  # no ring
+    """The ring is a constant, so the one shape check names the field
+    the caller can change: a server count that does not divide it."""
+    for n_servers in (7, 8, 61):
+        with pytest.raises(ValueError,
+                           match=rf"n_servers={n_servers} must divide "
+                                 rf"the shard ring's 60 slots"):
+            SystemConfig(n_servers=n_servers, protocol="storage_tank")
+    for n_servers in (1, 2, 3, 4, 5, 6):
+        SystemConfig(n_servers=n_servers)
+
+
+def test_every_path_reaches_its_owner_on_the_constant_ring():
+    """The client's fid routing, the shard role's ownership gate and the
+    map's ``owner_of_path`` hash onto one ring: with a configurable
+    ``n_slots`` they named different owners and 30 of these 40 creates
+    died in WRONG_OWNER reroutes."""
+    from repro.core.system import build_system
+    system = build_system(SystemConfig(n_clients=1, n_servers=2))
+    client = system.client("c1")
+    made = []
+
+    def app():
+        for i in range(40):
+            made.append((yield from client.create(f"/ring/f{i}", size=0)))
+
+    system.spawn(app())
+    system.run(until=60.0)
+    assert len(made) == 40
+    assert client.rerouted_ops == 0
+    assert all(srv.cluster.wrong_owner_nacks == 0
+               for srv in system.servers.values())
 
 
 def test_cache_tier_validation_names_its_field():
