@@ -170,9 +170,10 @@ class StorageTankSystem:
                     snap[f"{sname}.wrong_owner_nacks"] = \
                         srv.cluster.wrong_owner_nacks
             for name, cl in self.pool.live_items():
-                if hasattr(cl, "rerouted_ops"):
-                    snap[f"{name}.rerouted_ops"] = cl.rerouted_ops
-                    snap[f"{name}.shard_migrations"] = cl.shard_migrations
+                if hasattr(cl, "routing"):
+                    snap[f"{name}.rerouted_ops"] = cl.routing.rerouted_ops
+                    snap[f"{name}.shard_migrations"] = \
+                        cl.routing.shard_migrations
         ops_total = 0
         rpc_total = 0
         rpc_by_kind: Dict[str, int] = {}
@@ -320,7 +321,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
         if spec.agent is not None:
             pool.set_agent(name, spec.agent(cfg, client))
         if initial_map is not None:
-            client.attach_cluster(
+            client.routing.attach_cluster(
                 cfg.cluster.coordinator_name,
                 coordinator.map if coordinator is not None else initial_map)
         return client
@@ -361,7 +362,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                 sim, net, mname, server_names, clocks.create(mname),
                 contract, cfg.netcache, trace=trace, obs=obs)
         for srv in servers.values():
-            srv.attach_cache_nodes(cfg.cache_names())
+            srv.barrier.attach_cache_nodes(cfg.cache_names())
         install_cache_router(net, netcache, server_names)
 
     system = StorageTankSystem(config=cfg, sim=sim, streams=streams,

@@ -148,7 +148,7 @@ class ByzantineClientAgent:
             setattr(cb, "on_expired", _noop)
         setattr(client, "_admit", _free_admit)
         # If the lease machinery already quiesced the node, it resumes.
-        client._unquiesce()
+        client.lease_agent.resume()
 
     def _apply_replay_stale_grant(self) -> None:
         """Remember every grant ever received and periodically reassert
@@ -237,7 +237,7 @@ class ByzantineClientAgent:
                 continue
             for obj in sorted(self._grant_memory):
                 mode = self._grant_memory[obj]
-                server = client._file_server.get(obj, client.server)
+                server = client.server_for_file(obj)
                 try:
                     yield from endpoint.request(
                         server, MsgKind.LOCK_REASSERT,

@@ -360,7 +360,7 @@ def ablation_a7_server_recovery(seed: int = 0,
 
         ops_ok = sum(st.ops_succeeded for st in stats.values())
         refused = sum(st.ops_rejected + st.ops_failed for st in stats.values())
-        reasserts = sum(getattr(c, "reasserts_sent", 0)
+        reasserts = sum(c.lockclient.reasserts_sent
                         for c in system.pool.iter_active())
         # Every lock a client believes it holds must exist server-side.
         preserved = all(

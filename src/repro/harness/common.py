@@ -162,7 +162,7 @@ def fsync_loop(system: StorageTankSystem, client_name: str,
         if not isinstance(client, StorageTankClient):
             return
         try:
-            yield from client._flush_dirty(None)
+            yield from client.flush()
             attempts += 1
             log.values["fsync_attempts"] = attempts
         except APP_ERRORS:

@@ -20,24 +20,21 @@ are preserved.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Optional
 
-from repro.client.cache import Page, PageCache, lost_to_failed_flush
+from repro.client.datapath import Blocks, DataPath
 from repro.client.openfile import FdTable, OpenFile
 from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
 from repro.net.message import DeliveryError, MsgKind, NackError
-from repro.net.san import SanFabric, SanUnreachableError
+from repro.net.san import SanFabric
 from repro.obs import Observability
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.storage.blockmap import byte_range_to_blocks, extents_from_payload
-from repro.storage.disk import FencedIoError
+from repro.storage.blockmap import ExtentMap
 
 
 class NfsPollingClient:
@@ -59,16 +56,26 @@ class NfsPollingClient:
                                  default_policy=RetryPolicy(timeout=1.0, retries=3))
         self.endpoint.obs = self.obs
         san.attach_initiator(name)
-        self.cache = PageCache()
+        # The same data path as the Storage Tank client; what differs is
+        # what makes a cached page valid (a poll, not a lock).
+        self.data = DataPath(sim, san, name, self.trace)
+        self.cache = self.data.cache
         self.fds = FdTable()
-        self._write_seq = itertools.count(1)
         self._checked_at: Dict[int, float] = {}   # file_id -> local poll time
         self.polls_sent = 0
         self.ops_completed = 0
-        self.app_errors = 0
         self._m_lease_msgs = self.obs.registry.counter(
             "lease.client.msgs_sent", "Client-originated lease messages",
             labels=("node",)).labels(node=name)
+
+    @property
+    def app_errors(self) -> int:
+        """Acknowledged writes and reads reported lost (``app.error``)."""
+        return self.data.app_errors
+
+    @app_errors.setter
+    def app_errors(self, value: int) -> None:
+        self.data.app_errors = value
 
     def overhead_snapshot(self) -> Dict[str, float]:
         """Client-side counters for E7/E9 (``ClientAgent`` conformance)."""
@@ -89,39 +96,19 @@ class NfsPollingClient:
         """Open without any lock (``nolock``); returns a descriptor."""
         reply = yield from self._rpc(MsgKind.OPEN,
                                      {"path": path, "nolock": True})
-        p = reply.payload
-        of = self.fds.install(path, int(p["file_id"]), mode,
-                              FileAttributes.from_payload(p["attrs"]),
-                              extents_from_payload(p["extents"]),
-                              LockMode.NONE)
+        of = self.fds.install(path, int(reply.payload["file_id"]), mode,
+                              FileAttributes(), ExtentMap(), LockMode.NONE)
+        self.data.apply_meta_reply(of, reply.payload, None)
         self._checked_at[of.file_id] = self.endpoint.local_now()
         self.ops_completed += 1
         return of.fd
 
     def read(self, fd: int, offset: int, nbytes: int,
-             ) -> Generator[Event, Any, List[Tuple[int, Optional[str]]]]:
+             ) -> Generator[Event, Any, Blocks]:
         """Read a byte range; revalidates attributes first if stale."""
         of = self.fds.get(fd)
         yield from self._revalidate(of)
-        first, count = byte_range_to_blocks(offset, nbytes)
-        out: List[Tuple[int, Optional[str]]] = []
-        for lb in range(first, first + count):
-            page = self.cache.get(of.file_id, lb)
-            if page is not None:
-                out.append((lb, page.tag))
-                continue
-            device, lba = of.resolve(lb)
-            recs = yield from self.san.read(self.name, device, lba, 1)
-            rec = recs[0]
-            self.cache.put_clean(Page(file_id=of.file_id, logical_block=lb,
-                                      device=device, lba=lba, tag=rec.tag,
-                                      version=rec.version))
-            out.append((lb, rec.tag))
-        for lb, tag in out:
-            device, lba = of.resolve(lb)
-            self.trace.emit(self.sim.now, "app.read", self.name,
-                            file_id=of.file_id, block=lb, tag=tag,
-                            device=device, lba=lba)
+        out = yield from self.data.read(of, offset, nbytes)
         self.ops_completed += 1
         return out
 
@@ -133,19 +120,8 @@ class NfsPollingClient:
         if end > of.extents.size_bytes:
             reply = yield from self._rpc(MsgKind.SETATTR,
                                          {"file_id": of.file_id, "size": end})
-            of.attrs = FileAttributes.from_payload(reply.payload["attrs"])
-            of.extents = extents_from_payload(reply.payload["extents"])
-        tag = f"{self.name}:w{next(self._write_seq)}"
-        first, count = byte_range_to_blocks(offset, nbytes)
-        phys = []
-        for lb in range(first, first + count):
-            device, lba = of.resolve(lb)
-            self.cache.write_dirty(of.file_id, lb, device, lba, tag)
-            phys.append((device, lba))
-        self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                        file_id=of.file_id, tag=tag,
-                        blocks=list(range(first, first + count)),
-                        phys=phys)
+            self.data.apply_meta_reply(of, reply.payload, None)
+        tag = self.data.write(of, offset, nbytes)
         self.ops_completed += 1
         return tag
 
@@ -162,33 +138,7 @@ class NfsPollingClient:
 
     def flush_file(self, file_id: int) -> Generator[Event, Any, int]:
         """Harden one file's dirty pages to the SAN."""
-        flushed = 0
-        by_device: Dict[str, List[Page]] = {}
-        dirty = self.cache.dirty_pages(file_id)
-        for p in dirty:
-            by_device.setdefault(p.device, []).append(p)
-        untried = set(map(id, dirty))
-        for device, pages in by_device.items():
-            untried.difference_update(map(id, pages))
-            block_tags = {p.lba: p.tag for p in pages if p.tag is not None}
-            try:
-                versions = yield from self.san.write(self.name, device, block_tags)
-            except (FencedIoError, SanUnreachableError) as exc:
-                for p in lost_to_failed_flush(pages, untried,
-                                              self.cache.invalidate_file):
-                    self.app_errors += 1
-                    self.trace.emit(self.sim.now, "app.error", self.name,
-                                    file_id=p.file_id, tag=p.tag,
-                                    reason=type(exc).__name__)
-                continue
-            for p in pages:
-                tag = block_tags.get(p.lba)  # what was written, not p.tag
-                self.cache.mark_flushed(p, versions.get(p.lba, -1), tag)
-                self.trace.emit(self.sim.now, "cache.flushed", self.name,
-                                file_id=p.file_id, tag=tag,
-                                block=p.logical_block, device=p.device, lba=p.lba)
-                flushed += 1
-        return flushed
+        return (yield from self.data.flush(file_id))
 
     # -- internals -----------------------------------------------------------
     def _rpc(self, kind: str, payload: Dict[str, Any]):
@@ -207,9 +157,10 @@ class NfsPollingClient:
                                          {"path": of.path, "nolock": True})
         except (DeliveryError, NackError):
             return  # keep serving the (possibly stale) cache, as NFS does
-        attrs = FileAttributes.from_payload(reply.payload["attrs"])
-        if attrs.version != of.attrs.version:
-            self.cache.invalidate_file(of.file_id)
-            of.extents = extents_from_payload(reply.payload["extents"])
-        of.attrs = attrs
+        changed = (FileAttributes.from_payload(reply.payload["attrs"]).version
+                   != of.attrs.version)
+        if changed:
+            self.data.drop_file(of.file_id)
+        self.data.apply_meta_reply(of, reply.payload,
+                                   None if changed else of.extents)
         self._checked_at[of.file_id] = self.endpoint.local_now()

@@ -71,34 +71,34 @@ def _storage_tank_authority(cfg: Any, server: Any) -> Any:
     from repro.lease.server_lease import ServerLeaseAuthority
     return ServerLeaseAuthority(
         server.sim, server.endpoint, server.contract,
-        on_steal=server.steal_client, trace=server.trace, obs=server.obs)
+        on_steal=server.lock_service.steal_client, trace=server.trace, obs=server.obs)
 
 
 def _no_protocol_authority(cfg: Any, server: Any) -> Any:
     from repro.protocols.base import NoStealAuthority
     return NoStealAuthority(server.sim, server.endpoint,
-                            on_steal=server.steal_client,
+                            on_steal=server.lock_service.steal_client,
                             trace=server.trace, obs=server.obs)
 
 
 def _naive_steal_authority(cfg: Any, server: Any) -> Any:
     from repro.protocols.steal import ImmediateStealAuthority
     return ImmediateStealAuthority(server.sim, server.endpoint,
-                                   on_steal=server.steal_client,
+                                   on_steal=server.lock_service.steal_client,
                                    trace=server.trace, obs=server.obs)
 
 
 def _fencing_only_authority(cfg: Any, server: Any) -> Any:
     from repro.protocols.fencing_only import FencingOnlyAuthority
     return FencingOnlyAuthority(server.sim, server.endpoint,
-                                on_steal=server.steal_client,
+                                on_steal=server.lock_service.steal_client,
                                 trace=server.trace, obs=server.obs)
 
 
 def _frangipani_authority(cfg: Any, server: Any) -> Any:
     from repro.protocols.frangipani import FrangipaniAuthority
     return FrangipaniAuthority(server.sim, server.endpoint,
-                               on_steal=server.steal_client,
+                               on_steal=server.lock_service.steal_client,
                                trace=server.trace, obs=server.obs,
                                lease_duration=cfg.lease.tau,
                                check_interval=1.0)
@@ -107,7 +107,7 @@ def _frangipani_authority(cfg: Any, server: Any) -> Any:
 def _vleases_authority(cfg: Any, server: Any) -> Any:
     from repro.protocols.vleases import VLeaseAuthority
     return VLeaseAuthority(server.sim, server.endpoint,
-                           on_steal=server.steal_client,
+                           on_steal=server.lock_service.steal_client,
                            trace=server.trace, obs=server.obs,
                            server=server,
                            object_lease_duration=cfg.vlease_object_duration)

@@ -131,14 +131,4 @@ class VLeaseClientAgent:
                 except (DeliveryError, NackError):
                     # Lease gone: purge object and forget the lock.
                     self.purges += 1
-                    dropped = self.client.cache.invalidate_file(obj)
-                    for page in dropped:
-                        self.client.app_errors += 1
-                        self.client.trace.emit(
-                            self.client.sim.now, "app.error", self.client.name,
-                            file_id=page.file_id, tag=page.tag,
-                            reason="vlease_lost")
-                    self.client.locks.note_released(obj)
-                    for of in self.client.fds.by_file_id(obj):
-                        of.lock = LockMode.NONE
-                        of.stale = True
+                    self.client.lockclient.forfeit(obj, "vlease_lost")

@@ -153,7 +153,7 @@ class RecoveryManager:
           resolution voided the capability, so replaying it is refused
           even after the client is unfenced.
         """
-        if client in self.server._fenced:
+        if client in self.server.fenced_clients:
             return False
         last_grant = last_steal = None
         for rec in self.server.locks.history:

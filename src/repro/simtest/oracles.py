@@ -201,8 +201,7 @@ class LockCompatibilityOracle(Oracle):
             leases = getattr(client, "leases", None)
             if locks is None or leases is None:
                 continue
-            file_server = getattr(client, "_file_server", {})
-            revoking = getattr(client, "_revoking", frozenset())
+            revoking = client.lockclient._revoking
             for obj, mode in locks.all_held():
                 if mode == LockMode.NONE:
                     continue
@@ -212,7 +211,7 @@ class LockCompatibilityOracle(Oracle):
                     # entry is bookkeeping lag while the release's ACK is
                     # in flight — not a usable lock.
                     continue
-                srv = file_server.get(obj)
+                srv = client.server_for_file(obj)
                 managers = ([leases[srv]] if srv in leases
                             else list(leases.values()))
                 if not any(m.phase().cache_usable for m in managers):

@@ -83,8 +83,8 @@ def _break_blind_unfence(system: StorageTankSystem) -> None:
     without requiring a lapse attestation — the pre-fix rejoin hole
     (an ignore-expiry client that never quiesced walks right back in)."""
     for srv in _servers(system).values():
-        if hasattr(srv, "_attested_since_fence"):
-            setattr(srv, "_attested_since_fence", lambda client: True)
+        setattr(srv.lock_service, "_attested_since_fence",
+                lambda client: True)
 
 
 def _break_blind_reassert(system: StorageTankSystem) -> None:

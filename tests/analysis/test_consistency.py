@@ -63,7 +63,7 @@ def test_reported_loss_is_stranded_not_silent():
         disk.fence_table.fence("c1", s.sim.now)
 
     def try_flush():
-        yield from c._flush_dirty(None)
+        yield from c.flush()
     run_gen(s, try_flush())
     report = ConsistencyAuditor(s).audit()
     assert report.lost_updates == []
@@ -90,7 +90,7 @@ def test_write_acked_during_a_failing_flush_is_reported():
         for disk in s.disks.values():
             disk.fence_table.fence("c1", s.sim.now)
         out["late"] = yield from c.write(out["fd"], BLOCK_SIZE, BLOCK_SIZE)
-    flush = s.spawn(c._flush_dirty(None))
+    flush = s.spawn(c.flush())
     run_gen(s, fence_then_write())
     s.sim.run_until_event(flush, hard_limit=600.0)
     report = ConsistencyAuditor(s).audit()

@@ -171,6 +171,6 @@ def test_client_built_after_a_takeover_starts_on_the_current_map():
         return (yield from late.getattr(path))
     proc = s.spawn(app())
     assert s.sim.run_until_event(proc, hard_limit=s.sim.now + 60.0) is not None
-    assert late.rerouted_ops == 0
+    assert late.routing.rerouted_ops == 0
     assert s.server_node("server1").transactions >= served + 2
     assert s.server_node("server1").cluster.wrong_owner_nacks == 0

@@ -109,7 +109,7 @@ def test_every_path_reaches_its_owner_on_the_constant_ring():
     system.spawn(app())
     system.run(until=60.0)
     assert len(made) == 40
-    assert client.rerouted_ops == 0
+    assert client.routing.rerouted_ops == 0
     assert all(srv.cluster.wrong_owner_nacks == 0
                for srv in system.servers.values())
 

@@ -43,10 +43,10 @@ def test_file_spanning_disks_roundtrips():
 
 def test_fence_covers_every_disk():
     s = make_system(n_clients=1, n_disks=3)
-    s.server.fence_client("c1")
+    s.server.lock_service.fence_client("c1")
     for d in s.disks.values():
         assert d.fence_table.is_fenced("c1")
-    s.server.unfence_client("c1")
+    s.server.lock_service.unfence_client("c1")
     for d in s.disks.values():
         assert not d.fence_table.is_fenced("c1")
 

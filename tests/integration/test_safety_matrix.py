@@ -48,7 +48,7 @@ def run_contended_partition(protocol, horizon=130.0, seed=0):
                     pass
             if int(s.sim.now) % 7 == 0:
                 try:
-                    yield from c1._flush_dirty(None)
+                    yield from c1.flush()
                 except Exception:
                     pass
 

@@ -9,8 +9,9 @@ firing and this file catches it.
 """
 
 import textwrap
-
 from pathlib import Path
+
+import pytest
 
 from repro.lint import lint_source, load_config
 
@@ -201,7 +202,7 @@ def test_product_tree_still_reads_close_census_fields():
     server = (REPO_ROOT / "src/repro/server/node.py").read_text()
     assert "closes_by_file" in server
     assert 'int(msg.payload["data_bytes"])' in server
-    client = (REPO_ROOT / "src/repro/client/node.py").read_text()
+    client = (REPO_ROOT / "src/repro/client/lockclient.py").read_text()
     assert "_on_range_demand" in client
     assert "range_demands_seen" in client
 
@@ -228,3 +229,78 @@ def test_second_dispatch_loop_in_the_transport_fires():
                          select=["RPL013"])
     assert [v.code for v in result.violations] == ["RPL013"]
     assert "on_reply" in result.violations[0].message
+
+
+# -- the node layers: every rule that guarded the node modules still has
+# -- its subject in the module the code moved to ------------------------------
+
+_LAYER_KNOCKOUTS = [
+    # (rule, shipped file, text to break, what it becomes)
+    ("RPL002", "src/repro/server/lockservice.py",
+     "MsgKind.RANGE_DEMAND, {", "MsgKind.KEEPALIVE, {"),
+    ("RPL006", "src/repro/server/lockservice.py",
+     "server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)",
+     "pass"),
+    ("RPL006", "src/repro/server/intents.py",
+     "server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)", "pass"),
+    ("RPL006", "src/repro/client/lockclient.py",
+     "endpoint.register(MsgKind.CACHE_INVALIDATE, "
+     "self._on_cache_invalidate)", "pass"),
+    ("RPL009", "src/repro/server/node.py",
+     "self.barrier.settle(self._create(  # repro-lint: ignore[RPL009]",
+     "self.barrier.settle(self._create("),
+    ("RPL011", "src/repro/server/node.py",
+     "yield from self.barrier._invalidate_caches(\n"
+     "                    barrier, {\"file_ids\": [file_id]})", "pass"),
+    ("RPL012", "src/repro/server/node.py",
+     "self.barrier._cache_pending.discard(barrier)", "pass"),
+    ("RPL012", "src/repro/client/node.py",
+     "        finally:\n            self._exit()\n\n    def open_file",
+     "        finally:\n            pass\n\n    def open_file"),
+    ("RPL012", "src/repro/client/node.py",
+     "self.lockclient._unpin_file(of.file_id)", "pass"),
+    ("RPL012", "src/repro/client/node.py",
+     "yield from self.lockclient._batch_release(of, spans)", "pass"),
+    ("RPL012", "src/repro/client/lockclient.py",
+     "self._revoking.discard(file_id)", "pass"),
+    ("RPL013", "src/repro/client/node.py",
+     "raise NackError(req, Nack(  # repro-lint: ignore[RPL013]",
+     "raise NackError(req, Nack("),
+]
+
+
+@pytest.mark.parametrize("code,path,old,new", _LAYER_KNOCKOUTS)
+def test_rule_still_fires_in_the_layer_its_subject_moved_to(code, path,
+                                                            old, new):
+    config = load_config(explicit=REPO_ROOT / "pyproject.toml")
+    source = (REPO_ROOT / path).read_text()
+    assert old in source
+    assert lint_source(source, path=path, config=config,
+                       select=[code]).violations == []
+    broken = lint_source(source.replace(old, new), path=path, config=config,
+                         select=[code])
+    assert {v.code for v in broken.violations} == {code}
+
+
+def test_schema_drift_joins_a_demand_to_its_handler_across_layers(tmp_path):
+    """RPL010 is project-wide: the server's lock service builds the
+    demand, the client's lock layer reads it."""
+    from repro.lint import LintConfig, lint_paths
+    sender, handler = ("src/repro/server/lockservice.py",
+                       "src/repro/client/lockclient.py")
+    for rel in (sender, handler):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text((REPO_ROOT / rel).read_text())
+    config = LintConfig(root=tmp_path)
+    assert lint_paths([tmp_path / "src"], config=config,
+                      select=["RPL010"]).violations == []
+    field = '"needed_mode": int(needed)'
+    text = (tmp_path / sender).read_text()
+    assert field in text
+    (tmp_path / sender).write_text(text.replace(field, '"wanted": 1'))
+    found = lint_paths([tmp_path / "src"], config=config,
+                       select=["RPL010"]).violations
+    assert any("never-set read" in v.message and "needed_mode" in v.message
+               and v.path.endswith("lockclient.py") for v in found)
+    assert any("dead write" in v.message and "wanted" in v.message
+               and v.path.endswith("lockservice.py") for v in found)

@@ -268,7 +268,7 @@ def test_deferred_only_client_still_records_server_epoch():
     def create_only():
         yield from client.create("/d/f", size=0)
     run_gen(system, create_only())
-    assert client._server_epoch.get("server") is not None
+    assert client.lease_agent._server_epoch.get("server") is not None
 
 
 def test_config_rejects_cache_tier_off_storage_tank():

@@ -79,3 +79,64 @@ def test_poll_counter():
             yield from c.read(fd, 0, BLOCK_SIZE)
     run_gen(s, app())
     assert c.polls_sent >= 4
+
+
+@pytest.mark.parametrize("cut", ["fence", "san_partition"])
+def test_a_failed_read_is_reported_like_any_clients(cut):
+    """The polling client runs the Storage Tank client's data path, so a
+    read the SAN refuses is the application's EIO (``ClientIOError``,
+    counted and recorded), not a raw device exception.  Before the two
+    shared one implementation this raised ``FencedIoError`` with
+    ``app_errors == 0`` and no ``app.error`` record."""
+    from repro.client import ClientIOError
+    s = make_system(protocol="nfs", n_clients=1)
+    c = s.client("c1")
+
+    def app():
+        yield from c.create("/f", size=BLOCK_SIZE)
+        fd = yield from c.open_file("/f", "r")
+        if cut == "fence":
+            for disk in s.disks.values():
+                disk.fence_table.fence("c1", s.sim.now)
+        else:
+            s.san_partitions.isolate("c1")
+        yield from c.read(fd, 0, BLOCK_SIZE)
+    with pytest.raises(ClientIOError):
+        run_gen(s, app())
+    assert c.app_errors == 1
+    [err] = s.trace.select(kind="app.error", node="c1")
+    assert err.detail["tag"] is None
+    assert s.trace.select(kind="app.read") == []
+
+
+def test_write_acked_during_a_failing_flush_is_reported():
+    """tests/analysis/test_consistency.py's case of the same name, on
+    the polling client: the write acknowledged while ``flush_file`` was
+    on the SAN is dropped with the file when the flush fails, and must
+    be reported with it."""
+    from repro.analysis import ConsistencyAuditor
+    s = make_system(protocol="nfs", n_clients=1)
+    c = s.client("c1")
+    out = {}
+
+    def app():
+        yield from c.create("/f", size=2 * BLOCK_SIZE)
+        out["fd"] = yield from c.open_file("/f", "w")
+        yield from c.write(out["fd"], 0, BLOCK_SIZE)
+    run_gen(s, app())
+    fid = c.fds.get(out["fd"]).file_id
+
+    def fence_then_write():
+        yield s.sim.timeout(1e-6)           # the flush is on the SAN now
+        for disk in s.disks.values():
+            disk.fence_table.fence("c1", s.sim.now)
+        out["late"] = yield from c.write(out["fd"], BLOCK_SIZE, BLOCK_SIZE)
+    flush = s.spawn(c.flush_file(fid))
+    run_gen(s, fence_then_write())
+    s.sim.run_until_event(flush, hard_limit=600.0)
+    report = ConsistencyAuditor(s).audit()
+    assert report.lost_updates == []
+    assert {v.detail["tag"] for v in report.stranded_reported} == {
+        "c1:w1", out["late"]}
+    assert c.app_errors == 2
+    assert len(c.cache) == 0

@@ -89,7 +89,7 @@ def test_steal_client_fences_and_frees_locks():
         fd = yield from c1.open_file("/f", "w")
         out["fid"] = c1.fds.get(fd).file_id
     run_gen(s, app())
-    s.server.steal_client("c1")
+    s.server.lock_service.steal_client("c1")
     assert s.server.locks.mode_of("c1", out["fid"]) == LockMode.NONE
     assert "c1" in s.server.fenced_clients
     for disk in s.disks.values():
@@ -104,7 +104,7 @@ def test_unfence_on_rejoin():
         yield from c1.create("/f", size=BLOCK_SIZE)
         yield from c1.open_file("/f", "w")
     run_gen(s, setup())
-    s.server.steal_client("c1")
+    s.server.lock_service.steal_client("c1")
     assert "c1" in s.server.fenced_clients
 
     # Rejoining alone is not enough: the client has not observed its own
@@ -117,7 +117,7 @@ def test_unfence_on_rejoin():
 
     # Once the client goes through phase 4 (discards cache and locks),
     # its next RPC attests the lapse and the fence lifts.
-    c1._on_lease_expired()
+    c1.force_lease_expiry()
     run_gen(s, rejoin())
     assert "c1" not in s.server.fenced_clients
     for disk in s.disks.values():
@@ -179,9 +179,9 @@ def test_fabric_scope_fencing():
     from repro.server.node import ServerConfig
     s = make_system(n_clients=1)
     s.server.config.fence_scope = "fabric"
-    s.server.fence_client("c1")
+    s.server.lock_service.fence_client("c1")
     assert not s.san.reachable("c1", next(iter(s.disks)))
-    s.server.unfence_client("c1")
+    s.server.lock_service.unfence_client("c1")
     assert s.san.reachable("c1", next(iter(s.disks)))
 
 
@@ -205,7 +205,7 @@ def test_demand_loop_gives_up_on_released_lock():
     s.run(until=30.0)
     assert out.get("granted_at") is not None
     assert s.server.locks.mode_of("c2", out["fid"]) == LockMode.EXCLUSIVE
-    assert not s.server._active_demands  # loop cleaned up
+    assert not s.server.lock_service._active_demands  # loop cleaned up
 
 
 def test_keepalive_is_pure_ack():

@@ -50,7 +50,7 @@ def test_client_reasserts_after_restart():
     # The idle client's next contact is its phase-2 keep-alive (≤ 0.5 tau
     # after the last renewal); the epoch change then triggers reassertion.
     s.run(until=s.sim.now + 25.0)
-    assert c1.reasserts_sent >= 1
+    assert c1.lockclient.reasserts_sent >= 1
     assert s.server.locks.mode_of("c1", out["fid"]) == LockMode.EXCLUSIVE
     assert s.server.recovery.reasserted >= 1
     # Cached dirty data survived the server outage untouched.

@@ -61,7 +61,7 @@ def test_lock_compatibility_exempts_revocation_in_progress():
     c2 = s.client("c2")
     c2.locks.note_granted(fid, LockMode.EXCLUSIVE)
     # Mid-compliance the table entry is bookkeeping lag, not a usable lock.
-    c2._revoking.add(fid)
+    c2.lockclient._revoking.add(fid)
     assert LockCompatibilityOracle().check_live(s) == []
 
 
