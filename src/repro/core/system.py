@@ -10,7 +10,7 @@ all overhead counters land in one metrics registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.client.node import ClientConfig, StorageTankClient
@@ -297,13 +297,12 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
 
     # Clients left parked until first touch run no write-back daemon:
     # scale workloads flush explicitly before they park again.
-    client_cfg = dict(writeback_interval=(0.0 if cfg.scale.lazy_clients
-                                          else cfg.writeback_interval),
-                      rpc_timeout=cfg.rpc_timeout,
-                      rpc_retries=cfg.rpc_retries,
-                      data_path=cfg.data_path,
-                      attr_cache_ttl=cfg.attr_cache_ttl,
-                      use_leases=spec.uses_leases)
+    client_cfg = ClientConfig(
+        writeback_interval=(0.0 if cfg.scale.lazy_clients
+                            else cfg.writeback_interval),
+        rpc_timeout=cfg.rpc_timeout, rpc_retries=cfg.rpc_retries,
+        data_path=cfg.data_path, attr_cache_ttl=cfg.attr_cache_ttl,
+        use_leases=spec.uses_leases)
     slow = frozenset(cfg.slow_clients)
 
     def make_client(name: str, idx: int) -> ClientAgent:
@@ -316,7 +315,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                                     clock, attr_ttl=cfg.nfs_attr_ttl,
                                     trace=trace, obs=obs)
         client = StorageTankClient(sim, net, san, name, server_names, clock,
-                                   contract, config=ClientConfig(**client_cfg),
+                                   contract, config=replace(client_cfg),
                                    trace=trace, obs=obs)
         if spec.agent is not None:
             pool.set_agent(name, spec.agent(cfg, client))

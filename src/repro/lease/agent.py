@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 #: ``request(server, kind, payload)``: how the holder sends a request
 #: (its endpoint's ``request``, or a routing wrapper around it).
-Request = Callable[[str, str, Dict[str, Any]], Generator[Event, Any, Message]]
+Request = Callable[[str, str, Dict[str, Any]], Generator[Event, Any, Any]]
 
 
 def _ignore(server: Optional[str]) -> None:

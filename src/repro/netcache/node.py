@@ -39,13 +39,13 @@ store; correctness never depends on an entry being present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Generator,
-                    List, Mapping, Optional, Set, Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Generator, List,
+                    Mapping, Optional, Set, Tuple)
 
-from repro.lease.client_lease import ClientLeaseManager, LeaseCallbacks
+from repro.lease.agent import LeaseAgent
 from repro.lease.contract import LeaseContract
 from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
-                               ReplyObserver, RetryPolicy)
+                               RetryPolicy)
 from repro.net.message import DeliveryError, Message, MsgKind, NackError
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
@@ -84,7 +84,7 @@ class _Entry:
     file_id: Optional[int]
 
 
-class MetadataCacheNode(ReplyObserver):
+class MetadataCacheNode:
     """Soft-state metadata cache for one rack's clients."""
 
     def __init__(self, sim: Simulator, net: ControlNetwork, name: str,
@@ -119,7 +119,6 @@ class MetadataCacheNode(ReplyObserver):
         #: the shard's *previous* owner, whose per-server floor it
         #: cannot raise)
         self._inval_gen = 0
-        self._epochs: Dict[str, int] = {}
 
         self.hits = 0
         self.misses = 0
@@ -129,19 +128,21 @@ class MetadataCacheNode(ReplyObserver):
         self.entries_dropped = 0
         self.flushes = 0
         self.sweeps = 0
-        self.keepalives_sent = 0
 
         #: one ordinary four-phase client lease per upstream server —
-        #: the cache is just another lease-holding tenant of §3
-        self.leases: Dict[str, ClientLeaseManager] = {}
-        for srv in upstreams:
-            callbacks = LeaseCallbacks(
-                send_keepalive=self._keepalive_sender(srv),
-                on_expired=self._expiry_flusher(srv))
-            self.leases[srv] = ClientLeaseManager(
-                sim, self.endpoint, srv, contract, callbacks=callbacks,
-                trace=trace, obs=obs)
-        self.endpoint.observers.append(self)
+        #: the cache is just another lease-holding tenant of §3, and all
+        #: it does with the agent's reports is flush: whatever this node
+        #: learned from a server whose lease lapsed, which NACKed the
+        #: lease (we may have missed invalidations) or which restarted
+        #: (anything learned under the old epoch is untrustworthy).
+        self.lease_agent = LeaseAgent(
+            sim, self.endpoint, upstreams, contract,
+            on_expired=lambda srv: self.flush_server(srv, "lease-expired"),
+            on_lease_nack=lambda srv: self.flush_server(srv, "lease-nack"),
+            on_epoch_change=lambda srv: self.flush_server(srv,
+                                                          "epoch-change"),
+            request=self._lease_request, trace=trace, obs=obs)
+        self.leases = self.lease_agent.leases
 
         for kind in (MsgKind.LOOKUP, MsgKind.GETATTR, MsgKind.READDIR):
             self.endpoint.register(kind, self._h_read)
@@ -179,53 +180,13 @@ class MetadataCacheNode(ReplyObserver):
             "Entry age at invalidation-driven drop (simulated s)",
             labels=("node",))
 
-    # -- lease plumbing ----------------------------------------------------
-    def _keepalive_sender(self, server: str) -> Callable[[], None]:
-        def send() -> None:
-            if not self.endpoint.alive:
-                return
-            self.keepalives_sent += 1
-            self.sim.process(self._keepalive(server),
-                             name=f"{self.name}:ka:{server}")
-        return send
-
-    def _keepalive(self, server: str) -> Generator[Event, Any, None]:
-        try:
-            yield from self.endpoint.request(server, MsgKind.KEEPALIVE, {})
-        except (DeliveryError, NackError):
-            pass
-
-    def _expiry_flusher(self, server: str) -> Callable[[], None]:
-        def flush() -> None:
-            # Attest the lapse (see client._on_lease_expired): the bumped
-            # generation on subsequent RPCs is what lets a fencing server
-            # trust this node again after it went dark.
-            self.endpoint.lapse_gen += 1
-            self.flush_server(server, "lease-expired")
-        return flush
-
-    def on_reply(self, reply: Message, renewal_time: Optional[float]) -> None:
-        """Every upstream reply: an ACK renews that server's lease and
-        an epoch change flushes what it taught us; a lease NACK (§3.3)
-        invalidates the lease and flushes too."""
-        lease = self.leases.get(reply.src)
-        if reply.kind == MsgKind.NACK:
-            if reply.payload.get("__lease_nack__"):
-                if lease is not None:
-                    lease.on_nack()
-                # We may have missed invalidations.
-                self.flush_server(reply.src, "lease-nack")
-            return
-        if lease is not None and renewal_time is not None:
-            lease.renew(renewal_time)
-        epoch = reply.payload.get("__epoch__")
-        if epoch is not None:
-            known = self._epochs.get(reply.src)
-            self._epochs[reply.src] = int(epoch)
-            if known is not None and int(epoch) != known:
-                # Upstream restarted (or the shard map rolled): anything
-                # learned under the old epoch is untrustworthy.
-                self.flush_server(reply.src, "epoch-change")
+    def _lease_request(self, server: str, kind: str, payload: Dict[str, Any],
+                       ) -> Generator[Event, Any, None]:
+        """The lease agent's keep-alives.  A dead node sends none: the
+        kernel cannot kill its lease daemons, and a request started
+        while dead would retransmit after the restart."""
+        if self.endpoint.alive:
+            yield from self.endpoint.request(server, kind, payload)
 
     # -- request handling --------------------------------------------------
     def _key_for(self, msg: Message) -> Optional[CacheKey]:
@@ -509,7 +470,7 @@ class MetadataCacheNode(ReplyObserver):
             "entries_dropped": self.entries_dropped,
             "flushes": self.flushes,
             "entries": len(self._entries),
-            "keepalives_sent": self.keepalives_sent,
+            "keepalives_sent": self.lease_agent.keepalives_sent,
         }
 
 

@@ -17,7 +17,7 @@ is constructed with its server (DESIGN.md, "Node layers").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
 
 from repro.locks.manager import GrantPolicy, grant_policy
 from repro.locks.modes import LockMode
@@ -53,7 +53,7 @@ class IntentExecutor:
             return 0
 
     def _intent_exec(self, client: str, body: Dict[str, Any],
-                     ) -> Generator[Event, Any, HandlerResult]:
+                     ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
         """Execute one intent sub-operation (any but ``range_acquire``,
         which ``_run_intents`` coalesces) under the lock it grants.
 

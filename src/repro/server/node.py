@@ -49,6 +49,9 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.storage.blockmap import BLOCK_SIZE, extents_to_payload
 
+#: What a transaction body decides: ``("ack" | "nack", payload)``.
+Reply = Tuple[str, Dict[str, Any]]
+
 
 @dataclass
 class ServerConfig:
@@ -117,7 +120,7 @@ class StorageTankServer:
                 dev_name, slice_blocks, base_lba=share_idx * slice_blocks)
         # Cluster shard role (ownership gating / takeover); attached by
         # build_system when the installation runs with cluster membership.
-        self.cluster = None
+        self.cluster: Optional[Any] = None
         self.transactions = 0
         self.data_bytes_served = 0   # file data moved through this server (E1)
         self.rejected_reasserts = 0  # REASSERT refused (fenced/theft evidence)
@@ -263,7 +266,7 @@ class StorageTankServer:
             path, int(msg.payload.get("size", 0))))
 
     def _create(self, path: str, size: int,
-                ) -> Generator[Event, Any, HandlerResult]:
+                ) -> Generator[Event, Any, Reply]:
         """CREATE body (also the create intent's), bracketed by the
         cache barrier."""
         store = self._meta_for_path(path)
@@ -333,7 +336,7 @@ class StorageTankServer:
                              msg.payload.get("file_id"))
 
     def _getattr(self, path: Optional[str], file_id: Optional[Any],
-                 ) -> HandlerResult:
+                 ) -> Reply:
         """GETATTR body (also the getattr intent's), by path or id."""
         try:
             if path is not None:
@@ -353,7 +356,7 @@ class StorageTankServer:
             msg.payload.get("mode"), msg.payload.get("have_layout")))
 
     def _setattr(self, file_id: int, size: Any, mode: Any, have: Any = None,
-                 ) -> Generator[Event, Any, HandlerResult]:
+                 ) -> Generator[Event, Any, Reply]:
         """SETATTR body (also the setattr intent's), bracketed by the
         cache barrier."""
         store = self._meta_for_file(file_id)

@@ -76,8 +76,9 @@ def test_lease_nack_flushes_and_degrades_to_forwarding():
     # §3.3: a lease NACK from the server means invalidations may have
     # been missed while the lease was dead — everything learned from
     # that server is suspect.
-    cache.on_reply(Message(src="server", dst=cache.name, kind=MsgKind.NACK,
-                           payload={"__lease_nack__": True}), None)
+    [observer] = cache.endpoint.observers
+    observer.on_reply(Message(src="server", dst=cache.name, kind=MsgKind.NACK,
+                              payload={"__lease_nack__": True}), None)
     assert cache.entry_count == 0
     assert cache.flushes == 1
     # §3.3: the lease skips straight to suspect.
