@@ -1,23 +1,19 @@
-"""The client's data path: write-back page cache over the SAN (§1.1).
+"""The client's data path: a write-back page cache over the SAN (§1.1),
+shared by every client kind that caches data (Storage Tank, NFS polling).
 
-Data never crosses the metadata server: a client reads missing blocks
-from the shared devices into its cache, acknowledges writes out of the
-cache and hardens them later.  Every client kind that caches data on
-this substrate — the Storage Tank client, the NFS-polling baseline —
-runs this one implementation, so the audit contract has one home:
+Failure semantics the audit relies on:
 
-- every acknowledged write gets a unique *tag* and an ``app.write.ack``
-  record; every read an ``app.read`` record with the tags it returned;
-- a tag either reaches shared storage (``cache.flushed``) or the
-  application is told (``app.error``): :meth:`DataPath.report_lost` is
-  the only emitter of that record and the only writer of
-  :attr:`DataPath.app_errors`;
-- a failed SAN read raises :class:`ClientIOError`, never the raw fence
-  or partition exception.
+- every application write that is acknowledged gets a unique *tag* and
+  an ``app.write.ack`` trace record;
+- a tag either reaches shared storage (``san.write`` + disk history) or
+  ``app.error`` is emitted for it (:meth:`DataPath.report_lost`, its
+  only emitter) — silent loss is a protocol violation (invariant I2),
+  not an accepted outcome;
+- every application read emits ``app.read`` with the tags it returned,
+  so stale reads are detectable offline (invariant I3).
 
-What the layer does *not* know: locks, leases and routing.  Its callers
-hold the lock that makes a cached page valid, and tell it when one is
-lost (:meth:`DataPath.drop_file`, :meth:`DataPath.drop_all`).
+The layer knows nothing of locks, leases or routing: its callers hold
+what makes a cached page valid and tell it when that is lost.
 """
 
 from __future__ import annotations
@@ -38,12 +34,11 @@ from repro.storage.disk import FencedIoError
 
 #: ``(logical_block, tag)`` pairs, what a read returns.
 Blocks = List[Tuple[int, Optional[str]]]
-#: ``rpc(kind, payload, route=("file", fid))``: one request to the
-#: file's server (``Router.rpc``), for function-shipped I/O.
+#: ``Router.rpc``, called as ``rpc(kind, payload, route=("file", fid))``.
 Rpc = Callable[..., Generator[Event, Any, Message]]
 
-#: What hardening a batch can fail with: the SAN refusing the initiator
-#: (direct path) or the control network (function-shipped path).
+#: What hardening a batch can fail with: the SAN (direct path) or the
+#: control network (function-shipped path).
 _FLUSH_ERRORS = (FencedIoError, SanUnreachableError, DeliveryError, NackError)
 
 
@@ -75,28 +70,10 @@ class DataPath:
         # follows a reply that names the generation and position the
         # map must have (``apply_meta_reply``).  Dropped with the file's
         # pages (``drop_file``) and with the lease (``drop_all``).
-        self._layouts: Dict[int, ExtentMap] = {}
-        self._path_fid: Dict[str, int] = {}
+        self.layouts: Dict[int, ExtentMap] = {}
+        self.path_fid: Dict[str, int] = {}
 
     # -- block maps ----------------------------------------------------------
-    def note_path(self, path: str, file_id: int) -> None:
-        """Remember which file a path names (for :meth:`held_for_path`)."""
-        self._path_fid[path] = file_id
-
-    def forget_path(self, path: str) -> None:
-        """The path is gone (unlink)."""
-        self._path_fid.pop(path, None)
-
-    def held_for_path(self, path: str,
-                      ) -> Tuple[Optional[int], Optional[ExtentMap]]:
-        """``(file_id, map)`` cached for a path; None where unknown."""
-        file_id = self._path_fid.get(path)
-        return file_id, self._layouts.get(file_id)
-
-    def held(self, file_id: int) -> Optional[ExtentMap]:
-        """The block map cached for a file, if any."""
-        return self._layouts.get(file_id)
-
     @staticmethod
     def layout_hint(file_id: Optional[int],
                     held: Optional[ExtentMap]) -> Dict[str, Any]:
@@ -128,19 +105,19 @@ class DataPath:
             if held is None or held.layout_gen != gen:
                 held = ExtentMap(layout_gen=gen)
             held.apply_runs(int(payload["extents_from"]), payload["extents"])
-            of.extents = self._layouts[of.file_id] = held
+            of.extents = self.layouts[of.file_id] = held
 
     # -- invalidation --------------------------------------------------------
     def drop_file(self, file_id: int) -> List[Page]:
         """Drop a file's cached pages and its cached block map; returns
         the dropped *dirty* pages (the caller reports them)."""
-        self._layouts.pop(file_id, None)
+        self.layouts.pop(file_id, None)
         return self.cache.invalidate_file(file_id)
 
     def drop_all(self) -> List[Page]:
         """Drop every page and block map (lease expiry); returns the
         dropped *dirty* pages."""
-        self._layouts.clear()
+        self.layouts.clear()
         return self.cache.invalidate_all()
 
     def report_lost(self, file_id: int, tag: Optional[str],

@@ -1,22 +1,13 @@
-"""The client's side of the lock protocol: cached locks that are
-demanded back, given up, lost and reasserted (paper §2, §3.1, §6).
+"""The client's side of the lock protocol (paper §2, §3.1, §6).
 
-A data lock is granted once and then *cached*: it covers every later
-operation on the file until the server demands it back for someone
-else.  The :class:`LockClient` owns that cache (:class:`ClientLockTable`)
-and every way a lock enters or leaves it:
-
-- :meth:`LockClient.ensure_lock` acquires what an operation needs and
-  discards a grant that was revoked while its reply was in flight;
-- a ``LOCK_DEMAND`` is complied with in a fixed order — stop new users,
-  drain current ones, *flush*, and only then yield the lock — so the
-  next holder reads what this one wrote;
-- after a server restart or a shard move every cached lock is
-  reasserted (§6); a lock that cannot be kept is forfeited the one way
-  (:meth:`LockClient.forfeit`): revocation noted, lock dropped, pages
-  dropped and reported, open instances marked stale;
-- byte-range locks are not cached: ``_batch_acquire`` /
-  ``_batch_release`` bracket one operation.
+A data lock is granted once and then *cached* until the server demands
+it back.  The :class:`LockClient` owns that cache and every way a lock
+enters or leaves it: acquisition, demand compliance (stop new users,
+drain current ones, *flush*, only then yield — so the next holder reads
+what this one wrote), reassertion after a server restart or shard move,
+and the one way to forfeit a lock that cannot be kept.  Byte-range locks
+are not cached: ``_batch_acquire`` / ``_batch_release`` bracket one
+operation.
 """
 
 from __future__ import annotations
@@ -38,8 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 
 class LockClient:
-    """Cached data locks, demand compliance and reassertion of one
-    client node."""
+    """Cached data locks of one client node."""
 
     def __init__(self, sim: Simulator, endpoint: Endpoint,
                  routing: "Router", data: "DataPath", fds: FdTable,
@@ -129,7 +119,7 @@ class LockClient:
                     of.lock = self.table.mode_of(of.file_id)
                 return
             sent_at = self.sim.now
-            held = self.data.held(of.file_id)
+            held = self.data.layouts.get(of.file_id)
             reply = yield from self._rpc(
                 MsgKind.LOCK_ACQUIRE,
                 {"file_id": of.file_id, "mode": int(wanted),
@@ -154,8 +144,7 @@ class LockClient:
         of.lock = granted
 
     def drop_locks(self, file_ids: Any = None) -> None:
-        """The lease that covered these locks expired (None: every
-        lock): they are gone, with the time they went."""
+        """The lease covering these locks (None: every lock) expired."""
         if file_ids is None:
             for fid, _mode in self.table.all_held():
                 self._note_lock_revoked(fid)

@@ -1,31 +1,17 @@
 """The Storage Tank client node.
 
-The paper's client is four small things stacked, and so is this one:
-
-- a lease interval per server (§3): :class:`repro.lease.agent.LeaseAgent`;
-- cached locks that are demanded back and reasserted (§2, §6):
-  :class:`repro.client.lockclient.LockClient`;
-- a write-back data path straight to the SAN (§1.1):
-  :class:`repro.client.datapath.DataPath`;
-- and, on top, the POSIX-flavoured API local applications call — this
-  module.  :class:`repro.client.routing.Router` picks the server each
-  request goes to.
-
-:class:`StorageTankClient` is the façade: it admits operations by lease
-phase, counts them in and out, strings the layers together per
-operation, and orchestrates what happens when a lease expires.  All
-methods that touch the network or the SAN are process generators
-(``yield from client.read(...)``).
-
-Failure semantics the audit relies on:
-
-- every application write that is acknowledged gets a unique *tag* and
-  an ``app.write.ack`` trace record;
-- a tag either reaches shared storage (``san.write`` + disk history) or
-  the client emits ``app.error`` for it — silent loss is a protocol
-  violation (invariant I2), not an accepted outcome;
-- every application read emits ``app.read`` with the tags it returned,
-  so stale reads are detectable offline (invariant I3).
+The paper's client is four small things stacked, and so is this one: a
+lease interval per server (§3, :class:`~repro.lease.agent.LeaseAgent`),
+cached locks that are demanded back and reasserted (§2, §6,
+:class:`~repro.client.lockclient.LockClient`), a write-back data path
+straight to the SAN (§1.1, :class:`~repro.client.datapath.DataPath`,
+which states the audit contract) and, on top, the POSIX-flavoured API
+local applications call: :class:`StorageTankClient`, the façade, with
+:class:`~repro.client.routing.Router` picking each request's server.
+The façade admits operations by lease phase, counts them in and out,
+strings the layers together per operation and orchestrates what a lease
+expiry discards.  All methods that touch the network or the SAN are
+process generators (``yield from client.read(...)``).
 """
 
 from __future__ import annotations
@@ -108,8 +94,8 @@ class StorageTankClient:
         self.endpoint.obs = self.obs
         san.attach_initiator(name)
 
-        # The layers, bottom up; each owns its state, and the public
-        # attributes below are the same objects under their old names.
+        # The layers, bottom up.  Each owns its state; ``cache``,
+        # ``locks`` and ``leases`` are their objects, not copies.
         self.routing = Router(self.endpoint, server, self._on_map_change)
         self.servers = self.routing.servers
         self.server = self.routing.server  # primary (routing fallback)
@@ -186,7 +172,8 @@ class StorageTankClient:
         self._enter()
         try:
             sent_at = self.sim.now
-            held_fid, held = self.data.held_for_path(path)
+            held_fid = self.data.path_fid.get(path)
+            held = self.data.layouts.get(held_fid)
             p = yield from self._intent_open(
                 {"op": "open", "path": path, "mode": mode,
                  **self.data.layout_hint(held_fid, held)}, srv)
@@ -292,7 +279,7 @@ class StorageTankClient:
                 # Growth folds into a setattr intent: the reply is
                 # op-result + (idempotent) grant in one round trip.
                 sent_at = self.sim.now
-                held = self.data.held(of.file_id)
+                held = self.data.layouts.get(of.file_id)
                 reply = yield from self._rpc(
                     MsgKind.LOCK_INTENT,
                     {"op": "setattr", "file_id": of.file_id, "size": end,
@@ -417,7 +404,7 @@ class StorageTankClient:
                                          route=("path", path))
             fid = int(reply.payload["file_id"])
             self.data.drop_file(fid)
-            self.data.forget_path(path)
+            self.data.path_fid.pop(path, None)
             self.locks.note_released(fid)
             self.routing.forget_file(fid)
             for of in self.fds.by_file_id(fid):
@@ -643,7 +630,7 @@ class StorageTankClient:
     # ------------------------------------------------------------------
     def _note_file(self, fid: int, path: str) -> str:
         """Record a file's name and owner; returns the owner."""
-        self.data.note_path(path, fid)
+        self.data.path_fid[path] = fid
         return self.routing.note_file_owner(fid, path)
 
     def _admit(self, server: Optional[str] = None) -> None:

@@ -1,13 +1,10 @@
 """Which server a request goes to, and what to do when it moved.
 
-A single-server installation needs no map: everything goes to the one
-server.  Under a cluster the namespace is sharded by path hash onto a
-ring of slots (:mod:`repro.cluster.shardmap`); the :class:`Router`
-holds the last shard map this client saw, remembers each file's slot so
-fid-addressed requests follow slot moves, retries a request a server
-refused as ``WRONG_OWNER`` / ``map_stale`` after refetching the map,
-and reports to its owner which files changed hands when a newer map
-arrives (pushed by the coordinator or pulled after a refusal).
+One server needs no map.  Under a cluster (:mod:`repro.cluster`) the
+:class:`Router` holds the last shard map this client saw and each
+file's ring slot, retries a request refused as ``WRONG_OWNER`` /
+``map_stale`` after refetching the map, and tells its owner which files
+changed hands when a newer map arrives (pushed or pulled).
 """
 
 from __future__ import annotations
@@ -39,10 +36,8 @@ class Router:
     def __init__(self, endpoint: Endpoint, servers: Union[str, Sequence[str]],
                  on_map_change: Callable[[int, List[Tuple[int, str]]], None],
                  ) -> None:
-        """``servers`` may be one name or a sequence of names;
-        ``on_map_change(epoch, moved)`` is told, after a newer map was
-        adopted, the ``(file_id, new_owner)`` of every known file whose
-        slot changed hands."""
+        """``on_map_change(epoch, moved)`` is told, once a newer map is
+        adopted, the ``(file_id, new_owner)`` of every file that moved."""
         self.endpoint = endpoint
         self.servers: Tuple[str, ...] = (
             (servers,) if isinstance(servers, str) else tuple(servers))

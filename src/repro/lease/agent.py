@@ -3,22 +3,12 @@
 A node that caches anything under the protocol — a client its pages and
 locks, an in-network cache node its metadata entries — holds one
 four-phase lease with *every* server it caches from (paper §3).  The
-:class:`LeaseAgent` is everything such a holder does about those leases
-and nothing about what they protect:
-
-- it owns the per-server :class:`ClientLeaseManager` state machines and
-  is their endpoint's :class:`~repro.net.control.ReplyObserver`: every
-  ACK first shows the server's restart epoch (§6), then renews that
-  server's lease (§3.1); a transport-level lease NACK invalidates it
-  (§3.3);
-- it sends the phase-2 keep-alives (§3.2) and counts them;
-- it attests every lapse it observes (``Endpoint.lapse_gen``), the
-  server's evidence for lifting a §6 fence;
-- it reports upward, through four callbacks, the moments the holder
-  must act on: a restarted server (``on_epoch_change``), phase 4
-  (``on_flush``), expiry (``on_expired``) and a lease NACK
-  (``on_lease_nack``).  What to flush, drop or reassert is the
-  holder's business.
+:class:`LeaseAgent` owns those state machines and is their endpoint's
+reply observer, sends the keep-alives, attests every lapse, and reports
+upward the moments the holder must act on: a restarted server
+(``on_epoch_change``), phase 4 (``on_flush``), expiry (``on_expired``)
+and a lease NACK (``on_lease_nack``).  What to flush, drop or reassert
+is the holder's business.
 """
 
 from __future__ import annotations

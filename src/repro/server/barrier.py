@@ -1,12 +1,9 @@
 """The invalidate-before-apply barrier that keeps the in-network
-metadata cache tier (:mod:`repro.netcache`) coherent.
+metadata cache tier (:mod:`repro.netcache`) coherent (DESIGN.md §15).
 
-Every namespace mutation is *bracketed*: claim a barrier, push
-``CACHE_INVALIDATE`` to every cache node and wait for the ACKs (or for
-lease resolution of a node that cannot be reached), apply the mutation,
-release the barrier.  A hit can thus never observe a value the server
-has already replaced (DESIGN.md §15).  The bracket in a mutation body
-reads::
+Every namespace mutation is *bracketed* — claim a barrier, invalidate
+every cache node, apply, release — so a hit can never observe a value
+the server has already replaced.  In a mutation body::
 
     barrier = self.barrier._claim_barrier()
     try:
@@ -19,9 +16,8 @@ reads::
         self.barrier._cache_pending.discard(barrier)
 
 (the names ``repro.lint`` rules RPL011 and RPL012 check on every path).
-Without cache nodes the bracket is a no-op — the claim is 0, nothing
-waits, nothing is recorded and no reply carries a watermark — so one
-body serves both installations and golden traces stay bit-identical.
+Without cache nodes the bracket is a no-op — the claim is 0 and nothing
+waits — so one body serves both installations, bit-identically.
 """
 
 from __future__ import annotations

@@ -1,18 +1,12 @@
 """Intent locking, Lustre DLM style: the lock request carries the
-operation.
-
-``LOCK_INTENT`` names one operation (open, create, getattr, setattr,
-byte-range acquire and release, close) and ``LOCK_BATCH`` several; the
-server wins the covering lock — demanding it from conflicting holders —
-and performs the operation while still holding it, so the reply carries
-op-result *and* grant together: one round trip per operation, the only
+operation (``LOCK_INTENT`` one, ``LOCK_BATCH`` several), the only
 client↔server lock path.
 
-The executor owns the intent census (``intent_ops``, ``closes_by_file``)
-and the byte-range grant policy.  The operations themselves are the
-server's namespace bodies (``_create`` / ``_setattr`` / ``_getattr``,
-shared with the plain handlers) and the locks the lock service's, so it
-is constructed with its server (DESIGN.md, "Node layers").
+The executor owns the intent census and the byte-range grant policy.
+The operations are the server's namespace bodies (``_create`` /
+``_setattr`` / ``_getattr``, shared with the plain handlers) and the
+locks the lock service's, so it is constructed with its server
+(DESIGN.md, "Node layers").
 """
 
 from __future__ import annotations

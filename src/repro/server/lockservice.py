@@ -1,21 +1,11 @@
 """The server's lock service: granting, demanding back, stealing and
 fencing (paper §2, §3.1, §6).
 
-A grant that conflicts with a cached lock *demands* it back from the
-holder and queues behind it; a holder that cannot be reached is left to
-the safety authority (suspect → τ(1+ε) → steal), and one that keeps
-acknowledging demands without ever yielding is escalated to it.  Stealing
-a client's locks constructs a fence between it and shared storage; the
-fence lifts only once the client *attests* a lease lapse newer than the
-fence (``__lapse_gen__``), the proof that it observed its expiry and
-discarded its cache.
-
-The service owns the lock tables (``locks``, ``range_locks``), the set
-of holders being pressed, and the fence and attestation tables.  It is
-constructed with its server: the authority is built by a factory that
-itself needs the server, and the cluster role and the recovery manager
-are attached after construction, so all three are read through the
-server when a transaction runs (DESIGN.md, "Node layers").
+It owns the lock tables, the set of holders being pressed, and the fence
+and attestation tables.  It is constructed with its server because the
+authority (built by a factory that needs the server), the cluster role
+and the recovery manager (attached later) can only be read through it
+when a transaction runs (DESIGN.md, "Node layers").
 """
 
 from __future__ import annotations
@@ -220,11 +210,10 @@ class LockService:
 
     def _press(self, holder: str, obj: int,
                needed: Optional[LockMode]) -> None:
-        """Start pressing ``holder`` on behalf of a waiter on ``obj``,
-        unless a loop for the same demand already runs.  ``needed`` is
-        the whole-file mode wanted of a lock cacher (it is *demanded*
-        back), or None for a holder of byte ranges (it is only *probed*:
-        ranges are released by the operation that took them)."""
+        """Press ``holder`` on behalf of a waiter on ``obj`` (one loop
+        per demand).  ``needed`` is the mode wanted of a lock cacher,
+        whose lock is *demanded* back; None for a holder of byte ranges,
+        which is only *probed* (the operation itself releases them)."""
         key = (holder, obj, needed)
         if key in self._active_demands:
             return

@@ -96,7 +96,7 @@ def test_a_failed_batch_reports_its_file_and_hardens_the_rest():
     assert err.detail == {"file_id": 7, "tag": lost,
                           "reason": "FencedIoError"}
     assert san.blocks[("d2", 900)][0] == kept
-    assert len(data.cache) == 1 and data.held(7) is None
+    assert len(data.cache) == 1 and data.layouts.get(7) is None
 
 
 def test_flush_without_reporting_stays_silent_and_keeps_the_pages():
@@ -162,14 +162,12 @@ def test_a_reply_extends_the_map_the_request_named_and_no_other():
     reply = {"layout_gen": 0, "extents_from": 0,
              "extents": [("d1", 100, 2), ("d2", 500, 2)]}
     data.apply_meta_reply(of, reply, None)
-    held = data.held(7)
+    held = data.layouts.get(7)
     assert held is of.extents and held.block_count == 4
     assert data.layout_hint(7, held) == {"have_layout": (7, 0, 2)}
     data.apply_meta_reply(of, {"layout_gen": 0, "extents_from": 2,
                                "extents": [("d1", 300, 1)]}, held)
-    assert data.held(7) is held and held.block_count == 5
+    assert data.layouts.get(7) is held and held.block_count == 5
     data.apply_meta_reply(of, {**reply, "layout_gen": 1}, held)
-    assert data.held(7) is not held and data.held(7).block_count == 4
-    data.note_path("/f", 7)
-    assert data.held_for_path("/f") == (7, data.held(7))
-    assert data.drop_file(7) == [] and data.held_for_path("/f") == (7, None)
+    assert data.layouts.get(7) is not held and data.layouts.get(7).block_count == 4
+    assert data.drop_file(7) == [] and 7 not in data.layouts

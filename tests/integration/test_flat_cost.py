@@ -72,7 +72,7 @@ def test_cycle_500_costs_what_cycle_50_cost():
                 run_gen(s, _cycle(client, path, n))
         s.run(until=s.sim.now + 0.2)
     c1 = s.client("c1")
-    assert len(c1.data.held_for_path("/w1")[1].extents) > 500
+    assert len(c1.data.layouts[c1.data.path_fid["/w1"]].extents) > 500
     early, late = median(cost[50]), median(cost[500])
     assert abs(late - early) <= 0.02 * early, cost
 

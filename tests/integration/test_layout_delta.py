@@ -167,7 +167,7 @@ def test_dropping_the_file_drops_its_map(how):
     s = make_system(n_clients=2)
     c, c2 = s.client("c1"), s.client("c2")
     fid = _opened_and_grown(s, c)
-    assert c.data._layouts[fid].block_count == 3
+    assert c.data.layouts[fid].block_count == 3
     replies = LayoutReplies(c.endpoint)
     if how == "lease_expiry":
         c.force_lease_expiry()
@@ -178,8 +178,8 @@ def test_dropping_the_file_drops_its_map(how):
         run_gen(s, c2.open_file("/f", "w"))     # demands c1's X lock back
     else:
         run_gen(s, c.unlink("/f"))
-        assert "/f" not in c.data._path_fid
-    assert fid not in c.data._layouts
+        assert "/f" not in c.data.path_fid
+    assert fid not in c.data.layouts
     if how == "unlink":
         return
 
@@ -189,7 +189,7 @@ def test_dropping_the_file_drops_its_map(how):
     held = run_gen(s, reopen())
     assert replies.seen[-1] == (0, len(server_runs(s, fid)))
     assert extents_to_payload(held) == server_runs(s, fid)
-    assert c.data._layouts[fid] is held
+    assert c.data.layouts[fid] is held
 
 
 def test_one_servers_expiry_drops_only_its_files_maps():
@@ -201,11 +201,11 @@ def test_one_servers_expiry_drops_only_its_files_maps():
               if c.server_for_path(f"/ind/f{i}") == "server2")
     fid1 = _opened_and_grown(s, c, p1)
     fid2 = _opened_and_grown(s, c, p2)
-    assert set(c.data._layouts) == {fid1, fid2}
+    assert set(c.data.layouts) == {fid1, fid2}
     s.control_net.block("c1", "server1")
     s.control_net.block("server1", "c1")
     s.run(until=s.sim.now + TAU * (1 + EPS) + 15.0)
-    assert set(c.data._layouts) == {fid2}
+    assert set(c.data.layouts) == {fid2}
     s.control_net.unblock("c1", "server1")
     s.control_net.unblock("server1", "c1")
     s.run(until=s.sim.now + TAU)             # a keep-alive probe gets through
@@ -228,7 +228,7 @@ def test_reply_arriving_after_the_drop_still_yields_a_correct_map():
     c = s.client("c1")
     fid = _opened_and_grown(s, c)
     fd = run_gen(s, c.open_file("/f", "w"))
-    advertised = c.data._layouts[fid]
+    advertised = c.data.layouts[fid]
     proc = s.spawn(grow(c, fd, 6))
     s.run(until=s.sim.now + 1e-6)            # the setattr intent is out
     assert c.fds.get(fd).extents.block_count == 3
@@ -246,7 +246,7 @@ def test_a_new_generation_replaces_the_map():
     s = make_system(n_clients=1)
     c = s.client("c1")
     fid = _opened_and_grown(s, c)
-    old = c.data._layouts[fid]
+    old = c.data.layouts[fid]
     ino = s.server_node("server").metadata.inode(fid)
     ino.extents = ExtentMap(extents=list(reversed(ino.extents.extents)),
                             layout_gen=ino.extents.layout_gen + 1)
