@@ -153,7 +153,7 @@ class DataPath:
         else:
             missing = list(range(first, first + count))
         if missing:
-            out.extend((yield from self.fetch(of, missing)))
+            out.extend((yield from self._fetch(of, missing)))
         out.sort(key=lambda t: t[0])
         for lb, tag in out:
             device, lba = of.resolve(lb)
@@ -162,8 +162,8 @@ class DataPath:
                             device=device, lba=lba)
         return out
 
-    def fetch(self, of: OpenFile, blocks: List[int],
-              ) -> Generator[Event, Any, Blocks]:
+    def _fetch(self, of: OpenFile, blocks: List[int],
+               ) -> Generator[Event, Any, Blocks]:
         """Read blocks from storage (the SAN, or function-shipped
         through the server) into the cache as clean pages."""
         out: Blocks = []

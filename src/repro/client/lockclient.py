@@ -12,7 +12,8 @@ operation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterable, List,
+                    Optional, Set, Tuple)
 
 from repro.client.openfile import FdTable, OpenFile
 from repro.locks.client_table import ClientLockTable
@@ -102,7 +103,7 @@ class LockClient:
                 or self._lock_revoked_at.get(file_id, -1.0) >= sent_at)
 
     def ensure_lock(self, of: OpenFile, mode: LockMode,
-                     ) -> Generator[Event, Any, None]:
+                    ) -> Generator[Event, Any, None]:
         """Make sure the open instance is covered by ``mode``.
 
         While a demand compliance is revoking this file's lock, new
@@ -143,7 +144,7 @@ class LockClient:
         self.data.apply_meta_reply(of, reply.payload, held)
         of.lock = granted
 
-    def drop_locks(self, file_ids: Any = None) -> None:
+    def drop_locks(self, file_ids: Optional[Iterable[int]] = None) -> None:
         """The lease covering these locks (None: every lock) expired."""
         if file_ids is None:
             for fid, _mode in self.table.all_held():

@@ -71,7 +71,8 @@ def _storage_tank_authority(cfg: Any, server: Any) -> Any:
     from repro.lease.server_lease import ServerLeaseAuthority
     return ServerLeaseAuthority(
         server.sim, server.endpoint, server.contract,
-        on_steal=server.lock_service.steal_client, trace=server.trace, obs=server.obs)
+        on_steal=server.lock_service.steal_client, trace=server.trace,
+        obs=server.obs)
 
 
 def _no_protocol_authority(cfg: Any, server: Any) -> Any:
