@@ -13,7 +13,7 @@ operation.
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterable, List,
-                    Optional, Set, Tuple)
+                    Optional, Tuple)
 
 from repro.client.openfile import FdTable, OpenFile
 from repro.locks.client_table import ClientLockTable
@@ -27,6 +27,27 @@ from repro.sim.trace import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.client.datapath import DataPath
     from repro.client.routing import Router
+
+
+class _Marks:
+    """File ids marked once per demand compliance in progress on them: a
+    second demand can overtake the first's unconfirmed downgrade, and the
+    file stays marked until the last of them un-marks it."""
+
+    def __init__(self) -> None:
+        self._count: Dict[int, int] = {}
+
+    def add(self, file_id: int) -> None:
+        self._count[file_id] = self._count.get(file_id, 0) + 1
+
+    def discard(self, file_id: int) -> None:
+        if self._count.get(file_id, 0) > 1:
+            self._count[file_id] -= 1
+        else:
+            self._count.pop(file_id, None)
+
+    def __contains__(self, file_id: int) -> bool:
+        return file_id in self._count
 
 
 class LockClient:
@@ -48,7 +69,7 @@ class LockClient:
         # from under an operation that already validated it (TOCTOU).
         self._file_inflight: Dict[int, int] = {}
         self._file_drain_evs: Dict[int, Event] = {}
-        self._revoking: Set[int] = set()
+        self._revoking = _Marks()
         # A reply that carries a lock mode (OPEN, LOCK_ACQUIRE) reflects
         # server state at *execution* time, not delivery time.  Under
         # message loss the at-most-once layer re-delivers cached replies

@@ -15,11 +15,8 @@ membership traffic exactly as it does to lease traffic.
 
 Hot-path design notes: delivery is a dedicated :class:`_DeliveryEvent`
 (no per-datagram closure), the request/retry loops race events with
-:class:`repro.sim.events.FirstOf` instead of building an ``AnyOf`` plus
-result dict per attempt, trace emission is guarded by the recorder's
-no-op flag, and the at-most-once eviction queue is a deque.  Event
-scheduling order and RNG draw order are unchanged, so traces are
-bit-identical to the pre-optimization transport.
+:class:`repro.sim.events.FirstOf`, trace emission is guarded by the
+recorder's no-op flag, and the at-most-once eviction queue is a deque.
 """
 
 from __future__ import annotations
@@ -29,17 +26,12 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
                     List, Optional, Set, Tuple)
 
-from repro.net.message import (
-    Ack,
-    DeliveryError,
-    Message,
-    MsgKind,
-    Nack,
-    NackError,
-)
+from repro.net.message import (Ack, DeliveryError, Message, MsgKind, Nack,
+                               NackError)
 from repro.sim.clock import LocalClock
-from repro.sim.events import Event, FirstOf, Timeout
+from repro.sim.events import Event, FirstOf, Interrupt, Timeout
 from repro.sim.kernel import Simulator
+from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecorder
 
@@ -49,9 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs.spans import Span
 
 # A request handler may return a decision tuple directly, or a generator
-# that the endpoint runs as a process and whose return value is the
-# decision tuple.  Decisions: ("ack", payload), ("nack", payload),
-# ("silent", None).
+# whose return value is the decision tuple (run to its first ``yield``
+# inside the delivery, a process only if it really waits).  Decisions:
+# ("ack", payload), ("nack", payload), ("silent", None).
 HandlerResult = Tuple[str, Optional[Dict[str, Any]]]
 Handler = Callable[[Message], Any]
 
@@ -104,10 +96,9 @@ class _DeliveryEvent(Event):
     """An in-flight datagram: fires at arrival time and hands the message
     to the target endpoint.
 
-    Replaces the per-datagram ``deliver`` closure + generic event pair:
-    one allocation, no cell variables, and the arrival logic runs as an
-    overridden ``_fire``.  Scheduling consumes exactly one sequence
-    number at transmit time, as the old ``Event.succeed(delay=...)`` did.
+    One allocation per datagram (no ``deliver`` closure): the arrival
+    logic is the overridden ``_fire``, and scheduling consumes exactly
+    one sequence number, at transmit time.
     """
 
     __slots__ = ("net", "msg", "target")
@@ -180,20 +171,8 @@ class ControlNetwork:
         # parked client is the same node when it returns, and receivers
         # key their at-most-once state by (name, seq).
         self._resume_seq: Dict[str, int] = {}
-        # Lazy-registration hook (scale path): consulted when a datagram
-        # addresses an unattached name, so a parked flyweight client can
-        # be materialized by its own inbound traffic instead of the
-        # datagram dropping.  One resolver for the whole population — no
-        # per-client closures.
+        # The two per-datagram hooks; see their setters.
         self._lazy_resolver: Optional[Callable[[str], Optional["Endpoint"]]] = None
-        # Route-through-cache hook (netcache tier): consulted per datagram
-        # after loss, before destination resolution.  Returns the cache
-        # endpoint that should receive the message *in place of* its
-        # addressed destination, or None for the normal direct path.
-        # ``msg.dst`` is left untouched — the cache node reads it as the
-        # upstream server to forward misses to.  None (the default) adds
-        # zero branches of consequence and zero RNG draws: golden traces
-        # are bit-identical with the tier disabled.
         self._cache_router: Optional[Callable[[Message], Optional["Endpoint"]]] = None
         self._blocked: Set[Tuple[str, str]] = set()
         self.delivered_count = 0
@@ -231,13 +210,15 @@ class ControlNetwork:
     def set_lazy_resolver(
             self,
             resolver: Optional[Callable[[str], Optional["Endpoint"]]]) -> None:
-        """Install the batch-registration resolver for unattached names.
+        """Install the batch-registration resolver for unattached names
+        (scale path: a parked flyweight client is materialized by its own
+        inbound traffic instead of the datagram dropping).
 
         ``resolver(name)`` returns an endpoint (typically by
         materializing a parked client, whose constructor attaches it)
         or None for names outside the registered population.  Never
         consulted for already-attached names, so the default delivery
-        path is untouched.
+        path is untouched.  One resolver for the whole population.
         """
         self._lazy_resolver = resolver
 
@@ -246,11 +227,13 @@ class ControlNetwork:
             router: Optional[Callable[[Message], Optional["Endpoint"]]]) -> None:
         """Install the route-through-cache attachment (netcache tier).
 
-        ``router(msg)`` returns the interposed cache endpoint for
-        cacheable read-path requests, or None to deliver directly.  The
-        router must return None for dead cache nodes so a crashed cache
-        degrades to plain forwarding — the sender's retry then reaches
-        the authoritative server unmediated.
+        ``router(msg)``, consulted per datagram after loss and before
+        destination resolution, returns the cache endpoint that receives
+        a cacheable read-path request *in place of* its destination
+        (``msg.dst`` stays: the cache forwards misses there), or None to
+        deliver directly.  It must return None for dead cache nodes so a
+        crashed cache degrades to plain forwarding — the sender's retry
+        then reaches the authoritative server unmediated.
         """
         self._cache_router = router
 
@@ -396,11 +379,12 @@ class Endpoint:
         # (src, seq) -> ("done", decision, payload) | ("pending", ticket, None)
         self._executed: Dict[Tuple[str, int], Tuple[str, Optional[str], Optional[Dict[str, Any]]]] = {}
         self._executed_order: Deque[Tuple[str, int]] = deque()
-        # Cached RPC latency histogram family (keyed by registry identity,
-        # invalidated if the endpoint is re-bound to a different registry).
-        self._rpc_hist: Optional["Metric"] = None
-        self._rpc_hist_registry: Optional[object] = None
-        self._rpc_count: Optional["Metric"] = None
+        # ticket -> process of a transaction whose handler is waiting
+        # (``crash`` interrupts them, in arrival order).
+        self._parked: Dict[int, Process] = {}
+        # (registry, latency histogram, request counter), re-made if the
+        # endpoint is re-bound to a different registry.
+        self._rpc_metrics: Optional[Tuple[object, "Metric", "Metric"]] = None
         # Requests initiated through this endpoint, by message kind
         # (one count per logical RPC; retries share the count).  The
         # messages-per-op accounting divides these by completed ops.
@@ -427,17 +411,22 @@ class Endpoint:
     def crash(self) -> None:
         """Stop receiving and lose volatile transport state.
 
-        The replay (at-most-once) cache and deferred-result plumbing are
-        in-memory: they die with the node.  Survivors re-polling a
-        transaction that was in progress here will find no record and
-        trigger a fresh execution after restart — exactly the recovery
-        path §6's reassertion design expects.
+        The replay (at-most-once) cache, deferred-result plumbing and
+        parked transactions are in-memory: they die with the node (a
+        handler left waiting would decide in state the crash wiped and
+        answer in the next incarnation's name).  Survivors re-polling a
+        transaction that was in progress here find no record and trigger
+        a fresh execution after restart — the recovery path §6's
+        reassertion design expects.
         """
         self.alive = False
         self._executed.clear()
         self._executed_order.clear()
         self._pending_results.clear()
         self._early_results.clear()
+        parked, self._parked = self._parked, {}
+        for proc in parked.values():
+            proc.interrupt("crash")
         # Note: self._pending (reply events of *this node's own* in-flight
         # requests) is left intact.  The kernel cannot kill the arbitrary
         # processes driving those requests; their sends are suppressed
@@ -588,19 +577,16 @@ class Endpoint:
         if span is not None:
             span.end(self.sim._now, status=status)
         registry = obs.registry
-        hist = self._rpc_hist
-        count = self._rpc_count
-        if hist is None or count is None \
-                or self._rpc_hist_registry is not registry:
-            hist = registry.histogram(
-                "net.rpc.latency_s", "Request round-trip time (simulated s)",
-                labels=("kind", "status"))
-            count = registry.counter(
-                "net.rpc.requests", "RPC round trips completed",
-                labels=("kind", "status"))
-            self._rpc_hist = hist
-            self._rpc_count = count
-            self._rpc_hist_registry = registry
+        cached = self._rpc_metrics
+        if cached is None or cached[0] is not registry:
+            by = ("kind", "status")
+            cached = self._rpc_metrics = (
+                registry,
+                registry.histogram("net.rpc.latency_s", "Request round-trip "
+                                   "time (simulated s)", labels=by),
+                registry.counter("net.rpc.requests",
+                                 "RPC round trips completed", labels=by))
+        _, hist, count = cached
         hist.labels(kind=kind, status=status).observe(self.sim._now - t0)
         count.labels(kind=kind, status=status).inc()
 
@@ -717,16 +703,24 @@ class Endpoint:
             return
 
         result = handler(msg)
-        if hasattr(result, "send") and hasattr(result, "throw"):
-            # Deferred transaction: ACK receipt now, deliver the outcome
-            # later as a reliable server-initiated RESULT message.
-            ticket = msg.msg_id
-            self._remember(key, ("pending", ticket, None))
-            self._reply_pending(msg, ticket)
-            self.sim.process(self._run_deferred(key, msg, ticket, result),
-                             name=f"{self.name}:{msg.kind}#{msg.seq}")
-        else:
+        if not hasattr(result, "send"):
             self._reply(msg, *self._finish(key, msg, self._normalize(result)))
+            return
+        # A generator handler runs to its first wait inside the delivery
+        # and, if it finishes there, is answered as directly as a tuple.
+        # One that waits is a deferred transaction: ACK receipt now, the
+        # outcome later as a reliable server-initiated RESULT message.
+        txn = self._transact(key, msg, result)
+        try:
+            waiting_on = txn.send(None)
+        except StopIteration as done:
+            self._reply(msg, *done.value)
+            return
+        ticket = msg.msg_id
+        self._remember(key, ("pending", ticket, None))
+        self._reply_pending(msg, ticket)
+        self._parked[ticket] = self.sim.process(
+            txn, name=f"{self.name}:{msg.kind}#{msg.seq}", target=waiting_on)
 
     def _h_result(self, msg: Message) -> None:
         """Inbound deferred-transaction outcome (endpoint-level handler)."""
@@ -746,26 +740,33 @@ class Endpoint:
         # results for abandoned requests are acknowledged-and-dropped.
         self._reply(msg, "ack", None)
 
-    def _run_deferred(self, key: Tuple[str, int], msg: Message, ticket: int,
-                      gen: Generator[Event, Any, Any]) -> Generator[Event, Any, None]:
-        proc = self.sim.process(gen, name=f"{self.name}:handler:{msg.kind}")
+    def _transact(self, key: Tuple[str, int], msg: Message,
+                  gen: Generator[Event, Any, Any],
+                  ) -> Generator[Event, Any, Optional[HandlerResult]]:
+        """Run a generator handler and seal its decision: returned to
+        :meth:`_on_request` if the handler never waited, delivered as a
+        ``RESULT`` from here once parked.  A crash interrupts it through
+        the handler (its ``finally`` blocks run); nothing is sealed or
+        sent."""
         try:
-            result = self._normalize((yield proc))
+            result = yield from gen
+        except Interrupt:
+            raise
         except Exception as exc:
             result = ("nack", {"error": repr(exc)})
-        decision, payload = self._finish(key, msg, result)
+        decision, payload = self._finish(key, msg, self._normalize(result))
+        if self._parked.pop(msg.msg_id, None) is None:
+            return decision, payload
         # Reliable delivery of the outcome; a delivery failure here feeds
         # the authority's suspect machinery like any server-initiated
         # message (the requester may have partitioned while waiting).
-        def send_result() -> Generator[Event, Any, None]:
-            try:
-                yield from self.request(msg.src, MsgKind.RESULT,
-                                        {"__ticket__": ticket,
-                                         "__decision__": decision,
-                                         "__payload__": payload})
-            except (DeliveryError, NackError):
-                pass
-        self.sim.process(send_result(), name=f"{self.name}:result#{ticket}")
+        try:
+            yield from self.request(msg.src, MsgKind.RESULT,
+                                    {"__ticket__": msg.msg_id,
+                                     "__decision__": decision,
+                                     "__payload__": payload})
+        except (DeliveryError, NackError):
+            pass
 
     @staticmethod
     def _normalize(result: Any) -> HandlerResult:
@@ -808,9 +809,7 @@ class Endpoint:
             self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload=payload))
         elif decision == "nack":
             self.send_datagram(Nack(self.name, msg.src, msg.msg_id, payload=payload))
-        elif decision == "silent":
-            pass
-        else:
+        elif decision != "silent":
             raise ValueError(f"unknown handler decision {decision!r}")
 
     def _remember(self, key: Tuple[str, int],

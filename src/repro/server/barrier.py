@@ -17,7 +17,8 @@ the server has already replaced.  In a mutation body::
 
 (the names ``repro.lint`` rules RPL011 and RPL012 check on every path).
 Without cache nodes the bracket is a no-op — the claim is 0 and nothing
-waits — so one body serves both installations, bit-identically.
+waits, so the endpoint answers the handler directly — and one body
+serves both installations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Generator, List, Set,
                     Tuple)
 
 from repro.lease.contract import LeaseContract
-from repro.net.control import Endpoint, HandlerResult
+from repro.net.control import Endpoint
 from repro.net.message import DeliveryError, MsgKind, NackError
 from repro.sim.events import Event
 from repro.sim.trace import TraceRecorder
@@ -82,19 +83,6 @@ class CacheBarrier:
         is pending marks the reply uninstallable: the value may predate
         a mutation whose invalidation the cache has already processed."""
         return -1 if self._cache_pending else self._cache_mseq
-
-    def settle(self, body: Generator[Event, Any, HandlerResult]) -> Any:
-        """What a handler returns for a bracketed mutation ``body``: the
-        generator itself when cache nodes make it wait (a deferred
-        transaction), its result at once when the bracket is a no-op —
-        a plain ACK costs two datagrams, a deferred one four."""
-        if self._cache_nodes:
-            return body
-        try:
-            next(body)
-        except StopIteration as done:
-            return done.value
-        raise RuntimeError("a mutation body waited without cache nodes")
 
     def _claim_barrier(self) -> int:
         """Claim the next mutation barrier (reads stamp -1 until it is

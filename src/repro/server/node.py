@@ -15,9 +15,9 @@ network endpoint:
 
 This module keeps what every transaction passes through — the
 ``_register`` gate and census, the reply stamp — and the namespace and
-data-ship handlers.  All transactions are small and synchronous except
-those that may wait for a lock or a barrier, which run as deferred
-handlers.
+data-ship handlers.  All transactions are small and synchronous; one
+that may wait for a lock or a barrier is a generator handler, which the
+endpoint answers directly unless it really waits.
 
 The server never touches file data: clients get extent maps and do
 their own SAN I/O (paper §1.1).
@@ -254,16 +254,9 @@ class StorageTankServer:
     # ------------------------------------------------------------------
     # transaction handlers
     # ------------------------------------------------------------------
-    def _h_create(self, msg: Message) -> Any:
-        path = msg.payload["path"]
-        if self._meta_for_path(path).exists(path):
-            # Refused before any barrier is claimed: answered at once,
-            # not as a deferred transaction.
-            return ("nack", {"error": "exists"})
-        # RPL009-exempt: ``settle`` finishes the body inline only when
-        # the bracket is a no-op and the body therefore cannot wait.
-        return self.barrier.settle(self._create(  # repro-lint: ignore[RPL009]
-            path, int(msg.payload.get("size", 0))))
+    def _h_create(self, msg: Message) -> Generator[Event, Any, Reply]:
+        return self._create(msg.payload["path"],
+                            int(msg.payload.get("size", 0)))
 
     def _create(self, path: str, size: int,
                 ) -> Generator[Event, Any, Reply]:
@@ -349,11 +342,10 @@ class StorageTankServer:
             return ("nack", {"error": str(exc)})
         return ("ack", {"file_id": ino.file_id, "attrs": ino.attrs.to_payload()})
 
-    def _h_setattr(self, msg: Message) -> Any:
-        # RPL009-exempt: see ``_h_create``.
-        return self.barrier.settle(self._setattr(  # repro-lint: ignore[RPL009]
+    def _h_setattr(self, msg: Message) -> Generator[Event, Any, Reply]:
+        return self._setattr(
             int(msg.payload["file_id"]), msg.payload.get("size"),
-            msg.payload.get("mode"), msg.payload.get("have_layout")))
+            msg.payload.get("mode"), msg.payload.get("have_layout"))
 
     def _setattr(self, file_id: int, size: Any, mode: Any, have: Any = None,
                  ) -> Generator[Event, Any, Reply]:

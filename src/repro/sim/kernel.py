@@ -67,9 +67,11 @@ class Simulator:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def process(self, gen: ProcessGenerator, name: Optional[str] = None) -> Process:
-        """Spawn a generator as a process; returns the process event."""
-        return Process(self, gen, name=name)
+    def process(self, gen: ProcessGenerator, name: Optional[str] = None,
+                target: Optional[Event] = None) -> Process:
+        """Spawn a generator as a process; returns the process event.
+        ``target``: the wait ``gen`` was already advanced to."""
+        return Process(self, gen, name=name, target=target)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Condition event firing when any child succeeds."""

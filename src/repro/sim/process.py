@@ -34,7 +34,13 @@ class Process(Event):
 
     __slots__ = ("gen", "name", "_target", "_alive", "_resume_cb")
 
-    def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: Optional[str] = None) -> None:
+    def __init__(self, sim: "Simulator", gen: ProcessGenerator,
+                 name: Optional[str] = None,
+                 target: Optional[Event] = None) -> None:
+        """``target`` is the wait ``gen`` has already been advanced to by
+        its caller (a handler run to its first ``yield`` inside a
+        delivery): the process resumes when it fires, and no bootstrap
+        event is spent."""
         super().__init__(sim)
         if not hasattr(gen, "send") or not hasattr(gen, "throw"):
             raise TypeError(f"Process requires a generator, got {type(gen).__name__}")
@@ -43,6 +49,9 @@ class Process(Event):
         self._target: Optional[Event] = None
         self._alive = True
         self._resume_cb: Callable[[Event], None] = self._resume
+        if target is not None:
+            self._wait_on(target)
+            return
         # Bootstrap: resume once the init event fires.
         init = Event.__new__(Event)
         init.sim = sim
@@ -134,6 +143,17 @@ class Process(Event):
         finally:
             sim._active_process = None
 
+        if (isinstance(nxt, Event) and nxt.sim is sim
+                and not nxt._processed and nxt._exc is None):
+            # The common case of ``_wait_on``, inlined (one call per resume).
+            self._target = nxt
+            nxt._add_callback(self._resume_cb)
+        else:
+            self._wait_on(nxt)
+
+    def _wait_on(self, nxt: Any) -> None:
+        """Park on ``nxt``, the event the generator just yielded."""
+        sim = self.sim
         if not isinstance(nxt, Event) or nxt.sim is not sim:
             self._alive = False
             self.fail(SimulationError(f"process {self.name!r} yielded invalid target {nxt!r}"))

@@ -117,6 +117,19 @@ def _break_skip_reply_stamp(system: StorageTankSystem) -> None:
         srv.endpoint.reply_stamp = None
 
 
+def _break_zombie_parked(system: StorageTankSystem) -> None:
+    """Sabotage: a server crash leaves its parked transactions running,
+    so a handler that was waiting grants a lock in the wiped table and
+    answers in the next incarnation's name."""
+    for srv in _servers(system).values():
+        def crash(endpoint: Any = srv.endpoint,
+                  crash: Callable[[], None] = srv.endpoint.crash) -> None:
+            parked, endpoint._parked = endpoint._parked, {}
+            crash()
+            endpoint._parked = parked
+        setattr(srv.endpoint, "crash", crash)
+
+
 #: Registry of deliberate protocol breaks, for oracle/shrinker testing.
 BREAK_MODES: Dict[str, Callable[[StorageTankSystem], None]] = {
     "skip_flush": _break_skip_flush,
@@ -126,6 +139,7 @@ BREAK_MODES: Dict[str, Callable[[StorageTankSystem], None]] = {
     "blind_reassert": _break_blind_reassert,
     "no_demand_escalate": _break_no_demand_escalate,
     "skip_reply_stamp": _break_skip_reply_stamp,
+    "zombie_parked": _break_zombie_parked,
 }
 
 

@@ -276,3 +276,42 @@ def test_quiesce_rejects_new_requests():
     s.run(until=27.0)
     assert "err" in out
     assert c.ops_rejected >= 1
+
+
+def test_file_stays_marked_until_its_last_compliance_ends():
+    """A release demand that overtakes an unconfirmed downgrade: the
+    downgrade's ACK (lost once, replayed to the retry) lands after the
+    server executed the release, and writes SHARED into the table while
+    the release is still unconfirmed.  Until both compliances are over
+    the file must stay marked as being revoked: no operation may ride
+    that entry and no oracle may take it for a usable lock."""
+    s = make_system(n_clients=2, writeback_interval=1000.0)
+    c1 = s.client("c1")
+    out = {}
+
+    def writer():
+        yield from c1.create("/f", size=BLOCK_SIZE)
+        fd = yield from c1.open_file("/f", "w")
+        yield from c1.write(fd, 0, BLOCK_SIZE)
+        out["fid"] = c1.fds.get(fd).file_id
+    run_gen(s, writer())
+    fid, lc, sim = out["fid"], c1.lockclient, s.sim
+    t0 = sim.now
+    s.control_net.block("server", "c1")          # the downgrade's first ACK is lost
+    s.spawn(lc._comply_demand(fid, LockMode.SHARED, "server"))
+    s.run(until=t0 + 0.4)
+    assert s.server.locks.mode_of("c1", fid) == LockMode.SHARED
+    s.spawn(lc._comply_demand(fid, LockMode.EXCLUSIVE, "server"))
+    s.run(until=t0 + 0.8)
+    assert s.server.locks.mode_of("c1", fid) == LockMode.NONE
+    # Let the downgrade's retry (one local second after its first try)
+    # through, and only it.
+    s.control_net.unblock("server", "c1")
+    s.run(until=t0 + 1.2)
+    s.control_net.block("server", "c1")
+    assert c1.locks.mode_of(fid) == LockMode.SHARED   # the stale entry...
+    assert fid in lc._revoking                        # ...is not usable
+    s.control_net.unblock("server", "c1")
+    s.run(until=t0 + 5.0)
+    assert c1.locks.mode_of(fid) == LockMode.NONE
+    assert fid not in lc._revoking

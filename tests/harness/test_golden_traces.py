@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "33f0b3c3575f2a6e0b2cbb1136fdc842df3f0ab17999798c6d3cd42fb543c687",
-        "dfe102ddbcc3b175ebae2974781acf878747ee9a14e65e2d93333d3e3bd247d2",
+        "1265b63238c662e27eb05a5403d63615d7c4c2e33b7cf6f7ad38270b14b544cb",
+        "64e3863c71f1e0eedee4dc5bc06c49c54955e0186cfa331cc649df84b423087c",
     ],
     experiment_e6_nack: [
-        "f51077779c09a443a035fafdc5cb463ccc717154ca3ffab35d2963b6895c9eab",
-        "11b3922adc1d589db2d8d90cf53e0915368ebbe6c1a49aca9def5b45cbb590f0",
+        "198579f1f4f7cfd61a82c9cdb94b7a500a5703a6eaf1304941777e4e1d5615a1",
+        "1f637cc04cf439bd20943f0863badd96d7afd5be7ba0520e81055cb635704813",
     ],
 }
 

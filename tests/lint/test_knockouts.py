@@ -246,9 +246,12 @@ _LAYER_KNOCKOUTS = [
     ("RPL006", "src/repro/client/lockclient.py",
      "endpoint.register(MsgKind.CACHE_INVALIDATE, "
      "self._on_cache_invalidate)", "pass"),
+    # Finishing the body inline instead of handing it to the responder.
     ("RPL009", "src/repro/server/node.py",
-     "self.barrier.settle(self._create(  # repro-lint: ignore[RPL009]",
-     "self.barrier.settle(self._create("),
+     "return self._create(msg.payload[\"path\"],\n"
+     "                            int(msg.payload.get(\"size\", 0)))",
+     "return next(self._create(msg.payload[\"path\"],\n"
+     "                            int(msg.payload.get(\"size\", 0))))"),
     ("RPL011", "src/repro/server/node.py",
      "yield from self.barrier._invalidate_caches(\n"
      "                    barrier, {\"file_ids\": [file_id]})", "pass"),

@@ -339,3 +339,166 @@ def test_replayed_reply_keeps_the_stamp_of_its_execution(pair, deferred):
     sim.run()
     assert runs == [1]                   # the retry was answered by replay
     assert proc.value.payload == {"value": "old", "__mseq__": 0}
+
+
+# -- the responder decides by what the handler did, not by what it returned --
+
+def _generator_handler(sim, waits, decision, calls=None):
+    """A generator handler that makes ``waits`` zero-or-more waits."""
+    def handler(msg):
+        if calls is not None:
+            calls.append(msg.msg_id)
+        for _ in range(waits):
+            yield sim.timeout(0.1)
+        return decision
+    return handler
+
+
+def _wire(net):
+    """(kind, src) of every delivered datagram, in order."""
+    return [(rec.detail["msg_kind"], rec.detail["src"])
+            for rec in net.trace.select(kind="msg.recv")]
+
+
+def test_generator_that_never_waits_costs_two_datagrams(pair, observe):
+    """Run to its end inside the delivery, a generator handler is
+    answered like a tuple: request and one stamped ACK, which renews
+    from the send time of the attempt it answers."""
+    sim, net, server, client = pair
+    server.reply_stamp = lambda msg: {"__epoch__": 3}
+    server.register("fs.open", _generator_handler(sim, 0, ("ack", {"v": 1})))
+    seen = observe(client)
+    reply = run_req(sim, client, "server", "fs.open", {})
+    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server")]
+    assert reply.payload == {"v": 1, "__epoch__": 3}
+    [(shown, renewal)] = seen.replies
+    assert shown is reply
+    [sent] = net.trace.select(kind="msg.send", node="client")
+    assert renewal == sent.time          # ideal clocks: local == global
+    assert server._parked == {}
+
+
+def test_generator_that_waits_once_costs_four_datagrams(pair, observe):
+    sim, net, server, client = pair
+    server.register("fs.open", _generator_handler(sim, 1, ("ack", {"v": 1})))
+    seen = observe(client)
+    reply = run_req(sim, client, "server", "fs.open", {})
+    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server"),
+                          (MsgKind.RESULT, "server"), (MsgKind.ACK, "client")]
+    assert reply.payload == {"v": 1}
+    (receipt, renewed), (final, final_renewal) = seen.replies
+    assert receipt.payload["__pending__"] and renewed is not None
+    assert final is reply and final_renewal is None
+    assert server._parked == {}
+
+
+def test_raise_before_first_wait_is_a_direct_nack_replayed_verbatim(pair):
+    sim, net, server, client = pair
+    calls = []
+
+    def handler(msg):
+        calls.append(1)
+        raise RuntimeError("no such file")
+        yield  # pragma: no cover - makes this a generator handler
+    server.register("fs.open", handler)
+    net.block("server", "client")        # the first NACK is lost
+    proc = sim.process(client.request(
+        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5, retries=2)))
+    proc.defuse()
+    sim.run(until=0.25)
+    net.unblock("server", "client")
+    sim.run()
+    assert isinstance(proc.exception, NackError)
+    assert proc.exception.nack.payload == {
+        "error": repr(RuntimeError("no such file"))}
+    assert calls == [1]                  # the retry was answered by replay
+    assert MsgKind.RESULT not in [kind for kind, _src in _wire(net)]
+
+
+def test_duplicate_of_a_parked_transaction_is_re_acked_not_re_run(pair,
+                                                                  observe):
+    sim, net, server, client = pair
+    calls = []
+    server.register("fs.open",
+                    _generator_handler(sim, 12, ("ack", {}), calls))
+    seen = observe(client)
+    run_req(sim, client, "server", "fs.open", {},
+            policy=RetryPolicy(timeout=0.5, retries=3))
+    receipts = [r for r, _t in seen.replies if r.payload.get("__pending__")]
+    assert len(receipts) >= 2            # the poll re-sent the request
+    assert {r.payload["__ticket__"] for r in receipts} == {calls[0]}
+    assert len(calls) == 1
+
+
+def test_duplicate_after_an_inline_finish_is_answered_from_the_done_record(pair):
+    """... with the stamp the transaction executed under, not a fresher
+    one (the generator twin of the synchronous replay test above)."""
+    sim, net, server, client = pair
+    watermark = {"v": 0}
+    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    calls = []
+    server.register("fs.getattr", _generator_handler(
+        sim, 0, ("ack", {"value": "old"}), calls))
+    net.block("server", "client")
+    proc = sim.process(client.request(
+        "server", "fs.getattr", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+    sim.run(until=0.25)
+    assert server._executed[("client", 1)][0] == "done"
+    watermark["v"] = 9
+    net.unblock("server", "client")
+    sim.run()
+    assert len(calls) == 1
+    assert proc.value.payload == {"value": "old", "__mseq__": 0}
+
+
+@pytest.mark.parametrize("generator", [False, True],
+                         ids=["synchronous", "generator"])
+def test_invalid_decision_raises_in_the_delivery(pair, generator):
+    """A handler returning something that is no decision is a bug in
+    the handler, not a NACK: it raises where the request is delivered,
+    whichever way the handler was written."""
+    sim, net, server, client = pair
+    if generator:
+        server.register("fs.open", _generator_handler(sim, 0, "nonsense"))
+    else:
+        server.register("fs.open", lambda msg: "nonsense")
+    sim.process(client.request("server", "fs.open", {}))
+    with pytest.raises(TypeError, match="invalid decision"):
+        sim.run()
+
+
+def test_crash_kills_parked_transactions(pair):
+    """A crashed node's parked transactions die with it: the handlers'
+    ``finally`` blocks run, no RESULT is ever sent, and the retry that
+    reaches the restarted node re-executes under a fresh ticket."""
+    sim, net, server, client = pair
+    started, cleaned, finished = [], [], []
+
+    def handler(msg):
+        started.append(msg.msg_id)
+        try:
+            yield sim.timeout(1.0)
+            finished.append(msg.msg_id)
+            return ("ack", {"n": msg.payload["n"]})
+        finally:
+            cleaned.append(msg.msg_id)
+    server.register("fs.open", handler)
+    policy = RetryPolicy(timeout=0.5, retries=3)
+    procs = [sim.process(client.request("server", "fs.open", {"n": n},
+                                        policy=policy)) for n in range(2)]
+    sim.run(until=0.25)
+    assert len(started) == 2 and list(server._parked) == started
+    first_tickets = list(started)
+    server.crash()
+    sim.run(until=0.3)
+    assert cleaned == first_tickets and finished == []
+    assert server._parked == {} and server._executed == {}
+    server.restart()
+    sim.run()
+    # Both requests were re-executed after the restart, each once more.
+    assert len(started) == 4 and set(finished) == set(started[2:])
+    assert [p.value.payload["n"] for p in procs] == [0, 1]
+    results = [rec for rec in net.trace.select(kind="msg.send", node="server")
+               if rec.detail["msg_kind"] == MsgKind.RESULT]
+    assert len(results) == 2             # none for the two that died
+    assert not set(first_tickets) & set(started[2:])

@@ -233,3 +233,58 @@ def test_lock_acquire_returns_attrs_for_revalidation():
     payload = run_gen(s, app())
     assert "attrs" in payload and "extents" in payload
     assert payload["mode"] == int(LockMode.SHARED)
+
+
+# -- a mutation is deferred only when its barrier really waits --------------
+
+def _plain_mutations(system):
+    """Plain CREATE (fresh and existing path) and SETATTR from c1; the
+    kinds the server's endpoint sent while answering them."""
+    c = system.client("c1")
+    sent_before = len(system.trace.select(kind="msg.send", node="server"))
+    out = {}
+
+    def app():
+        from repro.net import NackError
+        ack = yield from c.endpoint.request(
+            "server", MsgKind.CREATE, {"path": "/d/f", "size": 0})
+        out["fid"] = ack.payload["file_id"]
+        try:
+            yield from c.endpoint.request(
+                "server", MsgKind.CREATE, {"path": "/d/f", "size": 0})
+        except NackError as exc:
+            out["again"] = exc.nack.payload
+        ack = yield from c.endpoint.request(
+            "server", MsgKind.SETATTR,
+            {"file_id": out["fid"], "size": 3 * BLOCK_SIZE})
+        out["size"] = ack.payload["attrs"]["size"]
+    run_gen(system, app())
+    sent = system.trace.select(kind="msg.send", node="server")[sent_before:]
+    out["kinds"] = [rec.detail["msg_kind"] for rec in sent
+                    if rec.detail["dst"] == "c1"
+                    or rec.detail["msg_kind"] == MsgKind.CACHE_INVALIDATE]
+    return out
+
+
+def test_plain_create_and_setattr_are_two_datagrams_without_cache_nodes():
+    """The barrier bracket claims nothing and never waits, so the
+    generator handlers finish inside the delivery: one ACK or NACK
+    each, no receipt, no RESULT."""
+    out = _plain_mutations(make_system(n_clients=1))
+    assert out["again"]["error"] == "exists" and out["size"] == 3 * BLOCK_SIZE
+    assert out["kinds"] == [MsgKind.ACK, MsgKind.NACK, MsgKind.ACK]
+
+
+def test_plain_create_and_setattr_are_deferred_behind_cache_nodes():
+    """With cache nodes the bracket waits for every invalidation, so the
+    same handlers park (the first invalidation leaves inside the
+    delivery, ahead of the receipt ACK) and answer with a RESULT.  An
+    existing path is still refused at once, before any barrier."""
+    from repro.core.config import NetCacheConfig
+    system = make_system(n_clients=1, netcache=NetCacheConfig(n_nodes=2))
+    out = _plain_mutations(system)
+    assert out["again"]["error"] == "exists" and out["size"] == 3 * BLOCK_SIZE
+    deferred = [MsgKind.CACHE_INVALIDATE, MsgKind.ACK,
+                MsgKind.CACHE_INVALIDATE, MsgKind.RESULT]
+    assert out["kinds"] == deferred + [MsgKind.NACK] + deferred
+    assert system.server.barrier._cache_pending == set()

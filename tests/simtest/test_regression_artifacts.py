@@ -41,6 +41,7 @@ def test_artifacts_present():
     assert "byz-replay-stale-grant-validated-reassert.json" in names
     assert "byz-suppress-release-demand-escalation.json" in names
     assert "intent-parked-grant-missed-epoch.json" in names
+    assert "parked-grant-outlives-server-crash.json" in names
 
 
 @pytest.mark.parametrize("path", ARTIFACTS,
@@ -82,7 +83,13 @@ EPOCH_ARTIFACTS = [
 ]
 
 
-@pytest.mark.parametrize("name", BYZ_ARTIFACTS + EPOCH_ARTIFACTS)
+#: A transaction parked at a server dies with it (PR 23): left running,
+#: it grants in the wiped lock table and answers in the next epoch.
+CRASH_ARTIFACTS = ["parked-grant-outlives-server-crash.json"]
+
+
+@pytest.mark.parametrize("name",
+                         BYZ_ARTIFACTS + EPOCH_ARTIFACTS + CRASH_ARTIFACTS)
 def test_artifact_catches_reverted_fix(name):
     """Re-breaking the fix each artifact was shrunk against (its
     recorded ``knockout_break_mode``) makes the pinned schedule fire

@@ -42,7 +42,8 @@ def test_unknown_break_mode_rejected():
         apply_break_mode(make_system(), "melt_the_server")
     assert set(BREAK_MODES) == {"skip_flush", "ack_expiring", "steal_early",
                                 "blind_unfence", "blind_reassert",
-                                "no_demand_escalate", "skip_reply_stamp"}
+                                "no_demand_escalate", "skip_reply_stamp",
+                                "zombie_parked"}
 
 
 def test_skip_flush_caught_by_flush_oracle():
@@ -58,8 +59,11 @@ def test_steal_early_caught_by_theorem_oracle():
 def test_steal_early_caught_live_by_lock_compatibility():
     # Seed 1 makes the premature steal visible in the live lock tables,
     # proving the mid-run checker is actually wired into the event loop.
-    result = run_schedule(generate_schedule(1, 6, break_mode="steal_early"))
+    # (Re-found at 4 steps when PR 23 halved the datagrams of a grant:
+    # at 6 the steal no longer lands while the victim still holds.)
+    result = run_schedule(generate_schedule(1, 4, break_mode="steal_early"))
     assert "lock-compatibility" in result.oracle_names()
+    assert run_schedule(generate_schedule(1, 4)).ok
 
 
 def test_break_mode_without_faults_stays_clean():

@@ -16,7 +16,10 @@ SHARED = {"client/datapath.py": ("repro.client.node", "repro.netcache",
                                  "repro.protocols"),
           "lease/agent.py": ("repro.client", "repro.netcache",
                              "repro.protocols")}
-LINE_CAPS = {"client/node.py": 800, "server/node.py": 600}
+#: ``net/control.py`` holds both halves of the endpoint (they do not
+#: separate: RESULT goes out through ``request``); it may not grow.
+LINE_CAPS = {"client/node.py": 800, "server/node.py": 600,
+             "net/control.py": 824}
 METHOD_CAPS = {"client/node.py": ("StorageTankClient", 45),
                "server/node.py": ("StorageTankServer", 35)}
 #: Audit records with one emitter, ``client/datapath.py``; anything else
@@ -62,7 +65,7 @@ def test_shared_layers_know_nothing_of_their_users():
 
 def test_no_layer_outgrows_its_cap():
     files = [*(SRC / "client").glob("*.py"), *(SRC / "server").glob("*.py"),
-             SRC / "lease" / "agent.py"]
+             SRC / "lease" / "agent.py", SRC / "net" / "control.py"]
     for path in files:
         rel = path.relative_to(SRC).as_posix()
         lines = len(path.read_text().splitlines())
@@ -92,3 +95,16 @@ def test_the_data_path_is_the_only_emitter_of_its_audit_records():
     assert elsewhere == set(OTHER_EMITTERS), elsewhere
     assert {kind for _, kind in seen - elsewhere} == AUDIT_KINDS | {
         "mark_flushed("}
+
+
+def test_the_responder_has_one_deferred_path():
+    """The endpoint decides sync or deferred in one place, by what the
+    handler did: one generator test, one process per parked transaction,
+    and no handler that finishes its own generator to stay synchronous."""
+    control = (SRC / "net" / "control.py").read_text()
+    assert control.count('hasattr(result, "send")') == 1
+    assert control.count("sim.process(") == 1
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for gone in ("settle(", "ignore[RPL009]", "send_result"):
+            assert gone not in text, (path.relative_to(SRC).as_posix(), gone)
