@@ -55,14 +55,34 @@ def test_kernel_concurrent_processes(benchmark):
     benchmark(_spin_processes, 200, 100)
 
 
-def _spin_rpcs(n: int) -> int:
+def _sync_handler(sim: Simulator):
+    return lambda m: ("ack", {})
+
+
+def _generator_handler(sim: Simulator):
+    """A generator handler that never waits (a lock granted at once)."""
+    def handler(m):
+        return ("ack", {})
+        yield  # pragma: no cover - makes this a generator function
+    return handler
+
+
+def _parked_handler(sim: Simulator):
+    """A generator handler that waits once (a zero-delay park)."""
+    def handler(m):
+        yield sim.timeout(0.0)
+        return ("ack", {})
+    return handler
+
+
+def _spin_rpcs(n: int, make_handler=_sync_handler) -> int:
     sim = Simulator()
     streams = RandomStreams(1)
     net = ControlNetwork(sim, streams)
     ens = ClockEnsemble(0.0, streams)
     server = Endpoint(sim, net, "server", ens.create("server"))
     client = Endpoint(sim, net, "client", ens.create("client"))
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("fs.getattr", make_handler(sim))
     done = [0]
 
     def caller():
@@ -78,6 +98,19 @@ def _spin_rpcs(n: int) -> int:
 def test_endpoint_rpc_throughput(benchmark):
     """Full request→handler→ACK round-trips per second."""
     benchmark(_spin_rpcs, 2_000)
+
+
+def test_endpoint_rpc_generator_throughput(benchmark):
+    """The same round trip through a generator handler that never
+    waits: two datagrams, so it should cost what ``endpoint_rpc`` does
+    (before PR 23 every generator paid receipt ACK + RESULT + its ACK)."""
+    benchmark(_spin_rpcs, 2_000, _generator_handler)
+
+
+def test_endpoint_rpc_parked_throughput(benchmark):
+    """A handler that really waits: the four-datagram deferred path, one
+    endpoint-owned process per parked transaction."""
+    benchmark(_spin_rpcs, 2_000, _parked_handler)
 
 
 def _spin_trace_emits(n: int) -> int:

@@ -32,6 +32,7 @@ from typing import Callable, Dict, Tuple
 sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
 from bench_infrastructure import (  # noqa: E402
+    _generator_handler, _parked_handler,
     _spin_batched_range_acquire, _spin_fuzz_step, _spin_intent_open,
     _spin_intent_open_long, _spin_metrics, _spin_netcache_lookup,
     _spin_page_cache_hit, _spin_pooled_seed_sweep, _spin_processes,
@@ -54,8 +55,17 @@ PRE_PR_OPS_PER_SEC = {
     "pooled_seed_sweep": 200_000 / 0.4431,
     # PR 17: every open re-parsed all 512 extents, 392.6 ms / 500 cycles;
     # every hit was a list.remove over the 1,024 resident keys, 1.292 s.
-    "intent_open_long": 500 / 0.3926,
     "page_cache_hit": 100_000 / 1.292,
+    # PR 23: a generator handler was answered by receipt ACK + RESULT +
+    # its ACK whether or not it waited (three processes when it did):
+    # 125.0 ms and 129.0 ms / 2k round trips, 162.8 ms / 1k opens,
+    # 122.3 ms / 500 long opens (392.6 ms before PR 17), 88.8 ms / 250
+    # batched acquisitions.
+    "endpoint_rpc_generator": 2_000 / 0.1250,
+    "endpoint_rpc_parked": 2_000 / 0.1290,
+    "intent_open": 1_000 / 0.1628,
+    "intent_open_long": 500 / 0.1223,
+    "batched_range_acquire": 250 / 0.0888,
 }
 
 #: (callable, units-per-call) — ops/sec = units / best wall time.
@@ -63,6 +73,10 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
     "kernel_events": (lambda: _spin_timeouts(20_000), 20_000),
     "kernel_concurrent_processes": (lambda: _spin_processes(200, 100), 20_000),
     "endpoint_rpc": (lambda: _spin_rpcs(2_000), 2_000),
+    "endpoint_rpc_generator": (
+        lambda: _spin_rpcs(2_000, _generator_handler), 2_000),
+    "endpoint_rpc_parked": (
+        lambda: _spin_rpcs(2_000, _parked_handler), 2_000),
     "trace_recorder": (lambda: _spin_trace_emits(50_000), 50_000),
     "trace_counting_only": (lambda: _spin_trace_counting_only(50_000), 50_000),
     "metrics_registry": (lambda: _spin_metrics(50_000), 50_000),

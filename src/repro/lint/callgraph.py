@@ -3,8 +3,10 @@
 Two pieces of protocol knowledge live here rather than in rules:
 
 * **Deferral positions.**  In the simulator's dispatch loop a handler
-  runs *inline*; returning a generator (or handing one to
-  ``sim.process(...)``) defers it to its own simulated process.  A call
+  runs *inline*; returning a generator hands it to the endpoint, which
+  runs it up to its first wait in the same delivery and parks the rest
+  as one simulated process (``sim.process(...)`` defers likewise).  The
+  inline prefix cannot block: where it would wait, it yields.  A call
   site is therefore *deferred* when its result is directly returned,
   directly yielded-from, or passed directly to a ``*.process(...)``
   call — arguments of a deferred call still evaluate inline.
@@ -38,7 +40,7 @@ class CallSite:
     #: Alias-resolved dotted name of the call target, when it is a
     #: plain attribute chain (``time.sleep``) — resolvable or not.
     dotted: Optional[str]
-    #: True when the call result is deferred to its own process.
+    #: True when the call result is handed on, not run by the caller.
     deferred: bool
 
 

@@ -17,9 +17,14 @@ graph instead.  Starting from every handler registration it follows the
 * a call to a configured blocking primitive (``time.sleep`` by
   default), however many helpers deep.
 
-Handlers that are themselves generators are deferred wholesale by the
-dispatch loop and are skipped; unresolvable callees (dynamic dispatch)
-are treated as unknown, exactly like RPL002 treats them.
+Handlers that are themselves generators are skipped: the dispatch loop
+runs one to its first ``yield`` inside the delivery, and that prefix
+cannot block — where it would wait it yields, which parks the rest as a
+deferred transaction, and one that never yields is answered as directly
+as a tuple.  What the rule forbids is a handler *finishing* a generator
+itself (``next(gen)``, a drive loop) to stay synchronous.  Unresolvable
+callees (dynamic dispatch) are treated as unknown, exactly like RPL002
+treats them.
 """
 
 from __future__ import annotations
