@@ -40,9 +40,9 @@ CORPUS_PATH = os.path.join(os.path.dirname(__file__), "corpus.json")
 #: with Byzantine behaviors and pin the containment machinery's event
 #: order (fence, attested rejoin, demand escalation, chain demands) —
 #: §6's backstop, fuzz-hardened.  The last two are honest schedules that
-#: fired ``lock-compatibility`` before PR 23: a parked grant outliving
-#: its server's crash (10273) and a release demand overtaking an
-#: unconfirmed downgrade (24).
+#: reach the two ``lock-compatibility`` races PR 23 closed: a parked
+#: grant outliving its server's crash (10273) and a release demand
+#: overtaking an unconfirmed downgrade (24).
 PINNED_RUNS = ((0, 12, 0, 0), (1, 12, 0, 0),
                (7, 16, 0, 0), (23, 16, 0, 0),
                (42, 20, 0, 0), (2, 10, 2, 0),
