@@ -80,8 +80,11 @@ def test_a6_server_cluster(benchmark):
     # The busiest server's load per completed op drops as the cluster
     # grows.  Per op, because the rows complete different numbers of ops
     # (the workload sits in the lock-queue wedge, EXPERIMENTS.md A6):
-    # absolute transaction counts are not comparable across them.
-    assert rows[2]["max_txn_per_op"] < rows[1]["max_txn_per_op"] / 2
+    # absolute transaction counts are not comparable across them.  Not
+    # "< half": half needs perfect balance and equal transactions per op,
+    # and the rows differ in both (balance up to ~1.1, 1.4-1.8 txn/op as
+    # the wedge moves), so two servers land near 0.55 of one.
+    assert rows[2]["max_txn_per_op"] < rows[1]["max_txn_per_op"] * 0.6
     assert rows[4]["max_txn_per_op"] <= rows[2]["max_txn_per_op"]
     # Routing stays reasonably balanced and the authority stays passive.
     for r in rows.values():

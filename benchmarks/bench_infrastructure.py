@@ -75,6 +75,15 @@ def _parked_handler(sim: Simulator):
     return handler
 
 
+def _parked_long_handler(sim: Simulator):
+    """A generator handler that outlasts the requester's retry timeout
+    (1.5 s against the default 1.0 s): one retry, re-ACKed pending."""
+    def handler(m):
+        yield sim.timeout(1.5)
+        return ("ack", {})
+    return handler
+
+
 def _spin_rpcs(n: int, make_handler=_sync_handler) -> int:
     sim = Simulator()
     streams = RandomStreams(1)
@@ -108,9 +117,18 @@ def test_endpoint_rpc_generator_throughput(benchmark):
 
 
 def test_endpoint_rpc_parked_throughput(benchmark):
-    """A handler that really waits: the four-datagram deferred path, one
-    endpoint-owned process per parked transaction."""
+    """A handler that really waits, less than the retry timeout: one
+    endpoint-owned process and two datagrams, the request and the final
+    ACK that answers it (before this path answered directly it cost a
+    receipt ACK, a server-initiated RESULT and its ACK, two processes)."""
     benchmark(_spin_rpcs, 2_000, _parked_handler)
+
+
+def test_endpoint_rpc_parked_long_throughput(benchmark):
+    """A handler that waits past the retry timeout: the retry is
+    re-ACKed pending and the final answers the admitted attempt, four
+    datagrams in all."""
+    benchmark(_spin_rpcs, 2_000, _parked_long_handler)
 
 
 def _spin_trace_emits(n: int) -> int:

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Tuple
 sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
 from bench_infrastructure import (  # noqa: E402
-    _generator_handler, _parked_handler,
+    _generator_handler, _parked_handler, _parked_long_handler,
     _spin_batched_range_acquire, _spin_fuzz_step, _spin_intent_open,
     _spin_intent_open_long, _spin_metrics, _spin_netcache_lookup,
     _spin_page_cache_hit, _spin_pooled_seed_sweep, _spin_processes,
@@ -62,7 +62,13 @@ PRE_PR_OPS_PER_SEC = {
     # 122.3 ms / 500 long opens (392.6 ms before PR 17), 88.8 ms / 250
     # batched acquisitions.
     "endpoint_rpc_generator": 2_000 / 0.1250,
-    "endpoint_rpc_parked": 2_000 / 0.1290,
+    # A parked handler's outcome travelled as a server-initiated RESULT
+    # after a receipt ACK (a retry of a long wait re-ACKed as now):
+    # 107.6 ms / 2k round trips parked under the retry timeout, 88.5 ms
+    # / 2k parked past it, 25.6 ms per 6-step fuzz schedule.
+    "endpoint_rpc_parked": 2_000 / 0.1076,
+    "endpoint_rpc_parked_long": 2_000 / 0.0885,
+    "fuzz_step": 1 / 0.0256,
     "intent_open": 1_000 / 0.1628,
     "intent_open_long": 500 / 0.1223,
     "batched_range_acquire": 250 / 0.0888,
@@ -77,6 +83,8 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
         lambda: _spin_rpcs(2_000, _generator_handler), 2_000),
     "endpoint_rpc_parked": (
         lambda: _spin_rpcs(2_000, _parked_handler), 2_000),
+    "endpoint_rpc_parked_long": (
+        lambda: _spin_rpcs(2_000, _parked_long_handler), 2_000),
     "trace_recorder": (lambda: _spin_trace_emits(50_000), 50_000),
     "trace_counting_only": (lambda: _spin_trace_counting_only(50_000), 50_000),
     "metrics_registry": (lambda: _spin_metrics(50_000), 50_000),

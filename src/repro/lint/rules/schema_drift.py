@@ -46,8 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Dispatch-layer envelope fields, stamped/read outside any one kind's
 #: schema; never part of the drift analysis.
 _DEFAULT_IGNORE = (
-    "__epoch__", "__mseq__", "__lease_nack__", "__pending__", "__ticket__",
-    "__decision__", "__payload__",
+    "__epoch__", "__mseq__", "__lease_nack__", "__pending__",
 )
 
 #: How deep to chase the message object through helper calls.

@@ -64,9 +64,9 @@ class ReplyObserver:
 
         ``renewal_time`` is the local send time of the attempt it
         answers — the instant a lease may renew from (Fig. 3) — or None
-        when it proves nothing about the present: a NACK, or a deferred
-        transaction's final (its receipt ACK already renewed; the final
-        only carries payload stamps).
+        for a NACK, which proves nothing about the present.  A parked
+        transaction's final answers the attempt that was admitted, so it
+        renews from that attempt's send time, however late it arrives.
         """
 
     def on_delivery_failure(self, dst: str, msg: Message) -> None:
@@ -371,16 +371,14 @@ class Endpoint:
         self._handlers: Dict[str, Handler] = {}
         self._gatekeeper: Optional[Callable[[Message], Optional[str]]] = None
         self._pending: Dict[int, Event] = {}
-        self._pending_results: Dict[int, Event] = {}
-        # Results that arrived before their pending-ACK (datagram reordering).
-        self._early_results: Dict[int, Tuple[str, Dict[str, Any]]] = {}
         self._next_seq = 0
         self._dedup_capacity = dedup_capacity
-        # (src, seq) -> ("done", decision, payload) | ("pending", ticket, None)
+        # (src, seq) -> ("done", decision, payload) | ("pending", None, None)
         self._executed: Dict[Tuple[str, int], Tuple[str, Optional[str], Optional[Dict[str, Any]]]] = {}
         self._executed_order: Deque[Tuple[str, int]] = deque()
-        # ticket -> process of a transaction whose handler is waiting
-        # (``crash`` interrupts them, in arrival order).
+        # msg_id of the admitted attempt -> process of a transaction
+        # whose handler is waiting (``crash`` interrupts them, in
+        # arrival order).
         self._parked: Dict[int, Process] = {}
         # (registry, latency histogram, request counter), re-made if the
         # endpoint is re-bound to a different registry.
@@ -391,7 +389,7 @@ class Endpoint:
         self.rpc_sent: Dict[str, int] = {}
 
         # The hook surface.  ``reply_stamp(msg)`` returns payload keys
-        # merged into every ACK this node decides, receipt ACKs included:
+        # merged into every ACK this node decides, pending re-ACKs included:
         # any ACK renews the requester's lease, so every ACK of a server
         # must also carry its restart signal, ``__epoch__`` (§6).
         self.observers: List[ReplyObserver] = []
@@ -411,19 +409,17 @@ class Endpoint:
     def crash(self) -> None:
         """Stop receiving and lose volatile transport state.
 
-        The replay (at-most-once) cache, deferred-result plumbing and
-        parked transactions are in-memory: they die with the node (a
-        handler left waiting would decide in state the crash wiped and
-        answer in the next incarnation's name).  Survivors re-polling a
-        transaction that was in progress here find no record and trigger
-        a fresh execution after restart — the recovery path §6's
-        reassertion design expects.
+        The replay (at-most-once) cache and parked transactions are
+        in-memory: they die with the node (a handler left waiting would
+        decide in state the crash wiped and answer in the next
+        incarnation's name), and a killed transaction sends nothing.
+        Survivors re-polling a transaction that was in progress here
+        find no record and trigger a fresh execution after restart —
+        the recovery path §6's reassertion design expects.
         """
         self.alive = False
         self._executed.clear()
         self._executed_order.clear()
-        self._pending_results.clear()
-        self._early_results.clear()
         parked, self._parked = self._parked, {}
         for proc in parked.values():
             proc.interrupt("crash")
@@ -531,8 +527,7 @@ class Endpoint:
                     self._deliver_reply(msg, reply, attempt_times)
                     if reply.payload.get("__pending__"):
                         reply = yield from self._await_result(
-                            msg, int(reply.payload["__ticket__"]), pol,
-                            attempt_times)
+                            msg, pol, attempt_times)
                     self._rpc_done(span, kind, t0, "ack")
                     return reply
             for observer in self.observers:
@@ -549,18 +544,17 @@ class Endpoint:
                 pending.pop(mid, None)
 
     def _deliver_reply(self, msg: Message, reply: Message,
-                       attempt_times: Optional[Dict[int, float]]) -> None:
+                       attempt_times: Dict[int, float]) -> None:
         """Show one reply to request ``msg`` to every observer, then
         raise :class:`NackError` if it is a NACK.
 
         The requester side's one choke point: direct ACKs and NACKs,
-        ``__pending__`` receipt ACKs and re-ACKs, a re-execution's
-        direct answer and the ``Ack``/``Nack`` synthesized from a
-        deferred ``RESULT`` (``attempt_times`` None: no renewal) each
-        pass through here exactly once.
+        ``__pending__`` re-ACKs, a parked transaction's final and a
+        re-execution's direct answer each pass through here exactly
+        once, renewing from the send time of the attempt they answer.
         """
         nacked = reply.kind == _NACK
-        renewal_time = (None if nacked or attempt_times is None else
+        renewal_time = (None if nacked else
                         attempt_times.get(reply.reply_to or -1,
                                           msg.sent_local_time))
         for observer in self.observers:
@@ -590,73 +584,50 @@ class Endpoint:
         hist.labels(kind=kind, status=status).observe(self.sim._now - t0)
         count.labels(kind=kind, status=status).inc()
 
-    def _fresh_result_event(self, ticket: int) -> Event:
-        """Register a waiter for a deferred-transaction result, consuming
-        any result that arrived ahead of its pending-ACK."""
-        ev = Event(self.sim)
-        early = self._early_results.pop(ticket, None)
-        if early is not None:
-            ev.succeed(early)
-        self._pending_results[ticket] = ev
-        return ev
-
-    def _await_result(self, msg: Message, ticket: int, pol: RetryPolicy,
+    def _await_result(self, msg: Message, pol: RetryPolicy,
                       attempt_times: Dict[int, float],
                       ) -> Generator[Event, Any, Message]:
-        """Wait for a deferred-transaction result, re-polling the server.
+        """Wait for a parked transaction's final, re-polling the server.
 
-        While pending, the original datagram is periodically re-sent: a
-        live server re-acknowledges "still pending" from its replay
-        cache, while a *restarted* server (which lost the in-progress
-        entry) re-executes the transaction under a fresh ticket.  The
-        poll is what lets a client ride out a server crash instead of
-        sleeping through the whole ``pending_timeout``.
+        The final answers the admitted attempt, whose msg_id stays
+        registered here with every other attempt's.  While it is
+        pending, the original datagram is periodically re-sent: a live
+        server re-acknowledges "still pending" from its replay cache or,
+        if the final was lost, answers from its ``"done"`` record, while
+        a *restarted* server (which lost the in-progress entry)
+        re-executes the transaction.  The poll is what lets a client
+        ride out a lost final or a server crash instead of sleeping
+        through the whole ``pending_timeout``.
         """
         sim = self.sim
         pending = self._pending
-        result_ev = self._fresh_result_event(ticket)
         deadline_local = self.local_now() + pol.pending_timeout
         poll_local = max(pol.timeout * 2.0, 1e-6)
-        try:
-            while True:
-                remaining = deadline_local - self.local_now()
-                # Floor at a microsecond: a sub-epsilon remainder cannot
-                # advance the float timeline and would spin forever.
-                if remaining <= 1e-6:
-                    raise DeliveryError(msg, pol.attempts)
-                reply_ev = Event(sim)
-                for mid in attempt_times:
-                    pending[mid] = reply_ev
-                timeout_ev = self.local_timeout(
-                    max(min(poll_local, remaining), 1e-6))
-                winner = yield FirstOf(sim, (result_ev, reply_ev, timeout_ev))
-                if winner is result_ev:
-                    decision, payload = result_ev._value
-                    final = (Nack if decision == "nack" else Ack)(
-                        msg.dst, self.name, msg.msg_id, payload=payload)
-                    self._deliver_reply(msg, final, None)
-                    return final
-                if winner is reply_ev:
-                    reply: Message = reply_ev._value
-                    self._deliver_reply(msg, reply, attempt_times)
-                    if reply.payload.get("__pending__"):
-                        new_ticket = int(reply.payload["__ticket__"])
-                        if new_ticket != ticket:
-                            self._pending_results.pop(ticket, None)
-                            ticket = new_ticket
-                            result_ev = self._fresh_result_event(ticket)
-                        continue
-                    return reply  # re-execution answered directly
-                # Poll timeout: a fresh initiation nudging the server (its
-                # ACK renews the lease from this new send time).
-                poll_msg = Message(msg.src, msg.dst, msg.kind,
-                                   msg.payload, msg.seq)
-                poll_msg.sent_local_time = self.local_now()
-                attempt_times[poll_msg.msg_id] = poll_msg.sent_local_time
-                pending[poll_msg.msg_id] = reply_ev
-                self.net.transmit(poll_msg)
-        finally:
-            self._pending_results.pop(ticket, None)
+        while True:
+            remaining = deadline_local - self.local_now()
+            # Floor at a microsecond: a sub-epsilon remainder cannot
+            # advance the float timeline and would spin forever.
+            if remaining <= 1e-6:
+                raise DeliveryError(msg, pol.attempts)
+            reply_ev = Event(sim)
+            for mid in attempt_times:
+                pending[mid] = reply_ev
+            timeout_ev = self.local_timeout(
+                max(min(poll_local, remaining), 1e-6))
+            if (yield FirstOf(sim, (reply_ev, timeout_ev))) is reply_ev:
+                reply: Message = reply_ev._value
+                self._deliver_reply(msg, reply, attempt_times)
+                if not reply.payload.get("__pending__"):
+                    return reply
+                continue
+            # Poll timeout: a fresh initiation nudging the server (its
+            # ACK renews the lease from this new send time).
+            poll_msg = Message(msg.src, msg.dst, msg.kind,
+                               msg.payload, msg.seq)
+            poll_msg.sent_local_time = self.local_now()
+            attempt_times[poll_msg.msg_id] = poll_msg.sent_local_time
+            pending[poll_msg.msg_id] = reply_ev
+            self.net.transmit(poll_msg)
 
     # -- receiving -----------------------------------------------------------
     def _on_datagram(self, msg: Message) -> None:
@@ -682,17 +653,14 @@ class Endpoint:
             if verdict == "silent":
                 return
 
-        if msg.kind == MsgKind.RESULT:
-            self._h_result(msg)
-            return
-
         key = (msg.src, msg.seq)
         cached = self._executed.get(key)
         if cached is not None:
             state, decision, payload = cached
             if state == "pending":
-                # Re-acknowledge pending (the first pending ACK may be lost).
-                self._reply_pending(msg, decision)
+                # A retry of a parked transaction: stop its retries (the
+                # requester polls for the final from here on).
+                self._reply_pending(msg)
                 return
             self._reply(msg, decision or "ack", payload)  # stamped at execution
             return
@@ -708,65 +676,32 @@ class Endpoint:
             return
         # A generator handler runs to its first wait inside the delivery
         # and, if it finishes there, is answered as directly as a tuple.
-        # One that waits is a deferred transaction: ACK receipt now, the
-        # outcome later as a reliable server-initiated RESULT message.
+        # One that waits is parked: one process, and the same one direct
+        # answer to the admitted request when it finishes.
         txn = self._transact(key, msg, result)
         try:
             waiting_on = txn.send(None)
-        except StopIteration as done:
-            self._reply(msg, *done.value)
+        except StopIteration:
             return
-        ticket = msg.msg_id
-        self._remember(key, ("pending", ticket, None))
-        self._reply_pending(msg, ticket)
-        self._parked[ticket] = self.sim.process(
+        self._remember(key, ("pending", None, None))
+        self._parked[msg.msg_id] = self.sim.process(
             txn, name=f"{self.name}:{msg.kind}#{msg.seq}", target=waiting_on)
-
-    def _h_result(self, msg: Message) -> None:
-        """Inbound deferred-transaction outcome (endpoint-level handler)."""
-        ticket = int(msg.payload["__ticket__"])
-        outcome = (msg.payload.get("__decision__", "ack"),
-                   dict(msg.payload.get("__payload__") or {}))
-        ev = self._pending_results.get(ticket)
-        if ev is not None:
-            if not ev._triggered:
-                ev.succeed(outcome)
-        else:
-            # Reordered ahead of the pending ACK; park it for _await_result.
-            self._early_results[ticket] = outcome
-            if len(self._early_results) > 256:
-                self._early_results.pop(next(iter(self._early_results)))
-        # Always acknowledge so the sender's retries stop; duplicates and
-        # results for abandoned requests are acknowledged-and-dropped.
-        self._reply(msg, "ack", None)
 
     def _transact(self, key: Tuple[str, int], msg: Message,
                   gen: Generator[Event, Any, Any],
-                  ) -> Generator[Event, Any, Optional[HandlerResult]]:
-        """Run a generator handler and seal its decision: returned to
-        :meth:`_on_request` if the handler never waited, delivered as a
-        ``RESULT`` from here once parked.  A crash interrupts it through
-        the handler (its ``finally`` blocks run); nothing is sealed or
-        sent."""
+                  ) -> Generator[Event, Any, None]:
+        """Run a generator handler, seal its decision and answer ``msg``
+        — the attempt that was admitted — whether or not it waited.  A
+        crash interrupts it through the handler (its ``finally`` blocks
+        run); nothing is sealed or sent."""
         try:
             result = yield from gen
         except Interrupt:
             raise
         except Exception as exc:
             result = ("nack", {"error": repr(exc)})
-        decision, payload = self._finish(key, msg, self._normalize(result))
-        if self._parked.pop(msg.msg_id, None) is None:
-            return decision, payload
-        # Reliable delivery of the outcome; a delivery failure here feeds
-        # the authority's suspect machinery like any server-initiated
-        # message (the requester may have partitioned while waiting).
-        try:
-            yield from self.request(msg.src, MsgKind.RESULT,
-                                    {"__ticket__": msg.msg_id,
-                                     "__decision__": decision,
-                                     "__payload__": payload})
-        except (DeliveryError, NackError):
-            pass
+        self._parked.pop(msg.msg_id, None)
+        self._reply(msg, *self._finish(key, msg, self._normalize(result)))
 
     @staticmethod
     def _normalize(result: Any) -> HandlerResult:
@@ -783,16 +718,15 @@ class Endpoint:
         stamp = self.reply_stamp
         return payload if stamp is None else {**payload, **stamp(msg)}
 
-    def _reply_pending(self, msg: Message, ticket: Any) -> None:
-        """Receipt ACK of a deferred transaction, stamped at send time
-        (it renews the parked requester's lease)."""
-        self._reply(msg, "ack", self._stamped(
-            msg, {"__pending__": True, "__ticket__": ticket}))
+    def _reply_pending(self, msg: Message) -> None:
+        """Re-ACK of a retry of a parked transaction, stamped at send
+        time (it renews the requester's lease from the retry)."""
+        self._reply(msg, "ack", self._stamped(msg, {"__pending__": True}))
 
     def _finish(self, key: Tuple[str, int], msg: Message,
                 result: HandlerResult) -> HandlerResult:
         """Seal a handler's decision — stamp an ACK, *then* record it —
-        for the synchronous and deferred paths alike (the only writer
+        for the synchronous and parked paths alike (the only writer
         of ``"done"`` entries).  A replayed reply thus carries the
         ``__epoch__``/``__mseq__`` it was executed under: a fresher
         watermark on an old value would let a cache node install data

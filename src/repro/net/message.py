@@ -77,7 +77,6 @@ class MsgKind:
     # transport
     ACK = "transport.ack"
     NACK = "transport.nack"
-    RESULT = "transport.result"   # final outcome of a deferred transaction
 
 
 #: The handler-group partition of the vocabulary.  Every ``MsgKind``
@@ -109,7 +108,7 @@ KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
                       MsgKind.CLUSTER_RELEASE),
     "cluster-coordinator": (MsgKind.CLUSTER_MAP_FETCH,),
     # transport frames are consumed by the endpoint itself
-    "transport": (MsgKind.ACK, MsgKind.NACK, MsgKind.RESULT),
+    "transport": (MsgKind.ACK, MsgKind.NACK),
 }
 
 

@@ -30,6 +30,7 @@ from repro.lease.contract import LeaseContract
 from repro.net.control import Endpoint
 from repro.net.message import DeliveryError, MsgKind, NackError
 from repro.sim.events import Event
+from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -97,30 +98,53 @@ class CacheBarrier:
 
     def _invalidate_caches(self, barrier: int, payload: Dict[str, Any],
                            ) -> Generator[Event, Any, None]:
-        """Push one invalidation round to every cache node and wait.
+        """Push one invalidation round to every cache node at once and
+        wait for the slowest.
+
+        Each node's request runs as its own process (started on its
+        first wait, so it costs no bootstrap event) except the last,
+        which runs in the caller; the round is over when every one has
+        finished.  A crash of the caller interrupts the others too."""
+        body = dict(payload)
+        body["barrier"] = barrier
+        *others, last = self._cache_nodes
+        sim = self.endpoint.sim
+        procs: List[Process] = []
+        for cname in others:
+            gen = self._invalidate_one(cname, body)
+            procs.append(sim.process(gen, target=next(gen)))
+        try:
+            yield from self._invalidate_one(last, body)
+            for proc in procs:
+                if proc.is_alive:
+                    yield proc
+        finally:
+            for proc in procs:
+                if proc.is_alive:
+                    proc.interrupt("crash")
+
+    def _invalidate_one(self, cname: str, body: Dict[str, Any],
+                        ) -> Generator[Event, Any, None]:
+        """Invalidate one cache node and wait until it is safe.
 
         A cache that ACKs has dropped the named entries and raised its
         barrier floor.  A cache that cannot be reached is handled by the
         lease machinery: the delivery failure marked it suspect, so we
         wait for the authority's resolution (the τ(1+ε) suspect timer of
         Theorem 3.1) — after which the cache's own clock has expired the
-        covering lease and its entries are unusable.  Only then may the
-        mutation apply."""
-        body = dict(payload)
-        body["barrier"] = barrier
-        for cname in self._cache_nodes:
-            try:
-                yield from self.endpoint.request(
-                    cname, MsgKind.CACHE_INVALIDATE, dict(body))
-            except NackError:
-                pass  # cache refused: it holds nothing it will serve
-            except DeliveryError:
-                res = self.authority.resolution(cname)
-                if res is not None:
-                    yield res
-                else:
-                    yield self.endpoint.local_timeout(
-                        self.contract.server_wait_local())
+        covering lease and its entries are unusable."""
+        try:
+            yield from self.endpoint.request(
+                cname, MsgKind.CACHE_INVALIDATE, dict(body))
+        except NackError:
+            pass  # cache refused: it holds nothing it will serve
+        except DeliveryError:
+            res = self.authority.resolution(cname)
+            if res is not None:
+                yield res
+            else:
+                yield self.endpoint.local_timeout(
+                    self.contract.server_wait_local())
 
     def note_mutation(self, op: str, **fields: Any) -> None:
         """Record a namespace mutation at apply time (under a claimed

@@ -37,7 +37,7 @@ SERVER_LEASE_KINDS = frozenset({
 })
 
 #: Transport frames (replies) — exempt from the Fig. 5 must-answer rule.
-_REPLY_KINDS = frozenset({MsgKind.ACK, MsgKind.NACK, MsgKind.RESULT})
+_REPLY_KINDS = frozenset({MsgKind.ACK, MsgKind.NACK})
 
 _TIME_SLACK = 1e-6
 

@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "1265b63238c662e27eb05a5403d63615d7c4c2e33b7cf6f7ad38270b14b544cb",
-        "64e3863c71f1e0eedee4dc5bc06c49c54955e0186cfa331cc649df84b423087c",
+        "96c70ae6f4bcdbfc1fec1d6af24d5ba269d490e2c28286473145571f5b000192",
+        "dcbc22b689da8d2d41c86fabb501cc5a66bcb2e75ab8f453b06e2bfac91935ea",
     ],
     experiment_e6_nack: [
-        "198579f1f4f7cfd61a82c9cdb94b7a500a5703a6eaf1304941777e4e1d5615a1",
-        "1f637cc04cf439bd20943f0863badd96d7afd5be7ba0520e81055cb635704813",
+        "75e82599b34e605da8a2fec311b3b8d7795bd4c16a349713fb58c24c61e87502",
+        "2c294e2981409fe37c07adb068ad7c0a82ecab954d57d1f69ff7bc6ad2c7ddf2",
     ],
 }
 

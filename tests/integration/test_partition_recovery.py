@@ -194,3 +194,57 @@ def test_san_partition_leases_cannot_help():
     report = ConsistencyAuditor(s).audit()
     assert report.lost_updates == []  # reported => stranded, not silent
     assert len(report.stranded_reported) == 1
+
+
+def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
+    """The theorem-3.1 oracle over a schedule where a client is marked
+    suspect while one of its transactions is parked.  A one-way cut
+    (server → c1) makes a server-initiated probe to c1 fail; c1's own
+    request gets through just before the mark, parks, and its final
+    reaches c1 after the cut heals — renewing from the admitted send
+    time, so the lease it grants still ends before the steal."""
+    from repro.net import MsgKind
+    from repro.simtest.oracles import Theorem31Oracle
+
+    s = make_system(n_clients=1)
+    server = s.server
+    c1 = s.client("c1")
+
+    def parked(msg):
+        yield s.sim.timeout(0.4)
+        return ("ack", {})
+    server.endpoint.register("test.park", parked)
+    out = {}
+
+    def probe():
+        yield s.sim.timeout(10.0)
+        s.control_net.block("server", "c1")
+        try:
+            yield from server.endpoint.request("c1", MsgKind.RANGE_DEMAND, {})
+        except Exception as exc:         # the delivery failure marks c1
+            out["probe"] = type(exc).__name__
+
+    def request():
+        yield s.sim.timeout(13.9)        # just before the probe gives up
+        out["sent_local"] = c1.endpoint.local_now()
+        reply = yield from c1.endpoint.request("server", "test.park", {})
+        out["final_at"] = s.sim.now
+        out["reply"] = reply
+
+    def heal():
+        yield s.sim.timeout(13.95)
+        s.control_net.unblock("server", "c1")
+    for gen in (probe(), request(), heal()):
+        s.spawn(gen)
+    s.run(until=60.0)
+    [suspect] = s.trace.select(kind="lease.suspect")
+    [steal] = s.trace.select(kind="lease.steal")
+    assert out["probe"] == "DeliveryError"
+    assert suspect.time < out["final_at"] < steal.time
+    renewed = [r for r in s.trace.select(kind="lease.renewed", node="c1")
+               if r.time == out["final_at"]]
+    assert [r.get("start_local") for r in renewed] == [out["sent_local"]]
+    expiry = s.clocks.clocks["c1"].global_time(
+        server.authority.contract.client_expiry_local(out["sent_local"]))
+    assert expiry < steal.time
+    assert Theorem31Oracle().check_final(s) == []

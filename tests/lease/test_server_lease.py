@@ -162,3 +162,43 @@ def test_rejoin_after_steal_is_served():
     sim.process(client())
     sim.run(until=15.0)
     assert got  # normal ACK again
+
+
+def test_final_to_a_client_marked_suspect_while_parked_expires_before_the_steal():
+    """Safety of the one-final reply.  A transaction admitted before the
+    client was marked suspect answers after the mark; its final renews
+    from the admitted attempt's send time t_C1, which precedes the mark
+    t_s, so the lease it grants ends inside the server's τ(1+ε) wait."""
+    from repro.lease import ClientLeaseManager
+    from repro.net import ReplyObserver
+
+    sim, net, sep, cep, auth, stolen = make(tau=10.0, epsilon=0.1)
+    sep.set_gatekeeper(auth.gatekeeper)
+    lease = ClientLeaseManager(sim, cep, "server", auth.contract)
+
+    class Renew(ReplyObserver):
+        def on_reply(self, reply, renewal_time):
+            if renewal_time is not None:
+                lease.renew(renewal_time)
+    cep.observers.append(Renew())
+
+    def parked(msg):
+        yield sim.timeout(0.4)
+        return ("ack", {})
+    sep.register(MsgKind.LOCK_ACQUIRE, parked)
+
+    def suspect_meanwhile():
+        yield sim.timeout(0.2)
+        auth.mark_suspect("c1")
+    sim.process(suspect_meanwhile())
+    proc = sim.process(cep.request("server", MsgKind.LOCK_ACQUIRE, {}))
+    sim.run(until=0.5)
+    [sent] = [r for r in net.trace.select(kind="msg.send", node="c1")]
+    assert proc.value.reply_to == sent.detail["msg_id"]
+    assert lease.lease_start_local == cep.clock.local_time(sent.time)
+    mark = auth._suspects["c1"].started_local
+    sim.run(until=20.0)
+    [steal] = net.trace.select(kind="lease.steal")
+    assert stolen == ["c1"]
+    expiry = cep.clock.global_time(lease.expiry_local())
+    assert sent.time < sep.clock.global_time(mark) and expiry < steal.time

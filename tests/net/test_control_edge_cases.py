@@ -1,5 +1,5 @@
-"""Transport edge cases: pending-ACK loss, duplicate results, abandoned
-requests, dedup-cache eviction."""
+"""Transport edge cases: lost finals and re-ACKs, abandoned requests,
+dedup-cache eviction, and the reply classes a parked transaction has."""
 
 import pytest
 
@@ -31,8 +31,8 @@ def run_req(sim, endpoint, *args, **kwargs):
 
 
 def test_pending_ack_retransmission(pair):
-    """Retrying a request whose pending-ACK was lost re-receives the same
-    ticket, and the final result still arrives exactly once."""
+    """Under loss, a parked transaction's retries and polls are re-ACKed
+    or answered from the replay record, and the handler runs once."""
     sim, net, server, client = pair
     executions = []
 
@@ -60,8 +60,9 @@ def test_pending_ack_retransmission(pair):
 
 
 def test_result_for_abandoned_request_is_absorbed(pair):
-    """If the requester gave up before the deferred result arrived, the
-    result is ACKed-and-dropped; no crash, no replay."""
+    """If the requester gave up before a parked transaction finished,
+    the final is a reply to a forgotten msg_id and is dropped; no
+    crash, no replay."""
     sim, net, server, client = pair
 
     def handler(msg):
@@ -74,12 +75,14 @@ def test_result_for_abandoned_request_is_absorbed(pair):
         run_req(sim, client, "server", "fs.open", {},
                 policy=RetryPolicy(timeout=0.4, retries=0,
                                    pending_timeout=1.0))
-    # Let the late result arrive; nothing blows up.  The orphan parks in
-    # the bounded early-results buffer (the receiver cannot distinguish
-    # "reordered" from "abandoned") and never reaches application code.
+    # Let the late final arrive; nothing blows up and nothing of it
+    # stays behind on either side.
     sim.run(until=sim.now + 10.0)
-    assert client._pending_results == {}
-    assert len(client._early_results) <= 256
+    finals = [rec for rec in net.trace.select(kind="msg.recv", node="client")
+              if rec.detail["msg_kind"] == MsgKind.ACK]
+    assert len(finals) == 1
+    assert client._pending == {} and server._parked == {}
+    assert server._executed[("client", 1)][0] == "done"
     # A fresh request is unaffected by the orphan.
     server.register("fs.getattr", lambda m: ("ack", {"fresh": True}))
     reply = run_req(sim, client, "server", "fs.getattr", {})
@@ -148,28 +151,27 @@ def test_nack_listener_fires_for_deferred_nack(pair, observe):
 
 
 def test_result_listener_fires_on_deferred_final(pair, observe):
-    """A deferred transaction's final result is reconstructed locally
-    from the RESULT payload, not received as an ACK datagram — yet
-    slow-path signals stamped into it, like the server epoch, must
-    still reach the observers.  It carries no renewal time (the receipt
-    ACK already renewed), which is how an observer tells the two apart."""
+    """A parked transaction's final is one ACK datagram answering the
+    admitted attempt: observers see it once, with the epoch stamped at
+    decision time, renewing from that attempt's send time."""
     sim, net, server, client = pair
+    epoch = {"v": 2}
+    server.reply_stamp = lambda msg: {"__epoch__": epoch["v"]}
     seen = observe(client)
 
     def handler(msg):
         def work():
             yield sim.timeout(0.5)
-            return ("ack", {"__epoch__": 3, "fd": 1})
+            epoch["v"] = 3               # a restart signal learned meanwhile
+            return ("ack", {"fd": 1})
         return work()
     server.register("fs.open", handler)
     reply = run_req(sim, client, "server", "fs.open", {})
-    assert reply.payload["fd"] == 1
-    acks = [r.payload for r, t in seen.replies if t is not None]
-    finals = [r.payload for r, t in seen.replies if t is None]
-    # The receipt ACK carried no epoch; the final did.
-    assert acks and all("__epoch__" not in p for p in acks)
-    assert [p.get("__epoch__") for p in finals] == [3]
-    assert seen.replies[-1][0] is reply
+    assert reply.payload == {"fd": 1, "__epoch__": 3}
+    [(shown, renewal)] = seen.replies
+    [sent] = net.trace.select(kind="msg.send", node="client")
+    assert shown is reply and reply.reply_to == sent.detail["msg_id"]
+    assert renewal == sent.time          # ideal clocks: local == global
 
 
 def test_result_listener_silent_on_synchronous_ack(pair, observe):
@@ -247,7 +249,7 @@ def _reexecuted(sim, server):
         return ("ack", {"second": True})
 
     def bounce():
-        yield sim.timeout(0.5)
+        yield sim.timeout(1.2)           # after the retry's re-ACK
         server.crash()
         server.restart()
     sim.process(bounce())
@@ -255,35 +257,37 @@ def _reexecuted(sim, server):
 
 
 #: scenario -> (handler factory, the (label, renews?) of every reply the
-#: requester's observers must see, in order, each exactly once)
+#: requester's observers must see, in order, each exactly once).  The
+#: retry timeout is 0.5 s: a handler that waits less is answered by its
+#: final alone; one that waits longer has its retry re-ACKed pending and
+#: its polls re-ACKed until the final answers the admitted attempt.
 REPLY_CLASSES = {
     "direct-ack": (lambda sim, srv: lambda m: ("ack", {}),
                    [("ack", True)]),
     "nack": (lambda sim, srv: lambda m: ("nack", {"error": "no"}),
              [("nack", False)]),
-    "receipt-then-final-ack": (
-        lambda sim, srv: _deferred(sim, 0.5, ("ack", {})),
-        [("pending", True), ("ack", False)]),
+    "parked-final-ack": (
+        lambda sim, srv: _deferred(sim, 0.2, ("ack", {})),
+        [("ack", True)]),
     "pending-re-acks": (
-        lambda sim, srv: _deferred(sim, 2.5, ("ack", {})),
+        lambda sim, srv: _deferred(sim, 2.7, ("ack", {})),
         [("pending", True), ("pending", True), ("pending", True),
-         ("ack", False)]),
+         ("ack", True)]),
     "re-execution-answers-directly": (
         _reexecuted, [("pending", True), ("ack", True)]),
     "final-nack": (
-        lambda sim, srv: _deferred(sim, 0.5, ("nack", {"error": "later"})),
-        [("pending", True), ("nack", False)]),
+        lambda sim, srv: _deferred(sim, 0.2, ("nack", {"error": "later"})),
+        [("nack", False)]),
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(REPLY_CLASSES))
 def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
                                                           scenario):
-    """Direct ACK, NACK, receipt ACK, pending re-ACK, a re-execution's
-    direct answer and the Ack/Nack synthesized from a RESULT each pass
-    the one delivery path once.  An ACK datagram renews from the send
-    time of the attempt it answers; a NACK or a deferred final carries
-    no renewal time."""
+    """Direct ACK, NACK, pending re-ACK, a parked transaction's final
+    and a re-execution's direct answer each pass the one delivery path
+    once.  An ACK renews from the send time of the attempt it answers;
+    a NACK carries no renewal time."""
     sim, net, server, client = pair
     make_handler, expected = REPLY_CLASSES[scenario]
     server.register("fs.open", make_handler(sim, server))
@@ -306,6 +310,11 @@ def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
     assert renewals == [sent_at[r.reply_to] for r, t in seen.replies
                         if t is not None]
     assert len(set(renewals)) == len(renewals)   # one attempt each
+    # A final answers the admitted (first) attempt, however many were
+    # sent; only a re-execution answers the poll that reached it.
+    answered = seen.replies[-1][0].reply_to
+    first, last = min(sent_at), max(sent_at)
+    assert answered == (last if scenario.startswith("re-exec") else first)
 
 
 @pytest.mark.parametrize("deferred", [False, True],
@@ -378,17 +387,21 @@ def test_generator_that_never_waits_costs_two_datagrams(pair, observe):
     assert server._parked == {}
 
 
-def test_generator_that_waits_once_costs_four_datagrams(pair, observe):
+def test_generator_that_waits_once_costs_two_datagrams(pair, observe):
+    """A handler that parks for less than the retry timeout is answered
+    like one that never waited: no receipt ACK, no server-initiated
+    request, one final that renews from the admitted attempt."""
     sim, net, server, client = pair
+    server.reply_stamp = lambda msg: {"__epoch__": 3}
     server.register("fs.open", _generator_handler(sim, 1, ("ack", {"v": 1})))
     seen = observe(client)
     reply = run_req(sim, client, "server", "fs.open", {})
-    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server"),
-                          (MsgKind.RESULT, "server"), (MsgKind.ACK, "client")]
-    assert reply.payload == {"v": 1}
-    (receipt, renewed), (final, final_renewal) = seen.replies
-    assert receipt.payload["__pending__"] and renewed is not None
-    assert final is reply and final_renewal is None
+    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server")]
+    assert reply.payload == {"v": 1, "__epoch__": 3}
+    [(final, renewal)] = seen.replies
+    [sent] = net.trace.select(kind="msg.send", node="client")
+    assert final is reply and reply.reply_to == sent.detail["msg_id"]
+    assert renewal == sent.time
     assert server._parked == {}
 
 
@@ -412,7 +425,7 @@ def test_raise_before_first_wait_is_a_direct_nack_replayed_verbatim(pair):
     assert proc.exception.nack.payload == {
         "error": repr(RuntimeError("no such file"))}
     assert calls == [1]                  # the retry was answered by replay
-    assert MsgKind.RESULT not in [kind for kind, _src in _wire(net)]
+    assert {kind for kind, _src in _wire(net)} == {"fs.open", MsgKind.NACK}
 
 
 def test_duplicate_of_a_parked_transaction_is_re_acked_not_re_run(pair,
@@ -420,13 +433,14 @@ def test_duplicate_of_a_parked_transaction_is_re_acked_not_re_run(pair,
     sim, net, server, client = pair
     calls = []
     server.register("fs.open",
-                    _generator_handler(sim, 12, ("ack", {}), calls))
+                    _generator_handler(sim, 20, ("ack", {}), calls))
     seen = observe(client)
-    run_req(sim, client, "server", "fs.open", {},
-            policy=RetryPolicy(timeout=0.5, retries=3))
+    reply = run_req(sim, client, "server", "fs.open", {},
+                    policy=RetryPolicy(timeout=0.5, retries=3))
     receipts = [r for r, _t in seen.replies if r.payload.get("__pending__")]
     assert len(receipts) >= 2            # the poll re-sent the request
-    assert {r.payload["__ticket__"] for r in receipts} == {calls[0]}
+    assert calls[0] not in {r.reply_to for r in receipts}
+    assert reply.reply_to == calls[0]    # the final answers the admitted one
     assert len(calls) == 1
 
 
@@ -469,8 +483,8 @@ def test_invalid_decision_raises_in_the_delivery(pair, generator):
 
 def test_crash_kills_parked_transactions(pair):
     """A crashed node's parked transactions die with it: the handlers'
-    ``finally`` blocks run, no RESULT is ever sent, and the retry that
-    reaches the restarted node re-executes under a fresh ticket."""
+    ``finally`` blocks run, no final is ever sent for them, and the
+    retry that reaches the restarted node re-executes and is answered."""
     sim, net, server, client = pair
     started, cleaned, finished = [], [], []
 
@@ -483,6 +497,9 @@ def test_crash_kills_parked_transactions(pair):
         finally:
             cleaned.append(msg.msg_id)
     server.register("fs.open", handler)
+    answered = []
+    send = server.send_datagram
+    server.send_datagram = lambda m: (answered.append(m.reply_to), send(m))
     policy = RetryPolicy(timeout=0.5, retries=3)
     procs = [sim.process(client.request("server", "fs.open", {"n": n},
                                         policy=policy)) for n in range(2)]
@@ -498,7 +515,71 @@ def test_crash_kills_parked_transactions(pair):
     # Both requests were re-executed after the restart, each once more.
     assert len(started) == 4 and set(finished) == set(started[2:])
     assert [p.value.payload["n"] for p in procs] == [0, 1]
-    results = [rec for rec in net.trace.select(kind="msg.send", node="server")
-               if rec.detail["msg_kind"] == MsgKind.RESULT]
-    assert len(results) == 2             # none for the two that died
-    assert not set(first_tickets) & set(started[2:])
+    assert not set(answered) & set(first_tickets)  # none for the two that died
+    assert {p.value.reply_to for p in procs} == set(started[2:])
+
+
+def test_final_after_a_retry_never_moves_the_lease_start_back(pair, observe):
+    """A handler that outlasts the retry timeout: the retry is re-ACKed
+    pending and renews from its own send time; the final answers the
+    admitted msg_id and so renews from the earlier first send — which a
+    lease already renewed past ignores (``renew`` never moves back)."""
+    from repro.lease import ClientLeaseManager, LeaseContract
+    from repro.net import ReplyObserver
+
+    sim, net, server, client = pair
+    lease = ClientLeaseManager(sim, client, "server",
+                               LeaseContract(tau=10.0, epsilon=0.0))
+    starts = []
+
+    class Renew(ReplyObserver):
+        def on_reply(self, reply, renewal_time):
+            if renewal_time is not None:
+                lease.renew(renewal_time)
+            starts.append(lease.lease_start_local)
+    client.observers.append(Renew())
+    seen = observe(client)
+    calls = []
+    server.register("fs.open", _generator_handler(sim, 8, ("ack", {}), calls))
+    proc = sim.process(client.request(
+        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+    sim.run(until=2.0)                   # the lease daemon never stops
+    sends = net.trace.select(kind="msg.send", node="client")
+    sent = [rec.time for rec in sends]
+    (re_ack, re_renewal), (final, final_renewal) = seen.replies
+    assert re_ack.payload == {"__pending__": True} and re_renewal == sent[1]
+    assert final is proc.value
+    assert final.reply_to == calls[0] == sends[0].detail["msg_id"]
+    assert final_renewal == sent[0] < re_renewal
+    assert starts == [sent[1], sent[1]]  # the final did not move it back
+
+
+def test_dropped_final_is_answered_from_the_done_record(pair, observe):
+    """Nothing re-sends a lost final: the requester's next poll finds the
+    ``"done"`` record and is answered from it, with the stamp the
+    transaction was executed under, not the one current at the poll."""
+    sim, net, server, client = pair
+    watermark = {"v": 0}
+    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    calls = []
+    server.register("fs.getattr", _generator_handler(
+        sim, 12, ("ack", {"value": "old"}), calls))   # finishes at ~1.2 s
+    seen = observe(client)
+
+    def weather():
+        yield sim.timeout(1.0)
+        watermark["v"] = 5
+        net.block("server", "client")    # the final is lost
+        yield sim.timeout(0.3)
+        net.unblock("server", "client")
+        watermark["v"] = 9
+    sim.process(weather())
+    reply = run_req(sim, client, "server", "fs.getattr", {},
+                    policy=RetryPolicy(timeout=0.5, retries=3))
+    assert calls and len(calls) == 1
+    assert reply.payload == {"value": "old", "__mseq__": 5}
+    polls = [rec.detail["msg_id"]
+             for rec in net.trace.select(kind="msg.send", node="client")]
+    assert reply.reply_to == polls[-1] != calls[0]
+    assert [r.payload.get("__pending__", False)
+            for r, _t in seen.replies] == [True, False]

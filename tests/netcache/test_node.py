@@ -258,10 +258,10 @@ def test_router_only_intercepts_client_cacheable_reads():
 
 
 def test_deferred_only_client_still_records_server_epoch():
-    """Regression: deferred transactions ACK their receipt before
-    execution and the receipt carries no epoch — the final result
-    must still feed epoch detection, or a client whose traffic is all
-    opens/creates never notices a server restart (§6)."""
+    """Regression: a parked transaction's final (the only reply a
+    create behind the cache barrier gets) must feed epoch detection, or
+    a client whose traffic is all opens/creates never notices a server
+    restart (§6)."""
     system = make_cache_system()
     name = system.pool.name_of(0)
     client = system.client(name)
@@ -283,3 +283,38 @@ def test_config_rejects_cache_tier_off_storage_tank():
     off = make_system(protocol="frangipani",
                       netcache=NetCacheConfig(n_nodes=0))
     assert off.netcache == {} and off.control_net._cache_router is None
+
+
+def test_barrier_waits_for_exactly_the_partitioned_node():
+    """The invalidation round goes to every cache node at once, so a
+    mutation waits for its slowest node only.  With one of four nodes
+    cut off, the three others ACK within a round trip, the cut one's
+    delivery failure marks it suspect, and the mutation applies the
+    instant that node's own resolution fires — not a round trip per
+    node later — with no stale entry served."""
+    from repro.simtest.oracles import CacheNoStaleEntryOracle
+
+    system = make_cache_system(n_nodes=4)
+    name = system.pool.name_of(0)
+    client = system.client(name)
+    warm(system, client)
+    cut = sorted(system.netcache)[2]
+    system.control_net.block_pair("server", cut)
+    t0 = system.sim.now
+
+    def mutate():
+        yield from client.create("/d/g", size=0)
+    run_gen(system, mutate())
+    trace = system.trace
+    [steal] = [r for r in trace.select(kind="lease.steal")
+               if r.get("client") == cut]
+    [applied] = [r for r in trace.select(kind="meta.mutate")
+                 if r.get("path") == "/d/g"]
+    assert applied.time == steal.time
+    acked = [r for r in trace.select(kind="msg.recv", node="server")
+             if r.time > t0 and r.detail["msg_kind"] == MsgKind.ACK
+             and r.detail["src"] in system.netcache]
+    assert sorted({r.detail["src"] for r in acked}) == sorted(
+        set(system.netcache) - {cut})
+    assert all(r.time - t0 < 0.01 for r in acked)
+    assert CacheNoStaleEntryOracle().check_final(system) == []

@@ -277,14 +277,15 @@ def test_plain_create_and_setattr_are_two_datagrams_without_cache_nodes():
 
 def test_plain_create_and_setattr_are_deferred_behind_cache_nodes():
     """With cache nodes the bracket waits for every invalidation, so the
-    same handlers park (the first invalidation leaves inside the
-    delivery, ahead of the receipt ACK) and answer with a RESULT.  An
-    existing path is still refused at once, before any barrier."""
+    same handlers park: both invalidations leave at once inside the
+    delivery, and the one final ACK follows the slower of their ACKs —
+    no receipt ACK, no server-initiated result.  An existing path is
+    still refused at once, before any barrier."""
     from repro.core.config import NetCacheConfig
     system = make_system(n_clients=1, netcache=NetCacheConfig(n_nodes=2))
     out = _plain_mutations(system)
     assert out["again"]["error"] == "exists" and out["size"] == 3 * BLOCK_SIZE
-    deferred = [MsgKind.CACHE_INVALIDATE, MsgKind.ACK,
-                MsgKind.CACHE_INVALIDATE, MsgKind.RESULT]
+    deferred = [MsgKind.CACHE_INVALIDATE, MsgKind.CACHE_INVALIDATE,
+                MsgKind.ACK]
     assert out["kinds"] == deferred + [MsgKind.NACK] + deferred
     assert system.server.barrier._cache_pending == set()

@@ -142,8 +142,8 @@ def test_workload_survives_server_restart():
 def test_every_ack_the_server_decides_carries_its_epoch():
     """``__epoch__`` rides every ACK by construction, however the
     handler was registered: a ``LOCK_REASSERT`` ACK (RecoveryManager
-    registers it on the raw endpoint) and a deferred transaction's
-    receipt ACK, pending re-ACKs and final."""
+    registers it on the raw endpoint) and a parked transaction's pending
+    re-ACKs and its one final, which renews like any other ACK."""
     from repro.net import MsgKind, ReplyObserver
 
     s = make_system(n_clients=2, writeback_interval=1000.0)
@@ -166,10 +166,11 @@ def test_every_ack_the_server_decides_carries_its_epoch():
             if reply.kind == MsgKind.ACK:
                 seen.append((reply.payload, renewal_time))
     c2.endpoint.observers.append(Probe())
-    # A fresh acquisition inside the grace window parks as a deferred
-    # transaction until the window closes.
+    # A fresh acquisition inside the grace window parks until the window
+    # closes; its retries and polls are re-ACKed pending meanwhile.
     run_gen(s, c2.open_file("/f", "r"))
     receipts = [p for p, _t in seen if p.get("__pending__")]
-    finals = [p for p, t in seen if t is None]
+    finals = [p for p, _t in seen if not p.get("__pending__")]
     assert len(receipts) >= 2 and len(finals) == 1
+    assert all(t is not None for _p, t in seen)
     assert all(p.get("__epoch__") == epoch for p, _t in seen)

@@ -84,7 +84,7 @@ def test_bless_writes_replayable_corpus(tmp_path):
 
 
 def test_bless_refuses_failing_runs(tmp_path, monkeypatch):
-    monkeypatch.setattr(corpus_mod, "PINNED_RUNS", ((5, 20, 0, 0),))
+    monkeypatch.setattr(corpus_mod, "PINNED_RUNS", ((7, 20, 0, 0),))
     monkeypatch.setattr(
         corpus_mod, "generate_schedule",
         lambda seed, n, cache_nodes=0, adversaries=0:

@@ -17,9 +17,10 @@ SHARED = {"client/datapath.py": ("repro.client.node", "repro.netcache",
           "lease/agent.py": ("repro.client", "repro.netcache",
                              "repro.protocols")}
 #: ``net/control.py`` holds both halves of the endpoint (they do not
-#: separate: RESULT goes out through ``request``); it may not grow.
+#: separate: the requester's polls are answered from the responder's
+#: replay record); it may not grow.
 LINE_CAPS = {"client/node.py": 800, "server/node.py": 600,
-             "net/control.py": 824}
+             "net/control.py": 760}
 METHOD_CAPS = {"client/node.py": ("StorageTankClient", 45),
                "server/node.py": ("StorageTankServer", 35)}
 #: Audit records with one emitter, ``client/datapath.py``; anything else
