@@ -80,10 +80,15 @@ def test_a6_server_cluster(benchmark):
     # The busiest server's load per completed op drops as the cluster
     # grows.  Per op, because the rows complete different numbers of ops
     # (the workload sits in the lock-queue wedge, EXPERIMENTS.md A6):
-    # absolute transaction counts are not comparable across them.  Not
-    # "< half": half needs perfect balance and equal transactions per op,
-    # and the rows differ in both (balance up to ~1.1, 1.4-1.8 txn/op as
-    # the wedge moves), so two servers land near 0.55 of one.
+    # absolute transaction counts are not comparable across them.  Four
+    # servers at least halve the busiest server's load.  Two cannot be held
+    # to "< half": the busier of two carries at least half their total, so
+    # half is their floor, reached only with perfect balance and the same
+    # transactions per op as one server.  Un-wedged (chain demands on),
+    # two servers read 0.45-0.56 of one at seeds 0-7 on either transport,
+    # under half in 4 of 16 runs (EXPERIMENTS.md A6), so 0.6 is that floor
+    # with a fifth for imbalance.
+    assert rows[4]["max_txn_per_op"] < rows[1]["max_txn_per_op"] / 2
     assert rows[2]["max_txn_per_op"] < rows[1]["max_txn_per_op"] * 0.6
     assert rows[4]["max_txn_per_op"] <= rows[2]["max_txn_per_op"]
     # Routing stays reasonably balanced and the authority stays passive.
@@ -101,6 +106,9 @@ def test_a7_server_recovery(benchmark):
         assert r["silent_lost"] == 0
         assert r["safe"] == "YES"
         assert r["reasserts"] > 0
+        # Clients ride the outage out: a request the crash left unanswered
+        # polls on while the lease serves, so few ops are refused.
+        assert r["ops_refused"] < 10
     # Longer outages cost throughput, not correctness.
     assert rows[0]["ops_ok"] >= rows[-1]["ops_ok"]
 

@@ -103,6 +103,21 @@ class LeaseAgent(ReplyObserver):
         if lease is not None and renewal_time is not None:
             lease.renew(renewal_time)
 
+    def rides_out(self, dst: str, msg: Message) -> bool:
+        """While this live node's lease with its one server still serves
+        requests, the lease, not the retry count, says when that server
+        is gone (phase 3 starts the holder's failure path; a restart
+        bumps the epoch), and a restart is the only way forward.  So an
+        unanswered request polls on until then: if a crash killed it
+        parked, the restarted server re-executes it.  With several
+        servers a silent one may have been taken over, and the failure
+        is what re-routes.  A keep-alive is only a probe; the lease
+        daemon sends the next."""
+        lease = self.leases.get(dst)
+        return (len(self.leases) == 1 and lease is not None
+                and lease.serves_requests and self.endpoint.alive
+                and msg.kind != MsgKind.KEEPALIVE)
+
     def _on_epoch(self, msg: Message) -> None:
         epoch = msg.payload.get("__epoch__")
         if epoch is None:

@@ -6,17 +6,13 @@ set, so asymmetric partitions are expressible), delay and loss.  All
 protocol behaviour — retries, at-most-once execution, ACK/NACK, the
 hooks the lease protocol attaches to — lives in :class:`Endpoint`.
 
-The cluster control plane (:mod:`repro.cluster`) is an ordinary tenant
-of this transport: coordinator pings, shard-map pushes/fetches and
-slot-release handoffs are plain request/ACK exchanges (the
-``CLUSTER_*`` kinds in :mod:`repro.net.message`), so every failure
-mode expressible here — loss, delay, one-way partitions — applies to
-membership traffic exactly as it does to lease traffic.
+The cluster control plane (:mod:`repro.cluster`, the ``CLUSTER_*``
+kinds) is an ordinary tenant: loss, delay and one-way partitions apply
+to membership traffic exactly as to lease traffic.
 
-Hot-path design notes: delivery is a dedicated :class:`_DeliveryEvent`
-(no per-datagram closure), the request/retry loops race events with
-:class:`repro.sim.events.FirstOf`, trace emission is guarded by the
-recorder's no-op flag, and the at-most-once eviction queue is a deque.
+Hot path: delivery is a dedicated :class:`_DeliveryEvent` (no closure),
+the retry loops race events with :class:`~repro.sim.events.FirstOf`,
+and trace emission is guarded by the recorder's no-op flag.
 """
 
 from __future__ import annotations
@@ -71,6 +67,11 @@ class ReplyObserver:
 
     def on_delivery_failure(self, dst: str, msg: Message) -> None:
         """Every attempt of request ``msg`` to ``dst`` went unanswered."""
+
+    def rides_out(self, dst: str, msg: Message) -> bool:
+        """Whether ``msg``, unanswered, should keep polling ``dst``: its
+        first attempt may be parked there, or killed by a crash."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -423,12 +424,10 @@ class Endpoint:
         parked, self._parked = self._parked, {}
         for proc in parked.values():
             proc.interrupt("crash")
-        # Note: self._pending (reply events of *this node's own* in-flight
-        # requests) is left intact.  The kernel cannot kill the arbitrary
-        # processes driving those requests; their sends are suppressed
-        # while the node is down, and letting the stragglers complete
-        # after a restart is harmless — receivers treat them as ordinary
-        # duplicates/late traffic.
+        # self._pending (this node's own in-flight requests) stays: the
+        # processes driving them cannot be killed, their sends are
+        # suppressed while down, and receivers treat what they send
+        # after a restart as duplicates or late traffic.
 
     def restart(self) -> None:
         """Resume receiving after a crash."""
@@ -473,15 +472,15 @@ class Endpoint:
         """Send a request and wait for its ACK (process generator).
 
         Returns the ACK message.  Raises :class:`NackError` on NACK and
-        :class:`DeliveryError` when every attempt times out.
+        :class:`DeliveryError` when every attempt times out and no
+        observer :meth:`~ReplyObserver.rides_out` the silence.
 
-        Every transmission — first send, retry, or pending re-poll — is a
-        *fresh message initiation* under the lease contract: it gets its
-        own msg_id and its own local send time, and an ACK renews from
-        the send time of the exact attempt it answers (Fig. 3: t_C1 must
-        provably precede the server's reply, which only holds for the
-        matched attempt).  The receiver's at-most-once key is (src, seq),
-        which all attempts share.
+        Every transmission — first send, retry or poll — is a *fresh
+        message initiation* under the lease contract: its own msg_id and
+        local send time, and an ACK renews from the send time of the
+        exact attempt it answers (Fig. 3: t_C1 must provably precede the
+        server's reply).  All attempts share the at-most-once key
+        (src, seq).
         """
         pol = policy or self.default_policy
         self._next_seq += 1
@@ -507,6 +506,7 @@ class Endpoint:
                 if obs is not None else None)
         try:
             attempt = msg
+            reply: Optional[Message] = None
             for n in range(pol.attempts):
                 # Each attempt is its own datagram object: earlier copies
                 # may still be in flight and must keep their identity.
@@ -523,16 +523,14 @@ class Endpoint:
                     sim, self.clock.to_global_interval(pol.timeout), None)
                 winner = yield FirstOf(sim, (reply_ev, timeout_ev))
                 if winner is reply_ev:
-                    reply: Message = reply_ev._value
+                    reply = reply_ev._value
                     self._deliver_reply(msg, reply, attempt_times)
-                    if reply.payload.get("__pending__"):
-                        reply = yield from self._await_result(
-                            msg, pol, attempt_times)
-                    self._rpc_done(span, kind, t0, "ack")
-                    return reply
-            for observer in self.observers:
-                observer.on_delivery_failure(dst, msg)
-            raise DeliveryError(msg, pol.attempts)
+                    break
+            if reply is None or reply.payload.get("__pending__"):
+                reply = yield from self._await_result(
+                    msg, pol, attempt_times, reply is None)
+            self._rpc_done(span, kind, t0, "ack")
+            return reply
         except NackError:
             self._rpc_done(span, kind, t0, "nack")
             raise
@@ -585,25 +583,27 @@ class Endpoint:
         count.labels(kind=kind, status=status).inc()
 
     def _await_result(self, msg: Message, pol: RetryPolicy,
-                      attempt_times: Dict[int, float],
+                      attempt_times: Dict[int, float], riding: bool,
                       ) -> Generator[Event, Any, Message]:
         """Wait for a parked transaction's final, re-polling the server.
 
-        The final answers the admitted attempt, whose msg_id stays
-        registered here with every other attempt's.  While it is
-        pending, the original datagram is periodically re-sent: a live
-        server re-acknowledges "still pending" from its replay cache or,
-        if the final was lost, answers from its ``"done"`` record, while
-        a *restarted* server (which lost the in-progress entry)
-        re-executes the transaction.  The poll is what lets a client
-        ride out a lost final or a server crash instead of sleeping
-        through the whole ``pending_timeout``.
+        Every attempt's msg_id (the admitted one's too) stays registered
+        while the request is re-sent every 2 × timeout: a live server
+        re-ACKs "still pending" or answers from its ``"done"`` record; a
+        restarted one, its record lost, re-executes.  ``riding``: nothing
+        has answered yet, so each poll needs an observer that
+        :meth:`~ReplyObserver.rides_out`, or it is a delivery failure.
         """
         sim = self.sim
         pending = self._pending
         deadline_local = self.local_now() + pol.pending_timeout
         poll_local = max(pol.timeout * 2.0, 1e-6)
         while True:
+            if riding and not any(o.rides_out(msg.dst, msg)
+                                  for o in self.observers):
+                for observer in self.observers:
+                    observer.on_delivery_failure(msg.dst, msg)
+                raise DeliveryError(msg, pol.attempts)
             remaining = deadline_local - self.local_now()
             # Floor at a microsecond: a sub-epsilon remainder cannot
             # advance the float timeline and would spin forever.
@@ -619,6 +619,7 @@ class Endpoint:
                 self._deliver_reply(msg, reply, attempt_times)
                 if not reply.payload.get("__pending__"):
                     return reply
+                riding = False
                 continue
             # Poll timeout: a fresh initiation nudging the server (its
             # ACK renews the lease from this new send time).

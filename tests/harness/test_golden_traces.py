@@ -27,7 +27,7 @@ GOLDEN = {
     ],
     experiment_e6_nack: [
         "75e82599b34e605da8a2fec311b3b8d7795bd4c16a349713fb58c24c61e87502",
-        "2c294e2981409fe37c07adb068ad7c0a82ecab954d57d1f69ff7bc6ad2c7ddf2",
+        "dec51074af6dc95b7573f8f83dc80d735f7f5f5bf2e5ed74c5abfaf6ef20183e",
     ],
 }
 

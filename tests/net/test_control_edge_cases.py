@@ -583,3 +583,70 @@ def test_dropped_final_is_answered_from_the_done_record(pair, observe):
     assert reply.reply_to == polls[-1] != calls[0]
     assert [r.payload.get("__pending__", False)
             for r, _t in seen.replies] == [True, False]
+
+
+class _RidesUntil:
+    """An observer that rides out silence until ``until`` (sim time)."""
+
+    def __init__(self, sim, until):
+        self.sim, self.until, self.failures = sim, until, []
+
+    def on_reply(self, reply, renewal_time):
+        pass
+
+    def on_delivery_failure(self, dst, msg):
+        self.failures.append((self.sim.now, msg.seq))
+
+    def rides_out(self, dst, msg):
+        return self.sim.now < self.until
+
+
+@pytest.mark.parametrize("riding", [False, True], ids=["fails", "rides-out"])
+def test_parked_request_whose_server_crashes_rides_out_the_outage(pair,
+                                                                 riding):
+    """No receipt ACK tells a requester its first attempt was admitted,
+    so a crash that kills the parked transaction before a retry arrives
+    leaves every retry unanswered.  A requester whose observer rides the
+    silence out polls on, and the restarted server re-executes; one
+    without fails after its retries, telling its observers once."""
+    sim, net, server, client = pair
+    observer = _RidesUntil(sim, until=60.0 if riding else 0.0)
+    client.observers.append(observer)
+    runs = []
+    server.register("lock.acquire", _generator_handler(
+        sim, 10, ("ack", {"mode": 2}), runs))          # a 1 s wait
+    proc = sim.process(client.request(
+        "server", "lock.acquire", {}, policy=RetryPolicy(timeout=0.5)))
+    proc.defuse()
+    sim.run(until=0.2)
+    assert len(runs) == 1 and server._parked       # admitted, parked
+    server.crash()                  # before the first retry (0.5 s)
+    sim.run(until=8.0)
+    server.restart()
+    sim.run()
+    if not riding:
+        assert isinstance(proc.exception, DeliveryError)
+        assert [t for t, _ in observer.failures] == [pytest.approx(2.0)]
+        assert len(runs) == 1
+        return
+    assert proc.value.payload["mode"] == 2
+    assert observer.failures == [] and len(runs) == 2  # re-executed once
+    assert proc.value.reply_to == runs[1] != runs[0]
+
+
+def test_riding_ends_when_the_observer_stops_riding(pair):
+    """Riding is asked again before every poll: once the observer stops
+    (a lease expired), the next poll is a delivery failure."""
+    sim, net, server, client = pair
+    observer = _RidesUntil(sim, until=5.0)
+    client.observers.append(observer)
+    server.crash()
+    proc = sim.process(client.request(
+        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5)))
+    proc.defuse()
+    sim.run()
+    assert isinstance(proc.exception, DeliveryError)
+    (when, _seq), = observer.failures
+    assert 5.0 <= when < 5.0 + 2 * 0.5 + 1e-9
+    sends = net.trace.select(kind="msg.send", node="client")
+    assert 4 < len(sends) <= 4 + 4         # the retries, then 2 × timeout polls

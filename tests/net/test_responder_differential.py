@@ -117,8 +117,12 @@ class ReceiptAckEndpoint(Endpoint):
         self._results[ticket] = ev
         return ev
 
-    def _await_result(self, msg, pol, attempt_times,
+    def _await_result(self, msg, pol, attempt_times, riding,
                       ) -> Generator[Event, Any, Message]:
+        if riding:     # unanswered: the reference fails (its receipt
+            for observer in self.observers:     # ACK did the rest)
+                observer.on_delivery_failure(msg.dst, msg)
+            raise DeliveryError(msg, pol.attempts)
         ticket = self._ticket
         result_ev = self._result_event(ticket)
         deadline = self.local_now() + pol.pending_timeout

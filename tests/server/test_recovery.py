@@ -174,3 +174,34 @@ def test_every_ack_the_server_decides_carries_its_epoch():
     assert len(receipts) >= 2 and len(finals) == 1
     assert all(t is not None for _p, t in seen)
     assert all(p.get("__epoch__") == epoch for p, _t in seen)
+
+
+def test_request_parked_when_its_server_crashes_completes_after_restart():
+    """A7's ride-out without a receipt ACK: c2's open parks behind an
+    unreachable holder, the server crashes before any retry reaches it
+    (so nothing ever answered c2), and c2 — holding its lease — polls
+    through the outage until the restarted server re-executes."""
+    s = make_system(n_clients=2, writeback_interval=1000.0)
+    c1, c2 = s.client("c1"), s.client("c2")
+    _holder(s, c1)
+    _holder(s, c2, "/g")                    # c2 holds a lease too
+    s.ctrl_partitions.isolate("c1")
+    result = {}
+
+    def opener():
+        result["fd"] = yield from c2.open_file("/f", "w")
+        result["at"] = s.sim.now
+    proc = s.spawn(opener())
+    parked = s.server.endpoint._parked
+    while not parked:
+        s.run(until=s.sim.now + 0.01)
+    assert len(parked) == 1
+    s.server.crash()            # well inside c2's first retry timeout
+    crashed_at = s.sim.now
+    s.run(until=crashed_at + 10.0)
+    s.ctrl_partitions.heal()
+    s.server.restart()
+    s.sim.run_until_event(proc, hard_limit=s.sim.now + 120.0)
+    assert proc.exception is None and "fd" in result
+    assert result["at"] > crashed_at + 10.0
+    assert c2.ops_rejected == 0
