@@ -1,12 +1,7 @@
-"""Lint-engine smoke benchmark: full-repo analysis, cold and warm.
+"""Lint-engine smoke benchmark: full-repo analysis.
 
-Two numbers matter for the flow-aware engine:
-
-* ``lint_full_repo`` — a cold run over ``src/`` (parse + call graph +
-  CFG dataflow + project rules, no cache), in files/sec;
-* ``lint_full_repo_warm`` — the same run against a primed content-hash
-  cache, which should reduce to hash checks plus the cached project
-  verdict.
+``lint_full_repo`` is a cold run over ``src/`` (parse + call graph +
+CFG dataflow + project rules), in files/sec.
 
 Usage::
 
@@ -14,11 +9,10 @@ Usage::
     python benchmarks/lint_smoke.py --update-baseline BENCH_perf.json
 
 The smoke gate exits 1 when the engine reports findings on its own
-tree, errors on any file, or the warm run fails to beat the cold run
-by ``--min-warm-speedup``.  ``--update-baseline`` measures just the
-lint rows and merges them into the committed perf baseline; the CI
-``perf-smoke`` job then tracks them like every other bench (the rows
-are registered in ``perf_smoke.BENCHES``).
+tree or errors on any file.  ``--update-baseline`` measures just the
+lint row and merges it into the committed perf baseline; the CI
+``perf-smoke`` job then tracks it like every other bench (the row is
+registered in ``perf_smoke.BENCHES``).
 
 Wall-clock timing is the point here, so like the other harnesses this
 file lives outside the simulated-time lint scope.
@@ -29,14 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-_warm_cache: Path | None = None
 
 
 def _config():
@@ -45,25 +36,13 @@ def _config():
 
 
 def _spin_lint_cold():
-    """One full uncached lint of ``src/`` (the engine's worst case)."""
+    """One full lint of ``src/``."""
     from repro.lint import lint_paths
     return lint_paths([REPO_ROOT / "src"], config=_config())
 
 
-def _spin_lint_warm():
-    """One fully cache-hit lint of ``src/`` (the incremental case)."""
-    global _warm_cache
-    from repro.lint import lint_paths
-    if _warm_cache is None:
-        _warm_cache = Path(tempfile.mkdtemp(prefix="lint-bench-")) / "cache"
-        lint_paths([REPO_ROOT / "src"], config=_config(),
-                   cache_path=_warm_cache)  # prime
-    return lint_paths([REPO_ROOT / "src"], config=_config(),
-                      cache_path=_warm_cache)
-
-
-def smoke(min_warm_speedup: float, reps: int) -> int:
-    """Self-host cleanly and demonstrate the incremental win."""
+def smoke(reps: int) -> int:
+    """Self-host cleanly and time the cold run."""
     from perf_smoke import _best_time
 
     result = _spin_lint_cold()
@@ -75,55 +54,42 @@ def smoke(min_warm_speedup: float, reps: int) -> int:
         print("lint-smoke: FAIL (engine does not self-host cleanly)")
         return 1
     cold = _best_time(_spin_lint_cold, reps)
-    warm = _best_time(_spin_lint_warm, reps)
-    speedup = cold / warm
     files = result.files_checked
     print(f"  cold: {cold:.3f}s ({files / cold:,.0f} files/s)")
-    print(f"  warm: {warm * 1e3:.1f}ms ({files / warm:,.0f} files/s), "
-          f"{speedup:.0f}x over cold")
-    if speedup < min_warm_speedup:
-        print(f"lint-smoke: FAIL (warm speedup {speedup:.1f}x < "
-              f"{min_warm_speedup:.0f}x floor)")
-        return 1
     print(f"lint-smoke: ok ({files} files, 0 findings)")
     return 0
 
 
 def update_baseline(path: Path, reps: int) -> int:
-    """Measure the lint rows and merge them into ``BENCH_perf.json``."""
+    """Measure the lint row and merge it into ``BENCH_perf.json``."""
     from perf_smoke import _best_time, calibrate
 
     doc = json.loads(path.read_text())
     cal = calibrate()
     files = _spin_lint_cold().files_checked
-    for name, fn in (("lint_full_repo", _spin_lint_cold),
-                     ("lint_full_repo_warm", _spin_lint_warm)):
-        # Units match perf_smoke.BENCHES: one unit per full-repo run,
-        # so --check recomputes comparable normalized numbers.
-        best = _best_time(fn, reps)
-        ops = 1.0 / best
-        doc["benches"][name] = {
-            "best_s": best,
-            "ops_per_sec": ops,
-            "normalized": ops / cal,
-        }
-        print(f"  {name}: {best:.4f}s ({files / best:,.0f} files/s), "
-              f"normalized {ops / cal:.6f}")
+    # Units match perf_smoke.BENCHES: one unit per full-repo run, so
+    # --check recomputes comparable normalized numbers.
+    best = _best_time(_spin_lint_cold, reps)
+    ops = 1.0 / best
+    doc["benches"]["lint_full_repo"] = {
+        "best_s": best,
+        "ops_per_sec": ops,
+        "normalized": ops / cal,
+    }
+    print(f"  lint_full_repo: {best:.4f}s ({files / best:,.0f} files/s), "
+          f"normalized {ops / cal:.6f}")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"baseline rows merged into {path}")
+    print(f"baseline row merged into {path}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/lint_smoke.py",
-        description="Full-repo lint benchmark (cold + warm cache).")
+        description="Full-repo lint benchmark.")
     parser.add_argument("--update-baseline", metavar="FILE", default=None,
-                        help="merge lint_full_repo rows into the committed "
-                             "perf baseline document")
-    parser.add_argument("--min-warm-speedup", type=float, default=5.0,
-                        help="smoke gate: minimum cold/warm ratio "
-                             "(default 5)")
+                        help="merge the lint_full_repo row into the "
+                             "committed perf baseline document")
     parser.add_argument("--reps", type=int, default=3,
                         help="repetitions per measurement; best time wins "
                              "(default 3)")
@@ -131,7 +97,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     if args.update_baseline:
         return update_baseline(Path(args.update_baseline), args.reps)
-    return smoke(args.min_warm_speedup, args.reps)
+    return smoke(args.reps)
 
 
 if __name__ == "__main__":

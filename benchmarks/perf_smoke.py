@@ -38,7 +38,7 @@ from bench_infrastructure import (  # noqa: E402
     _spin_page_cache_hit, _spin_pooled_seed_sweep, _spin_processes,
     _spin_rpcs, _spin_scale_registration, _spin_timeouts,
     _spin_trace_counting_only, _spin_trace_emits)
-from lint_smoke import _spin_lint_cold, _spin_lint_warm  # noqa: E402
+from lint_smoke import _spin_lint_cold  # noqa: E402
 
 SCHEMA = "repro.bench-perf/1.0"
 
@@ -96,7 +96,6 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
     "netcache_lookup_hit": (lambda: _spin_netcache_lookup(500, 0.0), 500),
     "netcache_lookup_miss": (lambda: _spin_netcache_lookup(500, 1e-4), 500),
     "lint_full_repo": (_spin_lint_cold, 1),
-    "lint_full_repo_warm": (_spin_lint_warm, 1),
     "intent_open": (lambda: _spin_intent_open(1_000), 1_000),
     "intent_open_long": (lambda: _spin_intent_open_long(500), 500),
     "page_cache_hit": (lambda: _spin_page_cache_hit(100_000), 100_000),

@@ -51,8 +51,7 @@ class DataPath:
     """Page cache, cached block maps and SAN I/O of one client node."""
 
     def __init__(self, sim: Simulator, san: SanFabric, name: str,
-                 trace: TraceRecorder, cache_capacity_pages: int = 65536,
-                 rpc: Optional[Rpc] = None) -> None:
+                 trace: TraceRecorder, rpc: Optional[Rpc] = None) -> None:
         """``rpc`` selects the traditional client/server data path (E1's
         baseline): block reads and write-back are function-shipped
         through it to the file's server instead of going to the SAN."""
@@ -61,7 +60,7 @@ class DataPath:
         self.name = name
         self.trace = trace
         self._rpc = rpc
-        self.cache = PageCache(cache_capacity_pages)
+        self.cache = PageCache()
         self.app_errors = 0
         self._write_seq = itertools.count(1)
         # Parsed block maps, one per file and shared by its open

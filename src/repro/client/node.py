@@ -56,15 +56,10 @@ class ClientConfig:
     """Tunables for one client node."""
 
     writeback_interval: float = 5.0     # local seconds between write-back scans
-    cache_capacity_pages: int = 65536
     rpc_timeout: float = 1.0            # local seconds per datagram attempt
     rpc_retries: int = 3
     use_leases: bool = True             # False for baseline clients
     data_path: str = "direct"           # "direct" (SAN) | "server" (function ship)
-    # Metadata is only weakly consistent (paper §3, footnote 1): with a
-    # positive TTL, getattr serves a cached copy for up to that many
-    # local seconds before re-fetching.  0 disables attribute caching.
-    attr_cache_ttl: float = 0.0
 
 
 class StorageTankClient:
@@ -101,7 +96,7 @@ class StorageTankClient:
         self.server = self.routing.server  # primary (routing fallback)
         self._rpc = self.routing.rpc
         self.data = DataPath(
-            sim, san, name, self.trace, self.config.cache_capacity_pages,
+            sim, san, name, self.trace,
             rpc=self._rpc if self.config.data_path == "server" else None)
         self.cache = self.data.cache
         self.fds = FdTable()
@@ -115,9 +110,6 @@ class StorageTankClient:
         # Application-visible counters.
         self.ops_completed = 0
         self.ops_rejected = 0
-        # Weakly consistent attribute cache: path -> (attrs, local fetch time).
-        self._attr_cache: Dict[str, Tuple[FileAttributes, float]] = {}
-        self.attr_cache_hits = 0
         # Deferred closes: per-server file ids whose close census rides
         # the next LOCK_BATCH instead of its own datagram.
         self._pending_closes: Dict[str, List[int]] = {}
@@ -456,33 +448,15 @@ class StorageTankClient:
         return sorted(entries)
 
     def getattr(self, path: str) -> Generator[Event, Any, FileAttributes]:
-        """Fetch a file's attributes from its owning server.
-
-        With ``attr_cache_ttl > 0`` a cached copy may be served — the
-        weak metadata consistency the paper allows (footnote 1):
-        modifications propagate eventually, never instantaneously.
-        """
+        """Fetch a file's attributes from its owning server."""
         srv = self.routing.server_for_path(path)
-        ttl = self.config.attr_cache_ttl
-        if ttl > 0:
-            cached = self._attr_cache.get(path)
-            if cached is not None and \
-                    self.endpoint.local_now() - cached[1] < ttl:
-                lease = self.leases.get(srv)
-                if lease is None or lease.phase().cache_usable:
-                    self.attr_cache_hits += 1
-                    self.ops_completed += 1
-                    return cached[0]
         self._admit(srv)
         self._enter()
         try:
             reply = yield from self._rpc(MsgKind.GETATTR, {"path": path}, srv,
                                          route=("path", path))
             self.ops_completed += 1
-            attrs = FileAttributes.from_payload(reply.payload["attrs"])
-            if ttl > 0:
-                self._attr_cache[path] = (attrs, self.endpoint.local_now())
-            return attrs
+            return FileAttributes.from_payload(reply.payload["attrs"])
         finally:
             self._exit()
 
@@ -691,7 +665,6 @@ class StorageTankClient:
             dropped = self.data.drop_all()
             self.lockclient.drop_locks()
             self.fds.mark_all_stale()
-            self._attr_cache.clear()
         else:
             dropped = []
             fids = self.routing.files_of_server(server)

@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle via
     from repro.client.pool import ClientPool
     from repro.core.config import ClusterConfig  # repro.core.__init__)
 
+#: Control-network node name of the coordinator process.
+COORDINATOR_NAME = "coord"
+
 
 class ClusterCoordinator:
     """Membership monitor and shard-map publisher."""

@@ -8,7 +8,6 @@ from typing import Tuple
 from repro.client.pool import slot_of
 from repro.cluster.shardmap import N_SLOTS
 from repro.lease.contract import LeaseContract, PhaseBoundaries
-from repro.locks.manager import GRANT_POLICY_NAMES
 
 #: Safety protocols the builder understands.
 PROTOCOLS = (
@@ -45,7 +44,6 @@ class LeaseConfig:
 class NetworkConfig:
     """Delay/loss models for both networks."""
 
-    ctrl_base_delay: float = 0.001
     ctrl_jitter: float = 0.0005
     ctrl_drop_probability: float = 0.0
     san_base_latency: float = 0.0005
@@ -62,8 +60,6 @@ class ClusterConfig:
     roles; a single server has nothing to fail over to and runs neither.
     """
 
-    #: Control-network node name of the coordinator process.
-    coordinator_name: str = "coord"
     #: Seconds between coordinator liveness pings (per server).
     ping_interval: float = 1.0
     #: Per-attempt ping timeout (local seconds).
@@ -101,12 +97,6 @@ class NetCacheConfig:
     n_nodes: int = 0
     #: Max entry age in local seconds (0 = lease-governed only).
     entry_ttl: float = 0.0
-    #: Local seconds between lease-lapse sweeps of the entry store.
-    sweep_interval: float = 1.0
-    #: Upstream (cache → server) per-attempt timeout in local seconds.
-    rpc_timeout: float = 1.0
-    #: Upstream retries before a miss is failed back to the client.
-    rpc_retries: int = 3
 
 
 @dataclass(frozen=True)
@@ -137,7 +127,6 @@ class WorkloadConfig:
     think_time: float = 0.05       # mean local seconds between ops
     io_blocks: int = 2             # blocks touched per op
     zipf_s: float = 0.0            # 0 = uniform file popularity
-    reopen_probability: float = 0.05
     #: Fraction of ops that are metadata reads (lookup/getattr/readdir)
     #: instead of data I/O.  0.0 (default) draws no extra RNG values, so
     #: pre-existing workload schedules are bit-identical.
@@ -163,10 +152,6 @@ class SystemConfig:
     rpc_retries: int = 3
     slow_clients: Tuple[str, ...] = ()   # clock-bound violators (§6)
     data_path: str = "direct"            # "direct" SAN I/O | "server" function ship
-    attr_cache_ttl: float = 0.0          # weakly consistent getattr cache (footnote 1)
-    # How the server shapes the byte-range grants of LOCK_INTENT /
-    # LOCK_BATCH requests (see repro.locks.manager.GrantPolicy).
-    intent_grant_policy: str = "widen-to-extent"
     record_trace: bool = True
     lease: LeaseConfig = field(default_factory=LeaseConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -208,11 +193,6 @@ class SystemConfig:
                 f"netcache.n_nodes={self.netcache.n_nodes}: the in-network "
                 f"metadata cache tier is implemented for the storage_tank "
                 f"protocol only (coherence rides leases)")
-        if self.intent_grant_policy not in GRANT_POLICY_NAMES:
-            raise ValueError(
-                f"unknown intent_grant_policy "
-                f"{self.intent_grant_policy!r}; choose one of "
-                f"{GRANT_POLICY_NAMES}")
         # A slow client that does not exist is a silently-ignored typo:
         # the §6 experiment would then measure nothing.  The pool's own
         # naming rule decides (canonical form, in range), without

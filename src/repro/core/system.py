@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 
 from repro.client.node import ClientConfig, StorageTankClient
 from repro.client.pool import ClientPool
-from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.coordinator import COORDINATOR_NAME, ClusterCoordinator
 from repro.cluster.shardmap import ShardMap
 from repro.cluster.takeover import ServerShardRole
 from repro.core.config import SystemConfig
@@ -250,7 +250,6 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     contract = cfg.lease.contract()
 
     net = ControlNetwork(sim, streams, trace,
-                         base_delay=cfg.network.ctrl_base_delay,
                          jitter=cfg.network.ctrl_jitter,
                          drop_probability=cfg.network.ctrl_drop_probability)
     net.bind_obs(obs)
@@ -275,8 +274,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     # restart hands out objects an unreachable client legitimately
     # still covers — the same bound the suspect timer waits (§3, §6).
     server_cfg = ServerConfig(fence_on_steal=fence,
-                              recovery_grace=contract.server_wait_local(),
-                              grant_policy=cfg.intent_grant_policy)
+                              recovery_grace=contract.server_wait_local())
     server_names = cfg.server_names()
     servers: Dict[str, StorageTankServer] = {}
     for i, sname in enumerate(server_names):
@@ -301,8 +299,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
         writeback_interval=(0.0 if cfg.scale.lazy_clients
                             else cfg.writeback_interval),
         rpc_timeout=cfg.rpc_timeout, rpc_retries=cfg.rpc_retries,
-        data_path=cfg.data_path, attr_cache_ttl=cfg.attr_cache_ttl,
-        use_leases=spec.uses_leases)
+        data_path=cfg.data_path, use_leases=spec.uses_leases)
     slow = frozenset(cfg.slow_clients)
 
     def make_client(name: str, idx: int) -> ClientAgent:
@@ -321,7 +318,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
             pool.set_agent(name, spec.agent(cfg, client))
         if initial_map is not None:
             client.routing.attach_cluster(
-                cfg.cluster.coordinator_name,
+                COORDINATOR_NAME,
                 coordinator.map if coordinator is not None else initial_map)
         return client
 
@@ -345,8 +342,8 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
             role.order = server_names
             srv.attach_cluster(role)
         coordinator = ClusterCoordinator(
-            sim, net, cfg.cluster.coordinator_name, server_names,
-            clocks.create(cfg.cluster.coordinator_name), cfg.cluster,
+            sim, net, COORDINATOR_NAME, server_names,
+            clocks.create(COORDINATOR_NAME), cfg.cluster,
             trace=trace, obs=obs, pool=pool)
         coordinator.start()
 

@@ -21,6 +21,7 @@ from repro.core.config import (
 from repro.core.system import build_system
 from repro.harness.common import ScenarioLog, contender_takes_over, holder_with_dirty_data
 from repro.harness.registry import experiment, view as _registry_view
+from repro.net.control import RetryPolicy
 from repro.storage.blockmap import BLOCK_SIZE
 
 
@@ -144,10 +145,7 @@ def ablation_a3_detection(seed: int = 0,
     for timeout, retries in policies:
         cfg = SystemConfig(n_clients=2, seed=seed, writeback_interval=1000.0)
         system = build_system(cfg)
-        system.server.config.demand_timeout = timeout
-        system.server.config.demand_retries = retries
         # The server's endpoint default policy drives demand retries.
-        from repro.net.control import RetryPolicy
         system.server.endpoint.default_policy = RetryPolicy(
             timeout=timeout, retries=retries)
         log = ScenarioLog()

@@ -6,7 +6,6 @@ options) so the linter works with no configuration at all; a
 
     [tool.repro-lint]
     exclude = ["tests/lint/fixtures"]
-    select = ["RPL001", "RPL005"]        # default: every registered rule
 
     [tool.repro-lint.rpl001]
     paths = ["src/repro"]
@@ -37,8 +36,6 @@ class LintConfig:
 
     #: Project root every configured path is relative to.
     root: Path = field(default_factory=Path.cwd)
-    #: Rule codes to run (``None`` means every registered rule).
-    select: Optional[List[str]] = None
     #: Path prefixes (relative to ``root``) excluded from all rules.
     exclude: List[str] = field(default_factory=list)
     #: Per-rule option tables, keyed by lower-case rule code.
@@ -111,9 +108,6 @@ def load_config(explicit: Optional[Path] = None,
         table = doc.get("tool", {}).get("repro-lint", {}) or {}
 
     cfg = LintConfig(root=path.parent.resolve())
-    select = table.get("select")
-    if select is not None:
-        cfg.select = [str(c).upper() for c in select]
     cfg.exclude = [str(p) for p in table.get("exclude", [])]
     for key, value in table.items():
         if isinstance(value, dict):

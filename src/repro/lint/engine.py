@@ -233,11 +233,10 @@ class LintResult:
         return not self.violations and not self.errors
 
 
-def _selected_rules(config: LintConfig,
-                    select: Optional[Sequence[str]]) -> List[Rule]:
-    wanted = [c.upper() for c in select] if select is not None else config.select
-    if wanted is None:
+def _selected_rules(select: Optional[Sequence[str]]) -> List[Rule]:
+    if select is None:
         return [RULES[c] for c in sorted(RULES)]
+    wanted = [c.upper() for c in select]
     unknown = [c for c in wanted if c not in RULES]
     if unknown:
         raise KeyError(f"unknown rule code(s): {', '.join(unknown)}")
@@ -301,104 +300,29 @@ def _split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule], List[Rule]]:
 
 
 def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
-               select: Optional[Sequence[str]] = None,
-               cache_path: Optional[Path] = None) -> LintResult:
-    """Lint every ``.py`` file under the given paths.
-
-    ``cache_path`` enables the content-hash incremental cache: unchanged
-    files reuse their per-file findings, and a fully-unchanged tree
-    returns the previous result without parsing anything.
-    """
-    from repro.lint.cache import LintCache, config_key, content_hash
-
+               select: Optional[Sequence[str]] = None) -> LintResult:
+    """Lint every ``.py`` file under the given paths."""
     cfg = config or LintConfig()
-    rules = _selected_rules(cfg, select)
+    rules = _selected_rules(select)
     file_rules, project_rules = _split_rules(rules)
     result = LintResult()
-
-    targets: List[Tuple[Path, str]] = []
-    for path in _discover(paths):
-        rel = cfg.rel_path(path)
-        if not cfg.is_excluded(rel):
-            targets.append((path, rel))
-
-    cache: Optional[LintCache] = None
-    hashes: Dict[str, bytes] = {}
-    digests: Dict[str, str] = {}
-    if cache_path is not None:
-        key = config_key([r.code for r in rules], cfg.exclude,
-                         cfg.rule_options)
-        cache = LintCache(cache_path, key)
-        for path, rel in targets:
-            try:
-                data = path.read_bytes()
-            except OSError:
-                data = b""
-            hashes[rel] = data
-            digests[rel] = content_hash(data)
-        if cache.full_hit(digests):
-            for rel in sorted(digests):
-                err = cache.file_error(rel)
-                if err is not None:
-                    result.errors.append(err)
-                else:
-                    result.files_checked += 1
-                result.violations.extend(cache.file_violations(rel))
-            result.violations.extend(cache.cached_project_violations())
-            result.violations.sort(key=lambda v: (v.path, v.line, v.col,
-                                                  v.code))
-            return result
-
     project = ProjectContext(cfg)
     contexts: List[FileContext] = []
-    for path, rel in targets:
-        data = hashes.get(rel)
-        if data is None:
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                result.errors.append(f"{rel}: {exc}")
-                continue
-        digest = digests.get(rel)
-        cached = (cache is not None and digest is not None
-                  and cache.file_hit(rel, digest))
-        if cached and not project_rules:
-            assert cache is not None
-            err = cache.file_error(rel)
-            if err is not None:
-                result.errors.append(err)
-            else:
-                result.files_checked += 1
-            result.violations.extend(cache.file_violations(rel))
+    for path in _discover(paths):
+        rel = cfg.rel_path(path)
+        if cfg.is_excluded(rel):
             continue
         try:
-            source = data.decode()
+            source = path.read_bytes().decode()
             tree = ast.parse(source, filename=str(path))
-        except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-            message = f"{rel}: {exc}"
-            result.errors.append(message)
-            if cache is not None and digest is not None:
-                cache.store_file(rel, digest, [], error=message)
+        except (OSError, SyntaxError, ValueError) as exc:
+            result.errors.append(f"{rel}: {exc}")
             continue
         result.files_checked += 1
         ctx = FileContext(rel, source, tree, cfg, project)
         contexts.append(ctx)
-        if cached:
-            assert cache is not None
-            result.violations.extend(cache.file_violations(rel))
-            continue
-        file_result = LintResult()
-        _check_file(ctx, file_rules, file_result)
-        result.violations.extend(file_result.violations)
-        if cache is not None and digest is not None:
-            cache.store_file(rel, digest, file_result.violations)
-
-    project_violations = _check_project(contexts, project_rules, cfg)
-    result.violations.extend(project_violations)
-    if cache is not None:
-        cache.store_project(project_violations)
-        cache.prune(digests)
-        cache.save()
+        _check_file(ctx, file_rules, result)
+    result.violations.extend(_check_project(contexts, project_rules, cfg))
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return result
 
@@ -414,7 +338,7 @@ def lint_source(source: str, path: str = "<snippet>",
     project containing just the snippet.
     """
     cfg = config or LintConfig()
-    rules = _selected_rules(cfg, select)
+    rules = _selected_rules(select)
     file_rules, project_rules = _split_rules(rules)
     result = LintResult()
     try:

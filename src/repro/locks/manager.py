@@ -10,7 +10,7 @@ history is one input of the offline consistency audit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.locks.modes import LockMode, compatible, satisfies
 from repro.locks.ranges import ByteRange, RangeLockManager
@@ -35,95 +35,41 @@ class _Waiter:
 
 
 # ---------------------------------------------------------------------------
-# intent-grant policies (Lustre-style, PAPERS.md)
+# intent grants (Lustre-style extent locks, PAPERS.md)
 # ---------------------------------------------------------------------------
-class GrantPolicy:
-    """How much an intent request is granted beyond what it asked for.
+# An intent request may be granted more than it asked for, never less:
+# safety stays with the lock tables and the lease discipline, which see
+# ordinary ``try_acquire`` calls for whatever span is granted.
 
-    The base policy is *grant-what-was-asked*: no widening, no
-    coalescing — the intent RPC still saves its round trip (op rides
-    the lock request) but every byte granted was explicitly requested.
-    Policies may only widen or merge grants, never narrow or refuse
-    them: safety stays with the lock tables and the lease discipline,
-    which see exactly the same ``try_acquire`` calls either way.
-    """
+def coalesce_ranges(requests: List[Tuple[ByteRange, LockMode]],
+                    ) -> List[Tuple[ByteRange, LockMode]]:
+    """Merge one batch's adjacent/overlapping same-mode ranges into the
+    spans actually acquired: one interval-list entry and one waiter
+    queue slot per contiguous run instead of one per sub-request."""
+    ordered = sorted(requests, key=lambda t: (t[0].start, t[0].end))
+    merged: List[Tuple[ByteRange, LockMode]] = []
+    for rng, mode in ordered:
+        if (merged and merged[-1][1] == mode
+                and merged[-1][0].end >= rng.start):
+            prev_rng, prev_mode = merged.pop()
+            merged.append((ByteRange(prev_rng.start,
+                                     max(prev_rng.end, rng.end)),
+                           prev_mode))
+        else:
+            merged.append((rng, mode))
+    return merged
 
-    name = "as-asked"
 
-    def widen_range(self, ranges: RangeLockManager, client: str, obj: int,
-                    rng: ByteRange, mode: LockMode,
-                    size_bytes: int) -> ByteRange:
-        """The range actually granted for a requested range (>= ``rng``)."""
+def widen_range(ranges: RangeLockManager, client: str, obj: int,
+                rng: ByteRange, size_bytes: int) -> ByteRange:
+    """The range granted for a requested one: the whole file extent
+    ``[0, max(end, size))`` when nobody else holds or awaits the object,
+    so the client's next request is already covered; the request itself
+    under contention, where widening would only manufacture false
+    sharing."""
+    if ranges.other_interest(client, obj):
         return rng
-
-    def coalesce(self, requests: List[Tuple[ByteRange, LockMode]],
-                 ) -> List[Tuple[ByteRange, LockMode]]:
-        """Merge a batch of range requests from one client into the
-        spans actually acquired (>= the union of the requests)."""
-        return list(requests)
-
-
-class BatchAdjacentPolicy(GrantPolicy):
-    """Merge adjacent/overlapping same-mode ranges of one batch into
-    single grants — one interval-list entry and one waiter queue slot
-    per contiguous run instead of one per sub-request."""
-
-    name = "batch-adjacent"
-
-    def coalesce(self, requests: List[Tuple[ByteRange, LockMode]],
-                 ) -> List[Tuple[ByteRange, LockMode]]:
-        """Merge adjacent/overlapping same-mode request runs."""
-        ordered = sorted(requests, key=lambda t: (t[0].start, t[0].end))
-        merged: List[Tuple[ByteRange, LockMode]] = []
-        for rng, mode in ordered:
-            if (merged and merged[-1][1] == mode
-                    and merged[-1][0].end >= rng.start):
-                prev_rng, prev_mode = merged.pop()
-                merged.append((ByteRange(prev_rng.start,
-                                         max(prev_rng.end, rng.end)),
-                               prev_mode))
-            else:
-                merged.append((rng, mode))
-        return merged
-
-
-class WidenToExtentPolicy(BatchAdjacentPolicy):
-    """Extent-based grants: when nobody else holds or awaits the object,
-    a range request is widened to the whole file extent, so the next
-    request from the same client is already covered.  Batching is
-    inherited.  Under contention (any other holder or waiter) the
-    policy degrades to batch-adjacent — widening would only
-    manufacture false sharing."""
-
-    name = "widen-to-extent"
-
-    def widen_range(self, ranges: RangeLockManager, client: str, obj: int,
-                    rng: ByteRange, mode: LockMode,
-                    size_bytes: int) -> ByteRange:
-        """Widen to ``[0, max(end, size))`` when the object is uncontended."""
-        if ranges.other_interest(client, obj):
-            return rng
-        end = max(rng.end, size_bytes)
-        return ByteRange(0, end)
-
-
-#: Registry of grant policies by name (``ServerConfig.grant_policy``).
-GRANT_POLICIES: Dict[str, GrantPolicy] = {
-    p.name: p for p in (GrantPolicy(), BatchAdjacentPolicy(),
-                        WidenToExtentPolicy())
-}
-
-#: Valid policy names, for config validation without importing us early.
-GRANT_POLICY_NAMES: Tuple[str, ...] = tuple(GRANT_POLICIES)
-
-
-def grant_policy(name: str) -> GrantPolicy:
-    """Resolve a grant policy by name (ValueError on unknown)."""
-    try:
-        return GRANT_POLICIES[name]
-    except KeyError:
-        raise ValueError(f"unknown grant policy {name!r}; "
-                         f"choose one of {GRANT_POLICY_NAMES}") from None
+    return ByteRange(0, max(rng.end, size_bytes))
 
 
 class LockManager:

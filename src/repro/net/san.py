@@ -1,13 +1,13 @@
 """The storage area network fabric.
 
 Connects initiators (clients and servers) to storage devices.  The
-fabric models transfer latency, fabric-level fencing (switch zoning —
-the alternative fencing point the paper mentions in §1.2), and SAN
-partitions, which are independent of control-network partitions: that
-independence is exactly what creates the paper's two-network problem.
+fabric models transfer latency and SAN partitions, which are
+independent of control-network partitions: that independence is exactly
+what creates the paper's two-network problem.
 
-Device-level fencing lives on the disks themselves
-(:class:`repro.storage.fencing.FenceTable`).
+Fencing lives on the disks themselves
+(:class:`repro.storage.fencing.FenceTable`); a switch-level fence (the
+other fencing point §1.2 mentions) would be observably the same.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ FencedError = FencedIoError
 
 
 class SanUnreachableError(Exception):
-    """The fabric cannot route between initiator and device (SAN partition
-    or fabric-level fence)."""
+    """The fabric cannot route between initiator and device (SAN
+    partition)."""
 
     def __init__(self, initiator: str, device: str) -> None:
         super().__init__(f"SAN path {initiator} -> {device} unavailable")
@@ -62,7 +62,6 @@ class SanFabric:
         self._devices: Dict[str, VirtualDisk] = {}
         self._initiators: Set[str] = set()
         self._blocked: Set[Tuple[str, str]] = set()
-        self._fabric_fenced: Set[str] = set()
         self.bytes_read = 0
         self.bytes_written = 0
         self.io_count = 0
@@ -133,22 +132,12 @@ class SanFabric:
         self.unblock(b, a)
 
     def heal_all(self) -> None:
-        """Remove all SAN partitions (fabric fences persist)."""
+        """Remove all SAN partitions."""
         self._blocked.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
         """Whether the fabric currently routes src→dst."""
-        if src in self._fabric_fenced or dst in self._fabric_fenced:
-            return False
         return (src, dst) not in self._blocked
-
-    def fence_at_fabric(self, initiator: str) -> None:
-        """Switch-level fence: the initiator loses all SAN connectivity."""
-        self._fabric_fenced.add(initiator)
-
-    def unfence_at_fabric(self, initiator: str) -> None:
-        """Lift a switch-level fence."""
-        self._fabric_fenced.discard(initiator)
 
     # -- I/O ------------------------------------------------------------------
     def _latency(self, n_blocks: int) -> float:

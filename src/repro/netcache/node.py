@@ -68,6 +68,12 @@ CACHEABLE_KINDS: FrozenSet[str] = frozenset(
 #: (entry kind tag, upstream server, path)
 CacheKey = Tuple[str, str, str]
 
+#: Upstream (cache → server) per-attempt timeout and retries before a
+#: miss is failed back to the client.
+UPSTREAM_POLICY = RetryPolicy(timeout=1.0, retries=3)
+#: Local seconds between lease-lapse sweeps of the entry store.
+SWEEP_INTERVAL = 1.0
+
 
 @dataclass
 class _Entry:
@@ -100,8 +106,7 @@ class MetadataCacheNode:
         self.obs = obs
         self.endpoint = Endpoint(
             sim, net, name, clock, trace=trace,
-            default_policy=RetryPolicy(timeout=config.rpc_timeout,
-                                       retries=config.rpc_retries))
+            default_policy=UPSTREAM_POLICY)
         self.endpoint.obs = obs
         self.trace = self.endpoint.trace
 
@@ -408,8 +413,7 @@ class MetadataCacheNode:
 
     # -- lease-lapse sweep -------------------------------------------------
     def _arm_sweep(self) -> None:
-        interval = self.endpoint.clock.to_global_interval(
-            max(self.config.sweep_interval, 1e-3))
+        interval = self.endpoint.clock.to_global_interval(SWEEP_INTERVAL)
         self.timers.after(interval, self._sweep)
 
     def _sweep(self) -> None:

@@ -9,8 +9,7 @@ where a ``with`` block's dynamic extent would lie about the interval.
 
 Every begin/end also flows through the underlying ``TraceRecorder`` as
 ``span.begin`` / ``span.end`` records, so the existing trace tooling
-(audits, ``count_prefix``) sees spans for free and ``keep_kinds``
-filtering applies uniformly.
+(audits, ``count_prefix``) sees spans for free.
 """
 
 from __future__ import annotations

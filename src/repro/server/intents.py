@@ -2,7 +2,8 @@
 operation (``LOCK_INTENT`` one, ``LOCK_BATCH`` several), the only
 client↔server lock path.
 
-The executor owns the intent census and the byte-range grant policy.
+The executor owns the intent census and shapes byte-range grants
+(batches coalesced, uncontended ranges widened to the file extent).
 The operations are the server's namespace bodies (``_create`` /
 ``_setattr`` / ``_getattr``, shared with the plain handlers) and the
 locks the lock service's, so it is constructed with its server
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
 
-from repro.locks.manager import GrantPolicy, grant_policy
+from repro.locks.manager import coalesce_ranges, widen_range
 from repro.locks.modes import LockMode
 from repro.locks.ranges import ByteRange
 from repro.metadata.directory import NamespaceError
@@ -30,8 +31,6 @@ class IntentExecutor:
 
     def __init__(self, server: "StorageTankServer") -> None:
         self.server = server
-        self.grant_policy: GrantPolicy = grant_policy(
-            server.config.grant_policy)
         self.intent_ops = 0          # sub-operations executed under intents
         self.closes_by_file: Dict[int, int] = {}  # per-file close census
         # repro-lint: handles[intent]
@@ -39,7 +38,7 @@ class IntentExecutor:
         server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)
 
     def _file_size(self, file_id: int) -> int:
-        """Current size of a file, 0 if unknown (widen-policy input)."""
+        """Current size of a file, 0 if unknown (``widen_range`` input)."""
         try:
             return int(self.server._meta_for_file(file_id).inode(
                 file_id).attrs.size)
@@ -143,7 +142,7 @@ class IntentExecutor:
         """Execute intent descriptors in order; one result per op.
 
         Runs of ``range_acquire`` sub-ops on the same file are coalesced
-        through the grant policy before acquisition (one lock-table walk
+        and widened before acquisition (one lock-table walk
         per merged span), then every sub-op gets its own result slot so
         the client can map grants back to its requests.
         """
@@ -158,7 +157,7 @@ class IntentExecutor:
                 i += 1
                 continue
             # Collect the contiguous run of range acquisitions on this
-            # file and coalesce it through the policy.
+            # file and coalesce it.
             fid = int(body["file_id"])
             j = i
             while (j < len(ops)
@@ -169,10 +168,9 @@ class IntentExecutor:
                          LockMode(int(b["mode"]))) for b in ops[i:j]]
             size = self._file_size(fid)
             spans: List[ByteRange] = []
-            for rng, mode_l in self.grant_policy.coalesce(requests):
+            for rng, mode_l in coalesce_ranges(requests):
                 self.intent_ops += 1
-                wide = self.grant_policy.widen_range(
-                    server.range_locks, client, fid, rng, mode_l, size)
+                wide = widen_range(server.range_locks, client, fid, rng, size)
                 yield from server.lock_service.acquire_range(
                     client, fid, wide, mode_l)
                 spans.append(wide)

@@ -52,16 +52,16 @@ from repro.storage.blockmap import BLOCK_SIZE, extents_to_payload
 #: What a transaction body decides: ``("ack" | "nack", payload)``.
 Reply = Tuple[str, Dict[str, Any]]
 
+#: Per-datagram timeout and retries of the requests the server sends
+#: (lock demands and range probes): the failure-detection budget.
+DEMAND_POLICY = RetryPolicy(timeout=1.0, retries=3)
+
 
 @dataclass
 class ServerConfig:
     """Server tunables."""
 
     fence_on_steal: bool = True       # construct a fence when stealing (§6)
-    fence_scope: str = "device"       # "device" | "fabric"
-    demand_patience: float = 2.0      # local secs to await a demanded release
-    demand_timeout: float = 1.0       # per-datagram timeout for demands
-    demand_retries: int = 3
     # §6 containment: a holder that keeps ACKing demands without ever
     # releasing is treated as failed after this many patience rounds
     # (suspect -> resolution -> steal+fence).  0 disables escalation.
@@ -79,9 +79,6 @@ class ServerConfig:
     # the window out-waits every pre-crash lease; the bare default here
     # is only for directly-constructed servers in unit tests.
     recovery_grace: float = 5.0
-    # Which GrantPolicy shapes byte-range grants (see repro.locks.manager):
-    # "as-asked" | "batch-adjacent" | "widen-to-extent".
-    grant_policy: str = "widen-to-extent"
 
 
 class StorageTankServer:
@@ -108,8 +105,7 @@ class StorageTankServer:
 
         self.endpoint = Endpoint(
             sim, net, name, clock, trace=self.trace,
-            default_policy=RetryPolicy(timeout=self.config.demand_timeout,
-                                       retries=self.config.demand_retries))
+            default_policy=DEMAND_POLICY)
         self.endpoint.obs = self.obs
         san.attach_initiator(name)
         self.metadata = MetadataStore(id_base=id_base)

@@ -10,21 +10,17 @@ Cost model (the recorder sits on every message/IO hot path):
 - ``counting=False, enabled=False`` makes the recorder a true no-op;
   the precomputed ``_noop`` flag lets hot callsites skip even the
   keyword-argument packing of :meth:`TraceRecorder.emit`;
-- ``max_records`` bounds storage with a ring buffer (oldest evicted),
-  for long soak runs that only need the recent window;
-- ``sample_stride=N`` stores every Nth record (counters stay exact);
 - stored records are indexed by kind so :meth:`select` with a ``kind``
   filter does not scan the whole trace.
 
 Counters always update while ``counting`` is on, even when storage is
-disabled or sampled — oracle and experiment code relies on exact counts.
+disabled — oracle and experiment code relies on exact counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,33 +45,20 @@ class TraceRecord:
 class TraceRecorder:
     """Append-only trace with cheap filtered views and counters."""
 
-    def __init__(self, enabled: bool = True,
-                 keep_kinds: Optional[List[str]] = None,
-                 counting: bool = True,
-                 max_records: Optional[int] = None,
-                 sample_stride: int = 1) -> None:
-        if sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
+    def __init__(self, enabled: bool = True, counting: bool = True) -> None:
         self.enabled = enabled
         self.counting = counting
-        self.max_records = max_records
-        self.sample_stride = sample_stride
-        self._records: Union[List[TraceRecord], Deque[TraceRecord]] = (
-            deque(maxlen=max_records) if max_records is not None else [])
+        self._records: List[TraceRecord] = []
         self._counts: Dict[str, int] = {}
-        self._keep_prefixes = tuple(keep_kinds) if keep_kinds else None
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        # Kind index for select(); only maintained for unbounded storage
-        # (ring-buffer eviction would leave stale index entries).
-        self._by_kind: Optional[Dict[str, List[TraceRecord]]] = (
-            {} if max_records is None else None)
-        self._stride_seq = 0
+        # Kind index for select().
+        self._by_kind: Dict[str, List[TraceRecord]] = {}
         # True when emit() can return without doing any work at all;
         # hot callsites read this to skip kwargs packing entirely.
         self._noop = not enabled and not counting
 
     def emit(self, time: float, kind: str, node: str, **detail: Any) -> None:
-        """Record one occurrence (counters always update, storage may filter)."""
+        """Record one occurrence (counters update even when storage is off)."""
         if self._noop:
             return
         if self.counting:
@@ -83,21 +66,13 @@ class TraceRecorder:
             counts[kind] = counts.get(kind, 0) + 1
         if not self.enabled:
             return
-        if self._keep_prefixes is not None and not kind.startswith(self._keep_prefixes):
-            return
-        if self.sample_stride > 1:
-            self._stride_seq += 1
-            if self._stride_seq % self.sample_stride:
-                return
         rec = TraceRecord(time=time, kind=kind, node=node, detail=detail)
         self._records.append(rec)
-        by_kind = self._by_kind
-        if by_kind is not None:
-            bucket = by_kind.get(kind)
-            if bucket is None:
-                by_kind[kind] = [rec]
-            else:
-                bucket.append(rec)
+        bucket = self._by_kind.get(kind)
+        if bucket is None:
+            self._by_kind[kind] = [rec]
+        else:
+            bucket.append(rec)
         for sub in self._subscribers:
             sub(rec)
 
@@ -118,7 +93,7 @@ class TraceRecorder:
         return list(self._records)
 
     def count(self, kind: str) -> int:
-        """Exact count of a kind (counted even when storage is filtered)."""
+        """Exact count of a kind (counted even when storage is off)."""
         return self._counts.get(kind, 0)
 
     def count_prefix(self, prefix: str) -> int:
@@ -128,16 +103,10 @@ class TraceRecorder:
     def select(self, kind: Optional[str] = None, node: Optional[str] = None,
                prefix: Optional[str] = None) -> List[TraceRecord]:
         """Stored records matching the given filters."""
-        pool: Union[List[TraceRecord], Deque[TraceRecord]]
-        if kind is not None and self._by_kind is not None:
-            pool = self._by_kind.get(kind, [])
-            kind = None  # already applied via the index
-        else:
-            pool = self._records
+        pool = (self._by_kind.get(kind, []) if kind is not None
+                else self._records)
         out = []
         for r in pool:
-            if kind is not None and r.kind != kind:
-                continue
             if prefix is not None and not r.kind.startswith(prefix):
                 continue
             if node is not None and r.node != node:
@@ -153,6 +122,4 @@ class TraceRecorder:
         """Drop stored records and counters."""
         self._records.clear()
         self._counts.clear()
-        if self._by_kind is not None:
-            self._by_kind.clear()
-        self._stride_seq = 0
+        self._by_kind.clear()

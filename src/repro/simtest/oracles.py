@@ -29,6 +29,7 @@ from repro.lease.contract import LeaseContract
 from repro.locks.modes import LockMode, compatible
 from repro.metadata.directory import Directory, NamespaceError
 from repro.net.message import MsgKind
+from repro.server.lockservice import DEMAND_PATIENCE
 
 #: Message kinds a *passive* server must never originate (§3: the
 #: server keeps no lease state and runs no lease traffic of its own).
@@ -822,9 +823,8 @@ class ByzantineContainmentOracle(Oracle):
             config = getattr(srv, "config", None)
             if locks is None or config is None:
                 continue
-            patience = float(getattr(config, "demand_patience", 2.0))
             rounds = int(getattr(config, "demand_escalate_rounds", 0)) or 6
-            budget = 2.0 * rounds * patience * (1.0 + contract.epsilon)
+            budget = 2.0 * rounds * DEMAND_PATIENCE * (1.0 + contract.epsilon)
             for obj, waiters in sorted(locks._waiters.items()):
                 for waiter in waiters:
                     if waiter.client in byz:

@@ -64,8 +64,7 @@ class FencedIoError(Exception):
 class VirtualDisk:
     """One shared disk on the SAN."""
 
-    def __init__(self, name: str, n_blocks: int = 1 << 20,
-                 record_history: bool = True):
+    def __init__(self, name: str, n_blocks: int = 1 << 20):
         if n_blocks <= 0:
             raise ValueError(f"n_blocks must be positive, got {n_blocks}")
         self.name = name
@@ -73,7 +72,6 @@ class VirtualDisk:
         self.fence_table = FenceTable(owner=name)
         self.dlocks = DlockTable(device=name)
         self._blocks: Dict[int, BlockRecord] = {}
-        self._record_history = record_history
         self.history: List[IoEvent] = []
         self.reads = 0
         self.writes = 0
@@ -97,10 +95,9 @@ class VirtualDisk:
         self._check(lbas[0], lbas[-1] - lbas[0] + 1)
         if self.fence_table.is_fenced(initiator):
             self.denied += 1
-            if self._record_history:
-                for lba in lbas:
-                    self.history.append(IoEvent(time, "denied_write", initiator,
-                                                lba, block_tags[lba], -1))
+            for lba in lbas:
+                self.history.append(IoEvent(time, "denied_write", initiator,
+                                            lba, block_tags[lba], -1))
             raise FencedIoError(self.name, initiator, "write")
         versions: Dict[int, int] = {}
         for lba in lbas:
@@ -110,9 +107,8 @@ class VirtualDisk:
             self._blocks[lba] = rec
             versions[lba] = rec.version
             self.writes += 1
-            if self._record_history:
-                self.history.append(IoEvent(time, "write", initiator, lba,
-                                            rec.tag, rec.version))
+            self.history.append(IoEvent(time, "write", initiator, lba,
+                                        rec.tag, rec.version))
         return versions
 
     def read(self, initiator: str, time: float, lba: int,
@@ -121,18 +117,16 @@ class VirtualDisk:
         self._check(lba, count)
         if self.fence_table.is_fenced(initiator):
             self.denied += 1
-            if self._record_history:
-                self.history.append(IoEvent(time, "denied_read", initiator,
-                                            lba, None, -1))
+            self.history.append(IoEvent(time, "denied_read", initiator,
+                                        lba, None, -1))
             raise FencedIoError(self.name, initiator, "read")
         out = []
         for b in range(lba, lba + count):
             rec = self._blocks.get(b, _PRISTINE)
             out.append(DiskReadResult(lba=b, tag=rec.tag, version=rec.version))
             self.reads += 1
-            if self._record_history:
-                self.history.append(IoEvent(time, "read", initiator, b,
-                                            rec.tag, rec.version))
+            self.history.append(IoEvent(time, "read", initiator, b,
+                                        rec.tag, rec.version))
         return out
 
     # -- inspection (audit/tests; not part of the device interface) ---------

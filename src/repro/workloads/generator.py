@@ -21,6 +21,10 @@ from repro.sim.events import Event
 from repro.storage.blockmap import BLOCK_SIZE
 from repro.workloads.zipf import ZipfSampler
 
+#: Chance that a data op closes its descriptor afterwards (the next op
+#: on that file reopens it).
+REOPEN_PROBABILITY = 0.05
+
 
 @dataclass
 class WorkloadStats:
@@ -119,7 +123,7 @@ class WorkloadDriver:
             else:
                 yield from self.client.write(fd, offset, nbytes)
                 self.stats.writes += 1
-            if self.rng.random() < self.cfg.reopen_probability:
+            if self.rng.random() < REOPEN_PROBABILITY:
                 yield from self.client.close(fd)
                 self._fds.pop(self._fd_key(path), None)
             self.stats.ops_succeeded += 1

@@ -44,7 +44,7 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
 
     # server2 loses the coordinator (and only the coordinator): past
     # map_lease it may have been declared dead, so it must not grant.
-    s.ctrl_partitions.isolate("server2", [s.config.cluster.coordinator_name])
+    s.ctrl_partitions.isolate("server2", [s.coordinator.name])
     s.run(until=s.sim.now + 1.3)
     server2 = s.server_node("server2")
     assert server2.cluster.map_is_stale()

@@ -1,19 +1,25 @@
-"""A flag with no caller fails tier-1.
+"""An option with no caller fails tier-1.
 
-The ``simplicity-review`` Options rule, made mechanical: every ``bool``
-field of a config dataclass doubles the configurations tests and
-benchmarks must cover, so each must be set by at least one caller that
-is not a test.  The census reads every ``@dataclass`` named ``*Config``
-under ``src/repro`` — the node modules define theirs (``ServerConfig``,
+The ``simplicity-review`` Options rule, made mechanical: every field of
+a config dataclass is a configuration tests and benchmarks must cover,
+so each must be set by at least one caller that is not a test.  The
+census reads every ``@dataclass`` named ``*Config`` under
+``src/repro`` — the node modules define theirs (``ServerConfig``,
 ``ClientConfig``) beside the node, not in ``core/config.py`` — and
-counts two ways of setting a field: a keyword passed to the class
-(directly or as ``shim.build(Config, ...)``), and an assignment on a
-live node's config object (``system.server.config.demand_timeout = …``,
-as ablation A3 does).  A ``hasattr``-guarded poke through a local name
-(``simtest/runner.py``) is written to survive the field's deletion and
-is not a caller that needs it.
+counts three ways of setting a field:
 
-A flag only tests set is listed in :data:`TEST_ONLY` with the reason it
+- a keyword passed to the class, directly or as ``shim.build(Config, ...)``;
+- a keyword passed to ``dataclasses.replace(...)``, credited to every
+  config class that has a field of that name;
+- a key under ``[tool.repro-lint]`` in ``pyproject.toml``, which the
+  linter loads into ``LintConfig`` (a sub-table is a rule's entry in
+  ``rule_options``).
+
+A ``hasattr``-guarded poke through a local name (``simtest/runner.py``)
+is written to survive the field's deletion and is not a caller that
+needs it.
+
+A field only tests set is listed in :data:`TEST_ONLY` with the reason it
 stays; an entry that gains a real caller, or names a field that is
 gone, fails too, so the list cannot rot.
 """
@@ -21,6 +27,7 @@ gone, fails too, so the list cannot rot.
 import ast
 import dataclasses
 import importlib
+import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -50,6 +57,31 @@ TEST_ONLY = {
     "ServerConfig.demand_chain":
         "retired by the lock-queue liveness item (ROADMAP); until then "
         "only the fuzzer's guarded poke arms it, for adversarial schedules",
+    "ServerConfig.demand_escalate_rounds":
+        "the no_demand_escalate break mode zeroes it through the runner's "
+        "guarded poke; the byz-suppress-release-demand-escalation "
+        "artifact's knock-out fires only through it",
+    "NetworkConfig.ctrl_jitter":
+        "reordered control replies: test_layout_delta raises it until two "
+        "layout replies of one fd cross in flight",
+    "NetworkConfig.ctrl_drop_probability":
+        "a lossy control network: the stress tests run at 5-10% loss, and "
+        "FaultInjector.end_loss_burst restores the configured rate",
+    "SystemConfig.n_disks":
+        "a multi-device SAN: striping, per-device fencing and single-disk "
+        "SAN cuts (test_multi_disk)",
+    "SystemConfig.disk_blocks":
+        "a disk small enough that one file's extent map spans devices "
+        "(test_multi_disk)",
+    "SystemConfig.frangipani_heartbeat":
+        "the §5 heartbeat baseline's period: test_frangipani shortens it "
+        "to check expiry and steal timing against it",
+    "SystemConfig.vlease_object_duration":
+        "the §4 V-lease baseline's per-object term: test_vleases shortens "
+        "it to check per-object expiry against it",
+    "SystemConfig.nfs_attr_ttl":
+        "the §5 polling baseline's staleness bound: test_nfs checks the "
+        "stale window at two TTLs",
 }
 
 
@@ -57,59 +89,73 @@ def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def fields_set_by_callers():
-    """``Config.field`` for every field a non-test file sets: a keyword
-    to a config dataclass, or ``<node>.config.<field> = ...``."""
+def _owners():
+    """Field name -> every config class that has a field of that name."""
     owners = {}
     for name, cls in CONFIGS.items():
         for f in dataclasses.fields(cls):
             owners.setdefault(f.name, []).append(name)
-    seen = set()
+    return owners
+
+
+def _lint_config_keys():
+    """``LintConfig.<field>`` for every key under ``[tool.repro-lint]``."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        table = tomllib.load(fh)["tool"]["repro-lint"]
+    return {"LintConfig.rule_options" if isinstance(value, dict)
+            else f"LintConfig.{key.replace('-', '_')}"
+            for key, value in table.items()}
+
+
+def fields_set_by_callers():
+    """``Config.field`` for every field a non-test caller sets: a keyword
+    to a config dataclass or to ``replace``, or a lint config key."""
+    owners = _owners()
+    seen = _lint_config_keys()
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             if path.name.startswith("test_"):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    target = _name(node.func)
-                    if target not in CONFIGS and node.args:
-                        target = _name(node.args[0])
-                    if target in CONFIGS:
-                        seen.update(f"{target}.{kw.arg}"
-                                    for kw in node.keywords if kw.arg)
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = getattr(node, "targets", None) or [node.target]
-                    for t in targets:
-                        if (isinstance(t, ast.Attribute)
-                                and isinstance(t.value, ast.Attribute)
-                                and t.value.attr == "config"):
-                            seen.update(f"{cls}.{t.attr}"
-                                        for cls in owners.get(t.attr, ()))
+                if not isinstance(node, ast.Call):
+                    continue
+                keywords = [kw.arg for kw in node.keywords if kw.arg]
+                target = _name(node.func)
+                if target == "replace":
+                    seen.update(f"{cls}.{kw}" for kw in keywords
+                                for cls in owners.get(kw, ()))
+                    continue
+                if target not in CONFIGS and node.args:
+                    target = _name(node.args[0])
+                if target in CONFIGS:
+                    seen.update(f"{target}.{kw}" for kw in keywords)
     return seen
 
 
-def bool_fields():
+def all_fields():
     return {f"{name}.{f.name}" for name, cls in CONFIGS.items()
-            for f in dataclasses.fields(cls) if f.type in (bool, "bool")}
+            for f in dataclasses.fields(cls)}
 
 
 def test_census_reads_every_config_class():
-    assert {"SystemConfig", "ServerConfig", "ClientConfig"} <= set(CONFIGS)
+    assert {"SystemConfig", "ServerConfig", "ClientConfig",
+            "LintConfig"} <= set(CONFIGS)
     seen = fields_set_by_callers()
     assert "SystemConfig.n_clients" in seen          # keyword callers
-    assert "ServerConfig.demand_timeout" in seen     # A3's live assignment
+    assert "LintConfig.exclude" in seen              # pyproject keys
+    assert "LintConfig.rule_options" in seen         # pyproject sub-tables
 
 
-def test_every_bool_option_has_a_caller_outside_tests():
-    flags, seen = bool_fields(), fields_set_by_callers()
-    assert len(flags) >= 6
-    uncalled = flags - seen
+def test_every_option_has_a_caller_outside_tests():
+    fields, seen = all_fields(), fields_set_by_callers()
+    assert len(fields) >= 50
+    uncalled = fields - seen
     assert uncalled == set(TEST_ONLY), (
-        f"bool options no non-test caller sets: {sorted(uncalled)}; "
+        f"options no non-test caller sets: {sorted(uncalled - set(TEST_ONLY))}; "
         f"make each a constant or derive it, or justify it in TEST_ONLY")
 
 
 def test_test_only_entries_are_still_needed():
-    assert set(TEST_ONLY) <= bool_fields()
+    assert set(TEST_ONLY) <= all_fields()
     assert not set(TEST_ONLY) & fields_set_by_callers()
     assert all(TEST_ONLY.values())

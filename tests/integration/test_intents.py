@@ -267,12 +267,6 @@ def test_create_getattr_setattr_intents_answer_like_the_plain_kinds(
     assert s.server_node("server").locks.mode_of("c1", 1) == LockMode.EXCLUSIVE
 
 
-def test_unknown_grant_policy_rejected():
-    from repro.core.config import SystemConfig
-    with pytest.raises(ValueError, match="intent_grant_policy"):
-        SystemConfig(n_clients=1, intent_grant_policy="bogus")
-
-
 # -- contention: the lock discipline holds on the intent path --------------
 
 def test_intent_open_respects_exclusive_holder():

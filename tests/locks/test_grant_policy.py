@@ -1,11 +1,9 @@
-"""Intent grant policies: as-asked, batch-adjacent, widen-to-extent."""
+"""Intent grants: batches coalesce, uncontended ranges widen to the extent."""
 
 import pytest
 
 from repro.locks import LockMode
-from repro.locks.manager import (GRANT_POLICIES, GRANT_POLICY_NAMES,
-                                 BatchAdjacentPolicy, GrantPolicy,
-                                 WidenToExtentPolicy, grant_policy)
+from repro.locks.manager import coalesce_ranges, widen_range
 from repro.locks.ranges import ByteRange, RangeLockManager
 
 S = LockMode.SHARED
@@ -21,107 +19,62 @@ def ranges():
     return RangeLockManager()
 
 
-# -- registry --------------------------------------------------------------
-
-def test_registry_names():
-    assert set(GRANT_POLICY_NAMES) == {"as-asked", "batch-adjacent",
-                                       "widen-to-extent"}
-    for name in GRANT_POLICY_NAMES:
-        assert GRANT_POLICIES[name].name == name
-
-
-def test_grant_policy_lookup():
-    assert isinstance(grant_policy("as-asked"), GrantPolicy)
-    assert isinstance(grant_policy("batch-adjacent"), BatchAdjacentPolicy)
-    assert isinstance(grant_policy("widen-to-extent"), WidenToExtentPolicy)
-
-
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown grant policy"):
-        grant_policy("grant-everything")
-
-
-# -- as-asked (base) -------------------------------------------------------
-
-def test_as_asked_never_widens(ranges):
-    p = grant_policy("as-asked")
-    assert p.widen_range(ranges, "a", 1, br(10, 20), X, 1000) == br(10, 20)
-
-
-def test_as_asked_never_coalesces():
-    p = grant_policy("as-asked")
-    reqs = [(br(0, 10), X), (br(10, 20), X)]
-    assert p.coalesce(reqs) == reqs
-
-
-# -- batch-adjacent --------------------------------------------------------
+# -- coalescing a batch ----------------------------------------------------
 
 def test_batch_adjacent_merges_contiguous_run():
-    p = grant_policy("batch-adjacent")
-    merged = p.coalesce([(br(0, 10), X), (br(10, 20), X), (br(20, 30), X)])
+    merged = coalesce_ranges([(br(0, 10), X), (br(10, 20), X), (br(20, 30), X)])
     assert merged == [(br(0, 30), X)]
 
 
 def test_batch_adjacent_merges_overlap_and_sorts():
-    p = grant_policy("batch-adjacent")
-    merged = p.coalesce([(br(15, 30), X), (br(0, 20), X)])
+    merged = coalesce_ranges([(br(15, 30), X), (br(0, 20), X)])
     assert merged == [(br(0, 30), X)]
 
 
 def test_batch_adjacent_keeps_gaps_and_mode_changes():
-    p = grant_policy("batch-adjacent")
-    merged = p.coalesce([(br(0, 10), X), (br(10, 20), S), (br(30, 40), S)])
+    merged = coalesce_ranges([(br(0, 10), X), (br(10, 20), S), (br(30, 40), S)])
     assert merged == [(br(0, 10), X), (br(10, 20), S), (br(30, 40), S)]
 
 
-def test_batch_adjacent_does_not_widen(ranges):
-    p = grant_policy("batch-adjacent")
-    assert p.widen_range(ranges, "a", 1, br(10, 20), X, 1000) == br(10, 20)
+def test_batch_adjacent_does_not_widen():
+    # Coalescing grants the union of the asks, nothing beyond it.
+    assert coalesce_ranges([(br(10, 20), X)]) == [(br(10, 20), X)]
 
 
-# -- widen-to-extent -------------------------------------------------------
+def test_widen_inherits_batching():
+    assert coalesce_ranges([(br(0, 10), X), (br(10, 20), X)]) \
+        == [(br(0, 20), X)]
+
+
+# -- widening to the extent ------------------------------------------------
 
 def test_widen_to_extent_uncontended(ranges):
-    p = grant_policy("widen-to-extent")
-    assert p.widen_range(ranges, "a", 1, br(10, 20), X, 1000) == br(0, 1000)
+    assert widen_range(ranges, "a", 1, br(10, 20), 1000) == br(0, 1000)
 
 
 def test_widen_covers_request_beyond_size(ranges):
     # A growth write past EOF: the widened span still covers the ask.
-    p = grant_policy("widen-to-extent")
-    assert p.widen_range(ranges, "a", 1, br(900, 1200), X, 1000) \
-        == br(0, 1200)
+    assert widen_range(ranges, "a", 1, br(900, 1200), 1000) == br(0, 1200)
 
 
 def test_widen_degrades_under_holder_contention(ranges):
-    p = grant_policy("widen-to-extent")
     ranges.try_acquire("b", 1, br(500, 600), S)
-    assert p.widen_range(ranges, "a", 1, br(10, 20), S, 1000) == br(10, 20)
+    assert widen_range(ranges, "a", 1, br(10, 20), 1000) == br(10, 20)
 
 
 def test_widen_degrades_under_waiter_contention(ranges):
-    p = grant_policy("widen-to-extent")
     ranges.try_acquire("a", 1, br(0, 100), X)
     ranges.enqueue_waiter("b", 1, br(0, 10), X, lambda r, m: None)
-    assert p.widen_range(ranges, "a", 1, br(200, 300), X, 1000) \
-        == br(200, 300)
+    assert widen_range(ranges, "a", 1, br(200, 300), 1000) == br(200, 300)
 
 
 def test_widen_ignores_own_grants(ranges):
     # My own existing grant on the object is not contention.
-    p = grant_policy("widen-to-extent")
     ranges.try_acquire("a", 1, br(0, 100), X)
-    assert p.widen_range(ranges, "a", 1, br(200, 300), X, 1000) \
-        == br(0, 1000)
+    assert widen_range(ranges, "a", 1, br(200, 300), 1000) == br(0, 1000)
 
 
 def test_widen_per_object_isolation(ranges):
     # Contention on another object does not inhibit widening here.
-    p = grant_policy("widen-to-extent")
     ranges.try_acquire("b", 2, br(0, 100), X)
-    assert p.widen_range(ranges, "a", 1, br(10, 20), X, 500) == br(0, 500)
-
-
-def test_widen_inherits_batching():
-    p = grant_policy("widen-to-extent")
-    assert p.coalesce([(br(0, 10), X), (br(10, 20), X)]) == [(br(0, 20), X)]
+    assert widen_range(ranges, "a", 1, br(10, 20), 500) == br(0, 500)

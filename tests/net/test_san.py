@@ -87,15 +87,6 @@ def test_device_fence_denies(fabric):
         run(sim, san.read("c1", "d0", 0, 1))
 
 
-def test_fabric_fence_denies_all_paths(fabric):
-    sim, san, disk = fabric
-    san.fence_at_fabric("c1")
-    with pytest.raises(SanUnreachableError):
-        run(sim, san.write("c1", "d0", {0: "x"}))
-    san.unfence_at_fabric("c1")
-    run(sim, san.write("c1", "d0", {0: "x"}))
-
-
 def test_fence_applied_mid_flight_catches_late_command(fabric):
     """Paper §6: a late command from a slow computer must hit the fence
     even if it was submitted before the fence existed."""

@@ -78,15 +78,6 @@ def test_spans_mirror_into_trace_recorder():
     assert end_rec.get("span_id") == s.span_id
 
 
-def test_keep_kinds_filter_applies_to_spans():
-    trace = TraceRecorder(enabled=True, keep_kinds=["lock."])
-    tracer = SpanTracer(trace=trace)
-    tracer.begin(0.0, "net.rpc", "c1").end(1.0)
-    # counters still see the span, storage filtered it out
-    assert trace.count("span.begin.net.rpc") == 1
-    assert trace.select(prefix="span.") == []
-
-
 def test_max_spans_bound_drops_excess():
     tracer = SpanTracer(max_spans=2)
     for i in range(4):

@@ -175,16 +175,6 @@ def test_downgrade_from_non_holder_is_rejected():
     assert s.server.locks.mode_of("c1", fid) == LockMode.EXCLUSIVE
 
 
-def test_fabric_scope_fencing():
-    from repro.server.node import ServerConfig
-    s = make_system(n_clients=1)
-    s.server.config.fence_scope = "fabric"
-    s.server.lock_service.fence_client("c1")
-    assert not s.san.reachable("c1", next(iter(s.disks)))
-    s.server.lock_service.unfence_client("c1")
-    assert s.san.reachable("c1", next(iter(s.disks)))
-
-
 def test_demand_loop_gives_up_on_released_lock():
     """If the holder releases before the demand retries, the loop exits."""
     s = make_system(n_clients=2)

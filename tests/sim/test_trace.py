@@ -33,14 +33,6 @@ def test_select_filters(trace):
     assert len(trace.select(prefix="a")) == 3
 
 
-def test_keep_kinds_filters_storage_not_counts():
-    t = TraceRecorder(enabled=True, keep_kinds=["msg"])
-    t.emit(1.0, "msg.send", "n")
-    t.emit(1.0, "lease.renew", "n")
-    assert len(t) == 1
-    assert t.count("lease.renew") == 1
-
-
 def test_record_get_accessor(trace):
     trace.emit(1.0, "a.b", "n", foo="bar")
     rec = trace.records[0]
@@ -86,29 +78,6 @@ def test_noop_recorder_skips_counts_and_storage():
     assert t.kinds() == {}
 
 
-def test_ring_buffer_evicts_oldest_keeps_counts_exact():
-    t = TraceRecorder(enabled=True, max_records=3)
-    for i in range(10):
-        t.emit(float(i), "a.b", "n", i=i)
-    assert len(t) == 3
-    assert [r.get("i") for r in t.records] == [7, 8, 9]
-    assert t.count("a.b") == 10
-
-
-def test_sample_stride_stores_every_nth_counts_all():
-    t = TraceRecorder(enabled=True, sample_stride=3)
-    for i in range(9):
-        t.emit(float(i), "a.b", "n", i=i)
-    assert [r.get("i") for r in t.records] == [2, 5, 8]
-    assert t.count("a.b") == 9
-
-
-def test_sample_stride_validation():
-    import pytest
-    with pytest.raises(ValueError):
-        TraceRecorder(sample_stride=0)
-
-
 def test_select_kind_uses_index_and_matches_scan():
     t = TraceRecorder(enabled=True)
     for i in range(6):
@@ -120,21 +89,15 @@ def test_select_kind_uses_index_and_matches_scan():
         r for r in scanned if r.node == "n1"]
 
 
-def test_select_kind_correct_without_index():
-    t = TraceRecorder(enabled=True, max_records=10)
-    assert t._by_kind is None  # ring buffer disables the index
-    t.emit(1.0, "a.b", "n1")
-    t.emit(2.0, "a.c", "n1")
-    assert [r.kind for r in t.select(kind="a.b")] == ["a.b"]
-
-
 def test_clear_resets_index_and_stride():
-    t = TraceRecorder(enabled=True, sample_stride=2)
+    # Every emit is stored (there is no sampling stride); clear must empty
+    # the kind index as well as the record list, and later emits re-index.
+    t = TraceRecorder(enabled=True)
     t.emit(1.0, "a.b", "n")
     t.emit(2.0, "a.b", "n")
     t.clear()
     assert t.select(kind="a.b") == []
     t.emit(3.0, "a.b", "n")
     t.emit(4.0, "a.b", "n")
-    # Stride sequence restarted: the second post-clear emit is stored.
-    assert len(t) == 1
+    assert len(t) == 2
+    assert [r.time for r in t.select(kind="a.b")] == [3.0, 4.0]

@@ -91,13 +91,6 @@ def test_empty_write_is_noop(disk):
     assert disk.writes == 0
 
 
-def test_history_can_be_disabled():
-    d = VirtualDisk("d", 10, record_history=False)
-    d.write("c1", 1.0, {0: "a"})
-    assert d.history == []
-    assert d.writes == 1
-
-
 def test_invalid_size_rejected():
     with pytest.raises(ValueError):
         VirtualDisk("d", 0)
