@@ -270,18 +270,12 @@ class ConsistencyAuditor:
                 {"block": addr, "got": got, "expected": latest_tag,
                  "written_by": latest_writer}))
 
-    def _servers(self):
-        servers = getattr(self.system, "servers", None)
-        if servers:
-            return list(servers.values())
-        return [self.system.server]
-
     # -- I4 -----------------------------------------------------------------
     def _check_unsynchronized_writes(self, report: ConsistencyReport) -> None:
         # Reconstruct per-(file, client) EXCLUSIVE-holding intervals from
         # every server's lock history (file ids are globally unique).
         history = []
-        for srv in self._servers():
+        for srv in self.system.servers.values():
             history.extend(srv.locks.history)
         history.sort(key=lambda g: g.time)
         intervals: Dict[Tuple[int, str], List[Tuple[float, float]]] = {}
@@ -306,7 +300,7 @@ class ConsistencyAuditor:
         # metadata.  The logical index maps a disk write back to the byte
         # span a range lock would have to cover.
         block_file: Dict[BlockAddr, Tuple[int, int]] = {}
-        for srv in self._servers():
+        for srv in self.system.servers.values():
             meta = srv.metadata
             for fid in list(meta._inodes):
                 ino = meta._inodes[fid]
@@ -314,7 +308,7 @@ class ConsistencyAuditor:
                     block_file[addr] = (fid, logical)
 
         slack = 1e-9
-        server_names = {srv.name for srv in self._servers()}
+        server_names = set(self.system.servers)
         for dname, disk in self.system.disks.items():
             for ev in disk.history:
                 if ev.op != "write":
@@ -343,12 +337,9 @@ class ConsistencyAuditor:
         from repro.storage.blockmap import BLOCK_SIZE
         lo = logical_block * BLOCK_SIZE
         hi = lo + BLOCK_SIZE
-        for srv in self._servers():
-            history = getattr(srv, "range_locks", None)
-            if history is None:
-                continue
+        for srv in self.system.servers.values():
             open_grant = None
-            for (t, op, obj, c, rng, mode) in history.history:
+            for (t, op, obj, c, rng, mode) in srv.range_locks.history:
                 if obj != fid or c != client or rng is None:
                     continue
                 overlaps = rng.start < hi and lo < rng.end

@@ -13,14 +13,12 @@ Run from the command line::
 """
 
 from repro.harness.ablations import (
-    ABLATIONS,
     ablation_a1_tau_sweep,
     ablation_a2_phase_boundaries,
     ablation_a3_detection,
     ablation_a4_ack_while_expiring,
 )
 from repro.harness.experiments import (
-    EXPERIMENTS,
     experiment_e1_direct_access,
     experiment_e2_two_network,
     experiment_e3_fencing_inadequacy,
@@ -35,8 +33,6 @@ from repro.harness.experiments import (
 )
 
 __all__ = [
-    "ABLATIONS",
-    "EXPERIMENTS",
     "ablation_a1_tau_sweep",
     "ablation_a2_phase_boundaries",
     "ablation_a3_detection",

@@ -7,7 +7,7 @@ costs — the engineering questions a Storage Tank implementor would ask.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Generator, List, Optional, Tuple
 
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.analysis.availability import unavailability_after
@@ -20,7 +20,7 @@ from repro.core.config import (
 )
 from repro.core.system import build_system
 from repro.harness.common import ScenarioLog, contender_takes_over, holder_with_dirty_data
-from repro.harness.registry import experiment, view as _registry_view
+from repro.harness.registry import experiment
 from repro.net.control import RetryPolicy
 from repro.storage.blockmap import BLOCK_SIZE
 
@@ -376,8 +376,3 @@ def ablation_a7_server_recovery(seed: int = 0,
                "and no update is lost at any outage length.")
     return table
 
-
-#: Legacy dispatch dict — a view over :mod:`repro.harness.registry`;
-#: prefer the registry directly.  Kept one release for compatibility.
-ABLATIONS: Dict[str, Callable[..., Any]] = _registry_view(
-    "a1", "a2", "a3", "a4", "a5", "a6", "a7")

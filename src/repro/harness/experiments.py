@@ -9,7 +9,7 @@ output against the paper's expectations.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from repro.analysis.metrics import collect_overheads
 from repro.analysis.report import Table
 from repro.core.config import LeaseConfig, SystemConfig, WorkloadConfig
 from repro.core.system import StorageTankSystem, build_system
-from repro.harness.registry import experiment, view as _registry_view
+from repro.harness.registry import experiment
 from repro.harness.common import (
     APP_ERRORS,
     ScenarioLog,
@@ -800,12 +800,3 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
                f"= {round(lease_horizon, 2)}s")
     return table
 
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-#: Legacy dispatch dict — a view over :mod:`repro.harness.registry`;
-#: prefer the registry directly.  Kept one release for compatibility.
-EXPERIMENTS: Dict[str, Callable[..., Any]] = _registry_view(
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11")

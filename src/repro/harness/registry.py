@@ -9,9 +9,7 @@ of being wired into hand-maintained dispatch dicts::
 ``python -m repro.harness --list`` enumerates the registry;
 ``python -m repro.harness all`` runs every entry not marked ``heavy``
 (the E-scale sweep opts out of ``all`` because a 100k-client build is
-minutes, not seconds).  The legacy ``EXPERIMENTS`` / ``ABLATIONS``
-module dicts are thin views over this registry, kept one release for
-compatibility.
+minutes, not seconds).
 """
 
 from __future__ import annotations
@@ -83,15 +81,8 @@ def iter_specs() -> Iterator[ExperimentSpec]:
     return iter(_REGISTRY.values())
 
 
-def view(*wanted: str) -> Dict[str, Callable[..., Any]]:
-    """A name -> callable dispatch dict.
-
-    With arguments, restrict (and order) the view to those names —
-    this is how the legacy ``EXPERIMENTS`` / ``ABLATIONS`` dicts are
-    produced.  Without arguments, return every registered experiment.
-    """
-    if wanted:
-        return {name: lookup(name).fn for name in wanted}
+def view() -> Dict[str, Callable[..., Any]]:
+    """A name -> callable dispatch dict over every registered experiment."""
     return {spec.name: spec.fn for spec in _REGISTRY.values()}
 
 

@@ -145,7 +145,6 @@ class ServerLeaseAuthority(SafetyAuthority):
         yield self.endpoint.local_timeout(self.contract.server_wait_local())
         self._count_cpu()
         self.total_steals += 1
-        self._m_steals.inc()
         self.trace.emit(self.sim.now, "lease.steal", self.endpoint.name,
                         client=entry.client)
         try:

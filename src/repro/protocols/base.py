@@ -91,13 +91,14 @@ class SafetyAuthority(ReplyObserver):
         self._m_msgs = reg.counter(
             MSGS_SENT_METRIC, "Server-originated lease protocol messages",
             labels=("node",)).labels(node=node)
-        self._m_steals = reg.counter(
+        self.total_steals = 0
+        reg.gauge(
             STEALS_METRIC, "Lock steals executed by the authority",
-            labels=("node",)).labels(node=node)
+            labels=("node",)).labels(node=node).set_function(
+                lambda: self.total_steals)
         reg.gauge(
             STATE_BYTES_METRIC, "Authority memory footprint right now",
             labels=("node",)).labels(node=node).set_function(self.state_bytes)
-        self.total_steals = 0
         endpoint.observers.append(self)
         endpoint.set_gatekeeper(self.gatekeeper)
 
@@ -130,7 +131,6 @@ class SafetyAuthority(ReplyObserver):
     def steal_now(self, client: str) -> None:
         """Immediately execute a steal via the server callback."""
         self.total_steals += 1
-        self._m_steals.inc()
         self.on_steal(client)
 
     # -- accounting --------------------------------------------------------

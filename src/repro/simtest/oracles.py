@@ -21,9 +21,9 @@ silent protocol loss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, cast
 
-from repro.analysis.consistency import ConsistencyAuditor
+from repro.analysis.consistency import BlockAddr, ConsistencyAuditor
 from repro.core.system import StorageTankSystem
 from repro.lease.contract import LeaseContract
 from repro.locks.modes import LockMode, compatible
@@ -149,23 +149,23 @@ def _byzantine_clients(system: StorageTankSystem) -> Dict[str, List[str]]:
     return out
 
 
-def _fence_windows(system: StorageTankSystem, server: str,
-                   client: str) -> List[Tuple[float, float]]:
-    """[start, end] fence windows for one (server, client) pair; an
-    unlifted fence extends to the end of the run."""
+def _windows(system: StorageTankSystem, server: str, client: str,
+             open_kind: str, close_kind: str) -> List[Tuple[float, float]]:
+    """[start, end] windows for one (server, client) pair, opened by
+    ``open_kind`` records and closed by ``close_kind`` ones (fence →
+    unfence, suspect → steal); an unclosed window extends to the end of
+    the run."""
+    events: List[Tuple[float, bool]] = []
+    for kind, closes in ((open_kind, False), (close_kind, True)):
+        events.extend((rec.time, closes)
+                      for rec in system.trace.select(kind=kind)
+                      if rec.node == server and rec.get("client") == client)
     windows: List[Tuple[float, float]] = []
     start: Optional[float] = None
-    events: List[Tuple[float, int, str]] = []
-    for rec in system.trace.select(kind="server.fence"):
-        if rec.node == server and rec.get("client") == client:
-            events.append((rec.time, 0, "open"))
-    for rec in system.trace.select(kind="server.unfence"):
-        if rec.node == server and rec.get("client") == client:
-            events.append((rec.time, 1, "close"))
-    for t, _o, op in sorted(events):
-        if op == "open" and start is None:
+    for t, closes in sorted(events):
+        if not closes and start is None:
             start = t
-        elif op == "close" and start is not None:
+        elif closes and start is not None:
             windows.append((start, t))
             start = None
     if start is not None:
@@ -339,8 +339,7 @@ class PassiveServerOracle(Oracle):
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
         """Flag server-originated lease traffic and out-of-window NACKs."""
         out: List[OracleViolation] = []
-        servers = getattr(system, "servers", None) or {
-            system.server.name: system.server}
+        servers = system.servers
         for rec in system.trace.select(kind="msg.send"):
             if rec.node in servers and rec.get("msg_kind") in SERVER_LEASE_KINDS:
                 out.append(self._violation(
@@ -348,12 +347,9 @@ class PassiveServerOracle(Oracle):
                     f"server sent lease message {rec.get('msg_kind')!r}",
                     msg_kind=rec.get("msg_kind"), dst=rec.get("dst")))
         for sname, srv in servers.items():
-            authority = getattr(srv, "authority", None)
-            if authority is None:
-                continue
             suspects = [r for r in system.trace.select(kind="lease.suspect")
                         if r.node == sname]
-            snapshot = authority.overhead_snapshot()
+            snapshot = srv.authority.overhead_snapshot()
             if not suspects and snapshot.get("lease_msgs_sent", 0.0) > 0:
                 out.append(self._violation(
                     system.sim.now, sname,
@@ -371,34 +367,11 @@ class PassiveServerOracle(Oracle):
         return out
 
 
-def _suspect_windows(system: StorageTankSystem, server: str,
-                     client: str) -> List[Tuple[float, float]]:
-    """[start, end] suspect windows for one (server, client) pair; an
-    unresolved window extends to the end of the run."""
-    windows: List[Tuple[float, float]] = []
-    start: Optional[float] = None
-    events: List[Tuple[float, int, str]] = []
-    for rec in system.trace.select(kind="lease.suspect"):
-        if rec.node == server and rec.get("client") == client:
-            events.append((rec.time, 0, "open"))
-    for rec in system.trace.select(kind="lease.steal"):
-        if rec.node == server and rec.get("client") == client:
-            events.append((rec.time, 1, "close"))
-    for t, _o, op in sorted(events):
-        if op == "open" and start is None:
-            start = t
-        elif op == "close" and start is not None:
-            windows.append((start, t))
-            start = None
-    if start is not None:
-        windows.append((start, system.sim.now))
-    return windows
-
-
 def _in_suspect_window(system: StorageTankSystem, server: str,
                        client: str, time: float) -> bool:
     return any(s - _TIME_SLACK <= time <= e + _TIME_SLACK
-               for s, e in _suspect_windows(system, server, client))
+               for s, e in _windows(system, server, client,
+                                    "lease.suspect", "lease.steal"))
 
 
 class NackTimedOutOracle(Oracle):
@@ -417,36 +390,32 @@ class NackTimedOutOracle(Oracle):
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
         """Flag suspect-window requests that were not answered with a NACK."""
         out: List[OracleViolation] = []
-        servers = getattr(system, "servers", None) or {
-            system.server.name: system.server}
-        for sname, srv in servers.items():
-            authority = getattr(srv, "authority", None)
-            if authority is None or not getattr(authority, "nack_suspects", True):
+        for sname, srv in system.servers.items():
+            if not getattr(srv.authority, "nack_suspects", True):
                 continue
             nack_times = [r.time for r in
                           system.trace.select(kind="lease.server_nack")
                           if r.node == sname]
-            clients = {str(r.get("client")) for r in
-                       system.trace.select(kind="lease.suspect")
-                       if r.node == sname}
-            for client in clients:
-                windows = _suspect_windows(system, sname, client)
-                for rec in system.trace.select(kind="msg.recv"):
-                    if rec.node != sname or rec.get("src") != client:
-                        continue
-                    if rec.get("msg_kind") in _REPLY_KINDS:
-                        continue
-                    t = rec.time
-                    if not any(s + _TIME_SLACK < t < e - _TIME_SLACK
-                               for s, e in windows):
-                        continue
-                    if not any(abs(nt - t) <= _TIME_SLACK
-                               for nt in nack_times):
-                        out.append(self._violation(
-                            t, sname,
-                            f"request {rec.get('msg_kind')!r} from "
-                            f"timed-out client {client!r} was not NACKed",
-                            client=client, msg_kind=rec.get("msg_kind")))
+            windows = {client: _windows(system, sname, client,
+                                        "lease.suspect", "lease.steal")
+                       for client in {str(r.get("client")) for r in
+                                      system.trace.select(kind="lease.suspect")
+                                      if r.node == sname}}
+            for rec in system.trace.select(kind="msg.recv"):
+                client = rec.get("src")
+                if (rec.node != sname or client not in windows
+                        or rec.get("msg_kind") in _REPLY_KINDS):
+                    continue
+                t = rec.time
+                if not any(s + _TIME_SLACK < t < e - _TIME_SLACK
+                           for s, e in windows[client]):
+                    continue
+                if not any(abs(nt - t) <= _TIME_SLACK for nt in nack_times):
+                    out.append(self._violation(
+                        t, sname,
+                        f"request {rec.get('msg_kind')!r} from "
+                        f"timed-out client {client!r} was not NACKed",
+                        client=client, msg_kind=rec.get("msg_kind")))
         return out
 
 
@@ -621,7 +590,8 @@ class FencedClientNoStaleServiceOracle(Oracle):
         pairs = sorted({(rec.node, str(rec.get("client")))
                         for rec in system.trace.select(kind="server.fence")})
         for server, client in pairs:
-            windows = _fence_windows(system, server, client)
+            windows = _windows(system, server, client,
+                               "server.fence", "server.unfence")
 
             def inside(t: float) -> bool:
                 return any(s + _TIME_SLACK < t < e - _TIME_SLACK
@@ -691,11 +661,9 @@ class CapabilityCheckedSanIoOracle(Oracle):
     locks plus fencing answer: a data write is legitimate only while the
     *server-side* lock table shows the writer holding EXCLUSIVE on the
     file (the lock is the capability; the fence is its revocation).
-    For every possessed client, each accepted disk write must fall
-    inside a server-recorded EXCLUSIVE interval (grant → release /
-    downgrade / steal) covering that block's file.  Silent on runs
-    without adversaries — for honest clients the same claim is already
-    NoSilentLossOracle's I4.
+    That is the consistency audit's I4; this oracle reports the I4
+    findings whose writer is possessed, and NoSilentLossOracle reports
+    the honest writers'.  Silent on runs without adversaries.
     """
 
     name = "capability-checked-san-io"
@@ -704,126 +672,53 @@ class CapabilityCheckedSanIoOracle(Oracle):
              "makes the revocation effective at the device")
 
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag adversary disk writes outside any EXCLUSIVE interval."""
+        """Report the audit's I4 findings (unlocked disk writes) whose
+        writer is a possessed client."""
         byz = _byzantine_clients(system)
         if not byz:
             return []
-        servers = getattr(system, "servers", None) or {
-            system.server.name: system.server}
-        history = []
-        for srv in servers.values():
-            history.extend(srv.locks.history)
-        history.sort(key=lambda g: g.time)
-        intervals: Dict[Tuple[int, str], List[Tuple[float, float]]] = {}
-        open_at: Dict[Tuple[int, str], float] = {}
-        for g in history:
-            key = (g.obj, g.client)
-            if g.op == "grant" and g.mode == LockMode.EXCLUSIVE:
-                open_at.setdefault(key, g.time)
-            elif g.op == "downgrade" and g.mode != LockMode.EXCLUSIVE:
-                start = open_at.pop(key, None)
-                if start is not None:
-                    intervals.setdefault(key, []).append((start, g.time))
-            elif g.op in ("release", "steal"):
-                start = open_at.pop(key, None)
-                if start is not None:
-                    intervals.setdefault(key, []).append((start, g.time))
-        horizon = system.sim.now
-        for key, start in open_at.items():
-            intervals.setdefault(key, []).append((start, horizon))
-
-        block_file: Dict[Tuple[str, int], int] = {}
-        for srv in servers.values():
-            meta = srv.metadata
-            for fid in list(meta._inodes):
-                for addr in meta._inodes[fid].extents.iter_physical():
-                    block_file[addr] = fid
-
         out: List[OracleViolation] = []
-        for dname, disk in sorted(system.disks.items()):
-            for ev in disk.history:
-                if ev.op != "write" or ev.initiator not in byz:
-                    continue
-                fid = block_file.get((dname, ev.lba))
-                if fid is None:
-                    continue  # unallocated scribble; not file data
-                covered = any(
-                    s - _TIME_SLACK <= ev.time <= e + _TIME_SLACK
-                    for s, e in intervals.get((fid, ev.initiator), []))
-                if not covered:
-                    out.append(self._violation(
-                        ev.time, ev.initiator,
-                        f"adversary {ev.initiator!r} landed write "
-                        f"{ev.tag!r} on {dname}:{ev.lba} (file {fid}) "
-                        f"with no covering lock capability",
-                        device=dname, lba=ev.lba, file=fid, tag=ev.tag))
+        for v in ConsistencyAuditor(system).audit().unsynchronized_writes:
+            if v.client not in byz:
+                continue
+            device, lba = cast(BlockAddr, v.detail["block"])
+            out.append(self._violation(
+                v.time, v.client,
+                f"adversary {v.client!r} landed write "
+                f"{v.detail.get('tag')!r} on {device}:{lba} "
+                f"(file {v.detail.get('file')}) with no covering lock "
+                f"capability", **v.detail))
         return out
 
 
 class ByzantineContainmentOracle(Oracle):
-    """Misbehavior is contained: honest clients stay consistent and fed.
+    """No honest client starves forever behind an adversary.
 
     The §6 claim is containment, not prevention — an adversary may
-    corrupt *its own* data and burn *its own* lease, but (a) honest
-    clients' acked writes survive, their reads are fresh and their disk
-    writes are lock-covered (the audit invariants, filtered to honest
-    clients), and (b) no honest client starves forever behind a
-    conflicting adversary holding: the demand-escalation path must
-    eventually suspect, steal from and fence the silent holder.
+    corrupt *its own* data and burn *its own* lease, but no honest
+    client may wait forever behind a conflicting adversary holding: the
+    demand-escalation path must eventually suspect, steal from and
+    fence the silent holder.  (The honest side's consistency under an
+    adversary is NoSilentLossOracle's claim, checked on every run.)
     Silent on runs without adversaries.
     """
 
     name = "byzantine-containment"
     claim = ("§6: fencing contains a client that fails to respect its "
-             "lease — honest clients' consistency and progress are "
-             "preserved")
+             "lease — an honest waiter behind its conflicting lock is "
+             "served once demand escalation suspects, steals and fences")
 
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Honest-filtered audit invariants plus the starvation clause."""
+        """Honest waiters stuck behind an unresolved adversary holder."""
         byz = _byzantine_clients(system)
         if not byz:
             return []
         out: List[OracleViolation] = []
-        report = ConsistencyAuditor(system).audit()
-        for v in report.lost_updates:
-            if v.client in byz:
-                continue
-            if _ever_crashed_at_or_after(system, v.client, v.time):
-                continue
-            out.append(self._violation(
-                v.time, v.client,
-                f"honest client's acked write {v.detail.get('tag')!r} "
-                f"lost under an adversary", **v.detail))
-        for v in report.stale_reads:
-            if v.client not in byz:
-                out.append(self._violation(
-                    v.time, v.client,
-                    f"honest client read stale data at "
-                    f"{v.detail.get('block')} under an adversary",
-                    **v.detail))
-        for v in report.unsynchronized_writes:
-            if v.client not in byz:
-                out.append(self._violation(
-                    v.time, v.client,
-                    f"honest client wrote {v.detail.get('block')} without "
-                    f"a lock under an adversary", **v.detail))
-        out.extend(self._starvation(system, byz))
-        return out
-
-    def _starvation(self, system: StorageTankSystem,
-                    byz: Dict[str, List[str]]) -> List[OracleViolation]:
-        """Honest waiters stuck behind an unresolved adversary holder."""
-        out: List[OracleViolation] = []
-        servers = getattr(system, "servers", None) or {
-            system.server.name: system.server}
         contract = _contract(system)
         now = system.sim.now
-        for sname, srv in servers.items():
-            locks = getattr(srv, "locks", None)
-            config = getattr(srv, "config", None)
-            if locks is None or config is None:
-                continue
-            rounds = int(getattr(config, "demand_escalate_rounds", 0)) or 6
+        for sname, srv in system.servers.items():
+            locks = srv.locks
+            rounds = srv.config.demand_escalate_rounds or 6
             budget = 2.0 * rounds * DEMAND_PATIENCE * (1.0 + contract.epsilon)
             for obj, waiters in sorted(locks._waiters.items()):
                 for waiter in waiters:

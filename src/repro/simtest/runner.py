@@ -48,10 +48,7 @@ def _break_skip_flush(system: StorageTankSystem) -> None:
     their background writeback is effectively disabled so it cannot
     mask the missing phase-4 flush)."""
     for client in system.pool.iter_active():
-        leases = getattr(client, "leases", None)
-        if leases is None:
-            continue
-        for manager in leases.values():
+        for manager in client.leases.values():
             manager.callbacks.on_enter_flush = _noop
         client.config.writeback_interval = 1e9
 
@@ -59,10 +56,8 @@ def _break_skip_flush(system: StorageTankSystem) -> None:
 def _break_ack_expiring(system: StorageTankSystem) -> None:
     """Sabotage: the server ACKs clients it is timing out (the E4
     ablation), renewing leases it is about to steal from under."""
-    for srv in _servers(system).values():
-        authority = getattr(srv, "authority", None)
-        if authority is not None:
-            authority.ack_while_expiring = True
+    for srv in system.servers.values():
+        srv.authority.ack_while_expiring = True
 
 
 def _break_steal_early(system: StorageTankSystem) -> None:
@@ -70,19 +65,18 @@ def _break_steal_early(system: StorageTankSystem) -> None:
     instead of τ(1+ε), stealing locks while the victim's lease is
     still provably valid (breaks Theorem 3.1)."""
     from dataclasses import replace
-    for srv in _servers(system).values():
-        authority = getattr(srv, "authority", None)
-        if authority is not None:
-            authority.contract = replace(authority.contract,
-                                         tau=authority.contract.tau * 0.3,
-                                         epsilon=0.0)
+    for srv in system.servers.values():
+        authority = srv.authority
+        authority.contract = replace(authority.contract,
+                                     tau=authority.contract.tau * 0.3,
+                                     epsilon=0.0)
 
 
 def _break_blind_unfence(system: StorageTankSystem) -> None:
     """Sabotage: the server unfences any fenced client on its next RPC
     without requiring a lapse attestation — the pre-fix rejoin hole
     (an ignore-expiry client that never quiesced walks right back in)."""
-    for srv in _servers(system).values():
+    for srv in system.servers.values():
         setattr(srv.lock_service, "_attested_since_fence",
                 lambda client: True)
 
@@ -91,21 +85,16 @@ def _break_blind_reassert(system: StorageTankSystem) -> None:
     """Sabotage: the server grants any non-conflicting LOCK_REASSERT
     without checking fencing or theft evidence — the pre-fix
     stale-capability replay hole."""
-    for srv in _servers(system).values():
-        recovery = getattr(srv, "recovery", None)
-        if recovery is not None and hasattr(recovery, "_reassert_allowed"):
-            setattr(recovery, "_reassert_allowed",
-                    lambda client, obj: True)
+    for srv in system.servers.values():
+        setattr(srv.recovery, "_reassert_allowed", lambda client, obj: True)
 
 
 def _break_no_demand_escalate(system: StorageTankSystem) -> None:
     """Sabotage: the server never escalates a perpetually-ACKing,
     never-complying lock holder to suspect, so a suppress_release
     adversary starves honest waiters forever."""
-    for srv in _servers(system).values():
-        config = getattr(srv, "config", None)
-        if config is not None and hasattr(config, "demand_escalate_rounds"):
-            config.demand_escalate_rounds = 0
+    for srv in system.servers.values():
+        srv.config.demand_escalate_rounds = 0
 
 
 def _break_skip_reply_stamp(system: StorageTankSystem) -> None:
@@ -113,7 +102,7 @@ def _break_skip_reply_stamp(system: StorageTankSystem) -> None:
     of a restart (``__epoch__``) and none reasserts its locks — the
     restarted server re-grants them while the old holder still caches
     them (§6)."""
-    for srv in _servers(system).values():
+    for srv in system.servers.values():
         srv.endpoint.reply_stamp = None
 
 
@@ -121,7 +110,7 @@ def _break_zombie_parked(system: StorageTankSystem) -> None:
     """Sabotage: a server crash leaves its parked transactions running,
     so a handler that was waiting grants a lock in the wiped table and
     answers in the next incarnation's name."""
-    for srv in _servers(system).values():
+    for srv in system.servers.values():
         def crash(endpoint: Any = srv.endpoint,
                   crash: Callable[[], None] = srv.endpoint.crash) -> None:
             parked, endpoint._parked = endpoint._parked, {}
@@ -157,17 +146,10 @@ def _enable_adversarial_defenses(system: StorageTankSystem) -> None:
     fail-stop corpus replayable; any schedule with a Byzantine step gets
     them, since a never-releasing holder makes the starvation unbounded.
     """
-    for srv in _servers(system).values():
+    for srv in system.servers.values():
         config = getattr(srv, "config", None)
         if config is not None and hasattr(config, "demand_chain"):
             config.demand_chain = True
-
-
-def _servers(system: StorageTankSystem) -> Dict[str, Any]:
-    servers = getattr(system, "servers", None)
-    if servers:
-        return dict(servers)
-    return {system.server.name: system.server}
 
 
 def apply_break_mode(system: StorageTankSystem, break_mode: str) -> None:

@@ -6,8 +6,6 @@ import pytest
 
 from repro.harness import registry
 from repro.harness.__main__ import EXPERIMENTS, main
-from repro.harness.ablations import ABLATIONS
-from repro.harness.experiments import EXPERIMENTS as LEGACY_EXPERIMENTS
 
 
 def test_every_experiment_and_ablation_is_registered():
@@ -15,13 +13,6 @@ def test_every_experiment_and_ablation_is_registered():
     for expected in ([f"e{i}" for i in range(1, 12)]
                      + [f"a{i}" for i in range(1, 8)] + ["e-scale"]):
         assert expected in names
-
-
-def test_legacy_dicts_are_views_over_the_registry():
-    assert list(LEGACY_EXPERIMENTS) == [f"e{i}" for i in range(1, 12)]
-    assert list(ABLATIONS) == [f"a{i}" for i in range(1, 8)]
-    for name, fn in {**LEGACY_EXPERIMENTS, **ABLATIONS}.items():
-        assert registry.lookup(name).fn is fn
     # The CLI dispatch covers the whole registry, including e-scale.
     assert set(EXPERIMENTS) == set(registry.names())
 

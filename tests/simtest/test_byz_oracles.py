@@ -6,15 +6,20 @@ schedules driven through the real runner: each oracle fires when its
 guarded fix is knocked out via a registered break mode and stays silent
 on the fixed protocol under the identical adversarial schedule.  The
 shrinker test shows a noisy adversarial repro ddmins to 1-minimality.
+One synthetic-trace case pins which oracle owns an honest client's
+loss on an adversarial run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from repro.simtest.oracles import ByzantineContainmentOracle, NoSilentLossOracle
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import FaultStep, Schedule
 from repro.simtest.shrink import shrink_schedule
+
+from tests.conftest import make_system
 
 
 def _schedule(steps, break_mode=""):
@@ -96,6 +101,19 @@ def test_containment_oracle_fires_on_unbounded_starvation():
 def test_containment_oracle_clean_with_demand_escalation():
     result = run_schedule(_schedule(_SUPPRESS_ATTACK))
     assert result.ok, result.oracle_names()
+
+
+def test_honest_loss_under_an_adversary_is_reported_once():
+    """An honest client's acked write that never reaches disk is
+    no-silent-loss's finding on every run; the containment oracle judges
+    only starvation, so a possessed bystander does not re-report it."""
+    s = make_system()
+    s.trace.emit(1.0, "fault.inject", "injector",
+                 label="byz_suppress_release:c1")
+    s.trace.emit(5.0, "app.write.ack", "c2", tag="t-lost",
+                 phys=[("disk1", 0)])
+    assert len(NoSilentLossOracle().check_final(s)) == 1
+    assert ByzantineContainmentOracle().check_final(s) == []
 
 
 def test_byz_oracles_silent_on_honest_fail_stop_run():
