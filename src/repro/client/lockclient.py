@@ -5,15 +5,21 @@ it back.  The :class:`LockClient` owns that cache and every way a lock
 enters or leaves it: acquisition, demand compliance (stop new users,
 drain current ones, *flush*, only then yield — so the next holder reads
 what this one wrote), reassertion after a server restart or shard move,
-and the one way to forfeit a lock that cannot be kept.  Byte-range locks
-are not cached: ``_batch_acquire`` / ``_batch_release`` bracket one
-operation.
+and the one way to forfeit a lock that cannot be kept.
+
+Every hold is a ``with`` block or one generator, so it is released on
+every exit, exceptions and crash interrupts included: an operation pins
+the cached lock it validated (``with pin(file_id)``), a demand
+compliance marks the file as being revoked (``with
+_revoking.marking(file_id)``), and byte-range locks, which are not
+cached, live exactly as long as one :meth:`LockClient.ranges_locked`.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, Generator, Iterable, List,
-                    Optional, Tuple)
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable,
+                    Iterator, List, Optional, Tuple, TypeVar)
 
 from repro.client.openfile import FdTable, OpenFile
 from repro.locks.client_table import ClientLockTable
@@ -27,6 +33,8 @@ from repro.sim.trace import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.client.datapath import DataPath
     from repro.client.routing import Router
+
+_T = TypeVar("_T")
 
 
 class _Marks:
@@ -49,6 +57,43 @@ class _Marks:
     def __contains__(self, file_id: int) -> bool:
         return file_id in self._count
 
+    @contextmanager
+    def marking(self, file_id: int) -> Iterator[None]:
+        """Keep ``file_id`` marked for the ``with`` block."""
+        self.add(file_id)
+        try:
+            yield
+        finally:
+            self.discard(file_id)
+
+
+class _Pin:
+    """One operation's use of a file's cached lock, for a ``with``
+    block: a demand compliance must not release a lock out from under
+    an operation that already validated it (TOCTOU), so it drains every
+    pin first."""
+
+    __slots__ = ("owner", "file_id")
+
+    def __init__(self, owner: "LockClient", file_id: int) -> None:
+        self.owner = owner
+        self.file_id = file_id
+
+    def __enter__(self) -> None:
+        inflight = self.owner._file_inflight
+        inflight[self.file_id] = inflight.get(self.file_id, 0) + 1
+
+    def __exit__(self, *exc: Any) -> None:
+        owner, file_id = self.owner, self.file_id
+        n = owner._file_inflight.get(file_id, 1) - 1
+        if n <= 0:
+            owner._file_inflight.pop(file_id, None)
+            ev = owner._file_drain_evs.pop(file_id, None)
+            if ev is not None and not ev.triggered:
+                ev.succeed()
+        else:
+            owner._file_inflight[file_id] = n
+
 
 class LockClient:
     """Cached data locks of one client node."""
@@ -65,8 +110,7 @@ class LockClient:
         self.fds = fds
         self.trace = trace
         self.table = ClientLockTable()
-        # Lock pinning: a demand compliance must not release a lock out
-        # from under an operation that already validated it (TOCTOU).
+        # Pins (:class:`_Pin`) per file, and the events their drains wait on.
         self._file_inflight: Dict[int, int] = {}
         self._file_drain_evs: Dict[int, Event] = {}
         self._revoking = _Marks()
@@ -88,19 +132,9 @@ class LockClient:
         endpoint.register(MsgKind.CACHE_INVALIDATE, self._on_cache_invalidate)
 
     # -- pinning ---------------------------------------------------------------
-    def _pin_file(self, file_id: int) -> None:
-        """Mark an operation as actively using this file's lock."""
-        self._file_inflight[file_id] = self._file_inflight.get(file_id, 0) + 1
-
-    def _unpin_file(self, file_id: int) -> None:
-        n = self._file_inflight.get(file_id, 1) - 1
-        if n <= 0:
-            self._file_inflight.pop(file_id, None)
-            ev = self._file_drain_evs.pop(file_id, None)
-            if ev is not None and not ev.triggered:
-                ev.succeed()
-        else:
-            self._file_inflight[file_id] = n
+    def pin(self, file_id: int) -> _Pin:
+        """Pin this file's lock for the ``with`` block that uses it."""
+        return _Pin(self, file_id)
 
     def _wait_file_drain(self, file_id: int) -> Generator[Event, Any, None]:
         """Wait until no operation is using the file's lock."""
@@ -189,30 +223,36 @@ class LockClient:
             of.stale = True
 
     # -- byte-range locks ------------------------------------------------------
-    def _batch_acquire(self, of: OpenFile, ranges: List[Tuple[int, int]],
-                       mode: LockMode,
-                       ) -> Generator[Event, Any, List[Tuple[int, int]]]:
-        """Acquire range locks for every ``(offset, nbytes)`` in one
-        LOCK_BATCH; returns the distinct granted spans (the server may
-        have coalesced or widened them) for the paired release."""
+    def ranges_locked(self, of: OpenFile, ranges: List[Tuple[int, int]],
+                      mode: LockMode,
+                      io: Callable[[int, int], Generator[Event, Any, _T]],
+                      ) -> Generator[Event, Any, List[_T]]:
+        """Run ``io(offset, nbytes)`` on each range under byte-range
+        locks of ``mode``; returns its results in order.
+
+        Every range is acquired in one LOCK_BATCH; the distinct granted
+        spans (the server may have coalesced or widened them) are
+        released in another, in this generator's own ``finally``."""
+        route = ("file", of.file_id)
         ops = [{"op": "range_acquire", "file_id": of.file_id,
                 "start": offset, "end": offset + nbytes, "mode": int(mode)}
                for offset, nbytes in ranges]
         reply = yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops},
-                                     of.server, route=("file", of.file_id))
-        spans = {(int(r["start"]), int(r["end"]))
-                 for r in reply.payload["results"] if r.get("ok")}
-        return sorted(spans)
-
-    def _batch_release(self, of: OpenFile, spans: List[Tuple[int, int]],
-                       ) -> Generator[Event, Any, None]:
-        """Release the granted spans in one LOCK_BATCH."""
-        if not spans:
-            return
-        ops = [{"op": "range_release", "file_id": of.file_id,
-                "start": start, "end": end} for start, end in spans]
-        yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops}, of.server,
-                             route=("file", of.file_id))
+                                     of.server, route=route)
+        spans = sorted({(int(r["start"]), int(r["end"]))
+                        for r in reply.payload["results"] if r.get("ok")})
+        try:
+            out = []
+            for offset, nbytes in ranges:
+                out.append((yield from io(offset, nbytes)))
+            return out
+        finally:
+            if spans:
+                release = [{"op": "range_release", "file_id": of.file_id,
+                            "start": start, "end": end}
+                           for start, end in spans]
+                yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": release},
+                                     of.server, route=route)
 
     # -- §6 server recovery: lock reassertion ------------------------------------
     def reassert_locks(self, server: str) -> Generator[Event, Any, None]:
@@ -298,13 +338,10 @@ class LockClient:
             return
         # Stop new operations from riding the lock, drain current users,
         # then flush what they wrote — only then give the lock back.
-        self._revoking.add(file_id)
-        try:
+        with self._revoking.marking(file_id):
             yield from self._wait_file_drain(file_id)
             yield from self.data.flush(file_id)
             yield from self._yield_lock(file_id, needed, server)
-        finally:
-            self._revoking.discard(file_id)
 
     def _yield_lock(self, file_id: int, needed: LockMode, server: str,
                     ) -> Generator[Event, Any, None]:

@@ -17,6 +17,7 @@ process generators (``yield from client.read(...)``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.client.datapath import Blocks, ClientIOError, DataPath
@@ -49,6 +50,38 @@ class ClientQuiescedError(Exception):
 
 class ClientDisconnectedError(Exception):
     """No valid lease with the server; operation refused."""
+
+
+class _InFlight:
+    """The client's operation bracket, one reusable ``with`` target:
+    counts operations in and out.  ``drained`` is a fresh event at each
+    0→1 transition and succeeds at each 1→0 one; the phase-4 flush
+    waits on it (§3.2)."""
+
+    __slots__ = ("sim", "in_flight", "drained", "_bound_exit")
+
+    def __init__(self, sim: Simulator) -> None:
+        self.sim = sim
+        self.in_flight = 0
+        self.drained: Event = sim.event()
+        self.drained.succeed()
+        self._bound_exit = self._exit_op
+
+    def __enter__(self) -> None:
+        self.in_flight += 1
+        if self.drained.triggered:
+            self.drained = self.sim.event()
+
+    # A ``with`` binds ``__exit__`` afresh and holds it for the whole
+    # block, across every wait of the operation; serving the one bound
+    # at construction (read in C, no Python call) keeps an operation
+    # from allocating anything.
+    __exit__ = property(attrgetter("_bound_exit"))
+
+    def _exit_op(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        self.in_flight -= 1
+        if self.in_flight == 0 and not self.drained.triggered:
+            self.drained.succeed()
 
 
 @dataclass
@@ -104,9 +137,7 @@ class StorageTankClient:
                                      self.data, self.fds, self.trace)
         self.locks = self.lockclient.table
 
-        self._in_flight = 0
-        self._drained: Event = sim.event()
-        self._drained.succeed()
+        self._busy = _InFlight(sim)
         # Application-visible counters.
         self.ops_completed = 0
         self.ops_rejected = 0
@@ -144,16 +175,13 @@ class StorageTankClient:
         """Create a file on its owning server; returns its file id."""
         srv = self.routing.server_for_path(path)
         self._admit(srv)
-        self._enter()
-        try:
+        with self._busy:
             reply = yield from self._rpc(MsgKind.CREATE,
                                          {"path": path, "size": size}, srv,
                                          route=("path", path))
             fid = int(reply.payload["file_id"])
             self._note_file(fid, path)
             return fid
-        finally:
-            self._exit()
 
     def open_file(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
         """Open a file, acquiring its data lock; returns a descriptor."""
@@ -161,8 +189,7 @@ class StorageTankClient:
             raise ValueError(f"mode must be 'r' or 'w', got {mode!r}")
         srv = self.routing.server_for_path(path)
         self._admit(srv)
-        self._enter()
-        try:
+        with self._busy:
             sent_at = self.sim.now
             held_fid = self.data.path_fid.get(path)
             held = self.data.layouts.get(held_fid)
@@ -186,8 +213,6 @@ class StorageTankClient:
                 of.stale = True
             self.ops_completed += 1
             return of.fd
-        finally:
-            self._exit()
 
     def _intent_open(self, op: Dict[str, Any], srv: str,
                      ) -> Generator[Event, Any, Dict[str, Any]]:
@@ -234,19 +259,12 @@ class StorageTankClient:
         """
         of = self.fds.get(fd)
         self._admit(of.server)
-        self._enter()
-        pinned = False
-        try:
+        with self._busy:
             yield from self.lockclient.ensure_lock(of, LockMode.SHARED)
-            self.lockclient._pin_file(of.file_id)
-            pinned = True
-            out = yield from self.data.read(of, offset, nbytes)
-            self.ops_completed += 1
-            return out
-        finally:
-            if pinned:
-                self.lockclient._unpin_file(of.file_id)
-            self._exit()
+            with self.lockclient.pin(of.file_id):
+                out = yield from self.data.read(of, offset, nbytes)
+                self.ops_completed += 1
+                return out
 
     def write(self, fd: int, offset: int, nbytes: int,
               ) -> Generator[Event, Any, str]:
@@ -260,36 +278,31 @@ class StorageTankClient:
         self._admit(of.server)
         if of.mode != "w":
             raise PermissionError(f"fd {fd} not open for writing")
-        self._enter()
-        pinned = False
-        try:
+        with self._busy:
             yield from self.lockclient.ensure_lock(of, LockMode.EXCLUSIVE)
-            self.lockclient._pin_file(of.file_id)
-            pinned = True
-            end = offset + nbytes
-            if end > of.extents.size_bytes:
-                # Growth folds into a setattr intent: the reply is
-                # op-result + (idempotent) grant in one round trip.
-                sent_at = self.sim.now
-                held = self.data.layouts.get(of.file_id)
-                reply = yield from self._rpc(
-                    MsgKind.LOCK_INTENT,
-                    {"op": "setattr", "file_id": of.file_id, "size": end,
-                     **self.data.layout_hint(of.file_id, held)},
-                    of.server, route=("file", of.file_id))
-                lock = reply.payload.get("lock")
-                if (lock is not None and not self.lockclient.lock_reply_stale(
-                        of.file_id, sent_at)):
-                    self.locks.note_granted(of.file_id, LockMode(int(lock)))
-                    of.lock = LockMode(int(lock))
-                self.data.apply_meta_reply(of, reply.payload, held)
-            tag = self.data.write(of, offset, nbytes)
-            self.ops_completed += 1
-            return tag
-        finally:
-            if pinned:
-                self.lockclient._unpin_file(of.file_id)
-            self._exit()
+            with self.lockclient.pin(of.file_id):
+                end = offset + nbytes
+                if end > of.extents.size_bytes:
+                    # Growth folds into a setattr intent: the reply is
+                    # op-result + (idempotent) grant in one round trip.
+                    sent_at = self.sim.now
+                    held = self.data.layouts.get(of.file_id)
+                    reply = yield from self._rpc(
+                        MsgKind.LOCK_INTENT,
+                        {"op": "setattr", "file_id": of.file_id, "size": end,
+                         **self.data.layout_hint(of.file_id, held)},
+                        of.server, route=("file", of.file_id))
+                    lock = reply.payload.get("lock")
+                    if (lock is not None
+                            and not self.lockclient.lock_reply_stale(
+                                of.file_id, sent_at)):
+                        self.locks.note_granted(of.file_id,
+                                                LockMode(int(lock)))
+                        of.lock = LockMode(int(lock))
+                    self.data.apply_meta_reply(of, reply.payload, held)
+                tag = self.data.write(of, offset, nbytes)
+                self.ops_completed += 1
+                return tag
 
     def flush(self, fd: Optional[int] = None) -> Generator[Event, Any, int]:
         """Write dirty pages (of one file, or all) to the SAN; returns the
@@ -302,16 +315,13 @@ class StorageTankClient:
         the data lock stays cached (lock caching, §3.1)."""
         of = self.fds.get(fd)
         yield from self.data.flush(of.file_id)
-        self._enter()
-        try:
+        with self._busy:
             # Close is advisory bookkeeping (§3.1), so it need not cost
             # a datagram: the census update rides the next LOCK_BATCH to
             # this server.
             self._pending_closes.setdefault(of.server, []).append(of.file_id)
             self.fds.close(fd)
             self.ops_completed += 1
-        finally:
-            self._exit()
 
     def read_range_locked(self, fd: int, offset: int, nbytes: int,
                           ) -> Generator[Event, Any, Blocks]:
@@ -341,21 +351,15 @@ class StorageTankClient:
         """
         of = self.fds.get(fd)
         self._admit(of.server)
-        self._enter()
-        try:
-            spans = yield from self.lockclient._batch_acquire(
-                of, ranges, LockMode.SHARED)
-            try:
-                out = []
-                for offset, nbytes in ranges:
-                    out.append((yield from self.data.read(
-                        of, offset, nbytes, through_cache=False)))
-                    self.ops_completed += 1
-                return out
-            finally:
-                yield from self.lockclient._batch_release(of, spans)
-        finally:
-            self._exit()
+
+        def read(offset: int, nbytes: int) -> Generator[Event, Any, Blocks]:
+            out = yield from self.data.read(of, offset, nbytes,
+                                            through_cache=False)
+            self.ops_completed += 1
+            return out
+        with self._busy:
+            return (yield from self.lockclient.ranges_locked(
+                of, ranges, LockMode.SHARED, read))
 
     def write_ranges_locked(self, fd: int, ranges: List[Tuple[int, int]],
                             ) -> Generator[Event, Any, List[str]]:
@@ -369,29 +373,21 @@ class StorageTankClient:
         """
         of = self.fds.get(fd)
         self._admit(of.server)
-        self._enter()
-        try:
-            spans = yield from self.lockclient._batch_acquire(
-                of, ranges, LockMode.EXCLUSIVE)
-            try:
-                tags = []
-                for offset, nbytes in ranges:
-                    tags.append((yield from self.data.write_through(
-                        of, offset, nbytes)))
-                    self.ops_completed += 1
-                return tags
-            finally:
-                yield from self.lockclient._batch_release(of, spans)
-        finally:
-            self._exit()
+
+        def write(offset: int, nbytes: int) -> Generator[Event, Any, str]:
+            tag = yield from self.data.write_through(of, offset, nbytes)
+            self.ops_completed += 1
+            return tag
+        with self._busy:
+            return (yield from self.lockclient.ranges_locked(
+                of, ranges, LockMode.EXCLUSIVE, write))
 
     def unlink(self, path: str) -> Generator[Event, Any, None]:
         """Remove a file.  The server demands the data lock from any
         cacher first; this client's own pages and lock are dropped."""
         srv = self.routing.server_for_path(path)
         self._admit(srv)
-        self._enter()
-        try:
+        with self._busy:
             reply = yield from self._rpc(MsgKind.UNLINK, {"path": path}, srv,
                                          route=("path", path))
             fid = int(reply.payload["file_id"])
@@ -403,8 +399,6 @@ class StorageTankClient:
                 of.stale = True
                 of.lock = LockMode.NONE
             self.ops_completed += 1
-        finally:
-            self._exit()
 
     def readdir(self, path: str = "/") -> Generator[Event, Any, List[str]]:
         """List entries under a directory, merged across all servers.
@@ -430,12 +424,9 @@ class StorageTankClient:
         for srv in targets:
             try:
                 self._admit(srv)
-                self._enter()
-                try:
+                with self._busy:
                     reply = yield from self._rpc(MsgKind.READDIR,
                                                  {"path": path}, srv)
-                finally:
-                    self._exit()
             except (ClientQuiescedError, ClientDisconnectedError,
                     DeliveryError, NackError) as exc:
                 last_exc = exc
@@ -451,14 +442,11 @@ class StorageTankClient:
         """Fetch a file's attributes from its owning server."""
         srv = self.routing.server_for_path(path)
         self._admit(srv)
-        self._enter()
-        try:
+        with self._busy:
             reply = yield from self._rpc(MsgKind.GETATTR, {"path": path}, srv,
                                          route=("path", path))
             self.ops_completed += 1
             return FileAttributes.from_payload(reply.payload["attrs"])
-        finally:
-            self._exit()
 
     def lookup(self, path: str) -> Generator[Event, Any, int]:
         """Resolve a path to its file id without opening or locking it.
@@ -469,14 +457,11 @@ class StorageTankClient:
         """
         srv = self.routing.server_for_path(path)
         self._admit(srv)
-        self._enter()
-        try:
+        with self._busy:
             reply = yield from self._rpc(MsgKind.LOOKUP, {"path": path}, srv,
                                          route=("path", path))
             self.ops_completed += 1
             return int(reply.payload["file_id"])
-        finally:
-            self._exit()
 
     # -- introspection ------------------------------------------------------
     @property
@@ -543,8 +528,8 @@ class StorageTankClient:
         no in-flight operations.
         """
         blockers = []
-        if self._in_flight:
-            blockers.append(f"{self._in_flight} operations in flight")
+        if self._busy.in_flight:
+            blockers.append(f"{self._busy.in_flight} operations in flight")
         if self.cache.dirty_count:
             blockers.append("dirty pages in cache")
         if self.locks.all_held():
@@ -628,16 +613,6 @@ class StorageTankClient:
             raise ClientDisconnectedError(f"{self.name}: no valid lease")
         raise ClientQuiescedError(f"{self.name}: lease phase {ph.name}")
 
-    def _enter(self) -> None:
-        self._in_flight += 1
-        if self._drained.triggered:
-            self._drained = self.sim.event()
-
-    def _exit(self) -> None:
-        self._in_flight -= 1
-        if self._in_flight == 0 and not self._drained.triggered:
-            self._drained.succeed()
-
     def _writeback_daemon(self) -> Generator[Event, Any, None]:
         while True:
             yield self.endpoint.local_timeout(self.config.writeback_interval)
@@ -649,8 +624,9 @@ class StorageTankClient:
             # Phase 3 ends before phase 4 begins: in-flight operations
             # have until the flush boundary to drain (§3.2); we start
             # flushing immediately but wait for stragglers too.
-            if self._in_flight and not self._drained.triggered:
-                yield self._drained
+            busy = self._busy
+            if busy.in_flight and not busy.drained.triggered:
+                yield busy.drained
             if len(self.servers) == 1:
                 yield from self.data.flush(None)
             else:
@@ -679,7 +655,7 @@ class StorageTankClient:
         self.trace.emit(self.sim.now, "client.lease_lost", self.name,
                         server=server or self.server,
                         dirty_dropped=len(dropped),
-                        in_flight=self._in_flight)
+                        in_flight=self._busy.in_flight)
 
     def force_lease_expiry(self) -> None:
         """Invalidate the cache and cede all locks immediately.

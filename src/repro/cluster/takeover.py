@@ -75,7 +75,7 @@ _GRANTING_KINDS = frozenset({
 #: advisory ``close`` give something back, so a stale map never refuses
 #: them and they never get the batch they ride refused.
 _GRANTING_SUBOPS = frozenset({
-    "open", "create", "getattr", "setattr", "range_acquire",
+    "open", "setattr", "range_acquire",
 })
 
 

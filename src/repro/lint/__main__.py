@@ -19,7 +19,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Flow-aware protocol static analysis for the repro tree "
-                    "(rules RPL001-RPL013; see --list-rules).")
+                    "(see --list-rules for the rules).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--config", metavar="PYPROJECT", default=None,

@@ -132,7 +132,7 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 def _load_builtin_rules() -> None:
     # Imported for their registration side effect.
     from repro.lint.rules import (barrier, determinism, handlers,  # noqa: F401
-                                  local_clock, mutable_defaults, pairing,
+                                  local_clock, mutable_defaults,
                                   passive_reach, passive_server, phases,
                                   remote_taint, reply_path, schema_drift,
                                   time_equality)

@@ -1,172 +1,108 @@
-"""RPL011: every namespace mutation must sit behind the cache barrier
-on *all* CFG paths.
+"""RPL011: every namespace mutation runs inside the cache barrier.
 
-Since PR 7 the server keeps in-network metadata caches coherent with an
-invalidate-before-apply barrier: claim a barrier sequence number, push
-``CACHE_INVALIDATE`` to every cache node, and only then apply the
-mutation to the namespace.  A mutation path that skips the barrier (on
-one branch, after an early return, in a new handler) silently serves
-stale metadata from the cache tier — exactly the staleness Theorem 3.1
-rules out.
+The server keeps the in-network metadata cache tier coherent by
+invalidating every cache node before it applies a namespace mutation
+(DESIGN.md §15).  :meth:`repro.server.barrier.CacheBarrier.mutate` is
+the one place that happens: it claims a barrier, invalidates, runs the
+mutation body it was handed and releases the claim on every exit.  A
+mutation applied anywhere else silently serves stale metadata from the
+cache tier — exactly the staleness Theorem 3.1 rules out.
 
-The rule runs a forward must-analysis over each function's CFG with a
-single *protected* bit:
-
-* a call to a barrier routine (``_invalidate_caches``) sets it;
-* the false edge of a test on the cache-population guard
-  (``self._cache_nodes``) sets it — with no cache nodes there is
-  nothing to invalidate;
-* the false edge of a test on a variable holding a barrier *token*
-  (the result of ``_claim_barrier()``, by convention a non-zero
-  sequence number) sets it — a falsy token means the guarded claim
-  branch was not taken, i.e. the cache tier is absent;
-* joins AND the bit (every incoming path must be protected).
-
-Any namespace-mutator call (``create_file``, ``unlink``, ``ensure_size``,
-``set_attrs``) reached with the bit unset is flagged.
+So the check is a syntactic choke point: every call to a namespace
+mutator (``create_file``, ``unlink``, ``ensure_size``, ``set_attrs``)
+must sit lexically inside a lambda passed to ``.mutate(...)``, or inside
+a nested ``def`` whose name the function defining it passes to
+``.mutate(...)``; and such a ``def`` is never also called directly.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Iterator, Optional, Set, Tuple
 
-from repro.lint.cfg import CFG, Block, build_cfg, shallow_calls
-from repro.lint.dataflow import ForwardAnalysis
 from repro.lint.rules import Rule, Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
-_DEFAULT_MUTATORS = ("create_file", "unlink", "ensure_size", "set_attrs")
-_DEFAULT_BARRIERS = ("_invalidate_caches",)
-_DEFAULT_GUARDS = ("_cache_nodes",)
-_DEFAULT_CLAIMS = ("_claim_barrier",)
-
-#: (protected?, names of locals holding a claim token)
-_State = Tuple[bool, FrozenSet[str]]
+_MUTATORS = frozenset(("create_file", "unlink", "ensure_size", "set_attrs"))
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _last_attr(func: ast.expr) -> Optional[str]:
+def _callee(node: ast.Call) -> Optional[str]:
+    """The called name of ``f(...)`` / ``x.f(...)``."""
+    func = node.func
     if isinstance(func, ast.Attribute):
         return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
+    return func.id if isinstance(func, ast.Name) else None
 
 
-class _BarrierAnalysis(ForwardAnalysis[_State]):
-    def __init__(self, barriers: FrozenSet[str], guards: FrozenSet[str],
-                 claims: FrozenSet[str]) -> None:
-        self.barriers = barriers
-        self.guards = guards
-        self.claims = claims
+def _handed_to_barrier(node: ast.AST) -> Iterator[ast.expr]:
+    """Every argument of every ``.mutate(...)`` call under ``node``."""
+    for call in ast.walk(node):
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "mutate"):
+            yield from call.args
+            yield from (kw.value for kw in call.keywords)
 
-    def initial_state(self) -> _State:
-        return (False, frozenset())
 
-    def transfer_stmt(self, state: _State, stmt: ast.stmt) -> _State:
-        protected, tokens = state
-        for call in shallow_calls(stmt):
-            name = _last_attr(call.func)
-            if name in self.barriers:
-                protected = True
-        # Track `tok = self._claim_barrier()` token bindings.
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            var = stmt.targets[0].id
-            if (isinstance(stmt.value, ast.Call)
-                    and _last_attr(stmt.value.func) in self.claims):
-                tokens = tokens | {var}
-            elif var in tokens:
-                tokens = tokens - {var}
-        return (protected, tokens)
+def _barrier_bodies(tree: ast.Module) -> Tuple[Set[ast.AST], Set[ast.AST]]:
+    """The lambdas and nested defs handed to ``.mutate(...)``, and every
+    call of such a def by name in the function that defines it (a body
+    run directly bypasses the barrier it was written for)."""
+    bodies: Set[ast.AST] = {a for a in _handed_to_barrier(tree)
+                            if isinstance(a, ast.Lambda)}
+    direct: Set[ast.AST] = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, _DEFS):
+            passed = {a.id for a in _handed_to_barrier(fn)
+                      if isinstance(a, ast.Name)}
+            defs = [d for d in ast.walk(fn) if isinstance(d, _DEFS)
+                    and d is not fn and d.name in passed]
+            bodies.update(defs)
+            names = {d.name for d in defs}
+            direct.update(c for c in ast.walk(fn) if isinstance(c, ast.Call)
+                          and isinstance(c.func, ast.Name)
+                          and c.func.id in names)
+    return bodies, direct
 
-    def transfer_test(self, state: _State, test: Optional[ast.expr],
-                      branch: bool) -> Optional[_State]:
-        protected, tokens = state
-        expr = test
-        polarity = branch
-        while isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.Not):
-            expr = expr.operand
-            polarity = not polarity
-        if isinstance(expr, ast.Attribute) and expr.attr in self.guards:
-            if not polarity:  # no cache nodes -> nothing to invalidate
-                return (True, tokens)
-            return state
-        if isinstance(expr, ast.Name) and expr.id in tokens:
-            if not polarity:  # falsy token -> claim branch not taken
-                return (True, tokens)
-            return state
-        return state
 
-    def join(self, a: _State, b: _State) -> _State:
-        return (a[0] and b[0], a[1] | b[1])
+def _unguarded(node: ast.AST, bodies: Set[ast.AST],
+               direct: Set[ast.AST]) -> Iterator[ast.Call]:
+    """Mutator calls and direct body calls under ``node`` that no barrier
+    body encloses."""
+    for child in ast.iter_child_nodes(node):
+        if child in bodies:
+            continue
+        if isinstance(child, ast.Call) and (_callee(child) in _MUTATORS
+                                            or child in direct):
+            yield child
+        yield from _unguarded(child, bodies, direct)
 
 
 @rule
 class BarrierRule(Rule):
-    """Flag namespace mutations not behind the invalidation barrier."""
+    """Flag namespace mutations applied outside ``CacheBarrier.mutate``."""
 
     code = "RPL011"
     name = "invalidate-before-apply"
-    description = ("namespace mutations must pass the cache-invalidation "
-                   "barrier on every CFG path before applying")
-    paper_ref = ("SS4/PR7: metadata caches stay coherent only if every "
+    description = ("namespace mutations run only inside a body handed to "
+                   "CacheBarrier.mutate(...)")
+    paper_ref = ("SS4: metadata caches stay coherent only if every "
                  "mutation invalidates before it applies")
     default_scope = ["src/repro/server", "src/repro/netcache"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        """Run the barrier dataflow over every function in the file."""
-        opts = ctx.options(self.code)
-        mutators = frozenset(opts.get("mutator-calls", _DEFAULT_MUTATORS))
-        barriers = frozenset(opts.get("barrier-calls", _DEFAULT_BARRIERS))
-        guards = frozenset(opts.get("guard-attrs", _DEFAULT_GUARDS))
-        claims = frozenset(opts.get("claim-calls", _DEFAULT_CLAIMS))
-        for fn in _functions(ctx.tree):
-            if not _mentions_mutator(fn, mutators):
-                continue
-            yield from self._check_function(ctx, fn, mutators, barriers,
-                                            guards, claims)
-
-    def _check_function(self, ctx: "FileContext", fn: ast.AST,
-                        mutators: FrozenSet[str], barriers: FrozenSet[str],
-                        guards: FrozenSet[str], claims: FrozenSet[str]
-                        ) -> Iterator[Violation]:
-        cfg = build_cfg(fn)
-        analysis = _BarrierAnalysis(barriers, guards, claims)
-        reported: Set[Tuple[int, int]] = set()
-        for stmt, state in analysis.states_at_stmts(cfg):
-            for call in shallow_calls(stmt):
-                name = _last_attr(call.func)
-                if name not in mutators:
-                    continue
-                # The definitions themselves (class MetadataStore) and
-                # recursive self-calls are out of scope by path config.
-                if state[0]:
-                    continue
-                key = (call.lineno, call.col_offset)
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield Violation(
-                    code=self.code,
-                    message=(f"namespace mutation '{name}(...)' may run "
-                             f"without the cache-invalidation barrier on "
-                             f"some path; claim a barrier and invalidate "
-                             f"caches before applying"),
-                    path=ctx.path, line=call.lineno, col=call.col_offset)
-
-
-def _functions(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _mentions_mutator(fn: ast.AST, mutators: FrozenSet[str]) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and _last_attr(node.func) in mutators:
-            return True
-    return False
+        """Yield a violation per mutator call outside every barrier body
+        and per barrier body called directly."""
+        bodies, direct = _barrier_bodies(ctx.tree)
+        for call in _unguarded(ctx.tree, bodies, direct):
+            if call in direct:
+                what = f"barrier body '{_callee(call)}()' called directly"
+            else:
+                what = f"namespace mutation '{_callee(call)}(...)'"
+            yield Violation(
+                code=self.code,
+                message=(f"{what} outside the cache barrier; apply it in a "
+                         f"body handed to CacheBarrier.mutate(...)"),
+                path=ctx.path, line=call.lineno, col=call.col_offset)

@@ -33,7 +33,12 @@ class MetadataStore:
 
     # -- files ------------------------------------------------------------
     def create_file(self, path: str, size: int = 0, now: float = 0.0) -> Inode:
-        """Create a file, allocating SAN blocks to back ``size`` bytes."""
+        """Create a file, allocating SAN blocks to back ``size`` bytes.
+
+        An existing path raises :class:`NamespaceError` before anything
+        changes: no file id drawn, no block allocated, nothing counted."""
+        if self.namespace.exists(path):
+            raise NamespaceError(f"path exists: {path}")
         self.ops += 1
         self.meta_writes += 1
         fid = next(self._ids)

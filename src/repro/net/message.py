@@ -28,7 +28,6 @@ class MsgKind:
     LOOKUP = "fs.lookup"
     UNLINK = "fs.unlink"
     READDIR = "fs.readdir"
-    ALLOC = "fs.alloc"
 
     # client → server locking
     LOCK_ACQUIRE = "lock.acquire"
@@ -36,8 +35,8 @@ class MsgKind:
     LOCK_DOWNGRADE = "lock.downgrade"
 
     # intent locking (Lustre-style): the lock request carries the
-    # operation (open, create, getattr, setattr, byte-range acquire and
-    # release, close), so the server executes it under the lock it is
+    # operation (open, growth setattr, byte-range acquire and release,
+    # close), so the server executes it under the lock it is
     # about to grant and answers op-result + grant in one round trip.
     # LOCK_BATCH is the batching envelope: several sub-requests (e.g.
     # contiguous range acquires) coalesced into one datagram.
@@ -90,7 +89,6 @@ KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     "fs-core": (MsgKind.OPEN, MsgKind.GETATTR, MsgKind.SETATTR,
                 MsgKind.CREATE, MsgKind.LOOKUP, MsgKind.UNLINK,
                 MsgKind.READDIR),
-    "fs-alloc": (MsgKind.ALLOC,),            # reserved; no dispatcher yet
     "locking": (MsgKind.LOCK_ACQUIRE, MsgKind.LOCK_RELEASE,
                 MsgKind.LOCK_DOWNGRADE),
     "intent": (MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH),

@@ -1,30 +1,21 @@
 """The invalidate-before-apply barrier that keeps the in-network
 metadata cache tier (:mod:`repro.netcache`) coherent (DESIGN.md §15).
 
-Every namespace mutation is *bracketed* — claim a barrier, invalidate
-every cache node, apply, release — so a hit can never observe a value
-the server has already replaced.  In a mutation body::
-
-    barrier = self.barrier._claim_barrier()
-    try:
-        if barrier:
-            yield from self.barrier._invalidate_caches(barrier, {...})
-        ... apply ...
-        if barrier:
-            self.barrier.note_mutation(...)
-    finally:
-        self.barrier._cache_pending.discard(barrier)
-
-(the names ``repro.lint`` rules RPL011 and RPL012 check on every path).
-Without cache nodes the bracket is a no-op — the claim is 0 and nothing
-waits, so the endpoint answers the handler directly — and one body
-serves both installations.
+Every namespace mutation runs through :meth:`CacheBarrier.mutate` —
+claim a barrier, invalidate every cache node, apply, release — so a hit
+can never observe a value the server has already replaced.  A handler
+hands it the mutation as a zero-argument ``apply`` that changes the
+store, calls :meth:`~CacheBarrier.note_mutation` and returns the reply
+(``repro.lint`` rule RPL011 keeps every store mutator inside one).
+Without cache nodes ``mutate`` claims nothing and never waits, so the
+endpoint answers the handler directly, and one body serves both
+installations.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, Generator, List, Set,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Generator,
+                    List, Set, Tuple, TypeVar)
 
 from repro.lease.contract import LeaseContract
 from repro.net.control import Endpoint
@@ -35,6 +26,8 @@ from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.protocols.base import SafetyAuthority
+
+_R = TypeVar("_R")
 
 
 def ancestor_dirs(path: str) -> List[str]:
@@ -85,16 +78,26 @@ class CacheBarrier:
         a mutation whose invalidation the cache has already processed."""
         return -1 if self._cache_pending else self._cache_mseq
 
-    def _claim_barrier(self) -> int:
-        """Claim the next mutation barrier (reads stamp -1 until it is
-        discarded from ``_cache_pending``); 0, claiming nothing, without
-        cache nodes."""
+    def mutate(self, scope: Dict[str, Any], apply: Callable[[], _R],
+               ) -> Generator[Event, Any, _R]:
+        """Run ``apply()`` behind the next mutation barrier and return
+        what it returns.
+
+        The barrier is claimed (replies stamp -1 while it is pending),
+        ``scope`` (the ``paths`` / ``file_ids`` / ``dirs`` the mutation
+        touches) is invalidated on every cache node, ``apply`` runs and
+        the claim is released on every exit.  Without cache nodes this
+        only calls ``apply()``."""
         if not self._cache_nodes:
-            return 0
+            return apply()
         self._cache_mseq += 1
         barrier = self._cache_mseq
         self._cache_pending.add(barrier)
-        return barrier
+        try:
+            yield from self._invalidate_caches(barrier, scope)
+            return apply()
+        finally:
+            self._cache_pending.discard(barrier)
 
     def _invalidate_caches(self, barrier: int, payload: Dict[str, Any],
                            ) -> Generator[Event, Any, None]:
@@ -147,10 +150,10 @@ class CacheBarrier:
                     self.contract.server_wait_local())
 
     def note_mutation(self, op: str, **fields: Any) -> None:
-        """Record a namespace mutation at apply time (under a claimed
-        barrier only): the authoritative timeline the stale-entry
-        oracle replays."""
+        """Record a namespace mutation at apply time: the authoritative
+        timeline the stale-entry oracle replays.  Without cache nodes
+        there is no cache to be stale, and nothing is recorded."""
         trace = self.trace
-        if not trace._noop:
+        if self._cache_nodes and not trace._noop:
             trace.emit(self.endpoint.sim.now, "meta.mutate",
                        self.endpoint.name, op=op, **fields)

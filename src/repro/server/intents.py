@@ -4,10 +4,9 @@ client↔server lock path.
 
 The executor owns the intent census and shapes byte-range grants
 (batches coalesced, uncontended ranges widened to the file extent).
-The operations are the server's namespace bodies (``_create`` /
-``_setattr`` / ``_getattr``, shared with the plain handlers) and the
-locks the lock service's, so it is constructed with its server
-(DESIGN.md, "Node layers").
+The growth setattr runs the server's ``_setattr`` body, shared with the
+plain handler, and the locks are the lock service's, so it is
+constructed with its server (DESIGN.md, "Node layers").
 """
 
 from __future__ import annotations
@@ -72,26 +71,6 @@ class IntentExecutor:
             return ("ack", {"file_id": ino.file_id,
                             **server._meta_reply(ino, body.get("have_layout")),
                             "lock": int(granted)})
-        if op == "create":
-            decision, payload = yield from server._create(
-                body["path"], int(body.get("size", 0)))
-            if decision == "ack":
-                granted = yield from grant_lock(
-                    client, int(payload["file_id"]), LockMode.EXCLUSIVE)
-                payload = {**payload, "lock": int(granted)}
-            return (decision, payload)
-        if op == "getattr":
-            decision, payload = server._getattr(body.get("path"),
-                                                body.get("file_id"))
-            if decision == "ack":
-                fid = int(payload["file_id"])
-                granted = yield from grant_lock(client, fid, LockMode.SHARED)
-                # Re-read under the lock: the wait may have outlasted a
-                # writer's setattr.
-                decision, payload = server._getattr(None, fid)
-                if decision == "ack":
-                    payload = {**payload, "lock": int(granted)}
-            return (decision, payload)
         if op == "setattr":
             file_id = int(body["file_id"])
             granted = yield from grant_lock(client, file_id,

@@ -256,29 +256,25 @@ class StorageTankServer:
 
     def _create(self, path: str, size: int,
                 ) -> Generator[Event, Any, Reply]:
-        """CREATE body (also the create intent's), bracketed by the
-        cache barrier."""
+        """CREATE body, applied behind the cache barrier."""
         store = self._meta_for_path(path)
         if store.exists(path):
             return ("nack", {"error": "exists"})
-        barrier = self.barrier._claim_barrier()
-        try:
-            if barrier:
-                yield from self.barrier._invalidate_caches(
-                    barrier, {"paths": [path], "dirs": ancestor_dirs(path)})
-                if store.exists(path):
-                    # Raced another create while the barrier ran.
-                    return ("nack", {"error": "exists"})
-            ino = store.create_file(path, size, now=self.sim.now)
+
+        def apply() -> Reply:
+            try:
+                ino = store.create_file(path, size, now=self.sim.now)
+            except NamespaceError:
+                # Raced another create while the barrier ran.
+                return ("nack", {"error": "exists"})
             if self.cluster is not None:
                 self.cluster.note_create(ino.file_id, path)
-            if barrier:
-                self.barrier.note_mutation("create", path=path,
-                                           file_id=ino.file_id,
-                                           size=ino.attrs.size)
+            self.barrier.note_mutation("create", path=path,
+                                       file_id=ino.file_id,
+                                       size=ino.attrs.size)
             return ("ack", {"file_id": ino.file_id, **self._meta_reply(ino)})
-        finally:
-            self.barrier._cache_pending.discard(barrier)
+        return (yield from self.barrier.mutate(
+            {"paths": [path], "dirs": ancestor_dirs(path)}, apply))
 
     def _h_open(self, msg: Message) -> HandlerResult:
         """NFS-style open: no coherence lock, the caller polls
@@ -321,12 +317,9 @@ class StorageTankServer:
                 "extents": extents_to_payload(layout, start)}
 
     def _h_getattr(self, msg: Message) -> HandlerResult:
-        return self._getattr(msg.payload.get("path"),
-                             msg.payload.get("file_id"))
-
-    def _getattr(self, path: Optional[str], file_id: Optional[Any],
-                 ) -> Reply:
-        """GETATTR body (also the getattr intent's), by path or id."""
+        """A file's attributes, by path or id."""
+        path = msg.payload.get("path")
+        file_id = msg.payload.get("file_id")
         try:
             if path is not None:
                 ino = self._meta_for_path(path).lookup(path)
@@ -345,14 +338,11 @@ class StorageTankServer:
 
     def _setattr(self, file_id: int, size: Any, mode: Any, have: Any = None,
                  ) -> Generator[Event, Any, Reply]:
-        """SETATTR body (also the setattr intent's), bracketed by the
+        """SETATTR body (also the setattr intent's), applied behind the
         cache barrier."""
         store = self._meta_for_file(file_id)
-        barrier = self.barrier._claim_barrier()
-        try:
-            if barrier:
-                yield from self.barrier._invalidate_caches(
-                    barrier, {"file_ids": [file_id]})
+
+        def apply() -> Reply:
             try:
                 if size is not None:
                     ino = store.ensure_size(file_id, int(size),
@@ -362,12 +352,10 @@ class StorageTankServer:
                                           mode=mode)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
-            if barrier:
-                self.barrier.note_mutation("setattr", file_id=file_id,
-                                           size=ino.attrs.size)
+            self.barrier.note_mutation("setattr", file_id=file_id,
+                                       size=ino.attrs.size)
             return ("ack", self._meta_reply(ino, have))
-        finally:
-            self.barrier._cache_pending.discard(barrier)
+        return (yield from self.barrier.mutate({"file_ids": [file_id]}, apply))
 
     def _h_lookup(self, msg: Message) -> HandlerResult:
         try:
@@ -389,27 +377,22 @@ class StorageTankServer:
             return ("nack", {"error": str(exc)})
         fid = ino.file_id
 
+        def apply() -> HandlerResult:
+            try:
+                store.unlink(path)
+            except NamespaceError as exc:
+                return ("nack", {"error": str(exc)})
+            self.barrier.note_mutation("unlink", path=path, file_id=fid)
+            return ("ack", {"file_id": fid})
+
         def run() -> Generator[Event, Any, HandlerResult]:
             yield from self.lock_service.grant_lock(msg.src, fid,
                                                     LockMode.EXCLUSIVE)
-            barrier = self.barrier._claim_barrier()
-            try:
-                if barrier:
-                    yield from self.barrier._invalidate_caches(
-                        barrier, {"paths": [path], "file_ids": [fid],
-                                  "dirs": ancestor_dirs(path)})
-                try:
-                    store.unlink(path)
-                except NamespaceError as exc:
-                    self.locks.release(msg.src, fid)
-                    return ("nack", {"error": str(exc)})
-                if barrier:
-                    self.barrier.note_mutation("unlink", path=path,
-                                               file_id=fid)
-            finally:
-                self.barrier._cache_pending.discard(barrier)
+            reply = yield from self.barrier.mutate(
+                {"paths": [path], "file_ids": [fid],
+                 "dirs": ancestor_dirs(path)}, apply)
             self.locks.release(msg.src, fid)
-            return ("ack", {"file_id": fid})
+            return reply
         return run()
 
     def _h_readdir(self, msg: Message) -> HandlerResult:

@@ -2,8 +2,8 @@
 
 ``corpus.json`` (shipped next to this module) pins a handful of root
 seeds together with the canonical trace hash each one produced when the
-corpus was last blessed.  Tier-1 (and the CI ``simtest-fuzz`` job)
-replays every entry and asserts two things:
+corpus was last blessed.  Tier-1 replays every entry and asserts two
+things:
 
 1. no oracle fires (the protocol is still safe under those schedules);
 2. the trace hash is bit-identical (the simulation is still

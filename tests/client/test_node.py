@@ -315,3 +315,146 @@ def test_file_stays_marked_until_its_last_compliance_ends():
     s.run(until=t0 + 5.0)
     assert c1.locks.mode_of(fid) == LockMode.NONE
     assert fid not in lc._revoking
+
+
+# -- brackets close on every exit ---------------------------------------------
+
+def _mid_op(s, pred, limit=5.0):
+    """Advance the simulation in small steps until ``pred()`` holds."""
+    deadline = s.sim.now + limit
+    while not pred():
+        assert s.sim.now < deadline, "the operation never got there"
+        s.run(until=s.sim.now + 1e-4)
+
+
+def _cut_link(s):
+    s.control_net.block_pair("c1", "server")
+
+
+def _cut_san(s):
+    s.san.block_pair("c1", sorted(s.san.devices)[0])
+
+
+_BRACKET_OPS = {
+    # op: (call, is it mid-operation, how a failure cuts it short)
+    "read": (lambda c, fd: c.read(fd, 0, BLOCK_SIZE),
+             lambda s, c, fid: c.lockclient._file_inflight, _cut_san),
+    "write": (lambda c, fd: c.write(fd, 0, 16 * BLOCK_SIZE),
+              lambda s, c, fid: c.lockclient._file_inflight, _cut_link),
+    "read_ranges_locked": (
+        lambda c, fd: c.read_ranges_locked(
+            fd, [(0, BLOCK_SIZE), (2 * BLOCK_SIZE, BLOCK_SIZE)]),
+        lambda s, c, fid: s.server.range_locks.holdings("c1", fid), _cut_san),
+    "write_ranges_locked": (
+        lambda c, fd: c.write_ranges_locked(
+            fd, [(0, BLOCK_SIZE), (2 * BLOCK_SIZE, BLOCK_SIZE)]),
+        lambda s, c, fid: s.server.range_locks.holdings("c1", fid), _cut_san),
+    "create": (lambda c, fd: c.create("/g"),
+               lambda s, c, fid: s.server.barrier._cache_pending, _cut_link),
+}
+
+
+def test_the_operation_bracket_allocates_nothing():
+    """A ``with`` holds the ``__exit__`` it looked up for the whole
+    operation; the bracket hands out the one bound at construction."""
+    busy = make_system(n_clients=1).client("c1")._busy
+    assert busy.__exit__ is busy.__exit__
+
+
+@pytest.mark.parametrize("exit_", ["return", "error", "interrupt"])
+@pytest.mark.parametrize("op", sorted(_BRACKET_OPS))
+def test_every_bracket_closes_on_every_exit(op, exit_):
+    """The operation bracket, the lock pin, the byte-range locks and the
+    cache barrier are released however the operation ends: it returns, a
+    cut link or SAN path fails it midway, or its process is interrupted
+    (an interrupted range acquire may leave its grant to the lease)."""
+    from repro.core.config import NetCacheConfig
+    from repro.sim.events import Interrupt
+    s = make_system(n_clients=1, netcache=NetCacheConfig(
+        n_nodes=2 if op == "create" else 0))
+    c = s.client("c1")
+
+    def setup():
+        yield from c.create("/f", size=4 * BLOCK_SIZE)
+        fd = yield from c.open_file("/f", "w")
+        return fd, c.fds.get(fd).file_id
+    fd, fid = run_gen(s, setup())
+    call, mid_op, cut = _BRACKET_OPS[op]
+    outcome = []
+
+    def run_op():
+        try:
+            outcome.append((yield from call(c, fd)))
+        except Exception as exc:
+            outcome.append(exc)
+    proc = s.spawn(run_op())
+    if exit_ != "return":
+        _mid_op(s, lambda: mid_op(s, c, fid))
+        if exit_ == "interrupt":
+            proc.interrupt()
+        else:
+            cut(s)
+    s.run(until=s.sim.now + 120.0)
+    [result] = outcome
+    if exit_ == "interrupt":
+        assert isinstance(result, Interrupt)
+    else:
+        assert isinstance(result, Exception) == (exit_ == "error")
+        assert not isinstance(result, Interrupt)
+        assert s.server.range_locks.holdings("c1", fid) == []
+    assert c._busy.in_flight == 0 and c._busy.drained.triggered
+    assert c.lockclient._file_inflight == {}
+    assert fid not in c.lockclient._revoking
+    assert s.server.barrier._cache_pending == set()
+
+
+@pytest.mark.parametrize("exit_", ["return", "error", "interrupt"])
+def test_revocation_mark_clears_however_a_compliance_ends(exit_):
+    """A second client's open makes c1 comply with a demand: mark the
+    file as being revoked, flush its dirty pages, yield the lock.  The
+    mark goes however the compliance ends: it returns, a control link
+    cut mid-flush fails its release (the lock is forfeited), or its
+    process is interrupted mid-flush."""
+    from repro.sim.events import Interrupt
+    s = make_system(n_clients=2, writeback_interval=1000.0)
+    c1, c2 = s.client("c1"), s.client("c2")
+    lc = c1.lockclient
+
+    def dirty():
+        yield from c1.create("/f", size=16 * BLOCK_SIZE)
+        fd = yield from c1.open_file("/f", "w")
+        yield from c1.write(fd, 0, 16 * BLOCK_SIZE)
+        return c1.fds.get(fd)
+    of = run_gen(s, dirty())
+    fid = of.file_id
+    comply, compliances, outcome = lc._comply_demand, [], []
+
+    def observed(*args):
+        compliances.append(s.sim.active_process)
+        try:
+            outcome.append((yield from comply(*args)))
+        except Exception as exc:
+            outcome.append(exc)
+    lc._comply_demand = observed
+
+    def open_for_writing():
+        try:
+            yield from c2.open_file("/f", "w")
+        except Exception:
+            pass
+    s.spawn(open_for_writing())
+    _mid_op(s, lambda: fid in lc._revoking)
+    assert c1.cache.dirty_count > 0            # mid-flush
+    if exit_ == "interrupt":
+        compliances[0].interrupt()
+    elif exit_ == "error":
+        _cut_link(s)
+    s.run(until=s.sim.now + 120.0)
+    if exit_ == "interrupt":
+        assert isinstance(outcome[0], Interrupt)
+    else:
+        assert outcome[0] is None
+        assert c1.locks.mode_of(fid) == LockMode.NONE
+        assert of.stale == (exit_ == "error")      # forfeited
+    assert fid not in lc._revoking
+    assert lc._file_inflight == {}

@@ -15,7 +15,7 @@ from repro.locks import LockMode
 from repro.net.message import MsgKind, NackError
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import make_system, run_gen
+from tests.conftest import drive, make_system, run_gen
 
 
 def _setup_file(s, path="/f", blocks=8):
@@ -221,50 +221,57 @@ def test_batch_subop_failure_does_not_abort_batch():
 
 
 @pytest.mark.parametrize("cache_nodes", [0, 2])
-def test_create_getattr_setattr_intents_answer_like_the_plain_kinds(
+def test_setattr_intent_and_create_refusal_answer_like_the_plain_kinds(
         cache_nodes):
-    """The create/getattr/setattr intents run the CREATE/GETATTR/SETATTR
-    bodies (behind the netcache barrier when there is a cache tier) and
-    add the grant: same payload plus ``lock``."""
+    """The growth-setattr intent runs the SETATTR body (behind the
+    netcache barrier when there is a cache tier) and adds the grant: same
+    payload plus ``lock``.  Of two racing CREATEs of one path one is
+    refused ``exists``: by the check before the barrier without cache
+    nodes, by the one after it with them."""
     from repro.core.config import NetCacheConfig
     s = make_system(netcache=NetCacheConfig(n_nodes=cache_nodes))
-    c1 = s.client("c1")
+    c1, c2 = s.client("c1"), s.client("c2")
 
-    def rpc(kind, payload):
-        reply = yield from c1.endpoint.request("server", kind, payload)
+    def rpc(client, kind, payload):
+        reply = yield from client.endpoint.request("server", kind, payload)
         return {k: v for k, v in reply.payload.items()
                 if not k.startswith("__")}
 
-    def work():
-        made = yield from rpc(MsgKind.LOCK_INTENT,
-                              {"op": "create", "path": "/i", "size": 0})
-        plain = yield from rpc(MsgKind.CREATE, {"path": "/p", "size": 0})
-        assert made.pop("lock") == int(LockMode.EXCLUSIVE)
-        assert set(made) == set(plain) == {
-            "file_id", "attrs", "layout_gen", "extents_from", "extents"}
+    def grow():
+        made = yield from rpc(c1, MsgKind.CREATE, {"path": "/p", "size": 0})
         fid = made["file_id"]
-
-        grown = yield from rpc(MsgKind.LOCK_INTENT,
+        grown = yield from rpc(c1, MsgKind.LOCK_INTENT,
                                {"op": "setattr", "file_id": fid,
                                 "size": 2 * BLOCK_SIZE})
         assert grown.pop("lock") == int(LockMode.EXCLUSIVE)
-        again = yield from rpc(MsgKind.SETATTR,
+        again = yield from rpc(c1, MsgKind.SETATTR,
                                {"file_id": fid, "size": 2 * BLOCK_SIZE})
+        assert set(grown) == set(again) == {
+            "attrs", "layout_gen", "extents_from", "extents"}
         assert grown["extents"] == again["extents"]
         assert grown["attrs"]["size"] == 2 * BLOCK_SIZE
+    run_gen(s, grow())
 
-        seen = yield from rpc(MsgKind.LOCK_INTENT,
-                              {"op": "getattr", "path": "/i"})
-        assert seen.pop("lock") == int(LockMode.SHARED)
-        assert seen == (yield from rpc(MsgKind.GETATTR, {"file_id": fid}))
+    sent_before = len(s.trace.select(kind="msg.send", node="server"))
+    answers = []
 
+    def create(client):
         try:
-            yield from rpc(MsgKind.LOCK_INTENT, {"op": "create", "path": "/i"})
+            made = yield from rpc(client, MsgKind.CREATE,
+                                  {"path": "/r", "size": BLOCK_SIZE})
+            answers.append(("ack", made["file_id"]))
         except NackError as exc:
-            return exc.nack.payload.get("error")
-    assert run_gen(s, work()) == "exists"
-    # The create intent's X covers the later S ask.
-    assert s.server_node("server").locks.mode_of("c1", 1) == LockMode.EXCLUSIVE
+            answers.append(("nack", exc.nack.payload))
+    drive(s, create(c1), create(c2), until=s.sim.now + 10.0)
+    assert sorted(answers) == [("ack", 2), ("nack", {"error": "exists"})]
+    sent = s.trace.select(kind="msg.send", node="server")[sent_before:]
+    invalidations = [rec for rec in sent
+                     if rec.detail["msg_kind"] == MsgKind.CACHE_INVALIDATE]
+    # With cache nodes both creates passed the first check and ran a
+    # barrier round; the loser was refused after it, leaking nothing.
+    assert len(invalidations) == 2 * cache_nodes
+    assert s.server.metadata.file_count == 2
+    assert s.server.barrier._cache_pending == set()
 
 
 # -- contention: the lock discipline holds on the intent path --------------

@@ -1,22 +1,21 @@
-"""Fixture: every mutation sits behind the barrier (RPL011 silent)."""
+"""Fixture: every mutation runs in a body handed to the barrier (RPL011
+silent)."""
 
 
 class Server:
-    def __init__(self, meta):
+    def __init__(self, meta, barrier):
         self.meta = meta
-        self._cache_nodes = []
+        self.barrier = barrier
 
     def _h_create(self, msg):
-        # Guard idiom: no cache nodes means nothing to invalidate.
-        if self._cache_nodes:
-            self._invalidate_caches(msg.payload["path"])
-        self.meta.create_file(msg.payload["path"])
-        return ("ack", {})
+        path = msg.payload["path"]
+
+        def apply():
+            self.meta.create_file(path)
+            return ("ack", {})
+        return (yield from self.barrier.mutate({"paths": [path]}, apply))
 
     def _h_unlink(self, msg):
-        # Claim-token idiom: a falsy token means no cache tier.
-        tok = self._claim_barrier()
-        if tok:
-            self._invalidate_caches(msg.payload["path"])
-        self.meta.unlink(msg.payload["path"])
-        return ("ack", {})
+        path = msg.payload["path"]
+        return self.barrier.mutate({"paths": [path]},
+                                   lambda: self.meta.unlink(path))

@@ -252,20 +252,10 @@ _LAYER_KNOCKOUTS = [
      "                            int(msg.payload.get(\"size\", 0)))",
      "return next(self._create(msg.payload[\"path\"],\n"
      "                            int(msg.payload.get(\"size\", 0))))"),
+    # Running the setattr body directly instead of through the barrier.
     ("RPL011", "src/repro/server/node.py",
-     "yield from self.barrier._invalidate_caches(\n"
-     "                    barrier, {\"file_ids\": [file_id]})", "pass"),
-    ("RPL012", "src/repro/server/node.py",
-     "self.barrier._cache_pending.discard(barrier)", "pass"),
-    ("RPL012", "src/repro/client/node.py",
-     "        finally:\n            self._exit()\n\n    def open_file",
-     "        finally:\n            pass\n\n    def open_file"),
-    ("RPL012", "src/repro/client/node.py",
-     "self.lockclient._unpin_file(of.file_id)", "pass"),
-    ("RPL012", "src/repro/client/node.py",
-     "yield from self.lockclient._batch_release(of, spans)", "pass"),
-    ("RPL012", "src/repro/client/lockclient.py",
-     "self._revoking.discard(file_id)", "pass"),
+     "return (yield from self.barrier.mutate({\"file_ids\": [file_id]}, "
+     "apply))", "return apply()"),
     ("RPL013", "src/repro/client/node.py",
      "raise NackError(req, Nack(  # repro-lint: ignore[RPL013]",
      "raise NackError(req, Nack("),

@@ -29,7 +29,6 @@ CASES = [
     ("RPL009", "rpl009", "src/repro/server/fixture_mod.py"),
     ("RPL010", "rpl010", "src/repro/server/fixture_mod.py"),
     ("RPL011", "rpl011", "src/repro/server/fixture_mod.py"),
-    ("RPL012", "rpl012", "src/repro/client/fixture_mod.py"),
     ("RPL013", "rpl013", "src/repro/net/control.py"),
 ]
 
@@ -96,14 +95,19 @@ def test_rpl010_reports_both_drift_directions():
     assert "never-set read" in messages and "origin" in messages
 
 
-def test_rpl012_flags_the_acquire_site():
-    result = _lint_fixture("rpl012_fires.py", "RPL012",
-                           "src/repro/client/fixture_mod.py")
-    assert len(result.violations) == 1
-    # The finding anchors at the leaked _enter() call.
-    line_text = (FIXTURES / "rpl012_fires.py").read_text().splitlines()[
-        result.violations[0].line - 1]
-    assert "_enter" in line_text
+def test_rpl011_flags_each_mutation_outside_a_barrier_body():
+    result = _lint_fixture("rpl011_fires.py", "RPL011",
+                           "src/repro/server/fixture_mod.py")
+    lines = (FIXTURES / "rpl011_fires.py").read_text().splitlines()
+    flagged = [lines[v.line - 1].strip() for v in result.violations]
+    # The fast path, the body never handed to mutate() and the direct
+    # call of a body that is handed to it fire; the handed bodies are
+    # silent.
+    assert flagged == ["self.meta.create_file(path)",
+                       'return self.meta.set_attrs(msg.payload["file_id"])',
+                       "return apply()"]
+    assert "barrier body 'apply()' called directly" in (
+        result.violations[-1].message)
 
 
 def test_rpl013_reports_each_second_site():

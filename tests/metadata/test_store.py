@@ -24,6 +24,18 @@ def test_create_zero_size(store):
     assert ino.extents.block_count == 0
 
 
+def test_create_on_an_existing_path_changes_nothing(store):
+    first = store.create_file("/f", size=BLOCK_SIZE)
+    free = store.allocator.total_free_blocks
+    with pytest.raises(NamespaceError):
+        store.create_file("/f", size=5 * BLOCK_SIZE)
+    assert store.file_count == 1
+    assert store.allocator.total_free_blocks == free
+    assert store.lookup("/f") is first
+    # No file id was drawn: the next create gets the one after the first.
+    assert store.create_file("/g").file_id == first.file_id + 1
+
+
 def test_lookup_roundtrip(store):
     ino = store.create_file("/a/b", size=BLOCK_SIZE)
     assert store.lookup("/a/b").file_id == ino.file_id
