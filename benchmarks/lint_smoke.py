@@ -1,7 +1,7 @@
 """Lint-engine smoke benchmark: full-repo analysis.
 
-``lint_full_repo`` is a cold run over ``src/`` (parse + call graph +
-CFG dataflow + project rules), in files/sec.
+``lint_full_repo`` is a cold run over ``src/`` (parse + per-file rules
++ project index, call graph and project rules), in files/sec.
 
 Usage::
 

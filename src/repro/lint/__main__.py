@@ -18,7 +18,7 @@ from repro.lint.report import render_json, render_rule_list, render_text
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Flow-aware protocol static analysis for the repro tree "
+        description="Protocol static analysis for the repro tree "
                     "(see --list-rules for the rules).")
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")

@@ -1,14 +1,13 @@
 """Configuration for the linter (``[tool.repro-lint]`` in pyproject.toml).
 
-Every rule carries built-in defaults (scope paths and rule-specific
-options) so the linter works with no configuration at all; a
-``pyproject.toml`` table overrides them per rule::
+Every rule fixes its own path scope and carries built-in defaults for
+its options, so the linter works with no configuration at all; a
+``pyproject.toml`` table overrides an option per rule::
 
     [tool.repro-lint]
     exclude = ["tests/lint/fixtures"]
 
     [tool.repro-lint.rpl001]
-    paths = ["src/repro"]
     allow-functions = ["src/repro/harness/common.py::wall_timer"]
 
 Path entries are interpreted relative to the directory holding the

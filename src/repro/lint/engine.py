@@ -12,7 +12,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
+from typing import (Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from repro.lint.config import LintConfig, in_scope
@@ -155,10 +155,6 @@ class FileContext:
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         self._aliases: Optional[Dict[str, str]] = None
 
-    def options(self, code: str) -> Dict[str, Any]:
-        """Config option table for a rule code."""
-        return self.config.options_for(code)
-
     # -- structure helpers -------------------------------------------------
     def _parent_map(self) -> Dict[ast.AST, ast.AST]:
         if self._parents is None:
@@ -264,7 +260,7 @@ def _check_file(ctx: FileContext, rules: Sequence[Rule],
                 result: LintResult) -> None:
     suppressions = Suppressions.scan(ctx.lines)
     for r in rules:
-        if not in_scope(ctx.path, r.scope(ctx.options(r.code))):
+        if not in_scope(ctx.path, r.scope):
             continue
         for violation in r.check(ctx):
             if not suppressions.suppressed(violation):
@@ -282,9 +278,8 @@ def _check_project(contexts: Sequence[FileContext], rules: Sequence[Rule],
                     for ctx in contexts}
     found: List[Violation] = []
     for r in rules:
-        scope = r.scope(cfg.options_for(r.code))
         for violation in r.check_project(index, cfg):
-            if not in_scope(violation.path, scope):
+            if not in_scope(violation.path, r.scope):
                 continue
             supp = suppressions.get(violation.path)
             if supp is not None and supp.suppressed(violation):

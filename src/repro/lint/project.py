@@ -3,7 +3,7 @@
 The :class:`ProjectIndex` is built once per lint run from every file the
 engine parsed.  It derives a dotted module name for each file, indexes
 every function/method (with nesting), records import aliases, and
-answers the one question flow-aware rules keep asking: *which function
+answers the one question the project-wide rules keep asking: *which function
 does this call expression name?*  Resolution is purely syntactic — the
 code under analysis is never imported — so it is deliberately modest:
 

@@ -47,9 +47,9 @@ def render_rule_list() -> str:
     lines = []
     for code in sorted(RULES):
         r = RULES[code]
-        scope = ", ".join(r.default_scope) if r.default_scope else "(all paths)"
+        scope = ", ".join(r.scope) if r.scope else "(all paths)"
         lines.append(f"{code}  {r.name}")
         lines.append(f"       {r.description}")
         lines.append(f"       guards: {r.paper_ref}")
-        lines.append(f"       default scope: {scope}")
+        lines.append(f"       scope: {scope}")
     return "\n".join(lines)

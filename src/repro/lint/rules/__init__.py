@@ -1,6 +1,6 @@
 """Rule framework: the registry, the base class and the violation record.
 
-A rule is a class with a unique ``code`` (``RPLxxx``), a default path
+A rule is a class with a unique ``code`` (``RPLxxx``), a path
 ``scope`` and a ``check(ctx)`` generator yielding :class:`Violation`
 records.  Registering is one decorator::
 
@@ -57,18 +57,11 @@ class Rule:
     description: str = ""
     #: The paper claim the rule guards (shown by ``--list-rules``).
     paper_ref: str = ""
-    #: Default path prefixes the rule applies to (``None`` = everywhere).
-    default_scope: Optional[Sequence[str]] = None
+    #: Path prefixes the rule applies to (``None`` = everywhere).
+    scope: Optional[Sequence[str]] = None
     #: Project-wide rules run once over the whole parsed file set
     #: (via :meth:`check_project`) instead of per file.
     project_wide: bool = False
-
-    def scope(self, options: Dict[str, Any]) -> Optional[Sequence[str]]:
-        """Effective path scope after applying config overrides."""
-        paths = options.get("paths")
-        if paths is not None:
-            return [str(p) for p in paths]
-        return self.default_scope
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield violations for one parsed file."""

@@ -90,7 +90,7 @@ class BarrierRule(Rule):
                    "CacheBarrier.mutate(...)")
     paper_ref = ("SS4: metadata caches stay coherent only if every "
                  "mutation invalidates before it applies")
-    default_scope = ["src/repro/server", "src/repro/netcache"]
+    scope = ["src/repro/server", "src/repro/netcache"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per mutator call outside every barrier body

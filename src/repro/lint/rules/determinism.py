@@ -48,11 +48,11 @@ class DeterminismRule(Rule):
                    "use sim.clock / sim.rng (harness wall-clock goes through "
                    "the allowlisted wall_timer helper)")
     paper_ref = "reproducible runs underpin every experimental claim (§5-§6)"
-    default_scope = ["src/repro"]
+    scope = ["src/repro"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per wall-clock / ambient-random call site."""
-        opts = ctx.options(self.code)
+        opts = ctx.config.options_for(self.code)
         allow: List[str] = list(opts.get(
             "allow-functions", ["src/repro/harness/common.py::wall_timer"]))
         allowed_fns: Set[str] = set()

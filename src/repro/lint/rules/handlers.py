@@ -45,7 +45,7 @@ class HandlerExhaustivenessRule(Rule):
     paper_ref = ("an unhandled request is silently dropped datagram state — "
                  "the at-most-once/NACK discipline of §3.3 assumes total "
                  "dispatch")
-    default_scope = None
+    scope = None
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield partition and coverage violations for this file."""

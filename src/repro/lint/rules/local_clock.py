@@ -20,7 +20,7 @@ Mechanically, inside the protocol modules this rule flags:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Optional
 
 from typing import TYPE_CHECKING
 
@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
 _CLOCK_READS = {"local_now", "local_timeout"}
-_DEFAULT_FOREIGN = ["peer", "peers", "other", "others", "remote",
-                    "neighbor", "neighbors"]
+_FOREIGN = {"peer", "peers", "other", "others", "remote", "neighbor",
+            "neighbors"}
 
 _PROTOCOL_SCOPE = [
     "src/repro/client", "src/repro/server", "src/repro/lease",
@@ -49,13 +49,10 @@ class LocalClockRule(Rule):
     description = ("protocol code must not read another node's clock "
                    "(cross-node clock reach-through)")
     paper_ref = "rate-synchronization-only ordering argument (Thm 3.1)"
-    default_scope = _PROTOCOL_SCOPE
+    scope = _PROTOCOL_SCOPE
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per cross-node clock read."""
-        opts = ctx.options(self.code)
-        foreign: Set[str] = set(opts.get("foreign-node-attrs", _DEFAULT_FOREIGN))
-
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Attribute) and node.attr == "clock":
                 recv = node.value
@@ -71,7 +68,7 @@ class LocalClockRule(Rule):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _CLOCK_READS):
-                problem = self._foreign_receiver(node.func.value, foreign)
+                problem = self._foreign_receiver(node.func.value)
                 if problem is not None:
                     yield Violation(
                         self.code,
@@ -82,7 +79,7 @@ class LocalClockRule(Rule):
                         ctx.path, node.lineno, node.col_offset)
 
     @staticmethod
-    def _foreign_receiver(recv: ast.AST, foreign: Set[str]) -> Optional[str]:
+    def _foreign_receiver(recv: ast.AST) -> Optional[str]:
         """Why the receiver addresses another node, or None if it is local.
 
         A receiver is local when it is a plain name / attribute chain
@@ -102,7 +99,7 @@ class LocalClockRule(Rule):
                 return "receiver selects a node at runtime"
             else:
                 return None  # literals etc.: nothing to judge
-        hits = [n for n in names if n in foreign]
+        hits = [n for n in names if n in _FOREIGN]
         if hits:
             return f"receiver chain names foreign node {hits[0]!r}"
         return None

@@ -45,7 +45,7 @@ class MutableDefaultRule(Rule):
     description = "no list/dict/set (or constructor) default argument values"
     paper_ref = ("shared defaults leak state across scenario runs and break "
                  "run-to-run reproducibility")
-    default_scope = None
+    scope = None
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per mutable default argument."""

@@ -14,8 +14,8 @@ graph instead.  Starting from every handler registration it follows the
   position (its result directly returned, yielded-from, or handed to
   ``*.process(...)``) — running a generator protocol step inline is a
   blocking wait;
-* a call to a configured blocking primitive (``time.sleep`` by
-  default), however many helpers deep.
+* a call to a blocking primitive (``time.sleep``), however many
+  helpers deep.
 
 Handlers that are themselves generators are skipped: the dispatch loop
 runs one to its first ``yield`` inside the delivery, and that prefix
@@ -30,8 +30,7 @@ treats them.
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import (CallSite, Registration,
                                   handler_registrations, inline_reach)
@@ -49,7 +48,8 @@ _SERVER_SCOPE = [
     "src/repro/lease",
 ]
 
-_DEFAULT_BLOCKING = ("time.sleep",)
+#: Dotted calls that block the caller.
+_BLOCKING = frozenset({"time.sleep"})
 
 
 @rule
@@ -63,25 +63,22 @@ class PassiveReachRule(ProjectRule):
                    "returned generator")
     paper_ref = ("SS2.1: the server is passive; lease checks happen inline "
                  "in message dispatch and must never wait")
-    default_scope = _SERVER_SCOPE
+    scope = _SERVER_SCOPE
 
     def check_project(self, index: ProjectIndex,
                       config: "LintConfig") -> Iterator[Violation]:
         """Walk inline call edges from every handler registration."""
-        opts = config.options_for(self.code)
-        scope = self.scope(opts)
-        blocking = frozenset(opts.get("blocking-calls", _DEFAULT_BLOCKING))
         reported: Set[Tuple[str, int, str]] = set()
-        for reg in handler_registrations(index, scope):
+        for reg in handler_registrations(index, self.scope):
             if reg.handler_lambda is not None and reg.registrar is not None:
-                yield from self._check_lambda(index, reg, blocking, reported)
+                yield from self._check_lambda(index, reg, reported)
                 continue
             handler = reg.handler
             if handler is None or handler.is_generator:
                 continue
             for path in inline_reach(index, handler):
                 site = path[-1]
-                v = self._site_violation(site, handler, path, blocking)
+                v = self._site_violation(site, handler, path)
                 if v is None:
                     continue
                 key = (v.path, v.line, v.code + v.message)
@@ -90,11 +87,10 @@ class PassiveReachRule(ProjectRule):
                     yield v
 
     def _site_violation(self, site: CallSite, handler: FunctionInfo,
-                        path: List[CallSite],
-                        blocking: FrozenSet[str]) -> Optional[Violation]:
+                        path: List[CallSite]) -> Optional[Violation]:
         via = " -> ".join([handler.qualname]
                           + [p.caller.qualname for p in path[1:]])
-        if site.dotted is not None and site.dotted in blocking:
+        if site.dotted is not None and site.dotted in _BLOCKING:
             return Violation(
                 code=self.code,
                 message=(f"handler '{handler.qualname}' reaches blocking "
@@ -115,7 +111,6 @@ class PassiveReachRule(ProjectRule):
         return None
 
     def _check_lambda(self, index: ProjectIndex, reg: Registration,
-                      blocking: FrozenSet[str],
                       reported: Set[Tuple[str, int, str]]
                       ) -> Iterator[Violation]:
         registrar = reg.registrar
@@ -129,7 +124,7 @@ class PassiveReachRule(ProjectRule):
             callee = index.resolve_call(module, node, registrar)
             dotted = index.resolve_dotted(module, node.func)
             label = f"<lambda>@{reg.path}:{reg.line}"
-            if dotted is not None and dotted in blocking:
+            if dotted is not None and dotted in _BLOCKING:
                 v = Violation(
                     code=self.code,
                     message=(f"handler {label} reaches blocking call "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional
 
 from typing import TYPE_CHECKING
 
@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _LEASE_LABEL = re.compile(r"lease|keepalive|heartbeat|renew|timer", re.IGNORECASE)
 _LEASE_KINDS = {"KEEPALIVE", "LEASE_RENEW", "HEARTBEAT"}
 _SEND_METHODS = {"request", "send", "send_datagram", "transmit"}
-_DEFAULT_ALLOWED = ["mark_suspect", "on_delivery_failure", "_timer"]
+_ALLOWED = ("mark_suspect", "on_delivery_failure", "_timer")
 
 
 @rule
@@ -43,13 +43,10 @@ class PassiveServerRule(Rule):
     description = ("server modules may not run lease timers or initiate "
                    "lease messages outside the delivery-error path")
     paper_ref = "passive server, zero lease state in normal operation (§3)"
-    default_scope = ["src/repro/server", "src/repro/lease/server_lease.py"]
+    scope = ["src/repro/server", "src/repro/lease/server_lease.py"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield violations for lease timers/messages off the error path."""
-        opts = ctx.options(self.code)
-        allowed: Set[str] = set(opts.get("allowed-functions", _DEFAULT_ALLOWED))
-
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -61,12 +58,12 @@ class PassiveServerRule(Rule):
                 label = self._process_label(node)
                 if label is not None and _LEASE_LABEL.search(label):
                     enclosing = self.enclosing_function(ctx, node)
-                    if enclosing not in allowed:
+                    if enclosing not in _ALLOWED:
                         yield Violation(
                             self.code,
                             f"lease-related timer process ({label!r}) spawned "
                             f"outside the delivery-error path "
-                            f"({', '.join(sorted(allowed))}) — the server "
+                            f"({', '.join(sorted(_ALLOWED))}) — the server "
                             f"keeps no per-client lease timers (§3)",
                             ctx.path, node.lineno, node.col_offset)
 

@@ -13,7 +13,7 @@ freely.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence, Set
+from typing import Iterator, Sequence
 
 from typing import TYPE_CHECKING
 
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
 _PHASE_ATTRS = {"phase", "lease_phase"}
-_DEFAULT_TABLE_MODULES = ["src/repro/lease/phases.py"]
+_TABLE_MODULE = "src/repro/lease/phases.py"
 _TRANSITION_FN = "transition"
 
 
@@ -36,14 +36,11 @@ class PhaseDisciplineRule(Rule):
     description = ("lease phase attributes may only be assigned via "
                    "repro.lease.phases.transition()")
     paper_ref = "the four-phase client lease interval (Fig. 4, §3.2)"
-    default_scope = None  # everywhere the engine looks
+    scope = None  # everywhere the engine looks
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield violations for phase assignments outside the table."""
-        opts = ctx.options(self.code)
-        table_modules: Sequence[str] = opts.get(
-            "table-modules", _DEFAULT_TABLE_MODULES)
-        if any(ctx.path == m or ctx.path.endswith(m) for m in table_modules):
+        if ctx.path.endswith(_TABLE_MODULE):
             return
 
         for node in ast.walk(ctx.tree):

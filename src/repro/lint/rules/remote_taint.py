@@ -1,26 +1,29 @@
 """RPL008: values derived from message payloads must not reach timer or
-deadline arithmetic (flow-sensitive successor to RPL003).
+deadline arithmetic (the laundering successor to RPL003).
 
 Theorem 3.1's safety argument needs every client- and server-side
 deadline computed from *local* clock readings and contract constants
 (SS3).  RPL003 checks the allowlist of clock calls syntactically; this
 rule closes the laundering gap T-Lease's clock-attack model describes —
 a remote timestamp copied through an assignment (or a helper call) into
-a timeout.  It builds the CFG of every function in scope, runs a taint
-lane whose sources are ``<x>.payload`` reads (plus configured remote
-attributes), propagates through assignments, arithmetic and calls, and
-flags any tainted argument of a timer-constructor call
-(``local_timeout``, ``timeout``, ``after``, ``at``, ``renew``, ...).
+a timeout.
+
+The check is one syntactic pass per outermost function, nested defs and
+lambdas included (a ``waiter()`` closure sees its parent's names).  A
+name is tainted when any binding of it — assignment, augmented or
+annotated assignment, walrus, ``for``/comprehension target, ``with ...
+as`` — comes from an expression that mentions ``<x>.payload`` or an
+already-tainted name; taint is iterated to a fixed point and never
+killed by a later clean rebinding.  Any timer-constructor call
+(``local_timeout``, ``timeout``, ``after``, ``at``, ``renew``, ...)
+whose argument mentions ``.payload`` or a tainted name is reported once.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import (TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import TYPE_CHECKING, Iterator, List, Set, Tuple, Union
 
-from repro.lint.cfg import build_cfg, shallow_calls
-from repro.lint.dataflow import PayloadSource, TaintAnalysis, TaintLane
 from repro.lint.rules import Rule, Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,16 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Call names (last attribute segment) that arm timers or compute
 #: lease deadlines; any tainted argument is a violation.
-_DEFAULT_SINKS = (
+_SINKS = frozenset({
     "local_timeout",   # endpoint-local timer
     "timeout",         # raw simulator timer
     "after", "at",     # TimerPool arming
     "renew",           # lease renewal instants
     "server_wait_local", "client_expiry_local", "phase_start_local",
-)
-
-#: Attributes whose reads introduce remote-derived taint.
-_DEFAULT_SOURCE_ATTRS = ("payload",)
+})
 
 _PROTOCOL_SCOPE = [
     "src/repro/client",
@@ -50,13 +50,7 @@ _PROTOCOL_SCOPE = [
     "src/repro/storage",
 ]
 
-
-def _last_attr(func: ast.expr) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
+_Def = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 @rule
@@ -66,56 +60,86 @@ class RemoteTaintRule(Rule):
     code = "RPL008"
     name = "remote-clock-taint"
     description = ("payload-derived values must not flow into timer or "
-                   "lease-deadline arguments (local-clock discipline, "
-                   "flow-sensitive)")
+                   "lease-deadline arguments (local-clock discipline)")
     paper_ref = ("SS3: expiration decided by local clocks and contract "
                  "constants only; remote timestamps are untrusted")
-    default_scope = _PROTOCOL_SCOPE
+    scope = _PROTOCOL_SCOPE
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        """Run the payload taint lane over every function."""
-        opts = ctx.options(self.code)
-        sinks = frozenset(opts.get("sink-calls", _DEFAULT_SINKS))
-        source_attrs = frozenset(opts.get("source-attrs",
-                                          _DEFAULT_SOURCE_ATTRS))
-        sanitizers = frozenset(opts.get("sanitizers", ()))
-        lane = TaintLane(name="remote", source=PayloadSource(source_attrs),
-                         sanitizers=sanitizers)
-        for fn in _functions(ctx.tree):
-            yield from self._check_function(ctx, fn, lane, sinks)
-
-    def _check_function(self, ctx: "FileContext", fn: ast.AST,
-                        lane: TaintLane, sinks: FrozenSet[str]
-                        ) -> Iterator[Violation]:
-        cfg = build_cfg(fn)
-        analysis = TaintAnalysis(lane)
-        reported: Set[Tuple[int, int]] = set()
-        for stmt, state in analysis.states_at_stmts(cfg):
-            for call in shallow_calls(stmt):
-                name = _last_attr(call.func)
-                if name is None or name not in sinks:
+        """Taint each outermost function's names, then judge its sinks."""
+        for fn in _outermost_defs(ctx.tree):
+            nodes = list(ast.walk(fn))
+            tainted = _tainted_names(nodes)
+            for call in nodes:
+                if not isinstance(call, ast.Call):
                     continue
-                args: List[ast.expr] = list(call.args)
-                args.extend(kw.value for kw in call.keywords)
-                for arg in args:
-                    if analysis.expr_tainted(state, arg):
-                        key = (call.lineno, call.col_offset)
-                        if key in reported:
-                            continue
-                        reported.add(key)
-                        yield Violation(
-                            code=self.code,
-                            message=(f"argument of timer/deadline call "
-                                     f"'{name}(...)' is derived from a "
-                                     f"message payload; deadlines must use "
-                                     f"local clocks and contract constants "
-                                     f"only"),
-                            path=ctx.path, line=call.lineno,
-                            col=call.col_offset)
-                        break
+                func = call.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                if name not in _SINKS:
+                    continue
+                args = [*call.args, *(kw.value for kw in call.keywords)]
+                if any(_mentions(arg, tainted) for arg in args):
+                    yield Violation(
+                        code=self.code,
+                        message=(f"argument of timer/deadline call "
+                                 f"'{name}(...)' is derived from a message "
+                                 f"payload; deadlines must use local clocks "
+                                 f"and contract constants only"),
+                        path=ctx.path, line=call.lineno, col=call.col_offset)
 
 
-def _functions(tree: ast.Module) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+def _outermost_defs(node: ast.AST) -> Iterator[_Def]:
+    """Every function not nested in another one (methods included)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+        else:
+            yield from _outermost_defs(child)
+
+
+def _mentions(expr: ast.AST, tainted: Set[str]) -> bool:
+    """Whether ``expr`` reads a payload or a tainted name anywhere."""
+    return any((isinstance(n, ast.Attribute) and n.attr == "payload")
+               or (isinstance(n, ast.Name) and n.id in tainted)
+               for n in ast.walk(expr))
+
+
+def _bindings(nodes: List[ast.AST]) -> Iterator[Tuple[ast.AST, ast.AST]]:
+    """``(target, value)`` for every name-binding form among ``nodes``."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield target, node.value
+        elif isinstance(node, (ast.AugAssign, ast.NamedExpr)):
+            yield node.target, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield node.target, node.value
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            yield node.target, node.iter
+        elif isinstance(node, ast.withitem) and node.optional_vars is not None:
+            yield node.optional_vars, node.context_expr
+
+
+def _tainted_names(nodes: List[ast.AST]) -> Set[str]:
+    """Names bound, directly or transitively, from a payload read."""
+    edges: List[Tuple[Set[str], Set[str]]] = []
+    tainted: Set[str] = set()
+    for target, value in _bindings(nodes):
+        bound = {n.id for n in ast.walk(target)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if not bound:
+            continue
+        if _mentions(value, set()):
+            tainted |= bound
+        else:
+            reads = {n.id for n in ast.walk(value) if isinstance(n, ast.Name)}
+            edges.append((reads, bound))
+    grew = True
+    while grew:
+        grew = False
+        for reads, bound in edges:
+            if reads & tainted and not bound <= tainted:
+                tainted |= bound
+                grew = True
+    return tainted

@@ -55,7 +55,7 @@ class SingleReplyPathRule(Rule):
     paper_ref = ("lease renewal and the restart epoch both ride the ACK "
                  "(§3.1, §6): a reply class that skips a dispatch or "
                  "stamping site is a recovery hole")
-    default_scope = ["src/repro"]
+    scope = ["src/repro"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per second delivery, stamp or reply site."""

@@ -24,8 +24,7 @@ Findings: a *dead write* (field set at a literal site, kind fully
 resolved, no handler reads it in any form) is reported at the
 construction site; a *never-set read* (hard, unprobed read of a field no
 literal site sets, kind not opaque) is reported at the read.  Envelope
-fields the dispatch layer stamps (``__epoch__`` etc.) are ignored via
-the ``ignore-fields`` option.
+fields the dispatch layer stamps (``__epoch__`` etc.) are ignored.
 """
 
 from __future__ import annotations
@@ -45,9 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Dispatch-layer envelope fields, stamped/read outside any one kind's
 #: schema; never part of the drift analysis.
-_DEFAULT_IGNORE = (
+_IGNORE = frozenset({
     "__epoch__", "__mseq__", "__lease_nack__", "__pending__",
-)
+})
 
 #: How deep to chase the message object through helper calls.
 _FORWARD_DEPTH = 3
@@ -228,17 +227,14 @@ class SchemaDriftRule(ProjectRule):
                    "reads of never-set fields)")
     paper_ref = ("SS2.2: clients and servers share the message protocol; an "
                  "unset field read in dispatch is a latent protocol fault")
-    default_scope = ["src/repro"]
+    scope = ["src/repro"]
 
     def check_project(self, index: ProjectIndex,
                       config: "LintConfig") -> Iterator[Violation]:
         """Cross-check construction sites against handler reads."""
-        opts = config.options_for(self.code)
-        scope = self.scope(opts)
-        ignore = frozenset(opts.get("ignore-fields", _DEFAULT_IGNORE))
-        facts = self._gather(index, scope)
+        facts = self._gather(index, self.scope)
         for kind in sorted(facts):
-            yield from self._report_kind(kind, facts[kind], ignore)
+            yield from self._report_kind(kind, facts[kind])
 
     # -- gathering ----------------------------------------------------------
     def _gather(self, index: ProjectIndex,
@@ -285,15 +281,15 @@ class SchemaDriftRule(ProjectRule):
         return facts
 
     # -- reporting ----------------------------------------------------------
-    def _report_kind(self, kind: str, kf: _KindFacts,
-                     ignore: FrozenSet[str]) -> Iterator[Violation]:
+    def _report_kind(self, kind: str,
+                     kf: _KindFacts) -> Iterator[Violation]:
         # Dead writes: complete handler knowledge required.
         if (kf.registrations > 0 and not kf.unresolved_handler
                 and not kf.wholesale):
             reported: Set[str] = set()
             for path, line, fields in kf.sites:
                 for f in sorted(fields):
-                    if f in ignore or f in kf.reads or f in reported:
+                    if f in _IGNORE or f in kf.reads or f in reported:
                         continue
                     reported.add(f)
                     yield Violation(
@@ -309,7 +305,7 @@ class SchemaDriftRule(ProjectRule):
                 set_anywhere.update(fields)
             seen: Set[Tuple[str, str, int]] = set()
             for f, path, line in kf.hard_reads:
-                if (f in ignore or f in set_anywhere or f in kf.probed
+                if (f in _IGNORE or f in set_anywhere or f in kf.probed
                         or (f, path, line) in seen):
                     continue
                 seen.add((f, path, line))

@@ -63,7 +63,7 @@ class TimeEqualityRule(Rule):
     description = "no ==/!= between float simulation-time expressions"
     paper_ref = ("lease expiry is an ordered comparison on local clocks "
                  "(Fig. 3); exact float equality is never protocol-meaningful")
-    default_scope = ["src/repro"]
+    scope = ["src/repro"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per exact-equality comparison on times."""

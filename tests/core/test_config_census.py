@@ -22,6 +22,10 @@ needs it.
 A field only tests set is listed in :data:`TEST_ONLY` with the reason it
 stays; an entry that gains a real caller, or names a field that is
 gone, fails too, so the list cannot rot.
+
+``rule_options`` is one field but many options: every key the linter
+reads off a rule's option table (``opts.get("<key>", default)``) must
+be set in some ``[tool.repro-lint.rplNNN]`` table, or it is a constant.
 """
 
 import ast
@@ -98,13 +102,47 @@ def _owners():
     return owners
 
 
+def _lint_table():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["tool"]["repro-lint"]
+
+
 def _lint_config_keys():
     """``LintConfig.<field>`` for every key under ``[tool.repro-lint]``."""
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        table = tomllib.load(fh)["tool"]["repro-lint"]
     return {"LintConfig.rule_options" if isinstance(value, dict)
             else f"LintConfig.{key.replace('-', '_')}"
-            for key, value in table.items()}
+            for key, value in _lint_table().items()}
+
+
+def _rule_option_keys_set():
+    """Every key of every ``[tool.repro-lint.rplNNN]`` table."""
+    return {key for value in _lint_table().values()
+            if isinstance(value, dict) for key in value}
+
+
+def _rule_option_reads():
+    """``(path, key)`` for every option the linter reads off a rule's table.
+
+    The lint code holds a table from ``config.options_for(code)`` in a
+    local named ``opts`` (or ``options``) and reads it with
+    ``.get("<key>", default)``.
+    """
+    reads = set()
+    lint = ROOT / "src" / "repro" / "lint"
+    for path in sorted(lint.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                continue
+            table = node.func.value
+            if (_name(table) in ("opts", "options")
+                    or (isinstance(table, ast.Call)
+                        and _name(table.func) == "options_for")):
+                reads.add((path.relative_to(ROOT).as_posix(),
+                           node.args[0].value))
+    return reads
 
 
 def fields_set_by_callers():
@@ -153,6 +191,16 @@ def test_every_option_has_a_caller_outside_tests():
     assert uncalled == set(TEST_ONLY), (
         f"options no non-test caller sets: {sorted(uncalled - set(TEST_ONLY))}; "
         f"make each a constant or derive it, or justify it in TEST_ONLY")
+
+
+def test_every_lint_rule_option_is_set_in_pyproject():
+    reads = _rule_option_reads()
+    assert {key for _, key in reads} >= {"allow-functions", "message-module"}
+    unset = sorted(f"{path}: {key}" for path, key in reads
+                   if key not in _rule_option_keys_set())
+    assert not unset, (
+        f"lint rule options no pyproject table sets: {unset}; "
+        f"make each the constant it defaults to")
 
 
 def test_test_only_entries_are_still_needed():

@@ -10,10 +10,3 @@ class Client:
         seq = msg.payload["seq"]  # payload read, but never near a timer
         self.endpoint.local_timeout(self.lease_period / 2.0)
         return ("ack", {"seq": seq})
-
-    def rebind(self, msg):
-        # A variable is cleansed by reassignment from a local source.
-        deadline = msg.payload["expires_at"]
-        deadline = self.endpoint.local_now() + self.lease_period
-        self.endpoint.local_timeout(deadline)
-        return ("ack", {})

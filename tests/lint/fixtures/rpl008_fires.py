@@ -13,3 +13,12 @@ class Client:
         budget = delay / 2.0
         self.endpoint.local_timeout(budget)
         return ("ack", {})
+
+    def on_grace(self, msg):
+        # Laundered into a closure: the nested waiter sees the parent's
+        # payload-derived name.
+        wait_local = msg.payload["grace_until"] - self.endpoint.local_now()
+
+        def waiter():
+            yield self.endpoint.local_timeout(max(wait_local, 0.0))
+        return waiter()

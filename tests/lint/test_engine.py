@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from repro.lint import lint_source, load_config
-from repro.lint.config import LintConfig, in_scope
+from repro.lint.config import in_scope
 from repro.lint.report import render_json, render_rule_list, render_text
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -61,16 +61,6 @@ def test_scope_matches_path_components_not_string_prefixes():
     assert in_scope("src/repro/sim/clock.py", ["src/repro"])
     assert not in_scope("src/repro-extras/x.py", ["src/repro"])
     assert in_scope("anything/at/all.py", None)
-
-
-def test_config_paths_override_replaces_rule_scope():
-    cfg = LintConfig(rule_options={"rpl001": {"paths": ["lib/elsewhere"]}})
-    source = "import time\n\ndef f():\n    return time.time()\n"
-    inside = lint_source(source, path="lib/elsewhere/mod.py",
-                         config=cfg, select=["RPL001"])
-    outside = lint_source(source, path="src/repro/sim/mod.py",
-                          config=cfg, select=["RPL001"])
-    assert inside.violations and not outside.violations
 
 
 # -- reporters --------------------------------------------------------------

@@ -259,6 +259,10 @@ _LAYER_KNOCKOUTS = [
     ("RPL013", "src/repro/client/node.py",
      "raise NackError(req, Nack(  # repro-lint: ignore[RPL013]",
      "raise NackError(req, Nack("),
+    # Renewing the lease at an instant the server put in its reply.
+    ("RPL008", "src/repro/lease/agent.py",
+     "lease.renew(renewal_time)",
+     "lease.renew(reply.payload.get(\"renewal\", renewal_time))"),
 ]
 
 
