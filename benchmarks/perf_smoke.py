@@ -146,16 +146,12 @@ def calibrate() -> float:
     return n / _best_time(workload, reps=5)
 
 
-def run_benches(reps: int = 5,
-                only: Tuple[str, ...] = ()) -> Dict[str, Dict[str, float]]:
-    """Measure every bench (or the ``only`` subset); returns raw and
-    normalized throughput."""
+def run_benches(reps: int = 5) -> Dict[str, Dict[str, float]]:
+    """Measure every bench; returns raw and normalized throughput."""
     cal = calibrate()
     out: Dict[str, Dict[str, float]] = {
         "__calibration__": {"score_ops_per_sec": cal}}
     for name, (fn, units) in BENCHES.items():
-        if only and name not in only:
-            continue
         best = _best_time(fn, reps)
         ops = units / best
         out[name] = {
@@ -181,8 +177,7 @@ def make_document(results: Dict[str, Dict[str, float]]) -> Dict[str, object]:
     }
 
 
-def check(baseline_path: str, tolerance: float, reps: int,
-          only: Tuple[str, ...] = ()) -> int:
+def check(baseline_path: str, tolerance: float, reps: int) -> int:
     """Compare a fresh run's normalized numbers to the baseline."""
     with open(baseline_path) as fh:
         doc = json.load(fh)
@@ -190,15 +185,8 @@ def check(baseline_path: str, tolerance: float, reps: int,
         print(f"error: {baseline_path} has schema {doc.get('schema')!r}, "
               f"expected {SCHEMA!r}", file=sys.stderr)
         return 2
-    gated = {name: vals for name, vals in doc["benches"].items()
-             if not only or name in only}
-    if only:
-        missing = set(only) - set(doc["benches"])
-        if missing:
-            print(f"error: --only names not in baseline: "
-                  f"{', '.join(sorted(missing))}", file=sys.stderr)
-            return 2
-    results = run_benches(reps, only=only)
+    gated = doc["benches"]
+    results = run_benches(reps)
     failures = 0
     for name, committed in gated.items():
         fresh = results.get(name)
@@ -233,22 +221,11 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=15,
                         help="repetitions per bench; best time wins "
                              "(default 15)")
-    parser.add_argument("--only", nargs="+", default=(), metavar="NAME",
-                        help="check only these benches against the "
-                             "baseline (CI job scoping; --check only)")
     args = parser.parse_args(argv)
     if not 0 <= args.tolerance < 1:
         parser.error("--tolerance must be in [0, 1)")
-    unknown = set(args.only) - set(BENCHES)
-    if unknown:
-        parser.error(f"--only names not in bench set: "
-                     f"{', '.join(sorted(unknown))}")
-    if args.only and not args.check:
-        parser.error("--only requires --check (baselines are written "
-                     "complete)")
     if args.check:
-        return check(args.check, args.tolerance, args.reps,
-                     only=tuple(args.only))
+        return check(args.check, args.tolerance, args.reps)
     results = run_benches(args.reps)
     doc = make_document(results)
     with open(args.write, "w") as fh:

@@ -19,7 +19,6 @@ Run:  python examples/protocol_shootout.py
 
 from repro import SystemConfig, build_system
 from repro.analysis import ConsistencyAuditor, Table
-from repro.analysis.metrics import collect_overheads
 from repro.core.config import PROTOCOLS
 from repro.storage import BLOCK_SIZE
 
@@ -73,15 +72,16 @@ def run_protocol(protocol: str):
     system.run(until=HORIZON)
 
     report = ConsistencyAuditor(system).audit()
-    over = collect_overheads(system)
+    registry = system.obs.registry
     takeover = outcome.get("takeover")
     return {
         "available_after": f"{takeover - 5.0:.1f}s" if takeover else "never",
         "stale_reads": len(report.stale_reads),
         "lost": len(report.lost_updates) + len(report.stranded_reported),
         "multi_writer": len(report.unsynchronized_writes),
-        "lease_msgs": int(over["lease_msgs_client"] + over["lease_msgs_server"]),
-        "state_B": int(over["state_bytes_now"]),
+        "lease_msgs": int(registry.value("lease.client.msgs_sent")
+                          + registry.value("lease.server.msgs_sent")),
+        "state_B": int(registry.value("lease.server.state_bytes")),
         "verdict": "SAFE" if report.safe else "UNSAFE",
     }
 

@@ -48,15 +48,18 @@ def main() -> None:
     assert story["read"][0][1] == story["written"], "coherence violated?!"
     print("\ncoherent: c2 observed exactly what c1 wrote, via the SAN.\n")
 
-    snap = system.metrics_snapshot()
-    print(f"server transactions:        {snap['server.transactions']}")
-    print(f"server file-data bytes:     {snap['server.data_bytes_served']}  "
+    registry = system.obs.registry
+    print(f"server transactions:        {system.server.transactions}")
+    print(f"server file-data bytes:     {system.server.data_bytes_served}  "
           f"(direct access: clients do their own I/O)")
     print(f"SAN bytes moved:            "
-          f"{snap['san.bytes_read'] + snap['san.bytes_written']}")
-    print(f"lease state at the server:  {snap['authority.state_bytes']} bytes")
-    print(f"lease computations:         {snap['authority.cpu_ops']}")
-    print(f"lease messages:             {snap['authority.msgs_sent']}")
+          f"{system.san.bytes_read + system.san.bytes_written}")
+    print(f"lease state at the server:  "
+          f"{registry.value('lease.server.state_bytes'):.0f} bytes")
+    print(f"lease computations:         "
+          f"{registry.value('lease.server.cpu_ops'):.0f}")
+    print(f"lease messages:             "
+          f"{registry.value('lease.server.msgs_sent'):.0f}")
     print("\nThe three lease numbers are zero — the locking authority is "
           "passive during normal operation (paper §3).")
 

@@ -4,8 +4,8 @@
 histories against the safety invariants (I2 lost updates, I3 stale
 reads, I4 unsynchronized multi-writer); :mod:`repro.analysis.availability`
 extracts unavailability windows around injected faults;
-:mod:`repro.analysis.metrics` and :mod:`repro.analysis.report` turn
-counters into the ASCII tables the benchmark harness prints.
+:mod:`repro.analysis.report` renders the ASCII tables the benchmark
+harness prints.
 """
 
 from repro.analysis.consistency import ConsistencyAuditor, ConsistencyReport
@@ -14,7 +14,6 @@ from repro.analysis.availability import (
     lock_handover_time,
     unavailability_after,
 )
-from repro.analysis.metrics import MetricSeries, collect_overheads
 from repro.analysis.report import Table, format_table
 from repro.analysis.timeline import (
     TimelineConfig,
@@ -26,10 +25,8 @@ __all__ = [
     "AvailabilityReport",
     "ConsistencyAuditor",
     "ConsistencyReport",
-    "MetricSeries",
     "Table",
     "TimelineConfig",
-    "collect_overheads",
     "format_table",
     "lock_handover_time",
     "phase_occupancy",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.client.datapath import Blocks, ClientIOError, DataPath
 from repro.client.lockclient import LockClient
@@ -41,7 +41,7 @@ from repro.sim.trace import TraceRecorder
 from repro.storage.blockmap import ExtentMap
 
 __all__ = ["ClientConfig", "ClientDisconnectedError", "ClientIOError",
-           "ClientQuiescedError", "StorageTankClient"]
+           "ClientQuiescedError", "StorageTankClient", "fleet_rpcs"]
 
 
 class ClientQuiescedError(Exception):
@@ -557,33 +557,6 @@ class StorageTankClient:
         self.endpoint.net.detach(self.name)
         self.san.detach_initiator(self.name)
 
-    def overhead_snapshot(self) -> Dict[str, float]:
-        """Client-side counters for E7/E9 (``ClientAgent`` conformance)."""
-        return {
-            "ops_completed": float(self.ops_completed),
-            "ops_rejected": float(self.ops_rejected),
-            "app_errors": float(self.app_errors),
-            "keepalives_sent": float(self.keepalives_sent),
-            "lease_msgs_sent": float(self.keepalives_sent),
-            "cache_hit_rate": float(self.cache.stats.hit_rate),
-            "messages_per_op": self.messages_per_op(),
-        }
-
-    def rpc_by_kind(self) -> Dict[str, int]:
-        """RPC round trips this client initiated, by message kind."""
-        return dict(self.endpoint.rpc_sent)
-
-    def messages_per_op(self, exclude_keepalives: bool = True) -> float:
-        """Client-originated RPCs per completed application op.
-
-        Keep-alives are excluded by default: they are the lease
-        protocol's fixed-rate background (§3.2), not per-op traffic, and
-        the E-intent comparison is about the per-op message count."""
-        sent = self.endpoint.rpc_sent
-        total = sum(n for k, n in sent.items()
-                    if not (exclude_keepalives and k == MsgKind.KEEPALIVE))
-        return total / self.ops_completed if self.ops_completed else 0.0
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -685,3 +658,29 @@ class StorageTankClient:
                         epoch=epoch, migrated=len(gained))
         for srv in gained:
             self._spawn_reassert(srv)
+
+
+def fleet_rpcs(clients: Iterable[Any]) -> Dict[str, Any]:
+    """Client-originated control messages per completed operation.
+
+    The one definition of messages per op, summed over the Storage Tank
+    clients among ``clients`` that completed an operation: ``ops``,
+    round trips by kind (``by_kind``, :attr:`Endpoint.rpc_sent`) and
+    those bar keep-alives (``rpcs``), which are the lease protocol's
+    fixed-rate background (§3.2), not per-op traffic.  ``msgs_per_op``
+    is ``rpcs / ops`` (0.0 without ops), so a polling client, or an idle
+    client's heartbeats, count nothing.
+    """
+    ops = rpcs = 0
+    by_kind: Dict[str, int] = {}
+    for client in clients:
+        if not isinstance(client, StorageTankClient) or not client.ops_completed:
+            continue
+        ops += client.ops_completed
+        for kind, n in client.endpoint.rpc_sent.items():
+            by_kind[kind] = by_kind.get(kind, 0) + n
+            if kind != MsgKind.KEEPALIVE:
+                rpcs += n
+    return {"ops": ops, "rpcs": rpcs,
+            "msgs_per_op": rpcs / ops if ops else 0.0,
+            "by_kind": dict(sorted(by_kind.items()))}

@@ -33,11 +33,22 @@ vanishing.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Tuple, Union)
 
-from repro.protocols.base import ClientAgent
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.client.node import StorageTankClient
+    from repro.protocols.frangipani import FrangipaniClientAgent
+    from repro.protocols.nfs_polling import NfsPollingClient
+    from repro.protocols.vleases import VLeaseClientAgent
 
 __all__ = ["ClientPool", "PooledCounters", "slot_of"]
+
+#: A pooled client; the installation's protocol decides which kind.
+Client = Union["StorageTankClient", "NfsPollingClient"]
+
+#: A protocol agent attached beside a client (heartbeater, renewer).
+Agent = Union["FrangipaniClientAgent", "VLeaseClientAgent"]
 
 #: Counter columns folded into the struct-of-arrays store while a
 #: client is parked (names match ``StorageTankClient`` attributes).
@@ -87,12 +98,12 @@ class PooledCounters:
                 col.frombytes(zeros)
             self.wakeups.frombytes(zeros)
 
-    def fold(self, idx: int, client: ClientAgent) -> None:
+    def fold(self, idx: int, client: Client) -> None:
         """Accumulate a client's live counters into slot ``idx``."""
         for name, col in self.columns.items():
             col[idx] += int(getattr(client, name, 0))
 
-    def seed(self, idx: int, client: ClientAgent) -> None:
+    def seed(self, idx: int, client: Client) -> None:
         """Load slot ``idx``'s folded counters onto a fresh facade."""
         for name, col in self.columns.items():
             current = int(getattr(client, name, 0))
@@ -118,17 +129,17 @@ class ClientPool:
     """
 
     def __init__(self, population: int,
-                 factory: Callable[[str, int], ClientAgent],
+                 factory: Callable[[str, int], Client],
                  prefix: str = "c", start: int = 1) -> None:
         if population < 0:
             raise ValueError(f"population must be >= 0, got {population}")
-        self._live: Dict[str, ClientAgent] = {}
-        self._agents: Dict[str, ClientAgent] = {}
+        self._live: Dict[str, Client] = {}
+        self._agents: Dict[str, Agent] = {}
         self._population = population
         self._prefix = prefix
         self._start = start
         self._factory = factory
-        self._parker: Optional[Callable[[ClientAgent, int], None]] = None
+        self._parker: Optional[Callable[[Client, int], None]] = None
         #: invoked with (name, idx) just before the factory runs
         self.on_materialize: Optional[Callable[[str, int], None]] = None
         self.counters = PooledCounters()
@@ -138,7 +149,7 @@ class ClientPool:
         #: wake reason -> count ("api", "datagram", "build", ...)
         self.wake_reasons: Dict[str, int] = {}
 
-    def set_parker(self, parker: Callable[[ClientAgent, int], None]) -> None:
+    def set_parker(self, parker: Callable[[Client, int], None]) -> None:
         """Install the system-level park hook (endpoint/daemon teardown)."""
         self._parker = parker
 
@@ -154,7 +165,7 @@ class ClientPool:
         return slot_of(name, self._population, self._prefix, self._start)
 
     # -- core accessor API -------------------------------------------------
-    def get(self, name: str, reason: str = "api") -> ClientAgent:
+    def get(self, name: str, reason: str = "api") -> Client:
         """Look up a client, materializing a parked flyweight.
 
         Raises KeyError for names outside the registered population.
@@ -167,11 +178,11 @@ class ClientPool:
             raise KeyError(name)
         return self._materialize(name, idx, reason)
 
-    def peek(self, name: str) -> Optional[ClientAgent]:
+    def peek(self, name: str) -> Optional[Client]:
         """The live client for ``name``, or None — never materializes."""
         return self._live.get(name)
 
-    def iter_active(self) -> Iterator[ClientAgent]:
+    def iter_active(self) -> Iterator[Client]:
         """Iterate live (materialized) clients in activation order."""
         return iter(self._live.values())
 
@@ -179,7 +190,7 @@ class ClientPool:
         """Names of live clients in activation order."""
         return list(self._live)
 
-    def live_items(self) -> List[Tuple[str, ClientAgent]]:
+    def live_items(self) -> List[Tuple[str, Client]]:
         """(name, client) pairs for live clients in activation order."""
         return list(self._live.items())
 
@@ -207,24 +218,16 @@ class ClientPool:
         return self._population - len(self._live)
 
     # -- agents ------------------------------------------------------------
-    def set_agent(self, name: str, agent: ClientAgent) -> None:
+    def set_agent(self, name: str, agent: Agent) -> None:
         """Attach a protocol agent (heartbeater, renewer) for a client."""
         self._agents[name] = agent
 
-    def agent_for(self, name: str) -> Optional[ClientAgent]:
+    def agent_for(self, name: str) -> Optional[Agent]:
         """The protocol agent for a client, or None."""
         return self._agents.get(name)
 
-    def iter_agents(self) -> Iterator[ClientAgent]:
-        """Iterate protocol agents in attachment order."""
-        return iter(self._agents.values())
-
-    def agent_items(self) -> List[Tuple[str, ClientAgent]]:
-        """(name, agent) pairs in attachment order."""
-        return list(self._agents.items())
-
     # -- flyweight lifecycle -----------------------------------------------
-    def _materialize(self, name: str, idx: int, reason: str) -> ClientAgent:
+    def _materialize(self, name: str, idx: int, reason: str) -> Client:
         if self.on_materialize is not None:
             self.on_materialize(name, idx)
         client = self._factory(name, idx)

@@ -14,22 +14,19 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional
 
 from repro.client.node import ClientConfig, StorageTankClient
-from repro.client.pool import ClientPool
+from repro.client.pool import Client, ClientPool
 from repro.cluster.coordinator import COORDINATOR_NAME, ClusterCoordinator
 from repro.cluster.shardmap import ShardMap
 from repro.cluster.takeover import ServerShardRole
 from repro.core.config import SystemConfig
 from repro.lease.pooled import PooledLeaseService
-from repro.lease.server_lease import ServerLeaseAuthority
 from repro.net.control import ControlNetwork, Endpoint
-from repro.net.message import MsgKind
 from repro.net.partition import PartitionController, combined_views, is_symmetric
 from repro.net.san import SanFabric
 from repro.netcache import MetadataCacheNode, install_cache_router
 from repro.obs import Observability, SpanTracer
 from repro.obs import runlog as _runlog
 from repro.obs.export import export_json, make_document, make_manifest, run_entry
-from repro.protocols.base import ClientAgent
 from repro.protocols.nfs_polling import NfsPollingClient
 from repro.protocols.registry import get as get_protocol
 from repro.server.node import ServerConfig, StorageTankServer
@@ -85,7 +82,7 @@ class StorageTankSystem:
         """Partition controller for the SAN."""
         return PartitionController(self.san)
 
-    def client(self, name: str) -> ClientAgent:
+    def client(self, name: str) -> Client:
         """Look up a client node (materializes a parked flyweight)."""
         return self.pool.get(name)
 
@@ -129,82 +126,6 @@ class StorageTankSystem:
                                [(self.control_net, ctrl_members),
                                 (_SanView(self.san), san_members)])
         return {"views": views, "symmetric": is_symmetric(views)}
-
-    def metrics_snapshot(self) -> Dict[str, Any]:
-        """One dict of every counter the experiments report."""
-        auth = self.server.authority
-        auth_over = auth.overhead_snapshot()
-        snap: Dict[str, Any] = {
-            "time": self.sim.now,
-            "server.transactions": self.server.transactions,
-            "server.data_bytes_served": self.server.data_bytes_served,
-            "server.meta_ops": self.server.metadata.ops,
-            "server.lock_grants": self.server.locks.grants,
-            "server.lock_steals": self.server.locks.steals,
-            "authority.state_bytes": int(auth_over["state_bytes"]),
-            "authority.cpu_ops": int(auth_over["lease_cpu_ops"]),
-            "authority.msgs_sent": int(auth_over["lease_msgs_sent"]),
-            "ctrl.delivered": self.control_net.delivered_count,
-            "ctrl.dropped": self.control_net.dropped_count,
-            "san.bytes_read": self.san.bytes_read,
-            "san.bytes_written": self.san.bytes_written,
-            "san.io_count": self.san.io_count,
-        }
-        if isinstance(auth, ServerLeaseAuthority):
-            snap["authority.peak_state_bytes"] = auth.peak_state_bytes
-            snap["authority.steals"] = auth.total_steals
-        if len(self.servers) > 1:
-            for sname, srv in self.servers.items():
-                snap[f"{sname}.transactions"] = srv.transactions
-                snap[f"{sname}.lock_grants"] = srv.locks.grants
-                snap[f"{sname}.state_bytes"] = srv.authority.state_bytes()
-        for cname, cache in self.netcache.items():
-            for key, val in cache.counters().items():
-                snap[f"{cname}.{key}"] = val
-        if self.coordinator is not None:
-            snap["cluster.map_epoch"] = self.coordinator.map.epoch
-            snap["cluster.takeovers"] = self.coordinator.takeovers
-            snap["cluster.failbacks"] = self.coordinator.failbacks
-            for sname, srv in self.servers.items():
-                if srv.cluster is not None:
-                    snap[f"{sname}.wrong_owner_nacks"] = \
-                        srv.cluster.wrong_owner_nacks
-            for name, cl in self.pool.live_items():
-                if hasattr(cl, "routing"):
-                    snap[f"{name}.rerouted_ops"] = cl.routing.rerouted_ops
-                    snap[f"{name}.shard_migrations"] = \
-                        cl.routing.shard_migrations
-        ops_total = 0
-        rpc_total = 0
-        rpc_by_kind: Dict[str, int] = {}
-        for name, cl in self.pool.live_items():
-            over = cl.overhead_snapshot()
-            snap[f"{name}.ops_completed"] = int(over["ops_completed"])
-            snap[f"{name}.app_errors"] = int(over["app_errors"])
-            if "polls_sent" in over:
-                snap[f"{name}.polls"] = int(over["polls_sent"])
-            else:
-                snap[f"{name}.ops_rejected"] = int(over["ops_rejected"])
-                snap[f"{name}.keepalives"] = int(over["keepalives_sent"])
-                snap[f"{name}.cache_hit_rate"] = over["cache_hit_rate"]
-            if hasattr(cl, "rpc_by_kind"):
-                ops_total += int(over["ops_completed"])
-                for kind, n in cl.rpc_by_kind().items():
-                    rpc_by_kind[kind] = rpc_by_kind.get(kind, 0) + n
-                    if kind != MsgKind.KEEPALIVE:
-                        rpc_total += n
-        if rpc_by_kind:
-            snap["client.rpc_by_kind"] = dict(sorted(rpc_by_kind.items()))
-            snap["client.messages_per_op"] = (
-                rpc_total / ops_total if ops_total else 0.0)
-        for name, agent in self.pool.agent_items():
-            over = agent.overhead_snapshot()
-            if "heartbeats" in over:
-                snap[f"{name}.heartbeats"] = int(over["heartbeats"])
-            if "renewals" in over:
-                snap[f"{name}.vlease_renewals"] = int(over["renewals"])
-                snap[f"{name}.vlease_purges"] = int(over["purges"])
-        return snap
 
     def export_obs(self, path: Optional[str] = None) -> Dict[str, Any]:
         """Export this system's registry/spans as a ``repro.obs`` document.
@@ -302,7 +223,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
         data_path=cfg.data_path, use_leases=spec.uses_leases)
     slow = frozenset(cfg.slow_clients)
 
-    def make_client(name: str, idx: int) -> ClientAgent:
+    def make_client(name: str, idx: int) -> Client:
         """The one factory: every client of every installation, on first
         touch.  A re-materialized client reuses the node's clock (a
         physical fact) and starts on the coordinator's *current* map."""
@@ -391,7 +312,7 @@ def _wire_pool(pool: ClientPool, pooled: PooledLeaseService,
 
     net.set_lazy_resolver(resolve)
 
-    def park_client(client: ClientAgent, idx: int) -> None:
+    def park_client(client: Client, idx: int) -> None:
         # Only a client whose whole standing state this function can
         # hand over may fold into a record: a protocol agent's daemons
         # and a polling client's attribute cache would be left behind.

@@ -30,15 +30,15 @@ ordinary, already-built client (eager or lazily materialized from the
 pool) and perturbs its behavior in place by overriding the documented
 extension points (lease callbacks, the admission gate, the lock-table
 observers, the LOCK_DEMAND handler, the local clock).  The resulting
-:class:`ByzantineClientAgent` still satisfies the ``ClientAgent``
-protocol, and possession draws **no** randomness — daemons tick on
+:class:`ByzantineClientAgent` wraps the pooled client rather than
+replacing it, and possession draws **no** randomness — daemons tick on
 fixed local intervals and iterate in sorted order, so adversarial runs
 stay bit-deterministic.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro.locks.modes import LockMode
 from repro.net.message import DeliveryError, Message, MsgKind, NackError
@@ -81,9 +81,8 @@ def _free_admit(server: Optional[str] = None) -> None:
 class ByzantineClientAgent:
     """An ordinary client possessed by one or more misbehaviors.
 
-    Conforms to the ``ClientAgent`` protocol by delegation, so anything
-    that inspects agents (overhead accounting, experiment harnesses)
-    treats a possessed client like any other.
+    The pool keeps the possessed client itself, so its counters stay
+    under its own node name and the harnesses treat it like any other.
     """
 
     def __init__(self, system: "StorageTankSystem",
@@ -99,11 +98,6 @@ class ByzantineClientAgent:
         self.demands_suppressed = 0
         self._grant_memory: Dict[int, int] = {}
         self._forge_targets: Dict[int, Dict[Tuple[str, int], None]] = {}
-
-    # -- ClientAgent protocol ------------------------------------------------
-    def overhead_snapshot(self) -> Mapping[str, float]:
-        """Delegate to the possessed client (protocol conformance)."""
-        return self.client.overhead_snapshot()
 
     # -- possession ----------------------------------------------------------
     @classmethod

@@ -29,7 +29,7 @@ from repro.harness import experiments as _experiments  # noqa: F401
 from repro.harness import intent as _intent  # noqa: F401
 from repro.harness import scale as _scale  # noqa: F401
 from repro.harness.common import wall_timer
-from repro.harness.parallel import run_experiments_parallel
+from repro.harness.parallel import run_experiment_task, run_ordered
 from repro.obs import runlog
 
 #: name -> callable over every registered experiment (used by parallel
@@ -131,7 +131,7 @@ def _run_parallel(names, args) -> int:
     if args.clients is not None:
         kwargs["clients"] = args.clients
     tasks = [(name, kwargs) for name in names]
-    outcomes = run_experiments_parallel(tasks, args.jobs)
+    outcomes = run_ordered(run_experiment_task, tasks, args.jobs)
     md_chunks = []
     for outcome in outcomes:
         for text, md in zip(outcome.table_texts, outcome.markdown_chunks):

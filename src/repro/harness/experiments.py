@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.analysis.availability import unavailability_after
 from repro.analysis.consistency import ConsistencyAuditor
-from repro.analysis.metrics import collect_overheads
 from repro.analysis.report import Table
 from repro.core.config import LeaseConfig, SystemConfig, WorkloadConfig
 from repro.core.system import StorageTankSystem, build_system
@@ -388,7 +387,7 @@ def experiment_e7_overhead(seed: int = 0, duration: float = 120.0) -> Table:
             else:
                 stats = run_workload(system, duration)
                 ops = sum(s.ops_succeeded for s in stats.values())
-            over = collect_overheads(system)
+            registry = system.obs.registry
             # Count client lease traffic strictly inside the measured
             # window: a driver overrunning its deadline leaves a short
             # idle tail whose (correct) keep-alives are not "active"
@@ -401,9 +400,10 @@ def experiment_e7_overhead(seed: int = 0, duration: float = 120.0) -> Table:
             client_msgs += sum(1 for r in system.trace.select(kind="nfs.poll")
                                if r.time <= duration)
             table.add_row(protocol, activity, client_msgs,
-                          int(over["lease_msgs_server"]),
-                          int(over["lease_cpu_server"]),
-                          int(over["state_bytes_now"]), ops)
+                          int(registry.value("lease.server.msgs_sent")),
+                          int(registry.value("lease.server.cpu_ops")),
+                          int(registry.value("lease.server.state_bytes")),
+                          ops)
     table.note("storage_tank/active: all three server columns are exactly 0 "
                "(passive authority + opportunistic renewal).")
     return table
@@ -486,14 +486,15 @@ def experiment_e9_protocol_comparison(seed: int = 0, duration: float = 60.0,
                                         read_fraction=0.7, zipf_s=0.8))
             system = build_system(cfg)
             stats = run_workload(system, duration)
-            over = collect_overheads(system)
+            registry = system.obs.registry
+            lease_msgs = int(registry.value("lease.client.msgs_sent")
+                             + registry.value("lease.server.msgs_sent"))
+            state_bytes = int(registry.value("lease.server.state_bytes"))
+            lease_cpu = int(registry.value("lease.server.cpu_ops"))
             report = ConsistencyAuditor(system).audit()
-            lease_msgs = int(over["lease_msgs_client"]
-                             + over["lease_msgs_server"])
             table.add_row(protocol, n, lease_msgs,
                           round(lease_msgs / duration, 2),
-                          int(over["state_bytes_now"]),
-                          int(over["lease_cpu_server"]),
+                          state_bytes, lease_cpu,
                           len(report.stale_reads),
                           "yes" if not report.stale_reads else "NO")
     table.note("nfs is expected incoherent (stale reads > 0 possible); "

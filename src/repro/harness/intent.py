@@ -22,11 +22,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Tuple
 
 from repro.analysis.report import Table
+from repro.client.node import fleet_rpcs
 from repro.core.config import (LeaseConfig, ScaleConfig, SystemConfig,
                                WorkloadConfig)
 from repro.core.system import StorageTankSystem, build_system
 from repro.harness.registry import experiment
-from repro.net.message import MsgKind
 from repro.storage import BLOCK_SIZE
 
 #: Client populations swept (lazy install; only the active set works).
@@ -58,24 +58,9 @@ def intent_point(seed: int = 0, n_clients: int = 1_000,
     tau = system.config.lease.tau
     system.run(until=t0 + duration + 2.0 * tau)
 
-    ops = 0
-    rpcs = 0
-    by_kind: Dict[str, int] = {}
-    for name in workers:
-        cl = system.client(name)
-        ops += cl.ops_completed
-        for kind, n in cl.rpc_by_kind().items():
-            by_kind[kind] = by_kind.get(kind, 0) + n
-            if kind != MsgKind.KEEPALIVE:
-                rpcs += n
-    return {
-        "clients": n_clients,
-        "ops": ops,
-        "rpcs": rpcs,
-        "msgs_per_op": rpcs / ops if ops else 0.0,
-        "ops_per_s": ops / duration,
-        "by_kind": dict(sorted(by_kind.items())),
-    }
+    fleet = fleet_rpcs(system.client(name) for name in workers)
+    return {"clients": n_clients, **fleet,
+            "ops_per_s": fleet["ops"] / duration}
 
 
 @experiment("e-intent",

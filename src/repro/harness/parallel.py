@@ -1,4 +1,8 @@
-"""Multiprocessing support for ``repro.harness <experiments> --jobs N``.
+"""Multiprocessing support for ``--jobs N``: one ordered process pool.
+
+``repro.harness <experiments> --jobs N`` and ``repro.simtest --batch K
+--jobs N`` both fan whole, independent runs out through
+:func:`run_ordered`.
 
 Each experiment is an independent simulation (its own kernel, RNG
 streams and registry), so experiments parallelize at whole-experiment
@@ -18,9 +22,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple, TypeVar
 
 from repro.harness.common import wall_timer
+
+_T = TypeVar("_T")
+_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,15 @@ def run_experiment_task(task: Tuple[str, Dict[str, Any]]) -> ExperimentOutcome:
         elapsed_s=elapsed())
 
 
-def run_experiments_parallel(tasks: List[Tuple[str, Dict[str, Any]]],
-                             jobs: int) -> List[ExperimentOutcome]:
-    """Run experiment tasks across ``jobs`` worker processes, results in
-    submission order regardless of completion order."""
+def run_ordered(fn: Callable[[_T], _R], tasks: List[_T],
+                jobs: int) -> List[_R]:
+    """Map ``fn`` over ``tasks`` on up to ``jobs`` worker processes,
+    results in submission order regardless of completion order.  One job
+    or one task runs inline; ``fn`` must be a module-level function so
+    the pool can pickle it."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [run_experiment_task(t) for t in tasks]
+        return [fn(t) for t in tasks]
     import multiprocessing
 
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return list(pool.imap(run_experiment_task, tasks))
+        return list(pool.imap(fn, tasks))

@@ -55,20 +55,19 @@ class ServerLeaseAuthority(SafetyAuthority):
                  contract: LeaseContract,
                  on_steal: Callable[[str], None],
                  trace: Optional[TraceRecorder] = None,
-                 nack_suspects: bool = True,
-                 ack_while_expiring: bool = False,
                  obs: Optional[Observability] = None) -> None:
         """``on_steal(client)`` runs when a suspect timer fires; the server
         node uses it to steal locks and construct fences.
 
-        ``nack_suspects=False`` silently ignores suspect clients instead of
-        NACKing (the E6 ablation).  ``ack_while_expiring=True`` disables the
-        no-ACK correctness rule entirely (the E4 ablation, which *breaks*
-        Theorem 3.1 — never enable outside experiments).
+        Two ablation switches are attributes, set after construction:
+        ``nack_suspects = False`` silently ignores suspect clients instead
+        of NACKing (E6), and ``ack_while_expiring = True`` disables the
+        no-ACK correctness rule entirely (A4, which *breaks* Theorem 3.1 —
+        never enable outside experiments).
         """
         self.contract = contract
-        self.nack_suspects = nack_suspects
-        self.ack_while_expiring = ack_while_expiring
+        self.nack_suspects = True
+        self.ack_while_expiring = False
         self._suspects: Dict[str, SuspectEntry] = {}
         self._steal_spans: Dict[str, object] = {}
         self.peak_state_bytes = 0

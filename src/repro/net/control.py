@@ -74,6 +74,9 @@ class ReplyObserver:
         return False
 
 
+BASE_DELAY = 0.001  # one-way datagram latency floor (s); jitter adds a tail
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Sender-side datagram retry discipline (local-clock seconds).
@@ -158,12 +161,11 @@ class ControlNetwork:
 
     def __init__(self, sim: Simulator, streams: RandomStreams,
                  trace: Optional[TraceRecorder] = None,
-                 base_delay: float = 0.001, jitter: float = 0.0005,
+                 jitter: float = 0.0005,
                  drop_probability: float = 0.0) -> None:
         self.sim = sim
         self.trace = trace if trace is not None else TraceRecorder(
             enabled=False, counting=False)
-        self.base_delay = base_delay
         self.jitter = jitter
         self.drop_probability = drop_probability
         self._rng = streams.get("net.control")
@@ -277,8 +279,8 @@ class ControlNetwork:
     # -- transmission ---------------------------------------------------------
     def _delay(self) -> float:
         if self.jitter <= 0:
-            return self.base_delay
-        return self.base_delay + float(self._rng.exponential(self.jitter))
+            return BASE_DELAY
+        return BASE_DELAY + float(self._rng.exponential(self.jitter))
 
     def transmit(self, msg: Message) -> None:
         """Send one datagram.  Loss and partitions silently drop it."""

@@ -132,7 +132,6 @@ class MetadataCacheNode:
         self.invalidations = 0
         self.entries_dropped = 0
         self.flushes = 0
-        self.sweeps = 0
 
         #: one ordinary four-phase client lease per upstream server —
         #: the cache is just another lease-holding tenant of §3, and all
@@ -422,7 +421,6 @@ class MetadataCacheNode:
                     if not self._usable(entry)]
             if dead:
                 self._drop_keys(dead, "sweep")
-            self.sweeps += 1
         self._arm_sweep()
 
     # -- fault-injection surface -------------------------------------------
@@ -462,20 +460,6 @@ class MetadataCacheNode:
         """Hits over handled read requests (0.0 when idle)."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def counters(self) -> Dict[str, int]:
-        """Counter snapshot for ``StorageTankSystem.metrics_snapshot``."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "installs": self.installs,
-            "installs_rejected": self.installs_rejected,
-            "invalidations": self.invalidations,
-            "entries_dropped": self.entries_dropped,
-            "flushes": self.flushes,
-            "entries": len(self._entries),
-            "keepalives_sent": self.lease_agent.keepalives_sent,
-        }
 
 
 def install_cache_router(net: ControlNetwork,

@@ -3,10 +3,12 @@
 One :class:`MetricsRegistry` per built system is the single collection
 point for every quantitative claim the experiments make — most
 importantly the E7/E9 overhead trio (``lease.server.state_bytes``,
-``lease.server.cpu_ops``, ``lease.server.msgs_sent``).  Protocol code
-increments registry instruments instead of bespoke attributes; readers
-(``metrics_snapshot``, :func:`repro.analysis.metrics.collect_overheads`,
-the BENCH_obs exporters) consume :meth:`MetricsRegistry.snapshot`.
+``lease.server.cpu_ops``, ``lease.server.msgs_sent``) and
+``lease.client.msgs_sent``.  Protocol code increments registry
+instruments instead of bespoke attributes.  Those four families have
+four readers, all through :meth:`MetricsRegistry.value`: E7, E9, the
+run collector (:mod:`repro.obs.runlog`) and the ``passive-server``
+oracle; the exporters copy :meth:`MetricsRegistry.snapshot` whole.
 
 Design notes:
 

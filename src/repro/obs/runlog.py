@@ -6,10 +6,12 @@ A :class:`RunCollector` is installed (via :func:`use` or
 collector
 
 - labels the run (protocol, client count, seed),
-- spawns a sampler process on the system's simulator that records the
-  E7/E9 overhead trio (``state_bytes``, ``lease_cpu_ops``,
-  ``lease_msgs_sent``) plus ``client_lease_msgs`` as time series over
-  *simulated* time,
+- spawns a sampler process on the system's simulator that records, as
+  time series over *simulated* time, the E7/E9 overhead trio
+  (``state_bytes``, ``lease_cpu_ops``, ``lease_msgs_sent``) and
+  ``client_lease_msgs`` — each its registry family summed over nodes,
+  so a parked client's keep-alives stay counted — plus the fleet's
+  ``messages_per_op``,
 - and, at :meth:`RunCollector.export` time, snapshots each system's
   metrics registry and completed spans into the versioned
   ``repro.obs/1.0`` document (see :mod:`repro.obs.export`).
@@ -23,13 +25,20 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.client.node import fleet_rpcs
 from repro.obs.export import export_json, make_document, make_manifest, run_entry
 
-#: Series names sampled for every run (the paper's overhead counters,
-#: plus the PR 10 protocol-cost ratio: client-originated RPC round
-#: trips — keep-alives excluded — per completed operation).
-OVERHEAD_SERIES = ("state_bytes", "lease_cpu_ops", "lease_msgs_sent",
-                   "client_lease_msgs", "messages_per_op")
+#: Sampled series -> the registry family it sums over nodes.
+LEASE_FAMILIES = {
+    "state_bytes": "lease.server.state_bytes",
+    "lease_cpu_ops": "lease.server.cpu_ops",
+    "lease_msgs_sent": "lease.server.msgs_sent",
+    "client_lease_msgs": "lease.client.msgs_sent",
+}
+
+#: Series names sampled for every run: the lease families, plus the
+#: protocol-cost ratio (:func:`repro.client.node.fleet_rpcs`).
+OVERHEAD_SERIES = (*LEASE_FAMILIES, "messages_per_op")
 
 _ACTIVE: Optional["RunCollector"] = None
 
@@ -104,32 +113,12 @@ class RunCollector:
 
     def _sample(self, system: Any, record: _RunRecord) -> None:
         t = system.sim.now
-        totals = {s: 0.0 for s in OVERHEAD_SERIES}
-        for srv in system.servers.values():
-            snap = srv.authority.overhead_snapshot()
-            totals["state_bytes"] += snap.get("state_bytes", 0.0)
-            totals["lease_cpu_ops"] += snap.get("lease_cpu_ops", 0.0)
-            totals["lease_msgs_sent"] += snap.get("lease_msgs_sent", 0.0)
-        client_msgs = 0.0
-        rpcs = 0.0
-        ops = 0.0
-        for cl in system.pool.iter_active():
-            snap = cl.overhead_snapshot()
-            client_msgs += snap.get("lease_msgs_sent", 0.0)
-            # The fleet ratio needs raw counts, not per-client ratios:
-            # rpc_total = ratio * ops for each client, summed.
-            ops += snap.get("ops_completed", 0.0)
-            rpcs += (snap.get("messages_per_op", 0.0)
-                     * snap.get("ops_completed", 0.0))
-        for agent in system.pool.iter_agents():
-            snap = agent.overhead_snapshot()
-            client_msgs += snap.get("lease_msgs_sent", 0.0)
-            ops += snap.get("ops_completed", 0.0)
-            rpcs += (snap.get("messages_per_op", 0.0)
-                     * snap.get("ops_completed", 0.0))
-        totals["client_lease_msgs"] = client_msgs
-        totals["messages_per_op"] = rpcs / ops if ops else 0.0
-        for sname, value in totals.items():
+        registry = system.obs.registry
+        values = {sname: registry.value(family)
+                  for sname, family in LEASE_FAMILIES.items()}
+        values["messages_per_op"] = fleet_rpcs(
+            system.pool.iter_active())["msgs_per_op"]
+        for sname, value in values.items():
             record.series[sname]["times"].append(t)
             record.series[sname]["values"].append(value)
 

@@ -14,8 +14,9 @@ optional client agent factory for one protocol; ``build_system``
 assembles systems purely from the spec, so adding a protocol means
 registering a spec (:func:`~repro.protocols.registry.register`) — no
 ``core.system`` edits.  All authorities subclass
-:class:`~repro.protocols.base.SafetyAuthority`; all client-side
-participants conform to :class:`~repro.protocols.base.ClientAgent`.
+:class:`~repro.protocols.base.SafetyAuthority`; clients and agents
+charge their lease traffic to the metrics registry under their node
+name.
 
 Built-in server-side *safety authorities* (plug into
 :class:`repro.server.node.StorageTankServer`):
@@ -48,7 +49,6 @@ never recurses back into client/server modules mid-initialisation.
 from repro.protocols.registry import ProtocolSpec, available, get, register
 
 _EXPORTS = {
-    "ClientAgent": "repro.protocols.base",
     "DlockClient": "repro.protocols.dlock_fs",
     "FencingOnlyAuthority": "repro.protocols.fencing_only",
     "FrangipaniAuthority": "repro.protocols.frangipani",

@@ -14,26 +14,18 @@ alternatives it argues against.  All of them subclass
     (None when nothing is pending);
 ``gatekeeper(msg)``
     inbound-message veto, installed on the endpoint by this base class
-    (return ``None`` to admit, ``"nack"`` / ``"silent"`` to refuse);
-``overhead_snapshot()``
-    the E7/E9 overhead counters — ``state_bytes``, ``lease_cpu_ops``,
-    ``lease_msgs_sent``, ``total_steals`` — sourced from the metrics
-    registry (:mod:`repro.obs.registry`).
+    (return ``None`` to admit, ``"nack"`` / ``"silent"`` to refuse).
 
-Overhead accounting goes through the registry: subclasses call
+Overhead accounting goes through the metrics registry
+(:mod:`repro.obs.registry`): subclasses call
 :meth:`SafetyAuthority._count_cpu` / :meth:`_count_lease_msg` instead of
-bumping bespoke attributes.
-
-:class:`ClientAgent` is the client-side counterpart: the structural
-type of everything living in a ``StorageTankSystem``'s client pool
-(clients, heartbeaters, renewers) — anything that can report its own
-``overhead_snapshot()``.
+bumping bespoke attributes, and readers take the E7/E9 figures from the
+``lease.server.*`` families, labelled by server node.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Mapping, Optional, Protocol,
-                    runtime_checkable)
+from typing import Callable, Optional
 
 from repro.net.control import Endpoint, ReplyObserver
 from repro.net.message import Message
@@ -47,21 +39,6 @@ CPU_OPS_METRIC = "lease.server.cpu_ops"
 MSGS_SENT_METRIC = "lease.server.msgs_sent"
 STATE_BYTES_METRIC = "lease.server.state_bytes"
 STEALS_METRIC = "lease.server.steals"
-
-
-@runtime_checkable
-class ClientAgent(Protocol):
-    """Structural type for client-side participants of a system.
-
-    Clients (``StorageTankClient``, ``NfsPollingClient``) and protocol
-    agents (Frangipani heartbeater, V-lease renewer) all conform.  The
-    protocol is methods-only so ``isinstance`` checks work under
-    ``runtime_checkable``.
-    """
-
-    def overhead_snapshot(self) -> Mapping[str, float]:
-        """Client-side overhead counters (``lease_msgs_sent`` et al.)."""
-        ...
 
 
 class SafetyAuthority(ReplyObserver):
@@ -118,15 +95,6 @@ class SafetyAuthority(ReplyObserver):
     def gatekeeper(self, msg: Message) -> Optional[str]:
         """Inbound-message veto: None admits; "nack"/"silent" refuse."""
         return None
-
-    def overhead_snapshot(self) -> Dict[str, float]:
-        """The E7/E9 overhead counters, read from the metrics registry."""
-        return {
-            "state_bytes": float(self.state_bytes()),
-            "lease_cpu_ops": self._m_cpu.value,
-            "lease_msgs_sent": self._m_msgs.value,
-            "total_steals": float(self.total_steals),
-        }
 
     def steal_now(self, client: str) -> None:
         """Immediately execute a steal via the server callback."""

@@ -31,6 +31,12 @@ from repro.sim.events import Event
 #: Approximate size of one per-client lease record.
 LEASE_RECORD_BYTES = 48
 
+#: Local seconds between scans of the lease table.
+SCAN_INTERVAL = 1.0
+
+#: Local seconds a record stays lapsed before its locks are stolen.
+EXPIRY_GRACE = 2.0
+
 
 @dataclass
 class _LeaseRecord:
@@ -42,11 +48,8 @@ class FrangipaniAuthority(SafetyAuthority):
     """Heartbeat-lease authority with always-on per-client state."""
 
     def __init__(self, sim, endpoint, on_steal, trace=None, obs=None,
-                 lease_duration: float = 30.0, check_interval: float = 1.0,
-                 grace: float = 2.0):
+                 lease_duration: float = 30.0):
         self.lease_duration = lease_duration
-        self.check_interval = check_interval
-        self.grace = grace
         self._table: Dict[str, _LeaseRecord] = {}
         self._resolutions: Dict[str, Event] = {}
         self._expired: Dict[str, bool] = {}
@@ -97,11 +100,11 @@ class FrangipaniAuthority(SafetyAuthority):
 
     def _scan(self) -> Generator[Event, Any, None]:
         while True:
-            yield self.endpoint.local_timeout(self.check_interval)
+            yield self.endpoint.local_timeout(SCAN_INTERVAL)
             now_local = self.endpoint.local_now()
             for client, rec in list(self._table.items()):
                 expired_for = now_local - rec.expiry_local
-                if expired_for >= self.grace and not self._expired.get(client):
+                if expired_for >= EXPIRY_GRACE and not self._expired.get(client):
                     self._count_cpu()
                     self._expired[client] = True
                     ev = self.sim.event()
@@ -143,11 +146,6 @@ class FrangipaniClientAgent:
             return False
         return (self.client.endpoint.local_now()
                 < self._last_ack_local + self.lease_duration)
-
-    def overhead_snapshot(self) -> Dict[str, float]:
-        """Client-side lease overhead (heartbeat traffic)."""
-        return {"heartbeats": float(self.heartbeats_sent),
-                "lease_msgs_sent": float(self.heartbeats_sent)}
 
     def _run(self) -> Generator[Event, Any, None]:
         ep = self.client.endpoint

@@ -77,15 +77,6 @@ class NfsPollingClient:
     def app_errors(self, value: int) -> None:
         self.data.app_errors = value
 
-    def overhead_snapshot(self) -> Dict[str, float]:
-        """Client-side counters for E7/E9 (``ClientAgent`` conformance)."""
-        return {
-            "ops_completed": float(self.ops_completed),
-            "app_errors": float(self.app_errors),
-            "polls_sent": float(self.polls_sent),
-            "lease_msgs_sent": float(self.polls_sent),
-        }
-
     # -- API (process generators) ---------------------------------------
     def create(self, path: str, size: int = 0) -> Generator[Event, Any, int]:
         """Create a file on the server."""

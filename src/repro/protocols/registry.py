@@ -101,8 +101,7 @@ def _frangipani_authority(cfg: Any, server: Any) -> Any:
     return FrangipaniAuthority(server.sim, server.endpoint,
                                on_steal=server.lock_service.steal_client,
                                trace=server.trace, obs=server.obs,
-                               lease_duration=cfg.lease.tau,
-                               check_interval=1.0)
+                               lease_duration=cfg.lease.tau)
 
 
 def _vleases_authority(cfg: Any, server: Any) -> Any:

@@ -30,19 +30,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Approximate size of one per-object lease record.
 OBJECT_LEASE_BYTES = 40
 
+#: Local seconds between scans of the lease table for expired objects.
+SCAN_INTERVAL = 1.0
+
+#: Renewals per object lease term: each has half a term to land.
+RENEWALS_PER_TERM = 2.0
+
 
 class VLeaseAuthority(SafetyAuthority):
     """Per-object lease table at the locking authority."""
 
     def __init__(self, sim, endpoint, on_steal, trace=None, obs=None,
                  server: Optional["StorageTankServer"] = None,
-                 object_lease_duration: float = 10.0,
-                 check_interval: float = 1.0):
+                 object_lease_duration: float = 10.0):
         if server is None:
             raise ValueError("VLeaseAuthority needs the owning server")
         self.server = server
         self.object_lease_duration = object_lease_duration
-        self.check_interval = check_interval
         # (client, obj) -> expiry_local
         self._table: Dict[Tuple[str, int], float] = {}
         self.object_expirations = 0
@@ -78,7 +82,7 @@ class VLeaseAuthority(SafetyAuthority):
 
     def _scan(self) -> Generator[Event, Any, None]:
         while True:
-            yield self.endpoint.local_timeout(self.check_interval)
+            yield self.endpoint.local_timeout(SCAN_INTERVAL)
             now_local = self.endpoint.local_now()
             for (client, obj), expiry in list(self._table.items()):
                 if expiry <= now_local:
@@ -100,23 +104,16 @@ class VLeaseClientAgent:
     """
 
     def __init__(self, client: StorageTankClient,
-                 object_lease_duration: float = 10.0,
-                 safety_factor: float = 2.0):
+                 object_lease_duration: float = 10.0):
         self.client = client
         self.object_lease_duration = object_lease_duration
-        self.renew_interval = object_lease_duration / safety_factor
+        self.renew_interval = object_lease_duration / RENEWALS_PER_TERM
         self.renewals_sent = 0
         self.purges = 0
         self._m_msgs = client.obs.registry.counter(
             "lease.client.msgs_sent", "Client-originated lease messages",
             labels=("node",)).labels(node=client.name)
         client.sim.process(self._run(), name=f"{client.name}:vlease-renew")
-
-    def overhead_snapshot(self) -> Dict[str, float]:
-        """Client-side lease overhead (per-object renewal traffic)."""
-        return {"renewals": float(self.renewals_sent),
-                "purges": float(self.purges),
-                "lease_msgs_sent": float(self.renewals_sent)}
 
     def _run(self) -> Generator[Event, Any, None]:
         ep = self.client.endpoint

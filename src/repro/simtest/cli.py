@@ -28,11 +28,12 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.timeline import render_lease_timeline
+from repro.harness.parallel import run_ordered
 from repro.obs.artifact import (load_artifact, make_failure_artifact,
                                 write_artifact)
 from repro.sim.rng import RandomStreams
 from repro.simtest.corpus import bless_corpus, replay_corpus
-from repro.simtest.parallel import run_batch_parallel
+from repro.simtest.parallel import run_batch_task
 from repro.simtest.runner import (BREAK_MODES, SimRunResult, run_schedule)
 from repro.simtest.schedule import Schedule, generate_schedule
 from repro.simtest.shrink import shrink_schedule
@@ -212,7 +213,7 @@ def _batch(args: argparse.Namespace) -> int:
     seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(args.batch)]
     arg_map = dict(vars(args))
     tasks = [(i, seed, arg_map) for i, seed in enumerate(seeds)]
-    outcomes = run_batch_parallel(tasks, args.jobs)
+    outcomes = run_ordered(run_batch_task, tasks, args.jobs)
     failures = 0
     for i, outcome in enumerate(outcomes):
         print(f"-- batch run {i + 1}/{args.batch}: seed={outcome.seed}")

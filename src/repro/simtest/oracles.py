@@ -346,16 +346,16 @@ class PassiveServerOracle(Oracle):
                     rec.time, rec.node,
                     f"server sent lease message {rec.get('msg_kind')!r}",
                     msg_kind=rec.get("msg_kind"), dst=rec.get("dst")))
-        for sname, srv in servers.items():
+        registry = system.obs.registry
+        for sname in servers:
             suspects = [r for r in system.trace.select(kind="lease.suspect")
                         if r.node == sname]
-            snapshot = srv.authority.overhead_snapshot()
-            if not suspects and snapshot.get("lease_msgs_sent", 0.0) > 0:
+            charged = registry.value("lease.server.msgs_sent", node=sname)
+            if not suspects and charged > 0:
                 out.append(self._violation(
                     system.sim.now, sname,
-                    f"server charged {snapshot['lease_msgs_sent']:g} lease "
-                    f"messages without ever suspecting a client",
-                    **{k: float(v) for k, v in snapshot.items()}))
+                    f"server charged {charged:g} lease messages without "
+                    f"ever suspecting a client", lease_msgs_sent=charged))
         for rec in system.trace.select(kind="lease.server_nack"):
             if not _in_suspect_window(system, rec.node,
                                       str(rec.get("client")), rec.time):

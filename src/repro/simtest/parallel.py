@@ -4,8 +4,9 @@ The parent draws the batch's seed list up front from the usual
 ``RandomStreams(batch_seed).get("simtest.batch")`` stream, so the seed
 sequence — and therefore every schedule — is identical no matter how
 many workers run it.  Each worker executes one whole fuzz run (generate,
-run, shrink, write artifact) with its stdout captured, and the parent
-prints the captured blocks in seed order: the merged output of
+run, shrink, write artifact) with its stdout captured; the parent runs
+the tasks through :func:`repro.harness.parallel.run_ordered` and prints
+the captured blocks in seed order: the merged output of
 ``--jobs N`` is byte-identical to ``--jobs 1``.
 
 Workers live in this importable module (not ``__main__``) so the tasks
@@ -21,7 +22,7 @@ import argparse
 import io
 from contextlib import redirect_stdout
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,3 @@ def run_batch_task(task: Tuple[int, int, Dict[str, Any]]) -> BatchRunOutcome:
         code = _fuzz_once(sub)
     return BatchRunOutcome(index=index, seed=seed, exit_code=code,
                            output=buf.getvalue())
-
-
-def run_batch_parallel(tasks: List[Tuple[int, int, Dict[str, Any]]],
-                       jobs: int) -> List[BatchRunOutcome]:
-    """Run batch tasks across ``jobs`` worker processes, results in
-    submission order regardless of completion order."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [run_batch_task(t) for t in tasks]
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        return list(pool.imap(run_batch_task, tasks))

@@ -1,14 +1,18 @@
 """An option with no caller fails tier-1.
 
 The ``simplicity-review`` Options rule, made mechanical: every field of
-a config dataclass is a configuration tests and benchmarks must cover,
-so each must be set by at least one caller that is not a test.  The
-census reads every ``@dataclass`` named ``*Config`` under
-``src/repro`` — the node modules define theirs (``ServerConfig``,
-``ClientConfig``) beside the node, not in ``core/config.py`` — and
-counts three ways of setting a field:
+a config dataclass, and every default-valued ``__init__`` keyword of a
+class ``build_system`` wires (:data:`WIRED`), is a configuration tests
+and benchmarks must cover, so each must be set by at least one caller
+that is not a test.  The census reads every ``@dataclass`` named
+``*Config`` under ``src/repro`` — the node modules define theirs
+(``ServerConfig``, ``ClientConfig``) beside the node, not in
+``core/config.py`` — and counts these ways of setting an option:
 
 - a keyword passed to the class, directly or as ``shim.build(Config, ...)``;
+- an argument passed to a wired class, by keyword or by position,
+  credited to the class whose ``__init__`` binds it (an authority that
+  inherits or only forwards ``*args`` binds its base's);
 - a keyword passed to ``dataclasses.replace(...)``, credited to every
   config class that has a field of that name;
 - a key under ``[tool.repro-lint]`` in ``pyproject.toml``, which the
@@ -17,10 +21,11 @@ counts three ways of setting a field:
 
 A ``hasattr``-guarded poke through a local name (``simtest/runner.py``)
 is written to survive the field's deletion and is not a caller that
-needs it.
+needs it, and neither is an attribute set after construction (the E6
+and A4 ablation switches on ``ServerLeaseAuthority``).
 
-A field only tests set is listed in :data:`TEST_ONLY` with the reason it
-stays; an entry that gains a real caller, or names a field that is
+An option only tests set is listed in :data:`TEST_ONLY` with the reason
+it stays; an entry that gains a real caller, or names an option that is
 gone, fails too, so the list cannot rot.
 
 ``rule_options`` is one field but many options: every key the linter
@@ -31,11 +36,39 @@ be set in some ``[tool.repro-lint.rplNNN]`` table, or it is a constant.
 import ast
 import dataclasses
 import importlib
+import inspect
 import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
+
+#: The classes ``build_system`` wires: the nodes and their transports,
+#: the lease and cluster roles, every authority and baseline agent, and
+#: the retry policy endpoints are built with.
+WIRED = (
+    "repro.server.node.StorageTankServer",
+    "repro.client.node.StorageTankClient",
+    "repro.protocols.nfs_polling.NfsPollingClient",
+    "repro.netcache.node.MetadataCacheNode",
+    "repro.net.control.Endpoint",
+    "repro.net.control.ControlNetwork",
+    "repro.net.control.RetryPolicy",
+    "repro.net.san.SanFabric",
+    "repro.lease.client_lease.ClientLeaseManager",
+    "repro.lease.agent.LeaseAgent",
+    "repro.cluster.coordinator.ClusterCoordinator",
+    "repro.cluster.takeover.ServerShardRole",
+    "repro.protocols.base.SafetyAuthority",
+    "repro.protocols.base.NoStealAuthority",
+    "repro.protocols.steal.ImmediateStealAuthority",
+    "repro.protocols.fencing_only.FencingOnlyAuthority",
+    "repro.lease.server_lease.ServerLeaseAuthority",
+    "repro.protocols.frangipani.FrangipaniAuthority",
+    "repro.protocols.frangipani.FrangipaniClientAgent",
+    "repro.protocols.vleases.VLeaseAuthority",
+    "repro.protocols.vleases.VLeaseClientAgent",
+)
 
 
 def _config_classes():
@@ -52,9 +85,26 @@ def _config_classes():
     return found
 
 
+def _import(path):
+    module, name = path.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+
+
 CONFIGS = _config_classes()
+WIRED_CLASSES = {cls.__name__: cls for cls in map(_import, WIRED)}
 
 TEST_ONLY = {
+    "Endpoint.dedup_capacity":
+        "the at-most-once replay cache's bound: test_control_edge_cases "
+        "shrinks it to 4 entries to see FIFO eviction in ten requests",
+    "RetryPolicy.pending_timeout":
+        "the wait for a parked transaction's final: test_control and "
+        "test_control_edge_cases shorten it to reach the DeliveryError of "
+        "an abandoned request",
+    "ClientLeaseManager.probe_interval_local":
+        "the disconnected probe period (the keep-alive interval by "
+        "default): test_client_lease and test_lease_fsm set it apart from "
+        "the keep-alive cadence to count probes",
     "ClusterConfig.push_to_clients":
         "pull-based rerouting (WRONG_OWNER -> CLUSTER_MAP_FETCH -> retry) "
         "is reachable only with pushes off",
@@ -91,6 +141,31 @@ TEST_ONLY = {
 
 def _name(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _binder(cls):
+    """The class whose ``__init__`` binds a call's arguments: the nearest
+    in the MRO that defines one and does not just forward ``*args``."""
+    for klass in cls.__mro__:
+        init = vars(klass).get("__init__")
+        if init is not None and all(
+                p.kind is not p.VAR_POSITIONAL
+                for p in inspect.signature(init).parameters.values()):
+            return klass
+    raise TypeError(f"{cls.__name__} has no __init__ of its own")
+
+
+def _params(klass):
+    """``klass.__init__``'s parameters after ``self``."""
+    return list(inspect.signature(klass.__init__).parameters.values())[1:]
+
+
+def _constructor_keywords():
+    """``Class.keyword`` for every default-valued ``__init__`` keyword of
+    a wired class, named after the class whose ``__init__`` declares it."""
+    return {f"{klass.__name__}.{p.name}"
+            for klass in {_binder(cls) for cls in WIRED_CLASSES.values()}
+            for p in _params(klass) if p.default is not p.empty}
 
 
 def _owners():
@@ -146,8 +221,9 @@ def _rule_option_reads():
 
 
 def fields_set_by_callers():
-    """``Config.field`` for every field a non-test caller sets: a keyword
-    to a config dataclass or to ``replace``, or a lint config key."""
+    """``Config.field`` or ``Class.keyword`` for every option a non-test
+    caller sets: a keyword to a config dataclass or to ``replace``, an
+    argument to a wired class, or a lint config key."""
     owners = _owners()
     seen = _lint_config_keys()
     for top in CALLER_DIRS:
@@ -163,6 +239,13 @@ def fields_set_by_callers():
                     seen.update(f"{cls}.{kw}" for kw in keywords
                                 for cls in owners.get(kw, ()))
                     continue
+                if target in WIRED_CLASSES:
+                    klass = _binder(WIRED_CLASSES[target])
+                    if not any(isinstance(a, ast.Starred) for a in node.args):
+                        keywords += [p.name for p in
+                                     _params(klass)[:len(node.args)]]
+                    seen.update(f"{klass.__name__}.{kw}" for kw in keywords)
+                    continue
                 if target not in CONFIGS and node.args:
                     target = _name(node.args[0])
                 if target in CONFIGS:
@@ -172,7 +255,7 @@ def fields_set_by_callers():
 
 def all_fields():
     return {f"{name}.{f.name}" for name, cls in CONFIGS.items()
-            for f in dataclasses.fields(cls)}
+            for f in dataclasses.fields(cls)} | _constructor_keywords()
 
 
 def test_census_reads_every_config_class():
@@ -182,6 +265,16 @@ def test_census_reads_every_config_class():
     assert "SystemConfig.n_clients" in seen          # keyword callers
     assert "LintConfig.exclude" in seen              # pyproject keys
     assert "LintConfig.rule_options" in seen         # pyproject sub-tables
+
+
+def test_census_reads_every_wired_constructor():
+    options, seen = _constructor_keywords(), fields_set_by_callers()
+    assert {"StorageTankServer.id_base", "SafetyAuthority.obs",
+            "RetryPolicy.retries"} <= options
+    assert "NoStealAuthority.trace" not in options   # binds its base's
+    assert "StorageTankServer.id_base" in seen        # keyword callers
+    assert "ControlNetwork.trace" in seen             # positional callers
+    assert "SafetyAuthority.obs" in seen              # through a subclass
 
 
 def test_every_option_has_a_caller_outside_tests():

@@ -67,11 +67,16 @@ def test_same_seed_same_build():
 
 
 def test_metrics_snapshot_keys():
+    """The registry snapshot carries the overhead families, per node."""
     s = build_system(SystemConfig(seed=1))
-    snap = s.metrics_snapshot()
-    for key in ("server.transactions", "authority.state_bytes",
-                "ctrl.delivered", "san.io_count", "c1.ops_completed"):
-        assert key in snap
+    snap = s.obs.registry.snapshot()
+    for family in ("lease.server.state_bytes", "lease.server.cpu_ops",
+                   "lease.server.msgs_sent", "lease.client.msgs_sent",
+                   "net.ctrl.delivered"):
+        assert family in snap
+    nodes = {entry["labels"]["node"]
+             for entry in snap["lease.client.msgs_sent"]["series"]}
+    assert nodes == set(s.pool.live_names())
 
 
 def test_network_views_connected_symmetric():

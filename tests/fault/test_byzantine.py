@@ -17,7 +17,7 @@ from repro.fault.injector import STEP_KINDS
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import FaultStep, Schedule
 
-from tests.conftest import make_system
+from tests.conftest import make_system, run_gen
 
 
 def _schedule(steps, horizon=34.0):
@@ -191,7 +191,13 @@ def test_possess_is_idempotent_and_composes():
 
 
 def test_possessed_agent_satisfies_client_agent_protocol():
+    """A possessed client stays the pooled client, so its lease traffic
+    is charged under its own name like any other client's."""
     system = make_system(record_trace=True)
-    agent = possess(system, "c1", "stretch_clock")
-    snapshot = agent.overhead_snapshot()
-    assert snapshot == system.client("c1").overhead_snapshot()
+    agent = possess(system, "c1", "suppress_release")
+    assert system.client("c1") is agent.client
+    run_gen(system, agent.client.create("/f"))
+    system.run(until=system.sim.now + system.config.lease.tau)
+    assert agent.client.keepalives_sent >= 1
+    assert system.obs.registry.value(
+        "lease.client.msgs_sent", node="c1") == agent.client.keepalives_sent

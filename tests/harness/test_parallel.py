@@ -14,8 +14,7 @@ import re
 import pytest
 
 from repro.harness.__main__ import main
-from repro.harness.parallel import (run_experiment_task,
-                                    run_experiments_parallel)
+from repro.harness.parallel import run_experiment_task, run_ordered
 
 _WALL_FOOTER = re.compile(r"completed in \d+\.\d+s wall")
 
@@ -32,7 +31,7 @@ def test_jobs2_tables_identical_to_sequential(capsys):
 
 def test_parallel_outcomes_in_submission_order():
     tasks = [("e5", {"seed": 0}), ("e6", {"seed": 0})]
-    outcomes = run_experiments_parallel(tasks, jobs=2)
+    outcomes = run_ordered(run_experiment_task, tasks, jobs=2)
     assert [o.name for o in outcomes] == ["e5", "e6"]
     for outcome, task in zip(outcomes, tasks):
         solo = run_experiment_task(task)

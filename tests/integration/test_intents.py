@@ -29,13 +29,13 @@ def _setup_file(s, path="/f", blocks=8):
 def test_intent_open_is_one_rpc():
     s = make_system()
     c1 = _setup_file(s)
-    before = dict(c1.rpc_by_kind())
+    before = dict(c1.endpoint.rpc_sent)
 
     def work():
         fd = yield from c1.open_file("/f", "w")
         return fd
     run_gen(s, work())
-    sent = {k: n - before.get(k, 0) for k, n in c1.rpc_by_kind().items()
+    sent = {k: n - before.get(k, 0) for k, n in c1.endpoint.rpc_sent.items()
             if n != before.get(k, 0)}
     assert sent == {MsgKind.LOCK_INTENT: 1}
 
@@ -64,9 +64,9 @@ def test_growth_write_folds_setattr_into_intent():
 
     def work():
         fd = yield from c1.open_file("/g", "w")
-        before = dict(c1.rpc_by_kind())
+        before = dict(c1.endpoint.rpc_sent)
         yield from c1.write(fd, 0, 4 * BLOCK_SIZE)  # grows the file
-        sent = {k: n - before.get(k, 0) for k, n in c1.rpc_by_kind().items()
+        sent = {k: n - before.get(k, 0) for k, n in c1.endpoint.rpc_sent.items()
                 if n != before.get(k, 0)}
         assert sent == {MsgKind.LOCK_INTENT: 1}
         assert MsgKind.SETATTR not in sent
@@ -100,11 +100,11 @@ def test_batched_range_acquire_one_rpc_per_batch():
 
     def work():
         fd = yield from c1.open_file("/f", "r")
-        before = dict(c1.rpc_by_kind())
+        before = dict(c1.endpoint.rpc_sent)
         yield from c1.read_ranges_locked(
             fd, [(0, BLOCK_SIZE), (BLOCK_SIZE, BLOCK_SIZE),
                  (2 * BLOCK_SIZE, BLOCK_SIZE)])
-        sent = {k: n - before.get(k, 0) for k, n in c1.rpc_by_kind().items()
+        sent = {k: n - before.get(k, 0) for k, n in c1.endpoint.rpc_sent.items()
                 if n != before.get(k, 0)}
         # One acquire batch + one release batch + the SAN reads; no
         # per-range datagrams of any kind.
@@ -156,7 +156,7 @@ def test_intents_cut_messages_per_op_at_least_2x():
 
     def work():
         def sent():
-            return sum(n for k, n in c.rpc_by_kind().items()
+            return sum(n for k, n in c.endpoint.rpc_sent.items()
                        if k != MsgKind.KEEPALIVE)
         mark = sent()
         fd = yield from c.open_file("/e", "w")
@@ -305,7 +305,13 @@ def test_intent_open_respects_exclusive_holder():
 # -- observability ---------------------------------------------------------
 
 def test_messages_per_op_in_metrics_snapshot():
-    s = make_system()
+    """The run collector's ``messages_per_op`` series is the one fleet
+    definition, ``fleet_rpcs``: the idle client contributes no RPCs, so
+    it reduces to c1's own non-keep-alive RPCs per op."""
+    from repro.client.node import fleet_rpcs
+    from repro.obs import runlog
+    with runlog.collecting() as collector:
+        s = make_system()
     c1 = _setup_file(s)
 
     def work():
@@ -313,12 +319,11 @@ def test_messages_per_op_in_metrics_snapshot():
         yield from c1.write(fd, 0, BLOCK_SIZE)
         yield from c1.close(fd)
     run_gen(s, work())
-    snap = s.metrics_snapshot()
-    assert snap["client.messages_per_op"] > 0
-    assert MsgKind.LOCK_INTENT in snap["client.rpc_by_kind"]
-    # The idle client contributes no RPCs, so the fleet ratio reduces to
-    # c1's own (keepalives excluded from the ratio by definition).
-    assert snap["client.messages_per_op"] == \
-        pytest.approx(c1.messages_per_op())
-    over = c1.overhead_snapshot()
-    assert over["messages_per_op"] == c1.messages_per_op()
+    fleet = fleet_rpcs(s.pool.iter_active())
+    assert MsgKind.LOCK_INTENT in fleet["by_kind"]
+    own = sum(n for k, n in c1.endpoint.rpc_sent.items()
+              if k != MsgKind.KEEPALIVE)
+    assert fleet["msgs_per_op"] == own / c1.ops_completed > 0
+    (run,) = collector.document()["runs"]
+    assert run["series"]["messages_per_op"]["values"][-1] == \
+        fleet["msgs_per_op"]

@@ -9,7 +9,7 @@ from repro.net.message import Message, MsgKind
 from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
 
 
-def make(epsilon=0.0, tau=10.0, **auth_kwargs):
+def make(epsilon=0.0, tau=10.0):
     sim = Simulator()
     streams = RandomStreams(4)
     trace = TraceRecorder()
@@ -21,15 +21,15 @@ def make(epsilon=0.0, tau=10.0, **auth_kwargs):
     server_ep.register(MsgKind.KEEPALIVE, lambda m: ("ack", {}))
     stolen = []
     auth = ServerLeaseAuthority(sim, server_ep, LeaseContract(tau=tau, epsilon=epsilon),
-                                on_steal=stolen.append, trace=trace, **auth_kwargs)
+                                on_steal=stolen.append, trace=trace)
     return sim, net, server_ep, client_ep, auth, stolen
 
 
 def test_initial_state_is_empty():
     sim, net, sep, cep, auth, stolen = make()
     assert auth.state_bytes() == 0
-    assert auth.overhead_snapshot()["lease_cpu_ops"] == 0
-    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
+    assert auth.obs.registry.value("lease.server.cpu_ops") == 0
+    assert auth.obs.registry.value("lease.server.msgs_sent") == 0
     assert not auth.is_suspect("c1")
     assert auth.resolution("c1") is None
 
@@ -44,8 +44,8 @@ def test_normal_traffic_keeps_authority_passive():
     sim.process(client())
     sim.run()
     assert auth.state_bytes() == 0
-    assert auth.overhead_snapshot()["lease_cpu_ops"] == 0
-    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
+    assert auth.obs.registry.value("lease.server.cpu_ops") == 0
+    assert auth.obs.registry.value("lease.server.msgs_sent") == 0
     assert stolen == []
 
 
@@ -96,11 +96,12 @@ def test_suspect_client_is_nacked():
     p = sim.process(client())
     sim.run(until=5.0)
     assert p.processed
-    assert auth.overhead_snapshot()["lease_msgs_sent"] >= 1
+    assert auth.obs.registry.value("lease.server.msgs_sent") >= 1
 
 
 def test_silent_mode_ignores_suspects():
-    sim, net, sep, cep, auth, stolen = make(tau=50.0, nack_suspects=False)
+    sim, net, sep, cep, auth, stolen = make(tau=50.0)
+    auth.nack_suspects = False
     auth.mark_suspect("c1")
 
     def client():
@@ -110,11 +111,12 @@ def test_silent_mode_ignores_suspects():
     p = sim.process(client())
     sim.run(until=5.0)
     assert p.processed
-    assert auth.overhead_snapshot()["lease_msgs_sent"] == 0
+    assert auth.obs.registry.value("lease.server.msgs_sent") == 0
 
 
 def test_ack_while_expiring_ablation_breaks_rule():
-    sim, net, sep, cep, auth, stolen = make(tau=50.0, ack_while_expiring=True)
+    sim, net, sep, cep, auth, stolen = make(tau=50.0)
+    auth.ack_while_expiring = True
     auth.mark_suspect("c1")
     got = []
 

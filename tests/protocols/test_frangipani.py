@@ -20,7 +20,7 @@ def test_server_state_exists_from_first_contact():
 def test_heartbeats_flow_while_idle():
     s = make_system(protocol="frangipani", frangipani_heartbeat=5.0)
     s.run(until=30.0)
-    hb = sum(a.heartbeats_sent for a in s.pool.iter_agents())
+    hb = sum(s.pool.agent_for(n).heartbeats_sent for n in s.pool.live_names())
     assert hb >= 2 * (30 // 5) - 2  # two clients, one heartbeat per 5s each
 
 
@@ -33,7 +33,7 @@ def test_every_message_costs_lease_cpu():
         for _ in range(5):
             yield from c1.getattr("/f")
     run_gen(s, app())
-    assert s.server.authority.overhead_snapshot()["lease_cpu_ops"] >= 6
+    assert s.obs.registry.value("lease.server.cpu_ops") >= 6
 
 
 def test_partition_expires_lease_and_steals():

@@ -1,4 +1,4 @@
-"""The explicit protocol API: registry, SafetyAuthority, ClientAgent."""
+"""The explicit protocol API: registry, SafetyAuthority, client agents."""
 
 import pytest
 
@@ -6,7 +6,11 @@ import repro.protocols as protocols
 from repro.core.config import PROTOCOLS, SystemConfig
 from repro.core.system import build_system
 from repro.protocols import ProtocolSpec, available, get, register
-from repro.protocols.base import ClientAgent, SafetyAuthority
+from repro.protocols.base import SafetyAuthority
+
+#: The authority's overhead families, one child per server node.
+SERVER_FAMILIES = ("lease.server.state_bytes", "lease.server.cpu_ops",
+                   "lease.server.msgs_sent")
 
 
 def test_every_configured_protocol_is_registered():
@@ -38,24 +42,25 @@ def test_every_authority_conforms_to_safety_authority(protocol):
     system = build_system(SystemConfig(n_clients=1, protocol=protocol))
     auth = system.server.authority
     assert isinstance(auth, SafetyAuthority)
-    # The uniform overhead interface every reader consumes.
-    over = auth.overhead_snapshot()
-    for key in ("state_bytes", "lease_cpu_ops", "lease_msgs_sent"):
-        assert isinstance(over[key], float)
+    # The overhead figures every reader takes from the registry.
+    registry = system.obs.registry
+    for family in SERVER_FAMILIES:
+        assert [c.labels for c in registry.get(family).children] == [
+            {"node": "server"}]
     assert isinstance(auth.is_suspect("c1"), bool)
     auth.resolution("c1")  # absent client: None or a detail dict
     assert auth.state_bytes() >= 0
+    assert registry.value("lease.server.state_bytes",
+                          node="server") == auth.state_bytes()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_clients_and_agents_conform_to_client_agent(protocol):
+    """Every client, and every agent beside one, charges its lease
+    maintenance to ``lease.client.msgs_sent`` under the client's name."""
     system = build_system(SystemConfig(n_clients=2, protocol=protocol))
-    for client in system.pool.iter_active():
-        assert isinstance(client, ClientAgent)
-        assert "lease_msgs_sent" in client.overhead_snapshot()
-    for agent in system.pool.iter_agents():
-        assert isinstance(agent, ClientAgent)
-        assert "lease_msgs_sent" in agent.overhead_snapshot()
+    family = system.obs.registry.get("lease.client.msgs_sent")
+    assert sorted(c.labels["node"] for c in family.children) == ["c1", "c2"]
 
 
 def test_agents_exist_only_for_agent_protocols():
@@ -63,7 +68,7 @@ def test_agents_exist_only_for_agent_protocols():
                                     ("frangipani", True),
                                     ("vleases", True)):
         system = build_system(SystemConfig(n_clients=1, protocol=protocol))
-        assert bool(system.pool.agent_items()) == expects_agent
+        assert (system.pool.agent_for("c1") is not None) == expects_agent
 
 
 def test_lazy_package_exports_resolve():
@@ -77,7 +82,8 @@ def test_counter_attribute_shims_removed_after_deprecation_cycle():
     for name in ("lease_cpu_ops", "lease_msgs_sent"):
         with pytest.raises(AttributeError):
             getattr(auth, name)
-        assert auth.overhead_snapshot()[name] == 0
+    for family in SERVER_FAMILIES:
+        assert system.obs.registry.value(family) == 0
 
 
 def test_anyclient_alias_removed_after_deprecation_cycle():
@@ -92,4 +98,4 @@ def test_clients_and_agents_dicts_removed_after_deprecation_cycle():
     assert not hasattr(system, "agents")
     # The pool accessors are the replacement surface.
     assert set(n for n, _ in system.pool.live_items()) == {"c1"}
-    assert system.pool.agent_items() == []
+    assert system.pool.agent_for("c1") is None

@@ -34,7 +34,7 @@ def test_renewals_keep_objects_alive():
     s.run(until=30.0)  # several lease durations
     for fid in fids:
         assert s.server.locks.mode_of("c1", fid).name == "EXCLUSIVE"
-    renewals = sum(a.renewals_sent for a in s.pool.iter_agents())
+    renewals = s.pool.agent_for("c1").renewals_sent
     assert renewals >= 3 * 4  # each object renewed repeatedly
 
 

@@ -190,7 +190,7 @@ def test_passive_server_clean_on_nack_inside_suspect_window():
 
 def test_passive_server_fires_on_lease_charge_without_suspects():
     s = make_system()
-    s.server.authority.overhead_snapshot = lambda: {"lease_msgs_sent": 3.0}
+    s.server.authority._count_lease_msg(3)
     hits = PassiveServerOracle().check_final(s)
     assert len(hits) == 1
     assert "without ever suspecting" in hits[0].message
@@ -198,7 +198,7 @@ def test_passive_server_fires_on_lease_charge_without_suspects():
 
 def test_passive_server_allows_lease_charge_with_suspects():
     s = make_system()
-    s.server.authority.overhead_snapshot = lambda: {"lease_msgs_sent": 3.0}
+    s.server.authority._count_lease_msg(3)
     s.trace.emit(2.0, "lease.suspect", "server", client="c1")
     s.trace.emit(8.0, "lease.steal", "server", client="c1")
     assert PassiveServerOracle().check_final(s) == []

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.harness.parallel import run_ordered
 from repro.simtest.cli import EXIT_CLEAN, EXIT_USAGE, main
-from repro.simtest.parallel import run_batch_parallel
+from repro.simtest.parallel import run_batch_task
 
 
 def _batch_output(capsys, jobs: int) -> str:
@@ -44,7 +45,7 @@ def test_run_batch_parallel_inline_path_preserves_order():
             "shrink_runs": 10, "out": "."}
     tasks = [(i, seed, dict(base, seed=seed)) for i, seed in
              enumerate([11, 22])]
-    outcomes = run_batch_parallel(tasks, jobs=1)
+    outcomes = run_ordered(run_batch_task, tasks, jobs=1)
     assert [o.index for o in outcomes] == [0, 1]
     assert [o.seed for o in outcomes] == [11, 22]
     assert all(o.exit_code == EXIT_CLEAN for o in outcomes)
