@@ -9,9 +9,9 @@ a dynamic, failure-tolerant metadata cluster:
   control network that detects server death, reassigns slots and
   publishes map updates;
 - :mod:`repro.cluster.takeover` — the per-server shard role: ownership
-  gating (``WRONG_OWNER`` NACKs), the τ(1+ε) takeover wait that reuses
-  the lock-stealing timing argument of Theorem 3.1, the reassertion
-  grace window, and the graceful slot handoff used for failback.
+  gating (``WRONG_OWNER`` NACKs), the (τ + map_lease)(1+ε) takeover
+  reassertion window that reuses the lock-stealing timing argument of
+  Theorem 3.1, and the graceful slot handoff used for failback.
 
 See DESIGN.md §cluster for the safety argument.
 """

@@ -154,28 +154,17 @@ class ClusterCoordinator:
             # still push the current map so a restarted server unsuspends.
             yield from self._push(srv)
             return
-        holdings: List[List[Any]] = []
-        clean = True
-        by_owner: Dict[str, List[int]] = {}
-        for s in wanted:
-            by_owner.setdefault(self.map.owner_of_slot(s), []).append(s)
-        for owner, owner_slots in by_owner.items():
-            try:
-                ack = yield from self.endpoint.request(
-                    owner, MsgKind.CLUSTER_RELEASE, {"slots": owner_slots})
-                holdings.extend(ack.payload.get("holdings") or [])
-            except (DeliveryError, NackError):
-                # Interim owner unreachable: its grants may still be
-                # live, so the returning server must take over the hard
-                # way (full wait) instead of adopting.
-                clean = False
+        # An unreachable interim owner's grants may still be live, so
+        # the returning server must then take over the hard way (full
+        # wait) instead of adopting.
+        adopt, clean = yield from self._release(wanted)
         self.map = self.map.reassign(wanted, srv)
         self.failbacks += 1
         self.trace.emit(self.sim.now, "cluster.failback", self.name,
                         server=srv, slots=len(wanted), clean=clean,
                         epoch=self.map.epoch)
         if clean:
-            yield from self._push(srv, adopt={"holdings": holdings})
+            yield from self._push(srv, adopt=adopt)
         else:
             yield from self._push(srv, takeover={"origin": srv,
                                                  "slots": list(wanted)})
@@ -189,7 +178,19 @@ class ClusterCoordinator:
         slots = [s for s in slots if self.map.owner_of_slot(s) != target]
         if not slots:
             return
-        holdings: List[List[Any]] = []
+        adopt, _clean = yield from self._release(slots)
+        self.map = self.map.reassign(slots, target)
+        self.trace.emit(self.sim.now, "cluster.move_slots", self.name,
+                        target=target, slots=len(slots), epoch=self.map.epoch)
+        yield from self._push(target, adopt=adopt)
+        yield from self._broadcast(exclude=(target,))
+
+    def _release(self, slots: Sequence[int],
+                 ) -> Generator[Event, Any, Tuple[Dict[str, List[Any]], bool]]:
+        """Release ``slots`` from their owners: the adopt payload of
+        their live holdings, and whether every owner answered."""
+        adopt: Dict[str, List[Any]] = {"holdings": []}
+        clean = True
         by_owner: Dict[str, List[int]] = {}
         for s in slots:
             by_owner.setdefault(self.map.owner_of_slot(s), []).append(s)
@@ -197,14 +198,13 @@ class ClusterCoordinator:
             try:
                 ack = yield from self.endpoint.request(
                     owner, MsgKind.CLUSTER_RELEASE, {"slots": owner_slots})
-                holdings.extend(ack.payload.get("holdings") or [])
             except (DeliveryError, NackError):
-                pass
-        self.map = self.map.reassign(slots, target)
-        self.trace.emit(self.sim.now, "cluster.move_slots", self.name,
-                        target=target, slots=len(slots), epoch=self.map.epoch)
-        yield from self._push(target, adopt={"holdings": holdings})
-        yield from self._broadcast(exclude=(target,))
+                clean = False
+                continue
+            for key in ("holdings", "ranges"):
+                if ack.payload.get(key):
+                    adopt.setdefault(key, []).extend(ack.payload[key])
+        return adopt, clean
 
     # ------------------------------------------------------------------
     # publication

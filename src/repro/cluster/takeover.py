@@ -21,32 +21,30 @@ most τ·sqrt(1+ε) globally, and this server additionally covers the
 stops serving its slots within ``map_lease`` local seconds of losing
 coordinator contact, so no lease it renews can outlive
 ``(τ + map_lease)`` client-local seconds past the verdict.  Waiting
-``(τ + map_lease)·(1+ε)`` on this server's own clock therefore outlasts
-every displaced lease without reading any remote clock.
+``LeaseContract.takeover_wait_local(map_lease)`` = (τ + map_lease)(1+ε)
+on this server's own clock therefore outlasts every displaced lease
+without reading any remote clock.
 
-After the wait a short **reassertion grace window** opens: displaced
-clients (which were *pushed* the new map at detection time and whose
-reasserts queued here during the wait) reclaim their locks first;
-fresh acquisitions defer to the end of the window.  The window can be
-much shorter than the post-restart recovery grace because discovery is
-push-based — restart recovery must wait out an idle client's next
-keep-alive (0.5τ), takeover only the push propagation delay.
+The takeover opens a reassertion window over the moved slots
+(:mod:`repro.server.recovery`, the kind a restart opens): displaced
+clients, pushed the new map at detection time, reclaim their locks once
+the wait is over; fresh acquisitions wait a short ``takeover_grace``
+longer, short because discovery is pushed, not a keep-alive away.
 
 **Failback** is a *graceful* handoff: the current owner exports its
-live holdings (an ownership transfer, not a release — no history event
-is recorded, so the audit's open-interval reconstruction stays
-conservative), the coordinator forwards them, and the returning server
-imports them as ordinary grants.  No wait is needed: lock state moved
-with the slots, so there is no uncertainty for time to resolve.
+live holdings, whole-file locks and byte ranges alike (an ownership
+transfer, not a release — no history event is recorded, so the audit's
+open-interval reconstruction stays conservative), the coordinator
+forwards them, and the returning server imports them as ordinary
+grants.  No wait is needed: lock state moved with the slots, so there
+is no uncertainty for time to resolve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Generator,
     List,
     Optional,
     Sequence,
@@ -57,8 +55,8 @@ from typing import (
 
 from repro.cluster.shardmap import ShardMap, slot_of_path
 from repro.locks.modes import LockMode
+from repro.locks.ranges import ByteRange
 from repro.net.message import Message, MsgKind
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metadata.store import MetadataStore
@@ -79,20 +77,6 @@ _GRANTING_SUBOPS = frozenset({
 })
 
 
-class SlotOwnershipError(Exception):
-    """Raised inside a deferred grant whose slot moved away mid-wait."""
-
-
-@dataclass
-class TakeoverWindow:
-    """One in-progress takeover: the τ(1+ε)-style wait plus grace."""
-
-    slots: Set[int]
-    origin: str
-    wait_until_local: float
-    grace_until_local: float
-
-
 class ServerShardRole:
     """Cluster-mode behaviour of one metadata server."""
 
@@ -111,12 +95,9 @@ class ServerShardRole:
         self.peer_stores: Dict[str, "MetadataStore"] = {}
         self.order: Tuple[str, ...] = ()
         self.fid_slot: Dict[int, int] = {}
-        self.windows: List[TakeoverWindow] = []
-        self.takeovers = 0
         self.wrong_owner_nacks = 0
         self._suspended = False
         self._last_coord_contact_local = server.local_now()
-        self._takeover_span = None
         obs = server.obs
         obs.registry.gauge(
             "cluster.wrong_owner_nacks",
@@ -305,7 +286,7 @@ class ServerShardRole:
                                  set(int(s) for s in takeover["slots"]))
         adopt = msg.payload.get("adopt")
         if adopt is not None:
-            self._adopt(adopt.get("holdings") or [])
+            self._adopt(adopt)
         self.server.trace.emit(self.server.sim.now, "cluster.map_update",
                                self.server.name, epoch=new_map.epoch,
                                owned=len(self.owned))
@@ -315,97 +296,47 @@ class ServerShardRole:
         """Coordinator-ordered slot release (failback / rebalancing).
 
         Stops serving the slots immediately and exports the live lock
-        holdings on their files so the coordinator can forward them to
-        the next owner — a graceful ownership transfer."""
+        holdings on their files (byte ``ranges`` too, when there are
+        any) for the coordinator to forward to the next owner."""
         slots = set(int(s) for s in msg.payload["slots"])
         self.owned -= slots
-        for win in self.windows:
-            win.slots -= slots
+        for win in self.server.recovery.windows:
+            if win.slots is not None:
+                win.slots -= slots
         fids = [fid for fid, s in self.fid_slot.items() if s in slots]
         holdings = [[obj, client, int(mode)]
                     for obj, client, mode
                     in self.server.locks.export_holdings(fids)]
+        ranges = [[obj, client, rng.start, rng.end, int(mode)]
+                  for obj, client, rng, mode
+                  in self.server.range_locks.export_holdings(fids)]
         self.server.trace.emit(self.server.sim.now, "cluster.release",
                                self.server.name, slots=len(slots),
                                holdings=len(holdings))
-        return ("ack", {"holdings": holdings})
+        reply: Dict[str, Any] = {"holdings": holdings}
+        if ranges:
+            reply["ranges"] = ranges
+        return ("ack", reply)
 
     def _begin_takeover(self, origin: str, slots: Set[int]) -> None:
-        """Acquire a dead server's slots: open the wait + grace window."""
-        wait_local = (self.server.contract.tau + self.map_lease) \
-            * (1.0 + self.server.contract.epsilon)
-        now_l = self._local_now()
-        win = TakeoverWindow(slots=set(slots), origin=origin,
-                             wait_until_local=now_l + wait_local,
-                             grace_until_local=now_l + wait_local + self.grace)
-        self.windows.append(win)
-        self.takeovers += 1
+        """Acquire a dead server's slots: open their reassertion window."""
+        wait_local = self.server.contract.takeover_wait_local(self.map_lease)
         self.server.trace.emit(self.server.sim.now, "cluster.takeover_begin",
                                self.server.name, origin=origin,
                                slots=len(slots), wait_local=wait_local,
                                grace=self.grace)
-        obs = self.server.obs
-        if obs.spans_enabled:
-            span = obs.begin_span(self.server.sim.now, "cluster.takeover",
-                                  self.server.name, origin=origin,
-                                  slots=len(slots))
-            self._takeover_span = span
+        self.server.recovery.open_window(set(slots), wait_local, self.grace,
+                                         "cluster.takeover", origin=origin,
+                                         slots=len(slots))
 
-            def close() -> Generator[Event, Any, None]:
-                yield self.server.endpoint.local_timeout(
-                    wait_local + self.grace)
-                if self._takeover_span is span:
-                    span.end(self.server.sim.now)
-                    self._takeover_span = None
-
-            self.server.sim.process(
-                close(), name=f"{self.server.name}:takeover-span")
-
-    def _adopt(self, holdings: Sequence[Sequence[Any]]) -> None:
+    def _adopt(self, adopt: Dict[str, Any]) -> None:
         """Install holdings handed over gracefully (failback/rebalance)."""
         entries = [(int(obj), str(client), LockMode(int(mode)))
-                   for obj, client, mode in holdings]
+                   for obj, client, mode in adopt.get("holdings") or ()]
         self.server.locks.import_holdings(entries)
+        self.server.range_locks.import_holdings(
+            (int(obj), str(client), ByteRange(int(start), int(end)),
+             LockMode(int(mode)))
+            for obj, client, start, end, mode in adopt.get("ranges") or ())
         self.server.trace.emit(self.server.sim.now, "cluster.adopt",
                                self.server.name, holdings=len(entries))
-
-    # ------------------------------------------------------------------
-    # grant deferral during takeover
-    # ------------------------------------------------------------------
-    def _active_window(self, obj: int) -> Optional[TakeoverWindow]:
-        slot = self.fid_slot.get(obj)
-        now_l = self._local_now()
-        self.windows = [w for w in self.windows
-                        if now_l < w.grace_until_local and w.slots]
-        if slot is None:
-            return None
-        for win in self.windows:
-            if slot in win.slots:
-                return win
-        return None
-
-    def _waiter_until(self, until_local: float,
-                      ) -> Generator[Event, Any, None]:
-        remaining = until_local - self._local_now()
-        yield self.server.endpoint.local_timeout(max(remaining, 0.0))
-
-    def defer_fresh(self, obj: int) -> Optional[Generator[Event, Any, None]]:
-        """Defer a fresh acquisition to the end of the grace window."""
-        win = self._active_window(obj)
-        if win is None:
-            return None
-        return self._waiter_until(win.grace_until_local)
-
-    def defer_reassert(self, obj: int) -> Optional[Generator[Event, Any, None]]:
-        """Defer a displaced client's reassert to the end of the wait.
-
-        Granting earlier would be unsafe: the reasserter's *new* claim
-        could coexist with a different displaced client's still-valid
-        lease on a conflicting mode.  The request parks as a deferred
-        transaction (pending ticket), and the client's periodic re-polls
-        keep its new lease with this server renewed through the wait.
-        """
-        win = self._active_window(obj)
-        if win is None or self._local_now() >= win.wait_until_local:
-            return None
-        return self._waiter_until(win.wait_until_local)

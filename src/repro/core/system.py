@@ -187,15 +187,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
 
     fence = (spec.fence_on_steal if spec.fence_on_steal is not None
              else cfg.fence_on_steal)
-    # Recovery grace must out-wait every pre-crash *lease*, not just an
-    # idle client's next keep-alive: a client partitioned across the
-    # whole window still holds a valid lease (and its pre-crash locks)
-    # for up to tau(1+eps) after its last renewal, which is at latest
-    # the crash.  Granting fresh locks any earlier than that after the
-    # restart hands out objects an unreachable client legitimately
-    # still covers — the same bound the suspect timer waits (§3, §6).
-    server_cfg = ServerConfig(fence_on_steal=fence,
-                              recovery_grace=contract.server_wait_local())
+    server_cfg = ServerConfig(fence_on_steal=fence)
     server_names = cfg.server_names()
     servers: Dict[str, StorageTankServer] = {}
     for i, sname in enumerate(server_names):

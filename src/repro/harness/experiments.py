@@ -761,7 +761,7 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
     # old owner's map-lease silencing margin, clock-rate inflated) +
     # the reassertion grace window.
     skew = math.sqrt(1.0 + lease.epsilon)
-    bound = ((lease.tau + cluster.map_lease) * (1.0 + lease.epsilon) * skew
+    bound = (lease.contract().takeover_wait_local(cluster.map_lease) * skew
              + cluster.takeover_grace)
     meta_t = log.get("meta_resume_t")
     grant_t = log.get("contender_grant_t")

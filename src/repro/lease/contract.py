@@ -71,6 +71,11 @@ class LeaseContract:
         """τ(1+ε): the suspect timer length on the server's clock (§3)."""
         return self.tau * (1.0 + self.epsilon)
 
+    def takeover_wait_local(self, map_lease: float) -> float:
+        """(τ + map_lease)(1+ε): a takeover server's wait before any
+        grant on the moved slots (:mod:`repro.cluster.takeover`)."""
+        return (self.tau + map_lease) * (1.0 + self.epsilon)
+
     # -- derived -------------------------------------------------------------
     def keepalive_interval_local(self) -> float:
         """Default phase-2 keep-alive spacing: several tries fit in phase 2."""

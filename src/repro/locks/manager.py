@@ -81,6 +81,9 @@ class LockManager:
         self._holders: Dict[int, Dict[str, LockMode]] = {}
         self._waiters: Dict[int, List[_Waiter]] = {}
         self.history: List[LockGrant] = []
+        # (client, obj) -> {op: time of its latest history record}, so
+        # run-time readers never scan; survives ``clear_volatile`` too.
+        self.latest: Dict[Tuple[str, int], Dict[str, float]] = {}
         self.grants = 0
         self.steals = 0
         # Observers (the V-lease authority tracks per-object leases here).
@@ -176,7 +179,7 @@ class LockManager:
         mode = holders.pop(client, None)
         if mode is None:
             return False
-        self.history.append(LockGrant(self._now(), "release", obj, client, mode))
+        self._record(self._now(), "release", obj, client, mode)
         if not holders:
             self._holders.pop(obj, None)
         for fn in self.release_listeners:
@@ -191,7 +194,7 @@ class LockManager:
         if held is None or to >= held or to == LockMode.NONE:
             return False
         holders[client] = to
-        self.history.append(LockGrant(self._now(), "downgrade", obj, client, to))
+        self._record(self._now(), "downgrade", obj, client, to)
         self._pump(obj)
         return True
 
@@ -208,7 +211,7 @@ class LockManager:
             holders.pop(client, None)
             if not holders:
                 self._holders.pop(obj, None)
-            self.history.append(LockGrant(now, "steal", obj, client, mode))
+            self._record(now, "steal", obj, client, mode)
             self.steals += 1
             for fn in self.release_listeners:
                 fn(client, obj)
@@ -275,7 +278,7 @@ class LockManager:
             return False
         if not holders:
             self._holders.pop(obj, None)
-        self.history.append(LockGrant(self._now(), "steal", obj, client, mode))
+        self._record(self._now(), "steal", obj, client, mode)
         self.steals += 1
         for fn in self.release_listeners:
             fn(client, obj)
@@ -283,9 +286,14 @@ class LockManager:
         return True
 
     # -- internals -----------------------------------------------------------
+    def _record(self, time: float, op: str, obj: int, client: str,
+                mode: LockMode) -> None:
+        self.history.append(LockGrant(time, op, obj, client, mode))
+        self.latest.setdefault((client, obj), {})[op] = time
+
     def _grant(self, client: str, obj: int, mode: LockMode) -> None:
         self._holders.setdefault(obj, {})[client] = mode
-        self.history.append(LockGrant(self._now(), "grant", obj, client, mode))
+        self._record(self._now(), "grant", obj, client, mode)
         self.grants += 1
         for fn in self.grant_listeners:
             fn(client, obj, mode)

@@ -17,7 +17,7 @@ overlapping intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.locks.modes import LockMode, compatible, satisfies
 
@@ -231,6 +231,25 @@ class RangeLockManager:
         for obj in {o for o, _ in stolen}:
             self._pump(obj)
         return stolen
+
+    def export_holdings(self, objs: Iterable[int],
+                        ) -> List[Tuple[int, str, ByteRange, LockMode]]:
+        """Hand the live grants on ``objs`` to another manager, as
+        ``LockManager.export_holdings`` does (no history record)."""
+        exported: List[Tuple[int, str, ByteRange, LockMode]] = []
+        for obj in objs:
+            for g in self._grants.pop(obj, ()):
+                exported.append((obj, g.client, g.rng, g.mode))
+            self._waiters.pop(obj, None)
+        return exported
+
+    def import_holdings(
+            self, entries: Iterable[Tuple[int, str, ByteRange, LockMode]],
+            ) -> None:
+        """Install exported grants, each recorded as a grant now."""
+        for obj, client, rng, mode in entries:
+            if not satisfies(self.mode_over(client, obj, rng), mode):
+                self._grant(client, obj, rng, mode)
 
     # -- internals ------------------------------------------------------------
     def _grant(self, client: str, obj: int, rng: ByteRange,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple)
 
-from repro.cluster.takeover import SlotOwnershipError
 from repro.locks.manager import LockManager
 from repro.locks.modes import LockMode, compatible
 from repro.locks.ranges import ByteRange, RangeLockManager
@@ -135,21 +134,9 @@ class LockService:
                    ) -> Generator[Event, Any, LockMode]:
         """Win a whole-file lock, demanding it from conflicting holders."""
         server = self.server
-        waiter = server.recovery.defer_if_recovering()
-        if waiter is not None:
-            # Post-restart grace: reassertions claim their objects first.
-            yield server.sim.process(waiter)
-        if server.cluster is not None:
-            cw = server.cluster.defer_fresh(obj)
-            if cw is not None:
-                # Takeover in progress on this object's slot: fresh
-                # acquisitions wait out the displaced-lease horizon and
-                # the reassertion grace window.
-                yield server.sim.process(cw)
-            if not server.cluster.owns_obj(obj):
-                # The slot moved away while we were parked (failback
-                # racing a deferred grant): refuse, client re-routes.
-                raise SlotOwnershipError("wrong_owner")
+        # Reassertions claim their objects first (post-restart and
+        # takeover windows); a slot that moved meanwhile is refused.
+        yield from server.recovery.admit(obj)
         granted, conflicts = self.locks.try_acquire(client, obj, mode)
         if granted:
             return mode
@@ -176,12 +163,7 @@ class LockService:
         """Win a byte-range lock (queues behind conflicting holders; a
         dead holder's ranges free when its lease is stolen)."""
         server = self.server
-        if server.cluster is not None:
-            cw = server.cluster.defer_fresh(file_id)
-            if cw is not None:
-                yield server.sim.process(cw)
-            if not server.cluster.owns_obj(file_id):
-                raise SlotOwnershipError("wrong_owner")
+        yield from server.recovery.admit(file_id)
         granted, conflicts = self.range_locks.try_acquire(
             client, file_id, rng, mode)
         if not granted:
@@ -203,11 +185,8 @@ class LockService:
         holder (its record moves: release, re-grant, downgrade) from a
         wedged or protocol-violating one (record frozen across rounds).
         """
-        latest = -1.0
-        for rec in self.locks.history:
-            if rec.client == holder and rec.obj == obj:
-                latest = rec.time
-        return latest
+        return max(self.locks.latest.get((holder, obj), {}).values(),
+                   default=-1.0)
 
     def _press(self, holder: str, obj: int,
                needed: Optional[LockMode]) -> None:

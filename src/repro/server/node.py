@@ -10,8 +10,8 @@ network endpoint:
   carries its operation, the client↔server lock path;
 - :class:`repro.server.barrier.CacheBarrier` — invalidate-before-apply
   for the in-network cache tier;
-- :class:`repro.server.recovery.RecoveryManager` — epochs and lock
-  reassertion after a restart (§6).
+- :class:`repro.server.recovery.RecoveryManager` — epochs, lock
+  reassertion and the reassertion windows every grant waits on (§6).
 
 This module keeps what every transaction passes through — the
 ``_register`` gate and census, the reply stamp — and the namespace and
@@ -74,11 +74,6 @@ class ServerConfig:
     # it on for adversarial schedules, where a Byzantine holder makes
     # the starvation unbounded.
     demand_chain: bool = False
-    # Local secs reassertions win over fresh locks after a restart.
-    # build_system derives this from the lease contract (tau(1+eps)) so
-    # the window out-waits every pre-crash lease; the bare default here
-    # is only for directly-constructed servers in unit tests.
-    recovery_grace: float = 5.0
 
 
 class StorageTankServer:
@@ -138,7 +133,7 @@ class StorageTankServer:
 
         self.intents = IntentExecutor(self)
         self.closes_by_file = self.intents.closes_by_file
-        self.recovery = RecoveryManager(self, grace=self.config.recovery_grace)
+        self.recovery = RecoveryManager(self)
         self.endpoint.reply_stamp = self._stamp
         # In-network metadata cache tier (repro.netcache).  No node is
         # enrolled by default: the barrier then adds zero waits to the

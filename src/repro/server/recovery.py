@@ -1,4 +1,4 @@
-"""Server failure and recovery (paper §6).
+"""Server failure and recovery (paper §6), and the reassertion window.
 
 "Distributed file servers, like Storage Tank, that maintain lock and
 client state must recover that state after a server failure. ...
@@ -8,51 +8,66 @@ supported replication."
 Metadata lives on the server's (replicated) private store and survives;
 the *lock table* is volatile and is rebuilt by **client-driven lock
 reassertion**: after a restart the server advertises a new *epoch* on
-every acknowledgment, clients notice the epoch change and re-claim the
-locks they hold, and for a grace window the server admits reassertions
-while deferring fresh acquisitions so reclaimed locks cannot be handed
-to someone else first.
+every acknowledgment, and clients re-claim the locks they hold.
+
+Reclaimed locks outrank fresh ones inside a :class:`ReassertWindow`.
+Two events open one, with durations from
+:class:`~repro.lease.contract.LeaseContract` alone:
+
+- a **restart** covers every object: reasserts do not wait, fresh
+  grants wait ``server_wait_local()`` = τ(1+ε), past every lease granted
+  before the crash (a partitioned client keeps one that long);
+- a **takeover** (:mod:`repro.cluster.takeover`) covers the moved
+  slots: reasserts wait ``takeover_wait_local(map_lease)`` =
+  (τ + map_lease)(1+ε), fresh grants ``takeover_grace`` longer.
+
+Every grant path (whole-file, byte-range, reassert) waits through
+:meth:`RecoveryManager.admit`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, TYPE_CHECKING
+from typing import Any, Generator, List, Optional, Set, TYPE_CHECKING
 
 from repro.locks.modes import LockMode
+from repro.net.control import HandlerResult
 from repro.net.message import Message, MsgKind
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.spans import Span
     from repro.server.node import StorageTankServer
 
-#: Message kind for re-claiming a lock after a server restart.
-#: (Back-compat alias: the kind now lives in the MsgKind vocabulary.)
-LOCK_REASSERT = MsgKind.LOCK_REASSERT
+
+class SlotOwnershipError(Exception):
+    """Raised inside a deferred grant whose slot moved away mid-wait."""
+
+
+@dataclass
+class ReassertWindow:
+    """A scope (``slots``; None: every object) and the local instants
+    before which a reassert, and a fresh grant, on it waits."""
+
+    slots: Optional[Set[int]]
+    reassert_from: float
+    fresh_from: float
 
 
 # repro-lint: handles[recovery]
 class RecoveryManager:
-    """Epoch tracking + the post-restart grace window for one server."""
+    """Epoch tracking, reassertion windows and reasserts of one server."""
 
-    def __init__(self, server: "StorageTankServer", grace: float = 5.0):
+    def __init__(self, server: "StorageTankServer") -> None:
         self.server = server
-        self.grace = grace
         self.epoch = 1
-        self._recovering_until_local: Optional[float] = None
+        # Open windows, waited in list order: a restart's first.
+        self.windows: List[ReassertWindow] = []
         self.reasserted = 0
         self.reassert_conflicts = 0
         self.restarts = 0
-        self._outage_span = None
-        self._recovery_span = None
+        self._outage_span: Optional["Span"] = None
         server.endpoint.register(MsgKind.LOCK_REASSERT, self._h_reassert)
-
-    # -- state ------------------------------------------------------------
-    @property
-    def in_recovery(self) -> bool:
-        """Whether the grace window is currently open."""
-        return (self._recovering_until_local is not None
-                and self.server.local_now() < self._recovering_until_local)
 
     # -- crash / restart -----------------------------------------------------
     def crash(self) -> None:
@@ -66,76 +81,102 @@ class RecoveryManager:
         self.server.locks.clear_volatile(now=self.server.sim.now)
         self.server.trace.emit(self.server.sim.now, "server.crash",
                                self.server.name)
-        obs = getattr(self.server, "obs", None)
-        if obs is not None and self._outage_span is None:
-            self._outage_span = obs.begin_span(
+        if self._outage_span is None:
+            self._outage_span = self.server.obs.begin_span(
                 self.server.sim.now, "server.outage", self.server.name)
 
     def restart(self) -> None:
-        """Bring the server back with a new epoch and open the grace
-        window for lock reassertion."""
+        """Bring the server back with a new epoch and a window over every
+        object for lock reassertion."""
         self.restarts += 1
         self.epoch += 1
-        self._recovering_until_local = self.server.local_now() + self.grace
         self.server.endpoint.restart()
         self.server.trace.emit(self.server.sim.now, "server.restart",
                                self.server.name, epoch=self.epoch)
-        now = self.server.sim.now
         if self._outage_span is not None:
-            self._outage_span.end(now, epoch=self.epoch)
+            self._outage_span.end(self.server.sim.now, epoch=self.epoch)
             self._outage_span = None
-        obs = getattr(self.server, "obs", None)
-        if obs is not None and obs.spans_enabled:
-            if self._recovery_span is not None:
-                self._recovery_span.end(now, interrupted=True)
-            span = obs.begin_span(now, "server.recovery_grace",
-                                  self.server.name, epoch=self.epoch)
-            self._recovery_span = span
+        self.open_window(None, 0.0, self.server.contract.server_wait_local(),
+                         "server.recovery_grace", epoch=self.epoch)
 
-            def close_grace() -> Generator[Event, Any, None]:
-                yield self.server.endpoint.local_timeout(self.grace)
-                if self._recovery_span is span:
-                    span.end(self.server.sim.now,
-                             reasserted=self.reasserted,
-                             conflicts=self.reassert_conflicts)
-                    self._recovery_span = None
+    # -- the reassertion window --------------------------------------------
+    def open_window(self, scope: Optional[Set[int]], reassert_wait: float,
+                    grace: float, span_kind: str, **attrs: Any) -> None:
+        """Reasserts on ``scope`` wait ``reassert_wait`` local seconds
+        from now, fresh grants ``grace`` more; a ``span_kind`` span
+        covers the window.  A restart's window replaces the last one."""
+        server = self.server
+        reassert_from = server.local_now() + reassert_wait
+        win = ReassertWindow(scope, reassert_from, reassert_from + grace)
+        if scope is None:
+            self.windows = [win] + [w for w in self.windows if w.slots]
+        else:
+            self.windows.append(win)
+        span = server.obs.begin_span(server.sim.now, span_kind, server.name,
+                                     **attrs)
+        if span is not None:
+            def close() -> Generator[Event, Any, None]:
+                yield server.endpoint.local_timeout(reassert_wait + grace)
+                span.end(server.sim.now, reasserted=self.reasserted,
+                         conflicts=self.reassert_conflicts)
+            server.sim.process(close(), name=f"{server.name}:window-span")
 
-            self.server.sim.process(
-                close_grace(), name=f"{self.server.name}:obs-grace")
+    def admit(self, obj: int, reassert: bool = False,
+              ) -> Generator[Event, Any, None]:
+        """Wait out the windows covering ``obj`` when the grant arrives,
+        in list order and one process each, then raise
+        :class:`SlotOwnershipError` if its slot moved away meanwhile.
+
+        A window opened later holds back only later grants: a takeover's
+        slots were not this server's when the grant passed the ownership
+        gate, and a second restart leaves a grant already waiting on the
+        first restart's window alone."""
+        server = self.server
+        for win in self._covering(obj) if self.windows else ():
+            until = win.reassert_from if reassert else win.fresh_from
+            wait_local = until - server.local_now()
+            if wait_local > 0:
+                yield server.sim.process(self._sleep(wait_local))
+        cluster = server.cluster
+        if cluster is not None and not cluster.owns_obj(obj):
+            raise SlotOwnershipError("wrong_owner")
+
+    def _covering(self, obj: int) -> List[ReassertWindow]:
+        """The open windows covering ``obj`` (closed ones are dropped)."""
+        now_l = self.server.local_now()
+        self.windows = [w for w in self.windows if now_l < w.fresh_from
+                        and (w.slots is None or w.slots)]
+        cluster = self.server.cluster
+        slot = cluster.fid_slot.get(obj) if cluster is not None else None
+        return [w for w in self.windows
+                if w.slots is None or slot in w.slots]
+
+    def _sleep(self, wait_local: float) -> Generator[Event, Any, None]:
+        yield self.server.endpoint.local_timeout(wait_local)
 
     # -- reassertion -------------------------------------------------------
-    def _h_reassert(self, msg: Message):
+    def _h_reassert(self, msg: Message,
+                    ) -> Generator[Event, Any, HandlerResult]:
         """Grant a client's re-claim of a lock it already held.
 
         First-come wins: if two clients reassert conflicting locks (a
         steal raced the crash), the second is refused and must
-        invalidate its cache for that object.
-
-        Under a cluster, reasserts also arrive at a *takeover* server
-        from clients the dead owner displaced.  They are admitted only
-        for slots this server owns, and during a takeover they park (as
-        deferred transactions) until the displaced-lease wait elapses —
-        granting earlier could overlap another displaced client's
-        still-valid lease.
+        invalidate its cache for that object.  Under a cluster a
+        displaced client's reassert at the takeover server parks until
+        the window's reassert instant: earlier, it could overlap another
+        displaced client's still-valid lease.
         """
         obj = int(msg.payload["file_id"])
         mode = LockMode(int(msg.payload["mode"]))
         cluster = self.server.cluster
-        if cluster is not None:
-            if not cluster.owns_obj(obj):
-                # Routing refusal, not a lease NACK: the client refetches
-                # the shard map and retries at the current owner.
-                return ("nack", {"error": "wrong_owner",
-                                 "map_epoch": cluster.map.epoch})
-            waiter = cluster.defer_reassert(obj)
-            if waiter is not None:
-                def run() -> Generator[Event, Any, Any]:
-                    yield self.server.sim.process(waiter)
-                    if not cluster.owns_obj(obj):
-                        return ("nack", {"error": "wrong_owner",
-                                         "map_epoch": cluster.map.epoch})
-                    return self._do_reassert(msg, obj, mode)
-                return run()
+        try:
+            yield from self.admit(obj, reassert=True)
+        except SlotOwnershipError:
+            # Routing refusal, not a lease NACK: the client refetches
+            # the shard map and retries at the current owner.
+            assert cluster is not None
+            return ("nack", {"error": "wrong_owner",
+                             "map_epoch": cluster.map.epoch})
         return self._do_reassert(msg, obj, mode)
 
     def _reassert_allowed(self, client: str, obj: int) -> bool:
@@ -155,20 +196,16 @@ class RecoveryManager:
         """
         if client in self.server.fenced_clients:
             return False
-        last_grant = last_steal = None
-        for rec in self.server.locks.history:
-            if rec.obj != obj or rec.client != client:
-                continue
-            if rec.op == "grant":
-                last_grant = rec.time
-            elif rec.op == "steal":
-                last_steal = rec.time
+        latest = self.server.locks.latest.get((client, obj), {})
+        last_steal = latest.get("steal")
+        last_grant = latest.get("grant")
         if last_steal is not None and (last_grant is None
                                        or last_steal >= last_grant):
             return False
         return True
 
-    def _do_reassert(self, msg: Message, obj: int, mode: LockMode):
+    def _do_reassert(self, msg: Message, obj: int, mode: LockMode,
+                     ) -> HandlerResult:
         if not self._reassert_allowed(msg.src, obj):
             self.server.rejected_reasserts += 1
             self.server.trace.emit(self.server.sim.now, "server.reject",
@@ -185,18 +222,3 @@ class RecoveryManager:
         self.reassert_conflicts += 1
         return ("nack", {"error": "reassert_conflict",
                          "holders": [h for h, _m in conflicts]})
-
-    def defer_if_recovering(self) -> Optional[Generator[Event, Any, None]]:
-        """A generator that waits out the grace window (None if closed).
-
-        Fresh lock acquisitions yield on this before proceeding, so
-        reassertions get the first claim on every object.
-        """
-        if not self.in_recovery:
-            return None
-        assert self._recovering_until_local is not None
-        wait_local = self._recovering_until_local - self.server.local_now()
-
-        def waiter() -> Generator[Event, Any, None]:
-            yield self.server.endpoint.local_timeout(max(wait_local, 0.0))
-        return waiter()

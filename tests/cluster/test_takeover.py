@@ -16,7 +16,7 @@ from repro.core.config import ScaleConfig
 from repro.harness.common import APP_ERRORS, ScenarioLog
 from repro.locks import LockMode
 from repro.storage import BLOCK_SIZE
-from tests.conftest import make_system
+from tests.conftest import make_system, run_gen
 
 TAU, EPS = 30.0, 0.05  # LeaseConfig defaults
 
@@ -30,6 +30,20 @@ def cluster_system(n_servers=2, lazy_clients=False, **overrides):
                               ping_timeout=0.25, ping_retries=2,
                               map_lease=1.0, takeover_grace=2.0),
         **overrides)
+
+
+def takeover_window(system, server):
+    """The (reassert, fresh) local deadlines of the takeover window the
+    server opened, read off its ``cluster.takeover_begin`` record."""
+    [rec] = system.trace.select(kind="cluster.takeover_begin", node=server)
+    start = system.server_node(server).endpoint.clock.local_time(rec.time)
+    reassert_from = start + rec.detail["wait_local"]
+    return reassert_from, reassert_from + rec.detail["grace"]
+
+
+def local_at(system, server, t):
+    """The server's clock reading at global time ``t``."""
+    return system.server_node(server).endpoint.clock.local_time(t)
 
 
 def path_owned_by(system, server):
@@ -86,6 +100,9 @@ def test_takeover_moves_shard_and_delays_fresh_grants(lazy_clients=False):
     grants = [g for g in s.server_node("server1").locks.history
               if g.obj == fid and g.client == "c2" and g.op == "grant"]
     assert grants and grants[0].time >= horizon
+    # ... and the takeover window's grace end on the new owner's clock.
+    _reassert_from, fresh_from = takeover_window(s, "server1")
+    assert local_at(s, "server1", grants[0].time) >= fresh_from - 1e-9
     assert ConsistencyAuditor(s).audit().safe
 
 
@@ -119,6 +136,45 @@ def test_displaced_holder_reasserts_at_new_owner(lazy_clients=False):
     assert c1.locks.mode_of(fid) != LockMode.NONE
     assert c1.cache.peek(fid, 0) is not None
     assert s.server_node("server1").locks.mode_of("c1", fid) != LockMode.NONE
+    # The reassert parked until the takeover wait ended, and outranked
+    # fresh grants, which wait the grace longer.
+    reassert_from, fresh_from = takeover_window(s, "server1")
+    [granted] = [r for r in s.trace.select(kind="server.reassert",
+                                           node="server1")
+                 if r.detail.get("obj") == fid]
+    assert (reassert_from - 1e-9 <= local_at(s, "server1", granted.time)
+            < fresh_from)
+    assert ConsistencyAuditor(s).audit().safe
+
+
+def test_takeover_defers_fresh_range_grants_to_the_grace_end():
+    """A byte-range grant on a taken-over slot waits out the takeover
+    window's grace end, as a whole-file grant does."""
+    s = cluster_system()
+    path = path_owned_by(s, "server2")
+    c1 = s.client("c1")
+
+    def setup():
+        yield from c1.create(path, size=BLOCK_SIZE)
+        return (yield from c1.open_file(path, "r"))
+    fd = run_gen(s, setup())
+    s.run(until=10.0)
+    s.server_node("server2").crash()
+    s.run(until=13.0)                   # the new map has been pushed
+
+    def ranged():
+        while True:
+            try:
+                return (yield from c1.write_range_locked(fd, 0, BLOCK_SIZE))
+            except APP_ERRORS:
+                yield s.sim.timeout(1.0)
+    run_gen(s, ranged())
+
+    [grant_t] = [t for t, op, *_rest
+                 in s.server_node("server1").range_locks.history
+                 if op == "grant"]
+    _reassert_from, fresh_from = takeover_window(s, "server1")
+    assert local_at(s, "server1", grant_t) >= fresh_from - 1e-9
     assert ConsistencyAuditor(s).audit().safe
 
 

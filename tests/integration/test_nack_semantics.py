@@ -64,7 +64,7 @@ def test_gatekeeper_nack_does_invalidate_the_lease():
 def test_reassert_conflict_costs_one_object_not_the_lease():
     """A refused reassertion forfeits that object only; the client keeps
     serving everything else without a quiesce."""
-    from repro.server.recovery import LOCK_REASSERT
+    from repro.net import MsgKind
     from repro.locks import LockMode
     s = make_system(n_clients=2, writeback_interval=1000.0)
     c1, c2 = s.client("c1"), s.client("c2")
@@ -88,7 +88,7 @@ def test_reassert_conflict_costs_one_object_not_the_lease():
     # c2 steals the race for /a before c1's reassertion.
     def impostor():
         yield from c2.endpoint.request(
-            "server", LOCK_REASSERT,
+            "server", MsgKind.LOCK_REASSERT,
             {"file_id": out["fa"], "mode": int(LockMode.EXCLUSIVE)})
     run_gen(s, impostor())
     s.run(until=s.sim.now + 30.0)  # c1 notices the epoch and reasserts

@@ -37,7 +37,9 @@ def test_epoch_bumps_on_restart():
     s.server.crash()
     s.server.restart()
     assert s.server.recovery.epoch == e0 + 1
-    assert s.server.recovery.in_recovery
+    [window] = s.server.recovery.windows     # over every object
+    assert window.slots is None
+    assert window.fresh_from > s.server.local_now()
 
 
 def test_client_reasserts_after_restart():
@@ -90,7 +92,7 @@ def test_fresh_acquisitions_deferred_during_grace():
         result["granted_at"] = s.sim.now
     s.spawn(newcomer())
     s.run(until=s.sim.now + 60.0)
-    grace = s.server.config.recovery_grace
+    grace = s.server.contract.server_wait_local()
     assert result["granted_at"] >= restart_at + grace * 0.9
     # c2's read open demanded a downgrade from the reasserted holder;
     # c1 therefore still holds at least SHARED.
@@ -106,11 +108,11 @@ def test_conflicting_reassertion_refused():
     s.server.restart()
     # An impostor claims the object first (simulating a pre-crash steal
     # whose outcome c1 never learned).
-    from repro.server.recovery import LOCK_REASSERT
+    from repro.net import MsgKind
 
     def impostor():
         yield from s.client("c2").endpoint.request(
-            "server", LOCK_REASSERT,
+            "server", MsgKind.LOCK_REASSERT,
             {"file_id": out["fid"], "mode": int(LockMode.EXCLUSIVE)})
     run_gen(s, impostor())
     s.run(until=s.sim.now + 30.0)
@@ -205,3 +207,26 @@ def test_request_parked_when_its_server_crashes_completes_after_restart():
     assert proc.exception is None and "fd" in result
     assert result["at"] > crashed_at + 10.0
     assert c2.ops_rejected == 0
+
+
+def test_byte_range_grant_waits_out_the_restart_window():
+    """A byte-range acquire issued inside the post-restart window is
+    granted no earlier than the window's fresh deadline, as a whole-file
+    grant is: reassertions claim their objects first on every grant
+    path."""
+    s = make_system(n_clients=1, writeback_interval=1000.0)
+    c1 = s.client("c1")
+
+    def setup():
+        yield from c1.create("/f", size=BLOCK_SIZE)
+        return (yield from c1.open_file("/f", "r"))
+    fd = run_gen(s, setup())
+    s.server.crash()
+    s.run(until=s.sim.now + 1.0)
+    s.server.restart()
+    deadline = s.server.local_now() + s.server.contract.server_wait_local()
+    run_gen(s, c1.write_range_locked(fd, 0, BLOCK_SIZE))
+    [grant_t] = [t for t, op, *_rest in s.server.range_locks.history
+                 if op == "grant"]
+    clock = s.server.endpoint.clock
+    assert clock.local_time(grant_t) >= deadline - 1e-9
