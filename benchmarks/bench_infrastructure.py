@@ -6,6 +6,8 @@ so regressions here silently slow every E/A run.  The guides' rule:
 no optimization without measurement — this is the measurement.
 """
 
+import gc
+
 import numpy as np
 
 from repro.client import Page, PageCache
@@ -143,6 +145,44 @@ def _spin_trace_emits(n: int) -> int:
 def test_trace_recorder_throughput(benchmark):
     """Stored-record emission rate (the per-message tracing cost)."""
     assert benchmark(_spin_trace_emits, 50_000) == 50_000
+
+
+def _resident_trace(n: int) -> TraceRecorder:
+    """A recorder already holding ``n`` stored records, collected into
+    the oldest generation as a long recording's are."""
+    trace = TraceRecorder(enabled=True)
+    emit = trace.emit
+    for i in range(n):
+        emit(i * 0.001, "msg.send", "n1",
+             msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+    gc.collect()
+    return trace
+
+
+def _spin_trace_resident(trace: TraceRecorder, n: int) -> int:
+    """``n`` more emits onto ``trace`` with the cyclic GC on, so every
+    full collection the emits trigger walks what the recorder holds."""
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        emit = trace.emit
+        base = len(trace)
+        for i in range(base, base + n):
+            emit(i * 0.001, "msg.send", "n1",
+                 msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+    finally:
+        if not was_enabled:
+            gc.disable()
+    return len(trace) - base
+
+
+def test_trace_recorder_resident_throughput(benchmark):
+    """Emission rate onto a long recording (400k records) with GC on:
+    the per-record cost a full collection adds to every stored record."""
+    assert benchmark.pedantic(
+        _spin_trace_resident, setup=lambda: ((_resident_trace(400_000),
+                                              200_000), {}),
+        rounds=3) == 200_000
 
 
 def _spin_trace_counting_only(n: int) -> int:

@@ -27,7 +27,7 @@ import gc
 import json
 import sys
 import time
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
@@ -35,9 +35,9 @@ from bench_infrastructure import (  # noqa: E402
     _generator_handler, _parked_handler, _parked_long_handler,
     _spin_batched_range_acquire, _spin_fuzz_step, _spin_intent_open,
     _spin_intent_open_long, _spin_metrics, _spin_netcache_lookup,
-    _spin_page_cache_hit, _spin_pooled_seed_sweep, _spin_processes,
-    _spin_rpcs, _spin_scale_registration, _spin_timeouts,
-    _spin_trace_counting_only, _spin_trace_emits)
+    _resident_trace, _spin_page_cache_hit, _spin_pooled_seed_sweep,
+    _spin_processes, _spin_rpcs, _spin_scale_registration, _spin_timeouts,
+    _spin_trace_counting_only, _spin_trace_emits, _spin_trace_resident)
 from lint_smoke import _spin_lint_cold  # noqa: E402
 
 SCHEMA = "repro.bench-perf/1.0"
@@ -72,10 +72,23 @@ PRE_PR_OPS_PER_SEC = {
     "intent_open": 1_000 / 0.1628,
     "intent_open_long": 500 / 0.1223,
     "batched_range_acquire": 250 / 0.0888,
+    # Before columnar trace storage, emit built one frozen-dataclass
+    # TraceRecord per stored record, which the cyclic GC then re-walked
+    # on every full collection: median of three alternating runs,
+    # 200.8 ms / 50k fresh emits (GC off), 749.4 ms / 200k emits onto
+    # 400k resident records (GC on).
+    "trace_recorder": 50_000 / 0.2008,
+    "trace_recorder_resident": 200_000 / 0.7494,
+}
+
+#: Rows whose callable takes state built outside the timed window:
+#: name -> untimed setup, called afresh before every timed call.
+SETUPS: Dict[str, Callable[[], Any]] = {
+    "trace_recorder_resident": lambda: _resident_trace(400_000),
 }
 
 #: (callable, units-per-call) — ops/sec = units / best wall time.
-BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
+BENCHES: Dict[str, Tuple[Callable[..., object], int]] = {
     "kernel_events": (lambda: _spin_timeouts(20_000), 20_000),
     "kernel_concurrent_processes": (lambda: _spin_processes(200, 100), 20_000),
     "endpoint_rpc": (lambda: _spin_rpcs(2_000), 2_000),
@@ -86,6 +99,8 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
     "endpoint_rpc_parked_long": (
         lambda: _spin_rpcs(2_000, _parked_long_handler), 2_000),
     "trace_recorder": (lambda: _spin_trace_emits(50_000), 50_000),
+    "trace_recorder_resident": (
+        lambda trace: _spin_trace_resident(trace, 200_000), 200_000),
     "trace_counting_only": (lambda: _spin_trace_counting_only(50_000), 50_000),
     "metrics_registry": (lambda: _spin_metrics(50_000), 50_000),
     "fuzz_step": (_spin_fuzz_step, 1),
@@ -104,18 +119,28 @@ BENCHES: Dict[str, Tuple[Callable[[], object], int]] = {
 }
 
 
-def _best_time(fn: Callable[[], object], reps: int) -> float:
-    """Minimum wall time over ``reps`` runs (noise-resistant)."""
+def _best_time(fn: Callable[..., object], reps: int,
+               setup: Optional[Callable[[], Any]] = None) -> float:
+    """Minimum wall time over ``reps`` runs (noise-resistant).
+
+    With ``setup``, each run (the warm-up too) times ``fn(setup())``
+    and leaves the ``setup()`` call out of the window.
+    """
+    def args() -> Tuple[Any, ...]:
+        return () if setup is None else (setup(),)
+
     timer = time.perf_counter
     best = float("inf")
-    fn()  # warm-up: primes allocator arenas and caches
+    fn(*args())  # warm-up: primes allocator arenas and caches
     was_enabled = gc.isenabled()
     gc.disable()  # keep collection pauses out of the timed window
     try:
         for _ in range(reps):
+            fn_args = args()
             t0 = timer()
-            fn()
+            fn(*fn_args)
             elapsed = timer() - t0
+            del fn_args  # free this run's state before the next setup
             if elapsed < best:
                 best = elapsed
             gc.collect()  # pay the collection cost between reps instead
@@ -152,7 +177,7 @@ def run_benches(reps: int = 5) -> Dict[str, Dict[str, float]]:
     out: Dict[str, Dict[str, float]] = {
         "__calibration__": {"score_ops_per_sec": cal}}
     for name, (fn, units) in BENCHES.items():
-        best = _best_time(fn, reps)
+        best = _best_time(fn, reps, SETUPS.get(name))
         ops = units / best
         out[name] = {
             "best_s": best,

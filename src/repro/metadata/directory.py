@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class NamespaceError(Exception):
@@ -16,6 +16,20 @@ def _normalize(path: str) -> str:
     return "/" + "/".join(parts)
 
 
+def _placements(norm: str) -> Iterator[Tuple[str, str]]:
+    """``(directory base, child)`` for every directory a path lists under.
+
+    A base is ``"/"`` or a prefix of ``norm`` ending at a separator; the
+    child is that prefix plus the next component: ``"/a/b"`` lists as
+    ``"/a"`` under ``"/"`` and as ``"/a/b"`` under ``"/a/"``.
+    """
+    cut = 0
+    while cut != -1:
+        nxt = norm.find("/", cut + 1)
+        yield norm[:cut + 1], norm if nxt == -1 else norm[:nxt]
+        cut = nxt
+
+
 class Directory:
     """Path → file-id namespace with implicit directories.
 
@@ -27,6 +41,10 @@ class Directory:
 
     def __init__(self) -> None:
         self._entries: Dict[str, int] = {}
+        # Directory base -> {child path: bound paths listing through it};
+        # a child is dropped when its count reaches zero, so an implicit
+        # directory vanishes with its last entry.
+        self._children: Dict[str, Dict[str, int]] = {}
 
     def create(self, path: str, file_id: int) -> None:
         """Bind a path to a file id."""
@@ -34,6 +52,9 @@ class Directory:
         if norm in self._entries:
             raise NamespaceError(f"path exists: {norm}")
         self._entries[norm] = file_id
+        for base, child in _placements(norm):
+            under = self._children.setdefault(base, {})
+            under[child] = under.get(child, 0) + 1
 
     def lookup(self, path: str) -> int:
         """Resolve a path or raise :class:`NamespaceError`."""
@@ -51,22 +72,21 @@ class Directory:
         """Remove a binding, returning the file id it had."""
         norm = _normalize(path)
         try:
-            return self._entries.pop(norm)
+            fid = self._entries.pop(norm)
         except KeyError:
             raise NamespaceError(f"no such file: {norm}") from None
+        for base, child in _placements(norm):
+            under = self._children[base]
+            under[child] -= 1
+            if not under[child]:
+                del under[child]
+        return fid
 
     def listdir(self, prefix: str = "/") -> List[str]:
         """Paths directly under a directory prefix."""
         norm = _normalize(prefix)
-        base = norm if norm.endswith("/") else norm + "/"
-        if norm == "/":
-            base = "/"
-        seen = set()
-        for p in self._entries:
-            if p.startswith(base):
-                rest = p[len(base):]
-                seen.add(base + rest.split("/")[0])
-        return sorted(seen)
+        base = norm if norm == "/" else norm + "/"
+        return sorted(self._children.get(base, ()))
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -33,7 +33,6 @@ from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.obs import Observability
-    from repro.obs.registry import Metric
     from repro.obs.spans import Span
 
 # A request handler may return a decision tuple directly, or a generator
@@ -383,9 +382,9 @@ class Endpoint:
         # whose handler is waiting (``crash`` interrupts them, in
         # arrival order).
         self._parked: Dict[int, Process] = {}
-        # (registry, latency histogram, request counter), re-made if the
-        # endpoint is re-bound to a different registry.
-        self._rpc_metrics: Optional[Tuple[object, "Metric", "Metric"]] = None
+        # (registry, {(kind, status): (latency child, request child)}),
+        # re-made if the endpoint is re-bound to a different registry.
+        self._rpc_metrics: Tuple[object, Dict[Any, Any]] = (None, {})
         # Requests initiated through this endpoint, by message kind
         # (one count per logical RPC; retries share the count).  The
         # messages-per-op accounting divides these by completed ops.
@@ -571,18 +570,19 @@ class Endpoint:
         if span is not None:
             span.end(self.sim._now, status=status)
         registry = obs.registry
-        cached = self._rpc_metrics
-        if cached is None or cached[0] is not registry:
-            by = ("kind", "status")
-            cached = self._rpc_metrics = (
-                registry,
+        if self._rpc_metrics[0] is not registry:
+            self._rpc_metrics = (registry, {})
+        pair = self._rpc_metrics[1].get((kind, status))
+        if pair is None:
+            by, key = ("kind", "status"), {"kind": kind, "status": status}
+            pair = self._rpc_metrics[1][kind, status] = (
                 registry.histogram("net.rpc.latency_s", "Request round-trip "
-                                   "time (simulated s)", labels=by),
-                registry.counter("net.rpc.requests",
-                                 "RPC round trips completed", labels=by))
-        _, hist, count = cached
-        hist.labels(kind=kind, status=status).observe(self.sim._now - t0)
-        count.labels(kind=kind, status=status).inc()
+                                   "time (simulated s)", labels=by
+                                   ).labels(**key),
+                registry.counter("net.rpc.requests", "RPC round trips "
+                                 "completed", labels=by).labels(**key))
+        pair[0].observe(self.sim._now - t0)
+        pair[1].inc()
 
     def _await_result(self, msg: Message, pol: RetryPolicy,
                       attempt_times: Dict[int, float], riding: bool,

@@ -10,8 +10,15 @@ Cost model (the recorder sits on every message/IO hot path):
 - ``counting=False, enabled=False`` makes the recorder a true no-op;
   the precomputed ``_noop`` flag lets hot callsites skip even the
   keyword-argument packing of :meth:`TraceRecorder.emit`;
-- stored records are indexed by kind so :meth:`select` with a ``kind``
-  filter does not scan the whole trace.
+- a stored record is four list appends (time, kind, node, the kwargs
+  dict) and no per-record object.  A dict holding only atoms is not
+  tracked by the cyclic GC, so a long recording adds four containers to
+  the collector's walk instead of one object per record;
+- :class:`TraceRecord` views, and the kind index behind
+  :meth:`~TraceRecorder.select`, are built on the first read and
+  extended from where the last read stopped; every read returns the
+  same objects.  A recorder with subscribers builds each record's view
+  as it is emitted.
 
 Counters always update while ``counting`` is on, even when storage is
 disabled — oracle and experiment code relies on exact counts.
@@ -19,27 +26,40 @@ disabled — oracle and experiment code relies on exact counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from collections import defaultdict
+from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional
 
 
-@dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One traced occurrence.
+    """One traced occurrence (read-only: every reader shares it).
 
     ``kind`` is a dotted category such as ``"msg.send"``, ``"lease.phase"``,
     ``"lock.steal"``, ``"disk.write"``; ``node`` the emitting component;
     ``detail`` free-form keyed data.
     """
 
-    time: float
-    kind: str
-    node: str
-    detail: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("time", "kind", "node", "detail")
+
+    def __init__(self, time: float, kind: str, node: str,
+                 detail: Optional[Dict[str, Any]] = None) -> None:
+        self.time = time
+        self.kind = kind
+        self.node = node
+        self.detail = {} if detail is None else detail
 
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into ``detail``."""
         return self.detail.get(key, default)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceRecord):
+            return NotImplemented
+        return (self.time, self.kind, self.node, self.detail) == (
+            other.time, other.kind, other.node, other.detail)
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time={self.time!r}, kind={self.kind!r}, "
+                f"node={self.node!r}, detail={self.detail!r})")
 
 
 class TraceRecorder:
@@ -48,11 +68,18 @@ class TraceRecorder:
     def __init__(self, enabled: bool = True, counting: bool = True) -> None:
         self.enabled = enabled
         self.counting = counting
-        self._records: List[TraceRecord] = []
+        # One column per field; emit() appends and builds nothing else.
+        self._times: List[float] = []
+        self._kinds: List[str] = []
+        self._nodes: List[str] = []
+        self._details: List[Dict[str, Any]] = []
+        # Views of the first len(_views) records; the kind index for
+        # select() covers the first _indexed of them.
+        self._views: List[TraceRecord] = []
+        self._by_kind: DefaultDict[str, List[TraceRecord]] = defaultdict(list)
+        self._indexed = 0
         self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        # Kind index for select().
-        self._by_kind: Dict[str, List[TraceRecord]] = {}
         # True when emit() can return without doing any work at all;
         # hot callsites read this to skip kwargs packing entirely.
         self._noop = not enabled and not counting
@@ -66,31 +93,49 @@ class TraceRecorder:
             counts[kind] = counts.get(kind, 0) + 1
         if not self.enabled:
             return
-        rec = TraceRecord(time=time, kind=kind, node=node, detail=detail)
-        self._records.append(rec)
-        bucket = self._by_kind.get(kind)
-        if bucket is None:
-            self._by_kind[kind] = [rec]
-        else:
-            bucket.append(rec)
-        for sub in self._subscribers:
-            sub(rec)
+        self._times.append(time)
+        self._kinds.append(kind)
+        self._nodes.append(node)
+        self._details.append(detail)
+        if self._subscribers:
+            rec = self._synced()[-1]
+            for sub in self._subscribers:
+                sub(rec)
 
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Invoke ``fn`` on every stored record as it is emitted."""
         self._subscribers.append(fn)
 
+    def _synced(self) -> List[TraceRecord]:
+        """The view list, extended to the last stored record."""
+        views = self._views
+        start = len(views)
+        if start < len(self._times):
+            views.extend(map(TraceRecord, self._times[start:],
+                             self._kinds[start:], self._nodes[start:],
+                             self._details[start:]))
+        return views
+
+    def _kind_index(self) -> Dict[str, List[TraceRecord]]:
+        """The kind index, extended to the last stored record."""
+        views = self._synced()
+        by_kind = self._by_kind
+        for rec in views[self._indexed:]:
+            by_kind[rec.kind].append(rec)
+        self._indexed = len(views)
+        return by_kind
+
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return iter(self._synced())
 
     @property
     def records(self) -> List[TraceRecord]:
         """All stored records in emission order."""
-        return list(self._records)
+        return list(self._synced())
 
     def count(self, kind: str) -> int:
         """Exact count of a kind (counted even when storage is off)."""
@@ -103,8 +148,8 @@ class TraceRecorder:
     def select(self, kind: Optional[str] = None, node: Optional[str] = None,
                prefix: Optional[str] = None) -> List[TraceRecord]:
         """Stored records matching the given filters."""
-        pool = (self._by_kind.get(kind, []) if kind is not None
-                else self._records)
+        pool = (self._kind_index().get(kind, []) if kind is not None
+                else self._synced())
         out = []
         for r in pool:
             if prefix is not None and not r.kind.startswith(prefix):
@@ -119,7 +164,12 @@ class TraceRecorder:
         return dict(self._counts)
 
     def clear(self) -> None:
-        """Drop stored records and counters."""
-        self._records.clear()
-        self._counts.clear()
+        """Drop stored records, their views and index, and counters."""
+        self._times.clear()
+        self._kinds.clear()
+        self._nodes.clear()
+        self._details.clear()
+        self._views.clear()
         self._by_kind.clear()
+        self._indexed = 0
+        self._counts.clear()

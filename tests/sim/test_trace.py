@@ -1,6 +1,8 @@
 """Trace recorder storage, counting and filtering."""
 
-from repro.sim import TraceRecorder
+import gc
+
+from repro.sim import TraceRecord, TraceRecorder
 
 
 def test_emit_and_len(trace):
@@ -101,3 +103,84 @@ def test_clear_resets_index_and_stride():
     t.emit(4.0, "a.b", "n")
     assert len(t) == 2
     assert [r.time for r in t.select(kind="a.b")] == [3.0, 4.0]
+
+
+def test_stored_records_add_no_gc_tracked_objects():
+    # Columns of atoms and atom-only kwargs dicts: the cyclic GC sees the
+    # recorder's few lists, not one object per record.
+    t = TraceRecorder(enabled=True)
+    t.emit(0.0, "warm.up", "n")
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(10_000):
+        t.emit(i * 0.001, "msg.send", "n1", msg_id=i, dst="n2", ok=True)
+    assert len(gc.get_objects()) - before < 100
+    assert len(t) == 10_001
+
+
+def _emit_batch(t, start, n):
+    for i in range(start, start + n):
+        t.emit(float(i), ("msg.send", "msg.recv", "lease.renew")[i % 3],
+               f"n{i % 2}", i=i)
+
+
+def test_interleaved_reads_follow_emission_order():
+    t = TraceRecorder(enabled=True)
+    emitted = 0
+    for batch in (5, 0, 7, 1, 4):
+        _emit_batch(t, emitted, batch)
+        emitted += batch
+        records = t.records
+        assert [r.get("i") for r in records] == list(range(emitted))
+        assert list(t) == records
+        assert t.select(kind="msg.recv") == [
+            r for r in records if r.kind == "msg.recv"]
+        assert t.select(node="n1") == [r for r in records if r.node == "n1"]
+        assert t.select(prefix="msg") == [
+            r for r in records if r.kind.startswith("msg")]
+        assert t.select(kind="lease.renew", node="n0", prefix="lease") == [
+            r for r in records if r.kind == "lease.renew" and r.node == "n0"]
+
+
+def test_repeated_reads_return_the_same_objects():
+    t = TraceRecorder(enabled=True)
+    _emit_batch(t, 0, 6)
+    first = t.select(kind="msg.send")
+    records = t.records
+    _emit_batch(t, 6, 6)
+    again = t.records
+    assert all(a is b for a, b in zip(records, again))
+    assert all(a is b for a, b in zip(first, t.select(kind="msg.send")))
+    assert all(a is b for a, b in zip(again, t))
+    assert records[0] == TraceRecord(0.0, "msg.send", "n0", {"i": 0})
+
+
+def test_subscriber_gets_the_record_later_reads_return():
+    t = TraceRecorder(enabled=True)
+    _emit_batch(t, 0, 3)            # emitted before anyone subscribed
+    got = []
+    t.subscribe(got.append)
+    _emit_batch(t, 3, 4)
+    assert [r.get("i") for r in got] == [3, 4, 5, 6]
+    assert all(a is b for a, b in zip(got, t.records[3:]))
+    assert got[0] is t.select(kind="msg.send")[1]
+
+
+def test_clear_resets_columns_views_and_index():
+    t = TraceRecorder(enabled=True)
+    _emit_batch(t, 0, 6)
+    t.select(kind="msg.send")
+    t.clear()
+    assert len(t) == 0 and t.records == [] and list(t) == []
+    assert t.kinds() == {}
+    _emit_batch(t, 6, 9)            # no select between clear and emits
+    assert [r.get("i") for r in t.select(kind="msg.send")] == [6, 9, 12]
+    assert [r.get("i") for r in t.records] == list(range(6, 15))
+
+
+def test_disabled_storage_counts_and_keeps_nothing():
+    t = TraceRecorder(enabled=False)
+    _emit_batch(t, 0, 6)
+    assert t.count("msg.send") == 2 and t.count_prefix("msg") == 4
+    assert len(t) == 0 and t.records == [] and list(t) == []
+    assert t.select() == [] and t.select(kind="msg.send") == []
