@@ -282,7 +282,8 @@ def _spin_scale_registration(n_clients: int) -> int:
 
 
 def test_scale_client_registration_throughput(benchmark):
-    """Flyweight-registration rate: build + park 50k clients lazily."""
+    """Flyweight-registration rate: register 50k clients lazily and
+    seed each a pooled lease with ``renew``."""
     benchmark(_spin_scale_registration, 50_000)
 
 

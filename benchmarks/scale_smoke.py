@@ -40,10 +40,11 @@ RSS_BOUND_MB = 1024.0
 #: Kernel-heap population allowed right after the lazy build (1 locally:
 #: the one pooled timeout the bulk lease seeding arms).
 KERNEL_HEAP_BOUND = 8
-#: Traced bytes per client allowed at 10k (~170 locally: ~60 for the
-#: five counter columns, expiry, held flag and bucket slot, the rest is
-#: this fresh process's first-call imports amortized over 10k).
-BYTES_PER_CLIENT_BOUND = 256.0
+#: Traced bytes per client allowed at 10k (~102 locally: 17 for the
+#: pooled lease record — the expiry, the held flag and the bucket slot;
+#: a registered client keeps no counter columns — the rest is this fresh
+#: process's first-call imports amortized over 10k).
+BYTES_PER_CLIENT_BOUND = 128.0
 
 
 def main(argv=None) -> int:

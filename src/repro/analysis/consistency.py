@@ -348,7 +348,7 @@ class ConsistencyAuditor:
                 if op == "grant" and mode == LockMode.EXCLUSIVE \
                         and rng.start <= lo and hi <= rng.end and t <= time:
                     open_grant = t
-                elif op in ("release", "steal", "downgrade") \
+                elif op in ("release", "steal") \
                         and open_grant is not None and open_grant <= t < time:
                     open_grant = None
             if open_grant is not None and open_grant <= time:

@@ -15,7 +15,7 @@ Local applications use the POSIX-flavoured generator API on
 
 from repro.client.cache import CacheStats, Page, PageCache
 from repro.client.openfile import FdTable, OpenFile
-from repro.client.pool import ClientPool, PooledCounters
+from repro.client.pool import ClientPool
 from repro.client.node import (
     ClientConfig,
     ClientDisconnectedError,
@@ -35,6 +35,5 @@ __all__ = [
     "OpenFile",
     "Page",
     "PageCache",
-    "PooledCounters",
     "StorageTankClient",
 ]

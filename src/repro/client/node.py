@@ -162,11 +162,9 @@ class StorageTankClient:
         self.admission_check = None
 
         # A non-positive interval disables the standing write-back timer
-        # entirely (scale path: materialized facades flush explicitly, so
-        # a short-lived wake does not leave a daemon ticking behind it).
-        self._writeback_proc = (
+        # entirely (scale path: clients built on touch flush explicitly).
+        if self.config.writeback_interval > 0:
             sim.process(self._writeback_daemon(), name=f"{name}:writeback")
-            if self.config.writeback_interval > 0 else None)
 
     # ------------------------------------------------------------------
     # application API (process generators)
@@ -498,64 +496,15 @@ class StorageTankClient:
         """The server owning a file id (primary if unknown)."""
         return self.routing.server_for_file(file_id)
 
-    # Counters owned by a layer, settable because the flyweight pool
-    # seeds a re-materialized facade with its folded totals.
     @property
     def app_errors(self) -> int:
         """Acknowledged writes and reads reported lost (``app.error``)."""
         return self.data.app_errors
 
-    @app_errors.setter
-    def app_errors(self, value: int) -> None:
-        self.data.app_errors = value
-
     @property
     def keepalives_sent(self) -> int:
         """Phase-2 keep-alives sent, over all servers."""
         return self.lease_agent.keepalives_sent
-
-    @keepalives_sent.setter
-    def keepalives_sent(self, value: int) -> None:
-        self.lease_agent.keepalives_sent = value
-
-    # -- flyweight parking (scale path) ---------------------------------
-    def park_blockers(self) -> List[str]:
-        """Why this client cannot park right now (empty when clean).
-
-        Parking folds the client back into its flyweight record, so it
-        must hold nothing the protocol obliges it to resolve first: no
-        dirty pages (§3.2 flush duty), no held locks, no open files and
-        no in-flight operations.
-        """
-        blockers = []
-        if self._busy.in_flight:
-            blockers.append(f"{self._busy.in_flight} operations in flight")
-        if self.cache.dirty_count:
-            blockers.append("dirty pages in cache")
-        if self.locks.all_held():
-            blockers.append("locks held")
-        if self.fds.all_open():
-            blockers.append("open files")
-        return blockers
-
-    def shutdown_for_park(self) -> None:
-        """Tear down every standing resource this facade owns.
-
-        Interrupts the write-back daemon and each lease daemon (their
-        pending timers become inert and drain as no-ops), detaches the
-        endpoint from the control network and the initiator from the
-        SAN.  After this the object is garbage; the pooled record and
-        the :class:`~repro.lease.pooled.PooledLeaseService` carry
-        everything that outlives it.
-        """
-        if self._writeback_proc is not None and self._writeback_proc.is_alive:
-            self._writeback_proc.interrupt()
-            self._writeback_proc = None
-        for mgr in self.leases.values():
-            if mgr._daemon.is_alive:
-                mgr._daemon.interrupt()
-        self.endpoint.net.detach(self.name)
-        self.san.detach_initiator(self.name)
 
     # ------------------------------------------------------------------
     # internals

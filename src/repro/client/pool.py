@@ -5,10 +5,9 @@ typed accessor that replaces :class:`~repro.core.system.StorageTankSystem`'s
 historical ``clients``/``agents`` dict pair — *and* the flyweight store
 that makes million-client populations affordable.
 
-Clients are *registered*, not built.  A registered-but-parked client is
-a row of struct-of-arrays state — a few counters in flat :mod:`array`
-columns plus a lease-lapse record in the
-:class:`~repro.lease.pooled.PooledLeaseService` — and costs **zero**
+Clients are *registered*, not built.  A registered-but-unbuilt
+("parked") client is at most a lease-lapse record in the
+:class:`~repro.lease.pooled.PooledLeaseService` and costs **zero**
 heap-allocated sim objects and **zero** kernel heap entries.  Names are
 derived from ``prefix + index`` on demand, so a million parked clients
 do not even pay for a million name strings.  How much of the population
@@ -17,12 +16,8 @@ not a second kind of pool: building everyone is ``get`` on every name.
 
 ``get(name)`` on a parked client *materializes* it: one shared factory
 closure (no per-client closures at registration time) builds the full
-client for the installation's protocol.  ``park(name)`` is the reverse
-edge: a *clean* client (no dirty pages, no held locks, no open files,
-nothing in flight) folds its counters back into the arrays, hands its
-live lease to the pooled expiry service, and tears down its endpoint
-and daemons.  Parking a dirty client is refused — the paper's §3.2
-obligation to flush before expiry is never left to a flyweight.
+client for the installation's protocol.  Materialization is one-way: a
+built client stays built for the rest of the run.
 
 Inbound traffic wakes a parked client through the control network's
 lazy-resolver hook (one resolver for the whole population), so a NACK
@@ -32,7 +27,6 @@ vanishing.
 
 from __future__ import annotations
 
-from array import array
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Tuple, Union)
 
@@ -42,18 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocols.nfs_polling import NfsPollingClient
     from repro.protocols.vleases import VLeaseClientAgent
 
-__all__ = ["ClientPool", "PooledCounters", "slot_of"]
+__all__ = ["ClientPool", "slot_of"]
 
 #: A pooled client; the installation's protocol decides which kind.
 Client = Union["StorageTankClient", "NfsPollingClient"]
 
 #: A protocol agent attached beside a client (heartbeater, renewer).
 Agent = Union["FrangipaniClientAgent", "VLeaseClientAgent"]
-
-#: Counter columns folded into the struct-of-arrays store while a
-#: client is parked (names match ``StorageTankClient`` attributes).
-COUNTER_COLUMNS: Tuple[str, ...] = (
-    "ops_completed", "ops_rejected", "app_errors", "keepalives_sent")
 
 
 def slot_of(name: str, population: int, prefix: str = "c",
@@ -76,52 +65,13 @@ def slot_of(name: str, population: int, prefix: str = "c",
     return idx
 
 
-class PooledCounters:
-    """Struct-of-arrays counter columns for flyweight client slots.
-
-    One signed 64-bit :mod:`array` column per counter in
-    :data:`COUNTER_COLUMNS` plus a wakeup counter — a parked client's
-    entire mutable state apart from its pooled lease record.
-    """
-
-    def __init__(self) -> None:
-        self.columns: Dict[str, "array[int]"] = {
-            name: array("q") for name in COUNTER_COLUMNS}
-        self.wakeups: "array[int]" = array("q")
-
-    def ensure_capacity(self, n: int) -> None:
-        """Grow every column to hold at least ``n`` slots."""
-        grow = n - len(self.wakeups)
-        if grow > 0:
-            zeros = bytes(self.wakeups.itemsize * grow)
-            for col in self.columns.values():
-                col.frombytes(zeros)
-            self.wakeups.frombytes(zeros)
-
-    def fold(self, idx: int, client: Client) -> None:
-        """Accumulate a client's live counters into slot ``idx``."""
-        for name, col in self.columns.items():
-            col[idx] += int(getattr(client, name, 0))
-
-    def seed(self, idx: int, client: Client) -> None:
-        """Load slot ``idx``'s folded counters onto a fresh facade."""
-        for name, col in self.columns.items():
-            current = int(getattr(client, name, 0))
-            setattr(client, name, current + col[idx])
-            col[idx] = 0
-
-    def snapshot(self, idx: int) -> Dict[str, int]:
-        """Folded counter values for slot ``idx`` (parked clients)."""
-        return {name: col[idx] for name, col in self.columns.items()}
-
-
 class ClientPool:
     """Typed accessor over a system's client population.
 
     ``population`` clients are registered behind one ``factory(name,
     idx)``, which builds the full facade on first touch.  Registration
-    allocates only the struct-of-arrays columns — no client objects, no
-    name strings, no kernel events.
+    allocates nothing per client — no client objects, no name strings,
+    no kernel events.
 
     - ``pool.get(name)`` returns the client (materializing if parked);
     - ``pool.iter_active()`` yields only live (materialized) clients;
@@ -139,19 +89,11 @@ class ClientPool:
         self._prefix = prefix
         self._start = start
         self._factory = factory
-        self._parker: Optional[Callable[[Client, int], None]] = None
         #: invoked with (name, idx) just before the factory runs
         self.on_materialize: Optional[Callable[[str, int], None]] = None
-        self.counters = PooledCounters()
-        self.counters.ensure_capacity(population)
         self.materializations = 0
-        self.parks = 0
         #: wake reason -> count ("api", "datagram", "build", ...)
         self.wake_reasons: Dict[str, int] = {}
-
-    def set_parker(self, parker: Callable[[Client, int], None]) -> None:
-        """Install the system-level park hook (endpoint/daemon teardown)."""
-        self._parker = parker
 
     # -- naming ------------------------------------------------------------
     def name_of(self, idx: int) -> str:
@@ -214,7 +156,7 @@ class ClientPool:
 
     @property
     def parked_count(self) -> int:
-        """Number of registered-but-parked flyweight clients."""
+        """Number of registered clients not yet built."""
         return self._population - len(self._live)
 
     # -- agents ------------------------------------------------------------
@@ -231,29 +173,7 @@ class ClientPool:
         if self.on_materialize is not None:
             self.on_materialize(name, idx)
         client = self._factory(name, idx)
-        self.counters.seed(idx, client)
-        self.counters.wakeups[idx] += 1
         self._live[name] = client
         self.materializations += 1
         self.wake_reasons[reason] = self.wake_reasons.get(reason, 0) + 1
         return client
-
-    def park(self, name: str) -> None:
-        """Fold a clean live client back into its flyweight record.
-
-        The system-installed parker verifies cleanliness, records the
-        live lease into the pooled expiry service and tears down the
-        endpoint and daemon processes; this method then folds counters
-        and drops the object.  Raises for names that are not live, and
-        whatever the parker raises for a client it cannot fold.
-        """
-        client = self._live.get(name)
-        if client is None:
-            raise KeyError(f"{name!r} is not a live client")
-        idx = self.index_of(name)
-        assert idx is not None
-        if self._parker is not None:
-            self._parker(client, idx)
-        self.counters.fold(idx, client)
-        del self._live[name]
-        self.parks += 1

@@ -109,8 +109,9 @@ class ScaleConfig:
     name order (the experiments that drive the whole population);
     ``lazy_clients=True`` leaves them parked — no client objects, no
     endpoints, no kernel timers — until first touch (API access or
-    inbound datagram), and such facades run no write-back daemon:
-    scale workloads flush explicitly before they park.
+    inbound datagram), which builds the client for the rest of the run.
+    Such clients run no write-back daemon: scale workloads flush
+    explicitly.
     """
 
     #: Leave clients parked until first touch instead of building all.

@@ -60,9 +60,9 @@ class StorageTankSystem:
     server: StorageTankServer
     pool: ClientPool
     #: Pooled timer substrate (idle, and costing no kernel event, until a
-    #: client is parked with a live lease).
+    #: pooled lease is seeded).
     timers: TimerPool
-    #: Coalesced lease-lapse tracking for parked flyweight clients.
+    #: Coalesced lease-lapse tracking for registered, unbuilt clients.
     pooled_leases: PooledLeaseService
     servers: Dict[str, StorageTankServer] = field(default_factory=dict)
     obs: Observability = field(default_factory=Observability)
@@ -83,7 +83,7 @@ class StorageTankSystem:
         return PartitionController(self.san)
 
     def client(self, name: str) -> Client:
-        """Look up a client node (materializes a parked flyweight)."""
+        """Look up a client node, building it on first touch."""
         return self.pool.get(name)
 
     def server_node(self, name: str) -> StorageTankServer:
@@ -206,8 +206,8 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                    if len(server_names) > 1 else None)
     coordinator: Optional[ClusterCoordinator] = None
 
-    # Clients left parked until first touch run no write-back daemon:
-    # scale workloads flush explicitly before they park again.
+    # Clients built on first touch run no write-back daemon: scale
+    # workloads flush explicitly.
     client_cfg = ClientConfig(
         writeback_interval=(0.0 if cfg.scale.lazy_clients
                             else cfg.writeback_interval),
@@ -217,9 +217,9 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
 
     def make_client(name: str, idx: int) -> Client:
         """The one factory: every client of every installation, on first
-        touch.  A re-materialized client reuses the node's clock (a
-        physical fact) and starts on the coordinator's *current* map."""
-        clock = clocks.get_or_create(name, violates_bound=name in slow)
+        touch.  A client built late starts on the coordinator's *current*
+        map."""
+        clock = clocks.create(name, violates_bound=name in slow)
         if spec.client_kind == "nfs":
             return NfsPollingClient(sim, net, san, name, server_names[0],
                                     clock, attr_ttl=cfg.nfs_attr_ttl,
@@ -291,10 +291,9 @@ def _wire_pool(pool: ClientPool, pooled: PooledLeaseService,
 
     - inbound datagrams to a parked name materialize the client through
       the network's lazy resolver (the NACK / server-demand wake path);
-    - parking a clean client hands its live lease(s) to the pooled
-      expiry service and tears down its endpoint and daemons;
-    - materializing drops the pooled record — the facade re-obtains a
-      lease opportunistically with its first acknowledged request.
+    - materializing drops the client's pooled lease record, if a
+      workload seeded one — the built client obtains its own lease
+      opportunistically with its first acknowledged request.
     """
 
     def resolve(name: str) -> Optional[Endpoint]:
@@ -303,33 +302,6 @@ def _wire_pool(pool: ClientPool, pooled: PooledLeaseService,
         return pool.get(name, reason="datagram").endpoint
 
     net.set_lazy_resolver(resolve)
-
-    def park_client(client: Client, idx: int) -> None:
-        # Only a client whose whole standing state this function can
-        # hand over may fold into a record: a protocol agent's daemons
-        # and a polling client's attribute cache would be left behind.
-        name = pool.name_of(idx)
-        if (not isinstance(client, StorageTankClient)
-                or pool.agent_for(name) is not None):
-            raise ValueError(
-                f"cannot park {name!r}: only a storage_tank client "
-                f"without a protocol agent folds into a record")
-        blockers = client.park_blockers()
-        if blockers:
-            raise ValueError(f"cannot park {name!r}: {'; '.join(blockers)}")
-        lapse_at = None
-        for mgr in client.leases.values():
-            if not mgr.active:
-                continue
-            expiry_local = mgr.expiry_local()
-            if expiry_local is not None:
-                t = client.endpoint.clock.global_time(expiry_local)
-                lapse_at = t if lapse_at is None else max(lapse_at, t)
-        if lapse_at is not None:
-            pooled.renew(idx, lapse_at)
-        client.shutdown_for_park()
-
-    pool.set_parker(park_client)
 
     def drop_record(_name: str, idx: int) -> None:
         # The facade starts lease-less and renews with its first ACK;

@@ -84,7 +84,7 @@ def experiment_e_scale(seed: int = 0, clients: int = 100_000,
                        zipf_s: float = 1.1) -> Table:
     """Sweep the client population 1k → ``clients`` against one shard map.
 
-    Each point builds the population lazily, parks everyone with a
+    Each point builds the population lazily, seeds everyone with a
     pooled lease, wakes a Zipf-selected active set and drives the
     standard workload; the table shows that per-client memory and the
     kernel heap stay flat while only the active set does work.

@@ -71,7 +71,7 @@ class ClientLeaseManager:
         self._ever_active = False
         self._nacked = False
         self._kick: Event = sim.event()
-        self._daemon = sim.process(self._run(), name=f"{endpoint.name}:lease:{server}")
+        sim.process(self._run(), name=f"{endpoint.name}:lease:{server}")
 
         # Phase-occupancy accounting (experiment E5).
         self._last_phase: Optional[LeasePhase] = None

@@ -1,10 +1,11 @@
 """Coalesced lease bookkeeping for flyweight (parked) clients.
 
 A parked client — registered in the :class:`repro.client.pool.ClientPool`
-but not currently materialized as a :class:`~repro.client.node.StorageTankClient`
-— may still hold a lease from its last active period.  The full client
-tracks that lease with a standing daemon process and per-phase timers;
-a million parked clients cannot afford a million of those.
+but not yet built as a :class:`~repro.client.node.StorageTankClient`
+— may still hold a lease, seeded for it by the workload (E-scale gives
+the whole idle population one).  The full client tracks its lease with
+a standing daemon process and per-phase timers; a million parked
+clients cannot afford a million of those.
 
 :class:`PooledLeaseService` keeps the *only* lease fact a parked client
 needs — "when does my lease certainly lapse" — in flat numpy arrays
@@ -20,18 +21,18 @@ Superseded records are deleted lazily: a renewal leaves the slot's old
 bucket entry behind, and the sweep masks it out because the slot's
 recorded expiry has moved past the bucket's deadline.
 
-Safety framing (paper §3.2): a client may only park once it is *clean*
-— no dirty data, no held locks, no in-flight operations — so letting the
-lease lapse in absentia requires no flush, no quiesce and no
-materialization; the expiry sweep is pure bookkeeping.  This mirrors the
-paper's scaling claim: the server is passive and the *client* side of an
-idle lease costs O(1) amortized, so system cost tracks transactions,
-not population.
+Safety framing (paper §3.2): a parked client has never been built, so
+it holds no dirty data, no locks and no in-flight operations; letting
+its lease lapse in absentia requires no flush, no quiesce and no
+materialization, and the expiry sweep is pure bookkeeping.  This
+mirrors the paper's scaling claim: the server is passive and the
+*client* side of an idle lease costs O(1) amortized, so system cost
+tracks transactions, not population.
 
 Times here are **global** sim seconds: the parked record stores a
-conservative (latest-possible) lapse instant computed when the client
-parked, so the sweep never needs the client's local clock — which may
-not even exist yet for a never-materialized client.
+conservative (latest-possible) lapse instant, so the sweep never needs
+the client's local clock — which does not exist until the client is
+built.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ class PooledLeaseService:
     ``ensure_capacity(n)`` sizes the arrays; ``renew(idx, expires_at)``
     records that slot ``idx`` holds a lease until global time
     ``expires_at`` and ``renew_many`` does the same for whole arrays of
-    slots; ``lapse(idx)`` drops it immediately (NACK / park of an
-    already-expired client).  ``on_expire(idx)`` fires once per held
-    lease when its deadline passes, from a single pooled timer.
+    slots; ``lapse(idx)`` drops it immediately (the client was built
+    and tracks its own lease from then on).  ``on_expire(idx)`` fires
+    once per held lease when its deadline passes, from a single pooled
+    timer.
     """
 
     def __init__(self, timers: TimerPool,
@@ -179,11 +181,11 @@ class PooledLeaseService:
             self._arm(deadlines[0])
 
     def lapse(self, idx: int) -> bool:
-        """Drop slot ``idx``'s lease record immediately (e.g. on NACK).
+        """Drop slot ``idx``'s lease record immediately (the client was
+        built and tracks its own lease from then on).
 
         Returns False if the slot held no lease.  Does *not* run the
-        ``on_expire`` callback: the caller is already reacting to the
-        lapse.
+        ``on_expire`` callback and does not count as an expiry.
         """
         if not self.holds_lease(idx):
             return False

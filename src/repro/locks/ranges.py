@@ -188,31 +188,6 @@ class RangeLockManager:
             self._pump(obj)
         return released
 
-    def downgrade(self, client: str, obj: int, rng: ByteRange,
-                  to: LockMode) -> bool:
-        """Weaken the client's grants over ``rng`` to ``to`` (X→S)."""
-        if to == LockMode.NONE:
-            return self.release(client, obj, rng)
-        grants = self._grants.get(obj, [])
-        changed = False
-        out: List[RangeGrant] = []
-        for g in grants:
-            if g.client != client or not g.rng.overlaps(rng) or g.mode <= to:
-                out.append(g)
-                continue
-            changed = True
-            inter = g.rng.intersect(rng)
-            assert inter is not None
-            for piece in g.rng.subtract(rng):
-                out.append(RangeGrant(client, piece, g.mode))
-            out.append(RangeGrant(client, inter, to))
-            self.history.append((self._now(), "downgrade", obj, client,
-                                 inter, to))
-        if changed:
-            self._grants[obj] = out
-            self._pump(obj)
-        return changed
-
     def steal_all(self, client: str) -> List[Tuple[int, RangeGrant]]:
         """Stop honoring every range the client holds (lease expiry)."""
         stolen = []

@@ -169,10 +169,6 @@ class ControlNetwork:
         self.drop_probability = drop_probability
         self._rng = streams.get("net.control")
         self._endpoints: Dict[str, "Endpoint"] = {}
-        # Request numbering of detached nodes, resumed on re-attach: a
-        # parked client is the same node when it returns, and receivers
-        # key their at-most-once state by (name, seq).
-        self._resume_seq: Dict[str, int] = {}
         # The two per-datagram hooks; see their setters.
         self._lazy_resolver: Optional[Callable[[str], Optional["Endpoint"]]] = None
         self._cache_router: Optional[Callable[[Message], Optional["Endpoint"]]] = None
@@ -201,13 +197,6 @@ class ControlNetwork:
         if endpoint.name in self._endpoints:
             raise ValueError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
-        endpoint._next_seq = self._resume_seq.pop(endpoint.name, 0)
-
-    def detach(self, name: str) -> None:
-        """Forget an endpoint (a parked flyweight client's teardown)."""
-        endpoint = self._endpoints.pop(name, None)
-        if endpoint is not None:
-            self._resume_seq[name] = endpoint._next_seq
 
     def set_lazy_resolver(
             self,

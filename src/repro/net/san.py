@@ -93,10 +93,6 @@ class SanFabric:
         """Register a computer that may issue block I/O."""
         self._initiators.add(name)
 
-    def detach_initiator(self, name: str) -> None:
-        """Forget an initiator (a parked flyweight client's teardown)."""
-        self._initiators.discard(name)
-
     def device(self, name: str) -> VirtualDisk:
         """Look up an attached device."""
         return self._devices[name]

@@ -9,8 +9,8 @@ collector
 - spawns a sampler process on the system's simulator that records, as
   time series over *simulated* time, the E7/E9 overhead trio
   (``state_bytes``, ``lease_cpu_ops``, ``lease_msgs_sent``) and
-  ``client_lease_msgs`` — each its registry family summed over nodes,
-  so a parked client's keep-alives stay counted — plus the fleet's
+  ``client_lease_msgs`` — each its registry family summed over nodes
+  — plus the fleet's
   ``messages_per_op``,
 - and, at :meth:`RunCollector.export` time, snapshots each system's
   metrics registry and completed spans into the versioned

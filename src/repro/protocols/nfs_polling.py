@@ -73,10 +73,6 @@ class NfsPollingClient:
         """Acknowledged writes and reads reported lost (``app.error``)."""
         return self.data.app_errors
 
-    @app_errors.setter
-    def app_errors(self, value: int) -> None:
-        self.data.app_errors = value
-
     # -- API (process generators) ---------------------------------------
     def create(self, path: str, size: int = 0) -> Generator[Event, Any, int]:
         """Create a file on the server."""

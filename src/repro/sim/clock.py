@@ -139,22 +139,6 @@ class ClockEnsemble:
         self._clocks[name] = clock
         return clock
 
-    def get_or_create(self, name: str, rate: Optional[float] = None,
-                      offset: Optional[float] = None,
-                      violates_bound: bool = False) -> LocalClock:
-        """The registered clock for ``name``, creating it on first use.
-
-        A node's clock is a physical fact: re-materializing a parked
-        flyweight client must see the *same* rate and offset its first
-        incarnation drew, so the scale path resolves clocks through
-        this instead of :meth:`create`.
-        """
-        clock = self._clocks.get(name)
-        if clock is not None:
-            return clock
-        return self.create(name, rate=rate, offset=offset,
-                           violates_bound=violates_bound)
-
     def verify_bound(self, names: Optional[List[str]] = None,
                      include_violators: bool = False) -> bool:
         """Check every registered pair is within ε.

@@ -36,8 +36,8 @@ schedule lands after the current instant's already-queued events.
 
 Every built system owns one pool as the timer substrate of its parked
 clients' leases (:class:`~repro.lease.pooled.PooledLeaseService`).
-Constructing it schedules nothing: a system that never parks a client
-pays no kernel event for it.
+Constructing it schedules nothing: a system that never seeds a pooled
+lease pays no kernel event for it.
 """
 
 from __future__ import annotations

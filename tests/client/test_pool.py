@@ -2,18 +2,14 @@
 
 import pytest
 
-from repro.client import ClientPool, PooledCounters
+from repro.client import ClientPool
 
 
 class StubClient:
-    """Minimal stand-in carrying the counters the pool folds."""
+    """Minimal stand-in for a built client."""
 
     def __init__(self, name):
         self.name = name
-        self.ops_completed = 0
-        self.ops_rejected = 0
-        self.app_errors = 0
-        self.keepalives_sent = 0
 
 
 def test_eager_pool_wraps_built_clients():
@@ -37,15 +33,6 @@ def test_eager_pool_wraps_built_clients():
     with pytest.raises(KeyError):
         pool.get("c9")
     assert built == ["c1", "c2"]  # lookups build nothing more
-
-
-def test_a_built_client_parks_like_any_other():
-    """One mode: there is no kind of pool that cannot fold a client."""
-    pool = ClientPool(1, lambda n, i: StubClient(n))
-    pool.get("c1", reason="build").ops_completed = 3
-    pool.park("c1")
-    assert pool.live_count == 0 and pool.parked_count == 1
-    assert pool.get("c1").ops_completed == 3
 
 
 NON_CANONICAL = ["c01", "c+1", "c 1", "c1 ", "c\uff11", "c1_0", "c-0", "C1"]
@@ -116,34 +103,6 @@ def test_on_materialize_hook_runs_before_factory():
     assert events == [("hook", "c2", 1), ("factory", "c2")]
 
 
-def test_park_folds_counters_and_rematerialize_seeds_them():
-    pool = ClientPool(4, lambda n, i: StubClient(n))
-    parked_via = []
-    pool.set_parker(lambda client, idx: parked_via.append((client.name, idx)))
-    c = pool.get("c3")
-    c.ops_completed = 7
-    c.app_errors = 2
-    pool.park("c3")
-    assert parked_via == [("c3", 2)]
-    assert pool.live_count == 0
-    assert pool.parks == 1
-    assert pool.counters.snapshot(2) == {
-        "ops_completed": 7, "ops_rejected": 0, "app_errors": 2,
-        "keepalives_sent": 0}
-    again = pool.get("c3")
-    assert again is not c  # a fresh facade
-    assert again.ops_completed == 7  # folded counters carried over
-    assert again.app_errors == 2
-    assert pool.counters.snapshot(2)["ops_completed"] == 0  # moved, not copied
-    assert pool.counters.wakeups[2] == 2
-
-
-def test_park_requires_a_live_client():
-    pool = ClientPool(2, lambda n, i: StubClient(n))
-    with pytest.raises(KeyError):
-        pool.park("c1")
-
-
 def test_agents_attach_by_name():
     pool = ClientPool(2, lambda n, i: StubClient(n))
     agent = StubClient("c1-agent")
@@ -159,15 +118,3 @@ def test_live_items_is_a_detached_copy():
     assert [name for name, _ in items] == ["c1"]
     items.clear()
     assert pool.live_count == 1
-
-
-def test_pooled_counters_capacity_and_fold():
-    counters = PooledCounters()
-    counters.ensure_capacity(10)
-    counters.ensure_capacity(5)  # never shrinks
-    assert len(counters.wakeups) == 10
-    stub = StubClient("c1")
-    stub.keepalives_sent = 3
-    counters.fold(4, stub)
-    counters.fold(4, stub)
-    assert counters.snapshot(4)["keepalives_sent"] == 6

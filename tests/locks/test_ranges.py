@@ -150,38 +150,6 @@ def test_release_nothing_held(mgr):
     assert not mgr.release("ghost", 1)
 
 
-def test_downgrade_range(mgr):
-    mgr.try_acquire("a", 1, br(0, 100), LockMode.EXCLUSIVE)
-    assert mgr.downgrade("a", 1, br(0, 50), LockMode.SHARED)
-    # b can now share the downgraded half but not the exclusive half.
-    assert mgr.try_acquire("b", 1, br(0, 50), LockMode.SHARED)[0]
-    assert not mgr.try_acquire("b", 1, br(50, 100), LockMode.SHARED)[0]
-
-
-def test_downgrade_middle_splits_three_ways(mgr):
-    mgr.try_acquire("a", 1, br(0, 100), LockMode.EXCLUSIVE)
-    assert mgr.downgrade("a", 1, br(40, 60), LockMode.SHARED)
-    islands = sorted((g.rng.start, g.rng.end, g.mode)
-                     for g in mgr.holdings("a", 1))
-    assert islands == [(0, 40, LockMode.EXCLUSIVE),
-                       (40, 60, LockMode.SHARED),
-                       (60, 100, LockMode.EXCLUSIVE)]
-    # Only the downgraded middle admits a sharer.
-    assert mgr.try_acquire("b", 1, br(40, 60), LockMode.SHARED)[0]
-    assert not mgr.try_acquire("b", 1, br(0, 40), LockMode.SHARED)[0]
-
-
-def test_downgrade_then_reacquire_remerges(mgr):
-    mgr.try_acquire("a", 1, br(0, 100), LockMode.EXCLUSIVE)
-    mgr.downgrade("a", 1, br(40, 60), LockMode.SHARED)
-    # Re-upgrading the middle heals the split back into one island.
-    assert mgr.try_acquire("a", 1, br(40, 60), LockMode.EXCLUSIVE)[0]
-    holdings = mgr.holdings("a", 1)
-    assert len(holdings) == 1
-    assert holdings[0].rng == br(0, 100)
-    assert holdings[0].mode == LockMode.EXCLUSIVE
-
-
 # -- contention probes -----------------------------------------------------
 
 def test_other_interest_sees_holders_and_waiters(mgr):

@@ -13,7 +13,7 @@ ranges = st.tuples(st.integers(min_value=0, max_value=200),
 
 ops = st.lists(
     st.tuples(st.sampled_from(["acq_s", "acq_x", "rel", "rel_range",
-                               "down", "steal"]),
+                               "steal"]),
               st.sampled_from(["a", "b", "c"]),
               ranges),
     min_size=1, max_size=80)
@@ -28,8 +28,6 @@ def apply_op(mgr, op, client, rng, obj=1):
         mgr.release(client, obj)
     elif op == "rel_range":
         mgr.release(client, obj, rng)
-    elif op == "down":
-        mgr.downgrade(client, obj, rng, LockMode.SHARED)
     else:
         mgr.steal_all(client)
 
