@@ -16,6 +16,7 @@ from repro.core.config import (NetCacheConfig, ScaleConfig, SystemConfig,
 from repro.core.system import build_system
 from repro.lease import PooledLeaseService
 from repro.net import ControlNetwork, Endpoint
+from repro.net.message import Getattr, MsgKind
 from repro.obs.registry import MetricsRegistry
 from repro.sim import ClockEnsemble, RandomStreams, Simulator, TimerPool
 from repro.sim.trace import TraceRecorder
@@ -93,12 +94,13 @@ def _spin_rpcs(n: int, make_handler=_sync_handler) -> int:
     ens = ClockEnsemble(0.0, streams)
     server = Endpoint(sim, net, "server", ens.create("server"))
     client = Endpoint(sim, net, "client", ens.create("client"))
-    server.register("fs.getattr", make_handler(sim))
+    server.register(MsgKind.GETATTR, make_handler(sim))
     done = [0]
 
     def caller():
         for _ in range(n):
-            yield from client.request("server", "fs.getattr", {})
+            yield from client.request("server", MsgKind.GETATTR,
+                                      Getattr(path="/f"))
             done[0] += 1
     sim.process(caller())
     sim.run()

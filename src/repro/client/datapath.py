@@ -24,7 +24,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 from repro.client.cache import Page, PageCache, lost_to_failed_flush
 from repro.client.openfile import OpenFile
 from repro.metadata.inode import FileAttributes
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DataRead, DataWrite, DeliveryError, Message,
+                               MsgKind, NackError)
 from repro.net.san import SanFabric, SanUnreachableError
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -74,13 +75,14 @@ class DataPath:
 
     # -- block maps ----------------------------------------------------------
     @staticmethod
-    def layout_hint(file_id: Optional[int],
-                    held: Optional[ExtentMap]) -> Dict[str, Any]:
-        """Request fields naming the block map the client already holds,
-        so the server may answer with only the runs past it."""
+    def layout_hint(file_id: Optional[int], held: Optional[ExtentMap],
+                    ) -> Optional[Tuple[Optional[int], int, int]]:
+        """The ``have_layout`` request field naming the block map the
+        client already holds, so the server may answer with only the
+        runs past it; None when it holds none."""
         if held is None:
-            return {}
-        return {"have_layout": (file_id, held.layout_gen, len(held.extents))}
+            return None
+        return (file_id, held.layout_gen, len(held.extents))
 
     def apply_meta_reply(self, of: OpenFile, payload: Dict[str, Any],
                          held: Optional[ExtentMap]) -> None:
@@ -170,7 +172,7 @@ class DataPath:
             device, lba = of.resolve(lb)
             if self._rpc is not None:
                 reply = yield from self._rpc(
-                    MsgKind.DATA_READ, {"file_id": of.file_id, "block": lb},
+                    MsgKind.DATA_READ, DataRead(of.file_id, lb),
                     route=("file", of.file_id))
                 tag = reply.payload.get("tag")
                 version = int(reply.payload.get("version", -1))
@@ -285,8 +287,8 @@ class DataPath:
                                               block_tags))
         reply = yield from self._rpc(
             MsgKind.DATA_WRITE,
-            {"file_id": page.file_id, "block": page.logical_block,
-             "tag": block_tags.get(page.lba), "data_bytes": BLOCK_SIZE},
+            DataWrite(page.file_id, page.logical_block,
+                      block_tags.get(page.lba), BLOCK_SIZE),
             route=("file", page.file_id))
         return {page.lba: int(reply.payload.get("version", -1))}
 

@@ -25,7 +25,10 @@ from repro.client.openfile import FdTable, OpenFile
 from repro.locks.client_table import ClientLockTable
 from repro.locks.modes import LockMode
 from repro.net.control import Endpoint, HandlerResult
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (Batch, DeliveryError, Downgrade, FileOnly,
+                               LockAcquire, LockDemand, Message, MsgKind,
+                               NackError, RangeAcquire, RangeDemand,
+                               RangeRelease, Reassert)
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
@@ -129,7 +132,6 @@ class LockClient:
         # repro-lint: handles[client-demands]
         endpoint.register(MsgKind.LOCK_DEMAND, self._on_lock_demand)
         endpoint.register(MsgKind.RANGE_DEMAND, self._on_range_demand)
-        endpoint.register(MsgKind.CACHE_INVALIDATE, self._on_cache_invalidate)
 
     # -- pinning ---------------------------------------------------------------
     def pin(self, file_id: int) -> _Pin:
@@ -178,8 +180,8 @@ class LockClient:
             held = self.data.layouts.get(of.file_id)
             reply = yield from self._rpc(
                 MsgKind.LOCK_ACQUIRE,
-                {"file_id": of.file_id, "mode": int(wanted),
-                 **self.data.layout_hint(of.file_id, held)},
+                LockAcquire(of.file_id, int(wanted),
+                            self.data.layout_hint(of.file_id, held)),
                 of.server, route=("file", of.file_id))
             if not self.lock_reply_stale(of.file_id, sent_at):
                 break
@@ -234,10 +236,10 @@ class LockClient:
         spans (the server may have coalesced or widened them) are
         released in another, in this generator's own ``finally``."""
         route = ("file", of.file_id)
-        ops = [{"op": "range_acquire", "file_id": of.file_id,
-                "start": offset, "end": offset + nbytes, "mode": int(mode)}
-               for offset, nbytes in ranges]
-        reply = yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops},
+        acquire = Batch(tuple(
+            RangeAcquire(of.file_id, offset, offset + nbytes, int(mode))
+            for offset, nbytes in ranges))
+        reply = yield from self._rpc(MsgKind.LOCK_BATCH, acquire,
                                      of.server, route=route)
         spans = sorted({(int(r["start"]), int(r["end"]))
                         for r in reply.payload["results"] if r.get("ok")})
@@ -248,10 +250,9 @@ class LockClient:
             return out
         finally:
             if spans:
-                release = [{"op": "range_release", "file_id": of.file_id,
-                            "start": start, "end": end}
-                           for start, end in spans]
-                yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": release},
+                release = Batch(tuple(RangeRelease(of.file_id, start, end)
+                                      for start, end in spans))
+                yield from self._rpc(MsgKind.LOCK_BATCH, release,
                                      of.server, route=route)
 
     # -- §6 server recovery: lock reassertion ------------------------------------
@@ -282,8 +283,7 @@ class LockClient:
         self.reasserts_sent += 1
         try:
             yield from self.endpoint.request(server, MsgKind.LOCK_REASSERT,
-                                             {"file_id": obj,
-                                              "mode": int(mode)})
+                                             Reassert(obj, int(mode)))
             self.trace.emit(self.sim.now, "client.reasserted", self.name,
                             file_id=obj, mode=int(mode))
         except NackError as exc:
@@ -306,8 +306,9 @@ class LockClient:
         ACK immediately (receipt), then comply asynchronously: flush the
         file's dirty pages, then release or downgrade.
         """
-        file_id = int(msg.payload["file_id"])
-        needed = LockMode(int(msg.payload["needed_mode"]))
+        body: LockDemand = msg.payload
+        file_id = int(body.file_id)
+        needed = LockMode(int(body.needed_mode))
         self.sim.process(self._comply_demand(file_id, needed, msg.src),
                          name=f"{self.name}:comply:{file_id}")
         return ("ack", {"status": "demand_received"})
@@ -320,16 +321,12 @@ class LockClient:
         drew the demand for the contention census.  Bare demands (no
         file named) are pure liveness pings and only need the ack.
         """
-        file_id = msg.payload.get("file_id")
+        body: RangeDemand = msg.payload
+        file_id = body.file_id
         if file_id is not None:
             fid = int(file_id)
             self.range_demands_seen[fid] = \
                 self.range_demands_seen.get(fid, 0) + 1
-        return ("ack", {})
-
-    def _on_cache_invalidate(self, msg: Message) -> HandlerResult:
-        """Server-pushed invalidation of a file's cached pages."""
-        self.data.drop_file(int(msg.payload["file_id"]))
         return ("ack", {})
 
     def _comply_demand(self, file_id: int, needed: LockMode, server: str,
@@ -351,16 +348,16 @@ class LockClient:
         try:
             if needed == LockMode.SHARED and held == LockMode.EXCLUSIVE:
                 yield from self._rpc(MsgKind.LOCK_DOWNGRADE,
-                                     {"file_id": file_id,
-                                      "to": int(LockMode.SHARED)}, server)
+                                     Downgrade(file_id, int(LockMode.SHARED)),
+                                     server)
                 self._note_lock_revoked(file_id)
                 self.table.note_downgraded(file_id, LockMode.SHARED)
                 for of in self.fds.by_file_id(file_id):
                     of.lock = LockMode.SHARED
             else:
                 self.data.drop_file(file_id)
-                yield from self._rpc(MsgKind.LOCK_RELEASE,
-                                     {"file_id": file_id}, server)
+                yield from self._rpc(MsgKind.LOCK_RELEASE, FileOnly(file_id),
+                                     server)
                 self._note_lock_revoked(file_id)
                 self.table.note_released(file_id)
                 for of in self.fds.by_file_id(file_id):

@@ -31,7 +31,9 @@ from repro.lease.phases import LeasePhase
 from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
-from repro.net.message import DeliveryError, Message, MsgKind, Nack, NackError
+from repro.net.message import (Batch, Close, Create, DeliveryError, Getattr,
+                               Message, MsgKind, Nack, NackError, OpenIntent,
+                               PathOnly, Setattr)
 from repro.net.san import SanFabric
 from repro.obs import Observability
 from repro.sim.clock import LocalClock
@@ -174,9 +176,8 @@ class StorageTankClient:
         srv = self.routing.server_for_path(path)
         self._admit(srv)
         with self._busy:
-            reply = yield from self._rpc(MsgKind.CREATE,
-                                         {"path": path, "size": size}, srv,
-                                         route=("path", path))
+            reply = yield from self._rpc(MsgKind.CREATE, Create(path, size),
+                                         srv, route=("path", path))
             fid = int(reply.payload["file_id"])
             self._note_file(fid, path)
             return fid
@@ -192,8 +193,8 @@ class StorageTankClient:
             held_fid = self.data.path_fid.get(path)
             held = self.data.layouts.get(held_fid)
             p = yield from self._intent_open(
-                {"op": "open", "path": path, "mode": mode,
-                 **self.data.layout_hint(held_fid, held)}, srv)
+                OpenIntent(path, mode,
+                           self.data.layout_hint(held_fid, held)), srv)
             lock = LockMode(int(p["lock"]))
             fid = int(p["file_id"])
             owner = self._note_file(fid, path)
@@ -212,24 +213,22 @@ class StorageTankClient:
             self.ops_completed += 1
             return of.fd
 
-    def _intent_open(self, op: Dict[str, Any], srv: str,
+    def _intent_open(self, op: OpenIntent, srv: str,
                      ) -> Generator[Event, Any, Dict[str, Any]]:
         """One-round-trip open: the lock request carries the operation
         (``op``, the open descriptor).
 
         Deferred closes for this server ride the same datagram as a
         LOCK_BATCH, so an open→close→open cycle costs one message."""
-        path = op["path"]
+        path = op.path
         closes = self._pending_closes.pop(srv, None)
         if not closes:
             reply = yield from self._rpc(MsgKind.LOCK_INTENT, op, srv,
                                          route=("path", path))
             return reply.payload
-        ops: List[Dict[str, Any]] = [{"op": "close", "file_id": fid}
-                                     for fid in closes]
-        ops.append(op)
+        batch = Batch((*(Close(fid) for fid in closes), op))
         try:
-            reply = yield from self._rpc(MsgKind.LOCK_BATCH, {"ops": ops},
+            reply = yield from self._rpc(MsgKind.LOCK_BATCH, batch,
                                          srv, route=("path", path))
         except (DeliveryError, NackError):
             # The piggybacked closes may not have landed: re-queue them
@@ -242,7 +241,7 @@ class StorageTankClient:
             # would: a NackError carrying the server's error (read out
             # of a delivered batch ACK, never a datagram: RPL013-exempt).
             req = Message(src=self.name, dst=srv, kind=MsgKind.LOCK_INTENT,
-                          payload={"op": "open", "path": path})
+                          payload=op)
             raise NackError(req, Nack(  # repro-lint: ignore[RPL013]
                 src=srv, dst=self.name, reply_to=req.msg_id,
                 payload={"error": res.get("error", "")}))
@@ -285,10 +284,10 @@ class StorageTankClient:
                     # op-result + (idempotent) grant in one round trip.
                     sent_at = self.sim.now
                     held = self.data.layouts.get(of.file_id)
+                    hint = self.data.layout_hint(of.file_id, held)
                     reply = yield from self._rpc(
                         MsgKind.LOCK_INTENT,
-                        {"op": "setattr", "file_id": of.file_id, "size": end,
-                         **self.data.layout_hint(of.file_id, held)},
+                        Setattr(of.file_id, size=end, have_layout=hint),
                         of.server, route=("file", of.file_id))
                     lock = reply.payload.get("lock")
                     if (lock is not None
@@ -386,7 +385,7 @@ class StorageTankClient:
         srv = self.routing.server_for_path(path)
         self._admit(srv)
         with self._busy:
-            reply = yield from self._rpc(MsgKind.UNLINK, {"path": path}, srv,
+            reply = yield from self._rpc(MsgKind.UNLINK, PathOnly(path), srv,
                                          route=("path", path))
             fid = int(reply.payload["file_id"])
             self.data.drop_file(fid)
@@ -424,7 +423,7 @@ class StorageTankClient:
                 self._admit(srv)
                 with self._busy:
                     reply = yield from self._rpc(MsgKind.READDIR,
-                                                 {"path": path}, srv)
+                                                 PathOnly(path), srv)
             except (ClientQuiescedError, ClientDisconnectedError,
                     DeliveryError, NackError) as exc:
                 last_exc = exc
@@ -441,7 +440,7 @@ class StorageTankClient:
         srv = self.routing.server_for_path(path)
         self._admit(srv)
         with self._busy:
-            reply = yield from self._rpc(MsgKind.GETATTR, {"path": path}, srv,
+            reply = yield from self._rpc(MsgKind.GETATTR, Getattr(path), srv,
                                          route=("path", path))
             self.ops_completed += 1
             return FileAttributes.from_payload(reply.payload["attrs"])
@@ -456,7 +455,7 @@ class StorageTankClient:
         srv = self.routing.server_for_path(path)
         self._admit(srv)
         with self._busy:
-            reply = yield from self._rpc(MsgKind.LOOKUP, {"path": path}, srv,
+            reply = yield from self._rpc(MsgKind.LOOKUP, PathOnly(path), srv,
                                          route=("path", path))
             self.ops_completed += 1
             return int(reply.payload["file_id"])

@@ -14,7 +14,8 @@ from typing import (Any, Callable, Dict, Generator, List, Optional, Sequence,
 
 from repro.cluster.shardmap import ShardMap, slot_of_path
 from repro.net.control import Endpoint, HandlerResult
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, MapUpdate, Message, MsgKind,
+                               NackError, Null)
 from repro.sim.events import Event
 
 #: What a request addresses: ``("path", p)`` or ``("file", fid)``.
@@ -96,7 +97,7 @@ class Router:
         return [fid for fid, srv in self._file_server.items() if srv == server]
 
     # -- requests ------------------------------------------------------------
-    def rpc(self, kind: str, payload: Dict[str, Any],
+    def rpc(self, kind: str, payload: Any,
             server: Optional[str] = None,
             route: Optional[Route] = None,
             ) -> Generator[Event, Any, Message]:
@@ -153,14 +154,15 @@ class Router:
             return
         try:
             reply = yield from self.endpoint.request(
-                self.coordinator, MsgKind.CLUSTER_MAP_FETCH, {})
+                self.coordinator, MsgKind.CLUSTER_MAP_FETCH, Null())
         except (DeliveryError, NackError):
             return
         self._apply_map(ShardMap.from_payload(reply.payload["map"]))
 
     def _on_map_push(self, msg: Message) -> HandlerResult:
         """Coordinator-pushed map update (takeover/failback broadcast)."""
-        self._apply_map(ShardMap.from_payload(msg.payload["map"]))
+        body: MapUpdate = msg.payload
+        self._apply_map(ShardMap.from_payload(body.map))
         return ("ack", {})
 
     def _apply_map(self, new_map: ShardMap) -> None:

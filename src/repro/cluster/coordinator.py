@@ -37,7 +37,8 @@ from typing import (
 
 from repro.cluster.shardmap import ShardMap
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, MapUpdate, Message, MsgKind,
+                               NackError, Null, ReleaseSlots)
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -101,7 +102,7 @@ class ClusterCoordinator:
             yield self.endpoint.local_timeout(self.config.ping_interval)
             try:
                 yield from self.endpoint.request(srv, MsgKind.CLUSTER_PING,
-                                                 {"epoch": self.map.epoch})
+                                                 Null())
             except (DeliveryError, NackError):
                 if self.alive[srv]:
                     self.alive[srv] = False
@@ -197,7 +198,7 @@ class ClusterCoordinator:
         for owner, owner_slots in by_owner.items():
             try:
                 ack = yield from self.endpoint.request(
-                    owner, MsgKind.CLUSTER_RELEASE, {"slots": owner_slots})
+                    owner, MsgKind.CLUSTER_RELEASE, ReleaseSlots(owner_slots))
             except (DeliveryError, NackError):
                 clean = False
                 continue
@@ -210,12 +211,12 @@ class ClusterCoordinator:
     # publication
     # ------------------------------------------------------------------
     def _push(self, dst: str, **extra: Any) -> Generator[Event, Any, None]:
-        """Push the current map to one node (best-effort)."""
-        payload = {"map": self.map.to_payload()}
-        payload.update(extra)
+        """Push the current map to one node (best-effort); ``extra`` is
+        the update's ``takeover`` or ``adopt``."""
         try:
-            yield from self.endpoint.request(dst, MsgKind.CLUSTER_MAP_UPDATE,
-                                             payload)
+            yield from self.endpoint.request(
+                dst, MsgKind.CLUSTER_MAP_UPDATE,
+                MapUpdate(self.map.to_payload(), **extra))
         except (DeliveryError, NackError):
             pass
 

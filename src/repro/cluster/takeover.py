@@ -56,7 +56,8 @@ from typing import (
 from repro.cluster.shardmap import ShardMap, slot_of_path
 from repro.locks.modes import LockMode
 from repro.locks.ranges import ByteRange
-from repro.net.message import Message, MsgKind
+from repro.net.message import (Batch, MapUpdate, Message, MsgKind, OpenIntent,
+                               RangeAcquire, ReleaseSlots, Setattr)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metadata.store import MetadataStore
@@ -69,12 +70,10 @@ _GRANTING_KINDS = frozenset({
     MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH,
 })
 
-#: The intent sub-operations that grant.  ``range_release`` and the
-#: advisory ``close`` give something back, so a stale map never refuses
+#: The intent sub-operations that grant.  A range release and the
+#: advisory close give something back, so a stale map never refuses
 #: them and they never get the batch they ride refused.
-_GRANTING_SUBOPS = frozenset({
-    "open", "setattr", "range_acquire",
-})
+_GRANTING_SUBOPS = (OpenIntent, Setattr, RangeAcquire)
 
 
 class ServerShardRole:
@@ -128,16 +127,20 @@ class ServerShardRole:
     # ------------------------------------------------------------------
     # ownership gate
     # ------------------------------------------------------------------
-    def _slot_of(self, payload: Dict[str, Any]) -> Optional[int]:
-        if "path" in payload:
-            return slot_of_path(payload["path"])
-        if "file_id" in payload:
-            return self.fid_slot.get(int(payload["file_id"]))
+    def _slot_of(self, body: Any) -> Optional[int]:
+        """The slot a request body addresses: by its ``path`` field, else
+        its ``file_id``; None for a body that names neither."""
+        path = getattr(body, "path", None)
+        if path is not None:
+            return slot_of_path(path)
+        file_id = getattr(body, "file_id", None)
+        if file_id is not None:
+            return self.fid_slot.get(int(file_id))
         return None
 
     def _wrong_owner(self) -> Tuple[str, Dict[str, Any]]:
         self.wrong_owner_nacks += 1
-        # Deliberately NOT a ``__lease_nack__``: a routing refusal is an
+        # Deliberately NOT a lease NACK: a routing refusal is an
         # application outcome, the client's lease must survive it.
         return ("nack", {"error": "wrong_owner", "map_epoch": self.map.epoch})
 
@@ -153,26 +156,27 @@ class ServerShardRole:
                 return self._stale()
             return None
         granting = msg.kind in _GRANTING_KINDS
-        bodies: Sequence[Dict[str, Any]] = (msg.payload,)
-        if msg.kind == MsgKind.LOCK_BATCH:
+        payload = msg.payload
+        bodies: Sequence[Any] = (payload,)
+        if isinstance(payload, Batch):
             # Refused whole when any granting sub-op would be.
-            bodies = [b for b in msg.payload.get("ops", ())
-                      if b.get("op") in _GRANTING_SUBOPS]
+            bodies = [b for b in payload.ops
+                      if isinstance(b, _GRANTING_SUBOPS)]
         elif msg.kind == MsgKind.LOCK_INTENT:
-            granting = msg.payload.get("op") in _GRANTING_SUBOPS
+            granting = isinstance(payload, _GRANTING_SUBOPS)
         for body in bodies:
             refusal = self._gate_one(body, granting)
             if refusal is not None:
                 return refusal
         return None
 
-    def _gate_one(self, payload: Dict[str, Any], granting: bool,
+    def _gate_one(self, body: Any, granting: bool,
                   ) -> Optional[Tuple[str, Dict[str, Any]]]:
         """Ownership (and, for grants, map-lease) check of one request
         body: a whole payload, or one sub-op of a batch."""
-        slot = self._slot_of(payload)
+        slot = self._slot_of(body)
         if slot is None:
-            fid = payload.get("file_id")
+            fid = getattr(body, "file_id", None)
             if fid is not None and not self._is_local_origin(int(fid)):
                 # Unknown foreign file id: refuse rather than serve a
                 # slot we cannot prove we own (the owner will know it).
@@ -272,7 +276,8 @@ class ServerShardRole:
 
     def h_map_update(self, msg: Message) -> Tuple[str, Dict[str, Any]]:
         """Install a pushed shard map (with optional takeover/adopt)."""
-        new_map = ShardMap.from_payload(msg.payload["map"])
+        body: MapUpdate = msg.payload
+        new_map = ShardMap.from_payload(body.map)
         self.note_coordinator_contact()
         if new_map.epoch <= self.map.epoch and not self._suspended:
             return ("ack", {"epoch": self.map.epoch})
@@ -280,11 +285,11 @@ class ServerShardRole:
         self._suspended = False
         self.owned = set(new_map.slots_of(self.server.name))
         self._reindex()
-        takeover = msg.payload.get("takeover")
+        takeover = body.takeover
         if takeover is not None:
             self._begin_takeover(takeover["origin"],
                                  set(int(s) for s in takeover["slots"]))
-        adopt = msg.payload.get("adopt")
+        adopt = body.adopt
         if adopt is not None:
             self._adopt(adopt)
         self.server.trace.emit(self.server.sim.now, "cluster.map_update",
@@ -298,7 +303,8 @@ class ServerShardRole:
         Stops serving the slots immediately and exports the live lock
         holdings on their files (byte ``ranges`` too, when there are
         any) for the coordinator to forward to the next owner."""
-        slots = set(int(s) for s in msg.payload["slots"])
+        body: ReleaseSlots = msg.payload
+        slots = set(int(s) for s in body.slots)
         self.owned -= slots
         for win in self.server.recovery.windows:
             if win.slots is not None:

@@ -41,7 +41,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro.locks.modes import LockMode
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, Message, MsgKind, NackError,
+                               Reassert)
 from repro.net.san import SanUnreachableError
 from repro.sim.events import Event
 from repro.storage.disk import FencedIoError
@@ -234,8 +235,7 @@ class ByzantineClientAgent:
                 server = client.server_for_file(obj)
                 try:
                     yield from endpoint.request(
-                        server, MsgKind.LOCK_REASSERT,
-                        {"file_id": obj, "mode": mode})
+                        server, MsgKind.LOCK_REASSERT, Reassert(obj, mode))
                     self.replays_sent += 1
                 except NackError:
                     self.replays_refused += 1

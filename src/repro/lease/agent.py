@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Generator, Iterable,
-                    Optional)
+                    Optional, Union)
 
 from repro.lease.client_lease import ClientLeaseManager, LeaseCallbacks
 from repro.lease.contract import LeaseContract
 from repro.net.control import Endpoint, ReplyObserver
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (Ack, DeliveryError, Message, MsgKind, Nack,
+                               NackError, Null)
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
@@ -30,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 #: ``request(server, kind, payload)``: how the holder sends a request
 #: (its endpoint's ``request``, or a routing wrapper around it).
-Request = Callable[[str, str, Dict[str, Any]], Generator[Event, Any, Any]]
+Request = Callable[[str, str, Any], Generator[Event, Any, Any]]
 
 
 def _ignore(server: Optional[str]) -> None:
@@ -85,16 +86,17 @@ class LeaseAgent(ReplyObserver):
             for srv in servers}
 
     # -- replies ---------------------------------------------------------------
-    def on_reply(self, reply: Message, renewal_time: Optional[float]) -> None:
+    def on_reply(self, reply: Union[Ack, Nack],
+                 renewal_time: Optional[float]) -> None:
         """Every reply to one of our requests: learn the server's epoch
         from an ACK (§6), then let it renew the lease (§3.1); a lease
         NACK invalidates the lease (§3.3)."""
         lease = self.leases.get(reply.src)
-        if reply.kind == MsgKind.NACK:
+        if isinstance(reply, Nack):
             # Only the transport-level lease NACK invalidates the lease;
             # ordinary error replies ("exists", "no such file",
             # "reassert_conflict") are application outcomes.
-            if reply.payload.get("__lease_nack__"):
+            if reply.lease_nack:
                 if lease is not None:
                     lease.on_nack()
                 self._on_lease_nack(reply.src)
@@ -118,10 +120,11 @@ class LeaseAgent(ReplyObserver):
                 and lease.serves_requests and self.endpoint.alive
                 and msg.kind != MsgKind.KEEPALIVE)
 
-    def _on_epoch(self, msg: Message) -> None:
-        epoch = msg.payload.get("__epoch__")
-        if epoch is None:
+    def _on_epoch(self, msg: Ack) -> None:
+        stamp = msg.stamp
+        if stamp is None:
             return
+        epoch, _watermark = stamp
         known = self._server_epoch.get(msg.src)
         self._server_epoch[msg.src] = int(epoch)
         if known is not None and int(epoch) != known:
@@ -141,7 +144,7 @@ class LeaseAgent(ReplyObserver):
         self.trace.emit(self.sim.now, "lease.keepalive", self.name,
                         server=server)
         try:
-            yield from self._request(server, MsgKind.KEEPALIVE, {})
+            yield from self._request(server, MsgKind.KEEPALIVE, Null())
         except (DeliveryError, NackError):
             pass  # on_reply / the lease daemon already know
 

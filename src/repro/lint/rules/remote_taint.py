@@ -12,11 +12,12 @@ The check is one syntactic pass per outermost function, nested defs and
 lambdas included (a ``waiter()`` closure sees its parent's names).  A
 name is tainted when any binding of it — assignment, augmented or
 annotated assignment, walrus, ``for``/comprehension target, ``with ...
-as`` — comes from an expression that mentions ``<x>.payload`` or an
-already-tainted name; taint is iterated to a fixed point and never
-killed by a later clean rebinding.  Any timer-constructor call
-(``local_timeout``, ``timeout``, ``after``, ``at``, ``renew``, ...)
-whose argument mentions ``.payload`` or a tainted name is reported once.
+as`` — comes from an expression that reads a remote value (``<x>.payload``
+or an envelope slot, :data:`_SOURCES`) or an already-tainted name;
+taint is iterated to a fixed point and never killed by a later clean
+rebinding.  Any timer-constructor call (``local_timeout``, ``timeout``,
+``after``, ``at``, ``renew``, ...) whose argument mentions a remote
+value or a tainted name is reported once.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ _SINKS = frozenset({
     "renew",           # lease renewal instants
     "server_wait_local", "client_expiry_local", "phase_start_local",
 })
+
+#: Message attributes the remote sender sets: the payload and the
+#: envelope slots (an ACK's ``stamp``, a request's ``lapse_attested``).
+_SOURCES = frozenset({"payload", "stamp", "lapse_attested"})
 
 _PROTOCOL_SCOPE = [
     "src/repro/client",
@@ -99,8 +104,8 @@ def _outermost_defs(node: ast.AST) -> Iterator[_Def]:
 
 
 def _mentions(expr: ast.AST, tainted: Set[str]) -> bool:
-    """Whether ``expr`` reads a payload or a tainted name anywhere."""
-    return any((isinstance(n, ast.Attribute) and n.attr == "payload")
+    """Whether ``expr`` reads a remote value or a tainted name anywhere."""
+    return any((isinstance(n, ast.Attribute) and n.attr in _SOURCES)
                or (isinstance(n, ast.Name) and n.id in tainted)
                for n in ast.walk(expr))
 
@@ -122,7 +127,7 @@ def _bindings(nodes: List[ast.AST]) -> Iterator[Tuple[ast.AST, ast.AST]]:
 
 
 def _tainted_names(nodes: List[ast.AST]) -> Set[str]:
-    """Names bound, directly or transitively, from a payload read."""
+    """Names bound, directly or transitively, from a remote read."""
     edges: List[Tuple[Set[str], Set[str]]] = []
     tainted: Set[str] = set()
     for target, value in _bindings(nodes):

@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
-                    List, Optional, Set, Tuple)
+                    List, Optional, Set, Tuple, Union)
 
-from repro.net.message import (Ack, DeliveryError, Message, MsgKind, Nack,
-                               NackError)
+from repro.net.message import (SCHEMAS, Ack, DeliveryError, Message, MsgKind,
+                               Nack, NackError, Stamp)
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event, FirstOf, Interrupt, Timeout
 from repro.sim.kernel import Simulator
@@ -53,7 +53,7 @@ class ReplyObserver:
     so a node in :attr:`Endpoint.observers` overrides the half it acts on.
     """
 
-    def on_reply(self, reply: Message,
+    def on_reply(self, reply: Union[Ack, Nack],
                  renewal_time: Optional[float]) -> None:
         """``reply`` (an ACK or a NACK) answered one of our requests.
 
@@ -349,8 +349,8 @@ class Endpoint:
         # Lease-lapse attestation generation (§6 containment).  The
         # lease layer bumps this when a lease *expires locally* — i.e.
         # the node ran its expected-failure path (quiesce, flush, drop
-        # cache and locks).  Requests created while it is non-zero carry
-        # it as ``__lapse_gen__``, so a server that fenced this node can
+        # cache and locks).  Every request carries it, stamped at creation
+        # as ``Message.lapse_attested``, so a server that fenced this node can
         # distinguish "the old incarnation is still talking" (no new
         # attestation: keep the fence) from "the node observed its lapse
         # and discarded stale state" (safe to lift the fence).
@@ -364,8 +364,9 @@ class Endpoint:
         self._pending: Dict[int, Event] = {}
         self._next_seq = 0
         self._dedup_capacity = dedup_capacity
-        # (src, seq) -> ("done", decision, payload) | ("pending", None, None)
-        self._executed: Dict[Tuple[str, int], Tuple[str, Optional[str], Optional[Dict[str, Any]]]] = {}
+        # (src, seq) -> ("done", decision, payload, stamp)
+        #             | ("pending", None, None, None)
+        self._executed: Dict[Tuple[str, int], Tuple[Any, ...]] = {}
         self._executed_order: Deque[Tuple[str, int]] = deque()
         # msg_id of the admitted attempt -> process of a transaction
         # whose handler is waiting (``crash`` interrupts them, in
@@ -379,12 +380,12 @@ class Endpoint:
         # messages-per-op accounting divides these by completed ops.
         self.rpc_sent: Dict[str, int] = {}
 
-        # The hook surface.  ``reply_stamp(msg)`` returns payload keys
-        # merged into every ACK this node decides, pending re-ACKs included:
-        # any ACK renews the requester's lease, so every ACK of a server
-        # must also carry its restart signal, ``__epoch__`` (§6).
+        # The hook surface.  ``reply_stamp(msg)`` returns the ``Ack.stamp``
+        # of every ACK this node decides, pending re-ACKs included: any ACK
+        # renews the requester's lease, so every ACK of a server must also
+        # carry its restart signal, the epoch (§6).
         self.observers: List[ReplyObserver] = []
-        self.reply_stamp: Optional[Callable[[Message], Dict[str, Any]]] = None
+        self.reply_stamp: Optional[Callable[[Message], Stamp]] = None
 
         net.attach(self)
 
@@ -455,12 +456,14 @@ class Endpoint:
         """Fire-and-forget transmit (used for ACK/NACK replies)."""
         self.net.transmit(msg)
 
-    def request(self, dst: str, kind: str,
-                payload: Optional[Dict[str, Any]] = None,
+    def request(self, dst: str, kind: str, payload: Any = None,
                 policy: Optional[RetryPolicy] = None,
                 ) -> Generator[Event, Any, Message]:
         """Send a request and wait for its ACK (process generator).
 
+        ``payload`` must be an instance of the kind's declared schema
+        (:data:`~repro.net.message.SCHEMAS`), or this raises
+        :class:`TypeError`; a kind without one sends any payload as is.
         Returns the ACK message.  Raises :class:`NackError` on NACK and
         :class:`DeliveryError` when every attempt times out and no
         observer :meth:`~ReplyObserver.rides_out` the silence.
@@ -472,16 +475,22 @@ class Endpoint:
         server's reply).  All attempts share the at-most-once key
         (src, seq).
         """
+        schema = SCHEMAS.get(kind)
+        if schema is not None and not isinstance(payload, schema):
+            allowed = schema if isinstance(schema, tuple) else (schema,)
+            raise TypeError(
+                f"{kind} payload must be "
+                f"{' or '.join(c.__name__ for c in allowed)}, "
+                f"not {type(payload).__name__}")
         pol = policy or self.default_policy
         self._next_seq += 1
         self.rpc_sent[kind] = self.rpc_sent.get(kind, 0) + 1
-        msg = Message(self.name, dst, kind,
-                      dict(payload) if payload else {}, self._next_seq)
+        msg = Message(self.name, dst, kind, payload, self._next_seq)
         if self.lapse_gen:
             # Attest the lapses this node has observed (and cleaned up
             # after).  Stamped at creation: a request initiated *before*
             # a lapse keeps its pre-lapse view across retries.
-            msg.payload["__lapse_gen__"] = self.lapse_gen
+            msg.lapse_attested = self.lapse_gen
         sim = self.sim
         pending = self._pending
         net = self.net
@@ -496,13 +505,12 @@ class Endpoint:
                 if obs is not None else None)
         try:
             attempt = msg
-            reply: Optional[Message] = None
+            reply: Optional[Ack] = None
             for n in range(pol.attempts):
                 # Each attempt is its own datagram object: earlier copies
                 # may still be in flight and must keep their identity.
                 if n:
-                    attempt = Message(msg.src, msg.dst, msg.kind,
-                                      msg.payload, msg.seq)
+                    attempt = msg.resend()
                 sent_local = self.local_now()
                 attempt.sent_local_time = sent_local
                 mid = attempt.msg_id
@@ -516,7 +524,7 @@ class Endpoint:
                     reply = reply_ev._value
                     self._deliver_reply(msg, reply, attempt_times)
                     break
-            if reply is None or reply.payload.get("__pending__"):
+            if reply is None or reply.pending:
                 reply = yield from self._await_result(
                     msg, pol, attempt_times, reply is None)
             self._rpc_done(span, kind, t0, "ack")
@@ -531,13 +539,13 @@ class Endpoint:
             for mid in attempt_times:
                 pending.pop(mid, None)
 
-    def _deliver_reply(self, msg: Message, reply: Message,
+    def _deliver_reply(self, msg: Message, reply: Union[Ack, Nack],
                        attempt_times: Dict[int, float]) -> None:
         """Show one reply to request ``msg`` to every observer, then
         raise :class:`NackError` if it is a NACK.
 
         The requester side's one choke point: direct ACKs and NACKs,
-        ``__pending__`` re-ACKs, a parked transaction's final and a
+        ``pending`` re-ACKs, a parked transaction's final and a
         re-execution's direct answer each pass through here exactly
         once, renewing from the send time of the attempt they answer.
         """
@@ -606,16 +614,15 @@ class Endpoint:
             timeout_ev = self.local_timeout(
                 max(min(poll_local, remaining), 1e-6))
             if (yield FirstOf(sim, (reply_ev, timeout_ev))) is reply_ev:
-                reply: Message = reply_ev._value
+                reply: Ack = reply_ev._value
                 self._deliver_reply(msg, reply, attempt_times)
-                if not reply.payload.get("__pending__"):
+                if not reply.pending:
                     return reply
                 riding = False
                 continue
             # Poll timeout: a fresh initiation nudging the server (its
             # ACK renews the lease from this new send time).
-            poll_msg = Message(msg.src, msg.dst, msg.kind,
-                               msg.payload, msg.seq)
+            poll_msg = msg.resend()
             poll_msg.sent_local_time = self.local_now()
             attempt_times[poll_msg.msg_id] = poll_msg.sent_local_time
             pending[poll_msg.msg_id] = reply_ev
@@ -640,7 +647,7 @@ class Endpoint:
                 # is invalid; I will not renew you") — distinct from an
                 # application-level error reply, which must NOT make the
                 # client abandon its lease.
-                self._reply(msg, "nack", {"__lease_nack__": True})
+                self._reply(msg, "nack", {}, lease_nack=True)
                 return
             if verdict == "silent":
                 return
@@ -648,13 +655,13 @@ class Endpoint:
         key = (msg.src, msg.seq)
         cached = self._executed.get(key)
         if cached is not None:
-            state, decision, payload = cached
+            state, decision, payload, stamp = cached
             if state == "pending":
                 # A retry of a parked transaction: stop its retries (the
                 # requester polls for the final from here on).
-                self._reply_pending(msg)
+                self._reply(msg, "ack", {}, self._stamped(msg), pending=True)
                 return
-            self._reply(msg, decision or "ack", payload)  # stamped at execution
+            self._reply(msg, decision, payload, stamp)  # stamped at execution
             return
 
         handler = self._handlers.get(msg.kind)
@@ -675,7 +682,7 @@ class Endpoint:
             waiting_on = txn.send(None)
         except StopIteration:
             return
-        self._remember(key, ("pending", None, None))
+        self._remember(key, ("pending", None, None, None))
         self._parked[msg.msg_id] = self.sim.process(
             txn, name=f"{self.name}:{msg.kind}#{msg.seq}", target=waiting_on)
 
@@ -703,38 +710,39 @@ class Endpoint:
             return (result[0], result[1] or {})
         raise TypeError(f"handler returned invalid decision {result!r}")
 
-    def _stamped(self, msg: Message,
-                 payload: Dict[str, Any]) -> Dict[str, Any]:
-        """``payload`` plus this node's :attr:`reply_stamp` for ``msg``
-        (the stamp's only reader)."""
+    def _stamped(self, msg: Message) -> Optional[Stamp]:
+        """This node's :attr:`reply_stamp` for ``msg``, None without one
+        (the stamp's only reader).  The pending re-ACK of a retry is
+        stamped at send time: it renews the requester's lease from the
+        retry."""
         stamp = self.reply_stamp
-        return payload if stamp is None else {**payload, **stamp(msg)}
-
-    def _reply_pending(self, msg: Message) -> None:
-        """Re-ACK of a retry of a parked transaction, stamped at send
-        time (it renews the requester's lease from the retry)."""
-        self._reply(msg, "ack", self._stamped(msg, {"__pending__": True}))
+        return None if stamp is None else stamp(msg)
 
     def _finish(self, key: Tuple[str, int], msg: Message,
-                result: HandlerResult) -> HandlerResult:
-        """Seal a handler's decision — stamp an ACK, *then* record it —
-        for the synchronous and parked paths alike (the only writer
-        of ``"done"`` entries).  A replayed reply thus carries the
-        ``__epoch__``/``__mseq__`` it was executed under: a fresher
+                result: HandlerResult,
+                ) -> Tuple[str, Optional[Dict[str, Any]], Optional[Stamp]]:
+        """Seal a handler's decision — stamp an ACK, *then* record it
+        with its stamp — for the synchronous and parked paths alike (the
+        only writer of ``"done"`` entries).  A replayed reply thus
+        carries the epoch and watermark it was executed under: a fresher
         watermark on an old value would let a cache node install data
         that predates an invalidation it already saw.
         """
         decision, payload = result
-        if decision == "ack":
-            payload = self._stamped(msg, payload or {})
-        self._remember(key, ("done", decision, payload))
-        return decision, payload
+        stamp = self._stamped(msg) if decision == "ack" else None
+        self._remember(key, ("done", decision, payload, stamp))
+        return decision, payload, stamp
 
-    def _reply(self, msg: Message, decision: str, payload: Optional[Dict[str, Any]]) -> None:
+    def _reply(self, msg: Message, decision: str,
+               payload: Optional[Dict[str, Any]],
+               stamp: Optional[Stamp] = None, *, pending: bool = False,
+               lease_nack: bool = False) -> None:
         if decision == "ack":
-            self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload=payload))
+            self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload,
+                                   stamp, pending))
         elif decision == "nack":
-            self.send_datagram(Nack(self.name, msg.src, msg.msg_id, payload=payload))
+            self.send_datagram(Nack(self.name, msg.src, msg.msg_id, payload,
+                                    lease_nack))
         elif decision != "silent":
             raise ValueError(f"unknown handler decision {decision!r}")
 

@@ -26,7 +26,7 @@ Why a hit is never stale (the coherence argument, DESIGN.md §15):
   observe a value the server has already replaced.
 - Install races are closed by three guards: a reply executed while any
   mutation was pending at the server is stamped uninstallable
-  (``__mseq__ = -1``); a reply that executed before a mutation but
+  (watermark -1); a reply that executed before a mutation but
   arrives after its invalidation carries a watermark below the
   barrier floor the invalidation raised; and a reply that predates a
   flush (crash, lease lapse, epoch change, WRONG_OWNER) fails the
@@ -46,7 +46,8 @@ from repro.lease.agent import LeaseAgent
 from repro.lease.contract import LeaseContract
 from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
                                RetryPolicy)
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, Invalidate, Message, MsgKind,
+                               NackError)
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
@@ -67,6 +68,9 @@ CACHEABLE_KINDS: FrozenSet[str] = frozenset(
 
 #: (entry kind tag, upstream server, path)
 CacheKey = Tuple[str, str, str]
+#: The entry kind tag of each cacheable kind.
+_KEY_KINDS = {MsgKind.LOOKUP: "lookup", MsgKind.GETATTR: "attrs",
+              MsgKind.READDIR: "readdir"}
 
 #: Upstream (cache → server) per-attempt timeout and retries before a
 #: miss is failed back to the client.
@@ -150,6 +154,7 @@ class MetadataCacheNode:
 
         for kind in (MsgKind.LOOKUP, MsgKind.GETATTR, MsgKind.READDIR):
             self.endpoint.register(kind, self._h_read)
+        # repro-lint: handles[cache-invalidate]
         self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)
 
         #: pooled lease-lapse sweep: all periodic eviction shares one
@@ -184,7 +189,7 @@ class MetadataCacheNode:
             "Entry age at invalidation-driven drop (simulated s)",
             labels=("node",))
 
-    def _lease_request(self, server: str, kind: str, payload: Dict[str, Any],
+    def _lease_request(self, server: str, kind: str, payload: Any,
                        ) -> Generator[Event, Any, None]:
         """The lease agent's keep-alives.  A dead node sends none: the
         kernel cannot kill its lease daemons, and a request started
@@ -194,20 +199,12 @@ class MetadataCacheNode:
 
     # -- request handling --------------------------------------------------
     def _key_for(self, msg: Message) -> Optional[CacheKey]:
-        payload = msg.payload
-        kind = msg.kind
-        if kind == MsgKind.LOOKUP:
-            path = payload.get("path")
-            return ("lookup", msg.dst, path) if isinstance(path, str) else None
-        if kind == MsgKind.GETATTR:
-            # Only path-addressed getattr is cacheable; by-file-id
-            # requests forward uncached (invalidation names paths).
-            path = payload.get("path")
-            return ("attrs", msg.dst, path) if isinstance(path, str) else None
-        if kind == MsgKind.READDIR:
-            path = payload.get("path", "/")
-            return ("readdir", msg.dst, path) if isinstance(path, str) else None
-        return None
+        # Only path-addressed getattr is cacheable; by-file-id requests
+        # forward uncached (invalidation names paths).
+        path = msg.payload.path
+        if not isinstance(path, str):
+            return None
+        return (_KEY_KINDS[msg.kind], msg.dst, path)
 
     def _usable(self, entry: _Entry) -> bool:
         lease = self.leases.get(entry.server)
@@ -244,24 +241,18 @@ class MetadataCacheNode:
                        msg_kind=msg.kind, server=upstream, client=msg.src)
         gen0 = self._gen.get(upstream, 0)
         inval0 = self._inval_gen
-        forward = dict(msg.payload)
-        # The client's lapse attestation must not be forwarded under this
-        # node's name: the server tracks generations per *sender*, and
-        # our own endpoint re-stamps our own generation on the way out.
-        forward.pop("__lapse_gen__", None)
         try:
+            # Forwarded under this node's name, with its own lapse
+            # attestation: the server tracks generations per *sender*.
             reply = yield from self.endpoint.request(upstream, msg.kind,
-                                                     forward)
+                                                     msg.payload)
         except NackError as exc:
-            payload = dict(exc.nack.payload)
+            payload = exc.nack.payload
             error = str(payload.get("error", ""))
             if "wrong_owner" in error or "map_stale" in error:
                 # Shard-map epoch change: this server no longer owns the
                 # shard, so everything learned from it for it is suspect.
                 self.flush_server(upstream, "wrong-owner")
-            payload.pop("__lease_nack__", None)
-            payload.pop("__mseq__", None)
-            payload.pop("__epoch__", None)
             return ("nack", payload)
         except DeliveryError:
             # The client's own retries will reach the server directly
@@ -269,10 +260,10 @@ class MetadataCacheNode:
             # cache reports the failure as an application-level error.
             return ("nack", {"error": "upstream_unreachable",
                              "server": upstream})
-        out = dict(reply.payload)
-        raw_mseq = out.pop("__mseq__", 0)
+        out = reply.payload
+        stamp = reply.stamp
+        raw_mseq = stamp[1] if stamp is not None else None
         mseq = int(raw_mseq) if raw_mseq is not None else 0
-        out.pop("__epoch__", None)
         if key is not None:
             self._maybe_install(key, msg.kind, out, upstream, mseq, gen0,
                                 inval0)
@@ -335,28 +326,25 @@ class MetadataCacheNode:
 
     # -- invalidation ------------------------------------------------------
     def _h_invalidate(self, msg: Message) -> HandlerResult:
-        payload = msg.payload
+        body: Invalidate = msg.payload
         server = msg.src
         self.invalidations += 1
         self._inval_gen += 1
-        barrier = int(payload.get("barrier", 0))
+        barrier = int(body.barrier)
         if barrier > self._floor.get(server, 0):
             self._floor[server] = barrier
-        if payload.get("flush_server"):
-            self.flush_server(server, "server-flush")
-            return ("ack", {})
         # Drop the named keys under *every* upstream, not just the
         # sender: after a shard-map change the stale entry may be keyed
         # to the shard's previous owner.
         keys: List[CacheKey] = []
-        for path in payload.get("paths", ()):
+        for path in body.paths:
             for srv in self.upstreams:
                 keys.append(("lookup", srv, path))
                 keys.append(("attrs", srv, path))
-        for dirname in payload.get("dirs", ()):
+        for dirname in body.dirs:
             for srv in self.upstreams:
                 keys.append(("readdir", srv, dirname))
-        for fid in payload.get("file_ids", ()):
+        for fid in body.file_ids:
             # Sorted: set order is hash-seed dependent and the drops are
             # trace-visible, which would break replay determinism.
             keys.extend(sorted(self._by_fid.get(int(fid), ())))

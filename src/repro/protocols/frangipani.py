@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional
 
 from repro.client.node import StorageTankClient
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, Message, MsgKind, NackError,
+                               Null)
 from repro.protocols.base import SafetyAuthority
 from repro.sim.events import Event
 
@@ -153,7 +154,8 @@ class FrangipaniClientAgent:
             self.heartbeats_sent += 1
             self._m_msgs.inc()
             try:
-                yield from ep.request(self.client.server, MsgKind.HEARTBEAT, {})
+                yield from ep.request(self.client.server, MsgKind.HEARTBEAT,
+                                      Null())
                 self._last_ack_local = ep.local_now()
                 self._expired = False
             except (DeliveryError, NackError):

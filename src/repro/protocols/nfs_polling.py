@@ -27,7 +27,8 @@ from repro.client.openfile import FdTable, OpenFile
 from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
-from repro.net.message import DeliveryError, MsgKind, NackError
+from repro.net.message import (Create, DeliveryError, MsgKind, NackError,
+                               Open, Setattr)
 from repro.net.san import SanFabric
 from repro.obs import Observability
 from repro.sim.clock import LocalClock
@@ -76,13 +77,12 @@ class NfsPollingClient:
     # -- API (process generators) ---------------------------------------
     def create(self, path: str, size: int = 0) -> Generator[Event, Any, int]:
         """Create a file on the server."""
-        reply = yield from self._rpc(MsgKind.CREATE, {"path": path, "size": size})
+        reply = yield from self._rpc(MsgKind.CREATE, Create(path, size))
         return int(reply.payload["file_id"])
 
     def open_file(self, path: str, mode: str = "r") -> Generator[Event, Any, int]:
         """Open without any lock (``nolock``); returns a descriptor."""
-        reply = yield from self._rpc(MsgKind.OPEN,
-                                     {"path": path, "nolock": True})
+        reply = yield from self._rpc(MsgKind.OPEN, Open(path))
         of = self.fds.install(path, int(reply.payload["file_id"]), mode,
                               FileAttributes(), ExtentMap(), LockMode.NONE)
         self.data.apply_meta_reply(of, reply.payload, None)
@@ -106,7 +106,7 @@ class NfsPollingClient:
         end = offset + nbytes
         if end > of.extents.size_bytes:
             reply = yield from self._rpc(MsgKind.SETATTR,
-                                         {"file_id": of.file_id, "size": end})
+                                         Setattr(of.file_id, end))
             self.data.apply_meta_reply(of, reply.payload, None)
         tag = self.data.write(of, offset, nbytes)
         self.ops_completed += 1
@@ -117,7 +117,7 @@ class NfsPollingClient:
         of = self.fds.get(fd)
         yield from self.flush_file(of.file_id)
         try:
-            yield from self._rpc(MsgKind.SETATTR, {"file_id": of.file_id})
+            yield from self._rpc(MsgKind.SETATTR, Setattr(of.file_id))
         except (DeliveryError, NackError):
             pass
         self.fds.close(fd)
@@ -128,7 +128,7 @@ class NfsPollingClient:
         return (yield from self.data.flush(file_id))
 
     # -- internals -----------------------------------------------------------
-    def _rpc(self, kind: str, payload: Dict[str, Any]):
+    def _rpc(self, kind: str, payload: Any):
         return (yield from self.endpoint.request(self.server, kind, payload))
 
     def _revalidate(self, of: OpenFile) -> Generator[Event, Any, None]:
@@ -140,8 +140,7 @@ class NfsPollingClient:
         self._m_lease_msgs.inc()
         self.trace.emit(self.sim.now, "nfs.poll", self.name, file_id=of.file_id)
         try:
-            reply = yield from self._rpc(MsgKind.OPEN,
-                                         {"path": of.path, "nolock": True})
+            reply = yield from self._rpc(MsgKind.OPEN, Open(of.path))
         except (DeliveryError, NackError):
             return  # keep serving the (possibly stale) cache, as NFS does
         changed = (FileAttributes.from_payload(reply.payload["attrs"]).version

@@ -20,7 +20,8 @@ from typing import Any, Dict, Generator, Optional, Tuple, TYPE_CHECKING
 
 from repro.client.node import StorageTankClient
 from repro.locks.modes import LockMode
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, FileOnly, Message, MsgKind,
+                               NackError)
 from repro.protocols.base import SafetyAuthority
 from repro.sim.events import Event
 
@@ -72,7 +73,8 @@ class VLeaseAuthority(SafetyAuthority):
 
     # -- renewal --------------------------------------------------------------
     def _h_renew(self, msg: Message):
-        obj = int(msg.payload["file_id"])
+        body: FileOnly = msg.payload
+        obj = int(body.file_id)
         key = (msg.src, obj)
         self._count_cpu()
         if key not in self._table:
@@ -123,8 +125,8 @@ class VLeaseClientAgent:
                 self.renewals_sent += 1
                 self._m_msgs.inc()
                 try:
-                    yield from ep.request(self.client.server, MsgKind.LEASE_RENEW,
-                                          {"file_id": obj})
+                    yield from ep.request(self.client.server,
+                                          MsgKind.LEASE_RENEW, FileOnly(obj))
                 except (DeliveryError, NackError):
                     # Lease gone: purge object and forget the lock.
                     self.purges += 1

@@ -14,12 +14,12 @@ installations.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Generator,
-                    List, Set, Tuple, TypeVar)
+from typing import (TYPE_CHECKING, Any, Callable, FrozenSet, Generator, List,
+                    Sequence, Set, Tuple, TypeVar)
 
 from repro.lease.contract import LeaseContract
 from repro.net.control import Endpoint
-from repro.net.message import DeliveryError, MsgKind, NackError
+from repro.net.message import DeliveryError, Invalidate, MsgKind, NackError
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -57,7 +57,7 @@ class CacheBarrier:
         # ``_cache_mseq`` counts claimed mutation barriers;
         # ``_cache_pending`` holds barriers claimed but not yet applied —
         # replies executed while it is non-empty are stamped
-        # uninstallable (__mseq__ = -1).
+        # uninstallable (watermark -1).
         self._cache_nodes: Tuple[str, ...] = ()
         self.enrolled: FrozenSet[str] = frozenset()
         self._cache_mseq = 0
@@ -71,35 +71,38 @@ class CacheBarrier:
         self.enrolled = frozenset(names)
 
     def watermark(self) -> int:
-        """The ``__mseq__`` an ACK to an :attr:`enrolled` node carries,
+        """The watermark an ACK to an :attr:`enrolled` node carries,
         taken when the decision is produced (for the cacheable read
         kinds, their execution instant); ``-1`` while a mutation barrier
         is pending marks the reply uninstallable: the value may predate
         a mutation whose invalidation the cache has already processed."""
         return -1 if self._cache_pending else self._cache_mseq
 
-    def mutate(self, scope: Dict[str, Any], apply: Callable[[], _R],
+    def mutate(self, apply: Callable[[], _R], *,
+               paths: Sequence[str] = (), dirs: Sequence[str] = (),
+               file_ids: Sequence[int] = (),
                ) -> Generator[Event, Any, _R]:
         """Run ``apply()`` behind the next mutation barrier and return
         what it returns.
 
         The barrier is claimed (replies stamp -1 while it is pending),
-        ``scope`` (the ``paths`` / ``file_ids`` / ``dirs`` the mutation
-        touches) is invalidated on every cache node, ``apply`` runs and
-        the claim is released on every exit.  Without cache nodes this
-        only calls ``apply()``."""
+        the ``paths`` / ``dirs`` / ``file_ids`` the mutation touches are
+        invalidated on every cache node, ``apply`` runs and the claim is
+        released on every exit.  Without cache nodes this only calls
+        ``apply()``."""
         if not self._cache_nodes:
             return apply()
         self._cache_mseq += 1
         barrier = self._cache_mseq
         self._cache_pending.add(barrier)
         try:
-            yield from self._invalidate_caches(barrier, scope)
+            yield from self._invalidate_caches(
+                Invalidate(barrier, paths, dirs, file_ids))
             return apply()
         finally:
             self._cache_pending.discard(barrier)
 
-    def _invalidate_caches(self, barrier: int, payload: Dict[str, Any],
+    def _invalidate_caches(self, body: Invalidate,
                            ) -> Generator[Event, Any, None]:
         """Push one invalidation round to every cache node at once and
         wait for the slowest.
@@ -108,8 +111,6 @@ class CacheBarrier:
         first wait, so it costs no bootstrap event) except the last,
         which runs in the caller; the round is over when every one has
         finished.  A crash of the caller interrupts the others too."""
-        body = dict(payload)
-        body["barrier"] = barrier
         *others, last = self._cache_nodes
         sim = self.endpoint.sim
         procs: List[Process] = []
@@ -126,7 +127,7 @@ class CacheBarrier:
                 if proc.is_alive:
                     proc.interrupt("crash")
 
-    def _invalidate_one(self, cname: str, body: Dict[str, Any],
+    def _invalidate_one(self, cname: str, body: Invalidate,
                         ) -> Generator[Event, Any, None]:
         """Invalidate one cache node and wait until it is safe.
 
@@ -137,8 +138,8 @@ class CacheBarrier:
         Theorem 3.1) — after which the cache's own clock has expired the
         covering lease and its entries are unusable."""
         try:
-            yield from self.endpoint.request(
-                cname, MsgKind.CACHE_INVALIDATE, dict(body))
+            yield from self.endpoint.request(cname, MsgKind.CACHE_INVALIDATE,
+                                             body)
         except NackError:
             pass  # cache refused: it holds nothing it will serve
         except DeliveryError:

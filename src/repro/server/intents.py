@@ -11,14 +11,15 @@ constructed with its server (DESIGN.md, "Node layers").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Sequence, Tuple
 
 from repro.locks.manager import coalesce_ranges, widen_range
 from repro.locks.modes import LockMode
 from repro.locks.ranges import ByteRange
 from repro.metadata.directory import NamespaceError
 from repro.net.control import HandlerResult
-from repro.net.message import Message, MsgKind
+from repro.net.message import (Batch, Close, IntentOp, Message, MsgKind,
+                               OpenIntent, RangeAcquire, RangeRelease, Setattr)
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -44,7 +45,7 @@ class IntentExecutor:
         except (NamespaceError, KeyError):
             return 0
 
-    def _intent_exec(self, client: str, body: Dict[str, Any],
+    def _intent_exec(self, client: str, body: IntentOp,
                      ) -> Generator[Event, Any, Tuple[str, Dict[str, Any]]]:
         """Execute one intent sub-operation (any but ``range_acquire``,
         which ``_run_intents`` coalesces) under the lock it grants.
@@ -57,49 +58,47 @@ class IntentExecutor:
         """
         server = self.server
         grant_lock = server.lock_service.grant_lock
-        op = body.get("op")
         self.intent_ops += 1
-        if op == "open":
-            path = body["path"]
-            mode = body.get("mode", "r")
+        if isinstance(body, OpenIntent):
+            path = body.path
             try:
                 ino = server._meta_for_path(path).lookup(path)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
-            wanted = (LockMode.EXCLUSIVE if mode == "w" else LockMode.SHARED)
+            wanted = (LockMode.EXCLUSIVE if body.mode == "w"
+                      else LockMode.SHARED)
             granted = yield from grant_lock(client, ino.file_id, wanted)
             return ("ack", {"file_id": ino.file_id,
-                            **server._meta_reply(ino, body.get("have_layout")),
+                            **server._meta_reply(ino, body.have_layout),
                             "lock": int(granted)})
-        if op == "setattr":
-            file_id = int(body["file_id"])
+        if isinstance(body, Setattr):
+            file_id = int(body.file_id)
             granted = yield from grant_lock(client, file_id,
                                             LockMode.EXCLUSIVE)
             decision, payload = yield from server._setattr(
-                file_id, body.get("size"), body.get("mode"),
-                body.get("have_layout"))
+                file_id, body.size, body.mode, body.have_layout)
             if decision == "ack":
                 payload = {**payload, "lock": int(granted)}
             return (decision, payload)
-        if op == "range_release":
-            file_id = int(body["file_id"])
+        if isinstance(body, RangeRelease):
+            file_id = int(body.file_id)
             rng = None
-            if "start" in body:
-                rng = ByteRange(int(body["start"]), int(body["end"]))
+            if body.start is not None:
+                rng = ByteRange(int(body.start), int(body.end))
             server.range_locks.release(client, file_id, rng)
             return ("ack", {})
-        if op == "close":
+        if isinstance(body, Close):
             # Locks are cached past close (§3.1); closing is bookkeeping
             # only: the per-file close census the client reports, so
             # session accounting can see open/close churn per file.
-            fid = int(body["file_id"])
+            fid = int(body.file_id)
             if server.cluster is not None and not server.cluster.owns_obj(fid):
                 # The slot moved since the close was deferred.  Advisory,
                 # so it fails alone and never refuses the batch it rides.
                 return ("nack", {"error": "wrong_owner"})
             self.closes_by_file[fid] = self.closes_by_file.get(fid, 0) + 1
             return ("ack", {})
-        return ("nack", {"error": f"unknown intent op {op!r}"})
+        return ("nack", {"error": f"not an intent: {type(body).__name__}"})
 
     def _h_lock_intent(self, msg: Message,
                        ) -> Generator[Event, Any, HandlerResult]:
@@ -112,11 +111,11 @@ class IntentExecutor:
         """Batched intents: several sub-requests in one datagram.  Sub-op
         failures do not abort the batch — each result carries its own
         ``ok``."""
-        results = yield from self._run_intents(
-            msg.src, list(msg.payload.get("ops", [])))
+        body: Batch = msg.payload
+        results = yield from self._run_intents(msg.src, body.ops)
         return ("ack", {"results": results})
 
-    def _run_intents(self, client: str, ops: List[Dict[str, Any]],
+    def _run_intents(self, client: str, ops: Sequence[IntentOp],
                      ) -> Generator[Event, Any, List[Dict[str, Any]]]:
         """Execute intent descriptors in order; one result per op.
 
@@ -130,21 +129,22 @@ class IntentExecutor:
         i = 0
         while i < len(ops):
             body = ops[i]
-            if body.get("op") != "range_acquire":
+            if not isinstance(body, RangeAcquire):
                 decision, payload = yield from self._intent_exec(client, body)
                 results.append({"ok": decision == "ack", **payload})
                 i += 1
                 continue
             # Collect the contiguous run of range acquisitions on this
             # file and coalesce it.
-            fid = int(body["file_id"])
-            j = i
-            while (j < len(ops)
-                   and ops[j].get("op") == "range_acquire"
-                   and int(ops[j]["file_id"]) == fid):
+            fid = int(body.file_id)
+            j = i + 1
+            while j < len(ops):
+                nxt = ops[j]
+                if not isinstance(nxt, RangeAcquire) or int(nxt.file_id) != fid:
+                    break
                 j += 1
-            requests = [(ByteRange(int(b["start"]), int(b["end"])),
-                         LockMode(int(b["mode"]))) for b in ops[i:j]]
+            requests = [(ByteRange(int(b.start), int(b.end)),
+                         LockMode(int(b.mode))) for b in ops[i:j]]
             size = self._file_size(fid)
             spans: List[ByteRange] = []
             for rng, mode_l in coalesce_ranges(requests):

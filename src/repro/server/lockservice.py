@@ -17,7 +17,9 @@ from repro.locks.modes import LockMode, compatible
 from repro.locks.ranges import ByteRange, RangeLockManager
 from repro.metadata.directory import NamespaceError
 from repro.net.control import HandlerResult
-from repro.net.message import DeliveryError, Message, MsgKind, NackError
+from repro.net.message import (DeliveryError, Downgrade, FileOnly,
+                               LockAcquire, LockDemand, Message, MsgKind,
+                               NackError, RangeDemand)
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -45,7 +47,7 @@ class LockService:
         self._active_demands: Set[Tuple[str, int, Optional[LockMode]]] = set()
         self._fenced: Set[str] = set()
         # §6 attested rejoin: highest lease-lapse generation each client
-        # has attested (``__lapse_gen__`` request stamp), and the value
+        # has attested (``Message.lapse_attested``), and the value
         # snapshotted when the client was fenced.  A fence lifts only
         # after the client attests a *newer* lapse — proof it observed
         # its lease expire and discarded stale cache and locks.  A
@@ -66,9 +68,9 @@ class LockService:
     def note_contact(self, msg: Message) -> None:
         """A client transaction arrived: record the lapse it attests and
         lift its fence if that is now safe."""
-        gen = msg.payload.get("__lapse_gen__")
-        if gen is not None and int(gen) > self._lapse_seen.get(msg.src, 0):
-            self._lapse_seen[msg.src] = int(gen)
+        gen = int(msg.lapse_attested)
+        if gen > self._lapse_seen.get(msg.src, 0):
+            self._lapse_seen[msg.src] = gen
         if (msg.src in self._fenced
                 and not self.server.authority.is_suspect(msg.src)
                 and self._attested_since_fence(msg.src)):
@@ -245,11 +247,11 @@ class LockService:
                 try:
                     if needed is None:
                         yield from endpoint.request(
-                            holder, MsgKind.RANGE_DEMAND, {"file_id": obj})
+                            holder, MsgKind.RANGE_DEMAND, RangeDemand(obj))
                     else:
                         yield from endpoint.request(
                             holder, MsgKind.LOCK_DEMAND,
-                            {"file_id": obj, "needed_mode": int(needed)})
+                            LockDemand(obj, int(needed)))
                 except DeliveryError:
                     # The endpoint hook already told the authority; wait for
                     # the steal (or for an immediate-steal baseline, which
@@ -291,15 +293,16 @@ class LockService:
     # ------------------------------------------------------------------
     def _h_lock_acquire(self, msg: Message) -> Any:
         server = self.server
-        file_id = int(msg.payload["file_id"])
-        mode = LockMode(int(msg.payload["mode"]))
+        body: LockAcquire = msg.payload
+        file_id = int(body.file_id)
+        mode = LockMode(int(body.mode))
 
         def run() -> Generator[Event, Any, HandlerResult]:
             granted = yield from self.grant_lock(msg.src, file_id, mode)
             try:
                 extra = server._meta_reply(
                     server._meta_for_file(file_id).inode(file_id),
-                    msg.payload.get("have_layout"))
+                    body.have_layout)
             except NamespaceError:
                 extra = {}
             return ("ack", {"mode": int(granted), **extra})
@@ -312,7 +315,8 @@ class LockService:
         # or one raced by a steal — is a counted no-op, never a way to
         # forfeit another holder's lock.  Still ACKed: release is
         # idempotent, and the §6 resolution already voided the holding.
-        fid = int(msg.payload["file_id"])
+        body: FileOnly = msg.payload
+        fid = int(body.file_id)
         if self.locks.mode_of(msg.src, fid) == LockMode.NONE:
             self.rejected_releases += 1
             return ("ack", {"status": "not_holder"})
@@ -321,9 +325,10 @@ class LockService:
 
     def _h_lock_downgrade(self, msg: Message) -> HandlerResult:
         # Same ownership validation as release (see above).
-        fid = int(msg.payload["file_id"])
+        body: Downgrade = msg.payload
+        fid = int(body.file_id)
         if self.locks.mode_of(msg.src, fid) == LockMode.NONE:
             self.rejected_releases += 1
             return ("ack", {"status": "not_holder"})
-        self.locks.downgrade(msg.src, fid, LockMode(int(msg.payload["to"])))
+        self.locks.downgrade(msg.src, fid, LockMode(int(body.to)))
         return ("ack", {})

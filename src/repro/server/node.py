@@ -36,7 +36,8 @@ from repro.metadata.inode import Inode
 from repro.metadata.store import MetadataStore
 from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
                                RetryPolicy)
-from repro.net.message import Message, MsgKind
+from repro.net.message import (Create, DataRead, DataWrite, Getattr, Message,
+                               MsgKind, Open, Setattr, Stamp)
 from repro.net.san import SanFabric
 from repro.obs import Observability
 from repro.server.barrier import CacheBarrier, ancestor_dirs
@@ -185,18 +186,17 @@ class StorageTankServer:
 
         self.endpoint.register(kind, wrapped)
 
-    def _stamp(self, msg: Message) -> Dict[str, Any]:
-        """What every ACK this server decides carries (the endpoint's
+    def _stamp(self, msg: Message) -> Stamp:
+        """The stamp of every ACK this server decides (the endpoint's
         ``reply_stamp``), however its handler was registered —
         ``CLUSTER_*`` and ``LOCK_REASSERT`` included.
 
-        ``__epoch__`` lets clients detect a restart and reassert their
-        locks (§6).  An ACK to a cache node adds the mutation watermark
-        ``__mseq__`` (:meth:`CacheBarrier.watermark`)."""
-        stamp = {"__epoch__": self.recovery.epoch}
-        if msg.src in self.barrier.enrolled:
-            stamp["__mseq__"] = self.barrier.watermark()
-        return stamp
+        The epoch lets clients detect a restart and reassert their locks
+        (§6).  An ACK to a cache node adds the mutation watermark
+        (:meth:`CacheBarrier.watermark`)."""
+        barrier = self.barrier
+        return (self.recovery.epoch,
+                barrier.watermark() if msg.src in barrier.enrolled else None)
 
     def local_now(self) -> float:
         """Server local-clock reading."""
@@ -246,8 +246,8 @@ class StorageTankServer:
     # transaction handlers
     # ------------------------------------------------------------------
     def _h_create(self, msg: Message) -> Generator[Event, Any, Reply]:
-        return self._create(msg.payload["path"],
-                            int(msg.payload.get("size", 0)))
+        body: Create = msg.payload
+        return self._create(body.path, int(body.size))
 
     def _create(self, path: str, size: int,
                 ) -> Generator[Event, Any, Reply]:
@@ -269,20 +269,19 @@ class StorageTankServer:
                                        size=ino.attrs.size)
             return ("ack", {"file_id": ino.file_id, **self._meta_reply(ino)})
         return (yield from self.barrier.mutate(
-            {"paths": [path], "dirs": ancestor_dirs(path)}, apply))
+            apply, paths=(path,), dirs=ancestor_dirs(path)))
 
     def _h_open(self, msg: Message) -> HandlerResult:
         """NFS-style open: no coherence lock, the caller polls
         attributes.  Locking opens are ``open`` intents."""
-        if not msg.payload.get("nolock"):
-            return ("nack", {"error": "open: a locking open is a LOCK_INTENT"})
-        path = msg.payload["path"]
+        body: Open = msg.payload
+        path = body.path
         try:
             ino = self._meta_for_path(path).lookup(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
         return ("ack", {"file_id": ino.file_id,
-                        **self._meta_reply(ino, msg.payload.get("have_layout")),
+                        **self._meta_reply(ino, body.have_layout),
                         "lock": int(LockMode.NONE)})
 
     @staticmethod
@@ -313,8 +312,8 @@ class StorageTankServer:
 
     def _h_getattr(self, msg: Message) -> HandlerResult:
         """A file's attributes, by path or id."""
-        path = msg.payload.get("path")
-        file_id = msg.payload.get("file_id")
+        body: Getattr = msg.payload
+        path, file_id = body.path, body.file_id
         try:
             if path is not None:
                 ino = self._meta_for_path(path).lookup(path)
@@ -327,9 +326,9 @@ class StorageTankServer:
         return ("ack", {"file_id": ino.file_id, "attrs": ino.attrs.to_payload()})
 
     def _h_setattr(self, msg: Message) -> Generator[Event, Any, Reply]:
-        return self._setattr(
-            int(msg.payload["file_id"]), msg.payload.get("size"),
-            msg.payload.get("mode"), msg.payload.get("have_layout"))
+        body: Setattr = msg.payload
+        return self._setattr(int(body.file_id), body.size, body.mode,
+                             body.have_layout)
 
     def _setattr(self, file_id: int, size: Any, mode: Any, have: Any = None,
                  ) -> Generator[Event, Any, Reply]:
@@ -350,11 +349,11 @@ class StorageTankServer:
             self.barrier.note_mutation("setattr", file_id=file_id,
                                        size=ino.attrs.size)
             return ("ack", self._meta_reply(ino, have))
-        return (yield from self.barrier.mutate({"file_ids": [file_id]}, apply))
+        return (yield from self.barrier.mutate(apply, file_ids=(file_id,)))
 
     def _h_lookup(self, msg: Message) -> HandlerResult:
+        path = msg.payload.path
         try:
-            path = msg.payload["path"]
             ino = self._meta_for_path(path).lookup(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
@@ -364,7 +363,7 @@ class StorageTankServer:
         """Remove a file.  The caller must first win an EXCLUSIVE lock
         (demanding it from cachers), so no one holds stale pages when the
         extents are freed; the lock dies with the file."""
-        path = msg.payload["path"]
+        path = msg.payload.path
         store = self._meta_for_path(path)
         try:
             ino = store.lookup(path)
@@ -384,8 +383,8 @@ class StorageTankServer:
             yield from self.lock_service.grant_lock(msg.src, fid,
                                                     LockMode.EXCLUSIVE)
             reply = yield from self.barrier.mutate(
-                {"paths": [path], "file_ids": [fid],
-                 "dirs": ancestor_dirs(path)}, apply)
+                apply, paths=(path,), dirs=ancestor_dirs(path),
+                file_ids=(fid,))
             self.locks.release(msg.src, fid)
             return reply
         return run()
@@ -396,7 +395,7 @@ class StorageTankServer:
         Under a cluster only the slots this server *owns* are listed
         (clients fan readdir out to every map owner and merge), so a
         mid-handoff slot appears in exactly one server's answer."""
-        path = msg.payload.get("path", "/")
+        path = msg.payload.path
         if self.cluster is not None:
             try:
                 return ("ack", {"entries": self.cluster.list_entries(path)})
@@ -413,8 +412,9 @@ class StorageTankServer:
         (experiment E1's baseline).  The server performs the SAN I/O on
         the client's behalf and ships the data over the control network.
         """
-        file_id = int(msg.payload["file_id"])
-        block = int(msg.payload["block"])
+        body: DataRead = msg.payload
+        file_id = int(body.file_id)
+        block = int(body.block)
 
         def run() -> Generator[Event, Any, HandlerResult]:
             try:
@@ -431,12 +431,13 @@ class StorageTankServer:
     def _h_data_write(self, msg: Message) -> Any:
         """Server-marshalled write (E1 baseline): data arrives over the
         control network and the server hardens it to the SAN."""
-        file_id = int(msg.payload["file_id"])
-        block = int(msg.payload["block"])
-        tag = msg.payload["tag"]
+        body: DataWrite = msg.payload
+        file_id = int(body.file_id)
+        block = int(body.block)
+        tag = body.tag
         # The client reports how much data rode the control network;
         # account for what actually arrived rather than assuming a block.
-        data_bytes = int(msg.payload["data_bytes"])
+        data_bytes = int(body.data_bytes)
 
         def run() -> Generator[Event, Any, HandlerResult]:
             try:

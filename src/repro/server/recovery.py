@@ -32,7 +32,7 @@ from typing import Any, Generator, List, Optional, Set, TYPE_CHECKING
 
 from repro.locks.modes import LockMode
 from repro.net.control import HandlerResult
-from repro.net.message import Message, MsgKind
+from repro.net.message import Message, MsgKind, Reassert
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,8 +166,9 @@ class RecoveryManager:
         the window's reassert instant: earlier, it could overlap another
         displaced client's still-valid lease.
         """
-        obj = int(msg.payload["file_id"])
-        mode = LockMode(int(msg.payload["mode"]))
+        body: Reassert = msg.payload
+        obj = int(body.file_id)
+        mode = LockMode(int(body.mode))
         cluster = self.server.cluster
         try:
             yield from self.admit(obj, reassert=True)

@@ -99,7 +99,7 @@ def _break_no_demand_escalate(system: StorageTankSystem) -> None:
 
 def _break_skip_reply_stamp(system: StorageTankSystem) -> None:
     """Sabotage: server ACKs carry no stamp, so no client ever learns
-    of a restart (``__epoch__``) and none reasserts its locks — the
+    of a restart (the stamped epoch) and none reasserts its locks — the
     restarted server re-grants them while the old holder still caches
     them (§6)."""
     for srv in system.servers.values():

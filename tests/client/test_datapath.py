@@ -140,8 +140,8 @@ def test_function_shipped_io_goes_one_page_per_request():
     sent = []
 
     def rpc(kind, payload, route=None):
-        sent.append((kind, payload["block"], route))
-        if kind == MsgKind.DATA_WRITE and payload["block"] == 1:
+        sent.append((kind, payload.block, route))
+        if kind == MsgKind.DATA_WRITE and payload.block == 1:
             raise DeliveryError(Message("c1", "server", kind), 4)
         return Ack("server", "c1", 1, payload={"tag": "t", "version": 9})
         yield
@@ -164,7 +164,7 @@ def test_a_reply_extends_the_map_the_request_named_and_no_other():
     data.apply_meta_reply(of, reply, None)
     held = data.layouts.get(7)
     assert held is of.extents and held.block_count == 4
-    assert data.layout_hint(7, held) == {"have_layout": (7, 0, 2)}
+    assert data.layout_hint(7, held) == (7, 0, 2)
     data.apply_meta_reply(of, {"layout_gen": 0, "extents_from": 2,
                                "extents": [("d1", 300, 1)]}, held)
     assert data.layouts.get(7) is held and held.block_count == 5

@@ -10,7 +10,8 @@ advisory ``close`` for a slot that moved only fails its own result.
 from repro.cluster.shardmap import slot_of_path
 from repro.core import ClusterConfig
 from repro.locks import LockMode
-from repro.net.message import MsgKind, NackError
+from repro.net.message import (Batch, Close, MsgKind, NackError, OpenIntent,
+                               RangeAcquire, RangeRelease)
 from repro.storage import BLOCK_SIZE
 from tests.conftest import make_system, run_gen
 
@@ -49,21 +50,20 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
     server2 = s.server_node("server2")
     assert server2.cluster.map_is_stale()
 
-    open_op = {"op": "open", "path": path, "mode": "w"}
-    range_op = {"op": "range_acquire", "file_id": fid, "start": 0,
-                "end": BLOCK_SIZE, "mode": int(LockMode.EXCLUSIVE)}
+    open_op = OpenIntent(path, mode="w")
+    range_op = RangeAcquire(fid, 0, BLOCK_SIZE, int(LockMode.EXCLUSIVE))
     for kind, payload in ((MsgKind.LOCK_INTENT, open_op),
-                          (MsgKind.LOCK_BATCH, {"ops": [open_op]}),
-                          (MsgKind.LOCK_BATCH, {"ops": [range_op]})):
+                          (MsgKind.LOCK_BATCH, Batch((open_op,))),
+                          (MsgKind.LOCK_BATCH, Batch((range_op,)))):
         assert _refusal(s, c1, "server2", kind, payload) == "map_stale"
     assert server2.locks.mode_of("c1", fid) == LockMode.NONE
     assert not server2.range_locks.holdings("c1", fid)
 
     # Giving something back is never refused for staleness.
-    release = {"op": "range_release", "file_id": fid}
+    release = RangeRelease(fid)
     assert _refusal(s, c1, "server2", MsgKind.LOCK_INTENT, release) is None
     assert _refusal(s, c1, "server2", MsgKind.LOCK_BATCH,
-                    {"ops": [release]}) is None
+                    Batch((release,))) is None
 
 
 def test_batch_is_gated_on_the_slots_of_its_granting_subops():
@@ -84,19 +84,17 @@ def test_batch_is_gated_on_the_slots_of_its_granting_subops():
 
     # A granting sub-op on the slot that moved refuses the whole batch,
     # before anything in it runs.
-    ops = [{"op": "open", "path": mine, "mode": "r"},
-           {"op": "range_acquire", "file_id": moved_fid, "start": 0,
-            "end": BLOCK_SIZE, "mode": int(LockMode.SHARED)}]
+    ops = (OpenIntent(mine, mode="r"),
+           RangeAcquire(moved_fid, 0, BLOCK_SIZE, int(LockMode.SHARED)))
     assert _refusal(s, c1, "server1", MsgKind.LOCK_BATCH,
-                    {"ops": ops}) == "wrong_owner"
+                    Batch(ops)) == "wrong_owner"
     assert server1.locks.objects_held_by("c1") == []
 
     # A deferred close for the moved slot is advisory: it fails alone
     # and the open it piggybacks on still succeeds.
     def batch():
         reply = yield from c1.endpoint.request(
-            "server1", MsgKind.LOCK_BATCH,
-            {"ops": [{"op": "close", "file_id": moved_fid}, ops[0]]})
+            "server1", MsgKind.LOCK_BATCH, Batch((Close(moved_fid), ops[0])))
         return reply.payload["results"]
     closed, opened = run_gen(s, batch())
     assert (closed["ok"], closed["error"]) == (False, "wrong_owner")

@@ -7,7 +7,7 @@ import pytest
 from repro.client.node import StorageTankClient
 from repro.core.config import ScaleConfig, SystemConfig
 from repro.core.system import build_system
-from repro.net.message import MsgKind
+from repro.net.message import MsgKind, RangeDemand
 
 
 def lazy_system(n=1000, **kw):
@@ -104,7 +104,7 @@ def test_datagram_to_a_non_canonical_name_is_dropped(alias):
         from repro.net.message import DeliveryError
         try:
             yield from system.server.endpoint.request(
-                alias, MsgKind.RANGE_DEMAND, {})
+                alias, MsgKind.RANGE_DEMAND, RangeDemand())
         except DeliveryError:
             return "unreachable"
 
@@ -131,7 +131,7 @@ def test_inbound_datagram_wakes_parked_client():
 
     def demand():
         ack = yield from system.server.endpoint.request(
-            "c7", MsgKind.RANGE_DEMAND, {})
+            "c7", MsgKind.RANGE_DEMAND, RangeDemand())
         got["ack"] = ack
 
     proc = system.spawn(demand(), "demand")

@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis import ConsistencyAuditor
 from repro.locks import LockMode
-from repro.net.message import MsgKind, NackError
+from repro.net.message import (Batch, Create, MsgKind, NackError, OpenIntent,
+                               PathOnly, Setattr)
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import drive, make_system, run_gen
@@ -190,18 +191,20 @@ def test_e_intent_cycle_stays_under_0_6_client_msgs_per_op():
 # -- server-side semantics -------------------------------------------------
 
 def test_unknown_intent_op_nacked():
+    """``LOCK_INTENT`` takes only an intent schema, so the sender refuses
+    anything else; a batch is not checked element by element, and the
+    server NACKs the sub-op that is no intent."""
     s = make_system()
     c1 = _setup_file(s)
 
     def probe():
-        try:
-            yield from c1._rpc(MsgKind.LOCK_INTENT,
-                               {"op": "truncate-all", "path": "/f"},
-                               "server")
-        except NackError as exc:
-            return exc.nack.payload.get("error")
-        return None
-    assert "unknown intent op" in (run_gen(s, probe()) or "")
+        with pytest.raises(TypeError, match="OpenIntent or Setattr"):
+            yield from c1._rpc(MsgKind.LOCK_INTENT, PathOnly("/f"), "server")
+        reply = yield from c1._rpc(
+            MsgKind.LOCK_BATCH, Batch((PathOnly("/f"),)), "server")
+        return reply.payload["results"]
+    [result] = run_gen(s, probe())
+    assert not result["ok"] and "not an intent" in result["error"]
 
 
 def test_batch_subop_failure_does_not_abort_batch():
@@ -211,9 +214,7 @@ def test_batch_subop_failure_does_not_abort_batch():
     def probe():
         reply = yield from c1._rpc(
             MsgKind.LOCK_BATCH,
-            {"ops": [{"op": "open", "path": "/missing", "mode": "r"},
-                     {"op": "open", "path": "/f", "mode": "r"}]},
-            "server")
+            Batch((OpenIntent("/missing"), OpenIntent("/f"))), "server")
         return reply.payload["results"]
     results = run_gen(s, probe())
     assert [r["ok"] for r in results] == [False, True]
@@ -234,18 +235,16 @@ def test_setattr_intent_and_create_refusal_answer_like_the_plain_kinds(
 
     def rpc(client, kind, payload):
         reply = yield from client.endpoint.request("server", kind, payload)
-        return {k: v for k, v in reply.payload.items()
-                if not k.startswith("__")}
+        return dict(reply.payload)
 
     def grow():
-        made = yield from rpc(c1, MsgKind.CREATE, {"path": "/p", "size": 0})
+        made = yield from rpc(c1, MsgKind.CREATE, Create("/p"))
         fid = made["file_id"]
         grown = yield from rpc(c1, MsgKind.LOCK_INTENT,
-                               {"op": "setattr", "file_id": fid,
-                                "size": 2 * BLOCK_SIZE})
+                               Setattr(fid, size=2 * BLOCK_SIZE))
         assert grown.pop("lock") == int(LockMode.EXCLUSIVE)
         again = yield from rpc(c1, MsgKind.SETATTR,
-                               {"file_id": fid, "size": 2 * BLOCK_SIZE})
+                               Setattr(fid, size=2 * BLOCK_SIZE))
         assert set(grown) == set(again) == {
             "attrs", "layout_gen", "extents_from", "extents"}
         assert grown["extents"] == again["extents"]
@@ -258,7 +257,7 @@ def test_setattr_intent_and_create_refusal_answer_like_the_plain_kinds(
     def create(client):
         try:
             made = yield from rpc(client, MsgKind.CREATE,
-                                  {"path": "/r", "size": BLOCK_SIZE})
+                                  Create("/r", BLOCK_SIZE))
             answers.append(("ack", made["file_id"]))
         except NackError as exc:
             answers.append(("nack", exc.nack.payload))

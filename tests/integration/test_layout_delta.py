@@ -6,11 +6,14 @@ prefix of the current one, and with the full list otherwise.  The client
 applies a delta by position to the map object its request advertised.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import NetworkConfig
 from repro.locks import LockMode
 from repro.net import MsgKind, ReplyObserver
+from repro.net.message import LockAcquire, Open, OpenIntent, Setattr
 from repro.storage import BLOCK_SIZE
 from repro.storage.blockmap import ExtentMap, extents_to_payload
 
@@ -159,8 +162,7 @@ def _opened_and_grown(s, c, path="/f"):
     return run_gen(s, work())
 
 
-@pytest.mark.parametrize("how", ["lease_expiry", "server_invalidate",
-                                 "lock_demand", "unlink"])
+@pytest.mark.parametrize("how", ["lease_expiry", "lock_demand", "unlink"])
 def test_dropping_the_file_drops_its_map(how):
     """Wherever a file's pages go, its cached map goes: the next open
     sends no hint and gets the full list."""
@@ -171,9 +173,6 @@ def test_dropping_the_file_drops_its_map(how):
     replies = LayoutReplies(c.endpoint)
     if how == "lease_expiry":
         c.force_lease_expiry()
-    elif how == "server_invalidate":
-        run_gen(s, s.server_node("server").endpoint.request(
-            "c1", MsgKind.CACHE_INVALIDATE, {"file_id": fid}))
     elif how == "lock_demand":
         run_gen(s, c2.open_file("/f", "w"))     # demands c1's X lock back
     else:
@@ -280,20 +279,18 @@ def test_untrusted_hints_get_the_full_list():
         [fid, 0, [1]],
     ]
     requests = [
-        (MsgKind.LOCK_INTENT, {"op": "open", "path": "/f", "mode": "r"}),
-        (MsgKind.LOCK_INTENT, {"op": "setattr", "file_id": fid,
-                               "size": BLOCK_SIZE}),
-        (MsgKind.LOCK_ACQUIRE, {"file_id": fid,
-                                "mode": int(LockMode.SHARED)}),
-        (MsgKind.SETATTR, {"file_id": fid}),
-        (MsgKind.OPEN, {"path": "/f", "nolock": True}),
+        (MsgKind.LOCK_INTENT, OpenIntent("/f", "r")),
+        (MsgKind.LOCK_INTENT, Setattr(fid, size=BLOCK_SIZE)),
+        (MsgKind.LOCK_ACQUIRE, LockAcquire(fid, int(LockMode.SHARED))),
+        (MsgKind.SETATTR, Setattr(fid)),
+        (MsgKind.OPEN, Open("/f")),
     ]
 
     def work():
         for kind, body in requests:
             for hint in bad_hints:
                 reply = yield from c.endpoint.request(
-                    "server", kind, {**body, "have_layout": hint})
+                    "server", kind, replace(body, have_layout=hint))
                 p = reply.payload
                 assert (p["layout_gen"], p["extents_from"], p["extents"]) \
                     == (0, 0, full), (kind, hint)
@@ -301,7 +298,7 @@ def test_untrusted_hints_get_the_full_list():
             for k in range(n + 1):
                 for hint in ((fid, 0, k), [fid, 0, k]):
                     reply = yield from c.endpoint.request(
-                        "server", kind, {**body, "have_layout": hint})
+                        "server", kind, replace(body, have_layout=hint))
                     p = reply.payload
                     assert (p["extents_from"], p["extents"]) == \
                         (k, full[k:]), (kind, hint)
@@ -309,8 +306,8 @@ def test_untrusted_hints_get_the_full_list():
 
 
 def test_requests_without_a_hint_keep_getting_full_lists():
-    """``OPEN nolock`` (the NFS-polling baseline), plain ``CREATE`` and
-    plain ``SETATTR`` send no hint."""
+    """The lock-free ``OPEN`` (the NFS-polling baseline), plain ``CREATE``
+    and plain ``SETATTR`` send no hint."""
     s = make_system(n_clients=1, protocol="nfs")
     c = s.client("c1")
     replies = LayoutReplies(c.endpoint)

@@ -65,6 +65,7 @@ def test_reassert_conflict_costs_one_object_not_the_lease():
     """A refused reassertion forfeits that object only; the client keeps
     serving everything else without a quiesce."""
     from repro.net import MsgKind
+    from repro.net.message import Reassert
     from repro.locks import LockMode
     s = make_system(n_clients=2, writeback_interval=1000.0)
     c1, c2 = s.client("c1"), s.client("c2")
@@ -89,7 +90,7 @@ def test_reassert_conflict_costs_one_object_not_the_lease():
     def impostor():
         yield from c2.endpoint.request(
             "server", MsgKind.LOCK_REASSERT,
-            {"file_id": out["fa"], "mode": int(LockMode.EXCLUSIVE)})
+            Reassert(out["fa"], int(LockMode.EXCLUSIVE)))
     run_gen(s, impostor())
     s.run(until=s.sim.now + 30.0)  # c1 notices the epoch and reasserts
 

@@ -204,6 +204,7 @@ def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
     reaches c1 after the cut heals — renewing from the admitted send
     time, so the lease it grants still ends before the steal."""
     from repro.net import MsgKind
+    from repro.net.message import RangeDemand
     from repro.simtest.oracles import Theorem31Oracle
 
     s = make_system(n_clients=1)
@@ -220,7 +221,8 @@ def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
         yield s.sim.timeout(10.0)
         s.control_net.block("server", "c1")
         try:
-            yield from server.endpoint.request("c1", MsgKind.RANGE_DEMAND, {})
+            yield from server.endpoint.request("c1", MsgKind.RANGE_DEMAND,
+                                               RangeDemand())
         except Exception as exc:         # the delivery failure marks c1
             out["probe"] = type(exc).__name__
 

@@ -109,7 +109,7 @@ def test_stolen_lease_frees_range_locks():
     s = make_system(n_clients=2)
     out = _setup_shared_file(s)
     c1, c2 = s.client("c1"), s.client("c2")
-    from repro.net.message import MsgKind
+    from repro.net.message import MsgKind, RangeAcquire
     res = {}
 
     def holder():
@@ -117,8 +117,8 @@ def test_stolen_lease_frees_range_locks():
         # mid-operation while isolated).
         yield from c1.endpoint.request(
             "server", MsgKind.LOCK_INTENT,
-            {"op": "range_acquire", "file_id": out["fid"], "start": 0,
-             "end": 4 * BLOCK_SIZE, "mode": int(LockMode.EXCLUSIVE)})
+            RangeAcquire(out["fid"], 0, 4 * BLOCK_SIZE,
+                         int(LockMode.EXCLUSIVE)))
         s.ctrl_partitions.isolate("c1")
 
     def waiter():

@@ -1,7 +1,8 @@
 """LeaseAgent against fakes: no network, no kernel, no node."""
 
 from repro.lease.agent import LeaseAgent
-from repro.net.message import Ack, DeliveryError, Message, MsgKind, Nack
+from repro.net.message import (Ack, DeliveryError, Message, MsgKind, Nack,
+                               Null)
 from repro.sim import TraceRecorder
 
 
@@ -57,7 +58,7 @@ def make(**kwargs):
 
 
 def ack(epoch):
-    return Ack("s", "n1", 1, payload={"__epoch__": epoch})
+    return Ack("s", "n1", 1, payload={}, stamp=(epoch, None))
 
 
 def test_agent_is_its_endpoints_observer():
@@ -81,10 +82,10 @@ def test_only_the_lease_nack_touches_the_lease():
     agent, _, log = make()
     agent.on_reply(Nack("s", "n1", 1, payload={"error": "exists"}), None)
     assert log == []
-    agent.on_reply(Nack("s", "n1", 1, payload={"__lease_nack__": True}), None)
+    agent.on_reply(Nack("s", "n1", 1, lease_nack=True), None)
     assert log == [("lease.on_nack",), ("lease_nack", "s")]
     # From a server it holds no lease with: still reported upward.
-    agent.on_reply(Nack("t", "n1", 1, payload={"__lease_nack__": True}), None)
+    agent.on_reply(Nack("t", "n1", 1, lease_nack=True), None)
     assert log[-1] == ("lease_nack", "t")
 
 
@@ -100,7 +101,7 @@ def test_keepalive_counts_records_and_survives_a_dead_server():
         agent, endpoint, _ = make(fail=fail)
         agent._spawn_keepalive("s")
         assert agent.keepalives_sent == 1
-        assert endpoint.sent == [("s", MsgKind.KEEPALIVE, {})]
+        assert endpoint.sent == [("s", MsgKind.KEEPALIVE, Null())]
         [rec] = endpoint.trace.select(kind="lease.keepalive")
         assert rec.detail == {"server": "s"}
 

@@ -5,7 +5,8 @@ import pytest
 from repro.lease import LeaseContract, ServerLeaseAuthority
 from repro.net import ControlNetwork, DeliveryError, Endpoint, NackError
 from repro.net.control import RetryPolicy
-from repro.net.message import Message, MsgKind
+from repro.net.message import (LockAcquire, LockDemand, Message, MsgKind,
+                               Null)
 from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
 
 
@@ -40,7 +41,7 @@ def test_normal_traffic_keeps_authority_passive():
 
     def client():
         for _ in range(10):
-            yield from cep.request("server", MsgKind.KEEPALIVE, {})
+            yield from cep.request("server", MsgKind.KEEPALIVE, Null())
     sim.process(client())
     sim.run()
     assert auth.state_bytes() == 0
@@ -55,7 +56,7 @@ def test_delivery_failure_starts_timer_and_steals():
 
     def demand():
         try:
-            yield from sep.request("c1", MsgKind.LOCK_DEMAND, {},
+            yield from sep.request("c1", MsgKind.LOCK_DEMAND, LockDemand(1, 2),
                                    policy=RetryPolicy(timeout=0.5, retries=1))
         except DeliveryError:
             pass
@@ -92,7 +93,7 @@ def test_suspect_client_is_nacked():
 
     def client():
         with pytest.raises(NackError):
-            yield from cep.request("server", MsgKind.KEEPALIVE, {})
+            yield from cep.request("server", MsgKind.KEEPALIVE, Null())
     p = sim.process(client())
     sim.run(until=5.0)
     assert p.processed
@@ -106,7 +107,7 @@ def test_silent_mode_ignores_suspects():
 
     def client():
         with pytest.raises(DeliveryError):
-            yield from cep.request("server", MsgKind.KEEPALIVE, {},
+            yield from cep.request("server", MsgKind.KEEPALIVE, Null(),
                                    policy=RetryPolicy(timeout=0.3, retries=1))
     p = sim.process(client())
     sim.run(until=5.0)
@@ -121,7 +122,7 @@ def test_ack_while_expiring_ablation_breaks_rule():
     got = []
 
     def client():
-        reply = yield from cep.request("server", MsgKind.KEEPALIVE, {})
+        reply = yield from cep.request("server", MsgKind.KEEPALIVE, Null())
         got.append(reply)
     sim.process(client())
     sim.run(until=5.0)
@@ -159,7 +160,7 @@ def test_rejoin_after_steal_is_served():
     got = []
 
     def client():
-        reply = yield from cep.request("server", MsgKind.KEEPALIVE, {})
+        reply = yield from cep.request("server", MsgKind.KEEPALIVE, Null())
         got.append(reply)
     sim.process(client())
     sim.run(until=15.0)
@@ -193,7 +194,8 @@ def test_final_to_a_client_marked_suspect_while_parked_expires_before_the_steal(
         yield sim.timeout(0.2)
         auth.mark_suspect("c1")
     sim.process(suspect_meanwhile())
-    proc = sim.process(cep.request("server", MsgKind.LOCK_ACQUIRE, {}))
+    proc = sim.process(cep.request("server", MsgKind.LOCK_ACQUIRE,
+                                   LockAcquire(1, 2)))
     sim.run(until=0.5)
     [sent] = [r for r in net.trace.select(kind="msg.send", node="c1")]
     assert proc.value.reply_to == sent.detail["msg_id"]

@@ -14,16 +14,17 @@ class Endpoint:
         for observer in self.observers:
             observer.on_reply(reply, attempt_times.get(reply.reply_to))
 
-    def _stamped(self, msg, payload):
+    def _stamped(self, msg):
         stamp = self.reply_stamp
-        return payload if stamp is None else {**payload, **stamp(msg)}
+        return None if stamp is None else stamp(msg)
 
     def _h_result(self, msg):
-        self._reply(msg, "ack", None)
+        self._reply(msg, "ack", None, self._stamped(msg))
 
-    def _reply(self, msg, decision, payload):
+    def _reply(self, msg, decision, payload, stamp=None):
         if decision == "ack":
-            self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload))
+            self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload,
+                                   stamp))
         else:
             self.send_datagram(Nack(self.name, msg.src, msg.msg_id, payload))
 
@@ -33,4 +34,4 @@ class Server:
         endpoint.reply_stamp = self._stamp
 
     def _stamp(self, msg):
-        return {"__epoch__": 1}
+        return (1, None)

@@ -7,11 +7,11 @@ class Endpoint:
         for observer in self.observers:
             observer.on_reply(reply, renewal_time)
 
-    def _pending_payload(self, msg, ticket):
-        payload = {"__pending__": True, "__ticket__": ticket}
+    def _pending_receipt(self, msg, ticket):
+        stamp = None
         if self.reply_stamp is not None:
-            payload.update(self.reply_stamp(msg))
-        return payload
+            stamp = self.reply_stamp(msg)
+        self._reply(msg, "ack", {"ticket": ticket}, stamp, pending=True)
 
     def _h_result(self, msg):
         self.send_datagram(Ack(self.name, msg.src, msg.msg_id))

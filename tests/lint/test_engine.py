@@ -90,9 +90,11 @@ def test_text_report_mentions_rule_code_and_summary():
 def test_rule_list_covers_all_shipped_rules():
     listing = render_rule_list()
     for code in ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL006", "RPL007", "RPL008", "RPL009", "RPL010",
-                 "RPL011", "RPL013"]:
+                 "RPL006", "RPL007", "RPL008", "RPL009", "RPL011",
+                 "RPL013"]:
         assert code in listing
+    # Retired: the declared request schemas enforce what it inferred.
+    assert "RPL010" not in listing
 
 
 # -- CLI --------------------------------------------------------------------

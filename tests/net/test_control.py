@@ -32,16 +32,16 @@ def run_req(sim, endpoint, *args, **kwargs):
 
 def test_request_roundtrip(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {"v": m.payload["k"] + 1}))
-    reply = run_req(sim, client, "server", "fs.getattr", {"k": 1})
+    server.register("t.get", lambda m: ("ack", {"v": m.payload["k"] + 1}))
+    reply = run_req(sim, client, "server", "t.get", {"k": 1})
     assert reply.payload["v"] == 2
 
 
 def test_nack_raises(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("nack", {"error": "no"}))
+    server.register("t.get", lambda m: ("nack", {"error": "no"}))
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.getattr", {})
+        run_req(sim, client, "server", "t.get", {})
 
 
 def test_unknown_kind_nacked(net_pair):
@@ -54,7 +54,7 @@ def test_delivery_error_after_retries(net_pair):
     sim, net, server, client = net_pair
     net.block_pair("client", "server")
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.getattr", {},
+        run_req(sim, client, "server", "t.get", {},
                 policy=RetryPolicy(timeout=0.5, retries=2))
     # 3 attempts were transmitted
     sends = [r for r in net.trace.select(kind="msg.send", node="client")]
@@ -66,7 +66,7 @@ def test_delivery_failure_listener_fires(net_pair, observe):
     net.block_pair("client", "server")
     seen = observe(client)
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.getattr", {},
+        run_req(sim, client, "server", "t.get", {},
                 policy=RetryPolicy(timeout=0.2, retries=0))
     assert seen.failures == ["server"]
     assert seen.replies == []
@@ -74,9 +74,9 @@ def test_delivery_failure_listener_fires(net_pair, observe):
 
 def test_ack_listener_gets_send_time(net_pair, observe):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("t.get", lambda m: ("ack", {}))
     seen = observe(client)
-    run_req(sim, client, "server", "fs.getattr", {})
+    run_req(sim, client, "server", "t.get", {})
     assert len(seen.replies) == 1
     # send happened at local time of client at global ~0
     assert seen.replies[0][1] == pytest.approx(client.clock.local_time(0.0),
@@ -87,13 +87,13 @@ def test_at_most_once_under_duplicates(net_pair):
     """Lossy network: retries must not re-execute the transaction (I5)."""
     sim, net, server, client = net_pair
     executions = []
-    server.register("fs.setattr",
+    server.register("t.set",
                     lambda m: (executions.append(m.payload["i"]), ("ack", {}))[1])
     net.drop_probability = 0.45
     ok = 0
     for i in range(20):
         try:
-            run_req(sim, client, "server", "fs.setattr", {"i": i},
+            run_req(sim, client, "server", "t.set", {"i": i},
                     policy=RetryPolicy(timeout=0.3, retries=8))
             ok += 1
         except DeliveryError:
@@ -107,26 +107,26 @@ def test_at_most_once_under_duplicates(net_pair):
 
 def test_gatekeeper_nack(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("t.get", lambda m: ("ack", {}))
     server.set_gatekeeper(lambda m: "nack")
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.getattr", {})
+        run_req(sim, client, "server", "t.get", {})
 
 
 def test_gatekeeper_silent_causes_delivery_error(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("t.get", lambda m: ("ack", {}))
     server.set_gatekeeper(lambda m: "silent")
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.getattr", {},
+        run_req(sim, client, "server", "t.get", {},
                 policy=RetryPolicy(timeout=0.3, retries=1))
 
 
 def test_gatekeeper_none_passes(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {"ok": True}))
+    server.register("t.get", lambda m: ("ack", {"ok": True}))
     server.set_gatekeeper(lambda m: None)
-    reply = run_req(sim, client, "server", "fs.getattr", {})
+    reply = run_req(sim, client, "server", "t.get", {})
     assert reply.payload["ok"]
 
 
@@ -138,8 +138,8 @@ def test_deferred_handler_pending_result(net_pair):
             yield sim.timeout(2.0)
             return ("ack", {"slow": True})
         return work()
-    server.register("fs.open", handler)
-    reply = run_req(sim, client, "server", "fs.open", {})
+    server.register("t.open", handler)
+    reply = run_req(sim, client, "server", "t.open", {})
     assert reply.payload["slow"]
     assert sim.now >= 2.0
 
@@ -152,9 +152,9 @@ def test_deferred_handler_nack_result(net_pair):
             yield sim.timeout(1.0)
             return ("nack", {"error": "denied"})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.open", {})
+        run_req(sim, client, "server", "t.open", {})
 
 
 def test_deferred_handler_exception_becomes_nack(net_pair):
@@ -165,31 +165,30 @@ def test_deferred_handler_exception_becomes_nack(net_pair):
             yield sim.timeout(0.5)
             raise RuntimeError("handler blew up")
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.open", {})
+        run_req(sim, client, "server", "t.open", {})
 
 
 def test_receipt_ack_carries_ack_stamp(net_pair, observe):
     """The pending re-ACK a retry of a parked transaction receives
-    merges the node's ``reply_stamp`` (servers carry ``__epoch__`` so a
+    carries the node's ``reply_stamp`` (servers stamp their epoch so a
     polling client still learns about restarts, §6)."""
     sim, net, server, client = net_pair
-    server.reply_stamp = lambda msg: {"__epoch__": 7}
+    server.reply_stamp = lambda msg: (7, None)
 
     def handler(msg):
         def work():
             yield sim.timeout(2.0)
             return ("ack", {})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     seen = observe(client)
-    run_req(sim, client, "server", "fs.open", {},
+    run_req(sim, client, "server", "t.open", {},
             policy=RetryPolicy(timeout=0.5, retries=8))
     # Every pending re-ACK answering a retry or a poll.
-    stamped = [r.payload.get("__epoch__") for r, _t in seen.replies
-               if r.payload.get("__pending__")]
-    assert len(stamped) > 1 and all(e == 7 for e in stamped)
+    stamped = [r.stamp for r, _t in seen.replies if r.pending]
+    assert len(stamped) > 1 and all(s == (7, None) for s in stamped)
 
 
 def test_receipt_ack_without_stamp_adds_no_keys(net_pair, observe):
@@ -200,13 +199,12 @@ def test_receipt_ack_without_stamp_adds_no_keys(net_pair, observe):
             yield sim.timeout(2.5)      # outlasts the 1 s retry timeout
             return ("ack", {})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     seen = observe(client)
-    run_req(sim, client, "server", "fs.open", {})
-    payloads = [r.payload for r, _t in seen.replies
-                if r.payload.get("__pending__")]
-    assert payloads
-    assert all(p == {"__pending__": True} for p in payloads)
+    run_req(sim, client, "server", "t.open", {})
+    receipts = [r for r, _t in seen.replies if r.pending]
+    assert receipts
+    assert all(r.payload == {} and r.stamp is None for r in receipts)
 
 
 def test_pending_timeout_gives_delivery_error(net_pair):
@@ -217,27 +215,27 @@ def test_pending_timeout_gives_delivery_error(net_pair):
             yield sim.timeout(1000.0)
             return ("ack", {})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.open", {},
+        run_req(sim, client, "server", "t.open", {},
                 policy=RetryPolicy(timeout=0.5, retries=1, pending_timeout=5.0))
 
 
 def test_crashed_endpoint_receives_nothing(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("t.get", lambda m: ("ack", {}))
     server.crash()
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.getattr", {},
+        run_req(sim, client, "server", "t.get", {},
                 policy=RetryPolicy(timeout=0.3, retries=1))
     server.restart()
-    reply = run_req(sim, client, "server", "fs.getattr", {})
+    reply = run_req(sim, client, "server", "t.get", {})
     assert reply.payload == {}
 
 
 def test_partition_formed_mid_flight_drops(net_pair):
     sim, net, server, client = net_pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
+    server.register("t.get", lambda m: ("ack", {}))
 
     # Cut the link at t=0 (before the datagram's delivery delay elapses).
     def cutter():
@@ -245,7 +243,7 @@ def test_partition_formed_mid_flight_drops(net_pair):
         net.block_pair("client", "server")
     sim.process(cutter())
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.getattr", {},
+        run_req(sim, client, "server", "t.get", {},
                 policy=RetryPolicy(timeout=0.3, retries=0))
 
 

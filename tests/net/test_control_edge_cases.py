@@ -42,12 +42,12 @@ def test_pending_ack_retransmission(pair):
             yield sim.timeout(2.0)
             return ("ack", {"v": 7})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     net.drop_probability = 0.4
     ok = 0
     for _ in range(10):
         try:
-            reply = run_req(sim, client, "server", "fs.open", {},
+            reply = run_req(sim, client, "server", "t.open", {},
                             policy=RetryPolicy(timeout=0.4, retries=10,
                                                pending_timeout=30.0))
             assert reply.payload["v"] == 7
@@ -70,9 +70,9 @@ def test_result_for_abandoned_request_is_absorbed(pair):
             yield sim.timeout(5.0)
             return ("ack", {"late": True})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     with pytest.raises(DeliveryError):
-        run_req(sim, client, "server", "fs.open", {},
+        run_req(sim, client, "server", "t.open", {},
                 policy=RetryPolicy(timeout=0.4, retries=0,
                                    pending_timeout=1.0))
     # Let the late final arrive; nothing blows up and nothing of it
@@ -84,8 +84,8 @@ def test_result_for_abandoned_request_is_absorbed(pair):
     assert client._pending == {} and server._parked == {}
     assert server._executed[("client", 1)][0] == "done"
     # A fresh request is unaffected by the orphan.
-    server.register("fs.getattr", lambda m: ("ack", {"fresh": True}))
-    reply = run_req(sim, client, "server", "fs.getattr", {})
+    server.register("t.get", lambda m: ("ack", {"fresh": True}))
+    reply = run_req(sim, client, "server", "t.get", {})
     assert reply.payload["fresh"]
 
 
@@ -93,9 +93,9 @@ def test_dedup_cache_eviction(pair):
     """The dedup table is bounded; old entries are evicted FIFO."""
     sim, net, server, client = pair
     small = Endpoint(sim, net, "small", server.clock, dedup_capacity=4)
-    small.register("fs.getattr", lambda m: ("ack", {}))
+    small.register("t.get", lambda m: ("ack", {}))
     for i in range(10):
-        run_req(sim, client, "small", "fs.getattr", {"i": i})
+        run_req(sim, client, "small", "t.get", {"i": i})
     assert len(small._executed) <= 4
 
 
@@ -112,22 +112,22 @@ def test_gatekeeper_applies_before_dedup(pair):
     gatekeeper runs before the replay cache."""
     sim, net, server, client = pair
     calls = []
-    server.register("fs.getattr", lambda m: (calls.append(1), ("ack", {}))[1])
-    reply = run_req(sim, client, "server", "fs.getattr", {})
+    server.register("t.get", lambda m: (calls.append(1), ("ack", {}))[1])
+    reply = run_req(sim, client, "server", "t.get", {})
     assert calls == [1]
     server.set_gatekeeper(lambda m: "nack")
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.getattr", {})
+        run_req(sim, client, "server", "t.get", {})
     assert calls == [1]  # the gate blocked execution
 
 
 def test_concurrent_requests_from_one_client(pair):
     sim, net, server, client = pair
-    server.register("fs.getattr", lambda m: ("ack", {"i": m.payload["i"]}))
+    server.register("t.get", lambda m: ("ack", {"i": m.payload["i"]}))
     results = []
 
     def one(i):
-        reply = yield from client.request("server", "fs.getattr", {"i": i})
+        reply = yield from client.request("server", "t.get", {"i": i})
         results.append(reply.payload["i"])
     for i in range(20):
         sim.process(one(i))
@@ -144,9 +144,9 @@ def test_nack_listener_fires_for_deferred_nack(pair, observe):
             yield sim.timeout(0.5)
             return ("nack", {"error": "later"})
         return work()
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     with pytest.raises(NackError):
-        run_req(sim, client, "server", "fs.open", {})
+        run_req(sim, client, "server", "t.open", {})
     assert [r.payload for r, _t in seen.nacks()] == [{"error": "later"}]
 
 
@@ -156,7 +156,7 @@ def test_result_listener_fires_on_deferred_final(pair, observe):
     decision time, renewing from that attempt's send time."""
     sim, net, server, client = pair
     epoch = {"v": 2}
-    server.reply_stamp = lambda msg: {"__epoch__": epoch["v"]}
+    server.reply_stamp = lambda msg: (epoch["v"], None)
     seen = observe(client)
 
     def handler(msg):
@@ -165,9 +165,9 @@ def test_result_listener_fires_on_deferred_final(pair, observe):
             epoch["v"] = 3               # a restart signal learned meanwhile
             return ("ack", {"fd": 1})
         return work()
-    server.register("fs.open", handler)
-    reply = run_req(sim, client, "server", "fs.open", {})
-    assert reply.payload == {"fd": 1, "__epoch__": 3}
+    server.register("t.open", handler)
+    reply = run_req(sim, client, "server", "t.open", {})
+    assert reply.payload == {"fd": 1} and reply.stamp == (3, None)
     [(shown, renewal)] = seen.replies
     [sent] = net.trace.select(kind="msg.send", node="client")
     assert shown is reply and reply.reply_to == sent.detail["msg_id"]
@@ -179,8 +179,8 @@ def test_result_listener_silent_on_synchronous_ack(pair, observe):
     a second time as a renewal-less final."""
     sim, net, server, client = pair
     seen = observe(client)
-    server.register("fs.getattr", lambda m: ("ack", {}))
-    reply = run_req(sim, client, "server", "fs.getattr", {})
+    server.register("t.get", lambda m: ("ack", {}))
+    reply = run_req(sim, client, "server", "t.get", {})
     assert [r for r, _t in seen.replies] == [reply]
     assert seen.replies[0][1] is not None
 
@@ -190,15 +190,15 @@ def test_forget_peer_drops_replay_state(pair):
     at-most-once replay entries must not leak results to a restarted
     sender that reuses sequence numbers."""
     sim, net, server, client = pair
-    server.register("fs.getattr", lambda m: ("ack", {}))
-    run_req(sim, client, "server", "fs.getattr", {})
-    run_req(sim, client, "server", "fs.getattr", {})
+    server.register("t.get", lambda m: ("ack", {}))
+    run_req(sim, client, "server", "t.get", {})
+    run_req(sim, client, "server", "t.get", {})
     assert any(key[0] == "client" for key in server._executed)
     server.forget_peer("client")
     assert not any(key[0] == "client" for key in server._executed)
     # Other peers' entries survive a targeted forget.
     server.forget_peer("nobody")  # no-op
-    run_req(sim, client, "server", "fs.getattr", {})
+    run_req(sim, client, "server", "t.get", {})
     assert any(key[0] == "client" for key in server._executed)
 
 
@@ -210,11 +210,11 @@ def test_forget_peer_leaves_no_tombstone_in_eviction_order(pair):
     sim, net, server, client = pair
     small = Endpoint(sim, net, "small", server.clock, dedup_capacity=4)
     runs = []
-    small.register("fs.setattr",
+    small.register("t.set",
                    lambda m: (runs.append(m.src), ("ack", {}))[1])
 
     def deliver(src, seq):
-        small._on_datagram(Message(src, "small", "fs.setattr", {}, seq))
+        small._on_datagram(Message(src, "small", "t.set", {}, seq))
 
     deliver("c", 1)
     small.forget_peer("c")
@@ -290,10 +290,10 @@ def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
     a NACK carries no renewal time."""
     sim, net, server, client = pair
     make_handler, expected = REPLY_CLASSES[scenario]
-    server.register("fs.open", make_handler(sim, server))
+    server.register("t.open", make_handler(sim, server))
     seen = observe(client)
     try:
-        run_req(sim, client, "server", "fs.open", {},
+        run_req(sim, client, "server", "t.open", {},
                 policy=RetryPolicy(timeout=0.5, retries=3))
     except NackError:
         pass
@@ -301,7 +301,7 @@ def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
     def label(reply):
         if reply.kind == MsgKind.NACK:
             return "nack"
-        return "pending" if reply.payload.get("__pending__") else "ack"
+        return "pending" if reply.pending else "ack"
     assert [(label(r), t is not None) for r, t in seen.replies] == expected
     # The fixture's clocks are ideal, so local send time == trace time.
     sent_at = {rec.detail["msg_id"]: rec.time
@@ -320,15 +320,15 @@ def test_every_reply_class_reaches_observers_exactly_once(pair, observe,
 @pytest.mark.parametrize("deferred", [False, True],
                          ids=["synchronous", "deferred"])
 def test_replayed_reply_keeps_the_stamp_of_its_execution(pair, deferred):
-    """The stamp is merged before the decision enters the at-most-once
-    cache, so a retry that is answered from the cache sees the
-    watermark the transaction executed under — never a fresher one
-    (the ``__mseq__`` safety condition: a new watermark on an old value
-    would let a cache node install data that predates an invalidation
-    it has already processed)."""
+    """The stamp is taken before the decision enters the at-most-once
+    cache, and recorded with it, so a retry that is answered from the
+    cache sees the watermark the transaction executed under — never a
+    fresher one (the watermark safety condition: a new watermark on an
+    old value would let a cache node install data that predates an
+    invalidation it has already processed)."""
     sim, net, server, client = pair
     watermark = {"v": 0}
-    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    server.reply_stamp = lambda msg: (1, watermark["v"])
     runs = []
 
     def handler(msg):
@@ -336,18 +336,19 @@ def test_replayed_reply_keeps_the_stamp_of_its_execution(pair, deferred):
         if deferred:
             return _deferred(sim, 0.1, ("ack", {"value": "old"}))(msg)
         return ("ack", {"value": "old"})
-    server.register("fs.getattr", handler)
+    server.register("t.get", handler)
 
     net.block("server", "client")        # every reply of the first try is lost
     proc = sim.process(client.request(
-        "server", "fs.getattr", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+        "server", "t.get", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
     sim.run(until=0.25)
     assert runs == [1] and not proc.triggered
     watermark["v"] = 9                   # a mutation lands meanwhile
     net.unblock("server", "client")
     sim.run()
     assert runs == [1]                   # the retry was answered by replay
-    assert proc.value.payload == {"value": "old", "__mseq__": 0}
+    assert proc.value.payload == {"value": "old"}
+    assert proc.value.stamp == (1, 0)
 
 
 # -- the responder decides by what the handler did, not by what it returned --
@@ -374,12 +375,12 @@ def test_generator_that_never_waits_costs_two_datagrams(pair, observe):
     answered like a tuple: request and one stamped ACK, which renews
     from the send time of the attempt it answers."""
     sim, net, server, client = pair
-    server.reply_stamp = lambda msg: {"__epoch__": 3}
-    server.register("fs.open", _generator_handler(sim, 0, ("ack", {"v": 1})))
+    server.reply_stamp = lambda msg: (3, None)
+    server.register("t.open", _generator_handler(sim, 0, ("ack", {"v": 1})))
     seen = observe(client)
-    reply = run_req(sim, client, "server", "fs.open", {})
-    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server")]
-    assert reply.payload == {"v": 1, "__epoch__": 3}
+    reply = run_req(sim, client, "server", "t.open", {})
+    assert _wire(net) == [("t.open", "client"), (MsgKind.ACK, "server")]
+    assert reply.payload == {"v": 1} and reply.stamp == (3, None)
     [(shown, renewal)] = seen.replies
     assert shown is reply
     [sent] = net.trace.select(kind="msg.send", node="client")
@@ -392,12 +393,12 @@ def test_generator_that_waits_once_costs_two_datagrams(pair, observe):
     like one that never waited: no receipt ACK, no server-initiated
     request, one final that renews from the admitted attempt."""
     sim, net, server, client = pair
-    server.reply_stamp = lambda msg: {"__epoch__": 3}
-    server.register("fs.open", _generator_handler(sim, 1, ("ack", {"v": 1})))
+    server.reply_stamp = lambda msg: (3, None)
+    server.register("t.open", _generator_handler(sim, 1, ("ack", {"v": 1})))
     seen = observe(client)
-    reply = run_req(sim, client, "server", "fs.open", {})
-    assert _wire(net) == [("fs.open", "client"), (MsgKind.ACK, "server")]
-    assert reply.payload == {"v": 1, "__epoch__": 3}
+    reply = run_req(sim, client, "server", "t.open", {})
+    assert _wire(net) == [("t.open", "client"), (MsgKind.ACK, "server")]
+    assert reply.payload == {"v": 1} and reply.stamp == (3, None)
     [(final, renewal)] = seen.replies
     [sent] = net.trace.select(kind="msg.send", node="client")
     assert final is reply and reply.reply_to == sent.detail["msg_id"]
@@ -413,10 +414,10 @@ def test_raise_before_first_wait_is_a_direct_nack_replayed_verbatim(pair):
         calls.append(1)
         raise RuntimeError("no such file")
         yield  # pragma: no cover - makes this a generator handler
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     net.block("server", "client")        # the first NACK is lost
     proc = sim.process(client.request(
-        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5, retries=2)))
+        "server", "t.open", {}, policy=RetryPolicy(timeout=0.5, retries=2)))
     proc.defuse()
     sim.run(until=0.25)
     net.unblock("server", "client")
@@ -425,19 +426,19 @@ def test_raise_before_first_wait_is_a_direct_nack_replayed_verbatim(pair):
     assert proc.exception.nack.payload == {
         "error": repr(RuntimeError("no such file"))}
     assert calls == [1]                  # the retry was answered by replay
-    assert {kind for kind, _src in _wire(net)} == {"fs.open", MsgKind.NACK}
+    assert {kind for kind, _src in _wire(net)} == {"t.open", MsgKind.NACK}
 
 
 def test_duplicate_of_a_parked_transaction_is_re_acked_not_re_run(pair,
                                                                   observe):
     sim, net, server, client = pair
     calls = []
-    server.register("fs.open",
+    server.register("t.open",
                     _generator_handler(sim, 20, ("ack", {}), calls))
     seen = observe(client)
-    reply = run_req(sim, client, "server", "fs.open", {},
+    reply = run_req(sim, client, "server", "t.open", {},
                     policy=RetryPolicy(timeout=0.5, retries=3))
-    receipts = [r for r, _t in seen.replies if r.payload.get("__pending__")]
+    receipts = [r for r, _t in seen.replies if r.pending]
     assert len(receipts) >= 2            # the poll re-sent the request
     assert calls[0] not in {r.reply_to for r in receipts}
     assert reply.reply_to == calls[0]    # the final answers the admitted one
@@ -449,20 +450,21 @@ def test_duplicate_after_an_inline_finish_is_answered_from_the_done_record(pair)
     one (the generator twin of the synchronous replay test above)."""
     sim, net, server, client = pair
     watermark = {"v": 0}
-    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    server.reply_stamp = lambda msg: (1, watermark["v"])
     calls = []
-    server.register("fs.getattr", _generator_handler(
+    server.register("t.get", _generator_handler(
         sim, 0, ("ack", {"value": "old"}), calls))
     net.block("server", "client")
     proc = sim.process(client.request(
-        "server", "fs.getattr", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+        "server", "t.get", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
     sim.run(until=0.25)
     assert server._executed[("client", 1)][0] == "done"
     watermark["v"] = 9
     net.unblock("server", "client")
     sim.run()
     assert len(calls) == 1
-    assert proc.value.payload == {"value": "old", "__mseq__": 0}
+    assert proc.value.payload == {"value": "old"}
+    assert proc.value.stamp == (1, 0)
 
 
 @pytest.mark.parametrize("generator", [False, True],
@@ -473,10 +475,10 @@ def test_invalid_decision_raises_in_the_delivery(pair, generator):
     whichever way the handler was written."""
     sim, net, server, client = pair
     if generator:
-        server.register("fs.open", _generator_handler(sim, 0, "nonsense"))
+        server.register("t.open", _generator_handler(sim, 0, "nonsense"))
     else:
-        server.register("fs.open", lambda msg: "nonsense")
-    sim.process(client.request("server", "fs.open", {}))
+        server.register("t.open", lambda msg: "nonsense")
+    sim.process(client.request("server", "t.open", {}))
     with pytest.raises(TypeError, match="invalid decision"):
         sim.run()
 
@@ -496,12 +498,12 @@ def test_crash_kills_parked_transactions(pair):
             return ("ack", {"n": msg.payload["n"]})
         finally:
             cleaned.append(msg.msg_id)
-    server.register("fs.open", handler)
+    server.register("t.open", handler)
     answered = []
     send = server.send_datagram
     server.send_datagram = lambda m: (answered.append(m.reply_to), send(m))
     policy = RetryPolicy(timeout=0.5, retries=3)
-    procs = [sim.process(client.request("server", "fs.open", {"n": n},
+    procs = [sim.process(client.request("server", "t.open", {"n": n},
                                         policy=policy)) for n in range(2)]
     sim.run(until=0.25)
     assert len(started) == 2 and list(server._parked) == started
@@ -540,14 +542,15 @@ def test_final_after_a_retry_never_moves_the_lease_start_back(pair, observe):
     client.observers.append(Renew())
     seen = observe(client)
     calls = []
-    server.register("fs.open", _generator_handler(sim, 8, ("ack", {}), calls))
+    server.register("t.open", _generator_handler(sim, 8, ("ack", {}), calls))
     proc = sim.process(client.request(
-        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
+        "server", "t.open", {}, policy=RetryPolicy(timeout=0.5, retries=3)))
     sim.run(until=2.0)                   # the lease daemon never stops
     sends = net.trace.select(kind="msg.send", node="client")
     sent = [rec.time for rec in sends]
     (re_ack, re_renewal), (final, final_renewal) = seen.replies
-    assert re_ack.payload == {"__pending__": True} and re_renewal == sent[1]
+    assert re_ack.pending and re_ack.payload == {}
+    assert re_renewal == sent[1]
     assert final is proc.value
     assert final.reply_to == calls[0] == sends[0].detail["msg_id"]
     assert final_renewal == sent[0] < re_renewal
@@ -560,9 +563,9 @@ def test_dropped_final_is_answered_from_the_done_record(pair, observe):
     transaction was executed under, not the one current at the poll."""
     sim, net, server, client = pair
     watermark = {"v": 0}
-    server.reply_stamp = lambda msg: {"__mseq__": watermark["v"]}
+    server.reply_stamp = lambda msg: (1, watermark["v"])
     calls = []
-    server.register("fs.getattr", _generator_handler(
+    server.register("t.get", _generator_handler(
         sim, 12, ("ack", {"value": "old"}), calls))   # finishes at ~1.2 s
     seen = observe(client)
 
@@ -574,15 +577,14 @@ def test_dropped_final_is_answered_from_the_done_record(pair, observe):
         net.unblock("server", "client")
         watermark["v"] = 9
     sim.process(weather())
-    reply = run_req(sim, client, "server", "fs.getattr", {},
+    reply = run_req(sim, client, "server", "t.get", {},
                     policy=RetryPolicy(timeout=0.5, retries=3))
     assert calls and len(calls) == 1
-    assert reply.payload == {"value": "old", "__mseq__": 5}
+    assert reply.payload == {"value": "old"} and reply.stamp == (1, 5)
     polls = [rec.detail["msg_id"]
              for rec in net.trace.select(kind="msg.send", node="client")]
     assert reply.reply_to == polls[-1] != calls[0]
-    assert [r.payload.get("__pending__", False)
-            for r, _t in seen.replies] == [True, False]
+    assert [r.pending for r, _t in seen.replies] == [True, False]
 
 
 class _RidesUntil:
@@ -613,10 +615,10 @@ def test_parked_request_whose_server_crashes_rides_out_the_outage(pair,
     observer = _RidesUntil(sim, until=60.0 if riding else 0.0)
     client.observers.append(observer)
     runs = []
-    server.register("lock.acquire", _generator_handler(
+    server.register("t.lock", _generator_handler(
         sim, 10, ("ack", {"mode": 2}), runs))          # a 1 s wait
     proc = sim.process(client.request(
-        "server", "lock.acquire", {}, policy=RetryPolicy(timeout=0.5)))
+        "server", "t.lock", {}, policy=RetryPolicy(timeout=0.5)))
     proc.defuse()
     sim.run(until=0.2)
     assert len(runs) == 1 and server._parked       # admitted, parked
@@ -642,7 +644,7 @@ def test_riding_ends_when_the_observer_stops_riding(pair):
     client.observers.append(observer)
     server.crash()
     proc = sim.process(client.request(
-        "server", "fs.open", {}, policy=RetryPolicy(timeout=0.5)))
+        "server", "t.open", {}, policy=RetryPolicy(timeout=0.5)))
     proc.defuse()
     sim.run()
     assert isinstance(proc.exception, DeliveryError)

@@ -1,7 +1,7 @@
 """Message vocabulary and wire-size accounting."""
 
 from repro.net import Ack, Message, Nack
-from repro.net.message import MsgKind
+from repro.net.message import DataWrite, MsgKind
 
 
 def test_msg_ids_unique():
@@ -34,5 +34,9 @@ def test_size_header_only():
 
 def test_size_counts_data_bytes():
     msg = Message(src="a", dst="b", kind=MsgKind.DATA_WRITE,
-                  payload={"data_bytes": 4096})
+                  payload=DataWrite(file_id=1, block=0, tag="t",
+                                    data_bytes=4096))
     assert msg.size_bytes() == 64 + 4096
+    # A function-shipped read's data rides its reply.
+    assert Ack("s", "c", reply_to=7,
+               payload={"data_bytes": 4096}).size_bytes() == 64 + 4096

@@ -4,7 +4,7 @@ parked transaction's outcome as a server-initiated ``RESULT`` request.
 
 ``ReceiptAckEndpoint`` below restores the replaced transport on both
 sides, its logic kept as the reference model: a handler that waits is
-answered by a ``__pending__`` receipt ACK at once, and its decision later
+answered by a ``pending`` receipt ACK at once, and its decision later
 travels as a reliable ``transport.result`` request (with its own ACK) to
 a requester that matches it to the receipt by ``__ticket__``.  Hypothesis
 drives both through the same handler shapes (a plain tuple, a generator
@@ -13,7 +13,7 @@ windows, on a fabric without jitter so that a different datagram count
 cannot move anything but the datagram count.
 
 What the requester decides must agree: the outcome of every request
-(ACK, NACK or delivery failure, and the payload) and how often each
+(ACK, NACK or delivery failure, and the payload and stamp) and how often each
 handler ran — with one named exception, a parked transaction whose only
 reply can arrive near the requester's deadline (see the test).  The
 renewing replies differ by design and are named explicitly: under the reference every ACK *datagram* renews (direct ACK,
@@ -43,7 +43,7 @@ class ReceiptAckEndpoint(Endpoint):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._results: Dict[int, Event] = {}
-        self._early: Dict[int, Tuple[str, Dict[str, Any]]] = {}
+        self._early: Dict[int, Tuple[str, Dict[str, Any], Any]] = {}
         self._ticket: Optional[int] = None
 
     # -- responder -------------------------------------------------------
@@ -54,11 +54,11 @@ class ReceiptAckEndpoint(Endpoint):
         key = (msg.src, msg.seq)
         cached = self._executed.get(key)
         if cached is not None:
-            state, decision, payload = cached
+            state, decision, payload, stamp = cached
             if state == "pending":
                 self._receipt(msg, decision)
             else:
-                self._reply(msg, decision or "ack", payload)
+                self._reply(msg, decision, payload, stamp)
             return
         result = self._handlers[msg.kind](msg)
         if not hasattr(result, "send"):
@@ -70,13 +70,13 @@ class ReceiptAckEndpoint(Endpoint):
         except StopIteration as done:
             self._reply(msg, *done.value)
             return
-        self._remember(key, ("pending", msg.msg_id, None))
+        self._remember(key, ("pending", msg.msg_id, None, None))
         self._receipt(msg, msg.msg_id)
         self._parked[msg.msg_id] = self.sim.process(txn, target=waiting_on)
 
     def _receipt(self, msg: Message, ticket: int) -> None:
-        self._reply(msg, "ack", self._stamped(
-            msg, {"__pending__": True, "__ticket__": ticket}))
+        self._reply(msg, "ack", {"__ticket__": ticket}, self._stamped(msg),
+                    pending=True)
 
     def _deferred(self, key, msg, gen) -> Generator[Event, Any, Any]:
         try:
@@ -85,20 +85,22 @@ class ReceiptAckEndpoint(Endpoint):
             raise
         except Exception as exc:
             result = ("nack", {"error": repr(exc)})
-        decision, payload = self._finish(key, msg, self._normalize(result))
+        decision, payload, stamp = self._finish(key, msg,
+                                                self._normalize(result))
         if self._parked.pop(msg.msg_id, None) is None:
-            return decision, payload
+            return decision, payload, stamp
         try:
             yield from self.request(msg.src, RESULT, {
                 "__ticket__": msg.msg_id, "__decision__": decision,
-                "__payload__": payload})
+                "__payload__": payload, "__stamp__": stamp})
         except (DeliveryError, NackError):
             pass
 
     # -- requester -------------------------------------------------------
     def _h_result(self, msg: Message) -> None:
         ticket = msg.payload["__ticket__"]
-        outcome = (msg.payload["__decision__"], dict(msg.payload["__payload__"]))
+        outcome = (msg.payload["__decision__"],
+                   dict(msg.payload["__payload__"]), msg.payload["__stamp__"])
         ev = self._results.get(ticket)
         if ev is None:
             self._early[ticket] = outcome
@@ -136,9 +138,10 @@ class ReceiptAckEndpoint(Endpoint):
             timeout_ev = self.local_timeout(min(pol.timeout * 2.0, remaining))
             winner = yield FirstOf(self.sim, (result_ev, reply_ev, timeout_ev))
             if winner is result_ev:
-                decision, payload = result_ev._value
-                final = (Nack if decision == "nack" else Ack)(
-                    msg.dst, self.name, msg.msg_id, payload=payload)
+                decision, payload, stamp = result_ev._value
+                final = (Nack(msg.dst, self.name, msg.msg_id, payload)
+                         if decision == "nack" else
+                         Ack(msg.dst, self.name, msg.msg_id, payload, stamp))
                 for observer in self.observers:
                     observer.on_reply(final, None)   # the receipt renewed
                 if decision == "nack":
@@ -147,13 +150,13 @@ class ReceiptAckEndpoint(Endpoint):
             if winner is reply_ev:
                 reply = reply_ev._value
                 self._deliver_reply(msg, reply, attempt_times)
-                if not reply.payload.get("__pending__"):
+                if not reply.pending:
                     return reply
                 if self._ticket != ticket:
                     ticket = self._ticket
                     result_ev = self._result_event(ticket)
                 continue
-            poll = Message(msg.src, msg.dst, msg.kind, msg.payload, msg.seq)
+            poll = msg.resend()
             poll.sent_local_time = self.local_now()
             attempt_times[poll.msg_id] = poll.sent_local_time
             self._pending[poll.msg_id] = reply_ev
@@ -170,7 +173,7 @@ class Renewals(ReplyObserver):
     def on_reply(self, reply, renewal_time):
         if reply.kind == MsgKind.NACK:
             label = "nack"
-        elif reply.payload.get("__pending__"):
+        elif reply.pending:
             label = "pending"
         else:
             label = "ack"
@@ -214,7 +217,7 @@ def _drive(endpoint_cls, shapes, to_server_until, to_client_until):
                           ens.create("server", offset=0.0), trace)
     client = endpoint_cls(sim, net, "client",
                           ens.create("client", offset=0.0), trace)
-    server.reply_stamp = lambda msg: {"__epoch__": 1}
+    server.reply_stamp = lambda msg: (1, None)
     renewals = Renewals()
     client.observers.append(renewals)
     runs, outcomes = [], []
@@ -237,7 +240,7 @@ def _drive(endpoint_cls, shapes, to_server_until, to_client_until):
                 reply = yield from client.request(
                     "server", f"op.{n}", {},
                     policy=RetryPolicy(timeout=0.5, retries=3))
-                outcomes.append(("ack", reply.payload))
+                outcomes.append(("ack", (reply.payload, reply.stamp)))
             except NackError as exc:
                 outcomes.append(("nack", exc.nack.payload))
             except DeliveryError:
@@ -323,7 +326,7 @@ def test_the_difference_is_the_datagram_count():
     shapes = [(True, 1, None, "ack")]
     new = _drive(Endpoint, shapes, 0.0, 0.0)
     old = _drive(ReceiptAckEndpoint, shapes, 0.0, 0.0)
-    assert new[:2] == old[:2] == ([("ack", {"n": 0, "__epoch__": 1})], [0])
+    assert new[:2] == old[:2] == ([("ack", ({"n": 0}, (1, None)))], [0])
     assert [label for _n, label, _t in new[2]] == ["ack"]
     assert [(label, t is None) for _n, label, t in old[2]] == [
         ("pending", False), ("ack", True)]

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.config import NetCacheConfig, ScaleConfig, SystemConfig
 from repro.lease.phases import LeasePhase
-from repro.net.message import Message, MsgKind, NackError
+from repro.net.message import (Invalidate, Message, MsgKind, Nack, NackError,
+                               Open, PathOnly)
 from repro.sim.rng import _stable_hash
 
 from tests.conftest import make_system, run_gen
@@ -77,8 +78,7 @@ def test_lease_nack_flushes_and_degrades_to_forwarding():
     # been missed while the lease was dead — everything learned from
     # that server is suspect.
     [observer] = cache.endpoint.observers
-    observer.on_reply(Message(src="server", dst=cache.name, kind=MsgKind.NACK,
-                              payload={"__lease_nack__": True}), None)
+    observer.on_reply(Nack("server", cache.name, 1, lease_nack=True), None)
     assert cache.entry_count == 0
     assert cache.flushes == 1
     # §3.3: the lease skips straight to suspect.
@@ -221,7 +221,7 @@ def test_invalidate_drops_named_paths_and_raises_floor():
 
     cache._h_invalidate(Message(
         src="server", dst=cache.name, kind=MsgKind.CACHE_INVALIDATE,
-        payload={"barrier": 7, "paths": ["/d/a"]}))
+        payload=Invalidate(7, paths=["/d/a"])))
     assert cache.entry_count == 1  # /d/b survives
     assert ("lookup", "server", "/d/b") in cache._entries
 
@@ -241,20 +241,20 @@ def test_router_only_intercepts_client_cacheable_reads():
     cache = cache_for(system, name)
 
     hit = route(Message(src=name, dst="server", kind=MsgKind.LOOKUP,
-                        payload={"path": "/d/f"}))
+                        payload=PathOnly("/d/f")))
     assert hit is cache.endpoint
     # Non-cacheable kind, server-originated, and cache-originated
     # traffic all go direct.
     assert route(Message(src=name, dst="server", kind=MsgKind.OPEN,
-                         payload={})) is None
+                         payload=Open("/d/f"))) is None
     assert route(Message(src="server", dst=name, kind=MsgKind.LOOKUP,
-                         payload={})) is None
+                         payload=PathOnly("/d/f"))) is None
     assert route(Message(src=cache.name, dst="server", kind=MsgKind.LOOKUP,
-                         payload={})) is None
+                         payload=PathOnly("/d/f"))) is None
     # A dead assigned node falls back to direct delivery.
     cache.crash()
     assert route(Message(src=name, dst="server", kind=MsgKind.LOOKUP,
-                         payload={"path": "/d/f"})) is None
+                         payload=PathOnly("/d/f"))) is None
 
 
 def test_deferred_only_client_still_records_server_epoch():

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.locks import LockMode
-from repro.net.message import MsgKind
+from repro.net.message import (Create, Downgrade, FileOnly, LockAcquire,
+                               MsgKind, Null, Setattr)
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -143,7 +144,7 @@ def test_release_from_non_holder_is_rejected():
 
     def forge_release():
         reply = yield from c2.endpoint.request(
-            "server", MsgKind.LOCK_RELEASE, {"file_id": fid})
+            "server", MsgKind.LOCK_RELEASE, FileOnly(fid))
         return reply
     reply = run_gen(s, forge_release())
     assert reply.payload.get("status") == "not_holder"
@@ -167,7 +168,7 @@ def test_downgrade_from_non_holder_is_rejected():
     def forge_downgrade():
         reply = yield from c2.endpoint.request(
             "server", MsgKind.LOCK_DOWNGRADE,
-            {"file_id": fid, "mode": int(LockMode.SHARED)})
+            Downgrade(fid, int(LockMode.SHARED)))
         return reply
     reply = run_gen(s, forge_downgrade())
     assert reply.payload.get("status") == "not_holder"
@@ -204,7 +205,7 @@ def test_keepalive_is_pure_ack():
     before = s.server.metadata.ops
 
     def app():
-        yield from c.endpoint.request("server", MsgKind.KEEPALIVE, {})
+        yield from c.endpoint.request("server", MsgKind.KEEPALIVE, Null())
     run_gen(s, app())
     assert s.server.metadata.ops == before  # no metadata work
     assert s.server.locks.grants == 0
@@ -218,7 +219,7 @@ def test_lock_acquire_returns_attrs_for_revalidation():
         yield from c.create("/f", size=BLOCK_SIZE)
         reply = yield from c.endpoint.request(
             "server", MsgKind.LOCK_ACQUIRE,
-            {"file_id": 1, "mode": int(LockMode.SHARED)})
+            LockAcquire(1, int(LockMode.SHARED)))
         return reply.payload
     payload = run_gen(s, app())
     assert "attrs" in payload and "extents" in payload
@@ -237,16 +238,15 @@ def _plain_mutations(system):
     def app():
         from repro.net import NackError
         ack = yield from c.endpoint.request(
-            "server", MsgKind.CREATE, {"path": "/d/f", "size": 0})
+            "server", MsgKind.CREATE, Create("/d/f"))
         out["fid"] = ack.payload["file_id"]
         try:
             yield from c.endpoint.request(
-                "server", MsgKind.CREATE, {"path": "/d/f", "size": 0})
+                "server", MsgKind.CREATE, Create("/d/f"))
         except NackError as exc:
             out["again"] = exc.nack.payload
         ack = yield from c.endpoint.request(
-            "server", MsgKind.SETATTR,
-            {"file_id": out["fid"], "size": 3 * BLOCK_SIZE})
+            "server", MsgKind.SETATTR, Setattr(out["fid"], 3 * BLOCK_SIZE))
         out["size"] = ack.payload["attrs"]["size"]
     run_gen(system, app())
     sent = system.trace.select(kind="msg.send", node="server")[sent_before:]

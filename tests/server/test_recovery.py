@@ -109,11 +109,12 @@ def test_conflicting_reassertion_refused():
     # An impostor claims the object first (simulating a pre-crash steal
     # whose outcome c1 never learned).
     from repro.net import MsgKind
+    from repro.net.message import Reassert
 
     def impostor():
         yield from s.client("c2").endpoint.request(
             "server", MsgKind.LOCK_REASSERT,
-            {"file_id": out["fid"], "mode": int(LockMode.EXCLUSIVE)})
+            Reassert(out["fid"], int(LockMode.EXCLUSIVE)))
     run_gen(s, impostor())
     s.run(until=s.sim.now + 30.0)
     # c1's reassertion was refused; it forfeited the lock and cache.
@@ -142,11 +143,12 @@ def test_workload_survives_server_restart():
 
 
 def test_every_ack_the_server_decides_carries_its_epoch():
-    """``__epoch__`` rides every ACK by construction, however the
+    """The epoch stamp rides every ACK by construction, however the
     handler was registered: a ``LOCK_REASSERT`` ACK (RecoveryManager
     registers it on the raw endpoint) and a parked transaction's pending
     re-ACKs and its one final, which renews like any other ACK."""
     from repro.net import MsgKind, ReplyObserver
+    from repro.net.message import Reassert
 
     s = make_system(n_clients=2, writeback_interval=1000.0)
     c1, c2 = s.client("c1"), s.client("c2")
@@ -158,24 +160,24 @@ def test_every_ack_the_server_decides_carries_its_epoch():
 
     reply = run_gen(s, c1.endpoint.request(
         "server", MsgKind.LOCK_REASSERT,
-        {"file_id": out["fid"], "mode": int(LockMode.EXCLUSIVE)}))
-    assert reply.payload["__epoch__"] == epoch
+        Reassert(out["fid"], int(LockMode.EXCLUSIVE))))
+    assert reply.stamp == (epoch, None)
 
     seen = []
 
     class Probe(ReplyObserver):
         def on_reply(self, reply, renewal_time):
             if reply.kind == MsgKind.ACK:
-                seen.append((reply.payload, renewal_time))
+                seen.append((reply, renewal_time))
     c2.endpoint.observers.append(Probe())
     # A fresh acquisition inside the grace window parks until the window
     # closes; its retries and polls are re-ACKed pending meanwhile.
     run_gen(s, c2.open_file("/f", "r"))
-    receipts = [p for p, _t in seen if p.get("__pending__")]
-    finals = [p for p, _t in seen if not p.get("__pending__")]
+    receipts = [r for r, _t in seen if r.pending]
+    finals = [r for r, _t in seen if not r.pending]
     assert len(receipts) >= 2 and len(finals) == 1
-    assert all(t is not None for _p, t in seen)
-    assert all(p.get("__epoch__") == epoch for p, _t in seen)
+    assert all(t is not None for _r, t in seen)
+    assert all(r.stamp == (epoch, None) for r, _t in seen)
 
 
 def test_request_parked_when_its_server_crashes_completes_after_restart():
