@@ -139,8 +139,7 @@ def _spin_trace_emits(n: int) -> int:
     trace = TraceRecorder(enabled=True)
     emit = trace.emit
     for i in range(n):
-        emit(i * 0.001, "msg.send", "n1",
-             msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+        emit(i * 0.001, "msg.send", "n1", "fs.getattr", "n2", i, i)
     return len(trace)
 
 
@@ -155,8 +154,7 @@ def _resident_trace(n: int) -> TraceRecorder:
     trace = TraceRecorder(enabled=True)
     emit = trace.emit
     for i in range(n):
-        emit(i * 0.001, "msg.send", "n1",
-             msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+        emit(i * 0.001, "msg.send", "n1", "fs.getattr", "n2", i, i)
     gc.collect()
     return trace
 
@@ -170,8 +168,7 @@ def _spin_trace_resident(trace: TraceRecorder, n: int) -> int:
         emit = trace.emit
         base = len(trace)
         for i in range(base, base + n):
-            emit(i * 0.001, "msg.send", "n1",
-                 msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+            emit(i * 0.001, "msg.send", "n1", "fs.getattr", "n2", i, i)
     finally:
         if not was_enabled:
             gc.disable()
@@ -191,8 +188,7 @@ def _spin_trace_counting_only(n: int) -> int:
     trace = TraceRecorder(enabled=False)
     emit = trace.emit
     for i in range(n):
-        emit(i * 0.001, "msg.send", "n1",
-             msg_kind="fs.getattr", dst="n2", msg_id=i, seq=i)
+        emit(i * 0.001, "msg.send", "n1", "fs.getattr", "n2", i, i)
     return trace.count("msg.send")
 
 

@@ -128,7 +128,7 @@ class DataPath:
         deliver (§2.1)."""
         self.app_errors += 1
         self.trace.emit(self.sim.now, "app.error", self.name,
-                        file_id=file_id, tag=tag, reason=reason)
+                        file_id, tag, reason)
 
     # -- reads ---------------------------------------------------------------
     def read(self, of: OpenFile, offset: int, nbytes: int,
@@ -159,8 +159,7 @@ class DataPath:
         for lb, tag in out:
             device, lba = of.resolve(lb)
             self.trace.emit(self.sim.now, "app.read", self.name,
-                            file_id=of.file_id, block=lb, tag=tag,
-                            device=device, lba=lba)
+                            of.file_id, lb, tag, device, lba)
         return out
 
     def _fetch(self, of: OpenFile, blocks: List[int],
@@ -226,8 +225,8 @@ class DataPath:
     def _ack_write(self, of: OpenFile, tag: str, first: int, count: int,
                    phys: List[Tuple[str, int]]) -> None:
         self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                        file_id=of.file_id, tag=tag,
-                        blocks=list(range(first, first + count)), phys=phys)
+                        of.file_id, tag, list(range(first, first + count)),
+                        phys)
 
     # -- write-back ----------------------------------------------------------
     def flush(self, file_id: Optional[int] = None,
@@ -272,9 +271,8 @@ class DataPath:
                 tag = block_tags.get(p.lba)
                 self.cache.mark_flushed(p, versions.get(p.lba, -1), tag)
                 self.trace.emit(self.sim.now, "cache.flushed", self.name,
-                                file_id=p.file_id, tag=tag,
-                                block=p.logical_block, device=p.device,
-                                lba=p.lba)
+                                p.file_id, tag, p.logical_block, p.device,
+                                p.lba)
                 flushed += 1
         return flushed
 

@@ -285,7 +285,7 @@ class LockClient:
             yield from self.endpoint.request(server, MsgKind.LOCK_REASSERT,
                                              Reassert(obj, int(mode)))
             self.trace.emit(self.sim.now, "client.reasserted", self.name,
-                            file_id=obj, mode=int(mode))
+                            obj, int(mode))
         except NackError as exc:
             if not retried:
                 # The slot may have moved again (e.g. failback raced

@@ -518,7 +518,7 @@ class StorageTankClient:
         phase (§3.2): past phase 2 they are refused, not queued."""
         if self.admission_check is not None and not self.admission_check():
             self.ops_rejected += 1
-            self.trace.emit(self.sim.now, "app.rejected", self.name, phase=-1)
+            self.trace.emit(self.sim.now, "app.rejected", self.name, -1)
             raise ClientDisconnectedError(f"{self.name}: agent lease invalid")
         lease = self.leases.get(server or self.server)
         if lease is None:
@@ -529,7 +529,7 @@ class StorageTankClient:
         if not lease.active and not lease._ever_active:
             return  # first contact bootstraps the lease
         self.ops_rejected += 1
-        self.trace.emit(self.sim.now, "app.rejected", self.name, phase=int(ph))
+        self.trace.emit(self.sim.now, "app.rejected", self.name, int(ph))
         if ph == LeasePhase.EXPIRED:
             raise ClientDisconnectedError(f"{self.name}: no valid lease")
         raise ClientQuiescedError(f"{self.name}: lease phase {ph.name}")
@@ -574,9 +574,8 @@ class StorageTankClient:
             # report the loss to the application rather than hide it.
             self.data.report_lost(p.file_id, p.tag, "lease_expired")
         self.trace.emit(self.sim.now, "client.lease_lost", self.name,
-                        server=server or self.server,
-                        dirty_dropped=len(dropped),
-                        in_flight=self._busy.in_flight)
+                        server or self.server, len(dropped),
+                        self._busy.in_flight)
 
     def force_lease_expiry(self) -> None:
         """Invalidate the cache and cede all locks immediately.
@@ -603,7 +602,7 @@ class StorageTankClient:
         for of in self.fds.all_open():
             of.server = self.routing.server_for_file(of.file_id)
         self.trace.emit(self.sim.now, "client.map_update", self.name,
-                        epoch=epoch, migrated=len(gained))
+                        epoch, len(gained))
         for srv in gained:
             self._spawn_reassert(srv)
 

@@ -107,13 +107,13 @@ class ClusterCoordinator:
                 if self.alive[srv]:
                     self.alive[srv] = False
                     self.trace.emit(self.sim.now, "cluster.server_dead",
-                                    self.name, server=srv)
+                                    self.name, srv)
                     yield from self._takeover(srv)
                 continue
             if not self.alive[srv]:
                 self.alive[srv] = True
                 self.trace.emit(self.sim.now, "cluster.server_alive",
-                                self.name, server=srv)
+                                self.name, srv)
                 yield from self._failback(srv)
 
     # ------------------------------------------------------------------
@@ -138,8 +138,7 @@ class ClusterCoordinator:
         self.map = self.map.reassign(slots, target)
         self.takeovers += 1
         self.trace.emit(self.sim.now, "cluster.takeover", self.name,
-                        dead=dead, target=target, slots=len(slots),
-                        epoch=self.map.epoch)
+                        dead, target, len(slots), self.map.epoch)
         # The new owner learns first (it starts its safety wait from the
         # moment of receipt), then everyone else.
         yield from self._push(target, takeover={"origin": dead,
@@ -162,8 +161,7 @@ class ClusterCoordinator:
         self.map = self.map.reassign(wanted, srv)
         self.failbacks += 1
         self.trace.emit(self.sim.now, "cluster.failback", self.name,
-                        server=srv, slots=len(wanted), clean=clean,
-                        epoch=self.map.epoch)
+                        srv, len(wanted), clean, self.map.epoch)
         if clean:
             yield from self._push(srv, adopt=adopt)
         else:
@@ -182,7 +180,7 @@ class ClusterCoordinator:
         adopt, _clean = yield from self._release(slots)
         self.map = self.map.reassign(slots, target)
         self.trace.emit(self.sim.now, "cluster.move_slots", self.name,
-                        target=target, slots=len(slots), epoch=self.map.epoch)
+                        target, len(slots), self.map.epoch)
         yield from self._push(target, adopt=adopt)
         yield from self._broadcast(exclude=(target,))
 

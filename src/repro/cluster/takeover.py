@@ -293,8 +293,8 @@ class ServerShardRole:
         if adopt is not None:
             self._adopt(adopt)
         self.server.trace.emit(self.server.sim.now, "cluster.map_update",
-                               self.server.name, epoch=new_map.epoch,
-                               owned=len(self.owned))
+                               self.server.name, new_map.epoch,
+                               len(self.owned))
         return ("ack", {"epoch": new_map.epoch})
 
     def h_release(self, msg: Message) -> Tuple[str, Dict[str, Any]]:
@@ -317,8 +317,7 @@ class ServerShardRole:
                   for obj, client, rng, mode
                   in self.server.range_locks.export_holdings(fids)]
         self.server.trace.emit(self.server.sim.now, "cluster.release",
-                               self.server.name, slots=len(slots),
-                               holdings=len(holdings))
+                               self.server.name, len(slots), len(holdings))
         reply: Dict[str, Any] = {"holdings": holdings}
         if ranges:
             reply["ranges"] = ranges
@@ -328,9 +327,8 @@ class ServerShardRole:
         """Acquire a dead server's slots: open their reassertion window."""
         wait_local = self.server.contract.takeover_wait_local(self.map_lease)
         self.server.trace.emit(self.server.sim.now, "cluster.takeover_begin",
-                               self.server.name, origin=origin,
-                               slots=len(slots), wait_local=wait_local,
-                               grace=self.grace)
+                               self.server.name, origin, len(slots),
+                               wait_local, self.grace)
         self.server.recovery.open_window(set(slots), wait_local, self.grace,
                                          "cluster.takeover", origin=origin,
                                          slots=len(slots))
@@ -345,4 +343,4 @@ class ServerShardRole:
              LockMode(int(mode)))
             for obj, client, start, end, mode in adopt.get("ranges") or ())
         self.server.trace.emit(self.server.sim.now, "cluster.adopt",
-                               self.server.name, holdings=len(entries))
+                               self.server.name, len(entries))

@@ -126,7 +126,7 @@ class ByzantineClientAgent:
         installer()
         self.kinds = self.kinds + (kind,)
         self.system.trace.emit(self.system.sim.now, "byz.possess",
-                               self.client.name, behavior=kind)
+                               self.client.name, kind)
 
     # -- the five misbehaviors -----------------------------------------------
     def _apply_ignore_lease_expiry(self) -> None:

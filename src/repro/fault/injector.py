@@ -279,5 +279,5 @@ class FaultInjector:
                 step.action()
                 self.log.append((sim.now, step.label))
                 self.system.trace.emit(sim.now, "fault.inject", "injector",
-                                       label=step.label)
+                                       step.label)
         return self.system.spawn(run(), "fault-injector")

@@ -164,7 +164,7 @@ def _fence_latencies(system: StorageTankSystem,
         if rec.kind == "byz.possess" and rec.node in adversaries:
             possessed.setdefault(rec.node, rec.time)
         elif rec.kind == "server.fence":
-            client = str(rec.detail.get("client", ""))
+            client = str(rec.get("client", ""))
             if client in adversaries and client in possessed \
                     and client not in fenced:
                 fenced[client] = rec.time

@@ -744,7 +744,7 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
     detect_t = dead_events[0].time if dead_events else float("nan")
     reasserts = [r for r in system.trace.select(kind="client.reasserted",
                                                 node="c1")
-                 if r.detail.get("file_id") == fid and r.time > crash_at]
+                 if r.get("file_id") == fid and r.time > crash_at]
     reassert_t = reasserts[0].time if reasserts else None
 
     # Safety: no grant to a *different* client on the displaced file

@@ -129,7 +129,7 @@ class LeaseAgent(ReplyObserver):
         self._server_epoch[msg.src] = int(epoch)
         if known is not None and int(epoch) != known:
             self.trace.emit(self.sim.now, "client.epoch_change", self.name,
-                            server=msg.src, epoch=int(epoch))
+                            msg.src, int(epoch))
             self._on_epoch_change(msg.src)
 
     # -- keep-alives -------------------------------------------------------------
@@ -141,8 +141,7 @@ class LeaseAgent(ReplyObserver):
         self.keepalives_sent += 1
         if self._m_lease_msgs is not None:
             self._m_lease_msgs.inc()
-        self.trace.emit(self.sim.now, "lease.keepalive", self.name,
-                        server=server)
+        self.trace.emit(self.sim.now, "lease.keepalive", self.name, server)
         try:
             yield from self._request(server, MsgKind.KEEPALIVE, Null())
         except (DeliveryError, NackError):

@@ -147,10 +147,10 @@ class ClientLeaseManager:
         self._active = True
         self._ever_active = True
         self.trace.emit(self.sim.now, "lease.renewed", self.endpoint.name,
-                        server=self.server, start_local=self._lease_start_local)
+                        self.server, self._lease_start_local)
         if not was_active and was_ever:
             self.trace.emit(self.sim.now, "lease.reconnect", self.endpoint.name,
-                            server=self.server)
+                            self.server)
             self.callbacks.on_reconnected()
         self._wake()
 
@@ -161,7 +161,7 @@ class ClientLeaseManager:
             return
         self._nacked = True
         self.trace.emit(self.sim.now, "lease.nack", self.endpoint.name,
-                        server=self.server)
+                        self.server)
         self._wake()
 
     # -- daemon -------------------------------------------------------------
@@ -214,7 +214,7 @@ class ClientLeaseManager:
                            renewed=self.renewals > renewals_seen)
                 self._note_phase(phase)
                 self.trace.emit(self.sim.now, "lease.phase", self.endpoint.name,
-                                server=self.server, phase=int(phase))
+                                self.server, int(phase))
                 if phase == LeasePhase.SUSPECT:
                     self.callbacks.on_enter_suspect()
                 elif phase == LeasePhase.FLUSH:
@@ -254,5 +254,5 @@ class ClientLeaseManager:
         self._nacked = False
         self.expirations += 1
         self.trace.emit(self.sim.now, "lease.expire", self.endpoint.name,
-                        server=self.server)
+                        self.server)
         self.callbacks.on_expired()

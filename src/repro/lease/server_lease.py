@@ -105,7 +105,7 @@ class ServerLeaseAuthority(SafetyAuthority):
         if self.nack_suspects:
             self._count_lease_msg()
             self.trace.emit(self.sim.now, "lease.server_nack", self.endpoint.name,
-                            client=msg.src, msg_kind=msg.kind)
+                            msg.src, msg.kind)
             return "nack"
         return "silent"
 
@@ -126,7 +126,7 @@ class ServerLeaseAuthority(SafetyAuthority):
         self._suspects[client] = entry
         self.peak_state_bytes = max(self.peak_state_bytes, self.state_bytes())
         self.trace.emit(self.sim.now, "lease.suspect", self.endpoint.name,
-                        client=client, wait_local=self.contract.server_wait_local())
+                        client, self.contract.server_wait_local())
         span = self.obs.begin_span(self.sim.now, "lease.steal_resolution",
                                    self.endpoint.name, client=client)
         if span is not None:
@@ -145,7 +145,7 @@ class ServerLeaseAuthority(SafetyAuthority):
         self._count_cpu()
         self.total_steals += 1
         self.trace.emit(self.sim.now, "lease.steal", self.endpoint.name,
-                        client=entry.client)
+                        entry.client)
         try:
             self.on_steal(entry.client)
         finally:

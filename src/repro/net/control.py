@@ -135,7 +135,7 @@ class _DeliveryEvent(Event):
             trace = net.trace
             if not trace._noop:
                 trace.emit(net.sim._now, "msg.dropped", msg.src,
-                           dst=msg.dst, msg_kind=msg.kind)
+                           msg.dst, msg.kind)
             return
         net.delivered_count += 1
         net.bytes_delivered += msg.size_bytes()
@@ -146,8 +146,7 @@ class _DeliveryEvent(Event):
             # not leave trace events claiming the origin server saw the
             # request (the nack-timed-out oracle audits exactly that).
             trace.emit(net.sim._now, "msg.recv", target.name,
-                       msg_kind=msg.kind, src=msg.src, msg_id=msg.msg_id,
-                       seq=msg.seq)
+                       msg.kind, msg.src, msg.msg_id, msg.seq)
         target._on_datagram(msg)
 
 
@@ -283,20 +282,19 @@ class ControlNetwork:
         noop = trace._noop
         if not noop:
             trace.emit(self.sim._now, "msg.send", msg.src,
-                       msg_kind=msg.kind, dst=msg.dst, msg_id=msg.msg_id,
-                       seq=msg.seq)
+                       msg.kind, msg.dst, msg.msg_id, msg.seq)
         blocked = self._blocked
         if blocked and (msg.src, msg.dst) in blocked:
             self.dropped_count += 1
             if not noop:
                 trace.emit(self.sim._now, "msg.blocked", msg.src,
-                           dst=msg.dst, msg_kind=msg.kind)
+                           msg.dst, msg.kind)
             return
         if self.drop_probability > 0 and self._rng.random() < self.drop_probability:
             self.dropped_count += 1
             if not noop:
                 trace.emit(self.sim._now, "msg.dropped", msg.src,
-                           dst=msg.dst, msg_kind=msg.kind)
+                           msg.dst, msg.kind)
             return
         router = self._cache_router
         if router is not None:

@@ -157,7 +157,7 @@ class SanFabric:
         if disk is None:
             raise KeyError(f"unknown device {device!r}")
         if not self.reachable(initiator, device) or not self.reachable(device, initiator):
-            self.trace.emit(self.sim.now, "san.unreachable", initiator, device=device)
+            self.trace.emit(self.sim.now, "san.unreachable", initiator, device)
             raise SanUnreachableError(initiator, device)
         return disk
 
@@ -179,8 +179,8 @@ class SanFabric:
         self.bytes_written += len(block_tags) * BLOCK_SIZE
         trace = self.trace
         if not trace._noop:
-            trace.emit(self.sim.now, "san.write", initiator, device=device,
-                       n_blocks=len(block_tags))
+            trace.emit(self.sim.now, "san.write", initiator, device,
+                       len(block_tags))
         return versions
 
     def read(self, initiator: str, device: str, lba: int, count: int = 1,
@@ -194,8 +194,7 @@ class SanFabric:
         self.bytes_read += count * BLOCK_SIZE
         trace = self.trace
         if not trace._noop:
-            trace.emit(self.sim.now, "san.read", initiator, device=device,
-                       n_blocks=count)
+            trace.emit(self.sim.now, "san.read", initiator, device, count)
         return result
 
     def dlock_acquire(self, initiator: str, device: str, start_lba: int,

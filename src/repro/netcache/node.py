@@ -226,8 +226,7 @@ class MetadataCacheNode:
                 trace = self.trace
                 if not trace._noop:
                     trace.emit(self.sim.now, "netcache.hit", self.name,
-                               key_kind=key[0], server=key[1], path=key[2],
-                               fingerprint=entry.fingerprint)
+                               key[0], key[1], key[2], entry.fingerprint)
                 return ("ack", dict(entry.payload))
         return self._miss(msg, key)
 
@@ -238,7 +237,7 @@ class MetadataCacheNode:
         trace = self.trace
         if not trace._noop:
             trace.emit(self.sim.now, "netcache.miss", self.name,
-                       msg_kind=msg.kind, server=upstream, client=msg.src)
+                       msg.kind, upstream, msg.src)
         gen0 = self._gen.get(upstream, 0)
         inval0 = self._inval_gen
         try:
@@ -375,8 +374,7 @@ class MetadataCacheNode:
                 trace = self.trace
                 if not trace._noop:
                     trace.emit(self.sim.now, "netcache.drop", self.name,
-                               key_kind=key[0], server=key[1], path=key[2],
-                               reason=reason)
+                               key[0], key[1], key[2], reason)
 
     def flush_server(self, server: str, reason: str) -> None:
         """Drop every entry learned from ``server`` and fence in-flight
@@ -391,7 +389,7 @@ class MetadataCacheNode:
         trace = self.trace
         if not trace._noop:
             trace.emit(self.sim.now, "netcache.flush", self.name,
-                       server=server, reason=reason, dropped=len(keys))
+                       server, reason, len(keys))
 
     def flush_all(self, reason: str = "flush") -> None:
         """Administrative full flush (fault-injection step)."""

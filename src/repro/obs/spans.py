@@ -99,7 +99,7 @@ class SpanTracer:
         self._open[span.span_id] = span
         if self.trace is not None:
             self.trace.emit(t, f"span.begin.{kind}", node,
-                            span_id=span.span_id, parent_id=span.parent_id)
+                            span.span_id, span.parent_id)
         return span
 
     def _close(self, span: Span, t: float) -> None:
@@ -111,8 +111,7 @@ class SpanTracer:
             self.dropped += 1
         if self.trace is not None:
             self.trace.emit(t, f"span.end.{span.kind}", span.node,
-                            span_id=span.span_id,
-                            duration=span.end_time - span.start)
+                            span.span_id, span.end_time - span.start)
 
     def open_spans(self) -> List[Span]:
         """Spans begun but not yet ended."""

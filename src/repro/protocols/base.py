@@ -122,4 +122,4 @@ class NoStealAuthority(SafetyAuthority):
     def on_delivery_failure(self, client: str, msg: Message) -> None:
         """Honor the unreachable client's locks; only record the event."""
         self.trace.emit(self.sim.now, "authority.honor", self.endpoint.name,
-                        client=client)
+                        client)

@@ -84,9 +84,8 @@ class DlockClient:
             yield from self.san.write(self.name, self.device,
                                       {lba: tag for lba in
                                        range(start_lba, start_lba + n_blocks)})
-            self.trace.emit(self.sim.now, "app.write.ack", self.name,
-                            tag=tag, blocks=list(range(start_lba,
-                                                       start_lba + n_blocks)))
+            self.trace.emit(self.sim.now, "app.write.ack#dlock", self.name,
+                            tag, list(range(start_lba, start_lba + n_blocks)))
             self.ops_completed += 1
         except (SanUnreachableError, FencedIoError):
             self.app_errors += 1
@@ -107,7 +106,7 @@ class DlockClient:
                                         start_lba, n_blocks)
         out = [(r.lba, r.tag) for r in recs]
         for lba, tag in out:
-            self.trace.emit(self.sim.now, "app.read", self.name,
-                            block=lba, tag=tag)
+            self.trace.emit(self.sim.now, "app.read#dlock", self.name,
+                            lba, tag)
         self.ops_completed += 1
         return out

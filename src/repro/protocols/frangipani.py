@@ -111,7 +111,7 @@ class FrangipaniAuthority(SafetyAuthority):
                     ev = self.sim.event()
                     self._resolutions[client] = ev
                     self.trace.emit(self.sim.now, "frangipani.expire",
-                                    self.endpoint.name, client=client)
+                                    self.endpoint.name, client)
                     try:
                         self.steal_now(client)
                     finally:

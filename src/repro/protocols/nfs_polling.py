@@ -138,7 +138,7 @@ class NfsPollingClient:
             return
         self.polls_sent += 1
         self._m_lease_msgs.inc()
-        self.trace.emit(self.sim.now, "nfs.poll", self.name, file_id=of.file_id)
+        self.trace.emit(self.sim.now, "nfs.poll", self.name, of.file_id)
         try:
             reply = yield from self._rpc(MsgKind.OPEN, Open(of.path))
         except (DeliveryError, NackError):

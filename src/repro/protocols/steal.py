@@ -33,7 +33,7 @@ class ImmediateStealAuthority(SafetyAuthority):
         """Steal from ``client`` at once, with no lease wait."""
         self._count_cpu()
         self.trace.emit(self.sim.now, self.steal_event,
-                        self.endpoint.name, client=client)
+                        self.endpoint.name, client)
         ev = self.sim.event()
         self._resolutions[client] = ev
         try:

@@ -92,7 +92,7 @@ class VLeaseAuthority(SafetyAuthority):
                     self.object_expirations += 1
                     self._table.pop((client, obj), None)
                     self.trace.emit(self.sim.now, "vlease.expire",
-                                    self.endpoint.name, client=client, obj=obj)
+                                    self.endpoint.name, client, obj)
                     self.server.locks.steal_one(client, obj)
 
 

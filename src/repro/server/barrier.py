@@ -29,6 +29,12 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 _R = TypeVar("_R")
 
+#: The trace key of each namespace mutation's record: the three ops
+#: record different fields (``sim/trace.py``, ``TRACE_SCHEMAS``).
+_MUTATE_KEYS = {"create": "meta.mutate#create",
+                "setattr": "meta.mutate#setattr",
+                "unlink": "meta.mutate#unlink"}
+
 
 def ancestor_dirs(path: str) -> List[str]:
     """Every directory whose listing names ``path`` or a prefix of it,
@@ -150,11 +156,13 @@ class CacheBarrier:
                 yield self.endpoint.local_timeout(
                     self.contract.server_wait_local())
 
-    def note_mutation(self, op: str, **fields: Any) -> None:
+    def note_mutation(self, op: str, *fields: Any) -> None:
         """Record a namespace mutation at apply time: the authoritative
-        timeline the stale-entry oracle replays.  Without cache nodes
-        there is no cache to be stale, and nothing is recorded."""
+        timeline the stale-entry oracle replays.  ``fields`` follow
+        ``op``'s ``meta.mutate#<op>`` entry in the trace schema table.
+        Without cache nodes there is no cache to be stale, and nothing
+        is recorded."""
         trace = self.trace
         if self._cache_nodes and not trace._noop:
-            trace.emit(self.endpoint.sim.now, "meta.mutate",
-                       self.endpoint.name, op=op, **fields)
+            trace.emit(self.endpoint.sim.now, _MUTATE_KEYS[op],
+                       self.endpoint.name, op, *fields)

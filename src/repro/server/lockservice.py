@@ -94,8 +94,7 @@ class LockService:
         stolen = self.locks.steal_all(client)
         stolen_ranges = self.range_locks.steal_all(client)
         server.trace.emit(server.sim.now, "server.steal", server.name,
-                          client=client,
-                          n_locks=len(stolen) + len(stolen_ranges))
+                          client, len(stolen) + len(stolen_ranges))
 
     def _attested_since_fence(self, client: str) -> bool:
         """Whether the client attested a lease lapse newer than its fence."""
@@ -116,7 +115,7 @@ class LockService:
         # golden traces, corpus and artifacts replay bit-identical, which
         # is what shows the options deleted around it changed nothing.
         server.trace.emit(server.sim.now, "server.fence", server.name,
-                          client=client, scope="device")
+                          client, "device")
 
     def unfence_client(self, client: str) -> None:
         """Lift a previously constructed fence."""
@@ -127,7 +126,7 @@ class LockService:
         for disk in server.san.devices.values():
             disk.fence_table.unfence(client, server.sim.now)
         server.trace.emit(server.sim.now, "server.unfence", server.name,
-                          client=client)
+                          client)
 
     # ------------------------------------------------------------------
     # lock granting with demand/revocation
@@ -282,8 +281,8 @@ class LockService:
                     if mark is not None:
                         server.trace.emit(server.sim.now,
                                           "server.demand_escalate",
-                                          server.name, client=holder, obj=obj,
-                                          rounds=acked_rounds)
+                                          server.name, holder, obj,
+                                          acked_rounds)
                         mark(holder)
         finally:
             self._active_demands.discard((holder, obj, needed))

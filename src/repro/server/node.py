@@ -264,9 +264,8 @@ class StorageTankServer:
                 return ("nack", {"error": "exists"})
             if self.cluster is not None:
                 self.cluster.note_create(ino.file_id, path)
-            self.barrier.note_mutation("create", path=path,
-                                       file_id=ino.file_id,
-                                       size=ino.attrs.size)
+            self.barrier.note_mutation("create", path, ino.file_id,
+                                       ino.attrs.size)
             return ("ack", {"file_id": ino.file_id, **self._meta_reply(ino)})
         return (yield from self.barrier.mutate(
             apply, paths=(path,), dirs=ancestor_dirs(path)))
@@ -346,8 +345,7 @@ class StorageTankServer:
                                           mode=mode)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
-            self.barrier.note_mutation("setattr", file_id=file_id,
-                                       size=ino.attrs.size)
+            self.barrier.note_mutation("setattr", file_id, ino.attrs.size)
             return ("ack", self._meta_reply(ino, have))
         return (yield from self.barrier.mutate(apply, file_ids=(file_id,)))
 
@@ -376,7 +374,7 @@ class StorageTankServer:
                 store.unlink(path)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
-            self.barrier.note_mutation("unlink", path=path, file_id=fid)
+            self.barrier.note_mutation("unlink", path, fid)
             return ("ack", {"file_id": fid})
 
         def run() -> Generator[Event, Any, HandlerResult]:

@@ -92,7 +92,7 @@ class RecoveryManager:
         self.epoch += 1
         self.server.endpoint.restart()
         self.server.trace.emit(self.server.sim.now, "server.restart",
-                               self.server.name, epoch=self.epoch)
+                               self.server.name, self.epoch)
         if self._outage_span is not None:
             self._outage_span.end(self.server.sim.now, epoch=self.epoch)
             self._outage_span = None
@@ -210,15 +210,13 @@ class RecoveryManager:
         if not self._reassert_allowed(msg.src, obj):
             self.server.rejected_reasserts += 1
             self.server.trace.emit(self.server.sim.now, "server.reject",
-                                   self.server.name, client=msg.src, obj=obj,
-                                   what="reassert")
+                                   self.server.name, msg.src, obj, "reassert")
             return ("nack", {"error": "reassert_refused"})
         granted, conflicts = self.server.locks.try_acquire(msg.src, obj, mode)
         if granted:
             self.reasserted += 1
             self.server.trace.emit(self.server.sim.now, "server.reassert",
-                                   self.server.name, client=msg.src, obj=obj,
-                                   mode=int(mode))
+                                   self.server.name, msg.src, obj, int(mode))
             return ("ack", {"mode": int(mode)})
         self.reassert_conflicts += 1
         return ("nack", {"error": "reassert_conflict",

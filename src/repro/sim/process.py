@@ -10,7 +10,10 @@ Hot-path design notes: the resume callback is bound once per process
 (``_resume_cb``) rather than materialized on every yield, bootstrap and
 interrupt events are built by direct slot writes, and registration goes
 through :meth:`Event._add_callback` so a lone waiting process sits in
-the event's ``_waiter`` fast slot.
+the event's ``_waiter`` fast slot.  A process that finishes, by any
+exit, swaps its bound callback for a plain function: the bound method
+refers back to the process, and the cycle would otherwise leave every
+finished process (and its generator) to the cyclic GC.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.kernel import Simulator
 
 ProcessGenerator = Generator[Event, Any, Any]
+
+
+def _ignore_wakeup(event: Event) -> None:
+    """The resume callback of a finished process."""
 
 
 class Process(Event):
@@ -124,20 +131,21 @@ class Process(Event):
             else:
                 nxt = self.gen.send(event._value)
         except StopIteration as stop:
-            self._alive = False
+            self._alive = False          # _finish(), inlined: the common exit
+            self._resume_cb = _ignore_wakeup
             self.succeed(stop.value)
             return
         except Interrupt as interrupt_exc:
             # An uncaught interrupt terminates the process quietly: the
             # interruptor asked for exactly this.
-            self._alive = False
+            self._finish(interrupt_exc)
             self._triggered = True
             self._exc = interrupt_exc
             self._defused = True
             sim._schedule(self, 0.0)
             return
         except BaseException as fail_exc:
-            self._alive = False
+            self._finish(fail_exc)
             self.fail(fail_exc)
             return
         finally:
@@ -151,11 +159,22 @@ class Process(Event):
         else:
             self._wait_on(nxt)
 
+    def _finish(self, exc: Optional[BaseException] = None) -> None:
+        """Mark the generator done and break the cycles back to this
+        process: the bound resume callback (a wake-up still queued finds
+        a dead process and is ignored either way) and, for the exception
+        it ends with, the traceback's first frame — this ``_resume``,
+        whose locals hold the process."""
+        self._alive = False
+        self._resume_cb = _ignore_wakeup
+        if exc is not None and exc.__traceback__ is not None:
+            exc.__traceback__ = exc.__traceback__.tb_next
+
     def _wait_on(self, nxt: Any) -> None:
         """Park on ``nxt``, the event the generator just yielded."""
         sim = self.sim
         if not isinstance(nxt, Event) or nxt.sim is not sim:
-            self._alive = False
+            self._finish()
             self.fail(SimulationError(f"process {self.name!r} yielded invalid target {nxt!r}"))
             return
 

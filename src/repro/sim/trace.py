@@ -5,29 +5,171 @@ phase transitions, fences, lock steals...).  The trace is the ground
 truth consumed by the offline consistency audit and by the experiment
 harness, so records are plain data and cheap to filter.
 
+Every kind the simulator emits declares its fields once, in
+:data:`TRACE_SCHEMAS`; emit sites pass the values by position in the
+declared order::
+
+    trace.emit(now, "msg.send", src, msg_kind, dst, msg_id, seq)
+
 Cost model (the recorder sits on every message/IO hot path):
 
 - ``counting=False, enabled=False`` makes the recorder a true no-op;
   the precomputed ``_noop`` flag lets hot callsites skip even the
-  keyword-argument packing of :meth:`TraceRecorder.emit`;
-- a stored record is four list appends (time, kind, node, the kwargs
-  dict) and no per-record object.  A dict holding only atoms is not
-  tracked by the cyclic GC, so a long recording adds four containers to
-  the collector's walk instead of one object per record;
+  argument packing of :meth:`TraceRecorder.emit`;
+- a stored record builds no object: its time goes into an
+  ``array("d")``, its shape (kind plus field names) into an id column,
+  its node into a list and its values onto one flat value list.  The
+  cyclic GC sees the recorder's few containers, never one object per
+  record, and a ``msg.send`` record costs ~100 bytes instead of the
+  ~300 a kwargs dict and a boxed time cost;
 - :class:`TraceRecord` views, and the kind index behind
   :meth:`~TraceRecorder.select`, are built on the first read and
   extended from where the last read stopped; every read returns the
-  same objects.  A recorder with subscribers builds each record's view
-  as it is emitted.
+  same objects.  A view holds its shape and its offset into the value
+  list, so ``get`` answers by index and ``detail`` builds its dict only
+  when read.  A recorder with subscribers builds each record's view as
+  it is emitted;
+- the canonical rendering (:meth:`TraceRecorder.canonical_lines`, which
+  the fuzzer hashes) formats straight from the columns, one compiled
+  template per shape, without views.
 
-Counters always update while ``counting`` is on, even when storage is
-disabled — oracle and experiment code relies on exact counts.
+Kinds missing from the table (ad-hoc kinds in tests) still take keyword
+fields, ``emit(time, kind, node, **detail)``; that path resolves the
+field set on every call.  Counters always update while ``counting`` is
+on, even when storage is disabled — oracle and experiment code relies on
+exact counts.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional
+from functools import partial
+from itertools import accumulate
+from typing import (Any, Callable, DefaultDict, Dict, FrozenSet, Iterator,
+                    List, Optional, Sequence, Tuple)
+
+#: Field names of every kind the simulator emits, in emit order.  A key
+#: is the kind itself; a kind whose sites record different field sets
+#: declares each set under ``kind#variant`` (the ``#variant`` suffix
+#: picks the set and is not part of the stored kind); a key ending in
+#: ``.*`` declares a family of kinds (span kinds are open-ended).
+TRACE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
+    # control network (net/control.py)
+    "msg.send": ("msg_kind", "dst", "msg_id", "seq"),
+    "msg.recv": ("msg_kind", "src", "msg_id", "seq"),
+    "msg.blocked": ("dst", "msg_kind"),
+    "msg.dropped": ("dst", "msg_kind"),
+    # SAN fabric (net/san.py)
+    "san.read": ("device", "n_blocks"),
+    "san.write": ("device", "n_blocks"),
+    "san.unreachable": ("device",),
+    # client data path (client/datapath.py) and the dlock baseline
+    # (protocols/dlock_fs.py)
+    "app.read": ("file_id", "block", "tag", "device", "lba"),
+    "app.read#dlock": ("block", "tag"),
+    "app.write.ack": ("file_id", "tag", "blocks", "phys"),
+    "app.write.ack#dlock": ("tag", "blocks"),
+    "app.error": ("file_id", "tag", "reason"),
+    "app.rejected": ("phase",),
+    "cache.flushed": ("file_id", "tag", "block", "device", "lba"),
+    # client node, agent and lock client
+    "client.epoch_change": ("server", "epoch"),
+    "client.lease_lost": ("server", "dirty_dropped", "in_flight"),
+    "client.map_update": ("epoch", "migrated"),
+    "client.quiesce": (),
+    "client.reasserted": ("file_id", "mode"),
+    "client.resume": (),
+    # lease protocol (lease/)
+    "lease.expire": ("server",),
+    "lease.keepalive": ("server",),
+    "lease.nack": ("server",),
+    "lease.phase": ("server", "phase"),
+    "lease.reconnect": ("server",),
+    "lease.renewed": ("server", "start_local"),
+    "lease.server_nack": ("client", "msg_kind"),
+    "lease.steal": ("client",),
+    "lease.suspect": ("client", "wait_local"),
+    # server (server/)
+    "meta.mutate#create": ("op", "path", "file_id", "size"),
+    "meta.mutate#setattr": ("op", "file_id", "size"),
+    "meta.mutate#unlink": ("op", "path", "file_id"),
+    "server.crash": (),
+    "server.demand_escalate": ("client", "obj", "rounds"),
+    "server.fence": ("client", "scope"),
+    "server.reassert": ("client", "obj", "mode"),
+    "server.reject": ("client", "obj", "what"),
+    "server.restart": ("epoch",),
+    "server.steal": ("client", "n_locks"),
+    "server.unfence": ("client",),
+    # baseline authorities (protocols/)
+    "authority.fence_steal": ("client",),
+    "authority.honor": ("client",),
+    "authority.immediate_steal": ("client",),
+    "frangipani.expire": ("client",),
+    "nfs.poll": ("file_id",),
+    "vlease.expire": ("client", "obj"),
+    # in-network cache tier (netcache/)
+    "netcache.crash": (),
+    "netcache.drop": ("key_kind", "server", "path", "reason"),
+    "netcache.flush": ("server", "reason", "dropped"),
+    "netcache.hit": ("key_kind", "server", "path", "fingerprint"),
+    "netcache.miss": ("msg_kind", "server", "client"),
+    "netcache.restart": (),
+    # cluster control plane (cluster/)
+    "cluster.adopt": ("holdings",),
+    "cluster.failback": ("server", "slots", "clean", "epoch"),
+    "cluster.map_update": ("epoch", "owned"),
+    "cluster.move_slots": ("target", "slots", "epoch"),
+    "cluster.release": ("slots", "holdings"),
+    "cluster.server_alive": ("server",),
+    "cluster.server_dead": ("server",),
+    "cluster.takeover": ("dead", "target", "slots", "epoch"),
+    "cluster.takeover_begin": ("origin", "slots", "wait_local", "grace"),
+    # fault injection (fault/)
+    "byz.possess": ("behavior",),
+    "fault.inject": ("label",),
+    # span mirrors (obs/spans.py)
+    "span.begin.*": ("span_id", "parent_id"),
+    "span.end.*": ("span_id", "duration"),
+}
+
+_FAMILIES = tuple((key[:-1], fields) for key, fields in TRACE_SCHEMAS.items()
+                  if key.endswith(".*"))
+#: Kinds with a declared field set (keyword fields are refused for them).
+_DECLARED_KINDS = frozenset(key.partition("#")[0]
+                            for key in TRACE_SCHEMAS if not key.endswith(".*"))
+
+
+def _declared_fields(key: str) -> Optional[Tuple[str, ...]]:
+    """The field set ``key`` declares, through a family if need be."""
+    fields = TRACE_SCHEMAS.get(key)
+    if fields is None:
+        for prefix, family_fields in _FAMILIES:
+            if key.startswith(prefix):
+                return family_fields
+    return fields
+
+
+class _Shape:
+    """A kind and its field names: what every record of one id shares."""
+
+    __slots__ = ("kind", "fields", "arity", "index")
+
+    def __init__(self, kind: str, fields: Tuple[str, ...]) -> None:
+        self.kind = kind
+        self.fields = fields
+        self.arity = len(fields)
+        self.index = {name: i for i, name in enumerate(fields)}
+
+    def template(self, omit: FrozenSet[str]) -> str:
+        """The canonical line as a ``str.format`` template over
+        ``(time, node, *values)``: sorted field names, ``omit`` left out."""
+        def esc(text: str) -> str:
+            return text.replace("{", "{{").replace("}", "}}")
+        detail = " ".join(f"{esc(name)}={{{self.index[name] + 2}!r}}"
+                          for name in sorted(self.fields) if name not in omit)
+        return f"{{0:.9f}} {esc(self.kind)} {{1}} {detail}"
 
 
 class TraceRecord:
@@ -35,21 +177,33 @@ class TraceRecord:
 
     ``kind`` is a dotted category such as ``"msg.send"``, ``"lease.phase"``,
     ``"lock.steal"``, ``"disk.write"``; ``node`` the emitting component;
-    ``detail`` free-form keyed data.
+    ``detail`` keyed data.  A record read from a recorder is a view onto
+    its columns: ``get`` reads one value, ``detail`` builds a fresh dict.
     """
 
-    __slots__ = ("time", "kind", "node", "detail")
+    __slots__ = ("time", "kind", "node", "_shape", "_values", "_at")
 
     def __init__(self, time: float, kind: str, node: str,
                  detail: Optional[Dict[str, Any]] = None) -> None:
+        detail = {} if detail is None else detail
         self.time = time
         self.kind = kind
         self.node = node
-        self.detail = {} if detail is None else detail
+        self._shape = _Shape(kind, tuple(detail))
+        self._values: Sequence[Any] = tuple(detail.values())
+        self._at = 0
+
+    @property
+    def detail(self) -> Dict[str, Any]:
+        """Field name -> value (a new dict on every read)."""
+        shape = self._shape
+        return dict(zip(shape.fields,
+                        self._values[self._at:self._at + shape.arity]))
 
     def get(self, key: str, default: Any = None) -> Any:
-        """Convenience accessor into ``detail``."""
-        return self.detail.get(key, default)
+        """One field's value, ``default`` when the record has no such field."""
+        i = self._shape.index.get(key)
+        return default if i is None else self._values[self._at + i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceRecord):
@@ -62,45 +216,124 @@ class TraceRecord:
                 f"node={self.node!r}, detail={self.detail!r})")
 
 
+def _view(values: List[Any], time: float, shape: _Shape, node: str,
+          at: int) -> TraceRecord:
+    """A record view over the recorder's columns."""
+    rec = TraceRecord.__new__(TraceRecord)
+    rec.time = time
+    rec.kind = shape.kind
+    rec.node = node
+    rec._shape = shape
+    rec._values = values
+    rec._at = at
+    return rec
+
+
 class TraceRecorder:
     """Append-only trace with cheap filtered views and counters."""
 
     def __init__(self, enabled: bool = True, counting: bool = True) -> None:
         self.enabled = enabled
         self.counting = counting
-        # One column per field; emit() appends and builds nothing else.
-        self._times: List[float] = []
-        self._kinds: List[str] = []
-        self._nodes: List[str] = []
-        self._details: List[Dict[str, Any]] = []
-        # Views of the first len(_views) records; the kind index for
-        # select() covers the first _indexed of them.
-        self._views: List[TraceRecord] = []
-        self._by_kind: DefaultDict[str, List[TraceRecord]] = defaultdict(list)
-        self._indexed = 0
-        self._counts: Dict[str, int] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
+        self._reset()
         # True when emit() can return without doing any work at all;
-        # hot callsites read this to skip kwargs packing entirely.
+        # hot callsites read this to skip argument packing entirely.
         self._noop = not enabled and not counting
 
-    def emit(self, time: float, kind: str, node: str, **detail: Any) -> None:
-        """Record one occurrence (counters update even when storage is off)."""
+    def _reset(self) -> None:
+        # Shapes in first-emission order; _ids maps an emit key to a
+        # list indexed by arity (the declared arity holds the shape id),
+        # _by_fields every shape by (kind, field names).
+        self._shapes: List[_Shape] = []
+        self._ids: Dict[str, List[Optional[int]]] = {}
+        self._by_fields: Dict[Tuple[str, Tuple[str, ...]], int] = {}
+        self._tally: List[int] = []
+        # One column per record attribute; emit() appends and builds
+        # nothing else.
+        self._times = array("d")
+        self._sids = array("I")
+        self._nodes: List[str] = []
+        self._values: List[Any] = []
+        # Views of the first len(_views) records (whose values end at
+        # _viewed_to); the kind index covers the first _indexed of them.
+        self._views: List[TraceRecord] = []
+        self._viewed_to = 0
+        self._by_kind: DefaultDict[str, List[TraceRecord]] = defaultdict(list)
+        self._indexed = 0
+
+    def emit(self, time: float, kind: str, node: str, *values: Any,
+             **detail: Any) -> None:
+        """Record one occurrence (counters update even when storage is off).
+
+        ``values`` are a declared kind's fields in :data:`TRACE_SCHEMAS`
+        order; ``kind`` may carry the ``#variant`` of a kind declared
+        more than once.  A kind missing from the table takes keyword
+        fields instead.  Raises :class:`TypeError` on a wrong arity,
+        keyword fields for a declared kind, or positional values for an
+        undeclared one."""
         if self._noop:
             return
+        if detail:
+            sid = self._adhoc_id(kind, values, detail)
+            values = tuple(detail.values())
+        else:
+            try:
+                found = self._ids[kind][len(values)]
+            except (KeyError, IndexError):
+                found = None
+            sid = self._resolve(kind, len(values)) if found is None else found
         if self.counting:
-            counts = self._counts
-            counts[kind] = counts.get(kind, 0) + 1
+            self._tally[sid] += 1
         if not self.enabled:
             return
         self._times.append(time)
-        self._kinds.append(kind)
+        self._sids.append(sid)
         self._nodes.append(node)
-        self._details.append(detail)
+        self._values.extend(values)
         if self._subscribers:
             rec = self._synced()[-1]
             for sub in self._subscribers:
                 sub(rec)
+
+    def _shape_id(self, kind: str, fields: Tuple[str, ...]) -> int:
+        sid = self._by_fields.get((kind, fields))
+        if sid is None:
+            sid = self._by_fields[(kind, fields)] = len(self._shapes)
+            self._shapes.append(_Shape(kind, fields))
+            self._tally.append(0)
+        return sid
+
+    def _resolve(self, key: str, arity: int) -> int:
+        """Shape id of a positional emit on first use of ``key``."""
+        fields = _declared_fields(key)
+        kind = key.partition("#")[0]
+        if fields is None:
+            if kind in _DECLARED_KINDS:
+                raise TypeError(f"trace kind {key!r} is declared per variant "
+                                f"in TRACE_SCHEMAS; emit a 'kind#variant' key")
+            if arity:
+                raise TypeError(f"trace kind {key!r} is not declared in "
+                                f"TRACE_SCHEMAS; pass its fields by keyword")
+            fields = ()
+        if len(fields) != arity:
+            raise TypeError(f"trace kind {key!r} takes {len(fields)} field "
+                            f"values {fields}, got {arity}")
+        sid = self._shape_id(kind, fields)
+        ids: List[Optional[int]] = [None] * (arity + 1)
+        ids[arity] = sid
+        self._ids[key] = ids
+        return sid
+
+    def _adhoc_id(self, kind: str, values: Tuple[Any, ...],
+                  detail: Dict[str, Any]) -> int:
+        """Shape id of a keyword emit of an undeclared kind."""
+        if (values or kind in _DECLARED_KINDS
+                or _declared_fields(kind) is not None):
+            raise TypeError(f"trace kind {kind!r}: keyword fields are only "
+                            f"for undeclared kinds; declared ones take "
+                            f"positional values")
+        return self._shape_id(kind, tuple(detail))
 
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Invoke ``fn`` on every stored record as it is emitted."""
@@ -110,10 +343,16 @@ class TraceRecorder:
         """The view list, extended to the last stored record."""
         views = self._views
         start = len(views)
-        if start < len(self._times):
-            views.extend(map(TraceRecord, self._times[start:],
-                             self._kinds[start:], self._nodes[start:],
-                             self._details[start:]))
+        stop = len(self._times)
+        if start < stop:
+            shapes = list(map(self._shapes.__getitem__,
+                              self._sids[start:stop]))
+            offsets = list(accumulate([s.arity for s in shapes],
+                                      initial=self._viewed_to))
+            self._viewed_to = offsets.pop()
+            views.extend(map(partial(_view, self._values),
+                             self._times[start:stop], shapes,
+                             self._nodes[start:stop], offsets))
         return views
 
     def _kind_index(self) -> Dict[str, List[TraceRecord]]:
@@ -137,13 +376,27 @@ class TraceRecorder:
         """All stored records in emission order."""
         return list(self._synced())
 
+    def canonical_lines(self, omit: FrozenSet[str] = frozenset()) -> List[str]:
+        """Every stored record as ``"{time:.9f} {kind} {node} k=v ..."``:
+        fields sorted by name, values ``repr``-ed, ``omit`` left out."""
+        formats = [s.template(omit).format for s in self._shapes]
+        arities = [s.arity for s in self._shapes]
+        values = self._values
+        out = []
+        at = 0
+        for time, sid, node in zip(self._times, self._sids, self._nodes):
+            n = arities[sid]
+            out.append(formats[sid](time, node, *values[at:at + n]))
+            at += n
+        return out
+
     def count(self, kind: str) -> int:
         """Exact count of a kind (counted even when storage is off)."""
-        return self._counts.get(kind, 0)
+        return self.kinds().get(kind, 0)
 
     def count_prefix(self, prefix: str) -> int:
         """Sum of counts over all kinds with the given dotted prefix."""
-        return sum(c for k, c in self._counts.items() if k.startswith(prefix))
+        return sum(c for k, c in self.kinds().items() if k.startswith(prefix))
 
     def select(self, kind: Optional[str] = None, node: Optional[str] = None,
                prefix: Optional[str] = None) -> List[TraceRecord]:
@@ -161,15 +414,13 @@ class TraceRecorder:
 
     def kinds(self) -> Dict[str, int]:
         """Mapping of every seen kind to its count."""
-        return dict(self._counts)
+        out: Dict[str, int] = {}
+        for shape, n in zip(self._shapes, self._tally):
+            if n:
+                out[shape.kind] = out.get(shape.kind, 0) + n
+        return out
 
     def clear(self) -> None:
-        """Drop stored records, their views and index, and counters."""
-        self._times.clear()
-        self._kinds.clear()
-        self._nodes.clear()
-        self._details.clear()
-        self._views.clear()
-        self._by_kind.clear()
-        self._indexed = 0
-        self._counts.clear()
+        """Drop stored records, their views and index, and counters.
+        Views read before the clear keep their values."""
+        self._reset()

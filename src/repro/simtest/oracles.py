@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, cast
+from weakref import WeakKeyDictionary
 
 from repro.analysis.consistency import BlockAddr, ConsistencyAuditor
 from repro.core.system import StorageTankSystem
@@ -30,6 +31,7 @@ from repro.locks.modes import LockMode, compatible
 from repro.metadata.directory import Directory, NamespaceError
 from repro.net.message import MsgKind
 from repro.server.lockservice import DEMAND_PATIENCE
+from repro.sim.trace import TraceRecord, TraceRecorder
 
 #: Message kinds a *passive* server must never originate (§3: the
 #: server keeps no lease state and runs no lease traffic of its own).
@@ -88,10 +90,57 @@ class Oracle:
 
 # -- shared fault-history reconstruction ----------------------------------
 
+class _FaultHistory:
+    """The injected-fault timeline of one run, read from its trace
+    incrementally: each read consumes only the ``fault.inject`` records
+    appended since the last one and parses each label once (the live
+    oracles read it every check)."""
+
+    __slots__ = ("events", "byzantine", "_last")
+
+    def __init__(self) -> None:
+        #: (time, label) for every injected fault, in injection order.
+        self.events: List[Tuple[float, str]] = []
+        #: client -> possession kinds, from ``byz_<kind>:<client>`` labels.
+        self.byzantine: Dict[str, List[str]] = {}
+        self._last: Optional[TraceRecord] = None
+
+    def sync(self, trace: TraceRecorder) -> "_FaultHistory":
+        """Fold in the records appended since the last call."""
+        records = trace.select(kind="fault.inject")
+        seen = len(self.events)
+        if seen and (len(records) < seen
+                     or records[seen - 1] is not self._last):
+            # The trace was cleared since: start over.
+            self.events, self.byzantine, seen = [], {}, 0
+        for rec in records[seen:]:
+            label = str(rec.get("label"))
+            self.events.append((rec.time, label))
+            if label.startswith("byz_"):
+                head, sep, client = label.partition(":")
+                if sep and client:
+                    self.byzantine.setdefault(client, []).append(
+                        head[len("byz_"):])
+        if records:
+            self._last = records[-1]
+        return self
+
+
+_FAULT_HISTORIES: "WeakKeyDictionary[TraceRecorder, _FaultHistory]" = (
+    WeakKeyDictionary())
+
+
+def _fault_history(system: StorageTankSystem) -> _FaultHistory:
+    """``system``'s fault history, brought up to date."""
+    history = _FAULT_HISTORIES.get(system.trace)
+    if history is None:
+        history = _FAULT_HISTORIES[system.trace] = _FaultHistory()
+    return history.sync(system.trace)
+
+
 def _fault_events(system: StorageTankSystem) -> List[Tuple[float, str]]:
     """(time, label) for every injected fault, from the trace."""
-    return [(rec.time, str(rec.get("label")))
-            for rec in system.trace.select(kind="fault.inject")]
+    return _fault_history(system).events
 
 
 def _crashed_before(system: StorageTankSystem, node: str,
@@ -140,13 +189,7 @@ def _byzantine_clients(system: StorageTankSystem) -> Dict[str, List[str]]:
     fault labels.  A client possessed by *any* misbehavior is outside
     the cooperative protocol: the honest-client oracles exempt it and
     the §6 containment oracles take over."""
-    out: Dict[str, List[str]] = {}
-    for _t, label in _fault_events(system):
-        if label.startswith("byz_"):
-            head, sep, client = label.partition(":")
-            if sep and client:
-                out.setdefault(client, []).append(head[len("byz_"):])
-    return out
+    return _fault_history(system).byzantine
 
 
 def _windows(system: StorageTankSystem, server: str, client: str,

@@ -165,21 +165,19 @@ def apply_break_mode(system: StorageTankSystem, break_mode: str) -> None:
 
 def trace_lines(system: StorageTankSystem) -> List[str]:
     """The canonical, hashable rendering of a finished run's trace."""
-    lines = []
-    for rec in system.trace.records:
-        detail = " ".join(
-            f"{k}={rec.detail[k]!r}" for k in sorted(rec.detail)
-            if k not in _NONCANONICAL_KEYS)
-        lines.append(f"{rec.time:.9f} {rec.kind} {rec.node} {detail}")
-    return lines
+    return system.trace.canonical_lines(_NONCANONICAL_KEYS)
 
 
 def trace_hash(system: StorageTankSystem) -> str:
-    """sha256 of the canonical trace rendering."""
+    """sha256 of the canonical trace rendering, one line per record,
+    each ended by a newline."""
+    lines = trace_lines(system)
     digest = hashlib.sha256()
-    for line in trace_lines(system):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
+    # In chunks: one join of a long trace would double its memory.
+    for i in range(0, len(lines), 4096):
+        chunk = lines[i:i + 4096]
+        chunk.append("")
+        digest.update("\n".join(chunk).encode("utf-8"))
     return digest.hexdigest()
 
 

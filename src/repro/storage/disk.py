@@ -7,12 +7,18 @@ initiator, an application-level *tag* identifying the logical write, and
 a per-block monotonically increasing version.  Every accepted and every
 denied I/O is appended to the device history; the consistency audit
 replays that history against the lock/lease trace.
+
+The history sits on the SAN hot path (one entry per block per I/O), so
+it is stored in columns and builds no object per entry: its
+:class:`IoEvent`-s are built on the first read and extended from where
+the last read stopped, as the trace's records are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from repro.storage.dlock import DlockTable
 from repro.storage.fencing import FenceTable
@@ -51,6 +57,58 @@ class DiskReadResult:
 
 _PRISTINE = BlockRecord(tag=None, version=0, writer=None, written_at=0.0)
 
+#: I/O outcomes, by the code the history stores for each.
+_OPS = ("write", "read", "denied_write", "denied_read")
+_WRITE, _READ, _DENIED_WRITE, _DENIED_READ = range(len(_OPS))
+
+
+class IoHistory:
+    """A device's I/O history: one :class:`IoEvent` per block per I/O,
+    in issue order, stored as columns.  Iteration and ``len`` read it
+    like a list; every read returns the same event objects."""
+
+    __slots__ = ("_times", "_ops", "_initiators", "_lbas", "_tags",
+                 "_versions", "_events")
+
+    def __init__(self) -> None:
+        self._times = array("d")
+        self._ops = array("B")
+        self._initiators: List[str] = []
+        self._lbas = array("q")
+        self._tags: List[Optional[str]] = []
+        self._versions = array("q")
+        # Events of the first len(_events) entries.
+        self._events: List[IoEvent] = []
+
+    def record(self, time: float, op: int, initiator: str, lba: int,
+               tag: Optional[str], version: int) -> None:
+        """Append one entry (``op`` is an index into ``_OPS``)."""
+        self._times.append(time)
+        self._ops.append(op)
+        self._initiators.append(initiator)
+        self._lbas.append(lba)
+        self._tags.append(tag)
+        self._versions.append(version)
+
+    def _synced(self) -> List[IoEvent]:
+        """The event list, extended to the last recorded entry."""
+        events = self._events
+        start = len(events)
+        stop = len(self._times)
+        if start < stop:
+            events.extend(map(IoEvent, self._times[start:stop],
+                              map(_OPS.__getitem__, self._ops[start:stop]),
+                              self._initiators[start:stop],
+                              self._lbas[start:stop], self._tags[start:stop],
+                              self._versions[start:stop]))
+        return events
+
+    def __len__(self) -> int:
+        return len(self._times)
+
+    def __iter__(self) -> Iterator[IoEvent]:
+        return iter(self._synced())
+
 
 class FencedIoError(Exception):
     """I/O was denied because the initiator is fenced at the device."""
@@ -72,7 +130,7 @@ class VirtualDisk:
         self.fence_table = FenceTable(owner=name)
         self.dlocks = DlockTable(device=name)
         self._blocks: Dict[int, BlockRecord] = {}
-        self.history: List[IoEvent] = []
+        self.history = IoHistory()
         self.reads = 0
         self.writes = 0
         self.denied = 0
@@ -96,8 +154,8 @@ class VirtualDisk:
         if self.fence_table.is_fenced(initiator):
             self.denied += 1
             for lba in lbas:
-                self.history.append(IoEvent(time, "denied_write", initiator,
-                                            lba, block_tags[lba], -1))
+                self.history.record(time, _DENIED_WRITE, initiator, lba,
+                                    block_tags[lba], -1)
             raise FencedIoError(self.name, initiator, "write")
         versions: Dict[int, int] = {}
         for lba in lbas:
@@ -107,8 +165,8 @@ class VirtualDisk:
             self._blocks[lba] = rec
             versions[lba] = rec.version
             self.writes += 1
-            self.history.append(IoEvent(time, "write", initiator, lba,
-                                        rec.tag, rec.version))
+            self.history.record(time, _WRITE, initiator, lba, rec.tag,
+                                rec.version)
         return versions
 
     def read(self, initiator: str, time: float, lba: int,
@@ -117,16 +175,16 @@ class VirtualDisk:
         self._check(lba, count)
         if self.fence_table.is_fenced(initiator):
             self.denied += 1
-            self.history.append(IoEvent(time, "denied_read", initiator,
-                                        lba, None, -1))
+            self.history.record(time, _DENIED_READ, initiator, lba, None,
+                                -1)
             raise FencedIoError(self.name, initiator, "read")
         out = []
         for b in range(lba, lba + count):
             rec = self._blocks.get(b, _PRISTINE)
             out.append(DiskReadResult(lba=b, tag=rec.tag, version=rec.version))
             self.reads += 1
-            self.history.append(IoEvent(time, "read", initiator, b,
-                                        rec.tag, rec.version))
+            self.history.record(time, _READ, initiator, b, rec.tag,
+                                rec.version)
         return out
 
     # -- inspection (audit/tests; not part of the device interface) ---------

@@ -1,12 +1,15 @@
 """Control network + endpoint discipline: retries, dedup, ACK/NACK,
 gatekeeper, parked transactions."""
 
+import gc
+
 import pytest
 
 from repro.net import ControlNetwork, DeliveryError, Endpoint, NackError
 from repro.net.control import RetryPolicy
 from repro.net.message import MsgKind
-from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
+from repro.sim import (ClockEnsemble, Process, RandomStreams, Simulator,
+                       TraceRecorder)
 
 
 @pytest.fixture
@@ -280,3 +283,34 @@ def test_local_timeout_respects_clock_rate(net_pair):
     p = sim.process(proc())
     sim.run()
     assert sim.now == pytest.approx(10.0 / rate)
+
+
+def test_finished_handler_processes_leave_no_cyclic_garbage(net_pair):
+    """Each parked transaction runs as its own process; once it has
+    answered, plain reference counting frees it (a finished process
+    drops its bound resume callback), so none is left for the cyclic GC."""
+    sim, _net, server, client = net_pair
+
+    def handler(m):
+        yield sim.timeout(0.0)
+        return ("ack", {})
+    server.register("t.park", handler)
+
+    def caller():
+        for _ in range(50):
+            yield from client.request("server", "t.park", {})
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim.process(caller())
+        sim.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []

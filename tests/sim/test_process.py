@@ -1,5 +1,7 @@
 """Process semantics: yields, returns, interrupts, failures."""
 
+import gc
+
 import pytest
 
 from repro.sim import Interrupt, Process, SimulationError
@@ -187,3 +189,36 @@ def test_active_process_visible_during_resume(sim):
     sim.run()
     assert seen == [proc]
     assert sim.active_process is None
+
+
+def test_finished_processes_on_every_exit_path_leave_no_cyclic_garbage(sim):
+    """Return, failure and interruption all drop the bound resume
+    callback, so a finished process is freed by reference counting."""
+    def returns():
+        yield sim.timeout(1.0)
+
+    def fails():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    def sleeps():
+        yield sim.timeout(10.0)
+
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(20):
+            sim.process(returns())
+            sim.process(fails()).defuse()
+            sim.process(sleeps()).interrupt("stop")
+        sim.run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, Process)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []

@@ -19,8 +19,8 @@ def test_counts_survive_disabled_storage():
 
 
 def test_count_prefix(trace):
-    trace.emit(1.0, "msg.send", "n")
-    trace.emit(1.0, "msg.recv", "n")
+    trace.emit(1.0, "msg.send", "n", "fs.getattr", "m", 1, 1)
+    trace.emit(1.0, "msg.recv", "n", "fs.getattr", "m", 1, 1)
     trace.emit(1.0, "lease.renew", "n")
     assert trace.count_prefix("msg") == 2
 
@@ -106,22 +106,27 @@ def test_clear_resets_index_and_stride():
 
 
 def test_stored_records_add_no_gc_tracked_objects():
-    # Columns of atoms and atom-only kwargs dicts: the cyclic GC sees the
-    # recorder's few lists, not one object per record.
+    # Columns of atoms: the cyclic GC sees the recorder's few containers,
+    # not one object per record.
     t = TraceRecorder(enabled=True)
     t.emit(0.0, "warm.up", "n")
     gc.collect()
     before = len(gc.get_objects())
     for i in range(10_000):
-        t.emit(i * 0.001, "msg.send", "n1", msg_id=i, dst="n2", ok=True)
+        t.emit(i * 0.001, "msg.send", "n1", "fs.getattr", "n2", i, i)
     assert len(gc.get_objects()) - before < 100
     assert len(t) == 10_001
 
 
 def _emit_batch(t, start, n):
+    # Declared kinds by position and an undeclared one by keyword, each
+    # record carrying its index as msg_id.
     for i in range(start, start + n):
-        t.emit(float(i), ("msg.send", "msg.recv", "lease.renew")[i % 3],
-               f"n{i % 2}", i=i)
+        kind = ("msg.send", "msg.recv", "lease.renew")[i % 3]
+        if kind == "lease.renew":
+            t.emit(float(i), kind, f"n{i % 2}", msg_id=i)
+        else:
+            t.emit(float(i), kind, f"n{i % 2}", "fs.getattr", "n9", i, 0)
 
 
 def test_interleaved_reads_follow_emission_order():
@@ -131,7 +136,7 @@ def test_interleaved_reads_follow_emission_order():
         _emit_batch(t, emitted, batch)
         emitted += batch
         records = t.records
-        assert [r.get("i") for r in records] == list(range(emitted))
+        assert [r.get("msg_id") for r in records] == list(range(emitted))
         assert list(t) == records
         assert t.select(kind="msg.recv") == [
             r for r in records if r.kind == "msg.recv"]
@@ -152,7 +157,8 @@ def test_repeated_reads_return_the_same_objects():
     assert all(a is b for a, b in zip(records, again))
     assert all(a is b for a, b in zip(first, t.select(kind="msg.send")))
     assert all(a is b for a, b in zip(again, t))
-    assert records[0] == TraceRecord(0.0, "msg.send", "n0", {"i": 0})
+    assert records[0] == TraceRecord(0.0, "msg.send", "n0", {
+        "msg_kind": "fs.getattr", "dst": "n9", "msg_id": 0, "seq": 0})
 
 
 def test_subscriber_gets_the_record_later_reads_return():
@@ -161,7 +167,7 @@ def test_subscriber_gets_the_record_later_reads_return():
     got = []
     t.subscribe(got.append)
     _emit_batch(t, 3, 4)
-    assert [r.get("i") for r in got] == [3, 4, 5, 6]
+    assert [r.get("msg_id") for r in got] == [3, 4, 5, 6]
     assert all(a is b for a, b in zip(got, t.records[3:]))
     assert got[0] is t.select(kind="msg.send")[1]
 
@@ -174,8 +180,8 @@ def test_clear_resets_columns_views_and_index():
     assert len(t) == 0 and t.records == [] and list(t) == []
     assert t.kinds() == {}
     _emit_batch(t, 6, 9)            # no select between clear and emits
-    assert [r.get("i") for r in t.select(kind="msg.send")] == [6, 9, 12]
-    assert [r.get("i") for r in t.records] == list(range(6, 15))
+    assert [r.get("msg_id") for r in t.select(kind="msg.send")] == [6, 9, 12]
+    assert [r.get("msg_id") for r in t.records] == list(range(6, 15))
 
 
 def test_disabled_storage_counts_and_keeps_nothing():

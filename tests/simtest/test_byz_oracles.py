@@ -109,9 +109,9 @@ def test_honest_loss_under_an_adversary_is_reported_once():
     only starvation, so a possessed bystander does not re-report it."""
     s = make_system()
     s.trace.emit(1.0, "fault.inject", "injector",
-                 label="byz_suppress_release:c1")
-    s.trace.emit(5.0, "app.write.ack", "c2", tag="t-lost",
-                 phys=[("disk1", 0)])
+                 "byz_suppress_release:c1")
+    s.trace.emit(5.0, "app.write.ack", "c2", 1, "t-lost", [0],
+                 [("disk1", 0)])
     assert len(NoSilentLossOracle().check_final(s)) == 1
     assert ByzantineContainmentOracle().check_final(s) == []
 

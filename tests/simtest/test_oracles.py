@@ -69,8 +69,8 @@ def test_lock_compatibility_exempts_revocation_in_progress():
 
 def test_no_silent_loss_fires_on_vanished_ack():
     s = make_system()
-    s.trace.emit(5.0, "app.write.ack", "c1", tag="t-lost",
-                 phys=[("disk1", 0)])
+    s.trace.emit(5.0, "app.write.ack", "c1", 1, "t-lost", [0],
+                 [("disk1", 0)])
     hits = NoSilentLossOracle().check_final(s)
     assert len(hits) == 1
     assert "silently lost" in hits[0].message
@@ -78,17 +78,17 @@ def test_no_silent_loss_fires_on_vanished_ack():
 
 def test_no_silent_loss_exempts_crashed_writer():
     s = make_system()
-    s.trace.emit(5.0, "app.write.ack", "c1", tag="t-lost",
-                 phys=[("disk1", 0)])
-    s.trace.emit(6.0, "fault.inject", "injector", label="crash:c1")
+    s.trace.emit(5.0, "app.write.ack", "c1", 1, "t-lost", [0],
+                 [("disk1", 0)])
+    s.trace.emit(6.0, "fault.inject", "injector", "crash:c1")
     assert NoSilentLossOracle().check_final(s) == []
 
 
 def test_no_silent_loss_exempts_reported_error():
     s = make_system()
-    s.trace.emit(5.0, "app.write.ack", "c1", tag="t-lost",
-                 phys=[("disk1", 0)])
-    s.trace.emit(7.0, "app.error", "c1", tag="t-lost")
+    s.trace.emit(5.0, "app.write.ack", "c1", 1, "t-lost", [0],
+                 [("disk1", 0)])
+    s.trace.emit(7.0, "app.error", "c1", 1, "t-lost", "lease_expired")
     assert NoSilentLossOracle().check_final(s) == []
 
 
@@ -99,8 +99,8 @@ def test_no_silent_loss_clean_on_empty_run():
 # -- expected-failure-flush -----------------------------------------------
 
 def _lease_lost(s, time=5.0, dropped=2, in_flight=0):
-    s.trace.emit(time, "client.lease_lost", "c1", dirty_dropped=dropped,
-                 in_flight=in_flight, server="server")
+    s.trace.emit(time, "client.lease_lost", "c1", "server", dropped,
+                 in_flight)
 
 
 def test_flush_oracle_fires_on_unexcused_dirty_drop():
@@ -125,30 +125,30 @@ def test_flush_oracle_exempts_in_flight_op():
 
 def test_flush_oracle_exempts_crashed_client():
     s = make_system()
-    s.trace.emit(4.0, "fault.inject", "injector", label="crash:c1")
+    s.trace.emit(4.0, "fault.inject", "injector", "crash:c1")
     _lease_lost(s)
     assert ExpectedFailureFlushOracle().check_final(s) == []
 
 
 def test_flush_oracle_fires_again_after_restart():
     s = make_system()
-    s.trace.emit(3.0, "fault.inject", "injector", label="crash:c1")
-    s.trace.emit(4.0, "fault.inject", "injector", label="restart:c1")
+    s.trace.emit(3.0, "fault.inject", "injector", "crash:c1")
+    s.trace.emit(4.0, "fault.inject", "injector", "restart:c1")
     _lease_lost(s)
     assert len(ExpectedFailureFlushOracle().check_final(s)) == 1
 
 
 def test_flush_oracle_exempts_active_san_cut():
     s = make_system()
-    s.trace.emit(4.0, "fault.inject", "injector", label="san_cut:c1-disk1")
+    s.trace.emit(4.0, "fault.inject", "injector", "san_cut:c1-disk1")
     _lease_lost(s)
     assert ExpectedFailureFlushOracle().check_final(s) == []
 
 
 def test_flush_oracle_fires_after_san_heal():
     s = make_system()
-    s.trace.emit(3.0, "fault.inject", "injector", label="san_cut:c1-disk1")
-    s.trace.emit(4.0, "fault.inject", "injector", label="heal_san")
+    s.trace.emit(3.0, "fault.inject", "injector", "san_cut:c1-disk1")
+    s.trace.emit(4.0, "fault.inject", "injector", "heal_san")
     _lease_lost(s)
     assert len(ExpectedFailureFlushOracle().check_final(s)) == 1
 
@@ -163,8 +163,7 @@ def test_flush_oracle_exempts_slow_client():
 
 def test_passive_server_fires_on_server_lease_message():
     s = make_system()
-    s.trace.emit(2.0, "msg.send", "server", msg_kind=MsgKind.KEEPALIVE,
-                 dst="c1")
+    s.trace.emit(2.0, "msg.send", "server", MsgKind.KEEPALIVE, "c1", 1, 1)
     hits = PassiveServerOracle().check_final(s)
     assert len(hits) == 1
     assert "lease message" in hits[0].message
@@ -172,8 +171,8 @@ def test_passive_server_fires_on_server_lease_message():
 
 def test_passive_server_fires_on_nack_outside_suspect_window():
     s = make_system()
-    s.trace.emit(3.0, "lease.server_nack", "server", client="c1",
-                 msg_kind=MsgKind.LOCK_ACQUIRE)
+    s.trace.emit(3.0, "lease.server_nack", "server", "c1",
+                 MsgKind.LOCK_ACQUIRE)
     hits = PassiveServerOracle().check_final(s)
     assert len(hits) == 1
     assert "outside any" in hits[0].message
@@ -181,10 +180,10 @@ def test_passive_server_fires_on_nack_outside_suspect_window():
 
 def test_passive_server_clean_on_nack_inside_suspect_window():
     s = make_system()
-    s.trace.emit(2.0, "lease.suspect", "server", client="c1")
-    s.trace.emit(3.0, "lease.server_nack", "server", client="c1",
-                 msg_kind=MsgKind.LOCK_ACQUIRE)
-    s.trace.emit(8.0, "lease.steal", "server", client="c1")
+    s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
+    s.trace.emit(3.0, "lease.server_nack", "server", "c1",
+                 MsgKind.LOCK_ACQUIRE)
+    s.trace.emit(8.0, "lease.steal", "server", "c1")
     assert PassiveServerOracle().check_final(s) == []
 
 
@@ -199,8 +198,8 @@ def test_passive_server_fires_on_lease_charge_without_suspects():
 def test_passive_server_allows_lease_charge_with_suspects():
     s = make_system()
     s.server.authority._count_lease_msg(3)
-    s.trace.emit(2.0, "lease.suspect", "server", client="c1")
-    s.trace.emit(8.0, "lease.steal", "server", client="c1")
+    s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
+    s.trace.emit(8.0, "lease.steal", "server", "c1")
     assert PassiveServerOracle().check_final(s) == []
 
 
@@ -208,12 +207,11 @@ def test_passive_server_allows_lease_charge_with_suspects():
 
 def _suspect_window_with_request(s, *, nacked: bool,
                                  msg_kind=MsgKind.LOCK_ACQUIRE):
-    s.trace.emit(2.0, "lease.suspect", "server", client="c1")
-    s.trace.emit(5.0, "msg.recv", "server", src="c1", msg_kind=msg_kind)
+    s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
+    s.trace.emit(5.0, "msg.recv", "server", msg_kind, "c1", 1, 1)
     if nacked:
-        s.trace.emit(5.0, "lease.server_nack", "server", client="c1",
-                     msg_kind=msg_kind)
-    s.trace.emit(8.0, "lease.steal", "server", client="c1")
+        s.trace.emit(5.0, "lease.server_nack", "server", "c1", msg_kind)
+    s.trace.emit(8.0, "lease.steal", "server", "c1")
 
 
 def test_nack_oracle_fires_on_unanswered_suspect_request():
@@ -238,11 +236,11 @@ def test_nack_oracle_exempts_reply_frames():
 
 def test_nack_oracle_ignores_window_boundary():
     s = make_system()
-    s.trace.emit(2.0, "lease.suspect", "server", client="c1")
+    s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
     # Admitted exactly at the boundary: not strictly inside the window.
-    s.trace.emit(2.0, "msg.recv", "server", src="c1",
-                 msg_kind=MsgKind.LOCK_ACQUIRE)
-    s.trace.emit(8.0, "lease.steal", "server", client="c1")
+    s.trace.emit(2.0, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, "c1", 1,
+                 1)
+    s.trace.emit(8.0, "lease.steal", "server", "c1")
     assert NackTimedOutOracle().check_final(s) == []
 
 
@@ -260,15 +258,15 @@ def _renewed_lease_expiry(s, client="c1", renewed_at=5.0):
     clk = s.clocks.clocks[client]
     contract = s.config.lease.contract()
     start_local = clk.local_time(renewed_at)
-    s.trace.emit(renewed_at, "lease.renewed", client, server="server",
-                 start_local=start_local)
+    s.trace.emit(renewed_at, "lease.renewed", client, "server",
+                 start_local)
     return clk.global_time(contract.client_expiry_local(start_local))
 
 
 def test_theorem_oracle_fires_on_premature_steal():
     s = make_system()
     expiry = _renewed_lease_expiry(s)
-    s.trace.emit(expiry - 1.0, "lease.steal", "server", client="c1")
+    s.trace.emit(expiry - 1.0, "lease.steal", "server", "c1")
     hits = Theorem31Oracle().check_final(s)
     assert len(hits) == 1
     assert "before its lease" in hits[0].message
@@ -277,7 +275,7 @@ def test_theorem_oracle_fires_on_premature_steal():
 def test_theorem_oracle_clean_on_post_expiry_steal():
     s = make_system()
     expiry = _renewed_lease_expiry(s)
-    s.trace.emit(expiry + 1.0, "lease.steal", "server", client="c1")
+    s.trace.emit(expiry + 1.0, "lease.steal", "server", "c1")
     assert Theorem31Oracle().check_final(s) == []
 
 
@@ -286,20 +284,20 @@ def test_theorem_oracle_uses_last_renewal():
     _renewed_lease_expiry(s, renewed_at=5.0)
     expiry2 = _renewed_lease_expiry(s, renewed_at=9.0)
     # Later than the first lease's expiry but inside the renewed one.
-    s.trace.emit(expiry2 - 1.0, "lease.steal", "server", client="c1")
+    s.trace.emit(expiry2 - 1.0, "lease.steal", "server", "c1")
     assert len(Theorem31Oracle().check_final(s)) == 1
 
 
 def test_theorem_oracle_exempts_never_leased_client():
     s = make_system()
-    s.trace.emit(4.0, "lease.steal", "server", client="c1")
+    s.trace.emit(4.0, "lease.steal", "server", "c1")
     assert Theorem31Oracle().check_final(s) == []
 
 
 def test_theorem_oracle_exempts_slow_client():
     s = make_system(slow_clients=("c1",))
     expiry = _renewed_lease_expiry(s)
-    s.trace.emit(expiry - 1.0, "lease.steal", "server", client="c1")
+    s.trace.emit(expiry - 1.0, "lease.steal", "server", "c1")
     assert Theorem31Oracle().check_final(s) == []
 
 

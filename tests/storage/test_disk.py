@@ -1,8 +1,11 @@
 """Virtual disk: versioning, history, fencing, bounds."""
 
+import gc
+import random
+
 import pytest
 
-from repro.storage import VirtualDisk
+from repro.storage import IoEvent, VirtualDisk
 from repro.storage.disk import FencedIoError
 
 
@@ -94,3 +97,69 @@ def test_empty_write_is_noop(disk):
 def test_invalid_size_rejected():
     with pytest.raises(ValueError):
         VirtualDisk("d", 0)
+
+
+def test_history_matches_a_reference_list_over_random_io(disk):
+    """The columnar history reads back exactly the events a plain list
+    of IoEvent-s would hold, in order, with reads interleaved."""
+    rng = random.Random(3)
+    reference = []
+    versions = {}
+    fenced = set()
+    for step in range(400):
+        who = rng.choice(["c1", "c2", "c3"])
+        t = step * 0.25
+        roll = rng.random()
+        if roll < 0.1:
+            if who in fenced:
+                disk.fence_table.unfence(who, t)
+                fenced.discard(who)
+            else:
+                disk.fence_table.fence(who, t)
+                fenced.add(who)
+        elif roll < 0.55:
+            tags = {lba: f"{who}-{step}-{lba}"
+                    for lba in rng.sample(range(12), rng.randint(1, 4))}
+            if who in fenced:
+                with pytest.raises(FencedIoError):
+                    disk.write(who, t, tags)
+                reference += [IoEvent(t, "denied_write", who, lba, tags[lba],
+                                      -1) for lba in sorted(tags)]
+            else:
+                disk.write(who, t, tags)
+                for lba in sorted(tags):
+                    versions[lba] = versions.get(lba, 0) + 1
+                    reference.append(IoEvent(t, "write", who, lba, tags[lba],
+                                             versions[lba]))
+        else:
+            lba, count = rng.randint(0, 9), rng.randint(1, 3)
+            if who in fenced:
+                with pytest.raises(FencedIoError):
+                    disk.read(who, t, lba, count)
+                reference.append(IoEvent(t, "denied_read", who, lba, None, -1))
+            else:
+                disk.read(who, t, lba, count)
+                for b in range(lba, lba + count):
+                    tag = disk.peek(b).tag
+                    reference.append(IoEvent(t, "read", who, b, tag,
+                                             versions.get(b, 0)))
+        if step % 97 == 0:
+            assert list(disk.history) == reference   # read mid-way, then extend
+    assert len(disk.history) == len(reference)
+    assert list(disk.history) == reference
+    assert all(a is b for a, b in zip(disk.history, disk.history))
+    assert disk.version_at(3, 1e9) == versions.get(3, 0)
+    assert disk.writes_by("c2") == [e for e in reference
+                                    if e.op == "write" and e.initiator == "c2"]
+
+
+def test_history_adds_no_gc_tracked_object_per_io(disk):
+    disk.write("c1", 0.0, {0: "warm"})
+    disk.read("c1", 0.0, 0, 1)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(2_000):
+        disk.write("c1", float(i), {i % 50: "t", (i + 1) % 50: "u"})
+        disk.read("c2", float(i), i % 50, 2)
+    assert len(gc.get_objects()) - before < 50
+    assert len(disk.history) == 2 + 2_000 * 4
