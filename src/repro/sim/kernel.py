@@ -12,10 +12,13 @@ Hot-path design notes: heap entries are 3-tuples ``(time, key, event)``
 two fields into a single int (priority events keep the bare sequence
 number, normal events add :data:`repro.sim.events.NORMAL_BAND`), which
 both shrinks the tuple and cuts a comparison level in the heap.
-:meth:`Simulator.run` with no bounds (the overwhelmingly common call)
-uses a closure-free tight loop with bound-local ``heappop`` and an
-inline single-waiter dispatch that skips the generic
-:meth:`Event._fire` machinery.
+:meth:`Simulator.step`, :meth:`Simulator.run` (bounded or not) and
+:meth:`Simulator.run_until_event` share one closure-free loop,
+:meth:`Simulator._loop`, with bound-local ``heappop`` and an inline
+single-waiter dispatch that skips the generic :meth:`Event._fire`
+machinery; its bounds (a horizon, an event budget, an awaited event)
+cost a few local compares per event, so the micro rows and production
+runs (which always pass a bound) measure the same loop.
 """
 
 from __future__ import annotations
@@ -102,11 +105,7 @@ class Simulator:
         """Pop and fire exactly one event."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        t, _key, event = heappop(self._heap)
-        if t < self._now:
-            raise SimulationError("schedule corruption: time went backwards")
-        self._now = t
-        event._fire()
+        self._loop(_INF, 1, _NEVER)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the loop until the schedule drains or ``until`` is reached.
@@ -114,45 +113,65 @@ class Simulator:
         Returns the simulation time when the loop stopped.  ``max_events``
         is a safety valve for runaway simulations.
         """
-        if until is None and max_events is None:
-            # Tight unbounded loop: bound locals, inline single-waiter
-            # dispatch (equivalent to Event._fire with one registrant and
-            # no failure — the dominant case by far).
-            heap = self._heap
-            pop = heappop
-            while heap:
-                t, _key, event = pop(heap)
-                self._now = t
-                waiter = event._waiter
-                if waiter is not None and event._exc is None and not event.callbacks:
-                    event._waiter = None
-                    event.callbacks = None
-                    event._processed = True
-                    waiter(event)
-                else:
-                    event._fire()
-            return self._now
-
-        count = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
-                self._now = until
-                break
-            if max_events is not None and count >= max_events:
+        horizon = _INF if until is None else until
+        left = self._loop(horizon, -1 if max_events is None else max_events,
+                          _NEVER)
+        heap = self._heap
+        if heap:
+            if heap[0][0] > horizon:
+                self._now = horizon
+            elif not left:
                 raise SimulationError(f"run() exceeded max_events={max_events}")
-            self.step()
-            count += 1
-        else:
-            if until is not None and until > self._now:
-                self._now = until
+        elif until is not None and until > self._now:
+            self._now = until
         return self._now
 
     def run_until_event(self, event: Event, hard_limit: float = float("inf")) -> Any:
         """Run until ``event`` has fired; returns its value."""
-        while not event.processed:
+        self._loop(hard_limit, -1, event)
+        if not event._processed:
             if not self._heap:
                 raise SimulationError("schedule drained before awaited event fired")
-            if self._heap[0][0] > hard_limit:
-                raise SimulationError(f"awaited event did not fire by t={hard_limit}")
-            self.step()
+            raise SimulationError(f"awaited event did not fire by t={hard_limit}")
         return event.value
+
+    def _loop(self, horizon: float, budget: int, awaited: Any) -> int:
+        """The one dispatch loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until_event`: fire events in schedule order until
+        ``awaited`` has fired, the heap drains, the next event is due
+        after ``horizon`` or ``budget`` events have fired (-1: no
+        limit).  An event it will not fire goes back on the heap.
+        Returns the budget left."""
+        heap = self._heap
+        pop = heappop
+        now = self._now
+        while heap and not awaited._processed:
+            t, key, event = pop(heap)
+            if t > horizon or not budget:
+                heappush(heap, (t, key, event))
+                break
+            budget -= 1
+            if t < now:
+                raise SimulationError("schedule corruption: time went backwards")
+            self._now = now = t
+            # Inline single-waiter dispatch: Event._fire with one
+            # registrant and no failure, the dominant case by far.
+            waiter = event._waiter
+            if waiter is not None and event._exc is None and not event.callbacks:
+                event._waiter = None
+                event.callbacks = None
+                event._processed = True
+                waiter(event)
+            else:
+                event._fire()
+        return budget
+
+
+class _Never:
+    """The ``awaited`` of a loop that waits for no event."""
+
+    _processed = False
+
+
+_NEVER = _Never()
+_INF = float("inf")
