@@ -6,7 +6,9 @@ never lose:
 
 * the tier *works* — the aggregate hit rate clears the acceptance floor
   (the point is deterministic, so the measured 66% has no noise band to
-  leave) and the cache actually absorbs server transactions;
+  leave), the cache actually absorbs server transactions, and a
+  mutation invalidates fewer than two of the four nodes on average
+  (only the nodes that may hold one of its keys);
 * the tier is *safe* — replaying the run's trace through
   :class:`~repro.simtest.oracles.CacheNoStaleEntryOracle` finds zero
   hits whose served value disagrees with the authoritative namespace at
@@ -38,6 +40,11 @@ WALL_BOUND_S = 300.0
 #: Aggregate hit-rate floor at Zipf s=1.2 with 4 cache nodes — the
 #: ISSUE acceptance criterion (> 0.5); the deterministic run lands ~0.66.
 HIT_RATE_FLOOR = 0.5
+#: Invalidation receipts per applied mutation (``meta.mutate``) with 4
+#: cache nodes.  A barrier that invalidates every node reads one per
+#: node, 4.0; the holder rule sends a mutation only to the nodes that
+#: may hold one of its keys.
+INVALIDATIONS_PER_MUTATION_BOUND = 2.0
 
 
 def main(argv=None) -> int:
@@ -64,6 +71,8 @@ def main(argv=None) -> int:
     system = point["_system"]
     stale = CacheNoStaleEntryOracle().check_final(system)
     wall = time.perf_counter() - t0
+    mutations = system.trace.count("meta.mutate")
+    per_mutation = point["invalidations"] / mutations if mutations else 0.0
 
     checks = [
         ("wall_s", wall, wall <= args.wall_bound,
@@ -74,6 +83,9 @@ def main(argv=None) -> int:
         ("installs", point["installs"], point["installs"] > 0, "> 0"),
         ("invalidations", point["invalidations"],
          point["invalidations"] > 0, "> 0"),
+        ("invalidations_per_mutation", per_mutation,
+         per_mutation < INVALIDATIONS_PER_MUTATION_BOUND,
+         f"< {INVALIDATIONS_PER_MUTATION_BOUND}"),
         ("srv_txn_per_s", point["txn_per_sim_s"],
          point["txn_per_sim_s"] > 0, "> 0"),
         ("stale_hits", float(len(stale)), not stale, "== 0"),

@@ -21,9 +21,19 @@ Why a hit is never stale (the coherence argument, DESIGN.md §15):
   paper's τ(1+ε) suspect wait (Theorem 3.1) to know the entries died.
 - Every mutation at the server is *invalidate-before-apply*: the
   server claims a barrier, pushes ``CACHE_INVALIDATE`` to every cache
-  and waits for the ACKs (or for lease resolution on delivery
-  failure), and only then applies the mutation.  A hit can thus never
-  observe a value the server has already replaced.
+  that may hold a key it names and waits for the ACKs (or for lease
+  resolution on delivery failure), and only then applies the
+  mutation.  A hit can thus never observe a value the server has
+  already replaced.  "May hold" is the server's holder table
+  (``repro.server.barrier``): every reply this node could install
+  made it a holder of the reply's keys, and it stays one until a
+  mutation naming the key has invalidated it *and applied*.  A node
+  that is no holder either never got an installable reply for the key
+  or has since processed an invalidation of it, which dropped the
+  entry and raised a floor that rejects every older reply still in
+  flight.  Where the table cannot be trusted (an open reassertion
+  window after a crash or takeover, any cluster) every node is
+  invalidated.
 - Install races are closed by three guards: a reply executed while any
   mutation was pending at the server is stamped uninstallable
   (watermark -1); a reply that executed before a mutation but

@@ -141,7 +141,8 @@ class StorageTankServer:
         # mutation handlers and zero payload keys to replies, keeping
         # golden traces bit-identical.
         self.barrier = CacheBarrier(self.endpoint, self.authority, contract,
-                                    self.trace)
+                                    self.trace,
+                                    self.recovery.holders_untrusted)
 
         # repro-lint: handles[fs-core, lease-null, data-ship, cluster-owner]
         self._register(MsgKind.CREATE, self._h_create)
@@ -193,7 +194,9 @@ class StorageTankServer:
 
         The epoch lets clients detect a restart and reassert their locks
         (§6).  An ACK to a cache node adds the mutation watermark
-        (:meth:`CacheBarrier.watermark`)."""
+        (:meth:`CacheBarrier.watermark`), taken at the instant the
+        cacheable read handlers recorded the node as a holder of the
+        reply's keys (:meth:`CacheBarrier.hold`)."""
         barrier = self.barrier
         return (self.recovery.epoch,
                 barrier.watermark() if msg.src in barrier.enrolled else None)
@@ -322,6 +325,7 @@ class StorageTankServer:
                 return ("nack", {"error": "getattr: no path or file_id"})
         except (NamespaceError, KeyError) as exc:
             return ("nack", {"error": str(exc)})
+        self.barrier.hold(msg.src, path=path, file_id=ino.file_id)
         return ("ack", {"file_id": ino.file_id, "attrs": ino.attrs.to_payload()})
 
     def _h_setattr(self, msg: Message) -> Generator[Event, Any, Reply]:
@@ -355,6 +359,7 @@ class StorageTankServer:
             ino = self._meta_for_path(path).lookup(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
+        self.barrier.hold(msg.src, path=path, file_id=ino.file_id)
         return ("ack", {"file_id": ino.file_id})
 
     def _h_unlink(self, msg: Message) -> Any:
@@ -394,15 +399,14 @@ class StorageTankServer:
         (clients fan readdir out to every map owner and merge), so a
         mid-handoff slot appears in exactly one server's answer."""
         path = msg.payload.path
-        if self.cluster is not None:
-            try:
-                return ("ack", {"entries": self.cluster.list_entries(path)})
-            except NamespaceError as exc:
-                return ("nack", {"error": str(exc)})
         try:
-            entries = self.metadata.namespace.listdir(path)
+            if self.cluster is not None:
+                entries = self.cluster.list_entries(path)
+            else:
+                entries = self.metadata.namespace.listdir(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
+        self.barrier.hold(msg.src, dir=path)
         return ("ack", {"entries": entries})
 
     def _h_data_read(self, msg: Message) -> Any:

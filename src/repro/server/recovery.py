@@ -79,6 +79,7 @@ class RecoveryManager:
         """
         self.server.endpoint.crash()
         self.server.locks.clear_volatile(now=self.server.sim.now)
+        self.server.barrier.forget_holders()
         self.server.trace.emit(self.server.sim.now, "server.crash",
                                self.server.name)
         if self._outage_span is None:
@@ -142,14 +143,34 @@ class RecoveryManager:
             raise SlotOwnershipError("wrong_owner")
 
     def _covering(self, obj: int) -> List[ReassertWindow]:
-        """The open windows covering ``obj`` (closed ones are dropped)."""
+        """The open windows covering ``obj``."""
+        cluster = self.server.cluster
+        slot = cluster.fid_slot.get(obj) if cluster is not None else None
+        return [w for w in self.open_windows()
+                if w.slots is None or slot in w.slots]
+
+    def open_windows(self) -> List[ReassertWindow]:
+        """The windows still open (closed ones are dropped)."""
         now_l = self.server.local_now()
         self.windows = [w for w in self.windows if now_l < w.fresh_from
                         and (w.slots is None or w.slots)]
-        cluster = self.server.cluster
-        slot = cluster.fid_slot.get(obj) if cluster is not None else None
-        return [w for w in self.windows
-                if w.slots is None or slot in w.slots]
+        return self.windows
+
+    def holders_untrusted(self) -> bool:
+        """Whether the cache barrier's holder table may miss a node that
+        holds an entry, so that a mutation must invalidate every node.
+
+        - While a window is open.  A crash drops the table; once the
+          restart's window has passed, every cache lease granted before
+          the crash has expired or been renewed under the new epoch, and
+          either flushes the entries (Theorem 3.1).  Past a takeover's
+          window the cache leases with the dead owner have expired too.
+        - Always under a cluster.  A slot handed over gracefully
+          (failback) leaves entries keyed to its live previous owner,
+          which a client with a stale map still reaches through the
+          cache; only the new owner's invalidation drops them, and its
+          table never saw them."""
+        return self.server.cluster is not None or bool(self.open_windows())
 
     def _sleep(self, wait_local: float) -> Generator[Event, Any, None]:
         yield self.server.endpoint.local_timeout(wait_local)

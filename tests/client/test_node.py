@@ -377,6 +377,10 @@ def test_every_bracket_closes_on_every_exit(op, exit_):
     def setup():
         yield from c.create("/f", size=4 * BLOCK_SIZE)
         fd = yield from c.open_file("/f", "w")
+        if op == "create":
+            # Make c1's cache node a holder of the listing "/g" joins,
+            # so the create's barrier has a node to wait for.
+            yield from c.readdir("/")
         return fd, c.fds.get(fd).file_id
     fd, fid = run_gen(s, setup())
     call, mid_op, cut = _BRACKET_OPS[op]

@@ -50,3 +50,16 @@ def run_gen(system, gen, hard_limit=600.0):
     """Spawn one generator and run until it finishes; return its value."""
     proc = system.spawn(gen)
     return system.sim.run_until_event(proc, hard_limit=hard_limit)
+
+
+def read_via(system, node, path, kind="fs.readdir", server="server"):
+    """One cacheable read of ``path`` (READDIR or LOOKUP) that
+    cache node ``node`` forwards to ``server``, as a miss through it
+    would: the server records the node as a holder of the reply's keys,
+    so a later mutation naming them invalidates it."""
+    from repro.net.message import PathOnly
+    endpoint = system.netcache[node].endpoint
+
+    def gen():
+        yield from endpoint.request(server, kind, PathOnly(path))
+    run_gen(system, gen())

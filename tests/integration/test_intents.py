@@ -16,7 +16,7 @@ from repro.net.message import (Batch, Create, MsgKind, NackError, OpenIntent,
                                PathOnly, Setattr)
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import drive, make_system, run_gen
+from tests.conftest import drive, make_system, read_via, run_gen
 
 
 def _setup_file(s, path="/f", blocks=8):
@@ -250,6 +250,8 @@ def test_setattr_intent_and_create_refusal_answer_like_the_plain_kinds(
         assert grown["extents"] == again["extents"]
         assert grown["attrs"]["size"] == 2 * BLOCK_SIZE
     run_gen(s, grow())
+    for node in sorted(s.netcache):   # each holds the listing "/r" joins
+        read_via(s, node, "/")
 
     sent_before = len(s.trace.select(kind="msg.send", node="server"))
     answers = []

@@ -16,7 +16,7 @@ from repro.net.message import (Invalidate, Message, MsgKind, Nack, NackError,
                                Open, PathOnly)
 from repro.sim.rng import _stable_hash
 
-from tests.conftest import make_system, run_gen
+from tests.conftest import make_system, read_via, run_gen
 
 #: Both population policies must behave identically at the cache tier.
 MODES = [pytest.param(False, id="eager"), pytest.param(True, id="lazy")]
@@ -286,18 +286,21 @@ def test_config_rejects_cache_tier_off_storage_tank():
 
 
 def test_barrier_waits_for_exactly_the_partitioned_node():
-    """The invalidation round goes to every cache node at once, so a
-    mutation waits for its slowest node only.  With one of four nodes
-    cut off, the three others ACK within a round trip, the cut one's
-    delivery failure marks it suspect, and the mutation applies the
-    instant that node's own resolution fires — not a round trip per
-    node later — with no stale entry served."""
+    """The invalidation round goes to every holder at once, so a
+    mutation waits for its slowest holder only.  With all four nodes
+    holding the listing a create changes and one of them cut off, the
+    three others ACK within a round trip, the cut one's delivery
+    failure marks it suspect, and the mutation applies the instant that
+    node's own resolution fires — not a round trip per node later —
+    with no stale entry served."""
     from repro.simtest.oracles import CacheNoStaleEntryOracle
 
     system = make_cache_system(n_nodes=4)
     name = system.pool.name_of(0)
     client = system.client(name)
     warm(system, client)
+    for node in sorted(system.netcache):
+        read_via(system, node, "/d")
     cut = sorted(system.netcache)[2]
     system.control_net.block_pair("server", cut)
     t0 = system.sim.now

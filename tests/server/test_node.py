@@ -7,7 +7,7 @@ from repro.net.message import (Create, Downgrade, FileOnly, LockAcquire,
                                MsgKind, Null, Setattr)
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import make_system, run_gen
+from tests.conftest import make_system, read_via, run_gen
 
 
 def test_create_rejects_duplicate():
@@ -230,10 +230,15 @@ def test_lock_acquire_returns_attrs_for_revalidation():
 
 def _plain_mutations(system):
     """Plain CREATE (fresh and existing path) and SETATTR from c1; the
-    kinds the server's endpoint sent while answering them."""
+    kinds the server's endpoint sent while answering them.  Every cache
+    node first reads what each mutation changes (the root listing, then
+    the file), so each is a holder the barrier must invalidate."""
     c = system.client("c1")
-    sent_before = len(system.trace.select(kind="msg.send", node="server"))
     out = {}
+
+    def read_all(path, kind):
+        for node in sorted(system.netcache):
+            read_via(system, node, path, kind)
 
     def app():
         from repro.net import NackError
@@ -245,10 +250,17 @@ def _plain_mutations(system):
                 "server", MsgKind.CREATE, Create("/d/f"))
         except NackError as exc:
             out["again"] = exc.nack.payload
+
+    def setattr():
         ack = yield from c.endpoint.request(
             "server", MsgKind.SETATTR, Setattr(out["fid"], 3 * BLOCK_SIZE))
         out["size"] = ack.payload["attrs"]["size"]
+
+    read_all("/", MsgKind.READDIR)
+    sent_before = len(system.trace.select(kind="msg.send", node="server"))
     run_gen(system, app())
+    read_all("/d/f", MsgKind.LOOKUP)   # answered to the nodes: not kept
+    run_gen(system, setattr())
     sent = system.trace.select(kind="msg.send", node="server")[sent_before:]
     out["kinds"] = [rec.detail["msg_kind"] for rec in sent
                     if rec.detail["dst"] == "c1"
@@ -266,8 +278,9 @@ def test_plain_create_and_setattr_are_two_datagrams_without_cache_nodes():
 
 
 def test_plain_create_and_setattr_are_deferred_behind_cache_nodes():
-    """With cache nodes the bracket waits for every invalidation, so the
-    same handlers park: both invalidations leave at once inside the
+    """With cache nodes that hold what they change, the bracket waits
+    for every holder's invalidation, so the same handlers park: both
+    invalidations leave at once inside the
     delivery, and the one final ACK follows the slower of their ACKs —
     no receipt ACK, no server-initiated result.  An existing path is
     still refused at once, before any barrier."""
