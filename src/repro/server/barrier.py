@@ -98,11 +98,11 @@ class CacheBarrier:
         self._bits = {name: 1 << i for i, name in enumerate(names)}
 
     def hold(self, src: str, path: Optional[str] = None,
-             dir: Optional[str] = None, file_id: Optional[int] = None,
+             dirname: Optional[str] = None, file_id: Optional[int] = None,
              ) -> None:
         """Record ``src`` as a holder of the keys of the ACK a cacheable
         read handler is about to return: ``path`` (lookup and
-        getattr-by-path), ``dir`` (readdir) and ``file_id`` (lookup and
+        getattr-by-path), ``dirname`` (readdir) and ``file_id`` (lookup and
         getattr).  Recorded under the condition that makes the reply
         installable — an enrolled source and no pending barrier, the
         instant its :meth:`watermark` is taken — so every node that can
@@ -115,9 +115,9 @@ class CacheBarrier:
         if path is not None:
             held = self._path_holders
             held[path] = held.get(path, 0) | bit
-        if dir is not None:
+        if dirname is not None:
             held = self._dir_holders
-            held[dir] = held.get(dir, 0) | bit
+            held[dirname] = held.get(dirname, 0) | bit
         if file_id is not None:
             fids = self._fid_holders
             fids[file_id] = fids.get(file_id, 0) | bit

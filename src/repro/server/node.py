@@ -406,7 +406,7 @@ class StorageTankServer:
                 entries = self.metadata.namespace.listdir(path)
         except NamespaceError as exc:
             return ("nack", {"error": str(exc)})
-        self.barrier.hold(msg.src, dir=path)
+        self.barrier.hold(msg.src, dirname=path)
         return ("ack", {"entries": entries})
 
     def _h_data_read(self, msg: Message) -> Any:

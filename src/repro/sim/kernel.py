@@ -114,13 +114,12 @@ class Simulator:
         is a safety valve for runaway simulations.
         """
         horizon = _INF if until is None else until
-        left = self._loop(horizon, -1 if max_events is None else max_events,
-                          _NEVER)
+        self._loop(horizon, -1 if max_events is None else max_events, _NEVER)
         heap = self._heap
         if heap:
             if heap[0][0] > horizon:
                 self._now = horizon
-            elif not left:
+            else:  # the budget ran out with events still due
                 raise SimulationError(f"run() exceeded max_events={max_events}")
         elif until is not None and until > self._now:
             self._now = until
@@ -135,13 +134,12 @@ class Simulator:
             raise SimulationError(f"awaited event did not fire by t={hard_limit}")
         return event.value
 
-    def _loop(self, horizon: float, budget: int, awaited: Any) -> int:
+    def _loop(self, horizon: float, budget: int, awaited: Any) -> None:
         """The one dispatch loop behind :meth:`step`, :meth:`run` and
         :meth:`run_until_event`: fire events in schedule order until
         ``awaited`` has fired, the heap drains, the next event is due
         after ``horizon`` or ``budget`` events have fired (-1: no
-        limit).  An event it will not fire goes back on the heap.
-        Returns the budget left."""
+        limit).  An event it will not fire goes back on the heap."""
         heap = self._heap
         pop = heappop
         now = self._now
@@ -164,7 +162,6 @@ class Simulator:
                 waiter(event)
             else:
                 event._fire()
-        return budget
 
 
 class _Never:
