@@ -23,6 +23,7 @@ Run:  python examples/shared_log.py
 
 from repro import SystemConfig, build_system
 from repro.analysis import ConsistencyAuditor
+from repro.locks import SCOPED
 from repro.storage import BLOCK_SIZE
 
 LOG_BLOCKS = 90
@@ -96,8 +97,9 @@ def main() -> None:
         by_writer[name] = by_writer.get(name, 0) + 1
     print("\nappends per writer:", by_writer)
     assert by_writer.get("c1", 0) > 0 and by_writer.get("c3", 0) > 0
-    print(f"range-lock steals after the partition: "
-          f"{system.server.range_locks.steals}")
+    range_steals = sum(1 for g in system.server.locks.history
+                       if g.op == "steal" and g.kind == SCOPED)
+    print(f"range-lock steals after the partition: {range_steals}")
 
     report = ConsistencyAuditor(system).audit()
     print(f"consistency audit: "

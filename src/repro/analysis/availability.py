@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.system import StorageTankSystem
+from repro.locks.manager import CACHED
 from repro.locks.modes import LockMode
 
 
@@ -32,10 +33,11 @@ class AvailabilityReport:
 def lock_handover_time(system: StorageTankSystem, obj: int, old_holder: str,
                        after: float) -> Optional[float]:
     """Global time the object's lock was granted to someone other than
-    ``old_holder`` after instant ``after`` (None if never)."""
+    ``old_holder`` after instant ``after`` (None if never).  Byte-range
+    grants are not a handover of the file."""
     for g in system.server.locks.history:
-        if (g.op == "grant" and g.obj == obj and g.client != old_holder
-                and g.time >= after):
+        if (g.op == "grant" and g.kind == CACHED and g.obj == obj
+                and g.client != old_holder and g.time >= after):
             return g.time
     return None
 
@@ -51,6 +53,6 @@ def unavailability_after(system: StorageTankSystem, obj: int,
 
 
 def steal_times(system: StorageTankSystem, client: str) -> List[float]:
-    """Global times at which the client's locks were stolen."""
+    """Global times at which the client's whole-file locks were stolen."""
     return [g.time for g in system.server.locks.history
-            if g.op == "steal" and g.client == client]
+            if g.op == "steal" and g.kind == CACHED and g.client == client]

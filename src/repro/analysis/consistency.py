@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.system import StorageTankSystem
+from repro.locks.manager import CACHED, SCOPED, LockGrant
 from repro.locks.modes import LockMode
 
 BlockAddr = Tuple[str, int]  # (device, lba)
@@ -275,8 +276,12 @@ class ConsistencyAuditor:
         # Reconstruct per-(file, client) EXCLUSIVE-holding intervals from
         # every server's lock history (file ids are globally unique).
         history = []
+        # Each server's op-scoped (byte-range) records, for the writes no
+        # whole-file EXCLUSIVE covers.
+        scoped: List[List[LockGrant]] = []
         for srv in self.system.servers.values():
-            history.extend(srv.locks.history)
+            history.extend([g for g in srv.locks.history if g.kind == CACHED])
+            scoped.append([g for g in srv.locks.history if g.kind == SCOPED])
         history.sort(key=lambda g: g.time)
         intervals: Dict[Tuple[int, str], List[Tuple[float, float]]] = {}
         open_at: Dict[Tuple[int, str], float] = {}
@@ -323,24 +328,24 @@ class ConsistencyAuditor:
                 covered = any(s - slack <= ev.time <= e + slack
                               for s, e in intervals.get((fid, ev.initiator), []))
                 if not covered:
-                    covered = self._range_covered(fid, logical, ev.initiator,
-                                                  ev.time)
+                    covered = self._range_covered(scoped, fid, logical,
+                                                  ev.initiator, ev.time)
                 if not covered:
                     report.unsynchronized_writes.append(Violation(
                         "I4", ev.time, ev.initiator,
                         {"block": (dname, ev.lba), "file": fid, "tag": ev.tag}))
 
-    def _range_covered(self, fid: int, logical_block: int, client: str,
-                       time: float) -> bool:
+    def _range_covered(self, scoped: List[List[LockGrant]], fid: int,
+                       logical_block: int, client: str, time: float) -> bool:
         """Whether an EXCLUSIVE byte-range lock covered the block's byte
         span at ``time`` (range-locked sub-file I/O)."""
         from repro.storage.blockmap import BLOCK_SIZE
         lo = logical_block * BLOCK_SIZE
         hi = lo + BLOCK_SIZE
-        for srv in self.system.servers.values():
+        for history in scoped:
             open_grant = None
-            for (t, op, obj, c, rng, mode) in srv.range_locks.history:
-                if obj != fid or c != client or rng is None:
+            for (t, op, obj, c, mode, rng, _kind) in history:
+                if obj != fid or c != client:
                     continue
                 overlaps = rng.start < hi and lo < rng.end
                 if not overlaps:

@@ -54,8 +54,8 @@ from typing import (
 )
 
 from repro.cluster.shardmap import ShardMap, slot_of_path
+from repro.locks.manager import CACHED, FULL, SCOPED, ByteRange, Holding
 from repro.locks.modes import LockMode
-from repro.locks.ranges import ByteRange
 from repro.net.message import (Batch, MapUpdate, Message, MsgKind, OpenIntent,
                                RangeAcquire, ReleaseSlots, Setattr)
 
@@ -310,12 +310,14 @@ class ServerShardRole:
             if win.slots is not None:
                 win.slots -= slots
         fids = [fid for fid, s in self.fid_slot.items() if s in slots]
-        holdings = [[obj, client, int(mode)]
-                    for obj, client, mode
-                    in self.server.locks.export_holdings(fids)]
-        ranges = [[obj, client, rng.start, rng.end, int(mode)]
-                  for obj, client, rng, mode
-                  in self.server.range_locks.export_holdings(fids)]
+        holdings: List[List[Any]] = []
+        ranges: List[List[Any]] = []
+        for obj, kind, (client, rng, mode) in \
+                self.server.locks.export_holdings(fids):
+            if kind == CACHED:
+                holdings.append([obj, client, int(mode)])
+            else:
+                ranges.append([obj, client, rng.start, rng.end, int(mode)])
         self.server.trace.emit(self.server.sim.now, "cluster.release",
                                self.server.name, len(slots), len(holdings))
         reply: Dict[str, Any] = {"holdings": holdings}
@@ -335,12 +337,13 @@ class ServerShardRole:
 
     def _adopt(self, adopt: Dict[str, Any]) -> None:
         """Install holdings handed over gracefully (failback/rebalance)."""
-        entries = [(int(obj), str(client), LockMode(int(mode)))
-                   for obj, client, mode in adopt.get("holdings") or ()]
-        self.server.locks.import_holdings(entries)
-        self.server.range_locks.import_holdings(
-            (int(obj), str(client), ByteRange(int(start), int(end)),
-             LockMode(int(mode)))
-            for obj, client, start, end, mode in adopt.get("ranges") or ())
+        holdings = [(int(obj), CACHED,
+                     Holding(str(client), FULL, LockMode(int(mode))))
+                    for obj, client, mode in adopt.get("holdings") or ()]
+        ranges = [(int(obj), SCOPED,
+                   Holding(str(client), ByteRange(int(start), int(end)),
+                           LockMode(int(mode))))
+                  for obj, client, start, end, mode in adopt.get("ranges") or ()]
+        self.server.locks.import_holdings(holdings + ranges)
         self.server.trace.emit(self.server.sim.now, "cluster.adopt",
-                               self.server.name, len(entries))
+                               self.server.name, len(holdings))

@@ -21,6 +21,7 @@ from repro.core.config import (
 from repro.core.system import build_system
 from repro.harness.common import ScenarioLog, contender_takes_over, holder_with_dirty_data
 from repro.harness.registry import experiment
+from repro.locks.manager import CACHED
 from repro.net.control import RetryPolicy
 from repro.storage.blockmap import BLOCK_SIZE
 
@@ -224,7 +225,8 @@ def ablation_a4_ack_while_expiring(seed: int = 0) -> Table:
         system.run(until=120.0)
         report = ConsistencyAuditor(system).audit()
         table.add_row("ablated (ACKs suspects)" if ablate else "paper rule",
-                      system.server.locks.steals,
+                      sum(1 for g in system.server.locks.history
+                          if g.op == "steal" and g.kind == CACHED),
                       "YES (violates Thm 3.1)" if active_at_steal else "no",
                       len(report.stale_reads),
                       len(report.unsynchronized_writes),

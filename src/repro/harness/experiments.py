@@ -13,7 +13,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.availability import unavailability_after
+from repro.analysis.availability import steal_times, unavailability_after
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.analysis.report import Table
 from repro.core.config import LeaseConfig, SystemConfig, WorkloadConfig
@@ -30,6 +30,7 @@ from repro.harness.common import (
 )
 from repro.lease.contract import LeaseContract, verify_theorem_3_1
 from repro.lease.phases import LeasePhase
+from repro.locks.manager import CACHED
 from repro.net.partition import asymmetric_witnesses
 from repro.protocols.dlock_fs import DlockClient
 from repro.sim.clock import ClockEnsemble, LocalClock
@@ -575,8 +576,7 @@ def experiment_e10_slow_client(seed: int = 0, horizon: float = 170.0) -> List[Ta
         system.run(until=horizon)
 
         report = ConsistencyAuditor(system).audit()
-        steals = [g.time for g in system.server.locks.history
-                  if g.op == "steal" and g.client == "c1"]
+        steals = steal_times(system, "c1")
         denied = sum(d.denied for d in system.disks.values())
         # Did the contender's data survive on disk?
         c2_tag = log.get("contender_tag")
@@ -753,8 +753,8 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
     overlaps = 0
     for srv in system.servers.values():
         for g in srv.locks.history:
-            if (g.op == "grant" and g.obj == fid and g.client != "c1"
-                    and crash_at < g.time < lease_horizon):
+            if (g.op == "grant" and g.kind == CACHED and g.obj == fid
+                    and g.client != "c1" and crash_at < g.time < lease_horizon):
                 overlaps += 1
 
     # Availability bound: detection + the takeover wait (tau plus the

@@ -18,20 +18,10 @@ class LockMode(enum.IntEnum):
         return {LockMode.NONE: "-", LockMode.SHARED: "S", LockMode.EXCLUSIVE: "X"}[self]
 
 
-#: compatibility[(a, b)] — may one client hold ``a`` while another holds ``b``?
-_COMPAT = {
-    (LockMode.SHARED, LockMode.SHARED): True,
-    (LockMode.SHARED, LockMode.EXCLUSIVE): False,
-    (LockMode.EXCLUSIVE, LockMode.SHARED): False,
-    (LockMode.EXCLUSIVE, LockMode.EXCLUSIVE): False,
-}
-
-
 def compatible(a: LockMode, b: LockMode) -> bool:
     """Whether two holders' modes may coexist on one object."""
-    if a == LockMode.NONE or b == LockMode.NONE:
-        return True
-    return _COMPAT[(a, b)]
+    return (a == LockMode.NONE or b == LockMode.NONE
+            or a == b == LockMode.SHARED)
 
 
 def satisfies(held: LockMode, wanted: LockMode) -> bool:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Sequence, Tuple
 
-from repro.locks.manager import coalesce_ranges, widen_range
+from repro.locks.manager import SCOPED, ByteRange, LockTable
 from repro.locks.modes import LockMode
-from repro.locks.ranges import ByteRange
 from repro.metadata.directory import NamespaceError
 from repro.net.control import HandlerResult
 from repro.net.message import (Batch, Close, IntentOp, Message, MsgKind,
@@ -24,6 +23,41 @@ from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from repro.server.node import StorageTankServer
+
+
+# An intent request may be granted more than it asked for, never less:
+# safety stays with the lock table and the lease discipline, which see
+# ordinary ``try_acquire`` calls for whatever span is granted.
+
+def coalesce_ranges(requests: List[Tuple[ByteRange, LockMode]],
+                    ) -> List[Tuple[ByteRange, LockMode]]:
+    """Merge one batch's adjacent/overlapping same-mode ranges into the
+    spans actually acquired: one interval-list entry and one waiter
+    queue slot per contiguous run instead of one per sub-request."""
+    ordered = sorted(requests, key=lambda t: (t[0].start, t[0].end))
+    merged: List[Tuple[ByteRange, LockMode]] = []
+    for rng, mode in ordered:
+        if (merged and merged[-1][1] == mode
+                and merged[-1][0].end >= rng.start):
+            prev_rng, prev_mode = merged.pop()
+            merged.append((ByteRange(prev_rng.start,
+                                     max(prev_rng.end, rng.end)),
+                           prev_mode))
+        else:
+            merged.append((rng, mode))
+    return merged
+
+
+def widen_range(locks: LockTable, client: str, obj: int,
+                rng: ByteRange, size_bytes: int) -> ByteRange:
+    """The range granted for a requested one: the whole file extent
+    ``[0, max(end, size))`` when nobody else holds or awaits a byte
+    range of the object, so the client's next request is already
+    covered; the request itself under contention, where widening would
+    only manufacture false sharing."""
+    if locks.other_interest(client, obj, SCOPED):
+        return rng
+    return ByteRange(0, max(rng.end, size_bytes))
 
 
 class IntentExecutor:
@@ -57,7 +91,7 @@ class IntentExecutor:
         op-result *and* grant together.
         """
         server = self.server
-        grant_lock = server.lock_service.grant_lock
+        acquire = server.lock_service.acquire
         self.intent_ops += 1
         if isinstance(body, OpenIntent):
             path = body.path
@@ -67,14 +101,13 @@ class IntentExecutor:
                 return ("nack", {"error": str(exc)})
             wanted = (LockMode.EXCLUSIVE if body.mode == "w"
                       else LockMode.SHARED)
-            granted = yield from grant_lock(client, ino.file_id, wanted)
+            granted = yield from acquire(client, ino.file_id, wanted)
             return ("ack", {"file_id": ino.file_id,
                             **server._meta_reply(ino, body.have_layout),
                             "lock": int(granted)})
         if isinstance(body, Setattr):
             file_id = int(body.file_id)
-            granted = yield from grant_lock(client, file_id,
-                                            LockMode.EXCLUSIVE)
+            granted = yield from acquire(client, file_id, LockMode.EXCLUSIVE)
             decision, payload = yield from server._setattr(
                 file_id, body.size, body.mode, body.have_layout)
             if decision == "ack":
@@ -85,7 +118,7 @@ class IntentExecutor:
             rng = None
             if body.start is not None:
                 rng = ByteRange(int(body.start), int(body.end))
-            server.range_locks.release(client, file_id, rng)
+            server.locks.release(client, file_id, rng, SCOPED)
             return ("ack", {})
         if isinstance(body, Close):
             # Locks are cached past close (§3.1); closing is bookkeeping
@@ -149,9 +182,9 @@ class IntentExecutor:
             spans: List[ByteRange] = []
             for rng, mode_l in coalesce_ranges(requests):
                 self.intent_ops += 1
-                wide = widen_range(server.range_locks, client, fid, rng, size)
-                yield from server.lock_service.acquire_range(
-                    client, fid, wide, mode_l)
+                wide = widen_range(server.locks, client, fid, rng, size)
+                yield from server.lock_service.acquire(
+                    client, fid, mode_l, wide, SCOPED)
                 spans.append(wide)
             for req_rng, req_mode in requests:
                 span = next((s for s in spans if s.contains(req_rng)),

@@ -1,7 +1,7 @@
 """The server's lock service: granting, demanding back, stealing and
 fencing (paper §2, §3.1, §6).
 
-It owns the lock tables, the set of holders being pressed, and the fence
+It owns the lock table, the set of holders being pressed, and the fence
 and attestation tables.  It is constructed with its server because the
 authority (built by a factory that needs the server), the cluster role
 and the recovery manager (attached later) can only be read through it
@@ -10,11 +10,10 @@ when a transaction runs (DESIGN.md, "Node layers").
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Any, Dict, Generator, Optional, Set, Tuple)
+from typing import TYPE_CHECKING, Any, Dict, Generator, Set, Tuple
 
-from repro.locks.manager import LockManager
+from repro.locks.manager import CACHED, FULL, SCOPED, ByteRange, LockTable
 from repro.locks.modes import LockMode, compatible
-from repro.locks.ranges import ByteRange, RangeLockManager
 from repro.metadata.directory import NamespaceError
 from repro.net.control import HandlerResult
 from repro.net.message import (DeliveryError, Downgrade, FileOnly,
@@ -30,21 +29,16 @@ DEMAND_PATIENCE = 2.0
 
 
 class LockService:
-    """Lock tables, demand loops and fences of one server."""
+    """The lock table, demand loops and fences of one server."""
 
     def __init__(self, server: "StorageTankServer") -> None:
         self.server = server
         sim = server.sim
-        self.locks = LockManager(now_fn=lambda: sim.now)
-        # Byte-range locks for sub-file sharing (acquire→I/O→release;
-        # clients do not cache these, so nothing is demanded back —
-        # waiters queue until the holder releases or is stolen from, and
-        # the holder is only probed for liveness).
-        self.range_locks = RangeLockManager(now_fn=lambda: sim.now)
+        self.locks = LockTable(now_fn=lambda: sim.now)
         self.locks.bind_obs(server.obs, server.name)
-        # Holders being pressed: (holder, obj, needed mode | None for a
-        # range probe), one loop each.
-        self._active_demands: Set[Tuple[str, int, Optional[LockMode]]] = set()
+        # Holders being pressed: (holder, obj, kind, needed mode; NONE
+        # for an op-scoped holder), one loop each.
+        self._active_demands: Set[Tuple[str, int, str, LockMode]] = set()
         self._fenced: Set[str] = set()
         # §6 attested rejoin: highest lease-lapse generation each client
         # has attested (``Message.lapse_attested``), and the value
@@ -92,9 +86,8 @@ class LockService:
         # that reuses sequence numbers (stale grants served verbatim).
         server.endpoint.forget_peer(client)
         stolen = self.locks.steal_all(client)
-        stolen_ranges = self.range_locks.steal_all(client)
         server.trace.emit(server.sim.now, "server.steal", server.name,
-                          client, len(stolen) + len(stolen_ranges))
+                          client, len(stolen))
 
     def _attested_since_fence(self, client: str) -> bool:
         """Whether the client attested a lease lapse newer than its fence."""
@@ -131,24 +124,29 @@ class LockService:
     # ------------------------------------------------------------------
     # lock granting with demand/revocation
     # ------------------------------------------------------------------
-    def grant_lock(self, client: str, obj: int, mode: LockMode,
-                   ) -> Generator[Event, Any, LockMode]:
-        """Win a whole-file lock, demanding it from conflicting holders."""
+    def acquire(self, client: str, obj: int, mode: LockMode,
+                rng: ByteRange = FULL, kind: str = CACHED,
+                ) -> Generator[Event, Any, LockMode]:
+        """Win a lock: queue behind conflicting holders and press them
+        (a cached lock is demanded back; an op-scoped holder is probed,
+        and a dead one's grants free when its lease is stolen)."""
         server = self.server
         # Reassertions claim their objects first (post-restart and
         # takeover windows); a slot that moved meanwhile is refused.
         yield from server.recovery.admit(obj)
-        granted, conflicts = self.locks.try_acquire(client, obj, mode)
+        granted, conflicts = self.locks.try_acquire(client, obj, mode, rng,
+                                                    kind)
         if granted:
             return mode
         wait_ev = server.sim.event()
         self.locks.enqueue_waiter(
             client, obj, mode,
-            lambda o, m, ev=wait_ev: ev.succeed((o, m)) if not ev.triggered else None)
-        for holder, _held in conflicts:
-            self._press(holder, obj, mode)
+            lambda r, m, ev=wait_ev: ev.succeed((r, m)) if not ev.triggered else None,
+            rng, kind)
+        for g in conflicts:
+            self._press(g.client, obj, kind, mode)
         yield wait_ev
-        if server.config.demand_chain:
+        if kind == CACHED and server.config.demand_chain:
             # The pump granted us the lock, making *us* the holder the
             # rest of the queue conflicts with.  Clients cache locks
             # until demanded, so without a demand against the new holder
@@ -156,28 +154,8 @@ class LockService:
             # kept) grant.
             for _waiter, wmode in self.locks.waiting(obj):
                 if not compatible(mode, wmode):
-                    self._press(client, obj, wmode)
+                    self._press(client, obj, kind, wmode)
         return mode
-
-    def acquire_range(self, client: str, file_id: int, rng: ByteRange,
-                      mode: LockMode) -> Generator[Event, Any, None]:
-        """Win a byte-range lock (queues behind conflicting holders; a
-        dead holder's ranges free when its lease is stolen)."""
-        server = self.server
-        yield from server.recovery.admit(file_id)
-        granted, conflicts = self.range_locks.try_acquire(
-            client, file_id, rng, mode)
-        if not granted:
-            ev = server.sim.event()
-            self.range_locks.enqueue_waiter(
-                client, file_id, rng, mode,
-                lambda r, m, ev=ev: ev.succeed((r, m)) if not ev.triggered else None)
-            # Probe the conflicting holders: an unreachable holder
-            # must be detected (delivery failure -> suspect -> lease
-            # steal frees its ranges) or the waiter starves.
-            for g in conflicts:
-                self._press(g.client, file_id, None)
-            yield ev
 
     def _lock_activity(self, holder: str, obj: int) -> float:
         """Time of the latest lock-history record for (holder, obj).
@@ -189,22 +167,22 @@ class LockService:
         return max(self.locks.latest.get((holder, obj), {}).values(),
                    default=-1.0)
 
-    def _press(self, holder: str, obj: int,
-               needed: Optional[LockMode]) -> None:
+    def _press(self, holder: str, obj: int, kind: str,
+               needed: LockMode) -> None:
         """Press ``holder`` on behalf of a waiter on ``obj`` (one loop
-        per demand).  ``needed`` is the mode wanted of a lock cacher,
-        whose lock is *demanded* back; None for a holder of byte ranges,
-        which is only *probed* (the operation itself releases them)."""
-        key = (holder, obj, needed)
+        per demand).  A cached lock is *demanded* back for the ``needed``
+        mode; an op-scoped holder is only *probed* (its operation
+        releases the range), one loop whatever the waiters need."""
+        key = (holder, obj, kind, needed if kind == CACHED else LockMode.NONE)
         if key in self._active_demands:
             return
         self._active_demands.add(key)
-        label = "range-probe" if needed is None else "demand"
+        label = "demand" if kind == CACHED else "range-probe"
         self.server.sim.process(
-            self._press_loop(holder, obj, needed),
+            self._press_loop(key),
             name=f"{self.server.name}:{label}:{holder}:{obj}")
 
-    def _press_loop(self, holder: str, obj: int, needed: Optional[LockMode],
+    def _press_loop(self, key: Tuple[str, int, str, LockMode],
                     ) -> Generator[Event, Any, None]:
         """Keep at a holder until it gives way or is stolen from.
 
@@ -219,15 +197,16 @@ class LockService:
         (resolution, steal, fence) is the way forward, and honest
         waiters stop starving behind it.
         """
+        holder, obj, kind, needed = key
         server = self.server
         endpoint, authority, config = (server.endpoint, server.authority,
                                        server.config)
         acked_rounds = 0
         try:
             while True:
-                if needed is None:
-                    if (not self.range_locks.holdings(holder, obj)
-                            or self.range_locks.waiter_count(obj) == 0):
+                if kind == SCOPED:
+                    if (not self.locks.holdings(holder, obj, SCOPED)
+                            or not self.locks.waiting(obj, SCOPED)):
                         return
                 else:
                     held = self.locks.mode_of(holder, obj)
@@ -244,7 +223,7 @@ class LockService:
                         yield endpoint.local_timeout(0.5)
                     continue
                 try:
-                    if needed is None:
+                    if kind == SCOPED:
                         yield from endpoint.request(
                             holder, MsgKind.RANGE_DEMAND, RangeDemand(obj))
                     else:
@@ -261,7 +240,7 @@ class LockService:
                     continue
                 except NackError:
                     return
-                if needed is None:
+                if kind == SCOPED:
                     yield endpoint.local_timeout(DEMAND_PATIENCE)
                     continue
                 # Holder acknowledged; give it time to flush and release.
@@ -285,7 +264,7 @@ class LockService:
                                           acked_rounds)
                         mark(holder)
         finally:
-            self._active_demands.discard((holder, obj, needed))
+            self._active_demands.discard(key)
 
     # ------------------------------------------------------------------
     # transaction handlers
@@ -297,7 +276,7 @@ class LockService:
         mode = LockMode(int(body.mode))
 
         def run() -> Generator[Event, Any, HandlerResult]:
-            granted = yield from self.grant_lock(msg.src, file_id, mode)
+            granted = yield from self.acquire(msg.src, file_id, mode)
             try:
                 extra = server._meta_reply(
                     server._meta_for_file(file_id).inode(file_id),

@@ -74,11 +74,11 @@ class RecoveryManager:
         """Fail the server: stop receiving; volatile lock state is lost.
 
         The metadata store survives (private replicated storage, §6);
-        the lock manager's *history* survives too, because it is audit
-        ground truth, but all holdings and waiters are wiped.
+        the lock table's *history* survives too, because it is audit
+        ground truth, but every waiter and cached grant is wiped.
         """
         self.server.endpoint.crash()
-        self.server.locks.clear_volatile(now=self.server.sim.now)
+        self.server.locks.clear_volatile()
         self.server.barrier.forget_holders()
         self.server.trace.emit(self.server.sim.now, "server.crash",
                                self.server.name)
@@ -241,4 +241,4 @@ class RecoveryManager:
             return ("ack", {"mode": int(mode)})
         self.reassert_conflicts += 1
         return ("nack", {"error": "reassert_conflict",
-                         "holders": [h for h, _m in conflicts]})
+                         "holders": [g.client for g in conflicts]})

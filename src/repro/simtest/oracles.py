@@ -27,6 +27,7 @@ from weakref import WeakKeyDictionary
 from repro.analysis.consistency import BlockAddr, ConsistencyAuditor
 from repro.core.system import StorageTankSystem
 from repro.lease.contract import LeaseContract
+from repro.locks.manager import CACHED
 from repro.locks.modes import LockMode, compatible
 from repro.metadata.directory import Directory, NamespaceError
 from repro.net.message import MsgKind
@@ -763,7 +764,9 @@ class ByzantineContainmentOracle(Oracle):
             locks = srv.locks
             rounds = srv.config.demand_escalate_rounds or 6
             budget = 2.0 * rounds * DEMAND_PATIENCE * (1.0 + contract.epsilon)
-            for obj, waiters in sorted(locks._waiters.items()):
+            for (obj, kind), waiters in sorted(locks._waiters.items()):
+                if kind != CACHED:
+                    continue
                 for waiter in waiters:
                     if waiter.client in byz:
                         continue

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client import ClientDisconnectedError, ClientQuiescedError
-from repro.locks import LockMode
+from repro.locks import SCOPED, LockMode
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -344,11 +344,11 @@ _BRACKET_OPS = {
     "read_ranges_locked": (
         lambda c, fd: c.read_ranges_locked(
             fd, [(0, BLOCK_SIZE), (2 * BLOCK_SIZE, BLOCK_SIZE)]),
-        lambda s, c, fid: s.server.range_locks.holdings("c1", fid), _cut_san),
+        lambda s, c, fid: s.server.locks.holdings("c1", fid, SCOPED), _cut_san),
     "write_ranges_locked": (
         lambda c, fd: c.write_ranges_locked(
             fd, [(0, BLOCK_SIZE), (2 * BLOCK_SIZE, BLOCK_SIZE)]),
-        lambda s, c, fid: s.server.range_locks.holdings("c1", fid), _cut_san),
+        lambda s, c, fid: s.server.locks.holdings("c1", fid, SCOPED), _cut_san),
     "create": (lambda c, fd: c.create("/g"),
                lambda s, c, fid: s.server.barrier._cache_pending, _cut_link),
 }
@@ -405,7 +405,7 @@ def test_every_bracket_closes_on_every_exit(op, exit_):
     else:
         assert isinstance(result, Exception) == (exit_ == "error")
         assert not isinstance(result, Interrupt)
-        assert s.server.range_locks.holdings("c1", fid) == []
+        assert s.server.locks.holdings("c1", fid, SCOPED) == []
     assert c._busy.in_flight == 0 and c._busy.drained.triggered
     assert c.lockclient._file_inflight == {}
     assert fid not in c.lockclient._revoking

@@ -6,7 +6,7 @@ lock across the failback without another recovery round.
 """
 
 from repro.analysis.consistency import ConsistencyAuditor
-from repro.locks import LockMode
+from repro.locks import SCOPED, LockMode
 from repro.storage import BLOCK_SIZE
 from tests.conftest import run_gen
 from tests.cluster.test_takeover import cluster_system, path_owned_by
@@ -98,5 +98,7 @@ def test_failback_hands_over_byte_range_holdings():
     assert held["c2"][0] >= held["c1"][1], (
         "the returning owner granted an overlapping EXCLUSIVE range "
         "while the interim owner's grant was live")
-    assert s.server_node("server1").range_locks.grants_on(held["fid"]) == []
+    server1 = s.server_node("server1")
+    assert all(server1.locks.holdings(c, held["fid"], SCOPED) == []
+               for c in ("c1", "c2"))
     assert ConsistencyAuditor(s).audit().safe

@@ -9,7 +9,7 @@ advisory ``close`` for a slot that moved only fails its own result.
 
 from repro.cluster.shardmap import slot_of_path
 from repro.core import ClusterConfig
-from repro.locks import LockMode
+from repro.locks import SCOPED, LockMode
 from repro.net.message import (Batch, Close, MsgKind, NackError, OpenIntent,
                                RangeAcquire, RangeRelease)
 from repro.storage import BLOCK_SIZE
@@ -57,7 +57,7 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
                           (MsgKind.LOCK_BATCH, Batch((range_op,)))):
         assert _refusal(s, c1, "server2", kind, payload) == "map_stale"
     assert server2.locks.mode_of("c1", fid) == LockMode.NONE
-    assert not server2.range_locks.holdings("c1", fid)
+    assert not server2.locks.holdings("c1", fid, SCOPED)
 
     # Giving something back is never refused for staleness.
     release = RangeRelease(fid)
@@ -88,7 +88,9 @@ def test_batch_is_gated_on_the_slots_of_its_granting_subops():
            RangeAcquire(moved_fid, 0, BLOCK_SIZE, int(LockMode.SHARED)))
     assert _refusal(s, c1, "server1", MsgKind.LOCK_BATCH,
                     Batch(ops)) == "wrong_owner"
-    assert server1.locks.objects_held_by("c1") == []
+    assert not any(g.client == "c1"
+                   for grants in server1.locks._grants.values()
+                   for g in grants)
 
     # A deferred close for the moved slot is advisory: it fails alone
     # and the open it piggybacks on still succeeds.

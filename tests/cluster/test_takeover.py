@@ -14,7 +14,7 @@ from repro.analysis.consistency import ConsistencyAuditor
 from repro.core import ClusterConfig
 from repro.core.config import ScaleConfig
 from repro.harness.common import APP_ERRORS, ScenarioLog
-from repro.locks import LockMode
+from repro.locks import SCOPED, LockMode
 from repro.storage import BLOCK_SIZE
 from tests.conftest import make_system, run_gen
 
@@ -170,9 +170,8 @@ def test_takeover_defers_fresh_range_grants_to_the_grace_end():
                 yield s.sim.timeout(1.0)
     run_gen(s, ranged())
 
-    [grant_t] = [t for t, op, *_rest
-                 in s.server_node("server1").range_locks.history
-                 if op == "grant"]
+    [grant_t] = [g.time for g in s.server_node("server1").locks.history
+                 if g.op == "grant" and g.kind == SCOPED]
     _reassert_from, fresh_from = takeover_window(s, "server1")
     assert local_at(s, "server1", grant_t) >= fresh_from - 1e-9
     assert ConsistencyAuditor(s).audit().safe

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.locks import LockMode
-from repro.locks.manager import coalesce_ranges, widen_range
-from repro.locks.ranges import ByteRange, RangeLockManager
+from repro.locks import SCOPED, ByteRange, LockMode, LockTable
+from repro.server.intents import coalesce_ranges, widen_range
 
 S = LockMode.SHARED
 X = LockMode.EXCLUSIVE
@@ -16,7 +15,7 @@ def br(a, b):
 
 @pytest.fixture
 def ranges():
-    return RangeLockManager()
+    return LockTable(now_fn=lambda: 0.0)
 
 
 # -- coalescing a batch ----------------------------------------------------
@@ -58,23 +57,30 @@ def test_widen_covers_request_beyond_size(ranges):
 
 
 def test_widen_degrades_under_holder_contention(ranges):
-    ranges.try_acquire("b", 1, br(500, 600), S)
+    ranges.try_acquire("b", 1, S, br(500, 600), SCOPED)
     assert widen_range(ranges, "a", 1, br(10, 20), 1000) == br(10, 20)
 
 
 def test_widen_degrades_under_waiter_contention(ranges):
-    ranges.try_acquire("a", 1, br(0, 100), X)
-    ranges.enqueue_waiter("b", 1, br(0, 10), X, lambda r, m: None)
+    ranges.try_acquire("a", 1, X, br(0, 100), SCOPED)
+    ranges.enqueue_waiter("b", 1, X, lambda r, m: None, br(0, 10), SCOPED)
     assert widen_range(ranges, "a", 1, br(200, 300), 1000) == br(200, 300)
 
 
 def test_widen_ignores_own_grants(ranges):
     # My own existing grant on the object is not contention.
-    ranges.try_acquire("a", 1, br(0, 100), X)
+    ranges.try_acquire("a", 1, X, br(0, 100), SCOPED)
     assert widen_range(ranges, "a", 1, br(200, 300), 1000) == br(0, 1000)
 
 
 def test_widen_per_object_isolation(ranges):
     # Contention on another object does not inhibit widening here.
-    ranges.try_acquire("b", 2, br(0, 100), X)
+    ranges.try_acquire("b", 2, X, br(0, 100), SCOPED)
+    assert widen_range(ranges, "a", 1, br(10, 20), 500) == br(0, 500)
+
+
+def test_widen_ignores_whole_file_locks(ranges):
+    # Cached whole-file locks are the other conflict domain: a sharer's
+    # S lock on the file is not byte-range contention.
+    ranges.try_acquire("b", 1, S)
     assert widen_range(ranges, "a", 1, br(10, 20), 500) == br(0, 500)

@@ -1,16 +1,18 @@
-"""Server lock table: grants, waiters, steals, downgrade."""
+"""Server lock table, whole-file (cached) locks: grants, waiters,
+steals, downgrade."""
 
 import pytest
 
-from repro.locks import LockManager, LockMode
+from repro.locks import CACHED, FULL, LockMode, LockTable
 
 
 @pytest.fixture
 def mgr():
-    t = {"now": 0.0}
-    m = LockManager(now_fn=lambda: t["now"])
-    m._clock = t  # test hook for advancing time
-    return m
+    return LockTable(now_fn=lambda: 0.0)
+
+
+def _pairs(conflicts):
+    return [(g.client, g.mode) for g in conflicts]
 
 
 def test_grant_when_free(mgr):
@@ -29,7 +31,7 @@ def test_exclusive_conflict_reported(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     ok, conflicts = mgr.try_acquire("c2", 1, LockMode.EXCLUSIVE)
     assert not ok
-    assert conflicts == [("c1", LockMode.EXCLUSIVE)]
+    assert _pairs(conflicts) == [("c1", LockMode.EXCLUSIVE)]
 
 
 def test_idempotent_reacquire(mgr):
@@ -44,24 +46,24 @@ def test_upgrade_conflicts_with_other_sharers(mgr):
     mgr.try_acquire("c2", 1, LockMode.SHARED)
     ok, conflicts = mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     assert not ok
-    assert conflicts == [("c2", LockMode.SHARED)]
+    assert _pairs(conflicts) == [("c2", LockMode.SHARED)]
 
 
 def test_release_wakes_waiter(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     granted = []
     mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE,
-                       lambda o, m: granted.append((o, m)))
+                       lambda r, m: granted.append((r, m)))
     mgr.release("c1", 1)
-    assert granted == [(1, LockMode.EXCLUSIVE)]
+    assert granted == [(FULL, LockMode.EXCLUSIVE)]
     assert mgr.mode_of("c2", 1) == LockMode.EXCLUSIVE
 
 
 def test_waiters_fifo(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     order = []
-    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda o, m: order.append("c2"))
-    mgr.enqueue_waiter("c3", 1, LockMode.EXCLUSIVE, lambda o, m: order.append("c3"))
+    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda r, m: order.append("c2"))
+    mgr.enqueue_waiter("c3", 1, LockMode.EXCLUSIVE, lambda r, m: order.append("c3"))
     mgr.release("c1", 1)
     assert order == ["c2"]
     mgr.release("c2", 1)
@@ -71,15 +73,15 @@ def test_waiters_fifo(mgr):
 def test_compatible_waiters_granted_together(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     order = []
-    mgr.enqueue_waiter("c2", 1, LockMode.SHARED, lambda o, m: order.append("c2"))
-    mgr.enqueue_waiter("c3", 1, LockMode.SHARED, lambda o, m: order.append("c3"))
+    mgr.enqueue_waiter("c2", 1, LockMode.SHARED, lambda r, m: order.append("c2"))
+    mgr.enqueue_waiter("c3", 1, LockMode.SHARED, lambda r, m: order.append("c3"))
     mgr.release("c1", 1)
     assert order == ["c2", "c3"]
 
 
 def test_later_request_does_not_jump_queue(mgr):
     mgr.try_acquire("c1", 1, LockMode.SHARED)
-    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda o, m: None)
+    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda r, m: None)
     # c3's shared request is compatible with the holder but must not
     # starve the queued exclusive waiter.
     ok, _ = mgr.try_acquire("c3", 1, LockMode.SHARED)
@@ -89,7 +91,7 @@ def test_later_request_does_not_jump_queue(mgr):
 def test_downgrade_wakes_shared_waiters(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     granted = []
-    mgr.enqueue_waiter("c2", 1, LockMode.SHARED, lambda o, m: granted.append("c2"))
+    mgr.enqueue_waiter("c2", 1, LockMode.SHARED, lambda r, m: granted.append("c2"))
     assert mgr.downgrade("c1", 1, LockMode.SHARED)
     assert granted == ["c2"]
     assert mgr.mode_of("c1", 1) == LockMode.SHARED
@@ -106,7 +108,8 @@ def test_steal_all_removes_and_pumps(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     mgr.try_acquire("c1", 2, LockMode.SHARED)
     granted = []
-    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda o, m: granted.append(o))
+    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE,
+                       lambda r, m: granted.append(1))
     stolen = mgr.steal_all("c1")
     assert sorted(o for o, _ in stolen) == [1, 2]
     assert granted == [1]
@@ -125,23 +128,16 @@ def test_steal_one(mgr):
 
 def test_steal_drops_clients_queued_requests(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
-    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda o, m: None)
+    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda r, m: None)
     mgr.steal_all("c2")
-    assert mgr.waiter_count(1) == 0
-
-
-def test_cancel_waiter(mgr):
-    mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
-    mgr.enqueue_waiter("c2", 1, LockMode.EXCLUSIVE, lambda o, m: None)
-    assert mgr.cancel_waiter("c2", 1)
-    assert not mgr.cancel_waiter("c2", 1)
+    assert mgr.waiting(1) == []
 
 
 def test_history_records_operations(mgr):
     mgr.try_acquire("c1", 1, LockMode.EXCLUSIVE)
     mgr.release("c1", 1)
-    ops = [g.op for g in mgr.history]
-    assert ops == ["grant", "release"]
+    ops = [(g.op, g.rng, g.kind) for g in mgr.history]
+    assert ops == [("grant", FULL, CACHED), ("release", FULL, CACHED)]
 
 
 def test_listeners_fire(mgr):
@@ -162,5 +158,20 @@ def test_acquire_none_rejected(mgr):
 def test_objects_held_by(mgr):
     mgr.try_acquire("c1", 1, LockMode.SHARED)
     mgr.try_acquire("c1", 2, LockMode.EXCLUSIVE)
-    held = dict(mgr.objects_held_by("c1"))
-    assert held == {1: LockMode.SHARED, 2: LockMode.EXCLUSIVE}
+    held = {obj: mgr.holders(obj) for obj in (1, 2, 3)}
+    assert held == {1: {"c1": LockMode.SHARED}, 2: {"c1": LockMode.EXCLUSIVE},
+                    3: {}}
+    assert [g.rng for g in mgr.holdings("c1", 1)] == [FULL]
+
+
+def test_pumped_weaker_request_keeps_the_stronger_grant(mgr):
+    # c1 has two queued requests behind c2's X: its X, then its S.  The
+    # pump grants both; the S must not overwrite the X the client holds.
+    mgr.try_acquire("c2", 1, LockMode.EXCLUSIVE)
+    mgr.enqueue_waiter("c1", 1, LockMode.EXCLUSIVE, lambda r, m: None)
+    mgr.enqueue_waiter("c1", 1, LockMode.SHARED, lambda r, m: None)
+    mgr.steal_all("c2")
+    assert mgr.waiting(1) == []
+    assert mgr.mode_of("c1", 1) == LockMode.EXCLUSIVE
+    ok, conflicts = mgr.try_acquire("c3", 1, LockMode.SHARED)
+    assert not ok and _pairs(conflicts) == [("c1", LockMode.EXCLUSIVE)]

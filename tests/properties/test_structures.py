@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.locks import LockManager, LockMode, compatible
+from repro.locks import LockMode, LockTable, compatible
 from repro.metadata import ExtentAllocator
 from repro.storage import Extent, ExtentMap
 from repro.storage.blockmap import byte_range_to_blocks
@@ -94,7 +94,7 @@ def test_byte_range_covers_exactly(offset, nbytes):
                               st.integers(min_value=1, max_value=3)),
                     min_size=1, max_size=60))
 def test_lock_manager_holders_always_compatible(ops):
-    mgr = LockManager(now_fn=lambda: 0.0)
+    mgr = LockTable(now_fn=lambda: 0.0)
     for op, client, obj in ops:
         if op == "acq_s":
             mgr.try_acquire(client, obj, LockMode.SHARED)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.locks import LockMode
+from repro.locks import SCOPED, LockMode
+from repro.net.message import MsgKind, RangeAcquire
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -228,7 +229,42 @@ def test_byte_range_grant_waits_out_the_restart_window():
     s.server.restart()
     deadline = s.server.local_now() + s.server.contract.server_wait_local()
     run_gen(s, c1.write_range_locked(fd, 0, BLOCK_SIZE))
-    [grant_t] = [t for t, op, *_rest in s.server.range_locks.history
-                 if op == "grant"]
+    [grant_t] = [g.time for g in s.server.locks.history
+                 if g.op == "grant" and g.kind == SCOPED]
     clock = s.server.endpoint.clock
     assert clock.local_time(grant_t) >= deadline - 1e-9
+
+
+def test_crash_drops_queued_range_waiters():
+    """A crash forgets queued byte-range requests along with the handler
+    processes that made them: after the restart, the retried request is
+    the only one in the queue, not the second behind an orphan."""
+    s = make_system(n_clients=2, writeback_interval=1000.0)
+    c1, c2 = s.client("c1"), s.client("c2")
+    fds = {}
+
+    def setup():
+        yield from c1.create("/f", size=16 * BLOCK_SIZE)
+        fds["c2"] = yield from c2.open_file("/f", "r")
+        fds["fid"] = c2.fds.get(fds["c2"]).file_id
+    run_gen(s, setup())
+    fid = fds["fid"]
+    # c1 takes an EXCLUSIVE range and keeps it; c2 queues behind it.
+    run_gen(s, c1.endpoint.request(
+        "server", MsgKind.LOCK_INTENT,
+        RangeAcquire(fid, 0, 64 * 1024, int(LockMode.EXCLUSIVE))))
+    s.spawn(c2.write_range_locked(fds["c2"], 0, BLOCK_SIZE))
+    locks = s.server.locks
+    while not locks.waiting(fid, SCOPED):
+        s.run(until=s.sim.now + 0.01)
+    assert locks.waiting(fid, SCOPED) == [("c2", LockMode.EXCLUSIVE)]
+
+    s.server.crash()
+    assert locks.waiting(fid, SCOPED) == []
+    s.run(until=s.sim.now + 1.0)
+    s.server.restart()
+    deadline = s.sim.now + 60.0
+    while not locks.waiting(fid, SCOPED) and s.sim.now < deadline:
+        s.run(until=s.sim.now + 0.1)
+    s.run(until=s.sim.now + 5.0)
+    assert locks.waiting(fid, SCOPED) == [("c2", LockMode.EXCLUSIVE)]
