@@ -135,6 +135,34 @@ def test_endpoint_rpc_parked_long_throughput(benchmark):
     benchmark(_spin_rpcs, 2_000, _parked_long_handler)
 
 
+def _spin_lease_rpc(n: int) -> int:
+    """``n`` sequential ``getattr`` round trips of one leased client.
+
+    Every ACK renews the client's lease (§3.1); the row prices what the
+    kernel schedules around the two datagrams of each call: the retry
+    timer, the reply's wait, the lease daemon and the operation bracket.
+    """
+    cfg = SystemConfig(n_clients=1, protocol="storage_tank",
+                       workload=WorkloadConfig(n_files=1))
+    system = build_system(cfg)
+    client = system.client(system.pool.name_of(0))
+
+    def caller():
+        yield from client.create("/bench")
+        for _ in range(n):
+            yield from client.getattr("/bench")
+
+    proc = system.spawn(caller(), "bench:lease-rpc")
+    system.sim.run_until_event(proc, hard_limit=system.sim.now + 600)
+    assert client.ops_completed >= n
+    return n
+
+
+def test_lease_rpc_throughput(benchmark):
+    """Leased ``getattr`` round trips per second, each renewing the lease."""
+    benchmark(_spin_lease_rpc, 2_000)
+
+
 def _spin_trace_emits(n: int) -> int:
     trace = TraceRecorder(enabled=True)
     emit = trace.emit

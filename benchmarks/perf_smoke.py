@@ -34,7 +34,8 @@ sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 from bench_infrastructure import (  # noqa: E402
     _generator_handler, _parked_handler, _parked_long_handler,
     _spin_batched_range_acquire, _spin_fuzz_step, _spin_intent_open,
-    _spin_intent_open_long, _spin_metrics, _spin_netcache_lookup,
+    _spin_intent_open_long, _spin_lease_rpc, _spin_metrics,
+    _spin_netcache_lookup,
     _resident_trace, _spin_page_cache_hit, _spin_pooled_seed_sweep,
     _spin_processes, _spin_rpcs, _spin_scale_registration, _spin_timeouts,
     _spin_trace_counting_only, _spin_trace_emits, _spin_trace_resident)
@@ -79,6 +80,11 @@ PRE_PR_OPS_PER_SEC = {
     # 400k resident records (GC on).
     "trace_recorder": 50_000 / 0.2008,
     "trace_recorder_resident": 200_000 / 0.7494,
+    # Every leased getattr scheduled 9 kernel events, 2 of them
+    # datagrams: the reply's race hop, a lease-daemon kick, its AnyOf and
+    # re-armed timer per ACK, and an unwaited drain event.  Median of 5
+    # alternating fresh-process runs (best of 15 each): 156.9 ms / 2k.
+    "lease_rpc": 2_000 / 0.1569,
 }
 
 #: Rows whose callable takes state built outside the timed window:
@@ -98,6 +104,7 @@ BENCHES: Dict[str, Tuple[Callable[..., object], int]] = {
         lambda: _spin_rpcs(2_000, _parked_handler), 2_000),
     "endpoint_rpc_parked_long": (
         lambda: _spin_rpcs(2_000, _parked_long_handler), 2_000),
+    "lease_rpc": (lambda: _spin_lease_rpc(2_000), 2_000),
     "trace_recorder": (lambda: _spin_trace_emits(50_000), 50_000),
     "trace_recorder_resident": (
         lambda trace: _spin_trace_resident(trace, 200_000), 200_000),

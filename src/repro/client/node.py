@@ -56,23 +56,21 @@ class ClientDisconnectedError(Exception):
 
 class _InFlight:
     """The client's operation bracket, one reusable ``with`` target:
-    counts operations in and out.  ``drained`` is a fresh event at each
-    0→1 transition and succeeds at each 1→0 one; the phase-4 flush
-    waits on it (§3.2)."""
+    counts operations in and out.  ``drained`` is None until the
+    phase-4 flush has to wait for in-flight operations (§3.2); only
+    then is it made, and the last operation to leave succeeds it, so an
+    operation nobody waits on schedules nothing."""
 
     __slots__ = ("sim", "in_flight", "drained", "_bound_exit")
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.in_flight = 0
-        self.drained: Event = sim.event()
-        self.drained.succeed()
+        self.drained: Optional[Event] = None
         self._bound_exit = self._exit_op
 
     def __enter__(self) -> None:
         self.in_flight += 1
-        if self.drained.triggered:
-            self.drained = self.sim.event()
 
     # A ``with`` binds ``__exit__`` afresh and holds it for the whole
     # block, across every wait of the operation; serving the one bound
@@ -82,8 +80,15 @@ class _InFlight:
 
     def _exit_op(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.in_flight -= 1
-        if self.in_flight == 0 and not self.drained.triggered:
+        if self.in_flight == 0 and self.drained is not None:
             self.drained.succeed()
+            self.drained = None
+
+    def wait_drained(self) -> Event:
+        """The event the last in-flight operation succeeds on leaving."""
+        if self.drained is None:
+            self.drained = self.sim.event()
+        return self.drained
 
 
 @dataclass
@@ -545,9 +550,8 @@ class StorageTankClient:
             # Phase 3 ends before phase 4 begins: in-flight operations
             # have until the flush boundary to drain (§3.2); we start
             # flushing immediately but wait for stragglers too.
-            busy = self._busy
-            if busy.in_flight and not busy.drained.triggered:
-                yield busy.drained
+            if self._busy.in_flight:
+                yield self._busy.wait_drained()
             if len(self.servers) == 1:
                 yield from self.data.flush(None)
             else:

@@ -6,17 +6,22 @@ lease is a single contract covering *all* locks held with that server
 (opportunistic renewal, §3.1), runs a daemon that walks the lease
 interval's phases (§3.2, Fig. 4) on the *client's own clock*, and
 reacts to a NACK by jumping straight to the suspect phase (§3.3).
+
+The daemon wakes at phase boundaries, not on every ACK: a renewal in
+an announced VALID phase that moves the start forward only notes the
+boundary timer it would have the daemon arm (see :meth:`renew`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional, Tuple
 
 from repro.lease.contract import LeaseContract
 from repro.lease.phases import LeasePhase, transition
 from repro.net.control import Endpoint
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 
@@ -70,6 +75,11 @@ class ClientLeaseManager:
         self._active = False
         self._ever_active = False
         self._nacked = False
+        # What the daemon last announced, and the boundary timer a
+        # renewal it has not seen would have armed: (instant, global
+        # delay) — see ``renew``.
+        self._announced: Optional[LeasePhase] = None
+        self._rearm: Optional[Tuple[float, float]] = None
         self._kick: Event = sim.event()
         sim.process(self._run(), name=f"{endpoint.name}:lease:{server}")
 
@@ -131,15 +141,28 @@ class ClientLeaseManager:
 
         Called from the endpoint's ACK listener for *every* acknowledged
         message — this is what makes renewal free during normal operation.
+        A renewal in an announced VALID phase that moves the start
+        forward leaves the daemon asleep: it only notes the boundary
+        timer the daemon would arm now.  The armed boundary is then
+        early, never late, and when it fires the daemon arms the noted
+        one (admission reads :meth:`phase` on demand, so nothing waits
+        on the daemon).  "Never late" also needs the client's clock rate
+        never to rise: under a faster clock a later renewal's timer could
+        fall due before the armed one, and the daemon would announce the
+        next phase late.  Rates only fall — the one place a rate changes
+        is the slow-clock adversary, ``fault/adversary.py``
+        ``_apply_stretch_clock``.
         """
         if self._nacked:
             return  # §3.3: ignore stale renewals once we know the server NACKed us
         prev_start = self._lease_start_local
-        if prev_start is None or t_send_local > prev_start:
+        moved = prev_start is None or t_send_local > prev_start
+        if moved:
             self._lease_start_local = t_send_local
         expiry = self.expiry_local()
         assert expiry is not None
-        if expiry <= self.endpoint.local_now():
+        now_local = self.endpoint.local_now()
+        if expiry <= now_local:
             return  # too old to validate anything
         self.renewals += 1
         was_active = self._active
@@ -152,6 +175,11 @@ class ClientLeaseManager:
             self.trace.emit(self.sim.now, "lease.reconnect", self.endpoint.name,
                             self.server)
             self.callbacks.on_reconnected()
+        if moved and was_active and self._announced == LeasePhase.VALID:
+            self._rearm = (self.sim.now, self.endpoint.global_interval(
+                self._boundary_wait_local(
+                    t_send_local, int(LeasePhase.RENEWAL), now_local)))
+            return
         self._wake()
 
     def on_nack(self) -> None:
@@ -187,8 +215,6 @@ class ClientLeaseManager:
         self._note_phase(self._last_phase or self.phase())
 
     def _run(self) -> Generator[Event, object, None]:
-        b = self.contract.boundaries
-        announced: Optional[LeasePhase] = None
         renewals_seen = 0
         while True:
             if not self._active:
@@ -201,10 +227,11 @@ class ClientLeaseManager:
                 yield self.sim.any_of([
                     self._kick,
                     self.endpoint.local_timeout(self.probe_interval_local)])
-                announced = None
+                self._announced = None
                 continue
 
             phase = self.phase()
+            announced = self._announced
             if phase != announced:
                 # Every announced change must follow an edge of Fig. 4:
                 # forward through the interval on time alone, anywhere on
@@ -220,34 +247,55 @@ class ClientLeaseManager:
                 elif phase == LeasePhase.FLUSH:
                     self.callbacks.on_enter_flush()
                 elif phase == LeasePhase.EXPIRED:
+                    self._announced = None
                     self._expire()
-                    announced = None
                     continue
                 elif phase == LeasePhase.VALID and announced in (
                         LeasePhase.SUSPECT, LeasePhase.FLUSH):
                     self.callbacks.on_resume_service()
-                announced = phase
+                self._announced = phase
             renewals_seen = self.renewals
+            self._rearm = None
 
             assert self._lease_start_local is not None
-            now_local = self.endpoint.local_now()
             if self._nacked:
                 b_index = {LeasePhase.SUSPECT: 4, LeasePhase.FLUSH: 5}.get(phase, 5)
-                next_local = self.contract.phase_start_local(self._lease_start_local, b_index)
             else:
-                next_local = self.contract.phase_start_local(
-                    self._lease_start_local, int(phase) + 1)
-            wait_local = max(next_local - now_local, 0.0)
-
-            if phase == LeasePhase.RENEWAL:
-                # Actively try to obtain a new lease with NULL keep-alives.
+                b_index = int(phase) + 1
+            renewing = phase == LeasePhase.RENEWAL
+            wait_local = self._boundary_wait_local(
+                self._lease_start_local, b_index, self.endpoint.local_now(),
+                cap=(self.contract.keepalive_interval_local() if renewing
+                     else math.inf))
+            if renewing:
+                # Actively try to obtain a new lease with NULL keep-alives
+                # (the cap above wakes the daemon for the next one).
                 self.callbacks.send_keepalive()
-                wait_local = min(wait_local, self.contract.keepalive_interval_local())
 
             self._kick = self.sim.event()
             yield self.sim.any_of([
-                self._kick,
-                self.endpoint.local_timeout(wait_local + 1e-9)])
+                self._kick, self.endpoint.local_timeout(wait_local)])
+            # Renewals noted in VALID moved the boundary later: arm the
+            # timer the last one would have armed, from its instant, and
+            # do nothing else until that fires.
+            while self._rearm is not None and not self._kick._triggered:
+                ref, delay = self._rearm
+                self._rearm = None
+                renewals_seen = self.renewals
+                self._kick = self.sim.event()
+                yield self.sim.any_of([
+                    self._kick, Timeout(self.sim, delay, since=ref)])
+
+    def _boundary_wait_local(self, start_local: float, b_index: int,
+                             now_local: float,
+                             cap: float = math.inf) -> float:
+        """The local wait from ``now_local`` until just past boundary
+        ``b_index`` of a lease started at ``start_local`` (at most
+        ``cap``).  The daemon's timer and the one :meth:`renew` notes
+        both come from here, so a noted timer is the one the daemon
+        would have armed, to the bit."""
+        next_local = self.contract.phase_start_local(start_local, b_index)
+        return min(max(next_local - now_local, 0.0), cap) + 1e-9
 
     def _expire(self) -> None:
         self._active = False

@@ -11,10 +11,10 @@ Mechanically, inside the protocol modules this rule flags:
 
 * any ``<recv>.clock`` attribute access whose receiver is not ``self`` —
   protocol code may touch only its own node's clock;
-* any ``local_now()`` / ``local_timeout()`` call whose receiver chain
-  addresses another node: the chain passes through a subscript or call
-  (``nodes[i]``, ``system.client("c")``) or through an attribute named
-  like a foreign node (``peer``, ``other``, ``remote``, ...).
+* any ``local_now()`` / ``local_timeout()`` / ``global_interval()`` call
+  whose receiver chain addresses another node: the chain passes through
+  a subscript or call (``nodes[i]``, ``system.client("c")``) or through
+  an attribute named like a foreign node (``peer``, ``other``, ...).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.lint.rules import Rule, Violation, rule
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
-_CLOCK_READS = {"local_now", "local_timeout"}
+_CLOCK_READS = {"local_now", "local_timeout", "global_interval"}
 _FOREIGN = {"peer", "peers", "other", "others", "remote", "neighbor",
             "neighbors"}
 

@@ -11,7 +11,7 @@ kinds) is an ordinary tenant: loss, delay and one-way partitions apply
 to membership traffic exactly as to lease traffic.
 
 Hot path: delivery is a dedicated :class:`_DeliveryEvent` (no closure),
-the retry loops race events with :class:`~repro.sim.events.FirstOf`,
+an attempt waits on one event that its reply or its retry timer ends,
 and trace emission is guarded by the recorder's no-op flag.
 """
 
@@ -25,7 +25,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
 from repro.net.message import (SCHEMAS, Ack, DeliveryError, Message, MsgKind,
                                Nack, NackError, Stamp)
 from repro.sim.clock import LocalClock
-from repro.sim.events import Event, FirstOf, Interrupt, Timeout
+from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -74,6 +74,12 @@ class ReplyObserver:
 
 
 BASE_DELAY = 0.001  # one-way datagram latency floor (s); jitter adds a tail
+
+
+def _end_wait(timer: Event) -> None:
+    """A retry timer's waiter: end its wait (its value) with None."""
+    if not timer._value._triggered:
+        timer._value.succeed(None)
 
 
 @dataclass(frozen=True)
@@ -449,6 +455,10 @@ class Endpoint:
         """A timeout measured on this node's local clock."""
         return Timeout(self.sim, self.clock.to_global_interval(local_interval), value)
 
+    def global_interval(self, local_interval: float) -> float:
+        """The global length of a timer set now on this node's clock."""
+        return self.clock.to_global_interval(local_interval)
+
     # -- sending ----------------------------------------------------------------
     def send_datagram(self, msg: Message) -> None:
         """Fire-and-forget transmit (used for ACK/NACK replies)."""
@@ -489,16 +499,12 @@ class Endpoint:
             # after).  Stamped at creation: a request initiated *before*
             # a lapse keeps its pre-lapse view across retries.
             msg.lapse_attested = self.lapse_gen
-        sim = self.sim
-        pending = self._pending
-        net = self.net
-        reply_ev = Event(sim)
         # msg_id -> local send time of every transmission of this request
         # (insertion-ordered: also the ids to unregister at the end).
         attempt_times: Dict[int, float] = {}
 
         obs = self.obs
-        t0 = sim._now
+        t0 = self.sim._now
         span = (obs.begin_span(t0, "net.rpc", self.name, msg_kind=kind, dst=dst)
                 if obs is not None else None)
         try:
@@ -509,17 +515,11 @@ class Endpoint:
                 # may still be in flight and must keep their identity.
                 if n:
                     attempt = msg.resend()
-                sent_local = self.local_now()
-                attempt.sent_local_time = sent_local
-                mid = attempt.msg_id
-                attempt_times[mid] = sent_local
-                pending[mid] = reply_ev
-                net.transmit(attempt)
-                timeout_ev = Timeout(
-                    sim, self.clock.to_global_interval(pol.timeout), None)
-                winner = yield FirstOf(sim, (reply_ev, timeout_ev))
-                if winner is reply_ev:
-                    reply = reply_ev._value
+                attempt.sent_local_time = self.local_now()
+                attempt_times[attempt.msg_id] = attempt.sent_local_time
+                self.net.transmit(attempt)
+                reply = yield self._reply_wait(attempt_times, pol.timeout)
+                if reply is not None:
                     self._deliver_reply(msg, reply, attempt_times)
                     break
             if reply is None or reply.pending:
@@ -535,7 +535,19 @@ class Endpoint:
             raise
         finally:
             for mid in attempt_times:
-                pending.pop(mid, None)
+                self._pending.pop(mid, None)
+
+    def _reply_wait(self, attempt_times: Dict[int, float],
+                    local_interval: float) -> Event:
+        """The one event an attempt waits on: a reply to any attempt so
+        far (every msg_id points here) succeeds it with the reply, the
+        retry timer ``local_interval`` from now with None."""
+        wait = Event(self.sim)
+        pending = self._pending
+        for mid in attempt_times:
+            pending[mid] = wait
+        self.local_timeout(local_interval, wait)._waiter = _end_wait
+        return wait
 
     def _deliver_reply(self, msg: Message, reply: Union[Ack, Nack],
                        attempt_times: Dict[int, float]) -> None:
@@ -591,8 +603,6 @@ class Endpoint:
         has answered yet, so each poll needs an observer that
         :meth:`~ReplyObserver.rides_out`, or it is a delivery failure.
         """
-        sim = self.sim
-        pending = self._pending
         deadline_local = self.local_now() + pol.pending_timeout
         poll_local = max(pol.timeout * 2.0, 1e-6)
         while True:
@@ -606,13 +616,9 @@ class Endpoint:
             # advance the float timeline and would spin forever.
             if remaining <= 1e-6:
                 raise DeliveryError(msg, pol.attempts)
-            reply_ev = Event(sim)
-            for mid in attempt_times:
-                pending[mid] = reply_ev
-            timeout_ev = self.local_timeout(
-                max(min(poll_local, remaining), 1e-6))
-            if (yield FirstOf(sim, (reply_ev, timeout_ev))) is reply_ev:
-                reply: Ack = reply_ev._value
+            reply: Optional[Ack] = yield self._reply_wait(
+                attempt_times, max(min(poll_local, remaining), 1e-6))
+            if reply is not None:
                 self._deliver_reply(msg, reply, attempt_times)
                 if not reply.pending:
                     return reply
@@ -623,7 +629,6 @@ class Endpoint:
             poll_msg = msg.resend()
             poll_msg.sent_local_time = self.local_now()
             attempt_times[poll_msg.msg_id] = poll_msg.sent_local_time
-            pending[poll_msg.msg_id] = reply_ev
             self.net.transmit(poll_msg)
 
     # -- receiving -----------------------------------------------------------

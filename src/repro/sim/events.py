@@ -16,8 +16,9 @@ fuzz batch and benchmark):
   iterating a list;
 - :class:`Timeout` skips the generic ``__init__``/``_schedule`` call
   chain and pushes itself straight onto the schedule heap;
-- :class:`FirstOf` is a lean n-ary race used by the transport retry
-  loops in place of :class:`AnyOf` (no per-wait dict building).
+- the transport needs no race event: each request attempt waits on one
+  plain event that its reply or its retry timer ends
+  (:mod:`repro.net.control`).
 
 None of this changes event *ordering*: the schedule key sequence and the
 callback registration order are exactly what the pre-optimization kernel
@@ -170,7 +171,8 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds ``delay`` simulated seconds after creation.
+    """An event that succeeds ``delay`` simulated seconds after creation
+    (or after an earlier instant ``since``).
 
     Construction is the kernel's hottest allocation site, so it writes
     every slot directly and pushes itself onto the schedule heap without
@@ -180,7 +182,11 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
+    def __init__(self, sim: "Simulator", delay: float, value: Any = None,
+                 since: Optional[float] = None) -> None:
+        """``since``: the earlier instant ``delay`` is measured from, so
+        the deadline is the one a timer armed then would hold, to the
+        bit; a deadline already past fires now."""
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
         self.sim = sim
@@ -194,7 +200,11 @@ class Timeout(Event):
         self.delay = delay
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._now + delay, NORMAL_BAND + seq, self))
+        if since is None:
+            when = sim._now + delay
+        else:
+            when = max(since + delay, sim._now)
+        heappush(sim._heap, (when, NORMAL_BAND + seq, self))
 
 
 class _Condition(Event):
@@ -256,48 +266,3 @@ class AllOf(_Condition):
         self._count += 1
         if self._count == len(self.events) and not self._triggered:
             self.succeed(self._collect())
-
-
-class FirstOf(Event):
-    """Race: succeeds with the first child event that fires (the *winner*
-    event itself is the value), fails with the first child failure.
-
-    The transport's retry loops used to build an :class:`AnyOf` plus a
-    result dict per attempt; this races the same children with no list,
-    no dict and no per-child bound-method allocation.  Children are
-    checked in argument order, so when several are already processed the
-    earliest argument wins — the same precedence the old membership
-    checks (``reply_ev in outcome``) applied.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
-        self.sim = sim
-        self.callbacks = None
-        self._value = None
-        self._exc = None
-        self._triggered = False
-        self._processed = False
-        self._defused = False
-        self._waiter = None
-        check = self._check
-        for ev in events:
-            if ev.sim is not sim:
-                raise SimulationError("race mixes events from different simulators")
-            if ev._processed:
-                check(ev)
-            else:
-                ev._add_callback(check)
-
-    def _check(self, event: Event) -> None:
-        if self._triggered:
-            return
-        exc = event._exc
-        if exc is not None:
-            event.defuse()
-            self.fail(exc)
-            return
-        self._triggered = True
-        self._value = event
-        self.sim._schedule(self, 0.0)

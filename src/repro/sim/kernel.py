@@ -26,7 +26,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.sim.events import (NORMAL_BAND, AllOf, AnyOf, Event, FirstOf,
+from repro.sim.events import (NORMAL_BAND, AllOf, AnyOf, Event,
                               SimulationError, Timeout)
 from repro.sim.process import Process, ProcessGenerator
 
@@ -83,10 +83,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Condition event firing when all children succeed."""
         return AllOf(self, list(events))
-
-    def first_of(self, events: Iterable[Event]) -> FirstOf:
-        """Race event whose value is the first child event to fire."""
-        return FirstOf(self, list(events))
 
     # -- scheduling (kernel internal) ------------------------------------
     def _schedule(self, event: Event, delay: float, priority: bool = False) -> None:

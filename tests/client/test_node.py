@@ -3,6 +3,7 @@
 import pytest
 
 from repro.client import ClientDisconnectedError, ClientQuiescedError
+from repro.lease import LeasePhase
 from repro.locks import SCOPED, LockMode
 from repro.storage import BLOCK_SIZE
 
@@ -317,6 +318,54 @@ def test_file_stays_marked_until_its_last_compliance_ends():
     assert fid not in lc._revoking
 
 
+def test_a_leased_getattr_schedules_at_most_four_kernel_events():
+    """The request and reply datagrams, the retry timer and the one
+    event the reply ends: the renewing ACK leaves the lease daemon
+    asleep, and the operation bracket schedules nothing."""
+    s = make_system(n_clients=1)
+    c = s.client("c1")
+    run_gen(s, c.create("/f"))
+    K = 20
+
+    def app():
+        yield from c.getattr("/f")
+        assert c.phase == LeasePhase.VALID
+        before = s.sim.events_scheduled
+        for _ in range(K):
+            yield from c.getattr("/f")
+        return s.sim.events_scheduled - before
+    assert run_gen(s, app()) <= 4 * K
+
+
+def test_phase4_flush_waits_for_in_flight_operations():
+    """§3.2: the phase-4 flush starts once the operations still inside
+    their bracket have left it, and not before."""
+    s = make_system(n_clients=1, writeback_interval=1000.0)
+    c = s.client("c1")
+
+    def app():
+        yield from c.create("/f", size=BLOCK_SIZE)
+        fd = yield from c.open_file("/f", "w")
+        yield from c.write(fd, 0, BLOCK_SIZE)
+    run_gen(s, app())
+    leave = s.sim.event()
+
+    def straggler():
+        with c._busy:
+            yield leave
+    s.spawn(straggler())
+    s.ctrl_partitions.isolate("c1")
+    while c.phase != LeasePhase.FLUSH:
+        assert c.phase != LeasePhase.EXPIRED
+        s.run(until=s.sim.now + 0.01)
+    s.run(until=s.sim.now + 0.5)
+    assert c.cache.dirty_count == 1 and c._busy.drained is not None
+    leave.succeed()
+    s.run(until=s.sim.now + 0.5)
+    assert c.cache.dirty_count == 0 and c._busy.drained is None
+    assert c.app_errors == 0
+
+
 # -- brackets close on every exit ---------------------------------------------
 
 def _mid_op(s, pred, limit=5.0):
@@ -406,7 +455,7 @@ def test_every_bracket_closes_on_every_exit(op, exit_):
         assert isinstance(result, Exception) == (exit_ == "error")
         assert not isinstance(result, Interrupt)
         assert s.server.locks.holdings("c1", fid, SCOPED) == []
-    assert c._busy.in_flight == 0 and c._busy.drained.triggered
+    assert c._busy.in_flight == 0 and c._busy.drained is None
     assert c.lockclient._file_inflight == {}
     assert fid not in c.lockclient._revoking
     assert s.server.barrier._cache_pending == set()

@@ -4,7 +4,8 @@ import pytest
 
 from repro.lease import ClientLeaseManager, LeaseCallbacks, LeaseContract, LeasePhase
 from repro.net import ControlNetwork, Endpoint
-from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
+from repro.sim import (ClockEnsemble, LocalClock, RandomStreams, Simulator,
+                       TraceRecorder)
 
 
 def make(tau=10.0, epsilon=0.0, callbacks=None, probe=None):
@@ -169,3 +170,95 @@ def test_serves_requests_property():
     assert mgr.serves_requests
     sim.run(until=8.0)  # suspect phase
     assert not mgr.serves_requests
+
+
+# -- the daemon wakes at boundaries, not on every ACK --------------------------
+
+def make_traced(tau=10.0, rate=1.0, offset=0.0):
+    sim = Simulator()
+    trace = TraceRecorder()
+    net = ControlNetwork(sim, RandomStreams(2), trace=trace)
+    ep = Endpoint(sim, net, "c1", LocalClock("c1", rate=rate, offset=offset))
+    mgr = ClientLeaseManager(sim, ep, "server", LeaseContract(tau=tau))
+    return sim, ep, mgr, trace
+
+
+def announced(trace):
+    return [(r.time, LeasePhase(r.get("phase")))
+            for r in trace.select("lease.phase")]
+
+
+def test_a_renewal_in_valid_resumes_no_process():
+    """Each ACK moves the start forward without scheduling anything, and
+    RENEWAL is announced exactly when the timer the last renewal would
+    have armed fires: its local wait, from its instant, at its rate."""
+    sim, ep, mgr, trace = make_traced(rate=0.8, offset=5.0)
+    mgr.renew(ep.local_now())
+    sim.run(until=1.0)
+    renewals = []
+
+    def acks():
+        for _ in range(5):
+            yield sim.timeout(0.7)
+            sent = ep.local_now() - 0.002
+            before = sim.events_scheduled
+            mgr.renew(sent)
+            assert sim.events_scheduled == before
+            renewals.append((sim.now, ep.local_now(), sent))
+    sim.process(acks())
+    sim.run(until=30.0)
+    ref, ref_local, sent = renewals[-1]
+    due = ref + ep.clock.to_global_interval(sent + 5.0 - ref_local + 1e-9)
+    assert announced(trace)[:2] == [(0.0, LeasePhase.VALID),
+                                    (due, LeasePhase.RENEWAL)]
+
+
+def test_a_noted_renewal_keeps_the_rate_it_was_made_under():
+    """The clock slows after a renewal (a stretched clock): the boundary
+    timer that renewal would have armed keeps the old rate, and the
+    daemon re-plans from there under the new one."""
+    sim, ep, mgr, trace = make_traced()
+    mgr.renew(0.0)
+    sim.run(until=1.0)
+    mgr.renew(1.0)                       # the boundary moves to 6.0
+    sim.run(until=2.0)
+    clock = ep.clock
+    clock.offset, clock.rate = clock.local_time(2.0) - 0.5 * 2.0, 0.5
+    sim.run(until=30.0)
+    wake = 1.0 + (5.0 + 1e-9)            # armed under rate 1
+    due = wake + clock.to_global_interval(6.0 - clock.local_time(wake) + 1e-9)
+    assert announced(trace)[:2] == [(0.0, LeasePhase.VALID),
+                                    (due, LeasePhase.RENEWAL)]
+
+
+def test_a_renewal_that_does_not_move_the_start_wakes_the_daemon():
+    sim, ep, mgr, trace = make_traced()
+    mgr.renew(0.0)
+    sim.run(until=1.0)
+    before = sim.events_scheduled
+    mgr.renew(1.0)
+    assert sim.events_scheduled == before and not mgr._kick.triggered
+    mgr.renew(0.5)                       # an older ACK arriving late
+    assert sim.events_scheduled > before and mgr._kick.triggered
+
+
+def test_a_nack_after_a_noted_renewal_goes_suspect_at_once():
+    sim, ep, mgr, trace = make_traced()
+    mgr.renew(0.0)
+    sim.run(until=1.0)
+    mgr.renew(1.0)
+    mgr.on_nack()
+    sim.run(until=1.5)
+    assert announced(trace) == [(0.0, LeasePhase.VALID),
+                                (1.0, LeasePhase.SUSPECT)]
+
+
+def test_a_renewal_during_renewal_returns_to_valid_at_its_instant():
+    sim, ep, mgr, trace = make_traced()
+    mgr.renew(0.0)
+    sim.run(until=6.0)                   # RENEWAL is [5.0, 7.5)
+    mgr.renew(6.0)
+    sim.run(until=6.5)
+    assert announced(trace) == [(0.0, LeasePhase.VALID),
+                                (5.0 + 1e-9, LeasePhase.RENEWAL),
+                                (6.0, LeasePhase.VALID)]

@@ -10,4 +10,5 @@ class Protocol:
         a = self.peer.endpoint.local_now()
         b = nodes[i].endpoint.local_now()
         c = self.node.clock.local_time(0.0)
-        return a, b, c
+        d = self.peer.endpoint.global_interval(1.0)
+        return a, b, c, d

@@ -22,7 +22,7 @@ under the new responder every ACK renews, the final included, and every
 ACKed request renewed the lease on both sides.
 """
 
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Optional, Sequence, Tuple
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,9 +32,54 @@ from repro.net import (ControlNetwork, DeliveryError, Endpoint, NackError,
 from repro.net.control import RetryPolicy
 from repro.net.message import Ack, Message, MsgKind, Nack
 from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
-from repro.sim.events import Event, FirstOf, Interrupt
+from repro.sim.events import Event, Interrupt, SimulationError
 
 RESULT = "transport.result"
+
+
+class FirstOf(Event):
+    """Race: succeeds with the first child event that fires (the *winner*
+    event itself is the value), fails with the first child failure.
+
+    The transport's retry loops used to build an :class:`AnyOf` plus a
+    result dict per attempt; this races the same children with no list,
+    no dict and no per-child bound-method allocation.  Children are
+    checked in argument order, so when several are already processed the
+    earliest argument wins — the same precedence the old membership
+    checks (``reply_ev in outcome``) applied.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, sim: "Simulator", events: Sequence[Event]) -> None:
+        self.sim = sim
+        self.callbacks = None
+        self._value = None
+        self._exc = None
+        self._triggered = False
+        self._processed = False
+        self._defused = False
+        self._waiter = None
+        check = self._check
+        for ev in events:
+            if ev.sim is not sim:
+                raise SimulationError("race mixes events from different simulators")
+            if ev._processed:
+                check(ev)
+            else:
+                ev._add_callback(check)
+
+    def _check(self, event: Event) -> None:
+        if self._triggered:
+            return
+        exc = event._exc
+        if exc is not None:
+            event.defuse()
+            self.fail(exc)
+            return
+        self._triggered = True
+        self._value = event
+        self.sim._schedule(self, 0.0)
 
 
 class ReceiptAckEndpoint(Endpoint):

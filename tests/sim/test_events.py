@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator, Timeout
 
 
 def test_event_initial_state(sim):
@@ -164,3 +164,19 @@ def test_all_of_propagates_child_failure(sim):
     sim.process(parent())
     sim.run()
     assert caught == ["child died"]
+
+
+def test_timeout_since_an_earlier_instant(sim):
+    """A timeout measured from an earlier instant fires at exactly the
+    time one armed then would; one whose deadline has passed fires now."""
+    sim.run(until=0.3)
+    armed_then = 0.1 + 0.7
+    fired = []
+
+    def waiter(ev):
+        yield ev
+        fired.append(sim.now)
+    sim.process(waiter(Timeout(sim, 0.7, since=0.1)))
+    sim.process(waiter(Timeout(sim, 0.1, since=0.1)))
+    sim.run()
+    assert fired == [0.3, armed_then]
