@@ -374,14 +374,18 @@ def _spin_intent_open_long(n: int, n_extents: int = 512) -> int:
                        workload=WorkloadConfig(n_files=1))
     system = build_system(cfg)
     client = system.client(system.pool.name_of(0))
-    store = system.server_node("server").metadata
+    server = system.server_node("server")
+    store = server.metadata
 
     def caller():
         fid = yield from client.create("/bench", size=4096)
         other = yield from client.create("/other", size=4096)
         for blocks in range(2, n_extents + 1):
             for f in (fid, other):
-                store.ensure_size(f, blocks * 4096, now=system.sim.now)
+                yield from server.barrier.mutate(
+                    lambda claim: store.ensure_size(
+                        f, blocks * 4096, now=system.sim.now, claim=claim),
+                    file_ids=(f,))
         assert len(store.inode(fid).extents.extents) == n_extents
         for _ in range(n):
             fd = yield from client.open_file("/bench", "r")

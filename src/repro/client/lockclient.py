@@ -129,7 +129,6 @@ class LockClient:
         self.range_demands_seen: Dict[int, int] = {}
 
         # Server-initiated requests.
-        # repro-lint: handles[client-demands]
         endpoint.register(MsgKind.LOCK_DEMAND, self._on_lock_demand)
         endpoint.register(MsgKind.RANGE_DEMAND, self._on_range_demand)
 

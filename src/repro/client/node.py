@@ -32,8 +32,8 @@ from repro.locks.modes import LockMode
 from repro.metadata.inode import FileAttributes
 from repro.net.control import ControlNetwork, Endpoint, RetryPolicy
 from repro.net.message import (Batch, Close, Create, DeliveryError, Getattr,
-                               Message, MsgKind, Nack, NackError, OpenIntent,
-                               PathOnly, Setattr)
+                               MsgKind, NackError, OpenIntent, PathOnly,
+                               Setattr)
 from repro.net.san import SanFabric
 from repro.obs import Observability
 from repro.sim.clock import LocalClock
@@ -105,6 +105,10 @@ class ClientConfig:
 class StorageTankClient:
     """One client computer."""
 
+    #: The ``KIND_GROUPS`` it serves (its lock layer registers them),
+    #: checked when it is built.
+    HANDLES = ("client-demands",)
+
     def __init__(self, sim: Simulator, net: ControlNetwork, san: SanFabric,
                  name: str, server, clock: LocalClock,
                  contract: LeaseContract,
@@ -143,6 +147,7 @@ class StorageTankClient:
         self.lockclient = LockClient(sim, self.endpoint, self.routing,
                                      self.data, self.fds, self.trace)
         self.locks = self.lockclient.table
+        self.endpoint.check_handles(self.HANDLES)
 
         self._busy = _InFlight(sim)
         # Application-visible counters.
@@ -242,14 +247,9 @@ class StorageTankClient:
             raise
         res = dict(reply.payload["results"][-1])
         if not res.pop("ok", False):
-            # Surface the failed open sub-op as a lone open intent
-            # would: a NackError carrying the server's error (read out
-            # of a delivered batch ACK, never a datagram: RPL013-exempt).
-            req = Message(src=self.name, dst=srv, kind=MsgKind.LOCK_INTENT,
-                          payload=op)
-            raise NackError(req, Nack(  # repro-lint: ignore[RPL013]
-                src=srv, dst=self.name, reply_to=req.msg_id,
-                payload={"error": res.get("error", "")}))
+            # Surface the failed open sub-op as a lone open intent would.
+            raise NackError.refused_in_batch(self.name, srv, op,
+                                             res.get("error", ""))
         return res
 
     def read(self, fd: int, offset: int, nbytes: int,

@@ -55,6 +55,9 @@ COORDINATOR_NAME = "coord"
 class ClusterCoordinator:
     """Membership monitor and shard-map publisher."""
 
+    #: The ``KIND_GROUPS`` it serves, checked when it is built.
+    HANDLES = ("cluster-coordinator",)
+
     def __init__(self, sim: Simulator, net: ControlNetwork, name: str,
                  server_names: Sequence[str], clock: LocalClock,
                  config: "ClusterConfig", trace: TraceRecorder, obs: Any,
@@ -71,8 +74,8 @@ class ClusterCoordinator:
             default_policy=RetryPolicy(timeout=config.ping_timeout,
                                        retries=config.ping_retries))
         self.endpoint.obs = obs
-        # repro-lint: handles[cluster-coordinator]
         self.endpoint.register(MsgKind.CLUSTER_MAP_FETCH, self._h_fetch)
+        self.endpoint.check_handles(self.HANDLES)
 
         self.map = ShardMap.initial(self.server_names)
         #: Home (epoch-1) slot assignment, the failback target.

@@ -235,7 +235,7 @@ class ClientLeaseManager:
             if phase != announced:
                 # Every announced change must follow an edge of Fig. 4:
                 # forward through the interval on time alone, anywhere on
-                # a renewal (RPL004's transition table, enforced live).
+                # a renewal (the transition table, enforced live).
                 transition(announced if announced is not None
                            else LeasePhase.EXPIRED, phase,
                            renewed=self.renewals > renewals_seen)

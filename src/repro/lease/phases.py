@@ -5,8 +5,8 @@ the client's own clock), but every announced phase change must follow an
 edge of Fig. 4: time only moves the client forward through the interval
 (valid → renewal → suspect → flush → expired), and the single backward
 edge is a successful renewal returning the client to full service.
-:func:`transition` is the one sanctioned way to move a stored phase —
-lint rule RPL004 rejects any other assignment to a phase attribute.
+:func:`transition` checks each change the lease daemon announces and
+raises on an edge the figure does not have.
 """
 
 from __future__ import annotations
@@ -70,8 +70,7 @@ def transition(current: LeasePhase, target: LeasePhase, *,
     time-driven forward edges of :data:`LEGAL_TRANSITIONS` are open;
     ``renewed=True`` (an ACK arrived since the phase was last observed)
     re-anchors the interval and may land the client anywhere in it.
-    Raises :class:`IllegalPhaseTransition` otherwise.  All stored-phase
-    updates must flow through here (lint rule RPL004).
+    Raises :class:`IllegalPhaseTransition` otherwise.
     """
     if target is current or renewed:
         return target

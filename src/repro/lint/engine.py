@@ -66,92 +66,17 @@ class Suppressions:
         return codes is not None and (ALL_CODES in codes or violation.code in codes)
 
 
-class ProjectContext:
-    """Cross-file facts shared by every rule in one run.
-
-    Currently this is the message vocabulary (``MsgKind`` constants and
-    the ``KIND_GROUPS`` partition) that RPL006 checks registrations
-    against, parsed straight from the message module's AST so the linter
-    never imports the code under analysis.
-    """
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-        self._message_loaded = False
-        self.message_module_rel: Optional[str] = None
-        self.msg_kinds: Dict[str, str] = {}
-        self.kind_groups: Dict[str, List[str]] = {}
-
-    def _load_message_module(self) -> None:
-        if self._message_loaded:
-            return
-        self._message_loaded = True
-        opts = self.config.options_for("RPL006")
-        rel = str(opts.get("message-module", "src/repro/net/message.py"))
-        path = self.config.root / rel
-        if not path.is_file():
-            return
-        self.message_module_rel = rel
-        try:
-            tree = ast.parse(path.read_text())
-        except SyntaxError:
-            return
-        self.msg_kinds, self.kind_groups = _parse_message_module(tree)
-
-    def message_vocabulary(self) -> Tuple[Dict[str, str], Dict[str, List[str]]]:
-        """``(MsgKind constants, KIND_GROUPS)`` — empty when unresolvable."""
-        self._load_message_module()
-        return self.msg_kinds, self.kind_groups
-
-
-def _parse_message_module(tree: ast.Module) -> Tuple[Dict[str, str],
-                                                     Dict[str, List[str]]]:
-    kinds: Dict[str, str] = {}
-    groups: Dict[str, List[str]] = {}
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == "MsgKind":
-            for stmt in node.body:
-                if (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    kinds[stmt.targets[0].id] = stmt.value.value
-        target = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-        elif isinstance(node, ast.AnnAssign):
-            target = node.target
-        if (target is not None
-                and isinstance(target, ast.Name)
-                and target.id == "KIND_GROUPS"
-                and isinstance(node.value, ast.Dict)):
-            for key, value in zip(node.value.keys, node.value.values):
-                if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                    continue
-                members: List[str] = []
-                if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                    for elt in value.elts:
-                        if (isinstance(elt, ast.Attribute)
-                                and isinstance(elt.value, ast.Name)
-                                and elt.value.id == "MsgKind"):
-                            members.append(elt.attr)
-                groups[key.value] = members
-    return kinds, groups
-
-
 class FileContext:
     """Everything a rule needs to inspect one parsed file."""
 
     def __init__(self, path: str, source: str, tree: ast.Module,
-                 config: LintConfig, project: ProjectContext) -> None:
+                 config: LintConfig) -> None:
         #: Root-relative posix path (fixture snippets keep their given name).
         self.path = path
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.config = config
-        self.project = project
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         self._aliases: Optional[Dict[str, str]] = None
 
@@ -301,7 +226,6 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
     rules = _selected_rules(select)
     file_rules, project_rules = _split_rules(rules)
     result = LintResult()
-    project = ProjectContext(cfg)
     contexts: List[FileContext] = []
     for path in _discover(paths):
         rel = cfg.rel_path(path)
@@ -314,7 +238,7 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
             result.errors.append(f"{rel}: {exc}")
             continue
         result.files_checked += 1
-        ctx = FileContext(rel, source, tree, cfg, project)
+        ctx = FileContext(rel, source, tree, cfg)
         contexts.append(ctx)
         _check_file(ctx, file_rules, result)
     result.violations.extend(_check_project(contexts, project_rules, cfg))
@@ -342,7 +266,7 @@ def lint_source(source: str, path: str = "<snippet>",
         result.errors.append(f"{path}: {exc}")
         return result
     result.files_checked = 1
-    ctx = FileContext(path, source, tree, cfg, ProjectContext(cfg))
+    ctx = FileContext(path, source, tree, cfg)
     _check_file(ctx, file_rules, result)
     result.violations.extend(_check_project([ctx], project_rules, cfg))
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))

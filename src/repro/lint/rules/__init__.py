@@ -124,10 +124,10 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 
 def _load_builtin_rules() -> None:
     # Imported for their registration side effect.
-    from repro.lint.rules import (barrier, determinism, handlers,  # noqa: F401
-                                  local_clock, mutable_defaults,
-                                  passive_reach, passive_server, phases,
-                                  remote_taint, reply_path, time_equality)
+    from repro.lint.rules import (determinism, local_clock,  # noqa: F401
+                                  mutable_defaults, passive_reach,
+                                  passive_server, remote_taint,
+                                  time_equality)
 
 
 _load_builtin_rules()

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _LEASE_LABEL = re.compile(r"lease|keepalive|heartbeat|renew|timer", re.IGNORECASE)
 _LEASE_KINDS = {"KEEPALIVE", "LEASE_RENEW", "HEARTBEAT"}
-_SEND_METHODS = {"request", "send", "send_datagram", "transmit"}
+_SEND_METHODS = {"request", "send", "transmit"}
 _ALLOWED = ("mark_suspect", "on_delivery_failure", "_timer")
 
 

@@ -4,6 +4,11 @@ Ties the namespace, inode table and extent allocator together and
 counts every operation — the paper (§1.1) characterizes the Storage
 Tank server as transaction-bound ("frequent small reads and writes" on
 its private store), and experiment E1 reports these counters.
+
+Its four namespace mutators take a :class:`MutationClaim`, the
+capability only the server's cache barrier mints (DESIGN.md §15): a
+mutation that has not invalidated the cached copies of what it changes
+cannot be applied.
 """
 
 from __future__ import annotations
@@ -15,6 +20,31 @@ from repro.metadata.allocator import ExtentAllocator
 from repro.metadata.directory import Directory, NamespaceError
 from repro.metadata.inode import FileAttributes, Inode
 from repro.storage.blockmap import BLOCK_SIZE, bytes_to_blocks
+
+
+class ClaimError(RuntimeError):
+    """A namespace mutator was called without a live claim."""
+
+
+class MutationClaim:
+    """The claim a namespace mutation holds on its cache barrier.
+
+    :meth:`repro.server.barrier.CacheBarrier.mutate` mints one for each
+    body it runs, after invalidating the cache nodes that may hold the
+    keys it names, and revokes it when the body returns or raises; a
+    claim kept past that run is dead.  Nothing else in ``src/`` makes
+    one."""
+
+    __slots__ = ("live",)
+
+    def __init__(self) -> None:
+        self.live = True
+
+
+def _require(claim: MutationClaim) -> None:
+    if type(claim) is not MutationClaim or not claim.live:
+        raise ClaimError("namespace mutation without a live claim: apply it "
+                         "in a body handed to CacheBarrier.mutate(...)")
 
 
 class MetadataStore:
@@ -32,11 +62,13 @@ class MetadataStore:
         self.meta_writes = 0  # private-store writes
 
     # -- files ------------------------------------------------------------
-    def create_file(self, path: str, size: int = 0, now: float = 0.0) -> Inode:
+    def create_file(self, path: str, size: int = 0, now: float = 0.0, *,
+                    claim: MutationClaim) -> Inode:
         """Create a file, allocating SAN blocks to back ``size`` bytes.
 
         An existing path raises :class:`NamespaceError` before anything
         changes: no file id drawn, no block allocated, nothing counted."""
+        _require(claim)
         if self.namespace.exists(path):
             raise NamespaceError(f"path exists: {path}")
         self.ops += 1
@@ -70,8 +102,10 @@ class MetadataStore:
         """Whether the path resolves."""
         return self.namespace.exists(path)
 
-    def ensure_size(self, file_id: int, size: int, now: float) -> Inode:
+    def ensure_size(self, file_id: int, size: int, now: float, *,
+                    claim: MutationClaim) -> Inode:
         """Grow a file to ``size`` bytes, allocating blocks as needed."""
+        _require(claim)
         self.ops += 1
         self.meta_writes += 1
         ino = self.inode(file_id)
@@ -86,8 +120,10 @@ class MetadataStore:
         return ino
 
     def set_attrs(self, file_id: int, now: float, size: Optional[int] = None,
-                  mode: Optional[int] = None) -> Inode:
+                  mode: Optional[int] = None, *,
+                  claim: MutationClaim) -> Inode:
         """Setattr transaction."""
+        _require(claim)
         self.ops += 1
         self.meta_writes += 1
         ino = self.inode(file_id)
@@ -95,7 +131,7 @@ class MetadataStore:
             ino.touch(now)  # bare setattr = utimes-style version bump
         if size is not None:
             if size > ino.attrs.size:
-                return self.ensure_size(file_id, size, now)
+                return self.ensure_size(file_id, size, now, claim=claim)
             ino.set_size(size, now)
         if mode is not None:
             ino.attrs = FileAttributes(size=ino.attrs.size, mtime=now,
@@ -103,8 +139,9 @@ class MetadataStore:
                                        version=ino.attrs.version + 1)
         return ino
 
-    def unlink(self, path: str) -> None:
+    def unlink(self, path: str, *, claim: MutationClaim) -> None:
         """Remove a file and free its extents."""
+        _require(claim)
         self.ops += 1
         self.meta_writes += 1
         fid = self.namespace.unlink(path)

@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
-                    List, Optional, Set, Tuple, Union)
+                    List, Optional, Sequence, Set, Tuple, Union)
 
 from repro.net.message import (SCHEMAS, Ack, DeliveryError, Message, MsgKind,
-                               Nack, NackError, Stamp)
+                               Nack, NackError, Stamp, check_handled)
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.kernel import Simulator
@@ -398,6 +398,10 @@ class Endpoint:
         """Install the handler for an inbound request kind."""
         self._handlers[kind] = handler
 
+    def check_handles(self, groups: Sequence[str]) -> None:
+        """Raise unless each kind of ``groups`` (``HANDLES``) has a handler."""
+        check_handled(self.name, groups, self._handlers)
+
     def set_gatekeeper(self, fn: Optional[Callable[[Message], Optional[str]]]) -> None:
         """Install the pre-execution gate (return ``"nack"``/``"silent"``/None)."""
         self._gatekeeper = fn
@@ -460,10 +464,6 @@ class Endpoint:
         return self.clock.to_global_interval(local_interval)
 
     # -- sending ----------------------------------------------------------------
-    def send_datagram(self, msg: Message) -> None:
-        """Fire-and-forget transmit (used for ACK/NACK replies)."""
-        self.net.transmit(msg)
-
     def request(self, dst: str, kind: str, payload: Any = None,
                 policy: Optional[RetryPolicy] = None,
                 ) -> Generator[Event, Any, Message]:
@@ -741,11 +741,11 @@ class Endpoint:
                stamp: Optional[Stamp] = None, *, pending: bool = False,
                lease_nack: bool = False) -> None:
         if decision == "ack":
-            self.send_datagram(Ack(self.name, msg.src, msg.msg_id, payload,
-                                   stamp, pending))
+            self.net.transmit(Ack(self.name, msg.src, msg.msg_id, payload,
+                                  stamp, pending))
         elif decision == "nack":
-            self.send_datagram(Nack(self.name, msg.src, msg.msg_id, payload,
-                                    lease_nack))
+            self.net.transmit(Nack(self.name, msg.src, msg.msg_id, payload,
+                                   lease_nack))
         elif decision != "silent":
             raise ValueError(f"unknown handler decision {decision!r}")
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Container, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 
 class MsgKind:
@@ -86,11 +87,12 @@ class MsgKind:
 
 
 #: The handler-group partition of the vocabulary.  Every ``MsgKind``
-#: constant must appear in exactly one group (lint rule RPL006 enforces
-#: this), and a dispatcher module declares the groups it implements with
-#: a ``# repro-lint: handles[...]`` comment — adding a kind here without
-#: registering its handler then fails static analysis instead of
-#: surfacing as a silently dropped datagram at run time.
+#: constant belongs to exactly one group (checked below, at import), and
+#: a node class names the groups it serves in its ``HANDLES`` tuple:
+#: :meth:`~repro.net.control.Endpoint.check_handles` refuses to finish
+#: building a node that registers no handler for one of their kinds, so
+#: a kind added to a served group cannot surface as a request NACKed
+#: "no handler" at run time.
 KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     # the metadata server's client-transaction surface
     "fs-core": (MsgKind.OPEN, MsgKind.GETATTR, MsgKind.SETATTR,
@@ -106,8 +108,9 @@ KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     "client-demands": (MsgKind.LOCK_DEMAND, MsgKind.RANGE_DEMAND),
     # server-initiated invalidation of the in-network cache tier
     "cache-invalidate": (MsgKind.CACHE_INVALIDATE,),
-    # baseline protocols (§4-§5 comparisons)
-    "lease-baselines": (MsgKind.LEASE_RENEW, MsgKind.HEARTBEAT),
+    # baseline protocols (§4-§5 comparisons), one authority each
+    "vleases": (MsgKind.LEASE_RENEW,),
+    "frangipani": (MsgKind.HEARTBEAT,),
     # cluster control plane
     "cluster-owner": (MsgKind.CLUSTER_PING, MsgKind.CLUSTER_MAP_UPDATE,
                       MsgKind.CLUSTER_RELEASE),
@@ -115,6 +118,43 @@ KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     # transport frames are consumed by the endpoint itself
     "transport": (MsgKind.ACK, MsgKind.NACK),
 }
+
+
+def partition_faults(groups: Dict[str, Tuple[str, ...]]) -> List[str]:
+    """Why ``groups`` fails to partition :class:`MsgKind`: a kind in no
+    group, a kind in two, or a member that is no kind.  Empty when it is
+    a partition."""
+    kinds = {v for k, v in vars(MsgKind).items() if k.isupper()}
+    owners: Dict[str, List[str]] = {kind: [] for kind in kinds}
+    faults: List[str] = []
+    for group, members in groups.items():
+        for kind in members:
+            if kind not in owners:
+                faults.append(f"{group!r} names {kind!r}, not a MsgKind")
+            else:
+                owners[kind].append(group)
+    for kind, found in sorted(owners.items()):
+        if len(found) != 1:
+            faults.append(f"{kind!r} is in {len(found)} groups {found}")
+    return faults
+
+
+def check_handled(node: str, groups: Sequence[str],
+                  handled: Container[str]) -> None:
+    """Raise :class:`TypeError` naming each kind of the ``KIND_GROUPS``
+    entries ``groups`` that ``handled`` lacks: node ``node`` serves those
+    groups but would NACK such a request as unhandled.  An unknown group
+    name raises :class:`KeyError`."""
+    missing = [kind for group in groups for kind in KIND_GROUPS[group]
+               if kind not in handled]
+    if missing:
+        raise TypeError(f"{node} serves {', '.join(groups)} but registers "
+                        f"no handler for {', '.join(missing)}")
+
+
+# A vocabulary edit that breaks the partition fails every import.
+for _fault in partition_faults(KIND_GROUPS):
+    raise AssertionError(f"KIND_GROUPS does not partition MsgKind: {_fault}")
 
 
 # -- request payload schemas ---------------------------------------------------
@@ -456,3 +496,14 @@ class NackError(Exception):
         super().__init__(f"{msg.kind} {msg.src}->{msg.dst} was NACKed")
         self.msg = msg
         self.nack = nack
+
+    @classmethod
+    def refused_in_batch(cls, src: str, dst: str, op: Any,
+                         error: str) -> "NackError":
+        """The refusal of intent ``op``, one sub-operation of a delivered
+        ``LOCK_BATCH`` ACK, raised as a lone ``LOCK_INTENT`` from ``src``
+        that ``dst`` NACKed with ``error`` would be.  It is read out of
+        an ACK, never sent: no observer sees it and it renews nothing."""
+        req = Message(src=src, dst=dst, kind=MsgKind.LOCK_INTENT, payload=op)
+        return cls(req, Nack(src=dst, dst=src, reply_to=req.msg_id,
+                             payload={"error": error}))

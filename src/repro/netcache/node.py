@@ -107,6 +107,10 @@ class _Entry:
 class MetadataCacheNode:
     """Soft-state metadata cache for one rack's clients."""
 
+    #: The ``KIND_GROUPS`` it serves (it answers some ``fs-core`` reads
+    #: too, but not that whole group), checked when it is built.
+    HANDLES = ("cache-invalidate",)
+
     def __init__(self, sim: Simulator, net: ControlNetwork, name: str,
                  upstreams: Tuple[str, ...], clock: LocalClock,
                  contract: LeaseContract, config: "NetCacheConfig",
@@ -164,8 +168,8 @@ class MetadataCacheNode:
 
         for kind in (MsgKind.LOOKUP, MsgKind.GETATTR, MsgKind.READDIR):
             self.endpoint.register(kind, self._h_read)
-        # repro-lint: handles[cache-invalidate]
         self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)
+        self.endpoint.check_handles(self.HANDLES)
 
         #: pooled lease-lapse sweep: all periodic eviction shares one
         #: armed kernel timeout (the PR 6 TimerPool machinery)

@@ -48,6 +48,10 @@ class _LeaseRecord:
 class FrangipaniAuthority(SafetyAuthority):
     """Heartbeat-lease authority with always-on per-client state."""
 
+    #: The ``KIND_GROUPS`` it serves on its server's endpoint, checked
+    #: when it is built.
+    HANDLES = ("frangipani",)
+
     def __init__(self, sim, endpoint, on_steal, trace=None, obs=None,
                  lease_duration: float = 30.0):
         self.lease_duration = lease_duration
@@ -56,6 +60,7 @@ class FrangipaniAuthority(SafetyAuthority):
         self._expired: Dict[str, bool] = {}
         super().__init__(sim, endpoint, on_steal, trace, obs=obs)
         endpoint.register(MsgKind.HEARTBEAT, self._h_heartbeat)
+        endpoint.check_handles(self.HANDLES)
         sim.process(self._scan(), name=f"{endpoint.name}:frangipani-scan")
 
     # -- state & counters ------------------------------------------------

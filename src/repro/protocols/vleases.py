@@ -41,6 +41,10 @@ RENEWALS_PER_TERM = 2.0
 class VLeaseAuthority(SafetyAuthority):
     """Per-object lease table at the locking authority."""
 
+    #: The ``KIND_GROUPS`` it serves on its server's endpoint, checked
+    #: when it is built.
+    HANDLES = ("vleases",)
+
     def __init__(self, sim, endpoint, on_steal, trace=None, obs=None,
                  server: Optional["StorageTankServer"] = None,
                  object_lease_duration: float = 10.0):
@@ -56,6 +60,7 @@ class VLeaseAuthority(SafetyAuthority):
         server.locks.grant_listeners.append(self._on_grant)
         server.locks.release_listeners.append(self._on_release)
         endpoint.register(MsgKind.LEASE_RENEW, self._h_renew)
+        endpoint.check_handles(self.HANDLES)
         sim.process(self._scan(), name=f"{endpoint.name}:vlease-scan")
 
     def state_bytes(self) -> int:

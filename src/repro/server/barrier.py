@@ -13,12 +13,15 @@ wherever it cannot be trusted (:meth:`RecoveryManager.holders_untrusted
 <repro.server.recovery.RecoveryManager.holders_untrusted>`) every
 enrolled node is invalidated.
 
-A handler hands the barrier the mutation as a zero-argument ``apply``
-that changes the store, calls :meth:`~CacheBarrier.note_mutation` and
-returns the reply (``repro.lint`` rule RPL011 keeps every store mutator
-inside one).  A mutation no node may hold claims nothing and never
-waits, so the endpoint answers the handler directly; without cache
-nodes that is every mutation, and one body serves both installations.
+A handler hands the barrier the mutation as an ``apply(claim)`` that
+changes the store, calls :meth:`~CacheBarrier.note_mutation` and returns
+the reply.  The :class:`~repro.metadata.store.MutationClaim` it is
+handed is the store mutators' capability: minted here after the
+invalidation round and dead once ``apply`` returns, so a mutator called
+anywhere else raises.  A mutation no node may hold claims no barrier
+and never waits, so the endpoint answers the handler directly; without
+cache nodes that is every mutation, and one body serves both
+installations.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Generator,
                     List, Optional, Sequence, Set, Tuple, TypeVar)
 
 from repro.lease.contract import LeaseContract
+from repro.metadata.store import MutationClaim
 from repro.net.control import Endpoint
 from repro.net.message import DeliveryError, Invalidate, MsgKind, NackError
 from repro.sim.events import Event
@@ -57,6 +61,15 @@ def ancestor_dirs(path: str) -> List[str]:
             break
         p = p.rsplit("/", 1)[0]
     return dirs
+
+
+def _claimed(apply: Callable[[MutationClaim], _R]) -> _R:
+    """``apply`` run with a claim that is live for exactly that run."""
+    claim = MutationClaim()
+    try:
+        return apply(claim)
+    finally:
+        claim.live = False
 
 
 class CacheBarrier:
@@ -173,29 +186,29 @@ class CacheBarrier:
         a mutation whose invalidation the cache has already processed."""
         return -1 if self._cache_pending else self._cache_mseq
 
-    def mutate(self, apply: Callable[[], _R], *,
+    def mutate(self, apply: Callable[[MutationClaim], _R], *,
                paths: Sequence[str] = (), dirs: Sequence[str] = (),
                file_ids: Sequence[int] = (),
                ) -> Generator[Event, Any, _R]:
-        """Run ``apply()`` behind the next mutation barrier and return
-        what it returns.
+        """Run ``apply(claim)`` behind the next mutation barrier and
+        return what it returns.
 
         The barrier is claimed (replies stamp -1 while it is pending),
         the ``paths`` / ``dirs`` / ``file_ids`` the mutation touches are
         invalidated on the nodes that may hold them (:meth:`_targets`),
-        ``apply`` runs, their holders are dropped and the claim is
-        released on every exit.  When no node may hold them this only
-        calls ``apply()``."""
+        ``apply`` runs with a live :class:`MutationClaim`, their holders
+        are dropped and the barrier is released on every exit.  When no
+        node may hold them this only runs ``apply``."""
         targets = self._targets(paths, dirs, file_ids)
         if not targets:
-            return apply()
+            return _claimed(apply)
         self._cache_mseq += 1
         barrier = self._cache_mseq
         self._cache_pending.add(barrier)
         try:
             yield from self._invalidate_caches(
                 targets, Invalidate(barrier, paths, dirs, file_ids))
-            reply = apply()
+            reply = _claimed(apply)
             self._release(paths, dirs, file_ids)
             return reply
         finally:

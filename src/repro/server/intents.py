@@ -67,7 +67,6 @@ class IntentExecutor:
         self.server = server
         self.intent_ops = 0          # sub-operations executed under intents
         self.closes_by_file: Dict[int, int] = {}  # per-file close census
-        # repro-lint: handles[intent]
         server._register(MsgKind.LOCK_INTENT, self._h_lock_intent)
         server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)
 

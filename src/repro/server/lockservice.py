@@ -51,7 +51,6 @@ class LockService:
         self._lapse_at_fence: Dict[str, int] = {}
         self.rejected_releases = 0   # RELEASE/DOWNGRADE from a non-holder
 
-        # repro-lint: handles[locking]
         server._register(MsgKind.LOCK_ACQUIRE, self._h_lock_acquire)
         server._register(MsgKind.LOCK_RELEASE, self._h_lock_release)
         server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)

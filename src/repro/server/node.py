@@ -33,7 +33,7 @@ from repro.lease.server_lease import ServerLeaseAuthority
 from repro.locks.modes import LockMode
 from repro.metadata.directory import NamespaceError
 from repro.metadata.inode import Inode
-from repro.metadata.store import MetadataStore
+from repro.metadata.store import MetadataStore, MutationClaim
 from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
                                RetryPolicy)
 from repro.net.message import (Create, DataRead, DataWrite, Getattr, Message,
@@ -80,6 +80,11 @@ class ServerConfig:
 class StorageTankServer:
     """One metadata/lock server."""
 
+    #: The ``KIND_GROUPS`` it serves, some through its layers; checked
+    #: when it is built.  ``attach_cluster`` adds ``cluster-owner``.
+    HANDLES = ("fs-core", "locking", "intent", "lease-null", "data-ship",
+               "recovery")
+
     def __init__(self, sim: Simulator, net: ControlNetwork, san: SanFabric,
                  name: str, clock: LocalClock, contract: LeaseContract,
                  config: Optional[ServerConfig] = None,
@@ -118,9 +123,8 @@ class StorageTankServer:
         self.rejected_reasserts = 0  # REASSERT refused (fenced/theft evidence)
 
         # The layers.  Each registers the transactions it handles through
-        # the ``_register`` gate; RPL006 checks every module's
-        # registrations against the KIND_GROUPS partition (adding a kind
-        # to a declared group without a handler fails static analysis).
+        # the ``_register`` gate; the end of this constructor checks the
+        # registrations against ``HANDLES``.
         self.lock_service = LockService(self)
         self.locks = self.lock_service.locks
         # A second name for the one table: ``bench/workloads.py`` reads
@@ -146,7 +150,6 @@ class StorageTankServer:
                                     self.trace,
                                     self.recovery.holders_untrusted)
 
-        # repro-lint: handles[fs-core, lease-null, data-ship, cluster-owner]
         self._register(MsgKind.CREATE, self._h_create)
         self._register(MsgKind.OPEN, self._h_open)
         self._register(MsgKind.GETATTR, self._h_getattr)
@@ -157,6 +160,7 @@ class StorageTankServer:
         self._register(MsgKind.KEEPALIVE, self._h_keepalive)
         self._register(MsgKind.DATA_READ, self._h_data_read)
         self._register(MsgKind.DATA_WRITE, self._h_data_write)
+        self.endpoint.check_handles(self.HANDLES)
 
     # ------------------------------------------------------------------
     # plumbing
@@ -171,6 +175,7 @@ class StorageTankServer:
         self.endpoint.register(MsgKind.CLUSTER_PING, role.h_ping)
         self.endpoint.register(MsgKind.CLUSTER_MAP_UPDATE, role.h_map_update)
         self.endpoint.register(MsgKind.CLUSTER_RELEASE, role.h_release)
+        self.endpoint.check_handles(("cluster-owner",))
 
     def _register(self, kind: str, fn: Callable[[Message], Any]) -> None:
         """Install a client-transaction handler behind the gate every
@@ -261,9 +266,10 @@ class StorageTankServer:
         if store.exists(path):
             return ("nack", {"error": "exists"})
 
-        def apply() -> Reply:
+        def apply(claim: MutationClaim) -> Reply:
             try:
-                ino = store.create_file(path, size, now=self.sim.now)
+                ino = store.create_file(path, size, now=self.sim.now,
+                                        claim=claim)
             except NamespaceError:
                 # Raced another create while the barrier ran.
                 return ("nack", {"error": "exists"})
@@ -341,14 +347,14 @@ class StorageTankServer:
         cache barrier."""
         store = self._meta_for_file(file_id)
 
-        def apply() -> Reply:
+        def apply(claim: MutationClaim) -> Reply:
             try:
                 if size is not None:
                     ino = store.ensure_size(file_id, int(size),
-                                            now=self.sim.now)
+                                            now=self.sim.now, claim=claim)
                 else:
                     ino = store.set_attrs(file_id, now=self.sim.now,
-                                          mode=mode)
+                                          mode=mode, claim=claim)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
             self.barrier.note_mutation("setattr", file_id, ino.attrs.size)
@@ -376,9 +382,9 @@ class StorageTankServer:
             return ("nack", {"error": str(exc)})
         fid = ino.file_id
 
-        def apply() -> HandlerResult:
+        def apply(claim: MutationClaim) -> HandlerResult:
             try:
-                store.unlink(path)
+                store.unlink(path, claim=claim)
             except NamespaceError as exc:
                 return ("nack", {"error": str(exc)})
             self.barrier.note_mutation("unlink", path, fid)

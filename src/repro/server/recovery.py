@@ -54,7 +54,6 @@ class ReassertWindow:
     fresh_from: float
 
 
-# repro-lint: handles[recovery]
 class RecoveryManager:
     """Epoch tracking, reassertion windows and reasserts of one server."""
 

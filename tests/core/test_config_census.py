@@ -288,7 +288,7 @@ def test_every_option_has_a_caller_outside_tests():
 
 def test_every_lint_rule_option_is_set_in_pyproject():
     reads = _rule_option_reads()
-    assert {key for _, key in reads} >= {"allow-functions", "message-module"}
+    assert {key for _, key in reads} >= {"allow-functions"}
     unset = sorted(f"{path}: {key}" for path, key in reads
                    if key not in _rule_option_keys_set())
     assert not unset, (

@@ -6,15 +6,14 @@ import textwrap
 from repro.lint.callgraph import (call_sites, handler_registrations,
                                   inline_reach)
 from repro.lint.config import LintConfig
-from repro.lint.engine import FileContext, ProjectContext
+from repro.lint.engine import FileContext
 from repro.lint.project import ProjectIndex
 
 
 def _index(sources):
     cfg = LintConfig()
     ctxs = [FileContext(path, textwrap.dedent(src),
-                        ast.parse(textwrap.dedent(src)), cfg,
-                        ProjectContext(cfg))
+                        ast.parse(textwrap.dedent(src)), cfg)
             for path, src in sources.items()]
     return ProjectIndex(ctxs)
 

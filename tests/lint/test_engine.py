@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint import lint_source, load_config
+from repro.lint import RULES, lint_source, load_config
 from repro.lint.config import in_scope
 from repro.lint.report import render_json, render_rule_list, render_text
 
@@ -89,12 +89,24 @@ def test_text_report_mentions_rule_code_and_summary():
 
 def test_rule_list_covers_all_shipped_rules():
     listing = render_rule_list()
-    for code in ["RPL001", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL006", "RPL007", "RPL008", "RPL009", "RPL011",
-                 "RPL013"]:
+    for code in ["RPL001", "RPL002", "RPL003", "RPL005", "RPL007",
+                 "RPL008", "RPL009"]:
         assert code in listing
-    # Retired: the declared request schemas enforce what it inferred.
-    assert "RPL010" not in listing
+    # Retired: the declared request schemas enforce what RPL010 inferred;
+    # RPL006, RPL011 and RPL013 became checks the code runs, and RPL004
+    # guarded an attribute nothing writes (DESIGN.md §11).
+    for code in ["RPL004", "RPL006", "RPL010", "RPL011", "RPL013"]:
+        assert code not in listing
+
+
+def test_design_rule_table_lists_exactly_the_registered_rules():
+    """DESIGN.md §11 has one table row per rule ``repro.lint`` registers
+    (each naming its evidence), and no row for a deleted one."""
+    design = (REPO_ROOT / "DESIGN.md").read_text()
+    section = design.split("\n## 11. ")[1].split("\n## ")[0]
+    rows = [line.split("|")[1].split()[0] for line in section.splitlines()
+            if line.startswith("| RPL")]
+    assert sorted(rows) == sorted(RULES)
 
 
 # -- CLI --------------------------------------------------------------------
@@ -150,4 +162,4 @@ def test_cli_exit_2_on_missing_path():
 def test_cli_list_rules():
     proc = _run_cli("--list-rules")
     assert proc.returncode == 0
-    assert "RPL004" in proc.stdout
+    assert "RPL005" in proc.stdout

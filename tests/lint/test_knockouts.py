@@ -2,25 +2,40 @@
 guards and fires when a real defect is put back into it.
 
 If a check regresses, or the code it guards moves out of its reach, the
-broken copy stops firing and this file catches it.  Most checks are
-lint rules; the request-field defects the schemas cannot see (a handler
+broken copy stops firing and this file catches it.  Some checks are
+lint rules.  The request-field defects the schemas cannot see (a handler
 that receives a field and ignores it) are caught by the behaviour
 checks in ``tests/integration/test_request_fields.py``, so those
-knock-outs put the pre-fix handler back into a running system.
+knock-outs put the pre-fix handler back into a running system.  Three
+former lint rules are now checks the code runs (DESIGN.md §11, "Kept by
+construction"): their knock-outs are compiled back into the shipped
+module and must fail the build, the store or a behaviour test.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.client.lockclient import LockClient
+from repro.core.config import NetCacheConfig, ScaleConfig
 from repro.lint import lint_source, load_config
-from repro.net.message import Close, MsgKind
+from repro.metadata.store import ClaimError
+from repro.net.control import Endpoint
+from repro.net.message import Close, KIND_GROUPS, MsgKind, partition_faults
+from repro.netcache.node import MetadataCacheNode
+from repro.protocols.frangipani import FrangipaniAuthority
+from repro.protocols.vleases import VLeaseAuthority
+from repro.server.intents import IntentExecutor
+from repro.server.lockservice import LockService
+from repro.server.node import StorageTankServer
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import make_system
+from tests.conftest import make_system, run_gen
 from tests.integration.test_request_fields import (
     check_close_census, check_data_write_bytes, check_getattr_by_path_and_id,
     check_range_demand_census)
+from tests.net.test_reply_path import reply_builds, reply_callers, stamp_readers
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -134,28 +149,138 @@ def test_product_tree_still_reads_close_census_fields():
     assert "range_demands_seen" in client
 
 
-# -- RPL013: the four hand-written dispatch sites must not grow back --------
+# -- kept by construction: RPL006, RPL011 and RPL013 became checks the ---
+# -- code runs; each old knock-out, compiled back in, fails one of them -------
 
-def test_second_dispatch_loop_in_the_transport_fires():
+def _knock_out(monkeypatch, cls, method, old, new):
+    """Replace ``cls.method`` by its shipped source with ``old`` changed
+    to ``new``: the knock-out, compiled in the module it lives in."""
+    module = sys.modules[cls.__module__]
+    source = Path(module.__file__).read_text()
+    assert source.count(old) == 1, old
+    namespace = {"__name__": module.__name__, "__file__": module.__file__}
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         namespace)
+    fn = getattr(namespace[cls.__name__], method)
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        if name == "__class__":         # what ``super()`` binds to
+            cell.cell_contents = cls
+    monkeypatch.setattr(cls, method, fn)
+
+
+def _build(**overrides):
+    """Build a system and touch one client, so a lazy one is built too."""
+    system = make_system(**overrides)
+    system.client(system.pool.name_of(0))
+    return system
+
+
+# (class, method, registration deleted, build overrides, kind it named)
+_UNREGISTERED = [
+    (LockService, "__init__",
+     "server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)", {},
+     MsgKind.LOCK_DOWNGRADE),
+    (IntentExecutor, "__init__",
+     "server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)", {},
+     MsgKind.LOCK_BATCH),
+    (LockClient, "__init__",
+     "endpoint.register(MsgKind.RANGE_DEMAND, self._on_range_demand)",
+     {"scale": ScaleConfig(lazy_clients=True)}, MsgKind.RANGE_DEMAND),
+    (MetadataCacheNode, "__init__",
+     "self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)",
+     {"netcache": NetCacheConfig(n_nodes=2)}, MsgKind.CACHE_INVALIDATE),
+    # Groups no lint rule ever checked: each baseline served half of the
+    # one group it shared, so no module declared it.
+    (VLeaseAuthority, "__init__",
+     "endpoint.register(MsgKind.LEASE_RENEW, self._h_renew)",
+     {"protocol": "vleases"}, MsgKind.LEASE_RENEW),
+    (FrangipaniAuthority, "__init__",
+     "endpoint.register(MsgKind.HEARTBEAT, self._h_heartbeat)",
+     {"protocol": "frangipani"}, MsgKind.HEARTBEAT),
+    (StorageTankServer, "attach_cluster",
+     "self.endpoint.register(MsgKind.CLUSTER_RELEASE, role.h_release)",
+     {"n_servers": 2}, MsgKind.CLUSTER_RELEASE),
+]
+
+
+@pytest.mark.parametrize("cls,method,registration,overrides,kind",
+                         _UNREGISTERED,
+                         ids=[row[4] for row in _UNREGISTERED])
+def test_a_node_missing_a_served_handler_is_never_built(
+        monkeypatch, cls, method, registration, overrides, kind):
+    _build(**overrides)
+    _knock_out(monkeypatch, cls, method, registration, "pass")
+    with pytest.raises(TypeError, match=f"no handler for {kind}"):
+        _build(**overrides)
+
+
+def test_a_kind_outside_the_partition_fails_the_import():
+    """The partition half of RPL006: a kind in no group (or in two) is
+    refused where the vocabulary is declared."""
+    groups = dict(KIND_GROUPS)
+    assert partition_faults(groups) == []
+    groups["recovery"] = ()
+    groups["locking"] += (MsgKind.OPEN,)
+    faults = " | ".join(partition_faults(groups))
+    assert "'lock.reassert' is in 0 groups" in faults
+    assert "'fs.open' is in 2 groups" in faults
+    path = REPO_ROOT / "src/repro/net/message.py"
+    source = path.read_text()
+    old = '"recovery": (MsgKind.LOCK_REASSERT,),'
+    assert source.count(old) == 1
+    with pytest.raises(AssertionError, match="lock.reassert"):
+        exec(compile(source.replace(old, '"recovery": (),'), str(path),
+                     "exec"), {"__name__": "repro.net.message"})
+
+
+def test_the_setattr_body_run_outside_the_barrier_fails(monkeypatch):
+    """RPL011's row: the setattr body run directly, not handed to
+    ``CacheBarrier.mutate``, has no live claim for the store."""
+    system = make_system(n_clients=1)
+    fid = run_gen(system, system.client("c1").create("/f"))
+    _knock_out(monkeypatch, StorageTankServer, "_setattr",
+               "return (yield from self.barrier.mutate(apply, "
+               "file_ids=(file_id,)))",
+               "return apply(None)")
+    with pytest.raises(ClaimError):
+        system.server._setattr(fid, BLOCK_SIZE, None)
+    assert system.server.metadata.inode(fid).attrs.size == 0
+
+
+def test_a_hand_built_reply_outside_the_transport_fires():
+    """RPL013's row: the client's batch refusal built as a raw ``Nack``
+    again, as it was before ``NackError.refused_in_batch``."""
+    path = REPO_ROOT / "src/repro/client/node.py"
+    source = path.read_text()
+    shipped = ("raise NackError.refused_in_batch(self.name, srv, op,\n"
+               "                                             "
+               "res.get(\"error\", \"\"))")
+    assert source.count(shipped) == 1 and reply_builds(source) == []
+    hand_built = ("raise NackError(None, Nack(src=srv, dst=self.name, "
+                  "reply_to=0))")
+    assert len(reply_builds(source.replace(shipped, hand_built))) == 1
+
+
+def test_second_dispatch_loop_in_the_transport_fires(monkeypatch):
     """Three recovery holes were a reply class skipping one of several
-    dispatch sites.  The shipped transport is silent; hand-inlining the
-    observer loop back into ``request()`` fires the rule."""
-    from repro.lint import lint_source
-    path = "src/repro/net/control.py"
-    config = load_config(explicit=REPO_ROOT / "pyproject.toml")
-    source = (REPO_ROOT / path).read_text()
-    assert lint_source(source, path=path, config=config,
-                       select=["RPL013"]).violations == []
+    dispatch sites.  Hand-inlining the observer loop back into
+    ``request()`` (NACKs still raising) shows replies to observers from
+    a second site."""
     call = "                    self._deliver_reply(msg, reply, attempt_times)\n"
-    assert call in source
-    inlined = source.replace(
-        call,
-        "                    for observer in self.observers:\n"
-        "                        observer.on_reply(reply, None)\n", 1)
-    result = lint_source(inlined, path=path, config=config,
-                         select=["RPL013"])
-    assert [v.code for v in result.violations] == ["RPL013"]
-    assert "on_reply" in result.violations[0].message
+    _knock_out(monkeypatch, Endpoint, "request", call,
+               "                    for observer in self.observers:\n"
+               "                        observer.on_reply(reply, None)\n"
+               "                    if reply.kind == _NACK:\n"
+               "                        raise NackError(msg, reply)\n")
+    assert "request" in reply_callers()
+
+
+def test_a_second_stamp_reader_fires(monkeypatch):
+    _knock_out(monkeypatch, Endpoint, "_finish",
+               'stamp = self._stamped(msg) if decision == "ack" else None',
+               'stamp = self.reply_stamp and self.reply_stamp(msg) '
+               'if decision == "ack" else None')
+    assert "_finish" in stamp_readers()
 
 
 # -- the node layers: every rule that guarded the node modules still has
@@ -166,28 +291,10 @@ _LAYER_KNOCKOUTS = [
     ("RPL002", "src/repro/server/lockservice.py",
      "MsgKind.RANGE_DEMAND, RangeDemand(obj)",
      "MsgKind.KEEPALIVE, RangeDemand(obj)"),
-    ("RPL006", "src/repro/server/lockservice.py",
-     "server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)",
-     "pass"),
-    ("RPL006", "src/repro/server/intents.py",
-     "server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)", "pass"),
-    ("RPL006", "src/repro/client/lockclient.py",
-     "endpoint.register(MsgKind.RANGE_DEMAND, self._on_range_demand)",
-     "pass"),
-    ("RPL006", "src/repro/netcache/node.py",
-     "self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)",
-     "pass"),
     # Finishing the body inline instead of handing it to the responder.
     ("RPL009", "src/repro/server/node.py",
      "return self._create(body.path, int(body.size))",
      "return next(self._create(body.path, int(body.size)))"),
-    # Running the setattr body directly instead of through the barrier.
-    ("RPL011", "src/repro/server/node.py",
-     "return (yield from self.barrier.mutate(apply, file_ids=(file_id,)))",
-     "return apply()"),
-    ("RPL013", "src/repro/client/node.py",
-     "raise NackError(req, Nack(  # repro-lint: ignore[RPL013]",
-     "raise NackError(req, Nack("),
     # Renewing the lease at an instant the server put in its reply.
     ("RPL008", "src/repro/lease/agent.py",
      "lease.renew(renewal_time)",

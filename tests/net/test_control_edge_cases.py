@@ -103,7 +103,7 @@ def test_reply_to_unknown_msg_id_dropped(pair):
     sim, net, server, client = pair
     from repro.net.message import Ack
     # Craft a stray ACK for a msg_id the client never sent.
-    server.send_datagram(Ack("server", "client", reply_to=999_999))
+    net.transmit(Ack("server", "client", reply_to=999_999))
     sim.run()  # must not raise
 
 
@@ -500,8 +500,9 @@ def test_crash_kills_parked_transactions(pair):
             cleaned.append(msg.msg_id)
     server.register("t.open", handler)
     answered = []
-    send = server.send_datagram
-    server.send_datagram = lambda m: (answered.append(m.reply_to), send(m))
+    send = net.transmit
+    net.transmit = lambda m: (m.is_reply() and answered.append(m.reply_to),
+                              send(m))
     policy = RetryPolicy(timeout=0.5, retries=3)
     procs = [sim.process(client.request("server", "t.open", {"n": n},
                                         policy=policy)) for n in range(2)]
