@@ -150,9 +150,14 @@ class PooledLeaseService:
 
         Equivalent to ``renew(i, e)`` for each pair of ``indices`` and
         ``expiries`` in order (a slot named twice keeps its last
-        expiry), but costs one stable sort of the expiries and one
+        expiry), but costs one unstable sort of the expiries and one
         bucket chunk per distinct deadline instead of a Python-level
-        step per slot.
+        step per slot.  The order of slots inside a chunk is free: the
+        sweep sorts each due bucket, which alone fixes the
+        ``(deadline, slot)`` lapse order.  Strictly increasing
+        ``indices`` (no slot repeats) are assigned directly; only
+        arrays that may repeat a slot pay for finding each one's last
+        occurrence.
         """
         idx = np.asarray(indices, dtype=np.intp)
         exp = np.asarray(expiries, dtype=np.float64)
@@ -162,17 +167,29 @@ class PooledLeaseService:
         n = idx.size
         if n == 0:
             return
-        self.ensure_capacity(int(idx.max()) + 1)
-        # Fancy assignment leaves the winner among repeated indices
-        # unspecified: pick each slot's last occurrence explicitly.
-        uniq, last_from_end = np.unique(idx[::-1], return_index=True)
-        self._expiry[uniq] = exp[n - 1 - last_from_end]
-        self._held[uniq] = True
+        order = np.argsort(exp)
+        increasing = bool((idx[1:] > idx[:-1]).all())
+        if increasing and idx[0] == 0 and idx[-1] == n - 1:
+            # arange(n): slice writes, and the sort order is the slots.
+            self.ensure_capacity(n)
+            self._expiry[:n] = exp
+            self._held[:n] = True
+            slots = order
+        else:
+            self.ensure_capacity(int(idx.max()) + 1)
+            where, values = idx, exp
+            if not increasing:
+                # Fancy assignment leaves the winner among repeated
+                # indices unspecified: pick each slot's last occurrence.
+                where, last_from_end = np.unique(idx[::-1],
+                                                 return_index=True)
+                values = exp[n - 1 - last_from_end]
+            self._expiry[where] = values
+            self._held[where] = True
+            slots = idx[order]
         self.renewals += n
 
-        order = np.argsort(exp, kind="stable")
         by_deadline = exp[order]
-        slots = idx[order]
         cuts = np.flatnonzero(by_deadline[1:] != by_deadline[:-1]) + 1
         deadlines: List[float] = by_deadline[np.r_[0, cuts]].tolist()
         for when, chunk in zip(deadlines, np.split(slots, cuts)):

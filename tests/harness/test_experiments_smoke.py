@@ -2,6 +2,8 @@
 headline shape assertion holds.  The full-size runs live in
 benchmarks/; these keep `pytest tests/` self-contained."""
 
+import random
+
 import pytest
 
 from repro.analysis.report import Table
@@ -145,3 +147,20 @@ def test_e_adv_baseline_has_no_fences():
     point = adv_point(0, n_clients=200, duration=30.0)
     assert point["mix"] == "-"
     assert point["fenced"] == 0 and point["mean_ttf"] is None
+
+
+def test_e_cache_point_ignores_the_ambient_random_module():
+    """The E-cache driver draws only from its seeded streams: reseeding
+    Python's global ``random`` between two runs moves no simulated
+    field."""
+    from repro.harness.cache import cache_point
+
+    def simulated(ambient_seed):
+        random.seed(ambient_seed)
+        point = cache_point(1000, 2, 1.2, seed=0, active=4, duration=2.0)
+        del point["run_wall_s"], point["_system"]
+        return point
+
+    first = simulated(1)
+    assert first["ops"] > 0 and first["hits"] > 0
+    assert simulated(2) == first

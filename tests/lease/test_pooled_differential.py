@@ -106,10 +106,20 @@ slots = st.integers(min_value=0, max_value=N_SLOTS - 1)
 # buckets, land in the past, and get superseded both ways.
 deadlines = st.integers(min_value=0, max_value=24).map(lambda k: k / 2.0)
 
+# ``renew_many`` takes one path for slot lists that may repeat a slot,
+# one for strictly increasing lists and one for ``arange(n)``; random
+# draws of up to ten slots from twelve almost never give the last two.
+increasing_pairs = st.lists(st.tuples(slots, deadlines), max_size=10,
+                            unique_by=lambda pair: pair[0]).map(sorted)
+arange_pairs = st.lists(deadlines, min_size=1, max_size=N_SLOTS).map(
+    lambda whens: list(enumerate(whens)))
+
 ops = st.one_of(
     st.tuples(st.just("renew"), slots, deadlines),
     st.tuples(st.just("renew_many"),
               st.lists(st.tuples(slots, deadlines), max_size=10)),
+    st.tuples(st.just("renew_many"), increasing_pairs),
+    st.tuples(st.just("renew_many"), arange_pairs),
     st.tuples(st.just("lapse"), slots),
     st.tuples(st.just("advance"),
               st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
@@ -178,3 +188,42 @@ def test_renew_many_accepts_arrays_and_rejects_ragged_input():
         svc.renew_many([1, 2], [1.0])
     sim.run(until=10.0)
     assert svc.expired == 2
+
+
+@pytest.mark.parametrize("with_callback", [False, True])
+@pytest.mark.parametrize("layout", ["arange", "sparse"])
+def test_bulk_seed_matches_a_renew_loop(layout, with_callback):
+    """50k slots on a random 0.1 s deadline grid: one ``renew_many``
+    against the reference's slot-at-a-time ``renew`` loop, checked
+    before, during and after the sweeps.
+
+    ``arange`` is E-scale's seeding call; ``sparse`` is a strictly
+    increasing list with gaps.  Lapse order inside a deadline is the
+    sweep's to fix, so the callback log pins it too.
+    """
+    rng = np.random.default_rng(45)
+    n = 50_000
+    if layout == "arange":
+        idx = np.arange(n)
+    else:
+        idx = np.sort(rng.choice(2 * n, size=n, replace=False))
+    when = 1.0 + rng.integers(0, 40, size=n) * 0.1
+    new = Rig(PooledLeaseService, with_callback)
+    ref = Rig(TupleHeapLeaseService, with_callback)
+    new.svc.renew_many(idx, when)
+    for i, w in zip(idx.tolist(), when.tolist()):
+        ref.svc.renew(i, w)
+    top = int(idx[-1]) + 2
+
+    def observe(rig):
+        svc = rig.svc
+        return (svc.expired, svc.renewals,
+                [svc.holds_lease(i) for i in range(top)],
+                [svc.expiry_of(i) for i in range(top)], rig.log)
+
+    for until in (0.5, 2.55, 10.0):
+        for rig in (new, ref):
+            rig.sim.run(until=until)
+        assert observe(new) == observe(ref), until
+    assert new.svc.expired == n
+    assert len(new.log) == (n if with_callback else 0)

@@ -10,7 +10,7 @@ from repro.net.message import (LockAcquire, LockDemand, Message, MsgKind,
 from repro.sim import ClockEnsemble, RandomStreams, Simulator, TraceRecorder
 
 
-def make(epsilon=0.0, tau=10.0):
+def make(epsilon=0.0, tau=10.0, authority=True):
     sim = Simulator()
     streams = RandomStreams(4)
     trace = TraceRecorder()
@@ -21,9 +21,20 @@ def make(epsilon=0.0, tau=10.0):
     client_ep.register(MsgKind.LOCK_DEMAND, lambda m: ("ack", {}))
     server_ep.register(MsgKind.KEEPALIVE, lambda m: ("ack", {}))
     stolen = []
-    auth = ServerLeaseAuthority(sim, server_ep, LeaseContract(tau=tau, epsilon=epsilon),
-                                on_steal=stolen.append, trace=trace)
+    auth = (ServerLeaseAuthority(sim, server_ep,
+                                 LeaseContract(tau=tau, epsilon=epsilon),
+                                 on_steal=stolen.append, trace=trace)
+            if authority else None)
     return sim, net, server_ep, client_ep, auth, stolen
+
+
+def keepalives(sim, cep, n=10):
+    """``n`` KEEPALIVE round trips from c1, run until the heap drains."""
+    def client():
+        for _ in range(n):
+            yield from cep.request("server", MsgKind.KEEPALIVE, Null())
+    sim.process(client())
+    sim.run()
 
 
 def test_initial_state_is_empty():
@@ -38,16 +49,26 @@ def test_initial_state_is_empty():
 def test_normal_traffic_keeps_authority_passive():
     """The headline property: zero lease work for ordinary messages."""
     sim, net, sep, cep, auth, stolen = make()
-
-    def client():
-        for _ in range(10):
-            yield from cep.request("server", MsgKind.KEEPALIVE, Null())
-    sim.process(client())
-    sim.run()
+    keepalives(sim, cep)
     assert auth.state_bytes() == 0
     assert auth.obs.registry.value("lease.server.cpu_ops") == 0
     assert auth.obs.registry.value("lease.server.msgs_sent") == 0
     assert stolen == []
+
+
+def test_normal_traffic_schedules_only_the_transports_events():
+    """§3's passive server at run time: with the authority attached, 10
+    KEEPALIVE round trips put exactly the kernel events the bare
+    transport does on the heap, and the run drains well before τ — no
+    lease timer, no per-client process."""
+    tau = 10.0
+    sim, net, sep, cep, auth, stolen = make(tau=tau)
+    bare_sim, _, _, bare_cep, _, _ = make(tau=tau, authority=False)
+    keepalives(sim, cep)
+    keepalives(bare_sim, bare_cep)
+    assert bare_sim.events_scheduled > 0
+    assert sim.events_scheduled == bare_sim.events_scheduled
+    assert sim.now == bare_sim.now < tau
 
 
 def test_delivery_failure_starts_timer_and_steals():
