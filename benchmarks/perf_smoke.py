@@ -52,8 +52,10 @@ PRE_PR_OPS_PER_SEC = {
     "kernel_concurrent_processes": 20_000 / 0.0693,  # 69.3 ms / 200x100
     "endpoint_rpc": 2_000 / 0.1298,           # 129.8 ms / 2k round-trips
     # PR 12: the same 200k slots seeded by a loop of renew() into the
-    # tuple heap and swept by heappop, 443.1 ms.
-    "pooled_seed_sweep": 200_000 / 0.4431,
+    # tuple heap and swept by heappop, 443.1 ms.  PR 45: renew_many ran
+    # a stable argsort and an np.unique over arange(n), 33.38 ms (the
+    # median-normalized of 7 runs alternating with the change's).
+    "pooled_seed_sweep": 200_000 / 0.033383211004547775,
     # PR 17: every open re-parsed all 512 extents, 392.6 ms / 500 cycles;
     # every hit was a list.remove over the 1,024 resident keys, 1.292 s.
     "page_cache_hit": 100_000 / 1.292,

@@ -18,8 +18,8 @@ lives outside the simulated-time lint scope.
 
 Usage::
 
-    python benchmarks/scale_smoke.py                   # CI gate (10k)
-    python benchmarks/scale_smoke.py --clients 500000  # CI gate, bench/'s size
+    python benchmarks/scale_smoke.py            # CI gate (10k)
+    python benchmarks/scale_smoke.py --clients 100000
 """
 
 from __future__ import annotations

@@ -154,10 +154,9 @@ class PooledLeaseService:
         bucket chunk per distinct deadline instead of a Python-level
         step per slot.  The order of slots inside a chunk is free: the
         sweep sorts each due bucket, which alone fixes the
-        ``(deadline, slot)`` lapse order.  Strictly increasing
-        ``indices`` (no slot repeats) are assigned directly; only
-        arrays that may repeat a slot pay for finding each one's last
-        occurrence.
+        ``(deadline, slot)`` lapse order.  ``indices`` equal to
+        ``arange(n)`` are written as slices; any other array pays for
+        finding each slot's last occurrence.
         """
         idx = np.asarray(indices, dtype=np.intp)
         exp = np.asarray(expiries, dtype=np.float64)
@@ -168,8 +167,7 @@ class PooledLeaseService:
         if n == 0:
             return
         order = np.argsort(exp)
-        increasing = bool((idx[1:] > idx[:-1]).all())
-        if increasing and idx[0] == 0 and idx[-1] == n - 1:
+        if idx[0] == 0 and idx[-1] == n - 1 and (idx[1:] > idx[:-1]).all():
             # arange(n): slice writes, and the sort order is the slots.
             self.ensure_capacity(n)
             self._expiry[:n] = exp
@@ -177,15 +175,11 @@ class PooledLeaseService:
             slots = order
         else:
             self.ensure_capacity(int(idx.max()) + 1)
-            where, values = idx, exp
-            if not increasing:
-                # Fancy assignment leaves the winner among repeated
-                # indices unspecified: pick each slot's last occurrence.
-                where, last_from_end = np.unique(idx[::-1],
-                                                 return_index=True)
-                values = exp[n - 1 - last_from_end]
-            self._expiry[where] = values
-            self._held[where] = True
+            # Fancy assignment leaves the winner among repeated indices
+            # unspecified: pick each slot's last occurrence explicitly.
+            uniq, last_from_end = np.unique(idx[::-1], return_index=True)
+            self._expiry[uniq] = exp[n - 1 - last_from_end]
+            self._held[uniq] = True
             slots = idx[order]
         self.renewals += n
 

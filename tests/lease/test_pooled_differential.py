@@ -106,9 +106,9 @@ slots = st.integers(min_value=0, max_value=N_SLOTS - 1)
 # buckets, land in the past, and get superseded both ways.
 deadlines = st.integers(min_value=0, max_value=24).map(lambda k: k / 2.0)
 
-# ``renew_many`` takes one path for slot lists that may repeat a slot,
-# one for strictly increasing lists and one for ``arange(n)``; random
-# draws of up to ten slots from twelve almost never give the last two.
+# ``renew_many`` takes one path for ``arange(n)`` and another for every
+# other slot list; random draws of up to ten slots from twelve almost
+# never give ``arange`` or a list without repeats, so both are drawn.
 increasing_pairs = st.lists(st.tuples(slots, deadlines), max_size=10,
                             unique_by=lambda pair: pair[0]).map(sorted)
 arange_pairs = st.lists(deadlines, min_size=1, max_size=N_SLOTS).map(
@@ -197,8 +197,8 @@ def test_bulk_seed_matches_a_renew_loop(layout, with_callback):
     against the reference's slot-at-a-time ``renew`` loop, checked
     before, during and after the sweeps.
 
-    ``arange`` is E-scale's seeding call; ``sparse`` is a strictly
-    increasing list with gaps.  Lapse order inside a deadline is the
+    ``arange`` is E-scale's seeding call; ``sparse``, a strictly
+    increasing list with gaps, takes the general path.  Lapse order inside a deadline is the
     sweep's to fix, so the callback log pins it too.
     """
     rng = np.random.default_rng(45)
