@@ -26,7 +26,6 @@ from repro.net.san import SanFabric
 from repro.netcache import MetadataCacheNode, install_cache_router
 from repro.obs import Observability, SpanTracer
 from repro.obs import runlog as _runlog
-from repro.obs.export import export_json, make_document, make_manifest, run_entry
 from repro.protocols.nfs_polling import NfsPollingClient
 from repro.protocols.registry import get as get_protocol
 from repro.server.node import ServerConfig, StorageTankServer
@@ -126,25 +125,6 @@ class StorageTankSystem:
                                [(self.control_net, ctrl_members),
                                 (_SanView(self.san), san_members)])
         return {"views": views, "symmetric": is_symmetric(views)}
-
-    def export_obs(self, path: Optional[str] = None) -> Dict[str, Any]:
-        """Export this system's registry/spans as a ``repro.obs`` document.
-
-        Writes JSON to ``path`` when one is given, and returns the
-        document either way.
-        """
-        manifest = make_manifest(experiment="", seed=self.config.seed,
-                                 protocols=[self.config.protocol])
-        run = run_entry(self.config.protocol,
-                        labels={"protocol": self.config.protocol,
-                                "n_clients": str(self.config.n_clients),
-                                "seed": str(self.config.seed)},
-                        metrics=self.obs.registry.snapshot(),
-                        spans=self.obs.tracer.to_dicts())
-        document = make_document(manifest, [run])
-        if path:
-            export_json(document, path)
-        return document
 
 
 def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:

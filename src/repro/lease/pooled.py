@@ -134,8 +134,11 @@ class PooledLeaseService:
         """Record that slot ``idx`` holds a lease until ``expires_at``.
 
         Later calls supersede earlier ones; superseded bucket entries
-        are discarded lazily during the expiry sweep.
+        are discarded lazily during the expiry sweep.  A negative slot
+        raises :class:`ValueError` (numpy would alias it from the end).
         """
+        if idx < 0:
+            raise ValueError(f"slot must be >= 0, got {idx}")
         self.ensure_capacity(idx + 1)
         self._expiry[idx] = expires_at
         self._held[idx] = True
@@ -156,7 +159,8 @@ class PooledLeaseService:
         sweep sorts each due bucket, which alone fixes the
         ``(deadline, slot)`` lapse order.  ``indices`` equal to
         ``arange(n)`` are written as slices; any other array pays for
-        finding each slot's last occurrence.
+        finding each slot's last occurrence.  A negative slot raises
+        :class:`ValueError` before anything is recorded.
         """
         idx = np.asarray(indices, dtype=np.intp)
         exp = np.asarray(expiries, dtype=np.float64)
@@ -174,10 +178,12 @@ class PooledLeaseService:
             self._held[:n] = True
             slots = order
         else:
-            self.ensure_capacity(int(idx.max()) + 1)
             # Fancy assignment leaves the winner among repeated indices
             # unspecified: pick each slot's last occurrence explicitly.
             uniq, last_from_end = np.unique(idx[::-1], return_index=True)
+            if uniq[0] < 0:
+                raise ValueError(f"slots must be >= 0, got {int(uniq[0])}")
+            self.ensure_capacity(int(uniq[-1]) + 1)
             self._expiry[uniq] = exp[n - 1 - last_from_end]
             self._held[uniq] = True
             slots = idx[order]

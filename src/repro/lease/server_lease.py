@@ -24,7 +24,7 @@ when spans are enabled each suspect window becomes a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.lease.contract import LeaseContract
 from repro.net.control import Endpoint
@@ -77,11 +77,6 @@ class ServerLeaseAuthority(SafetyAuthority):
     def state_bytes(self) -> int:
         """Current lease-state footprint — 0 during normal operation."""
         return len(self._suspects) * SUSPECT_ENTRY_BYTES
-
-    @property
-    def suspect_clients(self) -> List[str]:
-        """Clients currently being timed out."""
-        return list(self._suspects)
 
     def is_suspect(self, client: str) -> bool:
         """Whether the client is currently being timed out."""

@@ -265,10 +265,6 @@ class ControlNetwork:
         """Whether a datagram sent now from src would arrive at dst."""
         return (src, dst) not in self._blocked
 
-    def blocked_pairs(self) -> Set[Tuple[str, str]]:
-        """Snapshot of directional blocks."""
-        return set(self._blocked)
-
     # -- transmission ---------------------------------------------------------
     def _delay(self) -> float:
         if self.jitter <= 0:

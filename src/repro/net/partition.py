@@ -99,7 +99,3 @@ class PartitionController:
     def heal(self) -> None:
         """Remove every imposed block."""
         self.net.heal_all()
-
-    def heal_pair(self, a: str, b: str) -> None:
-        """Restore bidirectional connectivity between two nodes."""
-        self.net.unblock_pair(a, b)

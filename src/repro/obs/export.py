@@ -97,22 +97,11 @@ def metrics_to_csv_rows(document: Mapping[str, Any]) -> List[Dict[str, Any]]:
     return rows
 
 
-def export_csv(document: Mapping[str, Any], path: str) -> None:
-    """Write the flattened metric rows of a document to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(document, fh)
-
-
 def dumps_csv(document: Mapping[str, Any]) -> str:
     """The flattened metric rows as a CSV string."""
     buf = io.StringIO()
-    _write_csv(document, buf)
-    return buf.getvalue()
-
-
-def _write_csv(document: Mapping[str, Any], fh: Any) -> None:
     writer = csv.DictWriter(
-        fh, fieldnames=["run", "metric", "kind", "labels", "value"])
+        buf, fieldnames=["run", "metric", "kind", "labels", "value"])
     writer.writeheader()
-    for row in metrics_to_csv_rows(document):
-        writer.writerow(row)
+    writer.writerows(metrics_to_csv_rows(document))
+    return buf.getvalue()

@@ -275,10 +275,6 @@ class MetricsRegistry:
         """Look up a family by name (None if never declared)."""
         return self._families.get(name)
 
-    def families(self) -> List[Metric]:
-        """All declared families in declaration order."""
-        return list(self._families.values())
-
     def value(self, name: str, **labels: str) -> float:
         """Convenience: one child's current value (0.0 if absent)."""
         fam = self._families.get(name)
@@ -308,17 +304,4 @@ class MetricsRegistry:
                 series.append(entry)
             out[fam.name] = {"kind": fam.kind, "help": fam.help,
                              "series": series}
-        return out
-
-    def flat(self) -> Dict[str, float]:
-        """``name{a=b,...} -> value`` flattening (tests, CSV export)."""
-        out: Dict[str, float] = {}
-        for fam in self._families.values():
-            for child in fam.children:
-                if child.labels:
-                    key = fam.name + "{" + ",".join(
-                        f"{k}={v}" for k, v in sorted(child.labels.items())) + "}"
-                else:
-                    key = fam.name
-                out[key] = child.value
         return out

@@ -376,6 +376,11 @@ class TraceRecorder:
         """All stored records in emission order."""
         return list(self._synced())
 
+    def since(self, start: int) -> List[TraceRecord]:
+        """The stored records from position ``start`` on, in emission
+        order (an incremental reader's next batch)."""
+        return self._synced()[start:]
+
     def canonical_lines(self, omit: FrozenSet[str] = frozenset()) -> List[str]:
         """Every stored record as ``"{time:.9f} {kind} {node} k=v ..."``:
         fields sorted by name, values ``repr``-ed, ``omit`` left out."""

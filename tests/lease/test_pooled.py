@@ -90,3 +90,27 @@ def test_renew_grows_capacity_on_demand():
     assert not svc.holds_lease(40)
     assert svc.expiry_of(40) == float("inf")
     assert svc.expiry_of(99) == float("inf")  # out of range: no lease
+
+
+def test_renew_rejects_a_negative_slot():
+    lapsed = []
+    sim, _timers, svc = make_service(on_expire=lapsed.append)
+    svc.renew(3, 5.0)
+    with pytest.raises(ValueError):
+        svc.renew(-1, 1.0)  # would alias slot 3, the last one
+    assert svc.renewals == 1
+    assert svc.expiry_of(3) == 5.0
+    sim.run(until=10.0)
+    assert lapsed == [3]
+
+
+def test_renew_many_rejects_a_negative_slot_before_recording():
+    lapsed = []
+    sim, _timers, svc = make_service(on_expire=lapsed.append)
+    svc.renew(3, 5.0)
+    with pytest.raises(ValueError):
+        svc.renew_many([2, -1], [1.0, 1.0])
+    assert svc.renewals == 1
+    assert not svc.holds_lease(2)
+    sim.run(until=10.0)
+    assert lapsed == [3]
