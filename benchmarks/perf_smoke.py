@@ -11,7 +11,15 @@ tolerance band.
 Usage::
 
     python benchmarks/perf_smoke.py --write BENCH_perf.json   # re-baseline
+    python benchmarks/perf_smoke.py --write BENCH_perf.json --only ROW
     python benchmarks/perf_smoke.py --check BENCH_perf.json   # CI gate
+
+``--only ROW`` (repeatable) times just those rows and a fresh
+calibration: ``--write`` merges them into the existing document, each
+row carrying the ``calibration_ops_per_sec`` it was divided by, and
+``--check`` checks only them.  ``--check`` reads a row's baseline as its
+``ops_per_sec`` over the row's own calibration when it carries one, the
+document's otherwise.
 
 Exit codes: 0 within tolerance, 1 regression detected, 2 usage errors.
 
@@ -27,7 +35,7 @@ import gc
 import json
 import sys
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 sys.path.insert(0, "src")  # runnable from the repo root without PYTHONPATH
 
@@ -180,12 +188,16 @@ def calibrate() -> float:
     return n / _best_time(workload, reps=5)
 
 
-def run_benches(reps: int = 5) -> Dict[str, Dict[str, float]]:
-    """Measure every bench; returns raw and normalized throughput."""
+def run_benches(reps: int = 5, only: Optional[List[str]] = None
+                ) -> Dict[str, Dict[str, float]]:
+    """Measure every bench (or the ``only`` ones); returns raw and
+    normalized throughput."""
     cal = calibrate()
     out: Dict[str, Dict[str, float]] = {
         "__calibration__": {"score_ops_per_sec": cal}}
     for name, (fn, units) in BENCHES.items():
+        if only is not None and name not in only:
+            continue
         best = _best_time(fn, reps, SETUPS.get(name))
         ops = units / best
         out[name] = {
@@ -211,7 +223,31 @@ def make_document(results: Dict[str, Dict[str, float]]) -> Dict[str, object]:
     }
 
 
-def check(baseline_path: str, tolerance: float, reps: int) -> int:
+def merge_rows(doc: Dict[str, Any],
+               results: Dict[str, Dict[str, float]]) -> Dict[str, Any]:
+    """``doc`` with the measured rows replaced, each carrying the
+    calibration it was divided by."""
+    cal = results["__calibration__"]["score_ops_per_sec"]
+    for name, vals in results.items():
+        if name == "__calibration__":
+            continue
+        doc["benches"][name] = {**vals, "calibration_ops_per_sec": cal}
+        pre = PRE_PR_OPS_PER_SEC.get(name)
+        if pre is not None:
+            doc["pre_pr_ops_per_sec"][name] = pre
+            doc["speedup_vs_pre_pr"][name] = vals["ops_per_sec"] / pre
+    return doc
+
+
+def baseline_normalized(doc: Dict[str, Any], row: Dict[str, float]) -> float:
+    """A committed row's throughput over its own calibration (the
+    document's when the row carries none)."""
+    cal = row.get("calibration_ops_per_sec", doc["calibration_ops_per_sec"])
+    return row["ops_per_sec"] / cal
+
+
+def check(baseline_path: str, tolerance: float, reps: int,
+          only: Optional[List[str]] = None) -> int:
     """Compare a fresh run's normalized numbers to the baseline."""
     with open(baseline_path) as fh:
         doc = json.load(fh)
@@ -219,8 +255,9 @@ def check(baseline_path: str, tolerance: float, reps: int) -> int:
         print(f"error: {baseline_path} has schema {doc.get('schema')!r}, "
               f"expected {SCHEMA!r}", file=sys.stderr)
         return 2
-    gated = doc["benches"]
-    results = run_benches(reps)
+    gated = {name: row for name, row in doc["benches"].items()
+             if only is None or name in only}
+    results = run_benches(reps, only)
     failures = 0
     for name, committed in gated.items():
         fresh = results.get(name)
@@ -228,13 +265,13 @@ def check(baseline_path: str, tolerance: float, reps: int) -> int:
             print(f"  {name}: MISSING from current bench set")
             failures += 1
             continue
-        floor = committed["normalized"] * (1.0 - tolerance)
+        base = baseline_normalized(doc, committed)
+        floor = base * (1.0 - tolerance)
         status = "ok" if fresh["normalized"] >= floor else "REGRESSION"
         if status != "ok":
             failures += 1
         print(f"  {name}: normalized {fresh['normalized']:.4f} "
-              f"(baseline {committed['normalized']:.4f}, "
-              f"floor {floor:.4f}) {status}")
+              f"(baseline {base:.4f}, floor {floor:.4f}) {status}")
     print(f"perf-smoke: {len(gated) - failures}/"
           f"{len(gated)} within tolerance {tolerance:.0%}")
     return 0 if failures == 0 else 1
@@ -255,17 +292,27 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=15,
                         help="repetitions per bench; best time wins "
                              "(default 15)")
+    parser.add_argument("--only", action="append", metavar="ROW",
+                        choices=sorted(BENCHES),
+                        help="just this row (repeatable): --write merges "
+                             "it into the existing FILE")
     args = parser.parse_args(argv)
     if not 0 <= args.tolerance < 1:
         parser.error("--tolerance must be in [0, 1)")
     if args.check:
-        return check(args.check, args.tolerance, args.reps)
-    results = run_benches(args.reps)
-    doc = make_document(results)
+        return check(args.check, args.tolerance, args.reps, args.only)
+    results = run_benches(args.reps, args.only)
+    if args.only:
+        with open(args.write) as fh:
+            doc = merge_rows(json.load(fh), results)
+    else:
+        doc = make_document(results)
     with open(args.write, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name, vals in doc["benches"].items():
+        if args.only and name not in args.only:
+            continue
         extra = ""
         if name in doc["speedup_vs_pre_pr"]:
             extra = f"  ({doc['speedup_vs_pre_pr'][name]:.2f}x vs pre-PR)"

@@ -55,6 +55,12 @@ _Slots = npt.NDArray[np.intp]
 _Bucket = Tuple[List[int], List[_Slots]]
 
 
+def _check_slot(idx: int) -> None:
+    """Refuse a negative slot: numpy would alias it from the end."""
+    if idx < 0:
+        raise ValueError(f"slot must be >= 0, got {idx}")
+
+
 def _sorted_unique(slots: _Slots) -> _Slots:
     """Ascending distinct values of ``slots`` (sort, then drop repeats).
 
@@ -123,10 +129,12 @@ class PooledLeaseService:
 
     def holds_lease(self, idx: int) -> bool:
         """True while slot ``idx`` has an unexpired lease record."""
+        _check_slot(idx)
         return idx < len(self._held) and bool(self._held[idx])
 
     def expiry_of(self, idx: int) -> float:
         """Global lapse instant recorded for slot ``idx`` (+inf if none)."""
+        _check_slot(idx)
         return float(self._expiry[idx]) if idx < len(self._expiry) else _INF
 
     # -- record keeping ---------------------------------------------------
@@ -135,10 +143,10 @@ class PooledLeaseService:
 
         Later calls supersede earlier ones; superseded bucket entries
         are discarded lazily during the expiry sweep.  A negative slot
-        raises :class:`ValueError` (numpy would alias it from the end).
+        raises :class:`ValueError` (numpy would alias it from the end),
+        here and in every other per-slot method.
         """
-        if idx < 0:
-            raise ValueError(f"slot must be >= 0, got {idx}")
+        _check_slot(idx)
         self.ensure_capacity(idx + 1)
         self._expiry[idx] = expires_at
         self._held[idx] = True

@@ -22,16 +22,21 @@ Cost model (the recorder sits on every message/IO hot path):
   cyclic GC sees the recorder's few containers, never one object per
   record, and a ``msg.send`` record costs ~100 bytes instead of the
   ~300 a kwargs dict and a boxed time cost;
-- :class:`TraceRecord` views, and the kind index behind
-  :meth:`~TraceRecorder.select`, are built on the first read and
-  extended from where the last read stopped; every read returns the
-  same objects.  A view holds its shape and its offset into the value
-  list, so ``get`` answers by index and ``detail`` builds its dict only
-  when read.  A recorder with subscribers builds each record's view as
-  it is emitted;
-- the canonical rendering (:meth:`TraceRecorder.canonical_lines`, which
-  the fuzzer hashes) formats straight from the columns, one compiled
-  template per shape, without views.
+- :class:`TraceRecord` views are built only when read, and only for
+  the records a read asks for: :meth:`~TraceRecorder.scan` walks the
+  shape-id column and builds views for the kinds it is given (and, per
+  kind, only for the nodes it names), and :meth:`~TraceRecorder.select`
+  keeps one such scan per kind, extended from where its last read
+  stopped.  Every read of one record returns the same view object.  A
+  view holds its shape and its offset into the value list, so ``get``
+  answers by index and ``detail`` builds its dict only when read.  A
+  recorder with subscribers builds each record's view as it is emitted;
+- :meth:`~TraceRecorder.digest` (the fuzzer's trace hash) feeds the
+  columns to sha256 as they are: the shape table, the raw ``times`` and
+  shape-id arrays, and the ``repr`` of the nodes and values, a field
+  such as ``msg_id`` left out on request.  It formats no text line;
+  :meth:`~TraceRecorder.canonical_lines` is the human- and diff-readable
+  rendering, one compiled template per shape, without views.
 
 Kinds missing from the table (ad-hoc kinds in tests) still take keyword
 fields, ``emit(time, kind, node, **detail)``; that path resolves the
@@ -42,12 +47,12 @@ exact counts.
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from array import array
-from collections import defaultdict
-from functools import partial
-from itertools import accumulate
-from typing import (Any, Callable, DefaultDict, Dict, FrozenSet, Iterator,
-                    List, Optional, Sequence, Tuple)
+from itertools import accumulate, chain, compress, islice
+from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
+                    Iterator, List, Mapping, Optional, Sequence, Tuple)
 
 #: Field names of every kind the simulator emits, in emit order.  A key
 #: is the kind itself; a kind whose sites record different field sets
@@ -229,6 +234,25 @@ def _view(values: List[Any], time: float, shape: _Shape, node: str,
     return rec
 
 
+def _little_endian(column: "array[Any]") -> "array[Any]":
+    """``column`` with its items in little-endian byte order."""
+    if sys.byteorder == "little":
+        return column
+    swapped = array(column.typecode, column)
+    swapped.byteswap()
+    return swapped
+
+
+def _hash_repr(digest: "hashlib._Hash", items: Iterable[Any]) -> None:
+    """Feed ``repr`` of ``items`` to ``digest``, 4096 items per list."""
+    it = iter(items)
+    while True:
+        chunk = list(islice(it, 4096))
+        if not chunk:
+            return
+        digest.update(repr(chunk).encode("utf-8"))
+
+
 class TraceRecorder:
     """Append-only trace with cheap filtered views and counters."""
 
@@ -255,12 +279,15 @@ class TraceRecorder:
         self._sids = array("I")
         self._nodes: List[str] = []
         self._values: List[Any] = []
-        # Views of the first len(_views) records (whose values end at
-        # _viewed_to); the kind index covers the first _indexed of them.
-        self._views: List[TraceRecord] = []
-        self._viewed_to = 0
-        self._by_kind: DefaultDict[str, List[TraceRecord]] = defaultdict(list)
-        self._indexed = 0
+        # Read side, all built lazily: each record's first value index
+        # (for the first len(_starts) records), each record's view or
+        # None if no read asked for it yet (the first _complete are all
+        # built), and per kind the views select() has scanned, up to
+        # which record.
+        self._starts = array("q")
+        self._views: List[Optional[TraceRecord]] = []
+        self._complete = 0
+        self._selected: Dict[str, Tuple[int, List[TraceRecord]]] = {}
 
     def emit(self, time: float, kind: str, node: str, *values: Any,
              **detail: Any) -> None:
@@ -339,30 +366,62 @@ class TraceRecorder:
         """Invoke ``fn`` on every stored record as it is emitted."""
         self._subscribers.append(fn)
 
-    def _synced(self) -> List[TraceRecord]:
-        """The view list, extended to the last stored record."""
-        views = self._views
-        start = len(views)
-        stop = len(self._times)
-        if start < stop:
-            shapes = list(map(self._shapes.__getitem__,
-                              self._sids[start:stop]))
-            offsets = list(accumulate([s.arity for s in shapes],
-                                      initial=self._viewed_to))
-            self._viewed_to = offsets.pop()
-            views.extend(map(partial(_view, self._values),
-                             self._times[start:stop], shapes,
-                             self._nodes[start:stop], offsets))
-        return views
+    def _offsets(self) -> "array[int]":
+        """Each stored record's first value index, extended to the last."""
+        starts = self._starts
+        have, stop = len(starts), len(self._times)
+        if have < stop:
+            arity = [s.arity for s in self._shapes]
+            sids = self._sids
+            first = (starts[-1] + arity[sids[have - 1]]) if have else 0
+            starts.extend(accumulate(map(arity.__getitem__,
+                                         sids[have:stop - 1]), initial=first))
+        return starts
 
-    def _kind_index(self) -> Dict[str, List[TraceRecord]]:
-        """The kind index, extended to the last stored record."""
-        views = self._synced()
-        by_kind = self._by_kind
-        for rec in views[self._indexed:]:
-            by_kind[rec.kind].append(rec)
-        self._indexed = len(views)
-        return by_kind
+    def _views_at(self, positions: Iterable[int]) -> List[TraceRecord]:
+        """The views of the records at ``positions``, built where missing."""
+        views = self._views
+        if len(views) < len(self._times):
+            views.extend([None] * (len(self._times) - len(views)))
+        starts = self._offsets()
+        times, sids, nodes = self._times, self._sids, self._nodes
+        shapes, values = self._shapes, self._values
+        out = []
+        for i in positions:
+            rec = views[i]
+            if rec is None:
+                rec = views[i] = _view(values, times[i], shapes[sids[i]],
+                                       nodes[i], starts[i])
+            out.append(rec)
+        return out
+
+    def _synced(self) -> List[TraceRecord]:
+        """Every stored record's view, in emission order."""
+        stop = len(self._times)
+        if self._complete < stop:
+            self._views_at(range(self._complete, stop))
+            self._complete = stop
+        return self._views  # type: ignore[return-value]  # all built
+
+    def scan(self, kinds: Mapping[str, Optional[Collection[str]]],
+             start: int = 0) -> List[TraceRecord]:
+        """Views of the stored records from position ``start`` on whose
+        kind is a key of ``kinds`` and, where its value is not None,
+        whose node is in that value; in emission order.  Only those
+        records get a view: the scan walks the shape-id column."""
+        stop = len(self._times)
+        if start >= stop:
+            return []
+        shapes = self._shapes
+        wanted = [s.kind in kinds for s in shapes]
+        positions: Iterable[int] = compress(
+            range(start, stop), map(wanted.__getitem__, self._sids[start:stop]))
+        only = [kinds.get(s.kind) for s in shapes]
+        if any(nodes is not None for nodes in only):
+            sids, nodes = self._sids, self._nodes
+            positions = [i for i in positions
+                         if only[sids[i]] is None or nodes[i] in only[sids[i]]]
+        return self._views_at(positions)
 
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
@@ -375,11 +434,6 @@ class TraceRecorder:
     def records(self) -> List[TraceRecord]:
         """All stored records in emission order."""
         return list(self._synced())
-
-    def since(self, start: int) -> List[TraceRecord]:
-        """The stored records from position ``start`` on, in emission
-        order (an incremental reader's next batch)."""
-        return self._synced()[start:]
 
     def canonical_lines(self, omit: FrozenSet[str] = frozenset()) -> List[str]:
         """Every stored record as ``"{time:.9f} {kind} {node} k=v ..."``:
@@ -395,6 +449,25 @@ class TraceRecorder:
             at += n
         return out
 
+    def digest(self, omit: FrozenSet[str] = frozenset()) -> str:
+        """sha256 (hex) over the stored columns, fields named in ``omit``
+        left out: the record count, the shape table, the raw times and
+        shape ids, and the ``repr`` of the nodes and the values."""
+        shapes = self._shapes
+        kept = [tuple(name not in omit for name in s.fields) for s in shapes]
+        digest = hashlib.sha256(repr((len(self._times), [
+            (s.kind, tuple(compress(s.fields, keep)))
+            for s, keep in zip(shapes, kept)])).encode("utf-8"))
+        digest.update(_little_endian(self._times))
+        digest.update(_little_endian(self._sids))
+        _hash_repr(digest, self._nodes)
+        values: Iterable[Any] = self._values
+        if not all(map(all, kept)):
+            values = compress(values, chain.from_iterable(
+                map(kept.__getitem__, self._sids)))
+        _hash_repr(digest, values)
+        return digest.hexdigest()
+
     def count(self, kind: str) -> int:
         """Exact count of a kind (counted even when storage is off)."""
         return self.kinds().get(kind, 0)
@@ -406,8 +479,7 @@ class TraceRecorder:
     def select(self, kind: Optional[str] = None, node: Optional[str] = None,
                prefix: Optional[str] = None) -> List[TraceRecord]:
         """Stored records matching the given filters."""
-        pool = (self._kind_index().get(kind, []) if kind is not None
-                else self._synced())
+        pool = self._synced() if kind is None else self._of_kind(kind)
         out = []
         for r in pool:
             if prefix is not None and not r.kind.startswith(prefix):
@@ -416,6 +488,14 @@ class TraceRecorder:
                 continue
             out.append(r)
         return out
+
+    def _of_kind(self, kind: str) -> List[TraceRecord]:
+        """The views of every stored ``kind`` record, scanned onward from
+        where the last call for ``kind`` stopped."""
+        scanned, views = self._selected.get(kind, (0, []))
+        views.extend(self.scan({kind: None}, scanned))
+        self._selected[kind] = (len(self._times), views)
+        return views
 
     def kinds(self) -> Dict[str, int]:
         """Mapping of every seen kind to its count."""
@@ -426,6 +506,6 @@ class TraceRecorder:
         return out
 
     def clear(self) -> None:
-        """Drop stored records, their views and index, and counters.
+        """Drop stored records, their views and counters.
         Views read before the clear keep their values."""
         self._reset()

@@ -95,17 +95,14 @@ class LockCompatibilityOracle(Oracle):
 
     def check_live(self, system: StorageTankSystem) -> List[OracleViolation]:
         """Flag conflicting locks concurrently held under usable leases."""
-        byz = RunIndex.of(system).byzantine
-        holders: Dict[int, List[Tuple[str, LockMode]]] = {}
+        # Candidates per object in (client, lock table) order.  Only an
+        # object two of them hold in conflicting modes needs the run
+        # index (who is possessed) and their lease phases read.
+        held: Dict[int, List[Tuple[int, str, Any, LockMode]]] = {}
+        seq = 0
         for cname, client in system.pool.live_items():
-            if cname in byz:
-                # A possessed client's local lock table lies by design
-                # (it keeps entries the server has long voided); the §6
-                # containment oracles judge it instead.
-                continue
             locks = getattr(client, "locks", None)
-            leases = getattr(client, "leases", None)
-            if locks is None or leases is None:
+            if locks is None or getattr(client, "leases", None) is None:
                 continue
             revoking = client.lockclient._revoking
             for obj, mode in locks.all_held():
@@ -117,15 +114,30 @@ class LockCompatibilityOracle(Oracle):
                     # entry is bookkeeping lag while the release's ACK is
                     # in flight — not a usable lock.
                     continue
-                srv = client.server_for_file(obj)
-                managers = ([leases[srv]] if srv in leases
-                            else list(leases.values()))
-                if not any(m.phase().cache_usable for m in managers):
-                    continue  # lease dead: the cached lock is already void
-                holders.setdefault(obj, []).append((cname, mode))
+                held.setdefault(obj, []).append((seq, cname, client, mode))
+                seq += 1
+        # Objects in the order their first usable holder was met.
+        holders: List[Tuple[int, int, List[Tuple[str, LockMode]]]] = []
+        byz = None
+        for obj, candidates in held.items():
+            if len(candidates) < 2 or all(
+                    compatible(a[3], b[3]) for i, a in enumerate(candidates)
+                    for b in candidates[i + 1:]):
+                continue
+            if byz is None:
+                byz = RunIndex.of(system).byzantine
+            # A possessed client's local lock table lies by design (it
+            # keeps entries the server has long voided); the §6
+            # containment oracles judge it instead.
+            usable = [(n, cname, mode) for n, cname, client, mode in candidates
+                      if cname not in byz and _lease_usable(client, obj)]
+            if len(usable) > 1:
+                holders.append((usable[0][0], obj,
+                                [(cname, mode) for _, cname, mode in usable]))
+        holders.sort()
         out: List[OracleViolation] = []
         now = system.sim.now
-        for obj, entries in holders.items():
+        for _, obj, entries in holders:
             for i, (ca, ma) in enumerate(entries):
                 for cb, mb in entries[i + 1:]:
                     if not compatible(ma, mb):
@@ -135,6 +147,15 @@ class LockCompatibilityOracle(Oracle):
                             f"both hold object {obj} under live leases",
                             obj=obj, other=cb))
         return out
+
+
+def _lease_usable(client: Any, obj: int) -> bool:
+    """Whether a lease covering ``obj`` still lets ``client`` use its
+    cache; a dead lease has already voided the cached lock."""
+    leases = client.leases
+    srv = client.server_for_file(obj)
+    managers = [leases[srv]] if srv in leases else list(leases.values())
+    return any(m.phase().cache_usable for m in managers)
 
 
 class NoSilentLossOracle(Oracle):

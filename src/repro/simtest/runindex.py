@@ -11,7 +11,8 @@ folds only the records appended since the last one: live checks stay linear.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
+from typing import (Any, DefaultDict, Dict, FrozenSet, List, Optional, Set,
+                    Tuple)
 from weakref import WeakKeyDictionary, ref
 
 from repro.analysis.consistency import ConsistencyAuditor, ConsistencyReport
@@ -73,7 +74,10 @@ class RunIndex:
 
     def __init__(self, system: StorageTankSystem) -> None:
         self._system = ref(system)
-        self._servers = frozenset(system.servers)
+        # Messages are most of a trace; only the servers' are read.
+        servers = frozenset(system.servers)
+        self._kinds: Dict[str, Optional[FrozenSet[str]]] = {
+            kind: servers if kind in _MESSAGES else None for kind in _FOLDED}
         self._folded = 0
         self._audit: Optional[Tuple[Any, ConsistencyReport]] = None
         # client -> kinds, from ``byz_<kind>:<client>`` fault labels
@@ -110,16 +114,12 @@ class RunIndex:
 
     def sync(self, system: StorageTankSystem) -> None:
         """Fold the records ``system``'s trace appended since the last sync."""
-        assert len(system.trace) >= self._folded, "the trace was cleared"
-        tail = system.trace.since(self._folded)
-        self._folded += len(tail)
-        servers = self._servers
+        trace = system.trace
+        assert len(trace) >= self._folded, "the trace was cleared"
+        tail = trace.scan(self._kinds, self._folded)
+        self._folded = len(trace)
         for rec in tail:
-            kind = rec.kind
-            # Messages are most of a trace; only the servers' are read.
-            if kind in _FOLDED and (kind not in _MESSAGES
-                                    or rec.node in servers):
-                self._fold(rec)
+            self._fold(rec)
 
     # -- queries ------------------------------------------------------------
     def down_at(self, node: str, time: float) -> bool:
@@ -170,7 +170,8 @@ class RunIndex:
 
     # -- folding ------------------------------------------------------------
     def _fold(self, rec: TraceRecord) -> None:
-        """Fold one record whose kind is in :data:`_FOLDED`."""
+        """Fold one record whose kind is in :data:`_FOLDED` (a message
+        only if a server emitted it)."""
         kind, t, node, get = rec.kind, rec.time, rec.node, rec.get
         if kind == "msg.send":
             msg_kind = get("msg_kind")

@@ -7,16 +7,18 @@ protocol implementations), bootstrap the shared file set, let the fault
 injector and per-client workload drivers loose, poll the live oracles
 while the run is in flight, settle, and run the final oracles.
 
-Every run also produces a *canonical trace hash*: sha256 over a
-normalized rendering of the event trace (module-global message ids are
-dropped — they are the one counter that survives across runs in the
-same process).  Two runs of the same schedule hash identically, which
-is what seed-corpus replay in CI asserts.
+Every run also produces a *canonical trace hash*: the recorder's
+sha256 digest over its own columns (:meth:`TraceRecorder.digest`: the
+shape table, the times, shape ids and nodes, and the ``repr`` of every
+value), with module-global message ids left out — they are the one
+counter that survives across runs in the same process.  Two runs of the
+same schedule hash identically, which is what seed-corpus replay in CI
+asserts.  No text is formatted for the hash; :func:`trace_lines` is the
+readable rendering a diff of two runs prints.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional
 
@@ -164,21 +166,15 @@ def apply_break_mode(system: StorageTankSystem, break_mode: str) -> None:
 
 
 def trace_lines(system: StorageTankSystem) -> List[str]:
-    """The canonical, hashable rendering of a finished run's trace."""
+    """The canonical rendering of a finished run's trace, one line per
+    record (what a diff of two runs shows)."""
     return system.trace.canonical_lines(_NONCANONICAL_KEYS)
 
 
 def trace_hash(system: StorageTankSystem) -> str:
-    """sha256 of the canonical trace rendering, one line per record,
-    each ended by a newline."""
-    lines = trace_lines(system)
-    digest = hashlib.sha256()
-    # In chunks: one join of a long trace would double its memory.
-    for i in range(0, len(lines), 4096):
-        chunk = lines[i:i + 4096]
-        chunk.append("")
-        digest.update("\n".join(chunk).encode("utf-8"))
-    return digest.hexdigest()
+    """The canonical trace hash: the recorder's digest of its columns,
+    message ids left out."""
+    return system.trace.digest(_NONCANONICAL_KEYS)
 
 
 @dataclass

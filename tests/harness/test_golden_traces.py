@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "96c70ae6f4bcdbfc1fec1d6af24d5ba269d490e2c28286473145571f5b000192",
-        "dcbc22b689da8d2d41c86fabb501cc5a66bcb2e75ab8f453b06e2bfac91935ea",
+        "56021c04cabb4944ab35dd1688c2cb6a99c065a9e79facecaaaede6138cb15d0",
+        "0874a199ef5f89d677f93d90d8d8fc5ef66a7cf44bdc696acf59454361ec6481",
     ],
     experiment_e6_nack: [
-        "75e82599b34e605da8a2fec311b3b8d7795bd4c16a349713fb58c24c61e87502",
-        "dec51074af6dc95b7573f8f83dc80d735f7f5f5bf2e5ed74c5abfaf6ef20183e",
+        "d607ca5c82b1b8099e750a38d21de6b4e32216a2af201b6c5ece5a516d34a3cb",
+        "f3fae93a2669cf15856a36fa8b27b0a2049c3c37bd7383917b72f24b2baeb937",
     ],
 }
 

@@ -104,6 +104,18 @@ def test_renew_rejects_a_negative_slot():
     assert lapsed == [3]
 
 
+def test_per_slot_reads_and_lapse_reject_a_negative_slot():
+    lapsed = []
+    sim, _timers, svc = make_service(on_expire=lapsed.append)
+    svc.renew(3, 5.0)
+    for method in (svc.lapse, svc.holds_lease, svc.expiry_of):
+        with pytest.raises(ValueError):
+            method(-1)  # would alias slot 3, the last one
+    assert svc.holds_lease(3) and svc.expiry_of(3) == 5.0
+    sim.run(until=10.0)
+    assert lapsed == [3]
+
+
 def test_renew_many_rejects_a_negative_slot_before_recording():
     lapsed = []
     sim, _timers, svc = make_service(on_expire=lapsed.append)

@@ -292,3 +292,36 @@ def test_plain_create_and_setattr_are_deferred_behind_cache_nodes():
                 MsgKind.ACK]
     assert out["kinds"] == deferred + [MsgKind.NACK] + deferred
     assert system.server.barrier._cache_pending == set()
+
+
+def test_keepalives_at_the_server_node_schedule_only_the_transports_events():
+    """§3's passive server at the node: 10 KEEPALIVE round trips to a
+    built system's server put exactly the kernel events that the same
+    trips to a bare echo endpoint on that transport do, and the run
+    drains well before τ: the node arms no lease timer and starts no
+    per-client process."""
+    from repro.core.config import ScaleConfig, SystemConfig
+    from repro.core.system import build_system
+    from repro.net import Endpoint
+
+    def round_trips(target):
+        # Parked clients: nothing but the probe's traffic runs.
+        s = build_system(SystemConfig(
+            n_clients=1, seed=1, scale=ScaleConfig(lazy_clients=True)))
+        probe = Endpoint(s.sim, s.control_net, "probe",
+                         s.clocks.create("probe"), s.trace)
+        if target == "echo":
+            echo = Endpoint(s.sim, s.control_net, "echo",
+                            s.clocks.create("echo"), s.trace)
+            echo.register(MsgKind.KEEPALIVE, lambda m: ("ack", {}))
+
+        def keepalives():
+            for _ in range(10):
+                yield from probe.request(target, MsgKind.KEEPALIVE, Null())
+        s.spawn(keepalives(), "probe")
+        s.sim.run()
+        return s.sim.events_scheduled, s.sim.now, s.config.lease.tau
+
+    events, drained_at, tau = round_trips("server")
+    assert (events, drained_at) == round_trips("echo")[:2]
+    assert events > 0 and drained_at < tau

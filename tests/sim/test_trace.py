@@ -190,3 +190,69 @@ def test_disabled_storage_counts_and_keeps_nothing():
     assert t.count("msg.send") == 2 and t.count_prefix("msg") == 4
     assert len(t) == 0 and t.records == [] and list(t) == []
     assert t.select() == [] and t.select(kind="msg.send") == []
+
+
+# -- scan and digest -------------------------------------------------------
+
+def test_scan_builds_views_only_for_the_kinds_and_nodes_asked_for():
+    t = TraceRecorder(enabled=True)
+    _emit_batch(t, 0, 9)    # send, recv, lease.renew; nodes n0/n1 alternate
+    got = t.scan({"msg.recv": {"n0"}, "lease.renew": None}, start=2)
+    assert [(r.kind, r.node, r.get("msg_id")) for r in got] == [
+        ("lease.renew", "n0", 2), ("msg.recv", "n0", 4),
+        ("lease.renew", "n1", 5), ("lease.renew", "n0", 8)]
+    assert sum(v is not None for v in t._views) == 4
+    assert all(a is b for a, b in zip(got, t.scan(
+        {"msg.recv": {"n0"}, "lease.renew": None}, start=2)))
+    assert [r.get("msg_id") for r in t.records if r.kind == "msg.recv"
+            and r.node == "n0"] == [4]
+    assert t.scan({"msg.recv": None}, start=len(t)) == []
+
+
+def _digest_of(records, omit=frozenset({"msg_id"})):
+    t = TraceRecorder(enabled=True)
+    for time, kind, node, values in records:
+        t.emit(time, kind, node, *values)
+    return t.digest(omit)
+
+
+_RUN = [(0.5, "msg.send", "c1", ("fs.getattr", "server", 7, 1)),
+        (0.75, "msg.recv", "server", ("fs.getattr", "c1", 7, 1)),
+        (1.0, "lease.renewed", "c1", ("server", 0.25)),
+        (1.0, "server.reassert", "server", ("c1", 3, "EXCLUSIVE"))]
+
+
+#: A kind of the same arity for each kind of _RUN.
+_OTHER_KIND = {"msg.send": "msg.recv", "msg.recv": "msg.send",
+               "lease.renewed": "lease.suspect",
+               "server.reassert": "server.reject"}
+
+
+def test_digest_moves_with_every_time_kind_node_and_value():
+    base = _digest_of(_RUN)
+    assert _digest_of(_RUN) == base
+    for i, (time, kind, node, values) in enumerate(_RUN):
+        changes = [(time + 1e-9, kind, node, values),
+                   (time, _OTHER_KIND[kind], node, values),
+                   (time, kind, node + "x", values)]
+        for j, value in enumerate(values):
+            if kind.startswith("msg.") and j == 2:
+                continue    # msg_id: left out on purpose
+            bumped = list(values)
+            bumped[j] = (value + 1 if isinstance(value, (int, float))
+                         else value + "x")
+            changes.append((time, kind, node, tuple(bumped)))
+        for changed in changes:
+            run = list(_RUN)
+            run[i] = changed
+            assert _digest_of(run) != base, changed
+    assert _digest_of(_RUN[:-1]) != base
+
+
+def test_digest_ignores_only_the_omitted_fields():
+    renumbered = [(time, kind, node, values[:2] + (values[2] + 100,)
+                   + values[3:]) if kind.startswith("msg.") else
+                  (time, kind, node, values)
+                  for time, kind, node, values in _RUN]
+    assert _digest_of(renumbered) == _digest_of(_RUN)
+    assert _digest_of(renumbered, frozenset()) != _digest_of(_RUN, frozenset())

@@ -12,7 +12,8 @@ import pytest
 
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.net.message import MsgKind
-from repro.simtest.oracles import NackTimedOutOracle, PassiveServerOracle
+from repro.simtest.oracles import (NackTimedOutOracle, Oracle,
+                                   PassiveServerOracle, default_oracles)
 from repro.simtest.runindex import RunIndex
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import generate_schedule
@@ -166,6 +167,14 @@ def test_namespace_replay_checks_each_hit_against_its_instant():
     ]
 
 
+class _ReadsTheIndexLive(Oracle):
+    name = "reads-the-index-live"
+
+    def check_live(self, system):
+        RunIndex.of(system)
+        return []
+
+
 def _facts(index):
     """Every fact the index holds, as comparable plain data."""
     facts = {name: value for name, value in vars(index).items()
@@ -189,7 +198,10 @@ def test_an_index_synced_at_every_live_tick_equals_one_built_at_the_end(
         syncs.append(len(system.trace))
         sync(self, system)
     monkeypatch.setattr(RunIndex, "sync", counted)
+    # lock-compatibility reads the index only at a tick with a conflict;
+    # this oracle reads it at every tick.
     result = run_schedule(generate_schedule(seed, 20, **flags),
+                          default_oracles() + [_ReadsTheIndexLive()],
                           keep_system=True)
     system = result.system
     assert len(set(syncs)) > 10       # folded piecewise, tick by tick
