@@ -24,8 +24,9 @@ Cost model (the recorder sits on every message/IO hot path):
   ~300 a kwargs dict and a boxed time cost;
 - :class:`TraceRecord` views are built only when read, and only for
   the records a read asks for: :meth:`~TraceRecorder.scan` walks the
-  shape-id column and builds views for the kinds it is given (and, per
-  kind, only for the nodes it names), and :meth:`~TraceRecorder.select`
+  shape-id and node columns and builds views for the kinds it is given
+  (for some of them, only those the nodes it names emitted), and
+  :meth:`~TraceRecorder.select`
   keeps one such scan per kind, extended from where its last read
   stopped.  Every read of one record returns the same view object.  A
   view holds its shape and its offset into the value list, so ``get``
@@ -51,8 +52,9 @@ import hashlib
 import sys
 from array import array
 from itertools import accumulate, chain, compress, islice
+from operator import getitem
 from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
-                    Iterator, List, Mapping, Optional, Sequence, Tuple)
+                    Iterator, List, Optional, Sequence, Tuple)
 
 #: Field names of every kind the simulator emits, in emit order.  A key
 #: is the kind itself; a kind whose sites record different field sets
@@ -403,25 +405,29 @@ class TraceRecorder:
             self._complete = stop
         return self._views  # type: ignore[return-value]  # all built
 
-    def scan(self, kinds: Mapping[str, Optional[Collection[str]]],
-             start: int = 0) -> List[TraceRecord]:
+    def scan(self, kinds: Collection[str], start: int = 0,
+             nodes: Collection[str] = (),
+             node_kinds: Collection[str] = ()) -> List[TraceRecord]:
         """Views of the stored records from position ``start`` on whose
-        kind is a key of ``kinds`` and, where its value is not None,
-        whose node is in that value; in emission order.  Only those
-        records get a view: the scan walks the shape-id column."""
+        kind is in ``kinds``, in emission order; a record of a kind in
+        ``node_kinds`` only if a node in ``nodes`` emitted it.  Only
+        those records get a view: the scan walks the shape-id and node
+        columns."""
         stop = len(self._times)
         if start >= stop:
             return []
-        shapes = self._shapes
-        wanted = [s.kind in kinds for s in shapes]
-        positions: Iterable[int] = compress(
-            range(start, stop), map(wanted.__getitem__, self._sids[start:stop]))
-        only = [kinds.get(s.kind) for s in shapes]
-        if any(nodes is not None for nodes in only):
-            sids, nodes = self._sids, self._nodes
-            positions = [i for i in positions
-                         if only[sids[i]] is None or nodes[i] in only[sids[i]]]
-        return self._views_at(positions)
+        sids = self._sids[start:stop]
+        if node_kinds:
+            # Per shape, indexed by "a named node emitted it".
+            pick = [(s.kind in kinds and s.kind not in node_kinds,
+                     s.kind in kinds) for s in self._shapes]
+            flags: Iterable[bool] = map(
+                getitem, map(pick.__getitem__, sids),
+                map(nodes.__contains__, self._nodes[start:stop]))
+        else:
+            flags = map([s.kind in kinds for s in self._shapes].__getitem__,
+                        sids)
+        return self._views_at(compress(range(start, stop), flags))
 
     # -- queries --------------------------------------------------------
     def __len__(self) -> int:
@@ -493,7 +499,7 @@ class TraceRecorder:
         """The views of every stored ``kind`` record, scanned onward from
         where the last call for ``kind`` stopped."""
         scanned, views = self._selected.get(kind, (0, []))
-        views.extend(self.scan({kind: None}, scanned))
+        views.extend(self.scan((kind,), scanned))
         self._selected[kind] = (len(self._times), views)
         return views
 

@@ -11,8 +11,7 @@ folds only the records appended since the last one: live checks stay linear.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import (Any, DefaultDict, Dict, FrozenSet, List, Optional, Set,
-                    Tuple)
+from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from repro.analysis.consistency import ConsistencyAuditor, ConsistencyReport
@@ -74,10 +73,7 @@ class RunIndex:
 
     def __init__(self, system: StorageTankSystem) -> None:
         self._system = ref(system)
-        # Messages are most of a trace; only the servers' are read.
-        servers = frozenset(system.servers)
-        self._kinds: Dict[str, Optional[FrozenSet[str]]] = {
-            kind: servers if kind in _MESSAGES else None for kind in _FOLDED}
+        self._servers = frozenset(system.servers)
         self._folded = 0
         self._audit: Optional[Tuple[Any, ConsistencyReport]] = None
         # client -> kinds, from ``byz_<kind>:<client>`` fault labels
@@ -116,7 +112,8 @@ class RunIndex:
         """Fold the records ``system``'s trace appended since the last sync."""
         trace = system.trace
         assert len(trace) >= self._folded, "the trace was cleared"
-        tail = trace.scan(self._kinds, self._folded)
+        # Messages are most of a trace; only the servers' are read.
+        tail = trace.scan(_FOLDED, self._folded, self._servers, _MESSAGES)
         self._folded = len(trace)
         for rec in tail:
             self._fold(rec)

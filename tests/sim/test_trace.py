@@ -197,16 +197,18 @@ def test_disabled_storage_counts_and_keeps_nothing():
 def test_scan_builds_views_only_for_the_kinds_and_nodes_asked_for():
     t = TraceRecorder(enabled=True)
     _emit_batch(t, 0, 9)    # send, recv, lease.renew; nodes n0/n1 alternate
-    got = t.scan({"msg.recv": {"n0"}, "lease.renew": None}, start=2)
+    kinds = ("msg.recv", "lease.renew")
+    got = t.scan(kinds, 2, nodes={"n0"}, node_kinds={"msg.recv"})
     assert [(r.kind, r.node, r.get("msg_id")) for r in got] == [
         ("lease.renew", "n0", 2), ("msg.recv", "n0", 4),
         ("lease.renew", "n1", 5), ("lease.renew", "n0", 8)]
     assert sum(v is not None for v in t._views) == 4
     assert all(a is b for a, b in zip(got, t.scan(
-        {"msg.recv": {"n0"}, "lease.renew": None}, start=2)))
+        kinds, 2, nodes={"n0"}, node_kinds={"msg.recv"})))
     assert [r.get("msg_id") for r in t.records if r.kind == "msg.recv"
             and r.node == "n0"] == [4]
-    assert t.scan({"msg.recv": None}, start=len(t)) == []
+    assert [r.get("msg_id") for r in t.scan(kinds, 6)] == [7, 8]
+    assert t.scan(kinds, len(t)) == []
 
 
 def _digest_of(records, omit=frozenset({"msg_id"})):
