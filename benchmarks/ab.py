@@ -15,8 +15,11 @@ seed, both sides' medians and quartiles, the change's win count and the
 verdict by the repository's rule: a gain is claimed only when the change
 wins at least 9 pairs in 10 *and* its median exceeds the base's by more
 than the base's quartile spread (Q3 - Q1, ``statistics.quantiles``'
-default method).  One JSON record of the whole comparison is appended
-to ``BENCH_ab.jsonl`` at the repository root.
+default method).  For every other end-to-end metric of
+``BENCHMARK.json`` it prints both medians and whether the change's is
+worse than the base's by more than the metric's bound.  One JSON record
+of the whole comparison is appended to ``BENCH_ab.jsonl`` at the
+repository root.
 
 Exit codes: 0 gain at every seed, 1 no gain at some seed, 2 usage or a
 run that failed.
@@ -50,8 +53,10 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def _run(checkout: str, workload: str, seed: int, seconds: float) -> float:
-    """One fresh ``bench/run.py`` process in ``checkout``; its metric."""
+def _run(checkout: str, workload: str, seed: int,
+         seconds: float) -> Dict[str, float]:
+    """One fresh ``bench/run.py`` process in ``checkout``; its end-to-end
+    metrics."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
@@ -66,7 +71,7 @@ def _run(checkout: str, workload: str, seed: int, seconds: float) -> float:
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"]:
         raise RunFailed(f"run in {checkout} was not correct: {lines[-1]}")
-    return float(result["metrics"][METRIC]["value"])
+    return {name: float(m["value"]) for name, m in result["metrics"].items()}
 
 
 def _quartiles(values: List[float]) -> List[float]:
@@ -92,6 +97,16 @@ def verdict(base: List[float], change: List[float]) -> Dict[str, Any]:
             "verdict": "gain" if gain else "no gain"}
 
 
+def bounded(base: List[float], change: List[float],
+            metric: Dict[str, Any]) -> Dict[str, Any]:
+    """Both medians of a metric and whether the change's is worse than
+    the base's by more than the metric's bound."""
+    b, c = statistics.median(base), statistics.median(change)
+    worse = (b - c if metric["better"] == "higher" else c - b) / b
+    return {"base_median": b, "change_median": c, "worse_share": worse,
+            "bound": metric["bound"], "within_bound": worse <= metric["bound"]}
+
+
 def _print(seed: int, v: Dict[str, Any]) -> None:
     def q(values: List[float]) -> str:
         return " / ".join(f"{x:,.4g}" for x in values)
@@ -102,7 +117,14 @@ def _print(seed: int, v: Dict[str, Any]) -> None:
     print(f"  delta {v['delta']:+,.4g} ({v['delta_share']:+.1%}) vs base "
           f"quartile spread {v['base_spread']:,.4g}; change won "
           f"{v['wins']}/{v['pairs']} (needs {v['wins_needed']}) -> "
-          f"{v['verdict'].upper()}", flush=True)
+          f"{v['verdict'].upper()}")
+    for name, o in v["others"].items():
+        side = "worse" if o["worse_share"] > 0 else "better"
+        print(f"  {name}: median {o['base_median']:,.4g} -> "
+              f"{o['change_median']:,.4g} ({abs(o['worse_share']):.1%} "
+              f"{side}; bound {o['bound']:.0%} worse: "
+              f"{'within' if o['within_bound'] else 'PAST'})")
+    sys.stdout.flush()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -120,7 +142,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.pairs < 2 or not seeds:
         parser.error("need --pairs >= 2 and at least one seed")
     with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        contract = json.load(fh)
+    seconds = contract["run_seconds"]
+    others = [m for m in contract["end_to_end"] if m["name"] != METRIC]
 
     refs = {"base": _git("rev-parse", "--verify", args.base + "^{commit}")}
     if args.change:
@@ -137,7 +161,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 added.append(path)
                 checkouts[side] = path
             for seed in seeds:
-                runs: Dict[str, List[float]] = {"base": [], "change": []}
+                runs: Dict[str, List[Dict[str, float]]] = {
+                    "base": [], "change": []}
                 for pair in range(args.pairs):
                     order = (("base", "change") if pair % 2 == 0
                              else ("change", "base"))
@@ -145,10 +170,19 @@ def main(argv: Optional[List[str]] = None) -> int:
                         runs[side].append(_run(checkouts[side], args.workload,
                                                seed, seconds))
                     print(f"  seed {seed} pair {pair + 1}: base "
-                          f"{runs['base'][-1]:,.4g}, change "
-                          f"{runs['change'][-1]:,.4g}", flush=True)
-                results[str(seed)] = verdict(runs["base"], runs["change"])
-                _print(seed, results[str(seed)])
+                          f"{runs['base'][-1][METRIC]:,.4g}, change "
+                          f"{runs['change'][-1][METRIC]:,.4g}", flush=True)
+                column = {side: {name: [r[name] for r in side_runs]
+                                 for name in side_runs[0]}
+                          for side, side_runs in runs.items()}
+                result = verdict(column["base"][METRIC],
+                                 column["change"][METRIC])
+                result["others"] = {
+                    m["name"]: bounded(column["base"][m["name"]],
+                                       column["change"][m["name"]], m)
+                    for m in others}
+                results[str(seed)] = result
+                _print(seed, result)
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

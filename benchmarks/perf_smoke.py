@@ -14,12 +14,11 @@ Usage::
     python benchmarks/perf_smoke.py --write BENCH_perf.json --only ROW
     python benchmarks/perf_smoke.py --check BENCH_perf.json   # CI gate
 
-``--only ROW`` (repeatable) times just those rows and a fresh
-calibration: ``--write`` merges them into the existing document, each
-row carrying the ``calibration_ops_per_sec`` it was divided by, and
-``--check`` checks only them.  ``--check`` reads a row's baseline as its
-``ops_per_sec`` over the row's own calibration when it carries one, the
-document's otherwise.
+``--write FILE --only ROW`` (repeatable) times just those rows and a
+fresh calibration and merges them into the existing document, each row
+carrying the ``calibration_ops_per_sec`` it was divided by.  ``--check``
+reads such a row's baseline as its ``ops_per_sec`` over that
+calibration, any other row's as its stored ``normalized``.
 
 Exit codes: 0 within tolerance, 1 regression detected, 2 usage errors.
 
@@ -234,20 +233,18 @@ def merge_rows(doc: Dict[str, Any],
         doc["benches"][name] = {**vals, "calibration_ops_per_sec": cal}
         pre = PRE_PR_OPS_PER_SEC.get(name)
         if pre is not None:
-            doc["pre_pr_ops_per_sec"][name] = pre
             doc["speedup_vs_pre_pr"][name] = vals["ops_per_sec"] / pre
     return doc
 
 
-def baseline_normalized(doc: Dict[str, Any], row: Dict[str, float]) -> float:
-    """A committed row's throughput over its own calibration (the
-    document's when the row carries none)."""
-    cal = row.get("calibration_ops_per_sec", doc["calibration_ops_per_sec"])
-    return row["ops_per_sec"] / cal
+def baseline_normalized(row: Dict[str, float]) -> float:
+    """A committed row's throughput over its own calibration, or its
+    stored ``normalized`` when it carries none."""
+    cal = row.get("calibration_ops_per_sec")
+    return row["normalized"] if cal is None else row["ops_per_sec"] / cal
 
 
-def check(baseline_path: str, tolerance: float, reps: int,
-          only: Optional[List[str]] = None) -> int:
+def check(baseline_path: str, tolerance: float, reps: int) -> int:
     """Compare a fresh run's normalized numbers to the baseline."""
     with open(baseline_path) as fh:
         doc = json.load(fh)
@@ -255,9 +252,8 @@ def check(baseline_path: str, tolerance: float, reps: int,
         print(f"error: {baseline_path} has schema {doc.get('schema')!r}, "
               f"expected {SCHEMA!r}", file=sys.stderr)
         return 2
-    gated = {name: row for name, row in doc["benches"].items()
-             if only is None or name in only}
-    results = run_benches(reps, only)
+    gated = doc["benches"]
+    results = run_benches(reps)
     failures = 0
     for name, committed in gated.items():
         fresh = results.get(name)
@@ -265,7 +261,7 @@ def check(baseline_path: str, tolerance: float, reps: int,
             print(f"  {name}: MISSING from current bench set")
             failures += 1
             continue
-        base = baseline_normalized(doc, committed)
+        base = baseline_normalized(committed)
         floor = base * (1.0 - tolerance)
         status = "ok" if fresh["normalized"] >= floor else "REGRESSION"
         if status != "ok":
@@ -294,13 +290,15 @@ def main(argv=None) -> int:
                              "(default 15)")
     parser.add_argument("--only", action="append", metavar="ROW",
                         choices=sorted(BENCHES),
-                        help="just this row (repeatable): --write merges "
-                             "it into the existing FILE")
+                        help="with --write: re-time just this row "
+                             "(repeatable) and merge it into FILE")
     args = parser.parse_args(argv)
     if not 0 <= args.tolerance < 1:
         parser.error("--tolerance must be in [0, 1)")
     if args.check:
-        return check(args.check, args.tolerance, args.reps, args.only)
+        if args.only:
+            parser.error("--only goes with --write")
+        return check(args.check, args.tolerance, args.reps)
     results = run_benches(args.reps, args.only)
     if args.only:
         with open(args.write) as fh:

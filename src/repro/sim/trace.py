@@ -54,7 +54,7 @@ from array import array
 from itertools import accumulate, chain, compress, islice
 from operator import getitem
 from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional, Sequence, Tuple)
+                    Iterator, List, Optional, Sequence, Tuple, cast)
 
 #: Field names of every kind the simulator emits, in emit order.  A key
 #: is the kind itself; a kind whose sites record different field sets
@@ -403,7 +403,7 @@ class TraceRecorder:
         if self._complete < stop:
             self._views_at(range(self._complete, stop))
             self._complete = stop
-        return self._views  # type: ignore[return-value]  # all built
+        return cast(List[TraceRecord], self._views)  # all built
 
     def scan(self, kinds: Collection[str], start: int = 0,
              nodes: Collection[str] = (),

@@ -10,7 +10,10 @@ real client state set up through the actual protocol.
 
 from __future__ import annotations
 
-from repro.locks.modes import LockMode
+import dataclasses
+import os
+
+from repro.locks.modes import LockMode, compatible
 from repro.net.message import MsgKind
 from repro.simtest.oracles import (
     ExpectedFailureFlushOracle,
@@ -18,9 +21,14 @@ from repro.simtest.oracles import (
     NackTimedOutOracle,
     NoSilentLossOracle,
     PassiveServerOracle,
+    Oracle,
     Theorem31Oracle,
     default_oracles,
 )
+from repro.obs.artifact import load_artifact
+from repro.simtest.runindex import RunIndex
+from repro.simtest.runner import run_schedule
+from repro.simtest.schedule import Schedule, generate_schedule
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -63,6 +71,60 @@ def test_lock_compatibility_exempts_revocation_in_progress():
     # Mid-compliance the table entry is bookkeeping lag, not a usable lock.
     c2.lockclient._revoking.add(fid)
     assert LockCompatibilityOracle().check_live(s) == []
+
+
+def _lock_conflicts_one_client_at_a_time(system):
+    """Reference: the check as it read every holder's lease phase, client
+    by client; (node, message) per violation, in report order."""
+    byz = RunIndex.of(system).byzantine
+    holders = {}
+    for cname, client in system.pool.live_items():
+        if cname in byz or getattr(client, "locks", None) is None:
+            continue
+        leases, revoking = client.leases, client.lockclient._revoking
+        for obj, mode in client.locks.all_held():
+            if mode == LockMode.NONE or obj in revoking:
+                continue
+            srv = client.server_for_file(obj)
+            managers = [leases[srv]] if srv in leases else leases.values()
+            if any(m.phase().cache_usable for m in managers):
+                holders.setdefault(obj, []).append((cname, mode))
+    return [(ca, f"clients {ca}({ma.name}) and {cb}({mb.name}) both hold "
+                 f"object {obj} under live leases")
+            for obj, entries in holders.items()
+            for i, (ca, ma) in enumerate(entries)
+            for cb, mb in entries[i + 1:] if not compatible(ma, mb)]
+
+
+class _ComparesLockChecks(Oracle):
+    name = "compares-lock-checks"
+
+    def __init__(self):
+        self.ticks_with_conflicts = 0
+
+    def check_live(self, system):
+        got = [(v.node, v.message)
+               for v in LockCompatibilityOracle().check_live(system)]
+        assert got == _lock_conflicts_one_client_at_a_time(system)
+        self.ticks_with_conflicts += bool(got)
+        return []
+
+
+def test_lock_compatibility_reports_what_the_per_client_check_did():
+    artifact = load_artifact(os.path.join(
+        os.path.dirname(__file__), "artifacts",
+        "parked-grant-outlives-server-crash.json"))
+    schedules = [
+        generate_schedule(15, 4, break_mode="steal_early"),
+        dataclasses.replace(Schedule.from_dict(artifact["schedule"]),
+                            break_mode="zombie_parked"),
+        generate_schedule(70, 20, adversaries=2),  # a possessed holder
+        generate_schedule(1, 20, cache_nodes=2),
+    ]
+    compare = _ComparesLockChecks()
+    for schedule in schedules:
+        run_schedule(schedule, default_oracles() + [compare])
+    assert compare.ticks_with_conflicts > 0
 
 
 # -- no-silent-loss -------------------------------------------------------
