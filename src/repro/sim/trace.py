@@ -26,9 +26,9 @@ Cost model (the recorder sits on every message/IO hot path):
   the records a read asks for: :meth:`~TraceRecorder.scan` walks the
   shape-id and node columns and builds views for the kinds it is given
   (for some of them, only those the nodes it names emitted), and
-  :meth:`~TraceRecorder.select`
-  keeps one such scan per kind, extended from where its last read
-  stopped.  Every read of one record returns the same view object.  A
+  :meth:`~TraceRecorder.select` keeps one such scan per kind, extended
+  from where its last read stopped.  Every read of one record returns
+  the same view object.  A
   view holds its shape and its offset into the value list, so ``get``
   answers by index and ``detail`` builds its dict only when read.  A
   recorder with subscribers builds each record's view as it is emitted;
