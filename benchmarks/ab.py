@@ -1,11 +1,13 @@
-"""A/B verdict for one end-to-end performance claim: alternating pairs.
+"""A/B verdict for one performance claim: alternating pairs.
 
-Checks each ref out with ``git worktree add`` under a temporary
-directory and runs ``bench/run.py`` of that checkout (nothing under
-``bench/`` is edited), one fresh process per run::
+Exports each ref's tree with ``git archive`` into a temporary directory
+and runs ``bench/run.py`` of that checkout (nothing under ``bench/`` is
+edited), one fresh process per run::
 
     python benchmarks/ab.py --base REF [--change REF] --workload W \\
         [--seeds 0,7] [--pairs 10]
+    python benchmarks/ab.py --base REF [--change REF] --micro ROW \\
+        [--pairs 10]
 
 Without ``--change`` the change side is this checkout as it stands,
 uncommitted edits included.  For each seed it runs ``--pairs`` pairs;
@@ -21,6 +23,11 @@ worse than the base's by more than the metric's bound.  One JSON record
 of the whole comparison is appended to ``BENCH_ab.jsonl`` at the
 repository root.
 
+``--micro ROW`` compares one ``BENCH_perf.json`` row instead: each run is
+one fresh ``benchmarks/perf_smoke.py --write TMP --only ROW`` in that
+side's checkout (TMP a copy of its ``BENCH_perf.json``), read as the
+row's ``normalized``, and the same rule gives the verdict.
+
 Exit codes: 0 gain at every seed, 1 no gain at some seed, 2 usage or a
 run that failed.
 """
@@ -32,6 +39,7 @@ import datetime
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,6 +61,15 @@ def _git(*args: str) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
+def _export(sha: str, path: str) -> str:
+    """The tree of commit ``sha``, extracted at ``path``."""
+    os.makedirs(path)
+    archive = subprocess.run(["git", "archive", sha], cwd=REPO, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
+    return path
+
+
 def _run(checkout: str, workload: str, seed: int,
          seconds: float) -> Dict[str, float]:
     """One fresh ``bench/run.py`` process in ``checkout``; its end-to-end
@@ -72,6 +89,24 @@ def _run(checkout: str, workload: str, seed: int,
     if not result["correct"] or result["failed"]:
         raise RunFailed(f"run in {checkout} was not correct: {lines[-1]}")
     return {name: float(m["value"]) for name, m in result["metrics"].items()}
+
+
+def _run_micro(checkout: str, row: str, tmp: str) -> Dict[str, float]:
+    """One fresh ``perf_smoke.py --write TMP --only ROW`` in ``checkout``;
+    the row's ``normalized``."""
+    doc = os.path.join(tmp, "perf.json")
+    shutil.copyfile(os.path.join(checkout, "BENCH_perf.json"), doc)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(
+        [sys.executable, os.path.join("benchmarks", "perf_smoke.py"),
+         "--write", doc, "--only", row],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RunFailed(f"perf_smoke failed in {checkout} (exit "
+                        f"{proc.returncode}): {proc.stderr[-2000:]}")
+    with open(doc) as fh:
+        return {"normalized": json.load(fh)["benches"][row]["normalized"]}
 
 
 def _quartiles(values: List[float]) -> List[float]:
@@ -107,10 +142,10 @@ def bounded(base: List[float], change: List[float],
             "bound": metric["bound"], "within_bound": worse <= metric["bound"]}
 
 
-def _print(seed: int, v: Dict[str, Any]) -> None:
+def _print(label: str, v: Dict[str, Any]) -> None:
     def q(values: List[float]) -> str:
         return " / ".join(f"{x:,.4g}" for x in values)
-    print(f"seed {seed}: base median {v['base_median']:,.4g} "
+    print(f"{label}: base median {v['base_median']:,.4g} "
           f"(Q1/Q2/Q3 {q(v['base_quartiles'])}), change median "
           f"{v['change_median']:,.4g} (Q1/Q2/Q3 "
           f"{q(v['change_quartiles'])})")
@@ -133,9 +168,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--change", metavar="REF",
                         help="default: this checkout, uncommitted edits "
                              "included")
-    parser.add_argument("--workload", required=True)
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--workload")
+    what.add_argument("--micro", metavar="ROW",
+                      help="a BENCH_perf.json row, timed by perf_smoke.py")
     parser.add_argument("--seeds", default="0,7",
-                        help="comma-separated (default 0,7)")
+                        help="comma-separated, with --workload (default 0,7)")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -144,7 +182,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
         contract = json.load(fh)
     seconds = contract["run_seconds"]
-    others = [m for m in contract["end_to_end"] if m["name"] != METRIC]
+    if args.micro:
+        metric, groups, others = "normalized", {args.micro: 0}, []
+    else:
+        metric = METRIC
+        groups = {f"seed {seed}": seed for seed in seeds}
+        others = [m for m in contract["end_to_end"] if m["name"] != METRIC]
 
     refs = {"base": _git("rev-parse", "--verify", args.base + "^{commit}")}
     if args.change:
@@ -153,46 +196,43 @@ def main(argv: Optional[List[str]] = None) -> int:
     results: Dict[str, Any] = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         checkouts = {"change": REPO}
-        added = []
+        for side, sha in refs.items():
+            checkouts[side] = _export(sha, os.path.join(tmp, side))
         try:
-            for side, sha in refs.items():
-                path = os.path.join(tmp, side)
-                _git("worktree", "add", "--detach", path, sha)
-                added.append(path)
-                checkouts[side] = path
-            for seed in seeds:
+            for label, seed in groups.items():
                 runs: Dict[str, List[Dict[str, float]]] = {
                     "base": [], "change": []}
                 for pair in range(args.pairs):
                     order = (("base", "change") if pair % 2 == 0
                              else ("change", "base"))
                     for side in order:
-                        runs[side].append(_run(checkouts[side], args.workload,
-                                               seed, seconds))
-                    print(f"  seed {seed} pair {pair + 1}: base "
-                          f"{runs['base'][-1][METRIC]:,.4g}, change "
-                          f"{runs['change'][-1][METRIC]:,.4g}", flush=True)
+                        runs[side].append(
+                            _run_micro(checkouts[side], args.micro, tmp)
+                            if args.micro else
+                            _run(checkouts[side], args.workload, seed,
+                                 seconds))
+                    print(f"  {label} pair {pair + 1}: base "
+                          f"{runs['base'][-1][metric]:,.4g}, change "
+                          f"{runs['change'][-1][metric]:,.4g}", flush=True)
                 column = {side: {name: [r[name] for r in side_runs]
                                  for name in side_runs[0]}
                           for side, side_runs in runs.items()}
-                result = verdict(column["base"][METRIC],
-                                 column["change"][METRIC])
+                result = verdict(column["base"][metric],
+                                 column["change"][metric])
                 result["others"] = {
                     m["name"]: bounded(column["base"][m["name"]],
                                        column["change"][m["name"]], m)
                     for m in others}
-                results[str(seed)] = result
-                _print(seed, result)
+                results[str(seed) if args.workload else args.micro] = result
+                _print(label, result)
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        finally:
-            for path in added:
-                _git("worktree", "remove", "--force", path)
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"),
-        "workload": args.workload, "metric": METRIC, "seconds": seconds,
+        "workload": args.workload, "micro": args.micro, "metric": metric,
+        "seconds": None if args.micro else seconds,
         "base": refs["base"],
         "change": refs.get("change", "checkout of " + _git("rev-parse",
                                                            "HEAD")),

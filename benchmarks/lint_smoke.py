@@ -1,18 +1,17 @@
 """Lint-engine smoke benchmark: full-repo analysis.
 
-``lint_full_repo`` is a cold run over ``src/`` (parse + per-file rules
-+ project index, call graph and project rules), in files/sec.
+``lint_full_repo`` is a cold run over ``src/`` (parse + per-file rules),
+in files/sec.
 
 Usage::
 
     python benchmarks/lint_smoke.py                       # smoke gate
-    python benchmarks/lint_smoke.py --update-baseline BENCH_perf.json
 
 The smoke gate exits 1 when the engine reports findings on its own
-tree or errors on any file.  ``--update-baseline`` measures just the
-lint row and merges it into the committed perf baseline; the CI
-``perf-smoke`` job then tracks it like every other bench (the row is
-registered in ``perf_smoke.BENCHES``).
+tree or errors on any file.  The timed row is registered in
+``perf_smoke.BENCHES``; re-baseline it with
+``python benchmarks/perf_smoke.py --write BENCH_perf.json --only
+lint_full_repo``, which stores the calibration it divided by.
 
 Wall-clock timing is the point here, so like the other harnesses this
 file lives outside the simulated-time lint scope.
@@ -21,7 +20,6 @@ file lives outside the simulated-time lint scope.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -60,43 +58,15 @@ def smoke(reps: int) -> int:
     return 0
 
 
-def update_baseline(path: Path, reps: int) -> int:
-    """Measure the lint row and merge it into ``BENCH_perf.json``."""
-    from perf_smoke import _best_time, calibrate
-
-    doc = json.loads(path.read_text())
-    cal = calibrate()
-    files = _spin_lint_cold().files_checked
-    # Units match perf_smoke.BENCHES: one unit per full-repo run, so
-    # --check recomputes comparable normalized numbers.
-    best = _best_time(_spin_lint_cold, reps)
-    ops = 1.0 / best
-    doc["benches"]["lint_full_repo"] = {
-        "best_s": best,
-        "ops_per_sec": ops,
-        "normalized": ops / cal,
-    }
-    print(f"  lint_full_repo: {best:.4f}s ({files / best:,.0f} files/s), "
-          f"normalized {ops / cal:.6f}")
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"baseline row merged into {path}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python benchmarks/lint_smoke.py",
         description="Full-repo lint benchmark.")
-    parser.add_argument("--update-baseline", metavar="FILE", default=None,
-                        help="merge the lint_full_repo row into the "
-                             "committed perf baseline document")
     parser.add_argument("--reps", type=int, default=3,
                         help="repetitions per measurement; best time wins "
                              "(default 3)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    if args.update_baseline:
-        return update_baseline(Path(args.update_baseline), args.reps)
     return smoke(args.reps)
 
 

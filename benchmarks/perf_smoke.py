@@ -17,10 +17,13 @@ Usage::
 ``--write FILE --only ROW`` (repeatable) times just those rows and a
 fresh calibration and merges them into the existing document, each row
 carrying the ``calibration_ops_per_sec`` it was divided by.  ``--check``
-reads such a row's baseline as its ``ops_per_sec`` over that
-calibration, any other row's as its stored ``normalized``.
+first refuses a document in which some row's stored ``normalized`` is
+not its ``ops_per_sec`` over its own calibration (or, for a row without
+one, the document's), so every floor it compares against is a number
+the document can reproduce.
 
-Exit codes: 0 within tolerance, 1 regression detected, 2 usage errors.
+Exit codes: 0 within tolerance, 1 regression detected (or a row the
+document cannot reproduce), 2 usage errors.
 
 This harness is wall-clock timing by nature (it measures the host), so
 it lives in ``benchmarks/`` — outside the simulated-time lint scope —
@@ -32,6 +35,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -237,11 +241,17 @@ def merge_rows(doc: Dict[str, Any],
     return doc
 
 
-def baseline_normalized(row: Dict[str, float]) -> float:
-    """A committed row's throughput over its own calibration, or its
-    stored ``normalized`` when it carries none."""
-    cal = row.get("calibration_ops_per_sec")
-    return row["normalized"] if cal is None else row["ops_per_sec"] / cal
+def unreproducible_rows(doc: Dict[str, Any]) -> List[str]:
+    """Rows whose stored ``normalized`` is not their ``ops_per_sec`` over
+    their own calibration, or the document's when they carry none."""
+    bad = []
+    for name, row in doc["benches"].items():
+        cal = row.get("calibration_ops_per_sec",
+                      doc["calibration_ops_per_sec"])
+        if not math.isclose(row["normalized"], row["ops_per_sec"] / cal,
+                            rel_tol=1e-9):
+            bad.append(name)
+    return bad
 
 
 def check(baseline_path: str, tolerance: float, reps: int) -> int:
@@ -252,6 +262,14 @@ def check(baseline_path: str, tolerance: float, reps: int) -> int:
         print(f"error: {baseline_path} has schema {doc.get('schema')!r}, "
               f"expected {SCHEMA!r}", file=sys.stderr)
         return 2
+    unreproducible = unreproducible_rows(doc)
+    for name in unreproducible:
+        row = doc["benches"][name]
+        print(f"  {name}: stored normalized {row['normalized']:.6g} is not "
+              f"its ops_per_sec over its calibration; re-time it with "
+              f"--write {baseline_path} --only {name}")
+    if unreproducible:
+        return 1
     gated = doc["benches"]
     results = run_benches(reps)
     failures = 0
@@ -261,7 +279,7 @@ def check(baseline_path: str, tolerance: float, reps: int) -> int:
             print(f"  {name}: MISSING from current bench set")
             failures += 1
             continue
-        base = baseline_normalized(committed)
+        base = committed["normalized"]
         floor = base * (1.0 - tolerance)
         status = "ok" if fresh["normalized"] >= floor else "REGRESSION"
         if status != "ok":

@@ -1,16 +1,13 @@
 """Configuration for the linter (``[tool.repro-lint]`` in pyproject.toml).
 
-Every rule fixes its own path scope and carries built-in defaults for
-its options, so the linter works with no configuration at all; a
-``pyproject.toml`` table overrides an option per rule::
+Every rule fixes its own path scope and has no options, so the linter
+works with no configuration at all.  The one key is the global exclude
+list::
 
     [tool.repro-lint]
     exclude = ["tests/lint/fixtures"]
 
-    [tool.repro-lint.rpl001]
-    allow-functions = ["src/repro/harness/common.py::wall_timer"]
-
-Path entries are interpreted relative to the directory holding the
+Its entries are interpreted relative to the directory holding the
 config file (the project root) and match by prefix.
 """
 
@@ -37,12 +34,6 @@ class LintConfig:
     root: Path = field(default_factory=Path.cwd)
     #: Path prefixes (relative to ``root``) excluded from all rules.
     exclude: List[str] = field(default_factory=list)
-    #: Per-rule option tables, keyed by lower-case rule code.
-    rule_options: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    def options_for(self, code: str) -> Dict[str, Any]:
-        """The option table for a rule (empty dict when unconfigured)."""
-        return self.rule_options.get(code.lower(), {})
 
     def rel_path(self, path: Path) -> str:
         """``path`` relative to the project root, as a posix string.
@@ -106,9 +97,5 @@ def load_config(explicit: Optional[Path] = None,
             doc = _toml.load(fh)
         table = doc.get("tool", {}).get("repro-lint", {}) or {}
 
-    cfg = LintConfig(root=path.parent.resolve())
-    cfg.exclude = [str(p) for p in table.get("exclude", [])]
-    for key, value in table.items():
-        if isinstance(value, dict):
-            cfg.rule_options[key.lower()] = dict(value)
-    return cfg
+    return LintConfig(root=path.parent.resolve(),
+                      exclude=[str(p) for p in table.get("exclude", [])])

@@ -12,8 +12,8 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Union)
 
 from repro.lint.config import LintConfig, in_scope
 from repro.lint.rules import RULES, Rule, Violation
@@ -69,14 +69,11 @@ class Suppressions:
 class FileContext:
     """Everything a rule needs to inspect one parsed file."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module,
-                 config: LintConfig) -> None:
+    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         #: Root-relative posix path (fixture snippets keep their given name).
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.config = config
         self._parents: Optional[Dict[ast.AST, ast.AST]] = None
         self._aliases: Optional[Dict[str, str]] = None
 
@@ -98,16 +95,6 @@ class FileContext:
         cur = parents.get(node)
         while cur is not None:
             if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = parents.get(cur)
-        return None
-
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        """Innermost ClassDef containing ``node``."""
-        parents = self._parent_map()
-        cur = parents.get(node)
-        while cur is not None:
-            if isinstance(cur, ast.ClassDef):
                 return cur
             cur = parents.get(cur)
         return None
@@ -192,41 +179,12 @@ def _check_file(ctx: FileContext, rules: Sequence[Rule],
                 result.violations.append(violation)
 
 
-def _check_project(contexts: Sequence[FileContext], rules: Sequence[Rule],
-                   cfg: LintConfig) -> List[Violation]:
-    """Run the project-wide rules over the whole parsed file set."""
-    if not rules or not contexts:
-        return []
-    from repro.lint.project import ProjectIndex
-    index = ProjectIndex(contexts)
-    suppressions = {ctx.path: Suppressions.scan(ctx.lines)
-                    for ctx in contexts}
-    found: List[Violation] = []
-    for r in rules:
-        for violation in r.check_project(index, cfg):
-            if not in_scope(violation.path, r.scope):
-                continue
-            supp = suppressions.get(violation.path)
-            if supp is not None and supp.suppressed(violation):
-                continue
-            found.append(violation)
-    return found
-
-
-def _split_rules(rules: Sequence[Rule]) -> Tuple[List[Rule], List[Rule]]:
-    file_rules = [r for r in rules if not r.project_wide]
-    project_rules = [r for r in rules if r.project_wide]
-    return file_rules, project_rules
-
-
 def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
                select: Optional[Sequence[str]] = None) -> LintResult:
     """Lint every ``.py`` file under the given paths."""
     cfg = config or LintConfig()
     rules = _selected_rules(select)
-    file_rules, project_rules = _split_rules(rules)
     result = LintResult()
-    contexts: List[FileContext] = []
     for path in _discover(paths):
         rel = cfg.rel_path(path)
         if cfg.is_excluded(rel):
@@ -238,27 +196,20 @@ def lint_paths(paths: Sequence[Path], config: Optional[LintConfig] = None,
             result.errors.append(f"{rel}: {exc}")
             continue
         result.files_checked += 1
-        ctx = FileContext(rel, source, tree, cfg)
-        contexts.append(ctx)
-        _check_file(ctx, file_rules, result)
-    result.violations.extend(_check_project(contexts, project_rules, cfg))
+        _check_file(FileContext(rel, source, tree), rules, result)
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return result
 
 
 def lint_source(source: str, path: str = "<snippet>",
-                config: Optional[LintConfig] = None,
                 select: Optional[Sequence[str]] = None) -> LintResult:
     """Lint one in-memory snippet (the test-fixture entry point).
 
     ``path`` participates in rule scoping exactly as an on-disk path
     would, so fixtures can opt in to path-scoped rules by choosing a
-    matching pretend location.  Project-wide rules see a one-file
-    project containing just the snippet.
+    matching pretend location.
     """
-    cfg = config or LintConfig()
     rules = _selected_rules(select)
-    file_rules, project_rules = _split_rules(rules)
     result = LintResult()
     try:
         tree = ast.parse(source, filename=path)
@@ -266,8 +217,6 @@ def lint_source(source: str, path: str = "<snippet>",
         result.errors.append(f"{path}: {exc}")
         return result
     result.files_checked = 1
-    ctx = FileContext(path, source, tree, cfg)
-    _check_file(ctx, file_rules, result)
-    result.violations.extend(_check_project([ctx], project_rules, cfg))
+    _check_file(FileContext(path, source, tree), rules, result)
     result.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return result

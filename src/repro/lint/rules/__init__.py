@@ -21,9 +21,7 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Type)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.config import LintConfig
     from repro.lint.engine import FileContext
-    from repro.lint.project import ProjectIndex
 
 
 @dataclass(frozen=True)
@@ -59,19 +57,9 @@ class Rule:
     paper_ref: str = ""
     #: Path prefixes the rule applies to (``None`` = everywhere).
     scope: Optional[Sequence[str]] = None
-    #: Project-wide rules run once over the whole parsed file set
-    #: (via :meth:`check_project`) instead of per file.
-    project_wide: bool = False
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield violations for one parsed file."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def check_project(self, index: "ProjectIndex",
-                      config: "LintConfig") -> Iterator[Violation]:
-        """Yield violations for the whole indexed file set (only called
-        when :attr:`project_wide` is true)."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -98,16 +86,6 @@ class Rule:
         return fn.name if fn is not None else None
 
 
-class ProjectRule(Rule):
-    """Base class for rules that analyze the whole project at once."""
-
-    project_wide = True
-
-    def check(self, ctx: "FileContext") -> Iterator[Violation]:
-        """Project rules have no per-file phase."""
-        return iter(())
-
-
 #: The global registry, keyed by rule code.
 RULES: Dict[str, Rule] = {}
 
@@ -125,9 +103,8 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
 def _load_builtin_rules() -> None:
     # Imported for their registration side effect.
     from repro.lint.rules import (determinism, local_clock,  # noqa: F401
-                                  mutable_defaults, passive_reach,
-                                  passive_server, remote_taint,
-                                  time_equality)
+                                  mutable_defaults, passive_server,
+                                  remote_taint, time_equality)
 
 
 _load_builtin_rules()

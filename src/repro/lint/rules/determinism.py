@@ -4,8 +4,11 @@ Experiment results are only comparable (and the protocol arguments only
 checkable) when every run with one seed is bit-identical.  Wall-clock
 reads and ambient ``random`` draws break that: sim code must measure
 time on ``sim.clock``/``sim.now`` and draw randomness from the named
-``sim.rng`` streams.  The harness may time itself against the wall, but
-only through the single allowlisted helper
+``sim.rng`` streams.  A wall-clock wait (``time.sleep``) is flagged too:
+a simulated node waits by yielding a sim timeout, and a handler that
+blocks the process stalls every delivery behind it (the passive server
+of §3 answers inside the delivery).  The harness may time itself
+against the wall, but only through the single allowlisted helper
 (``harness.common.wall_timer``), which keeps the sim-time/wall-time
 policy auditable in one place.
 """
@@ -13,20 +16,18 @@ policy auditable in one place.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Dict, Iterator
 
 from repro.lint.rules import Rule, Violation, rule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.lint.engine import FileContext
 
-#: Functions whose call means "read the wall clock".
+#: Functions whose call means "read (or wait on) the wall clock".
 _WALL_CLOCK = {
     "time": {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
              "perf_counter_ns", "process_time", "process_time_ns",
-             "localtime", "gmtime", "ctime", "strftime"},
+             "localtime", "gmtime", "ctime", "strftime", "sleep"},
     "datetime": {"now", "utcnow", "today"},
     "datetime.datetime": {"now", "utcnow", "today"},
     "datetime.date": {"today"},
@@ -37,6 +38,9 @@ _AMBIENT_RANDOM = {"random", "randint", "randrange", "uniform", "choice",
                    "choices", "shuffle", "sample", "seed", "gauss",
                    "normalvariate", "betavariate", "expovariate", "getrandbits"}
 
+#: The one function allowed to touch the wall clock: (file, function).
+_WALL_TIMER = ("src/repro/harness/common.py", "wall_timer")
+
 
 @rule
 class DeterminismRule(Rule):
@@ -44,22 +48,16 @@ class DeterminismRule(Rule):
 
     code = "RPL001"
     name = "determinism"
-    description = ("no wall-clock reads or ambient randomness in sim code; "
-                   "use sim.clock / sim.rng (harness wall-clock goes through "
-                   "the allowlisted wall_timer helper)")
+    description = ("no wall-clock reads or waits and no ambient randomness "
+                   "in sim code; use sim.clock / sim.rng (harness wall-clock "
+                   "goes through the allowlisted wall_timer helper)")
     paper_ref = "reproducible runs underpin every experimental claim (§5-§6)"
     scope = ["src/repro"]
 
     def check(self, ctx: "FileContext") -> Iterator[Violation]:
         """Yield a violation per wall-clock / ambient-random call site."""
-        opts = ctx.config.options_for(self.code)
-        allow: List[str] = list(opts.get(
-            "allow-functions", ["src/repro/harness/common.py::wall_timer"]))
-        allowed_fns: Set[str] = set()
-        for entry in allow:
-            file_part, _, fn_part = str(entry).partition("::")
-            if not fn_part or ctx.path == file_part or ctx.path.endswith(file_part):
-                allowed_fns.add(fn_part or "*")
+        timer_file, timer_fn = _WALL_TIMER
+        in_timer_file = ctx.path.endswith(timer_file)
         aliases: Dict[str, str] = ctx.module_aliases()
 
         for node in ast.walk(ctx.tree):
@@ -73,15 +71,20 @@ class DeterminismRule(Rule):
                    or (module == "random" and fn in _AMBIENT_RANDOM))
             if not hit:
                 continue
-            enclosing = self.enclosing_function(ctx, node)
-            if enclosing is not None and enclosing in allowed_fns:
+            if (in_timer_file
+                    and self.enclosing_function(ctx, node) == timer_fn):
                 continue
-            kind = ("ambient random" if module == "random" else "wall clock")
-            yield Violation(
-                self.code,
-                f"{kind} call `{target}()` in sim code — use sim.clock / "
-                f"sim.rng (or the allowlisted wall_timer helper)",
-                ctx.path, node.lineno, node.col_offset)
+            if module == "random":
+                message = (f"ambient random call `{target}()` in sim code — "
+                           f"use sim.rng")
+            elif fn == "sleep":
+                message = (f"wall-clock wait `{target}()` in sim code — "
+                           f"wait on sim time (yield a sim timeout)")
+            else:
+                message = (f"wall clock call `{target}()` in sim code — use "
+                           f"sim.clock (or the allowlisted wall_timer helper)")
+            yield Violation(self.code, message, ctx.path, node.lineno,
+                            node.col_offset)
 
     @staticmethod
     def _resolve(func: ast.AST, aliases: Dict[str, str]) -> "str | None":

@@ -16,8 +16,7 @@ that is not a test.  The census reads every ``@dataclass`` named
 - a keyword passed to ``dataclasses.replace(...)``, credited to every
   config class that has a field of that name;
 - a key under ``[tool.repro-lint]`` in ``pyproject.toml``, which the
-  linter loads into ``LintConfig`` (a sub-table is a rule's entry in
-  ``rule_options``).
+  linter loads into ``LintConfig``.
 
 A ``hasattr``-guarded poke through a local name (``simtest/runner.py``)
 is written to survive the field's deletion and is not a caller that
@@ -27,10 +26,6 @@ and A4 ablation switches on ``ServerLeaseAuthority``).
 An option only tests set is listed in :data:`TEST_ONLY` with the reason
 it stays; an entry that gains a real caller, or names an option that is
 gone, fails too, so the list cannot rot.
-
-``rule_options`` is one field but many options: every key the linter
-reads off a rule's option table (``opts.get("<key>", default)``) must
-be set in some ``[tool.repro-lint.rplNNN]`` table, or it is a constant.
 """
 
 import ast
@@ -177,47 +172,11 @@ def _owners():
     return owners
 
 
-def _lint_table():
-    with open(ROOT / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["tool"]["repro-lint"]
-
-
 def _lint_config_keys():
     """``LintConfig.<field>`` for every key under ``[tool.repro-lint]``."""
-    return {"LintConfig.rule_options" if isinstance(value, dict)
-            else f"LintConfig.{key.replace('-', '_')}"
-            for key, value in _lint_table().items()}
-
-
-def _rule_option_keys_set():
-    """Every key of every ``[tool.repro-lint.rplNNN]`` table."""
-    return {key for value in _lint_table().values()
-            if isinstance(value, dict) for key in value}
-
-
-def _rule_option_reads():
-    """``(path, key)`` for every option the linter reads off a rule's table.
-
-    The lint code holds a table from ``config.options_for(code)`` in a
-    local named ``opts`` (or ``options``) and reads it with
-    ``.get("<key>", default)``.
-    """
-    reads = set()
-    lint = ROOT / "src" / "repro" / "lint"
-    for path in sorted(lint.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "get" and node.args
-                    and isinstance(node.args[0], ast.Constant)):
-                continue
-            table = node.func.value
-            if (_name(table) in ("opts", "options")
-                    or (isinstance(table, ast.Call)
-                        and _name(table.func) == "options_for")):
-                reads.add((path.relative_to(ROOT).as_posix(),
-                           node.args[0].value))
-    return reads
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        table = tomllib.load(fh)["tool"]["repro-lint"]
+    return {f"LintConfig.{key.replace('-', '_')}" for key in table}
 
 
 def fields_set_by_callers():
@@ -264,7 +223,6 @@ def test_census_reads_every_config_class():
     seen = fields_set_by_callers()
     assert "SystemConfig.n_clients" in seen          # keyword callers
     assert "LintConfig.exclude" in seen              # pyproject keys
-    assert "LintConfig.rule_options" in seen         # pyproject sub-tables
 
 
 def test_census_reads_every_wired_constructor():
@@ -284,16 +242,6 @@ def test_every_option_has_a_caller_outside_tests():
     assert uncalled == set(TEST_ONLY), (
         f"options no non-test caller sets: {sorted(uncalled - set(TEST_ONLY))}; "
         f"make each a constant or derive it, or justify it in TEST_ONLY")
-
-
-def test_every_lint_rule_option_is_set_in_pyproject():
-    reads = _rule_option_reads()
-    assert {key for _, key in reads} >= {"allow-functions"}
-    unset = sorted(f"{path}: {key}" for path, key in reads
-                   if key not in _rule_option_keys_set())
-    assert not unset, (
-        f"lint rule options no pyproject table sets: {unset}; "
-        f"make each the constant it defaults to")
 
 
 def test_test_only_entries_are_still_needed():

@@ -1,4 +1,5 @@
-"""Fixture: wall-clock reads and ambient randomness (RPL001 fires)."""
+"""Fixture: wall-clock reads, a wall-clock wait and ambient randomness
+(RPL001 fires)."""
 import random
 import time
 from datetime import datetime
@@ -9,3 +10,7 @@ def stamp_run():
     label = datetime.now().isoformat()
     jitter = random.random()
     return started, label, jitter
+
+
+def pause():
+    time.sleep(0.01)

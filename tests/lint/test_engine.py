@@ -13,16 +13,12 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _config():
-    return load_config(explicit=REPO_ROOT / "pyproject.toml")
-
-
 # -- suppression comments ---------------------------------------------------
 
 def test_inline_suppression_silences_only_its_line():
     source = (FIXTURES / "suppressed.py").read_text()
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL005"])
+                         select=["RPL005"])
     assert len(result.violations) == 1
     assert "t0 == t1" in result.violations[0].message
 
@@ -30,14 +26,14 @@ def test_inline_suppression_silences_only_its_line():
 def test_file_level_suppression_silences_whole_file():
     source = (FIXTURES / "suppressed_file.py").read_text()
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL005"])
+                         select=["RPL005"])
     assert result.violations == []
 
 
 def test_suppression_is_code_specific():
     source = "def f(t0, t1, xs=[]):\n    return t0 == t1  # repro-lint: ignore[RPL007]\n"
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL005", "RPL007"])
+                         select=["RPL005", "RPL007"])
     # the ignore names RPL007 but the finding on that line is RPL005
     assert sorted(v.code for v in result.violations) == ["RPL005", "RPL007"]
 
@@ -45,14 +41,14 @@ def test_suppression_is_code_specific():
 def test_bare_ignore_suppresses_every_code_on_the_line():
     source = "def f(t0, t1):\n    return t0 == t1  # repro-lint: ignore\n"
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL005"])
+                         select=["RPL005"])
     assert result.violations == []
 
 
 # -- config -----------------------------------------------------------------
 
 def test_pyproject_config_excludes_fixture_dir():
-    cfg = _config()
+    cfg = load_config(explicit=REPO_ROOT / "pyproject.toml")
     assert cfg.is_excluded("tests/lint/fixtures/rpl001_fires.py")
     assert not cfg.is_excluded("tests/lint/test_rules.py")
 
@@ -68,7 +64,7 @@ def test_scope_matches_path_components_not_string_prefixes():
 def test_json_report_shape():
     source = (FIXTURES / "rpl007_fires.py").read_text()
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL007"])
+                         select=["RPL007"])
     doc = json.loads(render_json(result))
     assert doc["version"] == "repro-lint/1.0"
     assert doc["files_checked"] == 1
@@ -81,7 +77,7 @@ def test_json_report_shape():
 def test_text_report_mentions_rule_code_and_summary():
     source = (FIXTURES / "rpl007_fires.py").read_text()
     result = lint_source(source, path="src/repro/fixture_mod.py",
-                         config=_config(), select=["RPL007"])
+                         select=["RPL007"])
     text = render_text(result, statistics=True)
     assert "RPL007" in text
     assert "violation" in text
@@ -90,12 +86,14 @@ def test_text_report_mentions_rule_code_and_summary():
 def test_rule_list_covers_all_shipped_rules():
     listing = render_rule_list()
     for code in ["RPL001", "RPL002", "RPL003", "RPL005", "RPL007",
-                 "RPL008", "RPL009"]:
+                 "RPL008"]:
         assert code in listing
     # Retired: the declared request schemas enforce what RPL010 inferred;
-    # RPL006, RPL011 and RPL013 became checks the code runs, and RPL004
-    # guarded an attribute nothing writes (DESIGN.md §11).
-    for code in ["RPL004", "RPL006", "RPL010", "RPL011", "RPL013"]:
+    # RPL006, RPL011 and RPL013 became checks the code runs, RPL004
+    # guarded an attribute nothing writes, and RPL009's defects fail at
+    # run time or under RPL001 (DESIGN.md §11).
+    for code in ["RPL004", "RPL006", "RPL009", "RPL010", "RPL011",
+                 "RPL013"]:
         assert code not in listing
 
 

@@ -9,7 +9,9 @@ checks in ``tests/integration/test_request_fields.py``, so those
 knock-outs put the pre-fix handler back into a running system.  Three
 former lint rules are now checks the code runs (DESIGN.md §11, "Kept by
 construction"): their knock-outs are compiled back into the shipped
-module and must fail the build, the store or a behaviour test.
+module and must fail the build, the store or a behaviour test.  So is
+the knock-out of deleted RPL009, a handler finishing its body inline,
+which fails the request it serves.
 """
 
 import sys
@@ -19,7 +21,7 @@ import pytest
 
 from repro.client.lockclient import LockClient
 from repro.core.config import NetCacheConfig, ScaleConfig
-from repro.lint import lint_source, load_config
+from repro.lint import lint_source
 from repro.metadata.store import ClaimError
 from repro.net.control import Endpoint
 from repro.net.message import Close, KIND_GROUPS, MsgKind, partition_faults
@@ -247,6 +249,18 @@ def test_the_setattr_body_run_outside_the_barrier_fails(monkeypatch):
     assert system.server.metadata.inode(fid).attrs.size == 0
 
 
+def test_a_handler_finishing_its_body_inline_fails_the_create(monkeypatch):
+    """RPL009's row: ``_h_create`` runs the body itself instead of
+    returning it to the transport, which runs a generator handler to its
+    first wait inside the delivery."""
+    _knock_out(monkeypatch, StorageTankServer, "_h_create",
+               "return self._create(body.path, int(body.size))",
+               "return next(self._create(body.path, int(body.size)))")
+    system = make_system(n_clients=1)
+    with pytest.raises(StopIteration):
+        run_gen(system, system.client("c1").create("/f"))
+
+
 def test_a_hand_built_reply_outside_the_transport_fires():
     """RPL013's row: the client's batch refusal built as a raw ``Nack``
     again, as it was before ``NackError.refused_in_batch``."""
@@ -291,10 +305,13 @@ _LAYER_KNOCKOUTS = [
     ("RPL002", "src/repro/server/lockservice.py",
      "MsgKind.RANGE_DEMAND, RangeDemand(obj)",
      "MsgKind.KEEPALIVE, RangeDemand(obj)"),
-    # Finishing the body inline instead of handing it to the responder.
-    ("RPL009", "src/repro/server/node.py",
-     "return self._create(body.path, int(body.size))",
-     "return next(self._create(body.path, int(body.size)))"),
+    # A server helper that blocks the process on the wall clock: every
+    # LOOKUP and UNLINK handler reaches it inside the delivery.
+    ("RPL001", "src/repro/server/node.py",
+     "        \"\"\"The store serving a path (home-owner's store under a "
+     "cluster).\"\"\"\n",
+     "        \"\"\"The store serving a path (home-owner's store under a "
+     "cluster).\"\"\"\n        import time\n        time.sleep(0)\n"),
     # Renewing the lease at an instant the server put in its reply.
     ("RPL008", "src/repro/lease/agent.py",
      "lease.renew(renewal_time)",
@@ -308,11 +325,8 @@ _LAYER_KNOCKOUTS = [
 @pytest.mark.parametrize("code,path,old,new", _LAYER_KNOCKOUTS)
 def test_rule_still_fires_in_the_layer_its_subject_moved_to(code, path,
                                                             old, new):
-    config = load_config(explicit=REPO_ROOT / "pyproject.toml")
     source = (REPO_ROOT / path).read_text()
     assert old in source
-    assert lint_source(source, path=path, config=config,
-                       select=[code]).violations == []
-    broken = lint_source(source.replace(old, new), path=path, config=config,
-                         select=[code])
+    assert lint_source(source, path=path, select=[code]).violations == []
+    broken = lint_source(source.replace(old, new), path=path, select=[code])
     assert {v.code for v in broken.violations} == {code}
