@@ -26,7 +26,10 @@ repository root.
 ``--micro ROW`` compares one ``BENCH_perf.json`` row instead: each run is
 one fresh ``benchmarks/perf_smoke.py --write TMP --only ROW`` in that
 side's checkout (TMP a copy of its ``BENCH_perf.json``), read as the
-row's ``normalized``, and the same rule gives the verdict.
+row's ``normalized``, and the same rule gives the verdict.  The record
+also keeps each run's raw ``ops_per_sec`` and the
+``calibration_ops_per_sec`` it was divided by, so a noisy verdict shows
+whether the row or the calibration moved.
 
 Exit codes: 0 gain at every seed, 1 no gain at some seed, 2 usage or a
 run that failed.
@@ -50,6 +53,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC = "work_per_wall_s"
 RECORDS = os.path.join(REPO, "BENCH_ab.jsonl")
 WIN_SHARE = 0.9
+#: What ``--micro`` keeps of each run: the metric, then its two factors.
+MICRO_FIELDS = ("normalized", "ops_per_sec", "calibration_ops_per_sec")
 
 
 class RunFailed(Exception):
@@ -93,7 +98,7 @@ def _run(checkout: str, workload: str, seed: int,
 
 def _run_micro(checkout: str, row: str, tmp: str) -> Dict[str, float]:
     """One fresh ``perf_smoke.py --write TMP --only ROW`` in ``checkout``;
-    the row's ``normalized``."""
+    the row's ``normalized`` and the two rates it is the ratio of."""
     doc = os.path.join(tmp, "perf.json")
     shutil.copyfile(os.path.join(checkout, "BENCH_perf.json"), doc)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -106,7 +111,8 @@ def _run_micro(checkout: str, row: str, tmp: str) -> Dict[str, float]:
         raise RunFailed(f"perf_smoke failed in {checkout} (exit "
                         f"{proc.returncode}): {proc.stderr[-2000:]}")
     with open(doc) as fh:
-        return {"normalized": json.load(fh)["benches"][row]["normalized"]}
+        stored = json.load(fh)["benches"][row]
+    return {name: stored[name] for name in MICRO_FIELDS}
 
 
 def _quartiles(values: List[float]) -> List[float]:
@@ -225,6 +231,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                     for m in others}
                 results[str(seed) if args.workload else args.micro] = result
                 _print(label, result)
+                if args.micro:
+                    result["runs"] = {side: {name: column[side][name]
+                                             for name in MICRO_FIELDS[1:]}
+                                      for side in column}
+                    for name in MICRO_FIELDS[1:]:
+                        b, c = (statistics.median(column[side][name])
+                                for side in ("base", "change"))
+                        print(f"  {name}: median {b:,.4g} -> {c:,.4g}")
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

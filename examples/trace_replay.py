@@ -29,7 +29,7 @@ def main() -> None:
                            max_file_blocks=32, zipf_s=0.9,
                            ops_per_session_mean=5.0,
                            think_mu=0.4, think_sigma=0.6)
-    trace = TraceSynthesizer(profile, seed=17).synthesize(system.pool.live_names())
+    trace = TraceSynthesizer(profile, seed=17).synthesize(system.config.client_names())
     print(f"synthesized trace: {len(trace.files)} files, "
           f"{trace.total_sessions} sessions, {trace.total_ops} ops, "
           f"{sum(trace.bytes_by_op().values()) / 1e6:.1f} MB of I/O")

@@ -80,6 +80,10 @@ class _InFlight:
 
     def _exit_op(self, exc_type: Any, exc: Any, tb: Any) -> None:
         self.in_flight -= 1
+        # GeneratorExit: the garbage collector is finalizing a dead
+        # system's operation.  Scheduling now would revive its simulator.
+        if exc_type is GeneratorExit:
+            return
         if self.in_flight == 0 and self.drained is not None:
             self.drained.succeed()
             self.drained = None
@@ -174,7 +178,7 @@ class StorageTankClient:
         self.admission_check = None
 
         # A non-positive interval disables the standing write-back timer
-        # entirely (scale path: clients built on touch flush explicitly).
+        # entirely (for workloads that flush explicitly).
         if self.config.writeback_interval > 0:
             sim.process(self._writeback_daemon(), name=f"{name}:writeback")
 

@@ -10,9 +10,8 @@ Clients are *registered*, not built.  A registered-but-unbuilt
 :class:`~repro.lease.pooled.PooledLeaseService` and costs **zero**
 heap-allocated sim objects and **zero** kernel heap entries.  Names are
 derived from ``prefix + index`` on demand, so a million parked clients
-do not even pay for a million name strings.  How much of the population
-is built up front is the builder's policy (``ScaleConfig.lazy_clients``),
-not a second kind of pool: building everyone is ``get`` on every name.
+do not even pay for a million name strings.  Every installation builds
+its clients on first touch; building everyone is ``get`` on every name.
 
 ``get(name)`` on a parked client *materializes* it: one shared factory
 closure (no per-client closures at registration time) builds the full
@@ -92,7 +91,7 @@ class ClientPool:
         #: invoked with (name, idx) just before the factory runs
         self.on_materialize: Optional[Callable[[str, int], None]] = None
         self.materializations = 0
-        #: wake reason -> count ("api", "datagram", "build", ...)
+        #: wake reason -> count ("api", "datagram", ...)
         self.wake_reasons: Dict[str, int] = {}
 
     # -- naming ------------------------------------------------------------

@@ -101,21 +101,7 @@ class NetCacheConfig:
 
 @dataclass(frozen=True)
 class ScaleConfig:
-    """Population policy of the one client build path.
-
-    Every installation registers its clients as flyweight records in a
-    :class:`~repro.client.pool.ClientPool` behind one factory.
-    ``lazy_clients=False`` materializes every name at build time, in
-    name order (the experiments that drive the whole population);
-    ``lazy_clients=True`` leaves them parked — no client objects, no
-    endpoints, no kernel timers — until first touch (API access or
-    inbound datagram), which builds the client for the rest of the run.
-    Such clients run no write-back daemon: scale workloads flush
-    explicitly.
-    """
-
-    #: Leave clients parked until first touch instead of building all.
-    lazy_clients: bool = False
+    """Empty: ``bench/workloads.py`` still imports it (no policy left)."""
 
 
 @dataclass(frozen=True)
@@ -158,7 +144,6 @@ class SystemConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
-    scale: ScaleConfig = field(default_factory=ScaleConfig)
     netcache: NetCacheConfig = field(default_factory=NetCacheConfig)
     # Baseline knobs
     frangipani_heartbeat: float = 10.0

@@ -104,7 +104,7 @@ class StorageTankSystem:
         clients never talk over the SAN, which is exactly what makes a
         symmetric control-network cut asymmetric overall (Fig. 2).
         """
-        client_names = self.pool.live_names()
+        client_names = list(self.config.client_names())
         entities = ([self.server.name] + client_names + list(self.disks))
         ctrl_members = {self.server.name, *client_names}
         devices = set(self.disks)
@@ -135,9 +135,8 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     is built: a coordinator and shard roles iff ``n_servers >= 2``, the
     cache tier iff ``netcache.n_nodes >= 1``, spans iff a run collector
     is active.  Every client population is registered as flyweight
-    records behind one factory (see :mod:`repro.client.pool`);
-    ``config.scale.lazy_clients`` only chooses whether the builder then
-    materializes everyone or leaves that to first touch.
+    records behind one factory (see :mod:`repro.client.pool`), and each
+    client is built on first touch.
     """
     cfg = config if config is not None else SystemConfig.default()
     spec = get_protocol(cfg.protocol)
@@ -186,11 +185,8 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
                    if len(server_names) > 1 else None)
     coordinator: Optional[ClusterCoordinator] = None
 
-    # Clients built on first touch run no write-back daemon: scale
-    # workloads flush explicitly.
     client_cfg = ClientConfig(
-        writeback_interval=(0.0 if cfg.scale.lazy_clients
-                            else cfg.writeback_interval),
+        writeback_interval=cfg.writeback_interval,
         rpc_timeout=cfg.rpc_timeout, rpc_retries=cfg.rpc_retries,
         data_path=cfg.data_path, use_leases=spec.uses_leases)
     slow = frozenset(cfg.slow_clients)
@@ -219,11 +215,6 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     timers = TimerPool(sim)
     pooled = PooledLeaseService(timers)
     _wire_pool(pool, pooled, net)
-    if not cfg.scale.lazy_clients:
-        # Same path, other policy: everyone, now, in name order, so the
-        # shared clock stream is drawn in the order the names are listed.
-        for cname in pool.names():
-            pool.get(cname, reason="build")
 
     if initial_map is not None:
         peer_stores = {sname: srv.metadata for sname, srv in servers.items()}
@@ -243,8 +234,7 @@ def build_system(config: Optional[SystemConfig] = None) -> StorageTankSystem:
     netcache: Dict[str, MetadataCacheNode] = {}
     if cfg.netcache.n_nodes:
         # In-network metadata cache tier: per-rack soft-state nodes the
-        # control network routes cacheable reads through.  Constructed
-        # last so its clocks draw after every other node's; without
+        # control network routes cacheable reads through.  Without
         # nodes the transmit path has a None router.
         for mname in cfg.cache_names():
             netcache[mname] = MetadataCacheNode(

@@ -274,7 +274,7 @@ def ablation_a5_scalability(seed: int = 0, duration: float = 30.0,
                                         8 * BLOCK_SIZE)
                 yield from client.flush(fd)  # synchronous: hits the disk
                 offset += 8 * BLOCK_SIZE
-        procs = [system.spawn(stream(c)) for c in system.pool.live_names()]
+        procs = [system.spawn(stream(c)) for c in cfg.client_names()]
         for proc in procs:
             system.sim.run_until_event(proc, hard_limit=duration * 30 + 600)
         san_mb = (system.san.bytes_read + system.san.bytes_written) / 1e6

@@ -28,8 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.report import Table
-from repro.core.config import (LeaseConfig, ScaleConfig, SystemConfig,
-                               WorkloadConfig)
+from repro.core.config import LeaseConfig, SystemConfig, WorkloadConfig
 from repro.core.system import StorageTankSystem, build_system
 from repro.fault.adversary import BYZANTINE_KINDS
 from repro.fault.injector import FaultInjector
@@ -138,8 +137,7 @@ def _build(n_clients: int, seed: int) -> StorageTankSystem:
     cfg = SystemConfig(
         n_clients=n_clients, seed=seed, protocol="storage_tank",
         record_trace=True, rpc_timeout=0.5, rpc_retries=2,
-        writeback_interval=2.0,
-        scale=ScaleConfig(lazy_clients=True),
+        writeback_interval=0.0,
         lease=LeaseConfig(tau=8.0, epsilon=0.05),
         workload=WorkloadConfig(n_files=6, file_size_blocks=8,
                                 read_fraction=0.6, think_time=0.2,

@@ -25,8 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Tuple
 
 from repro.analysis.report import Table
-from repro.core.config import (NetCacheConfig, ScaleConfig, SystemConfig,
-                               WorkloadConfig)
+from repro.core.config import NetCacheConfig, SystemConfig, WorkloadConfig
 from repro.core.system import StorageTankSystem, build_system
 from repro.harness.common import wall_timer
 from repro.harness.registry import experiment
@@ -111,7 +110,7 @@ def cache_point(n_clients: int, cache_nodes: int, zipf_s: float,
     """
     cfg = SystemConfig(
         n_clients=n_clients, seed=seed, protocol="storage_tank",
-        scale=ScaleConfig(lazy_clients=True),
+        writeback_interval=0.0,
         workload=WorkloadConfig(n_files=n_files, zipf_s=0.0),
         netcache=NetCacheConfig(n_nodes=cache_nodes))
     system = build_system(cfg)

@@ -381,6 +381,9 @@ def experiment_e7_overhead(seed: int = 0, duration: float = 120.0) -> Table:
             system = build_system(cfg)
             if think is None:
                 # Open files once, then idle: caches and locks must survive.
+                # Every client is built, so the idle ones pay their share.
+                for name in cfg.client_names():
+                    system.client(name)
                 log = ScenarioLog()
                 system.spawn(holder_with_dirty_data(system, "c1", "/f", log))
                 system.run(until=duration)

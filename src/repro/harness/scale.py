@@ -29,7 +29,7 @@ from typing import Any, Dict, Generator, List, Tuple
 import numpy as np
 
 from repro.analysis.report import Table
-from repro.core.config import ScaleConfig, SystemConfig, WorkloadConfig
+from repro.core.config import SystemConfig, WorkloadConfig
 from repro.core.system import StorageTankSystem, build_system
 from repro.harness.common import wall_timer
 from repro.harness.registry import experiment
@@ -56,7 +56,7 @@ def scale_point(n_clients: int, seed: int = 0, active: int = 48,
     """
     build_wall = wall_timer()
     tracemalloc.start()
-    system = _build_lazy(n_clients, seed)
+    system = _build(n_clients, seed)
     _seed_parked_leases(system, duration)
     traced_bytes, _peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -114,11 +114,12 @@ def experiment_e_scale(seed: int = 0, clients: int = 100_000,
     return table
 
 
-def _build_lazy(n_clients: int, seed: int) -> StorageTankSystem:
-    """One lazily-populated system: N flyweight clients, one shard map."""
+def _build(n_clients: int, seed: int) -> StorageTankSystem:
+    """One system of N flyweight clients on one shard map; the drive
+    flushes explicitly, so clients run no write-back daemon."""
     cfg = SystemConfig(
         n_clients=n_clients, seed=seed, protocol="storage_tank",
-        scale=ScaleConfig(lazy_clients=True),
+        writeback_interval=0.0,
         workload=WorkloadConfig(n_files=20, zipf_s=0.0))
     return build_system(cfg)
 

@@ -102,12 +102,8 @@ class LockService:
         self._lapse_at_fence[client] = self._lapse_seen.get(client, 0)
         for disk in server.san.devices.values():
             disk.fence_table.fence(client, server.sim.now)
-        # ``scope`` says nothing any more (fences are only ever built at
-        # the devices), but every pinned trace hash covers it.  Kept, the
-        # golden traces, corpus and artifacts replay bit-identical, which
-        # is what shows the options deleted around it changed nothing.
         server.trace.emit(server.sim.now, "server.fence", server.name,
-                          client, "device")
+                          client)
 
     def unfence_client(self, client: str) -> None:
         """Lift a previously constructed fence."""

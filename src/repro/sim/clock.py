@@ -13,6 +13,11 @@ so that every *pairwise ratio* is strictly within the bound, i.e.
 ``[1/sqrt(1+ε), sqrt(1+ε)]``).  Offsets are arbitrary — the protocol
 never compares absolute local times across machines.
 
+Each node's draw is keyed by (root seed, node name), never by the order
+in which nodes are built: a node's timer is a property of that node
+alone, so a client built on first touch gets the clock it would have
+got at t = 0.
+
 A clock can also be created *out of bound* (``violates_bound=True``) to
 model the paper's §6 "slow computer" failure mode, where the lease
 protocol alone is insufficient and fencing is required.
@@ -20,14 +25,15 @@ protocol alone is insufficient and fencing is required.
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    import numpy as np
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
+
+#: 2**-53: scales a 53-bit integer onto [0, 1) exactly.
+_UNIT = 1.0 / (1 << 53)
 
 
 @dataclass
@@ -81,8 +87,9 @@ class ClockEnsemble:
     epsilon:
         The pairwise rate-synchronization bound from the lease contract.
     streams:
-        Seeded random streams; clock rates/offsets draw from the
-        ``"clock"`` stream so runs are reproducible.
+        Seeded random streams; each clock's rate and offset are a keyed
+        hash of ``streams.seed`` and the node name, so runs are
+        reproducible and no draw depends on creation order.
     max_offset:
         Magnitude bound for the arbitrary per-node offsets.
     """
@@ -101,10 +108,15 @@ class ClockEnsemble:
         """All clocks created so far, by node name."""
         return dict(self._clocks)
 
-    def _rng(self) -> "np.random.Generator":
+    def _uniforms(self, name: str) -> Tuple[float, float]:
+        """Two uniforms in [0, 1) for ``name``: a keyed hash of the root
+        seed and the name (no generator per name, no shared stream)."""
         if self._streams is None:
             raise ValueError("ClockEnsemble needs RandomStreams for random clocks")
-        return self._streams.get("clock")
+        digest = hashlib.blake2b(name.encode("utf-8"), digest_size=16,
+                                 key=str(self._streams.seed).encode()).digest()
+        return ((int.from_bytes(digest[:8], "little") >> 11) * _UNIT,
+                (int.from_bytes(digest[8:], "little") >> 11) * _UNIT)
 
     def create(self, name: str, rate: Optional[float] = None,
                offset: Optional[float] = None,
@@ -123,18 +135,17 @@ class ClockEnsemble:
             hi = math.sqrt(1.0 + self.epsilon)
             if violates_bound:
                 # Distinctly slower than the contract permits.
-                rng = self._rng()
-                rate = lo / (2.0 + rng.random() * 2.0)
+                rate = lo / (2.0 + self._uniforms(name)[0] * 2.0)
             elif self.epsilon == 0.0:
                 rate = 1.0
             else:
-                rng = self._rng()
-                rate = lo + rng.random() * (hi - lo)
+                rate = lo + self._uniforms(name)[0] * (hi - lo)
         if offset is None:
             if self._streams is None:
                 offset = 0.0
             else:
-                offset = (self._rng().random() * 2.0 - 1.0) * self._max_offset
+                u = self._uniforms(name)[1]
+                offset = (u * 2.0 - 1.0) * self._max_offset
         clock = LocalClock(name=name, rate=rate, offset=offset)
         self._clocks[name] = clock
         return clock

@@ -103,7 +103,7 @@ TRACE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "meta.mutate#unlink": ("op", "path", "file_id"),
     "server.crash": (),
     "server.demand_escalate": ("client", "obj", "rounds"),
-    "server.fence": ("client", "scope"),
+    "server.fence": ("client",),
     "server.reassert": ("client", "obj", "mode"),
     "server.reject": ("client", "obj", "what"),
     "server.restart": ("epoch",),

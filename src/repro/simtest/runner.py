@@ -208,6 +208,10 @@ def run_schedule(schedule: Schedule,
     """
     oracle_list = oracles if oracles is not None else default_oracles()
     system = build_system(schedule.system_config())
+    # Build the driven clients first: a break mode sabotages the
+    # clients that exist when it is applied.
+    for name in system.config.client_names():
+        system.client(name)
     apply_break_mode(system, schedule.break_mode)
     if _is_adversarial(schedule):
         _enable_adversarial_defenses(system)

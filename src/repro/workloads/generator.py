@@ -56,7 +56,7 @@ def populate_files(system: StorageTankSystem,
     that client's lease.
     """
     wcfg = cfg or system.config.workload
-    first = next(system.pool.iter_active())
+    first = system.client(system.pool.name_of(0))
     paths = []
     for i in range(wcfg.n_files):
         path = f"{prefix}/f{i:04d}"
@@ -249,7 +249,7 @@ def run_workload(system: StorageTankSystem, duration: float,
         sim.run(until=sim.now + warmup)
 
     drivers = {name: WorkloadDriver(system, name, file_paths, wcfg)
-               for name in system.pool.live_names()}
+               for name in system.config.client_names()}
     procs = [system.spawn(d.run(duration), f"wl:{name}")
              for name, d in drivers.items()]
     for p in procs:

@@ -179,7 +179,7 @@ class TraceReplayer:
 
     def populate(self) -> Generator[Event, Any, None]:
         """Create the trace's file population (one bootstrap client)."""
-        first = next(self.system.pool.iter_active())
+        first = self.system.client(self.system.pool.name_of(0))
         for path, size in self.trace.files.items():
             yield from first.create(path, size=size)
 

@@ -1,10 +1,14 @@
 """Client node behaviour against a real server (integration-lite)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.client import ClientDisconnectedError, ClientQuiescedError
 from repro.lease import LeasePhase
 from repro.locks import SCOPED, LockMode
+from repro.sim.kernel import Simulator
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -511,3 +515,31 @@ def test_revocation_mark_clears_however_a_compliance_ends(exit_):
         assert of.stale == (exit_ == "error")      # forfeited
     assert fid not in lc._revoking
     assert lc._file_inflight == {}
+
+
+def test_a_dead_system_with_a_parked_operation_is_freed_in_one_collection():
+    """The garbage collector closes an operation suspended inside the
+    in-flight bracket; leaving the bracket then must schedule nothing,
+    or the new heap entry revives the finished simulator for one more
+    collection.  The weakref alone cannot show that (the collector
+    clears it before finalizers run), so live simulators are counted."""
+    def simulators():
+        return sum(1 for o in gc.get_objects() if isinstance(o, Simulator))
+
+    def park():
+        s = make_system(n_clients=1)
+        c1 = s.client("c1")
+        s.server.crash()  # the create's reply never comes
+        s.spawn(c1.create("/f", size=BLOCK_SIZE))
+        s.run(until=0.1)
+        assert c1._busy.in_flight == 1
+        c1._busy.wait_drained()
+        return weakref.ref(s.sim)
+
+    while gc.collect():
+        pass
+    before = simulators()
+    sim = park()
+    gc.collect()
+    assert sim() is None
+    assert simulators() == before

@@ -12,8 +12,8 @@ from tests.conftest import run_gen
 from tests.cluster.test_takeover import cluster_system, path_owned_by
 
 
-def test_failback_restores_home_owner_and_keeps_holdings(lazy_clients=False):
-    s = cluster_system(lazy_clients=lazy_clients)
+def test_failback_restores_home_owner_and_keeps_holdings(prebuild=True):
+    s = cluster_system(prebuild=prebuild)
     path = path_owned_by(s, "server2")
     c1 = s.client("c1")
     fids = []
@@ -55,7 +55,7 @@ def test_failback_restores_home_owner_and_keeps_holdings(lazy_clients=False):
 
 
 def test_failback_holds_when_clients_build_on_touch():
-    test_failback_restores_home_owner_and_keeps_holdings(lazy_clients=True)
+    test_failback_restores_home_owner_and_keeps_holdings(prebuild=False)
 
 
 def test_failback_hands_over_byte_range_holdings():

@@ -12,24 +12,24 @@ import pytest
 
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.core import ClusterConfig
-from repro.core.config import ScaleConfig
 from repro.harness.common import APP_ERRORS, ScenarioLog
 from repro.locks import SCOPED, LockMode
 from repro.storage import BLOCK_SIZE
-from tests.conftest import make_system, run_gen
+from tests.conftest import make_system, run_gen, touch_all
 
 TAU, EPS = 30.0, 0.05  # LeaseConfig defaults
 
 
-def cluster_system(n_servers=2, lazy_clients=False, **overrides):
-    """A small clustered system with fast failure detection."""
-    return make_system(
+def cluster_system(n_servers=2, prebuild=True, **overrides):
+    """A small clustered system with fast failure detection; with
+    ``prebuild`` every client is built at t = 0, else on first touch."""
+    system = make_system(
         n_servers=n_servers,
-        scale=ScaleConfig(lazy_clients=lazy_clients),
         cluster=ClusterConfig(ping_interval=0.5,
                               ping_timeout=0.25, ping_retries=2,
                               map_lease=1.0, takeover_grace=2.0),
         **overrides)
+    return touch_all(system) if prebuild else system
 
 
 def takeover_window(system, server):
@@ -53,8 +53,8 @@ def path_owned_by(system, server):
                 if m.owner_of_path(f"/shard/f{i}") == server)
 
 
-def test_takeover_moves_shard_and_delays_fresh_grants(lazy_clients=False):
-    s = cluster_system(lazy_clients=lazy_clients)
+def test_takeover_moves_shard_and_delays_fresh_grants(prebuild=True):
+    s = cluster_system(prebuild=prebuild)
     path = path_owned_by(s, "server2")
     log = ScenarioLog()
     crash_at = 10.0
@@ -106,8 +106,8 @@ def test_takeover_moves_shard_and_delays_fresh_grants(lazy_clients=False):
     assert ConsistencyAuditor(s).audit().safe
 
 
-def test_displaced_holder_reasserts_at_new_owner(lazy_clients=False):
-    s = cluster_system(lazy_clients=lazy_clients)
+def test_displaced_holder_reasserts_at_new_owner(prebuild=True):
+    s = cluster_system(prebuild=prebuild)
     path = path_owned_by(s, "server2")
     log = ScenarioLog()
 
@@ -182,13 +182,13 @@ def test_takeover_defers_fresh_range_grants_to_the_grace_end():
     test_displaced_holder_reasserts_at_new_owner,
 ], ids=["takeover", "reassert"])
 def test_scenario_holds_when_clients_build_on_touch(scenario):
-    scenario(lazy_clients=True)
+    scenario(prebuild=False)
 
 
 def test_takeover_pushes_to_live_clients_only():
     """A push to a parked name would wake it through the lazy resolver:
     one takeover must not materialize the population."""
-    s = cluster_system(n_clients=200, lazy_clients=True)
+    s = cluster_system(n_clients=200, prebuild=False)
     c1 = s.client("c1")
     path = path_owned_by(s, "server2")
 
@@ -207,7 +207,7 @@ def test_takeover_pushes_to_live_clients_only():
 
 
 def test_client_built_after_a_takeover_starts_on_the_current_map():
-    s = cluster_system(n_clients=200, lazy_clients=True)
+    s = cluster_system(n_clients=200, prebuild=False)
     path = path_owned_by(s, "server2")
 
     def crash():

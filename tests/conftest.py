@@ -39,6 +39,14 @@ def make_system(**overrides):
     return build_system(SystemConfig(**defaults))
 
 
+def touch_all(system):
+    """Build every client of ``system`` now, in name order (clients are
+    otherwise built on first touch); returns the system."""
+    for name in system.config.client_names():
+        system.client(name)
+    return system
+
+
 def drive(system, *gens, until=None):
     """Spawn generators and run the system."""
     procs = [system.spawn(g) for g in gens]

@@ -65,8 +65,8 @@ def test_cluster_requires_storage_tank_and_two_servers():
     assert clustered.coordinator is not None
     assert all(srv.cluster is not None
                for srv in clustered.servers.values())
-    assert all(cl.shard_map == clustered.coordinator.map
-               for cl in clustered.pool.iter_active())
+    assert all(clustered.client(name).shard_map == clustered.coordinator.map
+               for name in clustered.config.client_names())
 
 
 def test_default_classmethod_is_the_default_installation():
@@ -77,7 +77,7 @@ def test_build_system_without_config_routes_through_default():
     from repro.core.system import build_system
     system = build_system()
     assert system.config == SystemConfig.default()
-    assert system.pool.live_count == SystemConfig.default().n_clients
+    assert len(system.pool) == SystemConfig.default().n_clients
 
 
 def test_shard_map_consistency_validated_up_front():
@@ -125,10 +125,8 @@ def test_cache_tier_validation_names_its_field():
 
 
 def test_lazy_clients_combine_with_cluster_membership():
-    from repro.core.config import ScaleConfig
     from repro.core.system import build_system
-    system = build_system(SystemConfig(
-        n_clients=100, n_servers=2, scale=ScaleConfig(lazy_clients=True)))
+    system = build_system(SystemConfig(n_clients=100, n_servers=2))
     assert system.coordinator is not None
     assert system.pool.live_count == 0
 

@@ -1,18 +1,20 @@
-"""Lazy (flyweight) client semantics: ScaleConfig.lazy_clients end to end."""
+"""Build-on-touch (flyweight) clients end to end: every installation
+registers its population parked and builds a client on first touch."""
 
 import tracemalloc
 
 import pytest
 
 from repro.client.node import StorageTankClient
-from repro.core.config import ScaleConfig, SystemConfig
+from repro.core.config import NetCacheConfig, SystemConfig
 from repro.core.system import build_system
 from repro.net.message import MsgKind, RangeDemand
 
+from tests.conftest import touch_all
+
 
 def lazy_system(n=1000, **kw):
-    cfg = SystemConfig(n_clients=n, scale=ScaleConfig(lazy_clients=True), **kw)
-    return build_system(cfg)
+    return build_system(SystemConfig(n_clients=n, **kw))
 
 
 def test_idle_population_adds_no_kernel_heap_entries():
@@ -28,43 +30,38 @@ def test_idle_population_adds_no_kernel_heap_entries():
     assert system.sim.pending_events <= 8
 
 
-def test_eager_build_is_unchanged_by_default():
-    """The default policy still builds everyone, in name order, and the
-    pooled machinery it now always carries costs no kernel event."""
-    system = build_system(SystemConfig(n_clients=3))
+def test_touching_everyone_arms_no_pooled_timer():
+    """Building every client is ``get`` on every name, and the pooled
+    machinery every installation carries costs no kernel event."""
+    system = touch_all(build_system(SystemConfig(n_clients=3)))
     assert system.pool.live_names() == ["c1", "c2", "c3"]
     assert system.pool.parked_count == 0
-    assert system.pool.wake_reasons == {"build": 3}
+    assert system.pool.wake_reasons == {"api": 3}
     assert len(system.timers) == 0 and system.timers.kernel_arms == 0
     assert len(system.pooled_leases) == 0
-    lazy = lazy_system(3, writeback_interval=0.0)
-    for name in lazy.pool.names():
-        lazy.pool.get(name)
-    idle = build_system(SystemConfig(n_clients=3, writeback_interval=0.0))
-    assert idle.sim.pending_events == lazy.sim.pending_events
-    assert idle.sim.events_scheduled == lazy.sim.events_scheduled
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_build_policies_share_one_path(seed):
-    """``lazy_clients=False`` is ``lazy_clients=True`` plus touching every
-    name in order: same clock draws, same constructor side effects,
-    same trace."""
-    from repro.simtest.runner import trace_hash
-    from repro.workloads.generator import run_workload
+def test_touch_order_changes_no_clock(seed):
+    """Each node's clock is drawn from its own name: touching the
+    clients in another order, or after a coordinator and cache nodes
+    were built, gives every node the same (rate, offset)."""
+    names = [f"c{i}" for i in range(1, 7)]
 
-    def run(lazy):
+    def clocks(order, **kw):
         system = build_system(SystemConfig(
-            n_clients=4, seed=seed, writeback_interval=0.0,
-            scale=ScaleConfig(lazy_clients=lazy)))
-        for name in system.pool.names():
-            system.pool.get(name)
-        run_workload(system, 20.0)
-        return trace_hash(system), len(system.trace)
+            n_clients=len(names), seed=seed, slow_clients=("c4",), **kw))
+        for name in order:
+            system.client(name)
+        return {n: (c.rate, c.offset)
+                for n, c in system.clocks.clocks.items()}
 
-    built, touched = run(False), run(True)
-    assert built == touched
-    assert built[1] > 100  # the runs did something
+    forward = clocks(names)
+    assert clocks(names[::-1]) == forward
+    tiered = clocks(names[3:] + names[:3], n_servers=2,
+                    netcache=NetCacheConfig(n_nodes=2))
+    assert {"coord", "mcache1", "mcache2"} <= set(tiered)
+    assert {n: tiered[n] for n in names} == {n: forward[n] for n in names}
 
 
 def run_create_write_close(system, client, path):

@@ -12,11 +12,13 @@ from repro.protocols import (
     NoStealAuthority,
     VLeaseAuthority,
 )
+from tests.conftest import touch_all
 
 
 def test_default_build_shape():
     s = build_system(SystemConfig(n_clients=3, n_disks=2, seed=1))
-    assert set(s.pool.live_names()) == {"c1", "c2", "c3"}
+    assert list(s.pool.names()) == ["c1", "c2", "c3"]
+    assert s.pool.live_count == 0  # each is built on first touch
     assert set(s.disks) == {"disk1", "disk2"}
     assert isinstance(s.server.authority, ServerLeaseAuthority)
 
@@ -34,7 +36,7 @@ def test_protocol_selects_authority(protocol, auth_type):
 
 
 def test_nfs_builds_polling_clients():
-    s = build_system(SystemConfig(protocol="nfs", seed=1))
+    s = touch_all(build_system(SystemConfig(protocol="nfs", seed=1)))
     assert all(isinstance(c, NfsPollingClient) for c in s.pool.iter_active())
 
 
@@ -51,24 +53,25 @@ def test_naive_steal_disables_fence():
 
 
 def test_clocks_respect_epsilon():
-    s = build_system(SystemConfig(n_clients=6, seed=2))
+    s = touch_all(build_system(SystemConfig(n_clients=6, seed=2)))
     assert s.clocks.worst_pair_epsilon() <= s.config.lease.epsilon + 1e-12
 
 
 def test_slow_client_violates_bound():
-    s = build_system(SystemConfig(n_clients=2, slow_clients=("c1",), seed=2))
+    s = touch_all(build_system(SystemConfig(n_clients=2,
+                                            slow_clients=("c1",), seed=2)))
     assert s.clocks.worst_pair_epsilon() > s.config.lease.epsilon
 
 
 def test_same_seed_same_build():
-    a = build_system(SystemConfig(seed=9))
-    b = build_system(SystemConfig(seed=9))
+    a = touch_all(build_system(SystemConfig(seed=9)))
+    b = touch_all(build_system(SystemConfig(seed=9)))
     assert a.clocks.clocks["c1"].rate == b.clocks.clocks["c1"].rate
 
 
 def test_metrics_snapshot_keys():
     """The registry snapshot carries the overhead families, per node."""
-    s = build_system(SystemConfig(seed=1))
+    s = touch_all(build_system(SystemConfig(seed=1)))
     snap = s.obs.registry.snapshot()
     for family in ("lease.server.state_bytes", "lease.server.cpu_ops",
                    "lease.server.msgs_sent", "lease.client.msgs_sent",

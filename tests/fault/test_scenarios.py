@@ -30,7 +30,7 @@ def _drive_through(system, inj, horizon=40.0):
     paths = run_gen(system, populate_files(system))
     inj.start()
     drivers = [WorkloadDriver(system, name, paths)
-               for name in system.pool.live_names()]
+               for name in system.config.client_names()]
     for d in drivers:
         system.spawn(d.run(horizon))
     # Settle past the last lease timer so verdicts are final.

@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "56021c04cabb4944ab35dd1688c2cb6a99c065a9e79facecaaaede6138cb15d0",
-        "0874a199ef5f89d677f93d90d8d8fc5ef66a7cf44bdc696acf59454361ec6481",
+        "d58c670d5fc3dc6fea000e541ca1f010fa8315bbfc611df59b74632e088c8097",
+        "bb4b4d6c6e92d6e219d87a6ccc0c9616768bd4d5a349a9a3345c623b60ed6ae3",
     ],
     experiment_e6_nack: [
-        "d607ca5c82b1b8099e750a38d21de6b4e32216a2af201b6c5ece5a516d34a3cb",
-        "f3fae93a2669cf15856a36fa8b27b0a2049c3c37bd7383917b72f24b2baeb937",
+        "6682dff0145d39e85195a960e0f20f50c038b5c214010cc3541dd9d518692e28",
+        "49d087695f208771e881345245fa5d5f9a28247f4357b6ec428c86fa7f3d5fd7",
     ],
 }
 

@@ -16,7 +16,8 @@ from repro.net.message import (Batch, Create, MsgKind, NackError, OpenIntent,
                                PathOnly, Setattr)
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import drive, make_system, read_via, run_gen
+from tests.conftest import (drive, make_system, read_via, run_gen,
+                            touch_all)
 
 
 def _setup_file(s, path="/f", blocks=8):
@@ -312,7 +313,7 @@ def test_messages_per_op_in_metrics_snapshot():
     from repro.client.node import fleet_rpcs
     from repro.obs import runlog
     with runlog.collecting() as collector:
-        s = make_system()
+        s = touch_all(make_system())
     c1 = _setup_file(s)
 
     def work():

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.client.lockclient import LockClient
-from repro.core.config import NetCacheConfig, ScaleConfig
+from repro.core.config import NetCacheConfig
 from repro.lint import lint_source
 from repro.metadata.store import ClaimError
 from repro.net.control import Endpoint
@@ -171,7 +171,7 @@ def _knock_out(monkeypatch, cls, method, old, new):
 
 
 def _build(**overrides):
-    """Build a system and touch one client, so a lazy one is built too."""
+    """Build a system and touch one client, so it is built too."""
     system = make_system(**overrides)
     system.client(system.pool.name_of(0))
     return system
@@ -187,7 +187,7 @@ _UNREGISTERED = [
      MsgKind.LOCK_BATCH),
     (LockClient, "__init__",
      "endpoint.register(MsgKind.RANGE_DEMAND, self._on_range_demand)",
-     {"scale": ScaleConfig(lazy_clients=True)}, MsgKind.RANGE_DEMAND),
+     {}, MsgKind.RANGE_DEMAND),
     (MetadataCacheNode, "__init__",
      "self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)",
      {"netcache": NetCacheConfig(n_nodes=2)}, MsgKind.CACHE_INVALIDATE),

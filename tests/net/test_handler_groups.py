@@ -6,15 +6,14 @@ build fail)."""
 
 import pytest
 
-from repro.core.config import NetCacheConfig, ScaleConfig
+from repro.core.config import NetCacheConfig
 from repro.net.message import KIND_GROUPS, MsgKind
 
 from tests.conftest import make_system
 
 _BUILDS = {
-    "single server, eager clients": {},
+    "single server": {},
     "cluster of two, after attach_cluster": {"n_servers": 2},
-    "lazily materialized clients": {"scale": ScaleConfig(lazy_clients=True)},
     "cache nodes": {"netcache": NetCacheConfig(n_nodes=2)},
     "V-lease authority": {"protocol": "vleases"},
     "Frangipani authority": {"protocol": "frangipani"},

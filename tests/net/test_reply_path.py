@@ -18,7 +18,7 @@ from repro.net import ReplyObserver
 from repro.net.message import MsgKind, NackError, OpenIntent
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import make_system, run_gen
+from tests.conftest import make_system, run_gen, touch_all
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -84,7 +84,7 @@ def traffic(system):
 def reply_callers():
     """The function that called ``on_reply`` for every reply any
     endpoint's observers saw, over :func:`traffic`."""
-    system = make_system(n_clients=2)
+    system = touch_all(make_system(n_clients=2))
     seen = []
 
     class Spy(ReplyObserver):

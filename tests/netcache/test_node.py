@@ -10,25 +10,25 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import NetCacheConfig, ScaleConfig, SystemConfig
+from repro.core.config import NetCacheConfig, SystemConfig
 from repro.lease.phases import LeasePhase
 from repro.net.message import (Invalidate, Message, MsgKind, Nack, NackError,
                                Open, PathOnly)
 from repro.sim.rng import _stable_hash
 
-from tests.conftest import make_system, read_via, run_gen
+from tests.conftest import make_system, read_via, run_gen, touch_all
 
-#: Both population policies must behave identically at the cache tier.
+#: Every client built at t = 0, or only the ones a test touches: the
+#: cache tier must behave identically.
 MODES = [pytest.param(False, id="eager"), pytest.param(True, id="lazy")]
 
 
 def make_cache_system(n_nodes: int = 1, lazy: bool = False, **overrides):
     kwargs = dict(
         netcache=NetCacheConfig(n_nodes=n_nodes))
-    if lazy:
-        kwargs["scale"] = ScaleConfig(lazy_clients=True)
     kwargs.update(overrides)
-    return make_system(**kwargs)
+    system = make_system(**kwargs)
+    return system if lazy else touch_all(system)
 
 
 def cache_for(system, client_name: str):

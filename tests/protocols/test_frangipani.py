@@ -4,7 +4,7 @@ import pytest
 
 from repro.storage import BLOCK_SIZE
 
-from tests.conftest import make_system, run_gen
+from tests.conftest import make_system, run_gen, touch_all
 
 
 def test_server_state_exists_from_first_contact():
@@ -18,7 +18,7 @@ def test_server_state_exists_from_first_contact():
 
 
 def test_heartbeats_flow_while_idle():
-    s = make_system(protocol="frangipani", frangipani_heartbeat=5.0)
+    s = touch_all(make_system(protocol="frangipani", frangipani_heartbeat=5.0))
     s.run(until=30.0)
     hb = sum(s.pool.agent_for(n).heartbeats_sent for n in s.pool.live_names())
     assert hb >= 2 * (30 // 5) - 2  # two clients, one heartbeat per 5s each

@@ -8,6 +8,8 @@ from repro.core.system import build_system
 from repro.protocols import ProtocolSpec, available, get, register
 from repro.protocols.base import SafetyAuthority
 
+from tests.conftest import touch_all
+
 #: The authority's overhead families, one child per server node.
 SERVER_FAMILIES = ("lease.server.state_bytes", "lease.server.cpu_ops",
                    "lease.server.msgs_sent")
@@ -58,7 +60,8 @@ def test_every_authority_conforms_to_safety_authority(protocol):
 def test_clients_and_agents_conform_to_client_agent(protocol):
     """Every client, and every agent beside one, charges its lease
     maintenance to ``lease.client.msgs_sent`` under the client's name."""
-    system = build_system(SystemConfig(n_clients=2, protocol=protocol))
+    system = touch_all(build_system(SystemConfig(n_clients=2,
+                                                 protocol=protocol)))
     family = system.obs.registry.get("lease.client.msgs_sent")
     assert sorted(c.labels["node"] for c in family.children) == ["c1", "c2"]
 
@@ -67,7 +70,8 @@ def test_agents_exist_only_for_agent_protocols():
     for protocol, expects_agent in (("storage_tank", False),
                                     ("frangipani", True),
                                     ("vleases", True)):
-        system = build_system(SystemConfig(n_clients=1, protocol=protocol))
+        system = touch_all(build_system(SystemConfig(n_clients=1,
+                                                     protocol=protocol)))
         assert (system.pool.agent_for("c1") is not None) == expects_agent
 
 
@@ -93,7 +97,7 @@ def test_anyclient_alias_removed_after_deprecation_cycle():
 
 
 def test_clients_and_agents_dicts_removed_after_deprecation_cycle():
-    system = build_system(SystemConfig(n_clients=1))
+    system = touch_all(build_system(SystemConfig(n_clients=1)))
     assert not hasattr(system, "clients")
     assert not hasattr(system, "agents")
     # The pool accessors are the replacement surface.

@@ -300,14 +300,13 @@ def test_keepalives_at_the_server_node_schedule_only_the_transports_events():
     trips to a bare echo endpoint on that transport do, and the run
     drains well before τ: the node arms no lease timer and starts no
     per-client process."""
-    from repro.core.config import ScaleConfig, SystemConfig
+    from repro.core.config import SystemConfig
     from repro.core.system import build_system
     from repro.net import Endpoint
 
     def round_trips(target):
         # Parked clients: nothing but the probe's traffic runs.
-        s = build_system(SystemConfig(
-            n_clients=1, seed=1, scale=ScaleConfig(lazy_clients=True)))
+        s = build_system(SystemConfig(n_clients=1, seed=1))
         probe = Endpoint(s.sim, s.control_net, "probe",
                          s.clocks.create("probe"), s.trace)
         if target == "echo":

@@ -99,3 +99,51 @@ def test_clocks_registry_snapshot():
     ens.create("x")
     ens.create("y")
     assert set(ens.clocks) == {"x", "y"}
+
+
+def _draws(ens):
+    return {n: (c.rate, c.offset) for n, c in ens.clocks.items()}
+
+
+def test_each_clock_is_drawn_from_its_own_name():
+    """Creation order decides nothing: the coordinator and a cache node
+    first, the clients in reverse, or the other way round."""
+    names = [f"c{i}" for i in range(1, 9)]
+    first = ClockEnsemble(0.05, RandomStreams(7))
+    for name in [*names, "coord", "mcache1"]:
+        first.create(name)
+    second = ClockEnsemble(0.05, RandomStreams(7))
+    for name in ["mcache1", "coord", *reversed(names)]:
+        second.create(name)
+    assert _draws(first) == _draws(second)
+    other_seed = ClockEnsemble(0.05, RandomStreams(8))
+    other_seed.create("c1")
+    assert _draws(other_seed)["c1"] != _draws(first)["c1"]
+
+
+def test_keyed_rates_stay_inside_epsilon():
+    eps = 0.05
+    ens = ClockEnsemble(eps, RandomStreams(3))
+    clocks = [ens.create(f"c{i}") for i in range(1, 1001)]
+    lo, hi = 1.0 / (1.0 + eps) ** 0.5, (1.0 + eps) ** 0.5
+    assert all(lo <= c.rate <= hi for c in clocks)
+    assert all(-1000.0 <= c.offset <= 1000.0 for c in clocks)
+    assert len({c.rate for c in clocks}) == 1000
+    assert ens.verify_bound()
+    assert ens.worst_pair_epsilon() <= eps + 1e-12
+
+
+def test_keyed_slow_clients_draw_below_the_bound():
+    eps = 0.05
+    ens = ClockEnsemble(eps, RandomStreams(3))
+    lo = 1.0 / (1.0 + eps) ** 0.5
+    slow = [ens.create(f"c{i}", violates_bound=True) for i in range(1, 101)]
+    assert all(lo / 4.0 <= c.rate <= lo / 2.0 for c in slow)
+
+
+def test_no_clock_reads_a_shared_stream():
+    streams = RandomStreams(7)
+    ens = ClockEnsemble(0.05, streams)
+    for i in range(10):
+        ens.create(f"n{i}")
+    assert streams._streams == {}

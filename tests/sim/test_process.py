@@ -204,13 +204,7 @@ def test_finished_processes_on_every_exit_path_leave_no_cyclic_garbage(sim):
     def sleeps():
         yield sim.timeout(10.0)
 
-    # Earlier tests' systems can take two passes to free: closing a
-    # client operation suspended inside its in-flight bracket succeeds
-    # the bracket's drain event, and that schedule puts a new heap entry
-    # on the dead simulator mid-collection, so the collector counts the
-    # whole simulator as resurrected until its next pass.
-    while gc.collect():
-        pass
+    gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -317,7 +317,7 @@ def test_nack_oracle_skipped_under_ablation():
 
 def _renewed_lease_expiry(s, client="c1", renewed_at=5.0):
     """Emit a renewal and return the lease's global expiry instant."""
-    clk = s.clocks.clocks[client]
+    clk = s.client(client).endpoint.clock
     contract = s.config.lease.contract()
     start_local = clk.local_time(renewed_at)
     s.trace.emit(renewed_at, "lease.renewed", client, "server",

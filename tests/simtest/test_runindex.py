@@ -70,11 +70,11 @@ def test_windows_pair_opens_with_closes_and_ignore_strays():
 def test_windows_tie_sorts_an_open_before_a_close():
     s = make_system()
     emit = s.trace.emit
-    emit(2.0, "server.fence", "server", "c1", "all")
+    emit(2.0, "server.fence", "server", "c1")
     # Emitted close-then-open at one instant: the open sorts first, is
     # ignored (a window is open), and the close ends the only window.
     emit(5.0, "server.unfence", "server", "c1")
-    emit(5.0, "server.fence", "server", "c1", "all")
+    emit(5.0, "server.fence", "server", "c1")
     index = RunIndex.of(s)
     assert index.windows("fence", "server", "c1") == [(2.0, 5.0)]
     assert index.fenced == {("server", "c1")}
@@ -220,7 +220,7 @@ def test_one_audit_per_adversarial_run(monkeypatch):
         calls.append(self.system)
         return audit(self)
     monkeypatch.setattr(ConsistencyAuditor, "audit", counted)
-    result = run_schedule(generate_schedule(2, 20, adversaries=2))
+    result = run_schedule(generate_schedule(174, 20, adversaries=2))
     # no-silent-loss and capability-checked-san-io share one report
     assert result.oracle_names() == ["capability-checked-san-io"]
     assert len(calls) == 1

@@ -76,7 +76,7 @@ def test_bytes_by_op_accounting():
 def test_replay_against_system():
     s = make_system(n_clients=2, seed=9)
     trace = synth(n_files=10, sessions_per_client=8,
-                  max_file_blocks=16).synthesize(s.pool.live_names())
+                  max_file_blocks=16).synthesize(s.config.client_names())
     stats = TraceReplayer(s, trace).run()
     assert set(stats) == {"c1", "c2"}
     for st in stats.values():
@@ -91,7 +91,7 @@ def test_replay_against_system():
 def test_replay_with_partition_keeps_safety():
     s = make_system(n_clients=2, seed=9)
     trace = synth(n_files=8, sessions_per_client=12,
-                  max_file_blocks=8).synthesize(s.pool.live_names())
+                  max_file_blocks=8).synthesize(s.config.client_names())
     replayer = TraceReplayer(s, trace)
     boot = s.spawn(replayer.populate())
     s.sim.run_until_event(boot, hard_limit=600)
