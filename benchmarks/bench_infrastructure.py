@@ -11,8 +11,7 @@ import gc
 import numpy as np
 
 from repro.client import Page, PageCache
-from repro.core.config import (NetCacheConfig, ScaleConfig, SystemConfig,
-                               WorkloadConfig)
+from repro.core.config import NetCacheConfig, SystemConfig, WorkloadConfig
 from repro.core.system import build_system
 from repro.lease import PooledLeaseService
 from repro.net import ControlNetwork, Endpoint
@@ -294,8 +293,7 @@ def test_netcache_miss_throughput(benchmark):
 
 
 def _spin_scale_registration(n_clients: int) -> int:
-    cfg = SystemConfig(n_clients=n_clients, protocol="storage_tank",
-                       scale=ScaleConfig(lazy_clients=True))
+    cfg = SystemConfig(n_clients=n_clients, protocol="storage_tank")
     system = build_system(cfg)
     pooled = system.pooled_leases
     assert pooled is not None
