@@ -26,10 +26,10 @@ repository root.
 ``--micro ROW`` compares one ``BENCH_perf.json`` row instead: each run is
 one fresh ``benchmarks/perf_smoke.py --write TMP --only ROW`` in that
 side's checkout (TMP a copy of its ``BENCH_perf.json``), read as the
-row's ``normalized``, and the same rule gives the verdict.  The record
-also keeps each run's raw ``ops_per_sec`` and the
-``calibration_ops_per_sec`` it was divided by, so a noisy verdict shows
-whether the row or the calibration moved.
+row's raw ``ops_per_sec``, and the same rule gives the verdict.  The
+pairs run interleaved on one host, so the calibration that
+``normalized`` divides by would only add its own noise; the record
+still keeps each run's ``normalized`` and ``calibration_ops_per_sec``.
 
 Exit codes: 0 gain at every seed, 1 no gain at some seed, 2 usage or a
 run that failed.
@@ -53,8 +53,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRIC = "work_per_wall_s"
 RECORDS = os.path.join(REPO, "BENCH_ab.jsonl")
 WIN_SHARE = 0.9
-#: What ``--micro`` keeps of each run: the metric, then its two factors.
-MICRO_FIELDS = ("normalized", "ops_per_sec", "calibration_ops_per_sec")
+#: What ``--micro`` keeps of each run: the metric it decides on, then
+#: the calibration and their ratio.
+MICRO_FIELDS = ("ops_per_sec", "calibration_ops_per_sec", "normalized")
 
 
 class RunFailed(Exception):
@@ -98,7 +99,7 @@ def _run(checkout: str, workload: str, seed: int,
 
 def _run_micro(checkout: str, row: str, tmp: str) -> Dict[str, float]:
     """One fresh ``perf_smoke.py --write TMP --only ROW`` in ``checkout``;
-    the row's ``normalized`` and the two rates it is the ratio of."""
+    the row's raw rate, the calibration and their ratio."""
     doc = os.path.join(tmp, "perf.json")
     shutil.copyfile(os.path.join(checkout, "BENCH_perf.json"), doc)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -189,7 +190,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         contract = json.load(fh)
     seconds = contract["run_seconds"]
     if args.micro:
-        metric, groups, others = "normalized", {args.micro: 0}, []
+        metric, groups, others = MICRO_FIELDS[0], {args.micro: 0}, []
     else:
         metric = METRIC
         groups = {f"seed {seed}": seed for seed in seeds}

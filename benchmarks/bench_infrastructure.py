@@ -17,7 +17,7 @@ from repro.lease import PooledLeaseService
 from repro.net import ControlNetwork, Endpoint
 from repro.net.message import Getattr, MsgKind
 from repro.obs.registry import MetricsRegistry
-from repro.sim import ClockEnsemble, RandomStreams, Simulator, TimerPool
+from repro.sim import ClockEnsemble, RandomStreams, Simulator
 from repro.sim.trace import TraceRecorder
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import generate_schedule
@@ -295,11 +295,8 @@ def test_netcache_miss_throughput(benchmark):
 def _spin_scale_registration(n_clients: int) -> int:
     cfg = SystemConfig(n_clients=n_clients, protocol="storage_tank")
     system = build_system(cfg)
-    pooled = system.pooled_leases
-    assert pooled is not None
-    pooled.ensure_capacity(n_clients)
-    for i in range(n_clients):
-        pooled.renew(i, 50.0 + (i % 997) * 0.01)
+    slots = np.arange(n_clients)
+    system.pooled_leases.seed(50.0 + (slots % 997) * 0.01)
     system.sim.run(until=40.0)  # leases all later: pure idle population
     assert system.sim.pending_events < 64  # O(pools), not O(clients)
     return n_clients
@@ -307,18 +304,18 @@ def _spin_scale_registration(n_clients: int) -> int:
 
 def test_scale_client_registration_throughput(benchmark):
     """Flyweight-registration rate: register 50k clients lazily and
-    seed each a pooled lease with ``renew``."""
+    seed each a pooled lease with one ``seed``."""
     benchmark(_spin_scale_registration, 50_000)
 
 
 def _spin_pooled_seed_sweep(n_slots: int, n_deadlines: int) -> int:
     """Seed ``n_slots`` parked leases over ``n_deadlines`` distinct
-    deadlines with one ``renew_many``, then run the pooled sweep dry —
+    deadlines with one ``seed``, then run the pooled sweep dry —
     the bulk path E-scale and ``bench/``'s ``scale_park`` pay."""
     sim = Simulator()
-    pooled = PooledLeaseService(TimerPool(sim))
+    pooled = PooledLeaseService(sim)
     slots = np.arange(n_slots)
-    pooled.renew_many(slots, 1.0 + (slots % n_deadlines) * 0.1)
+    pooled.seed(1.0 + (slots % n_deadlines) * 0.1)
     sim.run()
     assert pooled.expired == n_slots
     return n_slots

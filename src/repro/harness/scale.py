@@ -4,14 +4,15 @@ The paper argues the lease protocol's server cost is independent of the
 client population: the server is passive, so sleeping clients cost it
 nothing (§3), and an idle client's own footprint is one renewal timer.
 This experiment measures the simulator's realization of that claim with
-flyweight client records (:class:`repro.client.pool.ClientPool` in lazy
-mode) and pooled timers (:class:`repro.sim.timer_pool.TimerPool`):
+flyweight client records (:class:`repro.client.pool.ClientPool`, every
+client built on first touch) and pooled lease lapses
+(:class:`repro.lease.pooled.PooledLeaseService`):
 
 * build ``N`` clients lazily for ``N`` in 1k → 1M and record traced
   bytes per client and the kernel-heap population after build (which
   must stay O(active), not O(N));
-* seed every parked client with a pooled lease expiry so the whole
-  population's timers coalesce through one kernel timeout;
+* seed every parked client with a pooled lease expiry in one call, so
+  the whole population's lapses share one armed kernel timeout;
 * wake a small Zipf-selected active set, drive the standard workload
   against the shard map, and report server transactions per second,
   kernel events per wall second, and parked-lease expiries swept.
@@ -129,7 +130,7 @@ def _seed_parked_leases(system: StorageTankSystem, duration: float) -> None:
 
     Expiries are drawn uniformly over the middle of the run and
     quantized to :data:`EXPIRY_BUCKET` so the pooled sweep fires once
-    per occupied bucket — the coalescing the tentpole is about.
+    per occupied bucket.
     """
     pooled = system.pooled_leases
     n = len(system.pool)
@@ -137,7 +138,7 @@ def _seed_parked_leases(system: StorageTankSystem, duration: float) -> None:
     base = system.sim.now
     raw = rng.uniform(0.2 * duration, 0.8 * duration, size=n)
     expiries = base + np.ceil(raw / EXPIRY_BUCKET) * EXPIRY_BUCKET
-    pooled.renew_many(np.arange(n), expiries)
+    pooled.seed(expiries)
 
 
 def _zipf_active_set(system: StorageTankSystem, active: int,

@@ -109,16 +109,16 @@ class ClientLeaseManager:
         return self.contract.client_expiry_local(self._lease_start_local)
 
     def phase(self) -> LeasePhase:
-        """Current phase on this client's clock."""
+        """Current phase on this client's clock: the one place the
+        elapsed fraction of τ is mapped to a phase (§3.2)."""
         if not self._active or self._lease_start_local is None:
             return LeasePhase.EXPIRED
         now_local = self.endpoint.local_now()
         elapsed = (now_local - self._lease_start_local) / self.contract.tau
+        b = self.contract.boundaries
         if self._nacked:
             # §3.3: after a NACK the client skips to phase 3 directly.
-            b = self.contract.boundaries
             elapsed = max(elapsed, b.suspect)
-        b = self.contract.boundaries
         if elapsed < b.renewal:
             return LeasePhase.VALID
         if elapsed < b.suspect:

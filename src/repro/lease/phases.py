@@ -78,16 +78,3 @@ def transition(current: LeasePhase, target: LeasePhase, *,
         return target
     raise IllegalPhaseTransition(current, target)
 
-
-def phase_for_elapsed(elapsed_frac: float, renewal: float, suspect: float,
-                      flush: float) -> LeasePhase:
-    """Phase as a function of elapsed lease fraction."""
-    if elapsed_frac < renewal:
-        return LeasePhase.VALID
-    if elapsed_frac < suspect:
-        return LeasePhase.RENEWAL
-    if elapsed_frac < flush:
-        return LeasePhase.SUSPECT
-    if elapsed_frac < 1.0:
-        return LeasePhase.FLUSH
-    return LeasePhase.EXPIRED

@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _SINKS = frozenset({
     "local_timeout",   # endpoint-local timer
     "timeout",         # raw simulator timer
-    "after", "at",     # TimerPool arming
     "renew",           # lease renewal instants
     "server_wait_local", "client_expiry_local", "phase_start_local",
 })

@@ -43,7 +43,10 @@ Why a hit is never stale (the coherence argument, DESIGN.md §15):
   per-server generation check snapshotted when the miss was forwarded.
 
 Everything here is crash-safe soft state: ``crash()`` drops the entry
-store; correctness never depends on an entry being present.
+store; correctness never depends on an entry being present.  Entries
+whose covering lease is no longer usable are also swept every
+:data:`SWEEP_INTERVAL` local seconds, by one kernel timeout the node
+re-arms after each sweep.
 """
 
 from __future__ import annotations
@@ -59,10 +62,9 @@ from repro.net.control import (ControlNetwork, Endpoint, HandlerResult,
 from repro.net.message import (DeliveryError, Invalidate, Message, MsgKind,
                                NackError)
 from repro.sim.clock import LocalClock
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.sim.kernel import Simulator
 from repro.sim.rng import _stable_hash
-from repro.sim.timer_pool import TimerPool
 from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
@@ -171,9 +173,6 @@ class MetadataCacheNode:
         self.endpoint.register(MsgKind.CACHE_INVALIDATE, self._h_invalidate)
         self.endpoint.check_handles(self.HANDLES)
 
-        #: pooled lease-lapse sweep: all periodic eviction shares one
-        #: armed kernel timeout (the PR 6 TimerPool machinery)
-        self.timers = TimerPool(sim, name=f"{name}:timers")
         self._stale_hist: Optional["Metric"] = None
         if obs is not None:
             self._bind_obs(obs)
@@ -412,10 +411,15 @@ class MetadataCacheNode:
 
     # -- lease-lapse sweep -------------------------------------------------
     def _arm_sweep(self) -> None:
-        interval = self.endpoint.clock.to_global_interval(SWEEP_INTERVAL)
-        self.timers.after(interval, self._sweep)
+        """Arm the one kernel timeout of the periodic lease-lapse sweep."""
+        when = self.sim.now + self.endpoint.clock.to_global_interval(
+            SWEEP_INTERVAL)
+        # The delay is taken back from the absolute deadline, not passed
+        # as the interval: ``now + (when - now)`` can differ from ``when``
+        # in the last bit, and the pinned traces fire on the former.
+        Timeout(self.sim, when - self.sim.now)._add_callback(self._sweep)
 
-    def _sweep(self) -> None:
+    def _sweep(self, _event: Event) -> None:
         if self.endpoint.alive and self._entries:
             dead = [key for key, entry in self._entries.items()
                     if not self._usable(entry)]

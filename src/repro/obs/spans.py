@@ -1,4 +1,4 @@
-"""Span-based tracing layered on :class:`repro.sim.trace.TraceRecorder`.
+"""Span-based tracing: named intervals of simulated time.
 
 A :class:`Span` is a named interval of *simulated* time attributed to a
 node — a lease phase, a message round-trip, a lock-steal resolution, a
@@ -7,17 +7,15 @@ there is no implicit context-manager nesting because span lifetimes
 routinely straddle generator ``yield`` points in simulator processes,
 where a ``with`` block's dynamic extent would lie about the interval.
 
-Every begin/end also flows through the underlying ``TraceRecorder`` as
-``span.begin`` / ``span.end`` records, so the existing trace tooling
-(audits, ``count_prefix``) sees spans for free.
+Spans are recorded here only, apart from the run's ``TraceRecorder``:
+exporters read :attr:`SpanTracer.completed`, and no trace record is
+emitted for a span.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Any, Dict, List, Optional
-
-from repro.sim.trace import TraceRecorder
 
 
 class Span:
@@ -77,13 +75,10 @@ class SpanTracer:
     Takes explicit time arguments rather than a clock so callers pass
     the same local/global simulated times they already thread through
     the protocol code.  Completed spans are retained (bounded by
-    ``max_spans``) for export; begin/end events are mirrored into the
-    attached ``TraceRecorder`` when one is present.
+    ``max_spans``) for export.
     """
 
-    def __init__(self, trace: Optional[TraceRecorder] = None,
-                 max_spans: int = 100_000) -> None:
-        self.trace = trace
+    def __init__(self, max_spans: int = 100_000) -> None:
         self.max_spans = max_spans
         self._ids = itertools.count(1)
         self._open: Dict[int, Span] = {}
@@ -97,9 +92,6 @@ class SpanTracer:
                     parent.span_id if parent is not None else None,
                     kind, node, t, dict(attrs))
         self._open[span.span_id] = span
-        if self.trace is not None:
-            self.trace.emit(t, f"span.begin.{kind}", node,
-                            span.span_id, span.parent_id)
         return span
 
     def _close(self, span: Span, t: float) -> None:
@@ -109,9 +101,6 @@ class SpanTracer:
             self.completed.append(span)
         else:
             self.dropped += 1
-        if self.trace is not None:
-            self.trace.emit(t, f"span.end.{span.kind}", span.node,
-                            span.span_id, span.end_time - span.start)
 
     def open_spans(self) -> List[Span]:
         """Spans begun but not yet ended."""

@@ -13,7 +13,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.clock import ClockEnsemble, LocalClock
 from repro.sim.rng import RandomStreams
-from repro.sim.timer_pool import TimerPool
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "TimerPool",
     "TraceRecord",
     "TraceRecorder",
 ]

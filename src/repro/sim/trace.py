@@ -59,8 +59,7 @@ from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
 #: Field names of every kind the simulator emits, in emit order.  A key
 #: is the kind itself; a kind whose sites record different field sets
 #: declares each set under ``kind#variant`` (the ``#variant`` suffix
-#: picks the set and is not part of the stored kind); a key ending in
-#: ``.*`` declares a family of kinds (span kinds are open-ended).
+#: picks the set and is not part of the stored kind).
 TRACE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # control network (net/control.py)
     "msg.send": ("msg_kind", "dst", "msg_id", "seq"),
@@ -136,26 +135,10 @@ TRACE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # fault injection (fault/)
     "byz.possess": ("behavior",),
     "fault.inject": ("label",),
-    # span mirrors (obs/spans.py)
-    "span.begin.*": ("span_id", "parent_id"),
-    "span.end.*": ("span_id", "duration"),
 }
 
-_FAMILIES = tuple((key[:-1], fields) for key, fields in TRACE_SCHEMAS.items()
-                  if key.endswith(".*"))
 #: Kinds with a declared field set (keyword fields are refused for them).
-_DECLARED_KINDS = frozenset(key.partition("#")[0]
-                            for key in TRACE_SCHEMAS if not key.endswith(".*"))
-
-
-def _declared_fields(key: str) -> Optional[Tuple[str, ...]]:
-    """The field set ``key`` declares, through a family if need be."""
-    fields = TRACE_SCHEMAS.get(key)
-    if fields is None:
-        for prefix, family_fields in _FAMILIES:
-            if key.startswith(prefix):
-                return family_fields
-    return fields
+_DECLARED_KINDS = frozenset(key.partition("#")[0] for key in TRACE_SCHEMAS)
 
 
 class _Shape:
@@ -335,7 +318,7 @@ class TraceRecorder:
 
     def _resolve(self, key: str, arity: int) -> int:
         """Shape id of a positional emit on first use of ``key``."""
-        fields = _declared_fields(key)
+        fields = TRACE_SCHEMAS.get(key)
         kind = key.partition("#")[0]
         if fields is None:
             if kind in _DECLARED_KINDS:
@@ -357,8 +340,7 @@ class TraceRecorder:
     def _adhoc_id(self, kind: str, values: Tuple[Any, ...],
                   detail: Dict[str, Any]) -> int:
         """Shape id of a keyword emit of an undeclared kind."""
-        if (values or kind in _DECLARED_KINDS
-                or _declared_fields(kind) is not None):
+        if values or kind in _DECLARED_KINDS or kind in TRACE_SCHEMAS:
             raise TypeError(f"trace kind {kind!r}: keyword fields are only "
                             f"for undeclared kinds; declared ones take "
                             f"positional values")

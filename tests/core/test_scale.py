@@ -37,8 +37,12 @@ def test_touching_everyone_arms_no_pooled_timer():
     assert system.pool.live_names() == ["c1", "c2", "c3"]
     assert system.pool.parked_count == 0
     assert system.pool.wake_reasons == {"api": 3}
-    assert len(system.timers) == 0 and system.timers.kernel_arms == 0
-    assert len(system.pooled_leases) == 0
+    pooled = system.pooled_leases
+    assert len(pooled) == 0
+    # The kernel heap holds the built clients' own timers, none of the pool's.
+    assert system.sim.pending_events > 0
+    assert not any(getattr(entry[2], "_waiter", None) == pooled._sweep
+                   for entry in system.sim._heap)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -144,14 +148,14 @@ def test_materializing_drops_a_seeded_pooled_record_uncounted():
     pooled = system.pooled_leases
     idx = system.pool.index_of("c3")
     lapse_at = system.sim.now + 30.0
-    pooled.renew(idx, lapse_at)
+    pooled.seed([lapse_at] * 10)
     assert pooled.holds_lease(idx)
 
     system.client("c3")
     assert not pooled.holds_lease(idx)  # record dropped on materialize
     assert pooled.expired == 0          # dropped, not counted as expired
     system.sim.run(until=lapse_at + 1.0)
-    assert pooled.expired == 0          # and it never lapses later
+    assert pooled.expired == 9          # and it never lapses later
 
 
 def test_parked_lease_lapses_in_absentia_without_waking():
@@ -159,7 +163,8 @@ def test_parked_lease_lapses_in_absentia_without_waking():
     pooled = system.pooled_leases
     idx = system.pool.index_of("c2")
     lapse_at = system.sim.now + 30.0
-    pooled.renew(idx, lapse_at)
+    pooled.seed([lapse_at if i == idx else lapse_at + 60.0
+                 for i in range(10)])
 
     system.sim.run(until=lapse_at + 1.0)
     assert pooled.expired == 1
@@ -191,7 +196,7 @@ def test_scale_point_seeds_in_bulk_and_sweeps_every_parked_lease():
     from repro.harness.scale import scale_point
 
     point = scale_point(100_000)
-    # One renew_many arms the pooled timer once: the server's machinery
+    # One seed arms the pooled timer once: the server's machinery
     # plus that single kernel timeout, no ladder of superseded arms.
     assert point["kernel_after_build"] <= 2
     # Everyone but the 48 woken clients lapses through the pooled sweep.

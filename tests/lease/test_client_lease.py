@@ -53,6 +53,20 @@ def test_phase_progression_without_renewal():
     assert mgr.expirations == 1
 
 
+def test_phase_boundaries_by_elapsed_fraction():
+    """``phase()`` maps the elapsed fraction of τ to the phase whose
+    half-open interval holds it (boundaries 0.5, 0.75, 0.9)."""
+    sim, ep, mgr = make(tau=10.0)
+    mgr.renew(0.0)
+    for frac, phase in [(0.0, LeasePhase.VALID), (0.49, LeasePhase.VALID),
+                        (0.5, LeasePhase.RENEWAL), (0.75, LeasePhase.SUSPECT),
+                        (0.9, LeasePhase.FLUSH), (1.0, LeasePhase.EXPIRED),
+                        (5.0, LeasePhase.EXPIRED)]:
+        sim.run(until=frac * 10.0)
+        assert ep.local_now() == frac * 10.0
+        assert mgr.phase() == phase, frac
+
+
 def test_renewal_extends_lease():
     sim, ep, mgr = make(tau=10.0)
     mgr.renew(0.0)

@@ -1,7 +1,6 @@
 """Phase enumeration semantics."""
 
 from repro.lease import LeasePhase
-from repro.lease.phases import phase_for_elapsed
 
 
 def test_service_gating():
@@ -17,17 +16,6 @@ def test_cache_usable_until_expiry():
               LeasePhase.FLUSH):
         assert p.cache_usable
     assert not LeasePhase.EXPIRED.cache_usable
-
-
-def test_phase_for_elapsed_boundaries():
-    args = (0.5, 0.75, 0.9)
-    assert phase_for_elapsed(0.0, *args) == LeasePhase.VALID
-    assert phase_for_elapsed(0.49, *args) == LeasePhase.VALID
-    assert phase_for_elapsed(0.5, *args) == LeasePhase.RENEWAL
-    assert phase_for_elapsed(0.75, *args) == LeasePhase.SUSPECT
-    assert phase_for_elapsed(0.9, *args) == LeasePhase.FLUSH
-    assert phase_for_elapsed(1.0, *args) == LeasePhase.EXPIRED
-    assert phase_for_elapsed(5.0, *args) == LeasePhase.EXPIRED
 
 
 def test_ordering():

@@ -1,8 +1,7 @@
-"""Span tracing: nesting over simulated time, trace mirroring."""
+"""Span tracing: nesting over simulated time, export bounds."""
 
 from repro.obs.spans import SpanTracer
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceRecorder
 
 
 def test_span_lifecycle_and_duration():
@@ -64,18 +63,6 @@ def test_select_matches_dotted_prefix_only():
     kinds = [s.kind for s in tracer.select("lease.phase")]
     assert kinds == ["lease.phase.normal"]
     assert tracer.total_duration("lease.phase") == 1.0
-
-
-def test_spans_mirror_into_trace_recorder():
-    trace = TraceRecorder(enabled=True)
-    tracer = SpanTracer(trace=trace)
-    s = tracer.begin(1.0, "lease.steal_resolution", "server", client="c2")
-    s.end(3.0)
-    assert trace.count("span.begin.lease.steal_resolution") == 1
-    assert trace.count("span.end.lease.steal_resolution") == 1
-    end_rec = trace.select(kind="span.end.lease.steal_resolution")[0]
-    assert end_rec.get("duration") == 2.0
-    assert end_rec.get("span_id") == s.span_id
 
 
 def test_max_spans_bound_drops_excess():

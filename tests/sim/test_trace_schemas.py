@@ -94,7 +94,8 @@ def test_keyword_fields_for_a_declared_kind_raise():
     with pytest.raises(TypeError):
         t.emit(1.0, "meta.mutate", "n", op="unlink", path="/f", file_id=3)
     with pytest.raises(TypeError):
-        t.emit(1.0, "span.begin.net.rpc", "n", span_id=1, parent_id=None)
+        t.emit(1.0, "meta.mutate#unlink", "n", op="unlink", path="/f",
+               file_id=3)
     with pytest.raises(TypeError):
         t.emit(1.0, "lease.steal", "n", "c1", client="c1")
     assert len(t) == 0 and t.kinds() == {}
@@ -121,24 +122,18 @@ def test_the_checks_hold_with_storage_off():
     assert t.kinds() == {"lease.steal": 1} and len(t) == 0
 
 
-def test_variants_and_families_store_their_kind():
+def test_variants_store_their_kind():
     t = TraceRecorder()
     t.emit(1.0, "meta.mutate#unlink", "s", "unlink", "/a", 3)
     t.emit(2.0, "meta.mutate#setattr", "s", "setattr", 3, 10)
-    t.emit(3.0, "span.begin.net.rpc", "c", 7, None)
-    t.emit(4.0, "span.end.net.rpc", "c", 7, 0.5)
-    unlink, setattr, begin, end = t.records
-    assert [r.kind for r in t] == ["meta.mutate", "meta.mutate",
-                                   "span.begin.net.rpc", "span.end.net.rpc"]
+    unlink, setattr = t.records
+    assert [r.kind for r in t] == ["meta.mutate", "meta.mutate"]
     assert unlink.detail == {"op": "unlink", "path": "/a", "file_id": 3}
     assert setattr.detail == {"op": "setattr", "file_id": 3, "size": 10}
     assert setattr.get("path", "none") == "none"
-    assert (begin.get("span_id"), end.get("duration")) == (7, 0.5)
-    assert t.kinds() == {"meta.mutate": 2, "span.begin.net.rpc": 1,
-                         "span.end.net.rpc": 1}
+    assert t.kinds() == {"meta.mutate": 2}
     assert t.select(kind="meta.mutate") == [unlink, setattr]
-    assert t.count_prefix("span.") == 2
-
+    assert t.count_prefix("meta.") == 2
 
 def test_a_view_equals_a_standalone_record():
     t = TraceRecorder()
