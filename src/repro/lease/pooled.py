@@ -65,8 +65,9 @@ class PooledLeaseService:
         self._seeded = False
         self.expired = 0
 
-    def __len__(self) -> int:
-        """Number of slots currently holding a lease record."""
+    @property
+    def held(self) -> int:
+        """Slots holding a lease record (an empty service stays truthy)."""
         return int(np.count_nonzero(self._held))
 
     def holds_lease(self, idx: int) -> bool:

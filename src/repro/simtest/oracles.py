@@ -203,169 +203,50 @@ class NoSilentLossOracle(Oracle):
         return out
 
 
-class ExpectedFailureFlushOracle(Oracle):
-    """A client that loses its lease flushed its dirty data first.
+class LeaseModelOracle(Oracle):
+    """Four claims of Figs. 3-5, checked by one model per pair.
 
-    Fig. 4's phase-4 guarantee: the flush phase begins early enough that
-    everything dirty is hardened to the SAN before expiry, so an
-    isolated client loses *service*, not *data*.  Fires when a lease
-    expiry dropped dirty pages with no excuse: the client was up, its
-    SAN path worked, its clock was in bound and no straggling op held
-    the flush hostage.
+    :class:`~repro.simtest.leasemodel.LeaseModel` names each finding
+    after its claim.  This drops those the failure model exempts: a slow
+    (§6) or possessed client is outside the rate-skew bound and its own
+    flush; one down or SAN-cut at the lapse could not flush (§2); the E4
+    ablation ``nack_suspects=False`` NACKs no suspect.  It adds the one
+    check that needs the whole run: a server that never suspected anyone
+    was charged no lease messages.
     """
 
-    name = "expected-failure-flush"
-    claim = ("§3.2/Fig. 4: the expected-failure flush hardens all dirty "
-             "data to the SAN before the lease expires")
+    name = "lease-model"
+    claim = ("§3/Thm 3.1/Figs. 3-5: a steal follows the victim's lease "
+             "expiry; the server sends no lease message and NACKs, "
+             "always and only, a client it is timing out; the phase-4 "
+             "flush hardens all dirty data before the lease expires")
 
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag expected-failure paths that dropped dirty data without cause."""
+        """The model's findings that no exemption covers."""
+        index = RunIndex.of(system)
+        model = index.lease
+        outside = set(system.config.slow_clients) | set(index.byzantine)
         out: List[OracleViolation] = []
-        slow = set(system.config.slow_clients)
-        index = RunIndex.of(system)
-        for t, client, dropped, in_flight, server in index.lease_lost:
-            if dropped == 0:
+        for claim, t, node, message, detail in (
+                model.findings + model.open_findings(system.sim.now)):
+            if claim == "theorem-3.1" and detail["client"] in outside:
                 continue
-            if client in slow:
-                continue  # outside the lease guarantee (§6): fencing's job
-            if client in index.byzantine:
-                continue  # a possessed client sabotages its own flush
-            if in_flight > 0:
-                continue  # expiry raced an op still draining; flush blocked
-            if index.down_at(client, t):
-                continue  # dead clients cannot flush (§2 volatile loss)
-            if index.san_cut_at(client, t):
-                continue  # flush path itself was down: reported I/O failure
-            out.append(self._violation(
-                t, client,
-                f"lease expired with {dropped} dirty page(s) dropped "
-                f"despite a working flush path", dirty_dropped=dropped,
-                server=server))
-        return out
-
-
-class PassiveServerOracle(Oracle):
-    """The server stays lease-passive (the paper's headline property).
-
-    §3: during normal operation the server keeps no lease records and
-    sends no lease messages.  Three checks: (a) no server ever *sends* a
-    lease-kind message; (b) a server that never suspected anyone charged
-    zero lease messages; (c) every server NACK falls inside a suspect
-    window — the only situation in which the lease protocol makes the
-    server do anything at all.
-    """
-
-    name = "passive-server"
-    claim = ("§3: the server retains no lease state and initiates no "
-             "lease messages; NACKs occur only while timing a client out")
-
-    def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag server-originated lease traffic and out-of-window NACKs."""
-        index = RunIndex.of(system)
-        out = [self._violation(t, server, f"server sent lease message "
-                               f"{kind!r}", msg_kind=kind, dst=dst)
-               for t, server, kind, dst in index.lease_sends]
+            if claim == "expected-failure-flush" and (
+                    node in outside or index.down_at(node, t)
+                    or index.san_cut_at(node, t)):
+                continue
+            if claim == "nack-timed-out" and not getattr(
+                    system.servers[node].authority, "nack_suspects", True):
+                continue
+            out.append(OracleViolation(claim, t, node, message, detail))
         registry = system.obs.registry
         for sname in system.servers:
             charged = registry.value("lease.server.msgs_sent", node=sname)
-            if not index.suspected.get(sname) and charged > 0:
-                out.append(self._violation(
-                    system.sim.now, sname,
+            if sname not in model.suspecting and charged > 0:
+                out.append(OracleViolation(
+                    "passive-server", system.sim.now, sname,
                     f"server charged {charged:g} lease messages without "
-                    f"ever suspecting a client", lease_msgs_sent=charged))
-        for t, server, client, kind in index.nacks:
-            if not any(s - TIME_SLACK <= t <= e + TIME_SLACK for s, e
-                       in index.windows("suspect", server, str(client))):
-                out.append(self._violation(
-                    t, server,
-                    f"server NACKed {client!r} outside any suspect window",
-                    client=client, msg_kind=kind))
-        return out
-
-
-class NackTimedOutOracle(Oracle):
-    """A request from a client being timed out is answered with a NACK.
-
-    §3.3/Fig. 5: the server can neither ACK (it would renew the lease it
-    is expiring) nor stay silent (the client would hang in retries) — it
-    must NACK so the client learns its cache is invalid right away.
-    Skipped when the ablation knob ``nack_suspects=False`` is set.
-    """
-
-    name = "nack-timed-out"
-    claim = ("§3.3/Fig. 5: while a client is being timed out, its "
-             "requests are answered with a NACK, never ACKed or dropped")
-
-    def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag suspect-window requests that were not answered with a NACK."""
-        out: List[OracleViolation] = []
-        index = RunIndex.of(system)
-        for sname, srv in system.servers.items():
-            if not getattr(srv.authority, "nack_suspects", True):
-                continue
-            nack_times = [t for t, srv, _, _ in index.nacks if srv == sname]
-            windows = {client: index.windows("suspect", sname, client)
-                       for client in index.suspected.get(sname, ())}
-            for t, client, kind in index.requests.get(sname, ()):
-                if client not in windows or not any(
-                        s + TIME_SLACK < t < e - TIME_SLACK
-                        for s, e in windows[client]):
-                    continue
-                if not any(abs(nt - t) <= TIME_SLACK for nt in nack_times):
-                    out.append(self._violation(
-                        t, sname,
-                        f"request {kind!r} from "
-                        f"timed-out client {client!r} was not NACKed",
-                        client=client, msg_kind=kind))
-        return out
-
-
-class Theorem31Oracle(Oracle):
-    """Steals happen only after the victim's lease provably expired.
-
-    Theorem 3.1: with rate-synchronized clocks (bound ε), a server that
-    waits τ(1+ε) after its last ACK to a client outlives every lease
-    interval that ACK could have started.  Checked from the trace: each
-    ``lease.steal`` must postdate the global expiry of the victim's last
-    renewed lease, computed through the victim's own skewed clock.
-    Clients configured to violate the clock bound (§6) are exempt —
-    that is precisely the case the theorem does not cover.
-    """
-
-    name = "theorem-3.1"
-    claim = ("§3 Thm 3.1: the server's τ(1+ε) wait strictly covers the "
-             "client's τ lease interval under the rate-skew bound")
-
-    def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag steals that precede the stolen client's lease expiry bound."""
-        out: List[OracleViolation] = []
-        contract = system.config.lease.contract()
-        slow = set(system.config.slow_clients)
-        index = RunIndex.of(system)
-        clocks = system.clocks.clocks
-        for steal_time, server, client in index.steals:
-            if client in slow or client not in clocks:
-                continue
-            if client in index.byzantine:
-                # A possessed client (above all stretch_clock, which is
-                # exactly the §6 slow-computer case) is outside the
-                # theorem's rate-skew assumption.
-                continue
-            starts = [start for t, start
-                      in index.renewals.get((client, server), ())
-                      if t <= steal_time + TIME_SLACK and start is not None]
-            if not starts:
-                continue  # never held a lease; nothing to outlive
-            last_start = float(starts[-1])
-            expiry_local = contract.client_expiry_local(last_start)
-            expiry_global = clocks[client].global_time(expiry_local)
-            if steal_time < expiry_global - TIME_SLACK:
-                out.append(self._violation(
-                    steal_time, server,
-                    f"locks of {client!r} stolen "
-                    f"{expiry_global - steal_time:.6f}s before its lease "
-                    f"expired", client=client,
-                    lease_expiry_global=expiry_global))
+                    f"ever suspecting a client", {"lease_msgs_sent": charged}))
         return out
 
 
@@ -421,7 +302,7 @@ class FencedClientNoStaleServiceOracle(Oracle):
         out: List[OracleViolation] = []
         index = RunIndex.of(system)
         for server, client in sorted(index.fenced):
-            windows = index.windows("fence", server, client)
+            windows = index.fence_windows(server, client)
 
             def inside(t: float) -> bool:
                 return any(s + TIME_SLACK < t < e - TIME_SLACK
@@ -557,10 +438,7 @@ def default_oracles() -> List[Oracle]:
     return [
         LockCompatibilityOracle(),
         NoSilentLossOracle(),
-        ExpectedFailureFlushOracle(),
-        PassiveServerOracle(),
-        NackTimedOutOracle(),
-        Theorem31Oracle(),
+        LeaseModelOracle(),
         CacheNoStaleEntryOracle(),
         FencedClientNoStaleServiceOracle(),
         CapabilityCheckedSanIoOracle(),

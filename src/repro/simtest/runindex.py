@@ -2,10 +2,11 @@
 
 :class:`RunIndex` is the one place that turns trace records into the
 facts the oracles of :mod:`repro.simtest.oracles` judge: crash and SAN
-cut state, suspect and fence windows, what the servers sent, NACKed and
-received, and what the namespace held when a cache node served a hit.
-It folds records in emission (= time) order, and each :meth:`RunIndex.of`
-folds only the records appended since the last one: live checks stay linear.
+cut state, fence windows, the lease model of every (server, client)
+pair (:mod:`repro.simtest.leasemodel`), and what the namespace held when
+a cache node served a hit.  It folds records in emission (= time) order,
+and each :meth:`RunIndex.of` folds only the records appended since the
+last one: live checks stay linear.
 """
 
 from __future__ import annotations
@@ -19,23 +20,13 @@ from repro.core.system import StorageTankSystem
 from repro.metadata.directory import Directory, NamespaceError
 from repro.net.message import MsgKind
 from repro.sim.trace import TraceRecord, TraceRecorder
-
-TIME_SLACK = 1e-6
-
-#: Message kinds a *passive* server never originates (§3).
-SERVER_LEASE_KINDS = frozenset({MsgKind.KEEPALIVE, MsgKind.LEASE_RENEW,
-                                MsgKind.HEARTBEAT})
-
-#: Transport frames (replies) — exempt from the Fig. 5 must-answer rule.
-_REPLY_KINDS = frozenset({MsgKind.ACK, MsgKind.NACK})
+from repro.simtest.leasemodel import TIME_SLACK, LeaseModel
 
 #: The record kinds the index reads (messages only a server's).
 _MESSAGES = frozenset({"msg.send", "msg.recv"})
-_FOLDED = _MESSAGES | {
-    "fault.inject", "lease.suspect", "lease.steal",
-    "server.fence", "server.unfence", "server.steal", "server.reassert",
-    "lease.server_nack", "lease.renewed", "client.lease_lost",
-    "netcache.flush", "meta.mutate", "netcache.hit"}
+_FOLDED = LeaseModel.KINDS | {
+    "fault.inject", "server.fence", "server.unfence", "server.steal",
+    "server.reassert", "netcache.flush", "meta.mutate", "netcache.hit"}
 
 Key = Tuple[str, Any]
 Timeline = List[Tuple[float, bool]]
@@ -57,8 +48,8 @@ class RunIndex:
     """The facts the oracles query, for one run's trace.
 
     Public fields keep emission order; ``__init__`` gives their shapes.
-    Queries compare times with :data:`TIME_SLACK`, except :meth:`windows`,
-    whose raw pairs each oracle compares by its own rule.  Holding no
+    Queries compare times with :data:`TIME_SLACK`, except
+    :meth:`fence_windows`, whose raw pairs the oracle compares.  Holding no
     strong reference to the trace or the system, the index goes with them.
     """
 
@@ -80,22 +71,11 @@ class RunIndex:
         self.byzantine: Dict[str, List[str]] = {}
         self._down: DefaultDict[str, Timeline] = defaultdict(list)
         self._cut: DefaultDict[str, Timeline] = defaultdict(list)
-        # ("suspect" | "fence", server, client) -> [(time, closes)]
-        self._edges: DefaultDict[Tuple[str, str, Any], Timeline] = \
-            defaultdict(list)
-        self.suspected: DefaultDict[str, Set[str]] = defaultdict(set)
-        self.nacks: List[Tuple[float, str, Any, Any]] = []  # t, srv, cl, kind
-        # server -> (time, src, msg_kind) per request of a suspected client
-        self.requests: DefaultDict[str, List[Tuple[float, Any, Any]]] = \
-            defaultdict(list)
-        self.lease_sends: List[Tuple[float, str, Any, Any]] = []  # .., dst
+        self.lease = LeaseModel(system.config.lease.contract(),
+                                system.clocks)
+        # (server, client) -> [(time, closes)] per fence and unfence
+        self._fences: DefaultDict[Key, Timeline] = defaultdict(list)
         self.first_demand: Dict[Key, float] = {}  # (server, holder) -> t
-        # (client, server) -> (time, start_local) per renewal
-        self.renewals: DefaultDict[Key, List[Tuple[float, Any]]] = \
-            defaultdict(list)
-        self.steals: List[Tuple[float, str, str]] = []  # t, server, client
-        # (time, client, dirty_dropped, in_flight, server) per lapse report
-        self.lease_lost: List[Tuple[float, str, int, int, Any]] = []
         # client -> times of a lease_lost or a lease-expired cache flush
         self.lapses: DefaultDict[str, List[float]] = defaultdict(list)
         self._resolved: DefaultDict[Key, List[float]] = defaultdict(list)
@@ -132,14 +112,14 @@ class RunIndex:
         """Whether a SAN cut of ``node`` was live at ``time``."""
         return _state_at(self._cut.get(node, []), time)
 
-    def windows(self, kind: str, server: str,
-                client: str) -> List[Tuple[float, float]]:
-        """``[start, end]`` windows of a (server, client) pair: ``"suspect"``
-        runs suspect → steal, ``"fence"`` fence → unfence.  At a tie an open
-        sorts before a close; an unclosed window ends at the current time."""
+    def fence_windows(self, server: str,
+                      client: str) -> List[Tuple[float, float]]:
+        """``[fence, unfence]`` windows of a (server, client) pair.  At a
+        tie an open sorts before a close; an unclosed window ends at the
+        current time."""
         out: List[Tuple[float, float]] = []
         start: Optional[float] = None
-        for t, closes in sorted(self._edges.get((kind, server, client), ())):
+        for t, closes in sorted(self._fences.get((server, client), ())):
             if not closes and start is None:
                 start = t
             elif closes and start is not None:
@@ -170,53 +150,30 @@ class RunIndex:
         """Fold one record whose kind is in :data:`_FOLDED` (a message
         only if a server emitted it)."""
         kind, t, node, get = rec.kind, rec.time, rec.node, rec.get
+        if kind in LeaseModel.KINDS:
+            self.lease.fold(rec)
         if kind == "msg.send":
-            msg_kind = get("msg_kind")
-            if msg_kind in SERVER_LEASE_KINDS:
-                self.lease_sends.append((t, node, msg_kind, get("dst")))
-            elif msg_kind == MsgKind.LOCK_DEMAND:
+            if get("msg_kind") == MsgKind.LOCK_DEMAND:
                 self.first_demand.setdefault((node, get("dst")), t)
-        elif kind == "msg.recv":
-            src = get("src")  # a request in a window follows its suspect
-            if (src in self.suspected.get(node, ())
-                    and get("msg_kind") not in _REPLY_KINDS):
-                self.requests[node].append((t, src, get("msg_kind")))
         elif kind == "fault.inject":
             self._fault(t, str(get("label")))
-        elif kind in ("lease.suspect", "lease.steal"):
-            client, closes = get("client"), kind == "lease.steal"
-            self._edges["suspect", node, client].append((t, closes))
-            if closes:
-                self.steals.append((t, node, str(client)))
-            else:
-                self.suspected[node].add(str(client))
-                self._resolved[node, client].append(t)
+        elif kind in ("lease.suspect", "server.steal"):
+            self._resolved[node, get("client")].append(t)
         elif kind in ("server.fence", "server.unfence"):
             client, closes = get("client"), kind == "server.unfence"
-            self._edges["fence", node, client].append((t, closes))
+            self._fences[node, client].append((t, closes))
             if closes:
                 self.unfences[node, client].append(t)
             else:
                 self.fenced.add((node, str(client)))
-        elif kind == "server.steal":
-            self._resolved[node, get("client")].append(t)
         elif kind == "server.reassert":
             self.reasserts[node, get("client")].append((t, get("obj")))
-        elif kind == "lease.server_nack":
-            self.nacks.append((t, node, get("client"), get("msg_kind")))
-        elif kind == "lease.renewed":
-            self.renewals[node, get("server")].append((t, get("start_local")))
-        elif kind == "client.lease_lost":
-            self.lease_lost.append((t, node, int(get("dirty_dropped") or 0),
-                                    int(get("in_flight") or 0),
-                                    get("server")))
+        elif kind == "client.lease_lost" or (
+                kind == "netcache.flush" and get("reason") == "lease-expired"):
             self.lapses[node].append(t)
-        elif kind == "netcache.flush":
-            if get("reason") == "lease-expired":
-                self.lapses[node].append(t)
         elif kind == "meta.mutate":
             self._mutate(rec)
-        else:
+        elif kind == "netcache.hit":
             reason = self._stale_reason(str(get("key_kind")),
                                         str(get("path")), get("fingerprint"))
             if reason is not None:

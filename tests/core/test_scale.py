@@ -38,7 +38,7 @@ def test_touching_everyone_arms_no_pooled_timer():
     assert system.pool.parked_count == 0
     assert system.pool.wake_reasons == {"api": 3}
     pooled = system.pooled_leases
-    assert len(pooled) == 0
+    assert pooled.held == 0
     # The kernel heap holds the built clients' own timers, none of the pool's.
     assert system.sim.pending_events > 0
     assert not any(getattr(entry[2], "_waiter", None) == pooled._sweep

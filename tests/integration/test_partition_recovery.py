@@ -197,7 +197,7 @@ def test_san_partition_leases_cannot_help():
 
 
 def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
-    """The theorem-3.1 oracle over a schedule where a client is marked
+    """The lease model's theorem-3.1 check over a schedule where a client is marked
     suspect while one of its transactions is parked.  A one-way cut
     (server → c1) makes a server-initiated probe to c1 fail; c1's own
     request gets through just before the mark, parks, and its final
@@ -205,7 +205,7 @@ def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
     time, so the lease it grants still ends before the steal."""
     from repro.net import MsgKind
     from repro.net.message import RangeDemand
-    from repro.simtest.oracles import Theorem31Oracle
+    from repro.simtest.oracles import LeaseModelOracle
 
     s = make_system(n_clients=1)
     server = s.server
@@ -249,4 +249,4 @@ def test_final_after_a_suspect_mark_is_covered_by_theorem_3_1():
     expiry = s.clocks.clocks["c1"].global_time(
         server.authority.contract.client_expiry_local(out["sent_local"]))
     assert expiry < steal.time
-    assert Theorem31Oracle().check_final(s) == []
+    assert LeaseModelOracle().check_final(s) == []

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import SystemConfig, build_system
 from repro.lease import PooledLeaseService
 from repro.sim import Simulator
 
@@ -19,10 +20,10 @@ def test_seed_then_expire_lapses_once():
     sim.run(until=6.0)
     assert svc.expired == 1
     assert not svc.holds_lease(3)
-    assert svc.holds_lease(0) and len(svc) == 3
+    assert svc.holds_lease(0) and svc.held == 3
     sim.run(until=20.0)
     assert svc.expired == 4  # slot 3 is not counted a second time
-    assert len(svc) == 0
+    assert svc.held == 0
 
 
 def test_lapse_drops_record_uncounted():
@@ -38,11 +39,11 @@ def test_lapse_drops_record_uncounted():
 def test_bulk_expiry_sweeps_in_one_kernel_event():
     sim, svc = make_service()
     svc.seed(np.full(5000, 7.0))
-    assert len(svc) == 5000
+    assert svc.held == 5000
     assert sim.pending_events == 1  # one pooled kernel timeout for all
     sim.run(until=10.0)
     assert svc.expired == 5000
-    assert len(svc) == 0
+    assert svc.held == 0
     assert sim.events_scheduled == 1
 
 
@@ -79,7 +80,7 @@ def test_a_second_seed_raises():
     svc.seed([5.0])
     with pytest.raises(RuntimeError):
         svc.seed([1.0, 1.0])
-    assert len(svc) == 1 and sim.pending_events == 1
+    assert svc.held == 1 and sim.pending_events == 1
     sim.run(until=10.0)
     assert svc.expired == 1
 
@@ -103,3 +104,14 @@ def test_per_slot_reads_and_lapse_reject_a_negative_slot():
     assert svc.holds_lease(3)
     sim.run(until=10.0)
     assert svc.expired == 4
+
+
+def test_a_fully_lapsed_service_stays_truthy():
+    """A reader that tests the service for presence (``if pooled``)
+    still sees one after every record lapsed, and its count."""
+    system = build_system(SystemConfig(n_clients=10))
+    pooled = system.pooled_leases
+    pooled.seed([5.0] * 10)
+    system.run(until=10.0)
+    assert pooled.held == 0
+    assert pooled and pooled.expired == 10

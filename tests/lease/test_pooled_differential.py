@@ -44,7 +44,8 @@ class PerSlotReference:
     def holds_lease(self, idx: int) -> bool:
         return idx in self._deadline
 
-    def __len__(self) -> int:
+    @property
+    def held(self) -> int:
         return len(self._deadline)
 
 
@@ -84,7 +85,7 @@ def _apply(sim: Simulator, svc: PooledLeaseService,
 
 
 def _observe(svc) -> tuple:
-    return (svc.expired, len(svc),
+    return (svc.expired, svc.held,
             [svc.holds_lease(i) for i in range(N_SLOTS + 1)])
 
 
@@ -100,7 +101,7 @@ def test_seed_and_lapse_match_a_per_slot_reference(script):
     # Drain everything still pending: nothing lapses twice, none is lost.
     _apply(sim, svc, ref, ("advance", 20.0))
     assert _observe(svc) == _observe(ref)
-    assert len(svc) == 0
+    assert svc.held == 0
 
 
 def test_bulk_seed_matches_the_per_slot_reference():
@@ -118,7 +119,7 @@ def test_bulk_seed_matches_the_per_slot_reference():
     dropped = rng.choice(n, size=500, replace=False).tolist()
 
     def observe(target):
-        return (target.expired, len(target),
+        return (target.expired, target.held,
                 [target.holds_lease(i) for i in range(n + 1)])
 
     for until in (0.5, 2.55, 10.0):
@@ -137,6 +138,6 @@ def test_seed_accepts_a_list_and_rejects_a_2d_array():
     with pytest.raises(ValueError):
         svc.seed(np.ones((2, 2)))
     svc.seed([3.0, 2.0, 3.0])  # the rejected call seeded nothing
-    assert len(svc) == 3
+    assert svc.held == 3
     sim.run(until=10.0)
     assert svc.expired == 3

@@ -16,13 +16,10 @@ import os
 from repro.locks.modes import LockMode, compatible
 from repro.net.message import MsgKind
 from repro.simtest.oracles import (
-    ExpectedFailureFlushOracle,
+    LeaseModelOracle,
     LockCompatibilityOracle,
-    NackTimedOutOracle,
     NoSilentLossOracle,
-    PassiveServerOracle,
     Oracle,
-    Theorem31Oracle,
     default_oracles,
 )
 from repro.obs.artifact import load_artifact
@@ -158,6 +155,13 @@ def test_no_silent_loss_clean_on_empty_run():
     assert NoSilentLossOracle().check_final(make_system()) == []
 
 
+# -- the lease model's four claims -----------------------------------------
+
+def _lease(s, claim):
+    """The lease model's findings on ``claim``, exemptions applied."""
+    return [v for v in LeaseModelOracle().check_final(s) if v.oracle == claim]
+
+
 # -- expected-failure-flush -----------------------------------------------
 
 def _lease_lost(s, time=5.0, dropped=2, in_flight=0):
@@ -168,7 +172,7 @@ def _lease_lost(s, time=5.0, dropped=2, in_flight=0):
 def test_flush_oracle_fires_on_unexcused_dirty_drop():
     s = make_system()
     _lease_lost(s)
-    hits = ExpectedFailureFlushOracle().check_final(s)
+    hits = _lease(s, "expected-failure-flush")
     assert len(hits) == 1
     assert hits[0].detail["dirty_dropped"] == 2
 
@@ -176,20 +180,20 @@ def test_flush_oracle_fires_on_unexcused_dirty_drop():
 def test_flush_oracle_clean_when_nothing_dropped():
     s = make_system()
     _lease_lost(s, dropped=0)
-    assert ExpectedFailureFlushOracle().check_final(s) == []
+    assert _lease(s, "expected-failure-flush") == []
 
 
 def test_flush_oracle_exempts_in_flight_op():
     s = make_system()
     _lease_lost(s, in_flight=1)
-    assert ExpectedFailureFlushOracle().check_final(s) == []
+    assert _lease(s, "expected-failure-flush") == []
 
 
 def test_flush_oracle_exempts_crashed_client():
     s = make_system()
     s.trace.emit(4.0, "fault.inject", "injector", "crash:c1")
     _lease_lost(s)
-    assert ExpectedFailureFlushOracle().check_final(s) == []
+    assert _lease(s, "expected-failure-flush") == []
 
 
 def test_flush_oracle_fires_again_after_restart():
@@ -197,14 +201,14 @@ def test_flush_oracle_fires_again_after_restart():
     s.trace.emit(3.0, "fault.inject", "injector", "crash:c1")
     s.trace.emit(4.0, "fault.inject", "injector", "restart:c1")
     _lease_lost(s)
-    assert len(ExpectedFailureFlushOracle().check_final(s)) == 1
+    assert len(_lease(s, "expected-failure-flush")) == 1
 
 
 def test_flush_oracle_exempts_active_san_cut():
     s = make_system()
     s.trace.emit(4.0, "fault.inject", "injector", "san_cut:c1-disk1")
     _lease_lost(s)
-    assert ExpectedFailureFlushOracle().check_final(s) == []
+    assert _lease(s, "expected-failure-flush") == []
 
 
 def test_flush_oracle_fires_after_san_heal():
@@ -212,13 +216,13 @@ def test_flush_oracle_fires_after_san_heal():
     s.trace.emit(3.0, "fault.inject", "injector", "san_cut:c1-disk1")
     s.trace.emit(4.0, "fault.inject", "injector", "heal_san")
     _lease_lost(s)
-    assert len(ExpectedFailureFlushOracle().check_final(s)) == 1
+    assert len(_lease(s, "expected-failure-flush")) == 1
 
 
 def test_flush_oracle_exempts_slow_client():
     s = make_system(slow_clients=("c1",))
     _lease_lost(s)
-    assert ExpectedFailureFlushOracle().check_final(s) == []
+    assert _lease(s, "expected-failure-flush") == []
 
 
 # -- passive-server -------------------------------------------------------
@@ -226,7 +230,7 @@ def test_flush_oracle_exempts_slow_client():
 def test_passive_server_fires_on_server_lease_message():
     s = make_system()
     s.trace.emit(2.0, "msg.send", "server", MsgKind.KEEPALIVE, "c1", 1, 1)
-    hits = PassiveServerOracle().check_final(s)
+    hits = _lease(s, "passive-server")
     assert len(hits) == 1
     assert "lease message" in hits[0].message
 
@@ -235,7 +239,7 @@ def test_passive_server_fires_on_nack_outside_suspect_window():
     s = make_system()
     s.trace.emit(3.0, "lease.server_nack", "server", "c1",
                  MsgKind.LOCK_ACQUIRE)
-    hits = PassiveServerOracle().check_final(s)
+    hits = _lease(s, "passive-server")
     assert len(hits) == 1
     assert "outside any" in hits[0].message
 
@@ -246,13 +250,13 @@ def test_passive_server_clean_on_nack_inside_suspect_window():
     s.trace.emit(3.0, "lease.server_nack", "server", "c1",
                  MsgKind.LOCK_ACQUIRE)
     s.trace.emit(8.0, "lease.steal", "server", "c1")
-    assert PassiveServerOracle().check_final(s) == []
+    assert _lease(s, "passive-server") == []
 
 
 def test_passive_server_fires_on_lease_charge_without_suspects():
     s = make_system()
     s.server.authority._count_lease_msg(3)
-    hits = PassiveServerOracle().check_final(s)
+    hits = _lease(s, "passive-server")
     assert len(hits) == 1
     assert "without ever suspecting" in hits[0].message
 
@@ -262,7 +266,7 @@ def test_passive_server_allows_lease_charge_with_suspects():
     s.server.authority._count_lease_msg(3)
     s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
     s.trace.emit(8.0, "lease.steal", "server", "c1")
-    assert PassiveServerOracle().check_final(s) == []
+    assert _lease(s, "passive-server") == []
 
 
 # -- nack-timed-out -------------------------------------------------------
@@ -279,7 +283,7 @@ def _suspect_window_with_request(s, *, nacked: bool,
 def test_nack_oracle_fires_on_unanswered_suspect_request():
     s = make_system()
     _suspect_window_with_request(s, nacked=False)
-    hits = NackTimedOutOracle().check_final(s)
+    hits = _lease(s, "nack-timed-out")
     assert len(hits) == 1
     assert "was not NACKed" in hits[0].message
 
@@ -287,13 +291,13 @@ def test_nack_oracle_fires_on_unanswered_suspect_request():
 def test_nack_oracle_clean_when_request_nacked():
     s = make_system()
     _suspect_window_with_request(s, nacked=True)
-    assert NackTimedOutOracle().check_final(s) == []
+    assert _lease(s, "nack-timed-out") == []
 
 
 def test_nack_oracle_exempts_reply_frames():
     s = make_system()
     _suspect_window_with_request(s, nacked=False, msg_kind=MsgKind.ACK)
-    assert NackTimedOutOracle().check_final(s) == []
+    assert _lease(s, "nack-timed-out") == []
 
 
 def test_nack_oracle_ignores_window_boundary():
@@ -303,14 +307,21 @@ def test_nack_oracle_ignores_window_boundary():
     s.trace.emit(2.0, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, "c1", 1,
                  1)
     s.trace.emit(8.0, "lease.steal", "server", "c1")
-    assert NackTimedOutOracle().check_final(s) == []
+    assert _lease(s, "nack-timed-out") == []
 
 
 def test_nack_oracle_skipped_under_ablation():
     s = make_system()
     _suspect_window_with_request(s, nacked=False)
     s.server.authority.nack_suspects = False
-    assert NackTimedOutOracle().check_final(s) == []
+    assert _lease(s, "nack-timed-out") == []
+
+
+def test_ack_expiring_is_caught_by_nack_timed_out():
+    # The server ACKs the client it is timing out; the twin run is clean.
+    broken = run_schedule(generate_schedule(4, 20, break_mode="ack_expiring"))
+    assert "nack-timed-out" in broken.oracle_names()
+    assert run_schedule(generate_schedule(4, 20)).ok
 
 
 # -- theorem-3.1 ----------------------------------------------------------
@@ -329,7 +340,7 @@ def test_theorem_oracle_fires_on_premature_steal():
     s = make_system()
     expiry = _renewed_lease_expiry(s)
     s.trace.emit(expiry - 1.0, "lease.steal", "server", "c1")
-    hits = Theorem31Oracle().check_final(s)
+    hits = _lease(s, "theorem-3.1")
     assert len(hits) == 1
     assert "before its lease" in hits[0].message
 
@@ -338,7 +349,7 @@ def test_theorem_oracle_clean_on_post_expiry_steal():
     s = make_system()
     expiry = _renewed_lease_expiry(s)
     s.trace.emit(expiry + 1.0, "lease.steal", "server", "c1")
-    assert Theorem31Oracle().check_final(s) == []
+    assert _lease(s, "theorem-3.1") == []
 
 
 def test_theorem_oracle_uses_last_renewal():
@@ -347,29 +358,27 @@ def test_theorem_oracle_uses_last_renewal():
     expiry2 = _renewed_lease_expiry(s, renewed_at=9.0)
     # Later than the first lease's expiry but inside the renewed one.
     s.trace.emit(expiry2 - 1.0, "lease.steal", "server", "c1")
-    assert len(Theorem31Oracle().check_final(s)) == 1
+    assert len(_lease(s, "theorem-3.1")) == 1
 
 
 def test_theorem_oracle_exempts_never_leased_client():
     s = make_system()
     s.trace.emit(4.0, "lease.steal", "server", "c1")
-    assert Theorem31Oracle().check_final(s) == []
+    assert _lease(s, "theorem-3.1") == []
 
 
 def test_theorem_oracle_exempts_slow_client():
     s = make_system(slow_clients=("c1",))
     expiry = _renewed_lease_expiry(s)
     s.trace.emit(expiry - 1.0, "lease.steal", "server", "c1")
-    assert Theorem31Oracle().check_final(s) == []
+    assert _lease(s, "theorem-3.1") == []
 
 
 # -- library --------------------------------------------------------------
 
 def test_default_oracles_one_of_each():
     names = [o.name for o in default_oracles()]
-    assert names == ["lock-compatibility", "no-silent-loss",
-                     "expected-failure-flush", "passive-server",
-                     "nack-timed-out", "theorem-3.1",
+    assert names == ["lock-compatibility", "no-silent-loss", "lease-model",
                      "cache-serves-no-stale-entry",
                      "fenced-client-serves-no-stale-data",
                      "capability-checked-san-io",

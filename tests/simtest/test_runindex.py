@@ -1,9 +1,11 @@
 """RunIndex: the one place that turns a run's trace into oracle facts.
 
 Each query stands in for a helper the oracles used to rebuild from the
-flat trace on their own (crash and SAN-cut state, windows, lapses, the
-first demand, resolution, the namespace replay); the last tests pin the
-incremental fold against a one-pass build and the audit memo.
+flat trace on their own (crash and SAN-cut state, fence windows, lapses,
+the first demand, resolution, the namespace replay); the lease model's
+suspect windows are read through the claims they decide.  The last
+tests pin the incremental fold against a one-pass build and the audit
+memo.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ import pytest
 
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.net.message import MsgKind
-from repro.simtest.oracles import (NackTimedOutOracle, Oracle,
-                                   PassiveServerOracle, default_oracles)
+from repro.simtest.oracles import LeaseModelOracle, Oracle, default_oracles
 from repro.simtest.runindex import RunIndex
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import generate_schedule
@@ -48,23 +49,39 @@ def test_crash_restart_and_san_heal_state_at_a_time():
     assert not index.san_cut_at("disk1", 4.0)
 
 
+def _unanswered(s):
+    """(time, client) of each request the lease model found un-NACKed."""
+    return [(v.time, v.detail["client"])
+            for v in LeaseModelOracle().check_final(s)
+            if v.oracle == "nack-timed-out"]
+
+
+def _request(s, time, client="c1"):
+    s.trace.emit(time, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, client,
+                 1, 1)
+
+
 def test_windows_pair_opens_with_closes_and_ignore_strays():
     s = make_system()
     emit = s.trace.emit
     emit(1.0, "lease.steal", "server", "c1")       # close with none open
+    _request(s, 1.5)
     emit(2.0, "lease.suspect", "server", "c1", 6.0)
+    _request(s, 2.5)
     emit(3.0, "lease.suspect", "server", "c1", 6.0)  # already open
-    emit(5.0, "lease.steal", "server", "c1")
-    emit(8.0, "lease.suspect", "server", "c1", 6.0)
-    emit(9.0, "lease.steal", "server", "c1")
+    _request(s, 4.0)
     emit(4.0, "lease.suspect", "server", "c2", 6.0)
-    index = RunIndex.of(s)
-    assert index.windows("suspect", "server", "c1") == [(2.0, 5.0),
-                                                         (8.0, 9.0)]
-    assert index.windows("fence", "server", "c1") == []
-    assert index.suspected["server"] == {"c1", "c2"}
-    assert index.steals == [(1.0, "server", "c1"), (5.0, "server", "c1"),
-                            (9.0, "server", "c1")]
+    emit(5.0, "lease.steal", "server", "c1")
+    _request(s, 6.0)
+    _request(s, 6.5, "c2")
+    emit(8.0, "lease.suspect", "server", "c1", 6.0)
+    _request(s, 8.5)
+    emit(9.0, "lease.steal", "server", "c1")
+    s.run(until=10.0)  # c2's window is still open
+    assert sorted(_unanswered(s)) == [(2.5, "c1"), (4.0, "c1"),
+                                      (6.5, "c2"), (8.5, "c1")]
+    assert RunIndex.of(s).fence_windows("server", "c1") == []
+    assert RunIndex.of(s).lease.suspecting == {"server"}
 
 
 def test_windows_tie_sorts_an_open_before_a_close():
@@ -76,33 +93,38 @@ def test_windows_tie_sorts_an_open_before_a_close():
     emit(5.0, "server.unfence", "server", "c1")
     emit(5.0, "server.fence", "server", "c1")
     index = RunIndex.of(s)
-    assert index.windows("fence", "server", "c1") == [(2.0, 5.0)]
+    assert index.fence_windows("server", "c1") == [(2.0, 5.0)]
     assert index.fenced == {("server", "c1")}
     assert index.unfences[("server", "c1")] == [5.0]
 
 
 def test_an_unclosed_window_ends_at_the_current_time():
     s = make_system()
+    s.trace.emit(0.5, "server.fence", "server", "c1")
     s.trace.emit(0.5, "lease.suspect", "server", "c1", 6.0)
+    _request(s, 3.0)
     s.run(until=3.0)
-    assert RunIndex.of(s).windows("suspect", "server", "c1") == [(0.5, 3.0)]
+    assert RunIndex.of(s).fence_windows("server", "c1") == [(0.5, 3.0)]
+    assert _unanswered(s) == []  # on the open window's edge
     s.run(until=4.0)
-    assert RunIndex.of(s).windows("suspect", "server", "c1") == [(0.5, 4.0)]
+    assert RunIndex.of(s).fence_windows("server", "c1") == [(0.5, 4.0)]
+    assert _unanswered(s) == [(3.0, "c1")]
 
 
 def test_window_edges_are_inclusive_for_nacks_and_strict_for_requests():
     s = make_system()
     emit = s.trace.emit
     emit(2.0, "lease.suspect", "server", "c1", 6.0)
-    emit(8.0, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, "c1", 1, 1)
-    emit(8.0, "lease.server_nack", "server", "c1", MsgKind.LOCK_ACQUIRE)
+    _request(s, 2.0 + 1e-7)  # unanswered, on the opening edge
+    _request(s, 8.0 - 1e-7)  # unanswered, on the closing edge
     emit(8.0, "lease.steal", "server", "c1")
+    emit(8.0 + 1e-7, "lease.server_nack", "server", "c1",
+         MsgKind.LOCK_ACQUIRE)
     # A NACK on the window's edge is inside passive-server's window; a
     # request on the edge is outside nack-timed-out's interior.
-    assert PassiveServerOracle().check_final(s) == []
-    assert NackTimedOutOracle().check_final(s) == []
-    assert RunIndex.of(s).requests["server"] == [
-        (8.0, "c1", MsgKind.LOCK_ACQUIRE)]
+    assert LeaseModelOracle().check_final(s) == []
+    emit(8.1, "lease.server_nack", "server", "c1", MsgKind.LOCK_ACQUIRE)
+    assert [v.time for v in LeaseModelOracle().check_final(s)] == [8.1]
 
 
 def test_byzantine_labels_name_client_and_kinds():
@@ -126,7 +148,9 @@ def test_first_demand_resolution_and_lapses():
     emit(4.5, "msg.send", "server", MsgKind.KEEPALIVE, "c2", 5, 1)
     index = RunIndex.of(s)
     assert index.first_demand == {("server", "c1"): 3.0}
-    assert index.lease_sends == [(4.5, "server", MsgKind.KEEPALIVE, "c2")]
+    assert [(v.time, v.oracle, v.detail["dst"])
+            for v in LeaseModelOracle().check_final(s)] == [
+        (4.5, "passive-server", "c2")]
     assert not index.resolved_since("server", "c1", 3.0)
     emit(6.0, "lease.suspect", "server", "c1", 6.0)
     assert RunIndex.of(s).resolved_since("server", "c1", 6.0 + 1e-7)
@@ -141,7 +165,10 @@ def test_first_demand_resolution_and_lapses():
     emit(8.5, "netcache.flush", "c1", "server", "admin", 3)
     index = RunIndex.of(s)
     assert sorted(index.lapses["c1"]) == [8.0, 9.0]
-    assert index.lease_lost == [(9.0, "c1", 2, 0, "server")]
+    assert [(t, claim, node) for claim, t, node, _, _
+            in index.lease.findings] == [
+        (4.5, "passive-server", "server"),
+        (9.0, "expected-failure-flush", "c1")]
 
 
 def test_namespace_replay_checks_each_hit_against_its_instant():
@@ -178,9 +205,13 @@ class _ReadsTheIndexLive(Oracle):
 def _facts(index):
     """Every fact the index holds, as comparable plain data."""
     facts = {name: value for name, value in vars(index).items()
-             if name not in ("_system", "_audit", "_namespace")}
+             if name not in ("_system", "_audit", "_namespace", "lease")}
     ns = index._namespace
     facts["namespace"] = [(path, ns.lookup(path)) for path in ns]
+    lease = index.lease
+    facts["lease"] = (lease.suspecting, lease._nacks, lease.findings, {
+        key: (p.start, p.opened, p.closed, p.requests)
+        for key, p in lease.pairs.items()})
     return facts
 
 

@@ -15,7 +15,10 @@ COLLABORATORS = {"client": ("datapath", "routing", "lockclient"),
 SHARED = {"client/datapath.py": ("repro.client.node", "repro.netcache",
                                  "repro.protocols"),
           "lease/agent.py": ("repro.client", "repro.netcache",
-                             "repro.protocols")}
+                             "repro.protocols"),
+          # a model of the trace, not of the implementation
+          "simtest/leasemodel.py": ("repro.client", "repro.server",
+                                    "repro.netcache", "repro.protocols")}
 #: ``net/control.py`` holds both halves of the endpoint (they do not
 #: separate: the requester's polls are answered from the responder's
 #: replay record); it may not grow.
