@@ -9,8 +9,10 @@ edited), one fresh process per run::
     python benchmarks/ab.py --base REF [--change REF] --micro ROW \\
         [--pairs 10]
 
-Without ``--change`` the change side is this checkout as it stands,
-uncommitted edits included.  For each seed it runs ``--pairs`` pairs;
+Without ``--change`` the change side is this checkout's tracked files
+as they stand, uncommitted edits included, exported the same way from a
+``git stash create`` commit (HEAD when nothing is edited), so both
+sides run from fresh exports.  For each seed it runs ``--pairs`` pairs;
 within a pair the side that runs first alternates.  It reads
 ``work_per_wall_s`` from each run's last output line and prints, per
 seed, both sides' medians and quartiles, the change's win count and the
@@ -62,15 +64,32 @@ class RunFailed(Exception):
     """A benchmark run exited non-zero or reported an incorrect result."""
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=REPO, check=True,
+#: Who writes the throw-away commit of :func:`checkout_commit`, so that
+#: exporting a checkout needs no configured git identity.
+_STASH_IDENTITY = {"GIT_AUTHOR_NAME": "ab", "GIT_AUTHOR_EMAIL": "ab@localhost",
+                   "GIT_COMMITTER_NAME": "ab",
+                   "GIT_COMMITTER_EMAIL": "ab@localhost"}
+
+
+def _git(*args: str, repo: str = REPO,
+         env: Optional[Dict[str, str]] = None) -> str:
+    return subprocess.run(["git", *args], cwd=repo, check=True, env=env,
                           capture_output=True, text=True).stdout.strip()
 
 
-def _export(sha: str, path: str) -> str:
+def checkout_commit(repo: str = REPO) -> str:
+    """A commit whose tree is ``repo``'s tracked files as they stand: a
+    dangling ``git stash create`` commit over uncommitted edits, or HEAD
+    when there are none.  Untracked files are not in it."""
+    return (_git("stash", "create", repo=repo,
+                 env={**os.environ, **_STASH_IDENTITY})
+            or _git("rev-parse", "HEAD", repo=repo))
+
+
+def export(sha: str, path: str, repo: str = REPO) -> str:
     """The tree of commit ``sha``, extracted at ``path``."""
     os.makedirs(path)
-    archive = subprocess.run(["git", "archive", sha], cwd=REPO, check=True,
+    archive = subprocess.run(["git", "archive", sha], cwd=repo, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
     return path
@@ -173,8 +192,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REF")
     parser.add_argument("--change", metavar="REF",
-                        help="default: this checkout, uncommitted edits "
-                             "included")
+                        help="default: this checkout's tracked files, "
+                             "uncommitted edits included")
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload")
     what.add_argument("--micro", metavar="ROW",
@@ -196,15 +215,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         groups = {f"seed {seed}": seed for seed in seeds}
         others = [m for m in contract["end_to_end"] if m["name"] != METRIC]
 
-    refs = {"base": _git("rev-parse", "--verify", args.base + "^{commit}")}
-    if args.change:
-        refs["change"] = _git("rev-parse", "--verify",
-                              args.change + "^{commit}")
+    refs = {"base": _git("rev-parse", "--verify", args.base + "^{commit}"),
+            "change": (_git("rev-parse", "--verify", args.change + "^{commit}")
+                       if args.change else checkout_commit())}
     results: Dict[str, Any] = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        checkouts = {"change": REPO}
-        for side, sha in refs.items():
-            checkouts[side] = _export(sha, os.path.join(tmp, side))
+        checkouts = {side: export(sha, os.path.join(tmp, side))
+                     for side, sha in refs.items()}
         try:
             for label, seed in groups.items():
                 runs: Dict[str, List[Dict[str, float]]] = {
@@ -249,9 +266,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workload": args.workload, "micro": args.micro, "metric": metric,
         "seconds": None if args.micro else seconds,
         "base": refs["base"],
-        "change": refs.get("change", "checkout of " + _git("rev-parse",
-                                                           "HEAD")),
-        "change_dirty": "change" not in refs and bool(
+        "change": (refs["change"] if args.change
+                   else "checkout of " + _git("rev-parse", "HEAD")),
+        "change_dirty": not args.change and bool(
             _git("status", "--porcelain", "--untracked-files=no")),
         "pairs": args.pairs, "seeds": results}
     with open(RECORDS, "a") as fh:

@@ -25,8 +25,8 @@ from repro.client.openfile import FdTable, OpenFile
 from repro.locks.client_table import ClientLockTable
 from repro.locks.modes import LockMode
 from repro.net.control import Endpoint, HandlerResult
-from repro.net.message import (Batch, DeliveryError, Downgrade, FileOnly,
-                               LockAcquire, LockDemand, Message, MsgKind,
+from repro.net.message import (Batch, DeliveryError, Downgrade, LockAcquire,
+                               LockDemand, LockRelease, Message, MsgKind,
                                NackError, RangeAcquire, RangeDemand,
                                RangeRelease, Reassert)
 from repro.sim.events import Event
@@ -117,11 +117,11 @@ class LockClient:
         self._file_inflight: Dict[int, int] = {}
         self._file_drain_evs: Dict[int, Event] = {}
         self._revoking = _Marks()
-        # A reply that carries a lock mode (OPEN, LOCK_ACQUIRE) reflects
-        # server state at *execution* time, not delivery time.  Under
-        # message loss the at-most-once layer re-delivers cached replies
-        # arbitrarily late, so a grant executed before a demand-driven
-        # release can arrive after it — and must not resurrect the lock.
+        # A reply that carries a grant (``lock``) reflects server state
+        # at *execution* time, not delivery time.  Under message loss
+        # the at-most-once layer re-delivers cached replies arbitrarily
+        # late, so a grant executed before a demand-driven release can
+        # arrive after it — and must not resurrect the lock.
         # sim-time of the last revocation, per file.
         self._lock_revoked_at: Dict[int, float] = {}
         self.reasserts_sent = 0
@@ -158,6 +158,20 @@ class LockClient:
         return (file_id in self._revoking
                 or self._lock_revoked_at.get(file_id, -1.0) >= sent_at)
 
+    def adopt_grant(self, of: OpenFile, payload: Dict[str, Any],
+                    held: Any, sent_at: float) -> bool:
+        """Adopt what an intent reply to a request sent at ``sent_at``
+        carried: its grant (``lock``) unless :meth:`lock_reply_stale`,
+        and its attrs/layout against ``held``, the map the request
+        advertised.  Returns whether the grant was adopted."""
+        fresh = not self.lock_reply_stale(of.file_id, sent_at)
+        if fresh:
+            granted = LockMode(int(payload["lock"]))
+            self.table.note_granted(of.file_id, granted)
+            of.lock = granted
+        self.data.apply_meta_reply(of, payload, held)
+        return fresh
+
     def ensure_lock(self, of: OpenFile, mode: LockMode,
                     ) -> Generator[Event, Any, None]:
         """Make sure the open instance is covered by ``mode``.
@@ -178,7 +192,7 @@ class LockClient:
             sent_at = self.sim.now
             held = self.data.layouts.get(of.file_id)
             reply = yield from self._rpc(
-                MsgKind.LOCK_ACQUIRE,
+                MsgKind.LOCK_INTENT,
                 LockAcquire(of.file_id, int(wanted),
                             self.data.layout_hint(of.file_id, held)),
                 of.server, route=("file", of.file_id))
@@ -189,16 +203,13 @@ class LockClient:
             # against the server's current state.
             self.data.drop_file(of.file_id)
             of.stale = True
-        granted = LockMode(int(reply.payload["mode"]))
-        self.table.note_granted(of.file_id, granted)
         if of.stale:
             # Revalidation after staleness: cached pages may be outdated.
             self.data.drop_file(of.file_id)
             of.stale = False
         # The grant's own payload carries fresh attrs/extents — adopt
         # them instead of re-fetching through a second parse path.
-        self.data.apply_meta_reply(of, reply.payload, held)
-        of.lock = granted
+        self.adopt_grant(of, reply.payload, held, sent_at)
 
     def drop_locks(self, file_ids: Optional[Iterable[int]] = None) -> None:
         """The lease covering these locks (None: every lock) expired."""
@@ -346,7 +357,7 @@ class LockClient:
             return
         try:
             if needed == LockMode.SHARED and held == LockMode.EXCLUSIVE:
-                yield from self._rpc(MsgKind.LOCK_DOWNGRADE,
+                yield from self._rpc(MsgKind.LOCK_INTENT,
                                      Downgrade(file_id, int(LockMode.SHARED)),
                                      server)
                 self._note_lock_revoked(file_id)
@@ -355,8 +366,8 @@ class LockClient:
                     of.lock = LockMode.SHARED
             else:
                 self.data.drop_file(file_id)
-                yield from self._rpc(MsgKind.LOCK_RELEASE, FileOnly(file_id),
-                                     server)
+                yield from self._rpc(MsgKind.LOCK_INTENT,
+                                     LockRelease(file_id), server)
                 self._note_lock_revoked(file_id)
                 self.table.note_released(file_id)
                 for of in self.fds.by_file_id(file_id):

@@ -209,18 +209,12 @@ class StorageTankClient:
             p = yield from self._intent_open(
                 OpenIntent(path, mode,
                            self.data.layout_hint(held_fid, held)), srv)
-            lock = LockMode(int(p["lock"]))
             fid = int(p["file_id"])
             owner = self._note_file(fid, path)
-            stale_grant = self.lockclient.lock_reply_stale(fid, sent_at)
-            if not stale_grant:
-                self.locks.note_granted(fid, lock)
             of = self.fds.install(path, fid, mode, FileAttributes(),
-                                  ExtentMap(),
-                                  LockMode.NONE if stale_grant else lock,
-                                  server=owner)
-            self.data.apply_meta_reply(of, p, held if fid == held_fid else None)
-            if stale_grant:
+                                  ExtentMap(), LockMode.NONE, server=owner)
+            if not self.lockclient.adopt_grant(
+                    of, p, held if fid == held_fid else None, sent_at):
                 # The lock was revoked while the open was in flight; the
                 # first operation revalidates via a fresh acquire.
                 of.stale = True
@@ -298,14 +292,8 @@ class StorageTankClient:
                         MsgKind.LOCK_INTENT,
                         Setattr(of.file_id, size=end, have_layout=hint),
                         of.server, route=("file", of.file_id))
-                    lock = reply.payload.get("lock")
-                    if (lock is not None
-                            and not self.lockclient.lock_reply_stale(
-                                of.file_id, sent_at)):
-                        self.locks.note_granted(of.file_id,
-                                                LockMode(int(lock)))
-                        of.lock = LockMode(int(lock))
-                    self.data.apply_meta_reply(of, reply.payload, held)
+                    self.lockclient.adopt_grant(of, reply.payload, held,
+                                                sent_at)
                 tag = self.data.write(of, offset, nbytes)
                 self.ops_completed += 1
                 return tag

@@ -56,8 +56,9 @@ from typing import (
 from repro.cluster.shardmap import ShardMap, slot_of_path
 from repro.locks.manager import CACHED, FULL, SCOPED, ByteRange, Holding
 from repro.locks.modes import LockMode
-from repro.net.message import (Batch, MapUpdate, Message, MsgKind, OpenIntent,
-                               RangeAcquire, ReleaseSlots, Setattr)
+from repro.net.message import (Batch, LockAcquire, MapUpdate, Message,
+                               MsgKind, OpenIntent, RangeAcquire, ReleaseSlots,
+                               Setattr)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metadata.store import MetadataStore
@@ -66,14 +67,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Transaction kinds that create or extend a client's hold on an object
 #: and are therefore additionally refused while the map lease is stale.
 _GRANTING_KINDS = frozenset({
-    MsgKind.CREATE, MsgKind.UNLINK, MsgKind.LOCK_ACQUIRE,
-    MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH,
+    MsgKind.CREATE, MsgKind.UNLINK, MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH,
 })
 
-#: The intent sub-operations that grant.  A range release and the
+#: The intent sub-operations that grant.  A release, a downgrade and the
 #: advisory close give something back, so a stale map never refuses
 #: them and they never get the batch they ride refused.
-_GRANTING_SUBOPS = (OpenIntent, Setattr, RangeAcquire)
+_GRANTING_SUBOPS = (OpenIntent, Setattr, LockAcquire, RangeAcquire)
 
 
 class ServerShardRole:

@@ -8,17 +8,11 @@ from typing import Tuple
 from repro.client.pool import slot_of
 from repro.cluster.shardmap import N_SLOTS
 from repro.lease.contract import LeaseContract, PhaseBoundaries
+from repro.protocols.registry import available
 
-#: Safety protocols the builder understands.
-PROTOCOLS = (
-    "storage_tank",     # the paper: passive lease authority + 4-phase clients
-    "no_protocol",      # honor locks of unreachable clients forever (§2)
-    "naive_steal",      # steal immediately on delivery failure (§1.2, unsafe on SAN)
-    "fencing_only",     # fence + steal immediately (§2.1, inadequate)
-    "frangipani",       # heartbeat leases with server state (§5)
-    "vleases",          # per-object V-system leases (§4)
-    "nfs",              # attribute polling, no locks (§5, incoherent)
-)
+#: The safety protocols the builder understands: the names registered
+#: in :mod:`repro.protocols.registry`, sorted.
+PROTOCOLS = available()
 
 
 @dataclass(frozen=True)
@@ -154,9 +148,9 @@ class SystemConfig:
         # Validation order matters (and is pinned by tests): the
         # protocol name is checked first, so a config that is wrong in
         # several ways reports the most fundamental mistake.
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in available():
             raise ValueError(f"unknown protocol {self.protocol!r}; "
-                             f"choose one of {PROTOCOLS}")
+                             f"choose one of {available()}")
         if self.n_clients < 1 or self.n_disks < 1 or self.n_servers < 1:
             raise ValueError("need at least one client, server and disk")
         if self.n_servers > 1:

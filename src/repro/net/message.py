@@ -40,17 +40,14 @@ class MsgKind:
     UNLINK = "fs.unlink"
     READDIR = "fs.readdir"
 
-    # client → server locking
-    LOCK_ACQUIRE = "lock.acquire"
-    LOCK_RELEASE = "lock.release"
-    LOCK_DOWNGRADE = "lock.downgrade"
-
-    # intent locking (Lustre-style): the lock request carries the
-    # operation (open, growth setattr, byte-range acquire and release,
-    # close), so the server executes it under the lock it is
-    # about to grant and answers op-result + grant in one round trip.
-    # LOCK_BATCH is the batching envelope: several sub-requests (e.g.
-    # contiguous range acquires) coalesced into one datagram.
+    # client → server locking, Lustre-style intents: the lock request
+    # carries the operation (open, growth setattr, byte-range acquire
+    # and release, close), so the server executes it under the lock it
+    # is about to grant and answers op-result + grant in one round
+    # trip; a bare acquire, release or downgrade of a cached lock is an
+    # intent with no operation beyond the lock.  LOCK_BATCH is the
+    # batching envelope: several sub-requests (e.g. contiguous range
+    # acquires) coalesced into one datagram.
     LOCK_INTENT = "lock.intent"
     LOCK_BATCH = "lock.batch"
 
@@ -98,8 +95,6 @@ KIND_GROUPS: Dict[str, Tuple[str, ...]] = {
     "fs-core": (MsgKind.OPEN, MsgKind.GETATTR, MsgKind.SETATTR,
                 MsgKind.CREATE, MsgKind.LOOKUP, MsgKind.UNLINK,
                 MsgKind.READDIR),
-    "locking": (MsgKind.LOCK_ACQUIRE, MsgKind.LOCK_RELEASE,
-                MsgKind.LOCK_DOWNGRADE),
     "intent": (MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH),
     "lease-null": (MsgKind.KEEPALIVE,),
     "data-ship": (MsgKind.DATA_READ, MsgKind.DATA_WRITE),
@@ -178,7 +173,7 @@ class PathOnly:
 
 @dataclass(slots=True)
 class FileOnly:
-    """LOCK_RELEASE and LEASE_RENEW."""
+    """LEASE_RENEW."""
 
     file_id: int
 
@@ -218,13 +213,26 @@ class Setattr:
 
 @dataclass(slots=True)
 class LockAcquire:
+    """Win, upgrade or revalidate the file's cached lock; the grant
+    comes back with the file's metadata."""
+
     file_id: int
     mode: int
     have_layout: Any = None
 
 
 @dataclass(slots=True)
+class LockRelease:
+    """Give the sender's cached lock on the file back (a demand
+    compliance)."""
+
+    file_id: int
+
+
+@dataclass(slots=True)
 class Downgrade:
+    """Lower the sender's cached lock on the file to ``to``."""
+
     file_id: int
     to: int
 
@@ -270,8 +278,10 @@ class Close:
 
 #: The intent sub-operations: ``LOCK_INTENT`` carries one, ``LOCK_BATCH``
 #: a tuple of them.
-IntentOp = Union[OpenIntent, Setattr, RangeAcquire, RangeRelease, Close]
-INTENT_OPS = (OpenIntent, Setattr, RangeAcquire, RangeRelease, Close)
+IntentOp = Union[OpenIntent, Setattr, LockAcquire, LockRelease, Downgrade,
+                 RangeAcquire, RangeRelease, Close]
+INTENT_OPS = (OpenIntent, Setattr, LockAcquire, LockRelease, Downgrade,
+              RangeAcquire, RangeRelease, Close)
 
 
 @dataclass(slots=True)
@@ -339,8 +349,6 @@ SCHEMAS: Dict[str, Union[type, Tuple[type, ...]]] = {
     MsgKind.OPEN: Open, MsgKind.GETATTR: Getattr, MsgKind.SETATTR: Setattr,
     MsgKind.CREATE: Create, MsgKind.LOOKUP: PathOnly,
     MsgKind.UNLINK: PathOnly, MsgKind.READDIR: PathOnly,
-    MsgKind.LOCK_ACQUIRE: LockAcquire, MsgKind.LOCK_RELEASE: FileOnly,
-    MsgKind.LOCK_DOWNGRADE: Downgrade,
     MsgKind.LOCK_INTENT: INTENT_OPS, MsgKind.LOCK_BATCH: Batch,
     MsgKind.LOCK_DEMAND: LockDemand, MsgKind.RANGE_DEMAND: RangeDemand,
     MsgKind.CACHE_INVALIDATE: Invalidate,

@@ -12,8 +12,7 @@ importing the registry (as ``core.config`` validation paths do,
 transitively) never drags in client/server code — that would cycle.
 
 Third parties can :func:`register` additional specs; names must be
-unique.  The seven built-in protocols mirror
-``repro.core.config.PROTOCOLS``.
+unique.  ``SystemConfig.protocol`` accepts any registered name.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Intent locking, Lustre DLM style: the lock request carries the
-operation (``LOCK_INTENT`` one, ``LOCK_BATCH`` several), the only
-client↔server lock path.
+operation (``LOCK_INTENT`` one, ``LOCK_BATCH`` several).  Every lock
+request a client sends is an intent — a bare acquire, release or
+downgrade of a cached lock too — so this executor is the one place
+that runs, and answers, a client's lock request; only the §6
+reassertion (``LOCK_REASSERT``) stays outside.
 
 The executor owns the intent census and shapes byte-range grants
 (batches coalesced, uncontended ranges widened to the file extent).
@@ -11,13 +14,15 @@ constructed with its server (DESIGN.md, "Node layers").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Sequence,
+                    Tuple, Union)
 
 from repro.locks.manager import SCOPED, ByteRange, LockTable
 from repro.locks.modes import LockMode
 from repro.metadata.directory import NamespaceError
 from repro.net.control import HandlerResult
-from repro.net.message import (Batch, Close, IntentOp, Message, MsgKind,
+from repro.net.message import (Batch, Close, Downgrade, IntentOp,
+                               LockAcquire, LockRelease, Message, MsgKind,
                                OpenIntent, RangeAcquire, RangeRelease, Setattr)
 from repro.sim.events import Event
 
@@ -67,6 +72,7 @@ class IntentExecutor:
         self.server = server
         self.intent_ops = 0          # sub-operations executed under intents
         self.closes_by_file: Dict[int, int] = {}  # per-file close census
+        self.rejected_releases = 0   # release/downgrade from a non-holder
         server._register(MsgKind.LOCK_INTENT, self._h_lock_intent)
         server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)
 
@@ -112,6 +118,21 @@ class IntentExecutor:
             if decision == "ack":
                 payload = {**payload, "lock": int(granted)}
             return (decision, payload)
+        if isinstance(body, LockAcquire):
+            # Revalidation or upgrade: the grant brings fresh metadata
+            # (none when the file is gone).
+            file_id = int(body.file_id)
+            granted = yield from acquire(client, file_id,
+                                         LockMode(int(body.mode)))
+            try:
+                meta = server._meta_reply(
+                    server._meta_for_file(file_id).inode(file_id),
+                    body.have_layout)
+            except NamespaceError:
+                meta = {}
+            return ("ack", {**meta, "lock": int(granted)})
+        if isinstance(body, (LockRelease, Downgrade)):
+            return self._give_back(client, body)
         if isinstance(body, RangeRelease):
             file_id = int(body.file_id)
             rng = None
@@ -132,10 +153,42 @@ class IntentExecutor:
             return ("ack", {})
         return ("nack", {"error": f"not an intent: {type(body).__name__}"})
 
-    def _h_lock_intent(self, msg: Message,
-                       ) -> Generator[Event, Any, HandlerResult]:
-        """One intent: a degenerate batch, answered as a plain reply."""
-        [result] = yield from self._run_intents(msg.src, [msg.payload])
+    def _give_back(self, client: str, body: Union[LockRelease, Downgrade],
+                   ) -> HandlerResult:
+        """Release or downgrade the sender's cached lock; never waits.
+
+        Only *the sender's own* holding is touched.  One naming an
+        object the sender does not hold — a replayed pre-steal request,
+        or one raced by a steal — is a counted no-op, never a way to
+        forfeit another holder's lock.  Still ACKed: it is idempotent,
+        and the §6 resolution already voided the holding.
+        """
+        fid = int(body.file_id)
+        locks = self.server.locks
+        if locks.mode_of(client, fid) == LockMode.NONE:
+            self.rejected_releases += 1
+            return ("ack", {"status": "not_holder"})
+        if isinstance(body, Downgrade):
+            locks.downgrade(client, fid, LockMode(int(body.to)))
+        else:
+            locks.release(client, fid)
+        return ("ack", {})
+
+    def _h_lock_intent(self, msg: Message) -> Any:
+        """One intent, answered as a plain reply: a release or downgrade
+        at once, a range acquire as a degenerate batch."""
+        body = msg.payload
+        if isinstance(body, (LockRelease, Downgrade)):
+            self.intent_ops += 1
+            return self._give_back(msg.src, body)
+        if isinstance(body, RangeAcquire):
+            return self._lone_range(msg.src, body)
+        return self._intent_exec(msg.src, body)
+
+    def _lone_range(self, client: str, body: RangeAcquire,
+                    ) -> Generator[Event, Any, HandlerResult]:
+        """A range acquire sent alone, run as a batch of one."""
+        [result] = yield from self._run_intents(client, [body])
         return ("ack" if result.pop("ok") else "nack", result)
 
     def _h_lock_batch(self, msg: Message,

@@ -2,10 +2,13 @@
 fencing (paper §2, §3.1, §6).
 
 It owns the lock table, the set of holders being pressed, and the fence
-and attestation tables.  It is constructed with its server because the
-authority (built by a factory that needs the server), the cluster role
-and the recovery manager (attached later) can only be read through it
-when a transaction runs (DESIGN.md, "Node layers").
+and attestation tables.  It handles no client transaction: a client's
+lock request is an intent (:mod:`repro.server.intents`), which wins its
+lock through :meth:`LockService.acquire`.  It is constructed with its
+server because the authority (built by a factory that needs the
+server), the cluster role and the recovery manager (attached later) can
+only be read through it when a transaction runs (DESIGN.md, "Node
+layers").
 """
 
 from __future__ import annotations
@@ -14,10 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, Set, Tuple
 
 from repro.locks.manager import CACHED, FULL, SCOPED, ByteRange, LockTable
 from repro.locks.modes import LockMode, compatible
-from repro.metadata.directory import NamespaceError
-from repro.net.control import HandlerResult
-from repro.net.message import (DeliveryError, Downgrade, FileOnly,
-                               LockAcquire, LockDemand, Message, MsgKind,
+from repro.net.message import (DeliveryError, LockDemand, Message, MsgKind,
                                NackError, RangeDemand)
 from repro.sim.events import Event
 
@@ -49,11 +49,6 @@ class LockService:
         # and stays fenced.
         self._lapse_seen: Dict[str, int] = {}
         self._lapse_at_fence: Dict[str, int] = {}
-        self.rejected_releases = 0   # RELEASE/DOWNGRADE from a non-holder
-
-        server._register(MsgKind.LOCK_ACQUIRE, self._h_lock_acquire)
-        server._register(MsgKind.LOCK_RELEASE, self._h_lock_release)
-        server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)
 
     # ------------------------------------------------------------------
     # steal & fence
@@ -260,48 +255,3 @@ class LockService:
                         mark(holder)
         finally:
             self._active_demands.discard(key)
-
-    # ------------------------------------------------------------------
-    # transaction handlers
-    # ------------------------------------------------------------------
-    def _h_lock_acquire(self, msg: Message) -> Any:
-        server = self.server
-        body: LockAcquire = msg.payload
-        file_id = int(body.file_id)
-        mode = LockMode(int(body.mode))
-
-        def run() -> Generator[Event, Any, HandlerResult]:
-            granted = yield from self.acquire(msg.src, file_id, mode)
-            try:
-                extra = server._meta_reply(
-                    server._meta_for_file(file_id).inode(file_id),
-                    body.have_layout)
-            except NamespaceError:
-                extra = {}
-            return ("ack", {"mode": int(granted), **extra})
-        return run()
-
-    def _h_lock_release(self, msg: Message) -> HandlerResult:
-        # ``msg.src`` is validated against lock ownership: a release can
-        # only ever drop *the sender's own* holding.  A release naming an
-        # object the sender does not hold — a replayed pre-steal release,
-        # or one raced by a steal — is a counted no-op, never a way to
-        # forfeit another holder's lock.  Still ACKed: release is
-        # idempotent, and the §6 resolution already voided the holding.
-        body: FileOnly = msg.payload
-        fid = int(body.file_id)
-        if self.locks.mode_of(msg.src, fid) == LockMode.NONE:
-            self.rejected_releases += 1
-            return ("ack", {"status": "not_holder"})
-        self.locks.release(msg.src, fid)
-        return ("ack", {})
-
-    def _h_lock_downgrade(self, msg: Message) -> HandlerResult:
-        # Same ownership validation as release (see above).
-        body: Downgrade = msg.payload
-        fid = int(body.file_id)
-        if self.locks.mode_of(msg.src, fid) == LockMode.NONE:
-            self.rejected_releases += 1
-            return ("ack", {"status": "not_holder"})
-        self.locks.downgrade(msg.src, fid, LockMode(int(body.to)))
-        return ("ack", {})

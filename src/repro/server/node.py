@@ -6,8 +6,8 @@ network endpoint:
 
 - :class:`repro.server.lockservice.LockService` — granting, demanding
   back, stealing and fencing (§2, §6);
-- :class:`repro.server.intents.IntentExecutor` — the lock request that
-  carries its operation, the client↔server lock path;
+- :class:`repro.server.intents.IntentExecutor` — every lock request a
+  client sends, carrying the operation it is for (an intent);
 - :class:`repro.server.barrier.CacheBarrier` — invalidate-before-apply
   for the in-network cache tier;
 - :class:`repro.server.recovery.RecoveryManager` — epochs, lock
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.lease.contract import LeaseContract
-from repro.lease.server_lease import ServerLeaseAuthority
 from repro.locks.modes import LockMode
 from repro.metadata.directory import NamespaceError
 from repro.metadata.inode import Inode
@@ -82,18 +81,19 @@ class StorageTankServer:
 
     #: The ``KIND_GROUPS`` it serves, some through its layers; checked
     #: when it is built.  ``attach_cluster`` adds ``cluster-owner``.
-    HANDLES = ("fs-core", "locking", "intent", "lease-null", "data-ship",
-               "recovery")
+    HANDLES = ("fs-core", "intent", "lease-null", "data-ship", "recovery")
 
     def __init__(self, sim: Simulator, net: ControlNetwork, san: SanFabric,
                  name: str, clock: LocalClock, contract: LeaseContract,
+                 authority_factory: Callable[["StorageTankServer"], Any],
                  config: Optional[ServerConfig] = None,
                  trace: Optional[TraceRecorder] = None,
-                 authority_factory: Optional[Callable[["StorageTankServer"], Any]] = None,
                  id_base: int = 0,
                  alloc_share: Tuple[int, int] = (0, 1),
                  obs: Optional[Observability] = None):
-        """``id_base`` makes this server's file ids globally unique and
+        """``authority_factory`` builds the safety authority (the
+        protocol registry's) from the server; ``id_base`` makes this
+        server's file ids globally unique and
         ``alloc_share = (index, total)`` gives it a disjoint slice of
         every shared disk's block space (multi-server clusters)."""
         self.sim = sim
@@ -130,12 +130,6 @@ class StorageTankServer:
         # A second name for the one table: ``bench/workloads.py`` reads
         # ``range_locks.grants_made``.  Nothing in ``src/`` uses it.
         self.range_locks = self.locks
-
-        if authority_factory is None:
-            authority_factory = lambda srv: ServerLeaseAuthority(
-                srv.sim, srv.endpoint, srv.contract,
-                on_steal=srv.lock_service.steal_client, trace=srv.trace,
-                obs=srv.obs)
         self.authority = authority_factory(self)
 
         self.intents = IntentExecutor(self)
@@ -244,8 +238,9 @@ class StorageTankServer:
 
     @property
     def rejected_releases(self) -> int:
-        """RELEASE/DOWNGRADE requests from a client that held nothing."""
-        return self.lock_service.rejected_releases
+        """Release and downgrade intents from a client that held nothing
+        on the file (ACKed ``not_holder``, changing nothing)."""
+        return self.intents.rejected_releases
 
     @property
     def intent_ops(self) -> int:

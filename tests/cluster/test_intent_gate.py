@@ -1,6 +1,6 @@
 """The cluster ownership gate on the intent path.
 
-Every lock grant is a ``LOCK_INTENT`` or a ``LOCK_BATCH`` sub-op, so the
+Every lock request is a ``LOCK_INTENT`` or a ``LOCK_BATCH`` sub-op, so the
 gate that silences a server whose map lease lapsed (the map-lease form
 of "at most one holder") must read intents and look inside batches: a
 batch is refused whole when any *granting* sub-op would be, while an
@@ -10,7 +10,8 @@ advisory ``close`` for a slot that moved only fails its own result.
 from repro.cluster.shardmap import slot_of_path
 from repro.core import ClusterConfig
 from repro.locks import SCOPED, LockMode
-from repro.net.message import (Batch, Close, MsgKind, NackError, OpenIntent,
+from repro.net.message import (Batch, Close, Downgrade, LockAcquire,
+                               LockRelease, MsgKind, NackError, OpenIntent,
                                RangeAcquire, RangeRelease)
 from repro.storage import BLOCK_SIZE
 from tests.conftest import make_system, run_gen
@@ -64,6 +65,53 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
     assert _refusal(s, c1, "server2", MsgKind.LOCK_INTENT, release) is None
     assert _refusal(s, c1, "server2", MsgKind.LOCK_BATCH,
                     Batch((release,))) is None
+
+
+def _stale_server2_with_a_lock_of_c1():
+    """A two-server cluster where ``c1`` holds an EXCLUSIVE lock on a
+    file of ``server2``, and ``server2``'s map lease has lapsed."""
+    s = make_system(
+        n_servers=2,
+        cluster=ClusterConfig(ping_interval=0.5,
+                              ping_timeout=0.25, ping_retries=2,
+                              map_lease=1.0, takeover_grace=2.0))
+    c1 = s.client("c1")
+    path = _path_owned_by(s, "server2")
+
+    def setup():
+        fid = yield from c1.create(path, size=BLOCK_SIZE)
+        yield from c1.open_file(path, "w")
+        return fid
+    fid = run_gen(s, setup())
+    s.ctrl_partitions.isolate("server2", [s.coordinator.name])
+    s.run(until=s.sim.now + 1.3)
+    server2 = s.server_node("server2")
+    assert server2.cluster.map_is_stale()
+    assert server2.locks.mode_of("c1", fid) == LockMode.EXCLUSIVE
+    return s, c1, server2, fid
+
+
+def test_lapsed_map_lease_refuses_a_lock_acquire_intent():
+    s, c1, server2, fid = _stale_server2_with_a_lock_of_c1()
+    c2 = s.client("c2")
+    acquire = LockAcquire(fid, int(LockMode.SHARED))
+    for client in (c1, c2):
+        assert _refusal(s, client, "server2", MsgKind.LOCK_INTENT,
+                        acquire) == "map_stale"
+        assert _refusal(s, client, "server2", MsgKind.LOCK_BATCH,
+                        Batch((acquire,))) == "map_stale"
+    assert server2.locks.mode_of("c2", fid) == LockMode.NONE
+
+
+def test_lapsed_map_lease_admits_release_and_downgrade_intents():
+    s, c1, server2, fid = _stale_server2_with_a_lock_of_c1()
+    assert _refusal(s, c1, "server2", MsgKind.LOCK_INTENT,
+                    Downgrade(fid, int(LockMode.SHARED))) is None
+    assert server2.locks.mode_of("c1", fid) == LockMode.SHARED
+    assert _refusal(s, c1, "server2", MsgKind.LOCK_BATCH,
+                    Batch((LockRelease(fid),))) is None
+    assert server2.locks.mode_of("c1", fid) == LockMode.NONE
+    assert server2.rejected_releases == 0
 
 
 def test_batch_is_gated_on_the_slots_of_its_granting_subops():

@@ -22,8 +22,8 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "b4fc906f7f85e0676bd10b7d72d52ead531220e874791ca5efd78f15b2d340fd",
-        "e39a3d547ee3f930799ceb32b721e7773ba4841fce937abca1e75030d5d5c80e",
+        "5ceba5c08daf9499e778fc94a750d312a9a5e94c937893288ecbdfe89bd62c4f",
+        "5df1c743f6f2e1c456acd58c624810dda71f79a030ffbc95f2e7b260d3eb8b93",
     ],
     experiment_e6_nack: [
         "a5c4be71a8efab282b3bb35ef742ab2f46419b4567367b4923118e67fa13f0b6",

@@ -281,7 +281,7 @@ def test_untrusted_hints_get_the_full_list():
     requests = [
         (MsgKind.LOCK_INTENT, OpenIntent("/f", "r")),
         (MsgKind.LOCK_INTENT, Setattr(fid, size=BLOCK_SIZE)),
-        (MsgKind.LOCK_ACQUIRE, LockAcquire(fid, int(LockMode.SHARED))),
+        (MsgKind.LOCK_INTENT, LockAcquire(fid, int(LockMode.SHARED))),
         (MsgKind.SETATTR, Setattr(fid)),
         (MsgKind.OPEN, Open("/f")),
     ]

@@ -209,13 +209,13 @@ def test_final_to_a_client_marked_suspect_while_parked_expires_before_the_steal(
     def parked(msg):
         yield sim.timeout(0.4)
         return ("ack", {})
-    sep.register(MsgKind.LOCK_ACQUIRE, parked)
+    sep.register(MsgKind.LOCK_INTENT, parked)
 
     def suspect_meanwhile():
         yield sim.timeout(0.2)
         auth.mark_suspect("c1")
     sim.process(suspect_meanwhile())
-    proc = sim.process(cep.request("server", MsgKind.LOCK_ACQUIRE,
+    proc = sim.process(cep.request("server", MsgKind.LOCK_INTENT,
                                    LockAcquire(1, 2)))
     sim.run(until=0.5)
     [sent] = [r for r in net.trace.select(kind="msg.send", node="c1")]

@@ -29,8 +29,8 @@ from repro.netcache.node import MetadataCacheNode
 from repro.protocols.frangipani import FrangipaniAuthority
 from repro.protocols.vleases import VLeaseAuthority
 from repro.server.intents import IntentExecutor
-from repro.server.lockservice import LockService
 from repro.server.node import StorageTankServer
+from repro.server.recovery import RecoveryManager
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, run_gen
@@ -179,9 +179,9 @@ def _build(**overrides):
 
 # (class, method, registration deleted, build overrides, kind it named)
 _UNREGISTERED = [
-    (LockService, "__init__",
-     "server._register(MsgKind.LOCK_DOWNGRADE, self._h_lock_downgrade)", {},
-     MsgKind.LOCK_DOWNGRADE),
+    (RecoveryManager, "__init__",
+     "server.endpoint.register(MsgKind.LOCK_REASSERT, self._h_reassert)", {},
+     MsgKind.LOCK_REASSERT),
     (IntentExecutor, "__init__",
      "server._register(MsgKind.LOCK_BATCH, self._h_lock_batch)", {},
      MsgKind.LOCK_BATCH),
@@ -222,7 +222,7 @@ def test_a_kind_outside_the_partition_fails_the_import():
     groups = dict(KIND_GROUPS)
     assert partition_faults(groups) == []
     groups["recovery"] = ()
-    groups["locking"] += (MsgKind.OPEN,)
+    groups["intent"] += (MsgKind.OPEN,)
     faults = " | ".join(partition_faults(groups))
     assert "'lock.reassert' is in 0 groups" in faults
     assert "'fs.open' is in 2 groups" in faults

@@ -53,7 +53,6 @@ def test_an_unknown_group_or_an_unregistered_kind_is_named():
     with pytest.raises(KeyError, match="no-such-group"):
         endpoint.check_handles(("no-such-group",))
     with pytest.raises(TypeError) as err:
-        endpoint.check_handles(("client-demands", "locking"))
+        endpoint.check_handles(("client-demands", "intent"))
     missing = str(err.value).split("no handler for ")[1].split(", ")
-    assert missing == [MsgKind.LOCK_ACQUIRE, MsgKind.LOCK_RELEASE,
-                       MsgKind.LOCK_DOWNGRADE]
+    assert missing == [MsgKind.LOCK_INTENT, MsgKind.LOCK_BATCH]

@@ -16,7 +16,13 @@ SERVER_FAMILIES = ("lease.server.state_bytes", "lease.server.cpu_ops",
 
 
 def test_every_configured_protocol_is_registered():
-    assert set(available()) == set(PROTOCOLS)
+    """The config validates against the registry: every registered name
+    is accepted, anything else is an unknown protocol."""
+    assert PROTOCOLS == available()
+    for name in available():
+        assert SystemConfig(protocol=name).protocol == name
+    with pytest.raises(ValueError, match="unknown protocol 'afs'"):
+        SystemConfig(protocol="afs")
 
 
 def test_get_unknown_protocol_raises_with_choices():

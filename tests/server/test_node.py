@@ -3,8 +3,8 @@
 import pytest
 
 from repro.locks import LockMode
-from repro.net.message import (Create, Downgrade, FileOnly, LockAcquire,
-                               MsgKind, Null, Setattr)
+from repro.net.message import (Batch, Create, Downgrade, LockAcquire,
+                               LockRelease, MsgKind, Null, Setattr)
 from repro.storage import BLOCK_SIZE
 
 from tests.conftest import make_system, read_via, run_gen
@@ -126,7 +126,7 @@ def test_unfence_on_rejoin():
 
 
 def test_release_from_non_holder_is_rejected():
-    """A replayed/forged LOCK_RELEASE must not forfeit the honest
+    """A replayed/forged release intent must not forfeit the honest
     holder's lock: the server validates msg.src against the lock table
     before honoring it (the msg.src-trust asymmetry fix)."""
     s = make_system(n_clients=2)
@@ -144,13 +144,40 @@ def test_release_from_non_holder_is_rejected():
 
     def forge_release():
         reply = yield from c2.endpoint.request(
-            "server", MsgKind.LOCK_RELEASE, FileOnly(fid))
+            "server", MsgKind.LOCK_INTENT, LockRelease(fid))
         return reply
     reply = run_gen(s, forge_release())
     assert reply.payload.get("status") == "not_holder"
     assert s.server.rejected_releases == 1
     # The honest holder kept its lock.
     assert s.server.locks.mode_of("c1", fid) == held
+
+
+def test_batched_release_from_non_holder_is_acked_not_holder():
+    """A non-holder's release riding a LOCK_BATCH is its own ``ok``
+    result, ACKed ``not_holder`` and counted, and leaves the holder's
+    lock alone; the holder's own release in a batch drops it."""
+    s = make_system(n_clients=2)
+    c1, c2 = s.client("c1"), s.client("c2")
+    out = {}
+
+    def setup():
+        yield from c1.create("/f", size=BLOCK_SIZE)
+        fd = yield from c1.open_file("/f", "w")
+        out["fid"] = c1.fds.get(fd).file_id
+    run_gen(s, setup())
+    fid = out["fid"]
+
+    def release(client):
+        reply = yield from client.endpoint.request(
+            "server", MsgKind.LOCK_BATCH, Batch((LockRelease(fid),)))
+        return reply.payload["results"]
+    assert run_gen(s, release(c2)) == [{"ok": True, "status": "not_holder"}]
+    assert s.server.rejected_releases == 1
+    assert s.server.locks.mode_of("c1", fid) == LockMode.EXCLUSIVE
+    assert run_gen(s, release(c1)) == [{"ok": True}]
+    assert s.server.rejected_releases == 1
+    assert s.server.locks.mode_of("c1", fid) == LockMode.NONE
 
 
 def test_downgrade_from_non_holder_is_rejected():
@@ -167,7 +194,7 @@ def test_downgrade_from_non_holder_is_rejected():
 
     def forge_downgrade():
         reply = yield from c2.endpoint.request(
-            "server", MsgKind.LOCK_DOWNGRADE,
+            "server", MsgKind.LOCK_INTENT,
             Downgrade(fid, int(LockMode.SHARED)))
         return reply
     reply = run_gen(s, forge_downgrade())
@@ -218,12 +245,13 @@ def test_lock_acquire_returns_attrs_for_revalidation():
     def app():
         yield from c.create("/f", size=BLOCK_SIZE)
         reply = yield from c.endpoint.request(
-            "server", MsgKind.LOCK_ACQUIRE,
+            "server", MsgKind.LOCK_INTENT,
             LockAcquire(1, int(LockMode.SHARED)))
         return reply.payload
     payload = run_gen(s, app())
     assert "attrs" in payload and "extents" in payload
-    assert payload["mode"] == int(LockMode.SHARED)
+    assert payload["lock"] == int(LockMode.SHARED)
+    assert s.server.intent_ops == 1
 
 
 # -- a mutation is deferred only when its barrier really waits --------------

@@ -238,7 +238,7 @@ def test_passive_server_fires_on_server_lease_message():
 def test_passive_server_fires_on_nack_outside_suspect_window():
     s = make_system()
     s.trace.emit(3.0, "lease.server_nack", "server", "c1",
-                 MsgKind.LOCK_ACQUIRE)
+                 MsgKind.LOCK_INTENT)
     hits = _lease(s, "passive-server")
     assert len(hits) == 1
     assert "outside any" in hits[0].message
@@ -248,7 +248,7 @@ def test_passive_server_clean_on_nack_inside_suspect_window():
     s = make_system()
     s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
     s.trace.emit(3.0, "lease.server_nack", "server", "c1",
-                 MsgKind.LOCK_ACQUIRE)
+                 MsgKind.LOCK_INTENT)
     s.trace.emit(8.0, "lease.steal", "server", "c1")
     assert _lease(s, "passive-server") == []
 
@@ -272,7 +272,7 @@ def test_passive_server_allows_lease_charge_with_suspects():
 # -- nack-timed-out -------------------------------------------------------
 
 def _suspect_window_with_request(s, *, nacked: bool,
-                                 msg_kind=MsgKind.LOCK_ACQUIRE):
+                                 msg_kind=MsgKind.LOCK_INTENT):
     s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
     s.trace.emit(5.0, "msg.recv", "server", msg_kind, "c1", 1, 1)
     if nacked:
@@ -304,7 +304,7 @@ def test_nack_oracle_ignores_window_boundary():
     s = make_system()
     s.trace.emit(2.0, "lease.suspect", "server", "c1", 6.0)
     # Admitted exactly at the boundary: not strictly inside the window.
-    s.trace.emit(2.0, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, "c1", 1,
+    s.trace.emit(2.0, "msg.recv", "server", MsgKind.LOCK_INTENT, "c1", 1,
                  1)
     s.trace.emit(8.0, "lease.steal", "server", "c1")
     assert _lease(s, "nack-timed-out") == []

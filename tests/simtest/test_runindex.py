@@ -57,7 +57,7 @@ def _unanswered(s):
 
 
 def _request(s, time, client="c1"):
-    s.trace.emit(time, "msg.recv", "server", MsgKind.LOCK_ACQUIRE, client,
+    s.trace.emit(time, "msg.recv", "server", MsgKind.LOCK_INTENT, client,
                  1, 1)
 
 
@@ -119,11 +119,11 @@ def test_window_edges_are_inclusive_for_nacks_and_strict_for_requests():
     _request(s, 8.0 - 1e-7)  # unanswered, on the closing edge
     emit(8.0, "lease.steal", "server", "c1")
     emit(8.0 + 1e-7, "lease.server_nack", "server", "c1",
-         MsgKind.LOCK_ACQUIRE)
+         MsgKind.LOCK_INTENT)
     # A NACK on the window's edge is inside passive-server's window; a
     # request on the edge is outside nack-timed-out's interior.
     assert LeaseModelOracle().check_final(s) == []
-    emit(8.1, "lease.server_nack", "server", "c1", MsgKind.LOCK_ACQUIRE)
+    emit(8.1, "lease.server_nack", "server", "c1", MsgKind.LOCK_INTENT)
     assert [v.time for v in LeaseModelOracle().check_final(s)] == [8.1]
 
 
