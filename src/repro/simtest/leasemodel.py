@@ -3,9 +3,10 @@
 The paper's lease is a small state machine per pair (Figs. 3-5): the
 client renews from a local start; a passive server keeps no state for
 it until it suspects the client, NACKs its requests while timing it
-out, and steals its locks τ(1+ε) later.  :class:`LeaseModel` folds the
-lease records in trace order into one :class:`Pair` per (server,
-client) and checks each claim at the transition it governs:
+out, and steals its locks τ(1+ε) later; §6's fence backs it up.
+:class:`LeaseModel` folds the lease, fence and recovery records in trace
+order into one :class:`Pair` per (server, client), which the oracles
+also query, and checks each claim at the transition it governs:
 
 - ``theorem-3.1`` at a steal: the pair's last renewed lease, read
   through the victim's clock, has expired;
@@ -14,7 +15,10 @@ client) and checks each claim at the transition it governs:
 - ``nack-timed-out`` when a suspect window closes (or, still open, when
   read): every request the server received inside it was NACKed;
 - ``expected-failure-flush`` at a lapse: the client dropped no dirty
-  page while it could still flush.
+  page while it could still flush;
+- ``fenced-client-serves-no-stale-data`` when a fence window closes (or,
+  still open, when read): no reassert was granted inside it; and at
+  an unfence: a lapse traced since the pair last trusted the client.
 
 It models the trace, not the implementation: it reads declared record
 kinds, no client or server code.  Exemptions that depend on the whole
@@ -41,6 +45,9 @@ SERVER_LEASE_KINDS = frozenset({MsgKind.KEEPALIVE, MsgKind.LEASE_RENEW,
 #: Transport frames (replies) — exempt from the Fig. 5 must-answer rule.
 _REPLY_KINDS = frozenset({MsgKind.ACK, MsgKind.NACK})
 
+#: The claim of §6's fence, shared with ``oracles``' disk-I/O clause.
+FENCED = "fenced-client-serves-no-stale-data"
+
 #: (claim, time, node, message, detail) of one breach the model saw.
 Finding = Tuple[str, float, str, str, Dict[str, Any]]
 
@@ -48,13 +55,29 @@ Finding = Tuple[str, float, str, str, Dict[str, Any]]
 class Pair:
     """The model's state of one (server, client) pair."""
 
-    __slots__ = ("start", "opened", "closed", "requests")
+    __slots__ = ("start", "opened", "closed", "requests", "resolved",
+                 "first_demand", "fenced", "windows", "reasserts", "trusted")
 
     def __init__(self) -> None:
         self.start: Any = None      # local start of the last renewed lease
         self.opened: Optional[float] = None  # the open suspect window's start
         self.closed = float("-inf")  # when the last suspect window closed
         self.requests: List[Tuple[float, Any]] = []  # (time, kind) in it
+        self.resolved: List[float] = []  # each suspect and steal
+        self.first_demand = float("inf")  # the server's first LOCK_DEMAND
+        self.fenced: Optional[float] = None  # the open fence window's start
+        self.windows: List[Tuple[float, float]] = []  # closed fence windows
+        self.reasserts: List[Tuple[float, Any]] = []  # (time, obj) in it
+        self.trusted = float("-inf")  # the last unfence
+
+    def fence_windows(self, now: float) -> List[Tuple[float, float]]:
+        """``[fence, unfence]`` windows; an unclosed one ends at ``now``."""
+        return self.windows + ([] if self.fenced is None
+                               else [(self.fenced, now)])
+
+    def resolved_since(self, time: float) -> bool:
+        """Whether the server suspected or stole from the client since."""
+        return any(t >= time - TIME_SLACK for t in self.resolved)
 
 
 class LeaseModel:
@@ -63,7 +86,8 @@ class LeaseModel:
 
     KINDS = frozenset({"msg.send", "msg.recv", "lease.renewed",
                        "lease.suspect", "lease.server_nack", "lease.steal",
-                       "client.lease_lost"})
+                       "client.lease_lost", "netcache.flush", "server.steal",
+                       "server.fence", "server.unfence", "server.reassert"})
 
     def __init__(self, contract: LeaseContract,
                  clocks: ClockEnsemble) -> None:
@@ -71,6 +95,8 @@ class LeaseModel:
         self.pairs: DefaultDict[Tuple[str, Any], Pair] = defaultdict(Pair)
         self.suspecting: Set[str] = set()  # servers that suspected anyone
         self._nacks: DefaultDict[str, List[float]] = defaultdict(list)
+        # node -> times of a lease_lost or a lease-expired cache flush
+        self.lapses: DefaultDict[str, List[float]] = defaultdict(list)
         self.findings: List[Finding] = []
 
     def fold(self, rec: TraceRecord) -> None:
@@ -87,12 +113,16 @@ class LeaseModel:
                 self._find("passive-server", t, node, "server sent lease "
                            f"message {msg_kind!r}", msg_kind=msg_kind,
                            dst=get("dst"))
+            elif msg_kind == MsgKind.LOCK_DEMAND:
+                pair = self.pairs[node, get("dst")]
+                pair.first_demand = min(pair.first_demand, t)
         elif kind == "lease.renewed":
             if get("start_local") is not None:
                 self.pairs[get("server"), node].start = get("start_local")
         elif kind == "lease.suspect":
             self.suspecting.add(node)
             pair = self.pairs[node, get("client")]
+            pair.resolved.append(t)
             if pair.opened is None:
                 pair.opened = t
         elif kind == "lease.server_nack":
@@ -106,7 +136,29 @@ class LeaseModel:
                            client=client, msg_kind=get("msg_kind"))
         elif kind == "lease.steal":
             self._steal(t, node, get("client"))
+        elif kind == "server.steal":
+            self.pairs[node, get("client")].resolved.append(t)
+        elif kind == "server.reassert":
+            pair = self.pairs[node, get("client")]
+            if pair.fenced is not None:
+                pair.reasserts.append((t, get("obj")))
+        elif kind == "server.fence":
+            # At a tie an open sorts first: void at a window's closing
+            # instant, at a stray close's it opens a window that ends.
+            pair = self.pairs[node, get("client")]
+            if pair.fenced is None and not (pair.windows
+                                            and pair.windows[-1][1] == t):
+                if pair.trusted == t:
+                    pair.windows.append((t, t))
+                else:
+                    pair.fenced = t
+        elif kind == "server.unfence":
+            self._unfence(t, node, get("client"))
+        elif kind == "netcache.flush":
+            if get("reason") == "lease-expired":
+                self.lapses[node].append(t)
         else:  # client.lease_lost
+            self.lapses[node].append(t)
             dropped = int(get("dirty_dropped") or 0)
             if dropped and not int(get("in_flight") or 0):
                 self._find("expected-failure-flush", t, node,
@@ -115,10 +167,33 @@ class LeaseModel:
                            dirty_dropped=dropped, server=get("server"))
 
     def open_findings(self, now: float) -> List[Finding]:
-        """``nack-timed-out`` findings of the windows still open at ``now``."""
+        """The findings of the windows still open at ``now``."""
         return [found for (server, client), pair in self.pairs.items()
-                if pair.opened is not None
-                for found in self._unanswered(server, client, pair, now)]
+                for found in self._unanswered(server, client, pair, now)
+                + self._granted(server, client, pair, now)]
+
+    def _unfence(self, t: float, server: str, client: Any) -> None:
+        pair = self.pairs[server, client]
+        if pair.fenced is not None:
+            self.findings += self._granted(server, client, pair, t)
+            pair.windows.append((pair.fenced, t))
+            pair.fenced, pair.reasserts = None, []
+        if not any(lt > pair.trusted for lt in self.lapses.get(client, ())):
+            self._find(FENCED, t, server, f"server unfenced {client!r} "
+                       "although the client never observably discarded "
+                       "its lease state", client=client)
+        pair.trusted = t
+
+    def _granted(self, server: str, client: Any, pair: Pair,
+                 end: float) -> List[Finding]:
+        """The reasserts granted inside the open fence window to ``end``."""
+        if pair.fenced is None:
+            return []
+        return [(FENCED, t, server, f"server granted fenced client "
+                 f"{client!r} a reassert of object {obj} inside a fence "
+                 f"window", {"client": client, "obj": obj})
+                for t, obj in pair.reasserts
+                if pair.fenced + TIME_SLACK < t < end - TIME_SLACK]
 
     def _steal(self, t: float, server: str, client: Any) -> None:
         pair = self.pairs[server, client]
@@ -137,9 +212,10 @@ class LeaseModel:
 
     def _unanswered(self, server: str, client: Any, pair: Pair,
                     end: float) -> List[Finding]:
-        """The requests strictly inside the pair's window up to ``end``
-        that no NACK of ``server`` answered at the same instant."""
-        assert pair.opened is not None
+        """The requests strictly inside the open suspect window up to
+        ``end`` that no NACK of ``server`` answered at the same instant."""
+        if pair.opened is None:
+            return []
         nacks, lo, out = self._nacks.get(server, []), pair.opened, []
         for t, kind in pair.requests:
             if not lo + TIME_SLACK < t < end - TIME_SLACK:

@@ -19,7 +19,8 @@ silent protocol loss.
 
 Every oracle reads the run through one
 :class:`~repro.simtest.runindex.RunIndex` (``RunIndex.of(system)``),
-which folds the trace once into the facts the checks query.
+which folds the trace once into the facts the checks query; its lease
+model checks the claims of each (server, client) pair as it folds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.core.system import StorageTankSystem
 from repro.locks.manager import CACHED
 from repro.locks.modes import LockMode, compatible
 from repro.server.lockservice import DEMAND_PATIENCE
+from repro.simtest.leasemodel import FENCED
 from repro.simtest.runindex import TIME_SLACK, RunIndex
 
 
@@ -204,7 +206,7 @@ class NoSilentLossOracle(Oracle):
 
 
 class LeaseModelOracle(Oracle):
-    """Four claims of Figs. 3-5, checked by one model per pair.
+    """The pair claims of Figs. 3-5 and §6, checked by one model per pair.
 
     :class:`~repro.simtest.leasemodel.LeaseModel` names each finding
     after its claim.  This drops those the failure model exempts: a slow
@@ -279,64 +281,39 @@ class CacheNoStaleEntryOracle(Oracle):
 class FencedClientNoStaleServiceOracle(Oracle):
     """A fenced client touches no shared storage and regains no trust.
 
-    §6's whole point: once the server distrusts a client it constructs a
-    fence *at the store*, so even a client that ignores its lease — or
-    whose commands are still in flight from a slow computer — cannot
-    read or modify shared data.  Per fence → unfence window: no
-    *accepted* disk I/O by the fenced initiator lands inside it (denied
-    I/O is the fence doing its job); the server grants the client no
-    LOCK_REASSERT inside it (the stale-capability replay hole in
-    reverse); and every lift is earned — the client observably went
-    through phase 4 (a lapse) since the server last trusted it, or its
-    stale cache and lock table walk back in whole.  Runs on every
-    schedule, adversarial or not.
+    §6: a client the server distrusts is fenced *at the store*.  No
+    *accepted* disk I/O by the fenced initiator lands inside a fence →
+    unfence window (denied I/O is the fence working).  The lease model
+    checks the other clauses, reported by ``lease-model`` under this
+    name: no LOCK_REASSERT is granted inside a window, and a lapse since
+    the server last trusted the client earns each lift.
     """
 
-    name = "fenced-client-serves-no-stale-data"
+    name = FENCED
     claim = ("§6: a fence constructed between a distrusted client and "
              "the shared store blocks all of its I/O, and the server "
              "extends it no new trust until the fence lifts")
 
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag accepted I/O and granted reasserts inside fence windows."""
+        """Flag accepted I/O inside the lease model's fence windows."""
         out: List[OracleViolation] = []
-        index = RunIndex.of(system)
-        for server, client in sorted(index.fenced):
-            windows = index.fence_windows(server, client)
-
-            def inside(t: float) -> bool:
-                return any(s + TIME_SLACK < t < e - TIME_SLACK
-                           for s, e in windows)
-
+        model, now = RunIndex.of(system).lease, system.sim.now
+        for server, client in sorted(
+                key for key, pair in model.pairs.items() if pair.windows
+                or pair.fenced is not None):
+            windows = model.pairs[server, client].fence_windows(now)
             for dname, disk in sorted(system.disks.items()):
                 for ev in disk.history:
-                    if ev.initiator != client or ev.op not in ("write",
-                                                               "read"):
-                        continue
-                    if inside(ev.time):
+                    if ev.initiator == client and ev.op in (
+                            "write", "read") and any(
+                            s + TIME_SLACK < ev.time < e - TIME_SLACK
+                            for s, e in windows):
                         out.append(self._violation(
                             ev.time, client,
                             f"fenced client {client!r} got an accepted "
                             f"{ev.op} at {dname}:{ev.lba} inside a fence "
                             f"window", device=dname, lba=ev.lba, op=ev.op,
                             tag=ev.tag, server=server))
-            for t, obj in index.reasserts.get((server, client), ()):
-                if inside(t):
-                    out.append(self._violation(
-                        t, server,
-                        f"server granted fenced client {client!r} a "
-                        f"reassert of object {obj} inside a fence window",
-                        client=client, obj=obj))
-            lapses = sorted(index.lapses.get(client, ()))
-            prev = float("-inf")
-            for t in sorted(index.unfences.get((server, client), ())):
-                if not any(prev < lt <= t + TIME_SLACK for lt in lapses):
-                    out.append(self._violation(
-                        t, server,
-                        f"server unfenced {client!r} although the client "
-                        f"never observably discarded its lease state",
-                        client=client))
-                prev = t
         return out
 
 
@@ -417,10 +394,11 @@ class ByzantineContainmentOracle(Oracle):
                     for holder, held in sorted(locks.holders(obj).items()):
                         if holder not in byz or compatible(held, waiter.mode):
                             continue
-                        first_demand = index.first_demand.get((sname, holder))
-                        if (first_demand is None or index.resolved_since(
-                                sname, holder, first_demand)):
+                        pair = index.lease.pairs.get((sname, holder))
+                        if pair is None or pair.resolved_since(
+                                pair.first_demand):
                             continue
+                        first_demand = pair.first_demand
                         if now - first_demand > budget:
                             out.append(self._violation(
                                 now, waiter.client,

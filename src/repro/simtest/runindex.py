@@ -1,34 +1,30 @@
 """One index over a run's trace: everything the oracles read, folded once.
 
 :class:`RunIndex` is the one place that turns trace records into the
-facts the oracles of :mod:`repro.simtest.oracles` judge: crash and SAN
-cut state, fence windows, the lease model of every (server, client)
-pair (:mod:`repro.simtest.leasemodel`), and what the namespace held when
-a cache node served a hit.  It folds records in emission (= time) order,
-and each :meth:`RunIndex.of` folds only the records appended since the
-last one: live checks stay linear.
+facts the oracles of :mod:`repro.simtest.oracles` judge.  The facts of
+a (server, client) pair are its lease model's (:mod:`.leasemodel`); the
+index keeps possession, crash and SAN cut state, and what the namespace
+held when a cache node served a hit.  It folds records in emission (= time) order, each kind in one
+place, and each :meth:`RunIndex.of` folds only the records appended
+since the last one: live checks stay linear.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary, ref
 
 from repro.analysis.consistency import ConsistencyAuditor, ConsistencyReport
 from repro.core.system import StorageTankSystem
 from repro.metadata.directory import Directory, NamespaceError
-from repro.net.message import MsgKind
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.simtest.leasemodel import TIME_SLACK, LeaseModel
 
 #: The record kinds the index reads (messages only a server's).
 _MESSAGES = frozenset({"msg.send", "msg.recv"})
-_FOLDED = LeaseModel.KINDS | {
-    "fault.inject", "server.fence", "server.unfence", "server.steal",
-    "server.reassert", "netcache.flush", "meta.mutate", "netcache.hit"}
+_FOLDED = LeaseModel.KINDS | {"fault.inject", "meta.mutate", "netcache.hit"}
 
-Key = Tuple[str, Any]
 Timeline = List[Tuple[float, bool]]
 
 _INDEXES: "WeakKeyDictionary[TraceRecorder, RunIndex]" = WeakKeyDictionary()
@@ -48,9 +44,8 @@ class RunIndex:
     """The facts the oracles query, for one run's trace.
 
     Public fields keep emission order; ``__init__`` gives their shapes.
-    Queries compare times with :data:`TIME_SLACK`, except
-    :meth:`fence_windows`, whose raw pairs the oracle compares.  Holding no
-    strong reference to the trace or the system, the index goes with them.
+    Queries compare times with :data:`TIME_SLACK`.  Holding no strong
+    reference to the trace or the system, the index goes with them.
     """
 
     @classmethod
@@ -73,16 +68,6 @@ class RunIndex:
         self._cut: DefaultDict[str, Timeline] = defaultdict(list)
         self.lease = LeaseModel(system.config.lease.contract(),
                                 system.clocks)
-        # (server, client) -> [(time, closes)] per fence and unfence
-        self._fences: DefaultDict[Key, Timeline] = defaultdict(list)
-        self.first_demand: Dict[Key, float] = {}  # (server, holder) -> t
-        # client -> times of a lease_lost or a lease-expired cache flush
-        self.lapses: DefaultDict[str, List[float]] = defaultdict(list)
-        self._resolved: DefaultDict[Key, List[float]] = defaultdict(list)
-        self.fenced: Set[Tuple[str, str]] = set()  # (server, client)
-        self.unfences: DefaultDict[Key, List[float]] = defaultdict(list)
-        self.reasserts: DefaultDict[Key, List[Tuple[float, Any]]] = \
-            defaultdict(list)  # (server, client) -> (time, obj)
         self._namespace = Directory()
         self._sizes: Dict[int, int] = {}
         # (time, node, reason, record) per hit the namespace contradicts
@@ -112,30 +97,6 @@ class RunIndex:
         """Whether a SAN cut of ``node`` was live at ``time``."""
         return _state_at(self._cut.get(node, []), time)
 
-    def fence_windows(self, server: str,
-                      client: str) -> List[Tuple[float, float]]:
-        """``[fence, unfence]`` windows of a (server, client) pair.  At a
-        tie an open sorts before a close; an unclosed window ends at the
-        current time."""
-        out: List[Tuple[float, float]] = []
-        start: Optional[float] = None
-        for t, closes in sorted(self._fences.get((server, client), ())):
-            if not closes and start is None:
-                start = t
-            elif closes and start is not None:
-                out.append((start, t))
-                start = None
-        if start is not None:
-            system = self._system()
-            assert system is not None
-            out.append((start, system.sim.now))
-        return out
-
-    def resolved_since(self, server: str, client: str, time: float) -> bool:
-        """Whether ``server`` suspected or stole from ``client`` since."""
-        return any(t >= time - TIME_SLACK
-                   for t in self._resolved.get((server, client), ()))
-
     def audit(self) -> ConsistencyReport:
         """The consistency audit of the run so far, run once per state."""
         system = self._system()
@@ -152,28 +113,11 @@ class RunIndex:
         kind, t, node, get = rec.kind, rec.time, rec.node, rec.get
         if kind in LeaseModel.KINDS:
             self.lease.fold(rec)
-        if kind == "msg.send":
-            if get("msg_kind") == MsgKind.LOCK_DEMAND:
-                self.first_demand.setdefault((node, get("dst")), t)
         elif kind == "fault.inject":
             self._fault(t, str(get("label")))
-        elif kind in ("lease.suspect", "server.steal"):
-            self._resolved[node, get("client")].append(t)
-        elif kind in ("server.fence", "server.unfence"):
-            client, closes = get("client"), kind == "server.unfence"
-            self._fences[node, client].append((t, closes))
-            if closes:
-                self.unfences[node, client].append(t)
-            else:
-                self.fenced.add((node, str(client)))
-        elif kind == "server.reassert":
-            self.reasserts[node, get("client")].append((t, get("obj")))
-        elif kind == "client.lease_lost" or (
-                kind == "netcache.flush" and get("reason") == "lease-expired"):
-            self.lapses[node].append(t)
         elif kind == "meta.mutate":
             self._mutate(rec)
-        elif kind == "netcache.hit":
+        else:  # netcache.hit
             reason = self._stale_reason(str(get("key_kind")),
                                         str(get("path")), get("fingerprint"))
             if reason is not None:

@@ -1,11 +1,12 @@
 """RunIndex: the one place that turns a run's trace into oracle facts.
 
 Each query stands in for a helper the oracles used to rebuild from the
-flat trace on their own (crash and SAN-cut state, fence windows, lapses,
-the first demand, resolution, the namespace replay); the lease model's
-suspect windows are read through the claims they decide.  The last
-tests pin the incremental fold against a one-pass build and the audit
-memo.
+flat trace on their own (crash and SAN-cut state, possession, the
+namespace replay).  The facts of a (server, client) pair are the lease
+model's: its fence windows, first demand, resolutions and lapses are
+read from the model, its suspect windows and fence clauses through the
+claims they decide.  The last tests pin the incremental fold against a
+one-pass build and the audit memo.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.net.message import MsgKind
+from repro.simtest.leasemodel import FENCED
 from repro.simtest.oracles import LeaseModelOracle, Oracle, default_oracles
 from repro.simtest.runindex import RunIndex
 from repro.simtest.runner import run_schedule
@@ -61,6 +63,18 @@ def _request(s, time, client="c1"):
                  1, 1)
 
 
+def _windows(s, client="c1"):
+    """The lease model's fence windows of the (server, client) pair."""
+    pair = RunIndex.of(s).lease.pairs.get(("server", client))
+    return [] if pair is None else pair.fence_windows(s.sim.now)
+
+
+def _fence_findings(s):
+    """(time, client, message head) of each fence clause the model found."""
+    return [(v.time, v.detail["client"], v.message.split(" ")[1])
+            for v in LeaseModelOracle().check_final(s) if v.oracle == FENCED]
+
+
 def test_windows_pair_opens_with_closes_and_ignore_strays():
     s = make_system()
     emit = s.trace.emit
@@ -80,7 +94,7 @@ def test_windows_pair_opens_with_closes_and_ignore_strays():
     s.run(until=10.0)  # c2's window is still open
     assert sorted(_unanswered(s)) == [(2.5, "c1"), (4.0, "c1"),
                                       (6.5, "c2"), (8.5, "c1")]
-    assert RunIndex.of(s).fence_windows("server", "c1") == []
+    assert _windows(s) == []
     assert RunIndex.of(s).lease.suspecting == {"server"}
 
 
@@ -92,10 +106,14 @@ def test_windows_tie_sorts_an_open_before_a_close():
     # ignored (a window is open), and the close ends the only window.
     emit(5.0, "server.unfence", "server", "c1")
     emit(5.0, "server.fence", "server", "c1")
-    index = RunIndex.of(s)
-    assert index.fence_windows("server", "c1") == [(2.0, 5.0)]
-    assert index.fenced == {("server", "c1")}
-    assert index.unfences[("server", "c1")] == [5.0]
+    assert _windows(s) == [(2.0, 5.0)]
+    assert RunIndex.of(s).lease.pairs["server", "c1"].trusted == 5.0
+    # At a close with no window open, a later open at the same instant
+    # sorts first: the close ends it there.
+    emit(6.0, "server.unfence", "server", "c1")
+    emit(6.0, "server.fence", "server", "c1")
+    emit(6.0, "server.fence", "server", "c1")
+    assert _windows(s) == [(2.0, 5.0), (6.0, 6.0)]
 
 
 def test_an_unclosed_window_ends_at_the_current_time():
@@ -104,10 +122,10 @@ def test_an_unclosed_window_ends_at_the_current_time():
     s.trace.emit(0.5, "lease.suspect", "server", "c1", 6.0)
     _request(s, 3.0)
     s.run(until=3.0)
-    assert RunIndex.of(s).fence_windows("server", "c1") == [(0.5, 3.0)]
+    assert _windows(s) == [(0.5, 3.0)]
     assert _unanswered(s) == []  # on the open window's edge
     s.run(until=4.0)
-    assert RunIndex.of(s).fence_windows("server", "c1") == [(0.5, 4.0)]
+    assert _windows(s) == [(0.5, 4.0)]
     assert _unanswered(s) == [(3.0, "c1")]
 
 
@@ -125,6 +143,44 @@ def test_window_edges_are_inclusive_for_nacks_and_strict_for_requests():
     assert LeaseModelOracle().check_final(s) == []
     emit(8.1, "lease.server_nack", "server", "c1", MsgKind.LOCK_INTENT)
     assert [v.time for v in LeaseModelOracle().check_final(s)] == [8.1]
+
+
+def test_a_reassert_is_judged_against_the_window_it_fell_in():
+    s = make_system()
+    emit = s.trace.emit
+    emit(1.0, "server.reassert", "server", "c1", 7, 2)   # before any fence
+    emit(2.0, "server.fence", "server", "c1")
+    emit(2.0, "server.reassert", "server", "c1", 8, 2)   # on the open edge
+    emit(3.0, "server.reassert", "server", "c1", 9, 2)   # inside
+    emit(4.0, "server.reassert", "server", "c1", 10, 2)  # on the close edge:
+    emit(4.0, "server.unfence", "server", "c1")          # the unfence follows
+    emit(4.0, "client.lease_lost", "c1", "server", 0, 0)  # earns no lift
+    emit(4.5, "server.reassert", "server", "c1", 11, 2)  # after the lift
+    emit(5.0, "server.fence", "server", "c1")
+    emit(6.0, "server.reassert", "server", "c1", 12, 2)  # in an open window
+    s.run(until=6.0)
+    assert _fence_findings(s) == [(3.0, "c1", "granted"),
+                                  (4.0, "c1", "unfenced")]
+    s.run(until=7.0)  # the open window now runs past the reassert
+    assert [v.detail.get("obj") for v in LeaseModelOracle().check_final(s)
+            if v.oracle == FENCED] == [9, None, 12]
+
+
+def test_an_unfence_needs_a_lapse_since_the_pair_last_trusted_the_client():
+    s = make_system()
+    emit = s.trace.emit
+    emit(1.0, "client.lease_lost", "c1", "server", 0, 0)
+    emit(2.0, "server.fence", "server", "c1")
+    emit(3.0, "server.unfence", "server", "c1")   # earned by the lapse at 1
+    emit(4.0, "server.fence", "server", "c1")
+    emit(5.0, "server.unfence", "server", "c1")   # no lapse since 3
+    emit(5.5, "netcache.flush", "c1", "server", "admin", 3)  # not a lapse
+    emit(6.0, "server.fence", "server", "c1")
+    emit(7.0, "netcache.flush", "c1", "server", "lease-expired", 3)
+    emit(8.0, "server.unfence", "server", "c1")   # earned by the flush
+    emit(9.0, "server.unfence", "server", "c2")   # c2 never lapsed
+    assert _fence_findings(s) == [(5.0, "c1", "unfenced"),
+                                  (9.0, "c2", "unfenced")]
 
 
 def test_byzantine_labels_name_client_and_kinds():
@@ -146,25 +202,28 @@ def test_first_demand_resolution_and_lapses():
     emit(3.0, "msg.send", "server", MsgKind.LOCK_DEMAND, "c1", 3, 2)
     emit(4.0, "msg.send", "server", MsgKind.LOCK_DEMAND, "c1", 4, 3)
     emit(4.5, "msg.send", "server", MsgKind.KEEPALIVE, "c2", 5, 1)
-    index = RunIndex.of(s)
-    assert index.first_demand == {("server", "c1"): 3.0}
+    pairs = RunIndex.of(s).lease.pairs
+    assert {key: pair.first_demand for key, pair in pairs.items()
+            if pair.first_demand < float("inf")} == {("server", "c1"): 3.0}
     assert [(v.time, v.oracle, v.detail["dst"])
             for v in LeaseModelOracle().check_final(s)] == [
         (4.5, "passive-server", "c2")]
-    assert not index.resolved_since("server", "c1", 3.0)
+    pair = pairs["server", "c1"]
+    assert not pair.resolved_since(3.0)
     emit(6.0, "lease.suspect", "server", "c1", 6.0)
-    assert RunIndex.of(s).resolved_since("server", "c1", 6.0 + 1e-7)
-    assert not RunIndex.of(s).resolved_since("server", "c1", 6.5)
+    RunIndex.of(s)
+    assert pair.resolved_since(6.0 + 1e-7)
+    assert not pair.resolved_since(6.5)
     emit(7.0, "server.steal", "server", "c1", 2)
     index = RunIndex.of(s)
-    assert index.resolved_since("server", "c1", 6.5)
-    assert not index.resolved_since("server", "c2", 0.0)
+    assert pair.resolved_since(6.5)
+    assert ("server", "c2") not in index.lease.pairs
 
     emit(9.0, "client.lease_lost", "c1", "server", 2, 0)
     emit(8.0, "netcache.flush", "c1", "server", "lease-expired", 3)
     emit(8.5, "netcache.flush", "c1", "server", "admin", 3)
     index = RunIndex.of(s)
-    assert sorted(index.lapses["c1"]) == [8.0, 9.0]
+    assert sorted(index.lease.lapses["c1"]) == [8.0, 9.0]
     assert [(t, claim, node) for claim, t, node, _, _
             in index.lease.findings] == [
         (4.5, "passive-server", "server"),
@@ -209,9 +268,10 @@ def _facts(index):
     ns = index._namespace
     facts["namespace"] = [(path, ns.lookup(path)) for path in ns]
     lease = index.lease
-    facts["lease"] = (lease.suspecting, lease._nacks, lease.findings, {
-        key: (p.start, p.opened, p.closed, p.requests)
-        for key, p in lease.pairs.items()})
+    facts["lease"] = (lease.suspecting, lease._nacks, lease.lapses,
+                      lease.findings, {
+                          key: [getattr(p, slot) for slot in p.__slots__]
+                          for key, p in lease.pairs.items()})
     return facts
 
 
