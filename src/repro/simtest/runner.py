@@ -249,11 +249,14 @@ def run_schedule(schedule: Schedule,
     settle = SETTLE_LEASES * schedule.tau * (1.0 + schedule.epsilon)
     system.run(until=t0 + schedule.horizon + settle)
 
+    # A final check reports each breach once, so only an equal time
+    # makes two of its findings (or a live hit) the same.
     violations = list(live_hits)
+    seen = {(v.key(), v.time) for v in live_hits}
     for oracle in oracle_list:
         for v in oracle.check_final(system):
-            if v.key() not in seen_keys:
-                seen_keys.add(v.key())
+            if (v.key(), v.time) not in seen:
+                seen.add((v.key(), v.time))
                 violations.append(v)
     violations.sort(key=lambda v: (v.time, v.oracle, v.node))
 

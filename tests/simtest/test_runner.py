@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.simtest.oracles import Oracle
 from repro.simtest.runner import (BREAK_MODES, apply_break_mode,
                                   run_schedule, trace_hash, trace_lines)
 from repro.simtest.schedule import generate_schedule
@@ -76,3 +77,36 @@ def test_break_mode_without_faults_stays_clean():
     # ever times out, so the broken paths are never exercised.
     sch = generate_schedule(0, 4, break_mode="skip_flush").with_steps(())
     assert run_schedule(sch).ok
+
+
+class _Repeats(Oracle):
+    """One breach seen live at every tick; three final findings, two of
+    them at one time."""
+
+    name = "repeats"
+
+    def check_live(self, system):
+        return [self._violation(system.sim.now, "c1", "live breach")]
+
+    def check_final(self, system):
+        return [self._violation(t, "c1", "final breach")
+                for t in (1.0, 1.0, 2.0)]
+
+
+def test_live_hits_dedup_by_message_and_final_ones_also_by_time():
+    result = run_schedule(generate_schedule(0, 2), [_Repeats()])
+    assert [(v.message, v.time) for v in result.violations
+            if v.message == "final breach"] == [("final breach", 1.0),
+                                                ("final breach", 2.0)]
+    assert [v.message for v in result.violations].count("live breach") == 1
+
+
+def test_a_repeated_unnacked_request_is_reported_each_time():
+    # c3's un-NACKed lock.intent requests carry one message; each is a
+    # finding of its own.
+    result = run_schedule(generate_schedule(8, 20, break_mode="ack_expiring",
+                                            adversaries=2))
+    times = [round(v.time, 3) for v in result.violations
+             if v.message == "request 'lock.intent' from timed-out client "
+                             "'c3' was not NACKed"]
+    assert times[:2] == [7.567, 8.37]
