@@ -17,8 +17,13 @@ edited) and keeps, per workload:
 
 Usage::
 
-    python benchmarks/e2e_counters.py --write BENCH_e2e.json
+    python benchmarks/e2e_counters.py --write BENCH_e2e.json [--workload W ...]
     python benchmarks/e2e_counters.py --check BENCH_e2e.json [--workload W ...]
+
+``--write`` with ``--workload`` re-measures only those workloads and
+merges them into the existing file; every other entry stays byte for
+byte as it was.  It refuses a missing file, or one written for another
+schema, seed or run length.
 
 Exit codes: 0 all equal / within band, 1 a counter moved, 2 usage errors.
 """
@@ -86,7 +91,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     mode.add_argument("--write", metavar="FILE")
     mode.add_argument("--check", metavar="FILE")
     parser.add_argument("--workload", action="append",
-                        help="only this workload (repeatable; --check only)")
+                        help="only this workload (repeatable); with "
+                             "--write, merged into the existing FILE")
     args = parser.parse_args(argv)
 
     with open(os.path.join(REPO, "BENCHMARK.json")) as fh:
@@ -95,10 +101,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = [w["name"] for w in contract["workloads"]]
     if args.workload:
         unknown = sorted(set(args.workload) - set(names))
-        if unknown or args.write:
-            parser.error("--workload takes names from BENCHMARK.json and "
-                         f"goes with --check (unknown: {unknown})")
+        if unknown:
+            parser.error("--workload takes names from BENCHMARK.json "
+                         f"(unknown: {unknown})")
         names = [n for n in names if n in args.workload]
+    header = {"schema": SCHEMA, "seed": SEED, "seconds": seconds}
+    committed = None
+    if args.check or args.workload:
+        path = args.check or args.write
+        try:
+            with open(path) as fh:
+                committed = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"{path}: {exc}", file=sys.stderr)
+            return 2
+        if any(committed.get(k) != v for k, v in header.items()):
+            print(f"{path}: not a {SCHEMA} file for seed {SEED}, "
+                  f"{seconds} s", file=sys.stderr)
+            return 2
 
     measured = {}
     for name in names:
@@ -108,19 +128,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             for k, v in measured[name].items()), flush=True)
 
     if args.write:
+        doc = committed or {**header, "workloads": {}}
+        doc["workloads"].update(measured)
         with open(args.write, "w") as fh:
-            json.dump({"schema": SCHEMA, "seed": SEED, "seconds": seconds,
-                       "workloads": measured}, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return 0
 
-    with open(args.check) as fh:
-        committed = json.load(fh)
-    if (committed.get("schema") != SCHEMA or committed.get("seed") != SEED
-            or committed.get("seconds") != seconds):
-        print(f"{args.check}: not a {SCHEMA} file for seed {SEED}, "
-              f"{seconds} s", file=sys.stderr)
-        return 2
+    assert committed is not None
     problems: List[str] = []
     for name in names:
         want = committed["workloads"].get(name)
