@@ -20,7 +20,7 @@ readable rendering a diff of two runs prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Set
 
 from repro.core.system import StorageTankSystem, build_system
 from repro.fault.adversary import BYZANTINE_KINDS
@@ -232,7 +232,7 @@ def run_schedule(schedule: Schedule,
         system.spawn(driver.run(schedule.horizon), f"simtest-wl:{driver.client.name}")
 
     live_hits: List[OracleViolation] = []
-    seen_keys = set()
+    seen_keys: Set[Any] = set()  # live keys; final (key, time) pairs
 
     def live_checker() -> Generator[Event, Any, None]:
         end = t0 + schedule.horizon
@@ -249,14 +249,12 @@ def run_schedule(schedule: Schedule,
     settle = SETTLE_LEASES * schedule.tau * (1.0 + schedule.epsilon)
     system.run(until=t0 + schedule.horizon + settle)
 
-    # A final check reports each breach once, so only an equal time
-    # makes two of its findings (or a live hit) the same.
+    # A final check reports each breach once: only an equal time repeats.
     violations = list(live_hits)
-    seen = {(v.key(), v.time) for v in live_hits}
     for oracle in oracle_list:
         for v in oracle.check_final(system):
-            if (v.key(), v.time) not in seen:
-                seen.add((v.key(), v.time))
+            if (v.key(), v.time) not in seen_keys:
+                seen_keys.add((v.key(), v.time))
                 violations.append(v)
     violations.sort(key=lambda v: (v.time, v.oracle, v.node))
 
