@@ -1,12 +1,12 @@
 """One index over a run's trace: everything the oracles read, folded once.
 
 :class:`RunIndex` is the one place that turns trace records into the
-facts the oracles of :mod:`repro.simtest.oracles` judge.  The facts of
-a (server, client) pair are its lease model's (:mod:`.leasemodel`); the
+facts the oracles of :mod:`repro.simtest.oracles` judge.  A (server,
+client) pair's facts are its lease model's (:mod:`.leasemodel`); the
 index keeps possession, crash and SAN cut state, and what the namespace
-held when a cache node served a hit.  It folds records in emission (= time) order, each kind in one
-place, and each :meth:`RunIndex.of` folds only the records appended
-since the last one: live checks stay linear.
+held when a cache node served a hit.  It folds each kind in one place,
+in emission (= time) order, and each :meth:`RunIndex.of` folds only the
+records appended since the last one: live checks stay linear.
 """
 
 from __future__ import annotations
