@@ -6,7 +6,7 @@ too coarse for that, so this runs each schedule of a fixed set on both
 sides and compares each run's trace hash and full violation list
 (``OracleViolation.to_dict()``)::
 
-    python benchmarks/differential.py --base REV [--change REV]
+    python benchmarks/differential.py --base REV [--change REV] [--drop KIND ...]
 
 Both sides are exported as ``benchmarks/ab.py`` exports them (without
 ``--change``: this checkout's tracked files, uncommitted edits
@@ -20,20 +20,27 @@ included).  Each side runs, in one fresh process against its own
   ``adversaries=2`` and with ``cache_nodes=2``;
 - ``fault_fuzz``'s rotation at seeds 0-319 (flags on ``seed mod 4``).
 
+With ``--drop KIND ...`` each side compares the sha256 of the run's
+canonical ``trace_lines`` with records of the named kinds removed, in
+place of the raw trace hash: the proof that a change which only adds
+(or removes) those kinds leaves every other record as it was.
+
 It prints each run whose hash or violation list differs and exits 1 if
-there is any; 0 when every run agrees.  About 20 s per side on a
-2-CPU host.
+there is any; 0 when every run agrees.  It also prints each side's wall
+time: about 20 s per side on a 2-CPU host (more with ``--drop``).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tempfile
-from typing import Any, Dict, List, Optional
+import time
+from typing import Any, Collection, Dict, List, Optional
 
 if __package__ in (None, ""):  # run as a script
     sys.path.insert(0, os.path.dirname(os.path.dirname(
@@ -51,22 +58,34 @@ BREAK_SEEDS = range(12)
 ROTATION_SEEDS = range(320)
 
 
-def collect(checkout: str) -> Dict[str, Outcome]:
+def lines_hash(lines: List[str], drop: Collection[str]) -> str:
+    """sha256 of canonical trace lines (``"{time} {kind} {node} ..."``)
+    without the records whose kind is in ``drop``."""
+    kept = [line for line in lines if line.split(" ", 2)[1] not in drop]
+    return hashlib.sha256("\n".join(kept).encode("utf-8")).hexdigest()
+
+
+def collect(checkout: str, drop: Collection[str] = ()) -> Dict[str, Outcome]:
     """Run the whole set with the ``repro`` importable now (the side's
-    ``src/``); artifacts are read from ``checkout``."""
+    ``src/``); artifacts are read from ``checkout``.  With ``drop``, a
+    run's ``trace_hash`` is :func:`lines_hash` of its trace lines."""
     import dataclasses
     import glob
 
     from repro.obs.artifact import load_artifact
     from repro.simtest.corpus import load_corpus
-    from repro.simtest.runner import BREAK_MODES, run_schedule
+    from repro.simtest.runner import BREAK_MODES, run_schedule, trace_lines
     from repro.simtest.schedule import Schedule, generate_schedule
 
     out: Dict[str, Outcome] = {}
 
     def run(run_id: str, schedule: Any) -> None:
-        result = run_schedule(schedule)
-        out[run_id] = {"trace_hash": result.trace_hash,
+        result = run_schedule(schedule, keep_system=bool(drop))
+        trace = result.trace_hash
+        if drop:
+            assert result.system is not None
+            trace = lines_hash(trace_lines(result.system), drop)
+        out[run_id] = {"trace_hash": trace,
                        "violations": [v.to_dict() for v in result.violations]}
 
     for e in load_corpus():
@@ -128,17 +147,21 @@ def _listed(sign: str, these: List[Any], other: List[Any]) -> str:
                    for v in these if v not in other)
 
 
-def _side(checkout: str, tmp: str, side: str) -> Dict[str, Outcome]:
+def _side(checkout: str, tmp: str, side: str,
+          drop: Collection[str]) -> Dict[str, Outcome]:
     """:func:`collect` in a fresh process importing ``checkout``'s src."""
     result = os.path.join(tmp, f"{side}.json")
     code = ("import json, pathlib, sys; sys.path[:0] = sys.argv[1:3]; "
             "from benchmarks.differential import collect; "
             "pathlib.Path(sys.argv[4]).write_text("
-            "json.dumps(collect(sys.argv[3])))")
+            "json.dumps(collect(sys.argv[3], sys.argv[5:])))")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    started = time.perf_counter()
     subprocess.run([sys.executable, "-c", code, os.path.join(checkout, "src"),
-                    REPO, checkout, result], cwd=checkout, env=env, check=True)
+                    REPO, checkout, result, *drop], cwd=checkout, env=env,
+                   check=True)
+    print(f"{side}: {time.perf_counter() - started:.1f} s wall")
     with open(result) as fh:
         runs: Dict[str, Outcome] = json.load(fh)
     return runs
@@ -150,12 +173,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--change", metavar="REV",
                         help="default: this checkout's tracked files, "
                              "uncommitted edits included")
+    parser.add_argument("--drop", nargs="+", default=[], metavar="KIND",
+                        help="compare trace lines without these record "
+                             "kinds instead of the raw trace hash")
     args = parser.parse_args(argv)
     refs = {"base": _git("rev-parse", "--verify", args.base + "^{commit}"),
             "change": (_git("rev-parse", "--verify", args.change + "^{commit}")
                        if args.change else checkout_commit())}
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
-        runs = {side: _side(export(sha, os.path.join(tmp, side)), tmp, side)
+        runs = {side: _side(export(sha, os.path.join(tmp, side)), tmp, side,
+                            args.drop)
                 for side, sha in refs.items()}
     lines = differences(runs["base"], runs["change"])
     for line in lines:

@@ -13,6 +13,10 @@ the cached lock it validated (``with pin(file_id)``), a demand
 compliance marks the file as being revoked (``with
 _revoking.marking(file_id)``), and byte-range locks, which are not
 cached, live exactly as long as one :meth:`LockClient.ranges_locked`.
+
+Each change to the locks the client relies on is traced as one
+``client.lock`` record (server, obj, mode), NONE once it stops relying
+on the lock; the lease model folds them to judge lock compatibility.
 """
 
 from __future__ import annotations
@@ -117,6 +121,8 @@ class LockClient:
         self._file_inflight: Dict[int, int] = {}
         self._file_drain_evs: Dict[int, Event] = {}
         self._revoking = _Marks()
+        # The mode each file's last ``client.lock`` record traced.
+        self._traced: Dict[int, LockMode] = {}
         # A reply that carries a grant (``lock``) reflects server state
         # at *execution* time, not delivery time.  Under message loss
         # the at-most-once layer re-delivers cached replies arbitrarily
@@ -146,6 +152,23 @@ class LockClient:
                 self._file_drain_evs[file_id] = ev
             yield ev
 
+    # -- the one choke point of lock changes ------------------------------------
+    def _track(self, file_id: int) -> None:
+        """Trace ``client.lock`` if the mode this client relies on for
+        ``file_id`` moved: its table's, NONE while a demand revokes it.
+        Every table change and each revocation's start and end call it."""
+        mode = (LockMode.NONE if file_id in self._revoking
+                else self.table.mode_of(file_id))
+        if mode == self._traced.get(file_id, LockMode.NONE):
+            return
+        if mode == LockMode.NONE:
+            del self._traced[file_id]
+        else:
+            self._traced[file_id] = mode
+        self.trace.emit(self.sim.now, "client.lock", self.name,
+                        self.routing.server_for_file(file_id), file_id,
+                        int(mode))
+
     # -- grants ----------------------------------------------------------------
     def _note_lock_revoked(self, file_id: int) -> None:
         """Record that this client gave up (or lost) the file's lock now."""
@@ -168,6 +191,7 @@ class LockClient:
         if fresh:
             granted = LockMode(int(payload["lock"]))
             self.table.note_granted(of.file_id, granted)
+            self._track(of.file_id)
             of.lock = granted
         self.data.apply_meta_reply(of, payload, held)
         return fresh
@@ -211,23 +235,31 @@ class LockClient:
         # them instead of re-fetching through a second parse path.
         self.adopt_grant(of, reply.payload, held, sent_at)
 
+    def forget(self, file_ids: Optional[Iterable[int]] = None) -> List[int]:
+        """Drop the locks on ``file_ids`` (None: every lock held) from
+        the table, noting no revocation (a crash, an unlink); returns
+        the ids."""
+        if file_ids is None:
+            ids = [fid for fid, _mode in self.table.drop_all()]
+        else:
+            ids = list(file_ids)
+            for fid in ids:
+                self.table.note_released(fid)
+        for fid in ids:
+            self._track(fid)
+        return ids
+
     def drop_locks(self, file_ids: Optional[Iterable[int]] = None) -> None:
         """The lease covering these locks (None: every lock) expired."""
-        if file_ids is None:
-            for fid, _mode in self.table.all_held():
-                self._note_lock_revoked(fid)
-            self.table.drop_all()
-            return
-        for fid in file_ids:
+        for fid in self.forget(file_ids):
             self._note_lock_revoked(fid)
-            self.table.note_released(fid)
 
     def forfeit(self, file_id: int, reason: str) -> None:
         """Give up a lock the server may no longer honour: dropping a
         lock we might still own is always safe, keeping one we lost
         never is.  What the drop discards unhardened is reported."""
         self._note_lock_revoked(file_id)
-        self.table.note_released(file_id)
+        self.forget([file_id])
         for p in self.data.drop_file(file_id):
             self.data.report_lost(file_id, p.tag, reason)
         for of in self.fds.by_file_id(file_id):
@@ -346,9 +378,11 @@ class LockClient:
         # Stop new operations from riding the lock, drain current users,
         # then flush what they wrote — only then give the lock back.
         with self._revoking.marking(file_id):
+            self._track(file_id)
             yield from self._wait_file_drain(file_id)
             yield from self.data.flush(file_id)
             yield from self._yield_lock(file_id, needed, server)
+        self._track(file_id)
 
     def _yield_lock(self, file_id: int, needed: LockMode, server: str,
                     ) -> Generator[Event, Any, None]:

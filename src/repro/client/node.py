@@ -387,7 +387,7 @@ class StorageTankClient:
             fid = int(reply.payload["file_id"])
             self.data.drop_file(fid)
             self.data.path_fid.pop(path, None)
-            self.locks.note_released(fid)
+            self.lockclient.forget([fid])
             self.routing.forget_file(fid)
             for of in self.fds.by_file_id(fid):
                 of.stale = True

@@ -164,9 +164,9 @@ class FaultInjector:
             node = sysm.client(client)
             node.endpoint.crash()
             node.cache.invalidate_all()
-            locks = getattr(node, "locks", None)
-            if locks is not None:
-                locks.drop_all()
+            lockclient = getattr(node, "lockclient", None)
+            if lockclient is not None:
+                lockclient.forget()
         return self._add(f"crash:{client}", crash)
 
     def restart_client(self, client: str) -> "FaultInjector":

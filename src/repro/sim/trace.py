@@ -82,6 +82,7 @@ TRACE_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     # client node, agent and lock client
     "client.epoch_change": ("server", "epoch"),
     "client.lease_lost": ("server", "dirty_dropped", "in_flight"),
+    "client.lock": ("server", "obj", "mode"),
     "client.map_update": ("epoch", "migrated"),
     "client.quiesce": (),
     "client.reasserted": ("file_id", "mode"),

@@ -16,8 +16,8 @@ The pieces:
 - :mod:`repro.simtest.oracles` — the invariant library, each oracle
   mapped to a paper claim (DESIGN.md §12);
 - :mod:`repro.simtest.runner` — builds the system, applies the
-  schedule, drives workloads, checks oracles live and post-run, and
-  produces a canonical event-trace hash;
+  schedule, drives workloads, checks the oracles once the run settles,
+  and produces a canonical event-trace hash;
 - :mod:`repro.simtest.shrink` — ddmin-style schedule minimization;
 - :mod:`repro.simtest.corpus` — the pinned regression-seed corpus
   replayed in tier-1;

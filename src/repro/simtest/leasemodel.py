@@ -18,7 +18,11 @@ also query, and checks each claim at the transition it governs:
   page while it could still flush;
 - ``fenced-client-serves-no-stale-data`` when a fence window closes (or,
   still open, when read): no reassert was granted inside it; and at
-  an unfence: a lapse traced since the pair last trusted the client.
+  an unfence: a lapse traced since the pair last trusted the client;
+- ``lock-compatibility`` at each ``client.lock`` that adopts or
+  upgrades a lock: no other client relies on a conflicting lock of the
+  object under a lease its last renewal, read through its clock, still
+  makes usable.
 
 It models the trace, not the implementation: it reads declared record
 kinds, no client or server code.  Exemptions that depend on the whole
@@ -32,6 +36,7 @@ from collections import defaultdict
 from typing import Any, DefaultDict, Dict, List, Optional, Set, Tuple
 
 from repro.lease.contract import LeaseContract
+from repro.locks.modes import LockMode, compatible
 from repro.net.message import MsgKind
 from repro.sim.clock import ClockEnsemble
 from repro.sim.trace import TraceRecord
@@ -47,6 +52,9 @@ _REPLY_KINDS = frozenset({MsgKind.ACK, MsgKind.NACK})
 
 #: The claim of §6's fence, shared with ``oracles``' disk-I/O clause.
 FENCED = "fenced-client-serves-no-stale-data"
+
+#: The single-writer claim of §2/§3, reported by ``oracles``.
+LOCK_COMPATIBILITY = "lock-compatibility"
 
 #: (claim, time, node, message, detail) of one breach the model saw.
 Finding = Tuple[str, float, str, str, Dict[str, Any]]
@@ -86,8 +94,9 @@ class LeaseModel:
 
     KINDS = frozenset({"msg.send", "msg.recv", "lease.renewed",
                        "lease.suspect", "lease.server_nack", "lease.steal",
-                       "client.lease_lost", "netcache.flush", "server.steal",
-                       "server.fence", "server.unfence", "server.reassert"})
+                       "client.lease_lost", "client.lock", "netcache.flush",
+                       "server.steal", "server.fence", "server.unfence",
+                       "server.reassert"})
 
     def __init__(self, contract: LeaseContract,
                  clocks: ClockEnsemble) -> None:
@@ -97,6 +106,9 @@ class LeaseModel:
         self._nacks: DefaultDict[str, List[float]] = defaultdict(list)
         # node -> times of a lease_lost or a lease-expired cache flush
         self.lapses: DefaultDict[str, List[float]] = defaultdict(list)
+        # obj -> client -> (server, mode) of each lock a client relies on
+        self.locks: DefaultDict[Any, Dict[str, Tuple[str, LockMode]]] = \
+            defaultdict(dict)
         self.findings: List[Finding] = []
 
     def fold(self, rec: TraceRecord) -> None:
@@ -154,6 +166,9 @@ class LeaseModel:
                     pair.fenced = t
         elif kind == "server.unfence":
             self._unfence(t, node, get("client"))
+        elif kind == "client.lock":
+            self._lock(t, node, get("server"), get("obj"),
+                       LockMode(get("mode")))
         elif kind == "netcache.flush":
             if get("reason") == "lease-expired":
                 self.lapses[node].append(t)
@@ -195,16 +210,45 @@ class LeaseModel:
                 for t, obj in pair.reasserts
                 if pair.fenced + TIME_SLACK < t < end - TIME_SLACK]
 
+    def _expiry(self, server: str, client: Any) -> Optional[float]:
+        """The global expiry of the pair's last renewed lease, read
+        through the client's clock; None if it never held one."""
+        pair = self.pairs.get((server, client))
+        clock = self._clocks.clocks.get(client)
+        if pair is None or pair.start is None or clock is None:
+            return None
+        return clock.global_time(
+            self._contract.client_expiry_local(float(pair.start)))
+
+    def _lock(self, t: float, client: str, server: str, obj: Any,
+              mode: LockMode) -> None:
+        holders = self.locks[obj]
+        was = holders.pop(client, (server, LockMode.NONE))[1]
+        if mode == LockMode.NONE:
+            return
+        holders[client] = (server, mode)
+        if mode <= was:
+            return
+        for other, (srv, held) in holders.items():
+            if other == client or compatible(mode, held):
+                continue
+            expiry = self._expiry(srv, other)
+            if expiry is not None and t < expiry - TIME_SLACK:
+                # Named in name order: the order a run builds its clients.
+                (ca, ma), (cb, mb) = sorted(((client, mode), (other, held)))
+                self._find(LOCK_COMPATIBILITY, t, ca,
+                           f"clients {ca}({ma.name}) and {cb}({mb.name}) "
+                           f"both hold object {obj} under live leases",
+                           obj=obj, other=cb)
+
     def _steal(self, t: float, server: str, client: Any) -> None:
         pair = self.pairs[server, client]
         if pair.opened is not None:
             self.findings += self._unanswered(server, client, pair, t)
             pair.opened, pair.closed, pair.requests = None, t, []
-        clock = self._clocks.clocks.get(client)
-        if pair.start is None or clock is None:
+        expiry = self._expiry(server, client)
+        if expiry is None:
             return  # never held a lease: nothing to outlive
-        expiry = clock.global_time(
-            self._contract.client_expiry_local(float(pair.start)))
         if t < expiry - TIME_SLACK:
             self._find("theorem-3.1", t, server, f"locks of {client!r} stolen "
                        f"{expiry - t:.6f}s before its lease expired",

@@ -1,12 +1,11 @@
 """Invariant oracles: the paper's safety claims as checkable predicates.
 
 Each oracle watches one claim (DESIGN.md §12 maps them back to the
-paper) and reports :class:`OracleViolation` records.  Two check points:
-
-- :meth:`Oracle.check_live` runs periodically *during* a fuzz run
-  against live system state (lock tables, lease phases);
-- :meth:`Oracle.check_final` runs once after the run settles, against
-  the trace, the disks and the server lock history.
+paper) and reports :class:`OracleViolation` records from
+:meth:`Oracle.check_final`, run once after the run settles against the
+trace, the disks and the server lock history.  A claim about a moment
+(two clients' locks conflict while both leases are usable) is judged
+where the trace records that moment, not by sampling live objects.
 
 Oracles must tolerate every fault the schedule generator can inject —
 crashes, partitions, SAN cuts, loss bursts, drawn clock skew — and fire
@@ -31,9 +30,9 @@ from typing import Any, Dict, List, Tuple, cast
 from repro.analysis.consistency import BlockAddr
 from repro.core.system import StorageTankSystem
 from repro.locks.manager import CACHED
-from repro.locks.modes import LockMode, compatible
+from repro.locks.modes import compatible
 from repro.server.lockservice import DEMAND_PATIENCE
-from repro.simtest.leasemodel import FENCED
+from repro.simtest.leasemodel import FENCED, LOCK_COMPATIBILITY
 from repro.simtest.runindex import TIME_SLACK, RunIndex
 
 
@@ -48,7 +47,8 @@ class OracleViolation:
     detail: Dict[str, Any] = field(default_factory=dict)
 
     def key(self) -> Tuple[str, str, str]:
-        """Dedup key: live checks re-observe the same breach each tick."""
+        """What a breach is, apart from its time: the runner keeps one
+        violation per (key, time)."""
         return (self.oracle, self.node, self.message)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -59,16 +59,12 @@ class OracleViolation:
 
 
 class Oracle:
-    """Base class: one paper claim, checked live and/or post-run."""
+    """Base class: one paper claim, checked once the run settles."""
 
     #: Stable identifier (used for dedup and shrink predicates).
     name = "oracle"
     #: The paper claim this oracle guards (surfaces in DESIGN.md §12).
     claim = ""
-
-    def check_live(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Checked periodically while the run executes; default: nothing."""
-        return []
 
     def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
         """Checked once after the run; most oracles override this."""
@@ -87,77 +83,25 @@ class LockCompatibilityOracle(Oracle):
 
     The system-wide single-writer guarantee (§2, §3): a steal must never
     complete while the victim still believes its lease — and therefore
-    its locks and cache — is good.  Checked *live* because the final
-    lock tables of a finished run are usually clean.
+    its locks and cache — is good.  The lease model judges it at each
+    ``client.lock`` record that adopts or upgrades a lock; this reports
+    those findings between two honest clients: a possessed client's
+    local lock table lies by design (it keeps entries the server has
+    long voided), and the §6 containment oracles judge it instead.
     """
 
-    name = "lock-compatibility"
+    name = LOCK_COMPATIBILITY
     claim = ("§2/§3: locks cached under a live lease are exclusive — a "
              "steal completes only after the holder's lease expired")
 
-    def check_live(self, system: StorageTankSystem) -> List[OracleViolation]:
-        """Flag conflicting locks concurrently held under usable leases."""
-        # Candidates per object in (client, lock table) order.  Only an
-        # object two of them hold in conflicting modes needs the run
-        # index (who is possessed) and their lease phases read.
-        held: Dict[int, List[Tuple[int, str, Any, LockMode]]] = {}
-        seq = 0
-        for cname, client in system.pool.live_items():
-            locks = getattr(client, "locks", None)
-            if locks is None or getattr(client, "leases", None) is None:
-                continue
-            revoking = client.lockclient._revoking
-            for obj, mode in locks.all_held():
-                if mode == LockMode.NONE:
-                    continue
-                if obj in revoking:
-                    # Demand compliance in progress: the cache is already
-                    # invalidated and new ops are gated, so the table
-                    # entry is bookkeeping lag while the release's ACK is
-                    # in flight — not a usable lock.
-                    continue
-                held.setdefault(obj, []).append((seq, cname, client, mode))
-                seq += 1
-        # Objects in the order their first usable holder was met.
-        holders: List[Tuple[int, int, List[Tuple[str, LockMode]]]] = []
-        byz = None
-        for obj, candidates in held.items():
-            if len(candidates) < 2 or all(
-                    compatible(a[3], b[3]) for i, a in enumerate(candidates)
-                    for b in candidates[i + 1:]):
-                continue
-            if byz is None:
-                byz = RunIndex.of(system).byzantine
-            # A possessed client's local lock table lies by design (it
-            # keeps entries the server has long voided); the §6
-            # containment oracles judge it instead.
-            usable = [(n, cname, mode) for n, cname, client, mode in candidates
-                      if cname not in byz and _lease_usable(client, obj)]
-            if len(usable) > 1:
-                holders.append((usable[0][0], obj,
-                                [(cname, mode) for _, cname, mode in usable]))
-        holders.sort()
-        out: List[OracleViolation] = []
-        now = system.sim.now
-        for _, obj, entries in holders:
-            for i, (ca, ma) in enumerate(entries):
-                for cb, mb in entries[i + 1:]:
-                    if not compatible(ma, mb):
-                        out.append(self._violation(
-                            now, ca,
-                            f"clients {ca}({ma.name}) and {cb}({mb.name}) "
-                            f"both hold object {obj} under live leases",
-                            obj=obj, other=cb))
-        return out
-
-
-def _lease_usable(client: Any, obj: int) -> bool:
-    """Whether a lease covering ``obj`` still lets ``client`` use its
-    cache; a dead lease has already voided the cached lock."""
-    leases = client.leases
-    srv = client.server_for_file(obj)
-    managers = [leases[srv]] if srv in leases else list(leases.values())
-    return any(m.phase().cache_usable for m in managers)
+    def check_final(self, system: StorageTankSystem) -> List[OracleViolation]:
+        """The model's conflicts in which no client is possessed."""
+        index = RunIndex.of(system)
+        byz = index.byzantine
+        return [OracleViolation(claim, t, node, message, detail)
+                for claim, t, node, message, detail in index.lease.findings
+                if claim == self.name and node not in byz
+                and detail["other"] not in byz]
 
 
 class NoSilentLossOracle(Oracle):
@@ -231,6 +175,8 @@ class LeaseModelOracle(Oracle):
         out: List[OracleViolation] = []
         for claim, t, node, message, detail in (
                 model.findings + model.open_findings(system.sim.now)):
+            if claim == LOCK_COMPATIBILITY:
+                continue  # LockCompatibilityOracle's
             if claim == "theorem-3.1" and detail["client"] in outside:
                 continue
             if claim == "expected-failure-flush" and (

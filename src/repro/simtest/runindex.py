@@ -5,8 +5,8 @@ facts the oracles of :mod:`repro.simtest.oracles` judge.  A (server,
 client) pair's facts are its lease model's (:mod:`.leasemodel`); the
 index keeps possession, crash and SAN cut state, and what the namespace
 held when a cache node served a hit.  It folds each kind in one place,
-in emission (= time) order, and each :meth:`RunIndex.of` folds only the
-records appended since the last one: live checks stay linear.
+in emission (= time) order, once per trace length: the oracles of one
+final check share one index.
 """
 
 from __future__ import annotations
@@ -50,17 +50,16 @@ class RunIndex:
 
     @classmethod
     def of(cls, system: StorageTankSystem) -> "RunIndex":
-        """``system``'s index, brought up to its last trace record."""
+        """``system``'s index of its whole trace, folded anew only after
+        the trace grew."""
         index = _INDEXES.get(system.trace)
-        if index is None:
+        if index is None or index._folded != len(system.trace):
             index = _INDEXES[system.trace] = cls(system)
-        index.sync(system)
         return index
 
     def __init__(self, system: StorageTankSystem) -> None:
         self._system = ref(system)
-        self._servers = frozenset(system.servers)
-        self._folded = 0
+        self._folded = len(system.trace)
         self._audit: Optional[Tuple[Any, ConsistencyReport]] = None
         # client -> kinds, from ``byz_<kind>:<client>`` fault labels
         self.byzantine: Dict[str, List[str]] = {}
@@ -72,15 +71,8 @@ class RunIndex:
         self._sizes: Dict[int, int] = {}
         # (time, node, reason, record) per hit the namespace contradicts
         self.stale_hits: List[Tuple[float, str, str, TraceRecord]] = []
-
-    def sync(self, system: StorageTankSystem) -> None:
-        """Fold the records ``system``'s trace appended since the last sync."""
-        trace = system.trace
-        assert len(trace) >= self._folded, "the trace was cleared"
         # Messages are most of a trace; only the servers' are read.
-        tail = trace.scan(_FOLDED, self._folded, self._servers, _MESSAGES)
-        self._folded = len(trace)
-        for rec in tail:
+        for rec in system.trace.scan(_FOLDED, 0, system.servers, _MESSAGES):
             self._fold(rec)
 
     # -- queries ------------------------------------------------------------

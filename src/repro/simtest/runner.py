@@ -4,8 +4,8 @@ The runner is the bridge between a plain-data :class:`Schedule` and a
 verdict: build the system from the schedule's seed, optionally sabotage
 it (``break_mode`` — used to prove the oracles actually catch broken
 protocol implementations), bootstrap the shared file set, let the fault
-injector and per-client workload drivers loose, poll the live oracles
-while the run is in flight, settle, and run the final oracles.
+injector and per-client workload drivers loose, settle, and run the
+oracles over what the run recorded.
 
 Every run also produces a *canonical trace hash*: the recorder's
 sha256 digest over its own columns (:meth:`TraceRecorder.digest`: the
@@ -20,21 +20,17 @@ readable rendering a diff of two runs prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.system import StorageTankSystem, build_system
 from repro.fault.adversary import BYZANTINE_KINDS
 from repro.fault.injector import FaultInjector
-from repro.sim.events import Event
 from repro.simtest.oracles import Oracle, OracleViolation, default_oracles
 from repro.simtest.schedule import Schedule
 from repro.workloads.generator import WorkloadDriver, populate_files
 
 #: Detail keys excluded from the canonical trace (process-global counters).
 _NONCANONICAL_KEYS = frozenset({"msg_id"})
-
-#: How often (global seconds) the live oracles inspect system state.
-LIVE_CHECK_INTERVAL = 0.5
 
 #: Extra run time after the last horizon second, in lease intervals —
 #: room for expiries, steals and the post-heal writeback to play out.
@@ -231,26 +227,12 @@ def run_schedule(schedule: Schedule,
     for driver in drivers:
         system.spawn(driver.run(schedule.horizon), f"simtest-wl:{driver.client.name}")
 
-    live_hits: List[OracleViolation] = []
-    seen_keys: Set[Any] = set()  # live keys; final (key, time) pairs
-
-    def live_checker() -> Generator[Event, Any, None]:
-        end = t0 + schedule.horizon
-        while system.sim.now < end:
-            yield system.sim.timeout(LIVE_CHECK_INTERVAL)
-            for oracle in oracle_list:
-                for v in oracle.check_live(system):
-                    if v.key() not in seen_keys:
-                        seen_keys.add(v.key())
-                        live_hits.append(v)
-
-    system.spawn(live_checker(), "simtest-live-oracles")
-
     settle = SETTLE_LEASES * schedule.tau * (1.0 + schedule.epsilon)
     system.run(until=t0 + schedule.horizon + settle)
 
-    # A final check reports each breach once: only an equal time repeats.
-    violations = list(live_hits)
+    # A breach two findings report at one time is reported once.
+    violations: List[OracleViolation] = []
+    seen_keys: Set[Tuple[Any, float]] = set()
     for oracle in oracle_list:
         for v in oracle.check_final(system):
             if (v.key(), v.time) not in seen_keys:

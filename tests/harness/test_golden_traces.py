@@ -22,12 +22,12 @@ from repro.simtest.runner import trace_hash
 #: order.  Pinned with seed 0 and default parameters.
 GOLDEN = {
     experiment_e1_direct_access: [
-        "5ceba5c08daf9499e778fc94a750d312a9a5e94c937893288ecbdfe89bd62c4f",
-        "5df1c743f6f2e1c456acd58c624810dda71f79a030ffbc95f2e7b260d3eb8b93",
+        "fcf4a17985f95902489b2ca66a6f21f6f6bf587b2bba42fac411531dfd60de46",
+        "c5063b90650ded5ab3f12bcc60a81cfbf9ffacef64429e0ba56979a4d723bdc2",
     ],
     experiment_e6_nack: [
-        "a5c4be71a8efab282b3bb35ef742ab2f46419b4567367b4923118e67fa13f0b6",
-        "37edb9025eb699c16f75a5bae28275afcbf882a452f9c517f3bbbdc26d25c6e0",
+        "eaeb1279f9badfab6f657e6c41ca7af534797e205acbd338ba7d636761a4213f",
+        "2b089b9997cca350f187c062dcf160863640dcbb7d7695ed274038bc8f0550b1",
     ],
 }
 

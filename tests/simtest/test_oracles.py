@@ -4,8 +4,11 @@ Mirrors the ``tests/lint/`` convention: each oracle gets at least one
 hand-built run where it must fire and one where it must stay silent,
 including its documented exemptions (crash, SAN cut, slow client,
 in-flight op, demand compliance in progress).  Trace-driven oracles are
-fed synthesized records; the live lock-compatibility oracle inspects
-real client state set up through the actual protocol.
+fed synthesized records; lock-compatibility starts from real locks and
+leases set up through the actual protocol.  The reference check that
+used to poll every client's lock table and lease phase each 0.5 s stays
+here, polled by a process the test starts: every conflict it sees at a
+tick must be one the fold reported no later.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from repro.simtest.oracles import (
     LeaseModelOracle,
     LockCompatibilityOracle,
     NoSilentLossOracle,
-    Oracle,
     default_oracles,
 )
 from repro.obs.artifact import load_artifact
-from repro.simtest.runindex import RunIndex
+from repro.simtest import runner
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import Schedule, generate_schedule
 from repro.storage import BLOCK_SIZE
@@ -47,33 +49,85 @@ def _two_reader_system():
 
 # -- lock-compatibility ---------------------------------------------------
 
+#: How often the reference check polls (the removed poller's period).
+POLL_INTERVAL = 0.5
+
+
+def _conflict(fid, a, b):
+    return f"clients {a} and {b} both hold object {fid} under live leases"
+
+
+def _lock(s, client, fid, mode):
+    """A synthesized ``client.lock`` record at the system's present."""
+    s.trace.emit(s.sim.now, "client.lock", client, "server", fid, int(mode))
+
+
 def test_lock_compatibility_fires_on_conflicting_live_locks():
     s, fid = _two_reader_system()
-    # Corrupt c2's table: an EXCLUSIVE entry conflicting with c1's SHARED.
-    s.client("c2").locks.note_granted(fid, LockMode.EXCLUSIVE)
-    hits = LockCompatibilityOracle().check_live(s)
-    assert len(hits) == 1
-    assert hits[0].detail["obj"] == fid
+    # c2 upgrades to EXCLUSIVE while c1's SHARED lease is live.
+    _lock(s, "c2", fid, LockMode.EXCLUSIVE)
+    hits = LockCompatibilityOracle().check_final(s)
+    assert [(v.time, v.node, v.message) for v in hits] == [
+        (s.sim.now, "c1", _conflict(fid, "c1(SHARED)", "c2(EXCLUSIVE)"))]
+    assert hits[0].detail == {"obj": fid, "other": "c2"}
 
 
 def test_lock_compatibility_clean_on_shared_readers():
     s, _fid = _two_reader_system()
-    assert LockCompatibilityOracle().check_live(s) == []
+    assert LockCompatibilityOracle().check_final(s) == []
 
 
 def test_lock_compatibility_exempts_revocation_in_progress():
     s, fid = _two_reader_system()
     c2 = s.client("c2")
-    c2.locks.note_granted(fid, LockMode.EXCLUSIVE)
-    # Mid-compliance the table entry is bookkeeping lag, not a usable lock.
-    c2.lockclient._revoking.add(fid)
-    assert LockCompatibilityOracle().check_live(s) == []
+    # A demand compliance starts: c2 stops relying on its lock at once,
+    # though the table entry stays until the release's ACK is in.
+    s.sim.process(c2.lockclient._comply_demand(fid, LockMode.EXCLUSIVE,
+                                               "server"))
+    s.run(until=s.sim.now + 1e-9)
+    assert c2.locks.mode_of(fid) == LockMode.SHARED
+    _lock(s, "c1", fid, LockMode.EXCLUSIVE)
+    assert LockCompatibilityOracle().check_final(s) == []
+
+
+def test_lock_compatibility_sees_a_conflict_between_two_polls():
+    # Two conflicting grants, both adopted and forfeited inside one poll
+    # interval: a poller never sees them, the fold reports each at the
+    # instant it was adopted.
+    s, fid = _two_reader_system()
+    c1, c2 = s.client("c1"), s.client("c2")
+    t0 = s.sim.now
+    polled = []
+
+    def poll():
+        while True:
+            yield s.sim.timeout(POLL_INTERVAL)
+            polled.extend(_lock_conflicts_one_client_at_a_time(s))
+
+    def grant_twice():
+        for dt, client in ((0.1, c1), (0.1, c2)):
+            yield s.sim.timeout(dt)
+            of = client.fds.by_file_id(fid)[0]
+            assert client.lockclient.adopt_grant(
+                of, {"lock": int(LockMode.EXCLUSIVE)}, None, s.sim.now)
+        yield s.sim.timeout(0.1)
+        for client in (c1, c2):
+            client.lockclient.forfeit(fid, "test")
+
+    s.spawn(poll(), "poll")
+    s.spawn(grant_twice(), "grant-twice")
+    s.run(until=t0 + 2 * POLL_INTERVAL + 0.01)
+    assert polled == []
+    hits = LockCompatibilityOracle().check_final(s)
+    assert [(round(v.time - t0, 9), v.node, v.message) for v in hits] == [
+        (0.1, "c1", _conflict(fid, "c1(EXCLUSIVE)", "c2(SHARED)")),
+        (0.2, "c1", _conflict(fid, "c1(EXCLUSIVE)", "c2(EXCLUSIVE)"))]
 
 
 def _lock_conflicts_one_client_at_a_time(system):
     """Reference: the check as it read every holder's lease phase, client
     by client; (node, message) per violation, in report order."""
-    byz = RunIndex.of(system).byzantine
+    byz = {rec.node for rec in system.trace.scan({"byz.possess"})}
     holders = {}
     for cname, client in system.pool.live_items():
         if cname in byz or getattr(client, "locks", None) is None:
@@ -86,28 +140,34 @@ def _lock_conflicts_one_client_at_a_time(system):
             managers = [leases[srv]] if srv in leases else leases.values()
             if any(m.phase().cache_usable for m in managers):
                 holders.setdefault(obj, []).append((cname, mode))
-    return [(ca, f"clients {ca}({ma.name}) and {cb}({mb.name}) both hold "
-                 f"object {obj} under live leases")
+    return [(ca, _conflict(obj, f"{ca}({ma.name})", f"{cb}({mb.name})"))
             for obj, entries in holders.items()
             for i, (ca, ma) in enumerate(entries)
             for cb, mb in entries[i + 1:] if not compatible(ma, mb)]
 
 
-class _ComparesLockChecks(Oracle):
-    name = "compares-lock-checks"
+def _polled_run(monkeypatch, schedule):
+    """Run ``schedule`` with the reference check polled each 0.5 s; the
+    result and the tick at which it first saw each (node, message)."""
+    seen = {}
+    build = runner.build_system
 
-    def __init__(self):
-        self.ticks_with_conflicts = 0
+    def build_and_poll(config):
+        system = build(config)
 
-    def check_live(self, system):
-        got = [(v.node, v.message)
-               for v in LockCompatibilityOracle().check_live(system)]
-        assert got == _lock_conflicts_one_client_at_a_time(system)
-        self.ticks_with_conflicts += bool(got)
-        return []
+        def poll():
+            while True:
+                yield system.sim.timeout(POLL_INTERVAL)
+                for key in _lock_conflicts_one_client_at_a_time(system):
+                    seen.setdefault(key, system.sim.now)
+        system.spawn(poll(), "reference-lock-poll")
+        return system
+    monkeypatch.setattr(runner, "build_system", build_and_poll)
+    return run_schedule(schedule), seen
 
 
-def test_lock_compatibility_reports_what_the_per_client_check_did():
+def test_lock_compatibility_reports_what_the_per_client_check_did(
+        monkeypatch):
     artifact = load_artifact(os.path.join(
         os.path.dirname(__file__), "artifacts",
         "parked-grant-outlives-server-crash.json"))
@@ -118,10 +178,17 @@ def test_lock_compatibility_reports_what_the_per_client_check_did():
         generate_schedule(70, 20, adversaries=2),  # a possessed holder
         generate_schedule(1, 20, cache_nodes=2),
     ]
-    compare = _ComparesLockChecks()
+    polled = 0
     for schedule in schedules:
-        run_schedule(schedule, default_oracles() + [compare])
-    assert compare.ticks_with_conflicts > 0
+        result, seen = _polled_run(monkeypatch, schedule)
+        found = {}
+        for v in result.violations:
+            if v.oracle == "lock-compatibility":
+                found.setdefault((v.node, v.message), v.time)
+        assert all(key in found and found[key] <= tick
+                   for key, tick in seen.items()), (schedule.seed, seen)
+        polled += len(seen)
+    assert polled > 0
 
 
 # -- no-silent-loss -------------------------------------------------------

@@ -5,8 +5,9 @@ flat trace on their own (crash and SAN-cut state, possession, the
 namespace replay).  The facts of a (server, client) pair are the lease
 model's: its fence windows, first demand, resolutions and lapses are
 read from the model, its suspect windows and fence clauses through the
-claims they decide.  The last tests pin the incremental fold against a
-one-pass build and the audit memo.
+claims they decide.  The last tests pin the index read mid-run (it is
+folded anew once the trace grew) against one built at the end, and the
+audit memo.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import pytest
 from repro.analysis.consistency import ConsistencyAuditor
 from repro.net.message import MsgKind
 from repro.simtest.leasemodel import FENCED
-from repro.simtest.oracles import LeaseModelOracle, Oracle, default_oracles
+from repro.simtest import runner
+from repro.simtest.oracles import LeaseModelOracle
 from repro.simtest.runindex import RunIndex
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import generate_schedule
@@ -208,15 +210,14 @@ def test_first_demand_resolution_and_lapses():
     assert [(v.time, v.oracle, v.detail["dst"])
             for v in LeaseModelOracle().check_final(s)] == [
         (4.5, "passive-server", "c2")]
-    pair = pairs["server", "c1"]
-    assert not pair.resolved_since(3.0)
+    assert not pairs["server", "c1"].resolved_since(3.0)
     emit(6.0, "lease.suspect", "server", "c1", 6.0)
-    RunIndex.of(s)
+    pair = RunIndex.of(s).lease.pairs["server", "c1"]
     assert pair.resolved_since(6.0 + 1e-7)
     assert not pair.resolved_since(6.5)
     emit(7.0, "server.steal", "server", "c1", 2)
     index = RunIndex.of(s)
-    assert pair.resolved_since(6.5)
+    assert index.lease.pairs["server", "c1"].resolved_since(6.5)
     assert ("server", "c2") not in index.lease.pairs
 
     emit(9.0, "client.lease_lost", "c1", "server", 2, 0)
@@ -253,14 +254,6 @@ def test_namespace_replay_checks_each_hit_against_its_instant():
     ]
 
 
-class _ReadsTheIndexLive(Oracle):
-    name = "reads-the-index-live"
-
-    def check_live(self, system):
-        RunIndex.of(system)
-        return []
-
-
 def _facts(index):
     """Every fact the index holds, as comparable plain data."""
     facts = {name: value for name, value in vars(index).items()
@@ -282,25 +275,35 @@ def _facts(index):
 ])
 def test_an_index_synced_at_every_live_tick_equals_one_built_at_the_end(
         monkeypatch, seed, flags):
-    syncs = []
-    sync = RunIndex.sync
+    # A process the test starts reads the index every 0.5 s mid-run: each
+    # read folds the grown trace anew, and the run's own final check
+    # reads one equal to an index built at the end.
+    folds = []
+    build, init = runner.build_system, RunIndex.__init__
 
     def counted(self, system):
-        syncs.append(len(system.trace))
-        sync(self, system)
-    monkeypatch.setattr(RunIndex, "sync", counted)
-    # lock-compatibility reads the index only at a tick with a conflict;
-    # this oracle reads it at every tick.
+        folds.append(len(system.trace))
+        init(self, system)
+
+    def build_and_read(config):
+        system = build(config)
+
+        def read():
+            while True:
+                yield system.sim.timeout(0.5)
+                RunIndex.of(system)
+        system.spawn(read(), "reads-the-index")
+        return system
+    monkeypatch.setattr(RunIndex, "__init__", counted)
+    monkeypatch.setattr(runner, "build_system", build_and_read)
     result = run_schedule(generate_schedule(seed, 20, **flags),
-                          default_oracles() + [_ReadsTheIndexLive()],
                           keep_system=True)
     system = result.system
-    assert len(set(syncs)) > 10       # folded piecewise, tick by tick
-    live = RunIndex.of(system)
-    once = RunIndex(system)
-    once.sync(system)
-    assert _facts(once) == _facts(live)
-    assert _facts(once)["_folded"] == len(system.trace)
+    assert len(set(folds)) > 10       # the trace grew between reads
+    final = RunIndex.of(system)
+    assert folds[-1] == len(system.trace)
+    assert _facts(RunIndex(system)) == _facts(final)
+    assert _facts(final)["_folded"] == len(system.trace)
 
 
 def test_one_audit_per_adversarial_run(monkeypatch):

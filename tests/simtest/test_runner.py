@@ -62,11 +62,12 @@ def test_steal_early_caught_by_theorem_oracle():
 
 
 def test_steal_early_caught_live_by_lock_compatibility():
-    # Seed 1 makes the premature steal visible in the live lock tables,
-    # proving the mid-run checker is actually wired into the event loop.
-    # (Re-found at 4 steps when a grant's datagrams were halved, and at
-    # seed 15 when a parked grant lost its receipt ACK and RESULT: at seed
-    # 1 the steal no longer lands while the victim still holds.)
+    # The premature steal lets another client adopt the victim's lock
+    # while the victim's lease is still live, and the fold reports it at
+    # that grant.  (Re-found at 4 steps when a grant's datagrams were
+    # halved, and at seed 15 when a parked grant lost its receipt ACK and
+    # RESULT: at seed 1 the steal no longer lands while the victim still
+    # holds.)
     result = run_schedule(generate_schedule(15, 4, break_mode="steal_early"))
     assert "lock-compatibility" in result.oracle_names()
     assert run_schedule(generate_schedule(15, 4)).ok
@@ -80,25 +81,18 @@ def test_break_mode_without_faults_stays_clean():
 
 
 class _Repeats(Oracle):
-    """One breach seen live at every tick; three final findings, two of
-    them at one time."""
+    """Three findings of one breach, two of them at one time."""
 
     name = "repeats"
 
-    def check_live(self, system):
-        return [self._violation(system.sim.now, "c1", "live breach")]
-
     def check_final(self, system):
-        return [self._violation(t, "c1", "final breach")
-                for t in (1.0, 1.0, 2.0)]
+        return [self._violation(t, "c1", "breach") for t in (1.0, 1.0, 2.0)]
 
 
-def test_live_hits_dedup_by_message_and_final_ones_also_by_time():
+def test_final_violations_dedup_by_key_and_time():
     result = run_schedule(generate_schedule(0, 2), [_Repeats()])
-    assert [(v.message, v.time) for v in result.violations
-            if v.message == "final breach"] == [("final breach", 1.0),
-                                                ("final breach", 2.0)]
-    assert [v.message for v in result.violations].count("live breach") == 1
+    assert [(v.message, v.time) for v in result.violations] == [
+        ("breach", 1.0), ("breach", 2.0)]
 
 
 def test_a_repeated_unnacked_request_is_reported_each_time():

@@ -1,8 +1,9 @@
 """``benchmarks/differential.py`` compares two sides' runs of one schedule
 set: a run differs when its trace hash or its violation list does, or
-when only one side has it."""
+when only one side has it.  With ``--drop`` the hash is taken over the
+canonical trace lines without the named kinds."""
 
-from benchmarks.differential import differences
+from benchmarks.differential import differences, lines_hash
 
 
 def _violation(oracle, time, message="m"):
@@ -42,3 +43,17 @@ def test_a_reordered_violation_list_differs():
     a, b = _violation("o", 1.0), _violation("p", 1.0)
     assert differences({"r": _run("h", a, b)}, {"r": _run("h", b, a)}) == [
         "r: violations 2 -> 2"]
+
+
+def test_dropping_a_kind_hashes_the_lines_that_remain():
+    base = ["1.000000000 msg.send c1 dst='server' msg_kind='lock.intent'",
+            "2.000000000 lease.renewed c1 server='server' start_local=2.0"]
+    change = base[:1] + [
+        "1.500000000 client.lock c1 mode=2 obj=3 server='server'"] + base[1:]
+    assert lines_hash(change, {"client.lock"}) == lines_hash(base, ())
+    assert lines_hash(change, ()) != lines_hash(base, ())
+    # Only the kind field is matched: a value naming the kind stays.
+    named = base + ["3.000000000 fault.inject injector label='client.lock'"]
+    assert lines_hash(named, {"client.lock"}) != lines_hash(base, ())
+    moved = [base[1], base[0]]
+    assert lines_hash(moved, {"client.lock"}) != lines_hash(base, ())
