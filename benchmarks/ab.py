@@ -20,8 +20,10 @@ verdict by the repository's rule: a gain is claimed only when the change
 wins at least 9 pairs in 10 *and* its median exceeds the base's by more
 than the base's quartile spread (Q3 - Q1, ``statistics.quantiles``'
 default method).  For every other end-to-end metric of
-``BENCHMARK.json`` it prints both medians and whether the change's is
-worse than the base's by more than the metric's bound.  One JSON record
+``BENCHMARK.json`` it prints both medians, whether the change's is
+worse than the base's by more than the metric's bound, and the same
+rule's verdict in the metric's own direction (a ``peak_rss_mb`` claim
+reads its line; the exit code follows ``work_per_wall_s``).  One JSON record
 of the whole comparison is appended to ``BENCH_ab.jsonl`` at the
 repository root.
 
@@ -140,12 +142,15 @@ def _quartiles(values: List[float]) -> List[float]:
     return [q1, q2, q3]
 
 
-def verdict(base: List[float], change: List[float]) -> Dict[str, Any]:
-    """The repository's rule over paired runs (higher is better)."""
-    wins = sum(c > b for b, c in zip(base, change))
+def verdict(base: List[float], change: List[float],
+            better: str = "higher") -> Dict[str, Any]:
+    """The repository's rule over paired runs; ``delta`` is the change's
+    median improvement in the ``better`` direction."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
     q_base, q_change = _quartiles(base), _quartiles(change)
     spread = q_base[2] - q_base[0]
-    delta = statistics.median(change) - statistics.median(base)
+    delta = sign * (statistics.median(change) - statistics.median(base))
     needed = math.ceil(WIN_SHARE * len(base))
     gain = wins >= needed and delta > spread
     return {"base": base, "change": change,
@@ -184,7 +189,9 @@ def _print(label: str, v: Dict[str, Any]) -> None:
         print(f"  {name}: median {o['base_median']:,.4g} -> "
               f"{o['change_median']:,.4g} ({abs(o['worse_share']):.1%} "
               f"{side}; bound {o['bound']:.0%} worse: "
-              f"{'within' if o['within_bound'] else 'PAST'})")
+              f"{'within' if o['within_bound'] else 'PAST'}); improved "
+              f"{o['wins']}/{o['pairs']}, delta {o['delta']:+,.4g} vs "
+              f"spread {o['base_spread']:,.4g} -> {o['verdict'].upper()}")
     sys.stdout.flush()
 
 
@@ -244,8 +251,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 result = verdict(column["base"][metric],
                                  column["change"][metric])
                 result["others"] = {
-                    m["name"]: bounded(column["base"][m["name"]],
-                                       column["change"][m["name"]], m)
+                    m["name"]: {**verdict(column["base"][m["name"]],
+                                          column["change"][m["name"]],
+                                          m["better"]),
+                                **bounded(column["base"][m["name"]],
+                                          column["change"][m["name"]], m)}
                     for m in others}
                 results[str(seed) if args.workload else args.micro] = result
                 _print(label, result)

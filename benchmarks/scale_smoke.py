@@ -1,13 +1,16 @@
-"""CI scale smoke: E-scale at 10k clients under wall and memory bounds.
+"""CI scale smoke: one E-scale point under wall and memory bounds.
 
-Runs one E-scale sweep point (10k flyweight clients, 48 active, one
-shard map) and enforces the scale-out invariants that matter for the
-million-client path:
+Runs one E-scale sweep point (10k flyweight clients by default, 48
+active, one shard map; CI also runs the 500k point the end-to-end
+benchmark's ``scale_park`` measures) and enforces the scale-out
+invariants that matter for the million-client path:
 
 * the whole point — lazy build, parked-lease seeding, workload, pooled
   expiry sweep — completes inside a wall-clock bound;
 * peak RSS stays bounded (the population must not cost full client
   objects);
+* the traced high-water of build, seeding and the active-set draw
+  stays near the columns those steps must hold (no full-size copy);
 * the kernel heap after build is O(pools), not O(clients);
 * nearly the whole parked population's leases lapse through the pooled
   sweep (coalesced timers actually fired).
@@ -19,7 +22,7 @@ lives outside the simulated-time lint scope.
 Usage::
 
     python benchmarks/scale_smoke.py            # CI gate (10k)
-    python benchmarks/scale_smoke.py --clients 100000
+    python benchmarks/scale_smoke.py --clients 500000   # and the 500k one
 """
 
 from __future__ import annotations
@@ -35,16 +38,26 @@ from repro.harness.scale import scale_point  # noqa: E402
 
 #: Wall-clock bound for the whole sweep point (generous: ~0.4s locally).
 WALL_BOUND_S = 30.0
-#: Peak-RSS bound; the interpreter + numpy alone are ~100 MB.
+#: Peak-RSS bound (generous: ~42 MB locally at 10k and ~50 at 500k,
+#: of which the interpreter, numpy and the imported simulator are ~36).
 RSS_BOUND_MB = 1024.0
 #: Kernel-heap population allowed right after the lazy build (1 locally:
 #: the one pooled timeout the bulk lease seeding arms).
 KERNEL_HEAP_BOUND = 8
-#: Traced bytes per client allowed at 10k (~102 locally: 17 for the
-#: pooled lease record — the expiry, the held flag and the bucket slot;
-#: a registered client keeps no counter columns — the rest is this fresh
-#: process's first-call imports amortized over 10k).
+#: Traced bytes per client allowed after build and seeding (~86 locally
+#: at 10k, ~10.5 at 500k: 9 for the pooled lease record — the held flag
+#: and the slot's place in its deadline group; a registered client keeps
+#: no counter columns — the rest is this fresh process's first-call
+#: imports amortized over the population).
 BYTES_PER_CLIENT_BOUND = 128.0
+#: Traced high-water of build, seeding and the active-set draw, allowed
+#: as PEAK_BYTES_PER_CLIENT_BOUND per client plus PEAK_FIXED_BYTES of
+#: first-call allocations (~100 B/client locally at 10k, ~18.8 at 500k:
+#: the expiry draw, the sort order and the held flags while seeding).
+#: A full-size sorted copy, a quantized copy of the draw or a Zipf CDF
+#: built through temporaries each add 8 B per client.
+PEAK_BYTES_PER_CLIENT_BOUND = 20.0
+PEAK_FIXED_BYTES = 1.5 * 2 ** 20
 
 
 def main(argv=None) -> int:
@@ -67,6 +80,7 @@ def main(argv=None) -> int:
     raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_mb = raw / 1024.0 if sys.platform != "darwin" else raw / (1024.0 ** 2)
 
+    peak_bound = PEAK_BYTES_PER_CLIENT_BOUND + PEAK_FIXED_BYTES / args.clients
     checks = [
         ("wall_s", wall, wall <= args.wall_bound,
          f"<= {args.wall_bound}"),
@@ -78,6 +92,9 @@ def main(argv=None) -> int:
         ("bytes_per_client", point["bytes_per_client"],
          point["bytes_per_client"] <= BYTES_PER_CLIENT_BOUND,
          f"<= {BYTES_PER_CLIENT_BOUND}"),
+        ("peak_bytes_per_client", point["peak_bytes_per_client"],
+         point["peak_bytes_per_client"] <= peak_bound,
+         f"<= {peak_bound:.1f}"),
         ("parked_expiries", point["parked_expiries"],
          point["parked_expiries"] >= 0.9 * args.clients,
          f">= {0.9 * args.clients:.0f}"),

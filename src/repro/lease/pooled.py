@@ -45,6 +45,23 @@ __all__ = ["PooledLeaseService"]
 
 _Slots = npt.NDArray[np.intp]
 
+#: Sorted positions ``seed`` gathers at a time to find deadline edges:
+#: 144 KiB of scratch, against 8 B per slot for a whole sorted copy.
+_EDGE_BLOCK = 1 << 14
+
+
+def _edges(exp: npt.NDArray[np.float64], order: _Slots, start: int,
+           stop: int) -> Tuple[_Slots, List[float]]:
+    """The positions in ``start+1 .. stop-1`` of the sorted ``order``
+    where the deadline changes, and the deadline each one starts.
+
+    Its own frame, so one block's gathered deadlines are freed before
+    the next block's are gathered.
+    """
+    run = exp[order[start:stop]]
+    edges = np.flatnonzero(run[1:] != run[:-1]) + 1
+    return edges + start, run[edges].tolist()
+
 
 class PooledLeaseService:
     """Bulk lease-lapse tracking for flyweight client slots.
@@ -86,8 +103,11 @@ class PooledLeaseService:
 
         One unstable sort groups the slots by deadline; the order of
         slots inside a group is free, because the sweep lapses a whole
-        group at once.  A service is seeded at most once: a second call
-        raises :class:`RuntimeError`.
+        group at once.  The group edges are found walking that order in
+        blocks of :data:`_EDGE_BLOCK`, so seeding holds the argument,
+        the order and the held flags but no sorted copy, and leaves
+        ``expiries`` as it was.  A service is seeded at most once: a
+        second call raises :class:`RuntimeError`.
         """
         if self._seeded:
             raise RuntimeError("PooledLeaseService is already seeded")
@@ -99,10 +119,17 @@ class PooledLeaseService:
         if not exp.size:
             return
         order = np.argsort(exp)
-        by_deadline = exp[order]
-        cuts = np.flatnonzero(by_deadline[1:] != by_deadline[:-1]) + 1
-        deadlines: List[float] = by_deadline[np.r_[0, cuts]].tolist()
-        self._pending = list(zip(deadlines, np.split(order, cuts)))[::-1]
+        deadlines: List[float] = [float(exp[order[0]])]
+        cuts: List[_Slots] = []
+        for lo in range(0, exp.size, _EDGE_BLOCK):
+            # One position of overlap compares a block's first deadline
+            # with the previous block's last.
+            edges, firsts = _edges(exp, order, max(lo - 1, 0),
+                                   lo + _EDGE_BLOCK)
+            cuts.append(edges)
+            deadlines.extend(firsts)
+        groups = np.split(order, np.concatenate(cuts))
+        self._pending = list(zip(deadlines, groups))[::-1]
         self._arm(deadlines[0])
 
     def lapse(self, idx: int) -> bool:

@@ -23,15 +23,21 @@ class ZipfSampler:
         self.n = n
         self.s = s
         self._rng = rng
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=float), s)
-        self._cdf = np.cumsum(weights / weights.sum())
+        # The CDF of weights 1/(rank+1)^s, built in its own buffer: the
+        # same IEEE operations in the same order as the plain expression
+        # ``cumsum((w := 1 / arange(1, n+1)^s) / w.sum())``, without its
+        # full-size temporaries: 8 B per rank at the peak.
+        cdf = np.arange(1, n + 1, dtype=np.float64)
+        np.power(cdf, s, out=cdf)
+        np.divide(1.0, cdf, out=cdf)
+        np.divide(cdf, cdf.sum(), out=cdf)
+        self._cdf = np.cumsum(cdf, out=cdf)
 
     def sample(self) -> int:
         """Draw one rank."""
-        u = self._rng.random()
-        return int(np.searchsorted(self._cdf, u, side="right"))
+        return int(self._cdf.searchsorted(self._rng.random(), side="right"))
 
     def sample_many(self, k: int) -> np.ndarray:
         """Draw ``k`` ranks at once."""
         u = self._rng.random(k)
-        return np.searchsorted(self._cdf, u, side="right").astype(int)
+        return self._cdf.searchsorted(u, side="right").astype(int)

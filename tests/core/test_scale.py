@@ -202,3 +202,36 @@ def test_scale_point_seeds_in_bulk_and_sweeps_every_parked_lease():
     # Everyone but the 48 woken clients lapses through the pooled sweep.
     assert point["parked_expiries"] == 99_952
     assert point["live"] == 48
+
+
+def test_scale_set_up_holds_no_full_size_temporary():
+    """Building and seeding 100k parked clients peaks at the columns
+    that stay (the sort order and the held flags) plus the expiry draw,
+    ~19 B per slot; the active-set draw adds its one CDF buffer, ~8 B
+    per rank.  A sorted copy, a quantized copy of the draw or a CDF
+    built through temporaries each add 8 B more."""
+    from repro.harness.scale import (_build, _seed_parked_leases,
+                                     _zipf_active_set)
+
+    _seed_parked_leases(_build(1_000, 0), 30.0)  # first-call allocations
+    n = 100_000
+    tracemalloc.start()
+    try:
+        system = _build(n, 0)
+        _seed_parked_leases(system, 30.0)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _zipf_active_set(system, 48, 1.1)
+        _now, draw_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 20.0, f"build + seed peak {peak / n:.1f} B/slot"
+    assert (draw_peak - kept) / n <= 10.0, (
+        f"active-set draw {(draw_peak - kept) / n:.1f} B/rank")
+
+
+def test_scale_point_reports_its_traced_high_water():
+    from repro.harness.scale import scale_point
+
+    point = scale_point(2_000, active=4, duration=1.0)
+    assert point["peak_bytes_per_client"] >= point["bytes_per_client"] > 0

@@ -5,6 +5,7 @@ import pytest
 
 from repro import SystemConfig, build_system
 from repro.lease import PooledLeaseService
+from repro.lease.pooled import _EDGE_BLOCK
 from repro.sim import Simulator
 
 
@@ -115,3 +116,43 @@ def test_a_fully_lapsed_service_stays_truthy():
     system.run(until=10.0)
     assert pooled.held == 0
     assert pooled and pooled.expired == 10
+
+
+def sorted_copy_groups(expiries):
+    """Deadline groups found through one full sorted copy."""
+    order = np.argsort(expiries)
+    by_deadline = expiries[order]
+    cuts = np.flatnonzero(by_deadline[1:] != by_deadline[:-1]) + 1
+    return by_deadline[np.r_[0, cuts]].tolist(), np.split(order, cuts)
+
+
+B = _EDGE_BLOCK
+
+
+@pytest.mark.parametrize("expiries", [
+    np.array([3.0]),                                   # one slot
+    np.array([4.0, 4.0, 2.0, 4.0, 2.0]),               # ties
+    np.array([1.0, 12.0, 4.0, 1.0]),                   # past deadlines
+    np.repeat([1.0, 2.0], [B, B]),                     # edge on a block edge
+    np.repeat([1.0, 2.0], [B - 1, B + 1]),             # edge just before
+    np.repeat([1.0, 2.0, 3.0], [B + 1, B, 5]),         # straddles two
+    np.full(3 * B + 7, 6.0),                           # one group, 4 blocks
+    50.0 + np.arange(2 * B + 3) * 1e-6,                # every slot its own
+    1.0 + np.random.default_rng(57).integers(0, 40, 5 * B) * 0.1,
+], ids=["one", "ties", "past", "at-edge", "before-edge", "straddle",
+        "one-group", "distinct", "e-scale-grid"])
+def test_seed_groups_equal_a_sorted_copy_and_leave_the_argument(expiries):
+    sim = Simulator()
+    sim.run(until=10.0)
+    svc = PooledLeaseService(sim)
+    before = expiries.copy()
+    svc.seed(expiries)
+    assert np.array_equal(expiries, before)
+    deadlines, groups = sorted_copy_groups(before)
+    pending = svc._pending[::-1]
+    assert [when for when, _slots in pending] == deadlines
+    assert len(pending) == len(groups)
+    for (_when, slots), group in zip(pending, groups):
+        assert np.array_equal(slots, group)
+    sim.run(until=100.0)
+    assert svc.expired == expiries.size and svc.held == 0

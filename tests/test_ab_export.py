@@ -1,12 +1,13 @@
 """``benchmarks/ab.py`` runs both sides of a comparison from fresh
 exports: without ``--change`` the change side is the checkout's tracked
 files as they stand, exported like the base, never the checkout itself
-(whose bytecode caches the base's export lacks)."""
+(whose bytecode caches the base's export lacks).  Its verdict reads
+each metric in that metric's own direction."""
 
 import os
 import subprocess
 
-from benchmarks.ab import checkout_commit, export
+from benchmarks.ab import checkout_commit, export, verdict
 
 #: A repository with no configured identity: the export must not need one.
 _NO_IDENTITY = {"GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
@@ -55,3 +56,14 @@ def test_a_clean_tree_exports_head(tmp_path, monkeypatch):
     out = tmp_path / "out"
     export(sha, str(out), str(repo))
     assert (out / "tracked.py").read_text() == "committed\n"
+
+
+def test_the_verdict_reads_a_lower_is_better_metric_its_own_way():
+    base = [58.2, 58.1, 58.3, 58.2, 58.4, 58.2, 58.1, 58.3, 58.2, 58.2]
+    change = [51.7, 51.6, 51.8, 58.5, 51.7, 51.6, 51.7, 51.8, 51.6, 51.7]
+    rss = verdict(base, change, "lower")
+    assert rss["wins"] == 9 and rss["verdict"] == "gain"
+    assert rss["delta"] == 58.2 - 51.7
+    rate = verdict(base, change)
+    assert rate["wins"] == 1 and rate["verdict"] == "no gain"
+    assert rate["delta"] == 51.7 - 58.2

@@ -1,4 +1,4 @@
-"""Zipf sampler distribution properties."""
+"""Zipf sampler distribution properties and its bit-identical CDF."""
 
 import numpy as np
 import pytest
@@ -49,3 +49,30 @@ def test_deterministic_given_seed():
     a = ZipfSampler(10, 0.8, RandomStreams(3).get("z")).sample_many(100)
     b = ZipfSampler(10, 0.8, RandomStreams(3).get("z")).sample_many(100)
     assert (a == b).all()
+
+
+def plain_cdf(n, s):
+    """The CDF as one expression with full-size temporaries."""
+    weights = 1.0 / np.power(np.arange(1, n + 1, dtype=float), s)
+    return np.cumsum(weights / weights.sum())
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 500_000, 1_000_000])
+@pytest.mark.parametrize("s", [0, 0.8, 1.1, 1.2])
+def test_cdf_built_in_place_equals_the_plain_expression(n, s):
+    z = ZipfSampler(n, s, rng())
+    assert np.array_equal(z._cdf, plain_cdf(n, s))
+
+
+@pytest.mark.parametrize("n, s", [(7, 0.8), (64, 1.2), (500_000, 1.1)])
+def test_draws_equal_a_plain_searchsorted(n, s):
+    cdf = plain_cdf(n, s)
+    z = ZipfSampler(n, s, RandomStreams(5).get("z"))
+    ref = RandomStreams(5).get("z")
+    singles = [z.sample() for _ in range(200)]
+    assert singles == [int(np.searchsorted(cdf, ref.random(), side="right"))
+                       for _ in range(200)]
+    many = z.sample_many(1000)
+    assert many.dtype == np.dtype(int)
+    assert np.array_equal(
+        many, np.searchsorted(cdf, ref.random(1000), side="right"))
