@@ -24,7 +24,7 @@ from repro.analysis import (
     render_lease_timeline,
     unavailability_after,
 )
-from repro.fault import fig2_control_partition
+from repro.fault import FaultInjector
 from repro.lease.phases import LeasePhase
 from repro.storage import BLOCK_SIZE
 
@@ -76,7 +76,10 @@ def main() -> None:
         print(f"[{sim.now:7.2f}s] c2 GRANTED — reads {result[0][1]!r}")
 
     system.spawn(holder(), "holder")
-    fig2_control_partition(system, "c1", at=PARTITION_AT).start()
+    # Fig. 2: the control network partitions around c1; the SAN stays.
+    injector = FaultInjector(system)
+    injector.apply_step(PARTITION_AT, "isolate_client", {"client": "c1"})
+    injector.start()
     system.spawn(contender(), "contender")
     system.run(until=120.0)
 

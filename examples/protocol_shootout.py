@@ -52,7 +52,7 @@ def run_protocol(protocol: str):
 
     def cut():
         yield sim.timeout(5.0)
-        system.ctrl_partitions.isolate("c1")
+        system.control_net.isolate("c1")
 
     def contender():
         yield sim.timeout(8.0)

@@ -86,7 +86,7 @@ def main() -> None:
 
     def mid_run_failure():
         yield sim.timeout(12.0)
-        system.ctrl_partitions.isolate("c2")
+        system.control_net.isolate("c2")
         print(f"[{sim.now:6.2f}s] *** c2 partitioned mid-append ***")
     system.spawn(mid_run_failure(), "failure")
 

@@ -54,7 +54,7 @@ def run(fence_on_steal: bool):
 
     def cut():
         yield sim.timeout(5.0)
-        system.ctrl_partitions.isolate("c1")
+        system.control_net.isolate("c1")
         print(f"  [{sim.now:7.2f}s] c1 partitioned from the control net")
 
     def contender():

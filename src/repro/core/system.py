@@ -21,7 +21,7 @@ from repro.cluster.takeover import ServerShardRole
 from repro.core.config import SystemConfig
 from repro.lease.pooled import PooledLeaseService
 from repro.net.control import ControlNetwork, Endpoint
-from repro.net.partition import PartitionController, combined_views, is_symmetric
+from repro.net.partition import combined_views, is_symmetric
 from repro.net.san import SanFabric
 from repro.netcache import MetadataCacheNode, install_cache_router
 from repro.obs import Observability
@@ -71,16 +71,6 @@ class StorageTankSystem:
     timers: None = None
 
     # -- convenience ------------------------------------------------------
-    @property
-    def ctrl_partitions(self) -> PartitionController:
-        """Partition controller for the control network."""
-        return PartitionController(self.control_net)
-
-    @property
-    def san_partitions(self) -> PartitionController:
-        """Partition controller for the SAN."""
-        return PartitionController(self.san)
-
     def client(self, name: str) -> Client:
         """Look up a client node, building it on first touch."""
         return self.pool.get(name)

@@ -2,24 +2,16 @@
 
 Schedules the failure modes the paper reasons about: control-network
 partitions (permanent, transient and asymmetric — §2), SAN partitions,
-client crashes (volatile state loss) and slow computers (§6).  All
-injections are ordinary simulation processes, so they compose with
-workloads and are reproducible from the seed.
+client, server and cache-node crashes (volatile state loss), message
+loss bursts, and Byzantine client possession (§6).  Each is one row of
+:data:`STEP_KINDS` — parameter names, ``fault.inject`` label, action —
+and :meth:`FaultInjector.apply_step` queues a ``(time, kind, params)``
+step.  All injections run as one ordinary simulation process, so they
+compose with workloads and are reproducible from the seed.
 """
 
-from repro.fault.adversary import (
-    BYZANTINE_KINDS,
-    ByzantineClientAgent,
-    possess,
-)
+from repro.fault.adversary import BYZANTINE_KINDS, ByzantineClientAgent
 from repro.fault.injector import STEP_KINDS, FaultInjector, ScheduleError
-from repro.fault.scenarios import (
-    fig2_control_partition,
-    transient_partition,
-    client_crash,
-    san_partition,
-    server_crash,
-)
 
 __all__ = [
     "BYZANTINE_KINDS",
@@ -27,10 +19,4 @@ __all__ = [
     "FaultInjector",
     "STEP_KINDS",
     "ScheduleError",
-    "possess",
-    "client_crash",
-    "fig2_control_partition",
-    "san_partition",
-    "server_crash",
-    "transient_partition",
 ]

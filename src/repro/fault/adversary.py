@@ -25,9 +25,10 @@ The paper's actual claim — the one the containment oracles check — is
 that misbehavior is *contained*, not prevented: honest clients'
 consistency invariants hold and the adversary is eventually fenced.
 
-Possession is a wrapper, not a subclass: :func:`possess` takes an
-ordinary, already-built client (eager or lazily materialized from the
-pool) and perturbs its behavior in place by overriding the documented
+Possession is a wrapper, not a subclass:
+:meth:`ByzantineClientAgent.possess` takes an ordinary, already-built
+client (eager or lazily materialized from the pool) and perturbs its
+behavior in place by overriding the documented
 extension points (lease callbacks, the admission gate, the lock-table
 observers, the LOCK_DEMAND handler, the local clock).  The resulting
 :class:`ByzantineClientAgent` wraps the pooled client rather than
@@ -52,13 +53,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.client.node import StorageTankClient
     from repro.core.system import StorageTankSystem
 
-#: The Byzantine step vocabulary (mirrored into ``STEP_KINDS``).
+#: The Byzantine step vocabulary, each kind a ``STEP_KINDS`` row.  The
+#: order is the schedule generator's draw order (``BYZ_KINDS`` zips its
+#: weights onto it), so reordering it changes every adversarial
+#: schedule.
 BYZANTINE_KINDS: Tuple[str, ...] = (
     "ignore_lease_expiry",
+    "suppress_release",
+    "forge_san_write",
     "replay_stale_grant",
     "stretch_clock",
-    "forge_san_write",
-    "suppress_release",
 )
 
 #: Fixed local-clock tick for the replay daemon (no randomness).
@@ -264,8 +268,3 @@ class ByzantineClientAgent:
                 except (FencedIoError, SanUnreachableError):
                     self.forged_denied += 1
 
-
-def possess(system: "StorageTankSystem", client_name: str,
-            kind: str) -> ByzantineClientAgent:
-    """Module-level convenience for :meth:`ByzantineClientAgent.possess`."""
-    return ByzantineClientAgent.possess(system, client_name, kind)

@@ -51,7 +51,7 @@ def ablation_a1_tau_sweep(seed: int = 0,
 
             def cut(system=system) -> Generator:
                 yield system.sim.timeout(5.0)
-                system.ctrl_partitions.isolate("c1")
+                system.control_net.isolate("c1")
             system.spawn(cut())
             horizon = 20.0 + 3 * tau * (1 + epsilon)
             system.spawn(contender_takes_over(system, "c2", "/f", log,
@@ -113,7 +113,7 @@ def ablation_a2_phase_boundaries(seed: int = 0,
             yield from c1.write(fd, 0, dirty_blocks * BLOCK_SIZE)
         boot = system.spawn(setup())
         system.sim.run_until_event(boot, hard_limit=300.0)
-        system.ctrl_partitions.isolate("c1")
+        system.control_net.isolate("c1")
         system.run(until=system.sim.now + 90.0)
 
         expire_times = [r.time for r in system.trace.select(kind="lease.expire")]
@@ -154,7 +154,7 @@ def ablation_a3_detection(seed: int = 0,
 
         def cut(system=system) -> Generator:
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
         system.spawn(cut())
         system.spawn(contender_takes_over(system, "c2", "/f", log,
                                           start_at=6.0, horizon=150.0,
@@ -195,9 +195,9 @@ def ablation_a4_ack_while_expiring(seed: int = 0) -> Table:
             # c1 suspect, short enough that c1 can reach it again while
             # the timer runs.
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
             yield system.sim.timeout(10.0)
-            system.ctrl_partitions.heal()
+            system.control_net.heal_all()
         system.spawn(schedule())
         system.spawn(contender_takes_over(system, "c2", "/f", log,
                                           start_at=6.0, horizon=120.0))

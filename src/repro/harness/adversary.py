@@ -41,16 +41,16 @@ SWEEP_COUNTS: Tuple[int, ...] = (0, 1, 2, 4)
 #: Honest active-set size (the workers whose goodput we report).
 HONEST_ACTIVE = 8
 
+_IGNORE, _SUPPRESS, _FORGE, _REPLAY, _STRETCH = BYZANTINE_KINDS
+
 #: Behavior mix, applied round-robin over the adversary set — ordered
 #: so small sweeps still cover the most containment machinery.
-BEHAVIOR_MIX: Tuple[str, ...] = ("suppress_release", "ignore_lease_expiry",
-                                 "forge_san_write", "replay_stale_grant",
-                                 "stretch_clock")
+BEHAVIOR_MIX: Tuple[str, ...] = (_SUPPRESS, _IGNORE, _FORGE, _REPLAY,
+                                 _STRETCH)
 
 #: Behaviors that need a lease lapse to bite, paired with a transient
 #: control partition (the §6 trigger) like the fuzz schedules do.
-NEEDS_PARTITION = frozenset({"ignore_lease_expiry", "forge_san_write",
-                             "replay_stale_grant"})
+NEEDS_PARTITION = frozenset({_IGNORE, _FORGE, _REPLAY})
 
 #: Partition window (onset offset after possession, duration).
 PARTITION_AFTER = 1.0

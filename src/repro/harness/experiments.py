@@ -96,7 +96,7 @@ def experiment_e2_two_network(seed: int = 0, horizon: float = 150.0) -> Table:
 
         def cut(system=system, log=log) -> Generator:
             yield system.sim.timeout(partition_at)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
             views = system.network_views()
             log.set("asym", not views["symmetric"])
             log.set("witnesses", len(asymmetric_witnesses(views["views"])))
@@ -147,7 +147,7 @@ def experiment_e3_fencing_inadequacy(seed: int = 0, horizon: float = 130.0,
 
         def cut(system=system) -> Generator:
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
         system.spawn(cut())
         # Reader touches both blocks: block 1 is written once at setup, so
         # a fenced holder keeps serving it stale after the contender's
@@ -261,7 +261,7 @@ def experiment_e5_lease_phases(seed: int = 0) -> Table:
         elif scenario == "partitioned":
             def cut() -> Generator:
                 yield system.sim.timeout(10.0)
-                system.ctrl_partitions.isolate("c1")
+                system.control_net.isolate("c1")
             system.spawn(cut())
             system.spawn(cache_reader_loop(system, "c1", log, interval=0.5,
                                            horizon=horizon))
@@ -320,9 +320,9 @@ def experiment_e6_nack(seed: int = 0) -> Table:
 
         def cut() -> Generator:
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
             yield system.sim.timeout(heal_at - 5.0)
-            system.ctrl_partitions.heal()
+            system.control_net.heal_all()
         system.spawn(cut())
         # The server must notice c1 missed a message: c2 demands the lock.
         system.spawn(contender_takes_over(system, "c2", "/f", log,
@@ -523,7 +523,7 @@ def _e9b_availability_scoreboard(seed: int = 0, horizon: float = 130.0) -> Table
 
         def cut(system=system) -> Generator:
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
         system.spawn(cut())
         system.spawn(cache_reader_loop(system, "c1", log, interval=2.0,
                                        horizon=60.0, nbytes=2 * BLOCK_SIZE))
@@ -572,7 +572,7 @@ def experiment_e10_slow_client(seed: int = 0, horizon: float = 170.0) -> List[Ta
 
         def cut() -> Generator:
             yield system.sim.timeout(5.0)
-            system.ctrl_partitions.isolate("c1")
+            system.control_net.isolate("c1")
         system.spawn(cut())
         system.spawn(contender_takes_over(system, "c2", "/f", log,
                                           start_at=8.0, horizon=horizon))
@@ -668,7 +668,7 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
     fails back.  The consistency audit must be clean throughout.
     """
     from repro.core.config import ClusterConfig
-    from repro.fault.scenarios import server_crash
+    from repro.fault.injector import FaultInjector
 
     lease = LeaseConfig()
     cluster = ClusterConfig(ping_interval=0.5, ping_timeout=0.25,
@@ -737,8 +737,10 @@ def experiment_e11_cluster_takeover(seed: int = 0, horizon: float = 140.0,
             return
     system.spawn(contender())
 
-    server_crash(system, server=victim, at=crash_at,
-                 restart_at=restart_at).start()
+    injector = FaultInjector(system)
+    injector.apply_step(crash_at, "crash_server", {"server": victim})
+    injector.apply_step(restart_at, "restart_server", {"server": victim})
+    injector.start()
     system.run(until=horizon)
 
     report = ConsistencyAuditor(system).audit()

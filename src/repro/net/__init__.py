@@ -10,9 +10,10 @@ between initiators (clients, servers) and storage devices.  Devices are
 passive — they cannot run membership protocols (§2) — but do enforce
 fence tables.
 
-:mod:`repro.net.partition` computes per-entity network views ``V(A)`` and
-classifies the combined two-network partition as symmetric or asymmetric
-(paper equation (1)).
+:mod:`repro.net.partition` holds :class:`LinkTable`, the blocked-pair
+set both networks inherit their partitions from, and computes
+per-entity network views ``V(A)``, classifying the combined two-network
+partition as symmetric or asymmetric (paper equation (1)).
 """
 
 from repro.net.message import (
@@ -24,7 +25,7 @@ from repro.net.message import (
     NackError,
 )
 from repro.net.control import ControlNetwork, Endpoint, ReplyObserver
-from repro.net.partition import PartitionController, combined_views, is_symmetric
+from repro.net.partition import LinkTable, combined_views, is_symmetric
 from repro.net.san import FencedError, SanFabric, SanUnreachableError
 
 __all__ = [
@@ -33,11 +34,11 @@ __all__ = [
     "DeliveryError",
     "Endpoint",
     "FencedError",
+    "LinkTable",
     "Message",
     "MsgKind",
     "Nack",
     "NackError",
-    "PartitionController",
     "ReplyObserver",
     "SanFabric",
     "SanUnreachableError",

@@ -20,10 +20,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Generator,
-                    List, Optional, Sequence, Set, Tuple, Union)
+                    List, Optional, Sequence, Tuple, Union)
 
 from repro.net.message import (SCHEMAS, Ack, DeliveryError, Message, MsgKind,
                                Nack, NackError, Stamp, check_handled)
+from repro.net.partition import LinkTable
 from repro.sim.clock import LocalClock
 from repro.sim.events import Event, Interrupt, Timeout
 from repro.sim.kernel import Simulator
@@ -156,17 +157,19 @@ class _DeliveryEvent(Event):
         target._on_datagram(msg)
 
 
-class ControlNetwork:
+class ControlNetwork(LinkTable):
     """Datagram fabric between named nodes.
 
-    Reachability is directional: ``block(a, b)`` stops a→b datagrams
-    only, which is how asymmetric partitions (paper §2) are modelled.
+    Reachability is directional (:class:`~repro.net.partition.LinkTable`):
+    ``block(a, b)`` stops a→b datagrams only, which is how asymmetric
+    partitions (paper §2) are modelled.
     """
 
     def __init__(self, sim: Simulator, streams: RandomStreams,
                  trace: Optional[TraceRecorder] = None,
                  jitter: float = 0.0005,
                  drop_probability: float = 0.0) -> None:
+        super().__init__()
         self.sim = sim
         self.trace = trace if trace is not None else TraceRecorder(
             enabled=False, counting=False)
@@ -177,7 +180,6 @@ class ControlNetwork:
         # The two per-datagram hooks; see their setters.
         self._lazy_resolver: Optional[Callable[[str], Optional["Endpoint"]]] = None
         self._cache_router: Optional[Callable[[Message], Optional["Endpoint"]]] = None
-        self._blocked: Set[Tuple[str, str]] = set()
         self.delivered_count = 0
         self.dropped_count = 0
         self.bytes_delivered = 0
@@ -237,33 +239,6 @@ class ControlNetwork:
     def node_names(self) -> List[str]:
         """All attached node names."""
         return list(self._endpoints)
-
-    # -- reachability -------------------------------------------------------
-    def block(self, src: str, dst: str) -> None:
-        """Stop delivering src→dst datagrams (directional)."""
-        self._blocked.add((src, dst))
-
-    def unblock(self, src: str, dst: str) -> None:
-        """Restore src→dst delivery."""
-        self._blocked.discard((src, dst))
-
-    def block_pair(self, a: str, b: str) -> None:
-        """Symmetric cut between two nodes."""
-        self.block(a, b)
-        self.block(b, a)
-
-    def unblock_pair(self, a: str, b: str) -> None:
-        """Heal a symmetric cut."""
-        self.unblock(a, b)
-        self.unblock(b, a)
-
-    def heal_all(self) -> None:
-        """Remove every block."""
-        self._blocked.clear()
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """Whether a datagram sent now from src would arrive at dst."""
-        return (src, dst) not in self._blocked
 
     # -- transmission ---------------------------------------------------------
     def _delay(self) -> float:

@@ -1,4 +1,10 @@
-"""Partition orchestration and two-network view analysis (paper §2).
+"""Partitions on one network, and two-network view analysis (paper §2).
+
+:class:`LinkTable` is a network's directional blocked-pair set and the
+partitions it can impose (a one-way cut, a symmetric cut, an isolated
+node, a split into groups).  It is the base class of both fabrics,
+:class:`~repro.net.control.ControlNetwork` and
+:class:`~repro.net.san.SanFabric`, so one table of cuts serves each.
 
 The paper's observation: even a *symmetric* partition in one of the two
 networks yields an *asymmetric* partition when views are computed across
@@ -10,8 +16,8 @@ clients' views and both clients are in the disk's view, yet
 
 from __future__ import annotations
 
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 
 class _Reachability:
@@ -45,13 +51,7 @@ def combined_views(entities: Sequence[str],
 
 def is_symmetric(views: Dict[str, FrozenSet[str]]) -> bool:
     """Paper equation (1): A∈V(B) ∧ B∈V(A) ⇔ V(A)=V(B), for all pairs."""
-    names = list(views)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            mutual = a in views[b] and b in views[a]
-            if mutual and views[a] != views[b]:
-                return False
-    return True
+    return not asymmetric_witnesses(views)
 
 
 def asymmetric_witnesses(views: Dict[str, FrozenSet[str]]) -> List[Tuple[str, str]]:
@@ -66,22 +66,53 @@ def asymmetric_witnesses(views: Dict[str, FrozenSet[str]]) -> List[Tuple[str, st
     return out
 
 
-class PartitionController:
-    """Imposes and heals partitions on one network.
+class LinkTable:
+    """A network's imposed partitions: a directional blocked-pair set.
 
-    Works with any object exposing ``block/unblock/heal_all/reachable``
-    and ``node_names`` (both :class:`~repro.net.control.ControlNetwork`
-    and :class:`~repro.net.san.SanFabric` qualify).
+    ``(src, dst)`` in the set means a src→dst transfer does not arrive.
+    A subclass names its nodes in :attr:`node_names` (the default peers
+    of :meth:`isolate`) and reads ``self._blocked`` on its hot path.
     """
 
-    def __init__(self, network: Any) -> None:
-        self.net = network
+    def __init__(self) -> None:
+        self._blocked: Set[Tuple[str, str]] = set()
+
+    @property
+    def node_names(self) -> List[str]:
+        """Every node on the network."""
+        raise NotImplementedError
+
+    def block(self, src: str, dst: str) -> None:
+        """Asymmetric link failure: src can no longer reach dst."""
+        self._blocked.add((src, dst))
+
+    def unblock(self, src: str, dst: str) -> None:
+        """Restore src→dst delivery."""
+        self._blocked.discard((src, dst))
+
+    def block_pair(self, a: str, b: str) -> None:
+        """Symmetric cut between two nodes."""
+        self.block(a, b)
+        self.block(b, a)
+
+    def unblock_pair(self, a: str, b: str) -> None:
+        """Heal a symmetric cut."""
+        self.unblock(a, b)
+        self.unblock(b, a)
+
+    def heal_all(self) -> None:
+        """Remove every imposed block."""
+        self._blocked.clear()
+
+    def reachable(self, src: str, dst: str) -> bool:
+        """Whether a transfer sent now from src would arrive at dst."""
+        return (src, dst) not in self._blocked
 
     def isolate(self, node: str, peers: Optional[Iterable[str]] = None) -> None:
         """Cut the node from every peer (symmetric)."""
-        for other in (peers if peers is not None else self.net.node_names):
+        for other in (peers if peers is not None else self.node_names):
             if other != node:
-                self.net.block_pair(node, other)
+                self.block_pair(node, other)
 
     def split(self, *groups: Iterable[str]) -> None:
         """Symmetric partition into the given groups; cross-group traffic dies."""
@@ -90,12 +121,4 @@ class PartitionController:
             for gb in sets[i + 1:]:
                 for a in ga:
                     for b in gb:
-                        self.net.block_pair(a, b)
-
-    def block_one_way(self, src: str, dst: str) -> None:
-        """Asymmetric link failure: src can no longer reach dst."""
-        self.net.block(src, dst)
-
-    def heal(self) -> None:
-        """Remove every imposed block."""
-        self.net.heal_all()
+                        self.block_pair(a, b)

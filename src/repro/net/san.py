@@ -12,8 +12,9 @@ other fencing point §1.2 mentions) would be observably the same.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Set
 
+from repro.net.partition import LinkTable
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStreams
@@ -38,8 +39,13 @@ class SanUnreachableError(Exception):
         self.device = device
 
 
-class SanFabric:
-    """Block-I/O transport between initiators and devices."""
+class SanFabric(LinkTable):
+    """Block-I/O transport between initiators and devices.
+
+    A SAN partition is a cut of the
+    :class:`~repro.net.partition.LinkTable`; I/O checks both directions
+    of a path, so a cut is in effect per unordered pair.
+    """
 
     def __init__(self, sim: Simulator, streams: RandomStreams,
                  trace: Optional[TraceRecorder] = None,
@@ -50,6 +56,7 @@ class SanFabric:
         device (single-server queue): concurrent I/O to one disk waits
         its turn, which is what makes the disk — not the metadata
         server — the throughput ceiling of the direct-access model."""
+        super().__init__()
         self.sim = sim
         self.trace = trace if trace is not None else TraceRecorder(
             enabled=False, counting=False)
@@ -61,7 +68,6 @@ class SanFabric:
         self._rng = streams.get("net.san")
         self._devices: Dict[str, VirtualDisk] = {}
         self._initiators: Set[str] = set()
-        self._blocked: Set[Tuple[str, str]] = set()
         self.bytes_read = 0
         self.bytes_written = 0
         self.io_count = 0
@@ -104,36 +110,8 @@ class SanFabric:
 
     @property
     def node_names(self) -> List[str]:
-        """Initiators and devices (partition controller interface)."""
+        """Initiators and devices (:meth:`isolate`'s default peers)."""
         return sorted(self._initiators) + sorted(self._devices)
-
-    # -- reachability / zoning ---------------------------------------------
-    def block(self, src: str, dst: str) -> None:
-        """Cut one direction of a path (SAN partitions are modelled per
-        unordered pair; both directions are checked on I/O)."""
-        self._blocked.add((src, dst))
-
-    def unblock(self, src: str, dst: str) -> None:
-        """Restore one direction of a path."""
-        self._blocked.discard((src, dst))
-
-    def block_pair(self, a: str, b: str) -> None:
-        """Cut the path between an initiator and a device."""
-        self.block(a, b)
-        self.block(b, a)
-
-    def unblock_pair(self, a: str, b: str) -> None:
-        """Heal the path between two endpoints."""
-        self.unblock(a, b)
-        self.unblock(b, a)
-
-    def heal_all(self) -> None:
-        """Remove all SAN partitions."""
-        self._blocked.clear()
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """Whether the fabric currently routes src→dst."""
-        return (src, dst) not in self._blocked
 
     # -- I/O ------------------------------------------------------------------
     def _latency(self, n_blocks: int) -> float:

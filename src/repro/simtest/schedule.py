@@ -24,7 +24,8 @@ from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.config import (LeaseConfig, NetCacheConfig, SystemConfig,
                                WorkloadConfig)
-from repro.fault.injector import STEP_KINDS, ScheduleError
+from repro.fault.adversary import BYZANTINE_KINDS
+from repro.fault.injector import ScheduleError, check_step
 from repro.sim.rng import RandomStreams
 
 #: Version stamp for serialized schedules (embedded in failure artifacts).
@@ -36,7 +37,7 @@ SCHEDULE_SCHEMA = "repro.simtest.schedule/1.0"
 PRIMARY_KINDS: Tuple[Tuple[str, float], ...] = (
     ("isolate_client", 3.0),
     ("partition_san", 2.0),
-    ("crash_client", 2.0),
+    ("crash_client_lossy", 2.0),
     ("crash_server", 1.0),
     ("loss_burst", 2.0),
 )
@@ -49,16 +50,12 @@ CACHE_KINDS: Tuple[Tuple[str, float], ...] = (
     ("flush_cache", 1.0),
 )
 
-#: Byzantine possession kinds with relative weights (drawn once per
+#: Byzantine possession kinds with relative weights, in
+#: :data:`~repro.fault.adversary.BYZANTINE_KINDS`' order (drawn once per
 #: adversary in the schedule's adversary budget, *after* the primary
 #: loop, so fail-stop schedules draw an unchanged RNG sequence).
-BYZ_KINDS: Tuple[Tuple[str, float], ...] = (
-    ("ignore_lease_expiry", 3.0),
-    ("suppress_release", 2.0),
-    ("forge_san_write", 2.0),
-    ("replay_stale_grant", 2.0),
-    ("stretch_clock", 1.0),
-)
+BYZ_KINDS: Tuple[Tuple[str, float], ...] = tuple(
+    zip(BYZANTINE_KINDS, (3.0, 2.0, 2.0, 2.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -70,14 +67,8 @@ class FaultStep:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in STEP_KINDS:
-            raise ScheduleError(
-                f"unknown fault step kind {self.kind!r}; "
-                f"known kinds: {sorted(STEP_KINDS)}")
-        if not (self.time >= 0.0):  # also rejects NaN
-            raise ScheduleError(
-                f"fault step time must be non-negative, got {self.time!r}")
         object.__setattr__(self, "params", dict(self.params))
+        check_step(self.time, self.kind, self.params)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form."""
@@ -258,7 +249,7 @@ def generate_schedule(seed: int, n_steps: int,
             steps.append(FaultStep(t, "partition_san",
                                    {"initiator": client, "device": "disk1"}))
             steps.append(FaultStep(t_heal, "heal_san"))
-        elif kind == "crash_client":
+        elif kind == "crash_client_lossy":
             client = clients[int(rng.integers(0, n_clients))]
             steps.append(FaultStep(t, "crash_client_lossy",
                                    {"client": client}))

@@ -25,7 +25,7 @@ def _lock_holder_scenario(protocol):
 
 def test_handover_after_lease_steal():
     s, fid = _lock_holder_scenario("storage_tank")
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     c2 = s.client("c2")
 
     def contender():
@@ -46,7 +46,7 @@ def test_handover_after_lease_steal():
 
 def test_no_handover_reports_horizon_capped_window():
     s, fid = _lock_holder_scenario("no_protocol")
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=50.0)
     rep = unavailability_after(s, fid, "c1", fault_time=10.0)
     assert not rep.recovered

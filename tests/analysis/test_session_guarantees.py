@@ -52,7 +52,7 @@ def test_slow_client_without_fence_regresses_victims_reads():
 
     def cut():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def contender():
         yield s.sim.timeout(8.0)
@@ -102,7 +102,7 @@ def test_fence_prevents_session_violations():
 
     def cut():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def contender():
         yield s.sim.timeout(8.0)

@@ -22,7 +22,7 @@ def _partition_run():
         fd = yield from c1.open_file("/f", "w")
         yield from c1.write(fd, 0, BLOCK_SIZE)
     run_gen(s, app())
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
 
     def contender():
         yield s.sim.timeout(3.0)

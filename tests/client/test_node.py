@@ -243,10 +243,10 @@ def test_reacquire_after_stale():
     run_gen(s, setup())
 
     # Simulate lease loss + server steal, then heal.
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=60.0)
     assert not c.connected
-    s.ctrl_partitions.heal()
+    s.control_net.heal_all()
     s.run(until=100.0)
     assert c.connected  # probe keepalive reconnected
 
@@ -267,7 +267,7 @@ def test_quiesce_rejects_new_requests():
         fd = yield from c.open_file("/f", "w")
         return fd
     fd = run_gen(s, setup())
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     # run into phase 3 (suspect starts at 0.75 * 30 = 22.5 local)
     s.run(until=26.0)
     out = {}
@@ -358,7 +358,7 @@ def test_phase4_flush_waits_for_in_flight_operations():
         with c._busy:
             yield leave
     s.spawn(straggler())
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     while c.phase != LeasePhase.FLUSH:
         assert c.phase != LeasePhase.EXPIRED
         s.run(until=s.sim.now + 0.01)

@@ -46,7 +46,7 @@ def test_lapsed_map_lease_refuses_every_granting_intent():
 
     # server2 loses the coordinator (and only the coordinator): past
     # map_lease it may have been declared dead, so it must not grant.
-    s.ctrl_partitions.isolate("server2", [s.coordinator.name])
+    s.control_net.isolate("server2", [s.coordinator.name])
     s.run(until=s.sim.now + 1.3)
     server2 = s.server_node("server2")
     assert server2.cluster.map_is_stale()
@@ -83,7 +83,7 @@ def _stale_server2_with_a_lock_of_c1():
         yield from c1.open_file(path, "w")
         return fid
     fid = run_gen(s, setup())
-    s.ctrl_partitions.isolate("server2", [s.coordinator.name])
+    s.control_net.isolate("server2", [s.coordinator.name])
     s.run(until=s.sim.now + 1.3)
     server2 = s.server_node("server2")
     assert server2.cluster.map_is_stale()

@@ -115,7 +115,7 @@ TEST_ONLY = {
         "layout replies of one fd cross in flight",
     "NetworkConfig.ctrl_drop_probability":
         "a lossy control network: the stress tests run at 5-10% loss, and "
-        "FaultInjector.end_loss_burst restores the configured rate",
+        "the end_loss_burst fault step restores the configured rate",
     "SystemConfig.n_disks":
         "a multi-device SAN: striping, per-device fencing and single-disk "
         "SAN cuts (test_multi_disk)",

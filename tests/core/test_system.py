@@ -90,7 +90,7 @@ def test_network_views_connected_symmetric():
 
 def test_network_views_partition_asymmetric():
     s = build_system(SystemConfig(seed=1))
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     v = s.network_views()
     assert not v["symmetric"]
     # The Fig. 2 facts: the disk is in c1's view and vice versa, but the

@@ -12,12 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.fault.adversary import (BYZANTINE_KINDS, STRETCH_FACTOR,
-                                   ByzantineClientAgent, possess)
+                                   ByzantineClientAgent)
 from repro.fault.injector import STEP_KINDS
 from repro.simtest.runner import run_schedule
 from repro.simtest.schedule import FaultStep, Schedule
 
 from tests.conftest import make_system, run_gen
+
+possess = ByzantineClientAgent.possess
 
 
 def _schedule(steps, horizon=34.0):
@@ -40,7 +42,7 @@ def _agent(system, name):
 def test_all_byzantine_kinds_are_schedulable():
     for kind in BYZANTINE_KINDS:
         assert kind in STEP_KINDS
-        assert STEP_KINDS[kind][1] == ("client",)
+        assert STEP_KINDS[kind].params == ("client",)
     assert len(BYZANTINE_KINDS) >= 5
 
 

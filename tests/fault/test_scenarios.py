@@ -1,24 +1,26 @@
-"""Every canned scenario in ``repro.fault.scenarios``.
+"""The paper's failure stories as fault schedules.
 
-Each test checks two things: the *schedule* the scenario builder queues
-(labels, times) and the *safety verdict* after driving a workload
-through it — the paper's figures are failure stories, so the system
-must come out consistent.
+Each test checks two things: the *schedule* the steps queue (labels,
+times) and the *safety verdict* after driving a workload through it —
+the paper's figures are failure stories, so the system must come out
+consistent.
 """
 
 from __future__ import annotations
 
 from repro.analysis.consistency import ConsistencyAuditor
-from repro.fault.scenarios import (
-    client_crash,
-    fig2_control_partition,
-    san_partition,
-    server_crash,
-    transient_partition,
-)
+from repro.fault import FaultInjector
 from repro.workloads import WorkloadDriver, populate_files
 
 from tests.conftest import make_system, run_gen
+
+
+def _inject(system, *steps):
+    """An injector with ``(time, kind, params)`` steps queued."""
+    inj = FaultInjector(system)
+    for time, kind, params in steps:
+        inj.apply_step(time, kind, params)
+    return inj
 
 
 def _labels(inj):
@@ -41,7 +43,9 @@ def _drive_through(system, inj, horizon=40.0):
 
 def test_fig2_control_partition_schedule_and_safety():
     s = make_system(record_trace=True)
-    inj = fig2_control_partition(s, client="c1", at=5.0)
+    # Fig. 2: the control network partitions around one client while
+    # the SAN stays intact.
+    inj = _inject(s, (5.0, "isolate_client", {"client": "c1"}))
     assert _labels(inj) == ["isolate:c1"]
     assert [st.time for st in inj._steps] == [5.0]
     report = _drive_through(s, inj)
@@ -54,7 +58,10 @@ def test_fig2_control_partition_schedule_and_safety():
 
 def test_transient_partition_schedule_and_safety():
     s = make_system(record_trace=True)
-    inj = transient_partition(s, client="c1", at=5.0, duration=6.0)
+    # Fig. 5: the client drops off the control network long enough to
+    # miss a message, then reappears.
+    inj = _inject(s, (5.0, "isolate_client", {"client": "c1"}),
+                  (11.0, "heal_control", {}))
     assert _labels(inj) == ["isolate:c1", "heal_control"]
     report = _drive_through(s, inj)
     assert not report.stale_reads
@@ -65,7 +72,7 @@ def test_transient_partition_schedule_and_safety():
 
 def test_client_crash_without_restart():
     s = make_system(record_trace=True)
-    inj = client_crash(s, client="c1", at=5.0)
+    inj = _inject(s, (5.0, "crash_client_lossy", {"client": "c1"}))
     assert _labels(inj) == ["crash:c1"]
     report = _drive_through(s, inj)
     assert not s.client("c1").endpoint.alive
@@ -75,7 +82,8 @@ def test_client_crash_without_restart():
 
 def test_client_crash_with_restart():
     s = make_system(record_trace=True)
-    inj = client_crash(s, client="c1", at=5.0, restart_at=12.0)
+    inj = _inject(s, (5.0, "crash_client_lossy", {"client": "c1"}),
+                  (12.0, "restart_client", {"client": "c1"}))
     assert _labels(inj) == ["crash:c1", "restart:c1"]
     report = _drive_through(s, inj)
     assert s.client("c1").endpoint.alive
@@ -85,7 +93,7 @@ def test_client_crash_with_restart():
 
 def test_server_crash_without_restart():
     s = make_system(record_trace=True)
-    inj = server_crash(s, server="server", at=5.0)
+    inj = _inject(s, (5.0, "crash_server", {"server": "server"}))
     assert _labels(inj) == ["crash:server"]
     report = _drive_through(s, inj)
     assert not s.server.endpoint.alive
@@ -95,7 +103,8 @@ def test_server_crash_without_restart():
 
 def test_server_crash_with_restart():
     s = make_system(record_trace=True)
-    inj = server_crash(s, server="server", at=5.0, restart_at=8.0)
+    inj = _inject(s, (5.0, "crash_server", {"server": "server"}),
+                  (8.0, "restart_server", {"server": "server"}))
     assert _labels(inj) == ["crash:server", "restart:server"]
     report = _drive_through(s, inj, horizon=60.0)
     assert s.server.endpoint.alive
@@ -105,9 +114,17 @@ def test_server_crash_with_restart():
     assert not report.unsynchronized_writes
 
 
+def _san_cut(system, client="c1", at=5.0):
+    """The client keeps its control-network connection but loses the
+    SAN (the failure class where leasing "offers no improvements over
+    fencing", §3)."""
+    return [(at, "partition_san", {"initiator": client, "device": dev})
+            for dev in system.disks]
+
+
 def test_san_partition_schedule_and_safety():
     s = make_system(record_trace=True)
-    inj = san_partition(s, client="c1", at=5.0, heal_at=15.0)
+    inj = _inject(s, *_san_cut(s), (15.0, "heal_san", {}))
     assert _labels(inj) == [f"san_cut:c1-{d}" for d in s.disks] + ["heal_san"]
     report = _drive_through(s, inj)
     # §3: losing the SAN is the failure class leases cannot mask; the
@@ -118,7 +135,7 @@ def test_san_partition_schedule_and_safety():
 
 def test_san_partition_without_heal():
     s = make_system(record_trace=True)
-    inj = san_partition(s, client="c1", at=5.0)
+    inj = _inject(s, *_san_cut(s))
     assert _labels(inj) == [f"san_cut:c1-{d}" for d in s.disks]
     report = _drive_through(s, inj)
     assert not report.unsynchronized_writes

@@ -15,7 +15,7 @@ def _fingerprint(seed: int):
 
     def cut():
         yield system.sim.timeout(10.0)
-        system.ctrl_partitions.isolate("c1")
+        system.control_net.isolate("c1")
     system.spawn(cut())
     stats = run_workload(system, duration=25.0)
     trace_sig = [(round(r.time, 9), r.kind, r.node)

@@ -24,7 +24,7 @@ def _scenario_fingerprint():
 
     def cut():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def contender():
         yield s.sim.timeout(8.0)

@@ -21,7 +21,7 @@ def _holder_and_contender(s, horizon=120.0):
 
     def cut():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def contender():
         yield s.sim.timeout(8.0)
@@ -97,9 +97,9 @@ def test_transient_partition_nack_flow():
 
     def schedule():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
         yield s.sim.timeout(8.0)
-        s.ctrl_partitions.heal()
+        s.control_net.heal_all()
     s.spawn(holder())
     s.spawn(schedule())
 

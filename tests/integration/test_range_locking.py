@@ -119,7 +119,7 @@ def test_stolen_lease_frees_range_locks():
             "server", MsgKind.LOCK_INTENT,
             RangeAcquire(out["fid"], 0, 4 * BLOCK_SIZE,
                          int(LockMode.EXCLUSIVE)))
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def waiter():
         yield s.sim.timeout(2.0)

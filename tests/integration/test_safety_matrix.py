@@ -29,7 +29,7 @@ def run_contended_partition(protocol, horizon=130.0, seed=0):
 
     def cut():
         yield s.sim.timeout(5.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
 
     def local_activity():
         while s.sim.now < 60.0:

@@ -27,7 +27,7 @@ def contended_partition(cfg: SystemConfig, horizon: float = 130.0):
 
     def cut():
         yield system.sim.timeout(5.0)
-        system.ctrl_partitions.isolate("c1")
+        system.control_net.isolate("c1")
 
     def contender():
         yield system.sim.timeout(8.0)

@@ -1,8 +1,8 @@
-"""View analysis and partition controllers (paper §2, eq. (1))."""
+"""View analysis and the link table's partitions (paper §2, eq. (1))."""
 
 import pytest
 
-from repro.net import ControlNetwork, PartitionController, combined_views, is_symmetric
+from repro.net import ControlNetwork, SanFabric, combined_views, is_symmetric
 from repro.net.partition import asymmetric_witnesses
 from repro.sim import RandomStreams, Simulator
 
@@ -69,12 +69,11 @@ def test_controller_isolate_and_heal():
     ens = ClockEnsemble(0.0, RandomStreams(1))
     for n in ("a", "b", "c"):
         Endpoint(sim, net, n, ens.create(n))
-    ctl = PartitionController(net)
-    ctl.isolate("a")
+    net.isolate("a")
     assert not net.reachable("a", "b")
     assert not net.reachable("c", "a")
     assert net.reachable("b", "c")
-    ctl.heal()
+    net.heal_all()
     assert net.reachable("a", "b")
 
 
@@ -86,8 +85,7 @@ def test_controller_split_groups():
     ens = ClockEnsemble(0.0, RandomStreams(1))
     for n in ("a", "b", "c", "d"):
         Endpoint(sim, net, n, ens.create(n))
-    ctl = PartitionController(net)
-    ctl.split({"a", "b"}, {"c", "d"})
+    net.split({"a", "b"}, {"c", "d"})
     assert net.reachable("a", "b")
     assert net.reachable("c", "d")
     assert not net.reachable("a", "c")
@@ -102,7 +100,23 @@ def test_controller_one_way():
     ens = ClockEnsemble(0.0, RandomStreams(1))
     for n in ("a", "b"):
         Endpoint(sim, net, n, ens.create(n))
-    ctl = PartitionController(net)
-    ctl.block_one_way("a", "b")
+    net.block("a", "b")
     assert not net.reachable("a", "b")
     assert net.reachable("b", "a")
+
+
+def test_san_isolate_cuts_initiators_and_devices():
+    sim = Simulator()
+    san = SanFabric(sim, RandomStreams(1))
+    from repro.storage.disk import VirtualDisk
+    for name in ("disk1", "disk2"):
+        san.attach_device(VirtualDisk(name, 64))
+    san.attach_initiator("c1")
+    san.attach_initiator("c2")
+    san.isolate("c1")
+    assert not san.reachable("c1", "disk1")
+    assert not san.reachable("disk2", "c1")
+    assert san.reachable("c2", "disk1")
+    san.unblock_pair("c1", "disk1")
+    assert san.reachable("c1", "disk1") and san.reachable("disk1", "c1")
+    assert not san.reachable("c1", "disk2")

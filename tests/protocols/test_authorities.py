@@ -40,7 +40,7 @@ def _contender(s, results):
 def test_no_protocol_never_steals():
     s = make_system(protocol="no_protocol")
     fid = _setup_holder(s)
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     results = {}
     s.spawn(_contender(s, results))
     s.run(until=100.0)
@@ -52,7 +52,7 @@ def test_no_protocol_never_steals():
 def test_immediate_steal_is_fast_but_unfenced():
     s = make_system(protocol="naive_steal")
     fid = _setup_holder(s)
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     results = {}
     s.spawn(_contender(s, results))
     s.run(until=100.0)
@@ -67,7 +67,7 @@ def test_immediate_steal_is_fast_but_unfenced():
 def test_fencing_only_fences_then_steals():
     s = make_system(protocol="fencing_only")
     fid = _setup_holder(s)
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     results = {}
     s.spawn(_contender(s, results))
     s.run(until=100.0)
@@ -79,7 +79,7 @@ def test_fencing_only_fences_then_steals():
 def test_storage_tank_waits_lease_period():
     s = make_system(protocol="storage_tank")
     fid = _setup_holder(s)
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     results = {}
     s.spawn(_contender(s, results))
     s.run(until=100.0)

@@ -47,7 +47,7 @@ def test_partition_expires_lease_and_steals():
         fd = yield from c1.open_file("/f", "w")
         out["fid"] = c1.fds.get(fd).file_id
     run_gen(s, app())
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=5.0 + cfg_tau * 3)
     assert s.server.locks.steals >= 1
     assert s.server.locks.mode_of("c1", out["fid"]).name == "NONE"
@@ -63,6 +63,6 @@ def test_client_drops_cache_on_expiry():
         yield from c1.read(fd, 0, BLOCK_SIZE)
     run_gen(s, app())
     assert len(c1.cache) > 0
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=s.sim.now + s.config.lease.tau * 2.5)
     assert len(c1.cache) == 0  # agent invalidated at local lease expiry

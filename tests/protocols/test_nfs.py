@@ -99,7 +99,7 @@ def test_a_failed_read_is_reported_like_any_clients(cut):
             for disk in s.disks.values():
                 disk.fence_table.fence("c1", s.sim.now)
         else:
-            s.san_partitions.isolate("c1")
+            s.san.isolate("c1")
         yield from c.read(fd, 0, BLOCK_SIZE)
     with pytest.raises(ClientIOError):
         run_gen(s, app())

@@ -42,7 +42,7 @@ def test_isolated_client_objects_expire_individually():
     s = make_system(protocol="vleases", n_clients=1,
                     vlease_object_duration=5.0)
     fids = _open_files(s, s.client("c1"), 3)
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=s.sim.now + 20.0)
     for fid in fids:
         assert s.server.locks.mode_of("c1", fid).name == "NONE"
@@ -56,6 +56,6 @@ def test_client_purges_cache_on_failed_renewal():
     c1 = s.client("c1")
     _open_files(s, c1, 2)
     assert len(c1.locks) == 2
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     s.run(until=s.sim.now + 30.0)
     assert len(c1.locks) == 0  # purged after renewal failures

@@ -190,7 +190,7 @@ def test_request_parked_when_its_server_crashes_completes_after_restart():
     c1, c2 = s.client("c1"), s.client("c2")
     _holder(s, c1)
     _holder(s, c2, "/g")                    # c2 holds a lease too
-    s.ctrl_partitions.isolate("c1")
+    s.control_net.isolate("c1")
     result = {}
 
     def opener():
@@ -204,7 +204,7 @@ def test_request_parked_when_its_server_crashes_completes_after_restart():
     s.server.crash()            # well inside c2's first retry timeout
     crashed_at = s.sim.now
     s.run(until=crashed_at + 10.0)
-    s.ctrl_partitions.heal()
+    s.control_net.heal_all()
     s.server.restart()
     s.sim.run_until_event(proc, hard_limit=s.sim.now + 120.0)
     assert proc.exception is None and "fd" in result

@@ -7,7 +7,8 @@ import math
 import pytest
 
 from repro.fault.injector import STEP_KINDS, ScheduleError
-from repro.simtest.schedule import (SCHEDULE_SCHEMA, FaultStep, Schedule,
+from repro.simtest.schedule import (BYZ_KINDS, CACHE_KINDS, PRIMARY_KINDS,
+                                    SCHEDULE_SCHEMA, FaultStep, Schedule,
                                     generate_schedule)
 
 
@@ -23,6 +24,13 @@ def test_step_rejects_negative_and_nan_times():
         FaultStep(-1.0, "heal_control")
     with pytest.raises(ScheduleError, match="non-negative"):
         FaultStep(math.nan, "heal_control")
+
+
+def test_step_rejects_unknown_and_missing_params():
+    with pytest.raises(ScheduleError, match="unknown params"):
+        FaultStep(1.0, "heal_control", {"x": 1})
+    with pytest.raises(ScheduleError, match="missing params"):
+        FaultStep(1.0, "isolate_client")
 
 
 def test_step_copies_params():
@@ -65,6 +73,13 @@ def test_schedule_from_dict_rejects_wrong_schema():
     doc = generate_schedule(11, 2).to_dict()
     doc["schema"] = "something/else"
     with pytest.raises(ScheduleError, match="schema"):
+        Schedule.from_dict(doc)
+
+
+def test_schedule_from_dict_rejects_a_step_with_bad_params():
+    doc = generate_schedule(11, 2).to_dict()
+    doc["steps"][0]["params"]["extra"] = 1
+    with pytest.raises(ScheduleError, match="unknown params"):
         Schedule.from_dict(doc)
 
 
@@ -120,6 +135,18 @@ def test_generated_steps_are_well_formed():
         for step in sch.steps:
             assert step.kind in STEP_KINDS
             assert 0.0 <= step.time <= sch.horizon
+
+
+def test_generator_names_only_step_kinds():
+    drawn = {kind for table in (PRIMARY_KINDS, CACHE_KINDS, BYZ_KINDS)
+             for kind, _ in table}
+    assert drawn <= set(STEP_KINDS)
+    # Every onset step is of the kind drawn for it; the rest recover.
+    recoveries = {"heal_control", "heal_san", "restart_client",
+                  "restart_server", "end_loss_burst", "restart_cache"}
+    for seed in range(8):
+        sch = generate_schedule(seed, 12, cache_nodes=2, adversaries=2)
+        assert {s.kind for s in sch.steps} <= drawn | recoveries
 
 
 def test_generated_onsets_are_paired_with_recovery():

@@ -45,7 +45,7 @@ def test_driver_survives_partition():
 
     def cut():
         yield s.sim.timeout(10.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
     s.spawn(cut())
     s.sim.run_until_event(proc, hard_limit=2000)
     assert d.stats.ops_rejected > 0 or d.stats.ops_failed > 0

@@ -98,9 +98,9 @@ def test_replay_with_partition_keeps_safety():
 
     def cut():
         yield s.sim.timeout(3.0)
-        s.ctrl_partitions.isolate("c1")
+        s.control_net.isolate("c1")
         yield s.sim.timeout(15.0)
-        s.ctrl_partitions.heal()
+        s.control_net.heal_all()
     s.spawn(cut())
     procs = [s.spawn(replayer.replay_client(c)) for c in trace.sessions]
     for p in procs:
