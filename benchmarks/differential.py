@@ -18,16 +18,21 @@ included).  Each side runs, in one fresh process against its own
   under its recorded ``knockout_break_mode``;
 - every break mode at seeds 0-11, 20 steps, with no flags, with
   ``adversaries=2`` and with ``cache_nodes=2``;
-- ``fault_fuzz``'s rotation at seeds 0-319 (flags on ``seed mod 4``).
+- ``fault_fuzz``'s rotation at seeds 0-319 (flags on ``seed mod 4``);
+- the ``steady_rw`` and ``meta_cache`` benchmark windows at seed 0
+  (``bench/workloads.py``, full size), compared on the full
+  ``trace.digest()``: the only runs long enough to fill the trace
+  recorder's sealed chunks.
 
 With ``--drop KIND ...`` each side compares the sha256 of the run's
-canonical ``trace_lines`` with records of the named kinds removed, in
-place of the raw trace hash: the proof that a change which only adds
-(or removes) those kinds leaves every other record as it was.
+canonical ``trace_lines`` (of a window, its ``canonical_lines()``) with
+records of the named kinds removed, in place of the raw trace hash: the
+proof that a change which only adds (or removes) those kinds leaves
+every other record as it was.
 
 It prints each run whose hash or violation list differs and exits 1 if
 there is any; 0 when every run agrees.  It also prints each side's wall
-time: about 20 s per side on a 2-CPU host (more with ``--drop``).
+time: about 30 s per side on a 2-CPU host (more with ``--drop``).
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ ROTATION = ({}, {"cache_nodes": 2}, {"adversaries": 2}, {})
 FLAG_SETS = ({}, {"adversaries": 2}, {"cache_nodes": 2})
 BREAK_SEEDS = range(12)
 ROTATION_SEEDS = range(320)
+WINDOWS = ("steady_rw", "meta_cache")
 
 
 def lines_hash(lines: List[str], drop: Collection[str]) -> str:
@@ -112,7 +118,28 @@ def collect(checkout: str, drop: Collection[str] = ()) -> Dict[str, Outcome]:
         flags = ROTATION[seed % 4]
         run(f"rotation seed={seed} flags={flags}",
             generate_schedule(seed, 20, **flags))
+    for name in WINDOWS:
+        out[f"window {name} seed=0"] = {
+            "trace_hash": window_hash(checkout, name, drop), "violations": []}
     return out
+
+
+def window_hash(checkout: str, name: str, drop: Collection[str]) -> str:
+    """The full ``trace.digest()`` of benchmark workload ``name``'s
+    window at seed 0 (with ``drop``: :func:`lines_hash` of its lines)."""
+    bench = os.path.join(checkout, "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    from shim import ConfigShim
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS[name](0, 1.0, ConfigShim())
+    workload.prepare()
+    workload.window()
+    trace = workload.system.trace
+    if drop:
+        return lines_hash(trace.canonical_lines(), drop)
+    return str(trace.digest())
 
 
 def differences(base: Dict[str, Outcome],

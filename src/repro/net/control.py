@@ -204,6 +204,7 @@ class ControlNetwork(LinkTable):
         if endpoint.name in self._endpoints:
             raise ValueError(f"duplicate endpoint {endpoint.name!r}")
         self._endpoints[endpoint.name] = endpoint
+        self._attached(endpoint.name)
 
     def set_lazy_resolver(
             self,

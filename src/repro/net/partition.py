@@ -71,11 +71,15 @@ class LinkTable:
 
     ``(src, dst)`` in the set means a src→dst transfer does not arrive.
     A subclass names its nodes in :attr:`node_names` (the default peers
-    of :meth:`isolate`) and reads ``self._blocked`` on its hot path.
+    of :meth:`isolate`), calls :meth:`_attached` with each node that
+    joins, and reads ``self._blocked`` on its hot path.
     """
 
     def __init__(self) -> None:
         self._blocked: Set[Tuple[str, str]] = set()
+        # Nodes isolate() cut from every peer: a node that attaches
+        # later is cut from them too, until heal_all().
+        self._isolated: Set[str] = set()
 
     @property
     def node_names(self) -> List[str]:
@@ -101,18 +105,30 @@ class LinkTable:
         self.unblock(b, a)
 
     def heal_all(self) -> None:
-        """Remove every imposed block."""
+        """Remove every imposed block and isolation."""
         self._blocked.clear()
+        self._isolated.clear()
 
     def reachable(self, src: str, dst: str) -> bool:
         """Whether a transfer sent now from src would arrive at dst."""
         return (src, dst) not in self._blocked
 
     def isolate(self, node: str, peers: Optional[Iterable[str]] = None) -> None:
-        """Cut the node from every peer (symmetric)."""
-        for other in (peers if peers is not None else self.node_names):
+        """Cut the node from every peer (symmetric).  Without ``peers``
+        that is every node on the network, and every node that attaches
+        later, until :meth:`heal_all`."""
+        if peers is None:
+            self._isolated.add(node)
+            peers = self.node_names
+        for other in peers:
             if other != node:
                 self.block_pair(node, other)
+
+    def _attached(self, name: str) -> None:
+        """Cut a node that has just attached from every isolated node."""
+        for node in self._isolated:
+            if node != name:
+                self.block_pair(node, name)
 
     def split(self, *groups: Iterable[str]) -> None:
         """Symmetric partition into the given groups; cross-group traffic dies."""

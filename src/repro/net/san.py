@@ -94,10 +94,12 @@ class SanFabric(LinkTable):
         if disk.name in self._devices:
             raise ValueError(f"duplicate device {disk.name!r}")
         self._devices[disk.name] = disk
+        self._attached(disk.name)
 
     def attach_initiator(self, name: str) -> None:
         """Register a computer that may issue block I/O."""
         self._initiators.add(name)
+        self._attached(name)
 
     def device(self, name: str) -> VirtualDisk:
         """Look up an attached device."""

@@ -18,10 +18,20 @@ Cost model (the recorder sits on every message/IO hot path):
   argument packing of :meth:`TraceRecorder.emit`;
 - a stored record builds no object: its time goes into an
   ``array("d")``, its shape (kind plus field names) into an id column,
-  its node into a list and its values onto one flat value list.  The
-  cyclic GC sees the recorder's few containers, never one object per
-  record, and a ``msg.send`` record costs ~100 bytes instead of the
-  ~300 a kwargs dict and a boxed time cost;
+  its node into a node list and its values onto a flat value list;
+- the node and value lists are cut into chunks of ``_CHUNK`` records
+  (a record never straddles two).  The emit after a chunk fills seals
+  it: ``pickle`` turns its two lists into one ``bytes`` object and the
+  values it held are freed unless something else holds them.  Only
+  plain data is sealed (``None``, bools, ints, floats, strs, and lists,
+  tuples and dicts of them, at any depth); a chunk holding anything
+  else (a set, whose ``repr`` order a round trip may change, bytes, an
+  enum member) or one a view already points into stays as its lists.  A
+  stored ``msg.send`` costs ~26 bytes, an ``app.write.ack`` with fresh
+  ``blocks`` and ``phys`` lists ~90, where unsealed columns cost ~112
+  and ~450; the cyclic GC sees a few containers per chunk, never one
+  per record.  The countdown to the next seal costs no call per emit.
+  A sealed value reads back as it was when its chunk sealed;
 - :class:`TraceRecord` views are built only when read, and only for
   the records a read asks for: :meth:`~TraceRecorder.scan` walks the
   shape-id and node columns and builds views for the kinds it is given
@@ -29,15 +39,18 @@ Cost model (the recorder sits on every message/IO hot path):
   :meth:`~TraceRecorder.select` keeps one such scan per kind, extended
   from where its last read stopped.  Every read of one record returns
   the same view object.  A
-  view holds its shape and its offset into the value list, so ``get``
-  answers by index and ``detail`` builds its dict only when read.  A
+  view holds its shape and its offset into its chunk's value list, so
+  ``get`` answers by index and ``detail`` builds its dict only when
+  read; building one decodes its sealed chunk for good (as does a scan
+  that filters on nodes), and nothing else does.  A
   recorder with subscribers builds each record's view as it is emitted;
 - :meth:`~TraceRecorder.digest` (the fuzzer's trace hash) feeds the
   columns to sha256 as they are: the shape table, the raw ``times`` and
   shape-id arrays, and the ``repr`` of the nodes and values, a field
   such as ``msg_id`` left out on request.  It formats no text line;
   :meth:`~TraceRecorder.canonical_lines` is the human- and diff-readable
-  rendering, one compiled template per shape, without views.
+  rendering, one compiled template per shape, without views.  Both
+  decode one sealed chunk at a time and keep none.
 
 Kinds missing from the table (ad-hoc kinds in tests) still take keyword
 fields, ``emit(time, kind, node, **detail)``; that path resolves the
@@ -49,12 +62,14 @@ exact counts.
 from __future__ import annotations
 
 import hashlib
+import io
+import pickle
 import sys
 from array import array
 from itertools import accumulate, chain, compress, islice
 from operator import getitem
 from typing import (Any, Callable, Collection, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional, Sequence, Tuple, cast)
+                    Iterator, List, Optional, Sequence, Tuple, Union, cast)
 
 #: Field names of every kind the simulator emits, in emit order.  A key
 #: is the kind itself; a kind whose sites record different field sets
@@ -239,6 +254,33 @@ def _hash_repr(digest: "hashlib._Hash", items: Iterable[Any]) -> None:
         digest.update(repr(chunk).encode("utf-8"))
 
 
+#: Records per chunk of the value and node columns.
+_CHUNK = 16384
+#: A chunk: its values and nodes, pickled, or as lists.
+_Chunk = Union[bytes, Tuple[List[Any], List[str]]]
+
+
+class _Sealer(pickle.Pickler):
+    """Pickles plain data only.  Protocol 2 writes ``None``, bools, ints,
+    floats, strs, lists, tuples and dicts in formats of its own; every
+    other object, a set, frozenset, bytes or enum member too, goes
+    through :meth:`reducer_override`, which refuses it."""
+
+    def reducer_override(self, obj: Any) -> Any:
+        raise pickle.PicklingError(f"not sealed: {type(obj).__name__}")
+
+
+def _sealed(chunk: Tuple[List[Any], List[str]]) -> Optional[bytes]:
+    """``chunk`` pickled, or None if it holds an object, at any depth,
+    that :class:`_Sealer` refuses."""
+    out = io.BytesIO()
+    try:
+        _Sealer(out, 2).dump(chunk)
+    except (pickle.PicklingError, RecursionError):
+        return None
+    return out.getvalue()
+
+
 class TraceRecorder:
     """Append-only trace with cheap filtered views and counters."""
 
@@ -260,11 +302,15 @@ class TraceRecorder:
         self._by_fields: Dict[Tuple[str, Tuple[str, ...]], int] = {}
         self._tally: List[int] = []
         # One column per record attribute; emit() appends and builds
-        # nothing else.
+        # nothing else.  The node and value columns are cut into chunks
+        # of _CHUNK records: _nodes and _values are the open tail, and
+        # once it is full the next emit seals it into _chunks.
         self._times = array("d")
         self._sids = array("I")
         self._nodes: List[str] = []
         self._values: List[Any] = []
+        self._chunks: List[_Chunk] = []
+        self._room = _CHUNK
         # Read side, all built lazily: each record's first value index
         # (for the first len(_starts) records), each record's view or
         # None if no read asked for it yet (the first _complete are all
@@ -300,6 +346,10 @@ class TraceRecorder:
             self._tally[sid] += 1
         if not self.enabled:
             return
+        # A countdown, not len(): the check costs no call per emit.
+        if not self._room:
+            self._seal()
+        self._room -= 1
         self._times.append(time)
         self._sids.append(sid)
         self._nodes.append(node)
@@ -351,6 +401,34 @@ class TraceRecorder:
         """Invoke ``fn`` on every stored record as it is emitted."""
         self._subscribers.append(fn)
 
+    # -- chunks -----------------------------------------------------------
+    def _seal(self) -> None:
+        """Close the full tail as the next chunk and open a fresh one.
+        The chunk is pickled unless a view points into it or it holds
+        anything but plain data; then it stays as its lists."""
+        tail = (self._values, self._nodes)
+        pinned = any(islice(self._views, len(self._chunks) * _CHUNK, None))
+        self._chunks.append(tail if pinned else _sealed(tail) or tail)
+        self._values, self._nodes = [], []
+        self._room = _CHUNK
+
+    def _open(self, c: int) -> Tuple[List[Any], List[str]]:
+        """Chunk ``c``'s value and node lists (past the last chunk, the
+        tail's); a pickled chunk is decoded and kept as its lists."""
+        if c == len(self._chunks):
+            return self._values, self._nodes
+        chunk = self._chunks[c]
+        if isinstance(chunk, bytes):
+            chunk = self._chunks[c] = pickle.loads(chunk)
+        return chunk
+
+    def _columns(self) -> Iterator[Tuple[List[Any], List[str]]]:
+        """Every chunk's value and node lists in order, the tail last; a
+        pickled chunk is decoded for the caller alone and not kept."""
+        for chunk in self._chunks:
+            yield pickle.loads(chunk) if isinstance(chunk, bytes) else chunk
+        yield self._values, self._nodes
+
     def _offsets(self) -> "array[int]":
         """Each stored record's first value index, extended to the last."""
         starts = self._starts
@@ -364,19 +442,27 @@ class TraceRecorder:
         return starts
 
     def _views_at(self, positions: Iterable[int]) -> List[TraceRecord]:
-        """The views of the records at ``positions``, built where missing."""
+        """The views of the records at ``positions`` (ascending), built
+        where missing; a view points into its chunk's value list."""
         views = self._views
         if len(views) < len(self._times):
             views.extend([None] * (len(self._times) - len(views)))
         starts = self._offsets()
-        times, sids, nodes = self._times, self._sids, self._nodes
-        shapes, values = self._shapes, self._values
+        times, sids, shapes = self._times, self._sids, self._shapes
+        values: List[Any] = []
+        nodes: List[str] = []
+        lo = hi = base = 0      # the open chunk's records, its first value
         out = []
         for i in positions:
             rec = views[i]
             if rec is None:
+                if not lo <= i < hi:
+                    lo = i - i % _CHUNK
+                    hi = lo + _CHUNK
+                    values, nodes = self._open(lo // _CHUNK)
+                    base = starts[lo]
                 rec = views[i] = _view(values, times[i], shapes[sids[i]],
-                                       nodes[i], starts[i])
+                                       nodes[i - lo], starts[i] - base)
             out.append(rec)
         return out
 
@@ -404,9 +490,14 @@ class TraceRecorder:
             # Per shape, indexed by "a named node emitted it".
             pick = [(s.kind in kinds and s.kind not in node_kinds,
                      s.kind in kinds) for s in self._shapes]
+            first = start // _CHUNK
+            emitters = chain(
+                islice(self._open(first)[1], start % _CHUNK, None),
+                chain.from_iterable(self._open(c)[1] for c in range(
+                    first + 1, len(self._chunks) + 1)))
             flags: Iterable[bool] = map(
                 getitem, map(pick.__getitem__, sids),
-                map(nodes.__contains__, self._nodes[start:stop]))
+                map(nodes.__contains__, emitters))
         else:
             flags = map([s.kind in kinds for s in self._shapes].__getitem__,
                         sids)
@@ -429,13 +520,15 @@ class TraceRecorder:
         fields sorted by name, values ``repr``-ed, ``omit`` left out."""
         formats = [s.template(omit).format for s in self._shapes]
         arities = [s.arity for s in self._shapes]
-        values = self._values
+        times, sids = iter(self._times), iter(self._sids)
         out = []
-        at = 0
-        for time, sid, node in zip(self._times, self._sids, self._nodes):
-            n = arities[sid]
-            out.append(formats[sid](time, node, *values[at:at + n]))
-            at += n
+        for values, nodes in self._columns():
+            at = 0
+            # nodes first: zip stops on it without taking a time or id
+            for node, time, sid in zip(nodes, times, sids):
+                n = arities[sid]
+                out.append(formats[sid](time, node, *values[at:at + n]))
+                at += n
         return out
 
     def digest(self, omit: FrozenSet[str] = frozenset()) -> str:
@@ -449,8 +542,10 @@ class TraceRecorder:
             for s, keep in zip(shapes, kept)])).encode("utf-8"))
         digest.update(_little_endian(self._times))
         digest.update(_little_endian(self._sids))
-        _hash_repr(digest, self._nodes)
-        values: Iterable[Any] = self._values
+        _hash_repr(digest, chain.from_iterable(
+            nodes for _, nodes in self._columns()))
+        values: Iterable[Any] = chain.from_iterable(
+            chunk for chunk, _ in self._columns())
         if not all(map(all, kept)):
             values = compress(values, chain.from_iterable(
                 map(kept.__getitem__, self._sids)))

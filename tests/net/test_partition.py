@@ -120,3 +120,24 @@ def test_san_isolate_cuts_initiators_and_devices():
     san.unblock_pair("c1", "disk1")
     assert san.reachable("c1", "disk1") and san.reachable("disk1", "c1")
     assert not san.reachable("c1", "disk2")
+
+
+def test_isolate_holds_against_nodes_attached_later():
+    # Clients are built on first touch: c2 attaches to both fabrics after
+    # c1 was isolated on each, and must be cut from it until heal_all.
+    from repro.storage.disk import VirtualDisk
+    from tests.conftest import make_system
+    s = make_system(n_clients=3)
+    s.client("c1")
+    for net in (s.control_net, s.san):
+        net.isolate("c1")
+    s.client("c2")
+    s.san.attach_device(VirtualDisk("disk9", 64))
+    for net, peer in ((s.control_net, "c2"), (s.san, "c2"),
+                      (s.san, "disk9")):
+        assert not net.reachable("c1", peer) and not net.reachable(peer, "c1")
+    for net in (s.control_net, s.san):
+        net.heal_all()
+    s.client("c3")
+    for net in (s.control_net, s.san):
+        assert net.reachable("c1", "c2") and net.reachable("c3", "c1")

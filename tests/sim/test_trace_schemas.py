@@ -158,24 +158,48 @@ def test_reading_views_builds_no_dict_per_record():
     assert sum(type(o) is dict for o in gc.get_objects()) - before < 20
 
 
-def test_a_stored_msg_send_costs_at_most_120_bytes():
-    n = 100_000
+def _bytes_per_record(first, emits):
+    """tracemalloc growth per record over ``emits`` (one record each),
+    after ``first`` resolved the kind."""
     t = TraceRecorder()
-    emit = t.emit
-    names = [f"c{i}" for i in range(64)]
-    emit(0.0, "msg.send", "warm", "fs.getattr", "up", 0, 0)
+    t.emit(*first)
+    n = 0
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(n):
-            # msg_id unique, seq per sender: what a run's sends carry
-            emit(i * 0.001, "msg.send", names[i % 64], "fs.getattr",
-                 names[(i + 1) % 64], i, i // 64)
+        for args in emits:
+            t.emit(*args)
+            n += 1
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(t) == n + 1
-    assert grown / n <= 120, grown / n
+    return grown / n
+
+
+def test_a_stored_msg_send_costs_at_most_40_bytes():
+    # 100k records fill six sealed chunks: time and shape id stay 12 B in
+    # their arrays, node and values are pickled.
+    names = [f"c{i}" for i in range(64)]
+    # msg_id unique, seq per sender: what a run's sends carry
+    cost = _bytes_per_record(
+        (0.0, "msg.send", "warm", "fs.getattr", "up", 0, 0),
+        ((i * 0.001, "msg.send", names[i % 64], "fs.getattr",
+          names[(i + 1) % 64], i, i // 64) for i in range(100_000)))
+    assert cost <= 40, cost
+
+
+def test_a_stored_app_write_ack_costs_at_most_120_bytes():
+    # A fresh tag, a fresh blocks list and a fresh phys list of tuples
+    # per write, as client/datapath.py emits them.
+    names = [f"c{i}" for i in range(64)]
+    cost = _bytes_per_record(
+        (0.0, "app.write.ack", "warm", 0, "warm:w0", [0, 1],
+         [("d0", 0), ("d0", 1)]),
+        ((i * 0.001, "app.write.ack", names[i % 64], i % 512,
+          f"{names[i % 64]}:w{i}", [i % 64, i % 64 + 1],
+          [("d0", 2 * i), ("d0", 2 * i + 1)]) for i in range(100_000)))
+    assert cost <= 120, cost
 
 
 # -- the canonical rendering -------------------------------------------------
